@@ -24,58 +24,18 @@ Quickstart::
     result = api.encode("cricket", preset="medium", crf=23)
     profiled = api.profile("cricket")
     print(profiled.counters.backend_bound)
-
-The historical top-level aliases ``repro.transcode`` and
-``repro.profile_transcode`` still resolve, but emit a
-``DeprecationWarning`` (once per symbol) pointing at their
-:mod:`repro.api` replacements.
 """
-
-import warnings
 
 from repro.codec import EncoderOptions, decode, encode, preset_options
 from repro.video import load_video
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "transcode",
     "encode",
     "decode",
     "EncoderOptions",
     "preset_options",
     "load_video",
-    "profile_transcode",
     "__version__",
 ]
-
-#: Deprecated top-level aliases: name -> (replacement hint, loader).
-_DEPRECATED_ALIASES = {
-    "transcode": "repro.api.encode",
-    "profile_transcode": "repro.api.profile",
-}
-
-#: Symbols whose deprecation warning already fired (once per process).
-_warned_deprecations: set[str] = set()
-
-
-def _load_deprecated(name: str):
-    if name == "transcode":
-        from repro.ffmpeg import transcode as symbol
-    else:
-        from repro.profiling import profile_transcode as symbol
-    return symbol
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ALIASES:
-        if name not in _warned_deprecations:
-            _warned_deprecations.add(name)
-            warnings.warn(
-                f"repro.{name} is deprecated; use "
-                f"{_DEPRECATED_ALIASES[name]} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return _load_deprecated(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,10 +22,6 @@ Quickstart::
     result = api.encode("cricket", preset="medium", crf=23)
     report = api.serve(api.table3_requests(8))
     print(report.render())
-
-The historical aliases (``repro.transcode``, ``repro.profile_transcode``,
-``repro.experiments.runner.run``) keep working but emit a
-``DeprecationWarning`` pointing here.
 """
 
 import importlib

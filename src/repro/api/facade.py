@@ -3,9 +3,7 @@ serve, loadtest, fleet_compare.
 
 One function per workflow, all consuming/producing the typed records in
 :mod:`repro.api.types`. The CLI, the experiments, and the service layer
-route through these — per-module ``run()`` functions and the historical
-``repro.transcode`` / ``repro.profile_transcode`` aliases remain only as
-deprecated shims.
+route through these.
 
 - :func:`encode` — one transcode (the Fig. 2 triangle);
 - :func:`profile` — one perf-stat-style profiled transcode;
@@ -59,17 +57,16 @@ __all__ = [
 
 
 def backends():
-    """Every registered kernel backend, in registration order.
+    """The three kernel backends, oracle first.
 
-    Returns the :class:`~repro.codec.kernels.Backend` records themselves:
-    each carries its capability set, what it inherits from (``base``),
-    and — for optional backends whose dependency is missing, like
-    ``numba`` without numba installed — an ``unavailable_reason``
-    explaining why selecting it will fall back. Pick a backend with
+    Returns the :class:`~repro.codec.kernels.BackendInfo` rows
+    themselves: name, description, and — for ``numba`` without numba
+    installed — an ``unavailable_reason`` explaining why selecting it
+    will run ``vectorized`` instead. Pick a backend with
     ``Settings(kernels=...)`` or inspect availability programmatically::
 
         >>> [b.name for b in api.backends() if b.available]
-        ['reference', 'vectorized', 'batched']
+        ['reference', 'vectorized']
     """
     from repro.codec import kernels as _kernels
 

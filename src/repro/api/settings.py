@@ -129,11 +129,7 @@ class Settings:
                 f"loadtest duration must be > 0 s, "
                 f"got {self.loadtest_duration}"
             )
-        if self.kernels not in _kernels.KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {self.kernels!r}; choose from "
-                f"{', '.join(_kernels.KERNEL_BACKENDS)}"
-            )
+        _kernels.validate_backend(self.kernels)
         if self.fault_plan:
             # Validate eagerly so a bad plan fails at resolve time, not
             # at the first fault point deep inside a sweep.
@@ -185,13 +181,7 @@ class Settings:
             # Reject unknown names eagerly: a typo'd REPRO_KERNELS used
             # to be silently ignored and only surface (if at all) as a
             # mysteriously slow run on the default backend.
-            if kernels_raw not in _kernels.KERNEL_BACKENDS:
-                raise ValueError(
-                    f"REPRO_KERNELS={kernels_raw!r} is not a registered "
-                    f"kernel backend; choose from "
-                    f"{', '.join(_kernels.KERNEL_BACKENDS)}"
-                )
-            kwargs["kernels"] = kernels_raw
+            kwargs["kernels"] = _kernels.validate_backend(kernels_raw)
         shm_raw = os.environ.get("REPRO_SHM", "").strip().lower()
         if shm_raw:
             kwargs["shm"] = shm_raw in _TRUTHY

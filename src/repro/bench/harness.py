@@ -3,8 +3,9 @@
 Every workload is deterministic (fixed seeds, fixed shapes) and is run
 under every *available* kernel backend with the same inputs, so the
 per-kernel speedups isolate exactly what each rewrite bought (rows keep
-the historical ``reference``/``vectorized`` columns plus per-backend
-``backends``/``speedups`` maps for the registry's extra backends).
+the ``reference``/``vectorized`` columns plus per-backend
+``backends``/``speedups`` maps, which also cover ``numba`` when it is
+installed).
 Per-repetition wall times go through the shared
 :class:`repro.obs.MetricsRegistry` histograms; the summary payload embeds
 the registry snapshot so ``BENCH_*.json`` doubles as a telemetry

@@ -187,7 +187,7 @@ def render_bench(payload: dict[str, object]) -> str:
                 f"({info['frames_per_s']:.1f} frames/s, "
                 f"{info['speedup']:.2f}x vs reference)"
             )
-    else:  # pre-registry artifact: only the original two backends
+    else:  # oldest artifacts: no per-backend map
         lines += [
             f"  reference  {e2e['reference_s']:.2f}s "
             f"({e2e['reference_frames_per_s']:.1f} frames/s)",
@@ -202,10 +202,11 @@ def _tracked_speedups(payload: dict[str, object]) -> dict[str, float]:
     """Workload -> speedup-over-reference map the gate compares.
 
     The unsuffixed rows (``kernel:<name>``, ``e2e:fig3-slice``) are the
-    historical vectorized-over-reference ratios; registry backends beyond
-    the original two contribute suffixed rows (``kernel:<name>:batched``,
-    ``e2e:fig3-slice:batched``, ...) that show up as ``(new)`` against
-    older baselines and gate normally once re-baselined.
+    vectorized-over-reference ratios; an available ``numba`` backend
+    contributes suffixed rows (``kernel:<name>:numba``,
+    ``e2e:fig3-slice:numba``) that show up as ``(new)`` against a
+    baseline recorded without it. Suffixed rows a baseline carries for a
+    backend that no longer exists show up as ``(removed)``.
     """
     tracked: dict[str, float] = {}
     for name, row in payload["kernels"].items():  # type: ignore[union-attr]

@@ -136,10 +136,9 @@ def _cache_main(argv: list[str]) -> int:
 def _backends_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro backends",
-        description="List the registered kernel backends, their "
-                    "capabilities, and availability (an optional "
-                    "backend whose dependency is missing shows why and "
-                    "what it falls back to).",
+        description="List the kernel backends and their availability "
+                    "(an optional backend whose dependency is missing "
+                    "shows why and what it falls back to).",
     )
     parser.parse_args(argv)
 
@@ -152,19 +151,14 @@ def _backends_main(argv: list[str]) -> int:
         if backend.available:
             status = "available"
         else:
-            status = f"unavailable ({backend.unavailable_reason})"
-            if backend.base:
-                status += f", falls back to {backend.base}"
-        caps = ",".join(sorted(backend.capabilities)) or "-"
-        rows.append((marker, backend.name, status, caps, backend.description))
+            status = (f"unavailable ({backend.unavailable_reason}), "
+                      f"falls back to {kernels.DEFAULT_BACKEND}")
+        rows.append((marker, backend.name, status, backend.description))
     name_w = max(len(r[1]) for r in rows)
     status_w = max(len(r[2]) for r in rows)
-    caps_w = max(max(len(r[3]) for r in rows), len("capabilities"))
-    print(f"  {'backend':<{name_w}}  {'status':<{status_w}}  "
-          f"{'capabilities':<{caps_w}}  description")
-    for marker, name, status, caps, desc in rows:
-        print(f"{marker} {name:<{name_w}}  {status:<{status_w}}  "
-              f"{caps:<{caps_w}}  {desc}")
+    print(f"  {'backend':<{name_w}}  {'status':<{status_w}}  description")
+    for marker, name, status, desc in rows:
+        print(f"{marker} {name:<{name_w}}  {status:<{status_w}}  {desc}")
     print(f"\n* = active backend (select with --kernels/$REPRO_KERNELS; "
           f"default {kernels.DEFAULT_BACKEND})")
     return 0

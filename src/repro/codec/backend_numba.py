@@ -8,12 +8,13 @@ inputs — pixel differences, which are integer-valued in float64 — every
 summation order is exact, so a compiled loop nest is bit-identical to
 the NumPy matmul formulation regardless of association order.
 
-The backend builds on ``batched`` (inheriting its entropy fold and the
-encoder's frame-level hoists) and only overrides the two SATD kernels.
-When numba is not installed the backend registers as *unavailable*:
-selecting it produces a one-time warning and falls back to ``batched``,
-never a crash. Compilation happens lazily on first use; a compile
-failure likewise degrades to the NumPy formulation with a warning.
+The backend is ``vectorized`` with the two SATD kernels swapped for the
+functions below (:mod:`repro.codec.transform` calls them when
+``kernels.is_jit()``). When numba is not installed the backend is
+*unavailable*: selecting it produces a one-time warning and runs
+``vectorized``, never a crash. Compilation happens lazily on first use;
+a compile failure likewise degrades to the NumPy formulation with a
+warning.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["register", "satd_batch_jit", "hadamard_sad_batch_jit"]
+__all__ = ["unavailable_reason", "satd_batch_jit", "hadamard_sad_batch_jit"]
 
 #: Lazily compiled numba dispatchers, keyed by kernel id.
 _compiled: dict[str, Callable] = {}
@@ -156,22 +157,12 @@ def hadamard_sad_batch_jit(cur: np.ndarray, cands: np.ndarray) -> np.ndarray:
     return np.abs(trans).reshape(k, -1).sum(axis=1) / 2.0
 
 
-def register(register_backend) -> None:
-    """Register the ``numba`` backend (marked unavailable without numba)."""
+def unavailable_reason() -> str | None:
+    """Why the ``numba`` backend cannot run here (``None`` if it can)."""
     import importlib.util
 
     try:
         missing = importlib.util.find_spec("numba") is None
     except (ImportError, ValueError):
         missing = True
-    register_backend(
-        "numba",
-        impls={
-            "transform.satd_batch": satd_batch_jit,
-            "transform.hadamard_sad_batch": hadamard_sad_batch_jit,
-        },
-        capabilities=("vectorized", "batched", "jit"),
-        base="batched",
-        description="JIT-compiled SATD kernels on top of batched",
-        unavailable_reason="numba is not installed" if missing else None,
-    )
+    return "numba is not installed" if missing else None

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.codec import kernels
 from repro.codec.chroma import decode_chroma_plane
 from repro.codec.deblock import deblock_plane
 from repro.codec.entropy import BitReader, decode_block, read_se, read_ue
@@ -59,6 +60,7 @@ class Decoder:
         self.tracer = tracer if tracer is not None else NullTracer()
 
     def decode(self, bitstream: bytes) -> DecodeResult:
+        kernels.active_backend()  # bind kernel dispatch once per decode
         reader = BitReader(bitstream)
         width = read_ue(reader)
         height = read_ue(reader)

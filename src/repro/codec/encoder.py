@@ -14,10 +14,11 @@ respond to crf/refs/preset/video exactly as the paper describes.
 
 The hot kernels the encoder calls (transform, motion, intra, deblock,
 entropy, chroma) are backend-dispatched via :mod:`repro.codec.kernels`
-(``REPRO_KERNELS=reference|vectorized``); the encoder itself additionally
-hoists per-macroblock float casts (one :func:`blockify_16x16` per MB
-instead of sixteen sub-block casts) under the vectorized backend. Both
-backends produce bit-identical bitstreams, reconstructions, and traces.
+(``REPRO_KERNELS=reference|vectorized|numba``), bound once per
+:meth:`Encoder.encode` so the backend cannot change mid-encode; the
+encoder itself hoists the per-macroblock float casts into one cast per
+frame. All backends produce bit-identical bitstreams, reconstructions,
+and traces.
 """
 
 from __future__ import annotations
@@ -131,21 +132,17 @@ class _FrameContext:
     mv_grid: list[list[MotionVector | None]] = field(default_factory=list)
     mb_variances: np.ndarray | None = None
     mean_variance: float = 0.0
-    #: Whole-frame float64 cast of ``src`` (batched backends only): the
-    #: per-MB ``astype`` calls collapse into one per-frame cast, served
-    #: back as views. ``None`` keeps the per-MB cast path.
-    src_f: np.ndarray | None = None
+    #: Whole-frame float64 cast of ``src``: one cast per frame, served
+    #: back as views, instead of one ``astype`` per macroblock.
+    src_f: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.src_f = self.src.astype(np.float64)
 
     def src_mb_f(self, y: int, x: int) -> np.ndarray:
-        """Float64 16x16 source macroblock at plane coordinates (y, x).
-
-        A zero-copy view of the per-frame cast when the batched hoist is
-        on, else a fresh per-MB cast — the float64 values are identical
-        either way, so downstream arithmetic is unchanged.
-        """
-        if self.src_f is not None:
-            return self.src_f[y : y + 16, x : x + 16]
-        return self.src[y : y + 16, x : x + 16].astype(np.float64)
+        """Float64 16x16 source macroblock at plane coordinates (y, x),
+        as a zero-copy view of the per-frame cast."""
+        return self.src_f[y : y + 16, x : x + 16]
 
 
 @dataclass
@@ -177,6 +174,7 @@ class Encoder:
     # ------------------------------------------------------------------
     def encode(self, video: FrameSequence) -> EncodeResult:
         fault_point("encoder.encode", detail=video.name)
+        kernels.active_backend()  # bind kernel dispatch once per encode
         with obs.span(
             "encode",
             preset=self.options.preset_name,
@@ -384,11 +382,6 @@ class Encoder:
             recon=np.zeros_like(src),
             frame_type=ftype,
             base_qp=base_qp,
-            src_f=(
-                src.astype(np.float64)
-                if kernels.has_capability("batched")
-                else None
-            ),
         )
         if ftype is not FrameType.I:
             past = [e for e in dpb if e.display_index < disp_idx]
@@ -504,7 +497,7 @@ class Encoder:
         use = choices[0][1]
 
         if use == "intra" and intra_cand is not None and intra_cand[0].mode is MBMode.INTRA_4X4:
-            return self._emit_intra4(ctx, mb_y, mb_x, src_mb, qp_mb, writer, rc)
+            return self._emit_intra4(ctx, mb_y, mb_x, qp_mb, writer, rc)
         if use == "intra" and intra_cand is not None:
             mode = MBMode.INTRA_16X16
             prediction = intra_cand[2]
@@ -721,7 +714,6 @@ class Encoder:
         ctx: _FrameContext,
         mb_y: int,
         mb_x: int,
-        src_mb: np.ndarray,
         qp_mb: int,
         writer: BitWriter,
         rc: RateController,
@@ -736,30 +728,16 @@ class Encoder:
         total_modes_tried = 0
         # The block chain is inherently sequential (each block predicts
         # from the reconstruction its predecessors just wrote), but the
-        # source casts are not: hoist them into one blockify per MB, or
-        # — under a batched backend — serve strided views of the
-        # per-frame float cast with no per-MB copy at all.
-        srcs_grid = srcs = None
-        if ctx.src_f is not None:
-            srcs_grid = (
-                ctx.src_f[y0 : y0 + 16, x0 : x0 + 16]
-                .reshape(4, 4, 4, 4)
-                .transpose(0, 2, 1, 3)
-            )
-        elif kernels.is_vectorized():
-            srcs = blockify_16x16(src_mb).astype(np.float64)
+        # source casts are not: serve strided 4x4 views of the per-frame
+        # float cast with no per-MB copy at all.
+        srcs_grid = (
+            ctx.src_mb_f(y0, x0).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
+        )
         for by in range(4):
             for bx in range(4):
                 y = y0 + by * 4
                 x = x0 + bx * 4
-                if srcs_grid is not None:
-                    src4f = srcs_grid[by, bx]
-                elif srcs is not None:
-                    src4f = srcs[by * 4 + bx]
-                else:
-                    src4f = src_mb[
-                        by * 4 : by * 4 + 4, bx * 4 : bx * 4 + 4
-                    ].astype(np.float64)
+                src4f = srcs_grid[by, bx]
                 mode, pred = self._best_intra4_block(ctx.recon, src4f, y, x)
                 total_modes_tried += 3
                 modes4.append(int(mode))

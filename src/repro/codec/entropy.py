@@ -11,9 +11,10 @@ scale with the number and magnitude of surviving coefficients.
 Bit emission is backend-dispatched (see :mod:`repro.codec.kernels`): the
 ``reference`` backend pushes one bit at a time through
 :meth:`BitWriter.write_bit`, while the ``vectorized`` backend appends
-whole codes with big-integer shifts and byte-chunked extends — the buffer
-contents, partial-byte state, and ``bit_count`` stay identical by
-construction (MSB-first in both).
+whole codes (a whole block batch, in :func:`encode_blocks`) with
+big-integer shifts and byte-chunked extends — the buffer contents,
+partial-byte state, and ``bit_count`` stay identical by construction
+(MSB-first in both).
 """
 
 from __future__ import annotations
@@ -226,42 +227,63 @@ def encode_blocks(writer: BitWriter, blocks: np.ndarray) -> list[int]:
     """Run-level encode a batch of 4x4 blocks; returns per-block bits.
 
     Emits exactly the same bitstream as calling :func:`encode_block` on
-    each block in order; the vectorized backend hoists the zigzag gather
-    over the whole ``(n, 4, 4)`` batch and merges each block's codes into
-    one bulk append.
+    each block in order (which is what the ``reference`` backend does).
+    The vectorized body computes every codeword and width of the whole
+    ``(n, 4, 4)`` batch in NumPy and folds them into **one** big-int
+    append: codeword concatenation is associative, so the bitstream is
+    unchanged — only the number of ``append_bits`` calls drops.
     """
     arr = np.asarray(blocks, dtype=np.int64)
     if arr.ndim != 3 or arr.shape[-2:] != (4, 4):
         raise ValueError(f"expected (n, 4, 4) blocks, got {arr.shape}")
     if not kernels.is_vectorized():
         return [encode_block(writer, b) for b in arr]
-    override = kernels.impl("entropy.encode_blocks")
-    if override is not None:
-        return override(writer, arr)
+    n = arr.shape[0]
     scans = arr[:, ZIGZAG_4X4[0], ZIGZAG_4X4[1]]  # (n, 16)
-    out: list[int] = []
-    for scan in scans:
-        start = writer.bit_count
-        nz_positions = np.nonzero(scan)[0]
-        code = len(nz_positions) + 1
-        acc = code
-        nbits = 2 * code.bit_length() - 1
-        prev = -1
-        for pos in nz_positions:
-            p = int(pos)
-            code = p - prev
-            w = 2 * code.bit_length() - 1
-            acc = (acc << w) | code
-            nbits += w
-            level = int(scan[p])
-            code = (2 * level) if level > 0 else (1 - 2 * level)
-            w = 2 * code.bit_length() - 1
-            acc = (acc << w) | code
-            nbits += w
-            prev = p
-        writer.append_bits(acc, nbits)
-        out.append(writer.bit_count - start)
-    return out
+    nz_mask = scans != 0
+    # np.nonzero walks row-major, so entries arrive grouped by block in
+    # scan order — exactly the order the per-block path emits them.
+    block_idx, pos = np.nonzero(nz_mask)
+    levels = scans[block_idx, pos]
+    # Zero-run codes: distance to the previous nonzero in the same block
+    # (or to -1 at a block start).
+    prev = np.empty_like(pos)
+    if pos.size:
+        prev[0] = -1
+        prev[1:] = np.where(block_idx[1:] == block_idx[:-1], pos[:-1], -1)
+    run_codes = pos - prev
+    level_codes = np.where(levels > 0, 2 * levels, 1 - 2 * levels)
+    header_codes = nz_mask.sum(axis=1) + 1  # (n,) nonzero counts + 1
+    # Codeword width 2*bit_length-1; frexp's exponent IS bit_length for
+    # positive ints (exact in float64 below 2**53 — levels are int32).
+    run_widths = 2 * np.frexp(run_codes.astype(np.float64))[1] - 1
+    level_widths = 2 * np.frexp(level_codes.astype(np.float64))[1] - 1
+    header_widths = 2 * np.frexp(header_codes.astype(np.float64))[1] - 1
+    per_block = header_widths + np.bincount(
+        block_idx, weights=run_widths + level_widths, minlength=n
+    ).astype(np.int64)
+
+    # Assembly must stay in Python big ints; everything numeric is done,
+    # so hand the loop plain lists.
+    bi = block_idx.tolist()
+    rc, rw = run_codes.tolist(), run_widths.tolist()
+    lc, lw = level_codes.tolist(), level_widths.tolist()
+    head = header_codes.tolist()
+    widths = per_block.tolist()
+    total_acc = 0
+    total_bits = 0
+    j = 0
+    n_entries = len(bi)
+    for b in range(n):
+        acc = head[b]
+        while j < n_entries and bi[j] == b:
+            acc = (acc << rw[j]) | rc[j]
+            acc = (acc << lw[j]) | lc[j]
+            j += 1
+        total_acc = (total_acc << widths[b]) | acc
+        total_bits += widths[b]
+    writer.append_bits(total_acc, total_bits)
+    return widths
 
 
 def decode_block(reader: BitReader) -> np.ndarray:

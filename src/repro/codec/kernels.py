@@ -1,51 +1,30 @@
-"""Pluggable kernel-backend registry (``REPRO_KERNELS=<backend>``).
+"""The kernel backend switch (``REPRO_KERNELS=<backend>``).
 
-The codec's hot loops (SATD/DCT/quant in :mod:`repro.codec.transform`,
-candidate scoring in :mod:`repro.codec.motion`, 4x4 intra prediction in
-:mod:`repro.codec.intra`, edge filtering in :mod:`repro.codec.deblock`,
-run-level coding in :mod:`repro.codec.entropy`) dispatch through a
-registry of interchangeable backends:
+Each codec hot loop (SATD/DCT, motion candidate scoring, intra
+prediction, deblocking, run-level coding) has two bodies, chosen by
+:func:`is_vectorized`. There are three fixed backend names:
 
 - ``reference`` — the original per-block / per-candidate Python loops,
-  kept verbatim as the readable specification of each kernel;
-- ``vectorized`` — batched NumPy rewrites (whole-frame blockify, fixed
-  contraction paths instead of per-call ``einsum`` path searches, bulk
-  bit appends) that produce **bit-identical** outputs;
-- ``batched`` (:mod:`repro.codec.backend_batched`) — everything the
-  vectorized backend does, plus whole-GOP/frame-level hoists: per-frame
-  float casts, strided 4x4 source views, and one bulk bit append per
-  macroblock/plane instead of one per 4x4 block;
-- ``numba`` (:mod:`repro.codec.backend_numba`) — opt-in JIT compiles of
-  the dominant SATD kernels on top of ``batched``; registered as
-  unavailable (never an import error) when numba is not installed.
+  kept verbatim as the readable oracle for each kernel;
+- ``vectorized`` (default) — the one fast path: NumPy rewrites that
+  produce **bit-identical** outputs;
+- ``numba`` (:mod:`repro.codec.backend_numba`) — ``vectorized`` plus JIT
+  compiles of the two dominant SATD kernels; without numba installed,
+  selecting it warns once and runs ``vectorized``.
 
-Bit-identity is a hard contract, enforced by
-``tests/property/test_kernel_equivalence.py`` for every registered
-backend: all backends yield the same bitstream, reconstruction,
-search-point counts, and visited positions, so sweep cache entries,
+Bit-identity is a hard contract, enforced for every available backend by
+``tests/property/test_kernel_equivalence.py``, so sweep cache entries,
 golden trends, and the µarch traces are backend-independent.
 
-A backend is a :class:`Backend` record: a capability set (the hot-path
-predicate :func:`is_vectorized` is a capability check, so new backends
-inherit every vectorized dispatch site), an optional per-kernel override
-table consulted via :func:`impl`, a ``base`` backend that fills in the
-kernels it does not override, and an availability flag so an optional
-dependency degrades to its base with a visible warning instead of a
-crash.
-
-The active backend resolves, in order, from:
-
-1. the innermost :func:`backend_scope` context (tests, the bench
-   harness),
-2. an explicit :func:`select_backend` call (`Settings.apply` routes
-   here),
-3. the ``REPRO_KERNELS`` environment variable,
-4. the default, ``vectorized``.
-
-If the selected backend is registered but unavailable (e.g. ``numba``
-without numba installed), resolution walks its ``base`` chain to the
-first available backend and warns once. ``set_backend`` /
-``use_backend`` remain as warn-once deprecation shims.
+The backend resolves, in order, from the innermost
+:func:`backend_scope`, an explicit :func:`select_backend`
+(`Settings.apply` routes here), the ``REPRO_KERNELS`` environment
+variable, and the default. Resolution is *bound*, not asked per call:
+:func:`active_backend` stores it in two module flags that
+:func:`is_vectorized` / :func:`is_jit` merely read. Binding happens when
+the selection changes and at the codec entry points (``Encoder.encode``,
+``decoder.decode``), so a flipped ``REPRO_KERNELS`` takes effect at the
+next encode/decode and a backend never changes in the middle of one.
 """
 
 from __future__ import annotations
@@ -54,11 +33,12 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, NamedTuple
+
+from repro.codec import backend_numba
 
 __all__ = [
-    "Backend",
+    "BackendInfo",
     "KERNEL_BACKENDS",
     "DEFAULT_BACKEND",
     "active_backend",
@@ -66,39 +46,22 @@ __all__ = [
     "available_backends",
     "backend_info",
     "backend_scope",
-    "has_capability",
-    "impl",
+    "is_jit",
     "is_vectorized",
-    "register_backend",
     "select_backend",
-    "set_backend",
-    "use_backend",
+    "validate_backend",
 ]
 
 DEFAULT_BACKEND = "vectorized"
-
 _ENV_VAR = "REPRO_KERNELS"
 
 
-@dataclass(frozen=True)
-class Backend:
-    """One registered kernel backend.
-
-    ``capabilities`` is what dispatch sites test (``"vectorized"`` turns
-    on every NumPy fast path; ``"batched"`` additionally enables the
-    frame-level hoists in the encoder). ``impls`` maps kernel ids (e.g.
-    ``"entropy.encode_blocks"``) to override callables; kernels without
-    an override fall through to the ``base`` backend's override, and
-    ultimately to the inline twin selected by the capability checks.
-    ``unavailable_reason`` marks a backend whose optional dependency is
-    missing: selecting it degrades to ``base`` with a warning.
-    """
+class BackendInfo(NamedTuple):
+    """Listing row for one backend name (``repro backends``)."""
 
     name: str
-    capabilities: frozenset[str] = frozenset()
-    impls: Mapping[str, Callable] = field(default_factory=dict)
-    base: str | None = None
-    description: str = ""
+    description: str
+    #: Why the backend cannot run here (a missing optional dependency).
     unavailable_reason: str | None = None
 
     @property
@@ -107,282 +70,130 @@ class Backend:
         return self.unavailable_reason is None
 
 
-#: name -> Backend, in registration order.
-_REGISTRY: dict[str, Backend] = {}
-#: Explicitly selected backend (``select_backend``); ``None`` defers to
-#: the environment / default.
+_BACKENDS: dict[str, BackendInfo] = {
+    row.name: row
+    for row in (
+        BackendInfo("reference", "scalar per-block Python loops (the readable oracle)"),
+        BackendInfo("vectorized", "NumPy fast path, bit-identical to reference"),
+        BackendInfo(
+            "numba",
+            "vectorized plus JIT-compiled SATD kernels",
+            backend_numba.unavailable_reason(),
+        ),
+    )
+}
+#: The three backend names, oracle first.
+KERNEL_BACKENDS: tuple[str, ...] = tuple(_BACKENDS)
+
+#: ``select_backend``'s choice; ``None`` defers to the environment / default.
 _forced: str | None = None
 #: Stack of ``backend_scope`` overrides; the innermost wins.
 _override_stack: list[str] = []
-#: Flattened per-backend kernel-override tables (built lazily).
-_impl_cache: dict[str, dict[str, Callable]] = {}
-#: Availability-fallback resolution cache (name -> first available name).
-_resolve_cache: dict[str, str] = {}
-#: Selection snapshot cache: (scope top, forced, raw env) ->
-#: (resolved name, capabilities, flattened impls). The hot dispatch
-#: predicates run per macroblock, so resolution must be one dict hit.
-_selection_cache: dict[
-    tuple[str | None, str | None, str | None],
-    tuple[str, frozenset[str], dict[str, Callable]],
-] = {}
-#: Warnings already emitted (once per message key).
+#: The bound selection, as the two flags the dispatch sites read.
+_vectorized = True
+_jit = False
+#: Backends whose unavailability has already been warned about.
 _warned: set[str] = set()
 
-#: All registered backend names, in registration order (kept as a module
-#: constant for the historical tuple-shaped API).
-KERNEL_BACKENDS: tuple[str, ...] = ()
 
-
-def _warn_once(key: str, message: str, category: type[Warning] = UserWarning) -> None:
-    if key in _warned:
-        return
-    _warned.add(key)
-    warnings.warn(message, category, stacklevel=3)
-    if category is UserWarning:
-        # Availability degradations must be visible even under warning
-        # suppression: a run silently measuring the wrong backend is the
-        # failure mode this guards against.
-        print(f"repro.codec.kernels: {message}", file=sys.stderr)
-
-
-def register_backend(
-    name: str,
-    impls: Mapping[str, Callable] | None = None,
-    capabilities: Iterator[str] | tuple[str, ...] | frozenset[str] = (),
-    *,
-    base: str | None = None,
-    description: str = "",
-    unavailable_reason: str | None = None,
-) -> Backend:
-    """Register (or replace) a kernel backend and return its record.
-
-    ``base`` must already be registered; an unavailable backend (non-None
-    ``unavailable_reason``) must name a base to degrade to. Registration
-    invalidates the resolution caches, so a replacement takes effect
-    immediately.
-    """
-    if not name or not name.replace("_", "").replace("-", "").isalnum():
-        raise ValueError(f"invalid backend name {name!r}")
-    if base is not None and base not in _REGISTRY:
-        raise ValueError(
-            f"backend {name!r} declares unknown base {base!r}; "
-            f"registered: {', '.join(_REGISTRY) or '(none)'}"
-        )
-    if unavailable_reason is not None and base is None:
-        raise ValueError(
-            f"unavailable backend {name!r} must declare a base to fall back to"
-        )
-    backend = Backend(
-        name=name,
-        capabilities=frozenset(capabilities),
-        impls=dict(impls or {}),
-        base=base,
-        description=description,
-        unavailable_reason=unavailable_reason,
-    )
-    _REGISTRY[name] = backend
-    _impl_cache.clear()
-    _resolve_cache.clear()
-    _selection_cache.clear()
-    global KERNEL_BACKENDS
-    KERNEL_BACKENDS = tuple(_REGISTRY)
-    return backend
-
-
-def all_backends() -> tuple[Backend, ...]:
-    """Every registered backend record, in registration order."""
-    return tuple(_REGISTRY.values())
+def all_backends() -> tuple[BackendInfo, ...]:
+    """Every backend's listing row, in :data:`KERNEL_BACKENDS` order."""
+    return tuple(_BACKENDS.values())
 
 
 def available_backends() -> tuple[str, ...]:
     """Names of the backends that can actually run in this process."""
-    return tuple(b.name for b in _REGISTRY.values() if b.available)
+    return tuple(b.name for b in _BACKENDS.values() if b.available)
 
 
-def backend_info(name: str) -> Backend:
-    """The :class:`Backend` record for ``name`` (``ValueError`` if unknown)."""
-    return _REGISTRY[_validate(name)]
+def backend_info(name: str) -> BackendInfo:
+    """The listing row for ``name`` (``ValueError`` if unknown)."""
+    return _BACKENDS[validate_backend(name)]
 
 
-def _validate(name: str) -> str:
-    if name not in _REGISTRY:
+def validate_backend(name: str) -> str:
+    """Return ``name`` if it is a backend name, else raise ``ValueError``:
+    the one validator behind ``REPRO_KERNELS``, ``Settings.kernels``,
+    :func:`select_backend` and :func:`backend_scope`."""
+    if name not in _BACKENDS:
         raise ValueError(
-            f"unknown kernel backend {name!r}; "
-            f"expected one of {', '.join(_REGISTRY)}"
+            f"unknown kernel backend {name!r} (--kernels / {_ENV_VAR}); "
+            f"expected one of {', '.join(_BACKENDS)}"
         )
     return name
 
 
-def _resolve_available(name: str) -> str:
-    """First available backend on ``name``'s base chain (warns once)."""
-    cached = _resolve_cache.get(name)
-    if cached is not None:
-        return cached
-    backend = _REGISTRY[name]
-    while not backend.available:
-        assert backend.base is not None  # enforced at registration
-        _warn_once(
-            f"unavailable:{backend.name}",
-            f"kernel backend {backend.name!r} is unavailable "
-            f"({backend.unavailable_reason}); falling back to "
-            f"{backend.base!r}",
-        )
-        backend = _REGISTRY[backend.base]
-    _resolve_cache[name] = backend.name
-    return backend.name
-
-
-def _selection() -> tuple[str, frozenset[str], dict[str, Callable]]:
-    """Resolve the active selection to one memoized snapshot.
-
-    The key embeds everything the selection depends on — the innermost
-    ``backend_scope``, the ``select_backend`` force, and the *raw*
-    environment value — so scope pushes/pops and reselects need no
-    explicit invalidation; only ``register_backend`` clears the cache.
-    The environment is consulted (and re-read, every call — callers may
-    flip ``REPRO_KERNELS`` mid-process) only when neither a scope nor a
-    forced selection shadows it: ``os.environ`` lookups are ~µs-scale,
-    too slow for a per-macroblock predicate.
-    """
-    if _override_stack:
-        key = (_override_stack[-1], None, None)
-    elif _forced is not None:
-        key = (None, _forced, None)
-    else:
-        key = (None, None, os.environ.get(_ENV_VAR))
-    snapshot = _selection_cache.get(key)
-    if snapshot is None:
-        scoped, forced, env = key
-        if scoped is not None:
-            name = _resolve_available(scoped)
-        elif forced is not None:
-            name = _resolve_available(forced)
-        elif env:
-            name = _resolve_available(_validate(env.strip().lower()))
-        else:
-            name = _resolve_available(DEFAULT_BACKEND)
-        snapshot = (name, _REGISTRY[name].capabilities, _flat_impls(name))
-        _selection_cache[key] = snapshot
-    return snapshot
-
-
 def active_backend() -> str:
-    """The backend every dispatched kernel uses right now.
+    """Resolve the selection, bind the dispatch flags, return the name.
 
-    Always names an *available* backend: selecting an unavailable one
-    (e.g. ``numba`` without numba installed) resolves to the first
-    available backend on its base chain, with a one-time warning.
+    Always names an *available* backend (``numba`` without numba
+    installed resolves to ``vectorized``, warning once). The only place
+    the environment is read: the hot predicates are plain flag reads.
     """
-    return _selection()[0]
+    global _vectorized, _jit
+    if _override_stack:
+        name = _override_stack[-1]
+    elif _forced is not None:
+        name = _forced
+    else:
+        raw = os.environ.get(_ENV_VAR, "").strip().lower()
+        name = validate_backend(raw) if raw else DEFAULT_BACKEND
+    reason = _BACKENDS[name].unavailable_reason
+    if reason is not None:
+        if name not in _warned:
+            _warned.add(name)
+            message = (
+                f"kernel backend {name!r} is unavailable ({reason}); "
+                f"falling back to {DEFAULT_BACKEND!r}"
+            )
+            warnings.warn(message, UserWarning, stacklevel=2)
+            # Visible even under warning suppression: a run must never
+            # silently measure the wrong backend.
+            print(f"repro.codec.kernels: {message}", file=sys.stderr)
+        name = DEFAULT_BACKEND
+    _vectorized = name != "reference"
+    _jit = name == "numba"
+    return name
+
+
+def _rebind() -> None:
+    """Bind after a selection change; a bad ``REPRO_KERNELS`` is left
+    for the next entry point (or ``Settings.from_env``) to report."""
+    try:
+        active_backend()
+    except ValueError:
+        pass
 
 
 def is_vectorized() -> bool:
-    """Fast predicate for the hot-path dispatch sites.
-
-    True for every backend with the ``"vectorized"`` capability
-    (``vectorized``, ``batched``, ``numba``), so the NumPy fast paths
-    stay on when a higher backend only overrides a few kernels.
-    """
-    return "vectorized" in _selection()[1]
+    """Hot-path predicate: run the NumPy bodies (``vectorized``/``numba``)?"""
+    return _vectorized
 
 
-def has_capability(capability: str) -> bool:
-    """Whether the active backend declares ``capability``."""
-    return capability in _selection()[1]
-
-
-def _flat_impls(name: str) -> dict[str, Callable]:
-    flat = _impl_cache.get(name)
-    if flat is None:
-        backend = _REGISTRY[name]
-        flat = dict(_flat_impls(backend.base)) if backend.base else {}
-        flat.update(backend.impls)
-        _impl_cache[name] = flat
-    return flat
-
-
-def impl(kernel_id: str) -> Callable | None:
-    """The active backend's override for ``kernel_id``, if any.
-
-    Walks the backend's ``base`` chain (nearest override wins); returns
-    ``None`` when no registered backend on the chain overrides the
-    kernel, in which case the dispatch site uses its inline twin.
-    """
-    return _selection()[2].get(kernel_id)
+def is_jit() -> bool:
+    """Hot-path predicate: use the JIT'd SATD kernels (``numba`` only)?"""
+    return _jit
 
 
 def select_backend(name: str | None) -> None:
-    """Select a backend process-wide (``None`` reverts to env/default).
-
-    Unknown names raise ``ValueError`` eagerly, listing the registered
-    backends; a registered-but-unavailable backend is accepted and
-    degrades to its base at dispatch time with a warning.
-    """
+    """Select a backend process-wide (``None`` reverts to env/default);
+    unknown names raise ``ValueError`` eagerly."""
     global _forced
-    _forced = None if name is None else _validate(name)
+    _forced = None if name is None else validate_backend(name)
+    _rebind()
 
 
 @contextmanager
 def backend_scope(name: str) -> Iterator[str]:
-    """Scoped backend override (nestable; the innermost context wins).
-
-    The previous backend is restored even when the body raises.
-    """
-    _override_stack.append(_validate(name))
+    """Scoped backend override (nestable; the innermost context wins);
+    the previous backend is restored even when the body raises."""
+    _override_stack.append(validate_backend(name))
     try:
+        _rebind()
         yield name
     finally:
         _override_stack.pop()
+        _rebind()
 
 
-# ----------------------------------------------------------------------
-# Deprecated compatibility surface (PR 5 convention: warn once).
-# ----------------------------------------------------------------------
-
-def set_backend(name: str | None) -> None:
-    """Deprecated alias of :func:`select_backend` (warns once)."""
-    _warn_once(
-        "deprecated:set_backend",
-        "kernels.set_backend is deprecated; use kernels.select_backend",
-        DeprecationWarning,
-    )
-    select_backend(name)
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[str]:
-    """Deprecated alias of :func:`backend_scope` (warns once)."""
-    _warn_once(
-        "deprecated:use_backend",
-        "kernels.use_backend is deprecated; use kernels.backend_scope",
-        DeprecationWarning,
-    )
-    with backend_scope(name) as active:
-        yield active
-
-
-# ----------------------------------------------------------------------
-# Built-in backends. The extension modules register themselves through
-# the hook below so they never import this module at import time.
-# ----------------------------------------------------------------------
-
-register_backend(
-    "reference",
-    description="scalar per-block Python loops (the readable specification)",
-)
-register_backend(
-    "vectorized",
-    capabilities=("vectorized",),
-    base="reference",
-    description="batched NumPy rewrites, bit-identical to reference",
-)
-
-
-def _register_builtin_extensions() -> None:
-    from repro.codec import backend_batched, backend_numba
-
-    backend_batched.register(register_backend)
-    backend_numba.register(register_backend)
-
-
-_register_builtin_extensions()
+_rebind()  # honour REPRO_KERNELS for kernels called before any entry point

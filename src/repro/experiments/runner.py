@@ -652,38 +652,3 @@ def shared_runner(scale: ExperimentScale) -> SweepRunner:
         runner = SweepRunner(scale)
         _RUNNERS[key] = runner
     return runner
-
-
-# ----------------------------------------------------------------------
-# Deprecated compatibility surface.
-# ----------------------------------------------------------------------
-
-#: Deprecation warnings already emitted by this module (once per symbol).
-_warned_deprecations: set[str] = set()
-
-
-def _deprecated_run(exp_id: str, scale: "ExperimentScale | str" = "quick") -> str:
-    """Deprecated: drive an experiment through the runner module.
-
-    Use :func:`repro.api.sweep` instead — it is the blessed entry point
-    and also handles telemetry artifacts and settings.
-    """
-    from repro.api import sweep
-
-    return sweep(exp_id, scale)
-
-
-def __getattr__(name: str):
-    if name == "run":
-        if name not in _warned_deprecations:
-            _warned_deprecations.add(name)
-            import warnings
-
-            warnings.warn(
-                "calling experiments through repro.experiments.runner.run "
-                "is deprecated; use repro.api.sweep instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return _deprecated_run
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,9 +4,9 @@ The optimized backends are optimizations, not approximations: every
 kernel must produce *bitwise identical* outputs to the scalar reference
 on the same inputs, so golden-output tests and paper figures are
 backend-independent. These tests run each workload under every
-*available* registered backend (``vectorized``, ``batched``, and
-``numba`` when importable — an uninstalled optional backend simply is
-not in :func:`repro.codec.kernels.available_backends`) and compare all
+*available* backend (``vectorized``, and ``numba`` when importable — an
+uninstalled optional backend simply is not in
+:func:`repro.codec.kernels.available_backends`) and compare all
 of them against ``reference`` — first kernel by kernel on random
 inputs, then through a full encode.
 """

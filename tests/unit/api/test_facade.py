@@ -1,11 +1,8 @@
-"""Unit tests for the ``repro.api`` facade and the deprecation shims.
+"""Unit tests for the ``repro.api`` facade.
 
-Exercises all five blessed entry points (encode, profile, sweep,
-schedule, serve) and asserts every deprecated alias warns exactly once
-per symbol while still resolving to the historical implementation.
+Exercises the blessed entry points (encode, profile, sweep, schedule,
+serve) and asserts the aliases removed in 2.0.0 are really gone.
 """
-
-import warnings
 
 import pytest
 
@@ -84,39 +81,19 @@ class TestScheduleAndServe:
 
 
 class TestDeprecatedAliases:
-    def test_transcode_alias_warns_once(self, monkeypatch):
-        monkeypatch.setattr(repro, "_warned_deprecations", set())
-        with pytest.warns(DeprecationWarning, match="repro.api.encode"):
-            symbol = repro.transcode
-        from repro.ffmpeg import transcode
-
-        assert symbol is transcode
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warn would raise
-            assert repro.transcode is transcode
-
-    def test_profile_transcode_alias_warns_once(self, monkeypatch):
-        monkeypatch.setattr(repro, "_warned_deprecations", set())
-        with pytest.warns(DeprecationWarning, match="repro.api.profile"):
-            symbol = repro.profile_transcode
-        from repro.profiling import profile_transcode
-
-        assert symbol is profile_transcode
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert repro.profile_transcode is profile_transcode
-
-    def test_runner_run_alias_warns_once(self, monkeypatch):
-        from repro.experiments import runner
-
-        monkeypatch.setattr(runner, "_warned_deprecations", set())
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            run = runner.run
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run = runner.run
-        assert "Table IV" in run("tab4")
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.does_not_exist
+
+    def test_aliases_removed_in_2_0(self):
+        from repro.codec import kernels
+        from repro.experiments import runner
+
+        for module, name in (
+            (repro, "transcode"),
+            (repro, "profile_transcode"),
+            (runner, "run"),
+            (kernels, "set_backend"),
+            (kernels, "use_backend"),
+        ):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

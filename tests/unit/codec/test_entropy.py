@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.codec import kernels
 from repro.codec.entropy import (
     BitReader,
     BitWriter,
     block_bits,
     decode_block,
     encode_block,
+    encode_blocks,
     read_se,
     read_ue,
     se_bits,
@@ -167,3 +169,79 @@ class TestBlockCoding:
         write_se(w, 1)
         with pytest.raises(ValueError, match="overflow"):
             decode_block(BitReader(w.getvalue()))
+
+
+def _random_batch(seed, n, magnitude):
+    rng = np.random.default_rng(seed)
+    return rng.integers(-magnitude, magnitude + 1, size=(n, 4, 4)).astype(np.int32)
+
+
+def _with_zero_blocks():
+    blocks = _random_batch(3, 6, 4)
+    blocks[0] = 0
+    blocks[3] = 0
+    return blocks
+
+
+#: Batches the vectorized fold must code exactly like the per-block oracle.
+_BATCHES = {
+    "random-0": _random_batch(0, 24, 32),
+    "random-1": _random_batch(1, 24, 32),
+    "random-2": _random_batch(2, 24, 32),
+    "zero-blocks": _with_zero_blocks(),
+    "all-zero": np.zeros((5, 4, 4), dtype=np.int32),
+    "empty": np.zeros((0, 4, 4), dtype=np.int32),
+    # Levels wide enough to need long exp-Golomb codewords.
+    "large-magnitudes": _random_batch(4, 8, 5000),
+}
+
+
+class _CountingWriter(BitWriter):
+    def __init__(self):
+        super().__init__()
+        self.appends = 0
+
+    def append_bits(self, value, width):
+        self.appends += 1
+        super().append_bits(value, width)
+
+
+class TestEncodeBlocks:
+    """``encode_blocks``: the reference loop vs. the vectorized fold."""
+
+    @staticmethod
+    def _encode(backend, blocks):
+        with kernels.backend_scope(backend):
+            writer = _CountingWriter()
+            widths = encode_blocks(writer, blocks)
+        return writer.getvalue(), widths, writer.appends
+
+    @pytest.mark.parametrize("name", _BATCHES)
+    def test_fold_matches_reference(self, name):
+        blocks = _BATCHES[name]
+        # The reference body is literally one encode_block per block.
+        ref_bytes, ref_widths, _ = self._encode("reference", blocks)
+        vec_bytes, vec_widths, _ = self._encode("vectorized", blocks)
+        assert vec_bytes == ref_bytes
+        assert vec_widths == ref_widths
+        assert len(vec_widths) == len(blocks)
+
+    def test_empty_batch_appends_nothing(self):
+        data, widths, _ = self._encode("vectorized", _BATCHES["empty"])
+        assert (data, widths) == (b"", [])
+
+    def test_fold_decodes_back_to_blocks(self):
+        blocks = _random_batch(5, 10, 9)
+        data, _, _ = self._encode("vectorized", blocks)
+        reader = BitReader(data)
+        for block in blocks:
+            assert np.array_equal(decode_block(reader), block)
+
+    def test_fold_is_one_bulk_append(self):
+        blocks = _random_batch(6, 12, 4)
+        # The fold is the point: one append per batch, not one per block.
+        assert self._encode("vectorized", blocks)[2] == 1
+
+    def test_shape_check(self):
+        with pytest.raises(ValueError):
+            encode_blocks(BitWriter(), np.zeros((4, 4), dtype=np.int32))

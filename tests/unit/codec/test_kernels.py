@@ -1,5 +1,5 @@
-"""Backend-registry semantics: selection precedence, capability
-dispatch, availability fallback, and the deprecated shims."""
+"""Backend-switch semantics: selection precedence, unknown names,
+availability fallback, and once-per-encode binding."""
 
 from __future__ import annotations
 
@@ -8,6 +8,10 @@ import warnings
 import pytest
 
 from repro.codec import kernels
+from repro.codec.encoder import encode
+from repro.codec.entropy import BitWriter
+from repro.codec.options import EncoderOptions
+from repro.video.synthetic import SceneSpec, generate_scene
 
 
 @pytest.fixture(autouse=True)
@@ -15,6 +19,9 @@ def _reset_backend(monkeypatch):
     monkeypatch.delenv("REPRO_KERNELS", raising=False)
     kernels.select_backend(None)
     yield
+    # Rebind from a clean environment so no test leaks its backend into
+    # the flags later tests' direct kernel calls read.
+    monkeypatch.delenv("REPRO_KERNELS", raising=False)
     kernels.select_backend(None)
 
 
@@ -24,8 +31,7 @@ def test_default_backend_is_vectorized():
 
 
 def test_builtin_backends_registered_in_order():
-    assert kernels.KERNEL_BACKENDS[:3] == ("reference", "vectorized", "batched")
-    assert "numba" in kernels.KERNEL_BACKENDS
+    assert kernels.KERNEL_BACKENDS == ("reference", "vectorized", "numba")
     assert tuple(b.name for b in kernels.all_backends()) == kernels.KERNEL_BACKENDS
 
 
@@ -33,7 +39,6 @@ def test_available_backends_always_run():
     available = kernels.available_backends()
     assert "reference" in available
     assert "vectorized" in available
-    assert "batched" in available
     for name in available:
         assert kernels.backend_info(name).available
 
@@ -71,9 +76,12 @@ def test_backend_scope_nesting_innermost_wins():
     kernels.select_backend("vectorized")
     with kernels.backend_scope("reference"):
         assert kernels.active_backend() == "reference"
-        with kernels.backend_scope("batched"):
-            assert kernels.active_backend() == "batched"
+        assert not kernels.is_vectorized()
+        with kernels.backend_scope("vectorized"):
+            assert kernels.active_backend() == "vectorized"
+            assert kernels.is_vectorized()
         assert kernels.active_backend() == "reference"
+        assert not kernels.is_vectorized()
     assert kernels.active_backend() == "vectorized"
 
 
@@ -90,93 +98,100 @@ def test_backend_scope_rejects_unknown():
             pass  # pragma: no cover
 
 
-def test_capabilities_accumulate_up_the_chain():
-    with kernels.backend_scope("batched"):
-        assert kernels.is_vectorized()
-        assert kernels.has_capability("batched")
-        assert not kernels.has_capability("jit")
-    with kernels.backend_scope("reference"):
-        assert not kernels.has_capability("batched")
-
-
-def test_impl_walks_base_chain():
-    with kernels.backend_scope("reference"):
-        assert kernels.impl("entropy.encode_blocks") is None
-    with kernels.backend_scope("vectorized"):
-        assert kernels.impl("entropy.encode_blocks") is None
-    with kernels.backend_scope("batched"):
-        override = kernels.impl("entropy.encode_blocks")
-        assert callable(override)
-        # Kernels nobody overrides fall through to the inline twins.
-        assert kernels.impl("deblock.deblock_plane") is None
-
-
-def test_register_backend_requires_known_base():
-    with pytest.raises(ValueError, match="unknown base"):
-        kernels.register_backend("turbo", base="warp")
-
-
-def test_unavailable_backend_requires_base():
-    with pytest.raises(ValueError, match="must declare a base"):
-        kernels.register_backend("gpu", unavailable_reason="no CUDA")
-
-
 def test_unavailable_backend_degrades_to_base(monkeypatch):
-    kernels.register_backend(
-        "flaky",
-        base="vectorized",
-        capabilities=("vectorized",),
-        unavailable_reason="dependency missing (test)",
+    # Independent of whether numba is installed here: mark it missing.
+    monkeypatch.setitem(
+        kernels._BACKENDS,
+        "numba",
+        kernels._BACKENDS["numba"]._replace(
+            unavailable_reason="dependency missing (test)"
+        ),
     )
-    try:
-        monkeypatch.setattr(kernels, "_warned", set())
-        with kernels.backend_scope("flaky"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert kernels.active_backend() == "vectorized"
-                assert kernels.active_backend() == "vectorized"
-        degraded = [w for w in caught if "flaky" in str(w.message)]
-        assert len(degraded) == 1  # warn once, not per dispatch
-        assert "falling back to 'vectorized'" in str(degraded[0].message)
-        assert "flaky" not in kernels.available_backends()
-        assert "flaky" in kernels.KERNEL_BACKENDS
-    finally:
-        kernels._REGISTRY.pop("flaky", None)
-        kernels._impl_cache.clear()
-        kernels._resolve_cache.clear()
-        kernels._selection_cache.clear()
-        kernels.KERNEL_BACKENDS = tuple(kernels._REGISTRY)
+    monkeypatch.setattr(kernels, "_warned", set())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with kernels.backend_scope("numba"):
+            assert kernels.active_backend() == "vectorized"
+            assert kernels.active_backend() == "vectorized"
+            assert kernels.is_vectorized()
+            assert not kernels.is_jit()
+    degraded = [w for w in caught if "numba" in str(w.message)]
+    assert len(degraded) == 1  # warn once, not per dispatch
+    assert "falling back to 'vectorized'" in str(degraded[0].message)
+    assert "numba" not in kernels.available_backends()
+    assert "numba" in kernels.KERNEL_BACKENDS
 
 
 def test_numba_row_reports_availability():
     info = kernels.backend_info("numba")
-    assert info.base == "batched"
-    assert "jit" in info.capabilities
+    assert "JIT" in info.description
     if not info.available:
         assert "numba" in info.unavailable_reason
 
 
-def test_deprecated_shims_warn_once_and_still_work(monkeypatch):
-    monkeypatch.setattr(kernels, "_warned", set())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        kernels.set_backend("reference")
-        assert kernels.active_backend() == "reference"
-        kernels.set_backend(None)
-        with kernels.use_backend("reference") as name:
-            assert name == "reference"
-            assert kernels.active_backend() == "reference"
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    messages = sorted(str(w.message) for w in deprecations)
-    assert len(messages) == 2  # one per shim despite repeated calls
-    assert "select_backend" in messages[0]
-    assert "backend_scope" in messages[1]
+def test_bad_env_does_not_break_scope_exit_or_reset(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNELS", "simd")
+    with kernels.backend_scope("reference"):
+        assert not kernels.is_vectorized()
+    kernels.select_backend(None)  # must not raise; the entry point will
+    with pytest.raises(ValueError, match="reference, vectorized, numba"):
+        kernels.active_backend()
 
 
-def test_use_backend_restores_on_error():
-    with pytest.raises(RuntimeError):
-        with kernels.use_backend("reference"):
-            raise RuntimeError("boom")
-    assert kernels.active_backend() == "vectorized"
+class _CountingEnviron(dict):
+    """``os.environ`` stand-in that counts ``REPRO_KERNELS`` lookups."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        if key == "REPRO_KERNELS":
+            self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        if key == "REPRO_KERNELS":
+            self.reads += 1
+        return super().__getitem__(key)
+
+
+def _scene(n_frames: int, width: int = 48, height: int = 32):
+    return generate_scene(
+        SceneSpec(width=width, height=height, n_frames=n_frames, seed=1, name="k")
+    )
+
+
+def test_encode_reads_env_once_and_rebinds_between_encodes(monkeypatch):
+    """Dispatch is bound per ``encode()``: the environment is consulted a
+    constant number of times however many frames and macroblocks there
+    are, yet a flip between two encodes takes effect on the second."""
+    import os
+
+    environ = _CountingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", environ)
+    opts = EncoderOptions(crf=30, refs=1)
+
+    reads = []
+    for video in (_scene(2), _scene(5, width=80, height=48)):
+        before = environ.reads
+        encode(video, opts)
+        reads.append(environ.reads - before)
+    assert reads[0] == reads[1] <= 2, reads
+
+    bit_writes = []
+    write_bit = BitWriter.write_bit
+
+    def counting_write_bit(self, bit):
+        bit_writes.append(bit)
+        write_bit(self, bit)
+
+    monkeypatch.setattr(BitWriter, "write_bit", counting_write_bit)
+    environ["REPRO_KERNELS"] = "reference"
+    ref = encode(_scene(2), opts)
+    assert bit_writes  # only the reference bodies emit bit by bit
+    assert not kernels.is_vectorized()
+    bit_writes.clear()
+    environ["REPRO_KERNELS"] = "vectorized"
+    vec = encode(_scene(2), opts)
+    assert not bit_writes
+    assert kernels.is_vectorized()
+    assert ref.stream.bitstream == vec.stream.bitstream

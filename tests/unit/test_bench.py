@@ -164,10 +164,18 @@ def test_compare_kernel_threshold_is_looser():
 
 def test_compare_one_sided_workloads_not_regressions():
     base = _fake_payload({"transform.forward_4x4": 3.0, "old.kernel": 2.0}, 3.0)
+    # A baseline from when a since-deleted backend had per-backend rows.
+    base["kernels"]["old.kernel"]["speedups"] = {"vectorized": 2.0, "batched": 9.0}
+    base["e2e"]["backends"] = {
+        "vectorized": {"speedup": 3.0}, "batched": {"speedup": 9.0},
+    }
     cur = _fake_payload({"transform.forward_4x4": 3.0, "new.kernel": 1.0}, 3.0)
     report, regressions = compare_bench(cur, base)
     assert regressions == []
-    assert "(removed)" in report
+    removed = [line.split()[0] for line in report.splitlines() if "(removed)" in line]
+    assert removed == [
+        "e2e:fig3-slice:batched", "kernel:old.kernel", "kernel:old.kernel:batched",
+    ]
     assert "(new)" in report
 
 

@@ -58,6 +58,31 @@ class TestVersionAndList:
             assert EXPERIMENT_DESCRIPTIONS[exp_id] in out
 
 
+class TestBackendsCommand:
+    def test_lists_three_backends_without_capabilities(self, capsys):
+        from repro.codec import kernels
+
+        with kernels.backend_scope("reference"):
+            assert main(["backends"]) == 0
+        out = capsys.readouterr().out
+        header, *rows = out.splitlines()
+        assert header.split() == ["backend", "status", "description"]
+        listed = rows[:3]
+        assert [row[2:].split()[0] for row in listed] == list(
+            kernels.KERNEL_BACKENDS
+        )
+        assert listed[0].startswith("* reference")  # the active marker
+        assert listed[1].startswith("  vectorized")
+        for row, info in zip(listed, kernels.all_backends()):
+            assert info.description in row
+            if info.available:
+                assert "available" in row and "unavailable" not in row
+            else:
+                assert f"unavailable ({info.unavailable_reason})" in row
+                assert "falls back to vectorized" in row
+        assert "capabilit" not in out
+
+
 class TestAllFailureHandling:
     def test_all_reports_succeeded_before_failure(self, capsys, monkeypatch):
         import repro.api.facade as facade
