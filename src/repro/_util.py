@@ -8,11 +8,16 @@ would otherwise be duplicated in many modules.
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 
 import numpy as np
 
 __all__ = [
+    "TRUTHY",
+    "atomic_write_text",
     "check_range",
     "check_choice",
     "check_positive",
@@ -21,7 +26,41 @@ __all__ = [
     "clamp",
     "format_table",
     "geometric_mean",
+    "truthy",
 ]
+
+#: The spellings every boolean knob (``REPRO_SHM``, ``REPRO_RESUME``,
+#: a matrix spec's ``shm: "false"``) accepts as true, case-insensitively.
+TRUTHY = ("1", "true", "yes", "on")
+
+
+def truthy(value: object) -> bool:
+    """The one boolean-knob rule: text is true iff it is in
+    :data:`TRUTHY`; anything else goes through ``bool``."""
+    if isinstance(value, str):
+        return value.strip().lower() in TRUTHY
+    return bool(value)
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` so readers see the old file or the new
+    one, never a torn one: temp file in the target directory, then
+    ``os.replace``. A failed write removes the temp file and re-raises,
+    leaving any previous content in place."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
 
 
 def check_range(name: str, value: float, lo: float, hi: float) -> None:

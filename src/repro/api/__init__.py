@@ -33,6 +33,7 @@ from repro.api.types import (
     JOB_QUEUED,
     JOB_RUNNING,
     JOB_STATES,
+    QUICK_SIZING,
     JobStatus,
     TranscodeRequest,
     TranscodeResult,
@@ -90,6 +91,7 @@ __all__ = [
     "JobStatus",
     "LoadtestReport",
     "LoadtestSpec",
+    "QUICK_SIZING",
     "ServiceConfig",
     "ServiceReport",
     "Settings",

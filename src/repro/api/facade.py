@@ -24,10 +24,12 @@ route through these.
 
 from __future__ import annotations
 
+import importlib
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.api.settings import Settings
 from repro.api.types import TranscodeRequest, TranscodeResult
@@ -140,9 +142,76 @@ def profile(
     )
 
 
+@contextmanager
+def _telemetry_run(
+    experiment: str,
+    scale: str,
+    telemetry_dir: str | Path | None,
+    slo_spec: str | Path | None = None,
+):
+    """Run the body under a telemetry session and export it afterwards.
+
+    Sessions do not nest, so an active one (tests often call the facade
+    inside their own) is reused. Yields a record with the session as
+    ``tel`` and the loaded ``slo`` spec; the body may set ``status`` /
+    ``failures`` before raising (a sweep's ``"partial"``), any other
+    exception marks the run ``"failed"``. With ``telemetry_dir`` the
+    artifacts — SLO verdict included — are written even when the body
+    raised.
+    """
+    from repro import obs
+
+    run = SimpleNamespace(
+        status="ok",
+        failures=None,
+        slo=obs.load_slo_spec(slo_spec) if slo_spec is not None else None,
+    )
+    active = obs.current()
+    session_cm = nullcontext(active) if active else obs.telemetry_session()
+    t0 = time.perf_counter()
+    with session_cm as run.tel:
+        try:
+            yield run
+        except Exception:
+            if run.status == "ok":
+                run.status = "failed"
+            raise
+        finally:
+            if telemetry_dir is not None:
+                verdict = (
+                    obs.evaluate_slo(run.slo, run.tel.metrics.as_dict())
+                    if run.slo is not None else None
+                )
+                paths = obs.export_session(
+                    run.tel,
+                    telemetry_dir,
+                    experiment=experiment,
+                    scale=scale,
+                    wall_seconds=time.perf_counter() - t0,
+                    status=run.status,
+                    failures=run.failures,
+                    slo=verdict.to_payload() if verdict else None,
+                )
+                print(f"[{experiment}] telemetry: {paths['run']}",
+                      file=sys.stderr)
+
+
 # ----------------------------------------------------------------------
 # Experiments.
 # ----------------------------------------------------------------------
+
+#: Figure id -> its ``repro.experiments`` module (``run(scale).render()``).
+_FIGURE_MODULES = {
+    "fig3": "fig3_heatmaps",
+    "fig4": "fig4_projections",
+    "fig5": "fig5_inefficiency",
+    "fig6": "fig6_presets",
+    "fig7": "fig7_videos",
+    "fig8": "fig8_compiler",
+    "fig9": "fig9_scheduler",
+    "roofline": "roofline_sweep",
+}
+
 
 def render_experiment(exp_id: str, scale) -> str:
     """Run one registered experiment and return its rendered text.
@@ -150,63 +219,16 @@ def render_experiment(exp_id: str, scale) -> str:
     Imports are local so cheap experiments do not pay for numpy-heavy
     modules they do not use; ``KeyError`` for unknown ids.
     """
-    if exp_id == "tab1":
-        from repro.experiments.tables import tab1
+    if exp_id in ("tab1", "tab2", "tab3", "tab4"):
+        from repro.experiments import tables
 
-        return tab1(scale).render()
-    if exp_id == "tab2":
-        from repro.experiments.tables import tab2
-
-        return tab2()
-    if exp_id == "tab3":
-        from repro.experiments.tables import tab3
-
-        return tab3()
-    if exp_id == "tab4":
-        from repro.experiments.tables import tab4
-
-        return tab4()
-    if exp_id == "fig3":
-        from repro.experiments import fig3_heatmaps
-
-        return fig3_heatmaps.run(scale).render()
-    if exp_id == "fig4":
-        from repro.experiments import fig4_projections
-
-        return fig4_projections.run(scale).render()
-    if exp_id == "fig5":
-        from repro.experiments import fig5_inefficiency
-
-        return fig5_inefficiency.run(scale).render()
-    if exp_id == "fig6":
-        from repro.experiments import fig6_presets
-
-        return fig6_presets.run(scale).render()
-    if exp_id == "fig7":
-        from repro.experiments import fig7_videos
-
-        return fig7_videos.run(scale).render()
-    if exp_id == "fig8":
-        from repro.experiments import fig8_compiler
-
-        return fig8_compiler.run(scale).render()
-    if exp_id == "fig9":
-        from repro.experiments import fig9_scheduler
-
-        return fig9_scheduler.run(scale).render()
-    if exp_id == "roofline":
-        from repro.experiments import roofline_sweep
-
-        return roofline_sweep.run(scale).render()
-    raise KeyError(exp_id)
-
-
-def _resolve_scale(scale):
-    from repro.experiments.runner import SCALES
-
-    if isinstance(scale, str):
-        return SCALES[scale]
-    return scale
+        if exp_id == "tab1":  # the only table measured at a scale
+            return tables.tab1(scale).render()
+        return getattr(tables, exp_id)()
+    module = importlib.import_module(
+        f"repro.experiments.{_FIGURE_MODULES[exp_id]}"
+    )
+    return module.run(scale).render()
 
 
 def sweep(
@@ -229,42 +251,24 @@ def sweep(
     :class:`~repro.experiments.runner.SweepFailure` after recording a
     ``status: "partial"`` artifact — the caller decides how to degrade.
     """
+    from repro.experiments.runner import SCALES, SweepFailure
+    from repro.obs import span
+
     if settings is not None:
         settings.apply()
-    resolved = _resolve_scale(scale)
+    resolved = SCALES[scale] if isinstance(scale, str) else scale
     if telemetry_dir is None:
         return render_experiment(experiment, resolved)
 
-    from repro.experiments.runner import SweepFailure
-    from repro.obs import export_session, span, telemetry_session
-
-    t0 = time.perf_counter()
-    status = "ok"
-    failures: list[dict[str, object]] | None = None
-    with telemetry_session() as tel:
-        tel.meta["argv_experiment"] = experiment
+    with _telemetry_run(experiment, resolved.name, telemetry_dir) as run:
+        run.tel.meta["argv_experiment"] = experiment
         try:
             with span("experiment", id=experiment, scale=resolved.name):
-                output = render_experiment(experiment, resolved)
+                return render_experiment(experiment, resolved)
         except SweepFailure as exc:
-            status = "partial"
-            failures = exc.failure_payloads()
+            run.status = "partial"
+            run.failures = exc.failure_payloads()
             raise
-        except Exception:
-            status = "failed"
-            raise
-        finally:
-            paths = export_session(
-                tel,
-                telemetry_dir,
-                experiment=experiment,
-                scale=resolved.name,
-                wall_seconds=time.perf_counter() - t0,
-                status=status,
-                failures=failures,
-            )
-            print(f"[{experiment}] telemetry: {paths['run']}", file=sys.stderr)
-    return output
 
 
 def schedule(
@@ -334,58 +338,24 @@ def serve(
             requests, config, control=control, resume=resume
         )
 
-    from repro.obs import (
-        MetricsSnapshotter,
-        current,
-        evaluate_slo,
-        export_session,
-        load_slo_spec,
-        telemetry_session,
-    )
+    from repro.obs import MetricsSnapshotter
 
-    spec = load_slo_spec(slo_spec) if slo_spec is not None else None
-    # Nested sessions are not allowed; reuse an active one (tests often
-    # run the facade inside their own session).
-    session_cm = nullcontext(current()) if current() else telemetry_session()
-    t0 = time.perf_counter()
-    status = "ok"
-    with session_cm as tel:
-        snap_cm = (
+    policy = (config or ServiceConfig()).policy
+    with _telemetry_run("serve", policy, telemetry_dir, slo_spec) as run:
+        snapshots = (
             MetricsSnapshotter(
-                tel.metrics,
+                run.tel.metrics,
                 metrics_out,
                 interval_s=metrics_interval,
-                slo_spec=spec,
+                slo_spec=run.slo,
             )
             if metrics_out is not None
             else nullcontext()
         )
-        try:
-            with snap_cm:
-                report = run_service(
-                    requests, config, control=control, resume=resume
-                )
-        except Exception:
-            status = "failed"
-            raise
-        finally:
-            slo_payload = (
-                evaluate_slo(spec, tel.metrics.as_dict()).to_payload()
-                if spec is not None
-                else None
+        with snapshots:
+            return run_service(
+                requests, config, control=control, resume=resume
             )
-            if telemetry_dir is not None:
-                paths = export_session(
-                    tel,
-                    telemetry_dir,
-                    experiment="serve",
-                    scale=(config or ServiceConfig()).policy,
-                    wall_seconds=time.perf_counter() - t0,
-                    status=status,
-                    slo=slo_payload,
-                )
-                print(f"[serve] telemetry: {paths['run']}", file=sys.stderr)
-    return report
 
 
 def loadtest(
@@ -428,44 +398,8 @@ def loadtest(
     if telemetry_dir is None and slo_spec is None:
         return run_loadtest(spec, config)
 
-    from repro.obs import (
-        current,
-        evaluate_slo,
-        export_session,
-        load_slo_spec,
-        telemetry_session,
-    )
-
-    slo = load_slo_spec(slo_spec) if slo_spec is not None else None
-    session_cm = nullcontext(current()) if current() else telemetry_session()
-    t0 = time.perf_counter()
-    status = "ok"
-    with session_cm as tel:
-        try:
-            report = run_loadtest(spec, config)
-        except Exception:
-            status = "failed"
-            raise
-        finally:
-            slo_payload = (
-                evaluate_slo(slo, tel.metrics.as_dict()).to_payload()
-                if slo is not None
-                else None
-            )
-            if telemetry_dir is not None:
-                paths = export_session(
-                    tel,
-                    telemetry_dir,
-                    experiment="loadtest",
-                    scale=spec.arrivals,
-                    wall_seconds=time.perf_counter() - t0,
-                    status=status,
-                    slo=slo_payload,
-                )
-                print(
-                    f"[loadtest] telemetry: {paths['run']}", file=sys.stderr
-                )
-    return report
+    with _telemetry_run("loadtest", spec.arrivals, telemetry_dir, slo_spec):
+        return run_loadtest(spec, config)
 
 
 def bench_matrix(
@@ -559,28 +493,5 @@ def fleet_compare(
     if telemetry_dir is None:
         return run_fleet_compare(fleets, **kwargs)
 
-    from repro.obs import current, export_session, telemetry_session
-
-    session_cm = nullcontext(current()) if current() else telemetry_session()
-    t0 = time.perf_counter()
-    status = "ok"
-    with session_cm as tel:
-        try:
-            report = run_fleet_compare(fleets, **kwargs)
-        except Exception:
-            status = "failed"
-            raise
-        finally:
-            paths = export_session(
-                tel,
-                telemetry_dir,
-                experiment="fleet-compare",
-                scale=objective,
-                wall_seconds=time.perf_counter() - t0,
-                status=status,
-            )
-            print(
-                f"[fleet-compare] telemetry: {paths['run']}",
-                file=sys.stderr,
-            )
-    return report
+    with _telemetry_run("fleet-compare", objective, telemetry_dir):
+        return run_fleet_compare(fleets, **kwargs)

@@ -30,10 +30,14 @@ __all__ = [
     "JOB_QUEUED",
     "JOB_RUNNING",
     "JOB_STATES",
+    "QUICK_SIZING",
     "JobStatus",
     "TranscodeRequest",
     "TranscodeResult",
 ]
+
+#: Proxy-clip sizing behind every ``--quick`` flag and quick matrix cell.
+QUICK_SIZING = {"width": 48, "height": 32, "n_frames": 4}
 
 #: Job lifecycle states, in order of progression.
 JOB_QUEUED = "queued"

@@ -41,7 +41,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.api.settings import Settings, _parse_rates
+from repro._util import atomic_write_text
+from repro.api.settings import FIELD_TABLE, Settings
+from repro.api.types import QUICK_SIZING
 
 __all__ = [
     "LEG_KINDS",
@@ -99,29 +101,9 @@ _LEG_SETTINGS_KEYS: dict[str, dict[str, str]] = {
     "fleet-compare": {"mix": "loadtest_mix", "objective": "objective"},
 }
 
-#: Settings fields a spec's ``settings:`` section may set. ``retry`` and
-#: the matrix/history pointers themselves are excluded: the former is a
-#: structured policy with its own env contract, the latter would be
-#: circular.
-_SPEC_SETTINGS_FIELDS = frozenset(
-    {
-        "jobs", "cache_dir", "cache_enabled", "kernels", "fault_plan",
-        "resume", "checkpoint_dir", "slo_spec", "metrics_out",
-        "metrics_interval", "loadtest_arrivals", "loadtest_rate",
-        "loadtest_duration", "loadtest_mix", "fleet", "objective",
-    }
-)
-
-_PATH_FIELDS = frozenset(
-    {"cache_dir", "checkpoint_dir", "slo_spec", "metrics_out"}
-)
-
 _TOP_KEYS = frozenset(
     {"name", "description", "leg", "axes", "params", "settings"}
 )
-
-#: Proxy-clip sizing shared with the CLI's ``--quick`` convention.
-_QUICK_SIZING = {"width": 48, "height": 32, "n_frames": 4}
 
 
 class SpecError(ValueError):
@@ -261,11 +243,14 @@ def _validate_spec(spec: MatrixSpec) -> None:
             "axis or param",
             path=spec.source,
         )
+    # ``retry`` (a structured policy with its own env contract) and the
+    # matrix/history pointers (circular) are not spec-settable.
+    settable = sorted(k.field for k in FIELD_TABLE.values() if k.in_spec)
     for key in spec.settings:
-        if key not in _SPEC_SETTINGS_FIELDS:
+        if key not in settable:
             raise SpecError(
                 f"unknown settings field {key!r}; choose from "
-                + ", ".join(sorted(_SPEC_SETTINGS_FIELDS)),
+                + ", ".join(settable),
                 path=spec.source,
             )
     mapping = _LEG_SETTINGS_KEYS[spec.leg]
@@ -463,27 +448,6 @@ def _guess_error_token(message: str) -> tuple[str, ...]:
 # Settings resolution: spec < env < CLI (< the cell's own axis pins)
 # ----------------------------------------------------------------------
 
-def _coerce_setting(fieldname: str, value: Any) -> Any:
-    if fieldname == "jobs":
-        return int(value)
-    if fieldname == "loadtest_rate":
-        if isinstance(value, str):
-            return _parse_rates(value)
-        if isinstance(value, (list, tuple)):
-            return tuple(float(v) for v in value)
-        return (float(value),)
-    if fieldname in ("loadtest_duration", "metrics_interval"):
-        return float(value)
-    if fieldname in ("cache_enabled", "resume"):
-        return bool(value)
-    if fieldname in _PATH_FIELDS:
-        return Path(str(value))
-    if fieldname in ("kernels", "objective", "loadtest_arrivals",
-                     "loadtest_mix"):
-        return str(value).lower()
-    return value
-
-
 def resolve_cell_settings(
     spec: MatrixSpec,
     cell: MatrixCell | Mapping[str, Any],
@@ -499,7 +463,7 @@ def resolve_cell_settings(
     """
     values = cell.values if isinstance(cell, MatrixCell) else dict(cell)
     spec_layer = {
-        key: _coerce_setting(key, value)
+        key: FIELD_TABLE[key].coerce(value)
         for key, value in spec.settings.items()
     }
     mapping = _LEG_SETTINGS_KEYS[spec.leg]
@@ -507,10 +471,10 @@ def resolve_cell_settings(
     for key, value in {**spec.params, **values}.items():
         fieldname = mapping.get(key)
         if fieldname is not None:
-            pin_layer[fieldname] = _coerce_setting(fieldname, value)
+            pin_layer[fieldname] = FIELD_TABLE[fieldname].coerce(value)
     env_layer = Settings.env_overrides()
     cli_layer = {
-        key: _coerce_setting(key, value)
+        key: FIELD_TABLE[key].coerce(value)
         for key, value in (cli_overrides or {}).items()
         if value is not None
     }
@@ -533,7 +497,7 @@ def _run_encode(knobs: dict[str, Any], settings: Settings,
                 *, quick: bool) -> dict[str, float]:
     from repro.api import encode
 
-    sizing = dict(_QUICK_SIZING) if quick else {}
+    sizing = QUICK_SIZING if quick else {}
     overrides: dict[str, Any] = {}
     if "preset" in knobs:
         overrides["preset"] = str(knobs["preset"])
@@ -579,9 +543,7 @@ def _run_sweep(knobs: dict[str, Any]) -> dict[str, float]:
 def _run_loadtest(knobs: dict[str, Any], settings: Settings,
                   *, quick: bool) -> dict[str, float]:
     from repro.api import LoadtestSpec, ServiceConfig, loadtest
-    from repro.service import parse_fleet_spec
 
-    sizing = dict(_QUICK_SIZING) if quick else {}
     seed = int(knobs.get("seed", 0))
     spec = LoadtestSpec(
         arrivals=settings.loadtest_arrivals,
@@ -590,13 +552,9 @@ def _run_loadtest(knobs: dict[str, Any], settings: Settings,
         mix=settings.loadtest_mix,
         seed=seed,
     )
-    config = ServiceConfig(
-        fleet=(parse_fleet_spec(settings.fleet) if settings.fleet
-               else ServiceConfig.fleet),
-        objective=settings.objective,
-        seed=seed,
+    config = ServiceConfig.from_settings(
+        settings, quick=quick, seed=seed,
         queue_capacity=int(knobs.get("queue_capacity", 64)),
-        **sizing,
     )
     report = loadtest(spec, config)
     legs = report.legs
@@ -634,7 +592,7 @@ def _run_fleet_compare(knobs: dict[str, Any], settings: Settings,
                        *, quick: bool) -> dict[str, float]:
     from repro.api import fleet_compare
 
-    sizing = dict(_QUICK_SIZING) if quick else {}
+    sizing = QUICK_SIZING if quick else {}
     report = fleet_compare(
         _resolve_fleets(knobs.get("fleet")),
         objective=settings.objective,
@@ -731,13 +689,9 @@ def write_matrix(
     payload: dict[str, object], path: str | Path = "matrix.json"
 ) -> Path:
     """Write the matrix artifact as JSON; returns the path written."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    return atomic_write_text(
+        path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-    return target
 
 
 def load_matrix(path: str | Path) -> dict[str, object]:

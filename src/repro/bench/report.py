@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._util import atomic_write_text
 from repro.obs import MetricsRegistry
 
 __all__ = [
@@ -118,9 +119,9 @@ def bench_artifact_path(
 def write_bench(payload: dict[str, object], path: str | Path | None = None) -> Path:
     """Write the payload as JSON; default filename is ``BENCH_<rev>.json``."""
     target = Path(path) if path is not None else bench_artifact_path(payload)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target
+    return atomic_write_text(
+        target, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def load_bench(path: str | Path) -> dict[str, object]:

@@ -35,17 +35,12 @@ Examples::
     repro fleet-compare --objective min-latency --budget-usd 0.05 \
         --fleet 'cheap=a1.xlarge:2' --fleet 'fast=c5.xlarge,c6g.xlarge'
 
-Every flag falls back to its environment variable with one documented
+Every ``Settings``-backed flag is declared once, from its row of
+:data:`repro.api.settings.FIELD_TABLE` (:func:`add_settings_flags`), and
+falls back to the row's environment variable with one documented
 precedence order — **CLI flag > environment > default** — implemented by
-:class:`repro.api.Settings` (``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
-``REPRO_KERNELS``, ``REPRO_SHM``, ``REPRO_FAULT_PLAN``, ``REPRO_RESUME``,
-``REPRO_CHECKPOINT_DIR``, ``REPRO_RETRY_*``, ``REPRO_SLO_SPEC``,
-``REPRO_METRICS_OUT``, ``REPRO_METRICS_INTERVAL``,
-``REPRO_LOADTEST_*``, ``REPRO_FLEET``, ``REPRO_OBJECTIVE``,
-``REPRO_BENCH_MATRIX``, ``REPRO_BENCH_HISTORY``).
-Subcommands read only the resolved ``Settings``; nothing else consults
-the environment. The full knob catalogue lives in
-``docs/CONFIGURATION.md``.
+:meth:`repro.api.Settings.resolve`. Subcommands read only the resolved
+``Settings``. The full knob catalogue lives in ``docs/CONFIGURATION.md``.
 
 A sweep whose cells exhaust their retry budget does not abort: every
 computable cell completes and is stored, the failures are summarized on
@@ -84,19 +79,124 @@ running them. See ``docs/BENCHMARKS.md``.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
 from pathlib import Path
 
 import repro
+from repro._util import atomic_write_text, truthy
+from repro.api.settings import FIELD_TABLE, Settings
+from repro.api.types import QUICK_SIZING
 from repro.experiments import EXPERIMENT_DESCRIPTIONS, EXPERIMENT_IDS
 from repro.experiments.runner import SCALES
 
-__all__ = ["main"]
+__all__ = ["add_settings_flags", "main"]
 
 #: Default spool file used by `repro submit` / `repro serve --spool`.
 DEFAULT_SPOOL = Path(".repro") / "spool.jsonl"
+
+
+def add_settings_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
+    """Declare the flag of each named ``Settings`` field from its
+    :data:`~repro.api.settings.FIELD_TABLE` row — spelling, metavar,
+    type, choices read off the live registry, and help with the
+    "(default: $ENV, else <field default>)" tail — and remember the
+    fields so :func:`_resolve_settings` resolves exactly those flags."""
+    for field in fields:
+        knob = FIELD_TABLE[field]
+        help_text = knob.help
+        if knob.env:
+            default = Settings.__dataclass_fields__[field].default
+            if isinstance(default, float):
+                default = (default,)
+            if isinstance(default, tuple):
+                default = ",".join(f"{value:g}" for value in default)
+            help_text += f" (default: ${knob.env}" + (
+                "" if default is None or isinstance(default, bool)
+                else f", else {default}"
+            ) + ")"
+        if knob.negated or knob.coerce is truthy:  # a boolean knob: a switch
+            parser.add_argument(knob.flag, action="store_true", help=help_text)
+            continue
+        choices = None
+        if knob.choices is not None:
+            module, attribute = knob.choices.split(":")
+            choices = tuple(getattr(importlib.import_module(module), attribute))
+        parser.add_argument(knob.flag, metavar=knob.metavar, type=knob.argtype,
+                            choices=choices, default=None, help=help_text)
+    parser.set_defaults(settings_fields=fields)
+
+
+def _resolve_settings(parser: argparse.ArgumentParser, args) -> Settings:
+    """Resolve the flags :func:`add_settings_flags` declared (CLI flag >
+    environment > default); an invalid value is a usage error."""
+    flags = {}
+    for field in args.settings_fields:
+        knob = FIELD_TABLE[field]
+        value = getattr(args, knob.dest)
+        # An absent store_true flag parses as False: not given.
+        flags[knob.dest if knob.negated else field] = (
+            None if value is False else value
+        )
+    try:
+        return Settings.resolve(**flags)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _add_service_flags(
+    parser: argparse.ArgumentParser, *, placement: bool = True
+) -> None:
+    """The per-run flags serve / loadtest / fleet-compare share
+    (fleet-compare runs both placement policies itself, so it takes
+    neither ``--policy`` nor ``--queue-capacity``)."""
+    from repro.service.placement import PLACEMENT_POLICIES
+
+    if placement:
+        parser.add_argument("--policy", choices=PLACEMENT_POLICIES,
+                            default="smart",
+                            help="placement policy (default: smart)")
+        parser.add_argument("--queue-capacity", type=int, default=64,
+                            help="admission queue bound; the knob that "
+                                 "decides when overload sheds (default: 64)")
+    parser.add_argument("--deadline-s", type=float, default=None,
+                        metavar="SECONDS",
+                        help="per-job completion deadline constraining the "
+                             "cost-aware objectives (virtual seconds)")
+    parser.add_argument("--budget-usd", type=float, default=None,
+                        metavar="RATE",
+                        help="per-worker $/hour ceiling constraining the "
+                             "cost-aware objectives")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for arrivals, mix sampling and the "
+                             "random placement policy (default: 0)")
+    parser.add_argument("--quick", action="store_true",
+                        help="small proxy clips ({width}x{height}, "
+                             "{n_frames} frames) for smokes and CI"
+                             .format(**QUICK_SIZING))
+    parser.add_argument("--telemetry", metavar="OUT_DIR", default=None,
+                        help="write run.json/events.jsonl/trace.json (and "
+                             "the command's own section under meta) into "
+                             "OUT_DIR")
+
+
+def _service_config(args, settings: Settings, **extra: object):
+    """The ``ServiceConfig`` the shared service flags and the resolved
+    ``settings`` (fleet, objective) describe."""
+    from repro.api import ServiceConfig
+
+    return ServiceConfig.from_settings(
+        settings,
+        quick=args.quick,
+        policy=args.policy,
+        deadline_s=args.deadline_s,
+        budget_usd=args.budget_usd,
+        seed=args.seed,
+        queue_capacity=args.queue_capacity,
+        **extra,
+    )
 
 
 def _run_one(exp_id: str, scale, telemetry_dir: Path | None) -> str:
@@ -112,13 +212,7 @@ def _cache_main(argv: list[str]) -> int:
         description="Inspect or clear the persistent sweep result cache.",
     )
     parser.add_argument("action", choices=("stats", "clear"))
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR, else "
-             "~/.cache/repro/sweeps)",
-    )
+    add_settings_flags(parser, "cache_dir")
     args = parser.parse_args(argv)
 
     from repro.experiments.cache import ResultCache, default_cache_dir
@@ -165,8 +259,6 @@ def _backends_main(argv: list[str]) -> int:
 
 
 def _bench_main(argv: list[str]) -> int:
-    from repro.codec.kernels import KERNEL_BACKENDS
-
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description="Benchmark the codec kernels across every available "
@@ -210,26 +302,10 @@ def _bench_main(argv: list[str]) -> int:
              "--matrix, small proxy clips per cell",
     )
     parser.add_argument(
-        "--matrix",
-        metavar="SPEC",
-        default=None,
-        help="run a declarative benchmark matrix from a YAML/JSON spec "
-             "(default: $REPRO_BENCH_MATRIX; see docs/BENCHMARKS.md)",
-    )
-    parser.add_argument(
         "--matrix-out",
         metavar="PATH",
         default="matrix.json",
         help="matrix artifact path (default: matrix.json)",
-    )
-    parser.add_argument(
-        "--history",
-        metavar="DIR",
-        default=None,
-        help="render the speedup trend over the BENCH_*.json / "
-             "matrix*.json artifacts in DIR; exit 5 when the rolling-"
-             "window detector flags drift "
-             "(default: $REPRO_BENCH_HISTORY)",
     )
     parser.add_argument(
         "--window",
@@ -246,33 +322,11 @@ def _bench_main(argv: list[str]) -> int:
         help="allowed drop of the window median below the history best "
              "before --history flags drift (default: 0.10)",
     )
-    parser.add_argument(
-        "--kernels",
-        choices=KERNEL_BACKENDS,
-        default=None,
-        help="CLI-layer kernel-backend override for matrix cells "
-             "(spec < env < CLI; axes still pin their own cells)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="CLI-layer worker-count override for matrix sweep cells",
+    add_settings_flags(
+        parser, "bench_matrix", "bench_history", "kernels", "jobs"
     )
     args = parser.parse_args(argv)
-
-    from repro.api import Settings
-
-    try:
-        settings = Settings.resolve(
-            kernels=args.kernels,
-            jobs=args.jobs,
-            bench_matrix=args.matrix,
-            bench_history=args.history,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    settings = _resolve_settings(parser, args)
 
     if settings.bench_history is not None:
         return _bench_history(settings, args)
@@ -307,11 +361,11 @@ def _bench_matrix(settings, args) -> int:
     from repro.bench import SpecError
     from repro.obs import render_matrix
 
-    overrides: dict[str, object] = {}
-    if args.kernels is not None:
-        overrides["kernels"] = args.kernels
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
+    overrides = {
+        field: getattr(args, field)
+        for field in ("kernels", "jobs")
+        if getattr(args, field) is not None
+    }
     try:
         payload = bench_matrix(
             settings.bench_matrix,
@@ -351,11 +405,8 @@ def _bench_history(settings, args) -> int:
         return 1
     print(render_trend(trend))
     if args.output is not None:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(trend, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+        out = atomic_write_text(
+            args.output, json.dumps(trend, indent=2, sort_keys=True) + "\n"
         )
         print(f"\nwrote {out}")
     drifting = [v for v in trend["verdicts"] if v["status"] == "drift"]
@@ -478,7 +529,6 @@ def _slo_main(argv: list[str]) -> int:
                         help="SLO spec file (default: $REPRO_SLO_SPEC)")
     args = parser.parse_args(argv)
 
-    from repro.api import Settings
     from repro.obs import evaluate_slo, load_run, load_slo_spec
 
     spec_path = args.spec or Settings.from_env().slo_spec
@@ -569,83 +619,24 @@ def _serve_main(argv: list[str]) -> int:
                         help="use a built-in request mix instead of a spool")
     parser.add_argument("--count", type=int, default=8,
                         help="number of jobs when using --mix (default: 8)")
-    parser.add_argument("--policy", choices=("smart", "random"),
-                        default="smart",
-                        help="placement policy (default: smart)")
     parser.add_argument("--no-control", action="store_true",
                         help="skip the random-placement control pass")
-    parser.add_argument("--fleet", metavar="SPEC", default=None,
-                        help="worker fleet: 'name[:count][:$rate]' clauses "
-                             "over Table IV configs and instance types, "
-                             "e.g. 'fe_op,be_op1:2' or "
-                             "'c5.xlarge,c6g.xlarge:2:$0.10' "
-                             "(default: $REPRO_FLEET, else one worker per "
-                             "Table IV variant)")
-    parser.add_argument("--objective",
-                        choices=("throughput", "min-cost", "min-latency"),
-                        default=None,
-                        help="smart-placement objective "
-                             "(default: $REPRO_OBJECTIVE, else throughput)")
-    parser.add_argument("--deadline-s", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-job completion deadline constraining the "
-                             "cost-aware objectives (virtual seconds)")
-    parser.add_argument("--budget-usd", type=float, default=None,
-                        metavar="RATE",
-                        help="per-worker $/hour ceiling constraining the "
-                             "cost-aware objectives")
-    parser.add_argument("--queue-capacity", type=int, default=64,
-                        help="admission queue bound (default: 64)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the random placement policy")
-    parser.add_argument("--quick", action="store_true",
-                        help="small proxy clips (48x32, 4 frames) for "
-                             "smokes and CI")
     parser.add_argument("--checkpoint", metavar="PATH", default=None,
                         help="checkpoint queue state to PATH after every "
                              "dispatch round")
-    parser.add_argument("--resume", action="store_true",
-                        help="restore queue state from --checkpoint "
-                             "(default: $REPRO_RESUME)")
-    parser.add_argument("--fault-plan", metavar="PLAN", default=None,
-                        help="inject deterministic faults, e.g. "
-                             "'service.worker,at=3,raise=RuntimeError' "
-                             "(default: $REPRO_FAULT_PLAN)")
-    parser.add_argument("--telemetry", metavar="OUT_DIR", default=None,
-                        help="write run.json/events.jsonl/trace.json and "
-                             "the jobs.json status artifact into OUT_DIR")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="where to write jobs.json (default: the "
                              "--telemetry directory, else nowhere)")
-    parser.add_argument("--slo", metavar="SPEC.json", default=None,
-                        help="evaluate the run against this SLO spec; the "
-                             "verdict lands in run.json and each metrics "
-                             "snapshot (default: $REPRO_SLO_SPEC)")
-    parser.add_argument("--metrics-out", metavar="DIR", default=None,
-                        help="write live metrics.prom / slo.json snapshots "
-                             "into DIR while the service runs "
-                             "(default: $REPRO_METRICS_OUT)")
-    parser.add_argument("--metrics-interval", type=float, default=None,
-                        metavar="SECONDS",
-                        help="snapshot interval for --metrics-out "
-                             "(default: $REPRO_METRICS_INTERVAL, else 30)")
+    _add_service_flags(parser)
+    add_settings_flags(
+        parser, "fleet", "objective", "resume", "fault_plan", "slo_spec",
+        "metrics_out", "metrics_interval",
+    )
     args = parser.parse_args(argv)
 
-    from repro.api import ServiceConfig, Settings, serve, table3_requests
-    from repro.service import parse_fleet_spec
+    from repro.api import serve, table3_requests
 
-    try:
-        settings = Settings.resolve(
-            fault_plan=args.fault_plan,
-            resume=True if args.resume else None,
-            slo_spec=args.slo,
-            metrics_out=args.metrics_out,
-            metrics_interval=args.metrics_interval,
-            fleet=args.fleet,
-            objective=args.objective,
-        ).apply()
-    except ValueError as exc:
-        parser.error(str(exc))
+    settings = _resolve_settings(parser, args).apply()
 
     if args.mix is not None:
         requests = table3_requests(args.count)
@@ -665,20 +656,10 @@ def _serve_main(argv: list[str]) -> int:
             print(f"repro serve: spool {spool} is empty", file=sys.stderr)
             return 1
 
-    sizing = {"width": 48, "height": 32, "n_frames": 4} if args.quick else {}
     try:
-        config = ServiceConfig(
-            fleet=(parse_fleet_spec(settings.fleet) if settings.fleet
-                   else ServiceConfig.fleet),
-            policy=args.policy,
-            objective=settings.objective,
-            deadline_s=args.deadline_s,
-            budget_usd=args.budget_usd,
-            seed=args.seed,
-            queue_capacity=args.queue_capacity,
-            checkpoint_path=(Path(args.checkpoint) if args.checkpoint
-                             else None),
-            **sizing,
+        config = _service_config(
+            args, settings,
+            checkpoint_path=Path(args.checkpoint) if args.checkpoint else None,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -701,12 +682,10 @@ def _serve_main(argv: list[str]) -> int:
 
     out_dir = args.out or args.telemetry
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        jobs_path = out / "jobs.json"
-        with open(jobs_path, "w", encoding="utf-8") as handle:
-            json.dump(report.to_payload(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        jobs_path = atomic_write_text(
+            Path(out_dir) / "jobs.json",
+            json.dumps(report.to_payload(), indent=2, sort_keys=True) + "\n",
+        )
         print(f"[serve] status artifact: {jobs_path}", file=sys.stderr)
     return 1 if report.failed else 0
 
@@ -719,26 +698,6 @@ def _loadtest_main(argv: list[str]) -> int:
                     "arrival schedule on a virtual clock (sustained-"
                     "traffic scenarios resolve in wall milliseconds).",
     )
-    parser.add_argument("--arrivals",
-                        choices=("poisson", "fixed", "diurnal", "mmpp"),
-                        default=None,
-                        help="arrival process "
-                             "(default: $REPRO_LOADTEST_ARRIVALS, "
-                             "else poisson)")
-    parser.add_argument("--rate", metavar="R[,R...]", default=None,
-                        help="offered rate(s) in req/s; a comma list runs "
-                             "one leg per rate "
-                             "(default: $REPRO_LOADTEST_RATE, else 8)")
-    parser.add_argument("--duration", type=float, default=None,
-                        metavar="SECONDS",
-                        help="virtual seconds of offered traffic per leg "
-                             "(default: $REPRO_LOADTEST_DURATION, else 30)")
-    parser.add_argument("--mix", default=None,
-                        help="workload mix name "
-                             "(default: $REPRO_LOADTEST_MIX, else table3)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for arrivals and mix sampling "
-                             "(default: 0)")
     loop = parser.add_mutually_exclusive_group()
     loop.add_argument("--open-loop", dest="open_loop", action="store_true",
                       default=True,
@@ -758,81 +717,27 @@ def _loadtest_main(argv: list[str]) -> int:
     parser.add_argument("--sojourn", type=float, default=5.0,
                         metavar="SECONDS",
                         help="mmpp mean state sojourn (default: 5)")
-    parser.add_argument("--fleet", metavar="SPEC", default=None,
-                        help="worker fleet: 'name[:count][:$rate]' clauses "
-                             "over Table IV configs and instance types "
-                             "(default: $REPRO_FLEET, else one worker per "
-                             "Table IV variant)")
-    parser.add_argument("--policy", choices=("smart", "random"),
-                        default="smart",
-                        help="placement policy (default: smart)")
-    parser.add_argument("--objective",
-                        choices=("throughput", "min-cost", "min-latency"),
-                        default=None,
-                        help="smart-placement objective "
-                             "(default: $REPRO_OBJECTIVE, else throughput)")
-    parser.add_argument("--deadline-s", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-job completion deadline constraining the "
-                             "cost-aware objectives (virtual seconds)")
-    parser.add_argument("--budget-usd", type=float, default=None,
-                        metavar="RATE",
-                        help="per-worker $/hour ceiling constraining the "
-                             "cost-aware objectives")
-    parser.add_argument("--queue-capacity", type=int, default=64,
-                        help="admission queue bound; the knob that decides "
-                             "when overload sheds (default: 64)")
     parser.add_argument("--clock-hz", type=float, default=None,
                         metavar="HZ",
                         help="virtual core frequency for charging encode "
                              "cycles (default: 1e6)")
-    parser.add_argument("--quick", action="store_true",
-                        help="small proxy clips (48x32, 4 frames) for "
-                             "smokes and CI")
-    parser.add_argument("--fault-plan", metavar="PLAN", default=None,
-                        help="inject deterministic faults, e.g. "
-                             "'service.worker,at=3,raise=RuntimeError' "
-                             "(default: $REPRO_FAULT_PLAN)")
-    parser.add_argument("--telemetry", metavar="OUT_DIR", default=None,
-                        help="write run.json/events.jsonl/trace.json with "
-                             "the offered/admitted/shed accounting under "
-                             "meta.loadtest")
-    parser.add_argument("--slo", metavar="SPEC.json", default=None,
-                        help="evaluate the run against this SLO spec; the "
-                             "verdict lands in run.json "
-                             "(default: $REPRO_SLO_SPEC)")
+    _add_service_flags(parser)
+    add_settings_flags(
+        parser, "loadtest_arrivals", "loadtest_rate", "loadtest_duration",
+        "loadtest_mix", "fleet", "objective", "fault_plan", "slo_spec",
+    )
     args = parser.parse_args(argv)
 
-    from repro.api import (
-        LoadtestSpec,
-        ServiceConfig,
-        Settings,
-        loadtest,
-    )
-    from repro.service import parse_fleet_spec
+    from repro.api import LoadtestSpec, loadtest
 
-    try:
-        settings = Settings.resolve(
-            fault_plan=args.fault_plan,
-            slo_spec=args.slo,
-            loadtest_arrivals=args.arrivals,
-            loadtest_rate=args.rate,
-            loadtest_duration=args.duration,
-            loadtest_mix=args.mix,
-            fleet=args.fleet,
-            objective=args.objective,
-        ).apply()
-    except ValueError as exc:
-        parser.error(str(exc))
+    settings = _resolve_settings(parser, args).apply()
 
     extras: dict[str, float] = {}
     if settings.loadtest_arrivals == "diurnal":
         extras = {"amplitude": args.amplitude, "period_s": args.period}
     elif settings.loadtest_arrivals == "mmpp":
         extras = {"burst": args.burst, "sojourn_s": args.sojourn}
-    sizing = {"width": 48, "height": 32, "n_frames": 4} if args.quick else {}
-    if args.clock_hz is not None:
-        sizing["clock_hz"] = args.clock_hz
+    clock = {} if args.clock_hz is None else {"clock_hz": args.clock_hz}
     try:
         spec = LoadtestSpec(
             arrivals=settings.loadtest_arrivals,
@@ -843,17 +748,7 @@ def _loadtest_main(argv: list[str]) -> int:
             open_loop=args.open_loop,
             arrival_extras=extras,
         )
-        config = ServiceConfig(
-            fleet=(parse_fleet_spec(settings.fleet) if settings.fleet
-                   else ServiceConfig.fleet),
-            policy=args.policy,
-            objective=settings.objective,
-            deadline_s=args.deadline_s,
-            budget_usd=args.budget_usd,
-            seed=args.seed,
-            queue_capacity=args.queue_capacity,
-            **sizing,
-        )
+        config = _service_config(args, settings, **clock)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -887,44 +782,20 @@ def _fleet_compare_main(argv: list[str]) -> int:
                              "'arm=c6g.xlarge,a1.xlarge'; repeatable "
                              "(default: the shipped x86/arm/mixed/table4 "
                              "matrix)")
-    parser.add_argument("--objective",
-                        choices=("throughput", "min-cost", "min-latency"),
-                        default=None,
-                        help="smart-placement objective "
-                             "(default: $REPRO_OBJECTIVE if cost-aware, "
-                             "else min-cost)")
     parser.add_argument("--mix", default="table3",
                         help="workload: 'table3' or a loadgen mix name "
                              "(default: table3)")
     parser.add_argument("--count", type=int, default=None,
                         help="jobs per fleet (default: 16, or 8 with "
                              "--quick)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the mix sampler and the random "
-                             "control (default: 0)")
-    parser.add_argument("--deadline-s", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-job completion deadline constraining the "
-                             "cost-aware objectives (virtual seconds)")
-    parser.add_argument("--budget-usd", type=float, default=None,
-                        metavar="RATE",
-                        help="per-worker $/hour ceiling constraining the "
-                             "cost-aware objectives")
-    parser.add_argument("--quick", action="store_true",
-                        help="small proxy clips (48x32, 4 frames) and 8 "
-                             "jobs per fleet for smokes and CI")
-    parser.add_argument("--telemetry", metavar="OUT_DIR", default=None,
-                        help="write run.json (with the per-fleet table "
-                             "under meta.fleet_compare) into OUT_DIR")
+    _add_service_flags(parser, placement=False)
+    add_settings_flags(parser, "objective")
     args = parser.parse_args(argv)
 
-    from repro.api import Settings, fleet_compare
+    from repro.api import fleet_compare
     from repro.service import FleetDef
 
-    try:
-        settings = Settings.resolve(objective=args.objective).apply()
-    except ValueError as exc:
-        parser.error(str(exc))
+    settings = _resolve_settings(parser, args).apply()
 
     fleets = None
     if args.fleet:
@@ -943,7 +814,6 @@ def _fleet_compare_main(argv: list[str]) -> int:
         fleets = tuple(defs)
 
     count = args.count if args.count is not None else (8 if args.quick else 16)
-    sizing = {"width": 48, "height": 32, "n_frames": 4} if args.quick else {}
     try:
         report = fleet_compare(
             fleets,
@@ -955,7 +825,7 @@ def _fleet_compare_main(argv: list[str]) -> int:
             budget_usd=args.budget_usd,
             telemetry_dir=args.telemetry,
             settings=settings,
-            **sizing,
+            **(QUICK_SIZING if args.quick else {}),
         )
     except (OSError, ValueError) as exc:
         print(f"repro fleet-compare: {exc}", file=sys.stderr)
@@ -1036,66 +906,9 @@ def main(argv: list[str] | None = None) -> int:
         help="write run.json / events.jsonl / trace.json telemetry "
              "artifacts into OUT_DIR (per-experiment subdirs under `all`)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard sweeps across N worker processes "
-             "(default: $REPRO_JOBS, else 1 = serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="persist sweep results under DIR so repeat runs are "
-             "near-free (default: $REPRO_CACHE_DIR, else no persistent "
-             "cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent result cache even if "
-             "$REPRO_CACHE_DIR is set",
-    )
-    from repro.codec.kernels import KERNEL_BACKENDS
-
-    parser.add_argument(
-        "--kernels",
-        choices=KERNEL_BACKENDS,
-        default=None,
-        help="codec kernel backend (default: $REPRO_KERNELS, else "
-             "vectorized; `repro backends` lists availability)",
-    )
-    parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="disable the shared-memory frame transport for multi-"
-             "process sweeps and decode clips per worker instead "
-             "(default: $REPRO_SHM, else enabled)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="restore cells completed by a previous interrupted run from "
-             "its checkpoint manifest and compute only the missing ones "
-             "(default: $REPRO_RESUME)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="where sweep checkpoint manifests live (default: "
-             "$REPRO_CHECKPOINT_DIR, else checkpoints/ inside the "
-             "persistent cache)",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        metavar="PLAN",
-        default=None,
-        help="inject deterministic faults, e.g. "
-             "'sweep.compute,at=3,raise=InjectedFault;worker.task,at=5,kill' "
-             "(default: $REPRO_FAULT_PLAN)",
+    add_settings_flags(
+        parser, "jobs", "cache_dir", "cache_enabled", "kernels", "shm",
+        "resume", "checkpoint_dir", "fault_plan",
     )
     parser.add_argument(
         "--debug",
@@ -1106,24 +919,11 @@ def main(argv: list[str] | None = None) -> int:
     scale = SCALES[args.scale]
     out_root = Path(args.telemetry) if args.telemetry else None
 
-    from repro.api import Settings
     from repro.experiments.runner import SweepFailure
 
     # Everything process-wide goes through one resolved Settings:
     # CLI flag > environment variable > default.
-    try:
-        Settings.resolve(
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            no_cache=args.no_cache,
-            kernels=args.kernels,
-            no_shm=args.no_shm,
-            fault_plan=args.fault_plan,
-            resume=True if args.resume else None,
-            checkpoint_dir=args.checkpoint_dir,
-        ).apply()
-    except ValueError as exc:
-        parser.error(str(exc))
+    _resolve_settings(parser, args).apply()
 
     ids = list(EXPERIMENT_IDS) if args.experiment == "all" else [args.experiment]
     succeeded: list[str] = []

@@ -41,11 +41,11 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro import resilience
+from repro._util import atomic_write_text
 from repro.obs import session as obs
 from repro.profiling.counters import CounterSet
 from repro.resilience.faults import InjectedFault, fault_point
@@ -260,29 +260,17 @@ class ResultCache:
         import repro
 
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        envelope = {
+        text = json.dumps({
             "cache_schema": CACHE_SCHEMA_VERSION,
             "repro_version": repro.__version__,
             "kind": kind,
             "key": key,
             "payload": payload,
-        }
+        })
 
         def _write() -> Path:
             fault_point("cache.write", detail=key)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(envelope, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            return path
+            return atomic_write_text(path, text)
 
         return resilience.call_with_retry(
             _write,

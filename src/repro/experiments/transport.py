@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._util import truthy
+
 __all__ = [
     "cached_video",
     "configure",
@@ -46,8 +48,6 @@ __all__ = [
     "release_all",
     "transport_stats",
 ]
-
-_TRUTHY = ("1", "true", "yes", "on")
 
 #: Process-wide override installed by ``Settings.apply`` / ``configure``;
 #: ``None`` defers to the ``REPRO_SHM`` environment variable.
@@ -93,10 +93,8 @@ def enabled() -> bool:
     """Whether frame publishing is on (override > ``REPRO_SHM`` > on)."""
     if _enabled is not None:
         return _enabled
-    raw = os.environ.get("REPRO_SHM", "").strip().lower()
-    if raw:
-        return raw in _TRUTHY
-    return True
+    raw = os.environ.get("REPRO_SHM", "").strip()
+    return truthy(raw) if raw else True
 
 
 def _warn_once(category: str, message: str) -> None:

@@ -24,7 +24,7 @@ import subprocess
 import time
 from pathlib import Path
 
-from repro._util import format_table
+from repro._util import atomic_write_text, format_table
 from repro.obs.metrics import parse_label_key
 from repro.obs.session import Telemetry
 from repro.obs.spans import SpanRecord
@@ -267,12 +267,13 @@ def export_session(
         "events": out / "events.jsonl",
         "trace": out / "trace.json",
     }
-    with open(paths["run"], "w", encoding="utf-8") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write_text(
+        paths["run"], json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+    )
     write_events_jsonl(telemetry.spans.finished, paths["events"])
-    with open(paths["trace"], "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(telemetry.spans.finished), fh)
+    atomic_write_text(
+        paths["trace"], json.dumps(chrome_trace(telemetry.spans.finished))
+    )
     return paths
 
 

@@ -23,13 +23,12 @@ so the last snapshot is always consistent and always written).
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 import threading
 import time
 from pathlib import Path
 
+from repro._util import atomic_write_text
 from repro.obs.metrics import MetricsRegistry, parse_label_key
 
 __all__ = [
@@ -120,21 +119,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _write_atomic(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class MetricsSnapshotter:
     """Periodically snapshot a registry (and SLO state) into a directory.
 
@@ -172,8 +156,9 @@ class MetricsSnapshotter:
     def snapshot(self) -> dict[str, object]:
         """Write one snapshot now; returns the summary row appended to
         ``snapshots.jsonl``."""
-        _write_atomic(self.out_dir / "metrics.prom",
-                      render_prometheus(self.registry))
+        atomic_write_text(
+            self.out_dir / "metrics.prom", render_prometheus(self.registry)
+        )
         row: dict[str, object] = {
             "seq": self.ticks,
             "unix": time.time(),
@@ -183,7 +168,7 @@ class MetricsSnapshotter:
             from repro.obs.slo import evaluate_slo
 
             report = evaluate_slo(self.slo_spec, self.registry.as_dict())
-            _write_atomic(
+            atomic_write_text(
                 self.out_dir / "slo.json",
                 json.dumps(report.to_payload(), indent=2, sort_keys=True)
                 + "\n",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from repro._util import truthy
 from repro.resilience.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     SweepCheckpoint,
@@ -124,9 +125,7 @@ def resume_enabled() -> bool:
     manifests (``--resume``, else ``REPRO_RESUME``)."""
     if _resume_override is not None:
         return _resume_override
-    return os.environ.get(_RESUME_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
+    return truthy(os.environ.get(_RESUME_ENV, ""))
 
 
 def checkpoint_root() -> Path | None:

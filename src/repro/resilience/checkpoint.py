@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from collections.abc import Sequence
 from pathlib import Path
 
+from repro._util import atomic_write_text
 from repro.obs import session as obs
 
 __all__ = [
@@ -130,7 +129,6 @@ class SweepCheckpoint:
         """Atomically persist the manifest."""
         import repro
 
-        self.root.mkdir(parents=True, exist_ok=True)
         doc = {
             "checkpoint_schema": CHECKPOINT_SCHEMA_VERSION,
             "repro_version": repro.__version__,
@@ -140,17 +138,7 @@ class SweepCheckpoint:
             "cells": self.cells,
             "failed": self.failed,
         }
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(self.path, json.dumps(doc))
         self._pending = 0
         obs.inc("sweep.checkpoint_writes")
         return self.path

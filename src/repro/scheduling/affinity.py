@@ -14,9 +14,18 @@ bottleneck points at the configuration built to relieve it —
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
 from repro.profiling.counters import CounterSet
 
-__all__ = ["affinity_scores"]
+__all__ = ["affinity_matrix", "affinity_scores", "solve_assignment"]
+
+#: Tie-break weight per matrix cell: far below any real score or cost
+#: difference, so it only orders otherwise-equal assignments.
+_TIE_EPS = 1e-9
 
 
 def affinity_scores(counters: CounterSet) -> dict[str, float]:
@@ -34,3 +43,36 @@ def affinity_scores(counters: CounterSet) -> dict[str, float]:
     )
     bs = counters.bad_speculation + 0.1 * counters.branch_mpki
     return {"fe_op": fe, "be_op1": be1, "be_op2": be2, "bs_op": bs}
+
+
+def affinity_matrix(
+    counters: Sequence[CounterSet], config_names: Sequence[str]
+) -> np.ndarray:
+    """The (task x config) score matrix from one baseline counter set
+    per task; a config :func:`affinity_scores` does not know scores 0."""
+    score = np.zeros((len(counters), len(config_names)))
+    for i, task_counters in enumerate(counters):
+        scores = affinity_scores(task_counters)
+        for j, name in enumerate(config_names):
+            score[i, j] = scores.get(name, 0.0)
+    return score
+
+
+def solve_assignment(
+    matrix: np.ndarray, *, maximize: bool
+) -> list[tuple[int, int]]:
+    """One-to-one (row, column) assignment over a possibly rectangular
+    score (``maximize``) or cost matrix, by the Hungarian algorithm.
+
+    Deterministic: among equal-valued assignments the lower row, then
+    the lower column index wins, so identical inputs always yield
+    identical placements — in the batch scheduler and the service alike.
+    """
+    n_rows, n_cols = matrix.shape
+    tie = _TIE_EPS * (
+        np.arange(n_rows)[:, None] * n_cols + np.arange(n_cols)[None, :]
+    )
+    rows, cols = linear_sum_assignment(
+        -(matrix - tie) if maximize else matrix + tie
+    )
+    return list(zip(rows.tolist(), cols.tolist()))

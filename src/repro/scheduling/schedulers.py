@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.obs import session as obs
 from repro.profiling.counters import CounterSet
-from repro.scheduling.affinity import affinity_scores
+from repro.scheduling.affinity import affinity_matrix, solve_assignment
 from repro.scheduling.task import TranscodeTask
 
 __all__ = ["Assignment", "RandomScheduler", "SmartScheduler", "BestScheduler"]
@@ -148,23 +147,12 @@ class SmartScheduler:
             )
         with obs.span("schedule", scheduler=self.name, tasks=len(tasks)):
             with obs.span("schedule.affinity", tasks=len(tasks)):
-                score = np.zeros((len(tasks), len(config_names)))
-                for i, task in enumerate(tasks):
-                    scores = affinity_scores(counters[task.task_id])
-                    for j, name in enumerate(config_names):
-                        score[i, j] = scores.get(name, 0.0)
-                # Deterministic tie-break: among equal-score assignments
-                # prefer lower task then lower config index, so identical
-                # inputs always yield identical placements.
-                score -= 1e-9 * (
-                    np.arange(len(tasks))[:, None] * len(config_names)
-                    + np.arange(len(config_names))[None, :]
+                score = affinity_matrix(
+                    [counters[t.task_id] for t in tasks], config_names
                 )
             with obs.span("schedule.assign", algorithm="hungarian"):
-                rows, cols = linear_sum_assignment(-score)  # maximize
-            placement = {
-                tasks[i].task_id: config_names[j] for i, j in zip(rows, cols)
-            }
+                pairs = solve_assignment(score, maximize=True)
+            placement = {tasks[i].task_id: config_names[j] for i, j in pairs}
             task_cycles = {
                 tid: cycles[tid][cfg] for tid, cfg in placement.items()
             }

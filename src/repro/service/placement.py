@@ -48,11 +48,14 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.obs import session as obs
 from repro.profiling.counters import CounterSet
-from repro.scheduling.affinity import affinity_scores
+from repro.scheduling.affinity import (
+    affinity_matrix,
+    affinity_scores,
+    solve_assignment,
+)
 from repro.service.jobs import Job
 from repro.service.workers import Worker
 
@@ -66,10 +69,6 @@ __all__ = [
     "predicted_cycles",
     "predicted_seconds",
 ]
-
-#: Tie-break magnitude: far below any meaningful affinity difference,
-#: large enough to make equal-score assignments deterministic.
-_TIE_EPS = 1e-9
 
 #: Penalty standing in for "infeasible" in the assignment matrix: large
 #: enough that the solver never trades a feasible pair away for one.
@@ -236,30 +235,23 @@ class SmartPlacement:
         jobs = jobs[: len(workers)]
         with obs.span("service.place", policy=self.name, jobs=len(jobs),
                       workers=len(workers), objective=self.objective):
-            # Deterministic tie-break: among equal-score placements,
-            # prefer lower job then lower worker index.
-            tie = _TIE_EPS * (
-                np.arange(len(jobs))[:, None] * len(workers)
-                + np.arange(len(workers))[None, :]
-            )
             if self.objective == "throughput":
-                score = np.zeros((len(jobs), len(workers)))
-                for i, job in enumerate(jobs):
-                    scores = affinity_scores(counters[job.job_id])
-                    for j, worker in enumerate(workers):
-                        score[i, j] = scores.get(worker.config_name, 0.0)
-                rows, cols = linear_sum_assignment(-(score - tie))
+                score = affinity_matrix(
+                    [counters[job.job_id] for job in jobs],
+                    [worker.config_name for worker in workers],
+                )
                 return {
-                    jobs[i].job_id: workers[j] for i, j in zip(rows, cols)
+                    jobs[i].job_id: workers[j]
+                    for i, j in solve_assignment(score, maximize=True)
                 }
             cost = self._cost_matrix(jobs, workers, counters)
-            rows, cols = linear_sum_assignment(cost + tie)
+            pairs = solve_assignment(cost, maximize=False)
             placement = {
                 jobs[i].job_id: workers[j]
-                for i, j in zip(rows, cols)
+                for i, j in pairs
                 if cost[i, j] < _INFEASIBLE
             }
-            unplaced = len(rows) - len(placement)
+            unplaced = len(pairs) - len(placement)
             if unplaced:
                 obs.inc("service.placements_infeasible", unplaced)
         return placement

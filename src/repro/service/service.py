@@ -44,8 +44,6 @@ lands in ``run.json`` when the caller runs under a telemetry session
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -54,7 +52,13 @@ from typing import Any
 import numpy as np
 
 from repro import resilience
-from repro.api.types import JobStatus, TranscodeRequest, TranscodeResult
+from repro._util import atomic_write_text
+from repro.api.types import (
+    QUICK_SIZING,
+    JobStatus,
+    TranscodeRequest,
+    TranscodeResult,
+)
 from repro.loadgen.clock import Clock, WallClock
 from repro.obs import session as obs
 from repro.obs.metrics import latency_buckets
@@ -69,7 +73,7 @@ from repro.service.placement import (
     make_policy,
 )
 from repro.service.queue import BoundedJobQueue
-from repro.service.workers import DEFAULT_FLEET, WorkerFleet
+from repro.service.workers import DEFAULT_FLEET, WorkerFleet, parse_fleet_spec
 from repro.trace.kernels import build_program
 from repro.trace.recorder import RecordingTracer
 from repro.uarch.configs import config_by_name
@@ -137,6 +141,19 @@ class ServiceConfig:
             raise ValueError("deadline_s must be > 0")
         if self.budget_usd is not None and self.budget_usd <= 0:
             raise ValueError("budget_usd must be > 0")
+
+    @classmethod
+    def from_settings(
+        cls, settings, *, quick: bool = False, **fields: object
+    ) -> "ServiceConfig":
+        """The config a resolved :class:`repro.api.Settings` describes —
+        its ``fleet`` spec parsed (unset: the default fleet), its
+        ``objective`` — with the per-run ``fields`` on top and
+        :data:`QUICK_SIZING` proxy clips under ``quick``."""
+        if settings.fleet:
+            fields["fleet"] = parse_fleet_spec(settings.fleet)
+        sizing = QUICK_SIZING if quick else {}
+        return cls(objective=settings.objective, **{**sizing, **fields})  # type: ignore[arg-type]
 
 
 def table3_requests(count: int = len(TABLE_III_TASKS)) -> list[TranscodeRequest]:
@@ -747,22 +764,10 @@ class TranscodeService:
         path = self.config.checkpoint_path
         if path is None:
             return
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         doc = self.queue.snapshot()
         doc["next_id"] = self._next_id
         doc["next_seq"] = self._next_seq
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, json.dumps(doc))
         obs.inc("service.checkpoint_writes")
 
     def _restore_checkpoint(self) -> None:

@@ -6,9 +6,10 @@ public surface documented in docs/ARCHITECTURE.md is generated from
 these, so a drifting ``__all__`` is a docs bug, not just style.
 
 The docs-drift audit at the bottom holds docs/CONFIGURATION.md to the
-same standard: it is the documented-knob contract, so a ``Settings``
-field or ``REPRO_*`` variable that exists in code but not in the doc
-fails the suite.
+same standard, row by row against ``repro.api.settings.FIELD_TABLE``:
+the doc's table line for a ``Settings`` field must carry that field's
+environment variable and CLI flag spelling, so a knob that is added,
+renamed or re-flagged in the table but not in the doc fails the suite.
 """
 
 from __future__ import annotations
@@ -89,16 +90,25 @@ def configuration_doc() -> str:
 
 
 def test_every_settings_field_documented(configuration_doc):
-    """A new Settings field must land in docs/CONFIGURATION.md with it."""
-    from repro.api import Settings
+    """Each field-table row has exactly one doc-table line, and that
+    line carries the row's env var and flag spelling."""
+    from repro.api.settings import FIELD_TABLE
 
-    missing = [
-        field for field in Settings.__dataclass_fields__
-        if f"`{field}`" not in configuration_doc
-    ]
-    assert not missing, (
-        f"Settings fields missing from docs/CONFIGURATION.md: {missing} — "
-        "add a row to the relevant knob table"
+    problems = []
+    for field, knob in FIELD_TABLE.items():
+        rows = [
+            line for line in configuration_doc.splitlines()
+            if line.startswith(f"| `{field}` |")
+        ]
+        if len(rows) != 1:
+            problems.append(f"{field}: {len(rows)} doc rows, expected 1")
+            continue
+        for spelling in (knob.env, knob.flag):
+            if spelling and f"`{spelling}" not in rows[0]:
+                problems.append(f"{field}: row lacks `{spelling}`")
+    assert not problems, (
+        "docs/CONFIGURATION.md knob tables drifted from FIELD_TABLE: "
+        + "; ".join(problems)
     )
 
 

@@ -4,11 +4,15 @@ Exercises the blessed entry points (encode, profile, sweep, schedule,
 serve) and asserts the aliases removed in 2.0.0 are really gone.
 """
 
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro import api
 from repro.api import TranscodeRequest, TranscodeResult
+
+SLO_DIR = Path(__file__).resolve().parents[3] / "examples" / "slo"
 
 
 class TestEncode:
@@ -78,6 +82,90 @@ class TestScheduleAndServe:
         assert report.completed == 2
         assert report.control is None
         assert report.margin_vs_control_pp is None
+
+
+def _quick_config():
+    return api.ServiceConfig(**api.QUICK_SIZING)
+
+
+#: The four telemetry-exporting entry points: name -> (call taking the
+#: telemetry dir, the run.json ``experiment``, ``scale``, has ``slo``).
+TELEMETRY_RUNS = {
+    "sweep": (
+        lambda out: api.sweep("tab4", telemetry_dir=out),
+        "tab4", "quick", False,
+    ),
+    "serve": (
+        lambda out: api.serve(
+            api.table3_requests(2), _quick_config(), control=False,
+            telemetry_dir=out, slo_spec=SLO_DIR / "serve.json",
+        ),
+        "serve", "smart", True,
+    ),
+    "loadtest": (
+        lambda out: api.loadtest(
+            api.LoadtestSpec(rates=(4.0,), duration_s=1.0), _quick_config(),
+            telemetry_dir=out, slo_spec=SLO_DIR / "loadtest.json",
+        ),
+        "loadtest", "poisson", True,
+    ),
+    "fleet-compare": (
+        lambda out: api.fleet_compare(
+            count=2, telemetry_dir=out, **api.QUICK_SIZING
+        ),
+        "fleet-compare", "min-cost", False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TELEMETRY_RUNS)
+class TestTelemetryRuns:
+    """One wrapper exports all four; the run.json sections are frozen."""
+
+    def test_run_json_sections(self, name, tmp_path, capsys):
+        from repro.obs import current, load_run
+
+        call, experiment, scale, has_slo = TELEMETRY_RUNS[name]
+        call(tmp_path)
+        art = load_run(tmp_path / "run.json")
+        assert art["experiment"] == experiment
+        assert art["scale"] == scale
+        assert art["status"] == "ok"
+        assert "failures" not in art
+        assert ("slo" in art) == has_slo
+        if has_slo:
+            assert {"spec", "ok", "objectives"} <= set(art["slo"])
+        assert (tmp_path / "events.jsonl").exists()
+        assert (tmp_path / "trace.json").exists()
+        assert f"[{experiment}] telemetry: " in capsys.readouterr().err
+        assert current() is None  # the session it opened is closed again
+
+    def test_reuses_an_active_session(self, name, tmp_path):
+        # Sessions do not nest; sweep used to raise NestedSessionError here.
+        from repro.obs import load_run, telemetry_session
+
+        call, experiment, _scale, _has_slo = TELEMETRY_RUNS[name]
+        with telemetry_session() as tel:
+            call(tmp_path)
+        art = load_run(tmp_path / "run.json")
+        assert art["experiment"] == experiment
+        assert art["trace_id"] == tel.trace_id
+
+    def test_failed_run_still_exports(self, name, tmp_path, monkeypatch):
+        import repro.api.facade as facade
+        from repro.obs import load_run
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        for target in ("render_experiment", "run_service", "run_loadtest"):
+            monkeypatch.setattr(facade, target, boom)
+        monkeypatch.setattr(
+            "repro.service.fleetcompare.run_fleet_compare", boom
+        )
+        with pytest.raises(RuntimeError, match="injected"):
+            TELEMETRY_RUNS[name][0](tmp_path)
+        assert load_run(tmp_path / "run.json")["status"] == "failed"
 
 
 class TestDeprecatedAliases:

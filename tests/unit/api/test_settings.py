@@ -11,6 +11,7 @@ import pytest
 
 from repro import resilience
 from repro.api import ENV_VARS, Settings
+from repro.api.settings import FIELD_TABLE
 from repro.codec import kernels
 from repro.experiments import parallel as engine
 from repro.resilience import faults
@@ -22,7 +23,7 @@ ALL_ENV = (
     "REPRO_RESUME", "REPRO_CHECKPOINT_DIR", "REPRO_RETRY_ATTEMPTS",
     "REPRO_RETRY_BASE_DELAY", "REPRO_RETRY_MAX_DELAY",
     "REPRO_BENCH_MATRIX", "REPRO_BENCH_HISTORY",
-)
+) + tuple(var for var in ENV_VARS if not var.endswith("*"))
 
 
 @pytest.fixture(autouse=True)
@@ -192,3 +193,107 @@ class TestFrozen:
         s = Settings.resolve(cache_dir="somewhere", checkpoint_dir="else")
         assert isinstance(s.cache_dir, Path)
         assert isinstance(s.checkpoint_dir, Path)
+
+
+#: One sample per field-table row: the environment that sets the field
+#: and the value it must coerce to, then a ``resolve()`` keyword/value
+#: that must beat that environment and what it coerces to.
+_PLAN = "sweep.compute,at=9,raise=InjectedFault"
+SAMPLES = {
+    "jobs": ({"REPRO_JOBS": "3"}, 3, {"jobs": "5"}, 5),
+    "cache_dir": ({"REPRO_CACHE_DIR": "env/c"}, Path("env/c"),
+                  {"cache_dir": "cli/c"}, Path("cli/c")),
+    "cache_enabled": ({}, True, {"no_cache": True}, False),
+    "kernels": ({"REPRO_KERNELS": " REFERENCE "}, "reference",
+                {"kernels": "numba"}, "numba"),
+    "shm": ({"REPRO_SHM": "yes"}, True, {"no_shm": True}, False),
+    "retry": ({"REPRO_RETRY_ATTEMPTS": "5"}, RetryPolicy(max_attempts=5),
+              {"retry": RetryPolicy(max_attempts=7)},
+              RetryPolicy(max_attempts=7)),
+    "fault_plan": ({"REPRO_FAULT_PLAN": _PLAN}, _PLAN,
+                   {"fault_plan": "worker.task,at=5,kill"},
+                   "worker.task,at=5,kill"),
+    "resume": ({"REPRO_RESUME": "On"}, True, {"resume": False}, False),
+    "checkpoint_dir": ({"REPRO_CHECKPOINT_DIR": "env/k"}, Path("env/k"),
+                       {"checkpoint_dir": Path("cli/k")}, Path("cli/k")),
+    "slo_spec": ({"REPRO_SLO_SPEC": "env.json"}, Path("env.json"),
+                 {"slo_spec": "cli.json"}, Path("cli.json")),
+    "metrics_out": ({"REPRO_METRICS_OUT": "env/m"}, Path("env/m"),
+                    {"metrics_out": "cli/m"}, Path("cli/m")),
+    "metrics_interval": ({"REPRO_METRICS_INTERVAL": "2.5"}, 2.5,
+                         {"metrics_interval": 7}, 7.0),
+    "loadtest_arrivals": ({"REPRO_LOADTEST_ARRIVALS": "MMPP"}, "mmpp",
+                          {"loadtest_arrivals": "Fixed"}, "fixed"),
+    "loadtest_rate": ({"REPRO_LOADTEST_RATE": "4, 8"}, (4.0, 8.0),
+                      {"loadtest_rate": [16]}, (16.0,)),
+    "loadtest_duration": ({"REPRO_LOADTEST_DURATION": "12"}, 12.0,
+                          {"loadtest_duration": 3}, 3.0),
+    "loadtest_mix": ({"REPRO_LOADTEST_MIX": "HD_streams"}, "hd_streams",
+                     {"loadtest_mix": "screencast"}, "screencast"),
+    "fleet": ({"REPRO_FLEET": "fe_op,be_op1:2"}, "fe_op,be_op1:2",
+              {"fleet": "c5.xlarge"}, "c5.xlarge"),
+    "objective": ({"REPRO_OBJECTIVE": "Min-Cost"}, "min-cost",
+                  {"objective": "min-latency"}, "min-latency"),
+    "bench_matrix": ({"REPRO_BENCH_MATRIX": "env.yaml"}, Path("env.yaml"),
+                     {"bench_matrix": "cli.yaml"}, Path("cli.yaml")),
+    "bench_history": ({"REPRO_BENCH_HISTORY": "env/h"}, Path("env/h"),
+                      {"bench_history": "cli/h"}, Path("cli/h")),
+}
+
+
+class TestFieldTable:
+    """Behaviours every row must have, parametrized over the table."""
+
+    def test_one_row_per_field_and_one_sample_per_row(self):
+        fields = list(Settings.__dataclass_fields__)
+        assert list(FIELD_TABLE) == fields
+        assert set(SAMPLES) == set(fields)
+        assert len(fields) == 20
+
+    def test_env_vars_derive_from_the_rows(self):
+        assert ENV_VARS == {
+            knob.env: field for field, knob in FIELD_TABLE.items() if knob.env
+        }
+        assert len(ENV_VARS) == 19  # cache_enabled has no variable
+        assert "REPRO_RETRY_*" in ENV_VARS
+
+    @pytest.mark.parametrize("field", FIELD_TABLE)
+    def test_env_round_trips_to_the_coerced_value(self, field, monkeypatch):
+        env, expected, _flags, _value = SAMPLES[field]
+        for var, raw in env.items():
+            monkeypatch.setenv(var, raw)
+        assert getattr(Settings.from_env(), field) == expected
+        # env_overrides() returns exactly the keys the environment set.
+        assert Settings.env_overrides() == ({field: expected} if env else {})
+
+    @pytest.mark.parametrize("field", FIELD_TABLE)
+    def test_flag_beats_env(self, field, monkeypatch):
+        env, _expected, flags, value = SAMPLES[field]
+        for var, raw in env.items():
+            monkeypatch.setenv(var, raw)
+        resolved = Settings.resolve(**flags)
+        assert getattr(resolved, field) == value
+        assert type(getattr(resolved, field)) is type(value)
+        # A flag that was not given (None / False) leaves the env value.
+        (name, given), = flags.items()
+        absent = False if isinstance(given, bool) and given else None
+        assert Settings.resolve(**{name: absent}) == Settings.from_env()
+
+    @pytest.mark.parametrize("field", [
+        "jobs", "metrics_interval", "loadtest_rate", "loadtest_duration",
+    ])
+    def test_malformed_numeric_env_is_ignored(self, field, monkeypatch):
+        monkeypatch.setenv(FIELD_TABLE[field].env, "many")
+        assert Settings.env_overrides() == {}
+        assert Settings.from_env() == Settings()
+
+    def test_malformed_kernels_env_still_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNELS", "quantum")
+        with pytest.raises(ValueError, match="REPRO_KERNELS"):
+            Settings.env_overrides()
+        with pytest.raises(ValueError, match="REPRO_KERNELS"):
+            Settings.resolve(kernels="vectorized")
+
+    def test_unknown_resolve_keyword_is_a_type_error(self):
+        with pytest.raises(TypeError, match="bogus.*valid names.*jobs"):
+            Settings.resolve(bogus=1)

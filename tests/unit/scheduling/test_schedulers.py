@@ -7,7 +7,7 @@ assignment mechanics from the characterization pipeline.
 
 import pytest
 
-import repro.scheduling.schedulers as schedulers_mod
+import repro.scheduling.affinity as affinity_mod
 from repro.scheduling.casestudy import CaseStudyResult
 from repro.scheduling.schedulers import (
     Assignment,
@@ -57,7 +57,7 @@ class TestSmartTieBreaking:
     def test_equal_scores_prefer_lower_task_then_config_index(self,
                                                               monkeypatch):
         monkeypatch.setattr(
-            schedulers_mod, "affinity_scores", lambda counters: {}
+            affinity_mod, "affinity_scores", lambda counters: {}
         )
         tasks = make_tasks(4)
         cycles = flat_cycles(tasks)
@@ -73,7 +73,7 @@ class TestSmartTieBreaking:
 
     def test_identical_inputs_identical_placements(self, monkeypatch):
         monkeypatch.setattr(
-            schedulers_mod, "affinity_scores",
+            affinity_mod, "affinity_scores",
             lambda counters: {"fe_op": 1.0, "bs_op": 1.0},
         )
         tasks = make_tasks(4)
@@ -93,7 +93,7 @@ class TestSmartTieBreaking:
         # Task 4 alone prefers fe_op (the config the tie-break would
         # otherwise hand to task 1): the epsilon must not outvote it.
         monkeypatch.setattr(
-            schedulers_mod, "affinity_scores",
+            affinity_mod, "affinity_scores",
             lambda counters: {"fe_op": 5.0} if counters == 4 else {},
         )
         tasks = make_tasks(4)
@@ -152,3 +152,43 @@ class TestCaseStudyGuards:
             },
         )
         assert result.smart_matches_best_fraction == 0.0
+
+
+class TestBatchAndServiceAgree:
+    """SmartScheduler and SmartPlacement share one solver: on the same
+    counters they must produce the same task -> config mapping."""
+
+    @pytest.fixture(scope="class")
+    def table3_counters(self):
+        from repro.scheduling.casestudy import run_case_study
+
+        study = run_case_study(width=48, height=32, n_frames=3)
+        return study.tasks, study.counters
+
+    @pytest.mark.parametrize("scores", ["table3", "all-equal"])
+    def test_same_mapping(self, scores, table3_counters, monkeypatch):
+        from repro.api.types import TranscodeRequest
+        from repro.service.jobs import Job
+        from repro.service.placement import SmartPlacement
+        from repro.service.workers import WorkerFleet
+
+        tasks, counters = table3_counters
+        if scores == "all-equal":
+            monkeypatch.setattr(
+                affinity_mod, "affinity_scores", lambda counters: {}
+            )
+        batch = SmartScheduler().schedule(
+            tasks, flat_cycles(tasks), CONFIGS,
+            {t.task_id: 100.0 for t in tasks}, counters,
+        )
+        jobs = [
+            Job(job_id=t.task_id, request=TranscodeRequest(clip=t.video),
+                seq=i)
+            for i, t in enumerate(tasks)
+        ]
+        placed = SmartPlacement().place(
+            jobs, WorkerFleet(tuple(CONFIGS)).workers, counters
+        )
+        assert {
+            job_id: worker.config_name for job_id, worker in placed.items()
+        } == batch.placement

@@ -7,7 +7,7 @@ deterministic tie-breaking, and the seeded random control.
 
 import pytest
 
-import repro.service.placement as placement_mod
+import repro.scheduling.affinity as affinity_mod
 from repro.api.types import TranscodeRequest
 from repro.service.jobs import Job
 from repro.service.placement import (
@@ -40,7 +40,7 @@ class TestSmartPlacement:
             2: {"fe_op": 10.0},
         }
         monkeypatch.setattr(
-            placement_mod, "affinity_scores", lambda token: prefs[token]
+            affinity_mod, "affinity_scores", lambda token: prefs[token]
         )
         jobs = make_jobs(2)
         counters = {j.job_id: j.job_id for j in jobs}
@@ -51,7 +51,7 @@ class TestSmartPlacement:
     def test_equal_scores_break_toward_lower_indices(self, fleet,
                                                      monkeypatch):
         monkeypatch.setattr(
-            placement_mod, "affinity_scores", lambda token: {}
+            affinity_mod, "affinity_scores", lambda token: {}
         )
         jobs = make_jobs(4)
         counters = {j.job_id: None for j in jobs}
@@ -67,7 +67,7 @@ class TestSmartPlacement:
 
     def test_batch_larger_than_fleet_truncates(self, fleet, monkeypatch):
         monkeypatch.setattr(
-            placement_mod, "affinity_scores", lambda token: {}
+            affinity_mod, "affinity_scores", lambda token: {}
         )
         jobs = make_jobs(6)
         counters = {j.job_id: None for j in jobs}

@@ -407,3 +407,87 @@ class TestReport:
         bad.write_text(json.dumps({"schema_version": 1}))
         assert main(["report", str(bad)]) == 1
         assert "missing required field" in capsys.readouterr().err
+
+
+#: Every subcommand's flags and positionals, captured from the commit
+#: before the flags moved into the Settings field table: the guard that
+#: the move dropped or renamed none ("" is the experiment-running form).
+FROZEN_FLAGS = {
+    "": "--cache-dir --checkpoint-dir --debug --fault-plan --jobs --kernels "
+        "--no-cache --no-shm --resume --scale --telemetry --version "
+        "experiment",
+    "bench": "--compare --drift --history --jobs --kernels --matrix "
+             "--matrix-out --output --quick --reps --threshold --window",
+    "cache": "--cache-dir action",
+    "serve": "--budget-usd --checkpoint --count --deadline-s --fault-plan "
+             "--fleet --metrics-interval --metrics-out --mix --no-control "
+             "--objective --out --policy --queue-capacity --quick --resume "
+             "--seed --slo --spool --telemetry",
+    "loadtest": "--amplitude --arrivals --budget-usd --burst --clock-hz "
+                "--closed-loop --deadline-s --duration --fault-plan --fleet "
+                "--mix --objective --open-loop --period --policy "
+                "--queue-capacity --quick --rate --seed --slo --sojourn "
+                "--telemetry",
+    "fleet-compare": "--budget-usd --count --deadline-s --fleet --mix "
+                     "--objective --quick --seed --telemetry",
+    "slo": "--spec action artifact",
+    "submit": "--crf --deadline-ms --preset --priority --refs --spool clip",
+    "report": "--diff --timeline artifacts",
+    "matrix": "action specs",
+    "backends": "",
+}
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize(
+        "sub", ["", "bench", "serve", "loadtest", "fleet-compare"]
+    )
+    def test_help_exits_zero(self, sub, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"] if sub else ["--help"])
+        assert exc.value.code == 0
+        assert "usage: repro" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sub", FROZEN_FLAGS)
+    def test_flag_set_is_frozen(self, sub, monkeypatch):
+        import argparse
+
+        class Captured(Exception):
+            pass
+
+        def capture(parser, args=None, namespace=None):
+            raise Captured(parser)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+        with pytest.raises(Captured) as exc:
+            main([sub] if sub else [])
+        actions = exc.value.args[0]._actions
+        names = {
+            name
+            for action in actions
+            for name in (action.option_strings or [action.dest])
+        } - {"-h", "--help"}
+        assert sorted(names) == FROZEN_FLAGS[sub].split()
+
+    def test_settings_flags_are_declared_from_the_table(self):
+        import argparse
+
+        from repro.api.settings import FIELD_TABLE
+        from repro.cli import add_settings_flags
+        from repro.codec.kernels import KERNEL_BACKENDS
+
+        flagged = [f for f, knob in FIELD_TABLE.items() if knob.flag]
+        assert set(FIELD_TABLE) - set(flagged) == {"retry"}
+        parser = argparse.ArgumentParser()
+        add_settings_flags(parser, *flagged)
+        by_flag = {
+            action.option_strings[0]: action
+            for action in parser._actions if action.dest != "help"
+        }
+        assert set(by_flag) == {FIELD_TABLE[f].flag for f in flagged}
+        # Choices come off the live registries; absent flags parse to
+        # "not given" (None, or False for the store_true ones).
+        assert by_flag["--kernels"].choices == tuple(KERNEL_BACKENDS)
+        assert all(a.default in (None, False) for a in by_flag.values())
+        assert "$REPRO_JOBS, else 1" in by_flag["--jobs"].help
+        assert "$REPRO_LOADTEST_RATE, else 8)" in by_flag["--rate"].help

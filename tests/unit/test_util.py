@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro._util import (
+    atomic_write_text,
     check_choice,
     check_positive,
     check_range,
@@ -12,6 +13,7 @@ from repro._util import (
     geometric_mean,
     rng_for,
     stable_seed,
+    truthy,
 )
 
 
@@ -109,3 +111,37 @@ class TestFormatTable:
         lines = out.splitlines()
         # All rows should have equal width.
         assert len({len(l) for l in lines}) == 1
+
+
+class TestTruthy:
+    @pytest.mark.parametrize("value", ["1", "true", "YES", " on ", True, 1])
+    def test_true_spellings(self, value):
+        assert truthy(value) is True
+
+    @pytest.mark.parametrize("value", ["0", "false", "no", "", "2", False, 0])
+    def test_everything_else_is_false(self, value):
+        assert truthy(value) is False
+
+
+class TestAtomicWriteText:
+    def test_content_lands_and_parents_are_created(self, tmp_path):
+        target = tmp_path / "a" / "b" / "out.json"
+        assert atomic_write_text(target, "hello\n") == target
+        assert target.read_text(encoding="utf-8") == "hello\n"
+
+    def test_existing_file_is_replaced_whole(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("a much longer previous payload\n")
+        atomic_write_text(target, "new\n")
+        assert target.read_text() == "new\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_write_keeps_old_content_and_no_tmp(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        # A lone surrogate cannot be encoded as UTF-8: the write raises
+        # after the temp file was created and opened.
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "partial \ud800")
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]
