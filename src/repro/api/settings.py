@@ -12,9 +12,9 @@ benchmark matrix's ``settings:`` coercion. The precedence order is
 :meth:`Settings.apply` pushes the resolved values into the subsystems as
 overrides. The subsystems keep their own environment fallbacks
 (``REPRO_JOBS`` in the sweep engine, ``REPRO_KERNELS`` in the codec
-dispatch, ``REPRO_SHM``, ``REPRO_RESUME``, ...), which an installed
-override shadows and which library callers that never ``apply`` a
-``Settings`` — or that call :meth:`Settings.reset` — still get.
+dispatch, ``REPRO_RESUME``, ...), which an installed override shadows
+and which library callers that never ``apply`` a ``Settings`` — or that
+call :meth:`Settings.reset` — still get.
 """
 
 from __future__ import annotations
@@ -96,9 +96,6 @@ _ROWS = (
     Knob("kernels", _backend, "REPRO_KERNELS", "--kernels", env_strict=True,
          choices="repro.codec.kernels:KERNEL_BACKENDS",
          help="codec kernel backend; `repro backends` lists availability"),
-    Knob("shm", truthy, "REPRO_SHM", "--no-shm", negated=True,
-         help="decode clips per sweep worker instead of sharing decoded "
-              "frames through shared memory"),
     Knob("retry", lambda policy: policy, "REPRO_RETRY_*",
          env_reader=RetryPolicy.from_env, in_spec=False),
     Knob("fault_plan", str, "REPRO_FAULT_PLAN", "--fault-plan", "PLAN",
@@ -170,7 +167,6 @@ class Settings:
     cache_dir: Path | None = None
     cache_enabled: bool = True
     kernels: str = _kernels.DEFAULT_BACKEND
-    shm: bool = True
     retry: RetryPolicy = RetryPolicy()
     fault_plan: str | None = None
     resume: bool = False
@@ -245,8 +241,8 @@ class Settings:
     def resolve(cls, **flags: object) -> "Settings":
         """Resolve CLI flags over the environment over the defaults.
 
-        Keywords are field names plus the negated-flag aliases
-        ``no_cache`` / ``no_shm``; ``None`` (``False`` for an alias) means
+        Keywords are field names plus the negated-flag alias
+        ``no_cache``; ``None`` (``False`` for the alias) means
         "flag not given": the environment, then the default, wins. An
         unknown keyword raises ``TypeError``."""
         settings = cls.from_env()
@@ -266,11 +262,11 @@ class Settings:
 
     def apply(self) -> "Settings":
         """Install this configuration process-wide: the sweep engine,
-        resilience layer, kernel dispatch and frame transport take the
-        values as overrides that shadow their environment fallbacks
-        until :meth:`reset` or another ``apply``. Returns ``self``."""
+        resilience layer and kernel dispatch take the values as overrides
+        that shadow their environment fallbacks until :meth:`reset` or
+        another ``apply``. Returns ``self``."""
         from repro import resilience
-        from repro.experiments import parallel as engine, transport
+        from repro.experiments import parallel as engine
 
         engine.configure(
             jobs=self.jobs,
@@ -283,7 +279,6 @@ class Settings:
             checkpoint_dir=self.checkpoint_dir,
         )
         _kernels.select_backend(self.kernels)
-        transport.configure(self.shm)
         return self
 
     @staticmethod
@@ -291,9 +286,8 @@ class Settings:
         """Undo :meth:`apply`: restore every subsystem's env-fallback
         behaviour (used by tests and by long-lived embedding hosts)."""
         from repro import resilience
-        from repro.experiments import parallel as engine, transport
+        from repro.experiments import parallel as engine
 
         engine.configure(jobs=None, cache_dir=None)
         resilience.reset()
         _kernels.select_backend(None)
-        transport.configure(None)

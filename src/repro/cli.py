@@ -907,8 +907,8 @@ def main(argv: list[str] | None = None) -> int:
              "artifacts into OUT_DIR (per-experiment subdirs under `all`)",
     )
     add_settings_flags(
-        parser, "jobs", "cache_dir", "cache_enabled", "kernels", "shm",
-        "resume", "checkpoint_dir", "fault_plan",
+        parser, "jobs", "cache_dir", "cache_enabled", "kernels", "resume",
+        "checkpoint_dir", "fault_plan",
     )
     parser.add_argument(
         "--debug",

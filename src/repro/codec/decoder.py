@@ -21,18 +21,30 @@ from repro.codec.chroma import decode_chroma_plane
 from repro.codec.deblock import deblock_plane
 from repro.codec.entropy import BitReader, decode_block, read_se, read_ue
 from repro.codec.intra import predict_16x16
-from repro.codec.motion import PaddedReference, fetch_prediction
+from repro.codec.motion import PaddedReference, fetch_prediction, predict_mv
 from repro.codec.quant import dequantize
 from repro.codec.transform import inverse_4x4, unblockify_16x16
-from repro.codec.types import FrameType, IntraMode, MotionVector
+from repro.codec.types import (
+    FRAME_TYPE_IDS,
+    MODE_IDS,
+    FrameType,
+    IntraMode,
+    MBMode,
+    MotionVector,
+)
 from repro.trace.recorder import NullTracer, Tracer
 from repro.video.frame import Frame, FrameSequence
 
 __all__ = ["Decoder", "DecodeResult", "decode"]
 
-_ID_TO_FRAME_TYPE = {0: FrameType.I, 1: FrameType.P, 2: FrameType.B}
-# Must match encoder._MODE_IDS.
-_SKIP, _INTER16, _INTER8, _INTER4, _BI, _INTRA16, _INTRA4, _INTRA8 = range(8)
+_ID_TO_FRAME_TYPE = {i: ftype for ftype, i in FRAME_TYPE_IDS.items()}
+_SKIP, _INTER16, _INTER8, _INTER4, _BI, _INTRA16, _INTRA4 = (
+    MODE_IDS[mode]
+    for mode in (
+        MBMode.SKIP, MBMode.INTER_16X16, MBMode.INTER_8X8, MBMode.INTER_4X4,
+        MBMode.BI, MBMode.INTRA_16X16, MBMode.INTRA_4X4,
+    )
+)
 
 _REF_PAD = 88  # >= encoder's merange + 24 upper bound (64 + 24)
 
@@ -203,7 +215,7 @@ class Decoder:
     ) -> None:
         y, x = mb_y * 16, mb_x * 16
         mode_id = read_ue(reader)
-        pred_mv = self._predict_mv(mv_grid, mb_y, mb_x)
+        pred_mv = predict_mv(mv_grid, mb_y, mb_x)
 
         if mode_id == _SKIP:
             if not past:
@@ -331,27 +343,6 @@ class Decoder:
         else:
             dc = 128.0
         return np.full((4, 4), dc)
-
-    @staticmethod
-    def _predict_mv(
-        mv_grid: list[list[MotionVector | None]], mb_y: int, mb_x: int
-    ) -> MotionVector:
-        neighbors: list[MotionVector] = []
-        if mb_x > 0 and mv_grid[mb_y][mb_x - 1] is not None:
-            neighbors.append(mv_grid[mb_y][mb_x - 1])  # type: ignore[arg-type]
-        if mb_y > 0 and mv_grid[mb_y - 1][mb_x] is not None:
-            neighbors.append(mv_grid[mb_y - 1][mb_x])  # type: ignore[arg-type]
-        if (
-            mb_y > 0
-            and mb_x + 1 < len(mv_grid[0])
-            and mv_grid[mb_y - 1][mb_x + 1] is not None
-        ):
-            neighbors.append(mv_grid[mb_y - 1][mb_x + 1])  # type: ignore[arg-type]
-        if not neighbors:
-            return MotionVector(0, 0, 0)
-        dx = int(np.median([m.dx for m in neighbors]))
-        dy = int(np.median([m.dy for m in neighbors]))
-        return MotionVector(dx, dy, 0)
 
 
 def decode(bitstream: bytes, *, tracer: Tracer | None = None) -> DecodeResult:

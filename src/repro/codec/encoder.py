@@ -43,12 +43,14 @@ from repro.codec.entropy import (
 from repro.codec.gop import GopPlan, plan_gop
 from repro.codec.intra import best_intra_16x16, predict_4x4_blocks
 from repro.codec.mbdecision import InterCandidate, choose_inter_ref, mv_bits, search_partitions
-from repro.codec.motion import PaddedReference, fetch_prediction
+from repro.codec.motion import PaddedReference, fetch_prediction, predict_mv
 from repro.codec.options import EncoderOptions
 from repro.codec.quant import dequantize, quantize, rd_lambda, trellis_quantize
 from repro.codec.ratecontrol import FirstPassStats, RateController
 from repro.codec.transform import blockify_16x16, forward_4x4, inverse_4x4, unblockify_16x16
 from repro.codec.types import (
+    FRAME_TYPE_IDS,
+    MODE_IDS,
     CodedFrame,
     CodedMacroblock,
     CodedStream,
@@ -65,18 +67,6 @@ from repro.video.frame import FrameSequence
 from repro.video.metrics import bitrate_kbps, psnr_sequence
 
 __all__ = ["Encoder", "EncodeResult", "LoopOptimizations", "encode"]
-
-_MODE_IDS = {
-    MBMode.SKIP: 0,
-    MBMode.INTER_16X16: 1,
-    MBMode.INTER_8X8: 2,
-    MBMode.INTER_4X4: 3,
-    MBMode.BI: 4,
-    MBMode.INTRA_16X16: 5,
-    MBMode.INTRA_4X4: 6,
-    MBMode.INTRA_8X8: 7,
-}
-_FRAME_TYPE_IDS = {FrameType.I: 0, FrameType.P: 1, FrameType.B: 2}
 
 
 @dataclass(frozen=True)
@@ -272,9 +262,7 @@ class Encoder:
 
                 bits_before = writer.bit_count
                 self._write_frame_header(writer, disp_idx, ftype, base_qp)
-                mbs = self._encode_frame_mbs(
-                    ctx, writer, rc, src_bases[disp_idx], dpb
-                )
+                mbs = self._encode_frame_mbs(ctx, writer, rc)
                 chroma_recon = None
                 if chroma_active:
                     chroma_recon = self._encode_chroma(
@@ -418,8 +406,6 @@ class Encoder:
         ctx: _FrameContext,
         writer: BitWriter,
         rc: RateController,
-        src_base: int,
-        dpb: list[_DpbEntry],
     ) -> list[CodedMacroblock]:
         mbs: list[CodedMacroblock] = []
         n_mb_y = len(ctx.mv_grid)
@@ -428,7 +414,7 @@ class Encoder:
         intra_flags: list[bool] = []
         for mb_y in range(n_mb_y):
             for mb_x in range(n_mb_x):
-                mb = self._encode_mb(ctx, mb_y, mb_x, writer, rc, src_base, dpb)
+                mb = self._encode_mb(ctx, mb_y, mb_x, writer, rc)
                 mbs.append(mb)
                 skip_flags.append(mb.mode is MBMode.SKIP)
                 intra_flags.append(mb.mode.is_intra)
@@ -453,8 +439,6 @@ class Encoder:
         mb_x: int,
         writer: BitWriter,
         rc: RateController,
-        src_base: int,
-        dpb: list[_DpbEntry],
     ) -> CodedMacroblock:
         options = self.options
         y, x = mb_y * 16, mb_x * 16
@@ -464,7 +448,7 @@ class Encoder:
             ctx.base_qp, float(ctx.mb_variances[mb_y, mb_x]), ctx.mean_variance
         )
         lam = rd_lambda(qp_mb)
-        pred_mv = self._predict_mv(ctx, mb_y, mb_x)
+        pred_mv = predict_mv(ctx.mv_grid, mb_y, mb_x)
 
         inter: InterCandidate | None = None
         skip_candidate: np.ndarray | None = None
@@ -541,7 +525,7 @@ class Encoder:
         prediction = fetch_prediction(ref, y, x, mv.dx, mv.dy)
         if mv.dx % 4 != 0 or mv.dy % 4 != 0:
             self._trace_interp(ctx, mb_y, mb_x, ref_idx)
-        rate = mv_bits(mv, pred_mv) + ue_bits(_MODE_IDS[MBMode.INTER_16X16])
+        rate = mv_bits(mv, pred_mv) + ue_bits(MODE_IDS[MBMode.INTER_16X16])
         candidate = InterCandidate(
             mode=MBMode.INTER_16X16,
             mvs=[mv],
@@ -558,7 +542,7 @@ class Encoder:
         )
         part_flags = []
         if part8 is not None:
-            self._trace_partition_search(ctx, mb_y, mb_x, part8)
+            self._trace_partition_search(part8)
             better = part8.rd_cost(qp_mb) < candidate.rd_cost(qp_mb)
             part_flags.append(better)
             if better:
@@ -567,7 +551,7 @@ class Encoder:
                     src_mb, ref, y, x, mv, pred_mv, options, size=4
                 )
                 if part4 is not None:
-                    self._trace_partition_search(ctx, mb_y, mb_x, part4)
+                    self._trace_partition_search(part4)
                     better4 = part4.rd_cost(qp_mb) < candidate.rd_cost(qp_mb)
                     part_flags.append(better4)
                     if better4:
@@ -619,7 +603,7 @@ class Encoder:
         bi_pred = (pred0 + pred1) / 2.0
         bi_dist = float(np.sum(np.abs(ctx.src_mb_f(y, x) - bi_pred)))
         bi_rate = (
-            mv_bits(mv0, pred_mv) + mv_bits(mv1, pred_mv) + ue_bits(_MODE_IDS[MBMode.BI])
+            mv_bits(mv0, pred_mv) + mv_bits(mv1, pred_mv) + ue_bits(MODE_IDS[MBMode.BI])
         )
         bi = InterCandidate(
             mode=MBMode.BI,
@@ -662,7 +646,7 @@ class Encoder:
             return None
         i16 = best_intra_16x16(src_mb, ctx.recon, y, x)
         self._trace_intra16(ctx, mb_y, mb_x)
-        rate16 = ue_bits(_MODE_IDS[MBMode.INTRA_16X16]) + ue_bits(int(i16.mode))
+        rate16 = ue_bits(MODE_IDS[MBMode.INTRA_16X16]) + ue_bits(int(i16.mode))
         cost16 = i16.sad + rd_lambda(qp_mb) * rate16
 
         best_mode = MBMode.INTRA_16X16
@@ -671,7 +655,7 @@ class Encoder:
             # Quick i4x4 probe: per-4x4 DC/V/H from source neighbors.
             pred4, sad4, modes_tried = predict_4x4_blocks(src_mb, ctx.recon, y, x)
             self._trace_intra4(ctx, mb_y, mb_x, modes_tried)
-            rate4 = ue_bits(_MODE_IDS[MBMode.INTRA_4X4]) + 16 * 3
+            rate4 = ue_bits(MODE_IDS[MBMode.INTRA_4X4]) + 16 * 3
             cost4 = sad4 + rd_lambda(qp_mb) * rate4
             if cost4 < best_cost:
                 best_mode = MBMode.INTRA_4X4
@@ -695,14 +679,14 @@ class Encoder:
         rc: RateController,
     ) -> CodedMacroblock:
         bits_before = writer.bit_count
-        write_ue(writer, _MODE_IDS[MBMode.SKIP])
+        write_ue(writer, MODE_IDS[MBMode.SKIP])
         bits = writer.bit_count - bits_before
         y, x = mb_y * 16, mb_x * 16
         recon_mb = np.clip(np.round(prediction), 0, 255).astype(np.uint8)
         ctx.recon[y : y + 16, x : x + 16] = recon_mb
         ctx.mv_grid[mb_y][mb_x] = pred_mv
         rc.note_mb_bits(bits)
-        self._trace_entropy_header(ctx, mb_y, mb_x, bits)
+        self._trace_entropy_header()
         self._trace_recon_write(ctx, mb_y, mb_x)
         return CodedMacroblock(
             mb_x=mb_x, mb_y=mb_y, mode=MBMode.SKIP, qp=qp_mb,
@@ -721,7 +705,7 @@ class Encoder:
         """True sequential intra-4x4 coding (decodable)."""
         y0, x0 = mb_y * 16, mb_x * 16
         bits_before = writer.bit_count
-        write_ue(writer, _MODE_IDS[MBMode.INTRA_4X4])
+        write_ue(writer, MODE_IDS[MBMode.INTRA_4X4])
         write_se(writer, qp_mb - ctx.base_qp)
         levels_all = np.zeros((16, 4, 4), dtype=np.int32)
         modes4: list[int] = []
@@ -871,7 +855,7 @@ class Encoder:
         levels = trellis_quantize(coeffs, qp_mb, level=options.trellis)
 
         bits_before = writer.bit_count
-        write_ue(writer, _MODE_IDS[mode])
+        write_ue(writer, MODE_IDS[mode])
         if mode is MBMode.INTRA_16X16:
             write_ue(writer, int(intra_mode))
         elif mode is MBMode.BI:
@@ -906,26 +890,6 @@ class Encoder:
             mb_x=mb_x, mb_y=mb_y, mode=mode, qp=qp_mb, intra_mode=intra_mode,
             mvs=mvs, mv1=mv1, coeffs=levels, bits=bits,
         )
-
-    # ------------------------------------------------------------------
-    # MV prediction
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _predict_mv(ctx: _FrameContext, mb_y: int, mb_x: int) -> MotionVector:
-        """Median MV predictor from left / top / top-right neighbors."""
-        neighbors: list[MotionVector] = []
-        grid = ctx.mv_grid
-        if mb_x > 0 and grid[mb_y][mb_x - 1] is not None:
-            neighbors.append(grid[mb_y][mb_x - 1])  # type: ignore[arg-type]
-        if mb_y > 0 and grid[mb_y - 1][mb_x] is not None:
-            neighbors.append(grid[mb_y - 1][mb_x])  # type: ignore[arg-type]
-        if mb_y > 0 and mb_x + 1 < len(grid[0]) and grid[mb_y - 1][mb_x + 1] is not None:
-            neighbors.append(grid[mb_y - 1][mb_x + 1])  # type: ignore[arg-type]
-        if not neighbors:
-            return MotionVector(0, 0, 0)
-        dx = int(np.median([m.dx for m in neighbors]))
-        dy = int(np.median([m.dy for m in neighbors]))
-        return MotionVector(dx, dy, 0)
 
     # ------------------------------------------------------------------
     # stream syntax
@@ -980,7 +944,7 @@ class Encoder:
         writer: BitWriter, disp_idx: int, ftype: FrameType, qp: int
     ) -> None:
         write_ue(writer, disp_idx)
-        write_ue(writer, _FRAME_TYPE_IDS[ftype])
+        write_ue(writer, FRAME_TYPE_IDS[ftype])
         write_ue(writer, qp)
 
     # ------------------------------------------------------------------
@@ -1100,7 +1064,7 @@ class Encoder:
         writes = (scratch + np.arange(17) * 32).astype(np.uint64)
         self.tracer.kernel("me_interp", iters=17, reads=reads, writes=writes)
 
-    def _trace_partition_search(self, ctx, mb_y: int, mb_x: int, cand) -> None:
+    def _trace_partition_search(self, cand) -> None:
         if not self.tracer.enabled:
             return
         self.tracer.kernel("me_sad", iters=cand.n_search_points * 8)
@@ -1201,9 +1165,9 @@ class Encoder:
             writes=bs_addrs,
             branches={"sig": sig, "big": big},
         )
-        self._trace_entropy_header(ctx, mb_y, mb_x, bits)
+        self._trace_entropy_header()
 
-    def _trace_entropy_header(self, ctx, mb_y: int, mb_x: int, bits: int) -> None:
+    def _trace_entropy_header(self) -> None:
         if not self.tracer.enabled:
             return
         self.tracer.kernel("entropy_header", iters=1)

@@ -29,6 +29,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.codec import kernels
 from repro.codec.transform import hadamard_sad, hadamard_sad_batch, satd_16x16
+from repro.codec.types import MotionVector
 
 __all__ = [
     "PaddedReference",
@@ -36,6 +37,7 @@ __all__ = [
     "motion_search",
     "subpel_refine",
     "fetch_prediction",
+    "predict_mv",
 ]
 
 _DIA_OFFSETS = ((0, -1), (0, 1), (-1, 0), (1, 0))
@@ -609,3 +611,26 @@ def fetch_prediction(
     if mv_x4 % 4 == 0 and mv_y4 % 4 == 0:
         return ref.block(y + (mv_y4 >> 2), x + (mv_x4 >> 2)).astype(np.float64)
     return ref.half_pel_block(y * 4 + mv_y4, x * 4 + mv_x4)
+
+
+def predict_mv(
+    mv_grid: list[list[MotionVector | None]], mb_y: int, mb_x: int
+) -> MotionVector:
+    """Median MV predictor from the left / top / top-right neighbors
+    (the one rule the encoder and the decoder must agree on)."""
+    neighbors: list[MotionVector] = []
+    if mb_x > 0 and mv_grid[mb_y][mb_x - 1] is not None:
+        neighbors.append(mv_grid[mb_y][mb_x - 1])  # type: ignore[arg-type]
+    if mb_y > 0 and mv_grid[mb_y - 1][mb_x] is not None:
+        neighbors.append(mv_grid[mb_y - 1][mb_x])  # type: ignore[arg-type]
+    if (
+        mb_y > 0
+        and mb_x + 1 < len(mv_grid[0])
+        and mv_grid[mb_y - 1][mb_x + 1] is not None
+    ):
+        neighbors.append(mv_grid[mb_y - 1][mb_x + 1])  # type: ignore[arg-type]
+    if not neighbors:
+        return MotionVector(0, 0, 0)
+    dx = int(np.median([m.dx for m in neighbors]))
+    dy = int(np.median([m.dy for m in neighbors]))
+    return MotionVector(dx, dy, 0)

@@ -15,6 +15,8 @@ import numpy as np
 __all__ = [
     "FrameType",
     "MBMode",
+    "FRAME_TYPE_IDS",
+    "MODE_IDS",
     "IntraMode",
     "MotionVector",
     "CodedMacroblock",
@@ -51,6 +53,21 @@ class MBMode(enum.Enum):
     @property
     def is_inter(self) -> bool:
         return not self.is_intra and self is not MBMode.SKIP
+
+
+#: The bitstream's ue-coded ids: the encoder writes them, the decoder
+#: switches on them.
+FRAME_TYPE_IDS = {FrameType.I: 0, FrameType.P: 1, FrameType.B: 2}
+MODE_IDS = {
+    MBMode.SKIP: 0,
+    MBMode.INTER_16X16: 1,
+    MBMode.INTER_8X8: 2,
+    MBMode.INTER_4X4: 3,
+    MBMode.BI: 4,
+    MBMode.INTRA_16X16: 5,
+    MBMode.INTRA_4X4: 6,
+    MBMode.INTRA_8X8: 7,
+}
 
 
 class IntraMode(enum.IntEnum):

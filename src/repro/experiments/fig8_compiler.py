@@ -16,16 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import format_table
-from repro.codec.encoder import Encoder
 from repro.codec.presets import preset_options
 from repro.experiments import parallel
 from repro.experiments.cache import content_key
 from repro.experiments.runner import ExperimentScale, QUICK
 from repro.obs import session as obs
-from repro.optim import build_autofdo, build_default, build_graphite, collect_profile
+from repro.optim import build_autofdo, build_graphite, collect_profile
 from repro.optim.pipeline import Build
-from repro.profiling.perf import profile_transcode
-from repro.trace.recorder import RecordingTracer
+from repro.profiling.perf import profile_transcode, record_trace
 from repro.video.vbench import load_video
 
 __all__ = ["Fig8Result", "run", "PARAM_COMBOS"]
@@ -120,10 +118,11 @@ def _train_profile(scale: ExperimentScale):
             name, width=scale.width, height=scale.height,
             n_frames=max(scale.n_frames // 2, 4),
         )
-        build = build_default()
-        tracer = RecordingTracer(build.program)
-        Encoder(preset_options("medium", crf=23, refs=3), tracer=tracer).encode(video)
-        streams.append(tracer.stream)
+        # Traced on the default program: the stock (-O2) build's.
+        _, stream, _ = record_trace(
+            video, preset_options("medium", crf=23, refs=3)
+        )
+        streams.append(stream)
     return collect_profile(streams)
 
 

@@ -40,7 +40,7 @@ from pathlib import Path
 from repro import resilience
 from repro.codec.options import EncoderOptions
 from repro.codec.presets import preset_options
-from repro.experiments import parallel, transport
+from repro.experiments import parallel
 from repro.experiments.cache import (
     ResultCache,
     SweepRecord,
@@ -53,7 +53,7 @@ from repro.profiling.perf import profile_transcode
 from repro.resilience.checkpoint import SweepCheckpoint, sweep_id
 from repro.resilience.faults import InjectedFault, fault_point
 from repro.uarch.configs import baseline_config
-from repro.video.vbench import load_video
+from repro.video.vbench import cached_video
 
 __all__ = [
     "CellFailure",
@@ -148,7 +148,7 @@ SCALES = {"quick": QUICK, "medium": MEDIUM, "full": FULL}
 
 
 # ----------------------------------------------------------------------
-# One sweep point: spec, compute function, per-process video cache.
+# One sweep point: spec and compute function.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -184,28 +184,22 @@ class PointSpec:
             config=baseline_config(),
         )
 
+    def describes(self, record: SweepRecord) -> bool:
+        """Is ``record`` this cell's? Guards every restore against a
+        colliding or stale cache/checkpoint entry."""
+        return (record.video, record.crf, record.refs, record.preset) == (
+            self.video, self.crf, self.refs, self.preset
+        )
 
-#: Per-process decoded-clip cache. Worker processes forked mid-sweep
-#: inherit the parent's entries copy-on-write for free.
-_VIDEO_CACHE: dict[tuple[str, int, int, int], object] = {}
-
-
-def _load_video_cached(scale: ExperimentScale, name: str):
-    key = (name, scale.width, scale.height, scale.n_frames)
-    if key not in _VIDEO_CACHE:
-        # Workers forked from a publishing parent attach the shared
-        # planes instead of decoding; everyone else decodes normally
-        # (fetch returns None in the publishing process itself).
-        video = transport.fetch(key)
-        if video is None:
-            video = load_video(
-                name,
-                width=scale.width,
-                height=scale.height,
-                n_frames=scale.n_frames,
-            )
-        _VIDEO_CACHE[key] = video
-    return _VIDEO_CACHE[key]
+    def load_video(self):
+        """The spec's clip at the scale's proxy geometry, memoized."""
+        scale = self.scale
+        return cached_video(
+            self.video,
+            width=scale.width,
+            height=scale.height,
+            n_frames=scale.n_frames,
+        )
 
 
 def compute_point(spec: PointSpec) -> SweepRecord:
@@ -228,7 +222,7 @@ def compute_point(spec: PointSpec) -> SweepRecord:
         preset=spec.preset,
     ):
         result = profile_transcode(
-            _load_video_cached(spec.scale, spec.video),
+            spec.load_video(),
             spec.options,
             sample=spec.scale.sample,
             data_capacity_scale=spec.scale.data_capacity_scale,
@@ -367,12 +361,7 @@ class SweepRunner:
         disk = self.cache()
         if disk is not None:
             record = disk.get_record(spec.cache_key())
-            if record is not None and (
-                record.video == spec.video
-                and record.crf == spec.crf
-                and record.refs == spec.refs
-                and record.preset == spec.preset
-            ):
+            if record is not None and spec.describes(record):
                 obs.inc("sweep.disk_hits")
                 self._run_cache[spec.memo_key()] = record
                 return record
@@ -483,17 +472,19 @@ class SweepRunner:
 
         outcomes = []
         if misses:
-            shared_keys = self._publish_shared_videos(misses)
-            try:
-                outcomes = parallel.run_tasks(
-                    compute_point,
-                    misses,
-                    jobs=self.jobs,
-                    label=label,
-                    on_result=_store_streaming,
-                )
-            finally:
-                transport.release(shared_keys)
+            if self.jobs > 1:
+                # Warm the clip memo before the pool exists: forked
+                # workers inherit the planes copy-on-write and
+                # synthesize nothing (spawned ones load their own).
+                for spec in misses:
+                    spec.load_video()
+            outcomes = parallel.run_tasks(
+                compute_point,
+                misses,
+                jobs=self.jobs,
+                label=label,
+                on_result=_store_streaming,
+            )
         failures: list[CellFailure] = []
         for outcome in outcomes:
             spec = misses[outcome.index]
@@ -527,41 +518,6 @@ class SweepRunner:
         if ckpt is not None:
             ckpt.discard()
 
-    def _publish_shared_videos(self, misses: list[PointSpec]) -> tuple:
-        """Publish each clip the worker pool will need into shared memory.
-
-        Decoded planes deliberately bypass the parent's ``_VIDEO_CACHE``:
-        forked workers then miss their inherited cache and attach the
-        shared segment via :func:`transport.fetch` instead of decoding.
-        Returns the published keys (released by the caller once the pool
-        drains). With one job, transport disabled, or a publish failure
-        the historical path runs unchanged — a failed clip lands in the
-        parent cache so workers at least share it copy-on-write.
-        """
-        if self.jobs <= 1 or not transport.enabled():
-            return ()
-        published: list[tuple] = []
-        seen: set[tuple] = set()
-        for spec in misses:
-            scale = spec.scale
-            key = (spec.video, scale.width, scale.height, scale.n_frames)
-            if key in seen or key in _VIDEO_CACHE:
-                continue
-            seen.add(key)
-            video = load_video(
-                spec.video,
-                width=scale.width,
-                height=scale.height,
-                n_frames=scale.n_frames,
-            )
-            if transport.publish_video(key, video):
-                published.append(key)
-            else:
-                _VIDEO_CACHE[key] = video
-        if published:
-            obs.inc("sweep.shm_clips", len(published))
-        return tuple(published)
-
     def _open_checkpoint(
         self, unique: list[PointSpec], label: str
     ) -> SweepCheckpoint | None:
@@ -588,12 +544,7 @@ class SweepRunner:
             record = record_from_payload(payload)
         except (KeyError, TypeError, ValueError):
             return None
-        if (
-            record.video != spec.video
-            or record.crf != spec.crf
-            or record.refs != spec.refs
-            or record.preset != spec.preset
-        ):
+        if not spec.describes(record):
             return None
         self._run_cache[spec.memo_key()] = record
         return record

@@ -17,6 +17,7 @@ from repro.codec.options import EncoderOptions
 from repro.obs import session as obs
 from repro.profiling.counters import CounterSet
 from repro.resilience.faults import fault_point
+from repro.trace.events import TraceStream
 from repro.trace.kernels import build_program
 from repro.trace.program import Program
 from repro.trace.recorder import RecordingTracer
@@ -25,7 +26,7 @@ from repro.uarch.configs import baseline_config
 from repro.uarch.simulator import SimReport, simulate
 from repro.video.frame import FrameSequence
 
-__all__ = ["ProfileResult", "profile_transcode"]
+__all__ = ["ProfileResult", "profile_transcode", "record_trace"]
 
 #: Data-capacity scale used when callers do not pick one. Chosen so the
 #: proxy clips' footprints relate to the (scaled) cache capacities the way
@@ -45,6 +46,23 @@ class ProfileResult:
     @property
     def speedup_reference_cycles(self) -> float:
         return self.report.cycles
+
+
+def record_trace(
+    video: FrameSequence,
+    options: EncoderOptions,
+    *,
+    program: Program | None = None,
+    loop_opts: LoopOptimizations | None = None,
+    sample: int = 1,
+) -> tuple[EncodeResult, TraceStream, Program]:
+    """Encode ``video`` under a recording tracer: the one place a trace
+    is made. ``program`` defaults to the stock kernel catalog + layout;
+    the returned stream replays on any config via ``simulate``."""
+    prog = program if program is not None else build_program()
+    tracer = RecordingTracer(prog, sample=sample)
+    result = Encoder(options, tracer=tracer, loop_opts=loop_opts).encode(video)
+    return result, tracer.stream, prog
 
 
 def profile_transcode(
@@ -77,7 +95,6 @@ def profile_transcode(
     """
     fault_point("encoder.profile", detail=video.name)
     opts = options if options is not None else EncoderOptions()
-    prog = program if program is not None else build_program()
     cfg = config if config is not None else baseline_config()
     if data_capacity_scale is not None:
         cfg = cfg.with_updates(data_capacity_scale=data_capacity_scale)
@@ -92,29 +109,29 @@ def profile_transcode(
         refs=opts.refs,
         config=cfg.name,
     ):
-        tracer = RecordingTracer(prog, sample=sample)
-        encoder = Encoder(opts, tracer=tracer, loop_opts=loop_opts)
-        encode_result = encoder.encode(video)
-        report = simulate(tracer.stream, prog, cfg)
+        encode_result, stream, prog = record_trace(
+            video, opts, program=program, loop_opts=loop_opts, sample=sample
+        )
+        report = simulate(stream, prog, cfg)
     counters = CounterSet.from_report(
         report,
         psnr_db=encode_result.psnr_db,
         bitrate_kbps=encode_result.bitrate_kbps,
     )
-    _absorb_profile(tracer, counters)
+    _absorb_profile(stream, counters)
     return ProfileResult(
         encode=encode_result, report=report, counters=counters, program=prog
     )
 
 
-def _absorb_profile(tracer: RecordingTracer, counters: CounterSet) -> None:
+def _absorb_profile(stream: TraceStream, counters: CounterSet) -> None:
     """Fold one profiled transcode into the active metrics registry."""
     tel = obs.current()
     if tel is None:
         return
     m = tel.metrics
     m.counter("profile.transcodes").inc()
-    for kernel, calls in tracer.stream.kernel_calls.items():
+    for kernel, calls in stream.kernel_calls.items():
         m.counter(f"encoder.kernel_calls.{kernel}").inc(calls)
     # Top-down slot shares and the Fig. 2 triangle, as distributions over
     # the run's profiled points — run.json summarizes their means.

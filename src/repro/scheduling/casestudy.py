@@ -12,6 +12,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.profiling.counters import CounterSet
+from repro.profiling.perf import record_trace
 from repro.resilience.faults import fault_point
 from repro.scheduling.schedulers import (
     Assignment,
@@ -20,8 +21,6 @@ from repro.scheduling.schedulers import (
     SmartScheduler,
 )
 from repro.scheduling.task import TABLE_III_TASKS, TranscodeTask
-from repro.trace.kernels import build_program
-from repro.trace.recorder import RecordingTracer
 from repro.uarch.configs import config_by_name
 from repro.uarch.simulator import simulate
 
@@ -82,17 +81,13 @@ def simulate_task(job: TaskJob) -> dict[str, object]:
     """
     task = job.task
     fault_point("casestudy.simulate", detail=str(task.task_id))
-    program = build_program()
     video = task.load(width=job.width, height=job.height, n_frames=job.n_frames)
     # One traced encode per task; the trace replays on every config.
-    tracer = RecordingTracer(program)
-    from repro.codec.encoder import Encoder
-
-    encode_result = Encoder(task.options(), tracer=tracer).encode(video)
+    encode_result, stream, program = record_trace(video, task.options())
     base_cfg = config_by_name(
         "baseline", data_capacity_scale=job.data_capacity_scale
     )
-    base_report = simulate(tracer.stream, program, base_cfg)
+    base_report = simulate(stream, program, base_cfg)
     counters = CounterSet.from_report(
         base_report,
         psnr_db=encode_result.psnr_db,
@@ -101,7 +96,7 @@ def simulate_task(job: TaskJob) -> dict[str, object]:
     per_config: dict[str, float] = {}
     for name in job.config_names:
         cfg = config_by_name(name, data_capacity_scale=job.data_capacity_scale)
-        per_config[name] = simulate(tracer.stream, program, cfg).cycles
+        per_config[name] = simulate(stream, program, cfg).cycles
     return {
         "task_id": task.task_id,
         "baseline_cycles": base_report.cycles,

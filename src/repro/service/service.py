@@ -63,6 +63,7 @@ from repro.loadgen.clock import Clock, WallClock
 from repro.obs import session as obs
 from repro.obs.metrics import latency_buckets
 from repro.profiling.counters import CounterSet
+from repro.profiling.perf import record_trace
 from repro.resilience.retry import call_with_retry
 from repro.scheduling.task import TABLE_III_TASKS
 from repro.service.jobs import Job
@@ -74,10 +75,9 @@ from repro.service.placement import (
 )
 from repro.service.queue import BoundedJobQueue
 from repro.service.workers import DEFAULT_FLEET, WorkerFleet, parse_fleet_spec
-from repro.trace.kernels import build_program
-from repro.trace.recorder import RecordingTracer
 from repro.uarch.configs import config_by_name
 from repro.uarch.simulator import simulate
+from repro.video.vbench import cached_video
 
 __all__ = [
     "ServiceConfig",
@@ -663,25 +663,18 @@ class TranscodeService:
         if cached is not None:
             obs.inc("service.profile_hits")
             return cached
-        from repro.codec.encoder import Encoder
-        from repro.experiments import transport
-
         with obs.span("service.profile", job=job.job_id,
                       clip=job.request.clip):
-            # Decoded once per clip geometry process-wide (and attached
-            # zero-copy when a sweep parent already published the clip).
-            video = transport.cached_video(
+            video = cached_video(
                 job.request.clip, width=self.config.width,
                 height=self.config.height, n_frames=self.config.n_frames,
             )
-            program = build_program()
-            tracer = RecordingTracer(program)
-            encode_result = Encoder(
-                job.request.options(), tracer=tracer
-            ).encode(video)
-            base_report = simulate(tracer.stream, program, self._baseline)
+            encode_result, stream, program = record_trace(
+                video, job.request.options()
+            )
+            base_report = simulate(stream, program, self._baseline)
         profiled = _ProfiledJob(
-            stream=tracer.stream,
+            stream=stream,
             program=program,
             counters=CounterSet.from_report(
                 base_report,

@@ -19,10 +19,18 @@ import hashlib
 from dataclasses import dataclass
 
 from repro._util import check_positive
+from repro.obs import session as obs
 from repro.video.frame import FrameSequence
 from repro.video.synthetic import SceneSpec, generate_scene
 
-__all__ = ["VideoInfo", "VBENCH_VIDEOS", "ALL_VIDEOS", "video_info", "load_video"]
+__all__ = [
+    "VideoInfo",
+    "VBENCH_VIDEOS",
+    "ALL_VIDEOS",
+    "video_info",
+    "load_video",
+    "cached_video",
+]
 
 
 @dataclass(frozen=True)
@@ -172,3 +180,31 @@ def load_video(
     check_positive("n_frames", n)
     spec = scene_spec_for(info, width=w, height=h, n_frames=n)
     return generate_scene(spec)
+
+
+#: The one process-wide clip memo: (name, width, height, n_frames) -> clip.
+#: A process forked after an entry exists inherits it copy-on-write, which
+#: is how a sweep's worker pool gets its clips without synthesizing any.
+_CLIPS: dict[tuple[str, int, int, int], FrameSequence] = {}
+
+
+def cached_video(
+    name: str, *, width: int, height: int, n_frames: int
+) -> FrameSequence:
+    """:func:`load_video` at an explicit geometry, synthesized once per
+    process.
+
+    Every caller gets the same object, so its planes are read-only: a
+    consumer that wrote into one would corrupt the clip for all the
+    others (and un-share a forked worker's inherited pages).
+    """
+    key = (name, width, height, n_frames)
+    video = _CLIPS.get(key)
+    if video is None:
+        obs.inc("video.loads")
+        video = load_video(name, width=width, height=height, n_frames=n_frames)
+        for frame in video:
+            for plane in (frame.luma, *(frame.chroma or ())):
+                plane.flags.writeable = False
+        _CLIPS[key] = video
+    return video

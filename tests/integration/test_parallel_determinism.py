@@ -4,7 +4,10 @@ warm persistent cache eliminates every encoder call.
 The sweep engine's contract (ISSUE 2 acceptance criteria):
 
 - serial and ``--jobs 2`` runs of the Fig 3 grid produce identical
-  ``SweepRecord`` payloads cell-by-cell;
+  ``SweepRecord`` payloads cell-by-cell, also when a worker task fails
+  transiently and is retried;
+- the parent synthesizes each clip once before the pool forks, and the
+  workers inherit it instead of synthesizing their own;
 - a second, cache-warm invocation performs **zero** encoder calls,
   asserted via the obs kernel-call counters.
 """
@@ -13,10 +16,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import resilience
 from repro.cli import main
 from repro.experiments.cache import ResultCache, record_to_payload
 from repro.experiments.runner import QUICK, SweepRunner
 from repro.obs import load_run, telemetry_session
+from repro.resilience import RetryPolicy
+from repro.video import vbench
 
 #: QUICK proxy geometry with a trimmed crf x refs grid: the determinism
 #: property is per-cell, so six cells prove it as well as 24 would.
@@ -52,6 +58,41 @@ class TestSerialParallelDeterminism:
             k for k in metrics if k.startswith("encoder.kernel_calls.")
         ]
         assert kernel_counters, "worker kernel-call counters must merge back"
+
+
+class TestWorkers:
+    """What a forked pool worker gets from, and gives back to, the parent."""
+
+    def test_transient_faults_retry_to_identical(self, serial_records):
+        # The injected exception fires at most once per worker process
+        # (max=1); the retry lands on a clean worker and must produce
+        # the same bytes.
+        resilience.configure(
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
+        )
+        resilience.install_plan("worker.task,match=2,max=1,raise=InjectedFault")
+        try:
+            records = SweepRunner(SCALE, jobs=2, cache=False).crf_refs_sweep()
+        finally:
+            resilience.reset()
+        assert [record_to_payload(r) for r in records] == [
+            record_to_payload(r) for r in serial_records
+        ]
+
+    def test_inherit_the_parents_clips(self, monkeypatch):
+        """Merged ``video.loads`` counts every synthesis in the parent
+        *and* its workers: two clips, two loads — both the parent's,
+        whose memo is the only one that outlives the pool."""
+        clips: dict = {}
+        monkeypatch.setattr(vbench, "_CLIPS", clips)
+        scale = SCALE.with_updates(name="quick-two", videos=("desktop", "holi"))
+        with telemetry_session() as tel:
+            records = SweepRunner(scale, jobs=2, cache=False).video_sweep()
+            metrics = tel.metrics.as_dict()
+        assert [r.video for r in records] == ["desktop", "holi"]
+        assert metrics["sweep.profiles"] == 2
+        assert metrics["video.loads"] == 2
+        assert sorted(key[0] for key in clips) == ["desktop", "holi"]
 
 
 class TestWarmCache:

@@ -139,3 +139,15 @@ def test_benchmarks_doc_covers_matrix_contract():
     assert not missing, f"legs missing from docs/BENCHMARKS.md: {missing}"
     assert MATRIX_SCHEMA in doc
     assert TREND_SCHEMA in doc
+
+
+def test_no_shared_memory_transport_in_src():
+    """Workers get clips by fork inheritance of the one clip memo
+    (docs/PERFORMANCE.md has the measurement that removed the
+    shared-memory transport); nothing under src/ may bring it back."""
+    offenders = [
+        str(path.relative_to(_REPO_ROOT))
+        for path in sorted((_REPO_ROOT / "src").rglob("*.py"))
+        if "shared_memory" in path.read_text(encoding="utf-8")
+    ]
+    assert not offenders, f"multiprocessing.shared_memory used in: {offenders}"

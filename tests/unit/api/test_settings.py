@@ -18,8 +18,7 @@ from repro.resilience import faults
 from repro.resilience.retry import RetryPolicy
 
 ALL_ENV = (
-    "REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_KERNELS", "REPRO_SHM",
-    "REPRO_FAULT_PLAN",
+    "REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_KERNELS", "REPRO_FAULT_PLAN",
     "REPRO_RESUME", "REPRO_CHECKPOINT_DIR", "REPRO_RETRY_ATTEMPTS",
     "REPRO_RETRY_BASE_DELAY", "REPRO_RETRY_MAX_DELAY",
     "REPRO_BENCH_MATRIX", "REPRO_BENCH_HISTORY",
@@ -42,7 +41,6 @@ class TestDefaults:
         assert s.cache_dir is None
         assert s.cache_enabled is True
         assert s.kernels == kernels.DEFAULT_BACKEND
-        assert s.shm is True
         assert s.fault_plan is None
         assert s.resume is False
         assert s.checkpoint_dir is None
@@ -111,14 +109,15 @@ class TestPrecedence:
         monkeypatch.setenv("REPRO_JOBS", "many")
         assert Settings.from_env().jobs == 1
 
-    def test_shm_env_and_flag(self, monkeypatch):
-        assert Settings.resolve().shm is True
+    def test_shm_knob_is_gone(self, monkeypatch):
+        # Removed outright in 2.0.0: no field, no alias, no variable.
+        with pytest.raises(TypeError):
+            Settings(shm=False)
+        with pytest.raises(TypeError, match="no_shm"):
+            Settings.resolve(no_shm=True)
         monkeypatch.setenv("REPRO_SHM", "0")
-        assert Settings.from_env().shm is False
-        monkeypatch.setenv("REPRO_SHM", "true")
-        assert Settings.from_env().shm is True
-        # --no-shm beats the environment.
-        assert Settings.resolve(no_shm=True).shm is False
+        assert Settings.from_env() == Settings()
+        assert "REPRO_SHM" not in ENV_VARS
 
     def test_retry_policy_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "5")
@@ -166,14 +165,6 @@ class TestApply:
         Settings(cache_enabled=False).apply()
         assert engine.default_cache() is None
 
-    def test_apply_configures_transport(self):
-        from repro.experiments import transport
-
-        Settings(shm=False).apply()
-        assert transport.enabled() is False
-        Settings.reset()
-        assert transport.enabled() is True
-
     def test_reset_restores_env_fallback(self, monkeypatch):
         Settings(jobs=9, kernels="reference").apply()
         Settings.reset()
@@ -206,7 +197,6 @@ SAMPLES = {
     "cache_enabled": ({}, True, {"no_cache": True}, False),
     "kernels": ({"REPRO_KERNELS": " REFERENCE "}, "reference",
                 {"kernels": "numba"}, "numba"),
-    "shm": ({"REPRO_SHM": "yes"}, True, {"no_shm": True}, False),
     "retry": ({"REPRO_RETRY_ATTEMPTS": "5"}, RetryPolicy(max_attempts=5),
               {"retry": RetryPolicy(max_attempts=7)},
               RetryPolicy(max_attempts=7)),
@@ -248,13 +238,13 @@ class TestFieldTable:
         fields = list(Settings.__dataclass_fields__)
         assert list(FIELD_TABLE) == fields
         assert set(SAMPLES) == set(fields)
-        assert len(fields) == 20
+        assert len(fields) == 19
 
     def test_env_vars_derive_from_the_rows(self):
         assert ENV_VARS == {
             knob.env: field for field, knob in FIELD_TABLE.items() if knob.env
         }
-        assert len(ENV_VARS) == 19  # cache_enabled has no variable
+        assert len(ENV_VARS) == 18  # cache_enabled has no variable
         assert "REPRO_RETRY_*" in ENV_VARS
 
     @pytest.mark.parametrize("field", FIELD_TABLE)

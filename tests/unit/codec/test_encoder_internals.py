@@ -4,7 +4,8 @@ detection, adaptive quantization, reference management)."""
 import numpy as np
 import pytest
 
-from repro.codec.encoder import Encoder, encode
+from repro.codec.encoder import encode
+from repro.codec.motion import predict_mv
 from repro.codec.options import EncoderOptions
 from repro.codec.types import FrameType, MBMode, MotionVector
 from repro.video.frame import FrameSequence
@@ -12,20 +13,14 @@ from repro.video.synthetic import SceneSpec, generate_scene
 
 
 class TestMvPrediction:
-    def _ctx(self, grid):
-        class Ctx:
-            mv_grid = grid
-
-        return Ctx()
-
     def test_no_neighbors_zero(self):
         grid = [[None, None], [None, None]]
-        mv = Encoder._predict_mv(self._ctx(grid), 0, 0)
+        mv = predict_mv(grid, 0, 0)
         assert (mv.dx, mv.dy) == (0, 0)
 
     def test_single_neighbor_copied(self):
         grid = [[MotionVector(8, -4), None], [None, None]]
-        mv = Encoder._predict_mv(self._ctx(grid), 0, 1)
+        mv = predict_mv(grid, 0, 1)
         assert (mv.dx, mv.dy) == (8, -4)
 
     def test_median_of_three(self):
@@ -34,7 +29,7 @@ class TestMvPrediction:
             [None, MotionVector(8, 8), MotionVector(16, 16)],
             [MotionVector(0, 0), None, None],
         ]
-        mv = Encoder._predict_mv(self._ctx(grid), 1, 1)
+        mv = predict_mv(grid, 1, 1)
         assert (mv.dx, mv.dy) == (8, 8)
 
     def test_intra_neighbors_skipped(self):
@@ -43,7 +38,7 @@ class TestMvPrediction:
             [None, None, None],
             [MotionVector(4, 4), None, None],
         ]
-        mv = Encoder._predict_mv(self._ctx(grid), 1, 1)
+        mv = predict_mv(grid, 1, 1)
         assert (mv.dx, mv.dy) == (4, 4)
 
 

@@ -194,11 +194,12 @@ class TestPrecedence:
         assert resolve_cell_settings(spec, cell, {"jobs": None}).jobs == 2
 
     def test_every_spec_settable_field_is_accepted(self):
-        # The settable set is the field table's, not a hand list: `shm`
-        # (added after the list was written) used to be rejected.
-        spec = _encode_spec(settings={"shm": False})
-        assert resolve_cell_settings(spec, spec.expand()[0]).shm is False
-        for field in ("retry", "bench_matrix", "bench_history", "bogus"):
+        # The settable set is the field table's, not a hand list (the
+        # hand list used to reject fields added after it was written).
+        spec = _encode_spec(settings={"cache_enabled": False})
+        resolved = resolve_cell_settings(spec, spec.expand()[0])
+        assert resolved.cache_enabled is False
+        for field in ("retry", "bench_matrix", "bench_history", "shm", "bogus"):
             with pytest.raises(SpecError, match="unknown settings field"):
                 _encode_spec(settings={field: "x"})
 
@@ -207,10 +208,10 @@ class TestPrecedence:
         ("true", True), ("1", True), ("on", True),
     ])
     def test_boolean_settings_use_the_env_truthy_rule(self, text, expected):
-        # bool("false") is True; the spec must read like REPRO_SHM does.
-        spec = _encode_spec(settings={"shm": text, "cache_enabled": text})
+        # bool("false") is True; the spec must read like REPRO_RESUME does.
+        spec = _encode_spec(settings={"resume": text, "cache_enabled": text})
         resolved = resolve_cell_settings(spec, spec.expand()[0])
-        assert resolved.shm is expected
+        assert resolved.resume is expected
         assert resolved.cache_enabled is expected
 
 

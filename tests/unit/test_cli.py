@@ -412,9 +412,10 @@ class TestReport:
 #: Every subcommand's flags and positionals, captured from the commit
 #: before the flags moved into the Settings field table: the guard that
 #: the move dropped or renamed none ("" is the experiment-running form).
+#: ``--no-shm`` left with the shared-memory transport (2.0.0).
 FROZEN_FLAGS = {
     "": "--cache-dir --checkpoint-dir --debug --fault-plan --jobs --kernels "
-        "--no-cache --no-shm --resume --scale --telemetry --version "
+        "--no-cache --resume --scale --telemetry --version "
         "experiment",
     "bench": "--compare --drift --history --jobs --kernels --matrix "
              "--matrix-out --output --quick --reps --threshold --window",
@@ -468,6 +469,12 @@ class TestFlagSurface:
             for name in (action.option_strings or [action.dest])
         } - {"-h", "--help"}
         assert sorted(names) == FROZEN_FLAGS[sub].split()
+
+    def test_no_shm_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tab4", "--no-shm"])
+        assert exc.value.code == 2
+        assert "--no-shm" in capsys.readouterr().err
 
     def test_settings_flags_are_declared_from_the_table(self):
         import argparse

@@ -1,11 +1,15 @@
 """Unit tests for repro.video.vbench (the Table I catalog)."""
 
+import numpy as np
 import pytest
 
+from repro.obs import telemetry_session
+from repro.video import vbench
 from repro.video.vbench import (
     ALL_VIDEOS,
     BIG_BUCK_BUNNY,
     VBENCH_VIDEOS,
+    cached_video,
     load_video,
     scene_spec_for,
     video_info,
@@ -104,3 +108,28 @@ class TestLoadVideo:
     def test_fps_matches_catalog(self):
         clip = load_video("game3", width=48, height=32, n_frames=2)
         assert clip.fps == 59.0
+
+
+class TestCachedVideo:
+    GEOMETRY = dict(width=48, height=32, n_frames=4)
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self, monkeypatch):
+        monkeypatch.setattr(vbench, "_CLIPS", {})
+
+    def test_synthesizes_once_and_counts_the_miss(self):
+        with telemetry_session() as tel:
+            first = cached_video("desktop", **self.GEOMETRY)
+            second = cached_video("desktop", **self.GEOMETRY)
+            cached_video("desktop", **{**self.GEOMETRY, "n_frames": 5})
+        assert first is second
+        assert tel.metrics.as_dict()["video.loads"] == 2
+        direct = load_video("desktop", **self.GEOMETRY)
+        for mine, theirs in zip(direct, first):
+            assert np.array_equal(mine.luma, theirs.luma)
+
+    def test_planes_are_read_only(self):
+        clip = cached_video("holi", **self.GEOMETRY)
+        for frame in clip:
+            with pytest.raises(ValueError, match="read-only"):
+                frame.luma[0, 0] = 0
