@@ -26,6 +26,7 @@ __all__ = [
     "clamp",
     "format_table",
     "geometric_mean",
+    "percentile",
     "truthy",
 ]
 
@@ -111,6 +112,11 @@ def geometric_mean(values: Sequence[float]) -> float:
     if np.any(arr <= 0):
         raise ValueError("geometric_mean requires positive values")
     return float(np.exp(np.mean(np.log(arr))))
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (linear interpolation); 0.0 when empty."""
+    return float(np.percentile(values, q)) if len(values) else 0.0
 
 
 def format_table(

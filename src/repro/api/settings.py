@@ -12,9 +12,11 @@ benchmark matrix's ``settings:`` coercion. The precedence order is
 :meth:`Settings.apply` pushes the resolved values into the subsystems as
 overrides. The subsystems keep their own environment fallbacks
 (``REPRO_JOBS`` in the sweep engine, ``REPRO_KERNELS`` in the codec
-dispatch, ``REPRO_RESUME``, ...), which an installed override shadows
+dispatch, ``REPRO_FAULT_PLAN``, ...), which an installed override shadows
 and which library callers that never ``apply`` a ``Settings`` — or that
-call :meth:`Settings.reset` — still get.
+call :meth:`Settings.reset` — still get. Fields no subsystem holds
+(``resume``, the service and bench knobs) are read off the resolved
+record by the command that owns them.
 """
 
 from __future__ import annotations
@@ -102,11 +104,8 @@ _ROWS = (
          "inject deterministic faults, e.g. 'worker.task,at=5,kill' or "
          "'service.worker,at=3,raise=RuntimeError'"),
     Knob("resume", truthy, "REPRO_RESUME", "--resume",
-         help="restore what an interrupted run completed (sweep cells; "
-              "serve: the --checkpoint queue state) and finish the rest"),
-    Knob("checkpoint_dir", Path, "REPRO_CHECKPOINT_DIR", "--checkpoint-dir",
-         "DIR", "where sweep checkpoint manifests live; unset, they go "
-                "to checkpoints/ inside the persistent cache"),
+         help="serve: restore the --checkpoint queue state an interrupted "
+              "run left and finish the rest"),
     Knob("slo_spec", Path, "REPRO_SLO_SPEC", "--slo", "SPEC.json",
          "evaluate the run against this SLO spec; the verdict lands in "
          "run.json and each metrics snapshot"),
@@ -170,7 +169,6 @@ class Settings:
     retry: RetryPolicy = RetryPolicy()
     fault_plan: str | None = None
     resume: bool = False
-    checkpoint_dir: Path | None = None
     slo_spec: Path | None = None
     metrics_out: Path | None = None
     metrics_interval: float = 30.0
@@ -273,10 +271,7 @@ class Settings:
             cache_dir=self.cache_dir if self.cache_enabled else False,
         )
         resilience.configure(
-            fault_plan=self.fault_plan or None,
-            retry=self.retry,
-            resume=self.resume,
-            checkpoint_dir=self.checkpoint_dir,
+            fault_plan=self.fault_plan or None, retry=self.retry
         )
         _kernels.select_backend(self.kernels)
         return self

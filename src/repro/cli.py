@@ -5,9 +5,9 @@ Examples::
     repro tab1                        # Table I with measured entropies
     repro fig3 --scale quick
     repro fig3 --jobs 4               # shard the sweep across 4 workers
-    repro fig3 --cache-dir .cache/    # persist results; repeats are free
+    repro fig3 --cache-dir .cache/    # persist results; repeats are free,
+                                      # and re-running a killed run resumes it
     repro fig3 --telemetry out/       # also write out/run.json etc.
-    repro fig3 --resume               # restore completed cells and finish
     repro fig3 --fault-plan 'worker.task,at=3,kill'   # chaos testing
     repro all                         # every table and figure
     repro list                        # enumerate experiment ids
@@ -45,7 +45,10 @@ precedence order — **CLI flag > environment > default** — implemented by
 A sweep whose cells exhaust their retry budget does not abort: every
 computable cell completes and is stored, the failures are summarized on
 stderr (and in ``run.json`` as ``status: "partial"`` with a ``failures``
-list under ``--telemetry``), and the process exits with code 3.
+list under ``--telemetry``), and the process exits with code 3. The
+result cache is the only durable store of a finished cell: re-running
+the same command with the same ``--cache-dir`` recomputes only what is
+missing (``--resume`` belongs to ``repro serve --checkpoint`` alone).
 
 ``repro serve`` runs the long-lived transcoding job service over a
 request spool (``repro submit`` appends to it) or the built-in Table III
@@ -907,8 +910,7 @@ def main(argv: list[str] | None = None) -> int:
              "artifacts into OUT_DIR (per-experiment subdirs under `all`)",
     )
     add_settings_flags(
-        parser, "jobs", "cache_dir", "cache_enabled", "kernels", "resume",
-        "checkpoint_dir", "fault_plan",
+        parser, "jobs", "cache_dir", "cache_enabled", "kernels", "fault_plan",
     )
     parser.add_argument(
         "--debug",
@@ -923,7 +925,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # Everything process-wide goes through one resolved Settings:
     # CLI flag > environment variable > default.
-    _resolve_settings(parser, args).apply()
+    settings = _resolve_settings(parser, args).apply()
 
     ids = list(EXPERIMENT_IDS) if args.experiment == "all" else [args.experiment]
     succeeded: list[str] = []
@@ -946,11 +948,18 @@ def main(argv: list[str] | None = None) -> int:
                     f"{failure.message} (after {failure.attempts} attempts)",
                     file=sys.stderr,
                 )
-            print(
-                f"[{exp_id}] completed cells are checkpointed; re-run with "
-                "--resume to retry only the failed ones",
-                file=sys.stderr,
-            )
+            if settings.cache_enabled and settings.cache_dir is not None:
+                hint = (
+                    "completed cells are in the result cache at "
+                    f"{settings.cache_dir}; re-run the same command to "
+                    "retry only the failed ones"
+                )
+            else:
+                hint = (
+                    "completed cells were not persisted; pass --cache-dir "
+                    "DIR to make a re-run incremental"
+                )
+            print(f"[{exp_id}] {hint}", file=sys.stderr)
             if args.debug:
                 raise
             return 3

@@ -205,8 +205,8 @@ def run_tasks(
 
     ``on_result(index, result)`` streams successes back as they complete
     (out of order under parallelism); the sweep runner uses it to
-    checkpoint and cache incrementally, so progress survives even a
-    killed parent.
+    store each cell in the result cache as it finishes, so progress
+    survives even a killed parent.
     """
     payloads = list(payloads)
     pol = policy if policy is not None else resilience.retry_policy()

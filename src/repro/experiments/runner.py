@@ -19,38 +19,29 @@ Every grid method funnels through :meth:`SweepRunner.run_points`, which
 is what makes serial and parallel execution provably identical: both
 paths run :func:`compute_point` on the same specs in the same order.
 
-Fault tolerance (PR 3): per-cell work retries under the engine's
-:class:`~repro.resilience.retry.RetryPolicy`; successes are stored to
-the memo, the persistent cache, *and* a periodic
-:class:`~repro.resilience.checkpoint.SweepCheckpoint` manifest as they
-stream in, so an interrupted campaign — crashed worker pool, SIGKILLed
-parent, permanently-failing cell — keeps its completed cells. Cells
+Fault tolerance: per-cell work retries under the engine's
+:class:`~repro.resilience.retry.RetryPolicy`; each success is stored to
+the memo and the persistent cache the moment it streams in, so an
+interrupted campaign — crashed worker pool, SIGKILLed parent,
+permanently-failing cell — keeps its completed cells. The result cache
+is the only durable store of a finished cell: resuming is re-running the
+same command with the same ``--cache-dir`` (only the missing cells
+recompute), and a run without a persistent cache is not resumable. Cells
 that exhaust their retry budget are summarized in a
 :class:`SweepFailure` (the CLI reports them in ``run.json`` and exits
-nonzero) instead of aborting the sweep at the first error, and
-``--resume`` restores completed cells from the manifest so only the
-missing ones recompute.
+nonzero) instead of aborting the sweep at the first error.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from pathlib import Path
 
-from repro import resilience
 from repro.codec.options import EncoderOptions
 from repro.codec.presets import preset_options
 from repro.experiments import parallel
-from repro.experiments.cache import (
-    ResultCache,
-    SweepRecord,
-    content_key,
-    record_from_payload,
-    record_to_payload,
-)
+from repro.experiments.cache import ResultCache, SweepRecord, content_key
 from repro.obs import session as obs
 from repro.profiling.perf import profile_transcode
-from repro.resilience.checkpoint import SweepCheckpoint, sweep_id
 from repro.resilience.faults import InjectedFault, fault_point
 from repro.uarch.configs import baseline_config
 from repro.video.vbench import cached_video
@@ -185,8 +176,8 @@ class PointSpec:
         )
 
     def describes(self, record: SweepRecord) -> bool:
-        """Is ``record`` this cell's? Guards every restore against a
-        colliding or stale cache/checkpoint entry."""
+        """Is ``record`` this cell's? Guards the cache restore against
+        a colliding or stale entry."""
         return (record.video, record.crf, record.refs, record.preset) == (
             self.video, self.crf, self.refs, self.preset
         )
@@ -248,7 +239,7 @@ class CellFailure:
     crf: int
     refs: int
     preset: str
-    key: str          # the cell's cache key (what --resume retries)
+    key: str          # the cell's cache key (what a re-run recomputes)
     error: str        # exception class name
     message: str
     attempts: int
@@ -261,8 +252,8 @@ class SweepFailure(RuntimeError):
     """A sweep finished with some cells permanently failed.
 
     Raised *after* every computable cell completed and was stored, so
-    a follow-up ``--resume`` run only re-executes the failed cells. The
-    CLI turns this into a partial-result ``run.json`` (``status:
+    a re-run against the same result cache only re-executes the failed
+    cells. The CLI turns this into a partial-result ``run.json`` (``status:
     "partial"`` plus a ``failures`` list) and a nonzero exit code.
     """
 
@@ -272,17 +263,15 @@ class SweepFailure(RuntimeError):
         failures: list[CellFailure],
         *,
         completed: int,
-        resumed: int,
         total: int,
     ) -> None:
         self.label = label
         self.failures = failures
         self.completed = completed
-        self.resumed = resumed
         self.total = total
         super().__init__(
             f"sweep {label!r}: {len(failures)}/{total} cells failed "
-            f"({completed} completed, {resumed} restored from checkpoint)"
+            f"({completed} completed)"
         )
 
     def failure_payloads(self) -> list[dict[str, object]]:
@@ -395,17 +384,6 @@ class SweepRunner:
             [self._spec(video, crf=crf, refs=refs, preset=preset, options=options)]
         )[0]
 
-    def _checkpoint_dir(self) -> Path | None:
-        """Where sweep manifests live: the configured/env directory,
-        else ``checkpoints/`` next to the persistent cache entries."""
-        configured = resilience.checkpoint_root()
-        if configured is not None:
-            return configured
-        disk = self.cache()
-        if disk is not None:
-            return disk.root / "checkpoints"
-        return None
-
     def run_points(
         self, specs: list[PointSpec], *, label: str = "sweep"
     ) -> list[SweepRecord]:
@@ -415,11 +393,10 @@ class SweepRunner:
         sharded across worker processes otherwise (results merge back in
         spec order, so both paths return identical lists). Each miss is
         retried under the engine's retry policy and stored (memo, disk
-        cache, checkpoint manifest) the moment it completes; with
-        resume enabled, cells recorded complete in a previous run's
-        manifest are restored instead of recomputed. Cells that exhaust
-        their retries raise :class:`SweepFailure` *after* every other
-        cell finished.
+        cache) the moment it completes, so a re-run against the same
+        cache recomputes only what is missing. Cells that exhaust their
+        retries raise :class:`SweepFailure` *after* every other cell
+        finished.
         """
         resolved: dict[tuple, SweepRecord] = {}
         misses: list[PointSpec] = []
@@ -437,117 +414,53 @@ class SweepRunner:
             else:
                 misses.append(spec)
         if misses:
-            self._run_misses(misses, unique, resolved, label=label)
+            self._run_misses(misses, resolved, total=len(unique), label=label)
         return [resolved[spec.memo_key()] for spec in specs]
 
     def _run_misses(
         self,
         misses: list[PointSpec],
-        unique: list[PointSpec],
         resolved: dict[tuple, SweepRecord],
         *,
+        total: int,
         label: str,
     ) -> None:
-        total = len(unique)
-        ckpt = self._open_checkpoint(unique, label)
-        resumed = 0
-        if ckpt is not None and resilience.resume_enabled() and ckpt.load():
-            remaining: list[PointSpec] = []
+        if self.jobs > 1:
+            # Warm the clip memo before the pool exists: forked
+            # workers inherit the planes copy-on-write and
+            # synthesize nothing (spawned ones load their own).
             for spec in misses:
-                record = self._restore_cell(ckpt, spec)
-                if record is not None:
-                    resolved[spec.memo_key()] = record
-                    resumed += 1
-                else:
-                    remaining.append(spec)
-            misses = remaining
-            if resumed:
-                obs.inc("sweep.resumed_cells", resumed)
-
-        def _store_streaming(index: int, record: SweepRecord) -> None:
-            spec = misses[index]
-            self._store(spec, record)
-            if ckpt is not None:
-                ckpt.record_done(spec.cache_key(), record_to_payload(record))
-
-        outcomes = []
-        if misses:
-            if self.jobs > 1:
-                # Warm the clip memo before the pool exists: forked
-                # workers inherit the planes copy-on-write and
-                # synthesize nothing (spawned ones load their own).
-                for spec in misses:
-                    spec.load_video()
-            outcomes = parallel.run_tasks(
-                compute_point,
-                misses,
-                jobs=self.jobs,
-                label=label,
-                on_result=_store_streaming,
-            )
+                spec.load_video()
+        outcomes = parallel.run_tasks(
+            compute_point,
+            misses,
+            jobs=self.jobs,
+            label=label,
+            on_result=lambda index, record: self._store(misses[index], record),
+        )
         failures: list[CellFailure] = []
         for outcome in outcomes:
             spec = misses[outcome.index]
             if outcome.error is None:
                 resolved[spec.memo_key()] = outcome.result  # type: ignore[assignment]
                 continue
-            failure = CellFailure(
-                video=spec.video,
-                crf=spec.crf,
-                refs=spec.refs,
-                preset=spec.preset,
-                key=spec.cache_key(),
-                error=type(outcome.error).__name__,
-                message=str(outcome.error),
-                attempts=outcome.attempts,
+            failures.append(
+                CellFailure(
+                    video=spec.video,
+                    crf=spec.crf,
+                    refs=spec.refs,
+                    preset=spec.preset,
+                    key=spec.cache_key(),
+                    error=type(outcome.error).__name__,
+                    message=str(outcome.error),
+                    attempts=outcome.attempts,
+                )
             )
-            failures.append(failure)
-            if ckpt is not None:
-                ckpt.record_failed(failure.key, failure.as_dict())
         if failures:
             obs.inc("sweep.failed_cells", len(failures))
-            if ckpt is not None:
-                ckpt.flush()
             raise SweepFailure(
-                label,
-                failures,
-                completed=total - resumed - len(failures),
-                resumed=resumed,
-                total=total,
+                label, failures, completed=total - len(failures), total=total
             )
-        if ckpt is not None:
-            ckpt.discard()
-
-    def _open_checkpoint(
-        self, unique: list[PointSpec], label: str
-    ) -> SweepCheckpoint | None:
-        root = self._checkpoint_dir()
-        if root is None:
-            return None
-        # The sweep identity hashes every unique cell key (not just the
-        # misses): an interrupted run and its resume then agree on the
-        # manifest name no matter how many cells the cache already
-        # serves, and distinct sweeps stay disjoint because cell keys
-        # embed options, scale, and config.
-        keys = sorted(spec.cache_key() for spec in unique)
-        return SweepCheckpoint(
-            root, sweep_id(label, keys), label=label, total=len(keys)
-        )
-
-    def _restore_cell(
-        self, ckpt: SweepCheckpoint, spec: PointSpec
-    ) -> SweepRecord | None:
-        payload = ckpt.cells.get(spec.cache_key())
-        if not isinstance(payload, dict):
-            return None
-        try:
-            record = record_from_payload(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
-        if not spec.describes(record):
-            return None
-        self._run_cache[spec.memo_key()] = record
-        return record
 
     # ------------------------------------------------------------------
     def crf_refs_sweep(self, video: str | None = None) -> list[SweepRecord]:

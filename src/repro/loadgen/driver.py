@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
+from repro._util import percentile
 from repro.loadgen.arrivals import ArrivalProcess, make_arrivals
 from repro.loadgen.clock import VirtualClock
 from repro.loadgen.mixes import WorkloadMix, make_mix
@@ -91,10 +90,6 @@ class LoadtestSpec:
             "open_loop": self.open_loop,
             "arrival_extras": dict(self.arrival_extras),
         }
-
-
-def _percentile(values: list[float], q: float) -> float:
-    return float(np.percentile(values, q)) if values else 0.0
 
 
 @dataclass
@@ -291,12 +286,12 @@ def _run_leg(spec: LoadtestSpec, rate: float, config: ServiceConfig,
         failed=failed,
         duration_s=spec.duration_s,
         makespan_s=makespan_s,
-        queue_wait_p50_s=_percentile(waits, 50),
-        queue_wait_p90_s=_percentile(waits, 90),
-        queue_wait_p99_s=_percentile(waits, 99),
-        e2e_p50_s=_percentile(e2es, 50),
-        e2e_p90_s=_percentile(e2es, 90),
-        e2e_p99_s=_percentile(e2es, 99),
+        queue_wait_p50_s=percentile(waits, 50),
+        queue_wait_p90_s=percentile(waits, 90),
+        queue_wait_p99_s=percentile(waits, 99),
+        e2e_p50_s=percentile(e2es, 50),
+        e2e_p90_s=percentile(e2es, 90),
+        e2e_p99_s=percentile(e2es, 99),
         cost_usd=service.fleet.cost_usd(),
         provisioned_usd=service.fleet.hourly_rate * makespan_s / 3600.0,
     )

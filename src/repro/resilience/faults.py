@@ -22,7 +22,8 @@ fraction of calls) pick *when* a matching site triggers; ``match``
 restricts to calls whose detail string contains the substring; ``max``
 caps total activations. Exactly one action per clause: ``raise=<Exc>``,
 ``stall=<seconds>``, or ``kill`` (``os._exit`` — models a worker process
-crash, recoverable only via pool restart and checkpoint/resume).
+crash, recoverable only via pool restart or a re-run against the
+result cache).
 
 Determinism contract: call indices are counted per site per process and
 reset at the start of every worker task

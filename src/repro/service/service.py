@@ -52,7 +52,7 @@ from typing import Any
 import numpy as np
 
 from repro import resilience
-from repro._util import atomic_write_text
+from repro._util import atomic_write_text, percentile
 from repro.api.types import (
     QUICK_SIZING,
     JobStatus,
@@ -729,7 +729,7 @@ class TranscodeService:
         e2es = sorted(
             j.timings["e2e_s"] for j in jobs if "e2e_s" in j.timings
         )
-        e2e_p99 = float(np.percentile(e2es, 99)) if e2es else 0.0
+        e2e_p99 = percentile(e2es, 99)
         obs.set_gauge(f"service.{name}.cost_usd", cost_usd)
         return ServiceReport(
             policy=name,

@@ -137,7 +137,7 @@ def scene_spec_for(
         # A *stable* digest, not hash(): str hashing is randomized per
         # process (PYTHONHASHSEED), which would make clips — and every
         # downstream sweep record — differ between a run and its
-        # checkpoint/resume continuation in another process.
+        # re-run continuation in another process.
         seed=int.from_bytes(
             hashlib.sha256(info.short_name.encode("utf-8")).digest()[:2], "big"
         ),

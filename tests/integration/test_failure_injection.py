@@ -12,7 +12,8 @@ On the pipeline side, a cell whose compute raises a fatal (or
 retry-exhausted) exception must not take the campaign down with it: the
 sweep completes every other cell, ``run.json`` reports ``status:
 "partial"`` with the failed cell's exception class, and the process
-exits with code 3 — after which ``--resume`` finishes the job.
+exits with code 3 — after which re-running the same command against
+the same ``--cache-dir`` finishes the job.
 """
 
 import json
@@ -144,6 +145,8 @@ class TestCliPartialResults:
 
         runner._RUNNERS.clear()
 
+    _PLAN = "sweep.compute,match=crf=40:refs=2,raise=ValueError"
+
     def test_failing_cell_exits_nonzero_but_complete(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -151,13 +154,15 @@ class TestCliPartialResults:
         code = main([
             "fig3",
             "--no-cache",
-            "--checkpoint-dir", str(tmp_path / "ckpt"),
             "--telemetry", str(out),
-            "--fault-plan", "sweep.compute,match=crf=40:refs=2,raise=ValueError",
+            "--fault-plan", self._PLAN,
         ])
         assert code == 3
         err = capsys.readouterr().err
-        assert "PARTIAL" in err and "ValueError" in err and "--resume" in err
+        assert "PARTIAL" in err and "ValueError" in err
+        # Nothing was persisted, and the hint says so.
+        assert "were not persisted; pass --cache-dir" in err
+        assert "--resume" not in err and "checkpoint" not in err
 
         run = json.loads((out / "run.json").read_text())
         assert run["status"] == "partial"
@@ -171,31 +176,30 @@ class TestCliPartialResults:
         assert run["metrics"]["sweep.failed_cells"] == 1
 
     def test_resume_after_partial_finishes_the_sweep(self, tmp_path, capsys):
+        """Resume = re-run the same command with the same --cache-dir."""
         from repro.cli import main
 
-        ckpt = tmp_path / "ckpt"
-        assert main([
-            "fig3",
-            "--no-cache",
-            "--checkpoint-dir", str(ckpt),
-            "--fault-plan", "sweep.compute,match=crf=40:refs=2,raise=ValueError",
-        ]) == 3
-        capsys.readouterr()
+        cache_dir = tmp_path / "cache"
+        command = ["fig3", "--cache-dir", str(cache_dir)]
+        assert main(["fig3", "--no-cache"]) == 0
+        clean = capsys.readouterr().out
+
+        self._clear_memo()
+        assert main(command + ["--fault-plan", self._PLAN]) == 3
+        err = capsys.readouterr().err
+        assert f"in the result cache at {cache_dir}; re-run the same" in err
 
         self._clear_memo()  # a fresh process would have no memo either
-        out = tmp_path / "resumed"
-        assert main([
-            "fig3",
-            "--no-cache",
-            "--checkpoint-dir", str(ckpt),
-            "--telemetry", str(out),
-            "--resume",
-        ]) == 0
+        out = tmp_path / "rerun"
+        assert main(command + ["--telemetry", str(out)]) == 0
+        assert _without_timing(capsys.readouterr().out) == _without_timing(clean)
         run = json.loads((out / "run.json").read_text())
         assert run["status"] == "ok"
         assert "failures" not in run
         # Encoder-call counting: only the failed cell recomputed.
-        assert run["metrics"]["sweep.resumed_cells"] == 3
+        assert run["metrics"]["sweep.disk_hits"] == 3
         assert run["metrics"]["sweep.profiles"] == 1
-        # Success removed the manifest.
-        assert not list(ckpt.glob("*.json"))
+
+
+def _without_timing(stdout: str) -> list[str]:
+    return [line for line in stdout.splitlines() if "done in" not in line]

@@ -5,13 +5,11 @@ combination of worker crashes, encoder exceptions, and cache corruption
 a fault plan injects, the sweep's *final* payloads are byte-identical to
 a clean run's — failures cost retries, pool restarts, or recomputation,
 never results. The resume path is verified by encoder-call counting:
-after a worker-kill interrupts a sweep, the ``--resume`` run recomputes
-only the cells the first run could not finish.
+after a worker-kill interrupts a sweep, re-running it against the same
+result cache recomputes only the cells the first run could not finish.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -25,7 +23,7 @@ from repro.resilience.faults import InjectedFault
 from repro.service import ServiceConfig
 
 #: QUICK proxy geometry with a trimmed grid — four cells exercise the
-#: parallel, retry, and checkpoint paths as well as 24 would.
+#: parallel, retry, and cache-resume paths as well as 24 would.
 SCALE = QUICK.with_updates(
     name="quick-chaos",
     width=48,
@@ -99,42 +97,37 @@ class TestWorkerCrashes:
         self, tmp_path, clean_payloads
     ):
         """The acceptance-criteria scenario: a worker crash at 50% of the
-        sweep, then ``--resume`` — byte-identical results, recomputing
-        only the incomplete cells (verified by encoder-call counting)."""
-        resilience.configure(checkpoint_dir=tmp_path / "ckpt")
+        sweep, then the same sweep against the same result cache —
+        byte-identical results, recomputing only the incomplete cell
+        (verified by encoder-call counting)."""
+        cache = ResultCache(tmp_path / "sweeps")
         resilience.install_plan("worker.task,match=2,kill")
         with telemetry_session() as tel:
             with pytest.raises(SweepFailure) as excinfo:
-                SweepRunner(SCALE, jobs=2, cache=False).crf_refs_sweep()
+                SweepRunner(SCALE, jobs=2, cache=cache).crf_refs_sweep()
         interrupted = tel.metrics.as_dict()
         failure = excinfo.value
         assert len(failure.failures) == 1
+        assert failure.completed == 3
         assert interrupted["parallel.pool_restarts"] >= 1
-        assert interrupted["sweep.checkpoint_writes"] >= 1
-        # The manifest survived with the completed cells.
-        manifests = list((tmp_path / "ckpt").glob("*.json"))
-        assert len(manifests) == 1
-        doc = json.loads(manifests[0].read_text())
-        assert len(doc["cells"]) == 3
-        assert len(doc["failed"]) == 1
+        # The cache holds exactly the completed cells, and nothing else.
+        assert cache.stats().entries == 3
 
-        resilience.configure(fault_plan=False, resume=True)  # chaos off
+        resilience.configure(fault_plan=False)  # chaos off
         with telemetry_session() as tel2:
-            records = SweepRunner(SCALE, jobs=2, cache=False).crf_refs_sweep()
-        resumed = tel2.metrics.as_dict()
+            records = SweepRunner(SCALE, jobs=2, cache=cache).crf_refs_sweep()
+        rerun = tel2.metrics.as_dict()
         assert _payloads(records) == clean_payloads
         # Encoder-call counting: only the killed cell recomputed.
-        assert resumed["sweep.resumed_cells"] == 3
-        assert resumed["sweep.profiles"] == 1
-        # Full success discards the manifest.
-        assert not list((tmp_path / "ckpt").glob("*.json"))
+        assert rerun["sweep.disk_hits"] == 3
+        assert rerun["sweep.profiles"] == 1
+        assert cache.stats().entries == 4
 
     def test_collateral_tasks_survive_a_crashing_neighbor(
-        self, tmp_path, clean_payloads
+        self, clean_payloads
     ):
         """Tasks in flight beside the killed worker are charged an
         attempt but retried; every other cell still completes."""
-        resilience.configure(checkpoint_dir=tmp_path / "ckpt")
         resilience.install_plan("worker.task,match=1,kill")
         with pytest.raises(SweepFailure) as excinfo:
             SweepRunner(SCALE, jobs=2, cache=False).crf_refs_sweep()
@@ -142,6 +135,29 @@ class TestWorkerCrashes:
         assert len(failure.failures) == 1
         assert failure.completed == 3
         assert failure.failures[0].attempts == FAST_RETRY.max_attempts
+
+
+class TestPartialSweepCache:
+    def test_cache_holds_exactly_the_completed_cells(self, tmp_path, capsys):
+        """`repro cache stats` regression: after a sweep with one
+        permanently failing cell, nothing but the completed cells'
+        entries lives under the cache root (the checkpoint manifest used
+        to be counted as one more entry), and `repro cache clear` leaves
+        the root empty."""
+        from repro.cli import main
+
+        root = tmp_path / "sweeps"
+        resilience.install_plan(
+            "sweep.compute,match=crf=40:refs=2,raise=ValueError"
+        )
+        with pytest.raises(SweepFailure) as excinfo:
+            SweepRunner(SCALE, jobs=1, cache=ResultCache(root)).crf_refs_sweep()
+        assert excinfo.value.completed == 3
+        assert ResultCache(root).stats().entries == 3
+
+        assert main(["cache", "clear", "--cache-dir", str(root)]) == 0
+        assert "removed 3 cache entries" in capsys.readouterr().out
+        assert list(root.iterdir()) == []
 
 
 class TestCacheCorruption:

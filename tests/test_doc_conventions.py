@@ -141,13 +141,27 @@ def test_benchmarks_doc_covers_matrix_contract():
     assert TREND_SCHEMA in doc
 
 
+def _src_files_mentioning(*needles: str) -> list[str]:
+    return [
+        str(path.relative_to(_REPO_ROOT))
+        for path in sorted((_REPO_ROOT / "src").rglob("*.py"))
+        if any(needle in path.read_text(encoding="utf-8") for needle in needles)
+    ]
+
+
 def test_no_shared_memory_transport_in_src():
     """Workers get clips by fork inheritance of the one clip memo
     (docs/PERFORMANCE.md has the measurement that removed the
     shared-memory transport); nothing under src/ may bring it back."""
-    offenders = [
-        str(path.relative_to(_REPO_ROOT))
-        for path in sorted((_REPO_ROOT / "src").rglob("*.py"))
-        if "shared_memory" in path.read_text(encoding="utf-8")
-    ]
+    offenders = _src_files_mentioning("shared_memory")
     assert not offenders, f"multiprocessing.shared_memory used in: {offenders}"
+
+
+def test_no_sweep_checkpoint_in_src():
+    """A finished sweep cell has one durable store, the result cache
+    (docs/PERFORMANCE.md has the measurement that removed the checkpoint
+    manifest); nothing under src/ may bring the second copy back."""
+    offenders = _src_files_mentioning(
+        "SweepCheckpoint", "checkpoint_dir", "REPRO_CHECKPOINT_DIR"
+    )
+    assert not offenders, f"sweep checkpoint manifest referenced in: {offenders}"

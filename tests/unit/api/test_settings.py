@@ -43,7 +43,6 @@ class TestDefaults:
         assert s.kernels == kernels.DEFAULT_BACKEND
         assert s.fault_plan is None
         assert s.resume is False
-        assert s.checkpoint_dir is None
 
     def test_env_vars_map_to_real_fields(self):
         field_names = set(Settings.__dataclass_fields__)
@@ -92,10 +91,10 @@ class TestPrecedence:
         monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.setenv("REPRO_KERNELS", "reference")
         s = Settings.resolve(jobs=5, kernels="vectorized",
-                             checkpoint_dir=tmp_path / "ck")
+                             cache_dir=tmp_path / "c")
         assert s.jobs == 5
         assert s.kernels == "vectorized"
-        assert s.checkpoint_dir == tmp_path / "ck"
+        assert s.cache_dir == tmp_path / "c"
 
     def test_absent_flag_falls_through_to_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
@@ -118,6 +117,17 @@ class TestPrecedence:
         monkeypatch.setenv("REPRO_SHM", "0")
         assert Settings.from_env() == Settings()
         assert "REPRO_SHM" not in ENV_VARS
+
+    def test_checkpoint_dir_knob_is_gone(self, monkeypatch):
+        # The sweep manifest was a second copy of the result cache:
+        # removed outright, no field, no alias, no variable.
+        with pytest.raises(TypeError):
+            Settings(checkpoint_dir=Path("ck"))
+        with pytest.raises(TypeError, match="checkpoint_dir"):
+            Settings.resolve(checkpoint_dir="ck")
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", "ck")
+        assert Settings.from_env() == Settings()
+        assert "REPRO_CHECKPOINT_DIR" not in ENV_VARS
 
     def test_retry_policy_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "5")
@@ -181,9 +191,9 @@ class TestFrozen:
             s.jobs = 8
 
     def test_resolve_accepts_str_paths(self):
-        s = Settings.resolve(cache_dir="somewhere", checkpoint_dir="else")
+        s = Settings.resolve(cache_dir="somewhere", metrics_out="else")
         assert isinstance(s.cache_dir, Path)
-        assert isinstance(s.checkpoint_dir, Path)
+        assert isinstance(s.metrics_out, Path)
 
 
 #: One sample per field-table row: the environment that sets the field
@@ -204,8 +214,6 @@ SAMPLES = {
                    {"fault_plan": "worker.task,at=5,kill"},
                    "worker.task,at=5,kill"),
     "resume": ({"REPRO_RESUME": "On"}, True, {"resume": False}, False),
-    "checkpoint_dir": ({"REPRO_CHECKPOINT_DIR": "env/k"}, Path("env/k"),
-                       {"checkpoint_dir": Path("cli/k")}, Path("cli/k")),
     "slo_spec": ({"REPRO_SLO_SPEC": "env.json"}, Path("env.json"),
                  {"slo_spec": "cli.json"}, Path("cli.json")),
     "metrics_out": ({"REPRO_METRICS_OUT": "env/m"}, Path("env/m"),
@@ -238,13 +246,13 @@ class TestFieldTable:
         fields = list(Settings.__dataclass_fields__)
         assert list(FIELD_TABLE) == fields
         assert set(SAMPLES) == set(fields)
-        assert len(fields) == 19
+        assert len(fields) == 18
 
     def test_env_vars_derive_from_the_rows(self):
         assert ENV_VARS == {
             knob.env: field for field, knob in FIELD_TABLE.items() if knob.env
         }
-        assert len(ENV_VARS) == 18  # cache_enabled has no variable
+        assert len(ENV_VARS) == 17  # cache_enabled has no variable
         assert "REPRO_RETRY_*" in ENV_VARS
 
     @pytest.mark.parametrize("field", FIELD_TABLE)

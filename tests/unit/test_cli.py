@@ -412,10 +412,12 @@ class TestReport:
 #: Every subcommand's flags and positionals, captured from the commit
 #: before the flags moved into the Settings field table: the guard that
 #: the move dropped or renamed none ("" is the experiment-running form).
-#: ``--no-shm`` left with the shared-memory transport (2.0.0).
+#: ``--no-shm`` left with the shared-memory transport (2.0.0);
+#: ``--checkpoint-dir`` and the sweeps' ``--resume`` left with the sweep
+#: checkpoint manifest (``serve`` keeps its own ``--resume``).
 FROZEN_FLAGS = {
-    "": "--cache-dir --checkpoint-dir --debug --fault-plan --jobs --kernels "
-        "--no-cache --resume --scale --telemetry --version "
+    "": "--cache-dir --debug --fault-plan --jobs --kernels "
+        "--no-cache --scale --telemetry --version "
         "experiment",
     "bench": "--compare --drift --history --jobs --kernels --matrix "
              "--matrix-out --output --quick --reps --threshold --window",
@@ -475,6 +477,13 @@ class TestFlagSurface:
             main(["tab4", "--no-shm"])
         assert exc.value.code == 2
         assert "--no-shm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--checkpoint-dir", "X"], ["--resume"]])
+    def test_sweep_checkpoint_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig3", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_settings_flags_are_declared_from_the_table(self):
         import argparse

@@ -11,6 +11,7 @@ from repro._util import (
     clamp,
     format_table,
     geometric_mean,
+    percentile,
     rng_for,
     stable_seed,
     truthy,
@@ -88,6 +89,23 @@ class TestGeometricMean:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
+
+
+class TestPercentile:
+    def test_empty_is_zero(self):
+        assert percentile([], 99) == 0.0
+        assert percentile((), 50) == 0.0
+
+    def test_matches_numpy_bit_for_bit(self):
+        values = [0.31, 0.07, 2.5, 1.125, 0.9]
+        for q in (50, 90, 99):
+            result = percentile(values, q)
+            assert type(result) is float
+            assert result == float(np.percentile(values, q))
+
+    def test_interpolates_linearly(self):
+        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.5
+        assert percentile([5.0], 99) == 5.0
 
 
 class TestFormatTable:
