@@ -30,8 +30,8 @@ __all__ = [
     "truthy",
 ]
 
-#: The spellings every boolean knob (``REPRO_RESUME``, a matrix spec's
-#: ``cache_enabled: "false"``) accepts as true, case-insensitively.
+#: The spellings a boolean knob given as text accepts as true,
+#: case-insensitively.
 TRUTHY = ("1", "true", "yes", "on")
 
 

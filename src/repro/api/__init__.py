@@ -45,7 +45,6 @@ from repro.api.types import (
 #: eager package imports here would close that cycle.
 _LAZY_EXPORTS = {
     "backends": ("repro.api.facade", "backends"),
-    "bench_matrix": ("repro.api.facade", "bench_matrix"),
     "encode": ("repro.api.facade", "encode"),
     "fleet_compare": ("repro.api.facade", "fleet_compare"),
     "FleetCompareReport": ("repro.service.fleetcompare", "FleetCompareReport"),
@@ -98,7 +97,6 @@ __all__ = [
     "TranscodeRequest",
     "TranscodeResult",
     "backends",
-    "bench_matrix",
     "encode",
     "fleet_compare",
     "loadtest",

@@ -46,7 +46,6 @@ from repro.video.vbench import load_video
 
 __all__ = [
     "backends",
-    "bench_matrix",
     "encode",
     "fleet_compare",
     "loadtest",
@@ -400,46 +399,6 @@ def loadtest(
 
     with _telemetry_run("loadtest", spec.arrivals, telemetry_dir, slo_spec):
         return run_loadtest(spec, config)
-
-
-def bench_matrix(
-    spec,
-    *,
-    quick: bool = False,
-    reps: int = 3,
-    out: str | Path | None = None,
-    overrides: dict[str, object] | None = None,
-) -> dict[str, object]:
-    """Run a declarative benchmark matrix and return its artifact.
-
-    ``spec`` is a :class:`~repro.bench.matrix.MatrixSpec` or a path to a
-    YAML/JSON spec file (see ``docs/BENCHMARKS.md`` for the schema).
-    Each expanded cell resolves its :class:`Settings` with the layering
-    **spec < environment < CLI** (``overrides`` is the CLI layer, keyed
-    by Settings field name) and runs through this facade's entry points;
-    the returned payload carries per-cell status/metrics plus
-    ``{rev, dirty, timestamp}`` provenance. With ``out`` the payload is
-    also written as a ``matrix.json`` artifact that
-    ``repro bench --history`` ingests alongside ``BENCH_*.json``.
-
-    Raises :class:`~repro.bench.matrix.SpecError` (with file/line
-    context) on an invalid spec; individual cell failures never raise —
-    they land in the payload as ``status: "failed"`` cells.
-    """
-    from repro.bench.matrix import (
-        MatrixSpec,
-        load_spec,
-        run_matrix,
-        write_matrix,
-    )
-
-    spec_obj = spec if isinstance(spec, MatrixSpec) else load_spec(spec)
-    payload = run_matrix(
-        spec_obj, quick=quick, reps=reps, cli_overrides=overrides
-    )
-    if out is not None:
-        write_matrix(payload, out)
-    return payload
 
 
 def fleet_compare(

@@ -4,8 +4,8 @@ by one declarative field table.
 :class:`Settings` is the frozen record; :data:`FIELD_TABLE` holds one
 :class:`Knob` row per field, and everything else is derived from the
 rows: :data:`ENV_VARS`, :meth:`Settings.env_overrides`,
-:meth:`Settings.resolve`, the CLI's ``add_settings_flags`` and the
-benchmark matrix's ``settings:`` coercion. The precedence order is
+:meth:`Settings.resolve` and the CLI's ``add_settings_flags``. The
+precedence order is
 
     **CLI flag > environment variable > built-in default**
 
@@ -15,8 +15,8 @@ overrides. The subsystems keep their own environment fallbacks
 dispatch, ``REPRO_FAULT_PLAN``, ...), which an installed override shadows
 and which library callers that never ``apply`` a ``Settings`` — or that
 call :meth:`Settings.reset` — still get. Fields no subsystem holds
-(``resume``, the service and bench knobs) are read off the resolved
-record by the command that owns them.
+(the service and loadtest knobs) are read off the resolved record by the
+command that owns them.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ class Knob:
     """One :data:`FIELD_TABLE` row: all there is to know about a
     ``Settings`` field except its default.
 
-    ``coerce`` is the only place a raw env string, flag value or matrix
-    spec value becomes the field's type. ``choices`` names the flag's
+    ``coerce`` is the only place a raw env string or flag value becomes
+    the field's type. ``choices`` names the flag's
     live registry as ``module:attribute``; ``negated`` marks a flag
     (``--no-cache``) whose presence sets the field false and whose dest
     is its ``resolve()`` keyword. A malformed env value is ignored
     unless ``env_strict``; ``env_reader`` loads a ``PREFIX_*`` family of
-    variables. ``in_spec``: may a matrix spec's ``settings:`` set it.
+    variables.
     """
 
     field: str
@@ -58,7 +58,6 @@ class Knob:
     negated: bool = False
     env_strict: bool = False
     env_reader: Callable[[], object | None] | None = None
-    in_spec: bool = True
 
     @property
     def dest(self) -> str:
@@ -90,7 +89,7 @@ def _rates(value: object) -> tuple[float, ...]:
 # The CLI appends "(default: $ENV, else <field default>)" to each help.
 _ROWS = (
     Knob("jobs", lambda n: max(int(n), 1), "REPRO_JOBS", "--jobs", "N",
-         "worker processes for sweeps and matrix sweep cells", int),
+         "worker processes for sweeps", int),
     Knob("cache_dir", Path, "REPRO_CACHE_DIR", "--cache-dir", "DIR",
          "persistent sweep result cache; repeat runs become near-free"),
     Knob("cache_enabled", truthy, None, "--no-cache", negated=True,
@@ -99,13 +98,10 @@ _ROWS = (
          choices="repro.codec.kernels:KERNEL_BACKENDS",
          help="codec kernel backend; `repro backends` lists availability"),
     Knob("retry", lambda policy: policy, "REPRO_RETRY_*",
-         env_reader=RetryPolicy.from_env, in_spec=False),
+         env_reader=RetryPolicy.from_env),
     Knob("fault_plan", str, "REPRO_FAULT_PLAN", "--fault-plan", "PLAN",
          "inject deterministic faults, e.g. 'worker.task,at=5,kill' or "
          "'service.worker,at=3,raise=RuntimeError'"),
-    Knob("resume", truthy, "REPRO_RESUME", "--resume",
-         help="serve: restore the --checkpoint queue state an interrupted "
-              "run left and finish the rest"),
     Knob("slo_spec", Path, "REPRO_SLO_SPEC", "--slo", "SPEC.json",
          "evaluate the run against this SLO spec; the verdict lands in "
          "run.json and each metrics snapshot"),
@@ -132,12 +128,6 @@ _ROWS = (
     Knob("objective", _name, "REPRO_OBJECTIVE", "--objective",
          choices="repro.service.placement:OBJECTIVES",
          help="smart-placement objective"),
-    Knob("bench_matrix", Path, "REPRO_BENCH_MATRIX", "--matrix", "SPEC",
-         "run a declarative benchmark matrix from a YAML/JSON spec; see "
-         "docs/BENCHMARKS.md", in_spec=False),
-    Knob("bench_history", Path, "REPRO_BENCH_HISTORY", "--history", "DIR",
-         "render the speedup trend over the BENCH_*.json / matrix*.json "
-         "artifacts in DIR; exit 5 on rolling-window drift", in_spec=False),
 )
 
 #: ``Settings`` field name -> its :class:`Knob`, in dataclass order.
@@ -168,7 +158,6 @@ class Settings:
     kernels: str = _kernels.DEFAULT_BACKEND
     retry: RetryPolicy = RetryPolicy()
     fault_plan: str | None = None
-    resume: bool = False
     slo_spec: Path | None = None
     metrics_out: Path | None = None
     metrics_interval: float = 30.0
@@ -178,10 +167,6 @@ class Settings:
     loadtest_mix: str = "table3"
     fleet: str | None = None
     objective: str = "throughput"
-    #: Existence is checked at use time, not here, so CI can export the
-    #: variable before the spec lands.
-    bench_matrix: Path | None = None
-    bench_history: Path | None = None
 
     def __post_init__(self) -> None:
         from repro.loadgen.arrivals import ARRIVAL_KINDS
@@ -219,9 +204,7 @@ class Settings:
     def env_overrides(cls) -> dict[str, object]:
         """The constructor kwargs the environment actually sets: only
         fields whose ``REPRO_*`` variable is present (and parseable), so
-        callers layering defaults below the environment — the benchmark
-        matrix resolves **spec < env < CLI** this way — can tell "env
-        said 1" from "env said nothing"."""
+        a caller can tell "env said 1" from "env said nothing"."""
         kwargs: dict[str, object] = {}
         for knob in _ROWS:
             if knob.env_reader is not None:  # a PREFIX_* family of variables

@@ -36,7 +36,7 @@ __all__ = [
     "TranscodeResult",
 ]
 
-#: Proxy-clip sizing behind every ``--quick`` flag and quick matrix cell.
+#: Proxy-clip sizing behind every ``--quick`` flag.
 QUICK_SIZING = {"width": 48, "height": 32, "n_frames": 4}
 
 #: Job lifecycle states, in order of progression.

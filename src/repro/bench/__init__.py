@@ -1,34 +1,32 @@
-"""Repeatable micro/macro benchmark harness for the codec hot path.
+"""The backend-ratio gate: how much faster than the oracle is the codec?
 
-The harness times every backend-dispatched kernel (see
-:mod:`repro.codec.kernels`) under both the ``reference`` and
-``vectorized`` backends, plus an end-to-end encode of a small Figure-3
-slice, and emits a machine-readable ``BENCH_<rev>.json`` artifact.
+``repro bench`` times every backend-dispatched kernel (see
+:mod:`repro.codec.kernels`) and the ``encode()`` stage of a small
+Figure-3 slice under every available backend, and emits a
+machine-readable ``BENCH_<rev>.json`` artifact (``repro-bench/v2``).
 Timings are recorded through the :mod:`repro.obs` metrics registry so
 bench runs share the telemetry plumbing used everywhere else.
 
-Comparisons between artifacts are *ratio-based*: a regression is a drop
-in the vectorized-over-reference speedup, which is stable across machines
-of different absolute speed. ``repro bench --compare BASELINE.json``
-exits with code 4 when any tracked speedup fell by more than the
-threshold (25% by default) — the CI bench-smoke gate.
+The only numbers it stands behind are *ratios*: a regression is a drop
+in a backend's speedup over ``reference``, which is stable across
+machines of different absolute speed. ``repro bench --compare
+BASELINE.json`` exits 4 when any tracked speedup fell by more than the
+threshold (25% by default) below one clean committed baseline — the CI
+bench-smoke gate — and :mod:`repro.bench.history` is the rolling-window
+drift detector over a directory of past artifacts that catches slow
+regressions the pairwise gate misses (``repro bench --history DIR``,
+exit 5 on drift).
 
-Two declarative layers sit on top (see ``docs/BENCHMARKS.md``):
-
-- :mod:`repro.bench.matrix` — YAML/JSON benchmark matrices whose axis
-  cross-product drives encode/bench/sweep/loadtest/fleet-compare cells
-  through the :mod:`repro.api` facade (``repro bench --matrix SPEC``);
-- :mod:`repro.bench.history` — the ``BENCH_*``/``matrix*`` trend
-  tracker with a rolling-window drift detector that catches slow
-  regressions the pairwise gate misses (``repro bench --history DIR``,
-  exit 5 on drift).
+Absolute time, the per-layer budget and every performance claim belong
+to ``perfbench/``; the paper's tables and figures to ``benchmarks/``.
+See ``docs/BENCHMARKS.md``.
 """
 
 from repro.bench.harness import (
-    E2E_CELLS,
+    ENCODE_CELLS,
     KERNEL_BENCH_NAMES,
     run_bench,
-    run_e2e_fig3,
+    run_encode_fig3,
     run_kernel_benches,
 )
 from repro.bench.history import (
@@ -40,28 +38,16 @@ from repro.bench.history import (
     collect_series,
     detect_drift,
     load_history,
+    render_trend,
     trend_payload,
-)
-from repro.bench.matrix import (
-    LEG_KINDS,
-    MATRIX_SCHEMA,
-    MatrixCell,
-    MatrixSpec,
-    SpecError,
-    load_matrix,
-    load_spec,
-    resolve_cell_settings,
-    run_matrix,
-    write_matrix,
 )
 from repro.bench.report import (
     BENCH_SCHEMA,
     bench_artifact_path,
     compare_bench,
-    current_rev,
     load_bench,
     render_bench,
-    working_tree_dirty,
+    tracked_speedups,
     write_bench,
 )
 
@@ -70,32 +56,22 @@ __all__ = [
     "DEFAULT_DRIFT",
     "DEFAULT_WINDOW",
     "DriftVerdict",
-    "E2E_CELLS",
+    "ENCODE_CELLS",
     "HistoryEntry",
     "KERNEL_BENCH_NAMES",
-    "LEG_KINDS",
-    "MATRIX_SCHEMA",
-    "MatrixCell",
-    "MatrixSpec",
-    "SpecError",
     "TREND_SCHEMA",
     "bench_artifact_path",
     "collect_series",
     "compare_bench",
-    "current_rev",
     "detect_drift",
     "load_bench",
     "load_history",
-    "load_matrix",
-    "load_spec",
     "render_bench",
-    "resolve_cell_settings",
+    "render_trend",
     "run_bench",
-    "run_e2e_fig3",
+    "run_encode_fig3",
     "run_kernel_benches",
-    "run_matrix",
+    "tracked_speedups",
     "trend_payload",
-    "working_tree_dirty",
     "write_bench",
-    "write_matrix",
 ]

@@ -2,10 +2,10 @@
 
 Every workload is deterministic (fixed seeds, fixed shapes) and is run
 under every *available* kernel backend with the same inputs, so the
-per-kernel speedups isolate exactly what each rewrite bought (rows keep
-the ``reference``/``vectorized`` columns plus per-backend
-``backends``/``speedups`` maps, which also cover ``numba`` when it is
-installed).
+per-kernel speedups isolate exactly what each rewrite bought. Every row
+— a kernel, a fig3 cell, the fig3 total — has the same two maps:
+``backends`` (time per backend) and ``speedups`` (reference time over
+each other backend's, which covers ``numba`` when it is installed).
 Per-repetition wall times go through the shared
 :class:`repro.obs.MetricsRegistry` histograms; the summary payload embeds
 the registry snapshot so ``BENCH_*.json`` doubles as a telemetry
@@ -23,16 +23,17 @@ from repro.codec import kernels
 from repro.obs import MetricsRegistry
 
 __all__ = [
-    "E2E_CELLS",
+    "ENCODE_CELLS",
     "KERNEL_BENCH_NAMES",
     "run_bench",
-    "run_e2e_fig3",
+    "run_encode_fig3",
     "run_kernel_benches",
 ]
 
 # The fig3 slice: corners plus the default operating point of the paper's
-# crf x refs heatmap grid (§III-A), encoded end to end.
-E2E_CELLS: tuple[tuple[int, int], ...] = (
+# crf x refs heatmap grid (§III-A). Only `encode()` is timed; the whole
+# cell (trace, simulate, cache) is perfbench's `profile_grid`.
+ENCODE_CELLS: tuple[tuple[int, int], ...] = (
     (1, 1),
     (1, 8),
     (23, 1),
@@ -40,8 +41,8 @@ E2E_CELLS: tuple[tuple[int, int], ...] = (
     (51, 1),
     (51, 8),
 )
-_E2E_FRAMES = 12
-_E2E_SIZE = (112, 64)  # (width, height)
+_ENCODE_FRAMES = 12
+_ENCODE_SIZE = (112, 64)  # (width, height)
 
 
 def _bench_scene(width: int = 112, height: int = 64, n_frames: int = 12):
@@ -63,6 +64,12 @@ def _time_call(fn: Callable[[], object], reps: int) -> list[float]:
         fn()
         times.append(time.perf_counter() - t0)
     return times
+
+
+def _speedups(times: dict[str, float]) -> dict[str, float]:
+    """Reference time over every other backend's time."""
+    ref = times["reference"]
+    return {b: ref / t for b, t in times.items() if b != "reference"}
 
 
 # --- kernel workloads -------------------------------------------------------
@@ -219,18 +226,16 @@ def run_kernel_benches(
     *,
     reps: int = 3,
     names: Iterable[str] | None = None,
-) -> dict[str, dict[str, float]]:
+) -> dict[str, dict[str, object]]:
     """Time each kernel workload under every available backend.
 
-    Returns ``{kernel: row}`` where each row keeps the historical
-    ``reference_ns_per_block`` / ``vectorized_ns_per_block`` / ``speedup``
-    columns (so old baselines stay comparable) and adds ``backends``
-    (ns/block per backend) and ``speedups`` (vs. reference, per
+    Returns ``{kernel: row}``; a row is ``blocks``, ``backends`` (ns per
+    block per backend) and ``speedups`` (vs. reference, per
     non-reference backend). Per-rep seconds additionally land in
     ``registry`` histograms named ``bench.kernel.<name>.<backend>_s``.
     """
     backends = kernels.available_backends()
-    results: dict[str, dict[str, float]] = {}
+    results: dict[str, dict[str, object]] = {}
     for name in names if names is not None else KERNEL_BENCH_NAMES:
         builder = _KERNEL_BENCHES[name]
         per_backend: dict[str, float] = {}
@@ -243,38 +248,32 @@ def run_kernel_benches(
             for t in times:
                 hist.observe(t)
             per_backend[backend] = min(times)
-        ref = per_backend["reference"]
         results[name] = {
             "blocks": float(units),
-            "reference_ns_per_block": ref / units * 1e9,
-            "vectorized_ns_per_block": per_backend["vectorized"] / units * 1e9,
-            "speedup": ref / per_backend["vectorized"],
             "backends": {b: t / units * 1e9 for b, t in per_backend.items()},
-            "speedups": {
-                b: ref / t for b, t in per_backend.items() if b != "reference"
-            },
+            "speedups": _speedups(per_backend),
         }
     return results
 
 
-def run_e2e_fig3(
+def run_encode_fig3(
     registry: MetricsRegistry,
     *,
     reps: int = 2,
-    cells: tuple[tuple[int, int], ...] = E2E_CELLS,
-    n_frames: int = _E2E_FRAMES,
+    cells: tuple[tuple[int, int], ...] = ENCODE_CELLS,
+    n_frames: int = _ENCODE_FRAMES,
 ) -> dict[str, object]:
-    """Encode the fig3 slice end to end under every available backend.
+    """Encode the fig3 slice under every available backend.
 
     The slice is the encode stage of the paper's Figure-3 crf x refs grid
-    (the simulator downstream is backend-independent). Returns the
-    historical reference/vectorized totals and speedup plus a per-backend
-    ``backends`` map (``{total_s, frames_per_s, speedup}`` each).
+    (the simulator downstream is backend-independent). Returns the clip
+    geometry, one row per cell and the slice totals; ``backends`` is
+    seconds per backend throughout.
     """
     from repro.codec.encoder import encode
     from repro.codec.options import EncoderOptions
 
-    width, height = _E2E_SIZE
+    width, height = _ENCODE_SIZE
     video = _bench_scene(width=width, height=height, n_frames=n_frames)
     backends = kernels.available_backends()
     totals = dict.fromkeys(backends, 0.0)
@@ -285,74 +284,53 @@ def run_e2e_fig3(
         for backend in backends:
             with kernels.backend_scope(backend):
                 times = _time_call(lambda: encode(video, opts), reps)
-            hist = registry.histogram(f"bench.e2e.crf{crf}_refs{refs}.{backend}_s")
+            hist = registry.histogram(
+                f"bench.encode.crf{crf}_refs{refs}.{backend}_s"
+            )
             for t in times:
                 hist.observe(t)
             cell_times[backend] = min(times)
             totals[backend] += min(times)
-        ref_s = cell_times["reference"]
         per_cell.append(
             {
                 "crf": crf,
                 "refs": refs,
-                "reference_s": ref_s,
-                "vectorized_s": cell_times["vectorized"],
-                "speedup": ref_s / cell_times["vectorized"],
-                "backends": dict(cell_times),
-                "speedups": {
-                    b: ref_s / t
-                    for b, t in cell_times.items()
-                    if b != "reference"
-                },
+                "backends": cell_times,
+                "speedups": _speedups(cell_times),
             }
         )
-    n_encoded = n_frames * len(cells)
     return {
         "width": width,
         "height": height,
         "n_frames": n_frames,
         "cells": per_cell,
-        "reference_s": totals["reference"],
-        "vectorized_s": totals["vectorized"],
-        "reference_frames_per_s": n_encoded / totals["reference"],
-        "vectorized_frames_per_s": n_encoded / totals["vectorized"],
-        "speedup": totals["reference"] / totals["vectorized"],
-        "backends": {
-            b: {
-                "total_s": total,
-                "frames_per_s": n_encoded / total,
-                "speedup": totals["reference"] / total,
-            }
-            for b, total in totals.items()
-        },
+        "backends": totals,
+        "speedups": _speedups(totals),
     }
 
 
 def run_bench(
     *,
     reps: int = 3,
-    e2e_reps: int = 2,
+    encode_reps: int = 2,
     quick: bool = False,
-    names: Iterable[str] | None = None,
 ) -> dict[str, object]:
     """Run the full suite and return the ``BENCH_*.json`` payload.
 
-    ``quick`` trims the e2e slice to its three unique crf values at one
+    ``quick`` trims the fig3 slice to its three unique crf values at one
     refs setting and single repetitions — for smoke use; quick artifacts
     are still comparable because the gate reads speedup ratios.
-    ``names`` restricts the kernel workloads to a subset (the matrix
-    bench leg times one kernel per cell this way).
     """
     from repro.bench.report import build_payload
 
     registry = MetricsRegistry()
     # Kernel workloads are cheap, so even quick mode keeps best-of-N —
     # single-shot micro timings are too noisy for a ratio gate.
-    kernel_results = run_kernel_benches(registry, reps=max(reps, 3), names=names)
+    kernel_results = run_kernel_benches(registry, reps=max(reps, 3))
     if quick:
-        e2e = run_e2e_fig3(
+        encode = run_encode_fig3(
             registry, reps=1, cells=((1, 1), (23, 8), (51, 1)), n_frames=8
         )
     else:
-        e2e = run_e2e_fig3(registry, reps=e2e_reps)
-    return build_payload(kernel_results, e2e, registry, quick=quick)
+        encode = run_encode_fig3(registry, reps=encode_reps)
+    return build_payload(kernel_results, encode, registry, quick=quick)

@@ -3,17 +3,13 @@
 The single-baseline gate (``repro bench --compare``) only sees two
 points: the current run and one committed baseline. A sequence of small
 drops — each inside the 25% ratio threshold — therefore accumulates
-invisibly. This module ingests a *directory* of artifacts
-(``BENCH_<rev>.json`` from :mod:`repro.bench.report` plus
-``matrix*.json`` from :mod:`repro.bench.matrix`), orders them by the
-``timestamp`` recorded inside each payload (filename and mtime are
-fallbacks, never the source of truth), and tracks every speedup series
-across revisions:
-
-- ``kernel:<name>`` — per-kernel vectorized/reference speedup;
-- ``e2e:fig3-slice`` — the end-to-end encode speedup;
-- ``matrix:<name>:<cell>:<metric>`` — every numeric metric of every
-  ``ok`` matrix cell.
+invisibly. This module ingests a *directory* of ``BENCH_<rev>.json``
+artifacts (:mod:`repro.bench.report`), orders them by the ``timestamp``
+recorded inside each payload (filename and mtime are fallbacks, never
+the source of truth), and tracks every gate row
+(:func:`~repro.bench.report.tracked_speedups`: ``kernel:<name>``,
+``encode:fig3-slice``, plus their ``:numba`` variants) across revisions.
+Every series is a speedup, so "best" is the maximum.
 
 The rolling-window detector flags a series when the **median of its
 last K values** drifts more than ``drift`` below the **best value ever
@@ -34,8 +30,8 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.matrix import MATRIX_SCHEMA
-from repro.bench.report import BENCH_SCHEMA
+from repro._util import format_table
+from repro.bench.report import load_bench, tracked_speedups
 
 __all__ = [
     "DEFAULT_DRIFT",
@@ -46,6 +42,7 @@ __all__ = [
     "collect_series",
     "detect_drift",
     "load_history",
+    "render_trend",
     "trend_payload",
 ]
 
@@ -59,7 +56,6 @@ class HistoryEntry:
     """One ingested artifact, reduced to its tracked series."""
 
     path: str
-    kind: str  # "bench" | "matrix"
     rev: str
     dirty: bool
     timestamp: float
@@ -94,58 +90,25 @@ class DriftVerdict:
         }
 
 
-def _bench_series(payload: dict[str, object]) -> dict[str, float]:
-    series = {
-        f"kernel:{name}": float(row["speedup"])
-        for name, row in (payload.get("kernels") or {}).items()  # type: ignore[union-attr]
-    }
-    e2e = payload.get("e2e") or {}
-    if isinstance(e2e, dict) and "speedup" in e2e:
-        series["e2e:fig3-slice"] = float(e2e["speedup"])  # type: ignore[arg-type]
-    return series
-
-
-def _matrix_series(payload: dict[str, object]) -> dict[str, float]:
-    name = payload.get("name", "?")
-    series: dict[str, float] = {}
-    for cell in payload.get("cells") or []:  # type: ignore[union-attr]
-        if not isinstance(cell, dict) or cell.get("status") != "ok":
-            continue
-        for metric, value in (cell.get("metrics") or {}).items():
-            if isinstance(value, (int, float)):
-                series[f"matrix:{name}:{cell.get('id')}:{metric}"] = float(value)
-    return series
-
-
 def load_history(dir_path: str | Path) -> list[HistoryEntry]:
-    """Ingest every ``BENCH_*.json`` / ``matrix*.json`` under ``dir_path``.
+    """Ingest every ``BENCH_*.json`` under ``dir_path``.
 
     Entries come back ordered by the timestamp recorded *inside* each
-    payload (pre-timestamp artifacts fall back to file mtime), so
-    renames and copies cannot reorder history. Unreadable or
-    unrecognized files raise ``ValueError`` — a corrupt artifact in a
-    history directory is a real problem, not something to skip quietly.
+    payload (file mtime if it has none), so renames and copies cannot
+    reorder history. Unreadable files and anything
+    :func:`~repro.bench.report.load_bench` rejects raise ``ValueError``
+    — a corrupt artifact in a history directory is a real problem, not
+    something to skip quietly.
     """
     root = Path(dir_path)
     if not root.is_dir():
         raise ValueError(f"{root}: not a directory of bench artifacts")
     entries: list[HistoryEntry] = []
-    paths = sorted(root.glob("BENCH_*.json")) + sorted(root.glob("matrix*.json"))
-    for path in paths:
+    for path in sorted(root.glob("BENCH_*.json")):
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = load_bench(path)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path}: unreadable artifact: {exc}") from None
-        schema = payload.get("schema") if isinstance(payload, dict) else None
-        if schema == BENCH_SCHEMA:
-            kind, series = "bench", _bench_series(payload)
-        elif schema == MATRIX_SCHEMA:
-            kind, series = "matrix", _matrix_series(payload)
-        else:
-            raise ValueError(
-                f"{path}: unknown artifact schema {schema!r} (expected "
-                f"{BENCH_SCHEMA} or {MATRIX_SCHEMA})"
-            )
         raw_ts = payload.get("timestamp")
         timestamp = (
             float(raw_ts) if isinstance(raw_ts, (int, float))
@@ -154,11 +117,10 @@ def load_history(dir_path: str | Path) -> list[HistoryEntry]:
         entries.append(
             HistoryEntry(
                 path=str(path),
-                kind=kind,
                 rev=str(payload.get("rev", "unknown")),
                 dirty=bool(payload.get("dirty", False)),
                 timestamp=timestamp,
-                series=series,
+                series=tracked_speedups(payload),
             )
         )
     entries.sort(key=lambda e: (e.timestamp, e.path))
@@ -233,7 +195,7 @@ def trend_payload(
 
     JSON-ready; ``series`` values are aligned to ``entries`` order with
     ``null`` gaps, and ``verdicts`` carry the rolling-window analysis —
-    the same shape :func:`repro.obs.export.render_trend` renders.
+    the shape :func:`render_trend` renders.
     """
     series = collect_series(entries)
     verdicts = detect_drift(series, window=window, drift=drift)
@@ -244,7 +206,6 @@ def trend_payload(
         "entries": [
             {
                 "path": e.path,
-                "kind": e.kind,
                 "rev": e.rev,
                 "dirty": e.dirty,
                 "timestamp": e.timestamp,
@@ -254,3 +215,84 @@ def trend_payload(
         "series": series,
         "verdicts": [v.to_payload() for v in verdicts],
     }
+
+
+_SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
+
+
+def _sparkline(values: list[float | None]) -> str:
+    """Unicode sparkline; ``·`` marks gaps (series absent in a run)."""
+    present = [v for v in values if v is not None]
+    if not present:
+        return ""
+    lo, hi = min(present), max(present)
+    chars = []
+    for v in values:
+        if v is None:
+            chars.append("·")
+        elif hi == lo:
+            chars.append(_SPARK_BLOCKS[len(_SPARK_BLOCKS) // 2])
+        else:
+            idx = round((v - lo) / (hi - lo) * (len(_SPARK_BLOCKS) - 1))
+            chars.append(_SPARK_BLOCKS[idx])
+    return "".join(chars)
+
+
+def render_trend(trend: dict[str, object]) -> str:
+    """Trend table for a :func:`trend_payload` (``repro bench --history``).
+
+    One row per tracked series: run count, sparkline over the ordered
+    history, first/best/last values, the rolling-window median, and the
+    verdict (``DRIFT`` when the median of the last K runs fell more than
+    the drift fraction below the history's best).
+    """
+    entries = [e for e in trend.get("entries") or [] if isinstance(e, dict)]
+    series: dict[str, list[float | None]] = trend.get("series") or {}  # type: ignore[assignment]
+    verdicts = [v for v in trend.get("verdicts") or [] if isinstance(v, dict)]
+    window = trend.get("window", "?")
+    drift = float(trend.get("drift", 0.0))
+    head = (
+        f"bench history: {len(entries)} artifacts, "
+        f"{len(series)} tracked series — flag when median(last {window}) "
+        f"drops >{drift:.0%} below the history best"
+    )
+    revs = " → ".join(
+        str(e.get("rev", "?")) + ("+dirty" if e.get("dirty") else "")
+        for e in entries
+    )
+    lines = [head, f"revisions: {revs}"]
+    by_name = {str(v.get("series")): v for v in verdicts}
+    rows = []
+    for name in sorted(series):
+        values = series[name]
+        present = [v for v in values if v is not None]
+        v = by_name.get(name, {})
+        status = str(v.get("status", "?"))
+        rows.append([
+            name,
+            len(present),
+            _sparkline(values),
+            format(present[0], ".3g") if present else "-",
+            format(float(v.get("best", 0.0)), ".3g"),
+            format(float(v.get("last", 0.0)), ".3g"),
+            format(float(v.get("median_recent", 0.0)), ".3g"),
+            f"{-float(v.get('drop_frac', 0.0)):+.1%}",
+            "DRIFT" if status == "drift" else status,
+        ])
+    lines.append(
+        format_table(
+            ["series", "n", "trend", "first", "best", "last",
+             f"med(last {window})", "vs best", "verdict"],
+            rows,
+        )
+    )
+    drifting = [str(v.get("series")) for v in verdicts
+                if v.get("status") == "drift"]
+    lines.append("")
+    if drifting:
+        lines.append(
+            f"{len(drifting)} series drifting: " + ", ".join(drifting)
+        )
+    else:
+        lines.append("no drift beyond the rolling-window threshold")
+    return "\n".join(lines)

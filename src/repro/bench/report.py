@@ -11,71 +11,34 @@ from __future__ import annotations
 
 import json
 import platform
-import subprocess
 import time
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from repro._util import atomic_write_text
 from repro.obs import MetricsRegistry
+from repro.obs.export import git_dirty, git_revision
 
 __all__ = [
     "BENCH_SCHEMA",
     "bench_artifact_path",
     "build_payload",
     "compare_bench",
-    "current_rev",
     "load_bench",
     "render_bench",
-    "working_tree_dirty",
+    "tracked_speedups",
     "write_bench",
 ]
 
-BENCH_SCHEMA = "repro-bench/v1"
+BENCH_SCHEMA = "repro-bench/v2"
 DEFAULT_THRESHOLD = 0.25
 
 
-def current_rev() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        )
-        return out.stdout.strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-
-
-def working_tree_dirty() -> bool:
-    """Whether the working tree has uncommitted changes.
-
-    A dirty tree means ``git rev-parse`` names a commit the measured code
-    does not match, so artifacts produced from one must say so — the
-    filename gains a ``+dirty`` suffix and the payload records the flag.
-    Outside a checkout (or if git fails) the tree counts as clean, since
-    there is no revision claim to mislabel.
-    """
-    try:
-        out = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        )
-        return bool(out.stdout.strip())
-    except (OSError, subprocess.SubprocessError):
-        return False
-
-
 def build_payload(
-    kernel_results: dict[str, dict[str, float]],
-    e2e: dict[str, object],
+    kernel_results: dict[str, dict[str, object]],
+    encode: dict[str, object],
     registry: MetricsRegistry,
     *,
     quick: bool = False,
@@ -83,14 +46,16 @@ def build_payload(
     """Assemble the full ``BENCH_*.json`` payload from run results.
 
     Besides the measurements, the payload self-describes its provenance:
-    ``rev`` (short git revision), ``dirty`` (uncommitted changes were
-    present), and ``timestamp`` (epoch seconds) — so history ordering
-    (:mod:`repro.bench.history`) never has to trust filenames.
+    ``rev`` (short git revision of the measured code), ``dirty`` (that
+    checkout had uncommitted changes, so ``rev`` names a commit the
+    measured code does not match), and ``timestamp`` (epoch seconds) —
+    so history ordering (:mod:`repro.bench.history`) never has to trust
+    filenames.
     """
     return {
         "schema": BENCH_SCHEMA,
-        "rev": current_rev(),
-        "dirty": working_tree_dirty(),
+        "rev": git_revision(),
+        "dirty": git_dirty(),
         "timestamp": time.time(),
         "quick": quick,
         "host": {
@@ -99,7 +64,7 @@ def build_payload(
             "machine": platform.machine(),
         },
         "kernels": kernel_results,
-        "e2e": e2e,
+        "encode": encode,
         "metrics": registry.as_dict(),
     }
 
@@ -124,103 +89,84 @@ def write_bench(payload: dict[str, object], path: str | Path | None = None) -> P
     )
 
 
+def tracked_speedups(payload: dict[str, object]) -> dict[str, float]:
+    """Workload -> speedup-over-reference map the gates compare.
+
+    The unsuffixed rows (``kernel:<name>``, ``encode:fig3-slice``) are
+    the vectorized-over-reference ratios; an available ``numba`` backend
+    contributes suffixed rows (``kernel:<name>:numba``,
+    ``encode:fig3-slice:numba``) that show up as ``(new)`` against a
+    baseline recorded without it. Suffixed rows a baseline carries for a
+    backend that no longer exists show up as ``(removed)``.
+    """
+    kernels: Any = payload["kernels"]
+    rows = {f"kernel:{name}": row for name, row in kernels.items()}
+    rows["encode:fig3-slice"] = payload["encode"]
+    return {
+        name if backend == "vectorized" else f"{name}:{backend}": float(ratio)
+        for name, row in rows.items()
+        for backend, ratio in row["speedups"].items()
+    }
+
+
 def load_bench(path: str | Path) -> dict[str, object]:
-    """Read a bench artifact; raises ValueError on a schema mismatch."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != BENCH_SCHEMA:
+    """Read a bench artifact; raises ValueError unless it is a well-formed
+    :data:`BENCH_SCHEMA` one (a ``repro-bench/v1`` file must be
+    re-measured: its rows are not comparable by name)."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != BENCH_SCHEMA:
         raise ValueError(
-            f"{path}: not a {BENCH_SCHEMA} artifact "
-            f"(schema={payload.get('schema')!r})"
+            f"{path}: not a {BENCH_SCHEMA} artifact (schema={schema!r})"
         )
+    try:
+        tracked_speedups(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path}: malformed {BENCH_SCHEMA} artifact: {exc!r}"
+        ) from None
     return payload
 
 
 def render_bench(payload: dict[str, object]) -> str:
     """Human-readable summary of one bench artifact."""
+    kernels: Any = payload["kernels"]
+    encode: Any = payload["encode"]
+    host: Any = payload["host"]
+    backends = list(encode["backends"])
     lines = [
         f"bench {payload['rev']}"
         + ("+dirty" if payload.get("dirty") else "")
         + (" (quick)" if payload.get("quick") else "")
-        + f" — python {payload['host']['python']}, numpy {payload['host']['numpy']}",
+        + f" — python {host['python']}, numpy {host['numpy']}",
         "",
-        f"{'kernel':34s} {'ref ns/blk':>12s} {'vec ns/blk':>12s} {'speedup':>8s}",
+        f"{'kernel (ns/block; x vs reference)':34s} "
+        + " ".join(f"{backend:>20s}" for backend in backends),
     ]
-    kernels: dict[str, dict[str, float]] = payload["kernels"]  # type: ignore[assignment]
-    extra_backends = sorted(
-        {
-            backend
-            for row in kernels.values()
-            for backend in row.get("speedups", {})
-            if backend != "vectorized"
-        }
-    )
     for name in sorted(kernels):
         row = kernels[name]
-        lines.append(
-            f"{name:34s} {row['reference_ns_per_block']:12.0f} "
-            f"{row['vectorized_ns_per_block']:12.0f} {row['speedup']:7.2f}x"
-        )
-    if extra_backends:
-        lines += [
-            "",
-            f"{'kernel (speedup vs reference)':34s} "
-            + " ".join(f"{backend:>12s}" for backend in extra_backends),
-        ]
-        for name in sorted(kernels):
-            speedups = kernels[name].get("speedups", {})
-            cells = []
-            for backend in extra_backends:
-                ratio = speedups.get(backend)
-                cells.append(f"{ratio:11.2f}x" if ratio is not None else f"{'—':>12s}")
-            lines.append(f"{name:34s} " + " ".join(cells))
-    e2e: dict[str, object] = payload["e2e"]  # type: ignore[assignment]
+        cells = []
+        for backend in backends:
+            cell = f"{row['backends'][backend]:.0f}"
+            if backend in row["speedups"]:
+                cell += f" ({row['speedups'][backend]:.2f}x)"
+            cells.append(f"{cell:>20s}")
+        lines.append(f"{name:34s} " + " ".join(cells))
+    n_encoded = encode["n_frames"] * len(encode["cells"])
     lines += [
         "",
-        f"e2e fig3 slice ({len(e2e['cells'])} cells x {e2e['n_frames']} frames "
-        f"@ {e2e['width']}x{e2e['height']}):",
+        f"fig3 encode slice ({len(encode['cells'])} cells x "
+        f"{encode['n_frames']} frames @ {encode['width']}x{encode['height']}):",
     ]
-    backend_rows = e2e.get("backends")
-    if backend_rows:
-        name_w = max(len(b) for b in backend_rows)
-        for backend, info in backend_rows.items():
-            lines.append(
-                f"  {backend:<{name_w}s} {info['total_s']:6.2f}s "
-                f"({info['frames_per_s']:.1f} frames/s, "
-                f"{info['speedup']:.2f}x vs reference)"
-            )
-    else:  # oldest artifacts: no per-backend map
-        lines += [
-            f"  reference  {e2e['reference_s']:.2f}s "
-            f"({e2e['reference_frames_per_s']:.1f} frames/s)",
-            f"  vectorized {e2e['vectorized_s']:.2f}s "
-            f"({e2e['vectorized_frames_per_s']:.1f} frames/s)",
-            f"  speedup    {e2e['speedup']:.2f}x",
-        ]
+    name_w = max(len(b) for b in backends)
+    for backend in backends:
+        total = encode["backends"][backend]
+        ratio = encode["speedups"].get(backend, 1.0)
+        lines.append(
+            f"  {backend:<{name_w}s} {total:6.2f}s "
+            f"({n_encoded / total:.1f} frames/s, {ratio:.2f}x vs reference)"
+        )
     return "\n".join(lines)
-
-
-def _tracked_speedups(payload: dict[str, object]) -> dict[str, float]:
-    """Workload -> speedup-over-reference map the gate compares.
-
-    The unsuffixed rows (``kernel:<name>``, ``e2e:fig3-slice``) are the
-    vectorized-over-reference ratios; an available ``numba`` backend
-    contributes suffixed rows (``kernel:<name>:numba``,
-    ``e2e:fig3-slice:numba``) that show up as ``(new)`` against a
-    baseline recorded without it. Suffixed rows a baseline carries for a
-    backend that no longer exists show up as ``(removed)``.
-    """
-    tracked: dict[str, float] = {}
-    for name, row in payload["kernels"].items():  # type: ignore[union-attr]
-        tracked[f"kernel:{name}"] = row["speedup"]
-        for backend, ratio in row.get("speedups", {}).items():
-            if backend != "vectorized":
-                tracked[f"kernel:{name}:{backend}"] = ratio
-    e2e = payload["e2e"]
-    tracked["e2e:fig3-slice"] = e2e["speedup"]  # type: ignore[index]
-    for backend, info in e2e.get("backends", {}).items():  # type: ignore[union-attr]
-        if backend not in ("reference", "vectorized"):
-            tracked[f"e2e:fig3-slice:{backend}"] = info["speedup"]
-    return tracked
 
 
 def compare_bench(
@@ -233,19 +179,19 @@ def compare_bench(
 
     Returns ``(report, regressions)`` where ``regressions`` names every
     tracked workload whose current speedup dropped too far below the
-    baseline's: ``threshold`` for the end-to-end slice, and twice that
+    baseline's: ``threshold`` for the fig3 encode slice, and twice that
     (capped at 50%) for individual kernels, whose micro timings are
     noisier but whose real failure mode — a vectorized path silently
     falling back to scalar — collapses the ratio far past any noise.
     Workloads present on only one side are reported but never counted as
     regressions (the set may grow over time).
     """
-    cur = _tracked_speedups(current)
-    base = _tracked_speedups(baseline)
+    cur = tracked_speedups(current)
+    base = tracked_speedups(baseline)
     kernel_threshold = min(2 * threshold, 0.5)
     lines = [
         f"comparing {current.get('rev')} against baseline {baseline.get('rev')} "
-        f"(threshold: -{threshold:.0%} e2e, -{kernel_threshold:.0%} kernels)",
+        f"(threshold: -{threshold:.0%} encode, -{kernel_threshold:.0%} kernels)",
         "",
         f"{'workload':40s} {'baseline':>9s} {'current':>9s} {'delta':>8s}",
     ]
@@ -258,7 +204,7 @@ def compare_bench(
             lines.append(f"{name:40s} {'—':>9s} {cur[name]:8.2f}x  (new)")
             continue
         delta = cur[name] / base[name] - 1.0
-        limit = threshold if name.startswith("e2e:") else kernel_threshold
+        limit = threshold if name.startswith("encode:") else kernel_threshold
         flag = ""
         if cur[name] < base[name] * (1.0 - limit):
             flag = "  REGRESSION"

@@ -18,11 +18,9 @@ Examples::
     repro report out/run.json --timeline 3      # one job's flame graph
     repro slo check out/run.json --spec examples/slo/serve.json
     repro backends                    # list kernel backends + availability
-    repro bench                       # benchmark kernels + fig3 slice
+    repro bench                       # backend speedups: kernels + fig3 encode
     repro bench --compare BENCH_baseline.json   # CI regression gate
-    repro bench --matrix examples/bench/kernel_workload.yaml --quick
     repro bench --history bench-history/        # speedup trend + drift gate
-    repro matrix validate examples/bench/*.yaml examples/bench/*.json
     repro submit cricket --crf 30 --spool .repro/spool.jsonl
     repro serve --spool .repro/spool.jsonl --telemetry out-serve/
     repro serve --mix table3 --count 8          # the paper's §V task mix
@@ -70,13 +68,14 @@ placement against the seeded random control — and tabulates throughput
 per provisioned dollar, p99 end-to-end latency, and cost per completed
 job (exit 1 if any fleet shed or failed jobs). ``repro slo check
 RUN.json --spec SPEC.json`` re-evaluates an exported artifact and exits
-2 on breach (the CI gate). ``repro bench`` keeps its historical
-behaviour (exit 4 on regression vs. the baseline artifact); ``repro
-bench --matrix SPEC`` runs a declarative benchmark matrix (exit 1 if
-any cell failed), ``repro bench --history DIR`` renders the speedup
-trend over past artifacts and exits 5 when the rolling-window detector
-flags drift, and ``repro matrix validate SPEC...`` checks specs without
-running them. See ``docs/BENCHMARKS.md``.
+2 on breach (the CI gate). ``repro bench`` measures each backend's
+speedup over ``reference`` and nothing else: ``--compare BASELINE.json``
+exits 4 on a regression against a clean baseline artifact (1, before
+measuring, if the baseline is missing, dirty or not ``repro-bench/v2``),
+and ``--history DIR`` instead renders the speedup trend over past
+artifacts and exits 5 when the rolling-window detector flags drift.
+Both are plain flags: no environment variable changes which of the two
+runs. See ``docs/BENCHMARKS.md``.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ import time
 from pathlib import Path
 
 import repro
-from repro._util import atomic_write_text, truthy
+from repro._util import atomic_write_text
 from repro.api.settings import FIELD_TABLE, Settings
 from repro.api.types import QUICK_SIZING
 from repro.experiments import EXPERIMENT_DESCRIPTIONS, EXPERIMENT_IDS
@@ -120,7 +119,7 @@ def add_settings_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
                 "" if default is None or isinstance(default, bool)
                 else f", else {default}"
             ) + ")"
-        if knob.negated or knob.coerce is truthy:  # a boolean knob: a switch
+        if knob.negated:  # a boolean knob: a switch
             parser.add_argument(knob.flag, action="store_true", help=help_text)
             continue
         choices = None
@@ -264,17 +263,18 @@ def _backends_main(argv: list[str]) -> int:
 def _bench_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Benchmark the codec kernels across every available "
-                    "backend and an end-to-end fig3 slice; or run a "
-                    "declarative benchmark matrix (--matrix) / render "
-                    "the speedup trend over past artifacts (--history).",
+        description="Measure every available kernel backend's speedup "
+                    "over the reference backend (codec kernels and the "
+                    "encode stage of a fig3 slice), or render the speedup "
+                    "trend over past artifacts (--history).",
     )
     parser.add_argument(
         "--compare",
         metavar="BASELINE.json",
         default=None,
-        help="compare speedups against a baseline artifact; exit 4 on "
-             "any regression beyond the threshold",
+        help="compare speedups against a clean repro-bench/v2 baseline "
+             "artifact (checked before measuring); exit 4 on any "
+             "regression beyond the threshold",
     )
     parser.add_argument(
         "--threshold",
@@ -301,14 +301,15 @@ def _bench_main(argv: list[str]) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="smaller e2e slice, single repetitions (smoke mode); with "
-             "--matrix, small proxy clips per cell",
+        help="smaller fig3 slice, single repetitions (smoke mode)",
     )
     parser.add_argument(
-        "--matrix-out",
-        metavar="PATH",
-        default="matrix.json",
-        help="matrix artifact path (default: matrix.json)",
+        "--history",
+        metavar="DIR",
+        default=None,
+        help="measure nothing: render the speedup trend over the "
+             "BENCH_*.json artifacts in DIR; exit 5 on rolling-window "
+             "drift",
     )
     parser.add_argument(
         "--window",
@@ -325,32 +326,37 @@ def _bench_main(argv: list[str]) -> int:
         help="allowed drop of the window median below the history best "
              "before --history flags drift (default: 0.10)",
     )
-    add_settings_flags(
-        parser, "bench_matrix", "bench_history", "kernels", "jobs"
-    )
     args = parser.parse_args(argv)
-    settings = _resolve_settings(parser, args)
 
-    if settings.bench_history is not None:
-        return _bench_history(settings, args)
-    if settings.bench_matrix is not None:
-        return _bench_matrix(settings, args)
+    if args.history is not None:
+        return _bench_history(args)
 
-    from repro.bench import compare_bench, load_bench, render_bench, run_bench, write_bench
+    from repro import bench
 
-    payload = run_bench(reps=args.reps, quick=args.quick)
-    path = write_bench(payload, args.output)
-    print(render_bench(payload))
+    # The baseline is checked before anything is measured: a gate that
+    # cannot compare must say so in a second, not after a minute's run.
+    baseline = None
+    if args.compare is not None:
+        try:
+            baseline = bench.load_bench(args.compare)
+            if baseline.get("dirty"):
+                raise ValueError(
+                    f"{args.compare}: measured on a dirty tree "
+                    f"({baseline.get('rev')}+dirty), so it names no commit; "
+                    "re-measure the baseline on a clean checkout"
+                )
+        except (OSError, ValueError) as exc:
+            print(f"repro bench: {exc}", file=sys.stderr)
+            return 1
+
+    payload = bench.run_bench(reps=args.reps, quick=args.quick)
+    path = bench.write_bench(payload, args.output)
+    print(bench.render_bench(payload))
     print(f"\nwrote {path}")
 
-    if args.compare is None:
+    if baseline is None:
         return 0
-    try:
-        baseline = load_bench(args.compare)
-    except (OSError, ValueError) as exc:
-        print(f"repro bench: {exc}", file=sys.stderr)
-        return 1
-    report, regressions = compare_bench(
+    report, regressions = bench.compare_bench(
         payload, baseline, threshold=args.threshold
     )
     print()
@@ -358,47 +364,23 @@ def _bench_main(argv: list[str]) -> int:
     return 4 if regressions else 0
 
 
-def _bench_matrix(settings, args) -> int:
-    """``repro bench --matrix``: run a declarative benchmark matrix."""
-    from repro.api import bench_matrix
-    from repro.bench import SpecError
-    from repro.obs import render_matrix
-
-    overrides = {
-        field: getattr(args, field)
-        for field in ("kernels", "jobs")
-        if getattr(args, field) is not None
-    }
-    try:
-        payload = bench_matrix(
-            settings.bench_matrix,
-            quick=args.quick,
-            reps=args.reps,
-            out=args.matrix_out,
-            overrides=overrides,
-        )
-    except (SpecError, OSError) as exc:
-        print(f"repro bench: {exc}", file=sys.stderr)
-        return 1
-    print(render_matrix(payload))
-    print(f"\nwrote {args.matrix_out}")
-    failed = [c for c in payload["cells"] if c["status"] != "ok"]
-    return 1 if failed else 0
-
-
-def _bench_history(settings, args) -> int:
+def _bench_history(args) -> int:
     """``repro bench --history``: trend table + rolling-window gate."""
-    from repro.bench import DEFAULT_DRIFT, DEFAULT_WINDOW, load_history, trend_payload
-    from repro.obs import render_trend
+    from repro.bench import (
+        DEFAULT_DRIFT,
+        DEFAULT_WINDOW,
+        load_history,
+        render_trend,
+        trend_payload,
+    )
 
     window = args.window if args.window is not None else DEFAULT_WINDOW
     drift = args.drift if args.drift is not None else DEFAULT_DRIFT
     try:
-        entries = load_history(settings.bench_history)
+        entries = load_history(args.history)
         if not entries:
             print(
-                f"repro bench: no BENCH_*.json / matrix*.json artifacts "
-                f"in {settings.bench_history}",
+                f"repro bench: no BENCH_*.json artifacts in {args.history}",
                 file=sys.stderr,
             )
             return 1
@@ -414,40 +396,6 @@ def _bench_history(settings, args) -> int:
         print(f"\nwrote {out}")
     drifting = [v for v in trend["verdicts"] if v["status"] == "drift"]
     return 5 if drifting else 0
-
-
-def _matrix_main(argv: list[str]) -> int:
-    """``repro matrix validate``: check specs without running anything."""
-    parser = argparse.ArgumentParser(
-        prog="repro matrix",
-        description="Validate declarative benchmark-matrix specs "
-                    "(schema, axes, cell count) without running them.",
-    )
-    parser.add_argument("action", choices=("validate",))
-    parser.add_argument(
-        "specs", nargs="+", metavar="SPEC",
-        help="YAML/JSON matrix spec file(s)",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.bench import SpecError, load_spec
-
-    status = 0
-    for path in args.specs:
-        try:
-            spec = load_spec(path)
-        except SpecError as exc:
-            print(f"repro matrix: {exc}", file=sys.stderr)
-            status = 1
-            continue
-        axes = ", ".join(
-            f"{name}[{len(values)}]" for name, values in spec.axes
-        )
-        print(
-            f"{path}: ok — {spec.name} (leg={spec.leg}, axes: {axes}, "
-            f"{spec.n_cells()} cells)"
-        )
-    return status
 
 
 def _list_main() -> int:
@@ -627,12 +575,15 @@ def _serve_main(argv: list[str]) -> int:
     parser.add_argument("--checkpoint", metavar="PATH", default=None,
                         help="checkpoint queue state to PATH after every "
                              "dispatch round")
+    parser.add_argument("--resume", action="store_true",
+                        help="restore the --checkpoint queue state an "
+                             "interrupted run left and finish the rest")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="where to write jobs.json (default: the "
                              "--telemetry directory, else nowhere)")
     _add_service_flags(parser)
     add_settings_flags(
-        parser, "fleet", "objective", "resume", "fault_plan", "slo_spec",
+        parser, "fleet", "objective", "fault_plan", "slo_spec",
         "metrics_out", "metrics_interval",
     )
     args = parser.parse_args(argv)
@@ -672,7 +623,7 @@ def _serve_main(argv: list[str]) -> int:
             requests,
             config,
             control=not args.no_control,
-            resume=settings.resume,
+            resume=args.resume,
             telemetry_dir=args.telemetry,
             slo_spec=settings.slo_spec,
             metrics_out=settings.metrics_out,
@@ -852,8 +803,6 @@ def main(argv: list[str] | None = None) -> int:
         return _backends_main(argv[1:])
     if argv[:1] == ["bench"]:
         return _bench_main(argv[1:])
-    if argv[:1] == ["matrix"]:
-        return _matrix_main(argv[1:])
     if argv[:1] == ["serve"]:
         return _serve_main(argv[1:])
     if argv[:1] == ["loadtest"]:
@@ -874,11 +823,10 @@ def main(argv: list[str] | None = None) -> int:
                "inspects/clears the persistent result cache; "
                "`repro backends` lists the registered kernel backends "
                "and their availability; "
-               "`repro bench [--compare BASELINE.json]` benchmarks the "
-               "codec kernels and the fig3 slice (`--matrix SPEC` runs "
-               "a declarative benchmark matrix, `--history DIR` renders "
-               "the speedup trend and gates on rolling-window drift); "
-               "`repro matrix validate SPEC...` checks matrix specs; "
+               "`repro bench [--compare BASELINE.json]` measures the "
+               "backends' speedups over reference on the codec kernels "
+               "and the fig3 encode slice (`--history DIR` renders the "
+               "speedup trend and gates on rolling-window drift); "
                "`repro submit CLIP` "
                "queues a job and `repro serve` runs the transcoding job "
                "service over the queue; `repro loadtest` drives the "

@@ -64,10 +64,8 @@ _EXPORT_SYMBOLS = frozenset({
     "export_session",
     "load_run",
     "read_events_jsonl",
-    "render_matrix",
     "render_run",
     "render_timeline",
-    "render_trend",
     "validate_run",
     "write_events_jsonl",
     "git_revision",
@@ -136,11 +134,9 @@ __all__ = [
     "observe",
     "parse_label_key",
     "read_events_jsonl",
-    "render_matrix",
     "render_prometheus",
     "render_run",
     "render_timeline",
-    "render_trend",
     "reset_for_subprocess",
     "set_gauge",
     "span",

@@ -41,9 +41,8 @@ __all__ = [
     "read_events_jsonl",
     "render_run",
     "render_timeline",
-    "render_matrix",
-    "render_trend",
     "diff_runs",
+    "git_dirty",
     "git_revision",
 ]
 
@@ -74,20 +73,33 @@ RUN_SCHEMA: dict[str, tuple[bool, tuple[type, ...], str]] = {
 }
 
 
-def git_revision() -> str:
-    """Short revision of the repo this module lives in, or 'unknown'."""
+def _git(*args: str) -> str | None:
+    """Stripped stdout of ``git <args>`` run in the checkout this package
+    lives in (never the process cwd, which may be another repository);
+    ``None`` outside a checkout or when git fails."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
-            timeout=5,
+            timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def git_revision() -> str:
+    """Short revision of the repo this module lives in, or 'unknown'."""
+    return _git("rev-parse", "--short", "HEAD") or "unknown"
+
+
+def git_dirty() -> bool:
+    """Whether that repo has uncommitted changes, i.e. whether
+    :func:`git_revision` names a commit the running code does not match.
+    ``False`` outside a checkout: there is no revision claim to mislabel."""
+    return bool(_git("status", "--porcelain"))
 
 
 # ----------------------------------------------------------------------
@@ -495,142 +507,6 @@ def render_timeline(records: list[dict[str, object]], job: object) -> str:
             f"  {'  ' * depth}{r['name']:<24s} "
             f"+{start_ms:9.3f}ms  {dur_ms:9.3f}ms{tail}"
         )
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Benchmark-matrix / trend rendering (the `repro bench` subcommand)
-# ----------------------------------------------------------------------
-
-def render_matrix(payload: dict[str, object]) -> str:
-    """Benchmark-status table for one matrix artifact.
-
-    One row per cell: the axis values, status, wall time, and the union
-    of the cells' numeric metrics as columns (``-`` where a cell did not
-    record a metric — legs differ in what they measure).
-    """
-    cells = [c for c in payload.get("cells") or [] if isinstance(c, dict)]
-    failed = [c for c in cells if c.get("status") != "ok"]
-    head = (
-        f"matrix: {payload.get('name', '?')} leg={payload.get('leg', '?')} "
-        f"rev={payload.get('rev', '?')}"
-        + ("+dirty" if payload.get("dirty") else "")
-        + (" (quick)" if payload.get("quick") else "")
-        + f" — {len(cells)} cells, {len(cells) - len(failed)} ok, "
-        f"{len(failed)} failed"
-    )
-    axes = payload.get("axes") or {}
-    axis_names = list(axes)
-    lines = [head]
-    for name in axis_names:
-        lines.append(f"  axis {name}: "
-                     + ", ".join(str(v) for v in axes[name]))
-    metric_names = sorted(
-        {m for c in cells for m in (c.get("metrics") or {})}
-    )
-    rows = []
-    for c in cells:
-        values = c.get("values") or {}
-        metrics = c.get("metrics") or {}
-        row: list[object] = [values.get(n, "-") for n in axis_names]
-        row.append(c.get("status", "?"))
-        row.append(c.get("wall_s", 0.0))
-        row.extend(
-            format(metrics[m], ".4g") if m in metrics else "-"
-            for m in metric_names
-        )
-        rows.append(row)
-    lines.append(
-        format_table(
-            axis_names + ["status", "wall s"] + metric_names,
-            rows, floatfmt=".3g",
-        )
-    )
-    if failed:
-        lines.append("")
-        for c in failed:
-            lines.append(f"  FAILED {c.get('id')}: {c.get('error')}")
-    return "\n".join(lines)
-
-
-_SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-def _sparkline(values: list[float | None]) -> str:
-    """Unicode sparkline; ``·`` marks gaps (series absent in a run)."""
-    present = [v for v in values if v is not None]
-    if not present:
-        return ""
-    lo, hi = min(present), max(present)
-    chars = []
-    for v in values:
-        if v is None:
-            chars.append("·")
-        elif hi == lo:
-            chars.append(_SPARK_BLOCKS[len(_SPARK_BLOCKS) // 2])
-        else:
-            idx = round((v - lo) / (hi - lo) * (len(_SPARK_BLOCKS) - 1))
-            chars.append(_SPARK_BLOCKS[idx])
-    return "".join(chars)
-
-
-def render_trend(trend: dict[str, object]) -> str:
-    """Trend table for a history payload (``repro bench --history``).
-
-    One row per tracked series: run count, sparkline over the ordered
-    history, first/best/last values, the rolling-window median, and the
-    verdict (``DRIFT`` when the median of the last K runs fell more than
-    the drift fraction below the history's best).
-    """
-    entries = [e for e in trend.get("entries") or [] if isinstance(e, dict)]
-    series: dict[str, list[float | None]] = trend.get("series") or {}  # type: ignore[assignment]
-    verdicts = [v for v in trend.get("verdicts") or [] if isinstance(v, dict)]
-    window = trend.get("window", "?")
-    drift = float(trend.get("drift", 0.0))
-    head = (
-        f"bench history: {len(entries)} artifacts, "
-        f"{len(series)} tracked series — flag when median(last {window}) "
-        f"drops >{drift:.0%} below the history best"
-    )
-    revs = " → ".join(
-        str(e.get("rev", "?")) + ("+dirty" if e.get("dirty") else "")
-        for e in entries
-    )
-    lines = [head, f"revisions: {revs}"]
-    by_name = {str(v.get("series")): v for v in verdicts}
-    rows = []
-    for name in sorted(series):
-        values = series[name]
-        present = [v for v in values if v is not None]
-        v = by_name.get(name, {})
-        status = str(v.get("status", "?"))
-        rows.append([
-            name,
-            len(present),
-            _sparkline(values),
-            format(present[0], ".3g") if present else "-",
-            format(float(v.get("best", 0.0)), ".3g"),
-            format(float(v.get("last", 0.0)), ".3g"),
-            format(float(v.get("median_recent", 0.0)), ".3g"),
-            f"{-float(v.get('drop_frac', 0.0)):+.1%}",
-            "DRIFT" if status == "drift" else status,
-        ])
-    lines.append(
-        format_table(
-            ["series", "n", "trend", "first", "best", "last",
-             f"med(last {window})", "vs best", "verdict"],
-            rows,
-        )
-    )
-    drifting = [str(v.get("series")) for v in verdicts
-                if v.get("status") == "drift"]
-    lines.append("")
-    if drifting:
-        lines.append(
-            f"{len(drifting)} series drifting: " + ", ".join(drifting)
-        )
-    else:
-        lines.append("no drift beyond the rolling-window threshold")
     return "\n".join(lines)
 
 

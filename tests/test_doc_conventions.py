@@ -130,14 +130,12 @@ def test_every_env_var_documented(configuration_doc):
     )
 
 
-def test_benchmarks_doc_covers_matrix_contract():
-    """docs/BENCHMARKS.md documents every leg kind and both schemas."""
-    from repro.bench import LEG_KINDS, MATRIX_SCHEMA, TREND_SCHEMA
+def test_benchmarks_doc_names_both_live_schemas():
+    """docs/BENCHMARKS.md documents the two formats `repro bench` writes."""
+    from repro.bench import BENCH_SCHEMA, TREND_SCHEMA
 
     doc = (_REPO_ROOT / "docs" / "BENCHMARKS.md").read_text(encoding="utf-8")
-    missing = sorted(leg for leg in LEG_KINDS if f"`{leg}`" not in doc)
-    assert not missing, f"legs missing from docs/BENCHMARKS.md: {missing}"
-    assert MATRIX_SCHEMA in doc
+    assert BENCH_SCHEMA in doc
     assert TREND_SCHEMA in doc
 
 
@@ -165,3 +163,15 @@ def test_no_sweep_checkpoint_in_src():
         "SweepCheckpoint", "checkpoint_dir", "REPRO_CHECKPOINT_DIR"
     )
     assert not offenders, f"sweep checkpoint manifest referenced in: {offenders}"
+
+
+def test_no_benchmark_matrix_in_src():
+    """`repro bench` is the backend-ratio gate and nothing else, and no
+    environment variable selects what it runs (docs/PERFORMANCE.md has
+    the two reproductions that removed the matrix compiler); nothing
+    under src/ may bring it back."""
+    offenders = _src_files_mentioning(
+        "MatrixSpec", "bench_matrix", "REPRO_BENCH_MATRIX",
+        "REPRO_BENCH_HISTORY", "render_matrix",
+    )
+    assert not offenders, f"benchmark matrix referenced in: {offenders}"

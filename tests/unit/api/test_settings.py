@@ -42,7 +42,6 @@ class TestDefaults:
         assert s.cache_enabled is True
         assert s.kernels == kernels.DEFAULT_BACKEND
         assert s.fault_plan is None
-        assert s.resume is False
 
     def test_env_vars_map_to_real_fields(self):
         field_names = set(Settings.__dataclass_fields__)
@@ -80,12 +79,10 @@ class TestPrecedence:
         monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
         monkeypatch.setenv("REPRO_KERNELS", "reference")
-        monkeypatch.setenv("REPRO_RESUME", "1")
         s = Settings.from_env()
         assert s.jobs == 3
         assert s.cache_dir == tmp_path / "c"
         assert s.kernels == "reference"
-        assert s.resume is True
 
     def test_cli_flag_beats_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_JOBS", "3")
@@ -134,17 +131,22 @@ class TestPrecedence:
         s = Settings.from_env()
         assert s.retry.max_attempts == 5
 
-    def test_bench_paths_from_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_BENCH_MATRIX", str(tmp_path / "m.yaml"))
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", str(tmp_path / "hist"))
-        s = Settings.from_env()
-        assert s.bench_matrix == tmp_path / "m.yaml"
-        assert s.bench_history == tmp_path / "hist"
-
-    def test_cli_bench_paths_beat_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_BENCH_MATRIX", str(tmp_path / "env.yaml"))
-        s = Settings.resolve(bench_matrix=tmp_path / "cli.yaml")
-        assert s.bench_matrix == tmp_path / "cli.yaml"
+    @pytest.mark.parametrize("field, var, value", [
+        ("bench_matrix", "REPRO_BENCH_MATRIX", Path("m.yaml")),
+        ("bench_history", "REPRO_BENCH_HISTORY", Path("hist")),
+        ("resume", "REPRO_RESUME", True),
+    ], ids=["bench_matrix", "bench_history", "resume"])
+    def test_command_selecting_knobs_are_gone(self, field, var, value,
+                                              monkeypatch):
+        # Which program `repro bench` runs, and whether `repro serve`
+        # resumes, are flags of those commands: no field, no variable.
+        with pytest.raises(TypeError):
+            Settings(**{field: value})
+        with pytest.raises(TypeError, match=field):
+            Settings.resolve(**{field: value})
+        monkeypatch.setenv(var, "1")
+        assert Settings.from_env() == Settings()
+        assert var not in ENV_VARS
 
     def test_env_overrides_empty_when_unset(self):
         assert Settings.env_overrides() == {}
@@ -213,7 +215,6 @@ SAMPLES = {
     "fault_plan": ({"REPRO_FAULT_PLAN": _PLAN}, _PLAN,
                    {"fault_plan": "worker.task,at=5,kill"},
                    "worker.task,at=5,kill"),
-    "resume": ({"REPRO_RESUME": "On"}, True, {"resume": False}, False),
     "slo_spec": ({"REPRO_SLO_SPEC": "env.json"}, Path("env.json"),
                  {"slo_spec": "cli.json"}, Path("cli.json")),
     "metrics_out": ({"REPRO_METRICS_OUT": "env/m"}, Path("env/m"),
@@ -232,10 +233,6 @@ SAMPLES = {
               {"fleet": "c5.xlarge"}, "c5.xlarge"),
     "objective": ({"REPRO_OBJECTIVE": "Min-Cost"}, "min-cost",
                   {"objective": "min-latency"}, "min-latency"),
-    "bench_matrix": ({"REPRO_BENCH_MATRIX": "env.yaml"}, Path("env.yaml"),
-                     {"bench_matrix": "cli.yaml"}, Path("cli.yaml")),
-    "bench_history": ({"REPRO_BENCH_HISTORY": "env/h"}, Path("env/h"),
-                      {"bench_history": "cli/h"}, Path("cli/h")),
 }
 
 
@@ -246,13 +243,13 @@ class TestFieldTable:
         fields = list(Settings.__dataclass_fields__)
         assert list(FIELD_TABLE) == fields
         assert set(SAMPLES) == set(fields)
-        assert len(fields) == 18
+        assert len(fields) == 15
 
     def test_env_vars_derive_from_the_rows(self):
         assert ENV_VARS == {
             knob.env: field for field, knob in FIELD_TABLE.items() if knob.env
         }
-        assert len(ENV_VARS) == 17  # cache_enabled has no variable
+        assert len(ENV_VARS) == 14  # cache_enabled has no variable
         assert "REPRO_RETRY_*" in ENV_VARS
 
     @pytest.mark.parametrize("field", FIELD_TABLE)

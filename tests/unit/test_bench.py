@@ -13,7 +13,7 @@ from repro.bench import (
     compare_bench,
     load_bench,
     render_bench,
-    run_e2e_fig3,
+    run_encode_fig3,
     run_kernel_benches,
     write_bench,
 )
@@ -21,31 +21,28 @@ from repro.bench.report import build_payload
 from repro.obs import MetricsRegistry
 
 
-def _fake_payload(kernel_speedups, e2e_speedup, rev="abc1234"):
+def _fake_payload(kernel_speedups, encode_speedup, rev="abc1234"):
     kernels = {
         name: {
             "blocks": 64.0,
-            "reference_ns_per_block": 1000.0 * s,
-            "vectorized_ns_per_block": 1000.0,
-            "speedup": s,
+            "backends": {"reference": 1000.0 * s, "vectorized": 1000.0},
+            "speedups": {"vectorized": s},
         }
         for name, s in kernel_speedups.items()
     }
-    e2e = {
+    times = {"reference": encode_speedup, "vectorized": 1.0}
+    speedups = {"vectorized": encode_speedup}
+    encode = {
         "width": 112,
         "height": 64,
         "n_frames": 8,
         "cells": [
-            {"crf": 23, "refs": 1, "reference_s": e2e_speedup, "vectorized_s": 1.0,
-             "speedup": e2e_speedup},
+            {"crf": 23, "refs": 1, "backends": times, "speedups": speedups},
         ],
-        "reference_s": e2e_speedup,
-        "vectorized_s": 1.0,
-        "reference_frames_per_s": 8 / e2e_speedup,
-        "vectorized_frames_per_s": 8.0,
-        "speedup": e2e_speedup,
+        "backends": times,
+        "speedups": speedups,
     }
-    payload = build_payload(kernels, e2e, MetricsRegistry())
+    payload = build_payload(kernels, encode, MetricsRegistry())
     payload["rev"] = rev
     # Pin provenance: build_payload stamps the *ambient* tree state, and
     # these tests must not depend on whether the checkout is dirty.
@@ -59,26 +56,33 @@ def test_run_kernel_benches_subset():
     results = run_kernel_benches(registry, reps=1, names=names)
     assert sorted(results) == sorted(names)
     for row in results.values():
+        assert set(row) == {"blocks", "backends", "speedups"}
         assert row["blocks"] > 0
-        assert row["reference_ns_per_block"] > 0
-        assert row["vectorized_ns_per_block"] > 0
-        assert row["speedup"] > 0
+        assert row["backends"]["reference"] > 0
+        assert row["backends"]["vectorized"] > 0
+        assert row["speedups"]["vectorized"] == pytest.approx(
+            row["backends"]["reference"] / row["backends"]["vectorized"]
+        )
+        assert "reference" not in row["speedups"]
     metrics = registry.as_dict()
     assert "bench.kernel.transform.forward_4x4.reference_s" in metrics
     assert "bench.kernel.transform.forward_4x4.vectorized_s" in metrics
 
 
-def test_run_e2e_fig3_single_cell():
+def test_run_encode_fig3_single_cell():
     registry = MetricsRegistry()
-    e2e = run_e2e_fig3(registry, reps=1, cells=((23, 1),), n_frames=2)
-    assert e2e["n_frames"] == 2
-    assert len(e2e["cells"]) == 1
-    assert e2e["cells"][0]["crf"] == 23
-    assert e2e["reference_s"] > 0 and e2e["vectorized_s"] > 0
-    assert e2e["speedup"] == pytest.approx(
-        e2e["reference_s"] / e2e["vectorized_s"]
+    encode = run_encode_fig3(registry, reps=1, cells=((23, 1),), n_frames=2)
+    assert encode["n_frames"] == 2
+    (cell,) = encode["cells"]
+    assert (cell["crf"], cell["refs"]) == (23, 1)
+    # One cell: the slice totals are that cell's numbers, stored once
+    # per level under the same two keys.
+    assert encode["backends"] == cell["backends"]
+    assert encode["backends"]["reference"] > 0
+    assert encode["speedups"]["vectorized"] == pytest.approx(
+        encode["backends"]["reference"] / encode["backends"]["vectorized"]
     )
-    assert "bench.e2e.crf23_refs1.reference_s" in registry.as_dict()
+    assert "bench.encode.crf23_refs1.reference_s" in registry.as_dict()
 
 
 def test_kernel_bench_names_stable():
@@ -121,9 +125,31 @@ def test_render_bench_marks_dirty():
 
 def test_load_bench_rejects_wrong_schema(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "other/v9"}))
-    with pytest.raises(ValueError, match="not a repro-bench/v1"):
+    for schema in ("other/v9", "repro-bench/v1"):
+        path.write_text(json.dumps({"schema": schema, "kernels": {}}))
+        with pytest.raises(ValueError, match="not a repro-bench/v2") as exc:
+            load_bench(path)
+        assert schema in str(exc.value)
+
+
+def test_load_bench_rejects_malformed_v2(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": BENCH_SCHEMA, "kernels": {}}))
+    with pytest.raises(ValueError, match="malformed repro-bench/v2"):
         load_bench(path)
+
+
+def test_provenance_comes_from_the_package_checkout(tmp_path, monkeypatch):
+    # `repro bench` launched from inside another repository must stamp
+    # the revision of the code it measured, not of the cwd.
+    import subprocess
+
+    from repro import obs
+
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    monkeypatch.chdir(tmp_path)
+    payload = build_payload({}, {}, MetricsRegistry())
+    assert payload["rev"] == obs.git_revision()
 
 
 def test_render_bench_mentions_workloads():
@@ -131,7 +157,7 @@ def test_render_bench_mentions_workloads():
     text = render_bench(payload)
     assert "transform.forward_4x4" in text
     assert "3.50x" in text
-    assert "e2e fig3 slice" in text
+    assert "fig3 encode slice" in text
 
 
 def test_compare_no_regression():
@@ -142,17 +168,17 @@ def test_compare_no_regression():
     assert "no regressions" in report
 
 
-def test_compare_flags_e2e_regression():
+def test_compare_flags_encode_regression():
     base = _fake_payload({"transform.forward_4x4": 3.0}, 3.0)
     cur = _fake_payload({"transform.forward_4x4": 3.0}, 2.0, rev="def5678")
     report, regressions = compare_bench(cur, base, threshold=0.25)
-    assert regressions == ["e2e:fig3-slice"]
+    assert regressions == ["encode:fig3-slice"]
     assert "REGRESSION" in report
 
 
 def test_compare_kernel_threshold_is_looser():
     # A 40% kernel drop is within the doubled (50%) kernel threshold, but
-    # the same drop end-to-end trips the 25% gate.
+    # the same drop on the encode slice trips the 25% gate.
     base = _fake_payload({"transform.forward_4x4": 3.0}, 3.0)
     cur = _fake_payload({"transform.forward_4x4": 1.8}, 3.0, rev="def5678")
     _, regressions = compare_bench(cur, base, threshold=0.25)
@@ -166,15 +192,13 @@ def test_compare_one_sided_workloads_not_regressions():
     base = _fake_payload({"transform.forward_4x4": 3.0, "old.kernel": 2.0}, 3.0)
     # A baseline from when a since-deleted backend had per-backend rows.
     base["kernels"]["old.kernel"]["speedups"] = {"vectorized": 2.0, "batched": 9.0}
-    base["e2e"]["backends"] = {
-        "vectorized": {"speedup": 3.0}, "batched": {"speedup": 9.0},
-    }
+    base["encode"]["speedups"] = {"vectorized": 3.0, "batched": 9.0}
     cur = _fake_payload({"transform.forward_4x4": 3.0, "new.kernel": 1.0}, 3.0)
     report, regressions = compare_bench(cur, base)
     assert regressions == []
     removed = [line.split()[0] for line in report.splitlines() if "(removed)" in line]
     assert removed == [
-        "e2e:fig3-slice:batched", "kernel:old.kernel", "kernel:old.kernel:batched",
+        "encode:fig3-slice:batched", "kernel:old.kernel", "kernel:old.kernel:batched",
     ]
     assert "(new)" in report
 

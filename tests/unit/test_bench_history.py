@@ -8,17 +8,16 @@ import pytest
 
 from repro.bench import (
     BENCH_SCHEMA,
-    MATRIX_SCHEMA,
     collect_series,
     compare_bench,
     detect_drift,
     load_history,
+    render_trend,
     trend_payload,
 )
-from repro.obs import render_trend
 
 
-def _bench_artifact(rev, timestamp, kernel_speedups, e2e_speedup):
+def _bench_artifact(rev, timestamp, kernel_speedups, encode_speedup):
     return {
         "schema": BENCH_SCHEMA,
         "rev": rev,
@@ -27,16 +26,14 @@ def _bench_artifact(rev, timestamp, kernel_speedups, e2e_speedup):
         "kernels": {
             name: {
                 "blocks": 64.0,
-                "reference_ns_per_block": 1000.0 * s,
-                "vectorized_ns_per_block": 1000.0,
-                "speedup": s,
+                "backends": {"reference": 1000.0 * s, "vectorized": 1000.0},
+                "speedups": {"vectorized": s},
             }
             for name, s in kernel_speedups.items()
         },
-        "e2e": {
-            "reference_s": e2e_speedup,
-            "vectorized_s": 1.0,
-            "speedup": e2e_speedup,
+        "encode": {
+            "backends": {"reference": encode_speedup, "vectorized": 1.0},
+            "speedups": {"vectorized": encode_speedup},
         },
     }
 
@@ -47,8 +44,8 @@ def _write(dir_path, name, payload):
     return path
 
 
-def _history(tmp_path, e2e_speedups, kernel="transform.forward_4x4"):
-    for i, s in enumerate(e2e_speedups):
+def _history(tmp_path, encode_speedups, kernel="transform.forward_4x4"):
+    for i, s in enumerate(encode_speedups):
         _write(tmp_path, f"BENCH_rev{i}.json",
                _bench_artifact(f"rev{i}", 1000.0 + i, {kernel: s}, s))
     return load_history(tmp_path)
@@ -64,34 +61,47 @@ class TestLoadHistory:
         entries = load_history(tmp_path)
         assert [e.rev for e in entries] == ["zzz", "aaa"]
 
-    def test_ingests_matrix_artifacts_alongside_bench(self, tmp_path):
+    def test_ignores_matrix_artifacts(self, tmp_path):
+        # The deleted matrix compiler wrote these next to BENCH_*.json;
+        # whatever they hold, they are not speedups and never ingested.
         _write(tmp_path, "BENCH_r1.json",
                _bench_artifact("r1", 1000.0, {"transform.forward_4x4": 3.0},
                                3.0))
         _write(tmp_path, "matrix.json", {
-            "schema": MATRIX_SCHEMA,
-            "name": "kw",
-            "rev": "r2",
-            "dirty": False,
-            "timestamp": 2000.0,
-            "cells": [
-                {"id": "clip=cricket", "status": "ok",
-                 "metrics": {"psnr_db": 38.5}},
-                {"id": "clip=landscape", "status": "failed",
-                 "metrics": {}},
-            ],
+            "schema": "repro-bench-matrix/v1",
+            "cells": [{"id": "clip=cricket", "status": "ok",
+                       "metrics": {"encode_s": 0.2}}],
         })
         entries = load_history(tmp_path)
-        assert [e.kind for e in entries] == ["bench", "matrix"]
-        series = collect_series(entries)
-        # Failed cells contribute nothing; ok cells become series.
-        assert series["matrix:kw:clip=cricket:psnr_db"] == [None, 38.5]
-        assert series["kernel:transform.forward_4x4"] == [3.0, None]
+        assert [e.rev for e in entries] == ["r1"]
+        assert set(collect_series(entries)) == {
+            "kernel:transform.forward_4x4", "encode:fig3-slice",
+        }
+
+    def test_tracks_numba_rows_when_recorded(self, tmp_path):
+        payload = _bench_artifact("r1", 1000.0, {"a.kernel": 3.0}, 3.0)
+        payload["kernels"]["a.kernel"]["speedups"]["numba"] = 4.0
+        payload["encode"]["speedups"]["numba"] = 3.5
+        _write(tmp_path, "BENCH_r1.json", payload)
+        series = collect_series(load_history(tmp_path))
+        assert series["kernel:a.kernel:numba"] == [4.0]
+        assert series["encode:fig3-slice:numba"] == [3.5]
 
     def test_rejects_unknown_schema(self, tmp_path):
         _write(tmp_path, "BENCH_bad.json", {"schema": "other/v9"})
-        with pytest.raises(ValueError, match="unknown artifact schema"):
+        with pytest.raises(ValueError, match="not a repro-bench/v2"):
             load_history(tmp_path)
+
+    def test_rejects_v1_artifacts_by_name(self, tmp_path):
+        # v1 rows had other names (e2e:...); mixing them into a v2
+        # history would read as every series ending and new ones starting.
+        _write(tmp_path, "BENCH_old.json", {
+            "schema": "repro-bench/v1", "rev": "ab29421", "dirty": True,
+            "kernels": {}, "e2e": {"speedup": 3.0},
+        })
+        with pytest.raises(ValueError, match="repro-bench/v2") as exc:
+            load_history(tmp_path)
+        assert "repro-bench/v1" in str(exc.value)
 
     def test_rejects_corrupt_json(self, tmp_path):
         (tmp_path / "BENCH_bad.json").write_text("{nope")
@@ -163,7 +173,7 @@ class TestTrendPayload:
         flagged = [v for v in trend["verdicts"] if v["status"] == "drift"]
         assert flagged
         text = render_trend(trend)
-        assert "e2e:fig3-slice" in text
+        assert "encode:fig3-slice" in text
         assert "DRIFT" in text
         assert "rev0" in text and "rev3" in text
 

@@ -245,102 +245,120 @@ class TestEngineFlags:
         assert parallel.default_cache() is None
 
 
-class TestBenchMatrixCommand:
-    @pytest.fixture(autouse=True)
-    def _clean(self, monkeypatch):
-        from repro.api import Settings
+def _v2_payload(speedup=3.0, *, rev="abc1234", dirty=False, timestamp=1000.0):
+    """A minimal well-formed repro-bench/v2 artifact."""
+    from repro.bench import BENCH_SCHEMA
 
-        monkeypatch.delenv("REPRO_BENCH_MATRIX", raising=False)
-        monkeypatch.delenv("REPRO_BENCH_HISTORY", raising=False)
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        yield
-        Settings.reset()
+    times = {"reference": speedup, "vectorized": 1.0}
+    speedups = {"vectorized": speedup}
+    return {
+        "schema": BENCH_SCHEMA,
+        "rev": rev,
+        "dirty": dirty,
+        "timestamp": timestamp,
+        "quick": True,
+        "host": {"python": "3", "numpy": "1", "machine": "m"},
+        "kernels": {
+            "transform.forward_4x4": {
+                "blocks": 64.0, "backends": times, "speedups": speedups,
+            },
+        },
+        "encode": {
+            "width": 112, "height": 64, "n_frames": 8,
+            "cells": [{"crf": 23, "refs": 1, "backends": times,
+                       "speedups": speedups}],
+            "backends": times, "speedups": speedups,
+        },
+        "metrics": {},
+    }
 
-    def _write_spec(self, tmp_path):
-        spec = tmp_path / "m.json"
-        spec.write_text(json.dumps({
-            "name": "cli-smoke",
-            "leg": "encode",
-            "axes": {"kernels": ["reference", "vectorized"],
-                     "clip": ["cricket"]},
-            "params": {"crf": 23},
-        }))
-        return spec
 
-    def test_matrix_run_writes_artifact(self, tmp_path, capsys):
-        from repro.bench import load_matrix
+class TestBenchGate:
+    """``repro bench --compare``: one program, whatever the environment
+    says, against a baseline that is checked before anything is timed."""
 
-        spec = self._write_spec(tmp_path)
-        out = tmp_path / "matrix.json"
-        assert main(["bench", "--matrix", str(spec), "--quick",
-                     "--matrix-out", str(out)]) == 0
-        payload = load_matrix(out)
-        assert [c["status"] for c in payload["cells"]] == ["ok", "ok"]
+    @pytest.fixture
+    def measured(self, monkeypatch):
+        """Replace the minute-long measurement with a canned payload and
+        record each call."""
+        calls = []
+
+        def run_bench(**kwargs):
+            calls.append(kwargs)
+            return _v2_payload(3.0, rev="def5678")
+
+        monkeypatch.setattr("repro.bench.run_bench", run_bench)
+        return calls
+
+    def _baseline(self, tmp_path, **kwargs):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(_v2_payload(**kwargs)))
+        return path
+
+    @pytest.mark.parametrize(
+        "var", ["REPRO_BENCH_HISTORY", "REPRO_BENCH_MATRIX"]
+    )
+    def test_environment_cannot_divert_the_gate(self, var, tmp_path, capsys,
+                                                monkeypatch, measured):
+        monkeypatch.setenv(var, str(tmp_path / "elsewhere"))
+        out = tmp_path / "BENCH_now.json"
+        assert main(["bench", "--quick", "--output", str(out),
+                     "--compare", str(self._baseline(tmp_path))]) == 0
+        assert measured == [{"reps": 3, "quick": True}]
         text = capsys.readouterr().out
-        assert "matrix: cli-smoke" in text
-        assert "2 cells, 2 ok" in text
+        assert "comparing def5678 against baseline abc1234" in text
+        assert "no regressions" in text
+        assert out.exists()
 
-    def test_matrix_env_var_selects_spec(self, tmp_path, capsys,
-                                         monkeypatch):
-        spec = self._write_spec(tmp_path)
-        monkeypatch.setenv("REPRO_BENCH_MATRIX", str(spec))
-        assert main(["bench", "--quick",
-                     "--matrix-out", str(tmp_path / "m.json")]) == 0
-        assert "matrix: cli-smoke" in capsys.readouterr().out
+    def test_regression_exits_four(self, tmp_path, capsys, measured):
+        baseline = self._baseline(tmp_path, speedup=6.0)
+        assert main(["bench", "--output", str(tmp_path / "B.json"),
+                     "--compare", str(baseline)]) == 4
+        assert "encode:fig3-slice" in capsys.readouterr().out
 
-    def test_invalid_spec_fails_with_line_context(self, tmp_path, capsys):
-        bad = tmp_path / "bad.yaml"
-        bad.write_text(
-            "name: bad\nleg: encode\naxes:\n  rate: [4]\n"
-        )
-        assert main(["bench", "--matrix", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert "bad.yaml:4:" in err
-        assert "unknown axis" in err
+    def test_unusable_baseline_exits_one_before_measuring(
+            self, tmp_path, capsys, measured):
+        dirty = self._baseline(tmp_path, dirty=True)
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps({
+            "schema": "repro-bench/v1", "rev": "ab29421", "dirty": False,
+            "kernels": {}, "e2e": {"speedup": 3.0},
+        }))
+        for path, complaint in [
+            (dirty, "dirty tree"),
+            (tmp_path / "missing.json", "missing.json"),
+            (v1, "not a repro-bench/v2"),
+        ]:
+            assert main(["bench", "--quick", "--compare", str(path)]) == 1
+            assert complaint in capsys.readouterr().err
+        assert measured == []
 
-    def test_matrix_validate_subcommand(self, tmp_path, capsys):
-        spec = self._write_spec(tmp_path)
-        assert main(["matrix", "validate", str(spec)]) == 0
-        out = capsys.readouterr().out
-        assert "ok — cli-smoke" in out
-        assert "2 cells" in out
-
-    def test_matrix_validate_rejects_bad_spec(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"name": "x", "leg": "warp",
-                                   "axes": {"clip": ["cricket"]}}))
-        assert main(["matrix", "validate", str(bad)]) == 1
-        assert "unknown leg" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--matrix", "X"],
+        ["bench", "--matrix-out", "X"],
+        ["bench", "--kernels", "vectorized"],
+        ["bench", "--jobs", "2"],
+        ["matrix", "validate", "X"],
+    ], ids=" ".join)
+    def test_matrix_surface_is_gone(self, argv, capsys, measured):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert measured == []
 
 
 class TestBenchHistoryCommand:
-    @pytest.fixture(autouse=True)
-    def _clean(self, monkeypatch):
-        from repro.api import Settings
-
-        monkeypatch.delenv("REPRO_BENCH_MATRIX", raising=False)
-        monkeypatch.delenv("REPRO_BENCH_HISTORY", raising=False)
-        yield
-        Settings.reset()
-
     def _write_history(self, tmp_path, speedups):
-        from repro.bench import BENCH_SCHEMA
-
         for i, s in enumerate(speedups):
-            (tmp_path / f"BENCH_rev{i}.json").write_text(json.dumps({
-                "schema": BENCH_SCHEMA,
-                "rev": f"rev{i}",
-                "dirty": False,
-                "timestamp": 1000.0 + i,
-                "kernels": {},
-                "e2e": {"speedup": s},
-            }))
+            (tmp_path / f"BENCH_rev{i}.json").write_text(json.dumps(
+                _v2_payload(s, rev=f"rev{i}", timestamp=1000.0 + i)
+            ))
 
     def test_flat_history_exits_zero(self, tmp_path, capsys):
         self._write_history(tmp_path, [3.0, 3.0, 3.0])
         assert main(["bench", "--history", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "e2e:fig3-slice" in out
+        assert "encode:fig3-slice" in out
         assert "no drift" in out
 
     def test_slow_drift_exits_five(self, tmp_path, capsys):
@@ -360,8 +378,13 @@ class TestBenchHistoryCommand:
         assert len(trend["entries"]) == 2
 
     def test_empty_history_dir_is_an_error(self, tmp_path, capsys):
+        # A directory of the deleted matrix compiler's artifacts is empty
+        # to the drift gate: exit 1, never a verdict.
+        (tmp_path / "matrix.json").write_text(json.dumps(
+            {"schema": "repro-bench-matrix/v1", "cells": []}
+        ))
         assert main(["bench", "--history", str(tmp_path)]) == 1
-        assert "no BENCH_" in capsys.readouterr().err
+        assert "no BENCH_*.json artifacts" in capsys.readouterr().err
 
     def test_corrupt_artifact_is_an_error(self, tmp_path, capsys):
         (tmp_path / "BENCH_x.json").write_text("{nope")
@@ -414,13 +437,15 @@ class TestReport:
 #: the move dropped or renamed none ("" is the experiment-running form).
 #: ``--no-shm`` left with the shared-memory transport (2.0.0);
 #: ``--checkpoint-dir`` and the sweeps' ``--resume`` left with the sweep
-#: checkpoint manifest (``serve`` keeps its own ``--resume``).
+#: checkpoint manifest (``serve`` keeps its own ``--resume``); ``bench``
+#: lost ``--matrix --matrix-out --kernels --jobs`` and the ``matrix``
+#: subcommand with the matrix compiler.
 FROZEN_FLAGS = {
     "": "--cache-dir --debug --fault-plan --jobs --kernels "
         "--no-cache --scale --telemetry --version "
         "experiment",
-    "bench": "--compare --drift --history --jobs --kernels --matrix "
-             "--matrix-out --output --quick --reps --threshold --window",
+    "bench": "--compare --drift --history --output --quick --reps "
+             "--threshold --window",
     "cache": "--cache-dir action",
     "serve": "--budget-usd --checkpoint --count --deadline-s --fault-plan "
              "--fleet --metrics-interval --metrics-out --mix --no-control "
@@ -436,7 +461,6 @@ FROZEN_FLAGS = {
     "slo": "--spec action artifact",
     "submit": "--crf --deadline-ms --preset --priority --refs --spool clip",
     "report": "--diff --timeline artifacts",
-    "matrix": "action specs",
     "backends": "",
 }
 
