@@ -1,21 +1,50 @@
-"""Set-associative LRU caches and a multi-level hierarchy.
+"""Set-associative LRU caches and a multi-level data hierarchy.
 
-The hierarchy is non-inclusive with allocate-on-miss at every level.
-Accesses arrive as numpy arrays of byte addresses; the per-address LRU
-walk is a tight Python loop (the dominant simulation cost), so callers
-should pass line-collapsed streams where possible — the hierarchy itself
-collapses consecutive same-line accesses, which are guaranteed hits.
+The hierarchy is non-inclusive with allocate-on-miss at every level: a
+miss at level *i* probes level *i+1* and fills level *i*; a miss at the
+last level is a memory access. Consecutive same-line addresses of one
+access batch are collapsed first (guaranteed L1 hits).
+
+Two implementations of that one model live here:
+
+* :class:`HierarchyReplay` is what ``simulate()`` runs. LRU is a stack
+  algorithm — at associativity *A* an access hits iff fewer than *A*
+  distinct lines of its set were touched since the previous touch of the
+  same line — so a bounded window of memory events is decided at once
+  with array operations, level by level, and only the miss sub-stream
+  reaches the next level.
+* :class:`Cache` / :class:`CacheHierarchy` walk one line at a time
+  through per-set Python lists. They are the oracle the tests hold the
+  batched replay equal to (every counter, no tolerance) and the public
+  per-line API; the simulator never reaches them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.uarch.config import CacheParams
 
-__all__ = ["Cache", "CacheStats", "CacheHierarchy"]
+__all__ = [
+    "Cache",
+    "CacheStats",
+    "CacheHierarchy",
+    "HierarchyReplay",
+    "REPLAY_WINDOW_ADDRS",
+]
+
+#: Byte addresses the simulator hands :meth:`HierarchyReplay.replay` per
+#: window. The replay's temporaries are a few dozen bytes per address, so
+#: this keeps them at a few MiB whatever the trace length; counters do not
+#: depend on it.
+REPLAY_WINDOW_ADDRS = 1 << 15
+
+#: Below this many undecided accesses the shrinking index walk stops paying
+#: for its per-step overhead and each one is counted directly.
+_DIRECT_COUNT_BELOW = 32
 
 
 @dataclass
@@ -97,6 +126,7 @@ class CacheHierarchy:
     def __init__(self, levels: list[Cache]) -> None:
         if not levels:
             raise ValueError("hierarchy requires at least one level")
+        _shared_line_shift([c.params for c in levels])
         self.levels = levels
         self.mem_accesses = 0.0
 
@@ -131,4 +161,240 @@ class CacheHierarchy:
         return HierarchyStats(
             levels={c.name: c.stats for c in self.levels},
             mem_accesses=self.mem_accesses,
+        )
+
+
+def _shared_line_shift(params: Sequence[CacheParams]) -> int:
+    """log2 of the one line size every level must share: set indices at
+    every level are taken from line addresses shifted once, up front."""
+    sizes = {p.line_bytes for p in params}
+    if len(sizes) != 1:
+        raise ValueError(
+            f"hierarchy levels must share one line_bytes, got {sorted(sizes)}"
+        )
+    line_bytes = sizes.pop()
+    shift = int(line_bytes).bit_length() - 1
+    if line_bytes != (1 << shift):
+        raise ValueError("line_bytes must be a power of two")
+    return shift
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of int64 ``keys`` in ``[0, bound)``.
+
+    Packing the position into the key turns it into one unstable value
+    sort, several times faster than a stable ``argsort``; keys too wide
+    to pack take the plain stable sort.
+    """
+    n = keys.size
+    if bound * n >= 1 << 62:
+        return np.argsort(keys, kind="stable")
+    packed = keys * n
+    packed += np.arange(n)
+    packed.sort()
+    packed %= n
+    return packed
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the elements that differ from their predecessor."""
+    starts = np.empty(x.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(x[1:], x[:-1], out=starts[1:])
+    return starts
+
+
+def _running(carry: float, terms: np.ndarray) -> np.ndarray:
+    """``carry, carry + t0, (carry + t0) + t1, ...``: the totals a ``+=``
+    loop passes through. ``accumulate`` adds strictly left to right, so
+    fractional weights round exactly as they do in the oracle."""
+    out = np.empty(terms.size + 1)
+    out[0] = carry
+    out[1:] = terms
+    return np.add.accumulate(out, out=out)
+
+
+def _lru_window(
+    resident: np.ndarray, lines: np.ndarray, n_sets: int, assoc: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One window of line accesses against one LRU level.
+
+    ``resident`` holds the level's lines from earlier windows, older
+    first within each set; replaying them ahead of ``lines`` rebuilds
+    every set's recency stack. Returns the miss mask of ``lines`` (trace
+    order) and the resident lines afterwards.
+    """
+    x = np.concatenate((resident, lines))
+    if n_sets > 1:
+        # Sets are independent: make each one a contiguous run in time order.
+        order = _stable_order(x % n_sets, n_sets)
+        x = x[order]
+    # A line touched twice in a row within its set hits the second time and
+    # changes no other access's distinct count: walk the first touches only.
+    first = _run_starts(x)
+    c = x[first]
+    n = c.size
+
+    # Distance to the next / previous touch of the same line (n / 0: none).
+    low = int(c.min())
+    by_line = _stable_order(c - low, int(c.max()) - low + 1)
+    step = by_line[1:] - by_line[:-1]
+    sorted_lines = c[by_line]
+    same = sorted_lines[1:] == sorted_lines[:-1]
+    to_next = np.empty(n, dtype=np.intp)
+    to_next[by_line[:-1]] = np.where(same, step, n)
+    to_next[by_line[-1]] = n
+    to_prev = np.empty(n, dtype=np.intp)
+    to_prev[by_line[1:]] = np.where(same, step, 0)
+    to_prev[by_line[0]] = 0
+
+    # Never touched before: miss. At most ``assoc - 1`` accesses in between:
+    # hit. Otherwise count the distinct lines in between — position i - k
+    # holds one iff its line is not touched again before i, that is
+    # ``to_next[i - k] > k`` — until the count reaches ``assoc`` (miss) or
+    # k reaches the previous touch (hit).
+    miss = to_prev == 0
+    far = np.flatnonzero(to_prev > assoc)
+    if far.size:
+        # The first ``assoc`` steps apply to every far access: dense slices.
+        count = np.zeros(n, dtype=np.intp)
+        for k in range(1, assoc + 1):
+            count[k:] += to_next[:-k] > k
+        # Then a shrinking index set: an access leaves once it is decided.
+        idx, count, between, k = far, count[far], to_prev[far] - 1, assoc
+        while True:
+            evicted = count >= assoc
+            miss[idx[evicted]] = True
+            live = ~evicted & (between > k)
+            idx, count, between = idx[live], count[live], between[live]
+            if idx.size < _DIRECT_COUNT_BELOW:
+                break
+            k += 1
+            count += to_next[idx - k] > k
+        if idx.size:
+            # The stragglers sit behind long few-line runs (ping-pong):
+            # one slice each instead of one step per element for all.
+            ramp = np.arange(n, 0, -1)
+            for i, gap in zip(idx.tolist(), between.tolist()):
+                distinct = np.count_nonzero(to_next[i - gap : i] > ramp[n - gap :])
+                miss[i] = distinct >= assoc
+
+    # What stays resident: the last ``assoc`` distinct lines of each set,
+    # i.e. the final touches (no next), newest ``assoc`` per set.
+    final = np.flatnonzero(to_next == n)
+    if n_sets > 1:
+        sets = c[final] % n_sets  # non-decreasing: runs are set by set
+        run_end = np.searchsorted(sets, sets, side="right")
+        final = final[run_end - np.arange(final.size) <= assoc]
+    else:
+        final = final[-assoc:]
+
+    full = np.zeros(x.size, dtype=bool)
+    full[first] = miss
+    if n_sets > 1:
+        in_trace_order = np.empty(x.size, dtype=bool)
+        in_trace_order[order] = full
+        full = in_trace_order
+    return full[resident.size :], c[final]
+
+
+class HierarchyReplay:
+    """Batched, stateful replay of memory events through a data hierarchy.
+
+    The same model as :class:`CacheHierarchy` driven one event at a time
+    with per-event load/store miss snapshots, and the same counters bit
+    for bit (fractional weights included); see the module docstring.
+    ``params`` order is nearest-first. Feed the trace's data events to
+    :meth:`replay` in order, one window at a time; where the windows are
+    cut changes no counter.
+    """
+
+    def __init__(self, params: Sequence[CacheParams]) -> None:
+        if not params:
+            raise ValueError("hierarchy requires at least one level")
+        self._line_shift = _shared_line_shift(params)
+        self._geometry = [(p.n_sets, p.assoc) for p in params]
+        self._resident = [np.empty(0, dtype=np.int64) for _ in params]
+        self._l1_accesses = 0.0
+        # Running load+store miss total per level: the oracle's
+        # ``CacheStats.misses``, which its per-event deltas are taken from.
+        self._misses = [0.0] * len(params)
+        self.load_misses = [0.0] * len(params)
+        self.store_misses = [0.0] * len(params)
+
+    @property
+    def accesses(self) -> list[float]:
+        """Weighted accesses per level: a level sees exactly the misses
+        of the level above it, in the same order."""
+        return [self._l1_accesses, *self._misses[:-1]]
+
+    @property
+    def load_mem(self) -> float:
+        """Weighted memory accesses by loads (last-level load misses)."""
+        return self.load_misses[-1]
+
+    @property
+    def store_mem(self) -> float:
+        """Weighted memory accesses by stores (last-level store misses)."""
+        return self.store_misses[-1]
+
+    def replay(self, events: Sequence) -> None:
+        """Run one window of data memory events (``addrs``, ``kind``,
+        ``weight``; kind ``"r"`` is a load, anything else a store)."""
+        events = [e for e in events if e.addrs.size]
+        if not events:
+            return
+        n_events = len(events)
+        sizes = np.fromiter((e.addrs.size for e in events), np.intp, n_events)
+        weights = np.fromiter((e.weight for e in events), np.float64, n_events)
+        is_load = np.fromiter((e.kind == "r" for e in events), bool, n_events)
+        addrs = np.concatenate([e.addrs for e in events])
+        lines = (addrs >> np.uint64(self._line_shift)).astype(np.int64)
+
+        # Collapse same-line neighbours within an event; they stay L1
+        # accesses (and hits), charged ahead of the event's walk.
+        starts = np.cumsum(sizes) - sizes
+        keep = _run_starts(lines)
+        keep[starts] = True
+        lines = lines[keep]
+        kept = np.add.reduceat(keep, starts, dtype=np.intp)
+        terms = np.repeat(weights, kept + 1)
+        terms[np.cumsum(kept + 1) - (kept + 1)] = (sizes - kept) * weights
+        self._l1_accesses = float(_running(self._l1_accesses, terms)[-1])
+
+        event_of = np.repeat(np.arange(n_events), kept)
+        for level, (n_sets, assoc) in enumerate(self._geometry):
+            miss, self._resident[level] = _lru_window(
+                self._resident[level], lines, n_sets, assoc
+            )
+            lines = lines[miss]
+            event_of = event_of[miss]
+            if not lines.size:
+                break
+            self._count_misses(level, event_of, weights, is_load)
+
+    def _count_misses(
+        self,
+        level: int,
+        event_of: np.ndarray,
+        weights: np.ndarray,
+        is_load: np.ndarray,
+    ) -> None:
+        """Add one window's misses at ``level`` the way the oracle's caller
+        does: a running total, and per event the difference of that total
+        across the event added to the load or the store counter."""
+        total = _running(self._misses[level], weights[event_of])
+        # Index of each event's last miss; the total after it, and before
+        # the event's first (= after the previous event's last).
+        last = np.flatnonzero(np.append(event_of[1:] != event_of[:-1], True))
+        after = total[last + 1]
+        before = np.concatenate((total[:1], after[:-1]))
+        delta = after - before
+        loads = is_load[event_of[last]]
+        self._misses[level] = float(total[-1])
+        self.load_misses[level] = float(
+            _running(self.load_misses[level], delta[loads])[-1]
+        )
+        self.store_misses[level] = float(
+            _running(self.store_misses[level], delta[~loads])[-1]
         )

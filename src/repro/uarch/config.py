@@ -108,6 +108,17 @@ class MicroarchConfig:
             return None
         return self.l4.scaled(self.data_capacity_scale)
 
+    def effective_data_levels(self) -> list[CacheParams]:
+        """The capacity-scaled data hierarchy, nearest first: L1d, L2, L3
+        and the L4 when the configuration has one."""
+        levels = [
+            self.effective_l1d(),
+            self.effective_l2_data(),
+            self.effective_l3_data(),
+        ]
+        l4 = self.effective_l4_data()
+        return levels if l4 is None else [*levels, l4]
+
     def describe(self) -> dict[str, object]:
         """Nominal (unscaled) parameters, one Table IV row set."""
         return {

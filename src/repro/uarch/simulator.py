@@ -1,24 +1,25 @@
 """The simulator: trace stream in, full counter report out.
 
-Walks the trace events once — instruction fetches through the iTLB and
-the instruction-side cache hierarchy, data reads/writes through the
-data-side hierarchy (with separate load/store miss accounting for the
-store-buffer model), branch outcome sequences into the configured
-predictor — then runs the interval core model to assemble cycles, the
-Top-down breakdown, MPKI, and resource-stall counters.
+Walks the trace events once, in windows — kernel invocations into the
+analytic instruction-side model (i-cache levels and iTLB), data
+reads/writes through the batched data-side hierarchy replay one window at
+a time (with separate load/store miss accounting for the store-buffer
+model), branch outcome sequences into the configured predictor — then
+runs the interval core model to assemble cycles, the Top-down breakdown,
+MPKI, and resource-stall counters.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 
 from repro.obs import session as obs
 from repro.resilience.faults import fault_point
 from repro.trace.events import BranchEvent, KernelEvent, MemoryEvent, TraceStream
 from repro.trace.program import Program
 from repro.uarch.branch import BranchModel, BranchStats
-from repro.uarch.cache import Cache, CacheHierarchy
+from repro.uarch.cache import REPLAY_WINDOW_ADDRS, HierarchyReplay
 from repro.uarch.config import MicroarchConfig
 from repro.uarch.core import CoreReport, run_core_model
 from repro.uarch.frontend import compute_frontend_stalls
@@ -28,9 +29,6 @@ from repro.uarch.resources import MissProfile
 __all__ = ["Simulator", "SimReport", "simulate"]
 
 DEFAULT_FREQ_HZ = 3.5e9  # the paper's 3.5 GHz Xeon E3
-
-#: Trace events per telemetry window span during replay.
-REPLAY_WINDOW = 4096
 
 
 @dataclass
@@ -88,71 +86,33 @@ class Simulator:
         )
 
         # Data side: capacity-scaled for proxy workloads.
-        data_levels = [
-            Cache(config.effective_l1d(), "l1d"),
-            Cache(config.effective_l2_data(), "l2d"),
-            Cache(config.effective_l3_data(), "l3d"),
-        ]
-        l4 = config.effective_l4_data()
-        if l4 is not None:
-            data_levels.append(Cache(l4, "l4d"))
-        d_hier = CacheHierarchy(data_levels)
+        dcache = HierarchyReplay(config.effective_data_levels())
 
         predictor = BranchModel(config.branch_predictor)
 
-        # Load/store split miss accounting via per-event snapshots.
-        load_misses = [0.0] * len(data_levels)
-        store_misses = [0.0] * len(data_levels)
-        load_mem = 0.0
-        store_mem = 0.0
-
         n_kernel = n_memory = n_branch = 0
-
-        def replay(event) -> None:
-            nonlocal load_mem, store_mem, n_kernel, n_memory, n_branch
-            if isinstance(event, KernelEvent):
-                n_kernel += 1
-                icache.invoke(event.kernel, event.weight)
-            elif isinstance(event, MemoryEvent):
-                if event.kind == "i":  # legacy traces; treat as L1i fetch
-                    return
-                n_memory += 1
-                before = [c.stats.misses for c in data_levels]
-                mem_before = d_hier.mem_accesses
-                d_hier.access(event.addrs, event.weight)
-                deltas = [
-                    c.stats.misses - b for c, b in zip(data_levels, before)
-                ]
-                mem_delta = d_hier.mem_accesses - mem_before
-                target = load_misses if event.kind == "r" else store_misses
-                for i, d in enumerate(deltas):
-                    target[i] += d
-                if event.kind == "r":
-                    load_mem += mem_delta
-                else:
-                    store_mem += mem_delta
-            elif isinstance(event, BranchEvent):
-                n_branch += 1
-                predictor.record(event.site, event.outcomes, event.weight)
-
-        if obs.enabled():
-            # Chunk the replay into fixed-size windows so long traces show
-            # up as a sequence of timed spans rather than one opaque block.
-            events = iter(stream.iter_events())
-            window_idx = 0
-            while True:
-                chunk = list(islice(events, REPLAY_WINDOW))
-                if not chunk:
-                    break
-                with obs.span(
-                    "simulate.window", index=window_idx, events=len(chunk)
-                ):
-                    for event in chunk:
-                        replay(event)
-                window_idx += 1
-        else:
-            for event in stream.iter_events():
-                replay(event)
+        windows = _windows(stream.iter_events())
+        for index, (window, n_addrs) in enumerate(windows):
+            with obs.span("simulate.window", index=index, events=len(window)):
+                data: list[MemoryEvent] = []
+                for event in window:
+                    if isinstance(event, KernelEvent):
+                        n_kernel += 1
+                        icache.invoke(event.kernel, event.weight)
+                    elif isinstance(event, MemoryEvent):
+                        if event.kind != "i":  # legacy traces; L1i is analytic
+                            data.append(event)
+                    elif isinstance(event, BranchEvent):
+                        n_branch += 1
+                        predictor.record(event.site, event.outcomes, event.weight)
+                n_memory += len(data)
+                if data:
+                    with obs.span(
+                        "simulate.dcache", config=config.name, lines=n_addrs
+                    ):
+                        dcache.replay(data)
+        load_misses, store_misses = dcache.load_misses, dcache.store_misses
+        load_mem, store_mem = dcache.load_mem, dcache.store_mem
 
         with obs.span("simulate.core_model", config=config.name):
             branch = predictor.evaluate(
@@ -168,7 +128,7 @@ class Simulator:
                 l3i_misses=icache.stats.l3i_misses,
                 itlb_misses=icache.stats.itlb_misses,
             )
-            has_l4 = len(data_levels) == 4
+            has_l4 = config.l4 is not None
             misses = MissProfile(
                 load_l1=load_misses[0],
                 load_l2=load_misses[1],
@@ -262,6 +222,25 @@ class Simulator:
                 **{f"fe_{k}": v for k, v in fe_breakdown.items()},
             },
         )
+
+
+def _windows(events: Iterable[object]) -> Iterator[tuple[list[object], int]]:
+    """Cut the event stream into replay windows, each with its count of
+    data addresses: a window closes once that count reaches
+    ``REPLAY_WINDOW_ADDRS``, which bounds the data-side replay's
+    temporaries and gives long traces a sequence of timed
+    ``simulate.window`` spans instead of one opaque block."""
+    window: list[object] = []
+    addrs = 0
+    for event in events:
+        window.append(event)
+        if isinstance(event, MemoryEvent) and event.kind != "i":
+            addrs += event.addrs.size
+            if addrs >= REPLAY_WINDOW_ADDRS:
+                yield window, addrs
+                window, addrs = [], 0
+    if window:
+        yield window, addrs
 
 
 def simulate(

@@ -91,6 +91,20 @@ class TestServeObservability:
             encode = spans["worker.encode"]
             assert by_id[encode["parent_id"]]["name"] == "service.job"
 
+    def test_simulator_time_is_attributable_to_the_data_side(self, run_dir):
+        """Every replay window times its data-cache flush in a child span."""
+        records = read_events_jsonl(run_dir / "events.jsonl")
+        by_id = {r["span_id"]: r for r in records}
+        flushes = [r for r in records if r["name"] == "simulate.dcache"]
+        windows = [r for r in records if r["name"] == "simulate.window"]
+        assert flushes and len(flushes) == len(windows)
+        for flush in flushes:
+            window = by_id[flush["parent_id"]]
+            assert window["name"] == "simulate.window"
+            assert flush["attrs"]["lines"] > 0
+            simulate = by_id[window["parent_id"]]
+            assert flush["attrs"]["config"] == simulate["attrs"]["config"]
+
     def test_metrics_out_snapshot_written(self, run_dir):
         prom = (run_dir / "metrics" / "metrics.prom").read_text()
         assert "repro_service_stage_latency_s_bucket" in prom

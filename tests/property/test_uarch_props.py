@@ -1,4 +1,4 @@
-"""Property-based tests for the µarch substrate (cache, TLB, predictors)."""
+"""Property-based tests for the µarch substrate (cache, predictors)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.uarch.branch import BranchModel, two_level_mispredicts
 from repro.uarch.cache import Cache, CacheHierarchy
 from repro.uarch.config import CacheParams
-from repro.uarch.tlb import Tlb
 
 lines_st = st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=400)
 outcomes_st = st.lists(st.booleans(), min_size=1, max_size=2000)
@@ -61,25 +60,6 @@ class TestCacheProps:
         assert l2.stats.accesses == l1.stats.misses
         assert l2.stats.misses <= l1.stats.misses
         assert hier.mem_accesses == l2.stats.misses
-
-
-class TestTlbProps:
-    @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200))
-    def test_miss_bounds(self, pages):
-        tlb = Tlb(entries=8)
-        addrs = np.array([p * 4096 for p in pages], dtype=np.uint64)
-        tlb.access(addrs)
-        assert len(set(pages)) >= 1
-        assert tlb.misses >= 1  # first access always misses
-        assert tlb.misses <= tlb.accesses
-
-    @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=100))
-    def test_small_working_set_converges_to_hits(self, pages):
-        """Six pages in a 16-entry TLB: only compulsory misses."""
-        tlb = Tlb(entries=16)
-        addrs = np.array([p * 4096 for p in pages], dtype=np.uint64)
-        tlb.access(addrs)
-        assert tlb.misses == len(set(pages))
 
 
 class TestBranchProps:

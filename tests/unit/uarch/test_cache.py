@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.uarch.cache import Cache, CacheHierarchy
+from repro.trace.events import MemoryEvent
+from repro.uarch.cache import Cache, CacheHierarchy, HierarchyReplay
 from repro.uarch.config import CacheParams
 
 
 def _cache(size=1024, assoc=2, line=64, name="test"):
     return Cache(CacheParams(size, assoc, line_bytes=line), name)
+
+
+def _load(line):
+    return MemoryEvent("k", np.array([line * 64], dtype=np.uint64), "r")
 
 
 class TestCacheGeometry:
@@ -126,9 +131,61 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             CacheHierarchy([])
 
+    def test_mixed_line_sizes_rejected(self):
+        """``access`` shifts once by the first level's line size, so a
+        level with another size would index the wrong sets."""
+        l1 = _cache(size=2 * 64, assoc=2, line=64, name="l1")
+        l2 = _cache(size=8 * 128, assoc=4, line=128, name="l2")
+        with pytest.raises(ValueError, match="line_bytes"):
+            CacheHierarchy([l1, l2])
+
     def test_stats_snapshot(self):
         hier, _, _ = self._hier()
         hier.access(np.array([0, 64], dtype=np.uint64))
         stats = hier.stats()
         assert stats.levels["l1"].accesses == 2
         assert stats.mem_accesses == 2
+
+
+class TestHierarchyReplay:
+    """Geometry checks and the event-level contract; equality with the
+    per-line oracle lives in tests/property/test_cache_replay_props.py."""
+
+    PARAMS = [CacheParams(2 * 64, 2), CacheParams(8 * 64, 4)]
+
+    def test_requires_levels(self):
+        with pytest.raises(ValueError):
+            HierarchyReplay([])
+
+    def test_mixed_line_sizes_rejected(self):
+        with pytest.raises(ValueError, match="line_bytes"):
+            HierarchyReplay(
+                [CacheParams(2 * 64, 2), CacheParams(8 * 128, 4, line_bytes=128)]
+            )
+
+    def test_non_power_of_two_line_rejected(self):
+        with pytest.raises(ValueError):
+            HierarchyReplay([CacheParams(1024, 2, line_bytes=48)])
+
+    def test_loads_and_stores_counted_apart(self):
+        replay = HierarchyReplay(self.PARAMS)
+        read = MemoryEvent("k", np.array([0, 8, 64], dtype=np.uint64), "r", 2.0)
+        write = MemoryEvent("k", np.array([0, 128], dtype=np.uint64), "w")
+        replay.replay([read, write])
+        assert replay.accesses == [8.0, 5.0]  # 3 x 2.0 + 2 x 1.0, then the misses
+        assert replay.load_misses == [4.0, 4.0]  # lines 0 and 1, cold
+        assert replay.store_misses == [1.0, 1.0]  # line 2 cold; line 0 still in L1
+        assert (replay.load_mem, replay.store_mem) == (4.0, 1.0)
+
+    def test_state_survives_the_window_cut(self):
+        replay = HierarchyReplay(self.PARAMS)
+        replay.replay([_load(0), _load(1), _load(2)])  # 0 leaves L1, stays in L2
+        replay.replay([_load(0)])
+        assert replay.load_misses == [4.0, 3.0]
+
+    def test_empty_window_and_empty_events_are_noops(self):
+        replay = HierarchyReplay(self.PARAMS)
+        replay.replay([])
+        replay.replay([MemoryEvent("k", np.array([], dtype=np.uint64), "r")])
+        assert replay.accesses == [0.0, 0.0]
+        assert replay.load_mem == replay.store_mem == 0.0

@@ -1,6 +1,5 @@
-"""Unit tests for repro.uarch.config, configs, tlb, and simulator."""
+"""Unit tests for repro.uarch.config, configs, and simulator."""
 
-import numpy as np
 import pytest
 
 from repro.trace.kernels import build_program
@@ -8,7 +7,6 @@ from repro.trace.recorder import RecordingTracer
 from repro.uarch.config import CacheParams, MicroarchConfig
 from repro.uarch.configs import CONFIG_NAMES, CONFIGS, baseline_config, config_by_name
 from repro.uarch.simulator import Simulator, simulate
-from repro.uarch.tlb import Tlb
 
 
 class TestMicroarchConfig:
@@ -68,34 +66,6 @@ class TestMicroarchConfig:
 
     def test_all_five_configs(self):
         assert CONFIG_NAMES == ("baseline", "fe_op", "be_op1", "be_op2", "bs_op")
-
-
-class TestTlb:
-    def test_miss_then_hit(self):
-        tlb = Tlb(entries=16)
-        addr = np.array([0x5000], dtype=np.uint64)
-        tlb.access(addr)
-        tlb.access(addr)
-        assert tlb.misses == 1
-        assert tlb.accesses == 2
-
-    def test_lru_eviction(self):
-        tlb = Tlb(entries=2)
-        for page in (0, 1, 2):  # page 0 evicted
-            tlb.access(np.array([page * 4096], dtype=np.uint64))
-        tlb.access(np.array([0], dtype=np.uint64))
-        assert tlb.misses == 4
-
-    def test_consecutive_same_page_collapsed(self):
-        tlb = Tlb(entries=4)
-        tlb.access(np.array([0, 64, 128], dtype=np.uint64))  # same page
-        assert tlb.accesses == 3
-        assert tlb.misses == 1
-
-    def test_mpki(self):
-        tlb = Tlb(entries=4)
-        tlb.access(np.array([0], dtype=np.uint64))
-        assert tlb.mpki(1000) == pytest.approx(1.0)
 
 
 class TestSimulator:
