@@ -21,7 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codec import kernels
-from repro.codec.entropy import BitReader, BitWriter, decode_block, encode_blocks, read_ue, write_ue
+from repro.codec.entropy import (
+    BitReader,
+    BitstreamError,
+    BitWriter,
+    decode_blocks,
+    encode_blocks,
+    read_ue,
+    write_ue,
+)
 from repro.codec.quant import dequantize, trellis_quantize
 from repro.codec.transform import blockify_frame, forward_4x4, inverse_4x4
 
@@ -167,13 +175,13 @@ def decode_chroma_plane(
             mode = read_ue(reader)
             if mode == 0:
                 if prev_recon is None:
-                    raise ValueError("temporal chroma block without a reference")
+                    raise BitstreamError("temporal chroma block without a reference")
                 pred = prev_recon[y : y + _BLOCK, x : x + _BLOCK].astype(np.float64)
             elif mode == 1:
                 pred = _dc_prediction(recon, y, x)
             else:
-                raise ValueError(f"corrupt chroma block mode {mode}")
-            levels = np.stack([decode_block(reader) for _ in range(4)])
+                raise BitstreamError(f"corrupt chroma block mode {mode}")
+            levels = decode_blocks(reader, 4)
             rec = np.clip(
                 np.round(pred + _unblockify8(inverse_4x4(dequantize(levels, qp)))),
                 0,

@@ -8,6 +8,25 @@ stage is deterministic and much cheaper than encoding, as the paper notes
 in §II-A; like the encoder it reports its kernel activity to an optional
 :class:`~repro.trace.recorder.Tracer` so a *full transcode* (decode +
 re-encode) can be profiled end to end.
+
+**Parsing** goes through one :class:`~repro.codec.entropy.BitReader`
+(see :mod:`repro.codec.entropy` for the reader contract). There is one
+decoder for both kernel backends: scalar syntax elements are
+``read_ue`` / ``read_se`` calls, and coefficients are read a batch at a
+time — the 16 luma blocks of a macroblock, the 16 (mode, block) pairs of
+an intra-4x4 macroblock, the 4 blocks of a chroma 8x8 — and dequantised
+and inverse-transformed in one call, so only predict + add + clip run
+per block. Under ``vectorized`` the reader serves those calls from a
+token table it builds one :data:`~repro.codec.entropy.TOKEN_WINDOW_BYTES`
+window at a time; under ``reference`` the same calls read bit by bit.
+Frames, metadata and traced kernel calls are identical either way.
+
+**Hostile input.** Whatever the bytes, :func:`decode` either returns
+frames of the geometry the header declares or raises
+:class:`~repro.codec.entropy.BitstreamError` (a ``ValueError``; its
+subclass ``TruncatedBitstreamError`` is also an ``EOFError``). Every
+value read from the stream is checked before it is used as an index, an
+enum, a QP or a fetch position.
 """
 
 from __future__ import annotations
@@ -19,7 +38,14 @@ import numpy as np
 from repro.codec import kernels
 from repro.codec.chroma import decode_chroma_plane
 from repro.codec.deblock import deblock_plane
-from repro.codec.entropy import BitReader, decode_block, read_se, read_ue
+from repro.codec.entropy import (
+    BitReader,
+    BitstreamError,
+    decode_blocks,
+    decode_tagged_blocks,
+    read_se,
+    read_ue,
+)
 from repro.codec.intra import predict_16x16
 from repro.codec.motion import PaddedReference, fetch_prediction, predict_mv
 from repro.codec.quant import dequantize
@@ -38,6 +64,7 @@ from repro.video.frame import Frame, FrameSequence
 __all__ = ["Decoder", "DecodeResult", "decode"]
 
 _ID_TO_FRAME_TYPE = {i: ftype for ftype, i in FRAME_TYPE_IDS.items()}
+_INTRA_MODE_IDS = frozenset(map(int, IntraMode))
 _SKIP, _INTER16, _INTER8, _INTER4, _BI, _INTRA16, _INTRA4 = (
     MODE_IDS[mode]
     for mode in (
@@ -47,6 +74,39 @@ _SKIP, _INTER16, _INTER8, _INTER4, _BI, _INTRA16, _INTRA4 = (
 )
 
 _REF_PAD = 88  # >= encoder's merange + 24 upper bound (64 + 24)
+_MAX_QP = 51
+
+
+def _checked_qp(qp: int) -> int:
+    if not 0 <= qp <= _MAX_QP:
+        raise BitstreamError(f"QP {qp} outside [0, {_MAX_QP}]")
+    return qp
+
+
+def _check_fetch(ref: PaddedReference, y: int, x: int, size: int = 16) -> None:
+    """Reject a ``size`` x ``size`` fetch at unpadded ``(y, x)`` that
+    leaves ``ref``'s padded border.
+
+    One spare row and column are demanded on the far side: a fractional
+    motion vector interpolates from them. An encoder pads by its own
+    ``merange + 24`` and searches within ``merange``, so no vector it
+    writes comes near the limit; without the check a negative slice
+    start would wrap around silently.
+    """
+    if not (
+        -ref.pad <= y
+        and y + size < ref.height + ref.pad
+        and -ref.pad <= x
+        and x + size < ref.width + ref.pad
+    ):
+        raise BitstreamError("motion vector points outside the reference border")
+
+
+def _fetch(ref: PaddedReference, y: int, x: int, mv: MotionVector) -> np.ndarray:
+    """The checked 16x16 prediction fetch for a quarter-pel vector."""
+    fx, fy = mv.full_pel
+    _check_fetch(ref, y + fy, x + fx)
+    return fetch_prediction(ref, y, x, mv.dx, mv.dy)
 
 
 @dataclass
@@ -82,11 +142,11 @@ class Decoder:
         deblock_offset = read_se(reader)
         chroma_active = read_ue(reader) == 1
         if width <= 0 or height <= 0 or n_frames <= 0 or fps <= 0:
-            raise ValueError("corrupt stream header")
+            raise BitstreamError("corrupt stream header")
         # Sanity bounds: a hostile or damaged header must not drive huge
         # allocations or unbounded decode loops.
         if width > 16384 or height > 16384 or n_frames > 100_000 or fps > 1000:
-            raise ValueError("implausible stream header (corrupt or hostile)")
+            raise BitstreamError("implausible stream header (corrupt or hostile)")
         chroma_shape = ((height + 1) // 2, (width + 1) // 2)
 
         pad_h = (height + 15) // 16 * 16
@@ -101,8 +161,10 @@ class Decoder:
 
         for _ in range(n_frames):
             disp_idx = read_ue(reader)
-            ftype = _ID_TO_FRAME_TYPE[read_ue(reader)]
-            base_qp = read_ue(reader)
+            ftype = _ID_TO_FRAME_TYPE.get(read_ue(reader))
+            if ftype is None:
+                raise BitstreamError("unknown frame type id")
+            base_qp = _checked_qp(read_ue(reader))
             self.tracer.begin_frame(ftype.value, disp_idx)
             recon = self._decode_frame(
                 reader, ftype, base_qp, disp_idx, anchors, n_mb_y, n_mb_x, pad_w
@@ -132,7 +194,7 @@ class Decoder:
                 anchors.sort(key=lambda a: a.display_index)
 
         if sorted(decoded) != list(range(n_frames)):
-            raise ValueError("stream is missing frames")
+            raise BitstreamError("stream is missing frames")
         frames = []
         for i in range(n_frames):
             chroma = decoded_chroma[i]
@@ -219,8 +281,9 @@ class Decoder:
 
         if mode_id == _SKIP:
             if not past:
-                raise ValueError("SKIP macroblock with no reference available")
+                raise BitstreamError("SKIP macroblock with no reference available")
             fx, fy = pred_mv.full_pel
+            _check_fetch(past[0].padded, y + fy, x + fx)
             pred = past[0].padded.block(y + fy, x + fx).astype(np.float64)
             recon[y : y + 16, x : x + 16] = np.clip(np.round(pred), 0, 255).astype(
                 np.uint8
@@ -229,7 +292,7 @@ class Decoder:
             return
 
         if mode_id == _INTRA4:
-            qp = base_qp + read_se(reader)
+            qp = _checked_qp(base_qp + read_se(reader))
             self._decode_intra4(reader, recon, y, x, qp)
             mv_grid[mb_y][mb_x] = None
             return
@@ -238,7 +301,10 @@ class Decoder:
         mv1: MotionVector | None = None
         intra_mode = IntraMode.DC
         if mode_id == _INTRA16:
-            intra_mode = IntraMode(read_ue(reader))
+            intra_id = read_ue(reader)
+            if intra_id not in _INTRA_MODE_IDS:
+                raise BitstreamError("unknown intra 16x16 mode id")
+            intra_mode = IntraMode(intra_id)
         elif mode_id == _BI:
             ref0 = read_ue(reader)
             mvs = [
@@ -261,26 +327,25 @@ class Decoder:
                     )
                 )
         else:
-            raise ValueError(f"unsupported macroblock mode id {mode_id}")
+            raise BitstreamError(f"unsupported macroblock mode id {mode_id}")
 
-        qp = base_qp + read_se(reader)
-        levels = np.stack([decode_block(reader) for _ in range(16)])
+        qp = _checked_qp(base_qp + read_se(reader))
+        levels = decode_blocks(reader, 16)
 
         if mode_id == _INTRA16:
             prediction = predict_16x16(recon, y, x, intra_mode).astype(np.float64)
         elif mode_id == _BI:
-            assert mv1 is not None and ref_l1 is not None
-            if mvs[0].ref >= len(past):
-                raise ValueError("BI macroblock references a missing anchor")
-            pred0 = fetch_prediction(past[mvs[0].ref].padded, y, x, mvs[0].dx, mvs[0].dy)
-            pred1 = fetch_prediction(ref_l1.padded, y, x, mv1.dx, mv1.dy)
+            if mv1 is None or ref_l1 is None or mvs[0].ref >= len(past):
+                raise BitstreamError("BI macroblock references a missing anchor")
+            pred0 = _fetch(past[mvs[0].ref].padded, y, x, mvs[0])
+            pred1 = _fetch(ref_l1.padded, y, x, mv1)
             prediction = (pred0 + pred1) / 2.0
         else:
             if mvs[0].ref >= len(past):
-                raise ValueError("inter macroblock references a missing anchor")
+                raise BitstreamError("inter macroblock references a missing anchor")
             ref_plane = past[mvs[0].ref].padded
             if mode_id == _INTER16:
-                prediction = fetch_prediction(ref_plane, y, x, mvs[0].dx, mvs[0].dy)
+                prediction = _fetch(ref_plane, y, x, mvs[0])
             else:
                 size = 8 if mode_id == _INTER8 else 4
                 n = 16 // size
@@ -288,6 +353,9 @@ class Decoder:
                 for i, mv in enumerate(mvs):
                     py, px = divmod(i, n)
                     fx, fy = mv.full_pel
+                    _check_fetch(
+                        ref_plane, y + py * size + fy, x + px * size + fx, size
+                    )
                     prediction[
                         py * size : (py + 1) * size, px * size : (px + 1) * size
                     ] = ref_plane.block(
@@ -309,20 +377,18 @@ class Decoder:
     def _decode_intra4(
         self, reader: BitReader, recon: np.ndarray, y0: int, x0: int, qp: int
     ) -> None:
-        """Sequential 4x4 intra decoding (mirrors Encoder._emit_intra4)."""
-        for by in range(4):
-            for bx in range(4):
-                y = y0 + by * 4
-                x = x0 + bx * 4
-                mode = read_ue(reader)
-                levels = decode_block(reader)
-                pred = self._intra4_prediction(recon, y, x, mode)
-                recon4 = np.clip(
-                    np.round(pred + inverse_4x4(dequantize(levels[None], qp))[0]),
-                    0,
-                    255,
-                ).astype(np.uint8)
-                recon[y : y + 4, x : x + 4] = recon4
+        """4x4 intra decoding (mirrors Encoder._emit_intra4): the parse
+        and the residuals are batched; each block predicts from the
+        reconstruction its predecessors just wrote, so that stays a loop."""
+        modes, levels = decode_tagged_blocks(reader, 16)
+        residuals = inverse_4x4(dequantize(levels, qp))
+        for i, mode in enumerate(modes):
+            y = y0 + (i >> 2) * 4
+            x = x0 + (i & 3) * 4
+            pred = self._intra4_prediction(recon, y, x, mode)
+            recon[y : y + 4, x : x + 4] = np.clip(
+                np.round(pred + residuals[i]), 0, 255
+            ).astype(np.uint8)
 
     @staticmethod
     def _intra4_prediction(

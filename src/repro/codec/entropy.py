@@ -1,20 +1,56 @@
 """Entropy coding: exp-Golomb bit I/O and run-level coefficient coding.
 
 This is a *real, decodable* entropy layer: the encoder writes every
-macroblock's syntax elements (mode, MVs, QP delta, coefficients) through
-:class:`BitWriter`, and :class:`BitReader` parses them back bit-exactly.
-Coefficients use zigzag run-level coding with signed exp-Golomb codes — a
-genuine (H.263-era) scheme that preserves the property the paper's
-characterization depends on: the bit cost and the branchiness of coding
-scale with the number and magnitude of surviving coefficients.
+syntax element (stream and frame headers, mode, reference, MVs, QP
+delta, coefficient counts, runs and levels, chroma modes) through
+:class:`BitWriter` as a ue/se exp-Golomb code, and :class:`BitReader`
+parses them back bit-exactly. Coefficients use zigzag run-level coding
+with signed exp-Golomb codes — a genuine (H.263-era) scheme that
+preserves the property the paper's characterization depends on: the bit
+cost and the branchiness of coding scale with the number and magnitude
+of surviving coefficients.
 
-Bit emission is backend-dispatched (see :mod:`repro.codec.kernels`): the
-``reference`` backend pushes one bit at a time through
-:meth:`BitWriter.write_bit`, while the ``vectorized`` backend appends
-whole codes (a whole block batch, in :func:`encode_blocks`) with
-big-integer shifts and byte-chunked extends — the buffer contents,
-partial-byte state, and ``bit_count`` stay identical by construction
-(MSB-first in both).
+Both directions are backend-dispatched (see :mod:`repro.codec.kernels`)
+and bit-identical across backends.
+
+**Writing.** ``reference`` pushes one bit at a time through
+:meth:`BitWriter.write_bit`; ``vectorized`` appends whole codes (a whole
+block batch, in :func:`encode_blocks`) with big-integer shifts and
+byte-chunked extends. Buffer contents, partial-byte state and
+``bit_count`` are identical by construction (MSB-first in both).
+
+**Reading.** Nothing but exp-Golomb codes is ever written, so code
+boundaries are context-free: a code that starts at bit ``s`` and whose
+first 1 bit is at ``o`` ends at ``2*o - s + 1``, whatever it means.
+
+- ``reference`` reads one bit per :meth:`BitReader.read_bit` call. This
+  bit-serial loop is the oracle, and the only code that rejects a
+  malformed code.
+- ``vectorized`` *tokenizes*: when a code is asked for that its table
+  does not hold, the reader unpacks the next :data:`TOKEN_WINDOW_BYTES`
+  of the stream, finds every bit's next 1 bit, walks the boundary chain
+  from the current position, and computes all ue values and their se
+  mappings in array operations. :func:`read_ue` / :func:`read_se` are
+  then table lookups, and :func:`decode_blocks` fills an ``(n, 4, 4)``
+  batch from the table in one pass. Windows are filled lazily, so a
+  stream rejected in its header costs one fill however long it is, and
+  a fill's per-bit arrays are bounded by the window, not the stream.
+- The tokenizer takes only what it can take blindly: complete codes
+  whose zero prefix is at most :data:`_TOKEN_MAX_ZEROS` bits (so every
+  table value fits ``int32``). At the first code it cannot take — a
+  longer prefix, a code cut off by the end of the stream or longer than
+  a window, a position moved by a direct ``read_bit`` — the read is
+  handed to the bit-serial loop, and tokenizing resumes behind it.
+  :func:`decode_blocks` likewise hands a batch it cannot prove
+  well-formed to the per-block loop. Every rejection is therefore
+  raised by one piece of code, and ``bits_read`` means the same in both
+  backends after every code.
+
+**Errors.** Bytes that are not a stream this codec wrote raise
+:class:`BitstreamError` (a ``ValueError``); running off the end raises
+its subclass :class:`TruncatedBitstreamError` (also an ``EOFError``).
+``ValueError`` raised for a bad *argument* (negative width, a block of
+the wrong shape) stays a plain ``ValueError``.
 """
 
 from __future__ import annotations
@@ -25,8 +61,11 @@ from repro.codec import kernels
 from repro.codec.transform import ZIGZAG_4X4
 
 __all__ = [
+    "BitstreamError",
+    "TruncatedBitstreamError",
     "BitWriter",
     "BitReader",
+    "TOKEN_WINDOW_BYTES",
     "write_ue",
     "read_ue",
     "write_se",
@@ -36,8 +75,37 @@ __all__ = [
     "encode_block",
     "encode_blocks",
     "decode_block",
+    "decode_blocks",
+    "decode_tagged_blocks",
     "block_bits",
 ]
+
+#: Bytes of stream the tokenizing reader unpacks per fill. Part of the
+#: design, not a tuning option: a fill holds ~25 bytes of arrays per bit,
+#: so tokenizing an 80 KiB stream at once peaks 15 MiB above the bit-serial
+#: reader (a 4 KiB window: 1 MiB) and decodes no faster, while a 1 KiB
+#: window pays the per-fill overhead often enough to decode ~9% slower.
+TOKEN_WINDOW_BYTES = 4096
+
+#: Longest zero prefix the tokenizer takes. Such a code is below 2**31,
+#: so ue and se values fit int32 (the coefficient dtype); longer codes are
+#: legal up to :data:`_MAX_ZEROS` but only the bit-serial loop reads them.
+_TOKEN_MAX_ZEROS = 30
+#: Longest zero prefix of a well-formed code.
+_MAX_ZEROS = 64
+
+#: Raster offset (row * 4 + col) of each zigzag scan position.
+_ZIGZAG_FLAT = ZIGZAG_4X4[0] * 4 + ZIGZAG_4X4[1]
+
+_INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+
+
+class BitstreamError(ValueError):
+    """The bytes are not a stream this codec wrote."""
+
+
+class TruncatedBitstreamError(BitstreamError, EOFError):
+    """The stream ends inside a syntax element."""
 
 
 class BitWriter:
@@ -95,11 +163,24 @@ class BitWriter:
 
 
 class BitReader:
-    """MSB-first reader over bytes produced by :class:`BitWriter`."""
+    """MSB-first reader over bytes produced by :class:`BitWriter`.
+
+    ``_pos`` is the one authoritative position. Under the ``vectorized``
+    backend (bound at construction) the reader also holds a *token
+    table* for one window of the stream: code ``i`` of the table spans
+    bits ``_bounds[i]`` to ``_bounds[i + 1]`` and has the values
+    ``_ue[i]`` / ``_se[i]``; ``_cursor`` is the next code to hand out. The
+    table is in step only while ``_bounds[_cursor] == _pos``, which a
+    direct :meth:`read_bit` breaks and the next fill restores.
+    """
 
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0  # bit position
+        self._tokenize = kernels.is_vectorized()
+        self._bounds = np.zeros(1, dtype=np.int64)
+        self._ue = self._se = np.zeros(0, dtype=np.int64)
+        self._cursor = 0
 
     @property
     def bits_read(self) -> int:
@@ -108,7 +189,7 @@ class BitReader:
     def read_bit(self) -> int:
         byte_i, bit_i = divmod(self._pos, 8)
         if byte_i >= len(self._data):
-            raise EOFError("bitstream exhausted")
+            raise TruncatedBitstreamError("bitstream exhausted")
         self._pos += 1
         return (self._data[byte_i] >> (7 - bit_i)) & 1
 
@@ -117,6 +198,74 @@ class BitReader:
         for _ in range(width):
             value = (value << 1) | self.read_bit()
         return value
+
+    def _fill(self) -> bool:
+        """Tokenize the window that starts at the current position.
+
+        Returns ``False``, leaving the table as it was, when not even the
+        code at the current position can be taken (see the module
+        docstring); the caller then reads it bit-serially.
+        """
+        first_byte = self._pos >> 3
+        window = np.frombuffer(self._data, dtype=np.uint8)[
+            first_byte : first_byte + TOKEN_WINDOW_BYTES
+        ]
+        bits = np.unpackbits(window)
+        n_bits = bits.size
+        index = np.arange(n_bits, dtype=np.int32)
+        # next_one[i]: the first 1 bit at or after bit i (n_bits if none).
+        next_one = np.minimum.accumulate(
+            np.where(bits, index, np.int32(n_bits))[::-1]
+        )[::-1]
+        zeros = next_one - index
+        # The length of the code that would start at each bit, or 0 where
+        # the table cannot hold it: prefix too long, or cut by the window.
+        lengths = 2 * zeros + 1
+        lengths[(zeros > _TOKEN_MAX_ZEROS) | (index + lengths > n_bits)] = 0
+        # The boundary chain is the one sequential step. A bytes object makes
+        # each hop an index that allocates nothing; the extra 0 stops a walk
+        # that reaches the window's end.
+        hop = lengths.astype(np.uint8).tobytes() + b"\0"
+        starts = []
+        start = self._pos & 7
+        while length := hop[start]:
+            starts.append(start)
+            start += length
+        if not starts:
+            return False
+
+        starts_arr = np.fromiter(starts, dtype=np.int64, count=len(starts))
+        ones = next_one[starts_arr]
+        # The code proper is the 1 bit and the zeros[start] bits behind it:
+        # at most 31 bits at a bit offset of at most 7, so it lies inside the
+        # big-endian 8-byte word that starts at the 1 bit's byte.
+        padded = np.zeros(window.size + 8, dtype=np.uint8)
+        padded[: window.size] = window
+        words = np.ndarray(
+            (window.size,), dtype=">u8", buffer=padded, strides=(1,)
+        )[ones >> 3].astype(np.uint64)
+        codes = (
+            (words << (ones & 7).astype(np.uint64))
+            >> (63 - zeros[starts_arr]).astype(np.uint64)
+        ).astype(np.int64)
+        magnitudes = codes >> 1
+        self._ue = codes - 1
+        self._se = np.where(codes & 1, -magnitudes, magnitudes)
+        self._bounds = np.append(starts_arr, start) + (first_byte << 3)
+        self._cursor = 0
+        return True
+
+    def _next_token(self) -> int:
+        """Consume the code at the current position; return its table
+        index, or -1 (nothing consumed) if it must be read bit-serially."""
+        i = self._cursor
+        if i >= len(self._ue) or self._bounds.item(i) != self._pos:
+            if not self._fill():
+                return -1
+            i = 0
+        self._cursor = i + 1
+        self._pos = self._bounds.item(i + 1)
+        return i
 
 
 def write_ue(writer: BitWriter, value: int) -> None:
@@ -134,17 +283,27 @@ def write_ue(writer: BitWriter, value: int) -> None:
     writer.write_bits(code, width)
 
 
-def read_ue(reader: BitReader) -> int:
-    """Decode one unsigned Exp-Golomb code (inverse of :func:`write_ue`)."""
+def _read_ue_serial(reader: BitReader) -> int:
+    """The bit-serial exp-Golomb read: the ``reference`` backend's reader
+    and the one place a malformed or truncated code is rejected."""
     zeros = 0
     while reader.read_bit() == 0:
         zeros += 1
-        if zeros > 64:
-            raise ValueError("malformed exp-Golomb code (leading zeros > 64)")
+        if zeros > _MAX_ZEROS:
+            raise BitstreamError(
+                f"malformed exp-Golomb code (leading zeros > {_MAX_ZEROS})"
+            )
     value = 1
     for _ in range(zeros):
         value = (value << 1) | reader.read_bit()
     return value - 1
+
+
+def read_ue(reader: BitReader) -> int:
+    """Decode one unsigned Exp-Golomb code (inverse of :func:`write_ue`)."""
+    if reader._tokenize and (i := reader._next_token()) >= 0:
+        return reader._ue.item(i)
+    return _read_ue_serial(reader)
 
 
 def write_se(writer: BitWriter, value: int) -> None:
@@ -154,7 +313,9 @@ def write_se(writer: BitWriter, value: int) -> None:
 
 def read_se(reader: BitReader) -> int:
     """Decode one signed Exp-Golomb code (inverse of :func:`write_se`)."""
-    code = read_ue(reader)
+    if reader._tokenize and (i := reader._next_token()) >= 0:
+        return reader._se.item(i)
+    code = _read_ue_serial(reader)
     magnitude = (code + 1) // 2
     return magnitude if code % 2 == 1 else -magnitude
 
@@ -286,20 +447,124 @@ def encode_blocks(writer: BitWriter, blocks: np.ndarray) -> list[int]:
     return widths
 
 
-def decode_block(reader: BitReader) -> np.ndarray:
-    """Inverse of :func:`encode_block`."""
+def _decode_block_serial(reader: BitReader) -> np.ndarray:
+    """One block, one code at a time: the oracle, and the loop that raises
+    every block-level rejection."""
     n_nonzero = read_ue(reader)
     if n_nonzero > 16:
-        raise ValueError(f"corrupt block: {n_nonzero} nonzero coefficients")
+        raise BitstreamError(f"corrupt block: {n_nonzero} nonzero coefficients")
     scan = np.zeros(16, dtype=np.int32)
     pos = -1
     for _ in range(n_nonzero):
         run = read_ue(reader)
         pos += run + 1
         if pos >= 16:
-            raise ValueError("corrupt block: zigzag position overflow")
-        scan[pos] = read_se(reader)
+            raise BitstreamError("corrupt block: zigzag position overflow")
+        level = read_se(reader)
+        if not _INT32_MIN <= level <= _INT32_MAX:
+            raise BitstreamError("corrupt block: coefficient level out of range")
+        scan[pos] = level
     return _unzigzag(scan)
+
+
+def _blocks_from_table(
+    reader: BitReader, n: int, tagged: bool
+) -> tuple[list[int], np.ndarray] | None:
+    """``n`` blocks (each behind one ue tag if ``tagged``) straight from
+    the token table, or ``None`` with nothing consumed.
+
+    ``None`` means the table cannot hold the whole batch (a code it cannot
+    take, the end of the stream, a batch longer than a window) or the batch
+    breaks a syntax rule; either way the per-block loop decides.
+    """
+    lead = 1 if tagged else 0
+    while True:
+        first = i = reader._cursor
+        ue = reader._ue.item
+        n_tokens = len(reader._ue)
+        if first < n_tokens and reader._bounds.item(first) == reader._pos:
+            tags: list[int] = []
+            counts: list[int] = []
+            for _ in range(n):
+                i += lead
+                if i >= n_tokens:
+                    break
+                n_nonzero = ue(i)
+                if n_nonzero > 16:
+                    return None
+                if tagged:
+                    tags.append(ue(i - 1))
+                counts.append(n_nonzero)
+                i += 1 + 2 * n_nonzero
+            if len(counts) == n and i <= n_tokens:
+                break
+            if first == 0:
+                return None  # a table filled from here does not hold the batch
+        # The batch runs past the table: tokenize again from the batch's
+        # first code so that one table holds all of it.
+        if not reader._fill():
+            return None
+
+    flat = np.zeros(n * 16, dtype=np.int32)
+    total = sum(counts)
+    if total:
+        block_of = np.repeat(np.arange(n), counts)
+        # Coefficient k of block b sits behind b + 1 block headers (and
+        # tags) and the 2 * k run/level codes of the coefficients before it.
+        run_at = (block_of + 1) * (1 + lead) + 2 * np.arange(total) + first
+        # Scan position = zeros and coefficients before it in its block:
+        # a running sum over the whole batch, minus the sum at block start.
+        ends = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(reader._ue[run_at] + 1, out=ends[1:])
+        block_first = np.cumsum(counts) - counts
+        scan_pos = ends[1:] - 1 - ends[block_first][block_of]
+        if scan_pos.max() > 15:
+            return None
+        flat[block_of * 16 + _ZIGZAG_FLAT[scan_pos]] = reader._se[run_at + 1]
+    reader._cursor = i
+    reader._pos = reader._bounds.item(i)
+    return tags, flat.reshape(n, 4, 4)
+
+
+def _decode_batch(
+    reader: BitReader, n: int, tagged: bool
+) -> tuple[list[int], np.ndarray]:
+    if reader._tokenize and (parsed := _blocks_from_table(reader, n, tagged)):
+        return parsed
+    tags = []
+    blocks = np.zeros((n, 4, 4), dtype=np.int32)
+    for b in range(n):
+        if tagged:
+            tags.append(read_ue(reader))
+        blocks[b] = _decode_block_serial(reader)
+    return tags, blocks
+
+
+def decode_blocks(reader: BitReader, n: int) -> np.ndarray:
+    """Decode a batch of ``n`` 4x4 blocks; inverse of :func:`encode_blocks`.
+
+    Reads exactly what ``n`` :func:`decode_block` calls read (which is
+    what ``reference`` does); the tokenizing reader fills the whole
+    ``(n, 4, 4)`` batch from its table in one pass of array operations.
+    """
+    return _decode_batch(reader, n, False)[1]
+
+
+def decode_tagged_blocks(
+    reader: BitReader, n: int
+) -> tuple[list[int], np.ndarray]:
+    """Decode ``n`` (ue tag, block) pairs, e.g. an intra-4x4 macroblock's
+    (mode, block) pairs; returns the tags and an ``(n, 4, 4)`` batch.
+
+    Reads exactly what ``n`` rounds of :func:`read_ue` then
+    :func:`decode_block` read (which is what ``reference`` does).
+    """
+    return _decode_batch(reader, n, True)
+
+
+def decode_block(reader: BitReader) -> np.ndarray:
+    """Inverse of :func:`encode_block`."""
+    return decode_blocks(reader, 1)[0]
 
 
 def block_bits(block: np.ndarray) -> int:

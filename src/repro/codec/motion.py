@@ -631,6 +631,14 @@ def predict_mv(
         neighbors.append(mv_grid[mb_y - 1][mb_x + 1])  # type: ignore[arg-type]
     if not neighbors:
         return MotionVector(0, 0, 0)
-    dx = int(np.median([m.dx for m in neighbors]))
-    dy = int(np.median([m.dy for m in neighbors]))
-    return MotionVector(dx, dy, 0)
+    return MotionVector(
+        _median([m.dx for m in neighbors]), _median([m.dy for m in neighbors]), 0
+    )
+
+
+def _median(values: list[int]) -> int:
+    """``int(np.median(values))`` for one to three ints, without the array
+    round trip: the middle value, or two values' mean truncated toward zero."""
+    if len(values) == 2:
+        return int((values[0] + values[1]) / 2)
+    return sorted(values)[len(values) // 2]

@@ -3,10 +3,12 @@ and the CLI must degrade a sweep with permanently-failing cells to a
 partial result instead of aborting.
 
 A production transcoder receives truncated uploads, bit-flipped network
-payloads, and hostile inputs. The decoder is allowed to reject them
-(``ValueError``/``EOFError``) or, for payload-area corruption, to decode
-*something* of the right geometry — it must never crash with an
-unexpected exception type, hang, or return malformed frames.
+payloads, and hostile inputs. The decoder is allowed to reject them with
+``BitstreamError`` (a ``ValueError``; running off the end raises its
+subclass ``TruncatedBitstreamError``, also an ``EOFError``) or, for
+payload-area corruption, to decode *something* of the right geometry —
+it must never crash with any other exception type, hang, or return
+malformed frames.
 
 On the pipeline side, a cell whose compute raises a fatal (or
 retry-exhausted) exception must not take the campaign down with it: the
@@ -21,11 +23,20 @@ import json
 import numpy as np
 import pytest
 
+from repro.codec import kernels
 from repro.codec.decoder import decode
 from repro.codec.encoder import encode
+from repro.codec.entropy import (
+    BitstreamError,
+    BitWriter,
+    TruncatedBitstreamError,
+    write_se,
+    write_ue,
+)
 from repro.codec.options import EncoderOptions
+from repro.codec.types import MODE_IDS, MBMode
 
-_ALLOWED = (ValueError, EOFError, KeyError, IndexError)
+_ALLOWED = (BitstreamError,)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +53,15 @@ class TestTruncation:
         truncated = data[: int(len(data) * keep_fraction)]
         with pytest.raises(_ALLOWED):
             decode(truncated)
+
+    def test_truncation_is_also_an_eof_error(self, good_stream):
+        """Callers written against ``except (ValueError, EOFError)`` keep
+        working: the typed errors derive from both."""
+        data, _video = good_stream
+        with pytest.raises(TruncatedBitstreamError) as excinfo:
+            decode(data[: len(data) // 2])
+        assert isinstance(excinfo.value, EOFError)
+        assert isinstance(excinfo.value, ValueError)
 
     def test_empty_stream(self):
         with pytest.raises(_ALLOWED):
@@ -69,7 +89,7 @@ class TestBitFlips:
             # If it decodes, output must be structurally valid.
             assert len(result.video) >= 1
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(64))
     def test_payload_corruption_never_crashes_unexpectedly(
         self, good_stream, seed
     ):
@@ -87,7 +107,7 @@ class TestBitFlips:
 
 
 class TestGarbage:
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("seed", range(32))
     def test_random_bytes_rejected(self, seed):
         rng = np.random.default_rng(seed)
         garbage = rng.integers(0, 256, 512).astype(np.uint8).tobytes()
@@ -108,6 +128,143 @@ class TestGarbage:
         except _ALLOWED:
             return
         assert len(result.video) >= 1
+
+
+def _stream(*frames, size=16) -> bytes:
+    """A hand-written stream of ``size`` x ``size`` frames; each frame is
+    a function that writes itself (see :func:`_frame`)."""
+    w = BitWriter()
+    for value in (size, size, 30_000, len(frames), 0):  # ..., deblock off
+        write_ue(w, value)
+    write_se(w, 0)  # deblock offset
+    write_ue(w, 0)  # no chroma
+    for frame in frames:
+        frame(w)
+    return w.getvalue()
+
+
+def _frame(disp, ftype_id, *mbs, qp=20):
+    """One frame; each macroblock is a list of (write function, value)."""
+
+    def write(w):
+        for value in (disp, ftype_id, qp):
+            write_ue(w, value)
+        for mb in mbs:
+            for fn, value in mb:
+                fn(w, value)
+
+    return write
+
+
+def _blocks(levels=()):
+    """A macroblock's 16 blocks: the first holds ``levels`` ((run, level)
+    pairs), the other 15 are empty."""
+    first = [(write_ue, len(levels))]
+    for run, level in levels:
+        first += [(write_ue, run), (write_se, level)]
+    return first + [(write_ue, 0)] * 15
+
+
+def _intra16(mode=0, qp_delta=0, levels=()):
+    head = [(write_ue, MODE_IDS[MBMode.INTRA_16X16]), (write_ue, mode)]
+    return head + [(write_se, qp_delta)] + _blocks(levels)
+
+
+def _inter16(dx, dy, ref=0):
+    head = [(write_ue, MODE_IDS[MBMode.INTER_16X16]), (write_ue, ref)]
+    return head + [(write_se, dx), (write_se, dy), (write_se, 0)] + _blocks()
+
+
+def _bi(ref0=0):
+    head = [(write_ue, MODE_IDS[MBMode.BI]), (write_ue, ref0)]
+    # Two MV deltas each way, then the QP delta.
+    return head + [(write_se, 0)] * 5 + _blocks()
+
+
+_SKIP_MB = [(write_ue, MODE_IDS[MBMode.SKIP])]
+_I, _P, _B = 0, 1, 2
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+class TestTypedRejections:
+    """Each hole the typed contract closed, hit with a hand-written stream:
+    before, these were a ``KeyError``, an ``AssertionError``, an enum
+    ``ValueError``, a silently wrapped slice, a ``check_range``
+    ``ValueError`` and an ``OverflowError``."""
+
+    def _rejects(self, backend, data, match):
+        with kernels.backend_scope(backend):
+            with pytest.raises(BitstreamError, match=match):
+                decode(data)
+
+    def test_handwritten_streams_decode(self, backend):
+        """The builders above write valid syntax, so each rejection below
+        is caused by its one bad value."""
+        data = _stream(
+            _frame(0, _I, _intra16(levels=[(0, 40), (2, -3)])),
+            _frame(2, _P, _inter16(6, -3)),
+            _frame(1, _B, _bi()),
+            _frame(3, _P, _SKIP_MB),
+        )
+        with kernels.backend_scope(backend):
+            result = decode(data)
+        assert [f.luma.shape for f in result.video] == [(16, 16)] * 4
+        assert [t.value for t in result.frame_types] == ["I", "B", "P", "P"]
+
+    def test_unknown_frame_type_id(self, backend):
+        self._rejects(backend, _stream(_frame(0, 3, _intra16())), "frame type")
+
+    def test_bi_macroblock_without_future_anchor(self, backend):
+        data = _stream(_frame(0, _I, _intra16()), _frame(1, _B, _bi()))
+        self._rejects(backend, data, "missing anchor")
+
+    def test_unknown_intra16_mode_id(self, backend):
+        self._rejects(backend, _stream(_frame(0, _I, _intra16(mode=4))), "intra")
+
+    @pytest.mark.parametrize(
+        "dx, dy",
+        [(-4 * 200, 0), (0, 4 * 200), (4 * 88, 0), (0, 4 * 88), (-4 * 89, 0),
+         (0, -4 * 89), (2**40, 0)],
+    )
+    def test_motion_vector_outside_the_reference_border(self, backend, dx, dy):
+        data = _stream(_frame(0, _I, _intra16()), _frame(1, _P, _inter16(dx, dy)))
+        self._rejects(backend, data, "reference border")
+
+    def test_motion_vector_at_the_border_is_accepted(self, backend):
+        """The check demands one spare row and column on the far side and
+        nothing more; what it admits is an edge-replicated fetch."""
+        for dx, dy in [(4 * 87, -4 * 88), (-4 * 88, 4 * 87), (4 * 87 + 3, 4 * 87 + 1)]:
+            data = _stream(
+                _frame(0, _I, _intra16()), _frame(1, _P, _inter16(dx, dy))
+            )
+            with kernels.backend_scope(backend):
+                assert len(decode(data).video) == 2
+
+    def test_skip_predictor_outside_the_reference_border(self, backend):
+        """A vector that is legal where it was coded is re-applied, as the
+        SKIP predictor, one macroblock to the right, where it is not."""
+        intra = _frame(0, _I, *[_intra16()] * 4)
+        # 32 wide, 88 of padding: x + 100 + 16 < 120 holds at x = 0 only.
+        moved = _inter16(4 * 100, 0)
+        fine = _stream(intra, _frame(1, _P, moved, *[_intra16()] * 3), size=32)
+        with kernels.backend_scope(backend):
+            assert len(decode(fine).video) == 2
+        data = _stream(
+            intra, _frame(1, _P, moved, _SKIP_MB, *[_intra16()] * 2), size=32
+        )
+        self._rejects(backend, data, "reference border")
+
+    def test_qp_out_of_range(self, backend):
+        self._rejects(backend, _stream(_frame(0, _I, _intra16(), qp=52)), "QP")
+        data = _stream(_frame(0, _I, _intra16(qp_delta=-21)))
+        self._rejects(backend, data, "QP")
+
+    def test_coefficient_level_beyond_int32(self, backend):
+        data = _stream(_frame(0, _I, _intra16(levels=[(0, 2**31)])))
+        self._rejects(backend, data, "level out of range")
+        fits = _stream(_frame(0, _I, _intra16(levels=[(0, -(2**31))])))
+        with kernels.backend_scope(backend):
+            assert len(decode(fits).video) == 1
 
 
 class TestCliPartialResults:

@@ -8,7 +8,8 @@ backend-independent. These tests run each workload under every
 uninstalled optional backend simply is not in
 :func:`repro.codec.kernels.available_backends`) and compare all
 of them against ``reference`` — first kernel by kernel on random
-inputs, then through a full encode.
+inputs, then through a full encode, then through a full decode (frames,
+chroma, metadata and traced kernel calls).
 """
 
 from __future__ import annotations
@@ -18,9 +19,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.codec import kernels
+from repro.codec import entropy, kernels
+from repro.codec.decoder import decode
 from repro.codec.encoder import encode
+from repro.codec.entropy import BitReader, BitstreamError, BitWriter, write_ue
 from repro.codec.options import EncoderOptions
+from repro.codec.presets import PRESET_NAMES, preset_options
+from repro.codec.types import MBMode
+from repro.trace.kernels import build_program
+from repro.trace.recorder import RecordingTracer
 
 
 def _all_backends(fn):
@@ -252,3 +259,189 @@ def test_encode_bit_identical_across_backends(tiny_video, options):
 def test_encode_bit_identical_static_scene(static_video):
     digests = _all_backends(lambda: _encode_digest(static_video, EncoderOptions()))
     _assert_identical_values(digests)
+
+
+# --- end-to-end decode equivalence ------------------------------------------
+#
+# One decoder serves both backends; what differs is the reader under it
+# (bit-serial vs tokenized, see repro.codec.entropy). The matrix below is
+# the round-trip suite's option surface, with chroma alternating on and
+# off along every axis.
+
+
+def _rc_options(rc_mode, chroma):
+    vbv = rc_mode == "vbv"
+    return EncoderOptions(
+        rc_mode=rc_mode, crf=25, qp=28, refs=1, bframes=1, bitrate_kbps=400.0,
+        vbv_maxrate_kbps=500.0 if vbv else 0.0,
+        vbv_bufsize_kbits=40.0 if vbv else 0.0, chroma=chroma,
+    )
+
+
+DECODE_CONFIGS = (
+    [
+        pytest.param(
+            preset_options(preset, crf=26, refs=2).with_updates(chroma=i % 2 == 0),
+            id=f"preset-{preset}",
+        )
+        for i, preset in enumerate(PRESET_NAMES)
+    ]
+    + [
+        pytest.param(_rc_options(rc_mode, i % 2 == 1), id=f"rc-{rc_mode}")
+        for i, rc_mode in enumerate(["cqp", "crf", "abr", "cbr", "vbv", "2pass-abr"])
+    ]
+    + [
+        pytest.param(
+            EncoderOptions(
+                crf=24, refs=1, me=me, merange=8, bframes=0, chroma=i % 2 == 0
+            ),
+            id=f"me-{me}",
+        )
+        for i, me in enumerate(["dia", "hex", "umh", "esa", "tesa"])
+    ]
+    + [
+        pytest.param(
+            EncoderOptions(
+                crf=crf, refs=3, bframes=bframes, b_adapt=0, scenecut=0,
+                partitions="all", chroma=chroma,
+            ),
+            id=f"partitions-all-b{bframes}-crf{crf}-{'chroma' if chroma else 'luma'}",
+        )
+        for bframes, crf, chroma in [
+            (0, 12, True), (0, 30, False), (1, 20, False), (3, 12, True),
+            (3, 40, False),
+        ]
+    ]
+)
+
+
+def _count_fills(monkeypatch):
+    """Record the bit position of every token-window fill from here on."""
+    fills = []
+    original = BitReader._fill
+    monkeypatch.setattr(
+        BitReader, "_fill", lambda self: fills.append(self.bits_read) or original(self)
+    )
+    return fills
+
+
+def _decode_observables(bitstream, *, traced):
+    """Everything observable about a decode, as comparable values."""
+    tracer = RecordingTracer(build_program()) if traced else None
+    result = decode(bitstream, tracer=tracer)
+    h = hashlib.sha256()
+    for frame in result.video:
+        assert frame.luma.dtype == np.uint8
+        h.update(frame.luma.tobytes())
+        h.update(b"|")
+        for plane in frame.chroma or ():
+            h.update(plane.tobytes())
+    calls = dict(tracer.stream.kernel_calls) if traced else None
+    instructions = tracer.stream.total_instructions if traced else None
+    return (
+        h.hexdigest(),
+        [f.luma.shape for f in result.video],
+        [f.chroma is not None for f in result.video],
+        result.video.fps,
+        result.frame_types,
+        result.frame_qps,
+        calls,
+        instructions,
+    )
+
+
+@pytest.mark.parametrize("options", DECODE_CONFIGS)
+def test_decode_identical_across_backends(tiny_video, options):
+    bitstream = encode(tiny_video, options).stream.bitstream
+    traced = _all_backends(lambda: _decode_observables(bitstream, traced=True))
+    _assert_identical_values(traced)
+    plain = _all_backends(lambda: _decode_observables(bitstream, traced=False))
+    _assert_identical_values(plain)
+    # Tracing observes the decode; it does not change it. And the same
+    # bytes decode to the same output every time.
+    assert plain["reference"][:6] == traced["reference"][:6]
+    again = _all_backends(lambda: _decode_observables(bitstream, traced=False))
+    assert again == plain
+    assert any(traced["reference"][2]) == options.chroma
+
+
+def test_decode_identical_on_busy_content(busy_video):
+    """Scene cuts and heavy motion: intra-4x4 and sub-partitioned
+    macroblocks in P and B frames, which the tiny clip rarely picks."""
+    options = EncoderOptions(crf=14, refs=2, bframes=2, partitions="all", chroma=True)
+    result = encode(busy_video, options)
+    modes = {mb.mode for f in result.stream.frames for mb in f.macroblocks}
+    assert {MBMode.INTRA_4X4, MBMode.INTER_8X8} <= modes
+    traced = _all_backends(
+        lambda: _decode_observables(result.stream.bitstream, traced=True)
+    )
+    _assert_identical_values(traced)
+
+
+def test_decode_identical_on_static_content(static_video):
+    """All-SKIP inter frames: macroblocks that are one code long."""
+    result = encode(static_video, EncoderOptions(crf=26, refs=1, bframes=0))
+    modes = {mb.mode for f in result.stream.frames[1:] for mb in f.macroblocks}
+    assert modes == {MBMode.SKIP}
+    traced = _all_backends(
+        lambda: _decode_observables(result.stream.bitstream, traced=True)
+    )
+    _assert_identical_values(traced)
+
+
+@pytest.mark.parametrize("window", [1, 7, 64, 300])
+def test_decode_identical_wherever_windows_cut(busy_video, monkeypatch, window):
+    """The streams above fit one tokenizer window; shrink it so windows
+    end inside macroblocks, batches and single codes."""
+    options = EncoderOptions(crf=14, refs=2, bframes=2, partitions="all", chroma=True)
+    bitstream = encode(busy_video, options).stream.bitstream
+    with kernels.backend_scope("reference"):
+        want = _decode_observables(bitstream, traced=True)
+    monkeypatch.setattr(entropy, "TOKEN_WINDOW_BYTES", window)
+    with kernels.backend_scope("vectorized"):
+        assert _decode_observables(bitstream, traced=True) == want
+
+
+def test_well_formed_stream_is_served_from_the_table(busy_video, monkeypatch):
+    """The speed-up, counted instead of timed: decoding a stream the
+    encoder wrote never reads a code or a block bit-serially under
+    ``vectorized``, and tokenizes each window once (plus one re-fill per
+    batch a window's end cuts)."""
+    options = EncoderOptions(crf=8, refs=2, bframes=2, partitions="all", chroma=True)
+    bitstream = encode(busy_video, options).stream.bitstream
+    n_windows = -(-len(bitstream) // entropy.TOKEN_WINDOW_BYTES)
+    assert n_windows >= 3
+    fills = _count_fills(monkeypatch)
+
+    def bit_serial(reader):
+        raise AssertionError("a well-formed stream left the token table")
+
+    monkeypatch.setattr(entropy, "_read_ue_serial", bit_serial)
+    monkeypatch.setattr(entropy, "_decode_block_serial", bit_serial)
+    with kernels.backend_scope("vectorized"):
+        assert len(decode(bitstream).video) == len(busy_video)
+    assert n_windows <= len(fills) <= n_windows + 2
+
+
+def test_corrupt_header_costs_at_most_one_window_fill(monkeypatch):
+    """Windows are tokenized lazily: a stream rejected in its header is
+    rejected after one fill, however long its tail (counted, not timed)."""
+    fills = _count_fills(monkeypatch)
+    tail = bytes(1 << 20)
+    writer = BitWriter()
+    for value in (48, 32, 30_000, 200_000):  # n_frames beyond the sanity bound
+        write_ue(writer, value)
+    for value in (0, 0, 0):
+        write_ue(writer, value)
+    implausible = writer.getvalue() + tail
+    with kernels.backend_scope("vectorized"):
+        for data, match in [
+            (implausible, "implausible"),
+            (tail, "malformed"),  # no header at all: 65 zero bits
+            (b"\xff" + tail, "corrupt stream header"),  # width = 0
+        ]:
+            fills.clear()
+            with pytest.raises(BitstreamError, match=match):
+                decode(data)
+            assert len(fills) <= 1, (match, fills)
+        assert len(fills) == 1  # and the tokenized path did run

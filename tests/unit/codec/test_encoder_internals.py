@@ -1,6 +1,8 @@
 """Unit tests for encoder-internal behaviours (MV prediction, skip
 detection, adaptive quantization, reference management)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,25 @@ class TestMvPrediction:
         ]
         mv = predict_mv(grid, 1, 1)
         assert (mv.dx, mv.dy) == (4, 4)
+
+    @pytest.mark.parametrize("n_neighbors", [1, 2, 3])
+    def test_integer_median_is_the_np_median_form(self, n_neighbors):
+        """Exhaustive over dx, dy in [-9, 9]: the predictor is exactly
+        ``int(np.median(...))`` per component (truncation toward zero for
+        two neighbours), so encoder and decoder bitstreams cannot move."""
+        values = range(-9, 10)
+        # (row, col) of the left / top / top-right neighbours of (1, 1).
+        cells = [(1, 0), (0, 1), (0, 2)][:n_neighbors]
+        for combo in itertools.product(values, repeat=n_neighbors):
+            grid = [[None, None, None], [None, None, None]]
+            for (row, col), v in zip(cells, combo):
+                # dy takes the mirrored value so the components differ.
+                grid[row][col] = MotionVector(v, -v, ref=1)
+            mv = predict_mv(grid, 1, 1)
+            want_dx = int(np.median(list(combo)))
+            want_dy = int(np.median([-v for v in combo]))
+            assert (mv.dx, mv.dy, mv.ref) == (want_dx, want_dy, 0), combo
+            assert type(mv.dx) is int and type(mv.dy) is int
 
 
 class TestSkipDetection:

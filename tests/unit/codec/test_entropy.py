@@ -1,14 +1,21 @@
 """Unit tests for repro.codec.entropy."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.codec import kernels
+from repro.codec import entropy, kernels
 from repro.codec.entropy import (
     BitReader,
+    BitstreamError,
     BitWriter,
+    TruncatedBitstreamError,
     block_bits,
     decode_block,
+    decode_blocks,
+    decode_tagged_blocks,
     encode_block,
     encode_blocks,
     read_se,
@@ -245,3 +252,273 @@ class TestEncodeBlocks:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             encode_blocks(BitWriter(), np.zeros((4, 4), dtype=np.int32))
+
+
+@contextlib.contextmanager
+def _window(n_bytes):
+    """Run the body with the tokenizer's window shrunk to ``n_bytes``."""
+    with mock.patch.object(entropy, "TOKEN_WINDOW_BYTES", n_bytes):
+        yield
+
+
+def _reader(backend, data):
+    """A reader bound to ``backend`` (binding happens at construction)."""
+    with kernels.backend_scope(backend):
+        return BitReader(data)
+
+
+def _count_fills(monkeypatch):
+    fills = []
+    original = BitReader._fill
+
+    def counting(self):
+        fills.append(self.bits_read)
+        return original(self)
+
+    monkeypatch.setattr(BitReader, "_fill", counting)
+    return fills
+
+
+_WINDOWS = (1, 2, 3, 17, 4096)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_truncation_is_bitstream_and_eof_error(self, backend):
+        w = BitWriter()
+        write_ue(w, 1000)
+        reader = _reader(backend, w.getvalue()[:1])
+        with pytest.raises(TruncatedBitstreamError) as excinfo:
+            read_ue(reader)
+        assert isinstance(excinfo.value, BitstreamError)
+        assert isinstance(excinfo.value, EOFError)
+        assert isinstance(excinfo.value, ValueError)
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_malformed_code_is_bitstream_error_not_truncation(self, backend):
+        reader = _reader(backend, b"\x00" * 10)
+        with pytest.raises(BitstreamError, match="malformed") as excinfo:
+            read_ue(reader)
+        assert not isinstance(excinfo.value, EOFError)
+        assert reader.bits_read == 65
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_level_beyond_int32_rejected(self, backend):
+        w = BitWriter()
+        write_ue(w, 1)
+        write_ue(w, 0)
+        write_se(w, 2**31)
+        with pytest.raises(BitstreamError, match="level out of range"):
+            decode_block(_reader(backend, w.getvalue()))
+
+    def test_argument_errors_stay_plain_value_errors(self):
+        with pytest.raises(ValueError) as excinfo:
+            write_ue(BitWriter(), -1)
+        assert not isinstance(excinfo.value, BitstreamError)
+
+
+class TestTokenizedReader:
+    """The ``vectorized`` reader against the bit-serial one, on the cases
+    where it has to hand over (the property tests cover the bulk)."""
+
+    @staticmethod
+    def _written(values):
+        w = BitWriter()
+        for v in values:
+            write_ue(w, v)
+        return w.getvalue()
+
+    @pytest.mark.parametrize("window", _WINDOWS)
+    def test_values_and_positions_match_bit_serial(self, window):
+        values = [0, 1, 2, 7, 0, 0, 300, 2**30 - 2, 2**31 - 2, 2**31 - 1,
+                  2**40, 5, 2**64 - 2, 0, 3]
+        data = self._written(values)
+        serial, tokenized = _reader("reference", data), _reader("vectorized", data)
+        with _window(window):
+            for v in values:
+                assert read_ue(tokenized) == read_ue(serial) == v
+                assert tokenized.bits_read == serial.bits_read
+
+    def test_reference_reader_never_tokenizes(self, monkeypatch):
+        fills = _count_fills(monkeypatch)
+        reader = _reader("reference", self._written(range(50)))
+        assert [read_ue(reader) for _ in range(50)] == list(range(50))
+        assert fills == []
+
+    def test_windows_fill_lazily_and_once(self, monkeypatch):
+        fills = _count_fills(monkeypatch)
+        data = self._written([0] * 8 * 40)  # 40 bytes of 1-bit codes
+        reader = _reader("vectorized", data)
+        with _window(10):
+            assert read_ue(reader) == 0
+            assert fills == [0]  # nothing tokenized before it is asked for
+            for _ in range(8 * 40 - 1):
+                read_ue(reader)
+        assert fills == [0, 80, 160, 240]
+
+    def test_table_values_are_python_ints(self):
+        w = BitWriter()
+        write_ue(w, 9)
+        write_se(w, -4)
+        reader = _reader("vectorized", w.getvalue())
+        assert type(read_ue(reader)) is int and type(read_se(reader)) is int
+
+    def test_code_straddling_a_window_starts_the_next_window(self, monkeypatch):
+        fills = _count_fills(monkeypatch)
+        data = self._written([0, 0, 0, 0, 0, 1000, 6])  # 5 bits, then 19 bits
+        reader = _reader("vectorized", data)
+        with _window(2):
+            assert [read_ue(reader) for _ in range(7)] == [0, 0, 0, 0, 0, 1000, 6]
+        # The second fill starts at the straddling code's own byte; it does
+        # not fit there either (5 + 19 > 16 bits), so it is read bit-serially
+        # and the third fill starts behind it.
+        assert fills == [0, 5, 24]
+
+    @pytest.mark.parametrize("zeros", [30, 31, 56, 64])
+    def test_long_prefixes_hand_over_and_resume(self, zeros, monkeypatch):
+        fills = _count_fills(monkeypatch)
+        big = 2**zeros - 1  # the shortest code with that many leading zeros
+        data = self._written([4, big, 4, 4])
+        reader = _reader("vectorized", data)
+        assert [read_ue(reader) for _ in range(4)] == [4, big, 4, 4]
+        # One fill if the table can hold the code, else one before and one
+        # behind the bit-serial read.
+        assert len(fills) == (1 if zeros <= 30 else 3)
+
+    def test_prefix_of_65_zeros_rejected_at_the_same_bit(self):
+        data = b"\x80" + b"\x00" * 9
+        serial, tokenized = _reader("reference", data), _reader("vectorized", data)
+        for reader in (serial, tokenized):
+            assert read_ue(reader) == 0
+            with pytest.raises(BitstreamError, match="malformed"):
+                read_ue(reader)
+        assert tokenized.bits_read == serial.bits_read == 1 + 65
+
+    @pytest.mark.parametrize("window", _WINDOWS)
+    def test_truncated_tail_raises_at_the_same_code(self, window):
+        data = self._written([3, 3, 3, 2**20])[:-2]
+        serial, tokenized = _reader("reference", data), _reader("vectorized", data)
+        with _window(window):
+            for reader in (serial, tokenized):
+                assert [read_ue(reader) for _ in range(3)] == [3, 3, 3]
+                with pytest.raises(TruncatedBitstreamError):
+                    read_ue(reader)
+        assert tokenized.bits_read == serial.bits_read == len(data) * 8
+
+    @pytest.mark.parametrize("window", _WINDOWS)
+    def test_direct_bit_reads_may_be_mixed_in(self, window):
+        data = self._written([5, 0, 12, 9, 1, 77, 3])
+        serial, tokenized = _reader("reference", data), _reader("vectorized", data)
+        with _window(window):
+            for reader in (serial, tokenized):
+                got = [read_ue(reader), reader.read_bit(), read_ue(reader),
+                       reader.read_bits(3), read_ue(reader), read_se(reader)]
+                if reader is serial:
+                    want, want_pos = got, reader.bits_read
+            assert got == want and tokenized.bits_read == want_pos
+
+    def test_empty_stream(self):
+        with pytest.raises(TruncatedBitstreamError):
+            read_ue(_reader("vectorized", b""))
+
+
+class TestDecodeBlocks:
+    """``decode_blocks(r, n)`` is ``n`` x ``decode_block``, on both backends
+    and however the batch falls across the tokenizer's windows."""
+
+    @staticmethod
+    def _coded(blocks):
+        w = BitWriter()
+        encode_blocks(w, blocks)
+        write_ue(w, 41)  # a trailer the batch must leave unread
+        return w.getvalue()
+
+    @pytest.mark.parametrize("window", _WINDOWS)
+    @pytest.mark.parametrize("name", _BATCHES)
+    def test_batch_matches_per_block_loop(self, name, window):
+        blocks = _BATCHES[name]
+        data = self._coded(blocks)
+        serial = _reader("reference", data)
+        want = [decode_block(serial) for _ in blocks]
+        for backend in ("reference", "vectorized"):
+            reader = _reader(backend, data)
+            with _window(window):
+                got = decode_blocks(reader, len(blocks))
+            assert got.shape == (len(blocks), 4, 4) and got.dtype == np.int32
+            assert np.array_equal(got, blocks)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert reader.bits_read == serial.bits_read
+            assert read_ue(reader) == 41
+
+    def test_batch_is_one_pass_over_the_table(self, monkeypatch):
+        """No per-block fallback on a well-formed batch: the serial block
+        loop is never entered and the window is tokenized once."""
+        fills = _count_fills(monkeypatch)
+        monkeypatch.setattr(
+            entropy, "_decode_block_serial", lambda reader: pytest.fail("fell back")
+        )
+        blocks = _BATCHES["random-0"]
+        reader = _reader("vectorized", self._coded(blocks))
+        assert np.array_equal(decode_blocks(reader, len(blocks)), blocks)
+        assert fills == [0]
+
+    def test_batch_cut_by_a_window_retokenizes_from_its_first_code(
+        self, monkeypatch
+    ):
+        fills = _count_fills(monkeypatch)
+        blocks = _random_batch(7, 16, 6)
+        w = BitWriter()
+        for _ in range(4):
+            encode_blocks(w, blocks)
+        data = w.getvalue()
+        reader = _reader("vectorized", data)
+        with _window(len(data) * 55 // 100):  # 2.2 batches
+            for _ in range(4):
+                assert np.array_equal(decode_blocks(reader, 16), blocks)
+        # The third batch straddles the first window's end, so the second
+        # fill starts at that batch's first bit, not at the window's end.
+        assert fills == [0, reader.bits_read // 2]
+
+    @pytest.mark.parametrize("window", _WINDOWS)
+    def test_tagged_batch_matches_the_pair_loop(self, window):
+        blocks = _random_batch(8, 16, 40)
+        blocks[5] = 0
+        tags = [i % 3 for i in range(16)]
+        w = BitWriter()
+        for tag, block in zip(tags, blocks):
+            write_ue(w, tag)
+            encode_block(w, block)
+        write_ue(w, 41)
+        data = w.getvalue()
+        for backend in ("reference", "vectorized"):
+            reader = _reader(backend, data)
+            with _window(window):
+                got_tags, got = decode_tagged_blocks(reader, 16)
+            assert got_tags == tags and np.array_equal(got, blocks)
+            assert all(type(t) is int for t in got_tags)
+            assert read_ue(reader) == 41
+
+    @pytest.mark.parametrize("bad_block", [0, 3, 7])
+    @pytest.mark.parametrize("fault", ["count", "overflow", "truncated"])
+    def test_malformed_batch_raises_where_the_loop_raises(self, bad_block, fault):
+        w = BitWriter()
+        for i in range(8):
+            if i != bad_block:
+                encode_block(w, _random_batch(i, 1, 9)[0])
+            elif fault == "count":
+                write_ue(w, 17)
+            elif fault == "overflow":
+                for v in (2, 9, 3, 6):  # second coefficient at 9 + 1 + 6 = 16
+                    write_ue(w, v)
+                write_se(w, 1)
+            else:
+                break
+        data = w.getvalue()
+        outcomes = []
+        for backend in ("reference", "vectorized"):
+            reader = _reader(backend, data)
+            with pytest.raises(BitstreamError) as excinfo:
+                decode_blocks(reader, 8)
+            outcomes.append((type(excinfo.value), str(excinfo.value), reader.bits_read))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] is TruncatedBitstreamError) == (fault == "truncated")
