@@ -23,6 +23,7 @@ __all__ = [
     "check_positive",
     "stable_seed",
     "rng_for",
+    "running_sum",
     "clamp",
     "format_table",
     "geometric_mean",
@@ -112,6 +113,18 @@ def geometric_mean(values: Sequence[float]) -> float:
     if np.any(arr <= 0):
         raise ValueError("geometric_mean requires positive values")
     return float(np.exp(np.mean(np.log(arr))))
+
+
+def running_sum(carry: float, terms: np.ndarray) -> np.ndarray:
+    """``carry, carry + t0, (carry + t0) + t1, ...``: the totals a ``+=``
+    loop passes through. ``accumulate`` adds strictly left to right, so
+    fractional terms round exactly as they do in such a loop — the
+    contract every batched counter is held to against its per-event
+    oracle."""
+    out = np.empty(terms.size + 1)
+    out[0] = carry
+    out[1:] = terms
+    return np.add.accumulate(out, out=out)
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -205,6 +205,7 @@ class Decoder:
                     chroma[1][: chroma_shape[0], : chroma_shape[1]],
                 )
             frames.append(Frame(decoded[i][:height, :width], chroma=cropped))
+        self.tracer.flush()
         return DecodeResult(
             video=FrameSequence(frames=frames, fps=fps, name="decoded"),
             frame_types=[types[i] for i in range(n_frames)],

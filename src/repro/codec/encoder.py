@@ -68,6 +68,11 @@ from repro.video.metrics import bitrate_kbps, psnr_sequence
 
 __all__ = ["Encoder", "EncodeResult", "LoopOptimizations", "encode"]
 
+#: The 16 coefficient blocks of a macroblock, 64 bytes each.
+_COEFF_BLOCKS = (np.arange(16) * 64).astype(np.uint64)
+#: The 17 rows of the 32-byte-pitch subpel interpolation scratch.
+_INTERP_SCRATCH_ROWS = (np.arange(17) * 32).astype(np.uint64)
+
 
 @dataclass(frozen=True)
 class LoopOptimizations:
@@ -225,6 +230,12 @@ class Encoder:
         self._coeff_stride = coeff_stride
         self._bs_base = bs_base
         self._pad_w = pad_w
+        # Address templates of the trace helpers (offsets from a block's
+        # first byte): the per-call part is one add.
+        self._row_templates: dict[tuple[int, int], np.ndarray] = {}
+        self._interp_columns = (
+            np.arange(17)[None, :] * pad_w + np.arange(0, 17, 2)[:, None]
+        ).ravel().astype(np.uint64)
 
         rc = RateController(
             options,
@@ -322,6 +333,7 @@ class Encoder:
         )
         quality = psnr_sequence(video, recon_video)
         rate = bitrate_kbps(writer.bit_count, len(video), video.fps)
+        self.tracer.flush()  # seal the trace inside the timed encode
         return EncodeResult(
             stream=stream,
             psnr_db=quality,
@@ -418,15 +430,16 @@ class Encoder:
                 mbs.append(mb)
                 skip_flags.append(mb.mode is MBMode.SKIP)
                 intra_flags.append(mb.mode.is_intra)
-        # Frame-level mode-decision branch history (sequence across MBs).
-        self.tracer.kernel(
-            "mode_decide",
-            iters=0,
-            branches={
-                "skip": np.array(skip_flags, dtype=bool),
-                "intra": np.array(intra_flags, dtype=bool),
-            },
-        )
+        if self.tracer.enabled:
+            # Frame-level mode-decision branch history (sequence across MBs).
+            self.tracer.kernel(
+                "mode_decide",
+                iters=0,
+                branches={
+                    "skip": np.array(skip_flags, dtype=bool),
+                    "intra": np.array(intra_flags, dtype=bool),
+                },
+            )
         return mbs
 
     # ------------------------------------------------------------------
@@ -556,7 +569,7 @@ class Encoder:
                     part_flags.append(better4)
                     if better4:
                         candidate = part4
-        if part_flags:
+        if part_flags and self.tracer.enabled:
             self.tracer.kernel(
                 "mode_decide",
                 iters=len(part_flags),
@@ -969,11 +982,14 @@ class Encoder:
     # ------------------------------------------------------------------
     def _row_addrs(self, base: int, y: int, x: int, rows: int, width: int) -> np.ndarray:
         """Byte addresses covering ``rows`` rows of ``width`` pixels."""
-        row_idx = (np.arange(rows) + y) * self._pad_w + x
-        starts = base + row_idx
-        # Touch the first and last byte of each row span (line granularity
-        # is resolved by the cache model).
-        return np.concatenate([starts, starts + width - 1]).astype(np.uint64)
+        template = self._row_templates.get((rows, width))
+        if template is None:
+            starts = np.arange(rows) * self._pad_w
+            # Touch the first and last byte of each row span (line
+            # granularity is resolved by the cache model).
+            template = np.concatenate([starts, starts + width - 1]).astype(np.uint64)
+            self._row_templates[rows, width] = template
+        return template + np.uint64(base + y * self._pad_w + x)
 
     def _trace_lookahead(self, video: FrameSequence) -> None:
         if not self.tracer.enabled:
@@ -1054,14 +1070,11 @@ class Encoder:
             # Column-major traversal: one touch per row per column-pair
             # walk (the filter consumes two columns per vector iteration)
             # — strided, same bytes but poor spatial order.
-            cols = np.arange(0, 17, 2)
-            rows = np.arange(17)
-            addrs = entry.base_addr + (
-                (rows[None, :] + y) * self._pad_w + (cols[:, None] + x)
+            reads = self._interp_columns + np.uint64(
+                entry.base_addr + y * self._pad_w + x
             )
-            reads = addrs.ravel().astype(np.uint64)
         scratch = self._addr.alloc("interp_scratch", 32 * 32)
-        writes = (scratch + np.arange(17) * 32).astype(np.uint64)
+        writes = _INTERP_SCRATCH_ROWS + np.uint64(scratch)
         self.tracer.kernel("me_interp", iters=17, reads=reads, writes=writes)
 
     def _trace_partition_search(self, cand) -> None:
@@ -1090,8 +1103,7 @@ class Encoder:
         n_mb_x = len(ctx.mv_grid[0])
         mb_index = mb_y * n_mb_x + mb_x
         base = self._coeff_base + mb_index * self._coeff_stride
-        # 16 blocks x 64 bytes each.
-        return (base + np.arange(16) * 64).astype(np.uint64)
+        return _COEFF_BLOCKS + np.uint64(base)
 
     def _trace_transform_path(
         self,
@@ -1155,9 +1167,10 @@ class Encoder:
             big = np.concatenate([mags > t for t in (1, 3, 7)])
         else:
             big = np.zeros(1, dtype=bool)
-        bs_addrs = (
-            self._bs_base + (np.arange(max(bits // 8, 1)) % (1 << 22))
-        ).astype(np.uint64)[:: max(1, bits // 64)]
+        # Every (bits // 64)-th byte of the bits // 8 this MB appended.
+        bs_addrs = np.uint64(self._bs_base) + np.arange(
+            0, max(bits // 8, 1), max(1, bits // 64), dtype=np.uint64
+        ) % np.uint64(1 << 22)
         self.tracer.kernel(
             "entropy_coeff",
             iters=max(n_tokens, 1),

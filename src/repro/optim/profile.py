@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.trace.events import BranchEvent, TraceStream
+from repro._util import running_sum
+from repro.trace.events import TraceStream
 
 __all__ = ["ExecutionProfile", "collect_profile"]
 
@@ -36,12 +37,20 @@ class ExecutionProfile:
             )
         for kernel, calls in stream.kernel_calls.items():
             self.kernel_calls[kernel] = self.kernel_calls.get(kernel, 0) + calls
-        for event in stream.iter_events():
-            if isinstance(event, BranchEvent):
-                taken = float(np.count_nonzero(event.outcomes)) * event.weight
-                total = float(event.outcomes.size) * event.weight
-                t0, n0 = self.branch_bias.get(event.site, (0.0, 0.0))
-                self.branch_bias[event.site] = (t0 + taken, n0 + total)
+        trace = stream.columns
+        # Weighted taken / total counts per branch event, folded into each
+        # site's running pair in trace order.
+        bounds = trace.branch_offsets
+        taken_before = np.concatenate(([0], np.cumsum(trace.branch_outcomes)))
+        taken = (taken_before[bounds[1:]] - taken_before[bounds[:-1]]) * trace.branch_weights
+        total = np.diff(bounds) * trace.branch_weights
+        for sid, site in enumerate(trace.site_names):
+            events = trace.branch_sites == sid
+            t0, n0 = self.branch_bias.get(site, (0.0, 0.0))
+            self.branch_bias[site] = (
+                float(running_sum(t0, taken[events])[-1]),
+                float(running_sum(n0, total[events])[-1]),
+            )
         self.total_instructions += stream.total_instructions
         self.n_runs += 1
 

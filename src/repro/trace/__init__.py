@@ -12,7 +12,13 @@ what a binary-instrumentation tool would capture from a native encoder,
 driven by the real per-parameter behaviour of this one.
 """
 
-from repro.trace.events import BranchEvent, KernelEvent, MemoryEvent, TraceStream
+from repro.trace.events import (
+    BranchEvent,
+    KernelEvent,
+    MemoryEvent,
+    TraceColumns,
+    TraceStream,
+)
 from repro.trace.kernels import KERNELS, kernel_spec
 from repro.trace.program import CodeLayout, Kernel, Program
 from repro.trace.recorder import NullTracer, RecordingTracer, Tracer
@@ -24,6 +30,7 @@ __all__ = [
     "KERNELS",
     "kernel_spec",
     "TraceStream",
+    "TraceColumns",
     "KernelEvent",
     "MemoryEvent",
     "BranchEvent",

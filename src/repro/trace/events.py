@@ -1,23 +1,63 @@
-"""Trace event containers.
+"""Trace containers: the sampled trace in columns, the exact totals beside it.
 
-A :class:`TraceStream` is the ordered record of one encoding run:
-kernel invocations (instruction execution), memory accesses (data reads
-and writes plus instruction fetches), and conditional-branch outcome
-sequences per static branch site. Events may carry a ``weight`` > 1 when
-the recorder sampled (recorded every Nth invocation): counters derived
-from the event are scaled by the weight, while exact totals (instruction
-counts) are kept separately and are never sampled.
+A :class:`TraceStream` is the record of one encoding run. Its sampled part
+— kernel invocations (instruction execution), data reads and writes, and
+conditional-branch outcome sequences per static branch site — lives in one
+immutable :class:`TraceColumns`: a handful of NumPy arrays per event family
+instead of one Python object per event. The recorder builds the arrays
+once, when the encode ends; the simulator slices them. Events carry a
+``weight`` > 1 when the recorder sampled (recorded every Nth invocation):
+counters derived from an event are scaled by its weight, while the exact
+totals (instruction counts) are kept separately and are never sampled.
+
+The contract of the columns:
+
+* **Order.** Every event has a position ``0 .. n_events - 1`` in the order
+  the codec reported it (``kernel_pos`` / ``mem_pos`` / ``branch_pos``);
+  within a family the rows are in that order too.
+* **Dtypes.** Addresses are ``uint64`` byte addresses, outcomes ``bool``,
+  iteration counts and weights ``float64``, ids / offsets / positions
+  ``intp``. All arrays are read-only.
+* **``events`` is a view.** :attr:`TraceStream.events` materialises the
+  same :class:`KernelEvent` / :class:`MemoryEvent` / :class:`BranchEvent`
+  objects, in the same order, on first access (their arrays are slices of
+  the columns). Tests and tools read it; nothing on the simulation path
+  does. A hand-built event list enters through
+  :meth:`TraceStream.from_events`.
+* **What a column set may cache.** Only what is a function of the trace
+  alone: line numbers with the same-line collapse per *line size*
+  (:meth:`TraceColumns.data_lines`), reuse gaps per kernel *cost vector*
+  (:meth:`TraceColumns.kernel_reuse`, the code layout's footprints) and
+  the per-site outcome sequences (:attr:`TraceColumns.site_outcomes`).
+  Nothing keyed by cache sets, ways, capacities, latencies or predictor
+  kind, and never a simulation result: every model step runs on every
+  ``simulate()`` call. The columns never change, so a cached view cannot
+  go stale; a recorder that is fed further calls hands out a *new* stream.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.trace.program import InstrMix
 
-__all__ = ["KernelEvent", "MemoryEvent", "BranchEvent", "TraceStream"]
+__all__ = [
+    "KernelEvent",
+    "MemoryEvent",
+    "BranchEvent",
+    "TraceRows",
+    "checked_addrs",
+    "TraceColumns",
+    "TraceStream",
+    "DataLines",
+    "KernelReuse",
+    "ReplayWindow",
+]
 
 
 @dataclass(frozen=True)
@@ -31,11 +71,12 @@ class KernelEvent:
 
 @dataclass(frozen=True)
 class MemoryEvent:
-    """A batch of memory accesses from one kernel invocation.
+    """A batch of data accesses from one kernel invocation.
 
-    ``kind`` is ``"r"`` (data read), ``"w"`` (data write) or ``"i"``
-    (instruction fetch). Addresses are byte addresses; the cache model
-    reduces them to line granularity.
+    ``kind`` is ``"r"`` (data read) or ``"w"`` (data write). Addresses are
+    byte addresses; the cache model reduces them to line granularity.
+    Instruction fetches are not events: the instruction side is modelled
+    analytically from the :class:`KernelEvent` sequence.
     """
 
     kernel: str
@@ -44,8 +85,8 @@ class MemoryEvent:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("r", "w", "i"):
-            raise ValueError(f"kind must be 'r', 'w' or 'i', got {self.kind!r}")
+        if self.kind not in ("r", "w"):
+            raise ValueError(f"kind must be 'r' or 'w', got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -57,11 +98,327 @@ class BranchEvent:
     weight: float = 1.0
 
 
+class DataLines(NamedTuple):
+    """The data addresses at one line size, same-line neighbours within a
+    memory event collapsed: event ``e`` keeps ``lines[offsets[e]:offsets[e + 1]]``."""
+
+    lines: np.ndarray  # int64 line numbers
+    offsets: np.ndarray  # intp, one more than there are memory events
+
+
+class KernelReuse(NamedTuple):
+    """Per kernel event, the cost of the other code run since the same
+    kernel's previous invocation (``gaps[inverse]``; meaningless where
+    ``first``, the kernel's first invocation)."""
+
+    gaps: np.ndarray  # float64, the distinct gap values
+    inverse: np.ndarray  # intp per kernel event, index into ``gaps``
+    first: np.ndarray  # bool per kernel event
+
+
+class ReplayWindow(NamedTuple):
+    """A run of consecutive events: ``n_events`` of them, of which the
+    memory events ``mem_lo .. mem_hi - 1`` carry ``n_addrs`` addresses."""
+
+    n_events: int
+    mem_lo: int
+    mem_hi: int
+    n_addrs: int
+
+
+def checked_addrs(addrs) -> np.ndarray:
+    """``addrs`` as an array of byte addresses: integers, none negative
+    (``ValueError`` otherwise — a float would be truncated and a NaN turned
+    into garbage by the cast to ``uint64``). An empty array passes."""
+    arr = np.asarray(addrs)
+    if arr.size:
+        kind = arr.dtype.kind
+        if kind == "i":
+            if arr.min() < 0:
+                raise ValueError("negative address in trace")
+        elif kind != "u":  # unsigned: nothing to scan for
+            raise ValueError(
+                f"trace addresses must be integers, got dtype {arr.dtype}"
+            )
+    return arr
+
+
+def _column(values, dtype) -> np.ndarray:
+    """``values`` as a read-only 1-D array of ``dtype``."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim != 1:
+        raise ValueError(f"trace columns are 1-D, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
+def _offsets(sizes: Sequence[int]) -> np.ndarray:
+    out = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def _flat(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    """All elements of ``arrays``, array after array, C order within one."""
+    if not arrays:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate(arrays, axis=None, dtype=dtype, casting="unsafe")
+
+
+def _unzip(rows: list[tuple], width: int) -> tuple:
+    return tuple(zip(*rows)) if rows else ((),) * width
+
+
+class TraceRows:
+    """A trace being written: append-only rows, one list per event family.
+
+    The one way columns are made. A producer interns names with
+    :meth:`kernel_id` / :meth:`site_id`, appends row tuples (and the
+    address / outcome arrays they describe), numbering the events
+    ``0, 1, ...`` in trace order, and :meth:`build` turns what has been
+    appended so far into a :class:`TraceColumns`. Address arrays go through
+    :func:`checked_addrs` first. The appended arrays are only referenced
+    until then, so a producer must not write to them.
+    """
+
+    def __init__(self) -> None:
+        self.kernel_ids: dict[str, int] = {}
+        self.site_ids: dict[str, int] = {}
+        #: (kernel id, iters, weight, position)
+        self.kernel_rows: list[tuple] = []
+        #: (kernel id, is load, weight, position), one per array in ``addrs``
+        self.memory_rows: list[tuple] = []
+        self.addrs: list[np.ndarray] = []
+        #: (site id, weight, position), one per array in ``outcomes``
+        self.branch_rows: list[tuple] = []
+        self.outcomes: list[np.ndarray] = []
+
+    def kernel_id(self, name: str) -> int:
+        return self.kernel_ids.setdefault(name, len(self.kernel_ids))
+
+    def site_id(self, name: str) -> int:
+        return self.site_ids.setdefault(name, len(self.site_ids))
+
+    def build(self) -> "TraceColumns":
+        k_ids, k_iters, k_weights, k_pos = _unzip(self.kernel_rows, 4)
+        m_kernels, m_loads, m_weights, m_pos = _unzip(self.memory_rows, 4)
+        b_sites, b_weights, b_pos = _unzip(self.branch_rows, 3)
+        return TraceColumns(
+            kernel_names=tuple(self.kernel_ids),
+            site_names=tuple(self.site_ids),
+            kernel_ids=_column(k_ids, np.intp),
+            kernel_iters=_column(k_iters, np.float64),
+            kernel_weights=_column(k_weights, np.float64),
+            kernel_pos=_column(k_pos, np.intp),
+            mem_addrs=_column(_flat(self.addrs, np.uint64), np.uint64),
+            mem_offsets=_column(_offsets([a.size for a in self.addrs]), np.intp),
+            mem_kernels=_column(m_kernels, np.intp),
+            mem_is_load=_column(m_loads, bool),
+            mem_weights=_column(m_weights, np.float64),
+            mem_pos=_column(m_pos, np.intp),
+            branch_outcomes=_column(_flat(self.outcomes, bool), bool),
+            branch_offsets=_column(
+                _offsets([a.size for a in self.outcomes]), np.intp
+            ),
+            branch_sites=_column(b_sites, np.intp),
+            branch_weights=_column(b_weights, np.float64),
+            branch_pos=_column(b_pos, np.intp),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class TraceColumns:
+    """The sampled trace as arrays, built by :meth:`TraceRows.build`; see
+    the module docstring for the contract."""
+
+    #: id -> kernel name, in order of first invocation.
+    kernel_names: tuple[str, ...]
+    #: id -> branch site ``"kernel:tag"``, in order of first appearance.
+    site_names: tuple[str, ...]
+    # Kernel events.
+    kernel_ids: np.ndarray
+    kernel_iters: np.ndarray
+    kernel_weights: np.ndarray
+    kernel_pos: np.ndarray
+    # Memory events: event e owns mem_addrs[mem_offsets[e]:mem_offsets[e + 1]].
+    mem_addrs: np.ndarray
+    mem_offsets: np.ndarray
+    mem_kernels: np.ndarray  # MemoryEvent.kernel as an id
+    mem_is_load: np.ndarray
+    mem_weights: np.ndarray
+    mem_pos: np.ndarray
+    # Branch events: event e owns
+    # branch_outcomes[branch_offsets[e]:branch_offsets[e + 1]].
+    branch_outcomes: np.ndarray
+    branch_offsets: np.ndarray
+    branch_sites: np.ndarray
+    branch_weights: np.ndarray
+    branch_pos: np.ndarray
+    #: Views that depend on a parameter, by (view name, parameter).
+    _keyed: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def from_events(cls, events: Iterable[object]) -> "TraceColumns":
+        """Columns of a hand-built event list (any mix and order of types)."""
+        rows = TraceRows()
+        for pos, event in enumerate(events):
+            if isinstance(event, KernelEvent):
+                rows.kernel_rows.append(
+                    (rows.kernel_id(event.kernel), event.iters, event.weight, pos)
+                )
+            elif isinstance(event, MemoryEvent):
+                rows.addrs.append(checked_addrs(event.addrs))
+                rows.memory_rows.append(
+                    (rows.kernel_id(event.kernel), event.kind == "r", event.weight, pos)
+                )
+            elif isinstance(event, BranchEvent):
+                rows.outcomes.append(np.asarray(event.outcomes, dtype=bool))
+                rows.branch_rows.append((rows.site_id(event.site), event.weight, pos))
+            else:
+                raise TypeError(f"not a trace event: {event!r}")
+        return rows.build()
+
+    # -- counts ---------------------------------------------------------
+
+    @property
+    def n_kernel(self) -> int:
+        return self.kernel_ids.size
+
+    @property
+    def n_memory(self) -> int:
+        return self.mem_pos.size
+
+    @property
+    def n_branch(self) -> int:
+        return self.branch_pos.size
+
+    @property
+    def n_events(self) -> int:
+        return self.n_kernel + self.n_memory + self.n_branch
+
+    # -- the object view ------------------------------------------------
+
+    @cached_property
+    def events(self) -> tuple[object, ...]:
+        """Every event as an object, in trace order (built on first use)."""
+        events: list[object] = [None] * self.n_events
+        names = self.kernel_names
+        for pos, kid, iters, weight in zip(
+            self.kernel_pos.tolist(),
+            self.kernel_ids.tolist(),
+            self.kernel_iters.tolist(),
+            self.kernel_weights.tolist(),
+        ):
+            events[pos] = KernelEvent(names[kid], iters, weight)
+        bounds = self.mem_offsets.tolist()
+        for pos, kid, load, weight, lo, hi in zip(
+            self.mem_pos.tolist(),
+            self.mem_kernels.tolist(),
+            self.mem_is_load.tolist(),
+            self.mem_weights.tolist(),
+            bounds,
+            bounds[1:],
+        ):
+            events[pos] = MemoryEvent(
+                names[kid], self.mem_addrs[lo:hi], "r" if load else "w", weight
+            )
+        bounds = self.branch_offsets.tolist()
+        sites = self.site_names
+        for pos, sid, weight, lo, hi in zip(
+            self.branch_pos.tolist(),
+            self.branch_sites.tolist(),
+            self.branch_weights.tolist(),
+            bounds,
+            bounds[1:],
+        ):
+            events[pos] = BranchEvent(sites[sid], self.branch_outcomes[lo:hi], weight)
+        return tuple(events)
+
+    # -- views for the simulator (functions of the trace alone) ---------
+
+    def windows(self, bound: int) -> Iterator[ReplayWindow]:
+        """Cut the trace into runs of events: a window closes behind the
+        memory event that takes its address count to ``bound``; what is
+        left behind the last cut is the final window."""
+        if bound < 1:
+            raise ValueError(f"window bound must be >= 1, got {bound}")
+        ends = self.mem_offsets[1:]  # addresses up to and including event e
+        pos = lo = addrs = 0  # the window's first event / memory event / address
+        while True:
+            cut = int(np.searchsorted(ends, addrs + bound, side="left"))
+            if cut == ends.size:
+                break
+            after = int(self.mem_pos[cut]) + 1
+            yield ReplayWindow(after - pos, lo, cut + 1, int(ends[cut]) - addrs)
+            pos, lo, addrs = after, cut + 1, int(ends[cut])
+        if pos < self.n_events:
+            yield ReplayWindow(
+                self.n_events - pos, lo, ends.size, self.mem_addrs.size - addrs
+            )
+
+    def data_lines(self, line_shift: int) -> DataLines:
+        """Line numbers of the data addresses at ``1 << line_shift`` bytes
+        per line, consecutive same-line addresses of one event collapsed
+        (the repeats are first-level hits whatever the geometry)."""
+        key = ("data_lines", line_shift)
+        if key not in self._keyed:
+            lines = (self.mem_addrs >> np.uint64(line_shift)).astype(np.int64)
+            keep = np.ones(lines.size, dtype=bool)
+            np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+            starts = self.mem_offsets[:-1]
+            keep[starts[starts < lines.size]] = True
+            kept = np.zeros(lines.size + 1, dtype=np.intp)
+            np.cumsum(keep, out=kept[1:])
+            self._keyed[key] = DataLines(
+                _column(lines[keep], np.int64),
+                _column(kept[self.mem_offsets], np.intp),
+            )
+        return self._keyed[key]
+
+    def kernel_reuse(self, costs: Sequence[float]) -> KernelReuse:
+        """Reuse gaps of the kernel-event sequence when an invocation of
+        kernel ``k`` advances a clock by ``costs[k]``: the clock before an
+        invocation minus the clock right after the same kernel's previous
+        one. The clock is a left-to-right float sum, as a ``+=`` loop's."""
+        key = ("kernel_reuse", tuple(costs))
+        if key not in self._keyed:
+            ids = self.kernel_ids
+            clock = np.zeros(ids.size + 1)
+            np.add.accumulate(np.asarray(key[1], dtype=np.float64)[ids], out=clock[1:])
+            # Previous invocation of the same kernel, -1 where there is none.
+            order = np.argsort(ids, kind="stable")
+            again = ids[order[1:]] == ids[order[:-1]]
+            prev = np.full(ids.size, -1, dtype=np.intp)
+            prev[order[1:][again]] = order[:-1][again]
+            gaps, inverse = np.unique(clock[:-1] - clock[prev + 1], return_inverse=True)
+            self._keyed[key] = KernelReuse(
+                _column(gaps, np.float64),
+                _column(inverse, np.intp),
+                _column(prev < 0, bool),
+            )
+        return self._keyed[key]
+
+    @cached_property
+    def site_outcomes(self) -> tuple[tuple[str, np.ndarray, float], ...]:
+        """Per branch site, in order of first appearance: its name, the
+        outcomes of all its events in trace order, and the mean weight of
+        those events (the predictor's scale factor for the site)."""
+        site_of = np.repeat(self.branch_sites, np.diff(self.branch_offsets))
+        return tuple(
+            (
+                name,
+                _column(self.branch_outcomes[site_of == sid], bool),
+                float(self.branch_weights[self.branch_sites == sid].mean()),
+            )
+            for sid, name in enumerate(self.site_names)
+        )
+
+
 @dataclass
 class TraceStream:
     """The full trace of one encoding run."""
 
-    events: list[object] = field(default_factory=list)
+    columns: TraceColumns = field(default_factory=lambda: TraceRows().build())
     # Exact (unsampled) aggregate counters.
     instr: InstrMix = field(default_factory=InstrMix)
     instr_by_kernel: dict[str, InstrMix] = field(default_factory=dict)
@@ -70,6 +427,18 @@ class TraceStream:
     # Exact totals of *data* traffic, for roofline operational intensity.
     data_reads: float = 0.0
     data_writes: float = 0.0
+
+    @classmethod
+    def from_events(cls, events: Iterable[object], **totals) -> "TraceStream":
+        """A stream over a hand-built event list; ``totals`` are the exact
+        counters (``instr=...``, ``n_frames=...``), which no event implies."""
+        return cls(TraceColumns.from_events(events), **totals)
+
+    @property
+    def events(self) -> tuple[object, ...]:
+        """The events as objects, in trace order: a view of :attr:`columns`
+        built on first access (see the module docstring)."""
+        return self.columns.events
 
     @property
     def total_instructions(self) -> float:
@@ -86,9 +455,6 @@ class TraceStream:
         else:
             self.instr_by_kernel[kernel] = mix
 
-    def iter_events(self):
-        return iter(self.events)
-
     def summary(self) -> dict[str, float]:
         """Headline totals, mostly for logging and tests."""
         return {
@@ -96,6 +462,6 @@ class TraceStream:
             "branches": self.total_branches,
             "loads": self.instr.load,
             "stores": self.instr.store,
-            "events": float(len(self.events)),
+            "events": float(self.columns.n_events),
             "frames": float(self.n_frames),
         }

@@ -5,6 +5,14 @@
 for the µarch simulator: exact instruction accounting plus (optionally
 sampled) memory and branch event streams.
 
+The contract between the codec and a recorder: :meth:`Tracer.kernel` only
+checks its arguments and appends — the arrays it is handed are referenced,
+not copied, so the codec must not write to them afterwards — and
+:meth:`Tracer.flush`, which the codec calls once when an encode or decode
+ends, seals what was appended into the stream's columns (see
+:mod:`repro.trace.events`). Reading :attr:`RecordingTracer.stream` seals
+too, so a trace is never seen half built.
+
 :class:`AddressMap` gives the encoder a consistent virtual address space
 for its planes and buffers, so data addresses behave like a real heap
 (distinct pages per buffer, realistic strides) and ``refs`` growth
@@ -13,10 +21,12 @@ enlarges the live working set exactly as it does in FFmpeg.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 
-from repro.trace.events import BranchEvent, KernelEvent, MemoryEvent, TraceStream
-from repro.trace.program import Program
+from repro.trace.events import TraceRows, TraceStream, checked_addrs
+from repro.trace.program import InstrMix, Kernel, Program
 
 __all__ = ["Tracer", "NullTracer", "RecordingTracer", "AddressMap"]
 
@@ -63,7 +73,8 @@ class Tracer:
     of ``name`` executing ``iters`` innermost iterations, touching the
     given byte addresses and resolving the given data-dependent branch
     outcome arrays (keyed by site tag). Loop-control branches are derived
-    from the kernel's instruction mix and need not be passed.
+    from the kernel's instruction mix and need not be passed. ``flush``
+    marks the end of an encode or decode.
     """
 
     enabled = False
@@ -82,16 +93,12 @@ class Tracer:
     ) -> None:
         pass
 
+    def flush(self) -> None:
+        pass
+
 
 class NullTracer(Tracer):
     """Discards everything (used for plain, untraced transcodes)."""
-
-
-def _as_addrs(addrs: np.ndarray) -> np.ndarray:
-    arr = np.asarray(addrs).ravel()
-    if arr.size and arr.min() < 0:
-        raise ValueError("negative address in trace")
-    return arr.astype(np.uint64, copy=False)
 
 
 class RecordingTracer(Tracer):
@@ -114,11 +121,20 @@ class RecordingTracer(Tracer):
             raise ValueError(f"sample must be >= 1, got {sample}")
         self.program = program
         self.sample = int(sample)
-        self.stream = TraceStream()
-        self._invocation_count: dict[str, int] = {}
+        self._weight = float(self.sample)
+        self._n_frames = 0
+        # Every invocation, sampled or not: the exact totals come from these.
+        self._call_ids: list[int] = []
+        self._call_iters: list[float] = []
+        self._specs: list[Kernel] = []  # per kernel id
+        self._invocations: list[int] = []  # per kernel id
+        self._rows = TraceRows()  # the sampled invocations' events
+        self._n_events = 0
+        self._stream: TraceStream | None = None
 
     def begin_frame(self, frame_type: str, index: int) -> None:
-        self.stream.n_frames += 1
+        self._n_frames += 1
+        self._stream = None
 
     def kernel(
         self,
@@ -129,35 +145,88 @@ class RecordingTracer(Tracer):
         writes: np.ndarray | None = None,
         branches: dict[str, np.ndarray] | None = None,
     ) -> None:
-        spec = self.program.kernel(name)
         if iters < 0:
             raise ValueError(f"iters must be >= 0, got {iters}")
-        mix = spec.instr_mix.scaled(iters) + spec.call_overhead
-        self.stream.add_instr(name, mix)
-        self.stream.kernel_calls[name] = self.stream.kernel_calls.get(name, 0) + 1
-        self.stream.data_reads += mix.load
-        self.stream.data_writes += mix.store
-
-        count = self._invocation_count.get(name, 0)
-        self._invocation_count[name] = count + 1
-        if count % self.sample != 0:
+        rows = self._rows
+        kid = rows.kernel_ids.get(name)
+        if kid is None:
+            self._specs.append(self.program.kernel(name))  # KeyError if unknown
+            kid = rows.kernel_id(name)
+            self._invocations.append(0)
+        self._stream = None
+        self._call_ids.append(kid)
+        self._call_iters.append(iters)
+        count = self._invocations[kid]
+        self._invocations[kid] = count + 1
+        if count % self.sample:
             return
-        weight = float(self.sample)
-        events = self.stream.events
-        # Instruction-side behaviour is derived from KernelEvents at
+        # Checked here, with the codec's call on the stack, not at seal time.
+        if reads is not None:
+            reads = checked_addrs(reads)
+        if writes is not None:
+            writes = checked_addrs(writes)
+        weight = self._weight
+        pos = self._n_events
+        # Instruction-side behaviour is derived from the kernel events at
         # simulation time (analytic i-cache model over the layout's fetch
         # footprints), so no explicit i-fetch address events are stored.
-        events.append(KernelEvent(name, float(iters), weight))
-        if reads is not None:
-            arr = _as_addrs(reads)
-            if arr.size:
-                events.append(MemoryEvent(name, arr, "r", weight))
-        if writes is not None:
-            arr = _as_addrs(writes)
-            if arr.size:
-                events.append(MemoryEvent(name, arr, "w", weight))
+        rows.kernel_rows.append((kid, iters, weight, pos))
+        pos += 1
+        if reads is not None and reads.size:
+            rows.addrs.append(reads)
+            rows.memory_rows.append((kid, True, weight, pos))
+            pos += 1
+        if writes is not None and writes.size:
+            rows.addrs.append(writes)
+            rows.memory_rows.append((kid, False, weight, pos))
+            pos += 1
         if branches:
             for tag, outcomes in branches.items():
-                out = np.asarray(outcomes, dtype=bool).ravel()
+                out = np.asarray(outcomes, dtype=bool)
                 if out.size:
-                    events.append(BranchEvent(f"{name}:{tag}", out, weight))
+                    rows.outcomes.append(out)
+                    rows.branch_rows.append(
+                        (rows.site_id(f"{name}:{tag}"), weight, pos)
+                    )
+                    pos += 1
+        self._n_events = pos
+
+    def flush(self) -> None:
+        """Seal what has been recorded so far into :attr:`stream`."""
+        if self._stream is None:
+            self._stream = self._seal()
+
+    @property
+    def stream(self) -> TraceStream:
+        """The trace of everything recorded so far. Further ``kernel`` /
+        ``begin_frame`` calls do not touch a stream already handed out;
+        the next read returns a new one."""
+        self.flush()
+        return self._stream
+
+    def _seal(self) -> TraceStream:
+        names, specs = tuple(self._rows.kernel_ids), self._specs
+        ids = np.array(self._call_ids, dtype=np.intp)
+        iters = np.array(self._call_iters, dtype=np.float64)
+        per_iter = np.array([astuple(k.instr_mix) for k in specs]).reshape(-1, 5)
+        per_call = np.array([astuple(k.call_overhead) for k in specs]).reshape(-1, 5)
+        # One row per invocation: its mix, exactly as
+        # ``instr_mix.scaled(iters) + call_overhead`` computes it ...
+        mixes = per_iter[ids] * iters[:, None] + per_call[ids]
+        # ... folded strictly left to right, as a ``+=`` per call would.
+        by_kernel = {}
+        for kid, name in enumerate(names):
+            rows = mixes[ids == kid]
+            by_kernel[name] = InstrMix(*np.add.accumulate(rows, axis=0)[-1].tolist())
+        total = np.add.accumulate(mixes, axis=0)[-1:].tolist()
+        instr = InstrMix(*total[0]) if total else InstrMix()
+        return TraceStream(
+            self._rows.build(),
+            instr=instr,
+            instr_by_kernel=by_kernel,
+            kernel_calls=dict(zip(names, self._invocations)),
+            n_frames=self._n_frames,
+            # Every load and store is data traffic: the same running sums.
+            data_reads=instr.load,
+            data_writes=instr.store,
+        )

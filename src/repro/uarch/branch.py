@@ -21,10 +21,10 @@ exits.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro._util import check_choice
 
@@ -64,6 +64,90 @@ class BranchStats:
         return self.mispredicts * 1000.0 / instructions
 
 
+def _history_keys(
+    out: np.ndarray, histories: Sequence[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """For each history length ``h``: ``out[i : i + h + 1]`` — a history
+    and the outcome that followed it — packed into one integer (first
+    outcome in the top bit), for every ``i``.
+
+    One doubling pass serves every length: the pattern over ``2w``
+    outcomes is the pattern over the first ``w`` shifted up, or-ed with
+    the pattern over the next ``w``, and a key is assembled from the
+    power-of-two patterns its width is the sum of, last chunk first — a
+    handful of array passes per length instead of ``h`` per branch. Only
+    the current power pattern and the unfinished keys are alive at once.
+    """
+    # history -> (pattern over the last `covered` outcomes of its key, covered)
+    partial: dict[int, tuple[np.ndarray | None, int]] = {
+        h: (None, 0) for h in histories
+    }
+    power, width = out, 1  # power[i] packs out[i : i + width]
+    while True:
+        for h, (tail, covered) in list(partial.items()):
+            if (h + 1) & width:
+                key = power if tail is None else (power[:-covered] << covered) | tail[width:]
+                if covered + width == h + 1:
+                    del partial[h]
+                    yield h, key
+                else:
+                    partial[h] = key, covered + width
+        if not partial:
+            return
+        power = (power[:-width] << width) | power[width:]
+        width *= 2
+
+
+def _count_mispredicts(keys: np.ndarray, history_bits: int) -> float:
+    """Minority outcomes per history pattern plus one training miss per
+    distinct pattern, from the packed (pattern, next outcome) ``keys``."""
+    if (2 << history_bits) <= 4 * keys.size:
+        # Few possible keys: count them all; the two outcomes of a pattern
+        # sit side by side.
+        counts = np.bincount(keys, minlength=2 << history_bits)
+        not_taken, taken = counts[0::2], counts[1::2]
+        steady = float(np.minimum(not_taken, taken).sum())
+        training = float(np.count_nonzero(not_taken + taken))
+    else:
+        # Sparse counting: long histories make the dense pattern space huge
+        # (2^33 for 32-bit TAGE components) but only a few patterns occur.
+        unique_keys, counts = np.unique(keys, return_counts=True)
+        pats = unique_keys >> 1
+        # unique_keys is sorted, so the two outcomes of one pattern (if both
+        # occur) are adjacent; the minority count is the steady-state misses.
+        same = pats[1:] == pats[:-1]
+        steady = float(np.minimum(counts[1:][same], counts[:-1][same]).sum())
+        training = float(pats.size - np.count_nonzero(same))
+    return steady + training
+
+
+def _two_level_by_history(
+    outcomes: np.ndarray, histories: Sequence[int]
+) -> dict[int, float]:
+    """:func:`two_level_mispredicts` of one outcome sequence at several
+    history lengths, sharing one :func:`_history_keys` pass."""
+    n = outcomes.size
+    result: dict[int, float] = {}
+    packed = []
+    for h in histories:
+        if n == 0:
+            result[h] = 0.0
+        elif h <= 0:
+            # Degenerate bimodal: majority vote over the whole stream.
+            taken = float(np.count_nonzero(outcomes))
+            result[h] = min(taken, n - taken) + 1.0
+        elif n <= h:
+            result[h] = n * 0.5
+        elif h > 62:
+            raise ValueError(f"history_bits must be <= 62, got {h}")
+        else:
+            packed.append(h)
+    if packed:
+        for h, keys in _history_keys(outcomes.astype(np.int64), packed):
+            result[h] = _count_mispredicts(keys, h) + h * 0.5  # + warm-up
+    return result
+
+
 def two_level_mispredicts(outcomes: np.ndarray, history_bits: int) -> float:
     """Steady-state + training mispredictions of a two-level predictor.
 
@@ -73,32 +157,7 @@ def two_level_mispredicts(outcomes: np.ndarray, history_bits: int) -> float:
     training miss. The first ``history_bits`` branches (history warm-up)
     are charged at 50%.
     """
-    n = outcomes.size
-    if n == 0:
-        return 0.0
-    if history_bits <= 0:
-        # Degenerate bimodal: majority vote over the whole stream.
-        taken = float(np.count_nonzero(outcomes))
-        return min(taken, n - taken) + 1.0
-    if n <= history_bits:
-        return n * 0.5
-    out = outcomes.astype(np.int64)
-    windows = sliding_window_view(out, history_bits)[:-1]  # history before each
-    powers = (1 << np.arange(history_bits, dtype=np.int64))[::-1]
-    patterns = windows @ powers
-    nexts = out[history_bits:]
-    keys = patterns * 2 + nexts
-    # Sparse counting: long histories make the dense pattern space huge
-    # (2^33 for 32-bit TAGE components) but only a few patterns occur.
-    unique_keys, counts = np.unique(keys, return_counts=True)
-    pats = unique_keys >> 1
-    # unique_keys is sorted, so the two outcomes of one pattern (if both
-    # occur) are adjacent; the minority count is the steady-state misses.
-    same = pats[1:] == pats[:-1]
-    steady = float(np.minimum(counts[1:][same], counts[:-1][same]).sum())
-    training = float(pats.size - np.count_nonzero(same))
-    warmup = history_bits * 0.5
-    return steady + training + warmup
+    return _two_level_by_history(outcomes, (history_bits,))[history_bits]
 
 
 class BranchModel:
@@ -135,9 +194,7 @@ class BranchModel:
                 bimodal,
             )
         else:  # tage
-            best = min(
-                two_level_mispredicts(outcomes, h) for h in _TAGE_HISTORIES
-            )
+            best = min(_two_level_by_history(outcomes, _TAGE_HISTORIES).values())
             # Tagged geometric tables pick the best history length *per
             # pattern*, not per site, and avoid aliasing entirely — a
             # further constant-factor win over the per-site best-history

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._util import running_sum
+from repro.trace.events import TraceColumns
 from repro.uarch.config import CacheParams
 
 __all__ = [
@@ -204,16 +206,6 @@ def _run_starts(x: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _running(carry: float, terms: np.ndarray) -> np.ndarray:
-    """``carry, carry + t0, (carry + t0) + t1, ...``: the totals a ``+=``
-    loop passes through. ``accumulate`` adds strictly left to right, so
-    fractional weights round exactly as they do in the oracle."""
-    out = np.empty(terms.size + 1)
-    out[0] = carry
-    out[1:] = terms
-    return np.add.accumulate(out, out=out)
-
-
 def _lru_window(
     resident: np.ndarray, lines: np.ndarray, n_sets: int, assoc: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -304,7 +296,7 @@ class HierarchyReplay:
     The same model as :class:`CacheHierarchy` driven one event at a time
     with per-event load/store miss snapshots, and the same counters bit
     for bit (fractional weights included); see the module docstring.
-    ``params`` order is nearest-first. Feed the trace's data events to
+    ``params`` order is nearest-first. Feed the trace's memory events to
     :meth:`replay` in order, one window at a time; where the windows are
     cut changes no counter.
     """
@@ -338,29 +330,27 @@ class HierarchyReplay:
         """Weighted memory accesses by stores (last-level store misses)."""
         return self.store_misses[-1]
 
-    def replay(self, events: Sequence) -> None:
-        """Run one window of data memory events (``addrs``, ``kind``,
-        ``weight``; kind ``"r"`` is a load, anything else a store)."""
-        events = [e for e in events if e.addrs.size]
-        if not events:
+    def replay(self, trace: TraceColumns, lo: int = 0, hi: int | None = None) -> None:
+        """Run one window: the memory events ``lo .. hi - 1`` of ``trace``
+        (all of them by default)."""
+        if hi is None:
+            hi = trace.n_memory
+        if hi <= lo:
             return
-        n_events = len(events)
-        sizes = np.fromiter((e.addrs.size for e in events), np.intp, n_events)
-        weights = np.fromiter((e.weight for e in events), np.float64, n_events)
-        is_load = np.fromiter((e.kind == "r" for e in events), bool, n_events)
-        addrs = np.concatenate([e.addrs for e in events])
-        lines = (addrs >> np.uint64(self._line_shift)).astype(np.int64)
-
-        # Collapse same-line neighbours within an event; they stay L1
-        # accesses (and hits), charged ahead of the event's walk.
-        starts = np.cumsum(sizes) - sizes
-        keep = _run_starts(lines)
-        keep[starts] = True
-        lines = lines[keep]
-        kept = np.add.reduceat(keep, starts, dtype=np.intp)
+        n_events = hi - lo
+        weights = trace.mem_weights[lo:hi]
+        is_load = trace.mem_is_load[lo:hi]
+        sizes = np.diff(trace.mem_offsets[lo : hi + 1])
+        # Same-line neighbours within an event are already collapsed; they
+        # stay L1 accesses (and hits), charged ahead of the event's walk.
+        data = trace.data_lines(self._line_shift)
+        kept = np.diff(data.offsets[lo : hi + 1])
+        lines = data.lines[data.offsets[lo] : data.offsets[hi]]
         terms = np.repeat(weights, kept + 1)
         terms[np.cumsum(kept + 1) - (kept + 1)] = (sizes - kept) * weights
-        self._l1_accesses = float(_running(self._l1_accesses, terms)[-1])
+        self._l1_accesses = float(running_sum(self._l1_accesses, terms)[-1])
+        if not lines.size:
+            return
 
         event_of = np.repeat(np.arange(n_events), kept)
         for level, (n_sets, assoc) in enumerate(self._geometry):
@@ -383,7 +373,7 @@ class HierarchyReplay:
         """Add one window's misses at ``level`` the way the oracle's caller
         does: a running total, and per event the difference of that total
         across the event added to the load or the store counter."""
-        total = _running(self._misses[level], weights[event_of])
+        total = running_sum(self._misses[level], weights[event_of])
         # Index of each event's last miss; the total after it, and before
         # the event's first (= after the previous event's last).
         last = np.flatnonzero(np.append(event_of[1:] != event_of[:-1], True))
@@ -393,8 +383,8 @@ class HierarchyReplay:
         loads = is_load[event_of[last]]
         self._misses[level] = float(total[-1])
         self.load_misses[level] = float(
-            _running(self.load_misses[level], delta[loads])[-1]
+            running_sum(self.load_misses[level], delta[loads])[-1]
         )
         self.store_misses[level] = float(
-            _running(self.store_misses[level], delta[~loads])[-1]
+            running_sum(self.store_misses[level], delta[~loads])[-1]
         )

@@ -25,6 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro._util import running_sum
+from repro.trace.events import KernelReuse, TraceColumns
 from repro.trace.program import Program
 
 __all__ = ["AnalyticICache", "ICacheStats"]
@@ -50,6 +54,21 @@ class ICacheStats:
     fetch_lines: float = 0.0  # total lines fetched (weighted)
 
 
+def _total(terms: np.ndarray) -> float:
+    return float(running_sum(0.0, terms)[-1])
+
+
+def _miss_prob(reuse: KernelReuse, capacity: float) -> np.ndarray:
+    """Per kernel event, the probability its code was evicted since the
+    kernel last ran: compulsory the first time, else the working-set
+    decay over the intervening fetch volume. ``math.exp`` once per
+    distinct gap, so every value is the scalar model's."""
+    decay = [1.0 - math.exp(-gap / capacity) for gap in reuse.gaps.tolist()]
+    prob = np.array(decay)[reuse.inverse]
+    prob[reuse.first] = 1.0
+    return prob
+
+
 class AnalyticICache:
     """Reuse-distance front-end model over kernel invocations."""
 
@@ -69,61 +88,36 @@ class AnalyticICache:
             max(l3i_lines, 1) * _RETENTION,
         )
         self._itlb_cap = max(itlb_entries, 1) * _RETENTION
-        self._clock_lines = 0.0  # cumulative fetched lines
-        self._clock_pages = 0.0
-        self._last_lines: dict[str, float] = {}
-        self._last_pages: dict[str, float] = {}
-        self._footprint: dict[str, float] = {
-            name: float(len(addrs))
-            for name, addrs in program.layout.fetch_line_addrs.items()
-        }
-        self.stats = ICacheStats()
 
-    def invoke(self, kernel: str, weight: float = 1.0) -> None:
-        """Account one (weighted) invocation of ``kernel``."""
-        footprint = self._footprint.get(kernel)
-        if footprint is None:
-            footprint = float(len(self.program.layout.fetch_line_addrs[kernel]))
-            self._footprint[kernel] = footprint
-        pages = footprint / _LINES_PER_PAGE * _PAGE_DISPERSION
+    def run(self, trace: TraceColumns) -> ICacheStats:
+        """Account every (weighted) kernel invocation of ``trace``, in order.
 
-        last = self._last_lines.get(kernel)
-        if last is None:
-            miss_prob = (1.0, 1.0, 1.0)  # compulsory
-        else:
-            intervening = self._clock_lines - last
-            miss_prob = tuple(
-                1.0 - math.exp(-intervening / cap) for cap in self._caps
-            )
-        lines_l1 = footprint * miss_prob[0] * _PREFETCH_RESIDUE * weight
+        A fetch clock advances by the kernel's footprint per invocation
+        and each kernel is stamped *after* its own fetches, so a
+        back-to-back re-invocation sees zero intervening code (its lines
+        are still resident). The gaps depend on the trace and the layout
+        only and are cached on ``trace``; the miss arithmetic below runs
+        per call.
+        """
+        fetch = self.program.layout.fetch_line_addrs
+        lines = tuple(float(len(fetch[name])) for name in trace.kernel_names)
+        pages = tuple(f / _LINES_PER_PAGE * _PAGE_DISPERSION for f in lines)
+        ids, weight = trace.kernel_ids, trace.kernel_weights
+        footprint = np.array(lines)[ids]
+
+        line_reuse = trace.kernel_reuse(lines)
+        l1, l2, l3 = (_miss_prob(line_reuse, cap) for cap in self._caps)
         # Deeper levels only see what the shallower level missed.
-        lines_l2 = footprint * miss_prob[0] * miss_prob[1] * _PREFETCH_RESIDUE * weight
-        lines_l3 = (
-            footprint
-            * miss_prob[0]
-            * miss_prob[1]
-            * miss_prob[2]
-            * _PREFETCH_RESIDUE
-            * weight
+        missed = footprint * l1
+        l1i = missed * _PREFETCH_RESIDUE * weight
+        missed = missed * l2
+        l2i = missed * _PREFETCH_RESIDUE * weight
+        l3i = missed * l3 * _PREFETCH_RESIDUE * weight
+        tlb = _miss_prob(trace.kernel_reuse(pages), self._itlb_cap)
+        return ICacheStats(
+            l1i_misses=_total(l1i),
+            l2i_misses=_total(l2i),
+            l3i_misses=_total(l3i),
+            itlb_misses=_total(np.array(pages)[ids] * tlb * weight),
+            fetch_lines=_total(footprint * weight),
         )
-        self.stats.l1i_misses += lines_l1
-        self.stats.l2i_misses += lines_l2
-        self.stats.l3i_misses += lines_l3
-        self.stats.fetch_lines += footprint * weight
-
-        last_p = self._last_pages.get(kernel)
-        if last_p is None:
-            tlb_prob = 1.0
-        else:
-            tlb_prob = 1.0 - math.exp(
-                -(self._clock_pages - last_p) / self._itlb_cap
-            )
-        self.stats.itlb_misses += pages * tlb_prob * weight
-
-        # Advance the fetch clock first, then stamp the kernel *after* its
-        # own fetches so a back-to-back re-invocation sees zero
-        # intervening code (its lines are still resident).
-        self._clock_lines += footprint
-        self._clock_pages += pages
-        self._last_lines[kernel] = self._clock_lines
-        self._last_pages[kernel] = self._clock_pages

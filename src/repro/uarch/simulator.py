@@ -1,22 +1,22 @@
 """The simulator: trace stream in, full counter report out.
 
-Walks the trace events once, in windows — kernel invocations into the
-analytic instruction-side model (i-cache levels and iTLB), data
-reads/writes through the batched data-side hierarchy replay one window at
-a time (with separate load/store miss accounting for the store-buffer
-model), branch outcome sequences into the configured predictor — then
-runs the interval core model to assemble cycles, the Top-down breakdown,
-MPKI, and resource-stall counters.
+Reads the trace's columns (:class:`~repro.trace.events.TraceColumns`),
+never its event objects — the kernel-id column into the analytic
+instruction-side model (i-cache levels and iTLB), the data addresses
+through the batched data-side hierarchy replay one window of memory
+events at a time (with separate load/store miss accounting for the
+store-buffer model), each branch site's outcome sequence into the
+configured predictor — then runs the interval core model to assemble
+cycles, the Top-down breakdown, MPKI, and resource-stall counters.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.obs import session as obs
 from repro.resilience.faults import fault_point
-from repro.trace.events import BranchEvent, KernelEvent, MemoryEvent, TraceStream
+from repro.trace.events import TraceStream
 from repro.trace.program import Program
 from repro.uarch.branch import BranchModel, BranchStats
 from repro.uarch.cache import REPLAY_WINDOW_ADDRS, HierarchyReplay
@@ -67,12 +67,13 @@ class Simulator:
     def run(self, stream: TraceStream, program: Program) -> SimReport:
         fault_point("sim.run", detail=self.config.name)
         with obs.span(
-            "simulate", config=self.config.name, n_events=len(stream.events)
+            "simulate", config=self.config.name, n_events=stream.columns.n_events
         ):
             return self._run_impl(stream, program)
 
     def _run_impl(self, stream: TraceStream, program: Program) -> SimReport:
         config = self.config
+        trace = stream.columns
 
         # Instruction side: analytic reuse-distance model over the code
         # layout's fetch footprints; never capacity-scaled (code footprint
@@ -83,34 +84,23 @@ class Simulator:
             l2i_lines=config.l2.size_bytes // config.l2.line_bytes,
             l3i_lines=config.l3.size_bytes // config.l3.line_bytes,
             itlb_entries=config.itlb_entries,
-        )
+        ).run(trace)
 
-        # Data side: capacity-scaled for proxy workloads.
+        # Data side: capacity-scaled for proxy workloads. Windows bound the
+        # replay's temporaries and give long traces a sequence of timed
+        # ``simulate.window`` spans instead of one opaque block.
         dcache = HierarchyReplay(config.effective_data_levels())
+        for index, window in enumerate(trace.windows(REPLAY_WINDOW_ADDRS)):
+            with obs.span("simulate.window", index=index, events=window.n_events):
+                if window.mem_hi > window.mem_lo:
+                    with obs.span(
+                        "simulate.dcache", config=config.name, lines=window.n_addrs
+                    ):
+                        dcache.replay(trace, window.mem_lo, window.mem_hi)
 
         predictor = BranchModel(config.branch_predictor)
-
-        n_kernel = n_memory = n_branch = 0
-        windows = _windows(stream.iter_events())
-        for index, (window, n_addrs) in enumerate(windows):
-            with obs.span("simulate.window", index=index, events=len(window)):
-                data: list[MemoryEvent] = []
-                for event in window:
-                    if isinstance(event, KernelEvent):
-                        n_kernel += 1
-                        icache.invoke(event.kernel, event.weight)
-                    elif isinstance(event, MemoryEvent):
-                        if event.kind != "i":  # legacy traces; L1i is analytic
-                            data.append(event)
-                    elif isinstance(event, BranchEvent):
-                        n_branch += 1
-                        predictor.record(event.site, event.outcomes, event.weight)
-                n_memory += len(data)
-                if data:
-                    with obs.span(
-                        "simulate.dcache", config=config.name, lines=n_addrs
-                    ):
-                        dcache.replay(data)
+        for site, outcomes, weight in trace.site_outcomes:
+            predictor.record(site, outcomes, weight)
         load_misses, store_misses = dcache.load_misses, dcache.store_misses
         load_mem, store_mem = dcache.load_mem, dcache.store_mem
 
@@ -123,10 +113,10 @@ class Simulator:
                 stream=stream,
                 program=program,
                 config=config,
-                l1i_misses=icache.stats.l1i_misses,
-                l2i_misses=icache.stats.l2i_misses,
-                l3i_misses=icache.stats.l3i_misses,
-                itlb_misses=icache.stats.itlb_misses,
+                l1i_misses=icache.l1i_misses,
+                l2i_misses=icache.l2i_misses,
+                l3i_misses=icache.l3i_misses,
+                itlb_misses=icache.itlb_misses,
             )
             has_l4 = config.l4 is not None
             misses = MissProfile(
@@ -164,10 +154,10 @@ class Simulator:
             "l1d": (load_misses[0] + store_misses[0]) / kilo,
             "l2d": (load_misses[1] + store_misses[1]) / kilo,
             "l3d": (load_misses[2] + store_misses[2]) / kilo,
-            "l1i": icache.stats.l1i_misses / kilo,
-            "l2i": icache.stats.l2i_misses / kilo,
-            "l3i": icache.stats.l3i_misses / kilo,
-            "itlb": icache.stats.itlb_misses / kilo,
+            "l1i": icache.l1i_misses / kilo,
+            "l2i": icache.l2i_misses / kilo,
+            "l3i": icache.l3i_misses / kilo,
+            "itlb": icache.itlb_misses / kilo,
             "branch": branch.mispredicts / kilo,
         }
         stalls = core.resource_stalls
@@ -182,9 +172,9 @@ class Simulator:
         if tel is not None:
             m = tel.metrics
             m.counter("sim.runs").inc()
-            m.counter("sim.events.kernel").inc(n_kernel)
-            m.counter("sim.events.memory").inc(n_memory)
-            m.counter("sim.events.branch").inc(n_branch)
+            m.counter("sim.events.kernel").inc(trace.n_kernel)
+            m.counter("sim.events.memory").inc(trace.n_memory)
+            m.counter("sim.events.branch").inc(trace.n_branch)
             m.counter("sim.instructions").inc(instructions)
             m.counter("sim.cycles").inc(core.cycles)
             m.counter("sim.branch.mispredicts").inc(branch.mispredicts)
@@ -198,8 +188,8 @@ class Simulator:
                 load_misses[2] + store_misses[2]
             )
             m.counter("sim.dcache.mem_accesses").inc(load_mem + store_mem)
-            m.counter("sim.icache.l1i_misses").inc(icache.stats.l1i_misses)
-            m.counter("sim.icache.itlb_misses").inc(icache.stats.itlb_misses)
+            m.counter("sim.icache.l1i_misses").inc(icache.l1i_misses)
+            m.counter("sim.icache.itlb_misses").inc(icache.itlb_misses)
 
         return SimReport(
             config_name=config.name,
@@ -216,31 +206,12 @@ class Simulator:
                 "bs_cycles": core.bs_cycles,
                 "mem_cycles": core.mem_cycles,
                 "core_cycles": core.core_cycles,
-                "itlb_misses": icache.stats.itlb_misses,
+                "itlb_misses": icache.itlb_misses,
                 # DRAM lines transferred (for roofline operational intensity).
                 "mem_lines": load_mem + store_mem,
                 **{f"fe_{k}": v for k, v in fe_breakdown.items()},
             },
         )
-
-
-def _windows(events: Iterable[object]) -> Iterator[tuple[list[object], int]]:
-    """Cut the event stream into replay windows, each with its count of
-    data addresses: a window closes once that count reaches
-    ``REPLAY_WINDOW_ADDRS``, which bounds the data-side replay's
-    temporaries and gives long traces a sequence of timed
-    ``simulate.window`` spans instead of one opaque block."""
-    window: list[object] = []
-    addrs = 0
-    for event in events:
-        window.append(event)
-        if isinstance(event, MemoryEvent) and event.kind != "i":
-            addrs += event.addrs.size
-            if addrs >= REPLAY_WINDOW_ADDRS:
-                yield window, addrs
-                window, addrs = [], 0
-    if window:
-        yield window, addrs
 
 
 def simulate(

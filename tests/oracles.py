@@ -1,0 +1,343 @@
+"""Per-event reference implementations of the trace hand-off.
+
+The runtime keeps a sampled trace in columns: the recorder appends and
+seals, the simulator slices arrays (``repro.trace.events``). What it
+replaced — one Python object per event, one Python call per event — lives
+on here, verbatim where it matters, as the oracle the tests hold the
+column path equal to (``==`` on every float):
+
+* :class:`OracleTracer`: the recorder that built ``InstrMix`` totals and
+  event objects call by call; :class:`TeeTracer` feeds one encode to
+  several recorders.
+* :class:`PerCallICache`, :class:`PerEventHierarchy`,
+  :func:`event_windows` and :func:`sliding_two_level_mispredicts`: the
+  simulator's per-event model walks; :func:`per_event_models` swaps them
+  into ``simulate()`` so an oracle report is the real assembly over
+  per-event model steps.
+
+Nothing under ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from repro.trace.events import (
+    BranchEvent,
+    KernelEvent,
+    MemoryEvent,
+    ReplayWindow,
+    TraceColumns,
+    TraceStream,
+)
+from repro.trace.recorder import Tracer
+from repro.uarch import branch as branch_mod
+from repro.uarch import simulator as simulator_mod
+from repro.uarch.cache import Cache, CacheHierarchy
+from repro.uarch.icache import (
+    _LINES_PER_PAGE,
+    _PAGE_DISPERSION,
+    _PREFETCH_RESIDUE,
+    AnalyticICache,
+    ICacheStats,
+)
+
+# -- producer -----------------------------------------------------------
+
+
+def _as_addrs(addrs):
+    arr = np.asarray(addrs).ravel()
+    if arr.size and arr.min() < 0:
+        raise ValueError("negative address in trace")
+    return arr.astype(np.uint64, copy=False)
+
+
+class OracleTracer(Tracer):
+    """The per-call recorder: three ``InstrMix`` allocations and one event
+    object per array, every call. ``events`` is the event list, ``totals``
+    a :class:`TraceStream` carrying only the exact counters."""
+
+    enabled = True
+
+    def __init__(self, program, *, sample=1):
+        self.program = program
+        self.sample = int(sample)
+        self.totals = TraceStream()
+        self.events: list[object] = []
+        self._invocation_count: dict[str, int] = {}
+
+    def begin_frame(self, frame_type, index):
+        self.totals.n_frames += 1
+
+    def kernel(self, name, iters=1.0, *, reads=None, writes=None, branches=None):
+        spec = self.program.kernel(name)
+        if iters < 0:
+            raise ValueError(f"iters must be >= 0, got {iters}")
+        mix = spec.instr_mix.scaled(iters) + spec.call_overhead
+        self.totals.add_instr(name, mix)
+        self.totals.kernel_calls[name] = self.totals.kernel_calls.get(name, 0) + 1
+        self.totals.data_reads += mix.load
+        self.totals.data_writes += mix.store
+
+        count = self._invocation_count.get(name, 0)
+        self._invocation_count[name] = count + 1
+        if count % self.sample != 0:
+            return
+        weight = float(self.sample)
+        events = self.events
+        events.append(KernelEvent(name, float(iters), weight))
+        if reads is not None:
+            arr = _as_addrs(reads)
+            if arr.size:
+                events.append(MemoryEvent(name, arr, "r", weight))
+        if writes is not None:
+            arr = _as_addrs(writes)
+            if arr.size:
+                events.append(MemoryEvent(name, arr, "w", weight))
+        if branches:
+            for tag, outcomes in branches.items():
+                out = np.asarray(outcomes, dtype=bool).ravel()
+                if out.size:
+                    events.append(BranchEvent(f"{name}:{tag}", out, weight))
+
+
+class TeeTracer(Tracer):
+    """Forwards every callback to each of ``tracers``: one encode, several
+    recordings of exactly the same calls."""
+
+    enabled = True
+
+    def __init__(self, *tracers):
+        self.tracers = tracers
+
+    def begin_frame(self, frame_type, index):
+        for tracer in self.tracers:
+            tracer.begin_frame(frame_type, index)
+
+    def kernel(self, name, iters=1.0, **arrays):
+        for tracer in self.tracers:
+            tracer.kernel(name, iters, **arrays)
+
+    def flush(self):
+        for tracer in self.tracers:
+            tracer.flush()
+
+
+def assert_same_events(got, expected):
+    """Two event sequences are the same events: type, order and every
+    field, arrays by value and dtype."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert type(a) is type(b)
+        if isinstance(a, KernelEvent):
+            assert a == b
+            assert type(a.iters) is type(a.weight) is float
+            continue
+        if isinstance(a, MemoryEvent):
+            assert (a.kernel, a.kind, a.weight) == (b.kernel, b.kind, b.weight)
+            x, y = a.addrs, b.addrs
+        else:
+            assert (a.site, a.weight) == (b.site, b.weight)
+            x, y = a.outcomes, b.outcomes
+        assert x.dtype == y.dtype and x.ndim == y.ndim == 1
+        assert np.array_equal(x, y)
+
+
+def assert_same_trace(stream: TraceStream, oracle: OracleTracer):
+    """The sealed ``stream`` is what the per-call recorder built: the
+    event sequence and every exact total, floats with ``==``."""
+    assert_same_events(stream.events, oracle.events)
+    totals = oracle.totals
+    assert stream.instr == totals.instr
+    assert stream.instr_by_kernel == totals.instr_by_kernel
+    assert list(stream.instr_by_kernel) == list(totals.instr_by_kernel)
+    assert stream.kernel_calls == totals.kernel_calls
+    assert list(stream.kernel_calls) == list(totals.kernel_calls)
+    assert stream.n_frames == totals.n_frames
+    assert stream.data_reads == totals.data_reads
+    assert stream.data_writes == totals.data_writes
+    assert stream.columns.n_events == len(oracle.events)
+
+
+# -- consumer -----------------------------------------------------------
+
+
+def event_windows(events, bound):
+    """The replay windows cut one event at a time."""
+    window: list[object] = []
+    addrs = 0
+    for event in events:
+        window.append(event)
+        if isinstance(event, MemoryEvent):
+            addrs += event.addrs.size
+            if addrs >= bound:
+                yield window, addrs
+                window, addrs = [], 0
+    if window:
+        yield window, addrs
+
+
+class PerCallICache(AnalyticICache):
+    """The analytic i-cache accounted one ``invoke`` per kernel event."""
+
+    def run(self, trace: TraceColumns) -> ICacheStats:
+        self._clock_lines = 0.0  # cumulative fetched lines
+        self._clock_pages = 0.0
+        self._last_lines: dict[str, float] = {}
+        self._last_pages: dict[str, float] = {}
+        self.stats = ICacheStats()
+        for event in trace.events:
+            if isinstance(event, KernelEvent):
+                self.invoke(event.kernel, event.weight)
+        return self.stats
+
+    def invoke(self, kernel: str, weight: float = 1.0) -> None:
+        footprint = float(len(self.program.layout.fetch_line_addrs[kernel]))
+        pages = footprint / _LINES_PER_PAGE * _PAGE_DISPERSION
+
+        last = self._last_lines.get(kernel)
+        if last is None:
+            miss_prob = (1.0, 1.0, 1.0)  # compulsory
+        else:
+            intervening = self._clock_lines - last
+            miss_prob = tuple(
+                1.0 - math.exp(-intervening / cap) for cap in self._caps
+            )
+        lines_l1 = footprint * miss_prob[0] * _PREFETCH_RESIDUE * weight
+        lines_l2 = footprint * miss_prob[0] * miss_prob[1] * _PREFETCH_RESIDUE * weight
+        lines_l3 = (
+            footprint
+            * miss_prob[0]
+            * miss_prob[1]
+            * miss_prob[2]
+            * _PREFETCH_RESIDUE
+            * weight
+        )
+        self.stats.l1i_misses += lines_l1
+        self.stats.l2i_misses += lines_l2
+        self.stats.l3i_misses += lines_l3
+        self.stats.fetch_lines += footprint * weight
+
+        last_p = self._last_pages.get(kernel)
+        if last_p is None:
+            tlb_prob = 1.0
+        else:
+            tlb_prob = 1.0 - math.exp(
+                -(self._clock_pages - last_p) / self._itlb_cap
+            )
+        self.stats.itlb_misses += pages * tlb_prob * weight
+
+        self._clock_lines += footprint
+        self._clock_pages += pages
+        self._last_lines[kernel] = self._clock_lines
+        self._last_pages[kernel] = self._clock_pages
+
+
+def sliding_two_level_mispredicts(outcomes: np.ndarray, history_bits: int) -> float:
+    """``two_level_mispredicts`` with every history rebuilt from a sliding
+    window (``history_bits`` multiply-adds per branch) and sparse counting
+    at every length."""
+    n = outcomes.size
+    if n == 0:
+        return 0.0
+    if history_bits <= 0:
+        taken = float(np.count_nonzero(outcomes))
+        return min(taken, n - taken) + 1.0
+    if n <= history_bits:
+        return n * 0.5
+    out = outcomes.astype(np.int64)
+    windows = sliding_window_view(out, history_bits)[:-1]  # history before each
+    powers = (1 << np.arange(history_bits, dtype=np.int64))[::-1]
+    patterns = windows @ powers
+    nexts = out[history_bits:]
+    keys = patterns * 2 + nexts
+    unique_keys, counts = np.unique(keys, return_counts=True)
+    pats = unique_keys >> 1
+    same = pats[1:] == pats[:-1]
+    steady = float(np.minimum(counts[1:][same], counts[:-1][same]).sum())
+    training = float(pats.size - np.count_nonzero(same))
+    warmup = history_bits * 0.5
+    return steady + training + warmup
+
+
+class PerEventHierarchy:
+    """``HierarchyReplay``'s interface over the per-line oracle: one
+    ``CacheHierarchy.access`` per memory event, load/store misses from
+    per-event snapshots of each level's running miss total."""
+
+    def __init__(self, params):
+        self._levels = [Cache(p, f"l{i}") for i, p in enumerate(params)]
+        self._hierarchy = CacheHierarchy(self._levels)
+        self._memory: tuple[TraceColumns, list[MemoryEvent]] | None = None
+        self.load_misses = [0.0] * len(params)
+        self.store_misses = [0.0] * len(params)
+        self.load_mem = self.store_mem = 0.0
+
+    @property
+    def accesses(self):
+        return [c.stats.accesses for c in self._levels]
+
+    def replay(self, trace: TraceColumns, lo: int = 0, hi: int | None = None):
+        if self._memory is None or self._memory[0] is not trace:
+            self._memory = trace, [
+                e for e in trace.events if isinstance(e, MemoryEvent)
+            ]
+        for event in self._memory[1][lo:hi]:
+            before = [c.stats.misses for c in self._levels]
+            mem_before = self._hierarchy.mem_accesses
+            self._hierarchy.access(event.addrs, event.weight)
+            target = self.load_misses if event.kind == "r" else self.store_misses
+            for i, (cache, b) in enumerate(zip(self._levels, before)):
+                target[i] += cache.stats.misses - b
+            if event.kind == "r":
+                self.load_mem += self._hierarchy.mem_accesses - mem_before
+            else:
+                self.store_mem += self._hierarchy.mem_accesses - mem_before
+
+
+def _windows_by_event(trace: TraceColumns, bound: int):
+    """:func:`event_windows` in the shape ``TraceColumns.windows`` yields."""
+    mem_lo = 0
+    for window, n_addrs in event_windows(trace.events, bound):
+        n_memory = sum(isinstance(e, MemoryEvent) for e in window)
+        yield ReplayWindow(len(window), mem_lo, mem_lo + n_memory, n_addrs)
+        mem_lo += n_memory
+
+
+def _site_outcomes_by_event(trace: TraceColumns):
+    return tuple(
+        (e.site, e.outcomes, e.weight)
+        for e in trace.events
+        if isinstance(e, BranchEvent)
+    )
+
+
+@contextmanager
+def per_event_models():
+    """Inside the block ``simulate()`` takes its model steps per event —
+    :func:`event_windows`, one i-cache ``invoke`` per kernel event, one
+    predictor ``record`` per branch event, one per-line hierarchy walk per
+    memory event — and assembles the report as always."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator_mod, "AnalyticICache", PerCallICache)
+        patch.setattr(simulator_mod, "HierarchyReplay", PerEventHierarchy)
+        patch.setattr(
+            branch_mod, "two_level_mispredicts", sliding_two_level_mispredicts
+        )
+        patch.setattr(
+            branch_mod,
+            "_two_level_by_history",
+            lambda out, histories: {
+                h: sliding_two_level_mispredicts(out, h) for h in histories
+            },
+        )
+        patch.setattr(TraceColumns, "windows", _windows_by_event)
+        patch.setattr(
+            TraceColumns, "site_outcomes", property(_site_outcomes_by_event)
+        )
+        yield

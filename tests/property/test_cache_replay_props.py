@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.codec.options import EncoderOptions
 from repro.experiments.runner import QUICK
 from repro.profiling.perf import record_trace
-from repro.trace.events import MemoryEvent
+from repro.trace.events import MemoryEvent, TraceColumns
 from repro.uarch.cache import (
     REPLAY_WINDOW_ADDRS,
     Cache,
@@ -86,9 +86,10 @@ def batched(
     """The same events through ``HierarchyReplay``, one window per gap
     between consecutive ``cuts`` (event indices)."""
     replay = HierarchyReplay(params)
+    trace = TraceColumns.from_events(events)
     edges = [0, *sorted(cuts), len(events)]
     for lo, hi in zip(edges, edges[1:]):
-        replay.replay(events[lo:hi])
+        replay.replay(trace, lo, hi)
     return Counters(
         replay.accesses, replay.load_misses, replay.store_misses,
         replay.load_mem, replay.store_mem,
@@ -218,9 +219,7 @@ def quick_trace():
 
 
 def data_events(stream) -> list[MemoryEvent]:
-    return [
-        e for e in stream.events if isinstance(e, MemoryEvent) and e.kind != "i"
-    ]
+    return [e for e in stream.events if isinstance(e, MemoryEvent)]
 
 
 class TestRecordedTrace:

@@ -155,6 +155,37 @@ class TestRecordingTracer:
         t = self._tracer()
         with pytest.raises(ValueError, match="negative address"):
             t.kernel("dct4", reads=np.array([-5]))
+        with pytest.raises(ValueError, match="negative address"):
+            t.kernel("dct4", writes=np.array([[7, 8], [9, -1]], dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "addrs", [np.array([64.0, 128.0]), np.array([64.0, np.nan]), np.array([True])]
+    )
+    def test_non_integer_addresses_rejected_at_the_call(self, addrs):
+        """A float array would be truncated and a NaN turned into garbage
+        by the cast to uint64: refused by ``kernel()`` itself, not when
+        the trace is sealed."""
+        t = self._tracer()
+        with pytest.raises(ValueError, match="must be integers"):
+            t.kernel("dct4", reads=addrs)
+        with pytest.raises(ValueError, match="must be integers"):
+            t.kernel("dct4", writes=addrs)
+        assert not [e for e in t.stream.events if isinstance(e, MemoryEvent)]
+
+    def test_integer_dtypes_are_widened_to_uint64(self):
+        t = self._tracer()
+        t.kernel("dct4", reads=np.array([0, 2**63 + 5], dtype=np.uint64))
+        t.kernel("dct4", reads=np.array([5, 6], dtype=np.uint32))
+        t.kernel("dct4", reads=np.array([5, 6], dtype=np.int32))
+        mem = [e for e in t.stream.events if isinstance(e, MemoryEvent)]
+        assert [e.addrs.tolist() for e in mem] == [[0, 2**63 + 5], [5, 6], [5, 6]]
+        assert all(e.addrs.dtype == np.uint64 for e in mem)
+
+    def test_two_dimensional_addresses_flatten_in_c_order(self):
+        t = self._tracer()
+        t.kernel("dct4", writes=np.array([[1, 2], [3, 4]], dtype=np.uint64).T)
+        (mem,) = [e for e in t.stream.events if isinstance(e, MemoryEvent)]
+        assert mem.addrs.tolist() == [1, 3, 2, 4] and mem.kind == "w"
 
     def test_sampling_keeps_exact_instructions(self):
         exact = self._tracer(sample=1)
@@ -185,8 +216,25 @@ class TestRecordingTracer:
     def test_empty_arrays_not_recorded(self):
         t = self._tracer()
         t.kernel("dct4", iters=1, reads=np.array([], dtype=np.uint64))
-        mem = [e for e in t.stream.events if isinstance(e, MemoryEvent)]
-        assert not mem
+        t.kernel("dct4", iters=1, writes=[], branches={"nz": np.array([], dtype=bool)})
+        assert [type(e) for e in t.stream.events] == [KernelEvent, KernelEvent]
+
+    def test_stream_is_sealed_on_read_and_never_changes_afterwards(self):
+        t = self._tracer()
+        t.begin_frame("I", 0)
+        t.kernel("dct4", iters=2, reads=np.array([64], dtype=np.uint64))
+        first = t.stream
+        assert t.stream is first  # nothing new: no new seal
+        t.flush()
+        assert t.stream is first
+        t.kernel("quant", iters=1)
+        second = t.stream
+        assert second is not first
+        assert len(first.events) == 2 and first.kernel_calls == {"dct4": 1}
+        assert len(second.events) == 3
+        assert second.kernel_calls == {"dct4": 1, "quant": 1}
+        t.begin_frame("P", 1)
+        assert (first.n_frames, second.n_frames, t.stream.n_frames) == (1, 1, 2)
 
     def test_summary_fields(self):
         t = self._tracer()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.trace.events import MemoryEvent
+from repro.trace.events import MemoryEvent, TraceColumns
 from repro.uarch.cache import Cache, CacheHierarchy, HierarchyReplay
 from repro.uarch.config import CacheParams
 
@@ -171,7 +171,7 @@ class TestHierarchyReplay:
         replay = HierarchyReplay(self.PARAMS)
         read = MemoryEvent("k", np.array([0, 8, 64], dtype=np.uint64), "r", 2.0)
         write = MemoryEvent("k", np.array([0, 128], dtype=np.uint64), "w")
-        replay.replay([read, write])
+        replay.replay(TraceColumns.from_events([read, write]))
         assert replay.accesses == [8.0, 5.0]  # 3 x 2.0 + 2 x 1.0, then the misses
         assert replay.load_misses == [4.0, 4.0]  # lines 0 and 1, cold
         assert replay.store_misses == [1.0, 1.0]  # line 2 cold; line 0 still in L1
@@ -179,13 +179,17 @@ class TestHierarchyReplay:
 
     def test_state_survives_the_window_cut(self):
         replay = HierarchyReplay(self.PARAMS)
-        replay.replay([_load(0), _load(1), _load(2)])  # 0 leaves L1, stays in L2
-        replay.replay([_load(0)])
+        trace = TraceColumns.from_events([_load(0), _load(1), _load(2), _load(0)])
+        replay.replay(trace, 0, 3)  # 0 leaves L1, stays in L2
+        replay.replay(trace, 3, 4)
         assert replay.load_misses == [4.0, 3.0]
 
     def test_empty_window_and_empty_events_are_noops(self):
         replay = HierarchyReplay(self.PARAMS)
-        replay.replay([])
-        replay.replay([MemoryEvent("k", np.array([], dtype=np.uint64), "r")])
+        replay.replay(TraceColumns.from_events([]))
+        empty = MemoryEvent("k", np.array([], dtype=np.uint64), "r")
+        trace = TraceColumns.from_events([_load(0), empty, empty])
+        replay.replay(trace, 1, 1)
+        replay.replay(trace, 1, 3)
         assert replay.accesses == [0.0, 0.0]
         assert replay.load_mem == replay.store_mem == 0.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.trace.events import TraceStream
+from repro.trace.events import KernelEvent, TraceColumns, TraceStream
 from repro.trace.kernels import build_program
 from repro.trace.program import InstrMix
 from repro.uarch.branch import BranchStats
@@ -10,7 +10,7 @@ from repro.uarch.config import MicroarchConfig
 from repro.uarch.configs import baseline_config, config_by_name
 from repro.uarch.core import run_core_model
 from repro.uarch.frontend import FrontendStalls, compute_frontend_stalls, mite_instruction_fraction
-from repro.uarch.icache import AnalyticICache
+from repro.uarch.icache import AnalyticICache, ICacheStats
 from repro.uarch.resources import MissProfile, achievable_mlp, compute_resource_stalls
 from repro.uarch.topdown import TopdownBreakdown
 
@@ -78,58 +78,57 @@ class TestAnalyticICache:
             itlb_entries=itlb,
         )
 
+    @staticmethod
+    def _run(icache, kernels, weight=1.0):
+        """The stats after invoking ``kernels`` in order."""
+        return icache.run(
+            TraceColumns.from_events([KernelEvent(k, 1.0, weight) for k in kernels])
+        )
+
     def test_first_invocation_compulsory(self):
-        ic = self._icache()
-        ic.invoke("me_sad")
-        assert ic.stats.l1i_misses > 0
+        assert self._run(self._icache(), ["me_sad"]).l1i_misses > 0
+
+    def test_no_invocations_no_misses(self):
+        assert self._run(self._icache(), []) == ICacheStats()
 
     def test_back_to_back_reuse_cheap(self):
-        ic = self._icache()
-        ic.invoke("me_sad")
-        after_first = ic.stats.l1i_misses
-        ic.invoke("me_sad")  # zero intervening code
-        assert ic.stats.l1i_misses == pytest.approx(after_first)
+        after_first = self._run(self._icache(), ["me_sad"]).l1i_misses
+        # zero intervening code
+        after_second = self._run(self._icache(), ["me_sad", "me_sad"]).l1i_misses
+        assert after_second == pytest.approx(after_first)
 
     def test_interleaving_causes_misses(self):
         ic = self._icache(l1_lines=64)  # small L1i
-        ic.invoke("me_sad")
-        for k in ("dct4", "quant", "idct4", "entropy_coeff", "trellis"):
-            ic.invoke(k)
-        before = ic.stats.l1i_misses
-        ic.invoke("me_sad")  # much intervening code
-        assert ic.stats.l1i_misses > before
+        between = ["me_sad", "dct4", "quant", "idct4", "entropy_coeff", "trellis"]
+        before = self._run(ic, between).l1i_misses
+        # much intervening code
+        assert self._run(ic, [*between, "me_sad"]).l1i_misses > before
 
     def test_bigger_l1i_fewer_misses(self):
         def run(lines):
-            ic = self._icache(l1_lines=lines)
-            for _ in range(20):
-                for k in ("me_sad", "dct4", "quant", "entropy_coeff", "deblock"):
-                    ic.invoke(k)
-            return ic.stats.l1i_misses
+            loop = ["me_sad", "dct4", "quant", "entropy_coeff", "deblock"] * 20
+            return self._run(self._icache(l1_lines=lines), loop).l1i_misses
 
         assert run(1024) < run(64)
 
     def test_l2i_sees_fewer_misses_than_l1i(self):
-        ic = self._icache(l1_lines=64)
-        for _ in range(10):
-            for k in ("me_sad", "dct4", "quant", "entropy_coeff", "deblock"):
-                ic.invoke(k)
-        assert ic.stats.l2i_misses <= ic.stats.l1i_misses
-        assert ic.stats.l3i_misses <= ic.stats.l2i_misses
+        loop = ["me_sad", "dct4", "quant", "entropy_coeff", "deblock"] * 10
+        stats = self._run(self._icache(l1_lines=64), loop)
+        assert stats.l2i_misses <= stats.l1i_misses
+        assert stats.l3i_misses <= stats.l2i_misses
 
     def test_weight_scales(self):
-        a = self._icache()
-        a.invoke("dct4", weight=1.0)
-        b = self._icache()
-        b.invoke("dct4", weight=3.0)
-        assert b.stats.l1i_misses == pytest.approx(3 * a.stats.l1i_misses)
+        a = self._run(self._icache(), ["dct4"], weight=1.0)
+        b = self._run(self._icache(), ["dct4"], weight=3.0)
+        assert b.l1i_misses == pytest.approx(3 * a.l1i_misses)
 
     def test_itlb_misses_counted(self):
-        ic = self._icache(itlb=4)
-        for _ in range(5):
-            for k in ("me_sad", "trellis", "entropy_coeff", "mode_decide", "deblock"):
-                ic.invoke(k)
-        assert ic.stats.itlb_misses > 0
+        loop = ["me_sad", "trellis", "entropy_coeff", "mode_decide", "deblock"] * 5
+        assert self._run(self._icache(itlb=4), loop).itlb_misses > 0
+
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(KeyError):
+            self._run(self._icache(), ["not_a_kernel"])
 
 
 class TestFrontend:
