@@ -35,13 +35,17 @@ from repro.codec.entropy import (
     BitWriter,
     encode_block,
     encode_blocks,
-    se_bits,
+    encode_tagged_blocks,
     ue_bits,
     write_se,
     write_ue,
 )
 from repro.codec.gop import GopPlan, plan_gop
-from repro.codec.intra import best_intra_16x16, predict_4x4_blocks
+from repro.codec.intra import (
+    best_intra_16x16,
+    code_intra4_wavefront,
+    predict_4x4_blocks,
+)
 from repro.codec.mbdecision import InterCandidate, choose_inter_ref, mv_bits, search_partitions
 from repro.codec.motion import PaddedReference, fetch_prediction, predict_mv
 from repro.codec.options import EncoderOptions
@@ -148,6 +152,16 @@ class _DpbEntry:
     padded: PaddedReference
     base_addr: int
     chroma: tuple[np.ndarray, np.ndarray] | None = None
+
+
+@dataclass(frozen=True)
+class IntraCandidate:
+    """The intra search's winner, as mode decision weighs it against inter."""
+
+    mode: MBMode  # INTRA_16X16 or INTRA_4X4
+    rd_cost: float
+    prediction: np.ndarray  # float64 (16, 16): the best 16x16 mode's
+    intra_mode: IntraMode  # the best 16x16 mode
 
 
 class Encoder:
@@ -489,18 +503,18 @@ class Encoder:
         if inter is not None:
             choices.append((inter.rd_cost(qp_mb), "inter"))
         if intra_cand is not None:
-            choices.append((intra_cand[1], "intra"))
+            choices.append((intra_cand.rd_cost, "intra"))
         choices.sort()
         use = choices[0][1]
 
-        if use == "intra" and intra_cand is not None and intra_cand[0].mode is MBMode.INTRA_4X4:
+        if use == "intra" and intra_cand is not None and intra_cand.mode is MBMode.INTRA_4X4:
             return self._emit_intra4(ctx, mb_y, mb_x, qp_mb, writer, rc)
         if use == "intra" and intra_cand is not None:
             mode = MBMode.INTRA_16X16
-            prediction = intra_cand[2]
+            prediction = intra_cand.prediction
             mvs: list[MotionVector] = []
             mv1 = None
-            intra_mode = intra_cand[3]
+            intra_mode = intra_cand.intra_mode
         else:
             assert inter is not None
             mode = inter.mode
@@ -641,8 +655,8 @@ class Encoder:
         src_mb: np.ndarray,
         qp_mb: int,
         inter: InterCandidate | None,
-    ) -> tuple | None:
-        """Returns (pseudo-candidate, rd_cost, prediction, intra_mode).
+    ) -> IntraCandidate | None:
+        """The cheaper of INTRA_16X16 and INTRA_4X4, or None on the early-out.
 
         The INTRA_4X4 candidate is only *scored* here; if it wins, the MB
         is re-encoded by :meth:`_emit_intra4` (true sequential coding).
@@ -674,10 +688,9 @@ class Encoder:
                 best_mode = MBMode.INTRA_4X4
                 best_cost = cost4
 
-        class _C:  # tiny namespace standing in for InterCandidate
-            mode = best_mode
-
-        return (_C, best_cost, i16.prediction.astype(np.float64), i16.mode)
+        return IntraCandidate(
+            best_mode, best_cost, i16.prediction.astype(np.float64), i16.mode
+        )
 
     # -- emit paths -------------------------------------------------------
     def _emit_skip(
@@ -715,18 +728,46 @@ class Encoder:
         writer: BitWriter,
         rc: RateController,
     ) -> CodedMacroblock:
-        """True sequential intra-4x4 coding (decodable)."""
+        """True sequential intra-4x4 coding (decodable).
+
+        The ``reference`` backend walks the sixteen blocks in raster order,
+        each predicting from the reconstruction its predecessors just
+        wrote; ``vectorized`` walks the same dependency chain a diagonal at
+        a time (:func:`~repro.codec.intra.code_intra4_wavefront`) and emits
+        the sixteen (mode, block) pairs as one tagged batch.
+        """
         y0, x0 = mb_y * 16, mb_x * 16
         bits_before = writer.bit_count
         write_ue(writer, MODE_IDS[MBMode.INTRA_4X4])
         write_se(writer, qp_mb - ctx.base_qp)
+        if kernels.is_vectorized():
+            modes4, levels_all = code_intra4_wavefront(
+                ctx.src_mb_f(y0, x0), ctx.recon, y0, x0, qp_mb, self.options.trellis
+            )
+            encode_tagged_blocks(writer, modes4, levels_all)
+        else:
+            modes4, levels_all = self._code_intra4_sequential(
+                ctx, y0, x0, qp_mb, writer
+            )
+        bits = writer.bit_count - bits_before
+        ctx.mv_grid[mb_y][mb_x] = None
+        rc.note_mb_bits(bits)
+        self._trace_intra4(ctx, mb_y, mb_x, 16 * 3)
+        self._trace_transform_path(ctx, mb_y, mb_x, levels_all, qp_mb)
+        self._trace_entropy_coeffs(ctx, mb_y, mb_x, levels_all, bits)
+        self._trace_recon_write(ctx, mb_y, mb_x)
+        return CodedMacroblock(
+            mb_x=mb_x, mb_y=mb_y, mode=MBMode.INTRA_4X4, qp=qp_mb,
+            intra_modes4=modes4, coeffs=levels_all, bits=bits,
+        )
+
+    def _code_intra4_sequential(
+        self, ctx: _FrameContext, y0: int, x0: int, qp_mb: int, writer: BitWriter
+    ) -> tuple[list[int], np.ndarray]:
+        """The ``reference`` i4x4 chain: predict, code, emit and reconstruct
+        one block at a time, in raster order."""
         levels_all = np.zeros((16, 4, 4), dtype=np.int32)
         modes4: list[int] = []
-        total_modes_tried = 0
-        # The block chain is inherently sequential (each block predicts
-        # from the reconstruction its predecessors just wrote), but the
-        # source casts are not: serve strided 4x4 views of the per-frame
-        # float cast with no per-MB copy at all.
         srcs_grid = (
             ctx.src_mb_f(y0, x0).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
         )
@@ -736,7 +777,6 @@ class Encoder:
                 x = x0 + bx * 4
                 src4f = srcs_grid[by, bx]
                 mode, pred = self._best_intra4_block(ctx.recon, src4f, y, x)
-                total_modes_tried += 3
                 modes4.append(int(mode))
                 write_ue(writer, int(mode))
                 residual = src4f - pred
@@ -758,32 +798,14 @@ class Encoder:
                     255.0,
                 ).astype(np.uint8)
                 ctx.recon[y : y + 4, x : x + 4] = recon4
-        bits = writer.bit_count - bits_before
-        ctx.mv_grid[mb_y][mb_x] = None
-        rc.note_mb_bits(bits)
-        self._trace_intra4(ctx, mb_y, mb_x, total_modes_tried)
-        self._trace_transform_path(ctx, mb_y, mb_x, levels_all, qp_mb)
-        self._trace_entropy_coeffs(ctx, mb_y, mb_x, levels_all, bits)
-        self._trace_recon_write(ctx, mb_y, mb_x)
-        return CodedMacroblock(
-            mb_x=mb_x, mb_y=mb_y, mode=MBMode.INTRA_4X4, qp=qp_mb,
-            intra_modes4=modes4, coeffs=levels_all, bits=bits,
-        )
+        return modes4, levels_all
 
     @staticmethod
     def _best_intra4_block(
         recon: np.ndarray, src4: np.ndarray, y: int, x: int
     ) -> tuple[int, np.ndarray]:
-        """DC(0) / V(1) / H(2) for one 4x4 block from reconstructed pixels.
-
-        ``src4`` may be uint8 or an already-cast float64 block; the cast
-        below is a no-op for the latter. The returned prediction is any
-        array broadcastable to (4, 4) — the vectorized backend returns
-        the 1-D mode generator (or a DC scalar) instead of materializing
-        the tile, which is arithmetically identical downstream.
-        """
-        if kernels.is_vectorized():
-            return Encoder._best_intra4_block_fast(recon, src4, y, x)
+        """DC(0) / V(1) / H(2) for one 4x4 block from reconstructed pixels
+        (``reference`` body; ``src4`` may be uint8 or float64)."""
         top = recon[y - 1, x : x + 4].astype(np.float64) if y > 0 else None
         left = recon[y : y + 4, x - 1].astype(np.float64) if x > 0 else None
         if top is not None and left is not None:
@@ -806,43 +828,6 @@ class Encoder:
             if sad < best_sad:
                 best_mode, best_pred, best_sad = mode, pred, sad
         return best_mode, best_pred
-
-    @staticmethod
-    def _best_intra4_block_fast(
-        recon: np.ndarray, src4f: np.ndarray, y: int, x: int
-    ):
-        """Vectorized-backend twin of :meth:`_best_intra4_block`.
-
-        Scores candidates with broadcast reductions (no np.tile/np.full
-        materialization — the ufunc outputs are elementwise identical) and
-        keeps the reference order and strict-< tie-break: DC, then V,
-        then H.
-        """
-        top = recon[y - 1, x : x + 4].astype(np.float64) if y > 0 else None
-        left = recon[y : y + 4, x - 1].astype(np.float64) if x > 0 else None
-        if top is not None and left is not None:
-            dc = (top.sum() + left.sum()) / 8.0
-        elif top is not None:
-            dc = top.mean()
-        elif left is not None:
-            dc = left.mean()
-        else:
-            dc = 128.0
-        best_mode = 0
-        best_sad = float(np.abs(src4f - dc).sum())
-        if top is not None:
-            sad = float(np.abs(src4f - top[None, :]).sum())
-            if sad < best_sad:
-                best_mode, best_sad = 1, sad
-        if left is not None:
-            sad = float(np.abs(src4f - left[:, None]).sum())
-            if sad < best_sad:
-                best_mode, best_sad = 2, sad
-        if best_mode == 1:
-            return 1, top[None, :]
-        if best_mode == 2:
-            return 2, left[:, None]
-        return 0, dc
 
     def _transform_and_code(
         self,

@@ -74,6 +74,7 @@ __all__ = [
     "se_bits",
     "encode_block",
     "encode_blocks",
+    "encode_tagged_blocks",
     "decode_block",
     "decode_blocks",
     "decode_tagged_blocks",
@@ -384,6 +385,13 @@ def encode_block(writer: BitWriter, block: np.ndarray) -> int:
     return writer.bit_count - start
 
 
+def _checked_batch(blocks: np.ndarray) -> np.ndarray:
+    arr = np.asarray(blocks, dtype=np.int64)
+    if arr.ndim != 3 or arr.shape[-2:] != (4, 4):
+        raise ValueError(f"expected (n, 4, 4) blocks, got {arr.shape}")
+    return arr
+
+
 def encode_blocks(writer: BitWriter, blocks: np.ndarray) -> list[int]:
     """Run-level encode a batch of 4x4 blocks; returns per-block bits.
 
@@ -394,11 +402,38 @@ def encode_blocks(writer: BitWriter, blocks: np.ndarray) -> list[int]:
     append: codeword concatenation is associative, so the bitstream is
     unchanged — only the number of ``append_bits`` calls drops.
     """
-    arr = np.asarray(blocks, dtype=np.int64)
-    if arr.ndim != 3 or arr.shape[-2:] != (4, 4):
-        raise ValueError(f"expected (n, 4, 4) blocks, got {arr.shape}")
+    arr = _checked_batch(blocks)
     if not kernels.is_vectorized():
         return [encode_block(writer, b) for b in arr]
+    return _fold_batch(writer, arr, None)
+
+
+def encode_tagged_blocks(
+    writer: BitWriter, tags: list[int], blocks: np.ndarray
+) -> list[int]:
+    """Encode ``n`` (ue tag, block) pairs, e.g. an intra-4x4 macroblock's
+    (mode, block) pairs; returns per-pair bits. The write side of
+    :func:`decode_tagged_blocks`.
+
+    Emits exactly what ``n`` rounds of :func:`write_ue` then
+    :func:`encode_block` emit, as :func:`encode_blocks`' fold with each
+    tag's codeword in front of its block. There is no backend dispatch
+    here: only the batched intra-4x4 emit has all sixteen pairs in hand
+    (``reference`` writes each pair as it codes the block).
+    """
+    arr = _checked_batch(blocks)
+    if len(tags) != len(arr):
+        raise ValueError(f"{len(tags)} tags for {len(arr)} blocks")
+    return _fold_batch(writer, arr, [int(tag) for tag in tags])
+
+
+def _fold_batch(
+    writer: BitWriter, arr: np.ndarray, tags: list[int] | None
+) -> list[int]:
+    """One big-int append for a whole batch (each block behind its ue tag
+    if ``tags``); returns per-block bits, tag included."""
+    if tags and min(tags) < 0:
+        raise ValueError(f"ue() requires value >= 0, got {min(tags)}")
     n = arr.shape[0]
     scans = arr[:, ZIGZAG_4X4[0], ZIGZAG_4X4[1]]  # (n, 16)
     nz_mask = scans != 0
@@ -431,6 +466,11 @@ def encode_blocks(writer: BitWriter, blocks: np.ndarray) -> list[int]:
     lc, lw = level_codes.tolist(), level_widths.tolist()
     head = header_codes.tolist()
     widths = per_block.tolist()
+    if tags is not None:
+        head_widths = header_widths.tolist()
+        for b, tag in enumerate(tags):
+            head[b] |= (tag + 1) << head_widths[b]
+            widths[b] += 2 * (tag + 1).bit_length() - 1
     total_acc = 0
     total_bits = 0
     j = 0

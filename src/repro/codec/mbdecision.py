@@ -5,6 +5,13 @@ Implements paper §II-B3: each 16x16 macroblock chooses among intra modes
 (P/B-macroblocks), bi-prediction (B frames only) and SKIP. Costs combine
 distortion (SAD/SATD depending on ``subme``) with an estimated rate term
 weighted by the QP-dependent Lagrange multiplier.
+
+The sub-partition refinement is backend-dispatched (see
+:mod:`repro.codec.kernels`): ``reference`` scores each partition's
+candidates from its own fetches, ``vectorized`` scores every partition
+of the macroblock from one difference block per displacement
+(:func:`_refine_partitions_shared`); vectors, costs and point counts are
+identical.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.codec import kernels
 from repro.codec.entropy import se_bits, ue_bits
@@ -67,6 +73,8 @@ def choose_inter_ref(
     search plus its reference-index rate penalty. Returns the best result,
     its reference index, the total points evaluated, and all positions
     visited (for trace memory modelling, tagged per ref by the caller).
+    ``total_points`` counts the integer-pel candidates over all references
+    only; the winner's sub-pel evaluations are in ``best.n_points``.
     """
     lam = rd_lambda(qp)
     best: MotionSearchResult | None = None
@@ -93,7 +101,6 @@ def choose_inter_ref(
     best = subpel_refine(
         cur, refs[best_ref], base_y, base_x, best, subme=options.subme
     )
-    total_points = best.n_points + total_points - best.n_points  # subpel included
     return best, best_ref, total_points, all_positions
 
 
@@ -105,41 +112,14 @@ def _refine_partition(
     start_mv: tuple[int, int],
     size: int,
 ) -> tuple[tuple[int, int], float, int]:
-    """Small diamond refinement of one sub-partition around the parent MV.
-
-    The two diamond rounds drift at most ±2 from the start, so the
-    vectorized backend converts that 5x5 neighborhood to int64 once and
-    scores candidates from a sliding view; integer SADs are exact, so the
-    refinement is bit-identical to the per-fetch reference path.
-    """
+    """Small diamond refinement of one sub-partition around the parent MV
+    (the ``reference`` body; see :func:`_refine_partitions_shared`)."""
     best_dx, best_dy = start_mv
     cur64 = cur_part.astype(np.int64)
 
-    if kernels.is_vectorized():
-        y0 = part_y + best_dy - 2 + ref.pad
-        x0 = part_x + best_dx - 2 + ref.pad
-        span = size + 4
-        win = ref.plane[y0 : y0 + span, x0 : x0 + span].astype(np.int64)
-        s0, s1 = win.strides
-        views = as_strided(win, shape=(5, 5, size, size), strides=(s0, s1, s0, s1))
-        off_dx, off_dy = best_dx - 2, best_dy - 2
-        # The diamond rounds revisit positions; sad_at is pure, so cached
-        # integer SADs are exactly the values the reference recomputes.
-        cache: dict[tuple[int, int], float] = {}
-
-        def sad_at(dx: int, dy: int) -> float:
-            key = (dx, dy)
-            sad = cache.get(key)
-            if sad is None:
-                sad = float(np.abs(cur64 - views[dy - off_dy, dx - off_dx]).sum())
-                cache[key] = sad
-            return sad
-
-    else:
-
-        def sad_at(dx: int, dy: int) -> float:
-            block = ref.block(part_y + dy, part_x + dx, size)
-            return float(np.sum(np.abs(cur64 - block.astype(np.int64))))
+    def sad_at(dx: int, dy: int) -> float:
+        block = ref.block(part_y + dy, part_x + dx, size)
+        return float(np.sum(np.abs(cur64 - block.astype(np.int64))))
 
     best_cost = sad_at(best_dx, best_dy)
     n_points = 1
@@ -156,6 +136,82 @@ def _refine_partition(
         if not improved:
             break
     return (best_dx, best_dy), best_cost, n_points
+
+
+_DIAMOND = ((0, -1), (0, 1), (-1, 0), (1, 0))  # (dx, dy), visit order
+#: The start and its diamond: where a walk that finds nothing better stays.
+_FIRST = ((0, 0), *_DIAMOND)
+_FIRST_DX = np.array([dx for dx, _ in _FIRST])
+_FIRST_DY = np.array([dy for _, dy in _FIRST])
+#: Top-left corner of each partition inside the macroblock, raster order.
+_ORIGINS = {
+    size: [(y0, x0) for y0 in range(0, 16, size) for x0 in range(0, 16, size)]
+    for size in (8, 4)
+}
+
+
+def _refine_partitions_shared(
+    cur: np.ndarray,
+    ref: PaddedReference,
+    base_y: int,
+    base_x: int,
+    start_mv: tuple[int, int],
+    size: int,
+) -> list[tuple[tuple[int, int], float, int]]:
+    """:func:`_refine_partition` for every partition of the macroblock, in
+    raster order, from SADs the partitions share.
+
+    All ``n x n`` partitions refine around the same parent MV, and
+    partition ``(py, px)`` displaced by ``d`` reads exactly the
+    ``(py, px)`` sub-block of the 16x16 reference block displaced by ``d``.
+    So one ``abs(cur - block)`` reduced per sub-block scores ``d`` for
+    every partition at once. The first diamond is one gather; a
+    displacement some walk drifts to later is scored on first use into the
+    same per-macroblock memo. Integer SADs make every value exactly the
+    per-partition sum, and each partition still walks on its own: two
+    rounds, re-centring mid-round on every strict improvement.
+    """
+    n = 16 // size
+    cur16 = cur.astype(np.int16)
+    blocks = ref.sad_blocks
+    y0 = base_y + ref.pad
+    x0 = base_x + ref.pad
+    sx, sy = start_mv
+
+    def sads_at(dx, dy) -> list[list[int]]:
+        """One row of per-partition SADs (raster order) per displacement."""
+        diff = np.abs(cur16 - blocks[y0 + dy, x0 + dx])
+        return (
+            diff.reshape(-1, n, size, n, size).sum(axis=(2, 4)).reshape(-1, n * n)
+        ).tolist()
+
+    memo: dict[tuple[int, int], list[int]] = dict(
+        zip(
+            [(sx + dx, sy + dy) for dx, dy in _FIRST],
+            sads_at(sx + _FIRST_DX, sy + _FIRST_DY),
+        )
+    )
+    refined = []
+    for part in range(n * n):
+        best_dx, best_dy = sx, sy
+        best_cost = memo[sx, sy][part]
+        n_points = 1
+        for _ in range(2):
+            improved = False
+            for dx, dy in _DIAMOND:
+                at = (best_dx + dx, best_dy + dy)
+                row = memo.get(at)
+                if row is None:
+                    row = memo[at] = sads_at(*at)[0]
+                n_points += 1
+                if row[part] < best_cost:
+                    best_cost = row[part]
+                    best_dx, best_dy = at
+                    improved = True
+            if not improved:
+                break
+        refined.append(((best_dx, best_dy), float(best_cost), n_points))
+    return refined
 
 
 def search_partitions(
@@ -179,28 +235,32 @@ def search_partitions(
         return None
     if size == 4 and "p4x4" not in allowed:
         return None
-    n = 16 // size
     start = parent_mv.full_pel
+    origins = _ORIGINS[size]
+    if kernels.is_vectorized():
+        refined = _refine_partitions_shared(cur, ref, base_y, base_x, start, size)
+    else:
+        refined = [
+            _refine_partition(
+                cur[y0 : y0 + size, x0 : x0 + size],
+                ref, base_y + y0, base_x + x0, start, size,
+            )
+            for y0, x0 in origins
+        ]
     mvs: list[MotionVector] = []
     prediction = np.zeros((16, 16), dtype=np.float64)
     distortion = 0.0
     rate = ue_bits(3 if size == 8 else 4)  # mode signalling
     total_points = 0
-    for py in range(n):
-        for px in range(n):
-            y0, x0 = py * size, px * size
-            cur_part = cur[y0 : y0 + size, x0 : x0 + size]
-            (dx, dy), cost, pts = _refine_partition(
-                cur_part, ref, base_y + y0, base_x + x0, start, size
-            )
-            total_points += pts
-            mv = MotionVector(dx * 4, dy * 4, parent_mv.ref)
-            mvs.append(mv)
-            rate += mv_bits(mv, pred_mv)
-            distortion += cost
-            prediction[y0 : y0 + size, x0 : x0 + size] = ref.block(
-                base_y + y0 + dy, base_x + x0 + dx, size
-            )
+    for (y0, x0), ((dx, dy), cost, pts) in zip(origins, refined):
+        total_points += pts
+        mv = MotionVector(dx * 4, dy * 4, parent_mv.ref)
+        mvs.append(mv)
+        rate += mv_bits(mv, pred_mv)
+        distortion += cost
+        prediction[y0 : y0 + size, x0 : x0 + size] = ref.block(
+            base_y + y0 + dy, base_x + x0 + dx, size
+        )
     mode = MBMode.INTER_8X8 if size == 8 else MBMode.INTER_4X4
     return InterCandidate(
         mode=mode,

@@ -23,9 +23,10 @@ only their per-candidate cost evaluation gets the fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec import kernels
 from repro.codec.transform import hadamard_sad, hadamard_sad_batch, satd_16x16
@@ -66,18 +67,39 @@ class PaddedReference:
         xx = x + self.pad
         return self.plane[yy : yy + size, xx : xx + size]
 
+    # The caches below are functions of ``plane`` alone and live in the
+    # instance ``__dict__`` (``cached_property`` bypasses the frozen
+    # ``__setattr__``), so they die with the reference's DPB entry.
+
+    @cached_property
     def _float_plane(self) -> np.ndarray:
-        """Lazily cached float64 copy of the padded plane (read-only use).
+        """Float64 copy of the padded plane (read-only use).
 
         Interpolation reads the same pixel values whether each fetch casts
         its own slice or slices one shared cast; caching the cast once per
         reference removes a per-fetch copy from the subpel hot path.
         """
-        planef = self.__dict__.get("_planef")
-        if planef is None:
-            planef = self.plane.astype(np.float64)
-            object.__setattr__(self, "_planef", planef)
-        return planef
+        return self.plane.astype(np.float64)
+
+    @cached_property
+    def _phase_planes(self) -> dict[tuple[int, int], np.ndarray]:
+        return {}
+
+    @cached_property
+    def sad_blocks(self) -> np.ndarray:
+        """Every 16x16 block of the padded plane as a read-only int16 view.
+
+        ``sad_blocks[y, x]`` is the block whose top-left *padded*
+        coordinate is ``(y, x)``; integer-pel scoring (the 16x16 search
+        windows and the sub-partition refinement, whose partitions are
+        sub-blocks of these) slices it instead of casting and striding a
+        window of its own per search. int16 holds every pixel difference,
+        and the SAD reductions accumulate in the platform integer, so the
+        sums are exact.
+        """
+        return sliding_window_view(
+            self.plane.astype(np.int16), (16, 16), writeable=False
+        )
 
     def _phase_plane(self, fy_i: int, fx_i: int) -> np.ndarray:
         """Whole-plane bilinear interpolation for one quarter-pel phase.
@@ -89,14 +111,11 @@ class PaddedReference:
         planes; results are bit-identical because each output pixel runs the
         identical multiply/add sequence on identical values.
         """
-        cache = self.__dict__.get("_phase_planes")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_phase_planes", cache)
+        cache = self._phase_planes
         key = (fy_i, fx_i)
         plane = cache.get(key)
         if plane is None:
-            plane = self._float_plane()
+            plane = self._float_plane
             if fx_i:
                 fx = fx_i * 0.25
                 plane = plane[:, :-1] * (1 - fx) + plane[:, 1:] * fx
@@ -196,11 +215,11 @@ def _pattern_search_reference(
 class _SearchWindow:
     """Integer candidate scoring over one block's full search window.
 
-    Converts the ``(2*merange+16)``-pixel window to int64 once and exposes
-    every candidate block as a zero-copy sliding view, so scoring a round
-    of candidates is a single fancy-index gather plus one reduction.
-    Integer arithmetic makes each batched SAD exactly equal to the
-    per-candidate ``_sad`` calls it replaces.
+    A slice of the reference's :attr:`PaddedReference.sad_blocks` exposes
+    every candidate block of the ``(2*merange+16)``-pixel window with no
+    copy, so scoring a round of candidates is a single fancy-index gather
+    plus one reduction. Integer arithmetic makes each batched SAD exactly
+    equal to the per-candidate ``_sad`` calls it replaces.
     """
 
     __slots__ = ("cur", "views", "merange")
@@ -215,14 +234,9 @@ class _SearchWindow:
     ) -> None:
         y0 = base_y - merange + ref.pad
         x0 = base_x - merange + ref.pad
-        span = 2 * merange + 16
-        win = ref.plane[y0 : y0 + span, x0 : x0 + span].astype(np.int64)
-        n = span - 15
-        s0, s1 = win.strides
-        # Equivalent to sliding_window_view(win, (16, 16)) but without its
-        # per-call normalization overhead; one window is built per search.
-        self.views = as_strided(win, shape=(n, n, 16, 16), strides=(s0, s1, s0, s1))
-        self.cur = cur.astype(np.int64)
+        n = 2 * merange + 1
+        self.views = ref.sad_blocks[y0 : y0 + n, x0 : x0 + n]
+        self.cur = cur.astype(np.int16)
         self.merange = merange
 
     def sad(self, cx: int, cy: int) -> float:
@@ -511,8 +525,8 @@ def motion_search(
     if cur.shape != (16, 16):
         raise ValueError(f"expected 16x16 current block, got {cur.shape}")
     start = (
-        int(np.clip(pred_mv[0], -merange, merange)),
-        int(np.clip(pred_mv[1], -merange, merange)),
+        int(max(-merange, min(merange, pred_mv[0]))),
+        int(max(-merange, min(merange, pred_mv[1]))),
     )
     if method in _METHODS:
         return _METHODS[method](cur, ref, merange, base_y, base_x, start)

@@ -48,6 +48,10 @@ _H4 = np.array(
     dtype=np.float64,
 )
 _H4T = np.ascontiguousarray(_H4.T)
+# The 4x4 Hadamard applied to each 4x4 tile of a 16x16 block at once:
+# block-diagonal, so ``_K16 @ d @ _K16T`` tile (i, j) is ``_H4 @ tile @ _H4T``.
+_K16 = np.kron(np.eye(4), _H4)
+_K16T = np.ascontiguousarray(_K16.T)
 
 #: Zigzag scan order for a 4x4 block as (row, col) index arrays.
 ZIGZAG_4X4 = (
@@ -157,17 +161,17 @@ def satd_batch(block_sets: np.ndarray) -> np.ndarray:
 def satd_16x16(diff: np.ndarray) -> float:
     """SATD of one 16x16 difference block (float64, shape ``(16, 16)``).
 
-    Equals ``satd_4x4(blockify_16x16(diff))`` bit-exactly; the vectorized
-    backend's flat entry point for hot callers that already hold the
-    difference (no validation layers, fixed contraction path).
+    Equals ``satd_4x4(blockify_16x16(diff))``; the vectorized backend's
+    flat entry point for hot callers that already hold the difference (no
+    validation layers): two 16x16 products with the block-diagonal
+    Hadamard instead of sixteen stacked 4x4 pairs. The products and the
+    reduction run in another order than the reference's, which is exact —
+    hence bit-identical — on what the codec passes: differences of a pixel
+    block and a (quarter-pel bilinear) prediction are multiples of 1/16
+    below 2**12, so every partial sum is representable.
     """
     if kernels.is_vectorized():
-        # matmul accepts the strided 4-D view directly; its fresh output is
-        # in the same logical order the (16, 4, 4) copy would have, so the
-        # full-array reduction sums identical values in an identical order.
-        quads = diff.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
-        trans = _H4 @ quads @ _H4T
-        return float(np.abs(trans).sum() / 2.0)
+        return float(np.abs(_K16 @ diff @ _K16T).sum() / 2.0)
     blocks = diff.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 4, 4)
     trans = np.einsum("ij,njk,lk->nil", _H4, blocks, _H4, optimize=True)
     return float(np.sum(np.abs(trans)) / 2.0)

@@ -15,6 +15,9 @@ column path equal to (``==`` on every float):
   into ``simulate()`` so an oracle report is the real assembly over
   per-event model steps.
 
+* :func:`all_backends` / :func:`assert_identical_values`: one callable
+  under every available kernel backend, each result ``==`` ``reference``'s.
+
 Nothing under ``src/`` imports this module.
 """
 
@@ -27,6 +30,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.codec import kernels
 from repro.trace.events import (
     BranchEvent,
     KernelEvent,
@@ -46,6 +50,25 @@ from repro.uarch.icache import (
     AnalyticICache,
     ICacheStats,
 )
+
+# -- kernel backends ----------------------------------------------------
+
+
+def all_backends(fn):
+    """``fn()`` under each available backend; returns {backend: result}."""
+    out = {}
+    for backend in kernels.available_backends():
+        with kernels.backend_scope(backend):
+            out[backend] = fn()
+    assert "reference" in out and len(out) >= 2
+    return out
+
+
+def assert_identical_values(results):
+    ref = results["reference"]
+    for backend, result in results.items():
+        assert result == ref, f"{backend} diverged from reference"
+
 
 # -- producer -----------------------------------------------------------
 

@@ -28,15 +28,7 @@ from repro.codec.presets import PRESET_NAMES, preset_options
 from repro.codec.types import MBMode
 from repro.trace.kernels import build_program
 from repro.trace.recorder import RecordingTracer
-
-
-def _all_backends(fn):
-    """Run ``fn()`` under each available backend; return {backend: result}."""
-    out = {}
-    for backend in kernels.available_backends():
-        with kernels.backend_scope(backend):
-            out[backend] = fn()
-    return out
+from tests.oracles import all_backends, assert_identical_values
 
 
 def _assert_identical_arrays(results):
@@ -45,12 +37,6 @@ def _assert_identical_arrays(results):
         arr = np.asarray(result)
         assert np.array_equal(ref, arr), f"{backend} diverged from reference"
         assert ref.dtype == arr.dtype, f"{backend} changed dtype"
-
-
-def _assert_identical_values(results):
-    ref = results["reference"]
-    for backend, result in results.items():
-        assert result == ref, f"{backend} diverged from reference"
 
 
 # --- per-kernel equivalence -------------------------------------------------
@@ -62,9 +48,9 @@ def test_transform_roundtrip_identical(seed):
 
     rng = np.random.default_rng(seed)
     blocks = rng.uniform(-255, 255, size=(64, 4, 4))
-    fwd = _all_backends(lambda: forward_4x4(blocks))
+    fwd = all_backends(lambda: forward_4x4(blocks))
     _assert_identical_arrays(fwd)
-    inv = _all_backends(lambda: inverse_4x4(fwd["reference"]))
+    inv = all_backends(lambda: inverse_4x4(fwd["reference"]))
     _assert_identical_arrays(inv)
 
 
@@ -72,17 +58,20 @@ def test_transform_roundtrip_identical(seed):
 def test_satd_identical(seed):
     from repro.codec.transform import satd_16x16, satd_batch
 
-    # Integer-valued diffs, as the codec produces (uint8 pixel differences):
-    # Hadamard sums of integers are exact in float64, so the backends'
-    # different reduction orders still agree bitwise on this domain.
+    # Integer-valued diffs, as the codec produces (uint8 pixel differences),
+    # then quarter-pel ones (a pixel block minus a bilinear prediction:
+    # multiples of 1/16): Hadamard sums of either are exact in float64, so
+    # the backends' different reduction orders still agree bitwise.
     rng = np.random.default_rng(seed)
-    sets = rng.integers(-255, 256, size=(8, 16, 4, 4)).astype(np.float64)
-    batch = _all_backends(lambda: satd_batch(sets))
-    _assert_identical_arrays(batch)
+    for per_pixel in (1, 16):
+        bound = 255 * per_pixel
+        sets = rng.integers(-bound, bound + 1, size=(8, 16, 4, 4)) / float(per_pixel)
+        batch = all_backends(lambda: satd_batch(sets))
+        _assert_identical_arrays(batch)
 
-    diff = rng.integers(-255, 256, size=(16, 16)).astype(np.float64)
-    single = _all_backends(lambda: satd_16x16(diff))
-    _assert_identical_values(single)
+        diff = rng.integers(-bound, bound + 1, size=(16, 16)) / float(per_pixel)
+        single = all_backends(lambda: satd_16x16(diff))
+        assert_identical_values(single)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -92,7 +81,7 @@ def test_hadamard_sad_batch_identical(seed):
     rng = np.random.default_rng(seed)
     cur = rng.integers(0, 256, size=(16, 16)).astype(np.uint8)
     cands = rng.integers(0, 256, size=(12, 16, 16)).astype(np.uint8)
-    results = _all_backends(lambda: hadamard_sad_batch(cur, cands))
+    results = all_backends(lambda: hadamard_sad_batch(cur, cands))
     _assert_identical_arrays(results)
 
 
@@ -107,7 +96,7 @@ def test_entropy_encode_blocks_identical():
         widths = encode_blocks(writer, levels)
         return writer.getvalue(), list(widths)
 
-    _assert_identical_values(_all_backends(run))
+    assert_identical_values(all_backends(run))
 
 
 def test_entropy_encode_blocks_identical_empty_and_dense():
@@ -124,7 +113,7 @@ def test_entropy_encode_blocks_identical_empty_and_dense():
         w2 = encode_blocks(writer, zeros)
         return writer.getvalue(), list(w1), list(w2)
 
-    _assert_identical_values(_all_backends(run))
+    assert_identical_values(all_backends(run))
 
 
 def test_intra_prediction_identical(tiny_video):
@@ -135,14 +124,14 @@ def test_intra_prediction_identical(tiny_video):
     for mb_y in range(0, src_frame.shape[0] - 15, 16):
         for mb_x in range(0, src_frame.shape[1] - 15, 16):
             src = src_frame[mb_y : mb_y + 16, mb_x : mb_x + 16]
-            p4 = _all_backends(lambda: predict_4x4_blocks(src, recon, mb_y, mb_x))
+            p4 = all_backends(lambda: predict_4x4_blocks(src, recon, mb_y, mb_x))
             ref_pred, ref_sad, ref_tried = p4["reference"]
             for backend, (pred, sad, tried) in p4.items():
                 assert np.array_equal(ref_pred, pred), backend
                 assert ref_sad == sad, backend
                 assert ref_tried == tried, backend
 
-            p16 = _all_backends(lambda: best_intra_16x16(src, recon, mb_y, mb_x))
+            p16 = all_backends(lambda: best_intra_16x16(src, recon, mb_y, mb_x))
             ref = p16["reference"]
             for backend, res in p16.items():
                 assert ref.mode == res.mode, backend
@@ -169,7 +158,7 @@ def test_motion_search_identical(tiny_video, method):
                 out.append((res.mv_x, res.mv_y, res.cost, res.n_points))
         return out
 
-    _assert_identical_values(_all_backends(run))
+    assert_identical_values(all_backends(run))
 
 
 @pytest.mark.parametrize("subme", [3, 7, 9])
@@ -190,7 +179,7 @@ def test_subpel_refine_identical(tiny_video, subme):
                 out.append((res.mv_x, res.mv_y, res.cost, res.n_points))
         return out
 
-    _assert_identical_values(_all_backends(run))
+    assert_identical_values(all_backends(run))
 
 
 @pytest.mark.parametrize("qp", [12, 28, 44])
@@ -198,7 +187,7 @@ def test_deblock_plane_identical(tiny_video, qp):
     from repro.codec.deblock import deblock_plane
 
     plane = tiny_video.frames[0].luma
-    results = _all_backends(lambda: deblock_plane(plane, qp=qp))
+    results = all_backends(lambda: deblock_plane(plane, qp=qp))
     ref_plane, ref_edges = results["reference"]
     for backend, (out_plane, edges) in results.items():
         assert np.array_equal(ref_plane, out_plane), backend
@@ -217,7 +206,7 @@ def test_chroma_plane_identical(tiny_video):
         encode_chroma_plane(writer, plane, prev, luma_qp=26)
         return writer.getvalue()
 
-    _assert_identical_values(_all_backends(run))
+    assert_identical_values(all_backends(run))
 
 
 # --- end-to-end encode equivalence ------------------------------------------
@@ -252,13 +241,13 @@ ENCODE_CONFIGS = [
 
 @pytest.mark.parametrize("options", ENCODE_CONFIGS)
 def test_encode_bit_identical_across_backends(tiny_video, options):
-    digests = _all_backends(lambda: _encode_digest(tiny_video, options))
-    _assert_identical_values(digests)
+    digests = all_backends(lambda: _encode_digest(tiny_video, options))
+    assert_identical_values(digests)
 
 
 def test_encode_bit_identical_static_scene(static_video):
-    digests = _all_backends(lambda: _encode_digest(static_video, EncoderOptions()))
-    _assert_identical_values(digests)
+    digests = all_backends(lambda: _encode_digest(static_video, EncoderOptions()))
+    assert_identical_values(digests)
 
 
 # --- end-to-end decode equivalence ------------------------------------------
@@ -353,14 +342,14 @@ def _decode_observables(bitstream, *, traced):
 @pytest.mark.parametrize("options", DECODE_CONFIGS)
 def test_decode_identical_across_backends(tiny_video, options):
     bitstream = encode(tiny_video, options).stream.bitstream
-    traced = _all_backends(lambda: _decode_observables(bitstream, traced=True))
-    _assert_identical_values(traced)
-    plain = _all_backends(lambda: _decode_observables(bitstream, traced=False))
-    _assert_identical_values(plain)
+    traced = all_backends(lambda: _decode_observables(bitstream, traced=True))
+    assert_identical_values(traced)
+    plain = all_backends(lambda: _decode_observables(bitstream, traced=False))
+    assert_identical_values(plain)
     # Tracing observes the decode; it does not change it. And the same
     # bytes decode to the same output every time.
     assert plain["reference"][:6] == traced["reference"][:6]
-    again = _all_backends(lambda: _decode_observables(bitstream, traced=False))
+    again = all_backends(lambda: _decode_observables(bitstream, traced=False))
     assert again == plain
     assert any(traced["reference"][2]) == options.chroma
 
@@ -372,10 +361,10 @@ def test_decode_identical_on_busy_content(busy_video):
     result = encode(busy_video, options)
     modes = {mb.mode for f in result.stream.frames for mb in f.macroblocks}
     assert {MBMode.INTRA_4X4, MBMode.INTER_8X8} <= modes
-    traced = _all_backends(
+    traced = all_backends(
         lambda: _decode_observables(result.stream.bitstream, traced=True)
     )
-    _assert_identical_values(traced)
+    assert_identical_values(traced)
 
 
 def test_decode_identical_on_static_content(static_video):
@@ -383,10 +372,10 @@ def test_decode_identical_on_static_content(static_video):
     result = encode(static_video, EncoderOptions(crf=26, refs=1, bframes=0))
     modes = {mb.mode for f in result.stream.frames[1:] for mb in f.macroblocks}
     assert modes == {MBMode.SKIP}
-    traced = _all_backends(
+    traced = all_backends(
         lambda: _decode_observables(result.stream.bitstream, traced=True)
     )
-    _assert_identical_values(traced)
+    assert_identical_values(traced)
 
 
 @pytest.mark.parametrize("window", [1, 7, 64, 300])
