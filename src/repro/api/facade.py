@@ -58,15 +58,13 @@ __all__ = [
 
 
 def backends():
-    """The three kernel backends, oracle first.
+    """The two kernel backends, oracle first.
 
     Returns the :class:`~repro.codec.kernels.BackendInfo` rows
-    themselves: name, description, and — for ``numba`` without numba
-    installed — an ``unavailable_reason`` explaining why selecting it
-    will run ``vectorized`` instead. Pick a backend with
-    ``Settings(kernels=...)`` or inspect availability programmatically::
+    themselves (name, description). Pick a backend with
+    ``Settings(kernels=...)``::
 
-        >>> [b.name for b in api.backends() if b.available]
+        >>> [b.name for b in api.backends()]
         ['reference', 'vectorized']
     """
     from repro.codec import kernels as _kernels

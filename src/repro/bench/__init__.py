@@ -2,7 +2,7 @@
 
 ``repro bench`` times every backend-dispatched kernel (see
 :mod:`repro.codec.kernels`) and the ``encode()`` stage of a small
-Figure-3 slice under every available backend, and emits a
+Figure-3 slice under both backends, and emits a
 machine-readable ``BENCH_<rev>.json`` artifact (``repro-bench/v2``).
 Timings are recorded through the :mod:`repro.obs` metrics registry so
 bench runs share the telemetry plumbing used everywhere else.

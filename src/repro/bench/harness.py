@@ -1,11 +1,10 @@
 """Benchmark workloads: per-kernel micro-benchmarks and the fig3 slice.
 
 Every workload is deterministic (fixed seeds, fixed shapes) and is run
-under every *available* kernel backend with the same inputs, so the
-per-kernel speedups isolate exactly what each rewrite bought. Every row
-— a kernel, a fig3 cell, the fig3 total — has the same two maps:
-``backends`` (time per backend) and ``speedups`` (reference time over
-each other backend's, which covers ``numba`` when it is installed).
+under both kernel backends with the same inputs, so the per-kernel
+speedups isolate exactly what each rewrite bought. Every row — a kernel,
+a fig3 cell, the fig3 total — has the same two maps: ``backends`` (time
+per backend) and ``speedups`` (reference time over ``vectorized``'s).
 Per-repetition wall times go through the shared
 :class:`repro.obs.MetricsRegistry` histograms; the summary payload embeds
 the registry snapshot so ``BENCH_*.json`` doubles as a telemetry
@@ -227,20 +226,19 @@ def run_kernel_benches(
     reps: int = 3,
     names: Iterable[str] | None = None,
 ) -> dict[str, dict[str, object]]:
-    """Time each kernel workload under every available backend.
+    """Time each kernel workload under both backends.
 
     Returns ``{kernel: row}``; a row is ``blocks``, ``backends`` (ns per
     block per backend) and ``speedups`` (vs. reference, per
     non-reference backend). Per-rep seconds additionally land in
     ``registry`` histograms named ``bench.kernel.<name>.<backend>_s``.
     """
-    backends = kernels.available_backends()
     results: dict[str, dict[str, object]] = {}
     for name in names if names is not None else KERNEL_BENCH_NAMES:
         builder = _KERNEL_BENCHES[name]
         per_backend: dict[str, float] = {}
         units = 0
-        for backend in backends:
+        for backend in kernels.KERNEL_BACKENDS:
             with kernels.backend_scope(backend):
                 units, thunk = builder()
                 times = _time_call(thunk, reps)
@@ -263,7 +261,7 @@ def run_encode_fig3(
     cells: tuple[tuple[int, int], ...] = ENCODE_CELLS,
     n_frames: int = _ENCODE_FRAMES,
 ) -> dict[str, object]:
-    """Encode the fig3 slice under every available backend.
+    """Encode the fig3 slice under both backends.
 
     The slice is the encode stage of the paper's Figure-3 crf x refs grid
     (the simulator downstream is backend-independent). Returns the clip
@@ -275,13 +273,12 @@ def run_encode_fig3(
 
     width, height = _ENCODE_SIZE
     video = _bench_scene(width=width, height=height, n_frames=n_frames)
-    backends = kernels.available_backends()
-    totals = dict.fromkeys(backends, 0.0)
+    totals = dict.fromkeys(kernels.KERNEL_BACKENDS, 0.0)
     per_cell = []
     for crf, refs in cells:
         opts = EncoderOptions(crf=crf, refs=refs)
         cell_times: dict[str, float] = {}
-        for backend in backends:
+        for backend in kernels.KERNEL_BACKENDS:
             with kernels.backend_scope(backend):
                 times = _time_call(lambda: encode(video, opts), reps)
             hist = registry.histogram(

@@ -8,7 +8,7 @@ artifacts (:mod:`repro.bench.report`), orders them by the ``timestamp``
 recorded inside each payload (filename and mtime are fallbacks, never
 the source of truth), and tracks every gate row
 (:func:`~repro.bench.report.tracked_speedups`: ``kernel:<name>``,
-``encode:fig3-slice``, plus their ``:numba`` variants) across revisions.
+``encode:fig3-slice``) across revisions.
 Every series is a speedup, so "best" is the maximum.
 
 The rolling-window detector flags a series when the **median of its

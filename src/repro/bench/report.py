@@ -90,22 +90,13 @@ def write_bench(payload: dict[str, object], path: str | Path | None = None) -> P
 
 
 def tracked_speedups(payload: dict[str, object]) -> dict[str, float]:
-    """Workload -> speedup-over-reference map the gates compare.
-
-    The unsuffixed rows (``kernel:<name>``, ``encode:fig3-slice``) are
-    the vectorized-over-reference ratios; an available ``numba`` backend
-    contributes suffixed rows (``kernel:<name>:numba``,
-    ``encode:fig3-slice:numba``) that show up as ``(new)`` against a
-    baseline recorded without it. Suffixed rows a baseline carries for a
-    backend that no longer exists show up as ``(removed)``.
-    """
+    """Workload -> vectorized-over-reference speedup map the gates
+    compare (rows ``kernel:<name>`` and ``encode:fig3-slice``)."""
     kernels: Any = payload["kernels"]
     rows = {f"kernel:{name}": row for name, row in kernels.items()}
     rows["encode:fig3-slice"] = payload["encode"]
     return {
-        name if backend == "vectorized" else f"{name}:{backend}": float(ratio)
-        for name, row in rows.items()
-        for backend, ratio in row["speedups"].items()
+        name: float(row["speedups"]["vectorized"]) for name, row in rows.items()
     }
 
 

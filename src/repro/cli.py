@@ -232,29 +232,22 @@ def _cache_main(argv: list[str]) -> int:
 def _backends_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro backends",
-        description="List the kernel backends and their availability "
-                    "(an optional backend whose dependency is missing "
-                    "shows why and what it falls back to).",
+        description="List the kernel backends and mark the active one.",
     )
     parser.parse_args(argv)
 
     from repro.codec import kernels
 
-    active = kernels.active_backend()
-    rows = []
-    for backend in kernels.all_backends():
-        marker = "*" if backend.name == active else " "
-        if backend.available:
-            status = "available"
-        else:
-            status = (f"unavailable ({backend.unavailable_reason}), "
-                      f"falls back to {kernels.DEFAULT_BACKEND}")
-        rows.append((marker, backend.name, status, backend.description))
-    name_w = max(len(r[1]) for r in rows)
-    status_w = max(len(r[2]) for r in rows)
-    print(f"  {'backend':<{name_w}}  {'status':<{status_w}}  description")
-    for marker, name, status, desc in rows:
-        print(f"{marker} {name:<{name_w}}  {status:<{status_w}}  {desc}")
+    try:
+        active = kernels.active_backend()
+    except ValueError as exc:  # a bad REPRO_KERNELS
+        parser.error(str(exc))
+    rows = kernels.all_backends()
+    name_w = max(len(row.name) for row in rows)
+    print(f"  {'backend':<{name_w}}  description")
+    for row in rows:
+        marker = "*" if row.name == active else " "
+        print(f"{marker} {row.name:<{name_w}}  {row.description}")
     print(f"\n* = active backend (select with --kernels/$REPRO_KERNELS; "
           f"default {kernels.DEFAULT_BACKEND})")
     return 0
@@ -263,7 +256,7 @@ def _backends_main(argv: list[str]) -> int:
 def _bench_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Measure every available kernel backend's speedup "
+        description="Measure the vectorized kernel backend's speedup "
                     "over the reference backend (codec kernels and the "
                     "encode stage of a fig3 slice), or render the speedup "
                     "trend over past artifacts (--history).",

@@ -14,10 +14,10 @@ respond to crf/refs/preset/video exactly as the paper describes.
 
 The hot kernels the encoder calls (transform, motion, intra, deblock,
 entropy, chroma) are backend-dispatched via :mod:`repro.codec.kernels`
-(``REPRO_KERNELS=reference|vectorized|numba``), bound once per
+(``REPRO_KERNELS=reference|vectorized``), bound once per
 :meth:`Encoder.encode` so the backend cannot change mid-encode; the
 encoder itself hoists the per-macroblock float casts into one cast per
-frame. All backends produce bit-identical bitstreams, reconstructions,
+frame. Both backends produce bit-identical bitstreams, reconstructions,
 and traces.
 """
 

@@ -89,9 +89,9 @@ def _polyfit_constants(size: int) -> tuple[np.ndarray, float, float]:
     ``lstsq``, ``c / scale``). The encoder, and the decoder through
     :func:`predict_16x16`, are bit-identical across backends only while
     NumPy keeps them: a last-bit change of slope flips a rounded pixel on
-    flat rows. ``test_plane_pred_is_the_polyfit_form`` (tier-1 and the numba
-    CI job) compares the two on every run; if a NumPy upgrade fails it,
-    re-derive these constants from the new ``polyfit``.
+    flat rows. ``test_plane_pred_is_the_polyfit_form`` (tier-1) compares
+    the two on every run; if a NumPy upgrade fails it, re-derive these
+    constants from the new ``polyfit``.
     """
     lhs = np.vander(np.arange(size, dtype=np.float64) + 0.0, 2)
     scale = np.sqrt((lhs * lhs).sum(axis=0))

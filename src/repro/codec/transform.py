@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codec import backend_numba, kernels
+from repro.codec import kernels
 
 __all__ = [
     "forward_4x4",
@@ -152,8 +152,6 @@ def satd_batch(block_sets: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (k, n, 4, 4) block sets, got {arr.shape}")
     if not kernels.is_vectorized():
         return np.array([satd_4x4(arr[i]) for i in range(arr.shape[0])])
-    if kernels.is_jit():
-        return backend_numba.satd_batch_jit(arr)
     trans = _H4 @ np.ascontiguousarray(arr) @ _H4T
     return np.abs(trans).reshape(arr.shape[0], -1).sum(axis=1) / 2.0
 
@@ -195,8 +193,6 @@ def hadamard_sad_batch(cur: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         raise ValueError("hadamard_sad_batch expects 16x16 blocks")
     if not kernels.is_vectorized():
         return np.array([hadamard_sad(cur, cands[i]) for i in range(len(cands))])
-    if kernels.is_jit():
-        return backend_numba.hadamard_sad_batch_jit(cur, cands)
     diff = cur.astype(np.float64)[None] - cands.astype(np.float64)
     k = diff.shape[0]
     blocks = (

@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,7 +61,6 @@ __all__ = [
     "default_jobs",
     "fan_out",
     "run_tasks",
-    "serial_map",
 ]
 
 _JOBS_ENV = "REPRO_JOBS"
@@ -128,11 +127,6 @@ def default_cache() -> ResultCache | None:
     if env:
         return ResultCache(Path(env))
     return None
-
-
-def serial_map(compute: Callable[[_P], _R], payloads: Iterable[_P]) -> list[_R]:
-    """The serial fallback: plain in-process map, in order."""
-    return [compute(payload) for payload in payloads]
 
 
 @dataclass

@@ -34,10 +34,6 @@ class TranscodeResult:
 
     # --- the speed / quality / size triangle -------------------------
     @property
-    def speed_seconds(self) -> float:
-        return self.total_seconds
-
-    @property
     def quality_psnr_db(self) -> float:
         return self.encode.psnr_db
 

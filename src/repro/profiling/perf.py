@@ -43,10 +43,6 @@ class ProfileResult:
     counters: CounterSet
     program: Program
 
-    @property
-    def speedup_reference_cycles(self) -> float:
-        return self.report.cycles
-
 
 def record_trace(
     video: FrameSequence,

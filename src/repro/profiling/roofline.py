@@ -28,10 +28,6 @@ class RooflinePoint:
     performance: float  # ops per cycle achieved
     bound: str  # "memory" or "compute"
 
-    @property
-    def is_memory_bound(self) -> bool:
-        return self.bound == "memory"
-
 
 @dataclass(frozen=True)
 class RooflineModel:

@@ -86,9 +86,6 @@ class Cache:
         self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
         self.stats = CacheStats()
 
-    def line_of(self, addr: int) -> int:
-        return addr >> self._line_shift
-
     def access_line(self, line: int, weight: float = 1.0) -> bool:
         """Access one line address; returns True on hit."""
         s = self._sets[line % self.n_sets]

@@ -40,10 +40,6 @@ class CoreReport:
     topdown: TopdownBreakdown
     resource_stalls: ResourceStalls
 
-    @property
-    def total_stall_cycles(self) -> float:
-        return self.fe_cycles + self.bs_cycles + self.mem_cycles + self.core_cycles
-
 
 def run_core_model(
     *,

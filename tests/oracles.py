@@ -16,7 +16,7 @@ column path equal to (``==`` on every float):
   per-event model steps.
 
 * :func:`all_backends` / :func:`assert_identical_values`: one callable
-  under every available kernel backend, each result ``==`` ``reference``'s.
+  under every kernel backend, each result ``==`` ``reference``'s.
 
 Nothing under ``src/`` imports this module.
 """
@@ -55,12 +55,11 @@ from repro.uarch.icache import (
 
 
 def all_backends(fn):
-    """``fn()`` under each available backend; returns {backend: result}."""
+    """``fn()`` under each backend; returns {backend: result}."""
     out = {}
-    for backend in kernels.available_backends():
+    for backend in kernels.KERNEL_BACKENDS:
         with kernels.backend_scope(backend):
             out[backend] = fn()
-    assert "reference" in out and len(out) >= 2
     return out
 
 

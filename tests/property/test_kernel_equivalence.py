@@ -1,15 +1,13 @@
-"""Bit-identity between the reference backend and every other backend.
+"""Bit-identity between the reference backend and the vectorized one.
 
-The optimized backends are optimizations, not approximations: every
+The vectorized backend is an optimization, not an approximation: every
 kernel must produce *bitwise identical* outputs to the scalar reference
 on the same inputs, so golden-output tests and paper figures are
-backend-independent. These tests run each workload under every
-*available* backend (``vectorized``, and ``numba`` when importable — an
-uninstalled optional backend simply is not in
-:func:`repro.codec.kernels.available_backends`) and compare all
-of them against ``reference`` — first kernel by kernel on random
-inputs, then through a full encode, then through a full decode (frames,
-chroma, metadata and traced kernel calls).
+backend-independent. These tests run each workload under every backend
+in :data:`repro.codec.kernels.KERNEL_BACKENDS` and compare against
+``reference`` — first kernel by kernel on random inputs, then through a
+full encode, then through a full decode (frames, chroma, metadata and
+traced kernel calls).
 """
 
 from __future__ import annotations

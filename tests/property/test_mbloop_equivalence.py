@@ -6,9 +6,7 @@ block per displacement, the intra-4x4 chain runs a diagonal at a time and
 emits one tagged batch, the plane fit / SATD / i4x4 probe are folded. Each
 is held here to ``==`` with its ``reference`` body on generated inputs —
 kernel by kernel, then through whole encodes on content that makes the
-encoder pick the modes those kernels serve. Like
-``test_kernel_equivalence.py`` every *available* backend is compared, so
-the ``numba`` overlay is held to the same equalities when installed.
+encoder pick the modes those kernels serve.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ def test_batched_transforms_are_the_single_block_calls(blocks):
     single-block calls, for every batch size a diagonal (1-4) or a
     macroblock (16) uses. A law of the backends that batch: ``reference``
     codes one block at a time and its ``einsum`` makes no such promise."""
-    for backend in kernels.available_backends():
+    for backend in kernels.KERNEL_BACKENDS:
         if backend == "reference":
             continue
         with kernels.backend_scope(backend):

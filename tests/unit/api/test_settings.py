@@ -59,8 +59,6 @@ class TestValidation:
             Settings(kernels="quantum")
 
     def test_accepts_every_registered_backend(self):
-        # Unavailable-but-registered backends (numba without numba) are
-        # valid selections; they degrade at dispatch time, not here.
         for name in kernels.KERNEL_BACKENDS:
             assert Settings(kernels=name).kernels == name
 
@@ -208,7 +206,7 @@ SAMPLES = {
                   {"cache_dir": "cli/c"}, Path("cli/c")),
     "cache_enabled": ({}, True, {"no_cache": True}, False),
     "kernels": ({"REPRO_KERNELS": " REFERENCE "}, "reference",
-                {"kernels": "numba"}, "numba"),
+                {"kernels": "vectorized"}, "vectorized"),
     "retry": ({"REPRO_RETRY_ATTEMPTS": "5"}, RetryPolicy(max_attempts=5),
               {"retry": RetryPolicy(max_attempts=7)},
               RetryPolicy(max_attempts=7)),

@@ -1,12 +1,11 @@
-"""Backend-switch semantics: selection precedence, unknown names,
-availability fallback, and once-per-encode binding."""
+"""Backend-switch semantics: selection precedence, unknown names, and
+once-per-encode binding."""
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
+from repro.api.settings import Settings
 from repro.codec import kernels
 from repro.codec.encoder import encode
 from repro.codec.entropy import BitWriter
@@ -31,16 +30,8 @@ def test_default_backend_is_vectorized():
 
 
 def test_builtin_backends_registered_in_order():
-    assert kernels.KERNEL_BACKENDS == ("reference", "vectorized", "numba")
+    assert kernels.KERNEL_BACKENDS == ("reference", "vectorized")
     assert tuple(b.name for b in kernels.all_backends()) == kernels.KERNEL_BACKENDS
-
-
-def test_available_backends_always_run():
-    available = kernels.available_backends()
-    assert "reference" in available
-    assert "vectorized" in available
-    for name in available:
-        assert kernels.backend_info(name).available
 
 
 def test_env_var_selects_backend(monkeypatch):
@@ -98,35 +89,27 @@ def test_backend_scope_rejects_unknown():
             pass  # pragma: no cover
 
 
-def test_unavailable_backend_degrades_to_base(monkeypatch):
-    # Independent of whether numba is installed here: mark it missing.
-    monkeypatch.setitem(
-        kernels._BACKENDS,
-        "numba",
-        kernels._BACKENDS["numba"]._replace(
-            unavailable_reason="dependency missing (test)"
-        ),
-    )
-    monkeypatch.setattr(kernels, "_warned", set())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with kernels.backend_scope("numba"):
-            assert kernels.active_backend() == "vectorized"
-            assert kernels.active_backend() == "vectorized"
-            assert kernels.is_vectorized()
-            assert not kernels.is_jit()
-    degraded = [w for w in caught if "numba" in str(w.message)]
-    assert len(degraded) == 1  # warn once, not per dispatch
-    assert "falling back to 'vectorized'" in str(degraded[0].message)
-    assert "numba" not in kernels.available_backends()
-    assert "numba" in kernels.KERNEL_BACKENDS
-
-
-def test_numba_row_reports_availability():
-    info = kernels.backend_info("numba")
-    assert "JIT" in info.description
-    if not info.available:
-        assert "numba" in info.unavailable_reason
+@pytest.mark.parametrize(
+    "how",
+    ["validate_backend", "select_backend", "backend_scope", "REPRO_KERNELS",
+     "Settings"],
+)
+def test_removed_numba_name_is_rejected_like_any_unknown(how, monkeypatch):
+    with pytest.raises(
+        ValueError,
+        match="unknown kernel backend 'numba'.*"
+              "expected one of reference, vectorized$",
+    ):
+        if how == "REPRO_KERNELS":
+            monkeypatch.setenv("REPRO_KERNELS", "numba")
+            kernels.active_backend()
+        elif how == "backend_scope":
+            with kernels.backend_scope("numba"):
+                pass  # pragma: no cover
+        elif how == "Settings":
+            Settings(kernels="numba")
+        else:
+            getattr(kernels, how)("numba")
 
 
 def test_bad_env_does_not_break_scope_exit_or_reset(monkeypatch):
@@ -134,7 +117,7 @@ def test_bad_env_does_not_break_scope_exit_or_reset(monkeypatch):
     with kernels.backend_scope("reference"):
         assert not kernels.is_vectorized()
     kernels.select_backend(None)  # must not raise; the entry point will
-    with pytest.raises(ValueError, match="reference, vectorized, numba"):
+    with pytest.raises(ValueError, match="reference, vectorized"):
         kernels.active_backend()
 
 

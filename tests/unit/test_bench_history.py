@@ -78,15 +78,6 @@ class TestLoadHistory:
             "kernel:transform.forward_4x4", "encode:fig3-slice",
         }
 
-    def test_tracks_numba_rows_when_recorded(self, tmp_path):
-        payload = _bench_artifact("r1", 1000.0, {"a.kernel": 3.0}, 3.0)
-        payload["kernels"]["a.kernel"]["speedups"]["numba"] = 4.0
-        payload["encode"]["speedups"]["numba"] = 3.5
-        _write(tmp_path, "BENCH_r1.json", payload)
-        series = collect_series(load_history(tmp_path))
-        assert series["kernel:a.kernel:numba"] == [4.0]
-        assert series["encode:fig3-slice:numba"] == [3.5]
-
     def test_rejects_unknown_schema(self, tmp_path):
         _write(tmp_path, "BENCH_bad.json", {"schema": "other/v9"})
         with pytest.raises(ValueError, match="not a repro-bench/v2"):

@@ -59,28 +59,34 @@ class TestVersionAndList:
 
 
 class TestBackendsCommand:
-    def test_lists_three_backends_without_capabilities(self, capsys):
+    def test_lists_two_backends_without_capabilities(self, capsys):
         from repro.codec import kernels
 
         with kernels.backend_scope("reference"):
             assert main(["backends"]) == 0
         out = capsys.readouterr().out
         header, *rows = out.splitlines()
-        assert header.split() == ["backend", "status", "description"]
-        listed = rows[:3]
-        assert [row[2:].split()[0] for row in listed] == list(
-            kernels.KERNEL_BACKENDS
-        )
+        assert header.split() == ["backend", "description"]
+        listed = rows[:rows.index("")]
+        assert [row[2:].split()[0] for row in listed] == ["reference", "vectorized"]
         assert listed[0].startswith("* reference")  # the active marker
         assert listed[1].startswith("  vectorized")
         for row, info in zip(listed, kernels.all_backends()):
             assert info.description in row
-            if info.available:
-                assert "available" in row and "unavailable" not in row
-            else:
-                assert f"unavailable ({info.unavailable_reason})" in row
-                assert "falls back to vectorized" in row
         assert "capabilit" not in out
+
+    def test_bad_env_backend_is_a_usage_error(self, capsys, monkeypatch):
+        from repro.codec import kernels
+
+        kernels.select_backend(None)  # an earlier main() may have forced one
+        monkeypatch.setenv("REPRO_KERNELS", "simd")
+        with pytest.raises(SystemExit) as exc:
+            main(["backends"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: unknown kernel backend 'simd'" in err
+        assert "expected one of reference, vectorized" in err
+        assert "Traceback" not in err
 
 
 class TestAllFailureHandling:
