@@ -96,7 +96,7 @@ _ROWS = (
          help="disable the result cache even if $REPRO_CACHE_DIR is set"),
     Knob("kernels", _backend, "REPRO_KERNELS", "--kernels", env_strict=True,
          choices="repro.codec.kernels:KERNEL_BACKENDS",
-         help="codec kernel backend; `repro backends` lists availability"),
+         help="codec kernel backend; `repro backends` describes both"),
     Knob("retry", lambda policy: policy, "REPRO_RETRY_*",
          env_reader=RetryPolicy.from_env),
     Knob("fault_plan", str, "REPRO_FAULT_PLAN", "--fault-plan", "PLAN",

@@ -17,7 +17,7 @@ Examples::
     repro report --diff a/run.json b/run.json
     repro report out/run.json --timeline 3      # one job's flame graph
     repro slo check out/run.json --spec examples/slo/serve.json
-    repro backends                    # list kernel backends + availability
+    repro backends                    # the two kernel backends, * on the active one
     repro bench                       # backend speedups: kernels + fig3 encode
     repro bench --compare BENCH_baseline.json   # CI regression gate
     repro bench --history bench-history/        # speedup trend + drift gate
@@ -814,8 +814,8 @@ def main(argv: list[str] | None = None) -> int:
                "`repro report <run.json> [--diff]` renders/diffs "
                "telemetry artifacts; `repro cache {stats,clear}` "
                "inspects/clears the persistent result cache; "
-               "`repro backends` lists the registered kernel backends "
-               "and their availability; "
+               "`repro backends` prints the two kernel backends (name, "
+               "description) with `*` on the active one; "
                "`repro bench [--compare BASELINE.json]` measures the "
                "backends' speedups over reference on the codec kernels "
                "and the fig3 encode slice (`--history DIR` renders the "

@@ -7,10 +7,11 @@ SKIP detection, then transform → (trellis) quantization → entropy coding
 → reconstruction; finally the in-loop deblocking filter runs and the
 frame enters the reference picture buffer if it is an anchor.
 
-Every stage reports its invocation to the :class:`~repro.trace.recorder.Tracer`
-with the actual data addresses touched and the actual outcomes of its
-data-dependent branches, which is what makes the µarch characterization
-respond to crf/refs/preset/video exactly as the paper describes.
+Every stage tells the encode's :class:`~repro.codec.tracemodel.EncodeTrace`
+what it did; what that means to a tracer — the data addresses touched, the
+outcomes of the data-dependent branches, the simulated heap they live in —
+is :mod:`repro.codec.tracemodel`'s alone, and costs nothing when the encode
+is not traced.
 
 The hot kernels the encoder calls (transform, motion, intra, deblock,
 entropy, chroma) are backend-dispatched via :mod:`repro.codec.kernels`
@@ -49,8 +50,9 @@ from repro.codec.intra import (
 from repro.codec.mbdecision import InterCandidate, choose_inter_ref, mv_bits, search_partitions
 from repro.codec.motion import PaddedReference, fetch_prediction, predict_mv
 from repro.codec.options import EncoderOptions
-from repro.codec.quant import dequantize, quantize, rd_lambda, trellis_quantize
+from repro.codec.quant import dequantize, rd_lambda, trellis_quantize
 from repro.codec.ratecontrol import FirstPassStats, RateController
+from repro.codec.tracemodel import EncodeTrace, LoopOptimizations
 from repro.codec.transform import blockify_16x16, forward_4x4, inverse_4x4, unblockify_16x16
 from repro.codec.types import (
     FRAME_TYPE_IDS,
@@ -66,39 +68,11 @@ from repro.codec.types import (
 )
 from repro.obs import session as obs
 from repro.resilience.faults import fault_point
-from repro.trace.recorder import AddressMap, NullTracer, Tracer
+from repro.trace.recorder import NullTracer, Tracer
 from repro.video.frame import FrameSequence
 from repro.video.metrics import bitrate_kbps, psnr_sequence
 
 __all__ = ["Encoder", "EncodeResult", "LoopOptimizations", "encode"]
-
-#: The 16 coefficient blocks of a macroblock, 64 bytes each.
-_COEFF_BLOCKS = (np.arange(16) * 64).astype(np.uint64)
-#: The 17 rows of the 32-byte-pitch subpel interpolation scratch.
-_INTERP_SCRATCH_ROWS = (np.arange(17) * 32).astype(np.uint64)
-
-
-@dataclass(frozen=True)
-class LoopOptimizations:
-    """Polyhedral loop-transformation switches (produced by Graphite).
-
-    - ``tile_transform``: reuse one macroblock-sized coefficient scratch
-      buffer instead of streaming through a frame-sized one (loop tiling /
-      fusion of the transform→quant→entropy producer-consumer nests).
-    - ``fuse_deblock``: single fused pass over the plane instead of a
-      horizontal pass followed by a vertical pass (loop fusion).
-    - ``interchange_interp``: column-major → row-major traversal in the
-      subpel interpolation (loop interchange).
-    """
-
-    tile_transform: bool = False
-    fuse_deblock: bool = False
-    interchange_interp: bool = False
-
-    @property
-    def any_enabled(self) -> bool:
-        return self.tile_transform or self.fuse_deblock or self.interchange_interp
-
 
 @dataclass
 class EncodeResult:
@@ -150,7 +124,6 @@ class _DpbEntry:
 
     display_index: int
     padded: PaddedReference
-    base_addr: int
     chroma: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -201,11 +174,7 @@ class Encoder:
             m = tel.metrics
             m.counter("encoder.encodes").inc()
             m.counter("encoder.frames").inc(len(video))
-            # The simulated heap the tracer hands out addresses from
-            # (AddressMap): the live working set of this encode.
-            m.histogram("encoder.heap_bytes").observe(
-                float(self._addr.bytes_allocated)
-            )
+            m.histogram("encoder.heap_bytes").observe(float(self._trace.heap_bytes))
         return result
 
     def _encode_impl(self, video: FrameSequence) -> EncodeResult:
@@ -219,42 +188,17 @@ class Encoder:
         sources = [f.padded_luma() for f in video]
         pad_h, pad_w = sources[0].shape
         gop = plan_gop(video, options)
-        self._trace_lookahead(video)
-
-        addr = AddressMap()
-        plane_bytes = pad_h * pad_w
         n_mb_y, n_mb_x = pad_h // 16, pad_w // 16
-        n_mbs = n_mb_y * n_mb_x
-        # Input frame pool, DPB slots, coefficient scratch, bitstream.
-        # Each decoded input frame is a fresh buffer: reading it is
-        # compulsory-miss traffic, as in a real decode->encode pipeline.
-        src_bases = [addr.alloc(f"src{i}", plane_bytes) for i in range(len(video))]
-        dpb_bases = [
-            addr.alloc(f"dpb{i}", plane_bytes) for i in range(options.refs + 2)
-        ]
-        if self.loop_opts.tile_transform:
-            coeff_base = addr.alloc("coeff_mb", 16 * 16 * 4)
-            coeff_stride = 0  # every MB reuses the same scratch
-        else:
-            coeff_base = addr.alloc("coeff_frame", n_mbs * 16 * 16 * 4)
-            coeff_stride = 16 * 16 * 4
-        bs_base = addr.alloc("bitstream", 1 << 22)
-        self._addr = addr
-        self._coeff_base = coeff_base
-        self._coeff_stride = coeff_stride
-        self._bs_base = bs_base
-        self._pad_w = pad_w
-        # Address templates of the trace helpers (offsets from a block's
-        # first byte): the per-call part is one add.
-        self._row_templates: dict[tuple[int, int], np.ndarray] = {}
-        self._interp_columns = (
-            np.arange(17)[None, :] * pad_w + np.arange(0, 17, 2)[:, None]
-        ).ravel().astype(np.uint64)
+        self._trace = trace = EncodeTrace(
+            self.tracer, self.loop_opts, options,
+            pad_h=pad_h, pad_w=pad_w, n_frames=len(video),
+        )
+        trace.lookahead(video.width, video.height)
 
         rc = RateController(
             options,
             fps=video.fps,
-            n_mbs_per_frame=n_mbs,
+            n_mbs_per_frame=n_mb_y * n_mb_x,
             first_pass=first_pass,
         )
 
@@ -267,7 +211,6 @@ class Encoder:
         coded_frames: list[CodedFrame] = []
         frame_stats: list[FrameStats] = []
         dpb: list[_DpbEntry] = []
-        dpb_slot = 0
         pad = options.merange + 24
 
         for disp_idx in gop.decode_order:
@@ -277,7 +220,7 @@ class Encoder:
             ) as frame_span:
                 src = sources[disp_idx]
                 self.tracer.begin_frame(ftype.value, disp_idx)
-                self._trace_frame_setup(src, src_bases[disp_idx])
+                trace.frame_setup(disp_idx)
 
                 complexity = self._frame_complexity(sources, disp_idx)
                 base_qp = rc.frame_qp(ftype, complexity)
@@ -314,16 +257,15 @@ class Encoder:
                 frame_stats.append(
                     self._make_stats(ftype, base_qp, frame_bits, mbs)
                 )
-                self._trace_rc_update()
+                trace.rc_update()
 
                 if ftype is not FrameType.B:
                     entry = _DpbEntry(
                         display_index=disp_idx,
                         padded=PaddedReference.from_plane(ctx.recon, pad),
-                        base_addr=dpb_bases[dpb_slot % len(dpb_bases)],
                         chroma=chroma_recon,
                     )
-                    dpb_slot += 1
+                    trace.dpb_store(disp_idx)
                     dpb.append(entry)
                     dpb.sort(key=lambda e: e.display_index)
                     # Retain enough anchors for refs past + 1 future reference.
@@ -427,6 +369,11 @@ class Encoder:
         b = sources[disp_idx - 1].astype(np.float64)
         return float(np.mean(np.abs(a - b)))
 
+    def _run_deblock(self, recon: np.ndarray, qp: int) -> tuple[np.ndarray, int]:
+        filtered, n_edges = deblock_plane(recon, qp, offset=self.options.deblock[1])
+        self._trace.deblock(recon, filtered, n_edges)
+        return filtered, n_edges
+
     def _encode_frame_mbs(
         self,
         ctx: _FrameContext,
@@ -436,24 +383,10 @@ class Encoder:
         mbs: list[CodedMacroblock] = []
         n_mb_y = len(ctx.mv_grid)
         n_mb_x = len(ctx.mv_grid[0])
-        skip_flags: list[bool] = []
-        intra_flags: list[bool] = []
         for mb_y in range(n_mb_y):
             for mb_x in range(n_mb_x):
-                mb = self._encode_mb(ctx, mb_y, mb_x, writer, rc)
-                mbs.append(mb)
-                skip_flags.append(mb.mode is MBMode.SKIP)
-                intra_flags.append(mb.mode.is_intra)
-        if self.tracer.enabled:
-            # Frame-level mode-decision branch history (sequence across MBs).
-            self.tracer.kernel(
-                "mode_decide",
-                iters=0,
-                branches={
-                    "skip": np.array(skip_flags, dtype=bool),
-                    "intra": np.array(intra_flags, dtype=bool),
-                },
-            )
+                mbs.append(self._encode_mb(ctx, mb_y, mb_x, writer, rc))
+        self._trace.frame_modes(mbs)
         return mbs
 
     # ------------------------------------------------------------------
@@ -467,8 +400,8 @@ class Encoder:
         writer: BitWriter,
         rc: RateController,
     ) -> CodedMacroblock:
-        options = self.options
         y, x = mb_y * 16, mb_x * 16
+        self._trace.macroblock(mb_y, mb_x)
         src_mb = ctx.src[y : y + 16, x : x + 16]
         assert ctx.mb_variances is not None
         qp_mb = rc.mb_qp(
@@ -545,13 +478,13 @@ class Encoder:
         best, ref_idx, n_points, _positions = choose_inter_ref(
             src_mb, refs, y, x, pred_mv, options, qp_mb
         )
-        self._trace_me(ctx, mb_y, mb_x, best, n_points, len(refs))
+        self._trace.me(ctx.refs_l0, best, n_points)
 
         mv = MotionVector(best.mv_x, best.mv_y, ref_idx)
         ref = refs[ref_idx]
         prediction = fetch_prediction(ref, y, x, mv.dx, mv.dy)
         if mv.dx % 4 != 0 or mv.dy % 4 != 0:
-            self._trace_interp(ctx, mb_y, mb_x, ref_idx)
+            self._trace.interp(ctx.refs_l0[ref_idx])
         rate = mv_bits(mv, pred_mv) + ue_bits(MODE_IDS[MBMode.INTER_16X16])
         candidate = InterCandidate(
             mode=MBMode.INTER_16X16,
@@ -569,7 +502,7 @@ class Encoder:
         )
         part_flags = []
         if part8 is not None:
-            self._trace_partition_search(part8)
+            self._trace.partition_search(part8)
             better = part8.rd_cost(qp_mb) < candidate.rd_cost(qp_mb)
             part_flags.append(better)
             if better:
@@ -578,17 +511,12 @@ class Encoder:
                     src_mb, ref, y, x, mv, pred_mv, options, size=4
                 )
                 if part4 is not None:
-                    self._trace_partition_search(part4)
+                    self._trace.partition_search(part4)
                     better4 = part4.rd_cost(qp_mb) < candidate.rd_cost(qp_mb)
                     part_flags.append(better4)
                     if better4:
                         candidate = part4
-        if part_flags and self.tracer.enabled:
-            self.tracer.kernel(
-                "mode_decide",
-                iters=len(part_flags),
-                branches={"part_split": np.array(part_flags, dtype=bool)},
-            )
+        self._trace.part_split(part_flags)
 
         # B-frame: try the future reference and bi-prediction.
         if ctx.frame_type is FrameType.B and ctx.ref_l1 is not None:
@@ -618,7 +546,7 @@ class Encoder:
         best1, _, n_points1, _ = choose_inter_ref(
             src_mb, [l1], y, x, pred_mv, options, qp_mb
         )
-        self._trace_me(ctx, mb_y, mb_x, best1, n_points1, 1, l1_search=True)
+        self._trace.me([ctx.ref_l1], best1, n_points1)
         mv1 = MotionVector(best1.mv_x, best1.mv_y, 0)
         pred1 = fetch_prediction(l1, y, x, mv1.dx, mv1.dy)
         # Bi-prediction: average of the L0 16x16 prediction (recomputed
@@ -672,7 +600,7 @@ class Encoder:
         ):
             return None
         i16 = best_intra_16x16(src_mb, ctx.recon, y, x)
-        self._trace_intra16(ctx, mb_y, mb_x)
+        self._trace.intra_probe("intra_pred16", 4)
         rate16 = ue_bits(MODE_IDS[MBMode.INTRA_16X16]) + ue_bits(int(i16.mode))
         cost16 = i16.sad + rd_lambda(qp_mb) * rate16
 
@@ -681,7 +609,7 @@ class Encoder:
         if "i4x4" in options.partition_candidates:
             # Quick i4x4 probe: per-4x4 DC/V/H from source neighbors.
             pred4, sad4, modes_tried = predict_4x4_blocks(src_mb, ctx.recon, y, x)
-            self._trace_intra4(ctx, mb_y, mb_x, modes_tried)
+            self._trace.intra_probe("intra_pred4", modes_tried)
             rate4 = ue_bits(MODE_IDS[MBMode.INTRA_4X4]) + 16 * 3
             cost4 = sad4 + rd_lambda(qp_mb) * rate4
             if cost4 < best_cost:
@@ -712,8 +640,8 @@ class Encoder:
         ctx.recon[y : y + 16, x : x + 16] = recon_mb
         ctx.mv_grid[mb_y][mb_x] = pred_mv
         rc.note_mb_bits(bits)
-        self._trace_entropy_header()
-        self._trace_recon_write(ctx, mb_y, mb_x)
+        self._trace.entropy_header()
+        self._trace.recon_write()
         return CodedMacroblock(
             mb_x=mb_x, mb_y=mb_y, mode=MBMode.SKIP, qp=qp_mb,
             mvs=[pred_mv], bits=bits,
@@ -752,10 +680,10 @@ class Encoder:
         bits = writer.bit_count - bits_before
         ctx.mv_grid[mb_y][mb_x] = None
         rc.note_mb_bits(bits)
-        self._trace_intra4(ctx, mb_y, mb_x, 16 * 3)
-        self._trace_transform_path(ctx, mb_y, mb_x, levels_all, qp_mb)
-        self._trace_entropy_coeffs(ctx, mb_y, mb_x, levels_all, bits)
-        self._trace_recon_write(ctx, mb_y, mb_x)
+        self._trace.intra_probe("intra_pred4", 16 * 3)
+        self._trace.transform_path(levels_all, qp_mb)
+        self._trace.entropy_coeffs(levels_all, bits)
+        self._trace.recon_write()
         return CodedMacroblock(
             mb_x=mb_x, mb_y=mb_y, mode=MBMode.INTRA_4X4, qp=qp_mb,
             intra_modes4=modes4, coeffs=levels_all, bits=bits,
@@ -881,9 +809,9 @@ class Encoder:
         ctx.mv_grid[mb_y][mb_x] = mvs[0] if mvs else None
         rc.note_mb_bits(bits)
 
-        self._trace_transform_path(ctx, mb_y, mb_x, levels, qp_mb, coeffs)
-        self._trace_entropy_coeffs(ctx, mb_y, mb_x, levels, bits)
-        self._trace_recon_write(ctx, mb_y, mb_x)
+        self._trace.transform_path(levels, qp_mb, coeffs)
+        self._trace.entropy_coeffs(levels, bits)
+        self._trace.recon_write()
         return CodedMacroblock(
             mb_x=mb_x, mb_y=mb_y, mode=mode, qp=qp_mb, intra_mode=intra_mode,
             mvs=mvs, mv1=mv1, coeffs=levels, bits=bits,
@@ -930,11 +858,7 @@ class Encoder:
                     writer, plane, prev, base_qp, trellis=self.options.trellis
                 )
             )
-            if self.tracer.enabled:
-                n_blocks = (plane.shape[0] // 8 + 1) * (plane.shape[1] // 8 + 1)
-                self.tracer.kernel("dct4", iters=n_blocks * 4)
-                self.tracer.kernel("quant", iters=n_blocks * 4)
-                self.tracer.kernel("mc_copy", iters=n_blocks * 8)
+            self._trace.chroma_plane(plane)
         return (recons[0], recons[1])
 
     @staticmethod
@@ -961,267 +885,6 @@ class Encoder:
             intra_mbs=sum(1 for m in mbs if m.mode.is_intra),
             inter_mbs=sum(1 for m in mbs if m.mode.is_inter),
         )
-
-    # ------------------------------------------------------------------
-    # trace emission (addresses + data-dependent branches)
-    # ------------------------------------------------------------------
-    def _row_addrs(self, base: int, y: int, x: int, rows: int, width: int) -> np.ndarray:
-        """Byte addresses covering ``rows`` rows of ``width`` pixels."""
-        template = self._row_templates.get((rows, width))
-        if template is None:
-            starts = np.arange(rows) * self._pad_w
-            # Touch the first and last byte of each row span (line
-            # granularity is resolved by the cache model).
-            template = np.concatenate([starts, starts + width - 1]).astype(np.uint64)
-            self._row_templates[rows, width] = template
-        return template + np.uint64(base + y * self._pad_w + x)
-
-    def _trace_lookahead(self, video: FrameSequence) -> None:
-        if not self.tracer.enabled:
-            return
-        rows = video.height // 2
-        for i in range(len(video)):
-            base = self._lookahead_base(i)
-            addrs = (base + np.arange(rows) * (video.width // 2)).astype(np.uint64)
-            self.tracer.kernel("lookahead", iters=rows, reads=addrs)
-
-    @staticmethod
-    def _lookahead_base(index: int) -> int:
-        return 0x0800_0000 + (index % 8) * (1 << 20)
-
-    def _trace_frame_setup(self, src: np.ndarray, src_base: int) -> None:
-        if not self.tracer.enabled:
-            return
-        rows = src.shape[0]
-        # Sample every 4th row (pure streaming copy).
-        addrs = (src_base + np.arange(0, rows, 4) * self._pad_w).astype(np.uint64)
-        self.tracer.kernel("frame_setup", iters=rows, reads=addrs, writes=addrs)
-
-    def _trace_me(
-        self,
-        ctx: _FrameContext,
-        mb_y: int,
-        mb_x: int,
-        result,
-        n_points: int,
-        n_refs: int,
-        *,
-        l1_search: bool = False,
-    ) -> None:
-        if not self.tracer.enabled:
-            return
-        y, x = mb_y * 16, mb_x * 16
-        # Search-window footprint per reference: the bounding box of the
-        # visited positions, touched at row granularity.
-        if result.positions:
-            dxs = [p[0] for p in result.positions]
-            dys = [p[1] for p in result.positions]
-            x_lo, x_hi = min(dxs), max(dxs) + 16
-            y_lo, y_hi = min(dys), max(dys) + 16
-        else:
-            x_lo, x_hi, y_lo, y_hi = 0, 16, 0, 16
-        read_list = []
-        refs = [ctx.ref_l1] if l1_search else ctx.refs_l0
-        for entry in refs[:n_refs]:
-            if entry is None:
-                continue
-            read_list.append(
-                self._row_addrs(
-                    entry.base_addr, y + y_lo, max(x + x_lo, 0), y_hi - y_lo, x_hi - x_lo
-                )
-            )
-        reads = np.concatenate(read_list) if read_list else None
-        branches = {}
-        if result.improvements:
-            branches["improve"] = np.array(result.improvements, dtype=bool)
-        self.tracer.kernel(
-            "me_sad",
-            iters=n_points * 16,
-            reads=reads,
-            branches=branches or None,
-        )
-
-    def _trace_interp(self, ctx: _FrameContext, mb_y: int, mb_x: int, ref_idx: int) -> None:
-        if not self.tracer.enabled:
-            return
-        y, x = mb_y * 16, mb_x * 16
-        entry = ctx.refs_l0[ref_idx] if ref_idx < len(ctx.refs_l0) else None
-        if entry is None:
-            return
-        if self.loop_opts.interchange_interp:
-            # Row-major traversal: consecutive addresses within a row.
-            reads = self._row_addrs(entry.base_addr, y, x, 17, 17)
-        else:
-            # Column-major traversal: one touch per row per column-pair
-            # walk (the filter consumes two columns per vector iteration)
-            # — strided, same bytes but poor spatial order.
-            reads = self._interp_columns + np.uint64(
-                entry.base_addr + y * self._pad_w + x
-            )
-        scratch = self._addr.alloc("interp_scratch", 32 * 32)
-        writes = _INTERP_SCRATCH_ROWS + np.uint64(scratch)
-        self.tracer.kernel("me_interp", iters=17, reads=reads, writes=writes)
-
-    def _trace_partition_search(self, cand) -> None:
-        if not self.tracer.enabled:
-            return
-        self.tracer.kernel("me_sad", iters=cand.n_search_points * 8)
-        self.tracer.kernel("mode_decide", iters=len(cand.mvs))
-
-    def _trace_intra16(self, ctx: _FrameContext, mb_y: int, mb_x: int) -> None:
-        if not self.tracer.enabled:
-            return
-        y, x = mb_y * 16, mb_x * 16
-        base = self._addr.alloc("recon_work", ctx.recon.size)
-        reads = self._row_addrs(base, max(y - 1, 0), max(x - 1, 0), 17, 17)
-        self.tracer.kernel("intra_pred16", iters=4, reads=reads)
-
-    def _trace_intra4(self, ctx: _FrameContext, mb_y: int, mb_x: int, modes: int) -> None:
-        if not self.tracer.enabled:
-            return
-        y, x = mb_y * 16, mb_x * 16
-        base = self._addr.alloc("recon_work", ctx.recon.size)
-        reads = self._row_addrs(base, max(y - 1, 0), max(x - 1, 0), 17, 17)
-        self.tracer.kernel("intra_pred4", iters=modes, reads=reads)
-
-    def _coeff_addr(self, ctx: _FrameContext, mb_y: int, mb_x: int) -> np.ndarray:
-        n_mb_x = len(ctx.mv_grid[0])
-        mb_index = mb_y * n_mb_x + mb_x
-        base = self._coeff_base + mb_index * self._coeff_stride
-        return _COEFF_BLOCKS + np.uint64(base)
-
-    def _trace_transform_path(
-        self,
-        ctx: _FrameContext,
-        mb_y: int,
-        mb_x: int,
-        levels: np.ndarray,
-        qp_mb: int,
-        coeffs: np.ndarray | None = None,
-    ) -> None:
-        if not self.tracer.enabled:
-            return
-        y, x = mb_y * 16, mb_x * 16
-        src_base = self._addr.alloc("src_work", ctx.src.size)
-        src_reads = self._row_addrs(src_base, y, x, 16, 16)
-        coeff_addrs = self._coeff_addr(ctx, mb_y, mb_x)
-        self.tracer.kernel("dct4", iters=16, reads=src_reads, writes=coeff_addrs)
-        nz_flags = (levels.reshape(16, -1) != 0).ravel()
-        self.tracer.kernel(
-            "quant",
-            iters=16,
-            reads=coeff_addrs,
-            writes=coeff_addrs,
-            branches={"nz": nz_flags},
-        )
-        if self.options.trellis > 0:
-            n_nz = int(np.count_nonzero(levels))
-            visited = 16 * 16 if self.options.trellis == 2 else max(n_nz * 4, 16)
-            # Real RD decisions: which plainly-quantized coefficients did
-            # the trellis pass demote or zero out?
-            if coeffs is not None:
-                plain = quantize(coeffs, qp_mb)
-                changed = (plain != levels)[plain != 0]
-                zeroed = changed if changed.size else np.zeros(1, dtype=bool)
-            else:
-                zeroed = np.zeros(max(n_nz, 1), dtype=bool)
-            self.tracer.kernel(
-                "trellis",
-                iters=visited,
-                reads=coeff_addrs,
-                branches={"zeroed": zeroed},
-            )
-        self.tracer.kernel("idct4", iters=16, reads=coeff_addrs)
-
-    def _trace_entropy_coeffs(
-        self, ctx: _FrameContext, mb_y: int, mb_x: int, levels: np.ndarray, bits: int
-    ) -> None:
-        if not self.tracer.enabled:
-            return
-        coeff_addrs = self._coeff_addr(ctx, mb_y, mb_x)
-        flat = levels.reshape(-1)
-        sig = flat != 0
-        n_tokens = int(sig.sum())
-        # Value-dependent coding branches: level-magnitude escape paths at
-        # each exp-Golomb prefix boundary. Their volatility tracks the
-        # coefficient statistics — rich residuals (low crf) drive the
-        # higher thresholds erratically, coarse quantization leaves few,
-        # heavily-biased outcomes.
-        if n_tokens:
-            mags = np.abs(flat[sig])
-            big = np.concatenate([mags > t for t in (1, 3, 7)])
-        else:
-            big = np.zeros(1, dtype=bool)
-        # Every (bits // 64)-th byte of the bits // 8 this MB appended.
-        bs_addrs = np.uint64(self._bs_base) + np.arange(
-            0, max(bits // 8, 1), max(1, bits // 64), dtype=np.uint64
-        ) % np.uint64(1 << 22)
-        self.tracer.kernel(
-            "entropy_coeff",
-            iters=max(n_tokens, 1),
-            reads=coeff_addrs,
-            writes=bs_addrs,
-            branches={"sig": sig, "big": big},
-        )
-        self._trace_entropy_header()
-
-    def _trace_entropy_header(self) -> None:
-        if not self.tracer.enabled:
-            return
-        self.tracer.kernel("entropy_header", iters=1)
-
-    def _trace_recon_write(self, ctx: _FrameContext, mb_y: int, mb_x: int) -> None:
-        if not self.tracer.enabled:
-            return
-        y, x = mb_y * 16, mb_x * 16
-        base = self._addr.alloc("recon_work", ctx.recon.size)
-        writes = self._row_addrs(base, y, x, 16, 16)
-        self.tracer.kernel("mc_copy", iters=16, writes=writes)
-
-    def _run_deblock(self, recon: np.ndarray, qp: int) -> tuple[np.ndarray, int]:
-        filtered, n_edges = deblock_plane(recon, qp, offset=self.options.deblock[1])
-        if self.tracer.enabled:
-            base = self._addr.alloc("recon_work", recon.size)
-            rows = recon.shape[0]
-            row_addrs = (base + np.arange(0, rows, 2) * self._pad_w).astype(np.uint64)
-            edge_mask = self._deblock_branches(recon, filtered)
-            if self.loop_opts.fuse_deblock:
-                # Fused single pass: each row region touched once.
-                self.tracer.kernel(
-                    "deblock",
-                    iters=n_edges,
-                    reads=row_addrs,
-                    writes=row_addrs,
-                    branches={"filtered": edge_mask},
-                )
-            else:
-                # Two separate full-plane passes (horizontal then vertical).
-                self.tracer.kernel(
-                    "deblock",
-                    iters=n_edges // 2,
-                    reads=row_addrs,
-                    writes=row_addrs,
-                    branches={"filtered": edge_mask[: edge_mask.size // 2]},
-                )
-                self.tracer.kernel(
-                    "deblock",
-                    iters=n_edges - n_edges // 2,
-                    reads=row_addrs,
-                    writes=row_addrs,
-                    branches={"filtered": edge_mask[edge_mask.size // 2 :]},
-                )
-        return filtered, n_edges
-
-    @staticmethod
-    def _deblock_branches(before: np.ndarray, after: np.ndarray) -> np.ndarray:
-        """Which 4-aligned edge rows actually changed (filter-taken flags)."""
-        changed = before[::4, ::4] != after[::4, ::4]
-        return changed.ravel()
-
-    def _trace_rc_update(self) -> None:
-        if self.tracer.enabled:
-            self.tracer.kernel("rc_update", iters=1)
-
 
 def encode(
     video: FrameSequence,

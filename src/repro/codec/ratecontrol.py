@@ -174,10 +174,3 @@ class RateController:
                     self.options.vbv_bufsize_kbits * 1000.0,
                 ),
             )
-
-    @property
-    def achieved_bitrate_kbps(self) -> float:
-        if self._frame_index == 0:
-            return 0.0
-        seconds = self._frame_index / self.fps
-        return self._bits_spent / seconds / 1000.0

@@ -115,10 +115,6 @@ class CodedMacroblock:
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros((0, 4, 4), np.int32))
     bits: int = 0  # exact bitstream cost of this MB
 
-    @property
-    def nonzero_coeffs(self) -> int:
-        return int(np.count_nonzero(self.coeffs))
-
 
 @dataclass
 class CodedFrame:

@@ -166,9 +166,6 @@ class Gauge:
     def inc(self, n: float = 1.0) -> None:
         self.value += n
 
-    def dec(self, n: float = 1.0) -> None:
-        self.value -= n
-
     def snapshot(self) -> float:
         return self.value
 
@@ -248,34 +245,6 @@ class Histogram:
                 return lower + frac * (upper - lower)
             cum += n
         return self.max
-
-    def fraction_below(self, threshold: float) -> float:
-        """Estimated fraction of observations ``<= threshold`` — the
-        "good events" ratio an SLO error budget is charged against.
-
-        Same interpolation scheme as :meth:`percentile`, clamped to the
-        observed range; an empty histogram reports 1.0 (no observation
-        has violated the objective yet).
-        """
-        if self.count == 0:
-            return 1.0
-        if threshold >= self.max:
-            return 1.0
-        if threshold < self.min:
-            return 0.0
-        below = 0.0
-        for i, n in enumerate(self.bucket_counts):
-            if n == 0:
-                continue
-            lower = self.bounds[i - 1] if i > 0 else min(self.min, self.bounds[0])
-            upper = self.bounds[i] if i < len(self.bounds) else self.max
-            lower = max(lower, self.min)
-            upper = min(upper, self.max)
-            if threshold >= upper:
-                below += n
-            elif threshold > lower:
-                below += n * (threshold - lower) / (upper - lower)
-        return min(below / self.count, 1.0)
 
     def snapshot(self) -> dict[str, float]:
         if self.count == 0:

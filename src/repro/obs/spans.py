@@ -180,10 +180,6 @@ class SpanRecorder:
         return _ActiveSpan(self, name, attrs)
 
     # ------------------------------------------------------------------
-    @property
-    def open_depth(self) -> int:
-        return len(self._stack)
-
     def roots(self) -> list[SpanRecord]:
         return [s for s in self.finished if s.parent_id is None]
 

@@ -67,13 +67,6 @@ class ExecutionProfile:
             key=lambda k: -self.kernel_instructions[k],
         )
 
-    def site_bias(self, site: str) -> float:
-        """Taken probability of a branch site (0.5 if unseen)."""
-        taken, total = self.branch_bias.get(site, (0.0, 0.0))
-        if total <= 0:
-            return 0.5
-        return taken / total
-
 
 def collect_profile(streams: list[TraceStream]) -> ExecutionProfile:
     """Build a profile from training-run traces (the ``perf`` step)."""

@@ -45,15 +45,6 @@ class RooflineModel:
         """Operational intensity where the two roofs meet."""
         return self.peak_ops_per_cycle / self.peak_bytes_per_cycle
 
-    def attainable(self, operational_intensity: float) -> float:
-        """Attainable ops/cycle at the given intensity."""
-        if operational_intensity < 0:
-            raise ValueError("operational intensity must be >= 0")
-        return min(
-            self.peak_ops_per_cycle,
-            self.peak_bytes_per_cycle * operational_intensity,
-        )
-
     def classify(self, operational_intensity: float) -> str:
         return "memory" if operational_intensity < self.ridge_point else "compute"
 

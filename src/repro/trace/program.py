@@ -111,9 +111,6 @@ class CodeLayout:
     description: str = "default"
     branch_hints: bool = False  # profile-informed static prediction
 
-    def footprint_bytes(self) -> int:
-        return self.total_lines * CACHE_LINE
-
     def fetch_footprint_lines(self) -> int:
         return int(sum(len(a) for a in self.fetch_line_addrs.values()))
 

@@ -52,12 +52,6 @@ class BranchStats:
     total_branches: float = 0.0
     mispredicts: float = 0.0
 
-    @property
-    def mispredict_rate(self) -> float:
-        if self.total_branches <= 0:
-            return 0.0
-        return self.mispredicts / self.total_branches
-
     def mpki(self, instructions: float) -> float:
         if instructions <= 0:
             return 0.0

@@ -60,10 +60,6 @@ class CacheStats:
     def hits(self) -> float:
         return self.accesses - self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def mpki(self, instructions: float) -> float:
         """Misses per kilo instructions."""
         if instructions <= 0:

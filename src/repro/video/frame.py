@@ -64,10 +64,6 @@ class Frame:
         """``(width, height)`` in pixels."""
         return (self.width, self.height)
 
-    @property
-    def n_pixels(self) -> int:
-        return self.height * self.width
-
     def padded_luma(self, multiple: int = MB_SIZE) -> np.ndarray:
         """Luma plane edge-padded so both dimensions divide ``multiple``."""
         h, w = self.luma.shape
@@ -130,10 +126,6 @@ class FrameSequence:
     @property
     def height(self) -> int:
         return self.frames[0].height
-
-    @property
-    def duration_seconds(self) -> float:
-        return len(self.frames) / self.fps
 
     def lumas(self) -> np.ndarray:
         """All luma planes stacked into one ``(n, h, w)`` array."""

@@ -30,6 +30,7 @@ from repro.codec.intra import _plane_pred, predict_4x4_blocks
 from repro.codec.mbdecision import search_partitions
 from repro.codec.motion import PaddedReference
 from repro.codec.options import EncoderOptions
+from repro.codec.tracemodel import EncodeTrace
 from repro.codec.transform import (
     blockify_16x16,
     forward_4x4,
@@ -196,7 +197,14 @@ def test_emit_intra4_identical(edge, trellis, qp, src, recon):
         writer = BitWriter()
         write_ue(writer, 5)  # leave the writer mid-byte
         rc = _BitsSeen()
-        mb = Encoder(options)._emit_intra4(ctx, y // 16, x // 16, qp, writer, rc)
+        encoder = Encoder(options)
+        # A stage method outside encode(): give it the (untraced) model
+        # _encode_impl would have built.
+        encoder._trace = EncodeTrace(
+            encoder.tracer, encoder.loop_opts, options,
+            pad_h=HEIGHT, pad_w=WIDTH, n_frames=1,
+        )
+        mb = encoder._emit_intra4(ctx, y // 16, x // 16, qp, writer, rc)
         assert mb.coeffs.dtype == np.int32 and mb.coeffs.shape == (16, 4, 4)
         assert all(type(m) is int for m in mb.intra_modes4)
         assert ctx.mv_grid[y // 16][x // 16] is None

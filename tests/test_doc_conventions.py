@@ -155,6 +155,28 @@ def test_no_shared_memory_transport_in_src():
     assert not offenders, f"multiprocessing.shared_memory used in: {offenders}"
 
 
+def test_trace_content_has_one_home():
+    """What a traced encode reports — the simulated heap, the address
+    templates, the branch outcomes, the Graphite loop transforms — is
+    `codec/tracemodel.py` (docs/ARCHITECTURE.md, "where to change trace
+    content"); the encoder only says what it did, the decoder reports its
+    own few kernels."""
+    codec = _REPO_ROOT / "src" / "repro" / "codec"
+
+    def mentioning(*needles: str) -> set[str]:
+        return {
+            path.name
+            for path in codec.rglob("*.py")
+            if any(needle in path.read_text(encoding="utf-8") for needle in needles)
+        }
+
+    assert mentioning("tracer.kernel(") == {"tracemodel.py", "decoder.py"}
+    assert mentioning(
+        "AddressMap", ".alloc(",
+        "tile_transform", "fuse_deblock", "interchange_interp",
+    ) == {"tracemodel.py"}
+
+
 def test_no_sweep_checkpoint_in_src():
     """A finished sweep cell has one durable store, the result cache
     (docs/PERFORMANCE.md has the measurement that removed the checkpoint

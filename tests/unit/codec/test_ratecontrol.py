@@ -64,12 +64,6 @@ class TestAbr:
             rc.update(10**7)
         assert 0 <= rc.frame_qp(FrameType.P, 1.0) <= 51
 
-    def test_achieved_bitrate_tracks(self):
-        rc = _rc(rc_mode="abr", bitrate_kbps=100.0)
-        rc.frame_qp(FrameType.P, 1.0)
-        rc.update(100_000)  # 100k bits in 1/30 s = 3000 kbps
-        assert rc.achieved_bitrate_kbps == pytest.approx(3000.0)
-
 
 class TestTwoPass:
     def test_requires_first_pass(self):

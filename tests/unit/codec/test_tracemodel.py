@@ -1,0 +1,190 @@
+"""Laws of the trace model, driven one report at a time — no encode."""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.codec.options import EncoderOptions
+from repro.codec.tracemodel import EncodeTrace, LoopOptimizations
+from repro.trace.recorder import NullTracer, Tracer
+
+PAD_H, PAD_W = 48, 64  # 3 x 4 macroblocks
+OPTIONS = EncoderOptions(refs=2, trellis=1)
+
+
+class ListTracer(Tracer):
+    """Keeps every ``kernel`` call as it was made."""
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.calls: list[SimpleNamespace] = []
+
+    def kernel(self, name, iters=1.0, *, reads=None, writes=None, branches=None):
+        self.calls.append(
+            SimpleNamespace(name=name, iters=iters, reads=reads, writes=writes,
+                            branches=branches)
+        )
+
+    def named(self, name: str) -> list[SimpleNamespace]:
+        return [call for call in self.calls if call.name == name]
+
+
+class DeafTracer(ListTracer):
+    """Records nothing, but would show a call made anyway."""
+
+    enabled = False
+
+
+def _model(tracer=None, **loop_opts) -> tuple[EncodeTrace, ListTracer]:
+    tracer = tracer if tracer is not None else ListTracer()
+    model = EncodeTrace(
+        tracer, LoopOptimizations(**loop_opts), OPTIONS,
+        pad_h=PAD_H, pad_w=PAD_W, n_frames=3,
+    )
+    return model, tracer
+
+
+def test_rows_touch_first_and_last_byte_of_each_row():
+    model, tracer = _model()
+    model.macroblock(0, 0)
+    model.recon_write()
+    model.macroblock(1, 2)
+    model.recon_write()
+    origin, moved = (call.writes for call in tracer.named("mc_copy"))
+    starts = np.arange(16) * PAD_W
+    assert np.array_equal(origin - origin[0], np.concatenate([starts, starts + 15]))
+    assert np.array_equal(moved - origin, np.full(32, 16 * PAD_W + 32))
+    assert origin.dtype == np.uint64
+
+
+@pytest.mark.parametrize("tile, stride", [(True, 0), (False, 1024)])
+def test_tile_transform_reuses_one_coefficient_scratch(tile, stride):
+    model, tracer = _model(tile_transform=tile)
+    levels = np.ones((16, 4, 4), dtype=np.int32)
+    for mb_y, mb_x in ((0, 0), (0, 1), (2, 3)):
+        model.macroblock(mb_y, mb_x)
+        model.transform_path(levels, 26)
+        model.entropy_coeffs(levels, 300)
+    first, second, last = (call.writes for call in tracer.named("dct4"))
+    assert np.array_equal(first - first[0], np.arange(16) * 64)
+    assert np.array_equal(second - first, np.full(16, stride))
+    assert np.array_equal(last - first, np.full(16, (2 * 4 + 3) * stride))
+    # One macroblock, one set of coefficient addresses for every kernel.
+    for name in ("quant", "trellis", "idct4", "entropy_coeff"):
+        assert np.array_equal(tracer.named(name)[0].reads, first)
+
+
+def test_fused_deblock_is_the_two_passes_in_one():
+    rng = np.random.default_rng(0)
+    before = rng.integers(0, 256, (PAD_H, PAD_W), dtype=np.uint8)
+    after = np.where(rng.random((PAD_H, PAD_W)) < 0.5, before, before ^ 1)
+    fused_model, fused = _model(fuse_deblock=True)
+    fused_model.deblock(before, after, 37)
+    split_model, split = _model()
+    split_model.deblock(before, after, 37)
+    (one,), (first, second) = fused.calls, split.calls
+    assert one.iters == first.iters + second.iters == 37
+    assert np.array_equal(
+        one.branches["filtered"],
+        np.concatenate([first.branches["filtered"], second.branches["filtered"]]),
+    )
+    assert one.branches["filtered"].size == (PAD_H // 4) * (PAD_W // 4)
+    for call in (first, second):
+        assert np.array_equal(call.reads, one.reads)
+        assert np.array_equal(call.writes, one.writes)
+
+
+def test_interchange_interp_walks_the_same_lines_in_another_order():
+    """Row-major touches each row's first and last byte, column-major every
+    second column of every row: the same cache lines, ordered differently."""
+    reads = {}
+    for interchange in (False, True):
+        model, tracer = _model(interchange_interp=interchange)
+        model.dpb_store(0)
+        model.macroblock(1, 3)  # x = 48: a 17-byte row straddles two lines
+        model.interp(SimpleNamespace(display_index=0))
+        (call,) = tracer.calls
+        assert call.name == "me_interp" and call.iters == 17
+        assert np.array_equal(call.writes - call.writes[0], np.arange(17) * 32)
+        reads[interchange] = call.reads >> np.uint64(6)
+    assert set(reads[False].tolist()) == set(reads[True].tolist())
+    assert not np.array_equal(reads[False][: reads[True].size], reads[True])
+
+
+def test_both_intra_probes_read_the_same_neighbourhood():
+    model, tracer = _model()
+    model.macroblock(1, 1)
+    model.intra_probe("intra_pred16", 4)
+    model.intra_probe("intra_pred4", 40)
+    i16, i4 = tracer.calls
+    assert (i16.name, i16.iters, i4.name, i4.iters) == ("intra_pred16", 4, "intra_pred4", 40)
+    assert np.array_equal(i16.reads, i4.reads)
+    assert i16.writes is None and i16.branches is None
+
+
+def test_me_reads_each_reference_from_its_dpb_buffer():
+    model, tracer = _model()
+    for disp_idx in range(5):  # refs + 2 = 4 buffers: the fifth reuses the first
+        model.dpb_store(disp_idx)
+    model.macroblock(1, 1)
+    result = SimpleNamespace(positions=[(-3, 2), (4, -1)], improvements=[True, False])
+    refs = [SimpleNamespace(display_index=i) for i in (0, 1, 4)]
+    model.me(refs, result, 9)
+    (call,) = tracer.calls
+    assert call.iters == 9 * 16 and call.branches["improve"].tolist() == [True, False]
+    per_ref = call.reads.reshape(3, -1)
+    # Bounding box of the walk: rows -1..17, columns -3..19 of the block.
+    assert per_ref.shape[1] == 2 * (2 + 1 + 16)
+    assert int(per_ref[1, 0] - per_ref[0, 0]) > PAD_H * PAD_W  # another buffer
+    assert np.array_equal(per_ref[2], per_ref[0])
+
+
+def test_lazy_regions_are_laid_out_in_first_use_order():
+    def bases(first, second):
+        model, tracer = _model()
+        model.dpb_store(0)
+        model.macroblock(0, 0)
+        for report in (first, second):
+            if report == "interp":
+                model.interp(SimpleNamespace(display_index=0))
+            else:
+                model.recon_write()
+        return {call.name: int(call.writes[0]) for call in tracer.calls}
+
+    forward = bases("interp", "recon")
+    backward = bases("recon", "interp")
+    assert forward["me_interp"] < forward["mc_copy"]
+    assert backward["mc_copy"] < backward["me_interp"]
+
+
+@pytest.mark.parametrize("tracer", [NullTracer(), DeafTracer()])
+def test_untraced_model_lays_out_the_heap_and_reports_nothing(tracer):
+    recording, _ = _model()
+    model, _ = _model(tracer)
+    assert model.heap_bytes == recording.heap_bytes > 6 * PAD_H * PAD_W
+    levels = np.ones((16, 4, 4), dtype=np.int32)
+    plane = np.zeros((PAD_H, PAD_W), dtype=np.uint8)
+    mb = SimpleNamespace(mode=None)
+    model.lookahead(PAD_W, PAD_H)
+    model.frame_setup(0)
+    model.dpb_store(0)
+    model.macroblock(1, 1)
+    model.me([SimpleNamespace(display_index=0)], SimpleNamespace(positions=[], improvements=[]), 1)
+    model.interp(SimpleNamespace(display_index=0))
+    model.partition_search(SimpleNamespace(n_search_points=4, mvs=[None] * 4))
+    model.part_split([True])
+    model.intra_probe("intra_pred16", 4)
+    model.transform_path(levels, 26, levels.astype(np.float64))
+    model.entropy_coeffs(levels, 300)
+    model.entropy_header()
+    model.recon_write()
+    model.frame_modes([mb])
+    model.chroma_plane(plane)
+    model.deblock(plane, plane, 8)
+    model.rc_update()
+    assert model.heap_bytes == recording.heap_bytes  # no lazily named region either
+    assert getattr(tracer, "calls", []) == []

@@ -55,13 +55,6 @@ class TestCodedRecords:
             mb_x=0, mb_y=0, mode=MBMode.INTER_16X16, qp=23, coeffs=coeffs
         )
 
-    def test_nonzero_coeffs(self):
-        levels = np.zeros((16, 4, 4), dtype=np.int32)
-        levels[0, 0, 0] = 3
-        levels[5, 2, 1] = -1
-        assert self._mb(levels).nonzero_coeffs == 2
-        assert self._mb().nonzero_coeffs == 0
-
     def test_frame_mb_count(self):
         frame = CodedFrame(
             index=0,

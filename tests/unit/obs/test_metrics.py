@@ -26,7 +26,7 @@ class TestCounterGauge:
         g = Gauge("g")
         g.set(10)
         g.inc(5)
-        g.dec(3)
+        g.inc(-3)
         assert g.value == 12
 
 

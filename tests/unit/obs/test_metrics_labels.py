@@ -75,15 +75,6 @@ class TestLabeledRegistry:
         assert flat['jobs{config="a"}'] == 4
         assert flat['lat{stage="encode"}']["count"] == 1
 
-    def test_histogram_fraction_below(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", (1.0, 2.0, 4.0))
-        for v in (0.5, 1.5, 3.0, 8.0):
-            h.observe(v)
-        assert h.fraction_below(8.0) == pytest.approx(1.0, abs=0.05)
-        assert 0.0 < h.fraction_below(1.0) < 0.5
-        assert MetricsRegistry().histogram("e").fraction_below(1.0) == 1.0
-
     def test_unlabeled_export_shape_unchanged(self):
         """Pre-existing consumers read histogram state without a labels
         key; only labeled series carry one."""

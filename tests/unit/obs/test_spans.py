@@ -49,7 +49,6 @@ class TestSpanRecorder:
         # Children close before parents.
         names_in_close_order = [s.name for s in rec.finished]
         assert names_in_close_order == ["c", "b", "d", "a"]
-        assert rec.open_depth == 0
 
     def test_child_interval_contained_in_parent(self):
         rec = SpanRecorder(clock=FakeClock())
@@ -74,7 +73,6 @@ class TestSpanRecorder:
                 raise ValueError("x")
         (s,) = rec.finished
         assert s.attrs["error"] == "ValueError"
-        assert rec.open_depth == 0
 
     def test_totals_aggregation(self):
         rec = SpanRecorder(clock=FakeClock(step_ns=1000))

@@ -8,7 +8,7 @@ from repro.codec.options import EncoderOptions
 from repro.optim.autofdo import autofdo_optimize, fdo_layout
 from repro.optim.graphite import GRAPHITE_FLAGS, analyze_kernels, graphite_loop_opts
 from repro.optim.pipeline import build_autofdo, build_default, build_graphite
-from repro.optim.profile import ExecutionProfile, collect_profile
+from repro.optim.profile import collect_profile
 from repro.trace.kernels import KERNELS, build_program
 from repro.trace.recorder import RecordingTracer
 
@@ -54,9 +54,6 @@ class TestExecutionProfile:
         assert profile.branch_bias  # at least one site
         for taken, total in profile.branch_bias.values():
             assert 0 <= taken <= total
-
-    def test_unseen_site_bias_half(self):
-        assert ExecutionProfile().site_bias("nope") == 0.5
 
 
 class TestAutoFdo:

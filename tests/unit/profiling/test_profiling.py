@@ -65,19 +65,10 @@ class TestRoofline:
         model = RooflineModel(peak_ops_per_cycle=4.0, peak_bytes_per_cycle=8.0)
         assert model.ridge_point == pytest.approx(0.5)
 
-    def test_attainable_clamps_at_peak(self):
-        model = RooflineModel(peak_ops_per_cycle=4.0, peak_bytes_per_cycle=8.0)
-        assert model.attainable(0.25) == pytest.approx(2.0)
-        assert model.attainable(100.0) == pytest.approx(4.0)
-
     def test_classification(self):
         model = RooflineModel(peak_ops_per_cycle=4.0, peak_bytes_per_cycle=8.0)
         assert model.classify(0.1) == "memory"
         assert model.classify(10.0) == "compute"
-
-    def test_negative_intensity_rejected(self):
-        with pytest.raises(ValueError):
-            RooflineModel().attainable(-1.0)
 
     def test_place_simulated_run(self, profiled):
         point = RooflineModel().place(profiled.report)

@@ -74,6 +74,13 @@ class TestBackendsCommand:
         for row, info in zip(listed, kernels.all_backends()):
             assert info.description in row
         assert "capabilit" not in out
+        # ... and `repro --help` promises exactly that table, nothing more.
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = " ".join(capsys.readouterr().out.split())
+        assert "`repro backends` prints the two kernel backends" in usage
+        assert "`*` on the active one" in usage
+        assert "availab" not in usage
 
     def test_bad_env_backend_is_a_usage_error(self, capsys, monkeypatch):
         from repro.codec import kernels

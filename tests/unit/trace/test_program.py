@@ -66,7 +66,6 @@ class TestDefaultLayout:
         kernels = {"a": _kernel("a", hot=3, cold=1), "b": _kernel("b", hot=2, cold=2)}
         layout = default_layout(kernels)
         assert layout.total_lines == 8
-        assert layout.footprint_bytes() == 8 * CACHE_LINE
 
     def test_no_branch_hints_by_default(self):
         layout = default_layout({"a": _kernel("a")})

@@ -122,6 +122,4 @@ class TestBranchModel:
 
     def test_stats_helpers(self):
         stats = BranchStats(total_branches=2000, mispredicts=10)
-        assert stats.mispredict_rate == pytest.approx(0.005)
         assert stats.mpki(1_000_000) == pytest.approx(0.01)
-        assert BranchStats().mispredict_rate == 0.0

@@ -16,7 +16,6 @@ class TestFrame:
         assert f.height == 32
         assert f.width == 48
         assert f.resolution == (48, 32)
-        assert f.n_pixels == 32 * 48
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -89,9 +88,6 @@ class TestFrameSequence:
     def test_rejects_bad_fps(self):
         with pytest.raises(ValueError):
             FrameSequence(frames=[Frame(_luma(16, 16))], fps=0)
-
-    def test_duration(self):
-        assert self._seq(6).duration_seconds == pytest.approx(0.2)
 
     def test_lumas_stack(self):
         stack = self._seq(3).lumas()
