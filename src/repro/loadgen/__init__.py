@@ -3,9 +3,6 @@
 The package that turns the synchronous :mod:`repro.service` layer into a
 sustained-traffic testbed:
 
-- :mod:`repro.loadgen.clock` — the :class:`Clock` indirection
-  (:class:`WallClock` / :class:`VirtualClock`) the service stamps every
-  latency through, so scenarios run in virtual seconds;
 - :mod:`repro.loadgen.arrivals` — deterministic, seedable arrival
   processes (Poisson / fixed-interval / diurnal / MMPP) realized as
   byte-identical :class:`ArrivalSchedule` objects;
@@ -16,9 +13,11 @@ sustained-traffic testbed:
   :class:`~repro.service.service.TranscodeService` and reports offered /
   admitted / shed / completed accounting with latency percentiles.
 
-The driver is re-exported lazily: the service layer imports
-:mod:`repro.loadgen.clock`, and the driver imports the service layer, so
-an eager re-export here would complete an import cycle.
+The package sits *on* the service: the driver only decides when requests
+arrive and advances the :class:`VirtualClock` to those instants. The
+clock itself lives in :mod:`repro.service.clock` (the service stamps
+every latency through it) and is re-exported here for convenience;
+nothing under :mod:`repro.service` imports this package at module level.
 """
 
 from __future__ import annotations
@@ -34,8 +33,14 @@ from repro.loadgen.arrivals import (
     make_arrivals,
     merge_schedules,
 )
-from repro.loadgen.clock import Clock, VirtualClock, WallClock
+from repro.loadgen.driver import (
+    LegResult,
+    LoadtestReport,
+    LoadtestSpec,
+    run_loadtest,
+)
 from repro.loadgen.mixes import MIXES, MixTemplate, WorkloadMix, make_mix
+from repro.service.clock import Clock, VirtualClock, WallClock
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -59,27 +64,3 @@ __all__ = [
     "merge_schedules",
     "run_loadtest",
 ]
-
-#: Driver exports resolved on first touch (breaks the service⇄loadgen
-#: import cycle: service → loadgen.clock, loadgen.driver → service).
-_LAZY_EXPORTS = {
-    "LegResult": "repro.loadgen.driver",
-    "LoadtestReport": "repro.loadgen.driver",
-    "LoadtestSpec": "repro.loadgen.driver",
-    "run_loadtest": "repro.loadgen.driver",
-}
-
-
-def __getattr__(name: str):
-    """Lazily import the driver layer's exports."""
-    target = _LAZY_EXPORTS.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(target), name)
-
-
-def __dir__() -> list[str]:
-    """Advertise lazy exports alongside the eager ones."""
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))

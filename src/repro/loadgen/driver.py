@@ -4,7 +4,7 @@
 (:mod:`repro.loadgen.arrivals`), samples a request per arrival from a
 weighted workload mix (:mod:`repro.loadgen.mixes`), and *offers* the
 stream to a :class:`~repro.service.service.TranscodeService` running on
-a :class:`~repro.loadgen.clock.VirtualClock`:
+a :class:`~repro.service.clock.VirtualClock`:
 
 - **open loop** (default, wrk-style): every arrival is submitted at its
   scheduled instant no matter how far behind the service is. A full
@@ -16,6 +16,11 @@ a :class:`~repro.loadgen.clock.VirtualClock`:
   service speed and nothing is ever shed — the control that shows *why*
   closed-loop harnesses hide overload (coordinated omission).
 
+The driver owns the arrival instants and nothing else: between arrivals
+it loops on :meth:`~repro.service.service.TranscodeService.step` (bounded
+by the next arrival), and the per-leg counts and latency samples are
+read off the service's ledger (``service.queue.tally``), not recounted.
+
 Each offered rate runs as one **leg** with a fresh service and a fresh
 virtual clock; the baseline profile cache is shared across legs so a
 multi-rate sweep pays each unique request's trace-encode exactly once.
@@ -26,15 +31,16 @@ run.json counts) directly checkable from artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro._util import percentile
 from repro.loadgen.arrivals import ArrivalProcess, make_arrivals
-from repro.loadgen.clock import VirtualClock
 from repro.loadgen.mixes import WorkloadMix, make_mix
 from repro.obs import session as obs
+from repro.service.clock import VirtualClock
 from repro.service.queue import QueueFullError
+from repro.service.report import CostRatios
 from repro.service.service import ServiceConfig, TranscodeService
 
 __all__ = [
@@ -81,19 +87,11 @@ class LoadtestSpec:
 
     def to_payload(self) -> dict[str, Any]:
         """Plain-JSON form for run.json metadata."""
-        return {
-            "arrivals": self.arrivals,
-            "rates": list(self.rates),
-            "duration_s": self.duration_s,
-            "mix": self.mix,
-            "seed": self.seed,
-            "open_loop": self.open_loop,
-            "arrival_extras": dict(self.arrival_extras),
-        }
+        return {**asdict(self), "rates": list(self.rates)}
 
 
 @dataclass
-class LegResult:
+class LegResult(CostRatios):
     """One offered-rate leg's outcome."""
 
     rate: float
@@ -122,45 +120,18 @@ class LegResult:
             return 0.0
         return self.completed / self.makespan_s
 
-    @property
-    def cost_per_completed_usd(self) -> float:
-        """Billed busy-time dollars per completed job (0 if none)."""
-        if self.completed <= 0:
-            return 0.0
-        return self.cost_usd / self.completed
-
-    @property
-    def jobs_per_dollar(self) -> float:
-        """Completions per provisioned dollar over the leg's makespan."""
-        if self.provisioned_usd <= 0:
-            return 0.0
-        return self.completed / self.provisioned_usd
-
     def to_payload(self) -> dict[str, Any]:
-        """Plain-JSON form for run.json metadata."""
-        return {
-            "rate": self.rate,
-            "arrivals": self.arrivals,
-            "schedule_digest": self.schedule_digest,
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "completed": self.completed,
-            "failed": self.failed,
-            "duration_s": self.duration_s,
-            "makespan_s": self.makespan_s,
-            "achieved_rps": self.achieved_rps,
-            "queue_wait_p50_s": self.queue_wait_p50_s,
-            "queue_wait_p90_s": self.queue_wait_p90_s,
-            "queue_wait_p99_s": self.queue_wait_p99_s,
-            "e2e_p50_s": self.e2e_p50_s,
-            "e2e_p90_s": self.e2e_p90_s,
-            "e2e_p99_s": self.e2e_p99_s,
-            "cost_usd": self.cost_usd,
-            "provisioned_usd": self.provisioned_usd,
-            "cost_per_completed_usd": self.cost_per_completed_usd,
-            "jobs_per_dollar": self.jobs_per_dollar,
-        }
+        """Plain-JSON form for run.json metadata: every field, with the
+        derived rate after the makespan it divides by and the cost
+        ratios last."""
+        doc: dict[str, Any] = {}
+        for key, value in asdict(self).items():
+            doc[key] = value
+            if key == "makespan_s":
+                doc["achieved_rps"] = self.achieved_rps
+        doc["cost_per_completed_usd"] = self.cost_per_completed_usd
+        doc["jobs_per_dollar"] = self.jobs_per_dollar
+        return doc
 
 
 @dataclass
@@ -203,22 +174,6 @@ class LoadtestReport:
         return "\n".join(lines)
 
 
-def _drain_until(service: TranscodeService, clock: VirtualClock,
-                 t_ns: int) -> None:
-    """Advance virtual time to ``t_ns``, dispatching at every worker
-    busy-horizon crossed on the way (the service only acts when pumped,
-    so skipping a horizon would postpone dispatches that — in real time —
-    happen before the next arrival)."""
-    while service.queue.pending():
-        next_free = service.fleet.next_free_ns()
-        if next_free is None or next_free > t_ns:
-            break
-        clock.advance_to_ns(next_free)
-        if not service.pump():
-            break
-    clock.advance_to_ns(t_ns)
-
-
 def _run_leg(spec: LoadtestSpec, rate: float, config: ServiceConfig,
              profile_cache: dict, leg_index: int) -> LegResult:
     """Offer one leg's schedule to a fresh service and account for it."""
@@ -235,17 +190,17 @@ def _run_leg(spec: LoadtestSpec, rate: float, config: ServiceConfig,
                   arrivals=process.describe()):
         for t_s, request in zip(schedule, requests):
             t_ns = int(round(t_s * 1e9))
-            _drain_until(service, clock, t_ns)
+            # Dispatch at every busy horizon crossed on the way to the
+            # arrival (in real time those dispatches happen before it).
+            while service.step(limit_ns=t_ns):
+                pass
+            clock.advance_to_ns(t_ns)
             if not spec.open_loop:
                 # Closed loop: hold admission until the queue has room —
-                # offered load adapts to service speed, nothing sheds.
-                while service.queue.depth() >= config.queue_capacity:
-                    next_free = service.fleet.next_free_ns()
-                    if next_free is None:
-                        break  # fleet fully isolated; let submit shed
-                    clock.advance_to_ns(next_free)
-                    if not service.pump():
-                        break
+                # offered load adapts to service speed, nothing sheds
+                # (unless the fleet is fully isolated; then submit sheds).
+                while service.queue.full and service.step():
+                    pass
             obs.inc("loadtest.offered")
             try:
                 service.submit(request)
@@ -262,9 +217,8 @@ def _run_leg(spec: LoadtestSpec, rate: float, config: ServiceConfig,
             service.pump()
         service.run_until_idle()
     makespan_s = clock.now_ns() / 1e9
-    statuses = service.statuses()
-    completed = sum(1 for s in statuses if s.state == "done")
-    failed = sum(1 for s in statuses if s.state == "failed")
+    tally = service.queue.tally    # the service's books, not a recount
+    completed, failed = tally.completed, tally.failed
     obs.inc("loadtest.completed", completed)
     if completed:
         obs.inc("loadtest.requests", completed,
@@ -272,9 +226,6 @@ def _run_leg(spec: LoadtestSpec, rate: float, config: ServiceConfig,
     if failed:
         obs.inc("loadtest.requests", failed,
                 labels={"outcome": "failed", **leg_label})
-    waits = [s.timings["queue_wait_s"] for s in statuses
-             if "queue_wait_s" in s.timings]
-    e2es = [s.timings["e2e_s"] for s in statuses if "e2e_s" in s.timings]
     return LegResult(
         rate=rate,
         arrivals=process.describe(),
@@ -286,12 +237,12 @@ def _run_leg(spec: LoadtestSpec, rate: float, config: ServiceConfig,
         failed=failed,
         duration_s=spec.duration_s,
         makespan_s=makespan_s,
-        queue_wait_p50_s=percentile(waits, 50),
-        queue_wait_p90_s=percentile(waits, 90),
-        queue_wait_p99_s=percentile(waits, 99),
-        e2e_p50_s=percentile(e2es, 50),
-        e2e_p90_s=percentile(e2es, 90),
-        e2e_p99_s=percentile(e2es, 99),
+        queue_wait_p50_s=percentile(tally.queue_wait_s, 50),
+        queue_wait_p90_s=percentile(tally.queue_wait_s, 90),
+        queue_wait_p99_s=percentile(tally.queue_wait_s, 99),
+        e2e_p50_s=percentile(tally.e2e_s, 50),
+        e2e_p90_s=percentile(tally.e2e_s, 90),
+        e2e_p99_s=percentile(tally.e2e_s, 99),
         cost_usd=service.fleet.cost_usd(),
         provisioned_usd=service.fleet.hourly_rate * makespan_s / 3600.0,
     )
@@ -301,15 +252,9 @@ def run_loadtest(
     spec: LoadtestSpec | None = None,
     config: ServiceConfig | None = None,
 ) -> LoadtestReport:
-    """Run one load test: every rate in ``spec.rates`` as its own leg.
-
-    Each leg gets a fresh :class:`~repro.service.service.TranscodeService`
-    on a fresh :class:`~repro.loadgen.clock.VirtualClock`; the baseline
-    profile cache is shared so repeated request templates trace-encode
-    once across the whole sweep. Fully deterministic for a fixed
-    ``(spec, config)`` — schedules, placements, and virtual-time latency
-    percentiles are all reproducible bit-for-bit.
-    """
+    """Run one load test: every rate in ``spec.rates`` as its own leg
+    (fresh service, fresh virtual clock, shared profile cache). Fully
+    deterministic for a fixed ``(spec, config)``."""
     spec = spec or LoadtestSpec()
     config = config or ServiceConfig()
     profile_cache: dict = {}

@@ -10,16 +10,22 @@ so the paper's smart-vs-random margin is reproducible in serving mode).
 
 Pieces:
 
+- :mod:`repro.service.clock` — the wall / virtual clock every latency
+  is stamped through (the load generator only advances it);
 - :mod:`repro.service.jobs` — the mutable job record around a request;
-- :mod:`repro.service.queue` — bounded priority queue + checkpoint serde;
+- :mod:`repro.service.queue` — the ledger: bounded priority queue, the
+  only writer of job state, the run's tallies, checkpoint serde;
 - :mod:`repro.service.workers` — the warm, config-pinned worker fleet
   with crash-suspect isolation;
 - :mod:`repro.service.placement` — SmartScheduler-style vs. random
   online placement, with cost-aware Pareto objectives (min cost under a
   deadline / min latency under a $/hour budget) over instance-typed
   fleets;
-- :mod:`repro.service.service` — the service object, dispatch loop,
-  checkpointing, and report;
+- :mod:`repro.service.service` — the service object: dispatch loop
+  (``pump`` / ``step`` / ``run_until_idle``), the one terminal
+  transition, checkpointing;
+- :mod:`repro.service.report` — :class:`ServiceReport`, its assembly
+  off the ledger, and the cost ratios shared with the load generator;
 - :mod:`repro.service.fleetcompare` — the heterogeneous-fleet
   comparison driver behind ``repro fleet-compare``.
 
@@ -27,6 +33,7 @@ Use through :func:`repro.api.serve` / ``repro serve`` rather than
 directly; the facade adds telemetry artifacts around a run.
 """
 
+from repro.service.clock import Clock, VirtualClock, WallClock
 from repro.service.fleetcompare import (
     EXAMPLE_FLEETS,
     FleetCompareReport,
@@ -43,9 +50,9 @@ from repro.service.placement import (
     make_policy,
 )
 from repro.service.queue import BoundedJobQueue, QueueFullError
+from repro.service.report import ServiceReport
 from repro.service.service import (
     ServiceConfig,
-    ServiceReport,
     TranscodeService,
     run_service,
     table3_requests,
@@ -61,6 +68,7 @@ from repro.service.workers import (
 
 __all__ = [
     "BoundedJobQueue",
+    "Clock",
     "DEFAULT_FLEET",
     "DEFAULT_RATE_PER_HOUR",
     "EXAMPLE_FLEETS",
@@ -77,6 +85,8 @@ __all__ = [
     "ServiceReport",
     "SmartPlacement",
     "TranscodeService",
+    "VirtualClock",
+    "WallClock",
     "Worker",
     "WorkerFleet",
     "make_policy",

@@ -1,25 +1,27 @@
-"""Service clocks: real wall time or a driver-advanced virtual clock.
+"""Service clocks: real wall time or a manually advanced virtual clock.
 
 The service layer stamps every latency-bearing moment — admission,
 placement, dispatch, completion — through one :class:`Clock` object
-instead of calling ``time.perf_counter_ns()`` directly. That indirection
-is what makes sustained-traffic load tests runnable in milliseconds of
-wall time:
+instead of calling ``time.perf_counter_ns()`` directly (which is why the
+clock lives here; :mod:`repro.loadgen` only advances one). That
+indirection is what makes sustained-traffic load tests runnable in
+milliseconds of wall time:
 
 - :class:`WallClock` (the default) reads the process's monotonic
   perf-counter; a ``repro serve`` run behaves exactly as it always has.
 - :class:`VirtualClock` is a manually advanced monotonic counter. The
-  load-test driver moves it to each arrival instant, and the service
+  service moves it to the next worker busy horizon when nothing is
+  dispatchable (:meth:`~repro.service.service.TranscodeService.step`),
+  the load-test driver moves it to each arrival instant, and the service
   *charges* simulated encode time (``cycles / clock_hz``) against
   per-worker busy horizons rather than sleeping — so a ten-minute
-  diurnal trace with hundreds of jobs resolves queue-wait and e2e
-  percentiles in virtual seconds while the test finishes in wall
-  milliseconds, deterministically.
+  diurnal trace resolves queue-wait and e2e percentiles in virtual
+  seconds, deterministically.
 
-Both clocks expose the same three methods; ``advance_to_ns`` is a no-op
-on the wall clock (real time advances itself), and the ``virtual`` flag
-tells the service which timing regime to record (measured wall durations
-vs. deterministic simulated charges).
+Both clocks expose the same methods; ``advance_to_ns`` is a no-op on the
+wall clock (real time advances itself), and the ``virtual`` flag tells
+the service which timing regime to record (measured wall durations vs.
+deterministic simulated charges).
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ class VirtualClock(Clock):
     """A manually advanced monotonic clock for simulated-time load tests.
 
     Starts at ``start_ns`` (default 0, so virtual timestamps read as
-    offsets from the start of the scenario) and only moves when the
-    driver calls :meth:`advance_to_ns` / :meth:`advance_s`. Attempts to
-    move backward are ignored, preserving monotonicity no matter how
-    arrival schedules and completion horizons interleave.
+    offsets from the start of the scenario) and only moves when someone
+    calls :meth:`advance_to_ns`. Attempts to move backward are ignored,
+    preserving monotonicity no matter how arrival schedules and
+    completion horizons interleave.
     """
 
     virtual = True
@@ -85,9 +87,3 @@ class VirtualClock(Clock):
         t_ns = int(t_ns)
         if t_ns > self._now_ns:
             self._now_ns = t_ns
-
-    def advance_s(self, seconds: float) -> None:
-        """Jump forward by ``seconds`` (must be non-negative)."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance by {seconds} s (negative)")
-        self._now_ns += int(round(seconds * 1e9))

@@ -25,11 +25,11 @@ between runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.loadgen.clock import VirtualClock
 from repro.obs import session as obs
+from repro.service.clock import VirtualClock
 from repro.service.service import ServiceConfig, TranscodeService, table3_requests
 from repro.service.workers import parse_fleet_spec
 
@@ -55,11 +55,7 @@ class FleetDef:
 
     def to_payload(self) -> dict[str, Any]:
         """Plain-JSON form for run.json metadata."""
-        return {
-            "name": self.name,
-            "spec": self.spec,
-            "description": self.description,
-        }
+        return asdict(self)
 
 
 #: The shipped comparison matrix (each fleet internally heterogeneous).
@@ -116,21 +112,10 @@ class FleetResult:
         )
 
     def to_payload(self) -> dict[str, Any]:
-        """Plain-JSON form for ``meta.fleet_compare``."""
+        """Plain-JSON form for ``meta.fleet_compare``: every field (the
+        fleet as its own payload) plus the derived margin."""
         return {
-            "fleet": self.fleet.to_payload(),
-            "workers": self.workers,
-            "hourly_usd": self.hourly_usd,
-            "completed": self.completed,
-            "failed": self.failed,
-            "jobs_per_dollar": self.jobs_per_dollar,
-            "e2e_p99_s": self.e2e_p99_s,
-            "cost_per_completed_usd": self.cost_per_completed_usd,
-            "makespan_s": self.makespan_s,
-            "control_cost_per_completed_usd":
-                self.control_cost_per_completed_usd,
-            "control_jobs_per_dollar": self.control_jobs_per_dollar,
-            "control_e2e_p99_s": self.control_e2e_p99_s,
+            **asdict(self),
             "cost_margin_vs_control_pct": self.cost_margin_vs_control_pct,
         }
 
@@ -198,15 +183,6 @@ class FleetCompareReport:
         return "\n".join(lines)
 
 
-def _requests(mix: str, count: int, seed: int):
-    """The shared request list: Table III cycling, or a loadgen mix."""
-    if mix == "table3":
-        return table3_requests(count)
-    from repro.loadgen.mixes import make_mix
-
-    return make_mix(mix).sample(count, seed=seed)
-
-
 def run_fleet_compare(
     fleets: tuple[FleetDef, ...] | None = None,
     *,
@@ -223,7 +199,7 @@ def run_fleet_compare(
     """Run one workload across several fleets, smart vs. random control.
 
     Every fleet sees the identical request list on a fresh
-    :class:`~repro.loadgen.clock.VirtualClock`; the baseline profile
+    :class:`~repro.service.clock.VirtualClock`; the baseline profile
     cache is shared across fleets *and* policies, so each unique request
     is trace-encoded exactly once for the whole comparison. Deterministic
     for a fixed ``(fleets, objective, mix, count, seed)``.
@@ -231,7 +207,12 @@ def run_fleet_compare(
     fleets = fleets if fleets is not None else EXAMPLE_FLEETS
     if not fleets:
         raise ValueError("fleet-compare needs at least one fleet")
-    requests = _requests(mix, count, seed)
+    if mix == "table3":   # Table III cycling; anything else is a loadgen mix
+        requests = table3_requests(count)
+    else:
+        from repro.loadgen.mixes import make_mix
+
+        requests = make_mix(mix).sample(count, seed=seed)
     report = FleetCompareReport(
         objective=objective, mix=mix, count=count, seed=seed,
         deadline_s=deadline_s, budget_usd=budget_usd,
@@ -263,10 +244,7 @@ def run_fleet_compare(
             smart, control = runs["smart"], runs["random"]
             result = FleetResult(
                 fleet=fleet,
-                workers=sum(
-                    (e.instance.cores if e.instance else 1) * e.count
-                    for e in parse_fleet_spec(fleet.spec)
-                ),
+                workers=len(service.fleet.workers),   # same spec both runs
                 hourly_usd=smart.fleet_hourly_usd,
                 completed=smart.completed,
                 failed=smart.failed,

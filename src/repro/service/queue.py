@@ -1,29 +1,39 @@
-"""Bounded admission queue with backpressure and checkpointed state.
+"""The job ledger: bounded admission, dispatch order, and the books.
 
-The service admits jobs through a :class:`BoundedJobQueue`: submissions
-beyond ``capacity`` raise :class:`QueueFullError` (backpressure — the
-caller sheds load or retries later, exactly like a 429 from a serving
-stack). Dispatch order is priority-major (higher first), FIFO within a
-priority class; a requeued job keeps its original arrival sequence so a
-retry cannot jump ahead of its peers.
+:class:`BoundedJobQueue` owns every job's lifecycle. It is the only code
+that changes ``Job.state`` — ``put`` (admit), ``start``, ``requeue`` and
+``finish`` each call the matching ``Job.mark_*`` — and it keeps the books
+as it goes: the dispatchable set is a heap keyed ``(-priority, seq)``,
+``queued`` / ``running`` are two integers, and the terminal transition
+enters the job in a :class:`Tally`. ``depth``, ``pending``, ``pop_ready``
+and the reports read those books, so no call costs more for the jobs
+that finished before it.
+
+Submissions beyond ``capacity`` raise :class:`QueueFullError`
+(backpressure, like a 429 from a serving stack). Dispatch order is
+priority-major (higher first), FIFO within a priority class; a requeued
+job re-enters under its original arrival sequence so a retry cannot jump
+ahead of its peers.
 
 The queue also owns the service's restartable state: :meth:`snapshot`
-returns a plain-JSON document of every tracked job (queued, running,
-done, failed), written atomically by the service after each dispatch
-round, and :meth:`restore` rebuilds the queue from it so a restarted
-service re-runs only the unfinished jobs.
+is a plain-JSON document of every tracked job, written atomically by the
+service after each dispatch round, and :meth:`restore` rebuilds heap,
+counters and tally from it so a restarted service re-runs only the
+unfinished jobs.
 """
 
 from __future__ import annotations
 
+import heapq
+from dataclasses import dataclass, field
 from typing import Any
 
-from repro.api.types import JOB_QUEUED, JOB_RUNNING
-from repro.loadgen.clock import Clock, WallClock
+from repro.api.types import JOB_DONE, JOB_QUEUED, JOB_RUNNING, TranscodeResult
 from repro.obs import session as obs
+from repro.service.clock import Clock, WallClock
 from repro.service.jobs import Job
 
-__all__ = ["BoundedJobQueue", "QueueFullError"]
+__all__ = ["BoundedJobQueue", "QueueFullError", "Tally"]
 
 #: Version stamp for the snapshot document.
 QUEUE_SNAPSHOT_VERSION = 1
@@ -34,12 +44,37 @@ class QueueFullError(RuntimeError):
     capacity — the service's backpressure signal."""
 
 
+@dataclass
+class Tally:
+    """What the terminal transitions have added up so far."""
+
+    completed: int = 0
+    failed: int = 0
+    #: One sample per terminal job that carries the timing.
+    e2e_s: list[float] = field(default_factory=list)
+    queue_wait_s: list[float] = field(default_factory=list)
+    #: First admission on the queue clock (where a run's makespan starts).
+    first_submitted_ns: int | None = None
+
+    def add(self, job: Job) -> None:
+        """Enter one terminal job."""
+        if job.state == JOB_DONE:
+            self.completed += 1
+        else:
+            self.failed += 1
+        for key, samples in (("e2e_s", self.e2e_s),
+                             ("queue_wait_s", self.queue_wait_s)):
+            if key in job.timings:
+                samples.append(job.timings[key])
+
+
 class BoundedJobQueue:
-    """Priority-then-FIFO job queue with a hard capacity bound.
+    """Priority-then-FIFO job ledger with a hard capacity bound.
 
     Tracks *every* job ever admitted (the service needs terminal jobs
-    for status queries and checkpoints); only non-terminal, non-running
-    jobs count against ``capacity`` and are eligible for dispatch.
+    for status queries and checkpoints); only queued and running jobs
+    count against ``capacity``, and a terminal job is never visited
+    again except by :meth:`get`, :meth:`jobs` and :meth:`snapshot`.
     """
 
     def __init__(self, capacity: int = 64, *,
@@ -49,13 +84,38 @@ class BoundedJobQueue:
         self.capacity = capacity
         self.clock = clock if clock is not None else WallClock()
         self._jobs: dict[int, Job] = {}   # insertion-ordered job registry
+        self._ready: list[tuple[int, int, int, Job]] = []   # the heap
+        self._queued = 0
+        self._running = 0
+        self.tally = Tally()
+
+    def _push(self, job: Job) -> None:
+        heapq.heappush(
+            self._ready, (-job.request.priority, job.seq, job.job_id, job)
+        )
+
+    def _leave(self, job: Job) -> None:
+        """Take ``job`` out of the count of its (non-terminal) state."""
+        if self._jobs.get(job.job_id) is not job:
+            raise ValueError(f"job {job.job_id} was never admitted")
+        if job.state == JOB_QUEUED:
+            self._queued -= 1
+        elif job.state == JOB_RUNNING:
+            self._running -= 1
+        else:
+            raise ValueError(f"job {job.job_id} is already {job.state}")
 
     # -- admission ------------------------------------------------------
+    @property
+    def full(self) -> bool:
+        """Whether the next :meth:`put` would be rejected."""
+        return self.depth() >= self.capacity
+
     def put(self, job: Job) -> None:
         """Admit ``job``; raises :class:`QueueFullError` at capacity."""
         if job.job_id in self._jobs:
             raise ValueError(f"job {job.job_id} already admitted")
-        if self.depth() >= self.capacity:
+        if self.full:
             obs.inc("service.queue_rejections")
             raise QueueFullError(
                 f"queue at capacity ({self.capacity}); shed load or retry"
@@ -64,46 +124,70 @@ class BoundedJobQueue:
         now = self.clock.now_ns()
         job.submitted_ns = now   # e2e clock starts at first admission
         job.enqueued_ns = now    # queue-wait clock, restamped on requeue
-        self._observe_depth()
-
-    def requeue(self, job: Job, *, now_ns: int | None = None) -> None:
-        """Return a previously admitted job to the dispatchable pool
-        (after a worker failure). Never rejects: the job already holds
-        an admission slot. ``now_ns`` pins the re-enqueue instant (the
-        virtual completion time of the crashed attempt); default is the
-        queue clock's current time."""
-        if job.job_id not in self._jobs:
-            raise ValueError(f"job {job.job_id} was never admitted")
-        job.enqueued_ns = now_ns if now_ns is not None else self.clock.now_ns()
-        obs.inc("service.requeues")
+        if self.tally.first_submitted_ns is None:
+            self.tally.first_submitted_ns = now
+        self._queued += 1
+        self._push(job)
         self._observe_depth()
 
     # -- dispatch -------------------------------------------------------
     def pop_ready(self, n: int) -> list[Job]:
-        """Take up to ``n`` dispatchable jobs in priority-major, then
-        arrival, order and mark them running-eligible (the service
-        transitions them to ``running`` when it places them)."""
-        ready = sorted(
-            (j for j in self._jobs.values() if j.state == JOB_QUEUED),
-            key=lambda j: (-j.request.priority, j.seq),
-        )[: max(n, 0)]
+        """Take up to ``n`` dispatchable jobs off the heap in
+        priority-major, then arrival, order. They stay ``queued``: the
+        caller owes each one a :meth:`start`, a :meth:`finish` or a
+        :meth:`put_back` before it reads :meth:`pending` again."""
+        ready = [
+            heapq.heappop(self._ready)[-1]
+            for _ in range(min(max(n, 0), len(self._ready)))
+        ]
         self._observe_depth()
         return ready
+
+    def put_back(self, jobs: list[Job]) -> None:
+        """Return taken-but-unplaced jobs under their original keys."""
+        for job in jobs:
+            self._push(job)
+
+    def start(self, job: Job, worker: str) -> None:
+        """``queued`` → ``running``: a placement attempt on ``worker``."""
+        self._leave(job)
+        job.mark_running(worker)
+        self._running += 1
+
+    def requeue(self, job: Job, error: str, *,
+                now_ns: int | None = None) -> None:
+        """``running`` → ``queued`` after a worker failure. Never
+        rejects: the job already holds an admission slot. ``now_ns``
+        pins the re-enqueue instant (the virtual completion time of the
+        crashed attempt); default is the queue clock's current time."""
+        self._leave(job)
+        job.mark_requeued(error)
+        job.enqueued_ns = now_ns if now_ns is not None else self.clock.now_ns()
+        self._queued += 1
+        self._push(job)
+        obs.inc("service.requeues")
+        self._observe_depth()
+
+    def finish(self, job: Job, outcome: TranscodeResult | str) -> None:
+        """The terminal transition: ``done`` with a result, ``failed``
+        with an error string. Releases the admission slot and enters the
+        job in :attr:`tally`. A ``queued`` job must have been taken with
+        :meth:`pop_ready` first."""
+        self._leave(job)
+        if isinstance(outcome, str):
+            job.mark_failed(outcome)
+        else:
+            job.mark_done(outcome)
+        self.tally.add(job)
 
     # -- views ----------------------------------------------------------
     def depth(self) -> int:
         """Jobs holding admission slots (queued or running)."""
-        return sum(
-            1 for j in self._jobs.values()
-            if j.state in (JOB_QUEUED, JOB_RUNNING)
-        )
-
-    def __len__(self) -> int:
-        return self.depth()
+        return self._queued + self._running
 
     def pending(self) -> int:
         """Jobs waiting for dispatch."""
-        return sum(1 for j in self._jobs.values() if j.state == JOB_QUEUED)
+        return self._queued
 
     def get(self, job_id: int) -> Job:
         """The tracked job with ``job_id`` (KeyError if unknown)."""
@@ -126,7 +210,7 @@ class BoundedJobQueue:
         }
 
     def restore(self, snapshot: dict[str, Any]) -> int:
-        """Rebuild the queue from :meth:`snapshot` output; jobs caught
+        """Rebuild the ledger from :meth:`snapshot` output; jobs caught
         mid-flight (``running``) re-enter the queue. Returns the number
         of jobs restored."""
         version = snapshot.get("version")
@@ -135,10 +219,18 @@ class BoundedJobQueue:
                 f"unsupported queue snapshot version {version!r}"
             )
         self._jobs.clear()
+        self._ready.clear()
+        self._queued = self._running = 0
+        self.tally = Tally()
         for payload in snapshot.get("jobs", ()):
             job = Job.from_payload(payload)
             if job.state == JOB_RUNNING:
                 job.mark_requeued("restored after service restart")
             self._jobs[job.job_id] = job
+            if job.terminal:
+                self.tally.add(job)
+            else:
+                self._queued += 1
+                self._push(job)
         self._observe_depth()
         return len(self._jobs)

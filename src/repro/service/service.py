@@ -13,13 +13,23 @@ are admitted the moment they arrive and placed by :meth:`TranscodeService.pump`
 onto whichever workers are *free right now* (priority-major order) — no
 round barrier waits for the whole fleet to drain. Each worker carries a
 busy horizon (:attr:`~repro.service.workers.Worker.busy_until_ns`) on
-the service clock; under the default wall clock execution is eager and
-horizons are always in the past, while under a
-:class:`~repro.loadgen.clock.VirtualClock` the horizon is charged with
-simulated encode time (``cycles / clock_hz``), which is what lets the
-open-loop load generator (:mod:`repro.loadgen`) drive sustained-traffic
-scenarios — queue growth, shed load, latency knees — in milliseconds of
-wall time, fully deterministically.
+the service clock (:mod:`repro.service.clock`): always in the past under
+the wall clock, charged with simulated encode time under a virtual one,
+which is what lets :mod:`repro.loadgen` drive sustained-traffic
+scenarios in milliseconds of wall time, deterministically.
+
+Who owns what: a job's state belongs to the ledger
+(:class:`~repro.service.queue.BoundedJobQueue`) — this module never
+assigns it, it asks the queue to ``start`` / ``requeue`` / ``finish``.
+Every way a job can end (done, crashed out of its placement budget, no
+worker left, shed as infeasible, unplaced by the policy) goes through
+:meth:`TranscodeService._finish`, so the ``e2e_s`` stamp, the labeled
+``service.stage_latency_s`` histograms and the deadline counters the SLO
+engine (:mod:`repro.obs.slo`) reads cannot be skipped by a new way to
+fail. Every "nothing placed, move time forward" decision is
+:meth:`TranscodeService.step` — :meth:`~TranscodeService.run_until_idle`
+and the load generator both loop on it. The run summary is assembled in
+:mod:`repro.service.report`.
 
 Resilience reuses the PR-3 layer: retryable exceptions re-execute in
 place under the configured :class:`~repro.resilience.retry.RetryPolicy`;
@@ -30,42 +40,35 @@ restarted service (``resume=True``) re-runs only unfinished jobs.
 
 Observability: every job carries a ``trace_id`` and its spans
 (``service.submit`` → ``service.place`` → ``service.job`` →
-``worker.encode``) are tagged with the job id, so the Chrome-trace
-export lays each job out on its own lane and ``repro report --timeline
-JOB_ID`` renders its flame graph. Terminal jobs publish a wall-clock
-latency decomposition — labeled ``service.stage_latency_s`` histograms
-keyed by stage (queue_wait / placement / encode / retry_overhead / e2e),
-µarch config, and policy — plus deadline-miss counters, which is exactly
-the surface the SLO engine (:mod:`repro.obs.slo`) evaluates. All of it
-lands in ``run.json`` when the caller runs under a telemetry session
-(``repro serve --telemetry OUT/``).
+``worker.encode``) are tagged with the job id, so ``repro report
+--timeline JOB_ID`` renders one job's flame graph; everything lands in
+``run.json`` under a telemetry session (``repro serve --telemetry OUT/``).
 """
 
 from __future__ import annotations
 
 import json
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro import resilience
-from repro._util import atomic_write_text, percentile
+from repro._util import atomic_write_text
 from repro.api.types import (
+    JOB_FAILED,
     QUICK_SIZING,
     JobStatus,
     TranscodeRequest,
     TranscodeResult,
 )
-from repro.loadgen.clock import Clock, WallClock
 from repro.obs import session as obs
 from repro.obs.metrics import latency_buckets
 from repro.profiling.counters import CounterSet
 from repro.profiling.perf import record_trace
 from repro.resilience.retry import call_with_retry
 from repro.scheduling.task import TABLE_III_TASKS
+from repro.service.clock import Clock, WallClock
 from repro.service.jobs import Job
 from repro.service.placement import (
     OBJECTIVES,
@@ -74,6 +77,7 @@ from repro.service.placement import (
     make_policy,
 )
 from repro.service.queue import BoundedJobQueue
+from repro.service.report import ServiceReport, summarize
 from repro.service.workers import DEFAULT_FLEET, WorkerFleet, parse_fleet_spec
 from repro.uarch.configs import config_by_name
 from repro.uarch.simulator import simulate
@@ -160,16 +164,11 @@ def table3_requests(count: int = len(TABLE_III_TASKS)) -> list[TranscodeRequest]
     """``count`` requests cycling the paper's Table III task mix."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    requests = []
-    for i in range(count):
-        task = TABLE_III_TASKS[i % len(TABLE_III_TASKS)]
-        requests.append(
-            TranscodeRequest(
-                clip=task.video, preset=task.preset,
-                crf=task.crf, refs=task.refs,
-            )
-        )
-    return requests
+    tasks = (TABLE_III_TASKS[i % len(TABLE_III_TASKS)] for i in range(count))
+    return [
+        TranscodeRequest(clip=t.video, preset=t.preset, crf=t.crf, refs=t.refs)
+        for t in tasks
+    ]
 
 
 @dataclass
@@ -180,124 +179,7 @@ class _ProfiledJob:
     program: Any
     counters: CounterSet
     baseline_cycles: float
-    psnr_db: float
-    bitrate_kbps: float
     encode_seconds: float
-
-
-@dataclass
-class ServiceReport:
-    """One service run's outcome, with an optional control run attached."""
-
-    policy: str
-    jobs_total: int
-    completed: int
-    failed: int
-    mean_latency_cycles: float
-    mean_speedup_pct: float
-    worker_crashes: int
-    placements: dict[int, str]       # job_id -> "worker (config)"
-    objective: str = "throughput"
-    #: Dollars actually billed for worker occupancy (busy time x rate).
-    cost_usd: float = 0.0
-    #: The fleet's provisioned $/hour and what the run's makespan cost
-    #: at that rate — the denominator of throughput-per-dollar.
-    fleet_hourly_usd: float = 0.0
-    makespan_s: float = 0.0
-    provisioned_usd: float = 0.0
-    e2e_p99_s: float = 0.0
-    statuses: list[JobStatus] = field(repr=False, default_factory=list)
-    control: "ServiceReport | None" = None
-
-    @property
-    def cost_per_completed_usd(self) -> float:
-        """Billed dollars per completed job (0 when nothing completed)."""
-        if self.completed == 0:
-            return 0.0
-        return self.cost_usd / self.completed
-
-    @property
-    def jobs_per_dollar(self) -> float:
-        """Throughput per provisioned dollar: completed jobs over what
-        the fleet cost to rent for the run's makespan."""
-        if self.provisioned_usd <= 0:
-            return 0.0
-        return self.completed / self.provisioned_usd
-
-    @property
-    def margin_vs_control_pp(self) -> float | None:
-        """Mean-speedup margin over the control policy, in percentage
-        points (the serving-mode analogue of the paper's 3.72%)."""
-        if self.control is None:
-            return None
-        return self.mean_speedup_pct - self.control.mean_speedup_pct
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-JSON form (the ``jobs.json`` status artifact)."""
-        doc: dict[str, Any] = {
-            "policy": self.policy,
-            "jobs_total": self.jobs_total,
-            "completed": self.completed,
-            "failed": self.failed,
-            "mean_latency_cycles": self.mean_latency_cycles,
-            "mean_speedup_pct": self.mean_speedup_pct,
-            "worker_crashes": self.worker_crashes,
-            "objective": self.objective,
-            "cost_usd": self.cost_usd,
-            "fleet_hourly_usd": self.fleet_hourly_usd,
-            "makespan_s": self.makespan_s,
-            "provisioned_usd": self.provisioned_usd,
-            "cost_per_completed_usd": self.cost_per_completed_usd,
-            "jobs_per_dollar": self.jobs_per_dollar,
-            "e2e_p99_s": self.e2e_p99_s,
-            "placements": {str(k): v for k, v in self.placements.items()},
-            "jobs": [s.to_payload() for s in self.statuses],
-        }
-        if self.control is not None:
-            doc["margin_vs_control_pp"] = self.margin_vs_control_pp
-            doc["control"] = self.control.to_payload()
-        return doc
-
-    def render(self) -> str:
-        """Human-readable summary for ``repro serve``."""
-        lines = [
-            f"service run — policy={self.policy}: "
-            f"{self.completed}/{self.jobs_total} jobs completed"
-            + (f", {self.failed} failed" if self.failed else ""),
-            f"  mean job latency: {self.mean_latency_cycles:,.0f} cycles",
-            f"  mean speedup over baseline: {self.mean_speedup_pct:+.2f}%",
-        ]
-        if self.cost_usd > 0:
-            lines.append(
-                f"  cost: ${self.cost_usd:.6f} billed "
-                f"(${self.cost_per_completed_usd:.6f}/job, fleet "
-                f"${self.fleet_hourly_usd:.3f}/h, objective="
-                f"{self.objective})"
-            )
-        if self.worker_crashes:
-            lines.append(
-                f"  worker crashes isolated: {self.worker_crashes}"
-            )
-        for status in self.statuses:
-            placed = self.placements.get(status.job_id, "-")
-            lines.append(
-                f"    job {status.job_id}: {status.clip} "
-                f"preset={status.preset} crf={status.crf} -> "
-                f"{status.state} on {placed}"
-                + (f" [{status.error}]" if status.error else "")
-            )
-        if self.control is not None:
-            lines.append("")
-            lines.append(
-                f"control ({self.control.policy}): mean speedup "
-                f"{self.control.mean_speedup_pct:+.2f}%, mean latency "
-                f"{self.control.mean_latency_cycles:,.0f} cycles"
-            )
-            lines.append(
-                f"{self.policy} - {self.control.policy} = "
-                f"{self.margin_vs_control_pp:+.2f} pp (paper: +3.72)"
-            )
-        return "\n".join(lines)
 
 
 class TranscodeService:
@@ -305,7 +187,7 @@ class TranscodeService:
 
     Synchronous in-process client: :meth:`submit` admits requests,
     :meth:`run_until_idle` drains the queue, :meth:`status` /
-    :meth:`results` / :meth:`report` observe the outcome. The CLI's
+    :meth:`statuses` / :meth:`report` observe the outcome. The CLI's
     ``repro serve`` wraps exactly this object.
     """
 
@@ -379,9 +261,8 @@ class TranscodeService:
 
         Queue wait ends — and is stamped — the instant the placement
         decision lands, so ``queue_wait_s == placement_time -
-        admission_time`` by construction (the old round-based loop
-        folded earlier batch members' encode time into later members'
-        queue wait). Returns 0 when nothing is dispatchable right now:
+        admission_time`` by construction. Returns 0 when nothing is
+        dispatchable right now:
         the queue is empty, every free worker is busy until later on the
         service clock, or every worker is isolated.
         """
@@ -401,11 +282,13 @@ class TranscodeService:
                 placement = self.policy.place(batch, free, counters)
             placed_at = self.clock.now_ns()
             place_s = (placed_at - place_start) / 1e9
-            ran_this_pass = 0
-            for job in batch:
-                worker = placement.get(job.job_id)
-                if worker is None:  # more jobs than free workers
-                    continue
+            # More jobs than free workers, or no feasible worker: the
+            # rest of the batch goes back under its original keys.
+            placed = [job for job in batch if job.job_id in placement]
+            self.queue.put_back(
+                [job for job in batch if job.job_id not in placement]
+            )
+            for job in placed:
                 # The placement decision is shared by the whole batch;
                 # each placed member waited for all of it.
                 job.add_timing("placement_s", place_s)
@@ -413,73 +296,79 @@ class TranscodeService:
                     job.add_timing(
                         "queue_wait_s", (placed_at - job.enqueued_ns) / 1e9
                     )
-                self._execute(job, worker, start_ns=placed_at)
-                ran_this_pass += 1
-            executed += ran_this_pass
+                self._execute(job, placement[job.job_id], placed_at)
+            executed += len(placed)
             self._write_checkpoint()
-            if ran_this_pass == 0:  # policy placed nothing; avoid spinning
+            if not placed:  # policy placed nothing; avoid spinning
                 break
         return executed
+
+    def step(self, limit_ns: int | None = None) -> bool:
+        """One unit of progress on pending work: :meth:`pump`, and if
+        nothing ran, advance the clock to the next *future* busy horizon
+        of an available worker (under cost-aware objectives a queued job
+        may be *waiting* for a cheaper or deadline-feasible busy one),
+        never past ``limit_ns``. ``False`` means nothing moved: whatever
+        is pending cannot be placed before ``limit_ns``. Under the wall
+        clock horizons are already past, so this is just :meth:`pump`.
+        """
+        if not self.queue.pending():
+            return False
+        if self.pump():
+            return True
+        now = self.clock.now_ns()
+        horizon = min(
+            (w.busy_until_ns for w in self.fleet.available()
+             if w.busy_until_ns > now),
+            default=None,
+        )
+        if horizon is None or (limit_ns is not None and horizon > limit_ns):
+            return False
+        self.clock.advance_to_ns(horizon)
+        return True
 
     def run_until_idle(self) -> ServiceReport:
         """Dispatch until no job is pending, then report.
 
-        Repeatedly :meth:`pump`\\ s; when nothing is dispatchable because
-        every available worker is busy until later on a virtual clock,
-        time is advanced to the earliest busy horizon (under the wall
-        clock horizons are always already past). Jobs that exhaust their
-        placement budget — or find every worker crash-suspect — finish
-        ``failed``; the service itself never raises for job-level
+        Repeats :meth:`step`; jobs still pending when it can move
+        nothing — every worker crash-suspect, or free workers the policy
+        will not use — finish ``failed``, as do jobs that exhaust their
+        placement budget; the service itself never raises for job-level
         trouble.
         """
         with obs.span("service.drain", policy=self.policy.name):
-            while self.queue.pending():
-                if not self.fleet.available():
-                    for job in self.queue.pop_ready(self.queue.pending()):
-                        job.mark_failed("no workers available (all isolated)")
-                        obs.inc("service.jobs_failed")
-                    self._write_checkpoint()
-                    break
-                if self.pump():
-                    continue
-                # Nothing placed; if any available worker frees up later
-                # on the service clock, advance there and retry — under
-                # cost-aware objectives a queued job may be *waiting*
-                # for a cheaper (or deadline-feasible) busy worker.
-                now = self.clock.now_ns()
-                future = [
-                    w.busy_until_ns for w in self.fleet.available()
-                    if w.busy_until_ns > now
-                ]
-                if future:
-                    self.clock.advance_to_ns(min(future))
-                    continue
-                # Free workers exist *now* but the policy placed nothing
-                # — nothing will change on its own; fail what is left
-                # rather than spinning forever. Under a cost-aware
-                # objective this is the explicit shed path: the job had
-                # no worker satisfying its deadline/budget constraints.
-                constrained = (
-                    isinstance(self.policy, SmartPlacement)
-                    and self.policy.objective != "throughput"
-                )
-                for job in self.queue.pop_ready(self.queue.pending()):
-                    if constrained:
-                        job.mark_failed(
-                            "shed: no feasible worker under "
-                            f"{self.policy.objective} constraints "
-                            f"(deadline_s={self.policy.deadline_s}, "
-                            f"budget_usd={self.policy.budget_usd})"
-                        )
-                        obs.inc("service.jobs_shed_infeasible")
-                    else:
-                        job.mark_failed(
-                            "placement policy returned no placement"
-                        )
-                    obs.inc("service.jobs_failed")
-                self._write_checkpoint()
-                break
+            while self.step():
+                pass
+            self._fail_pending()
         return self.report()
+
+    def _fail_pending(self) -> None:
+        """Fail what is left once nothing will change on its own rather
+        than spinning forever. Under a cost-aware objective this is the
+        explicit shed path: the job had no worker satisfying its
+        deadline/budget constraints."""
+        if not self.queue.pending():
+            return
+        shed = False
+        if not self.fleet.available():
+            error = "no workers available (all isolated)"
+        elif (isinstance(self.policy, SmartPlacement)
+                and self.policy.objective != "throughput"):
+            shed = True
+            error = (
+                "shed: no feasible worker under "
+                f"{self.policy.objective} constraints "
+                f"(deadline_s={self.policy.deadline_s}, "
+                f"budget_usd={self.policy.budget_usd})"
+            )
+        else:
+            error = "placement policy returned no placement"
+        now = self.clock.now_ns()
+        for job in self.queue.pop_ready(self.queue.pending()):
+            if shed:
+                obs.inc("service.jobs_shed_infeasible")
+            self._finish(job, None, now, error)
+        self._write_checkpoint()
 
     def _charge_ns(self, cycles: float, worker) -> int:
         """Simulated-time cost of ``cycles`` on ``worker``'s virtual
@@ -487,16 +376,20 @@ class TranscodeService:
         so identical cycle counts convert to different durations)."""
         return int(round(cycles / worker.clock_hz * 1e9))
 
-    def _bill(self, job: Job, worker, busy_ns: int) -> None:
-        """Bill ``busy_ns`` of ``worker`` occupancy to ``job`` and the
-        run's cost counters (crashed attempts are still paid for)."""
-        if busy_ns <= 0:
-            return
-        cost = worker.charge(busy_ns)
-        job.cost_usd += cost
-        obs.observe("service.job_cost_usd", cost)
+    def _occupy(self, job: Job, worker, start_ns: int, busy_ns: int) -> int:
+        """Bill ``busy_ns`` of ``worker`` occupancy from ``start_ns`` to
+        ``job`` and the run's cost counters (crashed attempts are still
+        paid for), push the worker's busy horizon, and return the instant
+        the occupancy ends."""
+        if busy_ns > 0:
+            cost = worker.charge(busy_ns)
+            job.cost_usd += cost
+            obs.observe("service.job_cost_usd", cost)
+        done_ns = start_ns + busy_ns
+        worker.busy_until_ns = max(worker.busy_until_ns, done_ns)
+        return done_ns
 
-    def _execute(self, job: Job, worker, *, start_ns: int | None = None) -> None:
+    def _execute(self, job: Job, worker, start_ns: int) -> None:
         """Run one placed job, with in-place retries and crash isolation.
 
         Every execution attempt is individually costed: the successful
@@ -511,8 +404,7 @@ class TranscodeService:
         time.
         """
         profiled = self._profile(job)
-        t_start = self.clock.now_ns() if start_ns is None else start_ns
-        job.mark_running(worker.name)
+        self.queue.start(job, worker.name)
         attempt_ns: list[int] = []
 
         def _attempt() -> float:
@@ -545,10 +437,8 @@ class TranscodeService:
                 wasted_ns = (len(attempt_ns) * fail_charge if virtual
                              else sum(attempt_ns))
                 job.add_timing("retry_overhead_s", wasted_ns / 1e9)
-                self._bill(job, worker, wasted_ns)
-                done_ns = t_start + wasted_ns
-                worker.busy_until_ns = max(worker.busy_until_ns, done_ns)
-                self._on_worker_crash(job, worker, exc, done_ns=done_ns)
+                done_ns = self._occupy(job, worker, start_ns, wasted_ns)
+                self._on_worker_crash(job, worker, exc, done_ns)
                 return
         if virtual:
             encode_ns = self._charge_ns(cycles, worker)
@@ -559,96 +449,85 @@ class TranscodeService:
         job.add_timing("encode_s", encode_ns / 1e9)
         if wasted_ns:
             job.add_timing("retry_overhead_s", wasted_ns / 1e9)
-        self._bill(job, worker, wasted_ns + encode_ns)
-        done_ns = t_start + wasted_ns + encode_ns
-        worker.busy_until_ns = max(worker.busy_until_ns, done_ns)
-        job.mark_done(
-            TranscodeResult(
-                clip=job.request.clip,
-                preset=job.request.preset,
-                crf=job.request.crf,
-                refs=job.request.refs,
-                psnr_db=profiled.psnr_db,
-                bitrate_kbps=profiled.bitrate_kbps,
-                encode_seconds=profiled.encode_seconds,
-                cycles=cycles,
-                config=worker.config_name,
-                baseline_cycles=profiled.baseline_cycles,
-            )
-        )
-        if job.submitted_ns is not None:
-            job.timings["e2e_s"] = (done_ns - job.submitted_ns) / 1e9
-        obs.inc("service.jobs_completed")
-        obs.observe("service.job_latency_cycles", cycles)
-        speedup = job.result.speedup_pct
-        if speedup is not None:
-            obs.observe("service.job_speedup_pct", speedup)
-        self._record_stage_metrics(job, worker.config_name,
-                                   instance=worker.instance_name)
+        done_ns = self._occupy(job, worker, start_ns, wasted_ns + encode_ns)
+        self._finish(job, worker, done_ns, TranscodeResult(
+            clip=job.request.clip,
+            preset=job.request.preset,
+            crf=job.request.crf,
+            refs=job.request.refs,
+            psnr_db=profiled.counters.psnr_db,
+            bitrate_kbps=profiled.counters.bitrate_kbps,
+            encode_seconds=profiled.encode_seconds,
+            cycles=cycles,
+            config=worker.config_name,
+            baseline_cycles=profiled.baseline_cycles,
+        ))
 
     def _on_worker_crash(self, job: Job, worker, exc: Exception,
-                         *, done_ns: int | None = None) -> None:
+                         done_ns: int) -> None:
         """Isolate a crashed worker and re-place (or fail) its job.
 
         ``done_ns`` is the service-clock instant the crashed placement
         gave up (virtual completion of the wasted attempts); it stamps
         the failed job's e2e latency and the requeue moment.
         """
-        self.fleet.isolate(worker, reason=str(exc))
+        self.fleet.isolate(worker)
         self.worker_crashes += 1
         obs.inc("service.worker_crashes")
         error = f"{type(exc).__name__}: {exc} (worker {worker.name} isolated)"
-        if done_ns is None:
-            done_ns = self.clock.now_ns()
         if job.attempts >= self.config.max_attempts or not self.fleet.available():
-            job.mark_failed(error)
-            obs.inc("service.jobs_failed")
-            if job.submitted_ns is not None:
-                job.timings["e2e_s"] = (done_ns - job.submitted_ns) / 1e9
-            self._record_stage_metrics(job, worker.config_name,
-                                       instance=worker.instance_name)
+            self._finish(job, worker, done_ns, error)
         else:
-            job.mark_requeued(error)
-            self.queue.requeue(job, now_ns=done_ns)
+            self.queue.requeue(job, error, now_ns=done_ns)
 
-    #: timing key in ``Job.timings`` -> ``stage`` label value.
-    _STAGES = (
-        ("queue_wait_s", "queue_wait"),
-        ("placement_s", "placement"),
-        ("encode_s", "encode"),
-        ("retry_overhead_s", "retry_overhead"),
-        ("e2e_s", "e2e"),
-    )
+    def _finish(self, job: Job, worker, done_ns: int,
+                outcome: TranscodeResult | str) -> None:
+        """The one terminal transition: stamp ``e2e_s`` at ``done_ns``,
+        enter the job in the ledger as ``done`` (a result) or ``failed``
+        (an error string), and publish its counters and stage metrics.
+        ``worker`` is ``None`` for a job that fails without a placement.
+        """
+        if job.submitted_ns is not None:
+            job.timings["e2e_s"] = (done_ns - job.submitted_ns) / 1e9
+        self.queue.finish(job, outcome)
+        if isinstance(outcome, str):
+            obs.inc("service.jobs_failed")
+        else:
+            obs.inc("service.jobs_completed")
+            obs.observe("service.job_latency_cycles", outcome.cycles)
+            if outcome.speedup_pct is not None:
+                obs.observe("service.job_speedup_pct", outcome.speedup_pct)
+        self._record_stage_metrics(job, worker)
 
-    def _record_stage_metrics(
-        self, job: Job, config: str, *, instance: str | None = None
-    ) -> None:
+    #: ``Job.timings`` keys published as stages (label: key minus ``_s``).
+    _STAGES = ("queue_wait_s", "placement_s", "encode_s",
+               "retry_overhead_s", "e2e_s")
+
+    def _record_stage_metrics(self, job: Job, worker) -> None:
         """Publish a terminal job's latency decomposition: one labeled
         ``service.stage_latency_s`` histogram sample per recorded stage
-        (keyed by stage / µarch config / policy / instance family), plus
-        the deadline accounting the SLO engine's ``deadline_miss_rate``
+        (keyed by stage / µarch config / policy / instance family;
+        ``unplaced`` for a job that never reached a worker), plus the
+        deadline accounting the SLO engine's ``deadline_miss_rate``
         kind reads."""
         buckets = latency_buckets()
-        for key, stage in self._STAGES:
-            value = job.timings.get(key)
-            if value is None:
-                continue
-            obs.observe(
-                "service.stage_latency_s",
-                value,
-                labels={
-                    "stage": stage,
-                    "config": config,
-                    "policy": self.policy.name,
-                    "instance": instance or config,
-                },
-                bounds=buckets,
-            )
+        labels = {
+            "config": worker.config_name if worker else "unplaced",
+            "policy": self.policy.name,
+            "instance": worker.instance_name if worker else "unplaced",
+        }
+        for key in self._STAGES:
+            if key in job.timings:
+                obs.observe(
+                    "service.stage_latency_s", job.timings[key],
+                    labels={"stage": key.removesuffix("_s"), **labels},
+                    bounds=buckets,
+                )
         deadline_ms = job.request.deadline_ms
         if deadline_ms is not None:
             obs.inc("service.jobs_with_deadline")
             e2e_s = job.timings.get("e2e_s", 0.0)
-            if job.state == "failed" or e2e_s * 1000.0 > deadline_ms:
+            if job.state == JOB_FAILED or e2e_s * 1000.0 > deadline_ms:
                 obs.inc("service.deadline_misses")
 
     # -- profiling (once per unique request) ---------------------------
@@ -682,8 +561,6 @@ class TranscodeService:
                 bitrate_kbps=encode_result.bitrate_kbps,
             ),
             baseline_cycles=base_report.cycles,
-            psnr_db=encode_result.psnr_db,
-            bitrate_kbps=encode_result.bitrate_kbps,
             encode_seconds=encode_result.encode_seconds,
         )
         self._profiles[key] = profiled
@@ -698,58 +575,12 @@ class TranscodeService:
         """Snapshots of every admitted job, in admission order."""
         return [j.status() for j in self.queue.jobs()]
 
-    def results(self) -> list[TranscodeResult]:
-        """Results of every completed job, in admission order."""
-        return [j.result for j in self.queue.jobs() if j.result is not None]
-
     def report(self) -> ServiceReport:
         """Summarize the run and publish the summary gauges."""
-        jobs = self.queue.jobs()
-        done = [j for j in jobs if j.result is not None]
-        latencies = [j.latency_cycles for j in done]
-        speedups = [
-            j.result.speedup_pct for j in done
-            if j.result.speedup_pct is not None
-        ]
-        mean_latency = float(np.mean(latencies)) if latencies else 0.0
-        mean_speedup = float(np.mean(speedups)) if speedups else 0.0
-        name = self.policy.name
-        obs.set_gauge(f"service.{name}.mean_latency_cycles", mean_latency)
-        obs.set_gauge(f"service.{name}.mean_speedup_pct", mean_speedup)
-        obs.set_gauge(f"service.{name}.jobs_completed", float(len(done)))
-        # Makespan: first admission to the last worker's busy horizon —
-        # what the whole fleet had to stay rented for.
-        starts = [j.submitted_ns for j in jobs if j.submitted_ns is not None]
-        horizons = [w.busy_until_ns for w in self.fleet.workers]
-        makespan_s = 0.0
-        if starts and horizons:
-            makespan_s = max(0, max(horizons) - min(starts)) / 1e9
-        cost_usd = self.fleet.cost_usd()
-        hourly = self.fleet.hourly_rate
-        e2es = sorted(
-            j.timings["e2e_s"] for j in jobs if "e2e_s" in j.timings
-        )
-        e2e_p99 = percentile(e2es, 99)
-        obs.set_gauge(f"service.{name}.cost_usd", cost_usd)
-        return ServiceReport(
-            policy=name,
-            jobs_total=len(jobs),
-            completed=len(done),
-            failed=sum(1 for j in jobs if j.state == "failed"),
-            mean_latency_cycles=mean_latency,
-            mean_speedup_pct=mean_speedup,
-            worker_crashes=self.worker_crashes,
+        return summarize(
+            self.queue, self.fleet, policy=self.policy.name,
             objective=self.config.objective,
-            cost_usd=cost_usd,
-            fleet_hourly_usd=hourly,
-            makespan_s=makespan_s,
-            provisioned_usd=hourly * makespan_s / 3600.0,
-            e2e_p99_s=e2e_p99,
-            placements={
-                j.job_id: f"{j.worker} ({j.result.config})"
-                for j in done if j.worker is not None
-            },
-            statuses=[j.status() for j in jobs],
+            worker_crashes=self.worker_crashes,
         )
 
     # -- checkpointing -------------------------------------------------

@@ -27,14 +27,14 @@ Fault handling mirrors the sweep engine's crash-suspect protocol: a
 worker whose execution raises a *non-retryable* exception (retryable
 ones are retried in place by the service's
 :class:`~repro.resilience.retry.RetryPolicy`) is marked *suspect* and
-isolated — it takes no further placements until a fleet
-:meth:`WorkerFleet.reinstate`. The ``service.worker`` fault point makes
-those crashes injectable from a ``--fault-plan``.
+isolated — it takes no further placements for the life of the fleet.
+The ``service.worker`` fault point makes those crashes injectable from a
+``--fault-plan``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs import session as obs
 from repro.resilience.faults import fault_point
@@ -161,9 +161,6 @@ def parse_fleet_spec(spec: str) -> tuple[FleetEntry, ...]:
 class WorkerStats:
     """Per-worker lifetime accounting."""
 
-    completed: int = 0
-    failed: int = 0
-    cycles: float = 0.0
     busy_ns: int = 0                 # service-clock time spent on jobs
     cost_usd: float = 0.0            # busy time x this worker's rate
 
@@ -233,10 +230,7 @@ class Worker:
             fault_point(
                 "service.worker", detail=f"{self.name} job={job.job_id}"
             )
-            cycles = simulate(stream, program, self.config).cycles
-        self.stats.completed += 1
-        self.stats.cycles += cycles
-        return cycles
+            return simulate(stream, program, self.config).cycles
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flag = " SUSPECT" if self.suspect else ""
@@ -246,36 +240,28 @@ class Worker:
 def _expand(
     entries: tuple, *, data_capacity_scale: float, clock_hz: float
 ) -> list[Worker]:
-    """Expand fleet entries (or bare config names) into workers."""
+    """Expand fleet entries (or bare config names) into workers: one per
+    count for a Table IV config, ``cores`` per count for an instance
+    type, each billed the per-core share of the unit's hourly rate."""
     workers: list[Worker] = []
     for entry in entries:
         if isinstance(entry, str):
             entry = FleetEntry(name=entry)
         instance = entry.instance
-        if instance is None:
-            rate = (entry.rate_per_hour if entry.rate_per_hour is not None
-                    else DEFAULT_RATE_PER_HOUR)
-            for _ in range(entry.count):
-                i = len(workers)
-                workers.append(Worker(
-                    f"w{i}:{entry.name}", entry.name,
-                    data_capacity_scale=data_capacity_scale,
-                    rate_per_hour=rate, clock_hz=clock_hz,
-                ))
-        else:
-            instance_rate = (
-                entry.rate_per_hour if entry.rate_per_hour is not None
-                else instance.rate_per_hour
-            )
-            for _ in range(entry.count * instance.cores):
-                i = len(workers)
-                workers.append(Worker(
-                    f"w{i}:{instance.name}", instance.config_name,
-                    data_capacity_scale=data_capacity_scale,
-                    instance=instance,
-                    rate_per_hour=instance_rate / instance.cores,
-                    clock_hz=clock_hz * instance.clock_scale(),
-                ))
+        cores = instance.cores if instance else 1
+        unit_rate = entry.rate_per_hour
+        if unit_rate is None:
+            unit_rate = (instance.rate_per_hour if instance
+                         else DEFAULT_RATE_PER_HOUR)
+        for _ in range(entry.count * cores):
+            workers.append(Worker(
+                f"w{len(workers)}:{entry.name}",
+                instance.config_name if instance else entry.name,
+                data_capacity_scale=data_capacity_scale,
+                instance=instance,
+                rate_per_hour=unit_rate / cores,
+                clock_hz=clock_hz * (instance.clock_scale() if instance else 1.0),
+            ))
     return workers
 
 
@@ -315,36 +301,10 @@ class WorkerFleet:
         — the set continuous admission may place onto right now."""
         return [w for w in self.available() if w.busy_until_ns <= now_ns]
 
-    def next_free_ns(self) -> int | None:
-        """The earliest busy horizon among available workers, or ``None``
-        if every worker is isolated. Virtual-clock dispatch advances time
-        here when all available workers are mid-job."""
-        horizons = [w.busy_until_ns for w in self.available()]
-        return min(horizons) if horizons else None
-
-    def isolate(self, worker: Worker, reason: str = "") -> None:
+    def isolate(self, worker: Worker) -> None:
         """Mark ``worker`` crash-suspect; it receives no further jobs."""
         worker.suspect = True
-        worker.stats.failed += 1
-
-    def reinstate(self, worker: Worker) -> None:
-        """Return an isolated worker to service (operator action)."""
-        worker.suspect = False
 
     def get(self, name: str) -> Worker:
         """The worker called ``name`` (KeyError if unknown)."""
         return self._by_name[name]
-
-    def __len__(self) -> int:
-        return len(self.workers)
-
-    def describe(self) -> str:
-        """One line per worker: name, config, rate, stats, suspect flag."""
-        lines = []
-        for w in self.workers:
-            flag = "  [ISOLATED]" if w.suspect else ""
-            lines.append(
-                f"{w.name}: {w.config_name} ${w.rate_per_hour:.4f}/h "
-                f"completed={w.stats.completed} failed={w.stats.failed}{flag}"
-            )
-        return "\n".join(lines)

@@ -26,7 +26,7 @@ import pytest
 
 from repro.api import ServiceConfig, table3_requests
 from repro.cli import main
-from repro.loadgen.clock import VirtualClock
+from repro.service.clock import VirtualClock
 from repro.obs import diff_runs, load_run, render_run
 from repro.service import (
     EXAMPLE_FLEETS,

@@ -169,3 +169,85 @@ class TestClosedLoop:
         assert leg.shed == 0
         assert leg.admitted == leg.offered
         assert leg.completed == leg.offered
+
+
+class TestOneAdvanceRule:
+    """The driver's between-arrival drain and the service's own drain
+    are one loop over ``TranscodeService.step``."""
+
+    #: ``poisson 20 req/s x 5 s, seed 7, queue_capacity=8`` under the
+    #: default ``throughput`` objective, as the pre-ledger driver
+    #: (``_drain_until``) reported it. Under ``throughput`` a pump with
+    #: a free worker always places, so the two loops never differed and
+    #: these numbers must not move.
+    THROUGHPUT_LEG = {
+        "rate": 20.0,
+        "arrivals": "poisson(rate=20/s, seed=7)",
+        "schedule_digest": "0cc5a0e1702992c7ecc1c85d2a428c2337"
+                           "f4b633acffcb62f8b12d6768350faf",
+        "offered": 98,
+        "admitted": 79,
+        "shed": 19,
+        "completed": 79,
+        "failed": 0,
+        "duration_s": 5.0,
+        "makespan_s": 5.363705408,
+        "achieved_rps": 14.72862396248888,
+        "queue_wait_p50_s": 0.404711715,
+        "queue_wait_p90_s": 0.5393123014,
+        "queue_wait_p99_s": 0.60709338266,
+        "e2e_p50_s": 0.624388475,
+        "e2e_p90_s": 0.8682145478,
+        "e2e_p99_s": 0.92823726842,
+        "cost_usd": 0.0005148079073458334,
+        "provisioned_usd": 0.0005065721774222223,
+        "cost_per_completed_usd": 6.516555789187764e-06,
+        "jobs_per_dollar": 155950.13607341168,
+    }
+
+    def test_throughput_leg_equals_the_pre_ledger_driver(self):
+        spec = LoadtestSpec(arrivals="poisson", rates=(20.0,),
+                            duration_s=5.0, seed=7)
+        report = run_loadtest(spec, ServiceConfig(queue_capacity=8, **QUICK))
+        payload = report.legs[0].to_payload()
+        assert list(payload) == list(self.THROUGHPUT_LEG)
+        for key, expected in self.THROUGHPUT_LEG.items():
+            if isinstance(expected, float):
+                assert payload[key] == pytest.approx(expected, rel=1e-12), key
+            else:
+                assert payload[key] == expected, key
+
+    def test_waiting_job_is_placed_at_the_horizon_not_the_next_arrival(
+            self, monkeypatch):
+        # min-cost, one cheap and one expensive worker, arrivals every
+        # 125 ms: job 1 takes the cheap worker until ~127 ms, job 2
+        # arrives at 125 ms and *waits* for it rather than pay 100x. The
+        # old drain gave up at the first pump that placed nothing and
+        # postponed job 2 to the 250 ms arrival (queue_wait 125 ms); in
+        # real time the dispatch happens when the cheap worker frees up.
+        from repro.loadgen import driver
+        from repro.service import TranscodeService, parse_fleet_spec
+
+        created = []
+
+        class Spy(TranscodeService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(driver, "TranscodeService", Spy)
+        config = ServiceConfig(
+            fleet=parse_fleet_spec("fe_op:1:$0.01,be_op1:1:$1.0"),
+            objective="min-cost", width=48, height=32, n_frames=3,
+        )
+        spec = LoadtestSpec(arrivals="fixed", rates=(8.0,),
+                            duration_s=3.5 / 8.0, mix="table3", seed=0)
+        (leg,) = run_loadtest(spec, config).legs
+        assert (leg.offered, leg.completed) == (3, 3)
+        first, second, third = created[0].statuses()
+        assert {first.worker, second.worker, third.worker} == {"w0:fe_op"}
+        horizon_s = first.timings["encode_s"]          # job 1 ran from t=0
+        assert 0.125 < horizon_s < 0.250               # frees up in between
+        assert second.timings["queue_wait_s"] == pytest.approx(
+            horizon_s - 0.125, abs=1e-9
+        )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.loadgen.clock import Clock, VirtualClock, WallClock
+from repro.service.clock import Clock, VirtualClock, WallClock
 
 
 class TestWallClock:
@@ -33,16 +33,6 @@ class TestVirtualClock:
         assert clock.now_ns() == 1_000
         clock.advance_to_ns(1_000)  # same instant: also a no-op
         assert clock.now_ns() == 1_000
-
-    def test_advance_s_accumulates(self):
-        clock = VirtualClock()
-        clock.advance_s(1.5)
-        clock.advance_s(0.25)
-        assert clock.now_ns() == 1_750_000_000
-
-    def test_advance_s_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            VirtualClock().advance_s(-0.1)
 
     def test_interface_is_abstract(self):
         with pytest.raises(NotImplementedError):

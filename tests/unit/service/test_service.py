@@ -158,6 +158,88 @@ class TestCrashIsolation:
         assert len(service.fleet.available()) == len(DEFAULT_FLEET)
 
 
+class TestTerminalAccounting:
+    """Regression: every way a job can end goes through the one terminal
+    transition, so a job that fails *without a placement* still gets its
+    ``e2e_s`` stamp, its stage sample and its deadline accounting (at
+    the parent a ``deadline_miss_rate`` SLO read 0 / 0 on a run where
+    every deadline was missed)."""
+
+    def _run(self, config, requests, plan=None):
+        from repro.obs import telemetry_session
+        from repro.service.clock import VirtualClock
+
+        if plan:
+            resilience.configure(fault_plan=plan)
+        with telemetry_session() as tel:
+            service = TranscodeService(config, clock=VirtualClock())
+            service.submit_many(requests)
+            report = service.run_until_idle()
+            state = tel.metrics.export_state()
+        return service, report, state
+
+    @staticmethod
+    def _e2e_samples(state):
+        return sum(
+            hist["count"] for key, hist in state["histograms"].items()
+            if key.startswith("service.stage_latency_s")
+            and 'stage="e2e"' in key
+        )
+
+    def test_shed_jobs_get_terminal_accounting(self):
+        requests = [
+            TranscodeRequest(clip=r.clip, preset=r.preset, crf=r.crf,
+                             refs=r.refs, deadline_ms=0.001)
+            for r in table3_requests(4)
+        ]
+        service, report, state = self._run(
+            ServiceConfig(objective="min-cost", **TINY), requests
+        )
+        assert report.failed == 4
+        counters = state["counters"]
+        assert counters["service.jobs_failed"] == 4
+        assert counters["service.jobs_shed_infeasible"] == 4
+        assert counters["service.jobs_with_deadline"] == 4
+        assert counters["service.deadline_misses"] == 4
+        for status in service.statuses():
+            assert status.state == "failed"
+            assert "no feasible worker" in status.error
+            assert "e2e_s" in status.timings
+        assert self._e2e_samples(state) == 4
+
+    def test_jobs_left_with_no_worker_get_terminal_accounting(self):
+        requests = [
+            TranscodeRequest(clip=clip, deadline_ms=60_000.0)
+            for clip in ("cricket", "holi", "desktop")
+        ]
+        service, report, state = self._run(
+            ServiceConfig(fleet=("fe_op",), max_attempts=5, **TINY),
+            requests, plan="service.worker,raise=RuntimeError",
+        )
+        assert report.failed == 3 and report.worker_crashes == 1
+        errors = [s.error for s in service.statuses()]
+        assert "isolated" in errors[0]
+        assert errors[1:] == ["no workers available (all isolated)"] * 2
+        assert all("e2e_s" in s.timings for s in service.statuses())
+        counters = state["counters"]
+        assert counters["service.jobs_with_deadline"] == 3
+        assert counters["service.deadline_misses"] == 3
+        assert self._e2e_samples(state) == 3
+
+    def test_jobs_the_policy_never_places_get_terminal_accounting(self):
+        from repro.service.clock import VirtualClock
+
+        service = TranscodeService(ServiceConfig(**TINY), clock=VirtualClock())
+        service.policy.place = lambda jobs, workers, counters: {}
+        service.submit(TranscodeRequest(clip="cricket", priority=1))
+        service.submit(TranscodeRequest(clip="holi", priority=5))
+        report = service.run_until_idle()
+        assert report.failed == 2 and service.queue.pending() == 0
+        for status in service.statuses():
+            assert status.error == "placement policy returned no placement"
+            assert status.timings == {"e2e_s": 0.0}
+
+
 class TestVirtualClockTimings:
     """Regression: queue wait is stamped at *placement*, not round
     start. The old round-based loop folded earlier batch members'
@@ -167,7 +249,7 @@ class TestVirtualClockTimings:
     scenario over the virtual clock."""
 
     def _drained(self):
-        from repro.loadgen.clock import VirtualClock
+        from repro.service.clock import VirtualClock
 
         service = TranscodeService(
             ServiceConfig(fleet=("fe_op",), **TINY),
