@@ -8,8 +8,9 @@ paper's 816-combination grids — hours).
 
 The sweep-driven figures (3, 4, 5) share one memoized sweep per session,
 so their combined cost is one sweep plus rendering. The whole harness
-routes through the sweep engine's cache-then-compute path: set
-``REPRO_JOBS=N`` to shard sweeps across N worker processes and
+routes through the sweep engine's cache-then-compute path, under the
+environment's ``Settings`` (installed once, in ``pytest_configure``):
+set ``REPRO_JOBS=N`` to shard sweeps across N worker processes and
 ``REPRO_CACHE_DIR=DIR`` to persist results on disk, which makes repeat
 benchmark runs (e.g. before/after an encoder change at ``full`` scale)
 near-free for unchanged code.
@@ -21,6 +22,7 @@ import os
 
 import pytest
 
+from repro.api.settings import Settings
 from repro.codec import kernels
 from repro.experiments import parallel
 from repro.experiments.runner import SCALES
@@ -28,10 +30,12 @@ from repro.experiments.runner import SCALES
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "paperfig: regenerates a paper figure/table")
+    # Nothing below repro.api reads the environment: opt in, once.
+    Settings.from_env().apply()
 
 
 def pytest_collection_modifyitems(items):
-    """Honor the kernel backend switch (see :mod:`repro.codec.kernels`).
+    """Honor the installed kernel backend (see :mod:`repro.codec.kernels`).
 
     The figures here are *performance* measurements; on the scalar
     reference backend the absolute timings are meaningless (10-40x slower

@@ -365,10 +365,9 @@ def loadtest(
 ) -> LoadtestReport:
     """Run an open-loop sustained-traffic load test against the service.
 
-    With ``spec`` omitted, one is built from ``settings`` (or the
-    environment's ``REPRO_LOADTEST_*`` variables, or the defaults):
-    arrival process, offered rate(s), duration, and workload mix. Each
-    rate runs as one leg on a fresh
+    With ``spec`` omitted, one is built from ``settings`` (else the
+    :class:`LoadtestSpec` defaults): arrival process, offered rate(s),
+    duration, and workload mix. Each rate runs as one leg on a fresh
     :class:`~repro.service.service.TranscodeService` over a virtual
     clock, so even multi-minute scenarios finish in wall milliseconds —
     see :func:`repro.loadgen.run_loadtest` for the mechanics.

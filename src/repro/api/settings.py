@@ -9,14 +9,16 @@ precedence order is
 
     **CLI flag > environment variable > built-in default**
 
-:meth:`Settings.apply` pushes the resolved values into the subsystems as
-overrides. The subsystems keep their own environment fallbacks
-(``REPRO_JOBS`` in the sweep engine, ``REPRO_KERNELS`` in the codec
-dispatch, ``REPRO_FAULT_PLAN``, ...), which an installed override shadows
-and which library callers that never ``apply`` a ``Settings`` — or that
-call :meth:`Settings.reset` — still get. Fields no subsystem holds
-(the service and loadtest knobs) are read off the resolved record by the
-command that owns them.
+and this module is the only place the environment is read:
+:meth:`Settings.env_overrides` walks the rows once. The subsystems (the
+sweep engine, the resilience layer, the kernel dispatch) each hold one
+plain value per knob, initialised to the built-in default and written
+only by :meth:`Settings.apply` — so what is installed *is* the applied
+record, whatever is exported afterwards. ``Settings().apply()`` installs
+the built-in defaults, ``Settings.from_env().apply()`` the environment;
+a library caller that applies nothing runs the defaults. Fields no
+subsystem holds (the service and loadtest knobs) are read off the
+resolved record by the command that owns them.
 """
 
 from __future__ import annotations
@@ -242,30 +244,18 @@ class Settings:
         return replace(settings, **updates) if updates else settings  # type: ignore[arg-type]
 
     def apply(self) -> "Settings":
-        """Install this configuration process-wide: the sweep engine,
-        resilience layer and kernel dispatch take the values as overrides
-        that shadow their environment fallbacks until :meth:`reset` or
-        another ``apply``. Returns ``self``."""
+        """Install this record process-wide: afterwards the sweep engine,
+        resilience layer and kernel dispatch hold exactly these values,
+        until the next ``apply``. Returns ``self``."""
         from repro import resilience
         from repro.experiments import parallel as engine
 
         engine.configure(
             jobs=self.jobs,
-            cache_dir=self.cache_dir if self.cache_enabled else False,
+            cache_dir=self.cache_dir if self.cache_enabled else None,
         )
         resilience.configure(
             fault_plan=self.fault_plan or None, retry=self.retry
         )
         _kernels.select_backend(self.kernels)
         return self
-
-    @staticmethod
-    def reset() -> None:
-        """Undo :meth:`apply`: restore every subsystem's env-fallback
-        behaviour (used by tests and by long-lived embedding hosts)."""
-        from repro import resilience
-        from repro.experiments import parallel as engine
-
-        engine.configure(jobs=None, cache_dir=None)
-        resilience.reset()
-        _kernels.select_backend(None)

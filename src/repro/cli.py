@@ -35,10 +35,11 @@ Examples::
 
 Every ``Settings``-backed flag is declared once, from its row of
 :data:`repro.api.settings.FIELD_TABLE` (:func:`add_settings_flags`), and
-falls back to the row's environment variable with one documented
-precedence order — **CLI flag > environment > default** — implemented by
+falls back to the row's ``$REPRO_*`` variable with one documented
+precedence order — **CLI flag > env var > default** — implemented by
 :meth:`repro.api.Settings.resolve`. Subcommands read only the resolved
-``Settings``. The full knob catalogue lives in ``docs/CONFIGURATION.md``.
+``Settings``; none of them, and nothing they call, reads a variable
+itself. The full knob catalogue lives in ``docs/CONFIGURATION.md``.
 
 A sweep whose cells exhaust their retry budget does not abort: every
 computable cell completes and is stored, the failures are summarized on
@@ -74,7 +75,7 @@ exits 4 on a regression against a clean baseline artifact (1, before
 measuring, if the baseline is missing, dirty or not ``repro-bench/v2``),
 and ``--history DIR`` instead renders the speedup trend over past
 artifacts and exits 5 when the rolling-window detector flags drift.
-Both are plain flags: no environment variable changes which of the two
+Both are plain flags: no ``$REPRO_*`` variable changes which of the two
 runs. See ``docs/BENCHMARKS.md``.
 """
 
@@ -133,7 +134,7 @@ def add_settings_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
 
 def _resolve_settings(parser: argparse.ArgumentParser, args) -> Settings:
     """Resolve the flags :func:`add_settings_flags` declared (CLI flag >
-    environment > default); an invalid value is a usage error."""
+    env var > default); an invalid value is a usage error."""
     flags = {}
     for field in args.settings_fields:
         knob = FIELD_TABLE[field]
@@ -219,7 +220,8 @@ def _cache_main(argv: list[str]) -> int:
 
     from repro.experiments.cache import ResultCache, default_cache_dir
 
-    cache = ResultCache(args.cache_dir or default_cache_dir())
+    settings = _resolve_settings(parser, args)
+    cache = ResultCache(settings.cache_dir or default_cache_dir())
     if args.action == "stats":
         print(cache.stats().render())
     else:
@@ -234,14 +236,13 @@ def _backends_main(argv: list[str]) -> int:
         prog="repro backends",
         description="List the kernel backends and mark the active one.",
     )
-    parser.parse_args(argv)
+    add_settings_flags(parser)  # no flag of its own: $REPRO_KERNELS alone
+    args = parser.parse_args(argv)
 
     from repro.codec import kernels
 
-    try:
-        active = kernels.active_backend()
-    except ValueError as exc:  # a bad REPRO_KERNELS
-        parser.error(str(exc))
+    _resolve_settings(parser, args).apply()
+    active = kernels.active_backend()
     rows = kernels.all_backends()
     name_w = max(len(row.name) for row in rows)
     print(f"  {'backend':<{name_w}}  description")
@@ -865,7 +866,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.experiments.runner import SweepFailure
 
     # Everything process-wide goes through one resolved Settings:
-    # CLI flag > environment variable > default.
+    # CLI flag > env var > default.
     settings = _resolve_settings(parser, args).apply()
 
     ids = list(EXPERIMENT_IDS) if args.experiment == "all" else [args.experiment]

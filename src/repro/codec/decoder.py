@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.codec import kernels
 from repro.codec.chroma import decode_chroma_plane
 from repro.codec.deblock import deblock_plane
 from repro.codec.entropy import (
@@ -132,7 +131,6 @@ class Decoder:
         self.tracer = tracer if tracer is not None else NullTracer()
 
     def decode(self, bitstream: bytes) -> DecodeResult:
-        kernels.active_backend()  # bind kernel dispatch once per decode
         reader = BitReader(bitstream)
         width = read_ue(reader)
         height = read_ue(reader)

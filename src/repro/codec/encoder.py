@@ -15,11 +15,10 @@ is not traced.
 
 The hot kernels the encoder calls (transform, motion, intra, deblock,
 entropy, chroma) are backend-dispatched via :mod:`repro.codec.kernels`
-(``REPRO_KERNELS=reference|vectorized``), bound once per
-:meth:`Encoder.encode` so the backend cannot change mid-encode; the
-encoder itself hoists the per-macroblock float casts into one cast per
-frame. Both backends produce bit-identical bitstreams, reconstructions,
-and traces.
+(``reference`` | ``vectorized``), bound whenever the selection changes
+rather than asked per call; the encoder itself hoists the
+per-macroblock float casts into one cast per frame. Both backends
+produce bit-identical bitstreams, reconstructions, and traces.
 """
 
 from __future__ import annotations
@@ -156,7 +155,6 @@ class Encoder:
     # ------------------------------------------------------------------
     def encode(self, video: FrameSequence) -> EncodeResult:
         fault_point("encoder.encode", detail=video.name)
-        kernels.active_backend()  # bind kernel dispatch once per encode
         with obs.span(
             "encode",
             preset=self.options.preset_name,

@@ -13,20 +13,17 @@ Bit-identity is a hard contract, enforced by
 ``tests/property/test_kernel_equivalence.py``, so sweep cache entries,
 golden trends, and the µarch traces are backend-independent.
 
-The backend resolves, in order, from the innermost
-:func:`backend_scope`, an explicit :func:`select_backend`
-(`Settings.apply` routes here), the ``REPRO_KERNELS`` environment
-variable, and the default. Resolution is *bound*, not asked per call:
-:func:`active_backend` stores it in a module flag that
-:func:`is_vectorized` merely reads. Binding happens when
-the selection changes and at the codec entry points (``Encoder.encode``,
-``decoder.decode``), so a flipped ``REPRO_KERNELS`` takes effect at the
-next encode/decode and a backend never changes in the middle of one.
+Two levels, outermost wins: the innermost :func:`backend_scope`, else
+the one process-wide selection :func:`select_backend` installs
+(``Settings.apply`` routes here; it starts at :data:`DEFAULT_BACKEND`).
+``REPRO_KERNELS`` is not read here: it reaches this module only through
+:class:`repro.api.Settings`. Dispatch is *bound*, not asked per call:
+whenever the selection changes, the choice is stored in a module flag
+that :func:`is_vectorized` merely reads.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator, NamedTuple
 
@@ -43,7 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_BACKEND = "vectorized"
-_ENV_VAR = "REPRO_KERNELS"
 
 
 class BackendInfo(NamedTuple):
@@ -63,8 +59,8 @@ _BACKENDS: dict[str, BackendInfo] = {
 #: The two backend names, oracle first.
 KERNEL_BACKENDS: tuple[str, ...] = tuple(_BACKENDS)
 
-#: ``select_backend``'s choice; ``None`` defers to the environment / default.
-_forced: str | None = None
+#: The process-wide selection (``select_backend``).
+_selected = DEFAULT_BACKEND
 #: Stack of ``backend_scope`` overrides; the innermost wins.
 _override_stack: list[str] = []
 #: The bound selection, as the flag the dispatch sites read.
@@ -82,37 +78,20 @@ def validate_backend(name: str) -> str:
     :func:`select_backend` and :func:`backend_scope`."""
     if name not in _BACKENDS:
         raise ValueError(
-            f"unknown kernel backend {name!r} (--kernels / {_ENV_VAR}); "
+            f"unknown kernel backend {name!r} (--kernels / REPRO_KERNELS); "
             f"expected one of {', '.join(_BACKENDS)}"
         )
     return name
 
 
 def active_backend() -> str:
-    """Resolve the selection, bind the dispatch flag, return the name.
+    """The bound backend: the innermost scope, else the selection."""
+    return _override_stack[-1] if _override_stack else _selected
 
-    The only place the environment is read: the hot predicate is a
-    plain flag read.
-    """
+
+def _bind() -> None:
     global _vectorized
-    if _override_stack:
-        name = _override_stack[-1]
-    elif _forced is not None:
-        name = _forced
-    else:
-        raw = os.environ.get(_ENV_VAR, "").strip().lower()
-        name = validate_backend(raw) if raw else DEFAULT_BACKEND
-    _vectorized = name != "reference"
-    return name
-
-
-def _rebind() -> None:
-    """Bind after a selection change; a bad ``REPRO_KERNELS`` is left
-    for the next entry point (or ``Settings.from_env``) to report."""
-    try:
-        active_backend()
-    except ValueError:
-        pass
+    _vectorized = active_backend() != "reference"
 
 
 def is_vectorized() -> bool:
@@ -120,12 +99,12 @@ def is_vectorized() -> bool:
     return _vectorized
 
 
-def select_backend(name: str | None) -> None:
-    """Select a backend process-wide (``None`` reverts to env/default);
-    unknown names raise ``ValueError`` eagerly."""
-    global _forced
-    _forced = None if name is None else validate_backend(name)
-    _rebind()
+def select_backend(name: str) -> None:
+    """Select a backend process-wide; unknown names raise ``ValueError``
+    eagerly and leave the selection as it was."""
+    global _selected
+    _selected = validate_backend(name)
+    _bind()
 
 
 @contextmanager
@@ -133,12 +112,9 @@ def backend_scope(name: str) -> Iterator[str]:
     """Scoped backend override (nestable; the innermost context wins);
     the previous backend is restored even when the body raises."""
     _override_stack.append(validate_backend(name))
+    _bind()
     try:
-        _rebind()
         yield name
     finally:
         _override_stack.pop()
-        _rebind()
-
-
-_rebind()  # honour REPRO_KERNELS for kernels called before any entry point
+        _bind()

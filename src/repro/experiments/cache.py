@@ -160,11 +160,8 @@ def record_from_payload(payload: dict[str, object]) -> SweepRecord:
 # ----------------------------------------------------------------------
 
 def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro/sweeps``,
-    else ``~/.cache/repro/sweeps``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
+    """Where ``repro cache`` looks when no directory is configured:
+    ``$XDG_CACHE_HOME/repro/sweeps``, else ``~/.cache/repro/sweeps``."""
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro" / "sweeps"

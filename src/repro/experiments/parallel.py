@@ -30,15 +30,15 @@ A third invariant was added with the resilience layer:
   can degrade to partial results instead of aborting a whole campaign;
   :func:`fan_out` keeps the historical all-or-nothing contract on top.
 
-Process-wide defaults (worker count, cache directory) are set by
-:func:`configure` — the CLI's ``--jobs`` / ``--cache-dir`` flags land
-here — and fall back to the ``REPRO_JOBS`` / ``REPRO_CACHE_DIR``
-environment variables, which is how the benchmark harness opts in.
+The process-wide worker count and result cache are two plain values,
+serial and uncached until :func:`configure` installs others;
+:meth:`repro.api.Settings.apply` is its one caller, which is how
+``--jobs`` / ``--cache-dir`` and ``REPRO_JOBS`` / ``REPRO_CACHE_DIR``
+arrive. Forked workers inherit them as module state.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from collections.abc import Callable, Sequence
@@ -63,70 +63,32 @@ __all__ = [
     "run_tasks",
 ]
 
-_JOBS_ENV = "REPRO_JOBS"
-_CACHE_ENV = "REPRO_CACHE_DIR"
-
-_UNSET = object()
-
-#: Process-wide overrides; ``None`` means "fall back to the environment".
-_configured_jobs: int | None = None
-_configured_cache: ResultCache | None = None
-_cache_disabled: bool = False
+#: The installed engine configuration (``configure``).
+_jobs = 1
+_cache: ResultCache | None = None
 
 _P = TypeVar("_P")
 _R = TypeVar("_R")
 
 
-def configure(*, jobs: object = _UNSET, cache_dir: object = _UNSET) -> None:
-    """Set process-wide sweep-engine defaults.
-
-    ``jobs``: a worker count, or ``None`` to fall back to ``REPRO_JOBS``.
-    ``cache_dir``: a directory for the persistent result cache, ``False``
-    to disable caching entirely, or ``None`` to fall back to
-    ``REPRO_CACHE_DIR``. Arguments left unset keep their current value.
-    """
-    global _configured_jobs, _configured_cache, _cache_disabled
-    if jobs is not _UNSET:
-        if jobs is None:
-            _configured_jobs = None
-        else:
-            _configured_jobs = max(int(jobs), 1)  # type: ignore[arg-type]
-    if cache_dir is not _UNSET:
-        if cache_dir is False:
-            _configured_cache = None
-            _cache_disabled = True
-        elif cache_dir is None:
-            _configured_cache = None
-            _cache_disabled = False
-        else:
-            _configured_cache = ResultCache(Path(cache_dir))  # type: ignore[arg-type]
-            _cache_disabled = False
+def configure(*, jobs: int, cache_dir: Path | None) -> None:
+    """Install the process-wide worker count (>= 1) and the persistent
+    result cache's directory (``None``: no persistent cache)."""
+    global _jobs, _cache
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _jobs = jobs
+    _cache = None if cache_dir is None else ResultCache(cache_dir)
 
 
 def default_jobs() -> int:
-    """The configured worker count, else ``REPRO_JOBS``, else 1."""
-    if _configured_jobs is not None:
-        return _configured_jobs
-    env = os.environ.get(_JOBS_ENV, "").strip()
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            pass
-    return 1
+    """The installed worker count."""
+    return _jobs
 
 
 def default_cache() -> ResultCache | None:
-    """The configured result cache, else one at ``REPRO_CACHE_DIR``,
-    else ``None`` (persistent caching off)."""
-    if _cache_disabled:
-        return None
-    if _configured_cache is not None:
-        return _configured_cache
-    env = os.environ.get(_CACHE_ENV, "").strip()
-    if env:
-        return ResultCache(Path(env))
-    return None
+    """The installed result cache, or ``None`` (persistent caching off)."""
+    return _cache
 
 
 @dataclass

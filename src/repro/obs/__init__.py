@@ -42,7 +42,6 @@ from repro.obs.session import (
     current_trace_context,
     enabled,
     inc,
-    merge_worker_metrics,
     merge_worker_state,
     observe,
     reset_for_subprocess,
@@ -129,7 +128,6 @@ __all__ = [
     "latency_buckets",
     "load_run",
     "load_slo_spec",
-    "merge_worker_metrics",
     "merge_worker_state",
     "observe",
     "parse_label_key",

@@ -28,8 +28,7 @@ slot (:func:`reset_for_subprocess`), opens its own session *under that
 context*, and ships ``Telemetry.export_state()`` back with its results.
 The parent folds the whole thing — metrics *and* the worker's span tree,
 re-parented under the span that spawned the work — with
-:func:`merge_worker_state`. (:func:`merge_worker_metrics` remains as the
-metrics-only path for callers that have no span payload.)
+:func:`merge_worker_state`.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "inc",
     "observe",
     "set_gauge",
-    "merge_worker_metrics",
     "merge_worker_state",
     "reset_for_subprocess",
 ]
@@ -172,21 +170,6 @@ def set_gauge(name: str, value: float,
         tel.metrics.gauge(name, labels).set(value)
 
 
-def merge_worker_metrics(state: dict[str, object] | None) -> None:
-    """Fold a worker process's exported metrics registry state into the
-    active session (no-op if disabled or ``state`` is empty).
-
-    Metrics-only path: counters add, gauges last-write-win, histograms
-    merge bucket-by-bucket. Callers holding a full
-    :meth:`Telemetry.export_state` payload (spans included) should use
-    :func:`merge_worker_state` instead so the worker's span tree lands in
-    the artifact too.
-    """
-    tel = _current
-    if tel is not None and state:
-        tel.metrics.merge_state(state)
-
-
 def merge_worker_state(state: dict[str, object] | None) -> None:
     """Fold a worker's full :meth:`Telemetry.export_state` payload —
     metrics *and* span tree — into the active session.
@@ -197,15 +180,10 @@ def merge_worker_state(state: dict[str, object] | None) -> None:
     space, so the Chrome-trace export shows one flame graph spanning
     submit → worker compute across the process boundary. Each adopted
     span is tagged with the worker's ``trace`` id so per-trace timelines
-    can be filtered back out. No-op if disabled or ``state`` is empty;
-    bare metrics payloads (no ``spans`` key) degrade to
-    :func:`merge_worker_metrics` behaviour.
+    can be filtered back out. No-op if disabled or ``state`` is empty.
     """
     tel = _current
     if tel is None or not state:
-        return
-    if "metrics" not in state and "spans" not in state:
-        tel.metrics.merge_state(state)  # legacy metrics-only payload
         return
     metrics = state.get("metrics")
     if metrics:

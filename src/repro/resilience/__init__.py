@@ -18,18 +18,20 @@ in the result cache (:mod:`repro.experiments.cache`), the moment it
 completes, so an interrupted sweep is resumed by re-running the same
 command with the same ``--cache-dir``.
 
-Process-wide configuration mirrors the parallel engine's: the CLI's
-``--fault-plan`` flag and the resolved retry policy land in
-:func:`configure`, and everything falls back to the ``REPRO_FAULT_PLAN``
-/ ``REPRO_RETRY_*`` environment variables.
+Process-wide configuration mirrors the parallel engine's: one installed
+fault plan (none by default) and one retry policy (``RetryPolicy()`` by
+default), both written by :func:`configure`, which
+:meth:`repro.api.Settings.apply` calls — that is how ``--fault-plan``,
+``REPRO_FAULT_PLAN`` and ``REPRO_RETRY_*`` arrive.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.resilience.faults import (
     FaultSpec,
     InjectedFault,
-    clear_plan,
     fault_point,
     format_fault_plan,
     install_plan,
@@ -42,53 +44,30 @@ __all__ = [
     "InjectedFault",
     "RetryPolicy",
     "call_with_retry",
-    "clear_plan",
     "configure",
     "fault_point",
     "format_fault_plan",
     "install_plan",
     "parse_fault_plan",
-    "reset",
     "retry_policy",
 ]
 
-_UNSET = object()
-
-#: Process-wide override; ``None`` means "fall back to the environment".
-_retry_override: RetryPolicy | None = None
+#: The installed retry policy (``configure``).
+_retry = RetryPolicy()
 
 
-def configure(*, fault_plan: object = _UNSET, retry: object = _UNSET) -> None:
-    """Set process-wide resilience defaults (the CLI flags land here).
-
-    ``fault_plan``: a plan string/spec sequence, ``None`` to fall back to
-    ``REPRO_FAULT_PLAN``, or ``False`` to disable injection outright.
-    ``retry``: a :class:`RetryPolicy`, or ``None`` for ``REPRO_RETRY_*``.
-    Arguments left unset keep their current value.
-    """
-    global _retry_override
-    if fault_plan is not _UNSET:
-        if fault_plan is None:
-            clear_plan()
-        elif fault_plan is False:
-            install_plan(None)
-        else:
-            install_plan(fault_plan)  # type: ignore[arg-type]
-    if retry is not _UNSET:
-        if retry is not None and not isinstance(retry, RetryPolicy):
-            raise TypeError("retry must be a RetryPolicy or None")
-        _retry_override = retry
+def configure(
+    *, fault_plan: str | Sequence[FaultSpec] | None, retry: RetryPolicy
+) -> None:
+    """Install the process-wide fault plan (``None``: no injection) and
+    retry policy."""
+    global _retry
+    if not isinstance(retry, RetryPolicy):
+        raise TypeError("retry must be a RetryPolicy")
+    install_plan(fault_plan)
+    _retry = retry
 
 
 def retry_policy() -> RetryPolicy:
-    """The configured policy, else one built from ``REPRO_RETRY_*``."""
-    if _retry_override is not None:
-        return _retry_override
-    return RetryPolicy.from_env()
-
-
-def reset() -> None:
-    """Restore every resilience default (tests)."""
-    global _retry_override
-    _retry_override = None
-    clear_plan()
+    """The installed retry policy."""
+    return _retry

@@ -31,10 +31,10 @@ reset at the start of every worker task
 on every run. The ``rate`` selector hashes (seed, site, index) — no
 global RNG state is consumed.
 
-Plans come from :func:`install_plan` (the CLI's ``--fault-plan``) or,
-when no plan was installed explicitly, the ``REPRO_FAULT_PLAN``
-environment variable. With no plan active a fault point is one global
-load and a ``None`` check.
+The active plan is whatever :func:`install_plan` last installed
+(``--fault-plan`` / ``REPRO_FAULT_PLAN`` arrive through
+:meth:`repro.api.Settings.apply`); none by default. With no plan active
+a fault point is one global load and a ``None`` check.
 """
 
 from __future__ import annotations
@@ -42,25 +42,22 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
 from repro.obs import session as obs
 
 __all__ = [
-    "FAULT_PLAN_ENV",
     "FaultSpec",
     "InjectedFault",
     "active_plan",
-    "clear_plan",
     "fault_point",
     "format_fault_plan",
     "install_plan",
     "parse_fault_plan",
     "reset_counters",
 ]
-
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: Exit status used by ``kill`` actions, distinctive in worker logs.
 KILL_EXIT_STATUS = 77
@@ -243,55 +240,33 @@ def format_fault_plan(specs: tuple[FaultSpec, ...] | list[FaultSpec]) -> str:
 # Installed plan + per-process trigger state.
 # ----------------------------------------------------------------------
 
-_UNSET = object()
-
-#: Explicit override: a plan tuple, None (explicitly off), or _UNSET
-#: (fall back to the environment variable).
-_override: object = _UNSET
-#: Cache of the last environment-variable parse, keyed by raw string so
-#: monkeypatched environments behave.
-_env_raw: str | None = None
-_env_plan: tuple[FaultSpec, ...] | None = None
+#: The installed plan; ``None`` (or empty) injects nothing.
+_plan: tuple[FaultSpec, ...] | None = None
 
 _counts: dict[str, int] = {}
 _activations: dict[int, int] = {}
 
 
 def install_plan(
-    plan: str | tuple[FaultSpec, ...] | list[FaultSpec] | None,
+    plan: str | Sequence[FaultSpec] | None,
 ) -> tuple[FaultSpec, ...] | None:
-    """Install ``plan`` process-wide (a plan string or spec sequence);
-    ``None`` explicitly disables injection regardless of the
-    environment. Resets trigger counters. Returns the installed specs."""
-    global _override
+    """Install ``plan`` process-wide (a plan string or spec sequence;
+    ``None`` turns injection off). Resets trigger counters. Returns the
+    installed specs."""
+    global _plan
     if plan is None:
-        _override = None
+        _plan = None
     elif isinstance(plan, str):
-        _override = parse_fault_plan(plan)
+        _plan = parse_fault_plan(plan)
     else:
-        _override = tuple(plan)
+        _plan = tuple(plan)
     reset_counters()
-    return _override  # type: ignore[return-value]
-
-
-def clear_plan() -> None:
-    """Drop any installed plan and fall back to ``REPRO_FAULT_PLAN``."""
-    global _override
-    _override = _UNSET
-    reset_counters()
+    return _plan
 
 
 def active_plan() -> tuple[FaultSpec, ...] | None:
-    """The effective plan: the installed override, else the parsed
-    environment variable, else ``None``."""
-    global _env_raw, _env_plan
-    if _override is not _UNSET:
-        return _override  # type: ignore[return-value]
-    raw = os.environ.get(FAULT_PLAN_ENV, "").strip()
-    if raw != _env_raw:
-        _env_raw = raw
-        _env_plan = parse_fault_plan(raw) if raw else None
-    return _env_plan
+    """The installed plan, or ``None``."""
+    return _plan
 
 
 def reset_counters(*, activations: bool = True) -> None:
@@ -316,7 +291,7 @@ def fault_point(site: str, detail: str = "") -> None:
     matching spec — raising its exception, sleeping its stall, or
     killing the process.
     """
-    plan = active_plan()
+    plan = _plan
     if not plan:
         return
     index = _counts.get(site, 0) + 1

@@ -14,10 +14,11 @@ reproduction harness:
   timeouts) retry; programming errors (``ValueError`` et al.) fail
   immediately so a genuinely broken cell cannot burn the retry budget.
 
-Environment knobs (all optional, read by :meth:`RetryPolicy.from_env`):
-``REPRO_RETRY_ATTEMPTS``, ``REPRO_RETRY_BASE_DELAY``,
-``REPRO_RETRY_GROWTH``, ``REPRO_RETRY_MAX_DELAY``,
-``REPRO_RETRY_JITTER``, ``REPRO_RETRY_SEED``.
+The ``REPRO_RETRY_*`` family (``ATTEMPTS``, ``BASE_DELAY``, ``GROWTH``,
+``MAX_DELAY``, ``JITTER``, ``SEED``; all optional) is read by
+:meth:`RetryPolicy.from_env`, which is the ``retry`` row's reader in
+:data:`repro.api.settings.FIELD_TABLE` and has no other caller: the
+policy in force is the one :func:`repro.resilience.configure` installed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import hashlib
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TypeVar
 
 from repro.obs import session as obs
@@ -53,24 +54,14 @@ DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (
 _ENV_PREFIX = "REPRO_RETRY_"
 
 
-def _env_float(name: str, default: float) -> float:
+def _env(name: str, default):
+    """``REPRO_RETRY_<name>`` as ``default``'s type; unset or malformed
+    reads as ``default``."""
     raw = os.environ.get(_ENV_PREFIX + name, "").strip()
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(_ENV_PREFIX + name, "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return default
+    try:
+        return type(default)(raw) if raw else default
+    except ValueError:
+        return default
 
 
 @dataclass(frozen=True)
@@ -96,18 +87,16 @@ class RetryPolicy:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
     @classmethod
-    def from_env(cls, **overrides: object) -> "RetryPolicy":
-        """A policy built from the ``REPRO_RETRY_*`` environment knobs,
-        with keyword overrides applied on top."""
-        policy = cls(
-            max_attempts=_env_int("ATTEMPTS", cls.max_attempts),
-            base_delay=_env_float("BASE_DELAY", cls.base_delay),
-            growth=_env_float("GROWTH", cls.growth),
-            max_delay=_env_float("MAX_DELAY", cls.max_delay),
-            jitter=_env_float("JITTER", cls.jitter),
-            seed=_env_int("SEED", cls.seed),
+    def from_env(cls) -> "RetryPolicy":
+        """A policy built from the ``REPRO_RETRY_*`` variables."""
+        return cls(
+            max_attempts=_env("ATTEMPTS", cls.max_attempts),
+            base_delay=_env("BASE_DELAY", cls.base_delay),
+            growth=_env("GROWTH", cls.growth),
+            max_delay=_env("MAX_DELAY", cls.max_delay),
+            jitter=_env("JITTER", cls.jitter),
+            seed=_env("SEED", cls.seed),
         )
-        return replace(policy, **overrides) if overrides else policy  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     def is_retryable(self, exc: BaseException) -> bool:

@@ -10,10 +10,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.settings import Settings
 from repro.codec.options import EncoderOptions
 from repro.trace.kernels import build_program
 from repro.video.frame import Frame, FrameSequence
 from repro.video.synthetic import SceneSpec, generate_scene
+
+
+def pytest_configure(config):
+    """Nothing below ``repro.api`` reads the environment, so the suite
+    opts in here: ``REPRO_JOBS=2 pytest`` (CI's parallel leg) runs the
+    engine sharded, ``REPRO_KERNELS=reference pytest`` runs the oracle."""
+    Settings.from_env().apply()
+
+
+@pytest.fixture(autouse=True)
+def environment_settings():
+    """Every test starts from, and is followed by, the environment's
+    ``Settings``: whatever a test installs (``main([...])``,
+    ``Settings(...).apply()``, ``resilience.configure``) is replaced on
+    the way out. Conftest autouse fixtures are set up first and so torn
+    down last — after ``monkeypatch`` has restored the environment."""
+    yield
+    Settings.from_env().apply()
 
 
 @pytest.fixture(scope="session")

@@ -273,10 +273,9 @@ class TestCliPartialResults:
 
     @pytest.fixture(autouse=True)
     def _trimmed_quick_scale(self, monkeypatch):
-        """Shrink the `quick` scale to a 2x2 grid of tiny cells and undo
-        every piece of process-wide state the CLI configures."""
-        from repro import resilience
-        from repro.experiments import parallel, runner
+        """Shrink the `quick` scale to a 2x2 grid of tiny cells and drop
+        the runner memo the CLI leaves behind."""
+        from repro.experiments import runner
 
         trimmed = runner.QUICK.with_updates(
             name="quick",
@@ -287,15 +286,8 @@ class TestCliPartialResults:
             refs_values=(1, 2),
         )
         monkeypatch.setitem(runner.SCALES, "quick", trimmed)
-        resilience.configure(
-            retry=resilience.RetryPolicy(
-                max_attempts=2, base_delay=0.0, jitter=0.0
-            )
-        )
         yield
         runner._RUNNERS.clear()
-        parallel.configure(jobs=None, cache_dir=None)
-        resilience.reset()
 
     def _clear_memo(self):
         from repro.experiments import runner

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import resilience
 from repro.api import ServiceConfig, loadtest
 from repro.cli import main
 from repro.loadgen import LoadtestSpec, run_loadtest
@@ -52,17 +51,9 @@ OVERLOAD_SPEC = LoadtestSpec(
 OVERLOAD_CONFIG = dict(queue_capacity=16, **QUICK)
 
 
-@pytest.fixture(autouse=True)
-def clean_resilience():
-    resilience.reset()
-    yield
-    resilience.reset()
-
-
 class TestOverload:
     @pytest.fixture(scope="class")
     def run(self):
-        resilience.reset()
         with telemetry_session() as tel:
             report = run_loadtest(
                 OVERLOAD_SPEC, ServiceConfig(**OVERLOAD_CONFIG)

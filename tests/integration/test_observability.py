@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import resilience
 from repro.api import ServiceConfig, serve, table3_requests
 from repro.cli import main
 from repro.obs import load_run, read_events_jsonl
@@ -24,13 +23,6 @@ from repro.obs.metrics import parse_label_key
 QUICK = dict(width=48, height=32, n_frames=4)
 
 SPEC = Path(__file__).resolve().parents[2] / "examples" / "slo" / "serve.json"
-
-
-@pytest.fixture(autouse=True)
-def clean_resilience():
-    resilience.reset()
-    yield
-    resilience.reset()
 
 
 class TestServeObservability:

@@ -68,13 +68,10 @@ class TestWorkers:
         # (max=1); the retry lands on a clean worker and must produce
         # the same bytes.
         resilience.configure(
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
+            fault_plan="worker.task,match=2,max=1,raise=InjectedFault",
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
         )
-        resilience.install_plan("worker.task,match=2,max=1,raise=InjectedFault")
-        try:
-            records = SweepRunner(SCALE, jobs=2, cache=False).crf_refs_sweep()
-        finally:
-            resilience.reset()
+        records = SweepRunner(SCALE, jobs=2, cache=False).crf_refs_sweep()
         assert [record_to_payload(r) for r in records] == [
             record_to_payload(r) for r in serial_records
         ]
@@ -128,14 +125,6 @@ class TestWarmCache:
 
 
 class TestCliWarmCache:
-    @pytest.fixture(autouse=True)
-    def _reset_engine(self):
-        """``main`` configures process-wide engine defaults; undo them."""
-        from repro.experiments import parallel
-
-        yield
-        parallel.configure(jobs=None, cache_dir=None)
-
     def test_second_tab1_invocation_runs_no_measurements(self, tmp_path,
                                                          capsys):
         cache_dir = str(tmp_path / "cache")

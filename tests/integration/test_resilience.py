@@ -39,12 +39,8 @@ FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 @pytest.fixture(autouse=True)
 def _clean_resilience_state():
-    """Every test starts from default resilience state with a fast
-    retry policy, and leaves nothing installed behind."""
-    resilience.reset()
-    resilience.configure(retry=FAST_RETRY)
-    yield
-    resilience.reset()
+    """Every test starts with no fault plan and a fast retry policy."""
+    resilience.configure(fault_plan=None, retry=FAST_RETRY)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +109,7 @@ class TestWorkerCrashes:
         # The cache holds exactly the completed cells, and nothing else.
         assert cache.stats().entries == 3
 
-        resilience.configure(fault_plan=False)  # chaos off
+        resilience.install_plan(None)  # chaos off
         with telemetry_session() as tel2:
             records = SweepRunner(SCALE, jobs=2, cache=cache).crf_refs_sweep()
         rerun = tel2.metrics.as_dict()

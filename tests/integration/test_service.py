@@ -11,18 +11,10 @@ import json
 
 import pytest
 
-from repro import resilience
 from repro.api import ServiceConfig, serve, table3_requests
 from repro.cli import main
 
 QUICK = dict(width=48, height=32, n_frames=4)
-
-
-@pytest.fixture(autouse=True)
-def clean_resilience():
-    resilience.reset()
-    yield
-    resilience.reset()
 
 
 class TestServingModeMargin:

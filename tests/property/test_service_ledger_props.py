@@ -48,13 +48,6 @@ from repro.service.workers import parse_fleet_spec
 TINY = dict(width=48, height=32, n_frames=3)
 
 
-@pytest.fixture(autouse=True)
-def clean_resilience():
-    resilience.reset()
-    yield
-    resilience.reset()
-
-
 # -- (a) ledger == scan --------------------------------------------------
 
 def scan(jobs: list[Job]) -> dict:
@@ -199,7 +192,7 @@ def test_conservation_under_random_fault_plans(seed, monkeypatch):
     ]
     plan = ";".join(c for c in clauses if rng.random() < 0.75)
     resilience.configure(
-        fault_plan=plan or False,
+        fault_plan=plan or None,
         retry=RetryPolicy(base_delay=0.0, max_delay=0.0, jitter=0.0),
     )
     spec = LoadtestSpec(

@@ -197,3 +197,53 @@ def test_no_benchmark_matrix_in_src():
         "REPRO_BENCH_HISTORY", "render_matrix",
     )
     assert not offenders, f"benchmark matrix referenced in: {offenders}"
+
+
+def _src_lines_mentioning(needle: str) -> dict[str, list[str]]:
+    """``src/repro``-relative path -> the stripped lines containing ``needle``."""
+    root = _REPO_ROOT / "src" / "repro"
+    hits = {}
+    for path in sorted(root.rglob("*.py")):
+        lines = [
+            line.strip()
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if needle in line
+        ]
+        if lines:
+            hits[str(path.relative_to(root))] = lines
+    return hits
+
+
+def test_environment_is_read_in_one_place():
+    """`Settings.env_overrides()` is the only resolver (docs/CONFIGURATION.md,
+    "Precedence"): no subsystem keeps an env fallback of its own, so the
+    string `environ` — prose included — lives in `api/settings.py`, in the
+    `REPRO_RETRY_*` helper `RetryPolicy.from_env` reads through, and on the
+    one `XDG_CACHE_HOME` line `repro cache` falls back to; there is no
+    "unset: look elsewhere" sentinel; and only the front doors resolve."""
+    environ = _src_lines_mentioning("environ")
+    assert set(environ) == {
+        "api/settings.py", "resilience/retry.py", "experiments/cache.py",
+    }, environ
+    assert environ["resilience/retry.py"] == [
+        'raw = os.environ.get(_ENV_PREFIX + name, "").strip()'
+    ]
+    assert environ["experiments/cache.py"] == [
+        'xdg = os.environ.get("XDG_CACHE_HOME")'
+    ]
+    assert not _src_lines_mentioning("_UNSET")
+    assert set(_src_lines_mentioning(".from_env(")) <= {
+        "api/settings.py", "cli.py",
+    }
+
+
+def test_session_runs_under_the_environments_settings():
+    """tests/conftest.py installs `Settings.from_env()` at start-up and
+    after every test; if that ever goes, CI's `REPRO_JOBS=2` leg would run
+    the whole suite serial without a single failure — except this one."""
+    from repro.api.settings import Settings
+    from repro.codec import kernels
+    from repro.experiments import parallel
+
+    assert parallel.default_jobs() == Settings.from_env().jobs
+    assert kernels.active_backend() == Settings.from_env().kernels

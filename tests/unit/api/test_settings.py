@@ -1,8 +1,8 @@
 """Unit tests for the consolidated ``repro.api.Settings`` record.
 
 Covers the documented precedence order (CLI flag > environment >
-default), eager validation, and ``apply``/``reset`` pushing the resolved
-values into the subsystems.
+default), eager validation, and ``apply`` installing exactly the record
+— the subsystems never look at the environment themselves.
 """
 
 from pathlib import Path
@@ -27,11 +27,10 @@ ALL_ENV = (
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    """Isolate each test from ambient REPRO_* vars and applied state."""
+    """Isolate each test from ambient REPRO_* vars (the conftest fixture
+    re-installs the environment's settings afterwards)."""
     for var in ALL_ENV:
         monkeypatch.delenv(var, raising=False)
-    yield
-    Settings.reset()
 
 
 class TestDefaults:
@@ -175,13 +174,32 @@ class TestApply:
         Settings(cache_enabled=False).apply()
         assert engine.default_cache() is None
 
-    def test_reset_restores_env_fallback(self, monkeypatch):
-        Settings(jobs=9, kernels="reference").apply()
-        Settings.reset()
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        assert engine.default_jobs() == 4
-        assert kernels.active_backend() == kernels.DEFAULT_BACKEND
-        assert faults.active_plan() is None
+    def test_apply_installs_exactly_the_record(self, monkeypatch, tmp_path):
+        """What is installed is the record and nothing else: with every
+        subsystem knob exported, the built-in defaults still install as
+        the defaults, and only ``from_env()`` brings the environment in."""
+        plan = "sweep.compute,at=1,raise=InjectedFault"
+        monkeypatch.setenv("REPRO_JOBS", "5")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
+        monkeypatch.setenv("REPRO_KERNELS", "reference")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", plan)
+        monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "7")
+
+        Settings().apply()
+        assert engine.default_jobs() == 1
+        assert engine.default_cache() is None
+        assert kernels.active_backend() == "vectorized"
+        assert kernels.is_vectorized()
+        assert not faults.active_plan()
+        assert resilience.retry_policy().max_attempts == 3
+
+        Settings.from_env().apply()
+        assert engine.default_jobs() == 5
+        assert engine.default_cache().root == tmp_path / "envcache"
+        assert kernels.active_backend() == "reference"
+        assert not kernels.is_vectorized()
+        assert faults.active_plan() == faults.parse_fault_plan(plan)
+        assert resilience.retry_policy().max_attempts == 7
 
 
 class TestFrozen:
@@ -199,7 +217,7 @@ class TestFrozen:
 #: One sample per field-table row: the environment that sets the field
 #: and the value it must coerce to, then a ``resolve()`` keyword/value
 #: that must beat that environment and what it coerces to.
-_PLAN = "sweep.compute,at=9,raise=InjectedFault"
+_PLAN = "sweep.compute,raise=InjectedFault,at=9"  # format_fault_plan's order
 SAMPLES = {
     "jobs": ({"REPRO_JOBS": "3"}, 3, {"jobs": "5"}, 5),
     "cache_dir": ({"REPRO_CACHE_DIR": "env/c"}, Path("env/c"),
@@ -231,6 +249,22 @@ SAMPLES = {
               {"fleet": "c5.xlarge"}, "c5.xlarge"),
     "objective": ({"REPRO_OBJECTIVE": "Min-Cost"}, "min-cost",
                   {"objective": "min-latency"}, "min-latency"),
+}
+
+
+def _cache_root():
+    cache = engine.default_cache()
+    return cache and cache.root
+
+
+#: What each subsystem reports, for the rows a subsystem holds, in the
+#: shape of the row's ``SAMPLES`` value.
+SUBSYSTEM_STATE = {
+    "jobs": engine.default_jobs,
+    "cache_dir": _cache_root,
+    "kernels": kernels.active_backend,
+    "retry": resilience.retry_policy,
+    "fault_plan": lambda: faults.format_fault_plan(faults.active_plan() or ()),
 }
 
 
@@ -290,3 +324,17 @@ class TestFieldTable:
     def test_unknown_resolve_keyword_is_a_type_error(self):
         with pytest.raises(TypeError, match="bogus.*valid names.*jobs"):
             Settings.resolve(bogus=1)
+
+    @pytest.mark.parametrize("field", SUBSYSTEM_STATE)
+    def test_exporting_after_apply_changes_nothing(self, field, monkeypatch):
+        """The mirror: a variable exported *after* an ``apply()`` reaches
+        no subsystem until the next ``from_env().apply()``."""
+        env, expected, _flags, _value = SAMPLES[field]
+        Settings().apply()
+        before = SUBSYSTEM_STATE[field]()
+        for var, raw in env.items():
+            monkeypatch.setenv(var, raw)
+        assert SUBSYSTEM_STATE[field]() == before
+        Settings.from_env().apply()
+        after = SUBSYSTEM_STATE[field]()
+        assert after == expected != before

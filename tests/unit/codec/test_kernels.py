@@ -1,5 +1,6 @@
-"""Backend-switch semantics: selection precedence, unknown names, and
-once-per-encode binding."""
+"""Backend-switch semantics: scope over selection, unknown names, and
+binding when the selection changes — never from the environment, which
+reaches the switch only through ``Settings``."""
 
 from __future__ import annotations
 
@@ -14,14 +15,11 @@ from repro.video.synthetic import SceneSpec, generate_scene
 
 
 @pytest.fixture(autouse=True)
-def _reset_backend(monkeypatch):
+def _default_backend(monkeypatch):
+    """Start from the default whatever the session's ``REPRO_KERNELS``
+    (the conftest fixture re-installs the environment's afterwards)."""
     monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    kernels.select_backend(None)
-    yield
-    # Rebind from a clean environment so no test leaks its backend into
-    # the flags later tests' direct kernel calls read.
-    monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    kernels.select_backend(None)
+    kernels.select_backend(kernels.DEFAULT_BACKEND)
 
 
 def test_default_backend_is_vectorized():
@@ -35,25 +33,37 @@ def test_builtin_backends_registered_in_order():
 
 
 def test_env_var_selects_backend(monkeypatch):
+    # ... through Settings, the one reader, and only when it is applied.
     monkeypatch.setenv("REPRO_KERNELS", "reference")
+    assert kernels.active_backend() == "vectorized"
+    Settings.from_env().apply()
     assert kernels.active_backend() == "reference"
     assert not kernels.is_vectorized()
     monkeypatch.setenv("REPRO_KERNELS", "  Vectorized  ")
+    Settings.from_env().apply()
     assert kernels.active_backend() == "vectorized"
+    assert kernels.is_vectorized()
 
 
 def test_env_var_rejects_unknown(monkeypatch):
+    # Reported where it is read; the switch itself never sees it.
     monkeypatch.setenv("REPRO_KERNELS", "simd")
     with pytest.raises(ValueError, match="unknown kernel backend"):
-        kernels.active_backend()
+        Settings.from_env()
+    assert kernels.active_backend() == kernels.DEFAULT_BACKEND
 
 
 def test_select_backend_overrides_env(monkeypatch):
     monkeypatch.setenv("REPRO_KERNELS", "vectorized")
     kernels.select_backend("reference")
     assert kernels.active_backend() == "reference"
-    kernels.select_backend(None)
-    assert kernels.active_backend() == "vectorized"
+    assert not kernels.is_vectorized()
+
+
+def test_select_backend_takes_a_name():
+    # No "revert to wherever the value used to come from" spelling.
+    with pytest.raises(ValueError, match="unknown kernel backend None"):
+        kernels.select_backend(None)
 
 
 def test_select_backend_rejects_unknown_eagerly():
@@ -102,7 +112,7 @@ def test_removed_numba_name_is_rejected_like_any_unknown(how, monkeypatch):
     ):
         if how == "REPRO_KERNELS":
             monkeypatch.setenv("REPRO_KERNELS", "numba")
-            kernels.active_backend()
+            Settings.from_env()
         elif how == "backend_scope":
             with kernels.backend_scope("numba"):
                 pass  # pragma: no cover
@@ -116,25 +126,11 @@ def test_bad_env_does_not_break_scope_exit_or_reset(monkeypatch):
     monkeypatch.setenv("REPRO_KERNELS", "simd")
     with kernels.backend_scope("reference"):
         assert not kernels.is_vectorized()
-    kernels.select_backend(None)  # must not raise; the entry point will
+    assert kernels.is_vectorized()
+    Settings().apply()  # "reset" = the built-in defaults; no bind can fail
+    assert kernels.active_backend() == kernels.DEFAULT_BACKEND
     with pytest.raises(ValueError, match="reference, vectorized"):
-        kernels.active_backend()
-
-
-class _CountingEnviron(dict):
-    """``os.environ`` stand-in that counts ``REPRO_KERNELS`` lookups."""
-
-    reads = 0
-
-    def get(self, key, default=None):
-        if key == "REPRO_KERNELS":
-            self.reads += 1
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        if key == "REPRO_KERNELS":
-            self.reads += 1
-        return super().__getitem__(key)
+        Settings.from_env()
 
 
 def _scene(n_frames: int, width: int = 48, height: int = 32):
@@ -143,23 +139,19 @@ def _scene(n_frames: int, width: int = 48, height: int = 32):
     )
 
 
-def test_encode_reads_env_once_and_rebinds_between_encodes(monkeypatch):
-    """Dispatch is bound per ``encode()``: the environment is consulted a
-    constant number of times however many frames and macroblocks there
-    are, yet a flip between two encodes takes effect on the second."""
+def test_encode_never_reads_env_and_rebinds_on_selection(monkeypatch):
+    """Dispatch is bound when the selection changes: ``encode()`` never
+    consults the environment (a poisoned one would raise), and a
+    selection made between two encodes takes effect on the second."""
     import os
 
-    environ = _CountingEnviron(os.environ)
-    monkeypatch.setattr(os, "environ", environ)
+    class _Poisoned(dict):
+        def get(self, key, default=None):
+            raise AssertionError(f"encode() read ${key}")
+
+        __getitem__ = get
+
     opts = EncoderOptions(crf=30, refs=1)
-
-    reads = []
-    for video in (_scene(2), _scene(5, width=80, height=48)):
-        before = environ.reads
-        encode(video, opts)
-        reads.append(environ.reads - before)
-    assert reads[0] == reads[1] <= 2, reads
-
     bit_writes = []
     write_bit = BitWriter.write_bit
 
@@ -168,13 +160,12 @@ def test_encode_reads_env_once_and_rebinds_between_encodes(monkeypatch):
         write_bit(self, bit)
 
     monkeypatch.setattr(BitWriter, "write_bit", counting_write_bit)
-    environ["REPRO_KERNELS"] = "reference"
+    monkeypatch.setattr(os, "environ", _Poisoned(REPRO_KERNELS="simd"))
+    kernels.select_backend("reference")
     ref = encode(_scene(2), opts)
     assert bit_writes  # only the reference bodies emit bit by bit
-    assert not kernels.is_vectorized()
     bit_writes.clear()
-    environ["REPRO_KERNELS"] = "vectorized"
+    kernels.select_backend("vectorized")
     vec = encode(_scene(2), opts)
     assert not bit_writes
-    assert kernels.is_vectorized()
     assert ref.stream.bitstream == vec.stream.bitstream

@@ -1,13 +1,11 @@
-"""Unit tests for repro.ffmpeg (transcode pipeline + CLI)."""
+"""Unit tests for repro.ffmpeg (the transcode pipeline)."""
 
 import numpy as np
 import pytest
 
 from repro.codec.encoder import encode
 from repro.codec.options import EncoderOptions
-from repro.ffmpeg.cli import build_parser, main
 from repro.ffmpeg.transcode import transcode
-from repro.video.io import read_ylm, write_ylm
 
 
 class TestTranscode:
@@ -44,44 +42,6 @@ class TestTranscode:
         hi = transcode(tiny_video, preset="veryfast", crf=45)
         assert lo.quality_psnr_db > hi.quality_psnr_db
         assert lo.size_bitrate_kbps > hi.size_bitrate_kbps
-
-
-class TestCli:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["-i", "cricket"])
-        assert args.preset == "medium"
-        assert args.crf == 23
-
-    def test_vbench_input(self, capsys):
-        rc = main(["-i", "desktop", "--frames", "3", "-preset", "ultrafast"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "transcoding desktop" in out
-        assert "PSNR" in out
-        assert "frame types: I" in out
-
-    def test_ylm_file_roundtrip(self, tmp_path, tiny_video, capsys):
-        src = tmp_path / "in.ylm"
-        dst = tmp_path / "out.ylm"
-        write_ylm(src, tiny_video)
-        rc = main(["-i", str(src), "-o", str(dst), "-crf", "30", "--frames", "3"])
-        assert rc == 0
-        decoded = read_ylm(dst)
-        assert decoded.resolution == tiny_video.resolution
-        assert len(decoded) == 3
-
-    def test_profile_flag_prints_topdown(self, capsys):
-        rc = main(["-i", "desktop", "--frames", "3", "--profile",
-                   "-preset", "ultrafast"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Top-down" in out
-        assert "Back-End Bound" in out
-
-    def test_unknown_input_errors(self, capsys):
-        rc = main(["-i", "definitely-not-a-video"])
-        assert rc == 2
-        assert "error" in capsys.readouterr().err
 
 
 class TestFullTranscodeTracing:

@@ -90,16 +90,5 @@ class TestMergeWorkerState:
         ids = [s.span_id for s in rec.finished]
         assert len(ids) == len(set(ids))     # no collisions
 
-    def test_legacy_metrics_only_payload(self):
-        """A bare metrics export (the pre-trace worker protocol) still
-        merges: metrics land, no spans are invented."""
-        with obs.telemetry_session() as worker_tel:
-            worker_tel.metrics.counter("c").inc(2)
-            metrics_only = worker_tel.metrics.export_state()
-        with obs.telemetry_session() as tel:
-            obs.merge_worker_state(metrics_only)
-            assert tel.metrics.as_dict()["c"] == 2
-            assert tel.spans.finished == []
-
     def test_merge_disabled_is_noop(self):
         obs.merge_worker_state(self._worker_state())  # no session: no-op

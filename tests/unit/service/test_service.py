@@ -22,13 +22,6 @@ from repro.service import (
 TINY = dict(width=48, height=32, n_frames=3)
 
 
-@pytest.fixture(autouse=True)
-def clean_resilience():
-    resilience.reset()
-    yield
-    resilience.reset()
-
-
 class TestConfig:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="placement policy"):
@@ -104,9 +97,7 @@ class TestLifecycle:
 
 class TestCrashIsolation:
     def test_crashed_worker_is_isolated_and_job_replaced(self):
-        resilience.configure(
-            fault_plan="service.worker,at=1,raise=RuntimeError"
-        )
+        resilience.install_plan("service.worker,at=1,raise=RuntimeError")
         service = TranscodeService(ServiceConfig(**TINY))
         service.submit(TranscodeRequest(clip="cricket"))
         report = service.run_until_idle()
@@ -118,9 +109,7 @@ class TestCrashIsolation:
         assert status.attempts == 2  # first placement crashed
 
     def test_attempt_budget_exhaustion_fails_the_job(self):
-        resilience.configure(
-            fault_plan="service.worker,at=1|2,raise=RuntimeError"
-        )
+        resilience.install_plan("service.worker,at=1|2,raise=RuntimeError")
         service = TranscodeService(ServiceConfig(max_attempts=2, **TINY))
         service.submit(TranscodeRequest(clip="cricket"))
         report = service.run_until_idle()
@@ -132,9 +121,7 @@ class TestCrashIsolation:
         assert "isolated" in status.error
 
     def test_whole_fleet_isolated_fails_pending_jobs(self):
-        resilience.configure(
-            fault_plan="service.worker,raise=RuntimeError"
-        )
+        resilience.install_plan("service.worker,raise=RuntimeError")
         service = TranscodeService(
             ServiceConfig(fleet=("fe_op",), max_attempts=5, **TINY)
         )
@@ -147,9 +134,7 @@ class TestCrashIsolation:
 
     def test_retryable_faults_retry_in_place(self):
         # InjectedFault is retryable: the worker survives, no isolation.
-        resilience.configure(
-            fault_plan="service.worker,at=1,raise=InjectedFault"
-        )
+        resilience.install_plan("service.worker,at=1,raise=InjectedFault")
         service = TranscodeService(ServiceConfig(**TINY))
         service.submit(TranscodeRequest(clip="cricket"))
         report = service.run_until_idle()
@@ -170,7 +155,7 @@ class TestTerminalAccounting:
         from repro.service.clock import VirtualClock
 
         if plan:
-            resilience.configure(fault_plan=plan)
+            resilience.install_plan(plan)
         with telemetry_session() as tel:
             service = TranscodeService(config, clock=VirtualClock())
             service.submit_many(requests)

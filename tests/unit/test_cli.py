@@ -82,10 +82,13 @@ class TestBackendsCommand:
         assert "`*` on the active one" in usage
         assert "availab" not in usage
 
-    def test_bad_env_backend_is_a_usage_error(self, capsys, monkeypatch):
-        from repro.codec import kernels
+    def test_env_backend_is_marked_active(self, capsys, monkeypatch):
+        # The environment reaches the subcommand through Settings.
+        monkeypatch.setenv("REPRO_KERNELS", "reference")
+        assert main(["backends"]) == 0
+        assert "\n* reference" in capsys.readouterr().out
 
-        kernels.select_backend(None)  # an earlier main() may have forced one
+    def test_bad_env_backend_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "simd")
         with pytest.raises(SystemExit) as exc:
             main(["backends"])
@@ -221,14 +224,6 @@ class TestCacheCommand:
 
 
 class TestEngineFlags:
-    @pytest.fixture(autouse=True)
-    def _reset_engine(self):
-        """``main`` configures process-wide engine defaults; undo them."""
-        from repro.experiments import parallel
-
-        yield
-        parallel.configure(jobs=None, cache_dir=None)
-
     def test_jobs_flag_configures_engine(self, capsys):
         from repro.experiments import parallel
 
