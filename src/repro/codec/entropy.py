@@ -31,20 +31,20 @@ first 1 bit is at ``o`` ends at ``2*o - s + 1``, whatever it means.
   of the stream, finds every bit's next 1 bit, walks the boundary chain
   from the current position, and computes all ue values and their se
   mappings in array operations. :func:`read_ue` / :func:`read_se` are
-  then table lookups, and :func:`decode_blocks` fills an ``(n, 4, 4)``
-  batch from the table in one pass. Windows are filled lazily, so a
-  stream rejected in its header costs one fill however long it is, and
-  a fill's per-bit arrays are bounded by the window, not the stream.
+  then table lookups, and :class:`BlockBatches` places the coefficients
+  of every batch a table holds with one scatter. Windows are filled
+  lazily, so a stream rejected in its header costs one fill however long
+  it is, and a fill's per-bit arrays are bounded by the window.
 - The tokenizer takes only what it can take blindly: complete codes
   whose zero prefix is at most :data:`_TOKEN_MAX_ZEROS` bits (so every
   table value fits ``int32``). At the first code it cannot take — a
   longer prefix, a code cut off by the end of the stream or longer than
   a window, a position moved by a direct ``read_bit`` — the read is
-  handed to the bit-serial loop, and tokenizing resumes behind it.
-  :func:`decode_blocks` likewise hands a batch it cannot prove
-  well-formed to the per-block loop. Every rejection is therefore
-  raised by one piece of code, and ``bits_read`` means the same in both
-  backends after every code.
+  handed to the bit-serial loop, and tokenizing resumes behind it. A
+  batch the table cannot hold goes to the per-block loop, and one whose
+  scatter finds it malformed is replayed through it. Every rejection is
+  therefore raised by one piece of code, and ``bits_read`` means the same
+  in both backends after every code.
 
 **Errors.** Bytes that are not a stream this codec wrote raise
 :class:`BitstreamError` (a ``ValueError``); running off the end raises
@@ -65,6 +65,7 @@ __all__ = [
     "TruncatedBitstreamError",
     "BitWriter",
     "BitReader",
+    "BlockBatches",
     "TOKEN_WINDOW_BYTES",
     "write_ue",
     "read_ue",
@@ -507,16 +508,25 @@ def _decode_block_serial(reader: BitReader) -> np.ndarray:
     return _unzigzag(scan)
 
 
-def _blocks_from_table(
+def _decode_batch_serial(
     reader: BitReader, n: int, tagged: bool
-) -> tuple[list[int], np.ndarray] | None:
-    """``n`` blocks (each behind one ue tag if ``tagged``) straight from
-    the token table, or ``None`` with nothing consumed.
+) -> tuple[list[int], np.ndarray]:
+    tags = []
+    blocks = np.zeros((n, 4, 4), dtype=np.int32)
+    for b in range(n):
+        if tagged:
+            tags.append(read_ue(reader))
+        blocks[b] = _decode_block_serial(reader)
+    return tags, blocks
 
-    ``None`` means the table cannot hold the whole batch (a code it cannot
-    take, the end of the stream, a batch longer than a window) or the batch
-    breaks a syntax rule; either way the per-block loop decides.
-    """
+
+def _count_from_table(
+    reader: BitReader, n: int, tagged: bool
+) -> tuple[list[int], list[int], list[int]] | None:
+    """Consume ``n`` blocks (each behind a ue tag if ``tagged``) from the
+    token table, reading only tags and nonzero counts: returns the tags,
+    each block's count-code index and its count. ``None`` (nothing read):
+    the table cannot hold the batch, or a count exceeds 16."""
     lead = 1 if tagged else 0
     while True:
         first = i = reader._cursor
@@ -524,6 +534,7 @@ def _blocks_from_table(
         n_tokens = len(reader._ue)
         if first < n_tokens and reader._bounds.item(first) == reader._pos:
             tags: list[int] = []
+            heads: list[int] = []
             counts: list[int] = []
             for _ in range(n):
                 i += lead
@@ -534,6 +545,7 @@ def _blocks_from_table(
                     return None
                 if tagged:
                     tags.append(ue(i - 1))
+                heads.append(i)
                 counts.append(n_nonzero)
                 i += 1 + 2 * n_nonzero
             if len(counts) == n and i <= n_tokens:
@@ -544,40 +556,72 @@ def _blocks_from_table(
         # first code so that one table holds all of it.
         if not reader._fill():
             return None
-
-    flat = np.zeros(n * 16, dtype=np.int32)
-    total = sum(counts)
-    if total:
-        block_of = np.repeat(np.arange(n), counts)
-        # Coefficient k of block b sits behind b + 1 block headers (and
-        # tags) and the 2 * k run/level codes of the coefficients before it.
-        run_at = (block_of + 1) * (1 + lead) + 2 * np.arange(total) + first
-        # Scan position = zeros and coefficients before it in its block:
-        # a running sum over the whole batch, minus the sum at block start.
-        ends = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(reader._ue[run_at] + 1, out=ends[1:])
-        block_first = np.cumsum(counts) - counts
-        scan_pos = ends[1:] - 1 - ends[block_first][block_of]
-        if scan_pos.max() > 15:
-            return None
-        flat[block_of * 16 + _ZIGZAG_FLAT[scan_pos]] = reader._se[run_at + 1]
     reader._cursor = i
     reader._pos = reader._bounds.item(i)
-    return tags, flat.reshape(n, 4, 4)
+    return tags, heads, counts
 
 
-def _decode_batch(
-    reader: BitReader, n: int, tagged: bool
-) -> tuple[list[int], np.ndarray]:
-    if reader._tokenize and (parsed := _blocks_from_table(reader, n, tagged)):
-        return parsed
-    tags = []
-    blocks = np.zeros((n, 4, 4), dtype=np.int32)
-    for b in range(n):
-        if tagged:
-            tags.append(read_ue(reader))
-        blocks[b] = _decode_block_serial(reader)
-    return tags, blocks
+class BlockBatches:
+    """Coefficient batches read now, placed into one array later: one
+    scatter per token table, not per batch. A batch whose zero runs pass
+    scan position 15 is found there and replayed through the per-block
+    loop, which raises — so a caller that meets an error after reading a
+    batch calls :meth:`levels` first: the overflow is the earlier error."""
+
+    def __init__(self, reader: BitReader) -> None:
+        self._reader = reader
+        # Per token table: its ue, se, batches (first block, bit, n, tagged),
+        # and per block its count code's index, its count and its row.
+        self._tables: list[tuple] = []
+        self._serial: list[tuple[int, np.ndarray]] = []  # (first row, blocks)
+        self.n_blocks = 0
+
+    def read(self, n: int, tagged: bool = False) -> list[int]:
+        """Consume one batch as :func:`decode_blocks` would; returns the tags."""
+        reader, row, start = self._reader, self.n_blocks, self._reader._pos
+        self.n_blocks += n
+        counted = _count_from_table(reader, n, tagged) if reader._tokenize else None
+        if counted is None:
+            tags, blocks = _decode_batch_serial(reader, n, tagged)
+            self._serial.append((row, blocks))
+            return tags
+        if not self._tables or self._tables[-1][0] is not reader._ue:
+            self._tables.append((reader._ue, reader._se, [], [], [], []))
+        _, _, batches, heads, counts, rows = self._tables[-1]
+        batches.append((len(counts), start, n, tagged))
+        heads += counted[1]
+        counts += counted[2]
+        rows += range(row, row + n)
+        return counted[0]
+
+    def levels(self) -> np.ndarray:
+        """Every block read so far, ``(n_blocks, 4, 4)`` int32."""
+        flat = np.zeros(self.n_blocks * 16, dtype=np.int32)
+        for ue, se, batches, heads, counts, rows in self._tables:
+            total = sum(counts)
+            if not total:
+                continue
+            block_of = np.repeat(np.arange(len(counts)), counts)
+            before = np.cumsum(counts) - counts  # coefficients ahead of a block
+            # Coefficient k: the run/level pair 1 + 2k codes behind its count
+            # code, at the scan position its block's runs so far reach.
+            run_at = (np.array(heads) + 1 - 2 * before)[block_of]
+            run_at += 2 * np.arange(total)
+            ends = np.zeros(total + 1, dtype=np.int64)
+            np.cumsum(ue[run_at] + 1, out=ends[1:])
+            scan_pos = ends[1:] - 1 - ends[before][block_of]
+            if scan_pos.max() > 15:
+                bad = block_of[np.argmax(scan_pos > 15)]
+                # Replay the batch holding block ``bad``: the per-block loop raises.
+                _, self._reader._pos, n, tagged = max(b for b in batches if b[0] <= bad)
+                _decode_batch_serial(self._reader, n, tagged)
+                raise AssertionError("the per-block loop took a refused batch")
+            at = np.array(rows)[block_of] * 16 + _ZIGZAG_FLAT[scan_pos]
+            flat[at] = se[run_at + 1]
+        levels = flat.reshape(-1, 4, 4)
+        for row, blocks in self._serial:
+            levels[row : row + len(blocks)] = blocks
+        return levels
 
 
 def decode_blocks(reader: BitReader, n: int) -> np.ndarray:
@@ -587,7 +631,9 @@ def decode_blocks(reader: BitReader, n: int) -> np.ndarray:
     what ``reference`` does); the tokenizing reader fills the whole
     ``(n, 4, 4)`` batch from its table in one pass of array operations.
     """
-    return _decode_batch(reader, n, False)[1]
+    batches = BlockBatches(reader)
+    batches.read(n)
+    return batches.levels()
 
 
 def decode_tagged_blocks(
@@ -599,7 +645,8 @@ def decode_tagged_blocks(
     Reads exactly what ``n`` rounds of :func:`read_ue` then
     :func:`decode_block` read (which is what ``reference`` does).
     """
-    return _decode_batch(reader, n, True)
+    batches = BlockBatches(reader)
+    return batches.read(n, tagged=True), batches.levels()
 
 
 def decode_block(reader: BitReader) -> np.ndarray:

@@ -618,9 +618,9 @@ def fetch_prediction(
 ) -> np.ndarray:
     """Fetch the 16x16 prediction for a quarter-pel MV (float64).
 
-    Shared by the encoder and decoder so both sides produce bit-identical
-    predictions: full-pel MVs use the direct block fetch, fractional MVs
-    use bilinear interpolation.
+    The encoder's fetch: full-pel MVs use the direct block fetch,
+    fractional MVs bilinear interpolation. The decoder interpolates the
+    same per-pixel expression from a 17x17 patch (bit-identical).
     """
     if mv_x4 % 4 == 0 and mv_y4 % 4 == 0:
         return ref.block(y + (mv_y4 >> 2), x + (mv_x4 >> 2)).astype(np.float64)

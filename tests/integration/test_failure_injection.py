@@ -181,6 +181,17 @@ def _bi(ref0=0):
     return head + [(write_se, 0)] * 5 + _blocks()
 
 
+def _intra4(mode, levels=()):
+    """Sixteen (mode id, block) pairs, every one with mode id ``mode``; the
+    first block holds ``levels``."""
+    blocks = _blocks(levels)
+    pairs = []
+    for i in range(16):
+        body = blocks[: 1 + 2 * len(levels)] if i == 0 else [(write_ue, 0)]
+        pairs += [(write_ue, mode), *body]
+    return [(write_ue, MODE_IDS[MBMode.INTRA_4X4]), (write_se, 0)] + pairs
+
+
 _SKIP_MB = [(write_ue, MODE_IDS[MBMode.SKIP])]
 _I, _P, _B = 0, 1, 2
 
@@ -220,6 +231,25 @@ class TestTypedRejections:
 
     def test_unknown_intra16_mode_id(self, backend):
         self._rejects(backend, _stream(_frame(0, _I, _intra16(mode=4))), "intra")
+
+    @pytest.mark.parametrize("mode", [3, 7, 1000])
+    def test_unknown_intra4_mode_id(self, backend, mode):
+        data = _stream(_frame(0, _I, _intra4(mode)))
+        self._rejects(backend, data, "unknown intra 4x4 mode id")
+
+    def test_intra4_direction_without_its_neighbour_predicts_dc(self, backend):
+        """V with no top neighbour, H with no left one: the block predicts
+        DC, exactly as a DC block there would (the documented fallback)."""
+        with kernels.backend_scope(backend):
+            luma = {
+                mode: decode(
+                    _stream(_frame(0, _I, _intra4(mode, levels=[(0, 40)])))
+                ).video.frames[0].luma
+                for mode in (0, 1, 2)
+            }
+        assert luma[0][0, 0] != 128  # the residual reaches the neighbours
+        assert np.array_equal(luma[1][:4], luma[0][:4])  # V on the top edge
+        assert np.array_equal(luma[2][:, :4], luma[0][:, :4])  # H on the left edge
 
     @pytest.mark.parametrize(
         "dx, dy",

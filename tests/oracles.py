@@ -18,6 +18,11 @@ column path equal to (``==`` on every float):
 * :func:`all_backends` / :func:`assert_identical_values`: one callable
   under every kernel backend, each result ``==`` ``reference``'s.
 
+* :class:`PerMacroblockDecoder`: the decoder that parsed and reconstructed
+  one macroblock at a time — a batch scattered and inverse-transformed per
+  macroblock, intra-4x4 predicted block by block, a fractional fetch served
+  by the reference's whole-plane phase cache.
+
 Nothing under ``src/`` imports this module.
 """
 
@@ -31,6 +36,19 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec import kernels
+from repro.codec import decoder as decoder_mod
+from repro.codec.entropy import (
+    BitstreamError,
+    decode_blocks,
+    decode_tagged_blocks,
+    read_se,
+    read_ue,
+)
+from repro.codec.intra import predict_16x16
+from repro.codec.motion import fetch_prediction, predict_mv
+from repro.codec.quant import dequantize
+from repro.codec.transform import inverse_4x4, unblockify_16x16
+from repro.codec.types import IntraMode, MotionVector
 from repro.trace.events import (
     BranchEvent,
     KernelEvent,
@@ -363,3 +381,179 @@ def per_event_models():
             TraceColumns, "site_outcomes", property(_site_outcomes_by_event)
         )
         yield
+
+
+# -- decoder ------------------------------------------------------------
+
+_check_fetch, _checked_qp = decoder_mod._check_fetch, decoder_mod._checked_qp
+_SKIP, _INTER16, _INTER8, _INTER4, _BI, _INTRA16, _INTRA4 = (
+    decoder_mod._SKIP, decoder_mod._INTER16, decoder_mod._INTER8,
+    decoder_mod._INTER4, decoder_mod._BI, decoder_mod._INTRA16,
+    decoder_mod._INTRA4,
+)
+
+
+def _fetch(ref, y, x, mv):
+    fx, fy = mv.full_pel
+    _check_fetch(ref, y + fy, x + fx)
+    return fetch_prediction(ref, y, x, mv.dx, mv.dy)
+
+
+class PerMacroblockDecoder(decoder_mod.Decoder):
+    """``Decoder`` with each frame's luma decoded one macroblock at a time:
+    parse it, place and inverse-transform its batch, predict, add, clip and
+    trace it, then the next. ``frame_starts`` collects the bit position at
+    which each frame's macroblock layer begins."""
+
+    def __init__(self, *, tracer=None):
+        super().__init__(tracer=tracer)
+        self.frame_starts: list[int] = []
+
+    def _decode_frame(
+        self, reader, ftype, base_qp, disp_idx, anchors, n_mb_y, n_mb_x, pad_w
+    ):
+        self.frame_starts.append(reader.bits_read)
+        recon = np.zeros((n_mb_y * 16, pad_w), dtype=np.uint8)
+        past = [a for a in anchors if a.display_index < disp_idx]
+        past.sort(key=lambda a: -a.display_index)
+        future = [a for a in anchors if a.display_index > disp_idx]
+        ref_l1 = min(future, key=lambda a: a.display_index) if future else None
+        if not past and anchors:
+            past = [anchors[0]]
+        mv_grid = [[None] * n_mb_x for _ in range(n_mb_y)]
+        for mb_y in range(n_mb_y):
+            for mb_x in range(n_mb_x):
+                self._decode_mb(
+                    reader, recon, mv_grid, mb_y, mb_x, base_qp, past, ref_l1
+                )
+        return recon
+
+    def _decode_mb(self, reader, recon, mv_grid, mb_y, mb_x, base_qp, past, ref_l1):
+        y, x = mb_y * 16, mb_x * 16
+        mode_id = read_ue(reader)
+        pred_mv = predict_mv(mv_grid, mb_y, mb_x)
+
+        if mode_id == _SKIP:
+            if not past:
+                raise BitstreamError("SKIP macroblock with no reference available")
+            fx, fy = pred_mv.full_pel
+            _check_fetch(past[0].padded, y + fy, x + fx)
+            pred = past[0].padded.block(y + fy, x + fx).astype(np.float64)
+            recon[y : y + 16, x : x + 16] = np.clip(np.round(pred), 0, 255).astype(
+                np.uint8
+            )
+            mv_grid[mb_y][mb_x] = pred_mv
+            return
+
+        if mode_id == _INTRA4:
+            qp = _checked_qp(base_qp + read_se(reader))
+            self._decode_intra4(reader, recon, y, x, qp)
+            mv_grid[mb_y][mb_x] = None
+            return
+
+        mvs = []
+        mv1 = None
+        intra_mode = IntraMode.DC
+        if mode_id == _INTRA16:
+            intra_id = read_ue(reader)
+            if intra_id not in decoder_mod._INTRA_MODE_IDS:
+                raise BitstreamError("unknown intra 16x16 mode id")
+            intra_mode = IntraMode(intra_id)
+        elif mode_id == _BI:
+            ref0 = read_ue(reader)
+            mvs = [
+                MotionVector(
+                    read_se(reader) + pred_mv.dx, read_se(reader) + pred_mv.dy, ref0
+                )
+            ]
+            mv1 = MotionVector(
+                read_se(reader) + pred_mv.dx, read_se(reader) + pred_mv.dy, 0
+            )
+        elif mode_id in (_INTER16, _INTER8, _INTER4):
+            ref = read_ue(reader)
+            n_mvs = {_INTER16: 1, _INTER8: 4, _INTER4: 16}[mode_id]
+            for _ in range(n_mvs):
+                mvs.append(
+                    MotionVector(
+                        read_se(reader) + pred_mv.dx,
+                        read_se(reader) + pred_mv.dy,
+                        ref,
+                    )
+                )
+        else:
+            raise BitstreamError(f"unsupported macroblock mode id {mode_id}")
+
+        qp = _checked_qp(base_qp + read_se(reader))
+        levels = decode_blocks(reader, 16)
+
+        if mode_id == _INTRA16:
+            prediction = predict_16x16(recon, y, x, intra_mode).astype(np.float64)
+        elif mode_id == _BI:
+            if mv1 is None or ref_l1 is None or mvs[0].ref >= len(past):
+                raise BitstreamError("BI macroblock references a missing anchor")
+            pred0 = _fetch(past[mvs[0].ref].padded, y, x, mvs[0])
+            pred1 = _fetch(ref_l1.padded, y, x, mv1)
+            prediction = (pred0 + pred1) / 2.0
+        else:
+            if mvs[0].ref >= len(past):
+                raise BitstreamError("inter macroblock references a missing anchor")
+            ref_plane = past[mvs[0].ref].padded
+            if mode_id == _INTER16:
+                prediction = _fetch(ref_plane, y, x, mvs[0])
+            else:
+                size = 8 if mode_id == _INTER8 else 4
+                n = 16 // size
+                prediction = np.zeros((16, 16), dtype=np.float64)
+                for i, mv in enumerate(mvs):
+                    py, px = divmod(i, n)
+                    fx, fy = mv.full_pel
+                    _check_fetch(
+                        ref_plane, y + py * size + fy, x + px * size + fx, size
+                    )
+                    prediction[
+                        py * size : (py + 1) * size, px * size : (px + 1) * size
+                    ] = ref_plane.block(
+                        y + py * size + fy, x + px * size + fx, size
+                    ).astype(np.float64)
+
+        residual = unblockify_16x16(inverse_4x4(dequantize(levels, qp)))
+        recon[y : y + 16, x : x + 16] = np.clip(
+            np.round(prediction + residual), 0, 255
+        ).astype(np.uint8)
+        mv_grid[mb_y][mb_x] = mvs[0] if mvs else None
+        if self.tracer.enabled:
+            n_tokens = int(np.count_nonzero(levels))
+            self.tracer.kernel("entropy_coeff", iters=max(n_tokens, 1))
+            self.tracer.kernel("idct4", iters=16)
+            self.tracer.kernel("mc_copy", iters=16)
+
+    def _decode_intra4(self, reader, recon, y0, x0, qp):
+        modes, levels = decode_tagged_blocks(reader, 16)
+        if not set(modes) <= {0, 1, 2}:
+            raise BitstreamError("unknown intra 4x4 mode id")
+        residuals = inverse_4x4(dequantize(levels, qp))
+        for i, mode in enumerate(modes):
+            y = y0 + (i >> 2) * 4
+            x = x0 + (i & 3) * 4
+            pred = self._intra4_prediction(recon, y, x, mode)
+            recon[y : y + 4, x : x + 4] = np.clip(
+                np.round(pred + residuals[i]), 0, 255
+            ).astype(np.uint8)
+
+    @staticmethod
+    def _intra4_prediction(recon, y, x, mode):
+        top = recon[y - 1, x : x + 4].astype(np.float64) if y > 0 else None
+        left = recon[y : y + 4, x - 1].astype(np.float64) if x > 0 else None
+        if mode == 1 and top is not None:
+            return np.tile(top, (4, 1))
+        if mode == 2 and left is not None:
+            return np.tile(left[:, None], (1, 4))
+        if top is not None and left is not None:
+            dc = (top.sum() + left.sum()) / 8.0
+        elif top is not None:
+            dc = top.mean()
+        elif left is not None:
+            dc = left.mean()
+        else:
+            dc = 128.0
+        return np.full((4, 4), dc)

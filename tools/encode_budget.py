@@ -7,8 +7,10 @@ not restated here (two clips, a mezzanine each, re-encoded down the preset
 ladder: eight transcodes per pass) — and prints, per stage, its share of the
 whole op, its calls per op and its microseconds per call.
 
-The stages are the :class:`~repro.codec.encoder.Encoder` stage methods and
-the ``mbdecision`` / ``motion`` / ``intra`` entry points they call. Each is
+The stages are the decoder's two per-frame stages (parse, with the token
+reader's window fills inside it, and reconstruct), the
+:class:`~repro.codec.encoder.Encoder` stage methods and the ``mbdecision`` /
+``motion`` / ``intra`` entry points they call. Each is
 wrapped here, from outside, with a ``perf_counter`` pair; nothing under
 ``src/`` carries a span, counter or switch for it. Times are *inclusive* (an
 indented row is part of the row above it), in host seconds, and include about
@@ -27,7 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # `perfbench`
 
 from perfbench.workloads.transcode_ladder import Workload  # noqa: E402
-from repro.codec import encoder, mbdecision  # noqa: E402
+from repro.codec import decoder, encoder, entropy, mbdecision  # noqa: E402
 
 # ``repro.ffmpeg`` re-exports the function under the module's name.
 transcode_mod = importlib.import_module("repro.ffmpeg.transcode")
@@ -40,6 +42,9 @@ PASSES = 5
 #: (row label, object holding the name, attribute); indentation = nesting.
 STAGES = (
     ("decode", transcode_mod, "decode_stream"),
+    ("  Decoder._parse", decoder.Decoder, "_parse"),
+    ("    BitReader._fill", entropy.BitReader, "_fill"),
+    ("  Decoder._reconstruct", decoder.Decoder, "_reconstruct"),
     ("Encoder.encode", encoder.Encoder, "encode"),
     ("  _search_inter", encoder.Encoder, "_search_inter"),
     ("    choose_inter_ref", encoder, "choose_inter_ref"),
