@@ -10,12 +10,9 @@ bench runs share the telemetry plumbing used everywhere else.
 The only numbers it stands behind are *ratios*: a regression is a drop
 in a backend's speedup over ``reference``, which is stable across
 machines of different absolute speed. ``repro bench --compare
-BASELINE.json`` exits 4 when any tracked speedup fell by more than the
-threshold (25% by default) below one clean committed baseline — the CI
-bench-smoke gate — and :mod:`repro.bench.history` is the rolling-window
-drift detector over a directory of past artifacts that catches slow
-regressions the pairwise gate misses (``repro bench --history DIR``,
-exit 5 on drift).
+BASELINE.json`` exits 4 when any tracked speedup fell more than 25%
+(encode slice) or 50% (kernels) below one clean committed baseline —
+the CI bench-smoke gate.
 
 Absolute time, the per-layer budget and every performance claim belong
 to ``perfbench/``; the paper's tables and figures to ``benchmarks/``.
@@ -29,18 +26,6 @@ from repro.bench.harness import (
     run_encode_fig3,
     run_kernel_benches,
 )
-from repro.bench.history import (
-    DEFAULT_DRIFT,
-    DEFAULT_WINDOW,
-    TREND_SCHEMA,
-    DriftVerdict,
-    HistoryEntry,
-    collect_series,
-    detect_drift,
-    load_history,
-    render_trend,
-    trend_payload,
-)
 from repro.bench.report import (
     BENCH_SCHEMA,
     bench_artifact_path,
@@ -53,25 +38,15 @@ from repro.bench.report import (
 
 __all__ = [
     "BENCH_SCHEMA",
-    "DEFAULT_DRIFT",
-    "DEFAULT_WINDOW",
-    "DriftVerdict",
     "ENCODE_CELLS",
-    "HistoryEntry",
     "KERNEL_BENCH_NAMES",
-    "TREND_SCHEMA",
     "bench_artifact_path",
-    "collect_series",
     "compare_bench",
-    "detect_drift",
     "load_bench",
-    "load_history",
     "render_bench",
-    "render_trend",
     "run_bench",
     "run_encode_fig3",
     "run_kernel_benches",
     "tracked_speedups",
-    "trend_payload",
     "write_bench",
 ]

@@ -4,12 +4,14 @@ The comparison contract is ratio-based so a checked-in baseline produced
 on one machine gates CI runs on another: absolute nanoseconds move with
 the host, but the vectorized-over-reference *speedup* of the same
 workload is a property of the code. A regression is any tracked speedup
-falling below ``baseline * (1 - threshold)``.
+falling more than :data:`ENCODE_THRESHOLD` (the fig3 encode slice) or
+:data:`KERNEL_THRESHOLD` (each kernel) below the baseline's.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import platform
 import time
 from pathlib import Path
@@ -33,7 +35,11 @@ __all__ = [
 ]
 
 BENCH_SCHEMA = "repro-bench/v2"
-DEFAULT_THRESHOLD = 0.25
+#: Kernel micro timings are noisier than the encode slice, but their real
+#: failure mode — a vectorized path silently falling back to scalar —
+#: collapses the ratio far past any noise, so their gate is twice as loose.
+ENCODE_THRESHOLD = 0.25
+KERNEL_THRESHOLD = 0.50
 
 
 def build_payload(
@@ -48,9 +54,7 @@ def build_payload(
     Besides the measurements, the payload self-describes its provenance:
     ``rev`` (short git revision of the measured code), ``dirty`` (that
     checkout had uncommitted changes, so ``rev`` names a commit the
-    measured code does not match), and ``timestamp`` (epoch seconds) —
-    so history ordering (:mod:`repro.bench.history`) never has to trust
-    filenames.
+    measured code does not match), and ``timestamp`` (epoch seconds).
     """
     return {
         "schema": BENCH_SCHEMA,
@@ -103,7 +107,9 @@ def tracked_speedups(payload: dict[str, object]) -> dict[str, float]:
 def load_bench(path: str | Path) -> dict[str, object]:
     """Read a bench artifact; raises ValueError unless it is a well-formed
     :data:`BENCH_SCHEMA` one (a ``repro-bench/v1`` file must be
-    re-measured: its rows are not comparable by name)."""
+    re-measured: its rows are not comparable by name) whose every tracked
+    speedup is a finite positive ratio (anything else passes or crashes
+    the gate)."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != BENCH_SCHEMA:
@@ -111,11 +117,17 @@ def load_bench(path: str | Path) -> dict[str, object]:
             f"{path}: not a {BENCH_SCHEMA} artifact (schema={schema!r})"
         )
     try:
-        tracked_speedups(payload)
+        speedups = tracked_speedups(payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{path}: malformed {BENCH_SCHEMA} artifact: {exc!r}"
         ) from None
+    for name, speedup in speedups.items():
+        if not 0 < speedup < math.inf:
+            raise ValueError(
+                f"{path}: malformed {BENCH_SCHEMA} artifact: {name} speedup "
+                f"is {speedup!r}, not a finite positive ratio"
+            )
     return payload
 
 
@@ -161,28 +173,23 @@ def render_bench(payload: dict[str, object]) -> str:
 
 
 def compare_bench(
-    current: dict[str, object],
-    baseline: dict[str, object],
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
+    current: dict[str, object], baseline: dict[str, object]
 ) -> tuple[str, list[str]]:
     """Compare two artifacts by speedup ratio.
 
     Returns ``(report, regressions)`` where ``regressions`` names every
     tracked workload whose current speedup dropped too far below the
-    baseline's: ``threshold`` for the fig3 encode slice, and twice that
-    (capped at 50%) for individual kernels, whose micro timings are
-    noisier but whose real failure mode — a vectorized path silently
-    falling back to scalar — collapses the ratio far past any noise.
-    Workloads present on only one side are reported but never counted as
-    regressions (the set may grow over time).
+    baseline's: :data:`ENCODE_THRESHOLD` for the fig3 encode slice,
+    :data:`KERNEL_THRESHOLD` for individual kernels. Workloads present on
+    only one side are reported but never counted as regressions (the set
+    may grow over time).
     """
     cur = tracked_speedups(current)
     base = tracked_speedups(baseline)
-    kernel_threshold = min(2 * threshold, 0.5)
     lines = [
         f"comparing {current.get('rev')} against baseline {baseline.get('rev')} "
-        f"(threshold: -{threshold:.0%} encode, -{kernel_threshold:.0%} kernels)",
+        f"(threshold: -{ENCODE_THRESHOLD:.0%} encode, "
+        f"-{KERNEL_THRESHOLD:.0%} kernels)",
         "",
         f"{'workload':40s} {'baseline':>9s} {'current':>9s} {'delta':>8s}",
     ]
@@ -195,7 +202,7 @@ def compare_bench(
             lines.append(f"{name:40s} {'—':>9s} {cur[name]:8.2f}x  (new)")
             continue
         delta = cur[name] / base[name] - 1.0
-        limit = threshold if name.startswith("encode:") else kernel_threshold
+        limit = ENCODE_THRESHOLD if name.startswith("encode:") else KERNEL_THRESHOLD
         flag = ""
         if cur[name] < base[name] * (1.0 - limit):
             flag = "  REGRESSION"

@@ -20,7 +20,6 @@ Examples::
     repro backends                    # the two kernel backends, * on the active one
     repro bench                       # backend speedups: kernels + fig3 encode
     repro bench --compare BENCH_baseline.json   # CI regression gate
-    repro bench --history bench-history/        # speedup trend + drift gate
     repro submit cricket --crf 30 --spool .repro/spool.jsonl
     repro serve --spool .repro/spool.jsonl --telemetry out-serve/
     repro serve --mix table3 --count 8          # the paper's §V task mix
@@ -72,11 +71,9 @@ RUN.json --spec SPEC.json`` re-evaluates an exported artifact and exits
 2 on breach (the CI gate). ``repro bench`` measures each backend's
 speedup over ``reference`` and nothing else: ``--compare BASELINE.json``
 exits 4 on a regression against a clean baseline artifact (1, before
-measuring, if the baseline is missing, dirty or not ``repro-bench/v2``),
-and ``--history DIR`` instead renders the speedup trend over past
-artifacts and exits 5 when the rolling-window detector flags drift.
-Both are plain flags: no ``$REPRO_*`` variable changes which of the two
-runs. See ``docs/BENCHMARKS.md``.
+measuring, if the baseline is missing, dirty, not ``repro-bench/v2`` or
+holds a speedup that is not a finite positive ratio). No ``$REPRO_*``
+variable changes what it runs. See ``docs/BENCHMARKS.md``.
 """
 
 from __future__ import annotations
@@ -259,71 +256,39 @@ def _bench_main(argv: list[str]) -> int:
         prog="repro bench",
         description="Measure the vectorized kernel backend's speedup "
                     "over the reference backend (codec kernels and the "
-                    "encode stage of a fig3 slice), or render the speedup "
-                    "trend over past artifacts (--history).",
+                    "encode stage of a fig3 slice).",
     )
     parser.add_argument(
         "--compare",
         metavar="BASELINE.json",
         default=None,
         help="compare speedups against a clean repro-bench/v2 baseline "
-             "artifact (checked before measuring); exit 4 on any "
-             "regression beyond the threshold",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        metavar="FRAC",
-        help="allowed fractional speedup drop before a comparison counts "
-             "as a regression (default 0.25)",
+             "artifact (checked before measuring); exit 4 when a speedup "
+             "fell >25%% (encode slice) or >50%% (a kernel) below it",
     )
     parser.add_argument(
         "--output",
         metavar="PATH",
         default=None,
-        help="artifact path (default: BENCH_<rev>.json in the cwd; with "
-             "--history, an optional trend-JSON path)",
+        help="artifact path (default: BENCH_<rev>.json in the cwd)",
     )
     parser.add_argument(
         "--reps",
         type=int,
         default=3,
         metavar="N",
-        help="kernel repetitions per backend; best-of-N is reported",
+        help="kernel repetitions per backend, at least 3; best-of-N is "
+             "reported (the fig3 slice keeps its own fixed repetitions)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
         help="smaller fig3 slice, single repetitions (smoke mode)",
     )
-    parser.add_argument(
-        "--history",
-        metavar="DIR",
-        default=None,
-        help="measure nothing: render the speedup trend over the "
-             "BENCH_*.json artifacts in DIR; exit 5 on rolling-window "
-             "drift",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="K",
-        help="rolling-window size for --history (default: 5)",
-    )
-    parser.add_argument(
-        "--drift",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="allowed drop of the window median below the history best "
-             "before --history flags drift (default: 0.10)",
-    )
     args = parser.parse_args(argv)
-
-    if args.history is not None:
-        return _bench_history(args)
+    if args.reps < 3:
+        parser.error("--reps must be at least 3: single-shot kernel "
+                     "timings are too noisy for a ratio gate")
 
     from repro import bench
 
@@ -350,46 +315,10 @@ def _bench_main(argv: list[str]) -> int:
 
     if baseline is None:
         return 0
-    report, regressions = bench.compare_bench(
-        payload, baseline, threshold=args.threshold
-    )
+    report, regressions = bench.compare_bench(payload, baseline)
     print()
     print(report)
     return 4 if regressions else 0
-
-
-def _bench_history(args) -> int:
-    """``repro bench --history``: trend table + rolling-window gate."""
-    from repro.bench import (
-        DEFAULT_DRIFT,
-        DEFAULT_WINDOW,
-        load_history,
-        render_trend,
-        trend_payload,
-    )
-
-    window = args.window if args.window is not None else DEFAULT_WINDOW
-    drift = args.drift if args.drift is not None else DEFAULT_DRIFT
-    try:
-        entries = load_history(args.history)
-        if not entries:
-            print(
-                f"repro bench: no BENCH_*.json artifacts in {args.history}",
-                file=sys.stderr,
-            )
-            return 1
-        trend = trend_payload(entries, window=window, drift=drift)
-    except (OSError, ValueError) as exc:
-        print(f"repro bench: {exc}", file=sys.stderr)
-        return 1
-    print(render_trend(trend))
-    if args.output is not None:
-        out = atomic_write_text(
-            args.output, json.dumps(trend, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"\nwrote {out}")
-    drifting = [v for v in trend["verdicts"] if v["status"] == "drift"]
-    return 5 if drifting else 0
 
 
 def _list_main() -> int:
@@ -819,8 +748,7 @@ def main(argv: list[str] | None = None) -> int:
                "description) with `*` on the active one; "
                "`repro bench [--compare BASELINE.json]` measures the "
                "backends' speedups over reference on the codec kernels "
-               "and the fig3 encode slice (`--history DIR` renders the "
-               "speedup trend and gates on rolling-window drift); "
+               "and the fig3 encode slice (exit 4 on a regression); "
                "`repro submit CLIP` "
                "queues a job and `repro serve` runs the transcoding job "
                "service over the queue; `repro loadtest` drives the "

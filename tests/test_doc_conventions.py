@@ -131,12 +131,12 @@ def test_every_env_var_documented(configuration_doc):
 
 
 def test_benchmarks_doc_names_both_live_schemas():
-    """docs/BENCHMARKS.md documents the two formats `repro bench` writes."""
-    from repro.bench import BENCH_SCHEMA, TREND_SCHEMA
+    """docs/BENCHMARKS.md documents the one format `repro bench` writes
+    (the trend schema left with the drift gate)."""
+    from repro.bench import BENCH_SCHEMA
 
     doc = (_REPO_ROOT / "docs" / "BENCHMARKS.md").read_text(encoding="utf-8")
     assert BENCH_SCHEMA in doc
-    assert TREND_SCHEMA in doc
 
 
 def _src_files_mentioning(*needles: str) -> list[str]:
@@ -190,13 +190,16 @@ def test_no_sweep_checkpoint_in_src():
 def test_no_benchmark_matrix_in_src():
     """`repro bench` is the backend-ratio gate and nothing else, and no
     environment variable selects what it runs (docs/PERFORMANCE.md has
-    the two reproductions that removed the matrix compiler); nothing
-    under src/ may bring it back."""
+    the reproductions that removed the matrix compiler and the drift
+    gate); nothing under src/ may bring either back."""
     offenders = _src_files_mentioning(
         "MatrixSpec", "bench_matrix", "REPRO_BENCH_MATRIX",
         "REPRO_BENCH_HISTORY", "render_matrix",
+        "load_history", "TREND_SCHEMA", "detect_drift", "repro-bench-trend",
     )
-    assert not offenders, f"benchmark matrix referenced in: {offenders}"
+    assert not offenders, (
+        f"benchmark matrix or drift gate referenced in: {offenders}"
+    )
 
 
 def _src_lines_mentioning(needle: str) -> dict[str, list[str]]:

@@ -137,6 +137,14 @@ def test_load_bench_rejects_malformed_v2(tmp_path):
     path.write_text(json.dumps({"schema": BENCH_SCHEMA, "kernels": {}}))
     with pytest.raises(ValueError, match="malformed repro-bench/v2"):
         load_bench(path)
+    # Not a ratio of two timings: NaN or -1 would pass every row, 0 would
+    # crash the compare after the whole measurement.
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        payload = _fake_payload({"transform.forward_4x4": 3.0}, 3.0)
+        payload["kernels"]["transform.forward_4x4"]["speedups"]["vectorized"] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="kernel:transform.forward_4x4"):
+            load_bench(path)
 
 
 def test_provenance_comes_from_the_package_checkout(tmp_path, monkeypatch):
@@ -163,15 +171,19 @@ def test_render_bench_mentions_workloads():
 def test_compare_no_regression():
     base = _fake_payload({"transform.forward_4x4": 3.0}, 3.0)
     cur = _fake_payload({"transform.forward_4x4": 2.9}, 2.8, rev="def5678")
-    report, regressions = compare_bench(cur, base, threshold=0.25)
+    report, regressions = compare_bench(cur, base)
     assert regressions == []
+    assert report.splitlines()[0] == (
+        "comparing def5678 against baseline abc1234 "
+        "(threshold: -25% encode, -50% kernels)"
+    )
     assert "no regressions" in report
 
 
 def test_compare_flags_encode_regression():
     base = _fake_payload({"transform.forward_4x4": 3.0}, 3.0)
     cur = _fake_payload({"transform.forward_4x4": 3.0}, 2.0, rev="def5678")
-    report, regressions = compare_bench(cur, base, threshold=0.25)
+    report, regressions = compare_bench(cur, base)
     assert regressions == ["encode:fig3-slice"]
     assert "REGRESSION" in report
 
@@ -181,10 +193,10 @@ def test_compare_kernel_threshold_is_looser():
     # the same drop on the encode slice trips the 25% gate.
     base = _fake_payload({"transform.forward_4x4": 3.0}, 3.0)
     cur = _fake_payload({"transform.forward_4x4": 1.8}, 3.0, rev="def5678")
-    _, regressions = compare_bench(cur, base, threshold=0.25)
+    _, regressions = compare_bench(cur, base)
     assert regressions == []
     cur2 = _fake_payload({"transform.forward_4x4": 1.4}, 3.0, rev="def5678")
-    _, regressions2 = compare_bench(cur2, base, threshold=0.25)
+    _, regressions2 = compare_bench(cur2, base)
     assert regressions2 == ["kernel:transform.forward_4x4"]
 
 

@@ -253,7 +253,7 @@ class TestEngineFlags:
         assert parallel.default_cache() is None
 
 
-def _v2_payload(speedup=3.0, *, rev="abc1234", dirty=False, timestamp=1000.0):
+def _v2_payload(speedup=3.0, *, rev="abc1234", dirty=False):
     """A minimal well-formed repro-bench/v2 artifact."""
     from repro.bench import BENCH_SCHEMA
 
@@ -263,7 +263,7 @@ def _v2_payload(speedup=3.0, *, rev="abc1234", dirty=False, timestamp=1000.0):
         "schema": BENCH_SCHEMA,
         "rev": rev,
         "dirty": dirty,
-        "timestamp": timestamp,
+        "timestamp": 1000.0,
         "quick": True,
         "host": {"python": "3", "numpy": "1", "machine": "m"},
         "kernels": {
@@ -332,10 +332,13 @@ class TestBenchGate:
             "schema": "repro-bench/v1", "rev": "ab29421", "dirty": False,
             "kernels": {}, "e2e": {"speedup": 3.0},
         }))
+        nan = tmp_path / "nan.json"
+        nan.write_text(json.dumps(_v2_payload(float("nan"))))
         for path, complaint in [
             (dirty, "dirty tree"),
             (tmp_path / "missing.json", "missing.json"),
             (v1, "not a repro-bench/v2"),
+            (nan, "not a finite positive ratio"),
         ]:
             assert main(["bench", "--quick", "--compare", str(path)]) == 1
             assert complaint in capsys.readouterr().err
@@ -347,57 +350,20 @@ class TestBenchGate:
         ["bench", "--kernels", "vectorized"],
         ["bench", "--jobs", "2"],
         ["matrix", "validate", "X"],
+        # The drift gate's flags, and --threshold.
+        ["bench", "--history", "X"],
+        ["bench", "--window", "3"],
+        ["bench", "--drift", "0.1"],
+        ["bench", "--threshold", "0.5"],
+        # Fewer than three kernel repetitions is a usage error, not a
+        # silently raised floor.
+        ["bench", "--reps", "2"],
     ], ids=" ".join)
     def test_matrix_surface_is_gone(self, argv, capsys, measured):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert measured == []
-
-
-class TestBenchHistoryCommand:
-    def _write_history(self, tmp_path, speedups):
-        for i, s in enumerate(speedups):
-            (tmp_path / f"BENCH_rev{i}.json").write_text(json.dumps(
-                _v2_payload(s, rev=f"rev{i}", timestamp=1000.0 + i)
-            ))
-
-    def test_flat_history_exits_zero(self, tmp_path, capsys):
-        self._write_history(tmp_path, [3.0, 3.0, 3.0])
-        assert main(["bench", "--history", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "encode:fig3-slice" in out
-        assert "no drift" in out
-
-    def test_slow_drift_exits_five(self, tmp_path, capsys):
-        # The accumulating-drop scenario the pairwise exit-4 gate misses.
-        self._write_history(tmp_path, [3.0, 2.9, 2.6, 2.4])
-        assert main(["bench", "--history", str(tmp_path),
-                     "--window", "3"]) == 5
-        assert "DRIFT" in capsys.readouterr().out
-
-    def test_trend_json_written_with_output(self, tmp_path, capsys):
-        self._write_history(tmp_path, [3.0, 3.0])
-        out = tmp_path / "trend.json"
-        assert main(["bench", "--history", str(tmp_path),
-                     "--output", str(out)]) == 0
-        trend = json.loads(out.read_text())
-        assert trend["schema"] == "repro-bench-trend/v1"
-        assert len(trend["entries"]) == 2
-
-    def test_empty_history_dir_is_an_error(self, tmp_path, capsys):
-        # A directory of the deleted matrix compiler's artifacts is empty
-        # to the drift gate: exit 1, never a verdict.
-        (tmp_path / "matrix.json").write_text(json.dumps(
-            {"schema": "repro-bench-matrix/v1", "cells": []}
-        ))
-        assert main(["bench", "--history", str(tmp_path)]) == 1
-        assert "no BENCH_*.json artifacts" in capsys.readouterr().err
-
-    def test_corrupt_artifact_is_an_error(self, tmp_path, capsys):
-        (tmp_path / "BENCH_x.json").write_text("{nope")
-        assert main(["bench", "--history", str(tmp_path)]) == 1
-        assert "unreadable" in capsys.readouterr().err
 
 
 class TestReport:
@@ -447,13 +413,13 @@ class TestReport:
 #: ``--checkpoint-dir`` and the sweeps' ``--resume`` left with the sweep
 #: checkpoint manifest (``serve`` keeps its own ``--resume``); ``bench``
 #: lost ``--matrix --matrix-out --kernels --jobs`` and the ``matrix``
-#: subcommand with the matrix compiler.
+#: subcommand with the matrix compiler, then ``--history --window
+#: --drift`` with the drift gate and ``--threshold`` with them.
 FROZEN_FLAGS = {
     "": "--cache-dir --debug --fault-plan --jobs --kernels "
         "--no-cache --scale --telemetry --version "
         "experiment",
-    "bench": "--compare --drift --history --output --quick --reps "
-             "--threshold --window",
+    "bench": "--compare --output --quick --reps",
     "cache": "--cache-dir action",
     "serve": "--budget-usd --checkpoint --count --deadline-s --fault-plan "
              "--fleet --metrics-interval --metrics-out --mix --no-control "
