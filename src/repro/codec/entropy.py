@@ -50,10 +50,14 @@ first 1 bit is at ``o`` ends at ``2*o - s + 1``, whatever it means.
 :class:`BitstreamError` (a ``ValueError``); running off the end raises
 its subclass :class:`TruncatedBitstreamError` (also an ``EOFError``).
 ``ValueError`` raised for a bad *argument* (negative width, a block of
-the wrong shape) stays a plain ``ValueError``.
+the wrong shape, a level outside int32) stays a plain ``ValueError``; the
+block writers take integer levels and tags only (``TypeError``), so
+they never write what the reader refuses or round what it would read.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -98,6 +102,8 @@ _MAX_ZEROS = 64
 
 #: Raster offset (row * 4 + col) of each zigzag scan position.
 _ZIGZAG_FLAT = ZIGZAG_4X4[0] * 4 + ZIGZAG_4X4[1]
+#: Width of ue(r)'s codeword r + 1, for every zero run r of a 4x4 block.
+_RUN_WIDTHS = [0] + [2 * code.bit_length() - 1 for code in range(1, 17)]
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 
@@ -350,10 +356,8 @@ def encode_block(writer: BitWriter, block: np.ndarray) -> int:
     Syntax: ue(n_nonzero), then per nonzero coefficient in zigzag order
     ue(zero run before it) and se(level).
     """
-    if block.shape != (4, 4):
-        raise ValueError(f"expected 4x4 block, got {block.shape}")
     start = writer.bit_count
-    scan = _zigzag(np.asarray(block, dtype=np.int64))
+    scan = _zigzag(_checked_batch(np.asarray(block)[None])[0])
     nz_positions = np.nonzero(scan)[0]
     if kernels.is_vectorized():
         # Accumulate the whole block's codes into one big-int append.
@@ -387,9 +391,18 @@ def encode_block(writer: BitWriter, block: np.ndarray) -> int:
 
 
 def _checked_batch(blocks: np.ndarray) -> np.ndarray:
-    arr = np.asarray(blocks, dtype=np.int64)
+    """``blocks`` as an ``(n, 4, 4)`` array, refused unless every level is
+    an integer the reader takes back: ``TypeError`` for a non-integer
+    dtype, ``ValueError`` for a bad shape or a level outside int32."""
+    arr = np.asarray(blocks)
     if arr.ndim != 3 or arr.shape[-2:] != (4, 4):
         raise ValueError(f"expected (n, 4, 4) blocks, got {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"coefficient levels must be integers, got {arr.dtype}")
+    if arr.size and not np.can_cast(arr.dtype, np.int32) and (
+        arr.min() < _INT32_MIN or arr.max() > _INT32_MAX
+    ):
+        raise ValueError("coefficient level out of int32 range")
     return arr
 
 
@@ -398,10 +411,10 @@ def encode_blocks(writer: BitWriter, blocks: np.ndarray) -> list[int]:
 
     Emits exactly the same bitstream as calling :func:`encode_block` on
     each block in order (which is what the ``reference`` backend does).
-    The vectorized body computes every codeword and width of the whole
-    ``(n, 4, 4)`` batch in NumPy and folds them into **one** big-int
-    append: codeword concatenation is associative, so the bitstream is
-    unchanged — only the number of ``append_bits`` calls drops.
+    The vectorized body folds every codeword of the whole ``(n, 4, 4)``
+    batch into **one** big-int append: codeword concatenation is
+    associative, so the bitstream is unchanged — only the number of
+    ``append_bits`` calls drops.
     """
     arr = _checked_batch(blocks)
     if not kernels.is_vectorized():
@@ -423,68 +436,70 @@ def encode_tagged_blocks(
     (``reference`` writes each pair as it codes the block).
     """
     arr = _checked_batch(blocks)
+    tags = [operator.index(tag) for tag in tags]  # TypeError for a non-int
     if len(tags) != len(arr):
         raise ValueError(f"{len(tags)} tags for {len(arr)} blocks")
-    return _fold_batch(writer, arr, [int(tag) for tag in tags])
+    if tags and min(tags) < 0:
+        raise ValueError(f"ue() requires value >= 0, got {min(tags)}")
+    return _fold_batch(writer, arr, tags)
 
 
 def _fold_batch(
     writer: BitWriter, arr: np.ndarray, tags: list[int] | None
 ) -> list[int]:
     """One big-int append for a whole batch (each block behind its ue tag
-    if ``tags``); returns per-block bits, tag included."""
-    if tags and min(tags) < 0:
-        raise ValueError(f"ue() requires value >= 0, got {min(tags)}")
-    n = arr.shape[0]
-    scans = arr[:, ZIGZAG_4X4[0], ZIGZAG_4X4[1]]  # (n, 16)
-    nz_mask = scans != 0
-    # np.nonzero walks row-major, so entries arrive grouped by block in
-    # scan order — exactly the order the per-block path emits them.
-    block_idx, pos = np.nonzero(nz_mask)
-    levels = scans[block_idx, pos]
-    # Zero-run codes: distance to the previous nonzero in the same block
-    # (or to -1 at a block start).
-    prev = np.empty_like(pos)
-    if pos.size:
-        prev[0] = -1
-        prev[1:] = np.where(block_idx[1:] == block_idx[:-1], pos[:-1], -1)
-    run_codes = pos - prev
-    level_codes = np.where(levels > 0, 2 * levels, 1 - 2 * levels)
-    header_codes = nz_mask.sum(axis=1) + 1  # (n,) nonzero counts + 1
-    # Codeword width 2*bit_length-1; frexp's exponent IS bit_length for
-    # positive ints (exact in float64 below 2**53 — levels are int32).
-    run_widths = 2 * np.frexp(run_codes.astype(np.float64))[1] - 1
-    level_widths = 2 * np.frexp(level_codes.astype(np.float64))[1] - 1
-    header_widths = 2 * np.frexp(header_codes.astype(np.float64))[1] - 1
-    per_block = header_widths + np.bincount(
-        block_idx, weights=run_widths + level_widths, minlength=n
-    ).astype(np.int64)
+    if ``tags``); returns per-block bits, tag included.
 
-    # Assembly must stay in Python big ints; everything numeric is done,
-    # so hand the loop plain lists.
-    bi = block_idx.tolist()
-    rc, rw = run_codes.tolist(), run_widths.tolist()
-    lc, lw = level_codes.tolist(), level_widths.tolist()
-    head = header_codes.tolist()
-    widths = per_block.tolist()
-    if tags is not None:
-        head_widths = header_widths.tolist()
-        for b, tag in enumerate(tags):
-            head[b] |= (tag + 1) << head_widths[b]
-            widths[b] += 2 * (tag + 1).bit_length() - 1
-    total_acc = 0
-    total_bits = 0
-    j = 0
-    n_entries = len(bi)
-    for b in range(n):
-        acc = head[b]
-        while j < n_entries and bi[j] == b:
-            acc = (acc << rw[j]) | rc[j]
-            acc = (acc << lw[j]) | lc[j]
-            j += 1
-        total_acc = (total_acc << widths[b]) | acc
-        total_bits += widths[b]
-    writer.append_bits(total_acc, total_bits)
+    NumPy finds the nonzero levels and their se() codewords; one Python
+    loop then walks those alone, so a block with none costs its header and
+    nothing more."""
+    n = len(arr)
+    scans = arr.reshape(n, 16)[:, _ZIGZAG_FLAT]
+    # Flat places arrive grouped by block (place >> 4), in scan order
+    # (place & 15) — exactly the order the per-block path emits them.
+    places = np.flatnonzero(scans)
+    levels = scans.take(places)
+    # se(level)'s codeword: 2|level|, plus 1 for a negative level (int64:
+    # 2|level| of an int32 level needs 33 bits).
+    codes = ((np.abs(levels, dtype=np.int64) << 1) | (levels < 0)).tolist()
+    places = places.tolist()
+    # Every block starts as if it had no nonzero level: its tag's codeword,
+    # then ue(0), the one bit "1".
+    if tags is None:
+        heads, widths = [1] * n, [1] * n
+    else:
+        heads = [(tag + 1) << 1 | 1 for tag in tags]
+        widths = [2 * (tag + 1).bit_length() for tag in tags]
+    # A sentinel in block n closes the last block; block n is never closed.
+    places.append(n << 4)
+    codes.append(1)
+    run_widths = _RUN_WIDTHS
+    last = places[0] | 15  # the current block's last place
+    prev = last - 16
+    body = body_bits = count = 0
+    for place, code in zip(places, codes):
+        if place > last:
+            # Swap the block's trailing ue(0) for ue(count) (codeword
+            # count + 1), then its codes.
+            block = last >> 4
+            count += 1
+            width = 2 * count.bit_length() - 1
+            heads[block] = ((heads[block] >> 1 << width | count) << body_bits) | body
+            widths[block] += width - 1 + body_bits
+            last = place | 15
+            prev = last - 16
+            body = body_bits = count = 0
+        run = place - prev  # codeword of ue(zero run): zero run + 1
+        prev = place
+        width = 2 * code.bit_length() - 1
+        pair_width = run_widths[run] + width
+        body = (body << pair_width) | (run << width) | code
+        body_bits += pair_width
+        count += 1
+    acc = 0
+    for head, width in zip(heads, widths):
+        acc = (acc << width) | head
+    writer.append_bits(acc, sum(widths))
     return widths
 
 

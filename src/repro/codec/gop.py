@@ -14,9 +14,11 @@ lookahead which also works on half-resolution frames.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec.options import EncoderOptions
 from repro.codec.types import FrameType
@@ -59,9 +61,7 @@ def _intra_cost(probe: np.ndarray) -> float:
 
 
 _PROBE_BLOCK = 4
-_PROBE_SHIFTS = tuple(
-    (dy, dx) for dy in (-2, -1, 0, 1, 2) for dx in (-2, -1, 0, 1, 2)
-)
+_PROBE_RANGE = 2  # translations of -2..+2 probe pixels on each axis
 
 
 def _inter_cost(probe: np.ndarray, ref_probe: np.ndarray) -> float:
@@ -70,22 +70,37 @@ def _inter_cost(probe: np.ndarray, ref_probe: np.ndarray) -> float:
     A zero-MV difference wildly overestimates inter cost on moving
     content; like x264's lookahead we run a coarse per-block motion
     search: each 4x4 probe block keeps its best SAD over +/-2-pixel
-    translations of the reference. Continuous motion compensates away;
-    scene cuts do not.
+    translations of the reference (wrapping at the edges, as ``np.roll``
+    would). Continuous motion compensates away; scene cuts do not.
+
+    All 25 translations are scored at once, in integers: a probe is a mean
+    of four uint8, so 4x a probe is an integer <= 1020 and a 4x4 block's
+    SAD of those fits int16. Every sum is exact, so the result is the
+    float a per-translation float64 loop returns.
     """
     h = (probe.shape[0] // _PROBE_BLOCK) * _PROBE_BLOCK
     w = (probe.shape[1] // _PROBE_BLOCK) * _PROBE_BLOCK
-    cur = probe[:h, :w]
-    nby, nbx = h // _PROBE_BLOCK, w // _PROBE_BLOCK
-    best = np.full((nby, nbx), np.inf)
-    for dy, dx in _PROBE_SHIFTS:
-        shifted = np.roll(ref_probe, (dy, dx), axis=(0, 1))[:h, :w]
-        diff = np.abs(cur - shifted)
-        block_sums = diff.reshape(
-            nby, _PROBE_BLOCK, nbx, _PROBE_BLOCK
-        ).sum(axis=(1, 3))
-        np.minimum(best, block_sums, out=best)
-    return float(best.sum()) + 1.0
+    if not (h and w):
+        return 1.0
+    span = 2 * _PROBE_RANGE + 1
+    ref = (ref_probe * 4).astype(np.int16)
+    rows = np.arange(-_PROBE_RANGE, ref.shape[0] + _PROBE_RANGE)
+    cols = np.arange(-_PROBE_RANGE, ref.shape[1] + _PROBE_RANGE)
+    padded = ref.take(rows, axis=0, mode="wrap").take(cols, axis=1, mode="wrap")
+    # windows[oy, ox] is the reference shifted by (2 - oy, 2 - ox).
+    windows = sliding_window_view(padded, (h, w))[:span, :span]
+    diff = windows - (probe[:h, :w] * 4).astype(np.int16)  # (5, 5, h, w)
+    np.abs(diff, out=diff)
+    # 4x4 block sums as strided adds: rows of each block, then columns.
+    quads = diff.reshape(span * span, h // _PROBE_BLOCK, _PROBE_BLOCK, w)
+    sums = quads[:, :, 0] + quads[:, :, 1]
+    sums += quads[:, :, 2]
+    sums += quads[:, :, 3]
+    blocks = sums[..., 0::4] + sums[..., 1::4]
+    blocks += sums[..., 2::4]
+    blocks += sums[..., 3::4]
+    best = blocks.reshape(span * span, -1).min(axis=0)
+    return float(best.sum(dtype=np.int64)) / 4 + 1.0
 
 
 def scene_change_score(cur: np.ndarray, prev: np.ndarray) -> float:
@@ -131,6 +146,14 @@ def plan_gop(video: FrameSequence, options: EncoderOptions) -> GopPlan:
     n = len(video)
     probes = [_probe(f.luma) for f in video]
     icosts = [_intra_cost(p) for p in probes]
+    # Scene-cut detection and B-adapt score the same frame pairs: each pair
+    # is scored once per plan.
+    pair_costs: dict[tuple[int, int], float] = {}
+
+    def inter_cost(i: int, ref: int) -> float:
+        if (i, ref) not in pair_costs:
+            pair_costs[i, ref] = _inter_cost(probes[i], probes[ref])
+        return pair_costs[i, ref]
 
     # Pass 1: place I frames (keyint + scenecut).
     is_idr = [False] * n
@@ -142,8 +165,8 @@ def plan_gop(video: FrameSequence, options: EncoderOptions) -> GopPlan:
         since_idr += 1
         cut = False
         if options.scenecut > 0:
-            score = scene_change_score(video[i].luma, video[i - 1].luma)
-            cut = score >= cut_threshold
+            # scene_change_score(frame i, frame i - 1) from this plan's probes
+            cut = inter_cost(i, i - 1) / icosts[i] >= cut_threshold
         if cut or since_idr >= options.keyint:
             is_idr[i] = True
             since_idr = 0
@@ -168,7 +191,7 @@ def plan_gop(video: FrameSequence, options: EncoderOptions) -> GopPlan:
                 i += 1
             run_end = i  # exclusive
             _assign_b_frames(
-                frame_types, probes, icosts, run_start, run_end, options
+                frame_types, inter_cost, icosts, run_start, run_end, options
             )
 
     return GopPlan(
@@ -180,7 +203,7 @@ def plan_gop(video: FrameSequence, options: EncoderOptions) -> GopPlan:
 
 def _assign_b_frames(
     frame_types: list[FrameType],
-    probes: list[np.ndarray],
+    inter_cost: Callable[[int, int], float],
     icosts: list[float],
     start: int,
     end: int,
@@ -189,6 +212,7 @@ def _assign_b_frames(
     """Mark frames in [start, end) as B according to b_adapt policy.
 
     The last frame of each mini-group stays P (the forward anchor).
+    ``inter_cost(i, ref)`` is frame ``i``'s inter cost from frame ``ref``.
     """
     max_b = options.bframes
     i = start
@@ -201,7 +225,7 @@ def _assign_b_frames(
             # Fast: extend the B run while consecutive frames are similar.
             n_b = 0
             for j in range(i, group_end - 1):
-                sim = _inter_cost(probes[j], probes[j - 1]) / icosts[j]
+                sim = inter_cost(j, j - 1) / icosts[j]
                 if sim < 0.6:  # cheap to bi-predict
                     n_b += 1
                 else:
@@ -217,9 +241,9 @@ def _assign_b_frames(
             n_b = 0
             for cand in range(0, group_end - i):
                 anchor = i + cand
-                anchor_cost = _inter_cost(probes[anchor], probes[i - 1])
+                anchor_cost = inter_cost(anchor, i - 1)
                 b_cost = sum(
-                    0.55 * _inter_cost(probes[j], probes[j - 1])
+                    0.55 * inter_cost(j, j - 1)
                     for j in range(i, anchor)
                 )
                 cost = (anchor_cost + b_cost) / (cand + 1)

@@ -57,11 +57,9 @@ def dequantize(levels: np.ndarray, qp: int) -> np.ndarray:
 
 def _level_bits(level: np.ndarray | int) -> np.ndarray | int:
     """Approximate exp-Golomb signed bit cost of a level (vectorized)."""
-    mag = np.abs(level)
-    # se(v) maps magnitude m to code number ~2m, costing 2*floor(log2(2m+1))+1.
-    return 2 * np.floor(np.log2(2 * np.asarray(mag, dtype=np.float64) + 1)).astype(
-        np.int64
-    ) + 1
+    # se(v) maps magnitude m to code number ~2m, costing 2*floor(log2(2m+1))+1;
+    # frexp's exponent of the integer 2m+1 is floor(log2(2m+1)) + 1, exactly.
+    return 2 * np.frexp(2 * np.abs(level) + 1.0)[1] - 1
 
 
 def trellis_quantize(
@@ -91,35 +89,29 @@ def trellis_quantize(
         raise ValueError(f"trellis level must be 0, 1 or 2, got {level}")
     if level == 0:
         return quantize(coeffs, qp)
-    base = quantize(coeffs, qp, deadzone=0.5)  # round-to-nearest start
     arr = np.asarray(coeffs, dtype=np.float64)
     step = qstep(qp)
     lam = rd_lambda(qp)
-    levels = base.astype(np.float64)
-    nz = levels != 0
+    # Round-to-nearest start: ``quantize`` at dead zone 0.5, kept in float.
+    mag = np.floor(np.abs(arr) / step + 0.5)
+    if not mag.any():
+        return np.zeros(arr.shape, dtype=np.int32)
+    levels = np.copysign(mag, arr)
 
-    if not np.any(nz):
-        return base
-
-    # Candidate: zero the coefficient.
-    d_keep = (arr - levels * step) ** 2
-    d_zero = arr**2
-    r_keep = _level_bits(levels)
-    j_keep = d_keep + lam * np.where(nz, r_keep, 1)
-    j_zero = d_zero + lam * 1  # a zero costs ~1 bit in run coding
-    choose_zero = nz & (j_zero < j_keep)
-    out = np.where(choose_zero, 0.0, levels)
+    # Candidate: zero the coefficient. A zero costs ~1 bit in run coding
+    # (``_level_bits(0)``), so where the level already is zero the two
+    # costs are equal and ``<`` keeps it.
+    j_keep = (arr - levels * step) ** 2 + lam * _level_bits(mag)
+    j_zero = arr**2 + lam
+    out = np.where(j_zero < j_keep, 0.0, levels)
 
     if level == 2:
-        # Candidate: demote magnitude by one (only where |level| > 1).
+        # Candidate: demote magnitude by one (only where |level| > 1, so
+        # where the level was kept and its cost is ``j_keep``).
         big = np.abs(out) > 1
-        if np.any(big):
+        if big.any():
             lowered = out - np.sign(out)
-            d_low = (arr - lowered * step) ** 2
-            j_low = d_low + lam * _level_bits(lowered)
-            j_cur = (arr - out * step) ** 2 + lam * np.where(
-                out != 0, _level_bits(out), 1
-            )
-            out = np.where(big & (j_low < j_cur), lowered, out)
+            j_low = (arr - lowered * step) ** 2 + lam * _level_bits(lowered)
+            out = np.where(big & (j_low < j_keep), lowered, out)
 
     return out.astype(np.int32)

@@ -23,6 +23,12 @@ column path equal to (``==`` on every float):
   macroblock, intra-4x4 predicted block by block, a fractional fetch served
   by the reference's whole-plane phase cache.
 
+* :func:`inter_cost_per_shift`, :func:`fold_batch_numpy` and
+  :func:`trellis_quantize_two_pass` (with :func:`level_bits_log2`): the
+  lookahead cost one translation at a time, the run-level fold with every
+  codeword computed in NumPy, and trellis from a second ``quantize`` —
+  the encoder kernels the folded ones replaced.
+
 Nothing under ``src/`` imports this module.
 """
 
@@ -39,6 +45,7 @@ from repro.codec import kernels
 from repro.codec import decoder as decoder_mod
 from repro.codec.entropy import (
     BitstreamError,
+    BitWriter,
     decode_blocks,
     decode_tagged_blocks,
     read_se,
@@ -46,8 +53,8 @@ from repro.codec.entropy import (
 )
 from repro.codec.intra import predict_16x16
 from repro.codec.motion import fetch_prediction, predict_mv
-from repro.codec.quant import dequantize
-from repro.codec.transform import inverse_4x4, unblockify_16x16
+from repro.codec.quant import dequantize, qstep, quantize, rd_lambda
+from repro.codec.transform import ZIGZAG_4X4, inverse_4x4, unblockify_16x16
 from repro.codec.types import IntraMode, MotionVector
 from repro.trace.events import (
     BranchEvent,
@@ -557,3 +564,121 @@ class PerMacroblockDecoder(decoder_mod.Decoder):
         else:
             dc = 128.0
         return np.full((4, 4), dc)
+
+
+# -- encoder folds --------------------------------------------------------
+
+_PROBE_SHIFTS = tuple(
+    (dy, dx) for dy in (-2, -1, 0, 1, 2) for dx in (-2, -1, 0, 1, 2)
+)
+
+
+def inter_cost_per_shift(probe: np.ndarray, ref_probe: np.ndarray) -> float:
+    """``gop._inter_cost`` one translation at a time: ``np.roll`` the
+    reference, float64 4x4 block SADs, a running minimum."""
+    h = (probe.shape[0] // 4) * 4
+    w = (probe.shape[1] // 4) * 4
+    cur = probe[:h, :w]
+    nby, nbx = h // 4, w // 4
+    best = np.full((nby, nbx), np.inf)
+    for dy, dx in _PROBE_SHIFTS:
+        shifted = np.roll(ref_probe, (dy, dx), axis=(0, 1))[:h, :w]
+        diff = np.abs(cur - shifted)
+        block_sums = diff.reshape(nby, 4, nbx, 4).sum(axis=(1, 3))
+        np.minimum(best, block_sums, out=best)
+    return float(best.sum()) + 1.0
+
+
+def fold_batch_numpy(
+    writer: BitWriter, arr: np.ndarray, tags: list[int] | None
+) -> list[int]:
+    """``entropy._fold_batch`` with every codeword and width computed in
+    NumPy (``frexp`` bit lengths, ``bincount`` per-block widths) and a Python
+    loop over all blocks only to concatenate them."""
+    arr = np.asarray(arr, dtype=np.int64)
+    n = arr.shape[0]
+    scans = arr[:, ZIGZAG_4X4[0], ZIGZAG_4X4[1]]  # (n, 16)
+    nz_mask = scans != 0
+    block_idx, pos = np.nonzero(nz_mask)
+    levels = scans[block_idx, pos]
+    prev = np.empty_like(pos)
+    if pos.size:
+        prev[0] = -1
+        prev[1:] = np.where(block_idx[1:] == block_idx[:-1], pos[:-1], -1)
+    run_codes = pos - prev
+    level_codes = np.where(levels > 0, 2 * levels, 1 - 2 * levels)
+    header_codes = nz_mask.sum(axis=1) + 1
+    run_widths = 2 * np.frexp(run_codes.astype(np.float64))[1] - 1
+    level_widths = 2 * np.frexp(level_codes.astype(np.float64))[1] - 1
+    header_widths = 2 * np.frexp(header_codes.astype(np.float64))[1] - 1
+    per_block = header_widths + np.bincount(
+        block_idx, weights=run_widths + level_widths, minlength=n
+    ).astype(np.int64)
+
+    bi = block_idx.tolist()
+    rc, rw = run_codes.tolist(), run_widths.tolist()
+    lc, lw = level_codes.tolist(), level_widths.tolist()
+    head = header_codes.tolist()
+    widths = per_block.tolist()
+    if tags is not None:
+        head_widths = header_widths.tolist()
+        for b, tag in enumerate(tags):
+            head[b] |= (tag + 1) << head_widths[b]
+            widths[b] += 2 * (tag + 1).bit_length() - 1
+    total_acc = 0
+    total_bits = 0
+    j = 0
+    n_entries = len(bi)
+    for b in range(n):
+        acc = head[b]
+        while j < n_entries and bi[j] == b:
+            acc = (acc << rw[j]) | rc[j]
+            acc = (acc << lw[j]) | lc[j]
+            j += 1
+        total_acc = (total_acc << widths[b]) | acc
+        total_bits += widths[b]
+    writer.append_bits(total_acc, total_bits)
+    return widths
+
+
+def level_bits_log2(level):
+    """``quant._level_bits`` through ``np.log2``."""
+    mag = np.abs(level)
+    return 2 * np.floor(np.log2(2 * np.asarray(mag, dtype=np.float64) + 1)).astype(
+        np.int64
+    ) + 1
+
+
+def trellis_quantize_two_pass(coeffs, qp, *, level=1):
+    """``quant.trellis_quantize`` starting from a second ``quantize`` call
+    (dead zone 0.5), with every cost masked by ``np.where``."""
+    if level not in (0, 1, 2):
+        raise ValueError(f"trellis level must be 0, 1 or 2, got {level}")
+    if level == 0:
+        return quantize(coeffs, qp)
+    base = quantize(coeffs, qp, deadzone=0.5)
+    arr = np.asarray(coeffs, dtype=np.float64)
+    step = qstep(qp)
+    lam = rd_lambda(qp)
+    levels = base.astype(np.float64)
+    nz = levels != 0
+    if not np.any(nz):
+        return base
+    d_keep = (arr - levels * step) ** 2
+    d_zero = arr**2
+    r_keep = level_bits_log2(levels)
+    j_keep = d_keep + lam * np.where(nz, r_keep, 1)
+    j_zero = d_zero + lam * 1
+    choose_zero = nz & (j_zero < j_keep)
+    out = np.where(choose_zero, 0.0, levels)
+    if level == 2:
+        big = np.abs(out) > 1
+        if np.any(big):
+            lowered = out - np.sign(out)
+            d_low = (arr - lowered * step) ** 2
+            j_low = d_low + lam * level_bits_log2(lowered)
+            j_cur = (arr - out * step) ** 2 + lam * np.where(
+                out != 0, level_bits_log2(out), 1
+            )
+            out = np.where(big & (j_low < j_cur), lowered, out)
+    return out.astype(np.int32)

@@ -18,6 +18,7 @@ from repro.codec.entropy import (
     decode_tagged_blocks,
     encode_block,
     encode_blocks,
+    encode_tagged_blocks,
     read_se,
     read_ue,
     se_bits,
@@ -315,6 +316,76 @@ class TestTypedErrors:
         with pytest.raises(ValueError) as excinfo:
             write_ue(BitWriter(), -1)
         assert not isinstance(excinfo.value, BitstreamError)
+
+
+def _write_one(writer, entry, blocks):
+    """``blocks`` through one of the three block writers."""
+    if entry == "encode_block":
+        return encode_block(writer, blocks[0])
+    if entry == "encode_blocks":
+        return encode_blocks(writer, blocks)
+    return encode_tagged_blocks(writer, [0] * len(blocks), blocks)
+
+
+_ENTRIES = ("encode_block", "encode_blocks", "encode_tagged_blocks")
+
+
+class TestWriterRefusesWhatTheReaderRefuses:
+    """The writer writes exactly what the reader reads back, or refuses:
+    it never rounds a level, truncates a tag or writes a level the reader
+    rejects."""
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    @pytest.mark.parametrize("level", [0.7, 2.9, -1.5])
+    def test_non_integer_levels_are_a_type_error(self, backend, entry, level):
+        writer = BitWriter()
+        with kernels.backend_scope(backend), pytest.raises(TypeError):
+            _write_one(writer, entry, np.full((1, 4, 4), level))
+        assert writer.bit_count == 0
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    @pytest.mark.parametrize("level", [2**33, 2**31, -(2**31) - 1])
+    def test_levels_outside_int32_are_a_value_error(self, backend, entry, level):
+        blocks = np.zeros((1, 4, 4), dtype=np.int64)
+        blocks[0, 1, 2] = level
+        writer = BitWriter()
+        with kernels.backend_scope(backend), pytest.raises(ValueError, match="int32"):
+            _write_one(writer, entry, blocks)
+        assert writer.bit_count == 0
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    def test_int32_extremes_round_trip(self, backend, entry):
+        blocks = np.zeros((2, 4, 4), dtype=np.int64)
+        blocks[:, 0, 0] = [2**31 - 1, -(2**31)]
+        blocks[:, 3, 3] = [-(2**31), 2**31 - 1]
+        with kernels.backend_scope(backend):
+            writer = BitWriter()
+            _write_one(writer, entry, blocks[:1] if entry == "encode_block" else blocks)
+            reader = BitReader(writer.getvalue())
+            if entry == "encode_tagged_blocks":
+                tags, got = decode_tagged_blocks(reader, 2)
+                assert tags == [0, 0]
+            else:
+                got = decode_blocks(reader, 1 if entry == "encode_block" else 2)
+        assert np.array_equal(got, blocks[: len(got)])
+
+    @pytest.mark.parametrize("tag", [1.5, 2.0, np.float64(1.0), "1"])
+    def test_non_integer_tags_are_a_type_error(self, tag):
+        writer = BitWriter()
+        with pytest.raises(TypeError):
+            encode_tagged_blocks(writer, [tag], np.zeros((1, 4, 4), np.int32))
+        assert writer.bit_count == 0
+
+    def test_numpy_integer_tags_are_ints(self):
+        blocks = np.zeros((2, 4, 4), np.int32)
+        a, b = BitWriter(), BitWriter()
+        encode_tagged_blocks(a, np.array([2, 0]), blocks)
+        encode_tagged_blocks(b, [2, 0], blocks)
+        assert a.getvalue() == b.getvalue()
+
 
 
 class TestTokenizedReader:

@@ -19,6 +19,6 @@ def test_encode_budget_stages_resolve():
     """The tool wraps its stages by ``getattr`` when it runs; a renamed
     stage method must fail here, not in the next person's budget run."""
     budget = _load("encode_budget")
-    assert len(budget.STAGES) == 18
+    assert len(budget.STAGES) == 20
     for label, owner, attr in budget.STAGES:
         assert callable(getattr(owner, attr, None)), f"{label}: {owner!r} has no {attr}"

@@ -46,6 +46,7 @@ STAGES = (
     ("    BitReader._fill", entropy.BitReader, "_fill"),
     ("  Decoder._reconstruct", decoder.Decoder, "_reconstruct"),
     ("Encoder.encode", encoder.Encoder, "encode"),
+    ("  plan_gop", encoder, "plan_gop"),
     ("  _search_inter", encoder.Encoder, "_search_inter"),
     ("    choose_inter_ref", encoder, "choose_inter_ref"),
     ("      motion_search", mbdecision, "motion_search"),
@@ -57,6 +58,7 @@ STAGES = (
     ("    predict_4x4_blocks", encoder, "predict_4x4_blocks"),
     ("  _emit_intra4", encoder.Encoder, "_emit_intra4"),
     ("  _transform_and_code", encoder.Encoder, "_transform_and_code"),
+    ("    encode_blocks", encoder, "encode_blocks"),
     ("  _emit_skip", encoder.Encoder, "_emit_skip"),
     ("  _run_deblock", encoder.Encoder, "_run_deblock"),
 )
