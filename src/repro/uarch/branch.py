@@ -21,7 +21,7 @@ exits.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,36 +58,24 @@ class BranchStats:
         return self.mispredicts * 1000.0 / instructions
 
 
-def _history_keys(
-    out: np.ndarray, histories: Sequence[int]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """For each history length ``h``: ``out[i : i + h + 1]`` — a history
-    and the outcome that followed it — packed into one integer (first
-    outcome in the top bit), for every ``i``.
+def _history_keys(out: np.ndarray, h: int) -> np.ndarray:
+    """``out[i : i + h + 1]`` — a history and the outcome that followed it
+    — packed into one integer (first outcome in the top bit), for every
+    ``i``, in ``out``'s dtype.
 
-    One doubling pass serves every length: the pattern over ``2w``
-    outcomes is the pattern over the first ``w`` shifted up, or-ed with
-    the pattern over the next ``w``, and a key is assembled from the
-    power-of-two patterns its width is the sum of, last chunk first — a
-    handful of array passes per length instead of ``h`` per branch. Only
-    the current power pattern and the unfinished keys are alive at once.
+    A doubling pass: the pattern over ``2w`` outcomes is the pattern over
+    the first ``w`` shifted up, or-ed with the pattern over the next ``w``;
+    the key is assembled from the power-of-two patterns ``h + 1`` is the
+    sum of, last chunk first — a handful of array passes, not ``h``.
     """
-    # history -> (pattern over the last `covered` outcomes of its key, covered)
-    partial: dict[int, tuple[np.ndarray | None, int]] = {
-        h: (None, 0) for h in histories
-    }
+    key, covered = out, 0  # key[i] packs out[i : i + covered] once covered > 0
     power, width = out, 1  # power[i] packs out[i : i + width]
     while True:
-        for h, (tail, covered) in list(partial.items()):
-            if (h + 1) & width:
-                key = power if tail is None else (power[:-covered] << covered) | tail[width:]
-                if covered + width == h + 1:
-                    del partial[h]
-                    yield h, key
-                else:
-                    partial[h] = key, covered + width
-        if not partial:
-            return
+        if (h + 1) & width:
+            key = power if not covered else (power[:-covered] << covered) | key[width:]
+            covered += width
+            if covered == h + 1:
+                return key
         power = (power[:-width] << width) | power[width:]
         width *= 2
 
@@ -105,13 +93,16 @@ def _count_mispredicts(keys: np.ndarray, history_bits: int) -> float:
     else:
         # Sparse counting: long histories make the dense pattern space huge
         # (2^33 for 32-bit TAGE components) but only a few patterns occur.
-        unique_keys, counts = np.unique(keys, return_counts=True)
-        pats = unique_keys >> 1
-        # unique_keys is sorted, so the two outcomes of one pattern (if both
-        # occur) are adjacent; the minority count is the steady-state misses.
-        same = pats[1:] == pats[:-1]
-        steady = float(np.minimum(counts[1:][same], counts[:-1][same]).sum())
-        training = float(pats.size - np.count_nonzero(same))
+        keys = np.sort(keys)
+        change = keys[1:] ^ keys[:-1]
+        # Sorted, a pattern that occurs with both outcomes has its last
+        # not-taken key right before its first taken one, one bit apart;
+        # its minority count is the steady-state misses.
+        both = np.flatnonzero(change == 1)
+        not_taken = both + 1 - np.searchsorted(keys, keys[both], side="left")
+        taken = np.searchsorted(keys, keys[both + 1], side="right") - both - 1
+        steady = float(np.minimum(not_taken, taken).sum())
+        training = float(1 + np.count_nonzero(change) - both.size)
     return steady + training
 
 
@@ -119,7 +110,12 @@ def _two_level_by_history(
     outcomes: np.ndarray, histories: Sequence[int]
 ) -> dict[int, float]:
     """:func:`two_level_mispredicts` of one outcome sequence at several
-    history lengths, sharing one :func:`_history_keys` pass."""
+    history lengths, sharing one :func:`_history_keys` pass: the keys of
+    the widest history over the outcomes padded with zeros, one per
+    outcome; a shorter history's keys are their leading bits."""
+    for h in histories:
+        if h > 62:
+            raise ValueError(f"history_bits must be <= 62, got {h}")
     n = outcomes.size
     result: dict[int, float] = {}
     packed = []
@@ -132,12 +128,18 @@ def _two_level_by_history(
             result[h] = min(taken, n - taken) + 1.0
         elif n <= h:
             result[h] = n * 0.5
-        elif h > 62:
-            raise ValueError(f"history_bits must be <= 62, got {h}")
         else:
             packed.append(h)
     if packed:
-        for h, keys in _history_keys(outcomes.astype(np.int64), packed):
+        top = max(packed)
+        # The narrowest integer that holds ``top + 1`` outcomes.
+        narrowest = next(t for t in (np.uint8, np.uint16, np.uint32, np.int64)
+                         if np.iinfo(t).bits > top)
+        padded = np.zeros(n + top, dtype=narrowest)
+        padded[:n] = outcomes
+        widest = _history_keys(padded, top)
+        for h in packed:
+            keys = widest[: n - h] >> (top - h) if h < top else widest[: n - h]
             result[h] = _count_mispredicts(keys, h) + h * 0.5  # + warm-up
     return result
 

@@ -48,6 +48,10 @@ REPLAY_WINDOW_ADDRS = 1 << 15
 #: for its per-step overhead and each one is counted directly.
 _DIRECT_COUNT_BELOW = 32
 
+#: Dense steps go on while more than one position in this many is undecided:
+#: cheaper than a walk over that large an index set (``fleet_replay``).
+_DENSE_WHILE_UNDECIDED_OVER = 16
+
 
 @dataclass
 class CacheStats:
@@ -174,23 +178,6 @@ def _shared_line_shift(params: Sequence[CacheParams]) -> int:
     return shift
 
 
-def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """Stable argsort of int64 ``keys`` in ``[0, bound)``.
-
-    Packing the position into the key turns it into one unstable value
-    sort, several times faster than a stable ``argsort``; keys too wide
-    to pack take the plain stable sort.
-    """
-    n = keys.size
-    if bound * n >= 1 << 62:
-        return np.argsort(keys, kind="stable")
-    packed = keys * n
-    packed += np.arange(n)
-    packed.sort()
-    packed %= n
-    return packed
-
-
 def _run_starts(x: np.ndarray) -> np.ndarray:
     """Mask of the elements that differ from their predecessor."""
     starts = np.empty(x.size, dtype=bool)
@@ -212,7 +199,14 @@ def _lru_window(
     x = np.concatenate((resident, lines))
     if n_sets > 1:
         # Sets are independent: make each one a contiguous run in time order.
-        order = _stable_order(x % n_sets, n_sets)
+        # ``x % n_sets`` through floor division, which NumPy vectorises and
+        # ``%`` not; a stable sort of 8- or 16-bit keys is a radix sort.
+        sets = x // n_sets
+        sets *= n_sets
+        np.subtract(x, sets, out=sets)
+        if n_sets <= 1 << 16:
+            sets = sets.astype(np.uint8 if n_sets <= 1 << 8 else np.uint16)
+        order = np.argsort(sets, kind="stable")
         x = x[order]
     # A line touched twice in a row within its set hits the second time and
     # changes no other access's distinct count: walk the first touches only.
@@ -220,17 +214,33 @@ def _lru_window(
     c = x[first]
     n = c.size
 
-    # Distance to the next / previous touch of the same line (n / 0: none).
+    # Distance to the next / previous touch of the same line (n / 0: none),
+    # from one sort of (line, position) packed into one key — 32 bits wide
+    # where it fits, which sorts twice as fast.
     low = int(c.min())
-    by_line = _stable_order(c - low, int(c.max()) - low + 1)
-    step = by_line[1:] - by_line[:-1]
-    sorted_lines = c[by_line]
-    same = sorted_lines[1:] == sorted_lines[:-1]
-    to_next = np.empty(n, dtype=np.intp)
-    to_next[by_line[:-1]] = np.where(same, step, n)
+    sh = (n - 1).bit_length()
+    width = (int(c.max()) - low).bit_length() + sh
+    if width > 62:
+        by_line = np.argsort(c, kind="stable")
+        sorted_lines = c[by_line]
+    else:
+        key = np.uint32 if width <= 32 else np.int64
+        sorted_lines = (c - low).astype(key, copy=False)
+        sorted_lines <<= sh
+        sorted_lines |= np.arange(n, dtype=key)
+        sorted_lines.sort()
+        by_line = (sorted_lines & ((1 << sh) - 1)).astype(np.intp, copy=False)
+        sorted_lines >>= sh
+    dist = np.int32 if n < 1 << 31 else np.intp
+    step = (by_line[1:] - by_line[:-1]).astype(dist)
+    new_line = sorted_lines[1:] != sorted_lines[:-1]
+    step[new_line] = n
+    to_next = np.empty(n, dtype=dist)
+    to_next[by_line[:-1]] = step
     to_next[by_line[-1]] = n
-    to_prev = np.empty(n, dtype=np.intp)
-    to_prev[by_line[1:]] = np.where(same, step, 0)
+    step[new_line] = 0
+    to_prev = np.empty(n, dtype=dist)
+    to_prev[by_line[1:]] = step
     to_prev[by_line[0]] = 0
 
     # Never touched before: miss. At most ``assoc - 1`` accesses in between:
@@ -239,23 +249,35 @@ def _lru_window(
     # ``to_next[i - k] > k`` — until the count reaches ``assoc`` (miss) or
     # k reaches the previous touch (hit).
     miss = to_prev == 0
-    far = np.flatnonzero(to_prev > assoc)
-    if far.size:
-        # The first ``assoc`` steps apply to every far access: dense slices.
-        count = np.zeros(n, dtype=np.intp)
-        for k in range(1, assoc + 1):
-            count[k:] += to_next[:-k] > k
-        # Then a shrinking index set: an access leaves once it is decided.
-        idx, count, between, k = far, count[far], to_prev[far] - 1, assoc
+    if np.any(to_prev > assoc):
+        # Steps over the whole window as dense slices, ``assoc`` at a time.
+        # The first ``assoc`` need no mask: a count reaches ``assoc`` only
+        # past an access's previous touch, which never counts. Later ones
+        # count inside each access's gap only; clamped to ``assoc`` after
+        # each block, a count never exceeds ``2 * assoc``.
+        count = np.zeros(n, dtype=np.uint8 if 2 * assoc < 256 else dist)
+        k = 0
         while True:
+            for k in range(k + 1, k + assoc + 1):
+                distinct = to_next[:-k] > k
+                if k > assoc:
+                    distinct &= to_prev[k:] > k
+                count[k:] += distinct
+            miss |= count >= assoc
+            idx = np.flatnonzero((to_prev > k + 1) & (count < assoc))
+            if idx.size * _DENSE_WHILE_UNDECIDED_OVER <= n:
+                break
+            np.minimum(count, assoc, out=count)
+        # Then a shrinking index set of the undecided: an access leaves once
+        # it is decided.
+        count, between = count[idx], to_prev[idx] - 1
+        while idx.size >= _DIRECT_COUNT_BELOW:
+            k += 1
+            count += to_next[idx - k] > k
             evicted = count >= assoc
             miss[idx[evicted]] = True
             live = ~evicted & (between > k)
             idx, count, between = idx[live], count[live], between[live]
-            if idx.size < _DIRECT_COUNT_BELOW:
-                break
-            k += 1
-            count += to_next[idx - k] > k
         if idx.size:
             # The stragglers sit behind long few-line runs (ping-pong):
             # one slice each instead of one step per element for all.
@@ -268,8 +290,8 @@ def _lru_window(
     # i.e. the final touches (no next), newest ``assoc`` per set.
     final = np.flatnonzero(to_next == n)
     if n_sets > 1:
-        sets = c[final] % n_sets  # non-decreasing: runs are set by set
-        run_end = np.searchsorted(sets, sets, side="right")
+        final_sets = c[final] % n_sets  # non-decreasing: runs are set by set
+        run_end = np.searchsorted(final_sets, final_sets, side="right")
         final = final[run_end - np.arange(final.size) <= assoc]
     else:
         final = final[-assoc:]
@@ -325,10 +347,16 @@ class HierarchyReplay:
 
     def replay(self, trace: TraceColumns, lo: int = 0, hi: int | None = None) -> None:
         """Run one window: the memory events ``lo .. hi - 1`` of ``trace``
-        (all of them by default)."""
+        (all of them by default); ``ValueError`` unless
+        ``0 <= lo <= hi <= trace.n_memory``."""
         if hi is None:
             hi = trace.n_memory
-        if hi <= lo:
+        if not 0 <= lo <= hi <= trace.n_memory:
+            raise ValueError(
+                f"replay window [{lo}, {hi}) is not within the trace's "
+                f"n_memory = {trace.n_memory} memory events"
+            )
+        if hi == lo:
             return
         n_events = hi - lo
         weights = trace.mem_weights[lo:hi]

@@ -29,6 +29,14 @@ column path equal to (``==`` on every float):
   codeword computed in NumPy, and trellis from a second ``quantize`` —
   the encoder kernels the folded ones replaced.
 
+* :func:`lru_window_int64` (with :func:`stable_order_packed`) and
+  :func:`two_level_by_history_per_width` (with
+  :func:`history_keys_per_width` and :func:`count_mispredicts_unique`):
+  the LRU window with both sorts multiply-packed and every array in
+  ``intp``, and the predictor counts with one key array per history length
+  and sparse patterns counted by ``np.unique`` — the simulator steps the
+  narrow, single-sort ones replaced.
+
 Nothing under ``src/`` imports this module.
 """
 
@@ -283,6 +291,150 @@ class PerCallICache(AnalyticICache):
         self._clock_pages += pages
         self._last_lines[kernel] = self._clock_lines
         self._last_pages[kernel] = self._clock_pages
+
+
+def stable_order_packed(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of int64 ``keys`` in ``[0, bound)``: ``key * n + pos``
+    sorted, then ``% n``; the plain stable sort where that overflows."""
+    n = keys.size
+    if bound * n >= 1 << 62:
+        return np.argsort(keys, kind="stable")
+    packed = keys * n
+    packed += np.arange(n)
+    packed.sort()
+    packed %= n
+    return packed
+
+
+def lru_window_int64(
+    resident: np.ndarray, lines: np.ndarray, n_sets: int, assoc: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``cache._lru_window`` with both sorts through
+    :func:`stable_order_packed`, distances and counts in ``intp``, the
+    dense phase fixed at ``assoc`` steps and every far access compacted
+    into the walk."""
+    x = np.concatenate((resident, lines))
+    if n_sets > 1:
+        order = stable_order_packed(x % n_sets, n_sets)
+        x = x[order]
+    first = np.empty(x.size, dtype=bool)
+    first[0] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    c = x[first]
+    n = c.size
+
+    low = int(c.min())
+    by_line = stable_order_packed(c - low, int(c.max()) - low + 1)
+    step = by_line[1:] - by_line[:-1]
+    sorted_lines = c[by_line]
+    same = sorted_lines[1:] == sorted_lines[:-1]
+    to_next = np.empty(n, dtype=np.intp)
+    to_next[by_line[:-1]] = np.where(same, step, n)
+    to_next[by_line[-1]] = n
+    to_prev = np.empty(n, dtype=np.intp)
+    to_prev[by_line[1:]] = np.where(same, step, 0)
+    to_prev[by_line[0]] = 0
+
+    miss = to_prev == 0
+    far = np.flatnonzero(to_prev > assoc)
+    if far.size:
+        count = np.zeros(n, dtype=np.intp)
+        for k in range(1, assoc + 1):
+            count[k:] += to_next[:-k] > k
+        idx, count, between, k = far, count[far], to_prev[far] - 1, assoc
+        while True:
+            evicted = count >= assoc
+            miss[idx[evicted]] = True
+            live = ~evicted & (between > k)
+            idx, count, between = idx[live], count[live], between[live]
+            if idx.size < 32:
+                break
+            k += 1
+            count += to_next[idx - k] > k
+        if idx.size:
+            ramp = np.arange(n, 0, -1)
+            for i, gap in zip(idx.tolist(), between.tolist()):
+                distinct = np.count_nonzero(to_next[i - gap : i] > ramp[n - gap :])
+                miss[i] = distinct >= assoc
+
+    final = np.flatnonzero(to_next == n)
+    if n_sets > 1:
+        sets = c[final] % n_sets
+        run_end = np.searchsorted(sets, sets, side="right")
+        final = final[run_end - np.arange(final.size) <= assoc]
+    else:
+        final = final[-assoc:]
+
+    full = np.zeros(x.size, dtype=bool)
+    full[first] = miss
+    if n_sets > 1:
+        in_trace_order = np.empty(x.size, dtype=bool)
+        in_trace_order[order] = full
+        full = in_trace_order
+    return full[resident.size :], c[final]
+
+
+def history_keys_per_width(out: np.ndarray, histories):
+    """Yields ``(h, keys)`` per history length, each key array assembled
+    from the doubling pass's power-of-two patterns on its own."""
+    partial = {h: (None, 0) for h in histories}
+    power, width = out, 1
+    while True:
+        for h, (tail, covered) in list(partial.items()):
+            if (h + 1) & width:
+                key = power if tail is None else (power[:-covered] << covered) | tail[width:]
+                if covered + width == h + 1:
+                    del partial[h]
+                    yield h, key
+                else:
+                    partial[h] = key, covered + width
+        if not partial:
+            return
+        power = (power[:-width] << width) | power[width:]
+        width *= 2
+
+
+def count_mispredicts_unique(keys: np.ndarray, history_bits: int) -> float:
+    """``branch._count_mispredicts`` with sparse keys counted by
+    ``np.unique``."""
+    if (2 << history_bits) <= 4 * keys.size:
+        counts = np.bincount(keys, minlength=2 << history_bits)
+        not_taken, taken = counts[0::2], counts[1::2]
+        steady = float(np.minimum(not_taken, taken).sum())
+        training = float(np.count_nonzero(not_taken + taken))
+    else:
+        unique_keys, counts = np.unique(keys, return_counts=True)
+        pats = unique_keys >> 1
+        same = pats[1:] == pats[:-1]
+        steady = float(np.minimum(counts[1:][same], counts[:-1][same]).sum())
+        training = float(pats.size - np.count_nonzero(same))
+    return steady + training
+
+
+def two_level_by_history_per_width(outcomes: np.ndarray, histories) -> dict:
+    """``branch._two_level_by_history`` with one int64 key array per
+    history length (:func:`history_keys_per_width`), sparse counts by
+    :func:`count_mispredicts_unique`, and the ``<= 62`` check reached only
+    by sequences longer than the history."""
+    n = outcomes.size
+    result = {}
+    packed = []
+    for h in histories:
+        if n == 0:
+            result[h] = 0.0
+        elif h <= 0:
+            taken = float(np.count_nonzero(outcomes))
+            result[h] = min(taken, n - taken) + 1.0
+        elif n <= h:
+            result[h] = n * 0.5
+        elif h > 62:
+            raise ValueError(f"history_bits must be <= 62, got {h}")
+        else:
+            packed.append(h)
+    if packed:
+        for h, keys in history_keys_per_width(outcomes.astype(np.int64), packed):
+            result[h] = count_mispredicts_unique(keys, h) + h * 0.5
+    return result
 
 
 def sliding_two_level_mispredicts(outcomes: np.ndarray, history_bits: int) -> float:

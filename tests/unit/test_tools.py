@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 _TOOLS = Path(__file__).resolve().parents[2] / "tools"
@@ -22,3 +23,17 @@ def test_encode_budget_stages_resolve():
     assert len(budget.STAGES) == 20
     for label, owner, attr in budget.STAGES:
         assert callable(getattr(owner, attr, None)), f"{label}: {owner!r} has no {attr}"
+
+
+def test_sim_budget_stages_resolve():
+    """The same for the simulator's stage table, whose geometry split reads
+    the sets and ways off ``_lru_window``'s third and fourth arguments."""
+    budget = _load("sim_budget")
+    assert len(budget.STAGES) == 8
+    for label, owner, attr in budget.STAGES:
+        assert callable(getattr(owner, attr, None)), f"{label}: {owner!r} has no {attr}"
+    owner, attr = next(
+        (owner, attr) for label, owner, attr in budget.STAGES if label == budget.BY_GEOMETRY
+    )
+    params = list(inspect.signature(getattr(owner, attr)).parameters)
+    assert params[2:4] == ["n_sets", "assoc"]

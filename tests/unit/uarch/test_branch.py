@@ -52,6 +52,13 @@ class TestTwoLevelAnalytic:
     def test_sequence_shorter_than_history(self):
         assert two_level_mispredicts(np.ones(3, dtype=bool), 6) == 1.5
 
+    @pytest.mark.parametrize("n", [0, 10, 200])
+    def test_history_over_62_rejected_at_any_length(self, n):
+        """The check used to sit behind the length branches: 10 outcomes at
+        history 100 returned 5.0, 200 outcomes raised."""
+        with pytest.raises(ValueError, match="history_bits must be <= 62, got 100"):
+            two_level_mispredicts(np.ones(n, dtype=bool), 100)
+
     def test_longer_history_never_worse_steady_state(self):
         rng = np.random.default_rng(3)
         pattern = rng.random(12) < 0.5

@@ -184,6 +184,26 @@ class TestHierarchyReplay:
         replay.replay(trace, 3, 4)
         assert replay.load_misses == [4.0, 3.0]
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(-1, 3), (-3, -1), (0, 6), (2, 1), (4, 4), (0, -1)]
+    )
+    def test_window_outside_the_trace_rejected(self, lo, hi):
+        """A window is ``0 <= lo <= hi <= n_memory``; anything else used to
+        replay nothing, or fail inside NumPy with a broadcast or index
+        error."""
+        replay = HierarchyReplay(self.PARAMS)
+        trace = TraceColumns.from_events([_load(0), _load(1), _load(2)])
+        with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\).*n_memory = 3"):
+            replay.replay(trace, lo, hi)
+        assert replay.accesses == [0.0, 0.0]
+
+    def test_window_bounds_are_inclusive(self):
+        replay = HierarchyReplay(self.PARAMS)
+        trace = TraceColumns.from_events([_load(0), _load(1), _load(2)])
+        replay.replay(trace, 3, 3)  # the empty window at the end
+        replay.replay(trace, 0, 3)
+        assert replay.load_misses == [3.0, 3.0]
+
     def test_empty_window_and_empty_events_are_noops(self):
         replay = HierarchyReplay(self.PARAMS)
         replay.replay(TraceColumns.from_events([]))
