@@ -17,6 +17,7 @@ __all__ = [
     "qstep",
     "rd_lambda",
     "quantize",
+    "quantize_steps",
     "dequantize",
     "trellis_quantize",
 ]
@@ -44,9 +45,21 @@ def quantize(coeffs: np.ndarray, qp: int, *, deadzone: float = 1.0 / 3.0) -> np.
     trading a little distortion for significant rate.
     """
     check_range("deadzone", deadzone, 0.0, 0.5)
-    step = qstep(qp)
+    return quantize_steps(coeffs, qstep(qp), deadzone=deadzone)
+
+
+def quantize_steps(
+    coeffs: np.ndarray, steps, *, deadzone: float = 1.0 / 3.0
+) -> np.ndarray:
+    """:func:`quantize` at given step sizes: ``steps`` broadcasts against
+    ``coeffs`` — one ``qstep`` per row quantizes a batch of macroblocks,
+    each element divided by its own row's step, as :func:`quantize` would."""
     arr = np.asarray(coeffs, dtype=np.float64)
-    levels = np.sign(arr) * np.floor(np.abs(arr) / step + deadzone)
+    levels = np.abs(arr)
+    levels /= steps
+    levels += deadzone
+    np.floor(levels, out=levels)
+    levels *= np.sign(arr)
     return levels.astype(np.int32)
 
 

@@ -50,8 +50,10 @@ __all__ = [
     "KernelEvent",
     "MemoryEvent",
     "BranchEvent",
+    "CallBatch",
     "TraceRows",
     "checked_addrs",
+    "checked_outcomes",
     "TraceColumns",
     "TraceStream",
     "DataLines",
@@ -143,6 +145,19 @@ def checked_addrs(addrs) -> np.ndarray:
     return arr
 
 
+def checked_outcomes(outcomes) -> np.ndarray:
+    """``outcomes`` as an array of branch outcomes: bools, or integers that
+    are all 0 or 1 (``ValueError`` otherwise — the cast to ``bool`` would
+    turn a 0.2 or a 3 into a taken branch unseen). An empty array passes."""
+    arr = np.asarray(outcomes)
+    if arr.dtype != bool and arr.size:
+        if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > 1:
+            raise ValueError(
+                f"branch outcomes must be bool or integers in {{0, 1}}, got {arr.dtype}"
+            )
+    return arr.astype(bool, copy=False)
+
+
 def _column(values, dtype) -> np.ndarray:
     """``values`` as a read-only 1-D array of ``dtype``."""
     arr = np.asarray(values, dtype=dtype)
@@ -169,29 +184,63 @@ def _unzip(rows: list[tuple], width: int) -> tuple:
     return tuple(zip(*rows)) if rows else ((),) * width
 
 
+def _joined(chunks: list[tuple], dtypes: tuple) -> list[np.ndarray]:
+    """Column ``i`` of every chunk, chunk after chunk, read-only as ``dtypes[i]``."""
+    columns = zip(*chunks) if chunks else [()] * len(dtypes)
+    return [_column(_flat(list(parts), dtype), dtype) for parts, dtype in zip(columns, dtypes)]
+
+
+class CallBatch(NamedTuple):
+    """Kernel invocations in call order, as columns: what a producer hands
+    :meth:`Tracer.append <repro.trace.recorder.Tracer.append>` at once.
+
+    Call ``i`` runs kernel ``names[kernels[i]]`` for ``iters[i]``
+    iterations and touches ``read_sizes[i]`` addresses, then
+    ``write_sizes[i]``, which follow one another in ``addrs``, call after
+    call. Branch event ``j`` belongs to call ``branch_calls[j]``
+    (non-decreasing: a call's events are consecutive, in order); its
+    ``branch_sizes[j]`` outcomes, next in ``outcomes``, are of site
+    ``"<kernel>:<tags[branch_tags[j]]>"``. An empty run of addresses or
+    outcomes makes no event, as an empty array handed to ``kernel()`` makes
+    none.
+    """
+
+    names: tuple[str, ...]
+    kernels: np.ndarray  # intp per call, into ``names``
+    iters: np.ndarray  # float64 per call
+    read_sizes: np.ndarray  # intp per call
+    write_sizes: np.ndarray  # intp per call
+    addrs: np.ndarray  # uint64
+    tags: tuple[str, ...]
+    branch_calls: np.ndarray  # intp per branch event
+    branch_tags: np.ndarray  # intp per branch event, into ``tags``
+    branch_sizes: np.ndarray  # intp per branch event
+    outcomes: np.ndarray  # bool
+
+
 class TraceRows:
-    """A trace being written: append-only rows, one list per event family.
+    """A trace being written: chunks of rows, one list per event family.
 
     The one way columns are made. A producer interns names with
-    :meth:`kernel_id` / :meth:`site_id`, appends row tuples (and the
-    address / outcome arrays they describe), numbering the events
-    ``0, 1, ...`` in trace order, and :meth:`build` turns what has been
-    appended so far into a :class:`TraceColumns`. Address arrays go through
-    :func:`checked_addrs` first. The appended arrays are only referenced
-    until then, so a producer must not write to them.
+    :meth:`kernel_id` / :meth:`site_id` and appends chunks — equal-length
+    columns of rows that number the events ``0, 1, ...`` in trace order,
+    with the address / outcome arrays they describe — and :meth:`build`
+    joins what has been appended so far into a :class:`TraceColumns`.
+    Addresses go through :func:`checked_addrs` and outcomes through
+    :func:`checked_outcomes` first. What is appended is only referenced
+    until then, so a producer must not write to it.
     """
 
     def __init__(self) -> None:
         self.kernel_ids: dict[str, int] = {}
         self.site_ids: dict[str, int] = {}
-        #: (kernel id, iters, weight, position)
-        self.kernel_rows: list[tuple] = []
-        #: (kernel id, is load, weight, position), one per array in ``addrs``
-        self.memory_rows: list[tuple] = []
-        self.addrs: list[np.ndarray] = []
-        #: (site id, weight, position), one per array in ``outcomes``
-        self.branch_rows: list[tuple] = []
-        self.outcomes: list[np.ndarray] = []
+        #: (kernel ids, iters, weights, positions)
+        self.kernel_chunks: list[tuple] = []
+        #: (kernel ids, is load, weights, positions, sizes, the addresses of
+        #: those events one after another)
+        self.memory_chunks: list[tuple] = []
+        #: (site ids, weights, positions, sizes, the outcomes)
+        self.branch_chunks: list[tuple] = []
 
     def kernel_id(self, name: str) -> int:
         return self.kernel_ids.setdefault(name, len(self.kernel_ids))
@@ -200,29 +249,33 @@ class TraceRows:
         return self.site_ids.setdefault(name, len(self.site_ids))
 
     def build(self) -> "TraceColumns":
-        k_ids, k_iters, k_weights, k_pos = _unzip(self.kernel_rows, 4)
-        m_kernels, m_loads, m_weights, m_pos = _unzip(self.memory_rows, 4)
-        b_sites, b_weights, b_pos = _unzip(self.branch_rows, 3)
+        k_ids, k_iters, k_weights, k_pos = _joined(
+            self.kernel_chunks, (np.intp, np.float64, np.float64, np.intp)
+        )
+        m_kernels, m_loads, m_weights, m_pos, m_sizes, addrs = _joined(
+            self.memory_chunks, (np.intp, bool, np.float64, np.intp, np.intp, np.uint64)
+        )
+        b_sites, b_weights, b_pos, b_sizes, outcomes = _joined(
+            self.branch_chunks, (np.intp, np.float64, np.intp, np.intp, bool)
+        )
         return TraceColumns(
             kernel_names=tuple(self.kernel_ids),
             site_names=tuple(self.site_ids),
-            kernel_ids=_column(k_ids, np.intp),
-            kernel_iters=_column(k_iters, np.float64),
-            kernel_weights=_column(k_weights, np.float64),
-            kernel_pos=_column(k_pos, np.intp),
-            mem_addrs=_column(_flat(self.addrs, np.uint64), np.uint64),
-            mem_offsets=_column(_offsets([a.size for a in self.addrs]), np.intp),
-            mem_kernels=_column(m_kernels, np.intp),
-            mem_is_load=_column(m_loads, bool),
-            mem_weights=_column(m_weights, np.float64),
-            mem_pos=_column(m_pos, np.intp),
-            branch_outcomes=_column(_flat(self.outcomes, bool), bool),
-            branch_offsets=_column(
-                _offsets([a.size for a in self.outcomes]), np.intp
-            ),
-            branch_sites=_column(b_sites, np.intp),
-            branch_weights=_column(b_weights, np.float64),
-            branch_pos=_column(b_pos, np.intp),
+            kernel_ids=k_ids,
+            kernel_iters=k_iters,
+            kernel_weights=k_weights,
+            kernel_pos=k_pos,
+            mem_addrs=addrs,
+            mem_offsets=_column(_offsets(m_sizes), np.intp),
+            mem_kernels=m_kernels,
+            mem_is_load=m_loads,
+            mem_weights=m_weights,
+            mem_pos=m_pos,
+            branch_outcomes=outcomes,
+            branch_offsets=_column(_offsets(b_sizes), np.intp),
+            branch_sites=b_sites,
+            branch_weights=b_weights,
+            branch_pos=b_pos,
         )
 
 
@@ -261,21 +314,25 @@ class TraceColumns:
     def from_events(cls, events: Iterable[object]) -> "TraceColumns":
         """Columns of a hand-built event list (any mix and order of types)."""
         rows = TraceRows()
+        kernels, memory, branches, addrs, outcomes = [], [], [], [], []
         for pos, event in enumerate(events):
             if isinstance(event, KernelEvent):
-                rows.kernel_rows.append(
-                    (rows.kernel_id(event.kernel), event.iters, event.weight, pos)
-                )
+                kernels.append((rows.kernel_id(event.kernel), event.iters, event.weight, pos))
             elif isinstance(event, MemoryEvent):
-                rows.addrs.append(checked_addrs(event.addrs))
-                rows.memory_rows.append(
-                    (rows.kernel_id(event.kernel), event.kind == "r", event.weight, pos)
+                arr = checked_addrs(event.addrs)
+                addrs.append(arr)
+                memory.append(
+                    (rows.kernel_id(event.kernel), event.kind == "r", event.weight, pos, arr.size)
                 )
             elif isinstance(event, BranchEvent):
-                rows.outcomes.append(np.asarray(event.outcomes, dtype=bool))
-                rows.branch_rows.append((rows.site_id(event.site), event.weight, pos))
+                arr = checked_outcomes(event.outcomes)
+                outcomes.append(arr)
+                branches.append((rows.site_id(event.site), event.weight, pos, arr.size))
             else:
                 raise TypeError(f"not a trace event: {event!r}")
+        rows.kernel_chunks.append(_unzip(kernels, 4))
+        rows.memory_chunks.append((*_unzip(memory, 5), _flat(addrs, np.uint64)))
+        rows.branch_chunks.append((*_unzip(branches, 4), _flat(outcomes, bool)))
         return rows.build()
 
     # -- counts ---------------------------------------------------------

@@ -8,7 +8,11 @@ column path equal to (``==`` on every float):
 
 * :class:`OracleTracer`: the recorder that built ``InstrMix`` totals and
   event objects call by call; :class:`TeeTracer` feeds one encode to
-  several recorders.
+  several recorders; :class:`PerCallTracer` / :func:`unbatched` read a
+  ``CallBatch`` as the ``kernel()`` calls it stands for.
+* :class:`PerCallEncodeTrace`: the trace model that built each report's
+  arrays at once and handed them over in one ``kernel()`` call each — the
+  oracle of ``EncodeTrace``'s per-frame batch.
 * :class:`PerCallICache`, :class:`PerEventHierarchy`,
   :func:`event_windows` and :func:`sliding_two_level_mispredicts`: the
   simulator's per-event model walks; :func:`per_event_models` swaps them
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -63,7 +68,7 @@ from repro.codec.intra import predict_16x16
 from repro.codec.motion import fetch_prediction, predict_mv
 from repro.codec.quant import dequantize, qstep, quantize, rd_lambda
 from repro.codec.transform import ZIGZAG_4X4, inverse_4x4, unblockify_16x16
-from repro.codec.types import IntraMode, MotionVector
+from repro.codec.types import IntraMode, MBMode, MotionVector
 from repro.trace.events import (
     BranchEvent,
     KernelEvent,
@@ -72,7 +77,7 @@ from repro.trace.events import (
     TraceColumns,
     TraceStream,
 )
-from repro.trace.recorder import Tracer
+from repro.trace.recorder import AddressMap, Tracer
 from repro.uarch import branch as branch_mod
 from repro.uarch import simulator as simulator_mod
 from repro.uarch.cache import Cache, CacheHierarchy
@@ -112,7 +117,41 @@ def _as_addrs(addrs):
     return arr.astype(np.uint64, copy=False)
 
 
-class OracleTracer(Tracer):
+def unbatched(batch):
+    """The ``kernel()`` calls a ``CallBatch`` stands for, in order, as
+    (name, iters, reads, writes, branches), ``None`` for an empty array or
+    no branch event."""
+    ends = np.cumsum(np.column_stack((batch.read_sizes, batch.write_sizes)).ravel()).tolist()
+    b_ends = np.cumsum(batch.branch_sizes).tolist()
+    b_calls, b_tags = batch.branch_calls.tolist(), batch.branch_tags.tolist()
+    lo = j = b_lo = 0
+    for i, (kernel, iters) in enumerate(zip(batch.kernels.tolist(), batch.iters.tolist())):
+        mid, hi = ends[2 * i], ends[2 * i + 1]
+        branches = {}
+        while j < len(b_calls) and b_calls[j] == i:
+            branches[batch.tags[b_tags[j]]] = batch.outcomes[b_lo : b_ends[j]]
+            b_lo = b_ends[j]
+            j += 1
+        yield (
+            batch.names[kernel],
+            iters,
+            batch.addrs[lo:mid] if mid > lo else None,
+            batch.addrs[mid:hi] if hi > mid else None,
+            branches or None,
+        )
+        lo = hi
+
+
+class PerCallTracer(Tracer):
+    """A tracer that takes calls one at a time: a batch is its ``kernel()``
+    calls, in order."""
+
+    def append(self, batch):
+        for name, iters, reads, writes, branches in unbatched(batch):
+            self.kernel(name, iters, reads=reads, writes=writes, branches=branches)
+
+
+class OracleTracer(PerCallTracer):
     """The per-call recorder: three ``InstrMix`` allocations and one event
     object per array, every call. ``events`` is the event list, ``totals``
     a :class:`TraceStream` carrying only the exact counters."""
@@ -163,7 +202,8 @@ class OracleTracer(Tracer):
 
 class TeeTracer(Tracer):
     """Forwards every callback to each of ``tracers``: one encode, several
-    recordings of exactly the same calls."""
+    recordings of exactly the same calls (a batch to each tracer's own
+    ``append``)."""
 
     enabled = True
 
@@ -178,7 +218,12 @@ class TeeTracer(Tracer):
         for tracer in self.tracers:
             tracer.kernel(name, iters, **arrays)
 
+    def append(self, batch):
+        for tracer in self.tracers:
+            tracer.append(batch)
+
     def flush(self):
+        super().flush()  # what the producer holds back, to every tracer
         for tracer in self.tracers:
             tracer.flush()
 
@@ -217,6 +262,241 @@ def assert_same_trace(stream: TraceStream, oracle: OracleTracer):
     assert stream.data_reads == totals.data_reads
     assert stream.data_writes == totals.data_writes
     assert stream.columns.n_events == len(oracle.events)
+
+
+# -- trace model --------------------------------------------------------
+
+_COEFF_BLOCKS = (np.arange(16) * 64).astype(np.uint64)
+_COEFF_MB_BYTES = 16 * 16 * 4
+_INTERP_SCRATCH_ROWS = (np.arange(17) * 32).astype(np.uint64)
+_BITSTREAM_BYTES = 1 << 22
+_LOOKAHEAD_BASE = 0x0800_0000
+
+
+def _no_report(*args, **kwargs) -> None:
+    """Every report of an encode nobody records."""
+
+
+class PerCallEncodeTrace:
+    """``EncodeTrace`` as it was before the per-frame batch: every report
+    builds its arrays at once (row templates plus a base, a second
+    dead-zone ``quantize`` per trellis macroblock, ``levels != 0`` twice)
+    and hands them over in one ``kernel()`` call each. An encoder takes it
+    in place of the model with
+    ``monkeypatch.setattr(repro.codec.encoder, "EncodeTrace", PerCallEncodeTrace)``."""
+
+    def __init__(self, tracer, loop_opts, options, *, pad_h, pad_w, n_frames):
+        self._tracer = tracer
+        self._opts = loop_opts
+        self._trellis = options.trellis
+        self._pad_h, self._pad_w, self._n_frames = pad_h, pad_w, n_frames
+        self._plane_bytes = plane_bytes = pad_h * pad_w
+        self._n_mb_x = pad_w // 16
+        self._heap = heap = AddressMap()
+        self._src = [heap.alloc(f"src{i}", plane_bytes) for i in range(n_frames)]
+        self._dpb = [heap.alloc(f"dpb{i}", plane_bytes) for i in range(options.refs + 2)]
+        if self._opts.tile_transform:
+            self._coeff_base = heap.alloc("coeff_mb", _COEFF_MB_BYTES)
+            self._coeff_stride = 0
+        else:
+            n_mbs = (pad_h // 16) * self._n_mb_x
+            self._coeff_base = heap.alloc("coeff_frame", n_mbs * _COEFF_MB_BYTES)
+            self._coeff_stride = _COEFF_MB_BYTES
+        self._bitstream = heap.alloc("bitstream", _BITSTREAM_BYTES)
+        if not tracer.enabled:
+            for name, member in vars(PerCallEncodeTrace).items():
+                if callable(member) and not name.startswith("_"):
+                    setattr(self, name, _no_report)
+            return
+        self._dpb_of = {}
+        self._row_templates = {}
+        self._interp_columns = (
+            np.arange(17)[None, :] * pad_w + np.arange(0, 17, 2)[:, None]
+        ).ravel().astype(np.uint64)
+
+    @property
+    def heap_bytes(self):
+        return self._heap.bytes_allocated
+
+    @cached_property
+    def _interp_scratch(self):
+        return self._heap.alloc("interp_scratch", 32 * 32)
+
+    @cached_property
+    def _recon_work(self):
+        return self._heap.alloc("recon_work", self._plane_bytes)
+
+    @cached_property
+    def _src_work(self):
+        return self._heap.alloc("src_work", self._plane_bytes)
+
+    def _rows(self, base, y, x, rows, width):
+        template = self._row_templates.get((rows, width))
+        if template is None:
+            starts = np.arange(rows) * self._pad_w
+            template = np.concatenate([starts, starts + width - 1]).astype(np.uint64)
+            self._row_templates[rows, width] = template
+        return template + np.uint64(base + y * self._pad_w + x)
+
+    def lookahead(self, width, height):
+        rows = height // 2
+        for i in range(self._n_frames):
+            base = _LOOKAHEAD_BASE + (i % 8) * (1 << 20)
+            addrs = (base + np.arange(rows) * (width // 2)).astype(np.uint64)
+            self._tracer.kernel("lookahead", iters=rows, reads=addrs)
+
+    def frame_setup(self, disp_idx):
+        rows = self._pad_h
+        addrs = (
+            self._src[disp_idx] + np.arange(0, rows, 4) * self._pad_w
+        ).astype(np.uint64)
+        self._tracer.kernel("frame_setup", iters=rows, reads=addrs, writes=addrs)
+
+    def frame_modes(self, mbs):
+        self._tracer.kernel(
+            "mode_decide",
+            iters=0,
+            branches={
+                "skip": np.array([mb.mode is MBMode.SKIP for mb in mbs], dtype=bool),
+                "intra": np.array([mb.mode.is_intra for mb in mbs], dtype=bool),
+            },
+        )
+
+    def chroma_plane(self, plane):
+        n_blocks = (plane.shape[0] // 8 + 1) * (plane.shape[1] // 8 + 1)
+        self._tracer.kernel("dct4", iters=n_blocks * 4)
+        self._tracer.kernel("quant", iters=n_blocks * 4)
+        self._tracer.kernel("mc_copy", iters=n_blocks * 8)
+
+    def deblock(self, before, after, n_edges):
+        row_addrs = (
+            self._recon_work + np.arange(0, self._pad_h, 2) * self._pad_w
+        ).astype(np.uint64)
+        filtered = (before[::4, ::4] != after[::4, ::4]).ravel()
+        if self._opts.fuse_deblock:
+            passes = [(n_edges, filtered)]
+        else:
+            half = filtered.size // 2
+            passes = [
+                (n_edges // 2, filtered[:half]),
+                (n_edges - n_edges // 2, filtered[half:]),
+            ]
+        for iters, taken in passes:
+            self._tracer.kernel(
+                "deblock", iters=iters, reads=row_addrs, writes=row_addrs,
+                branches={"filtered": taken},
+            )
+
+    def rc_update(self):
+        self._tracer.kernel("rc_update", iters=1)
+
+    def dpb_store(self, disp_idx):
+        self._dpb_of[disp_idx] = self._dpb[len(self._dpb_of) % len(self._dpb)]
+
+    def macroblock(self, mb_y, mb_x):
+        self._y, self._x = mb_y * 16, mb_x * 16
+        mb_index = mb_y * self._n_mb_x + mb_x
+        self._coeff = _COEFF_BLOCKS + np.uint64(
+            self._coeff_base + mb_index * self._coeff_stride
+        )
+
+    def me(self, refs, result, n_points):
+        y, x = self._y, self._x
+        if result.positions:
+            dxs = [p[0] for p in result.positions]
+            dys = [p[1] for p in result.positions]
+            x_lo, x_hi = min(dxs), max(dxs) + 16
+            y_lo, y_hi = min(dys), max(dys) + 16
+        else:
+            x_lo, x_hi, y_lo, y_hi = 0, 16, 0, 16
+        reads = np.concatenate(
+            [
+                self._rows(
+                    self._dpb_of[entry.display_index],
+                    y + y_lo, max(x + x_lo, 0), y_hi - y_lo, x_hi - x_lo,
+                )
+                for entry in refs
+            ]
+        )
+        branches = None
+        if result.improvements:
+            branches = {"improve": np.array(result.improvements, dtype=bool)}
+        self._tracer.kernel("me_sad", iters=n_points * 16, reads=reads, branches=branches)
+
+    def interp(self, ref):
+        base = self._dpb_of[ref.display_index]
+        if self._opts.interchange_interp:
+            reads = self._rows(base, self._y, self._x, 17, 17)
+        else:
+            reads = self._interp_columns + np.uint64(
+                base + self._y * self._pad_w + self._x
+            )
+        writes = _INTERP_SCRATCH_ROWS + np.uint64(self._interp_scratch)
+        self._tracer.kernel("me_interp", iters=17, reads=reads, writes=writes)
+
+    def partition_search(self, cand):
+        self._tracer.kernel("me_sad", iters=cand.n_search_points * 8)
+        self._tracer.kernel("mode_decide", iters=len(cand.mvs))
+
+    def part_split(self, flags):
+        if flags:
+            self._tracer.kernel(
+                "mode_decide", iters=len(flags),
+                branches={"part_split": np.array(flags, dtype=bool)},
+            )
+
+    def intra_probe(self, kernel, modes):
+        reads = self._rows(
+            self._recon_work, max(self._y - 1, 0), max(self._x - 1, 0), 17, 17
+        )
+        self._tracer.kernel(kernel, iters=modes, reads=reads)
+
+    def transform_path(self, levels, qp_mb, coeffs=None):
+        src_reads = self._rows(self._src_work, self._y, self._x, 16, 16)
+        coeff = self._coeff
+        self._tracer.kernel("dct4", iters=16, reads=src_reads, writes=coeff)
+        self._tracer.kernel(
+            "quant", iters=16, reads=coeff, writes=coeff,
+            branches={"nz": (levels.reshape(16, -1) != 0).ravel()},
+        )
+        if self._trellis > 0:
+            n_nz = int(np.count_nonzero(levels))
+            visited = 16 * 16 if self._trellis == 2 else max(n_nz * 4, 16)
+            if coeffs is not None:
+                plain = quantize(coeffs, qp_mb)
+                changed = (plain != levels)[plain != 0]
+                zeroed = changed if changed.size else np.zeros(1, dtype=bool)
+            else:
+                zeroed = np.zeros(max(n_nz, 1), dtype=bool)
+            self._tracer.kernel(
+                "trellis", iters=visited, reads=coeff, branches={"zeroed": zeroed}
+            )
+        self._tracer.kernel("idct4", iters=16, reads=coeff)
+
+    def entropy_coeffs(self, levels, bits):
+        flat = levels.reshape(-1)
+        sig = flat != 0
+        n_tokens = int(sig.sum())
+        if n_tokens:
+            mags = np.abs(flat[sig])
+            big = np.concatenate([mags > t for t in (1, 3, 7)])
+        else:
+            big = np.zeros(1, dtype=bool)
+        bs_addrs = np.uint64(self._bitstream) + np.arange(
+            0, max(bits // 8, 1), max(1, bits // 64), dtype=np.uint64
+        ) % np.uint64(_BITSTREAM_BYTES)
+        self._tracer.kernel(
+            "entropy_coeff", iters=max(n_tokens, 1), reads=self._coeff,
+            writes=bs_addrs, branches={"sig": sig, "big": big},
+        )
+        self.entropy_header()
+
+    def entropy_header(self):
+        self._tracer.kernel("entropy_header", iters=1)
+
+    def recon_write(self):
+        writes = self._rows(self._recon_work, self._y, self._x, 16, 16)
+        self._tracer.kernel("mc_copy", iters=16, writes=writes)
 
 
 # -- consumer -----------------------------------------------------------

@@ -123,7 +123,7 @@ def _addr_arrays(draw):
 
 _outcomes = st.one_of(
     st.lists(st.booleans(), max_size=12).map(lambda v: np.array(v, dtype=bool)),
-    st.lists(st.integers(0, 3), max_size=6).map(np.array),  # truthy ints
+    st.lists(st.integers(0, 1), max_size=6).map(np.array),  # 0/1 ints
     st.lists(st.booleans(), min_size=4, max_size=4).map(
         lambda v: np.array(v, dtype=bool).reshape(2, 2)
     ),

@@ -170,7 +170,8 @@ def test_trace_content_has_one_home():
             if any(needle in path.read_text(encoding="utf-8") for needle in needles)
         }
 
-    assert mentioning("tracer.kernel(") == {"tracemodel.py", "decoder.py"}
+    assert mentioning("tracer.append(") == {"tracemodel.py"}  # a frame at a time
+    assert mentioning("tracer.kernel(") == {"decoder.py"}
     assert mentioning(
         "AddressMap", ".alloc(",
         "tile_transform", "fuse_deblock", "interchange_interp",

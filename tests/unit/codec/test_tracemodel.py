@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,25 +11,35 @@ import pytest
 
 from repro.codec.options import EncoderOptions
 from repro.codec.tracemodel import EncodeTrace, LoopOptimizations
-from repro.trace.recorder import NullTracer, Tracer
+from repro.codec.types import MBMode
+from repro.trace.kernels import build_program
+from repro.trace.recorder import NullTracer, RecordingTracer
+from tests.oracles import PerCallTracer
 
 PAD_H, PAD_W = 48, 64  # 3 x 4 macroblocks
 OPTIONS = EncoderOptions(refs=2, trellis=1)
 
 
-class ListTracer(Tracer):
-    """Keeps every ``kernel`` call as it was made."""
+class ListTracer(PerCallTracer):
+    """Keeps every call the model hands over, as the ``kernel`` call it
+    stands for. The model holds a frame's reports back until the frame
+    ends or the tracer flushes; reading :attr:`calls` flushes."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self.calls: list[SimpleNamespace] = []
+        self._calls: list[SimpleNamespace] = []
 
     def kernel(self, name, iters=1.0, *, reads=None, writes=None, branches=None):
-        self.calls.append(
+        self._calls.append(
             SimpleNamespace(name=name, iters=iters, reads=reads, writes=writes,
                             branches=branches)
         )
+
+    @property
+    def calls(self) -> list[SimpleNamespace]:
+        self.flush()
+        return self._calls
 
     def named(self, name: str) -> list[SimpleNamespace]:
         return [call for call in self.calls if call.name == name]
@@ -46,6 +58,39 @@ def _model(tracer=None, **loop_opts) -> tuple[EncodeTrace, ListTracer]:
         pad_h=PAD_H, pad_w=PAD_W, n_frames=3,
     )
     return model, tracer
+
+
+def test_reports_reach_the_tracer_a_frame_at_a_time():
+    """Reports are held back until the frame's macroblocks are coded
+    (``frame_modes``) or the tracer flushes, then handed over in order."""
+    model, tracer = _model()
+    model.macroblock(0, 0)
+    model.recon_write()
+    model.rc_update()
+    assert tracer._calls == []
+    model.frame_modes([SimpleNamespace(mode=MBMode.SKIP)])
+    assert [call.name for call in tracer._calls] == ["mc_copy", "rc_update", "mode_decide"]
+    model.rc_update()
+    assert len(tracer._calls) == 3
+    assert [call.name for call in tracer.calls][3:] == ["rc_update"]
+
+
+def test_model_and_recorder_hold_no_reference_cycle():
+    """The recorder holds the model's hand-over weakly, so once both are
+    dropped the trace is freed by reference counting, not left for the
+    garbage collector (a profiled sweep holds one trace, not several)."""
+    gc.disable()
+    try:
+        tracer = RecordingTracer(build_program())
+        model = _model(tracer)[0]
+        model.macroblock(0, 0)
+        model.recon_write()
+        tracer.flush()
+        alive = weakref.ref(tracer)
+        del model, tracer
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_rows_touch_first_and_last_byte_of_each_row():

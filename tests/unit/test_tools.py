@@ -25,6 +25,18 @@ def test_encode_budget_stages_resolve():
         assert callable(getattr(owner, attr, None)), f"{label}: {owner!r} has no {attr}"
 
 
+def test_trace_budget_stages_resolve():
+    """The same for the trace side's stage table: every ``EncodeTrace``
+    report, the per-frame batch, the recorder's appends and the seal."""
+    budget = _load("trace_budget")
+    assert len(budget.STAGES) == 23
+    for label, owner, attr, _ in budget.STAGES:
+        assert callable(getattr(owner, attr, None)), f"{label}: {owner!r} has no {attr}"
+    reports = {attr for _, owner, attr, _ in budget.STAGES if owner.__name__ == "EncodeTrace"}
+    public = {name for name in vars(budget.EncodeTrace) if not name.startswith("_")}
+    assert public - {"heap_bytes"} <= reports
+
+
 def test_sim_budget_stages_resolve():
     """The same for the simulator's stage table, whose geometry split reads
     the sets and ways off ``_lru_window``'s third and fourth arguments."""

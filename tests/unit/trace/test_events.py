@@ -80,6 +80,13 @@ class TestTraceStream:
         with pytest.raises(ValueError, match="address"):
             TraceStream.from_events([MemoryEvent("a", addrs, "r")])
 
+    @pytest.mark.parametrize(
+        "outcomes", [np.array([0.5, 1.0]), np.array([2, 0]), np.array([-1])]
+    )
+    def test_bad_outcomes_rejected(self, outcomes):
+        with pytest.raises(ValueError, match="outcomes"):
+            TraceStream.from_events([BranchEvent("a:s", outcomes)])
+
     def test_a_sealed_trace_takes_no_more_events(self):
         """The events view is a tuple and every column is read-only, so a
         cached view can never describe an older trace."""

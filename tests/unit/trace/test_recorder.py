@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.trace.events import BranchEvent, KernelEvent, MemoryEvent
+from repro.trace.events import BranchEvent, CallBatch, KernelEvent, MemoryEvent
 from repro.trace.kernels import KERNELS, build_program, kernel_spec
 from repro.trace.recorder import AddressMap, NullTracer, RecordingTracer
 
@@ -105,6 +105,12 @@ class TestAddressMap:
         for prev, nxt in zip(bases, bases[1:]):
             assert nxt - prev == 4096 + 4096  # one page data + one guard
 
+    @pytest.mark.parametrize("size", [-5, -1, 2.5])
+    def test_negative_or_non_integral_size_rejected(self, size):
+        """``alloc("x", -5)`` used to hand out a one-page region."""
+        with pytest.raises(ValueError, match="'x'"):
+            AddressMap().alloc("x", size)
+
     def test_region_unknown_name_raises(self):
         with pytest.raises(KeyError):
             AddressMap().region("nope")
@@ -150,6 +156,50 @@ class TestRecordingTracer:
     def test_negative_iters_rejected(self):
         with pytest.raises(ValueError):
             self._tracer().kernel("dct4", iters=-1)
+
+    @pytest.mark.parametrize("iters", [np.nan, np.inf, -np.inf])
+    def test_non_finite_iters_rejected_at_the_call(self, iters):
+        """A NaN or infinite count used to be recorded and to surface far
+        away, as ``simulate()``'s top-down categories not summing to 100."""
+        t = self._tracer()
+        with pytest.raises(ValueError, match="'dct4'.*iters"):
+            t.kernel("dct4", iters=iters)
+        assert t.stream.kernel_calls == {}
+
+    def test_non_finite_iters_reject_a_whole_bulk_append(self):
+        t = self._tracer()
+        none = np.empty(0, dtype=np.intp)
+        batch = CallBatch(
+            names=("dct4", "quant"), kernels=np.array([0, 1, 0]),
+            iters=np.array([4.0, np.nan, 2.0]),
+            read_sizes=np.zeros(3, dtype=np.intp), write_sizes=np.zeros(3, dtype=np.intp),
+            addrs=np.empty(0, dtype=np.uint64), tags=(),
+            branch_calls=none, branch_tags=none, branch_sizes=none,
+            outcomes=np.empty(0, dtype=bool),
+        )
+        with pytest.raises(ValueError, match="'quant'"):
+            t.append(batch)
+        assert t.stream.kernel_calls == {} and t.stream.columns.n_events == 0
+
+    @pytest.mark.parametrize(
+        "outcomes",
+        [np.array([0.2, 0.0, 3.0]), np.array([0, 2, 1]), np.array([1, -1]),
+         np.array([True, False], dtype=object)],
+    )
+    def test_outcomes_that_are_not_bools_rejected_at_the_call(self, outcomes):
+        """The cast to bool used to record ``[0.2, 0.0, 3.0]`` as taken,
+        not taken, taken."""
+        t = self._tracer()
+        with pytest.raises(ValueError, match="outcomes"):
+            t.kernel("quant", branches={"nz": outcomes})
+        assert t.stream.kernel_calls == {}
+
+    def test_zero_one_integer_outcomes_are_bools(self):
+        t = self._tracer()
+        t.kernel("quant", branches={"nz": np.array([1, 0, 1], dtype=np.uint8)})
+        (event,) = [e for e in t.stream.events if isinstance(e, BranchEvent)]
+        assert event.outcomes.dtype == bool
+        assert event.outcomes.tolist() == [True, False, True]
 
     def test_negative_addresses_rejected(self):
         t = self._tracer()
