@@ -16,7 +16,9 @@ Design points:
   payload (sorted keys, compact JSON, dataclasses flattened by field
   name) before hashing, so keys are independent of dict insertion order
   and dataclass field declaration order, and change whenever any option
-  or configuration value changes.
+  or configuration value changes. :class:`FixedComponentKey` builds the
+  same key, byte for byte, with one component serialized once per
+  process instead of once per key (the sweep's µarch configuration).
 - **Atomic writes.** Entries are written to a temp file in the target
   directory and ``os.replace``-d into place, so a crashed or concurrent
   writer can never leave a half-written entry behind.
@@ -24,9 +26,12 @@ Design points:
   is treated as a miss (the point is recomputed and rewritten), never
   as an error — and the damaged file is moved aside to
   ``<name>.corrupt`` so it can be inspected and counted by
-  ``repro cache stats`` instead of being silently overwritten. Entries
-  written under a different schema version are plain misses (expected
-  drift, not damage).
+  ``repro cache stats`` instead of being silently overwritten. Bytes
+  that are not UTF-8, a ``NaN`` / ``Infinity`` literal (the writer
+  refuses non-finite numbers) and an envelope naming another key (a file
+  copied or renamed into place) are damage too. Entries written under a
+  different schema version are plain misses (expected drift, not
+  damage).
 - **Retried I/O.** Reads and writes run under the engine's
   :class:`~repro.resilience.retry.RetryPolicy`, so transient I/O errors
   (including injected ``cache.read`` / ``cache.write`` faults) are
@@ -40,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +59,7 @@ from repro.resilience.faults import InjectedFault, fault_point
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CacheStats",
+    "FixedComponentKey",
     "ResultCache",
     "SweepRecord",
     "canonical_json",
@@ -91,10 +98,20 @@ class SweepRecord:
 # Canonical serialization and content-hashed keys.
 # ----------------------------------------------------------------------
 
+#: Field names per dataclass type, read once per type: walking
+#: ``dataclasses.fields`` on every nested dataclass of every key was a
+#: fifth of a key's cost.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def _jsonable(obj: object) -> object:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    raise TypeError(f"cannot canonicalize {type(obj).__name__} for a cache key")
+    cls = type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        if not dataclasses.is_dataclass(cls):
+            raise TypeError(f"cannot canonicalize {cls.__name__} for a cache key")
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    return {name: getattr(obj, name) for name in names}
 
 
 def canonical_json(payload: object) -> str:
@@ -120,9 +137,54 @@ def content_key(kind: str, **components: object) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+class FixedComponentKey:
+    """:func:`content_key` with one component serialized once.
+
+    ``FixedComponentKey(kind, name, value)(**rest)`` is
+    ``content_key(kind, **{name: value}, **rest)`` byte for byte — the same
+    canonical text through one ``sha256`` — but ``value`` is serialized
+    here, once, instead of on every key, so it must not change afterwards.
+    The text is composed in sorted key order, so ``name`` must sort before
+    every name in ``rest``.
+    """
+
+    def __init__(self, kind: str, name: str, value: object) -> None:
+        import repro
+
+        self._name = name
+        # content_key's payload, keys sorted: cache_schema, components
+        # (``name`` first, then ``rest``), kind, repro_version.
+        self._head = (
+            '{"cache_schema":' + canonical_json(CACHE_SCHEMA_VERSION)
+            + ',"components":{' + canonical_json(name) + ":"
+            + canonical_json(value) + ","
+        )
+        self._tail = (
+            ',"kind":' + canonical_json(kind)
+            + ',"repro_version":' + canonical_json(repro.__version__) + "}"
+        )
+
+    def __call__(self, **rest: object) -> str:
+        if not rest or min(rest) <= self._name:
+            raise ValueError(
+                f"the other components must sort after {self._name!r}, "
+                f"got {sorted(rest)}"
+            )
+        # '{"a":...,"b":...}' without its "{": its "}" closes the components.
+        text = self._head + canonical_json(rest)[1:] + self._tail
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 # ----------------------------------------------------------------------
 # SweepRecord <-> JSON payloads.
 # ----------------------------------------------------------------------
+
+#: CounterSet's fields in declaration (positional) order, and as a set for
+#: the schema check; read once, not per record.
+_COUNTER_NAMES = tuple(CounterSet.field_names())
+_COUNTER_NAME_SET = frozenset(_COUNTER_NAMES)
+_NUMBER_TYPES = frozenset((int, float))
+
 
 def record_to_payload(record: SweepRecord) -> dict[str, object]:
     """JSON-serializable payload for one :class:`SweepRecord`."""
@@ -137,21 +199,42 @@ def record_to_payload(record: SweepRecord) -> dict[str, object]:
 
 def record_from_payload(payload: dict[str, object]) -> SweepRecord:
     """Rebuild a :class:`SweepRecord`; raises ``ValueError``/``KeyError``/
-    ``TypeError`` on any shape mismatch (callers treat that as a miss)."""
+    ``TypeError`` on any shape mismatch (callers treat that as a miss).
+
+    Nothing is coerced: ``crf`` / ``refs`` must be ``int`` (not ``bool``),
+    ``video`` / ``preset`` ``str``, and every counter a finite ``int`` or
+    ``float`` (not ``bool`` or ``str``)."""
     counters = payload["counters"]
     if not isinstance(counters, dict):
         raise ValueError("counters payload must be a mapping")
-    names = CounterSet.field_names()
-    if set(counters) != set(names):
+    if counters.keys() != _COUNTER_NAME_SET:
         raise ValueError(
             "counter fields do not match the current CounterSet schema"
         )
+    video, crf, refs, preset = (
+        payload["video"], payload["crf"], payload["refs"], payload["preset"]
+    )
+    if type(crf) is not int or type(refs) is not int:
+        raise TypeError(f"crf and refs must be ints, got {crf!r} and {refs!r}")
+    if type(video) is not str or type(preset) is not str:
+        raise TypeError(
+            f"video and preset must be strings, got {video!r} and {preset!r}"
+        )
+    values = [counters[name] for name in _COUNTER_NAMES]
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise TypeError("every counter must be an int or a float")
+    try:
+        values = [float(value) for value in values]
+    except OverflowError:
+        raise ValueError("a counter is out of float range") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError("every counter must be finite")
     return SweepRecord(
-        video=str(payload["video"]),
-        crf=int(payload["crf"]),  # type: ignore[arg-type]
-        refs=int(payload["refs"]),  # type: ignore[arg-type]
-        preset=str(payload["preset"]),
-        counters=CounterSet(**{n: float(counters[n]) for n in names}),
+        video=video,
+        crf=crf,
+        refs=refs,
+        preset=preset,
+        counters=CounterSet(*values),
     )
 
 
@@ -165,6 +248,15 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro" / "sweeps"
+
+
+def _refuse_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name} in a cache entry")
+
+
+#: Parses entries as :meth:`ResultCache.put_value` writes them: with no
+#: ``NaN`` / ``Infinity`` literal, so one on disk is damage.
+_ENTRY_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 @dataclass(frozen=True)
@@ -187,7 +279,7 @@ class ResultCache:
     """One directory of content-addressed JSON entries.
 
     Entries live at ``root/<key[:2]>/<key>.json`` wrapped in a small
-    envelope carrying the schema version. :meth:`get_value` /
+    envelope carrying the schema version and the key. :meth:`get_value` /
     :meth:`put_value` move arbitrary JSON payloads; :meth:`get_record` /
     :meth:`put_record` add the :class:`SweepRecord` serde on top.
     """
@@ -198,12 +290,12 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: str | Path) -> None:
         """Move a damaged entry aside to ``<name>.corrupt`` (replacing
         any previous quarantine of the same key) so corruption is
         visible in ``repro cache stats`` rather than silently erased."""
         try:
-            os.replace(path, path.with_suffix(".corrupt"))
+            os.replace(path, os.path.splitext(path)[0] + ".corrupt")
         except OSError:
             return
         obs.inc("cache.quarantined")
@@ -211,22 +303,25 @@ class ResultCache:
     # -- raw JSON payloads ---------------------------------------------
     def get_value(self, key: str) -> object | None:
         """The stored payload, or ``None`` on any miss, truncation,
-        corruption, or schema mismatch.
+        corruption, schema mismatch, or entry written under another key.
 
         The read is retried under the engine's retry policy; a corrupt
         entry is quarantined to ``<name>.corrupt`` before reporting the
         miss."""
-        path = self.path_for(key)
+        # A str path and a binary read: this runs on every warm cell, and
+        # a pathlib path plus ``read_text`` cost twice as much.
+        path = os.path.join(self.root, key[:2], key + ".json")
 
-        def _read() -> str | None:
+        def _read() -> bytes | None:
             fault_point("cache.read", detail=key)
             try:
-                return path.read_text(encoding="utf-8")
+                with open(path, "rb") as entry:
+                    return entry.read()
             except FileNotFoundError:
                 return None
 
         try:
-            text = resilience.call_with_retry(
+            data = resilience.call_with_retry(
                 _read,
                 policy=resilience.retry_policy(),
                 token=key,
@@ -235,11 +330,11 @@ class ResultCache:
         except (OSError, TimeoutError, ConnectionError, InjectedFault):
             obs.inc("cache.read_giveups")
             return None
-        if text is None:
+        if data is None:
             return None
         try:
-            envelope = json.loads(text)
-        except ValueError:
+            envelope = _ENTRY_DECODER.decode(data.decode("utf-8"))
+        except ValueError:  # not UTF-8, not JSON, or a NaN / Infinity literal
             self._quarantine(path)
             return None
         if not isinstance(envelope, dict) or "payload" not in envelope:
@@ -247,23 +342,31 @@ class ResultCache:
             return None
         if envelope.get("cache_schema") != CACHE_SCHEMA_VERSION:
             return None  # expected schema drift, not damage
+        if envelope.get("key") != key:
+            self._quarantine(path)  # another key's entry, copied or renamed here
+            return None
         return envelope["payload"]
 
     def put_value(self, key: str, payload: object, *, kind: str = "value") -> Path:
         """Atomically write ``payload`` under ``key`` and return its path.
 
+        Raises ``ValueError`` naming the key if the payload holds a
+        non-finite number (JSON has none; it would read back as damage).
         Retried under the engine's retry policy; raises ``OSError`` (or
         the injected fault) once the budget is exhausted."""
         import repro
 
         path = self.path_for(key)
-        text = json.dumps({
-            "cache_schema": CACHE_SCHEMA_VERSION,
-            "repro_version": repro.__version__,
-            "kind": kind,
-            "key": key,
-            "payload": payload,
-        })
+        try:
+            text = json.dumps({
+                "cache_schema": CACHE_SCHEMA_VERSION,
+                "repro_version": repro.__version__,
+                "kind": kind,
+                "key": key,
+                "payload": payload,
+            }, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"cache entry {key}: {exc}") from None
 
         def _write() -> Path:
             fault_point("cache.write", detail=key)

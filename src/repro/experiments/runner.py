@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from repro.codec.options import EncoderOptions
 from repro.codec.presets import preset_options
 from repro.experiments import parallel
-from repro.experiments.cache import ResultCache, SweepRecord, content_key
+from repro.experiments.cache import FixedComponentKey, ResultCache, SweepRecord
 from repro.obs import session as obs
 from repro.profiling.perf import profile_transcode
 from repro.resilience.faults import InjectedFault, fault_point
@@ -142,6 +142,11 @@ SCALES = {"quick": QUICK, "medium": MEDIUM, "full": FULL}
 # One sweep point: spec and compute function.
 # ----------------------------------------------------------------------
 
+#: Every sweep cell is keyed under the baseline µarch configuration; its
+#: part of the key's canonical text is serialized once, here.
+_SWEEP_KEY = FixedComponentKey("sweep", "config", baseline_config())
+
+
 @dataclass(frozen=True)
 class PointSpec:
     """Everything that determines one profiled sweep point."""
@@ -157,10 +162,11 @@ class PointSpec:
         return (self.video, self.crf, self.refs, self.preset, self.options)
 
     def cache_key(self) -> str:
-        """Content hash over everything that can change the result."""
+        """Content hash over everything that can change the result:
+        ``content_key("sweep", video=..., options=..., sim=...,
+        config=baseline_config())``, byte for byte."""
         scale = self.scale
-        return content_key(
-            "sweep",
+        return _SWEEP_KEY(
             video={
                 "name": self.video,
                 "width": scale.width,
@@ -172,7 +178,6 @@ class PointSpec:
                 "sample": scale.sample,
                 "data_capacity_scale": scale.data_capacity_scale,
             },
-            config=baseline_config(),
         )
 
     def describes(self, record: SweepRecord) -> bool:
@@ -341,9 +346,10 @@ class SweepRunner:
             options=opts,
         )
 
-    def _lookup(self, spec: PointSpec) -> SweepRecord | None:
-        """Memo hit, else persistent-cache hit (promoted to the memo)."""
-        record = self._run_cache.get(spec.memo_key())
+    def _lookup(self, spec: PointSpec, memo_key: tuple) -> SweepRecord | None:
+        """Memo hit, else persistent-cache hit (promoted to the memo);
+        ``memo_key`` is ``spec.memo_key()``."""
+        record = self._run_cache.get(memo_key)
         if record is not None:
             obs.inc("sweep.cache_hits")
             return record
@@ -352,7 +358,7 @@ class SweepRunner:
             record = disk.get_record(spec.cache_key())
             if record is not None and spec.describes(record):
                 obs.inc("sweep.disk_hits")
-                self._run_cache[spec.memo_key()] = record
+                self._run_cache[memo_key] = record
                 return record
         return None
 
@@ -398,24 +404,22 @@ class SweepRunner:
         retries raise :class:`SweepFailure` *after* every other cell
         finished.
         """
+        keys = [spec.memo_key() for spec in specs]
         resolved: dict[tuple, SweepRecord] = {}
         misses: list[PointSpec] = []
-        unique: list[PointSpec] = []
         seen: set[tuple] = set()
-        for spec in specs:
-            key = spec.memo_key()
+        for spec, key in zip(specs, keys):
             if key in seen:
                 continue
             seen.add(key)
-            unique.append(spec)
-            record = self._lookup(spec)
+            record = self._lookup(spec, key)
             if record is not None:
                 resolved[key] = record
             else:
                 misses.append(spec)
         if misses:
-            self._run_misses(misses, resolved, total=len(unique), label=label)
-        return [resolved[spec.memo_key()] for spec in specs]
+            self._run_misses(misses, resolved, total=len(seen), label=label)
+        return [resolved[key] for key in keys]
 
     def _run_misses(
         self,

@@ -49,3 +49,12 @@ def test_sim_budget_stages_resolve():
     )
     params = list(inspect.signature(getattr(owner, attr)).parameters)
     assert params[2:4] == ["n_sets", "assoc"]
+
+
+def test_cache_budget_stages_resolve():
+    """The same for the warm lookup's stage table: spec build, memo key,
+    lookup, content key, entry read, JSON parse and record rebuild."""
+    budget = _load("cache_budget")
+    assert len(budget.STAGES) == 9
+    for label, owner, attr in budget.STAGES:
+        assert callable(getattr(owner, attr, None)), f"{label}: {owner!r} has no {attr}"
