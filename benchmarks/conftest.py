@@ -23,7 +23,6 @@ import os
 import pytest
 
 from repro.api.settings import Settings
-from repro.codec import kernels
 from repro.experiments import parallel
 from repro.experiments.runner import SCALES
 
@@ -32,25 +31,6 @@ def pytest_configure(config):
     config.addinivalue_line("markers", "paperfig: regenerates a paper figure/table")
     # Nothing below repro.api reads the environment: opt in, once.
     Settings.from_env().apply()
-
-
-def pytest_collection_modifyitems(items):
-    """Honor the installed kernel backend (see :mod:`repro.codec.kernels`).
-
-    The figures here are *performance* measurements; on the scalar
-    reference backend the absolute timings are meaningless (10-40x slower
-    than what the repo ships), so rather than silently produce bogus
-    numbers we skip with an explanation. Outputs are bit-identical across
-    backends, so nothing but wall time is lost.
-    """
-    if kernels.active_backend() != "reference":
-        return
-    skip = pytest.mark.skip(
-        reason="REPRO_KERNELS=reference selects the scalar teaching backend; "
-        "perf figures are only meaningful on the vectorized backend"
-    )
-    for item in items:
-        item.add_marker(skip)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -44,7 +44,6 @@ from repro.api.types import (
 #: ``repro.api.types`` while the facade imports the service layer, and
 #: eager package imports here would close that cycle.
 _LAZY_EXPORTS = {
-    "backends": ("repro.api.facade", "backends"),
     "encode": ("repro.api.facade", "encode"),
     "fleet_compare": ("repro.api.facade", "fleet_compare"),
     "FleetCompareReport": ("repro.service.fleetcompare", "FleetCompareReport"),
@@ -96,7 +95,6 @@ __all__ = [
     "Settings",
     "TranscodeRequest",
     "TranscodeResult",
-    "backends",
     "encode",
     "fleet_compare",
     "loadtest",

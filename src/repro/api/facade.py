@@ -45,7 +45,6 @@ from repro.service.service import (
 from repro.video.vbench import load_video
 
 __all__ = [
-    "backends",
     "encode",
     "fleet_compare",
     "loadtest",
@@ -55,21 +54,6 @@ __all__ = [
     "serve",
     "sweep",
 ]
-
-
-def backends():
-    """The two kernel backends, oracle first.
-
-    Returns the :class:`~repro.codec.kernels.BackendInfo` rows
-    themselves (name, description). Pick a backend with
-    ``Settings(kernels=...)``::
-
-        >>> [b.name for b in api.backends()]
-        ['reference', 'vectorized']
-    """
-    from repro.codec import kernels as _kernels
-
-    return _kernels.all_backends()
 
 
 def _as_request(

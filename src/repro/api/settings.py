@@ -11,7 +11,7 @@ precedence order is
 
 and this module is the only place the environment is read:
 :meth:`Settings.env_overrides` walks the rows once. The subsystems (the
-sweep engine, the resilience layer, the kernel dispatch) each hold one
+sweep engine, the resilience layer) each hold one
 plain value per knob, initialised to the built-in default and written
 only by :meth:`Settings.apply` — so what is installed *is* the applied
 record, whatever is exported afterwards. ``Settings().apply()`` installs
@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro._util import check_positive, truthy
-from repro.codec import kernels as _kernels
 from repro.resilience.retry import RetryPolicy
 
 __all__ = ["ENV_VARS", "FIELD_TABLE", "Knob", "Settings"]
@@ -44,9 +43,8 @@ class Knob:
     the field's type. ``choices`` names the flag's
     live registry as ``module:attribute``; ``negated`` marks a flag
     (``--no-cache``) whose presence sets the field false and whose dest
-    is its ``resolve()`` keyword. A malformed env value is ignored
-    unless ``env_strict``; ``env_reader`` loads a ``PREFIX_*`` family of
-    variables.
+    is its ``resolve()`` keyword. A malformed env value is ignored;
+    ``env_reader`` loads a ``PREFIX_*`` family of variables.
     """
 
     field: str
@@ -58,7 +56,6 @@ class Knob:
     argtype: type | None = None
     choices: str | None = None
     negated: bool = False
-    env_strict: bool = False
     env_reader: Callable[[], object | None] | None = None
 
     @property
@@ -69,12 +66,6 @@ class Knob:
 
 def _name(value: object) -> str:
     return str(value).strip().lower()
-
-
-def _backend(value: object) -> str:
-    # Validated here, not only in __post_init__: a typo'd REPRO_KERNELS
-    # must never be dropped silently and run the default backend.
-    return _kernels.validate_backend(_name(value))
 
 
 def _rates(value: object) -> tuple[float, ...]:
@@ -96,9 +87,6 @@ _ROWS = (
          "persistent sweep result cache; repeat runs become near-free"),
     Knob("cache_enabled", truthy, None, "--no-cache", negated=True,
          help="disable the result cache even if $REPRO_CACHE_DIR is set"),
-    Knob("kernels", _backend, "REPRO_KERNELS", "--kernels", env_strict=True,
-         choices="repro.codec.kernels:KERNEL_BACKENDS",
-         help="codec kernel backend; `repro backends` describes both"),
     Knob("retry", lambda policy: policy, "REPRO_RETRY_*",
          env_reader=RetryPolicy.from_env),
     Knob("fault_plan", str, "REPRO_FAULT_PLAN", "--fault-plan", "PLAN",
@@ -157,7 +145,6 @@ class Settings:
     jobs: int = 1
     cache_dir: Path | None = None
     cache_enabled: bool = True
-    kernels: str = _kernels.DEFAULT_BACKEND
     retry: RetryPolicy = RetryPolicy()
     fault_plan: str | None = None
     slo_spec: Path | None = None
@@ -177,7 +164,6 @@ class Settings:
 
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        _kernels.validate_backend(self.kernels)
         _require("arrival process", self.loadtest_arrivals, ARRIVAL_KINDS)
         _require("workload mix", self.loadtest_mix, sorted(MIXES))
         _require("objective", self.objective, OBJECTIVES)
@@ -216,8 +202,7 @@ class Settings:
                 try:
                     kwargs[knob.field] = knob.coerce(raw)
                 except ValueError:
-                    if knob.env_strict:
-                        raise
+                    pass
         return kwargs
 
     @classmethod
@@ -244,9 +229,9 @@ class Settings:
         return replace(settings, **updates) if updates else settings  # type: ignore[arg-type]
 
     def apply(self) -> "Settings":
-        """Install this record process-wide: afterwards the sweep engine,
-        resilience layer and kernel dispatch hold exactly these values,
-        until the next ``apply``. Returns ``self``."""
+        """Install this record process-wide: afterwards the sweep engine
+        and resilience layer hold exactly these values, until the next
+        ``apply``. Returns ``self``."""
         from repro import resilience
         from repro.experiments import parallel as engine
 
@@ -257,5 +242,4 @@ class Settings:
         resilience.configure(
             fault_plan=self.fault_plan or None, retry=self.retry
         )
-        _kernels.select_backend(self.kernels)
         return self

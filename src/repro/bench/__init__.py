@@ -1,18 +1,17 @@
-"""The backend-ratio gate: how much faster than the oracle is the codec?
+"""The calibrated-cost gate: what does the codec cost, in host-free units?
 
-``repro bench`` times every backend-dispatched kernel (see
-:mod:`repro.codec.kernels`) and the ``encode()`` stage of a small
-Figure-3 slice under both backends, and emits a
-machine-readable ``BENCH_<rev>.json`` artifact (``repro-bench/v2``).
-Timings are recorded through the :mod:`repro.obs` metrics registry so
-bench runs share the telemetry plumbing used everywhere else.
+``repro bench`` times the codec kernels and the ``encode()`` stage of a
+small Figure-3 slice, each best-of-N beside a fixed calibration kernel,
+and emits a machine-readable ``BENCH_<rev>.json`` artifact
+(``repro-bench/v3``). Every row records its **cost**: its best time over
+the calibration kernel's best time, which a uniformly faster or slower
+host leaves unchanged. Timings are recorded through the :mod:`repro.obs`
+metrics registry so bench runs share the telemetry plumbing used
+everywhere else.
 
-The only numbers it stands behind are *ratios*: a regression is a drop
-in a backend's speedup over ``reference``, which is stable across
-machines of different absolute speed. ``repro bench --compare
-BASELINE.json`` exits 4 when any tracked speedup fell more than 25%
-(encode slice) or 50% (kernels) below one clean committed baseline —
-the CI bench-smoke gate.
+``repro bench --compare BASELINE.json`` exits 4 when any tracked cost
+rose more than 25% (encode slice) or 50% (kernels) above one clean
+committed baseline — the CI bench-smoke gate.
 
 Absolute time, the per-layer budget and every performance claim belong
 to ``perfbench/``; the paper's tables and figures to ``benchmarks/``.
@@ -32,7 +31,7 @@ from repro.bench.report import (
     compare_bench,
     load_bench,
     render_bench,
-    tracked_speedups,
+    tracked_costs,
     write_bench,
 )
 
@@ -47,6 +46,6 @@ __all__ = [
     "run_bench",
     "run_encode_fig3",
     "run_kernel_benches",
-    "tracked_speedups",
+    "tracked_costs",
     "write_bench",
 ]

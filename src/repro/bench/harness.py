@@ -1,29 +1,31 @@
 """Benchmark workloads: per-kernel micro-benchmarks and the fig3 slice.
 
-Every workload is deterministic (fixed seeds, fixed shapes) and is run
-under both kernel backends with the same inputs, so the per-kernel
-speedups isolate exactly what each rewrite bought. Every row — a kernel,
-a fig3 cell, the fig3 total — has the same two maps: ``backends`` (time
-per backend) and ``speedups`` (reference time over ``vectorized``'s).
-Per-repetition wall times go through the shared
-:class:`repro.obs.MetricsRegistry` histograms; the summary payload embeds
-the registry snapshot so ``BENCH_*.json`` doubles as a telemetry
+Every workload is deterministic (fixed seeds, fixed shapes). Each row — a
+kernel, a fig3 cell — is timed best-of-N beside a fixed calibration
+kernel, and records its **cost**: its best time divided by the
+calibration kernel's best time. A host that runs everything uniformly
+slower or faster moves both times alike, so the cost is a property of the
+code, comparable across hosts. Per-repetition wall times go through the
+shared :class:`repro.obs.MetricsRegistry` histograms; the summary payload
+embeds the registry snapshot so ``BENCH_*.json`` doubles as a telemetry
 artifact.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from repro.codec import kernels
 from repro.obs import MetricsRegistry
 
 __all__ = [
     "ENCODE_CELLS",
     "KERNEL_BENCH_NAMES",
+    "calibration_kernel",
     "run_bench",
     "run_encode_fig3",
     "run_kernel_benches",
@@ -42,7 +44,30 @@ ENCODE_CELLS: tuple[tuple[int, int], ...] = (
 )
 _ENCODE_FRAMES = 12
 _ENCODE_SIZE = (112, 64)  # (width, height)
-_ENCODE_REPS = 2  # best-of per cell and backend; `--reps` is kernels only
+_ENCODE_REPS = 2  # best-of per cell; `--reps` is kernels only
+
+_CAL_MATRIX = np.arange(256, dtype=np.float64).reshape(16, 16)
+_CAL_PAYLOAD = {f"k{i}": i * 1.25 for i in range(40)}
+
+
+def calibration_kernel() -> int:
+    """The ruler every cost is measured in: a fixed ~10 ms mix of what the
+    pipeline executes — bytecode arithmetic, list shuffling, small-array
+    NumPy calls, hashing and JSON. (The same mix perfbench calibrates its
+    host seconds with, restated here so ``repro`` does not import the
+    benchmark.) Changing it rescales every cost, so it changes only with
+    a re-measured ``BENCH_baseline.json``."""
+    total = 0
+    ring = list(range(64))
+    for i in range(20000):
+        total += i * i
+        ring.append(ring.pop(0))
+    for _ in range(2000):
+        total += int(np.abs(_CAL_MATRIX @ _CAL_MATRIX.T - _CAL_MATRIX).sum()) & 1
+    for _ in range(60):
+        text = json.dumps(_CAL_PAYLOAD, sort_keys=True)
+        total += hashlib.sha256(text.encode("utf-8")).digest()[0]
+    return total
 
 
 def _bench_scene(width: int = 112, height: int = 64, n_frames: int = 12):
@@ -55,26 +80,29 @@ def _bench_scene(width: int = 112, height: int = 64, n_frames: int = 12):
     )
 
 
-def _time_call(fn: Callable[[], object], reps: int) -> list[float]:
-    """Wall time of ``fn`` over ``reps`` repetitions (after one warmup)."""
+def _seconds(fn: Callable[[], object]) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def _time_calibrated(
+    fn: Callable[[], object], reps: int
+) -> tuple[list[float], float]:
+    """Wall times of ``fn`` over ``reps`` repetitions (after one warmup),
+    and the best time of the calibration kernel, run once beside each
+    repetition so that both see the same host."""
     fn()  # warmup: first-touch caches, lazy imports
-    times = []
+    times, cal = [], []
     for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return times
-
-
-def _speedups(times: dict[str, float]) -> dict[str, float]:
-    """Reference time over every other backend's time."""
-    ref = times["reference"]
-    return {b: ref / t for b, t in times.items() if b != "reference"}
+        cal.append(_seconds(calibration_kernel))
+        times.append(_seconds(fn))
+    return times, min(cal)
 
 
 # --- kernel workloads -------------------------------------------------------
-# Each builder returns (units, thunk): `thunk()` runs the workload once
-# under the ambient backend; `units` is the block count for ns/block.
+# Each builder returns (units, thunk): `thunk()` runs the workload once;
+# `units` is the block count for ns/block.
 
 
 def _bench_forward_4x4():
@@ -226,31 +254,27 @@ def run_kernel_benches(
     *,
     reps: int = 3,
     names: Iterable[str] | None = None,
-) -> dict[str, dict[str, object]]:
-    """Time each kernel workload under both backends.
+) -> dict[str, dict[str, float]]:
+    """Time each kernel workload beside the calibration kernel.
 
-    Returns ``{kernel: row}``; a row is ``blocks``, ``backends`` (ns per
-    block per backend) and ``speedups`` (vs. reference, per
-    non-reference backend). Per-rep seconds additionally land in
-    ``registry`` histograms named ``bench.kernel.<name>.<backend>_s``.
+    Returns ``{kernel: row}``; a row is ``blocks``, ``ns_per_block`` (best
+    of ``reps``), ``calibration_s`` (the calibration kernel's best beside
+    it) and ``cost`` (best seconds over ``calibration_s``). Per-rep
+    seconds additionally land in ``registry`` histograms named
+    ``bench.kernel.<name>_s``.
     """
-    results: dict[str, dict[str, object]] = {}
+    results: dict[str, dict[str, float]] = {}
     for name in names if names is not None else KERNEL_BENCH_NAMES:
-        builder = _KERNEL_BENCHES[name]
-        per_backend: dict[str, float] = {}
-        units = 0
-        for backend in kernels.KERNEL_BACKENDS:
-            with kernels.backend_scope(backend):
-                units, thunk = builder()
-                times = _time_call(thunk, reps)
-            hist = registry.histogram(f"bench.kernel.{name}.{backend}_s")
-            for t in times:
-                hist.observe(t)
-            per_backend[backend] = min(times)
+        units, thunk = _KERNEL_BENCHES[name]()
+        times, cal = _time_calibrated(thunk, reps)
+        hist = registry.histogram(f"bench.kernel.{name}_s")
+        for t in times:
+            hist.observe(t)
         results[name] = {
             "blocks": float(units),
-            "backends": {b: t / units * 1e9 for b, t in per_backend.items()},
-            "speedups": _speedups(per_backend),
+            "ns_per_block": min(times) / units * 1e9,
+            "calibration_s": cal,
+            "cost": min(times) / cal,
         }
     return results
 
@@ -262,67 +286,45 @@ def run_encode_fig3(
     cells: tuple[tuple[int, int], ...] = ENCODE_CELLS,
     n_frames: int = _ENCODE_FRAMES,
 ) -> dict[str, object]:
-    """Encode the fig3 slice under both backends.
+    """Encode the fig3 slice, each cell beside the calibration kernel.
 
-    The slice is the encode stage of the paper's Figure-3 crf x refs grid
-    (the simulator downstream is backend-independent). Returns the clip
-    geometry, one row per cell and the slice totals; ``backends`` is
-    seconds per backend throughout.
+    The slice is the encode stage of the paper's Figure-3 crf x refs grid.
+    Returns the clip geometry, one row per cell (best ``seconds`` and its
+    ``cost``) and the slice totals: ``seconds`` and ``cost`` summed over
+    the cells.
     """
     from repro.codec.encoder import encode
     from repro.codec.options import EncoderOptions
 
     width, height = _ENCODE_SIZE
     video = _bench_scene(width=width, height=height, n_frames=n_frames)
-    totals = dict.fromkeys(kernels.KERNEL_BACKENDS, 0.0)
     per_cell = []
     for crf, refs in cells:
         opts = EncoderOptions(crf=crf, refs=refs)
-        cell_times: dict[str, float] = {}
-        for backend in kernels.KERNEL_BACKENDS:
-            with kernels.backend_scope(backend):
-                times = _time_call(lambda: encode(video, opts), reps)
-            hist = registry.histogram(
-                f"bench.encode.crf{crf}_refs{refs}.{backend}_s"
-            )
-            for t in times:
-                hist.observe(t)
-            cell_times[backend] = min(times)
-            totals[backend] += min(times)
+        times, cal = _time_calibrated(lambda: encode(video, opts), reps)
+        hist = registry.histogram(f"bench.encode.crf{crf}_refs{refs}_s")
+        for t in times:
+            hist.observe(t)
         per_cell.append(
-            {
-                "crf": crf,
-                "refs": refs,
-                "backends": cell_times,
-                "speedups": _speedups(cell_times),
-            }
+            {"crf": crf, "refs": refs, "seconds": min(times), "cost": min(times) / cal}
         )
     return {
         "width": width,
         "height": height,
         "n_frames": n_frames,
         "cells": per_cell,
-        "backends": totals,
-        "speedups": _speedups(totals),
+        "seconds": sum(cell["seconds"] for cell in per_cell),
+        "cost": sum(cell["cost"] for cell in per_cell),
     }
 
 
-def run_bench(*, reps: int = 3, quick: bool = False) -> dict[str, object]:
+def run_bench(*, reps: int = 3) -> dict[str, object]:
     """Run the full suite and return the ``BENCH_*.json`` payload.
 
     ``reps`` counts kernel repetitions only; the fig3 slice keeps its own.
-    ``quick`` trims the slice to its three unique crf values at one refs
-    setting and single repetitions — for smoke use; quick artifacts are
-    still comparable because the gate reads speedup ratios.
     """
     from repro.bench.report import build_payload
 
     registry = MetricsRegistry()
     kernel_results = run_kernel_benches(registry, reps=reps)
-    if quick:
-        encode = run_encode_fig3(
-            registry, reps=1, cells=((1, 1), (23, 8), (51, 1)), n_frames=8
-        )
-    else:
-        encode = run_encode_fig3(registry)
-    return build_payload(kernel_results, encode, registry, quick=quick)
+    return build_payload(kernel_results, run_encode_fig3(registry), registry)

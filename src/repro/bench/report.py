@@ -1,11 +1,11 @@
 """Bench artifacts: BENCH_<rev>.json writing, rendering, and comparison.
 
-The comparison contract is ratio-based so a checked-in baseline produced
+The comparison contract is calibrated so a checked-in baseline produced
 on one machine gates CI runs on another: absolute nanoseconds move with
-the host, but the vectorized-over-reference *speedup* of the same
-workload is a property of the code. A regression is any tracked speedup
-falling more than :data:`ENCODE_THRESHOLD` (the fig3 encode slice) or
-:data:`KERNEL_THRESHOLD` (each kernel) below the baseline's.
+the host, but a workload's *cost* — its time over the calibration
+kernel's time beside it — moves only with the code. A regression is any
+tracked cost rising more than :data:`ENCODE_THRESHOLD` (the fig3 encode
+slice) or :data:`KERNEL_THRESHOLD` (each kernel) above the baseline's.
 """
 
 from __future__ import annotations
@@ -30,24 +30,21 @@ __all__ = [
     "compare_bench",
     "load_bench",
     "render_bench",
-    "tracked_speedups",
+    "tracked_costs",
     "write_bench",
 ]
 
-BENCH_SCHEMA = "repro-bench/v2"
-#: Kernel micro timings are noisier than the encode slice, but their real
-#: failure mode — a vectorized path silently falling back to scalar —
-#: collapses the ratio far past any noise, so their gate is twice as loose.
+BENCH_SCHEMA = "repro-bench/v3"
+#: Kernel micro timings are noisier than the encode slice, so their gate
+#: is twice as loose.
 ENCODE_THRESHOLD = 0.25
 KERNEL_THRESHOLD = 0.50
 
 
 def build_payload(
-    kernel_results: dict[str, dict[str, object]],
+    kernel_results: dict[str, dict[str, float]],
     encode: dict[str, object],
     registry: MetricsRegistry,
-    *,
-    quick: bool = False,
 ) -> dict[str, object]:
     """Assemble the full ``BENCH_*.json`` payload from run results.
 
@@ -61,7 +58,6 @@ def build_payload(
         "rev": git_revision(),
         "dirty": git_dirty(),
         "timestamp": time.time(),
-        "quick": quick,
         "host": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -93,23 +89,20 @@ def write_bench(payload: dict[str, object], path: str | Path | None = None) -> P
     )
 
 
-def tracked_speedups(payload: dict[str, object]) -> dict[str, float]:
-    """Workload -> vectorized-over-reference speedup map the gates
-    compare (rows ``kernel:<name>`` and ``encode:fig3-slice``)."""
+def tracked_costs(payload: dict[str, object]) -> dict[str, float]:
+    """Workload -> calibrated cost map the gates compare (rows
+    ``kernel:<name>`` and ``encode:fig3-slice``)."""
     kernels: Any = payload["kernels"]
     rows = {f"kernel:{name}": row for name, row in kernels.items()}
     rows["encode:fig3-slice"] = payload["encode"]
-    return {
-        name: float(row["speedups"]["vectorized"]) for name, row in rows.items()
-    }
+    return {name: float(row["cost"]) for name, row in rows.items()}
 
 
 def load_bench(path: str | Path) -> dict[str, object]:
     """Read a bench artifact; raises ValueError unless it is a well-formed
-    :data:`BENCH_SCHEMA` one (a ``repro-bench/v1`` file must be
-    re-measured: its rows are not comparable by name) whose every tracked
-    speedup is a finite positive ratio (anything else passes or crashes
-    the gate)."""
+    :data:`BENCH_SCHEMA` one (an older file must be re-measured: its
+    rows are speedup ratios, not costs) whose every tracked cost is a
+    finite positive number (anything else passes or crashes the gate)."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != BENCH_SCHEMA:
@@ -117,16 +110,16 @@ def load_bench(path: str | Path) -> dict[str, object]:
             f"{path}: not a {BENCH_SCHEMA} artifact (schema={schema!r})"
         )
     try:
-        speedups = tracked_speedups(payload)
+        costs = tracked_costs(payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{path}: malformed {BENCH_SCHEMA} artifact: {exc!r}"
         ) from None
-    for name, speedup in speedups.items():
-        if not 0 < speedup < math.inf:
+    for name, cost in costs.items():
+        if not 0 < cost < math.inf:
             raise ValueError(
-                f"{path}: malformed {BENCH_SCHEMA} artifact: {name} speedup "
-                f"is {speedup!r}, not a finite positive ratio"
+                f"{path}: malformed {BENCH_SCHEMA} artifact: {name} cost "
+                f"is {cost!r}, not a finite positive number"
             )
     return payload
 
@@ -136,79 +129,68 @@ def render_bench(payload: dict[str, object]) -> str:
     kernels: Any = payload["kernels"]
     encode: Any = payload["encode"]
     host: Any = payload["host"]
-    backends = list(encode["backends"])
     lines = [
         f"bench {payload['rev']}"
         + ("+dirty" if payload.get("dirty") else "")
-        + (" (quick)" if payload.get("quick") else "")
         + f" — python {host['python']}, numpy {host['numpy']}",
         "",
-        f"{'kernel (ns/block; x vs reference)':34s} "
-        + " ".join(f"{backend:>20s}" for backend in backends),
+        f"{'kernel':34s} {'ns/block':>10s} {'cost':>8s}",
     ]
     for name in sorted(kernels):
         row = kernels[name]
-        cells = []
-        for backend in backends:
-            cell = f"{row['backends'][backend]:.0f}"
-            if backend in row["speedups"]:
-                cell += f" ({row['speedups'][backend]:.2f}x)"
-            cells.append(f"{cell:>20s}")
-        lines.append(f"{name:34s} " + " ".join(cells))
+        lines.append(
+            f"{name:34s} {row['ns_per_block']:10.0f} {row['cost']:8.4g}"
+        )
     n_encoded = encode["n_frames"] * len(encode["cells"])
     lines += [
         "",
         f"fig3 encode slice ({len(encode['cells'])} cells x "
-        f"{encode['n_frames']} frames @ {encode['width']}x{encode['height']}):",
+        f"{encode['n_frames']} frames @ {encode['width']}x{encode['height']}): "
+        f"{encode['seconds']:.2f}s ({n_encoded / encode['seconds']:.1f} frames/s), "
+        f"cost {encode['cost']:.2f}",
+        "",
+        "cost = best time / the calibration kernel's best time beside it",
     ]
-    name_w = max(len(b) for b in backends)
-    for backend in backends:
-        total = encode["backends"][backend]
-        ratio = encode["speedups"].get(backend, 1.0)
-        lines.append(
-            f"  {backend:<{name_w}s} {total:6.2f}s "
-            f"({n_encoded / total:.1f} frames/s, {ratio:.2f}x vs reference)"
-        )
     return "\n".join(lines)
 
 
 def compare_bench(
     current: dict[str, object], baseline: dict[str, object]
 ) -> tuple[str, list[str]]:
-    """Compare two artifacts by speedup ratio.
+    """Compare two artifacts by calibrated cost.
 
     Returns ``(report, regressions)`` where ``regressions`` names every
-    tracked workload whose current speedup dropped too far below the
+    tracked workload whose current cost rose too far above the
     baseline's: :data:`ENCODE_THRESHOLD` for the fig3 encode slice,
     :data:`KERNEL_THRESHOLD` for individual kernels. Workloads present on
     only one side are reported but never counted as regressions (the set
     may grow over time).
     """
-    cur = tracked_speedups(current)
-    base = tracked_speedups(baseline)
+    cur = tracked_costs(current)
+    base = tracked_costs(baseline)
     lines = [
         f"comparing {current.get('rev')} against baseline {baseline.get('rev')} "
-        f"(threshold: -{ENCODE_THRESHOLD:.0%} encode, "
-        f"-{KERNEL_THRESHOLD:.0%} kernels)",
+        f"(threshold: +{ENCODE_THRESHOLD:.0%} encode, "
+        f"+{KERNEL_THRESHOLD:.0%} kernels)",
         "",
         f"{'workload':40s} {'baseline':>9s} {'current':>9s} {'delta':>8s}",
     ]
     regressions: list[str] = []
     for name in sorted(set(cur) | set(base)):
         if name not in cur:
-            lines.append(f"{name:40s} {base[name]:8.2f}x {'—':>9s}  (removed)")
+            lines.append(f"{name:40s} {base[name]:9.4g} {'—':>9s}  (removed)")
             continue
         if name not in base:
-            lines.append(f"{name:40s} {'—':>9s} {cur[name]:8.2f}x  (new)")
+            lines.append(f"{name:40s} {'—':>9s} {cur[name]:9.4g}  (new)")
             continue
         delta = cur[name] / base[name] - 1.0
         limit = ENCODE_THRESHOLD if name.startswith("encode:") else KERNEL_THRESHOLD
         flag = ""
-        if cur[name] < base[name] * (1.0 - limit):
+        if cur[name] > base[name] * (1.0 + limit):
             flag = "  REGRESSION"
             regressions.append(name)
         lines.append(
-            f"{name:40s} {base[name]:8.2f}x {cur[name]:8.2f}x {delta:+7.1%}{flag}"
+            f"{name:40s} {base[name]:9.4g} {cur[name]:9.4g} {delta:+7.1%}{flag}"
         )
     lines.append("")
     if regressions:

@@ -17,8 +17,7 @@ Examples::
     repro report --diff a/run.json b/run.json
     repro report out/run.json --timeline 3      # one job's flame graph
     repro slo check out/run.json --spec examples/slo/serve.json
-    repro backends                    # the two kernel backends, * on the active one
-    repro bench                       # backend speedups: kernels + fig3 encode
+    repro bench                       # calibrated costs: kernels + fig3 encode
     repro bench --compare BENCH_baseline.json   # CI regression gate
     repro submit cricket --crf 30 --spool .repro/spool.jsonl
     repro serve --spool .repro/spool.jsonl --telemetry out-serve/
@@ -68,12 +67,13 @@ placement against the seeded random control — and tabulates throughput
 per provisioned dollar, p99 end-to-end latency, and cost per completed
 job (exit 1 if any fleet shed or failed jobs). ``repro slo check
 RUN.json --spec SPEC.json`` re-evaluates an exported artifact and exits
-2 on breach (the CI gate). ``repro bench`` measures each backend's
-speedup over ``reference`` and nothing else: ``--compare BASELINE.json``
-exits 4 on a regression against a clean baseline artifact (1, before
-measuring, if the baseline is missing, dirty, not ``repro-bench/v2`` or
-holds a speedup that is not a finite positive ratio). No ``$REPRO_*``
-variable changes what it runs. See ``docs/BENCHMARKS.md``.
+2 on breach (the CI gate). ``repro bench`` measures the codec kernels'
+and the fig3 encode slice's cost in units of a calibration kernel timed
+beside them, and nothing else: ``--compare BASELINE.json`` exits 4 on a
+regression against a clean baseline artifact (1, before measuring, if the
+baseline is missing, dirty, not ``repro-bench/v3`` or holds a cost that
+is not a finite positive number). No ``$REPRO_*`` variable changes what
+it runs. See ``docs/BENCHMARKS.md``.
 """
 
 from __future__ import annotations
@@ -228,43 +228,20 @@ def _cache_main(argv: list[str]) -> int:
     return 0
 
 
-def _backends_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro backends",
-        description="List the kernel backends and mark the active one.",
-    )
-    add_settings_flags(parser)  # no flag of its own: $REPRO_KERNELS alone
-    args = parser.parse_args(argv)
-
-    from repro.codec import kernels
-
-    _resolve_settings(parser, args).apply()
-    active = kernels.active_backend()
-    rows = kernels.all_backends()
-    name_w = max(len(row.name) for row in rows)
-    print(f"  {'backend':<{name_w}}  description")
-    for row in rows:
-        marker = "*" if row.name == active else " "
-        print(f"{marker} {row.name:<{name_w}}  {row.description}")
-    print(f"\n* = active backend (select with --kernels/$REPRO_KERNELS; "
-          f"default {kernels.DEFAULT_BACKEND})")
-    return 0
-
-
 def _bench_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Measure the vectorized kernel backend's speedup "
-                    "over the reference backend (codec kernels and the "
-                    "encode stage of a fig3 slice).",
+        description="Measure the codec kernels and the encode stage of a "
+                    "fig3 slice in units of a calibration kernel timed "
+                    "beside them.",
     )
     parser.add_argument(
         "--compare",
         metavar="BASELINE.json",
         default=None,
-        help="compare speedups against a clean repro-bench/v2 baseline "
-             "artifact (checked before measuring); exit 4 when a speedup "
-             "fell >25%% (encode slice) or >50%% (a kernel) below it",
+        help="compare calibrated costs against a clean repro-bench/v3 "
+             "baseline artifact (checked before measuring); exit 4 when a "
+             "cost rose >25%% (encode slice) or >50%% (a kernel) above it",
     )
     parser.add_argument(
         "--output",
@@ -277,18 +254,13 @@ def _bench_main(argv: list[str]) -> int:
         type=int,
         default=3,
         metavar="N",
-        help="kernel repetitions per backend, at least 3; best-of-N is "
-             "reported (the fig3 slice keeps its own fixed repetitions)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller fig3 slice, single repetitions (smoke mode)",
+        help="kernel repetitions, at least 3; best-of-N is reported "
+             "(the fig3 slice keeps its own fixed repetitions)",
     )
     args = parser.parse_args(argv)
     if args.reps < 3:
         parser.error("--reps must be at least 3: single-shot kernel "
-                     "timings are too noisy for a ratio gate")
+                     "timings are too noisy for a cost gate")
 
     from repro import bench
 
@@ -308,7 +280,7 @@ def _bench_main(argv: list[str]) -> int:
             print(f"repro bench: {exc}", file=sys.stderr)
             return 1
 
-    payload = bench.run_bench(reps=args.reps, quick=args.quick)
+    payload = bench.run_bench(reps=args.reps)
     path = bench.write_bench(payload, args.output)
     print(bench.render_bench(payload))
     print(f"\nwrote {path}")
@@ -722,8 +694,6 @@ def main(argv: list[str] | None = None) -> int:
         return _report_main(argv[1:])
     if argv[:1] == ["cache"]:
         return _cache_main(argv[1:])
-    if argv[:1] == ["backends"]:
-        return _backends_main(argv[1:])
     if argv[:1] == ["bench"]:
         return _bench_main(argv[1:])
     if argv[:1] == ["serve"]:
@@ -744,11 +714,9 @@ def main(argv: list[str] | None = None) -> int:
                "`repro report <run.json> [--diff]` renders/diffs "
                "telemetry artifacts; `repro cache {stats,clear}` "
                "inspects/clears the persistent result cache; "
-               "`repro backends` prints the two kernel backends (name, "
-               "description) with `*` on the active one; "
                "`repro bench [--compare BASELINE.json]` measures the "
-               "backends' speedups over reference on the codec kernels "
-               "and the fig3 encode slice (exit 4 on a regression); "
+               "calibrated cost of the codec kernels and the fig3 encode "
+               "slice (exit 4 on a regression); "
                "`repro submit CLIP` "
                "queues a job and `repro serve` runs the transcoding job "
                "service over the queue; `repro loadtest` drives the "
@@ -780,7 +748,7 @@ def main(argv: list[str] | None = None) -> int:
              "artifacts into OUT_DIR (per-experiment subdirs under `all`)",
     )
     add_settings_flags(
-        parser, "jobs", "cache_dir", "cache_enabled", "kernels", "fault_plan",
+        parser, "jobs", "cache_dir", "cache_enabled", "fault_plan",
     )
     parser.add_argument(
         "--debug",

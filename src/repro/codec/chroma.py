@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codec import kernels
 from repro.codec.entropy import (
     BitReader,
     BitstreamError,
@@ -97,52 +96,32 @@ def encode_chroma_plane(
     recon = np.zeros((h, w), dtype=np.uint8)
     # The DC prediction chains through the running reconstruction, so the
     # block loop is inherently sequential; the temporal candidate only
-    # reads the previous frame, so the vectorized backend blockifies the
-    # plane once and scores every temporal candidate in one batch (same
-    # contiguous 64-element reductions, same tie-break: temporal wins
-    # because it sorts first in the reference candidate list).
-    vectorized = kernels.is_vectorized()
-    src_blocks = t_blocks = t_sads = None
-    if vectorized:
-        src_blocks = blockify_frame(src, _BLOCK).astype(np.float64)
-        if prev_recon is not None and prev_recon.shape == src.shape:
-            t_blocks = blockify_frame(prev_recon, _BLOCK).astype(np.float64)
-            t_sads = (
-                np.abs(src_blocks - t_blocks)
-                .reshape(len(src_blocks), -1)
-                .sum(axis=1)
-            )
+    # reads the previous frame, so the plane is blockified once and every
+    # temporal candidate scored in one batch (same contiguous 64-element
+    # reductions as a per-block score; on a tie temporal wins, as it would
+    # sorting first in a per-block candidate list).
+    src_blocks = blockify_frame(src, _BLOCK).astype(np.float64)
+    t_blocks = t_sads = None
+    if prev_recon is not None and prev_recon.shape == src.shape:
+        t_blocks = blockify_frame(prev_recon, _BLOCK).astype(np.float64)
+        t_sads = np.abs(src_blocks - t_blocks).reshape(len(src_blocks), -1).sum(axis=1)
     i = 0
     for y in range(0, h, _BLOCK):
         for x in range(0, w, _BLOCK):
-            if src_blocks is not None:
-                block = src_blocks[i]
-            else:
-                block = src[y : y + _BLOCK, x : x + _BLOCK].astype(np.float64)
+            block = src_blocks[i]
             dc_pred = _dc_prediction(recon, y, x)
-            if vectorized:
-                mode, pred = 1, dc_pred
-                if prev_recon is not None:
-                    if t_blocks is not None:
-                        temporal = t_blocks[i]
-                        t_sad = float(t_sads[i])
-                    else:
-                        temporal = prev_recon[
-                            y : y + _BLOCK, x : x + _BLOCK
-                        ].astype(np.float64)
-                        t_sad = float(np.sum(np.abs(block - temporal)))
-                    if t_sad <= float(np.sum(np.abs(block - dc_pred))):
-                        mode, pred = 0, temporal
-            else:
-                candidates: list[tuple[int, np.ndarray]] = [(1, dc_pred)]
-                if prev_recon is not None:
+            mode, pred = 1, dc_pred
+            if prev_recon is not None:
+                if t_blocks is not None:
+                    temporal = t_blocks[i]
+                    t_sad = float(t_sads[i])
+                else:
                     temporal = prev_recon[y : y + _BLOCK, x : x + _BLOCK].astype(
                         np.float64
                     )
-                    candidates.insert(0, (0, temporal))
-                mode, pred = min(
-                    candidates, key=lambda c: float(np.sum(np.abs(block - c[1])))
-                )
+                    t_sad = float(np.sum(np.abs(block - temporal)))
+                if t_sad <= float(np.sum(np.abs(block - dc_pred))):
+                    mode, pred = 0, temporal
             write_ue(writer, mode)
             residual = block - pred
             levels = trellis_quantize(

@@ -7,12 +7,11 @@ simplified H.264 boundary filter: edge pixels are low-pass filtered only
 where the discontinuity is small enough to be a coding artifact rather
 than a real edge, with thresholds derived from QP.
 
-The edge loop is backend-dispatched (see :mod:`repro.codec.kernels`):
-each edge only reads/writes the two pixel lines on either side of its own
+Each edge only reads/writes the two pixel lines on either side of its own
 boundary, and consecutive edges are 4 pixels apart, so every edge along
-an axis is independent — the ``vectorized`` backend filters them all with
-one fancy-indexed gather/scatter, elementwise identical to the reference
-per-edge loop.
+an axis is independent: :func:`_filter_edges` filters them all with one
+fancy-indexed gather/scatter, elementwise identical to a per-edge loop
+(the oracle in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import check_range
-from repro.codec import kernels
 
 __all__ = ["deblock_plane", "deblock_thresholds"]
 
@@ -39,17 +37,16 @@ def deblock_thresholds(qp: int, offset: int = 0) -> tuple[float, float]:
     return max(alpha, 0.0), max(beta, 0.0)
 
 
-def _filter_edges_vectorized(
-    plane: np.ndarray, axis: int, alpha: float, beta: float
-) -> None:
-    """All edges along one axis in one batched gather/filter/scatter."""
+def _filter_edges(plane: np.ndarray, axis: int, alpha: float, beta: float) -> None:
+    """Filter all 4-pixel-aligned edges along one axis, in place, in one
+    batched gather/filter/scatter."""
     n = plane.shape[axis]
     edges = np.arange(4, n, 4)
     if edges.size == 0:
         return
-    # The last edge can sit on the plane boundary; the reference loop
-    # substitutes q0 for the missing q1 there, which the clamped index
-    # reproduces exactly (plane[n-1] *is* q0 in that case).
+    # The last edge can sit on the plane boundary; the filter substitutes
+    # q0 for the missing q1 there, which the clamped index reproduces
+    # exactly (plane[n-1] *is* q0 in that case).
     q1_idx = np.minimum(edges + 1, n - 1)
     if axis == 0:
         p1, p0 = plane[edges - 2, :], plane[edges - 1, :]
@@ -75,41 +72,6 @@ def _filter_edges_vectorized(
     else:
         plane[:, edges - 1] = p0_new
         plane[:, edges] = q0_new
-
-
-def _filter_edges(plane: np.ndarray, axis: int, alpha: float, beta: float) -> None:
-    """Filter all 4-pixel-aligned edges along one axis, in place."""
-    if kernels.is_vectorized():
-        _filter_edges_vectorized(plane, axis, alpha, beta)
-        return
-    n = plane.shape[axis]
-    for edge in range(4, n, 4):
-        if axis == 0:
-            p1 = plane[edge - 2, :]
-            p0 = plane[edge - 1, :]
-            q0 = plane[edge, :]
-            q1 = plane[edge + 1, :] if edge + 1 < n else q0
-        else:
-            p1 = plane[:, edge - 2]
-            p0 = plane[:, edge - 1]
-            q0 = plane[:, edge]
-            q1 = plane[:, edge + 1] if edge + 1 < plane.shape[1] else q0
-        d_edge = np.abs(p0 - q0)
-        d_p = np.abs(p1 - p0)
-        d_q = np.abs(q1 - q0)
-        # Filter only where the step looks like a coding artifact.
-        mask = (d_edge < alpha) & (d_edge > 0) & (d_p < beta) & (d_q < beta)
-        if not np.any(mask):
-            continue
-        delta = (q0 - p0) / 4.0
-        p0_new = np.where(mask, p0 + delta, p0)
-        q0_new = np.where(mask, q0 - delta, q0)
-        if axis == 0:
-            plane[edge - 1, :] = p0_new
-            plane[edge, :] = q0_new
-        else:
-            plane[:, edge - 1] = p0_new
-            plane[:, edge] = q0_new
 
 
 def deblock_plane(

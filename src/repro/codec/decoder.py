@@ -18,8 +18,9 @@ sits in the reader's token table. *Reconstruct* places the frame's
 coefficients (a scatter per token table), dequantises and
 inverse-transforms them in one call, then predicts, adds and clips in
 macroblock order: intra-4x4 a block anti-diagonal at a time, a
-fractional vector from only the 17x17 patch its block reads. One decoder
-serves both backends; under ``reference`` the reader is bit-serial.
+fractional vector from only the 17x17 patch its block reads. The
+per-macroblock decoder it replaced and a bit-serial reader are test
+oracles (``tests/oracles.py``).
 
 **Hostile input.** Whatever the bytes, :func:`decode` either returns
 frames of the geometry the header declares or raises

@@ -14,11 +14,10 @@ is :mod:`repro.codec.tracemodel`'s alone, and costs nothing when the encode
 is not traced.
 
 The hot kernels the encoder calls (transform, motion, intra, deblock,
-entropy, chroma) are backend-dispatched via :mod:`repro.codec.kernels`
-(``reference`` | ``vectorized``), bound whenever the selection changes
-rather than asked per call; the encoder itself hoists the
-per-macroblock float casts into one cast per frame. Both backends
-produce bit-identical bitstreams, reconstructions, and traces.
+entropy, chroma) are batched NumPy bodies; the encoder itself hoists the
+per-macroblock float casts into one cast per frame. The scalar bodies
+they replaced live on as oracles in ``tests/oracles.py``, and the
+bitstreams, reconstructions and traces are bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -28,12 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codec import kernels
 from repro.codec.chroma import encode_chroma_plane
 from repro.codec.deblock import deblock_plane
 from repro.codec.entropy import (
     BitWriter,
-    encode_block,
     encode_blocks,
     encode_tagged_blocks,
     ue_bits,
@@ -656,25 +653,19 @@ class Encoder:
     ) -> CodedMacroblock:
         """True sequential intra-4x4 coding (decodable).
 
-        The ``reference`` backend walks the sixteen blocks in raster order,
-        each predicting from the reconstruction its predecessors just
-        wrote; ``vectorized`` walks the same dependency chain a diagonal at
-        a time (:func:`~repro.codec.intra.code_intra4_wavefront`) and emits
-        the sixteen (mode, block) pairs as one tagged batch.
+        Each block predicts from the reconstruction its predecessors wrote;
+        the dependency chain is walked a diagonal at a time
+        (:func:`~repro.codec.intra.code_intra4_wavefront`) and the sixteen
+        (mode, block) pairs are emitted as one tagged batch.
         """
         y0, x0 = mb_y * 16, mb_x * 16
         bits_before = writer.bit_count
         write_ue(writer, MODE_IDS[MBMode.INTRA_4X4])
         write_se(writer, qp_mb - ctx.base_qp)
-        if kernels.is_vectorized():
-            modes4, levels_all = code_intra4_wavefront(
-                ctx.src_mb_f(y0, x0), ctx.recon, y0, x0, qp_mb, self.options.trellis
-            )
-            encode_tagged_blocks(writer, modes4, levels_all)
-        else:
-            modes4, levels_all = self._code_intra4_sequential(
-                ctx, y0, x0, qp_mb, writer
-            )
+        modes4, levels_all = code_intra4_wavefront(
+            ctx.src_mb_f(y0, x0), ctx.recon, y0, x0, qp_mb, self.options.trellis
+        )
+        encode_tagged_blocks(writer, modes4, levels_all)
         bits = writer.bit_count - bits_before
         ctx.mv_grid[mb_y][mb_x] = None
         rc.note_mb_bits(bits)
@@ -686,74 +677,6 @@ class Encoder:
             mb_x=mb_x, mb_y=mb_y, mode=MBMode.INTRA_4X4, qp=qp_mb,
             intra_modes4=modes4, coeffs=levels_all, bits=bits,
         )
-
-    def _code_intra4_sequential(
-        self, ctx: _FrameContext, y0: int, x0: int, qp_mb: int, writer: BitWriter
-    ) -> tuple[list[int], np.ndarray]:
-        """The ``reference`` i4x4 chain: predict, code, emit and reconstruct
-        one block at a time, in raster order."""
-        levels_all = np.zeros((16, 4, 4), dtype=np.int32)
-        modes4: list[int] = []
-        srcs_grid = (
-            ctx.src_mb_f(y0, x0).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
-        )
-        for by in range(4):
-            for bx in range(4):
-                y = y0 + by * 4
-                x = x0 + bx * 4
-                src4f = srcs_grid[by, bx]
-                mode, pred = self._best_intra4_block(ctx.recon, src4f, y, x)
-                modes4.append(int(mode))
-                write_ue(writer, int(mode))
-                residual = src4f - pred
-                coeffs = forward_4x4(residual[None])[0]
-                levels = trellis_quantize(
-                    coeffs[None], qp_mb, level=self.options.trellis
-                )[0]
-                levels_all[by * 4 + bx] = levels
-                encode_block(writer, levels)
-                # minimum(maximum(...)) is np.clip without its dispatch
-                # overhead; identical for finite values.
-                recon4 = np.minimum(
-                    np.maximum(
-                        np.round(
-                            pred + inverse_4x4(dequantize(levels[None], qp_mb))[0]
-                        ),
-                        0.0,
-                    ),
-                    255.0,
-                ).astype(np.uint8)
-                ctx.recon[y : y + 4, x : x + 4] = recon4
-        return modes4, levels_all
-
-    @staticmethod
-    def _best_intra4_block(
-        recon: np.ndarray, src4: np.ndarray, y: int, x: int
-    ) -> tuple[int, np.ndarray]:
-        """DC(0) / V(1) / H(2) for one 4x4 block from reconstructed pixels
-        (``reference`` body; ``src4`` may be uint8 or float64)."""
-        top = recon[y - 1, x : x + 4].astype(np.float64) if y > 0 else None
-        left = recon[y : y + 4, x - 1].astype(np.float64) if x > 0 else None
-        if top is not None and left is not None:
-            dc = (top.sum() + left.sum()) / 8.0
-        elif top is not None:
-            dc = top.mean()
-        elif left is not None:
-            dc = left.mean()
-        else:
-            dc = 128.0
-        candidates: list[tuple[int, np.ndarray]] = [(0, np.full((4, 4), dc))]
-        if top is not None:
-            candidates.append((1, np.tile(top, (4, 1))))
-        if left is not None:
-            candidates.append((2, np.tile(left[:, None], (1, 4))))
-        src = np.asarray(src4, dtype=np.float64)
-        best_mode, best_pred, best_sad = 0, candidates[0][1], np.inf
-        for mode, pred in candidates:
-            sad = float(np.sum(np.abs(src - pred)))
-            if sad < best_sad:
-                best_mode, best_pred, best_sad = mode, pred, sad
-        return best_mode, best_pred
 
     def _transform_and_code(
         self,

@@ -10,41 +10,35 @@ preserves the property the paper's characterization depends on: the bit
 cost and the branchiness of coding scale with the number and magnitude
 of surviving coefficients.
 
-Both directions are backend-dispatched (see :mod:`repro.codec.kernels`)
-and bit-identical across backends.
-
-**Writing.** ``reference`` pushes one bit at a time through
-:meth:`BitWriter.write_bit`; ``vectorized`` appends whole codes (a whole
-block batch, in :func:`encode_blocks`) with big-integer shifts and
-byte-chunked extends. Buffer contents, partial-byte state and
-``bit_count`` are identical by construction (MSB-first in both).
+**Writing** appends whole codes (a whole block batch, in
+:func:`encode_blocks`) with big-integer shifts and byte-chunked extends.
+Buffer contents, partial-byte state and ``bit_count`` are what one
+:meth:`BitWriter.write_bit` call per bit leaves behind (MSB-first); the
+bit-at-a-time writer is the oracle in ``tests/oracles.py``.
 
 **Reading.** Nothing but exp-Golomb codes is ever written, so code
 boundaries are context-free: a code that starts at bit ``s`` and whose
 first 1 bit is at ``o`` ends at ``2*o - s + 1``, whatever it means.
+The reader *tokenizes*: when a code is asked for that its table does not
+hold, it unpacks the next :data:`TOKEN_WINDOW_BYTES` of the stream, finds
+every bit's next 1 bit, walks the boundary chain from the current
+position, and computes all ue values and their se mappings in array
+operations. :func:`read_ue` / :func:`read_se` are then table lookups, and
+:class:`BlockBatches` places the coefficients of every batch a table
+holds with one scatter. Windows are filled lazily, so a stream rejected in
+its header costs one fill however long it is, and a fill's per-bit arrays
+are bounded by the window.
 
-- ``reference`` reads one bit per :meth:`BitReader.read_bit` call. This
-  bit-serial loop is the oracle, and the only code that rejects a
-  malformed code.
-- ``vectorized`` *tokenizes*: when a code is asked for that its table
-  does not hold, the reader unpacks the next :data:`TOKEN_WINDOW_BYTES`
-  of the stream, finds every bit's next 1 bit, walks the boundary chain
-  from the current position, and computes all ue values and their se
-  mappings in array operations. :func:`read_ue` / :func:`read_se` are
-  then table lookups, and :class:`BlockBatches` places the coefficients
-  of every batch a table holds with one scatter. Windows are filled
-  lazily, so a stream rejected in its header costs one fill however long
-  it is, and a fill's per-bit arrays are bounded by the window.
-- The tokenizer takes only what it can take blindly: complete codes
-  whose zero prefix is at most :data:`_TOKEN_MAX_ZEROS` bits (so every
-  table value fits ``int32``). At the first code it cannot take — a
-  longer prefix, a code cut off by the end of the stream or longer than
-  a window, a position moved by a direct ``read_bit`` — the read is
-  handed to the bit-serial loop, and tokenizing resumes behind it. A
-  batch the table cannot hold goes to the per-block loop, and one whose
-  scatter finds it malformed is replayed through it. Every rejection is
-  therefore raised by one piece of code, and ``bits_read`` means the same
-  in both backends after every code.
+The tokenizer takes only what it can take blindly: complete codes whose
+zero prefix is at most :data:`_TOKEN_MAX_ZEROS` bits (so every table value
+fits ``int32``). At the first code it cannot take — a longer prefix, a
+code cut off by the end of the stream or longer than a window, a position
+moved by a direct ``read_bit`` — the read is handed to the bit-serial loop
+(:func:`_read_ue_serial`), and tokenizing resumes behind it. A batch the
+table cannot hold goes to the per-block loop, and one whose scatter finds
+it malformed is replayed through it. Every rejection is therefore raised
+by one piece of code, the bit-serial one, and ``bits_read`` means the same
+after every code whichever path read it.
 
 **Errors.** Bytes that are not a stream this codec wrote raise
 :class:`BitstreamError` (a ``ValueError``); running off the end raises
@@ -61,7 +55,6 @@ import operator
 
 import numpy as np
 
-from repro.codec import kernels
 from repro.codec.transform import ZIGZAG_4X4
 
 __all__ = [
@@ -135,13 +128,7 @@ class BitWriter:
             self._nbits = 0
 
     def write_bits(self, value: int, width: int) -> None:
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        if kernels.is_vectorized():
-            self.append_bits(value, width)
-            return
-        for shift in range(width - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        self.append_bits(value, width)
 
     def append_bits(self, value: int, width: int) -> None:
         """Append ``width`` bits of ``value`` MSB-first in one operation.
@@ -173,9 +160,8 @@ class BitWriter:
 class BitReader:
     """MSB-first reader over bytes produced by :class:`BitWriter`.
 
-    ``_pos`` is the one authoritative position. Under the ``vectorized``
-    backend (bound at construction) the reader also holds a *token
-    table* for one window of the stream: code ``i`` of the table spans
+    ``_pos`` is the one authoritative position. The reader also holds a
+    *token table* for one window of the stream: code ``i`` of the table spans
     bits ``_bounds[i]`` to ``_bounds[i + 1]`` and has the values
     ``_ue[i]`` / ``_se[i]``; ``_cursor`` is the next code to hand out. The
     table is in step only while ``_bounds[_cursor] == _pos``, which a
@@ -185,7 +171,6 @@ class BitReader:
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0  # bit position
-        self._tokenize = kernels.is_vectorized()
         self._bounds = np.zeros(1, dtype=np.int64)
         self._ue = self._se = np.zeros(0, dtype=np.int64)
         self._cursor = 0
@@ -281,19 +266,14 @@ def write_ue(writer: BitWriter, value: int) -> None:
     if value < 0:
         raise ValueError(f"ue() requires value >= 0, got {value}")
     code = value + 1
-    width = code.bit_length()
-    if kernels.is_vectorized():
-        # Prefix zeros + code collapse into one (2*width-1)-bit append:
-        # the top width-1 bits of the widened code are exactly the zeros.
-        writer.append_bits(code, 2 * width - 1)
-        return
-    writer.write_bits(0, width - 1)
-    writer.write_bits(code, width)
+    # Prefix zeros + code collapse into one (2*width-1)-bit append: the
+    # top width-1 bits of the widened code are exactly the zeros.
+    writer.append_bits(code, 2 * code.bit_length() - 1)
 
 
 def _read_ue_serial(reader: BitReader) -> int:
-    """The bit-serial exp-Golomb read: the ``reference`` backend's reader
-    and the one place a malformed or truncated code is rejected."""
+    """The bit-serial exp-Golomb read: the one place a malformed or
+    truncated code is rejected."""
     zeros = 0
     while reader.read_bit() == 0:
         zeros += 1
@@ -309,7 +289,7 @@ def _read_ue_serial(reader: BitReader) -> int:
 
 def read_ue(reader: BitReader) -> int:
     """Decode one unsigned Exp-Golomb code (inverse of :func:`write_ue`)."""
-    if reader._tokenize and (i := reader._next_token()) >= 0:
+    if (i := reader._next_token()) >= 0:
         return reader._ue.item(i)
     return _read_ue_serial(reader)
 
@@ -321,7 +301,7 @@ def write_se(writer: BitWriter, value: int) -> None:
 
 def read_se(reader: BitReader) -> int:
     """Decode one signed Exp-Golomb code (inverse of :func:`write_se`)."""
-    if reader._tokenize and (i := reader._next_token()) >= 0:
+    if (i := reader._next_token()) >= 0:
         return reader._se.item(i)
     code = _read_ue_serial(reader)
     magnitude = (code + 1) // 2
@@ -359,34 +339,26 @@ def encode_block(writer: BitWriter, block: np.ndarray) -> int:
     start = writer.bit_count
     scan = _zigzag(_checked_batch(np.asarray(block)[None])[0])
     nz_positions = np.nonzero(scan)[0]
-    if kernels.is_vectorized():
-        # Accumulate the whole block's codes into one big-int append.
-        # Each ue code is its widened codeword (prefix zeros included), so
-        # concatenating codewords equals the bit-at-a-time emission.
-        code = len(nz_positions) + 1
-        acc = code
-        nbits = 2 * code.bit_length() - 1
-        prev = -1
-        for pos in nz_positions:
-            p = int(pos)
-            code = p - prev  # zero run + 1
-            w = 2 * code.bit_length() - 1
-            acc = (acc << w) | code
-            nbits += w
-            level = int(scan[p])
-            code = (2 * level) if level > 0 else (1 - 2 * level)
-            w = 2 * code.bit_length() - 1
-            acc = (acc << w) | code
-            nbits += w
-            prev = p
-        writer.append_bits(acc, nbits)
-        return writer.bit_count - start
-    write_ue(writer, len(nz_positions))
+    # Accumulate the whole block's codes into one big-int append. Each ue
+    # code is its widened codeword (prefix zeros included), so
+    # concatenating codewords equals the bit-at-a-time emission.
+    code = len(nz_positions) + 1
+    acc = code
+    nbits = 2 * code.bit_length() - 1
     prev = -1
     for pos in nz_positions:
-        write_ue(writer, int(pos - prev - 1))  # zero run
-        write_se(writer, int(scan[pos]))
-        prev = int(pos)
+        p = int(pos)
+        code = p - prev  # zero run + 1
+        w = 2 * code.bit_length() - 1
+        acc = (acc << w) | code
+        nbits += w
+        level = int(scan[p])
+        code = (2 * level) if level > 0 else (1 - 2 * level)
+        w = 2 * code.bit_length() - 1
+        acc = (acc << w) | code
+        nbits += w
+        prev = p
+    writer.append_bits(acc, nbits)
     return writer.bit_count - start
 
 
@@ -410,16 +382,12 @@ def encode_blocks(writer: BitWriter, blocks: np.ndarray) -> list[int]:
     """Run-level encode a batch of 4x4 blocks; returns per-block bits.
 
     Emits exactly the same bitstream as calling :func:`encode_block` on
-    each block in order (which is what the ``reference`` backend does).
-    The vectorized body folds every codeword of the whole ``(n, 4, 4)``
-    batch into **one** big-int append: codeword concatenation is
-    associative, so the bitstream is unchanged — only the number of
-    ``append_bits`` calls drops.
+    each block in order, but folds every codeword of the whole
+    ``(n, 4, 4)`` batch into **one** big-int append: codeword
+    concatenation is associative, so the bitstream is unchanged — only the
+    number of ``append_bits`` calls drops.
     """
-    arr = _checked_batch(blocks)
-    if not kernels.is_vectorized():
-        return [encode_block(writer, b) for b in arr]
-    return _fold_batch(writer, arr, None)
+    return _fold_batch(writer, _checked_batch(blocks), None)
 
 
 def encode_tagged_blocks(
@@ -431,9 +399,7 @@ def encode_tagged_blocks(
 
     Emits exactly what ``n`` rounds of :func:`write_ue` then
     :func:`encode_block` emit, as :func:`encode_blocks`' fold with each
-    tag's codeword in front of its block. There is no backend dispatch
-    here: only the batched intra-4x4 emit has all sixteen pairs in hand
-    (``reference`` writes each pair as it codes the block).
+    tag's codeword in front of its block.
     """
     arr = _checked_batch(blocks)
     tags = [operator.index(tag) for tag in tags]  # TypeError for a non-int
@@ -504,8 +470,8 @@ def _fold_batch(
 
 
 def _decode_block_serial(reader: BitReader) -> np.ndarray:
-    """One block, one code at a time: the oracle, and the loop that raises
-    every block-level rejection."""
+    """One block, one code at a time: the loop that raises every
+    block-level rejection."""
     n_nonzero = read_ue(reader)
     if n_nonzero > 16:
         raise BitstreamError(f"corrupt block: {n_nonzero} nonzero coefficients")
@@ -595,7 +561,7 @@ class BlockBatches:
         """Consume one batch as :func:`decode_blocks` would; returns the tags."""
         reader, row, start = self._reader, self.n_blocks, self._reader._pos
         self.n_blocks += n
-        counted = _count_from_table(reader, n, tagged) if reader._tokenize else None
+        counted = _count_from_table(reader, n, tagged)
         if counted is None:
             tags, blocks = _decode_batch_serial(reader, n, tagged)
             self._serial.append((row, blocks))
@@ -642,9 +608,9 @@ class BlockBatches:
 def decode_blocks(reader: BitReader, n: int) -> np.ndarray:
     """Decode a batch of ``n`` 4x4 blocks; inverse of :func:`encode_blocks`.
 
-    Reads exactly what ``n`` :func:`decode_block` calls read (which is
-    what ``reference`` does); the tokenizing reader fills the whole
-    ``(n, 4, 4)`` batch from its table in one pass of array operations.
+    Reads exactly what ``n`` :func:`decode_block` calls read; the
+    tokenizing reader fills the whole ``(n, 4, 4)`` batch from its table
+    in one pass of array operations.
     """
     batches = BlockBatches(reader)
     batches.read(n)
@@ -658,7 +624,7 @@ def decode_tagged_blocks(
     (mode, block) pairs; returns the tags and an ``(n, 4, 4)`` batch.
 
     Reads exactly what ``n`` rounds of :func:`read_ue` then
-    :func:`decode_block` read (which is what ``reference`` does).
+    :func:`decode_block` read.
     """
     batches = BlockBatches(reader)
     return batches.read(n, tagged=True), batches.levels()

@@ -6,20 +6,19 @@ and a 4x4 variant where each sub-block predicts from already-reconstructed
 pixels, capturing the sequential dependency structure that makes i4x4
 slower but more precise.
 
-:func:`predict_4x4_blocks` is backend-dispatched (see
-:mod:`repro.codec.kernels`): the fast-mode-decision approximation
+:func:`predict_4x4_blocks` is the fast-mode-decision approximation: it
 predicts every sub-block from a *static* working reconstruction (source
 pixels pasted in once, never updated mid-macroblock), so all 16
-sub-blocks are independent and the ``vectorized`` backend scores the
-DC/V/H candidates for the whole macroblock as one stack — with the mode
-choice, prediction bytes, SAD total, and modes-tried count identical to
-the reference loop.
+sub-blocks are independent and the DC/V/H candidates for the whole
+macroblock are scored as one stack — with the mode choice, prediction
+bytes, SAD total, and modes-tried count of the block-by-block loop (the
+oracle in ``tests/oracles.py``).
 
 When intra-4x4 *wins*, the macroblock is coded for real, each block
 predicting from its neighbours' reconstructions. That chain orders the
 anti-diagonals of the block grid, not the blocks of one:
-:func:`code_intra4_wavefront` is the ``vectorized`` body of the encoder's
-sixteen-step reference chain, in seven steps.
+:func:`code_intra4_wavefront` runs the sixteen-step raster chain in seven
+steps.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.codec import kernels
 from repro.codec.quant import dequantize, trellis_quantize
 from repro.codec.transform import (
     blockify_16x16,
@@ -87,7 +85,7 @@ def _polyfit_constants(size: int) -> tuple[np.ndarray, float, float]:
     This copies private steps of ``np.polyfit`` (as of NumPy 2.4: ``vander``,
     ``scale = sqrt((lhs * lhs).sum(axis=0))``, ``rcond = len(x) * eps``, one
     ``lstsq``, ``c / scale``). The encoder, and the decoder through
-    :func:`predict_16x16`, are bit-identical across backends only while
+    :func:`predict_16x16`, are bit-identical to ``np.polyfit`` only while
     NumPy keeps them: a last-bit change of slope flips a rounded pixel on
     flat rows. ``test_plane_pred_is_the_polyfit_form`` (tier-1) compares
     the two on every run; if a NumPy upgrade fails it, re-derive these
@@ -108,30 +106,23 @@ _PLANE16_YY, _PLANE16_XX = np.meshgrid(
 def _plane_pred(top: np.ndarray, left: np.ndarray, size: int) -> np.ndarray:
     """H.264-style plane (gradient) prediction.
 
-    The vectorized backend runs polyfit's own solve — the same
-    ``np.linalg.lstsq`` on the same scaled matrix with the same ``rcond``,
-    then the same post-division — minus everything polyfit recomputes from
-    the constant ``x`` on every call, so the gradients are bit-identical
-    by construction. (A closed-form slope or one two-column solve is not:
+    Runs polyfit's own solve — the same ``np.linalg.lstsq`` on the same
+    scaled matrix with the same ``rcond``, then the same post-division —
+    minus everything polyfit recomputes from the constant ``x`` on every
+    call, so the gradients are bit-identical to ``np.polyfit``'s by
+    construction. (A closed-form slope or one two-column solve is not:
     both differ in the last bits, and a flat row then rounds a ``.5`` the
     other way.)
     """
-    if kernels.is_vectorized():
-        assert size == 16, "the folded constants are the 16x16 plane's"
-        h_grad = float(
-            np.linalg.lstsq(_PLANE16_LHS, top, _PLANE16_RCOND)[0][0] / _PLANE16_SCALE
-        )
-        v_grad = float(
-            np.linalg.lstsq(_PLANE16_LHS, left, _PLANE16_RCOND)[0][0] / _PLANE16_SCALE
-        )
-        base = (top[-1] + left[-1]) / 2.0
-        return base + h_grad * _PLANE16_XX + v_grad * _PLANE16_YY
-    idx = np.arange(size, dtype=np.float64)
-    h_grad = float(np.polyfit(idx, top, 1)[0])
-    v_grad = float(np.polyfit(idx, left, 1)[0])
+    assert size == 16, "the folded constants are the 16x16 plane's"
+    h_grad = float(
+        np.linalg.lstsq(_PLANE16_LHS, top, _PLANE16_RCOND)[0][0] / _PLANE16_SCALE
+    )
+    v_grad = float(
+        np.linalg.lstsq(_PLANE16_LHS, left, _PLANE16_RCOND)[0][0] / _PLANE16_SCALE
+    )
     base = (top[-1] + left[-1]) / 2.0
-    yy, xx = np.meshgrid(idx - (size - 1), idx - (size - 1), indexing="ij")
-    return base + h_grad * xx + v_grad * yy
+    return base + h_grad * _PLANE16_XX + v_grad * _PLANE16_YY
 
 
 def predict_16x16(
@@ -162,33 +153,18 @@ def predict_16x16(
 def best_intra_16x16(
     source: np.ndarray, recon: np.ndarray, mb_y: int, mb_x: int
 ) -> IntraPrediction:
-    """Try all 16x16 intra modes and return the lowest-SAD one."""
+    """Try all 16x16 intra modes and return the lowest-SAD one.
+
+    All four modes are scored with one stacked clip and one reduction:
+    the neighbors are fetched once, the four float predictions fill one
+    ``(4, 16, 16)`` stack, and they are rounded, clipped and scored
+    together. Every per-pixel value and each mode's contiguous 256-element
+    SAD reduction match a per-mode :func:`predict_16x16` loop, and the
+    replayed strict-``<`` scan keeps its first-minimum tie-break.
+    """
     if source.shape != (16, 16):
         raise ValueError(f"expected 16x16 source block, got {source.shape}")
     src = source.astype(np.float64)
-    if kernels.is_vectorized():
-        return _best_intra_16x16_vectorized(src, recon, mb_y, mb_x)
-    best: IntraPrediction | None = None
-    for mode in IntraMode:
-        pred = predict_16x16(recon, mb_y, mb_x, mode)
-        sad = float(np.sum(np.abs(src - pred)))
-        if best is None or sad < best.sad:
-            best = IntraPrediction(mode, pred, sad, len(IntraMode))
-    assert best is not None
-    return best
-
-
-def _best_intra_16x16_vectorized(
-    src: np.ndarray, recon: np.ndarray, mb_y: int, mb_x: int
-) -> IntraPrediction:
-    """All four 16x16 modes scored with one stacked clip and one reduction.
-
-    Fetches the neighbors once, materializes the four float predictions
-    into one ``(4, 16, 16)`` stack, and rounds/clips/scores them together;
-    every per-pixel value and each mode's contiguous 256-element SAD
-    reduction match the reference's per-mode computation, and the replayed
-    strict-``<`` scan keeps its first-minimum tie-break.
-    """
     top, left = _neighbors(recon, mb_y, mb_x, 16)
     if top is not None and left is not None:
         dc = (top.sum() + left.sum()) / 32.0
@@ -215,54 +191,6 @@ def _best_intra_16x16_vectorized(
             best_sad = float(sads[i])
             best_i = i
     return IntraPrediction(IntraMode(best_i), u8[best_i], best_sad, len(IntraMode))
-
-
-def predict_4x4_blocks(
-    source: np.ndarray, recon: np.ndarray, mb_y: int, mb_x: int
-) -> tuple[np.ndarray, float, int]:
-    """Sequential 4x4 intra prediction over one macroblock.
-
-    Each 4x4 block picks the best of DC/V/H using neighbors from the
-    *working reconstruction* (neighbor blocks predicted earlier in the same
-    macroblock), mirroring H.264's i4x4 dependency chain. Returns
-    ``(prediction, total_sad, modes_tried)``; prediction uses the source
-    block itself as the "reconstruction" for in-MB neighbors, a standard
-    fast-mode-decision approximation.
-    """
-    if source.shape != (16, 16):
-        raise ValueError(f"expected 16x16 source block, got {source.shape}")
-    if kernels.is_vectorized():
-        return _predict_4x4_blocks_vectorized(source, recon, mb_y, mb_x)
-    prediction = np.zeros((16, 16), dtype=np.uint8)
-    work = recon.copy()
-    work[mb_y : mb_y + 16, mb_x : mb_x + 16] = source
-    total_sad = 0.0
-    modes_tried = 0
-    for by in range(4):
-        for bx in range(4):
-            y = mb_y + by * 4
-            x = mb_x + bx * 4
-            src = source[by * 4 : by * 4 + 4, bx * 4 : bx * 4 + 4].astype(np.float64)
-            top, left = _neighbors(work, y, x, 4)
-            candidates = [_dc_pred(top, left, 4)]
-            if top is not None:
-                candidates.append(np.tile(top, (4, 1)))
-            if left is not None:
-                candidates.append(np.tile(left[:, None], (1, 4)))
-            best_pred = None
-            best_sad = np.inf
-            for cand in candidates:
-                modes_tried += 1
-                sad = float(np.sum(np.abs(src - cand)))
-                if sad < best_sad:
-                    best_sad = sad
-                    best_pred = cand
-            assert best_pred is not None
-            prediction[by * 4 : by * 4 + 4, bx * 4 : bx * 4 + 4] = np.clip(
-                np.round(best_pred), 0, 255
-            ).astype(np.uint8)
-            total_sad += best_sad
-    return prediction, total_sad, modes_tried
 
 
 #: Per 4x4 block in raster order: its row / column in the 4x4 block grid.
@@ -309,8 +237,8 @@ def _score_dc_v_h(
     the neighbour does not exist** (``edge`` says where). Returns
     ``(preds, sads, modes)``: the float candidate stack, its ``(3, k)``
     SADs (``inf`` for a candidate that does not exist) and each block's
-    winner. ``argmin`` takes the first minimum, which is the reference's
-    strict-``<`` scan in DC, V, H order. Pixel sums are exact integers and
+    winner. ``argmin`` takes the first minimum, which is a strict-``<``
+    scan in DC, V, H order. Pixel sums are exact integers and
     every SAD is a sum of multiples of 1/8 far below 2**53, so all of it is
     exact in any reduction order.
     """
@@ -343,16 +271,25 @@ def _neighbor_patch(recon: np.ndarray, mb_y: int, mb_x: int) -> np.ndarray:
     return patch
 
 
-def _predict_4x4_blocks_vectorized(
+def predict_4x4_blocks(
     source: np.ndarray, recon: np.ndarray, mb_y: int, mb_x: int
 ) -> tuple[np.ndarray, float, int]:
-    """Batched i4x4 mode decision over all 16 sub-blocks at once.
+    """Sequential 4x4 intra prediction over one macroblock.
+
+    Each 4x4 block picks the best of DC/V/H using neighbors from the
+    *working reconstruction* (neighbor blocks predicted earlier in the same
+    macroblock), mirroring H.264's i4x4 dependency chain. Returns
+    ``(prediction, total_sad, modes_tried)``; prediction uses the source
+    block itself as the "reconstruction" for in-MB neighbors, a standard
+    fast-mode-decision approximation.
 
     The working reconstruction is static during the loop (it only differs
     from ``recon`` inside the macroblock, where it is the source), so the
     sub-blocks have no sequential dependency: their neighbours are strided
     slices of one patch, and all 48 candidates are scored as one stack.
     """
+    if source.shape != (16, 16):
+        raise ValueError(f"expected 16x16 source block, got {source.shape}")
     patch = _neighbor_patch(recon, mb_y, mb_x)
     patch[1:, 1:] = source
     # Block (by, bx): top = patch[4*by, 4*bx+1 : 4*bx+5],
@@ -363,7 +300,7 @@ def _predict_4x4_blocks_vectorized(
     edge = _EDGE_MB[mb_y == 0, mb_x == 0]
     preds, sads, modes = _score_dc_v_h(srcs, tops, lefts, edge)
     # Only DC can be fractional, and every candidate lies in [0, 255]:
-    # rounding is all the reference's round-and-clip does.
+    # rounding is all a round-and-clip would do.
     pred_blocks = np.round(preds[modes, _BLOCKS16]).astype(np.uint8)
     total_sad = float(sads[modes, _BLOCKS16].sum())
     modes_tried = 48 - (edge.n_missing if edge is not None else 0)
@@ -404,8 +341,7 @@ def code_intra4_wavefront(
 ) -> tuple[list[int], np.ndarray]:
     """Code one macroblock as sixteen intra-4x4 blocks, a diagonal at a time.
 
-    The vectorized body of the encoder's sequential i4x4 chain: each block
-    picks DC / V / H from *reconstructed* neighbours, is transformed,
+    The encoder's i4x4 chain: each block picks DC / V / H from *reconstructed* neighbours, is transformed,
     quantized and reconstructed, and its reconstruction feeds the blocks
     right of and below it. That orders the anti-diagonals, not the blocks
     of one, so the chain runs in seven steps instead of sixteen. Every

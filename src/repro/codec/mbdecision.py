@@ -6,12 +6,11 @@ Implements paper §II-B3: each 16x16 macroblock chooses among intra modes
 distortion (SAD/SATD depending on ``subme``) with an estimated rate term
 weighted by the QP-dependent Lagrange multiplier.
 
-The sub-partition refinement is backend-dispatched (see
-:mod:`repro.codec.kernels`): ``reference`` scores each partition's
-candidates from its own fetches, ``vectorized`` scores every partition
-of the macroblock from one difference block per displacement
+The sub-partition refinement scores every partition of the macroblock
+from one difference block per displacement
 (:func:`_refine_partitions_shared`); vectors, costs and point counts are
-identical.
+those of refining each partition from its own fetches (the oracle in
+``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.codec import kernels
 from repro.codec.entropy import se_bits, ue_bits
 from repro.codec.motion import (
     MotionSearchResult,
@@ -104,40 +102,6 @@ def choose_inter_ref(
     return best, best_ref, total_points, all_positions
 
 
-def _refine_partition(
-    cur_part: np.ndarray,
-    ref: PaddedReference,
-    part_y: int,
-    part_x: int,
-    start_mv: tuple[int, int],
-    size: int,
-) -> tuple[tuple[int, int], float, int]:
-    """Small diamond refinement of one sub-partition around the parent MV
-    (the ``reference`` body; see :func:`_refine_partitions_shared`)."""
-    best_dx, best_dy = start_mv
-    cur64 = cur_part.astype(np.int64)
-
-    def sad_at(dx: int, dy: int) -> float:
-        block = ref.block(part_y + dy, part_x + dx, size)
-        return float(np.sum(np.abs(cur64 - block.astype(np.int64))))
-
-    best_cost = sad_at(best_dx, best_dy)
-    n_points = 1
-    for _ in range(2):
-        improved = False
-        for dx, dy in ((0, -1), (0, 1), (-1, 0), (1, 0)):
-            cost = sad_at(best_dx + dx, best_dy + dy)
-            n_points += 1
-            if cost < best_cost:
-                best_cost = cost
-                best_dx += dx
-                best_dy += dy
-                improved = True
-        if not improved:
-            break
-    return (best_dx, best_dy), best_cost, n_points
-
-
 _DIAMOND = ((0, -1), (0, 1), (-1, 0), (1, 0))  # (dx, dy), visit order
 #: The start and its diamond: where a walk that finds nothing better stays.
 _FIRST = ((0, 0), *_DIAMOND)
@@ -158,8 +122,9 @@ def _refine_partitions_shared(
     start_mv: tuple[int, int],
     size: int,
 ) -> list[tuple[tuple[int, int], float, int]]:
-    """:func:`_refine_partition` for every partition of the macroblock, in
-    raster order, from SADs the partitions share.
+    """A small diamond refinement of every ``size`` x ``size`` partition of
+    the macroblock around the parent MV, in raster order, from SADs the
+    partitions share; per partition ``((dx, dy), cost, n_points)``.
 
     All ``n x n`` partitions refine around the same parent MV, and
     partition ``(py, px)`` displaced by ``d`` reads exactly the
@@ -237,16 +202,7 @@ def search_partitions(
         return None
     start = parent_mv.full_pel
     origins = _ORIGINS[size]
-    if kernels.is_vectorized():
-        refined = _refine_partitions_shared(cur, ref, base_y, base_x, start, size)
-    else:
-        refined = [
-            _refine_partition(
-                cur[y0 : y0 + size, x0 : x0 + size],
-                ref, base_y + y0, base_x + x0, start, size,
-            )
-            for y0, x0 in origins
-        ]
+    refined = _refine_partitions_shared(cur, ref, base_y, base_x, start, size)
     mvs: list[MotionVector] = []
     prediction = np.zeros((16, 16), dtype=np.float64)
     distortion = 0.0

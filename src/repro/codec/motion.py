@@ -9,15 +9,14 @@ those into memory-access events for the µarch simulator, which is how
 "refs expands the encoding search space" (paper §III-A) becomes visible
 as data-cache pressure.
 
-The candidate-scoring loops are backend-dispatched (see
-:mod:`repro.codec.kernels`): the ``vectorized`` backend gathers each
-round's candidate blocks into one ``(k, 16, 16)`` batch and scores them
-with a single integer reduction, then replays the running-best update in
-order, so the chosen vector, cost, point count, visit order, and
-improvement flags are identical to the reference loop. Greedy stages
-whose candidate *positions* depend on mid-loop best updates (the umh
-hexagon rings, subpel refinement) stay sequential in both backends —
-only their per-candidate cost evaluation gets the fast path.
+The candidate-scoring loops gather each round's candidate blocks into
+one ``(k, 16, 16)`` batch and score them with a single integer reduction,
+then replay the running-best update in order, so the chosen vector, cost,
+point count, visit order, and improvement flags are those of the
+one-candidate-at-a-time loop (the oracle in ``tests/oracles.py``). Greedy
+stages whose candidate *positions* depend on mid-loop best updates (the
+umh hexagon rings, subpel refinement) stay sequential; only their
+per-candidate cost evaluation is batched or cached.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.codec import kernels
-from repro.codec.transform import hadamard_sad, hadamard_sad_batch, satd_16x16
+from repro.codec.transform import hadamard_sad_batch, satd_16x16
 from repro.codec.types import MotionVector
 
 __all__ = [
@@ -128,29 +126,18 @@ class PaddedReference:
     def half_pel_block(self, y4: int, x4: int, size: int = 16) -> np.ndarray:
         """Fetch a block at quarter-pel coordinates via bilinear interp.
 
-        The vectorized backend uses integer index/fraction math (exact:
-        the fractions are quarters, so ``(y4 & 3) * 0.25`` is bit-equal to
-        the float remainder) and slices a lazily cached whole-plane
-        interpolation for the phase (see :meth:`_phase_plane`), which is
-        bit-identical to interpolating the block in place.
+        Integer index/fraction math (exact: the fractions are quarters, so
+        ``(y4 & 3) * 0.25`` is bit-equal to the float remainder) slices a
+        lazily cached whole-plane interpolation for the phase (see
+        :meth:`_phase_plane`), which is bit-identical to interpolating the
+        block in place.
         """
-        if kernels.is_vectorized():
-            fy_i = y4 & 3
-            fx_i = x4 & 3
-            y0 = (y4 >> 2) + self.pad
-            x0 = (x4 >> 2) + self.pad
-            # Views of the cached phase plane: subpel scoring and
-            # prediction fetches never mutate fetched blocks.
-            plane = self._phase_plane(fy_i, fx_i)
-            return plane[y0 : y0 + size, x0 : x0 + size]
-        y = y4 / 4.0 + self.pad
-        x = x4 / 4.0 + self.pad
-        y0, x0 = int(np.floor(y)), int(np.floor(x))
-        fy, fx = y - y0, x - x0
-        a = self.plane[y0 : y0 + size + 1, x0 : x0 + size + 1].astype(np.float64)
-        top = a[:size, :size] * (1 - fx) + a[:size, 1 : size + 1] * fx
-        bot = a[1 : size + 1, :size] * (1 - fx) + a[1 : size + 1, 1 : size + 1] * fx
-        return top * (1 - fy) + bot * fy
+        y0 = (y4 >> 2) + self.pad
+        x0 = (x4 >> 2) + self.pad
+        # Views of the cached phase plane: subpel scoring and prediction
+        # fetches never mutate fetched blocks.
+        plane = self._phase_plane(y4 & 3, x4 & 3)
+        return plane[y0 : y0 + size, x0 : x0 + size]
 
 
 @dataclass
@@ -166,52 +153,6 @@ class MotionSearchResult:
     early_terminated: bool = False
 
 
-def _sad(cur: np.ndarray, ref_block: np.ndarray) -> float:
-    return float(np.sum(np.abs(cur.astype(np.int64) - ref_block.astype(np.int64))))
-
-
-def _pattern_search_reference(
-    cur: np.ndarray,
-    ref: PaddedReference,
-    start: tuple[int, int],
-    offsets: tuple[tuple[int, int], ...],
-    merange: int,
-    base_y: int,
-    base_x: int,
-    *,
-    max_iters: int = 64,
-) -> MotionSearchResult:
-    """The original scalar pattern search: one ``_sad`` call per candidate."""
-    best_dx, best_dy = start
-    best_cost = _sad(cur, ref.block(base_y + best_dy, base_x + best_dx))
-    n_points = 1
-    positions = [(best_dx, best_dy)]
-    improvements = [True]
-    seen = {(best_dx, best_dy)}
-    for _ in range(max_iters):
-        improved = False
-        center = (best_dx, best_dy)
-        for dx, dy in offsets:
-            cx, cy = center[0] + dx, center[1] + dy
-            if abs(cx) > merange or abs(cy) > merange or (cx, cy) in seen:
-                continue
-            seen.add((cx, cy))
-            cost = _sad(cur, ref.block(base_y + cy, base_x + cx))
-            n_points += 1
-            positions.append((cx, cy))
-            better = cost < best_cost
-            improvements.append(better)
-            if better:
-                best_cost = cost
-                best_dx, best_dy = cx, cy
-                improved = True
-        if not improved:
-            break
-    return MotionSearchResult(
-        best_dx * 4, best_dy * 4, best_cost, n_points, positions, improvements
-    )
-
-
 class _SearchWindow:
     """Integer candidate scoring over one block's full search window.
 
@@ -219,7 +160,7 @@ class _SearchWindow:
     every candidate block of the ``(2*merange+16)``-pixel window with no
     copy, so scoring a round of candidates is a single fancy-index gather
     plus one reduction. Integer arithmetic makes each batched SAD exactly
-    equal to the per-candidate ``_sad`` calls it replaces.
+    equal to a per-candidate 64-bit SAD.
     """
 
     __slots__ = ("cur", "views", "merange")
@@ -251,21 +192,16 @@ class _SearchWindow:
         return np.abs(self.cur[None] - blocks).reshape(len(cands), -1).sum(axis=1)
 
 
-def _pattern_search_vectorized(
-    cur: np.ndarray,
-    ref: PaddedReference,
+def _pattern_search(
+    win: _SearchWindow,
     start: tuple[int, int],
     offsets: tuple[tuple[int, int], ...],
-    merange: int,
-    base_y: int,
-    base_x: int,
     *,
     max_iters: int = 64,
-    win: _SearchWindow | None = None,
 ) -> MotionSearchResult:
-    """Batched pattern search: each round's candidates scored in one shot."""
-    if win is None:
-        win = _SearchWindow(cur, ref, base_y, base_x, merange)
+    """Iterative pattern search (shared by dia and hex coarse stages):
+    each round's candidates scored in one shot."""
+    merange = win.merange
     best_dx, best_dy = start
     best_cost = win.sad(best_dx, best_dy)
     n_points = 1
@@ -306,65 +242,15 @@ def _pattern_search_vectorized(
     )
 
 
-def _pattern_search(
-    cur: np.ndarray,
-    ref: PaddedReference,
-    start: tuple[int, int],
-    offsets: tuple[tuple[int, int], ...],
-    merange: int,
-    base_y: int,
-    base_x: int,
-    *,
-    max_iters: int = 64,
-    win: _SearchWindow | None = None,
-) -> MotionSearchResult:
-    """Iterative pattern search (shared by dia and hex coarse stages)."""
-    if kernels.is_vectorized():
-        return _pattern_search_vectorized(
-            cur, ref, start, offsets, merange, base_y, base_x,
-            max_iters=max_iters, win=win,
-        )
-    return _pattern_search_reference(
-        cur, ref, start, offsets, merange, base_y, base_x, max_iters=max_iters
-    )
+def _dia_search(win: _SearchWindow, pred) -> MotionSearchResult:
+    return _pattern_search(win, pred, _DIA_OFFSETS)
 
 
-def _make_window(
-    cur: np.ndarray, ref: PaddedReference, base_y: int, base_x: int, merange: int
-) -> _SearchWindow | None:
-    return (
-        _SearchWindow(cur, ref, base_y, base_x, merange)
-        if kernels.is_vectorized()
-        else None
-    )
-
-
-def _dia_search(cur, ref, merange, base_y, base_x, pred) -> MotionSearchResult:
-    win = _make_window(cur, ref, base_y, base_x, merange)
-    return _pattern_search(
-        cur, ref, pred, _DIA_OFFSETS, merange, base_y, base_x, win=win
-    )
-
-
-def _hex_search(
-    cur, ref, merange, base_y, base_x, pred, win: _SearchWindow | None = None
-) -> MotionSearchResult:
-    if win is None:
-        win = _make_window(cur, ref, base_y, base_x, merange)
-    coarse = _pattern_search(
-        cur, ref, pred, _HEX_OFFSETS, merange, base_y, base_x, win=win
-    )
+def _hex_search(win: _SearchWindow, pred) -> MotionSearchResult:
+    coarse = _pattern_search(win, pred, _HEX_OFFSETS)
     # Final small-diamond refinement around the hexagon winner.
     fine = _pattern_search(
-        cur,
-        ref,
-        (coarse.mv_x // 4, coarse.mv_y // 4),
-        _DIA_OFFSETS,
-        merange,
-        base_y,
-        base_x,
-        max_iters=2,
-        win=win,
+        win, (coarse.mv_x // 4, coarse.mv_y // 4), _DIA_OFFSETS, max_iters=2
     )
     fine.n_points += coarse.n_points
     fine.positions = coarse.positions + fine.positions
@@ -372,19 +258,16 @@ def _hex_search(
     return fine
 
 
-def _umh_search(cur, ref, merange, base_y, base_x, pred) -> MotionSearchResult:
+def _umh_search(win: _SearchWindow, pred) -> MotionSearchResult:
     """Simplified uneven multi-hexagon: cross + scaled hexagon grid + hex.
 
-    The cross stage's candidate positions are fixed up front, so the
-    vectorized backend scores the whole cross in one batch; the hexagon
-    rings re-center on the running best mid-loop and therefore stay
-    sequential in both backends (only the per-candidate SAD is swapped
-    for the shared window's fast path).
+    The cross stage's candidate positions are fixed up front, so the whole
+    cross is scored in one batch; the hexagon rings re-center on the
+    running best mid-loop and therefore stay sequential (each candidate
+    scored on the shared window).
     """
-    win = _make_window(cur, ref, base_y, base_x, merange)
-    best = _pattern_search(
-        cur, ref, pred, _DIA_OFFSETS, merange, base_y, base_x, max_iters=1, win=win
-    )
+    merange = win.merange
+    best = _pattern_search(win, pred, _DIA_OFFSETS, max_iters=1)
     n_points = best.n_points
     positions = list(best.positions)
     improvements = list(best.improvements)
@@ -397,13 +280,7 @@ def _umh_search(cur, ref, merange, base_y, base_x, pred) -> MotionSearchResult:
         for cx, cy in ((d, 0), (-d, 0), (0, d), (0, -d))
     ]
     if cross:
-        if win is not None:
-            cross_costs = win.sads(cross)
-        else:
-            cross_costs = np.array(
-                [_sad(cur, ref.block(base_y + cy, base_x + cx)) for cx, cy in cross]
-            )
-        for (cx, cy), cost_i in zip(cross, cross_costs):
+        for (cx, cy), cost_i in zip(cross, win.sads(cross)):
             cost = float(cost_i)
             n_points += 1
             positions.append((cx, cy))
@@ -420,10 +297,7 @@ def _umh_search(cur, ref, merange, base_y, base_x, pred) -> MotionSearchResult:
             cy = best_dy + hy * radius // 2
             if abs(cx) > merange or abs(cy) > merange:
                 continue
-            if win is not None:
-                cost = win.sad(cx, cy)
-            else:
-                cost = _sad(cur, ref.block(base_y + cy, base_x + cx))
+            cost = win.sad(cx, cy)
             n_points += 1
             positions.append((cx, cy))
             better = cost < best_cost
@@ -431,9 +305,7 @@ def _umh_search(cur, ref, merange, base_y, base_x, pred) -> MotionSearchResult:
             if better:
                 best_cost, best_dx, best_dy = cost, cx, cy
     # Final hexagon refinement from the grid winner.
-    refine = _hex_search(
-        cur, ref, merange, base_y, base_x, (best_dx, best_dy), win=win
-    )
+    refine = _hex_search(win, (best_dx, best_dy))
     if refine.cost < best_cost:
         result = refine
     else:
@@ -450,7 +322,7 @@ def _esa_search(
     """Exhaustive search over the full window, vectorized.
 
     tesa additionally re-scores the best SAD candidates with SATD
-    (Hadamard), as x264's transformed exhaustive search does.
+    (Hadamard) in one batch, as x264's transformed exhaustive search does.
     """
     y0 = base_y - merange + ref.pad
     x0 = base_x - merange + ref.pad
@@ -465,24 +337,14 @@ def _esa_search(
         flat = np.argsort(sads, axis=None)[:8]
         best_cost = np.inf
         best_pos = (0, 0)
-        if kernels.is_vectorized():
-            iys, ixs = np.unravel_index(flat, sads.shape)
-            costs = hadamard_sad_batch(cur, views[iys, ixs])
-            for j in range(len(flat)):
-                cost = float(costs[j])
-                n_points += 1
-                if cost < best_cost:
-                    best_cost = cost
-                    best_pos = (int(ixs[j]) - merange, int(iys[j]) - merange)
-        else:
-            for f in flat:
-                iy, ix = divmod(int(f), sads.shape[1])
-                cand = views[iy, ix]
-                cost = hadamard_sad(cur, cand)
-                n_points += 1
-                if cost < best_cost:
-                    best_cost = cost
-                    best_pos = (ix - merange, iy - merange)
+        iys, ixs = np.unravel_index(flat, sads.shape)
+        costs = hadamard_sad_batch(cur, views[iys, ixs])
+        for j in range(len(flat)):
+            cost = float(costs[j])
+            n_points += 1
+            if cost < best_cost:
+                best_cost = cost
+                best_pos = (int(ixs[j]) - merange, int(iys[j]) - merange)
         best_dx, best_dy = best_pos
     else:
         iy, ix = np.unravel_index(int(np.argmin(sads)), sads.shape)
@@ -529,7 +391,8 @@ def motion_search(
         int(max(-merange, min(merange, pred_mv[1]))),
     )
     if method in _METHODS:
-        return _METHODS[method](cur, ref, merange, base_y, base_x, start)
+        win = _SearchWindow(cur, ref, base_y, base_x, merange)
+        return _METHODS[method](win, start)
     if method == "esa":
         return _esa_search(cur, ref, merange, base_y, base_x, start)
     if method == "tesa":
@@ -553,9 +416,9 @@ def subpel_refine(
     a new result; ``n_points`` counts additional evaluations.
 
     The refinement is greedy (each candidate position depends on the
-    running best), so both backends walk the same sequential pattern; the
-    vectorized backend only swaps in the cheap cost evaluation (hoisted
-    float cast, full-pel interpolation shortcut, fixed-path SATD).
+    running best), so it walks a sequential pattern; only the cost
+    evaluation is cheapened (hoisted float cast, cached phase planes,
+    fixed-path SATD, memoized revisits).
     """
     if subme < 2:
         return result
@@ -564,33 +427,23 @@ def subpel_refine(
         steps.append(1)  # quarter-pel
     use_satd = subme >= 6
 
-    if kernels.is_vectorized():
-        cur_f64 = cur.astype(np.float64)
-        # cost_at is pure, and the drifting diamond revisits positions;
-        # memoizing repeated evaluations returns the identical float while
-        # the n_points accounting below still counts every visit, exactly
-        # like the recomputing reference loop.
-        cache: dict[tuple[int, int], float] = {}
+    cur_f64 = cur.astype(np.float64)
+    # cost_at is pure, and the drifting diamond revisits positions;
+    # memoizing repeated evaluations returns the identical float while the
+    # n_points accounting below still counts every visit.
+    cache: dict[tuple[int, int], float] = {}
 
-        def cost_at(y4: int, x4: int) -> float:
-            key = (y4, x4)
-            cost = cache.get(key)
-            if cost is None:
-                block = ref.half_pel_block(base_y * 4 + y4, base_x * 4 + x4)
-                if use_satd:
-                    cost = satd_16x16(cur_f64 - block)
-                else:
-                    cost = float(np.abs(cur_f64 - block).sum())
-                cache[key] = cost
-            return cost
-
-    else:
-
-        def cost_at(y4: int, x4: int) -> float:
+    def cost_at(y4: int, x4: int) -> float:
+        key = (y4, x4)
+        cost = cache.get(key)
+        if cost is None:
             block = ref.half_pel_block(base_y * 4 + y4, base_x * 4 + x4)
             if use_satd:
-                return hadamard_sad(cur, block)
-            return float(np.sum(np.abs(cur.astype(np.float64) - block)))
+                cost = satd_16x16(cur_f64 - block)
+            else:
+                cost = float(np.abs(cur_f64 - block).sum())
+            cache[key] = cost
+        return cost
 
     best_x, best_y = result.mv_x, result.mv_y
     best_cost = cost_at(best_y, best_x)

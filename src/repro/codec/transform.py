@@ -5,19 +5,16 @@ basis, so forward/inverse are exact adjoints (energy preserving — handy
 for property tests) while the *structure* (4x4 blocks, zigzag order,
 per-position quantization) matches the real codec.
 
-Every transform here is backend-dispatched (see
-:mod:`repro.codec.kernels`): the ``reference`` backend keeps the
-original per-call ``einsum(optimize=True)`` formulation, while the
-``vectorized`` backend uses fixed-order batched matrix products, which
-skip the per-call contraction-path search and are bit-identical (the
-greedy path resolves to the same two matmuls for every batch size).
+Every transform here is a fixed-order batched matrix product, which
+skips ``einsum``'s per-call contraction-path search and is bit-identical
+to the original ``einsum(optimize=True)`` formulation (the greedy path
+resolves to the same two matmuls for every batch size); that formulation
+is the oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.codec import kernels
 
 __all__ = [
     "forward_4x4",
@@ -75,18 +72,12 @@ def forward_4x4(blocks: np.ndarray) -> np.ndarray:
     ``blocks`` has shape ``(n, 4, 4)`` (any integer/float dtype); returns
     float64 coefficients of the same shape.
     """
-    arr = _as_blocks(blocks, "blocks")
-    if kernels.is_vectorized():
-        return _T @ arr @ _TT
-    return np.einsum("ij,njk,lk->nil", _T, arr, _T, optimize=True)
+    return _T @ _as_blocks(blocks, "blocks") @ _TT
 
 
 def inverse_4x4(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`forward_4x4` (exact adjoint)."""
-    arr = _as_blocks(coeffs, "coeffs")
-    if kernels.is_vectorized():
-        return _TT @ arr @ _T
-    return np.einsum("ji,njk,kl->nil", _T, arr, _T, optimize=True)
+    return _TT @ _as_blocks(coeffs, "coeffs") @ _T
 
 
 def blockify_16x16(mb: np.ndarray) -> np.ndarray:
@@ -110,7 +101,7 @@ def blockify_frame(plane: np.ndarray, size: int = 4) -> np.ndarray:
 
     The plane's dimensions must be multiples of ``size``; returns an
     ``(n_blocks, size, size)`` array. This is the "blockify the frame
-    once" primitive the vectorized encoder paths batch over, generalizing
+    once" primitive the batched encoder paths work over, generalizing
     :func:`blockify_16x16` beyond a single macroblock.
     """
     h, w = plane.shape
@@ -131,11 +122,7 @@ def satd_4x4(blocks: np.ndarray) -> float:
     SATD is x264's sharper distortion metric used at higher subme levels;
     it approximates the bit cost of the residual better than SAD.
     """
-    arr = _as_blocks(blocks, "blocks")
-    if kernels.is_vectorized():
-        trans = _H4 @ arr @ _H4T
-    else:
-        trans = np.einsum("ij,njk,lk->nil", _H4, arr, _H4, optimize=True)
+    trans = _H4 @ _as_blocks(blocks, "blocks") @ _H4T
     return float(np.sum(np.abs(trans)) / 2.0)
 
 
@@ -144,14 +131,11 @@ def satd_batch(block_sets: np.ndarray) -> np.ndarray:
 
     Returns a ``(k,)`` float64 vector where element ``i`` equals
     ``satd_4x4(block_sets[i])`` bit-exactly (the per-candidate reduction
-    covers the same contiguous elements in the same order). The
-    ``reference`` backend literally loops :func:`satd_4x4`.
+    covers the same contiguous elements in the same order).
     """
     arr = np.asarray(block_sets, dtype=np.float64)
     if arr.ndim != 4 or arr.shape[-2:] != (4, 4):
         raise ValueError(f"expected (k, n, 4, 4) block sets, got {arr.shape}")
-    if not kernels.is_vectorized():
-        return np.array([satd_4x4(arr[i]) for i in range(arr.shape[0])])
     trans = _H4 @ np.ascontiguousarray(arr) @ _H4T
     return np.abs(trans).reshape(arr.shape[0], -1).sum(axis=1) / 2.0
 
@@ -159,20 +143,16 @@ def satd_batch(block_sets: np.ndarray) -> np.ndarray:
 def satd_16x16(diff: np.ndarray) -> float:
     """SATD of one 16x16 difference block (float64, shape ``(16, 16)``).
 
-    Equals ``satd_4x4(blockify_16x16(diff))``; the vectorized backend's
-    flat entry point for hot callers that already hold the difference (no
-    validation layers): two 16x16 products with the block-diagonal
-    Hadamard instead of sixteen stacked 4x4 pairs. The products and the
-    reduction run in another order than the reference's, which is exact —
-    hence bit-identical — on what the codec passes: differences of a pixel
-    block and a (quarter-pel bilinear) prediction are multiples of 1/16
-    below 2**12, so every partial sum is representable.
+    Equals ``satd_4x4(blockify_16x16(diff))``; the flat entry point for
+    hot callers that already hold the difference (no validation layers):
+    two 16x16 products with the block-diagonal Hadamard instead of sixteen
+    stacked 4x4 pairs. The products and the reduction run in another order
+    than the per-tile form's, which is exact — hence bit-identical — on
+    what the codec passes: differences of a pixel block and a (quarter-pel
+    bilinear) prediction are multiples of 1/16 below 2**12, so every
+    partial sum is representable.
     """
-    if kernels.is_vectorized():
-        return float(np.abs(_K16 @ diff @ _K16T).sum() / 2.0)
-    blocks = diff.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 4, 4)
-    trans = np.einsum("ij,njk,lk->nil", _H4, blocks, _H4, optimize=True)
-    return float(np.sum(np.abs(trans)) / 2.0)
+    return float(np.abs(_K16 @ diff @ _K16T).sum() / 2.0)
 
 
 def hadamard_sad(a: np.ndarray, b: np.ndarray) -> float:
@@ -191,8 +171,6 @@ def hadamard_sad_batch(cur: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     cands = np.asarray(candidates)
     if cur.shape != (16, 16) or cands.ndim != 3 or cands.shape[-2:] != (16, 16):
         raise ValueError("hadamard_sad_batch expects 16x16 blocks")
-    if not kernels.is_vectorized():
-        return np.array([hadamard_sad(cur, cands[i]) for i in range(len(cands))])
     diff = cur.astype(np.float64)[None] - cands.astype(np.float64)
     k = diff.shape[0]
     blocks = (

@@ -20,7 +20,8 @@ from repro.video.synthetic import SceneSpec, generate_scene
 def pytest_configure(config):
     """Nothing below ``repro.api`` reads the environment, so the suite
     opts in here: ``REPRO_JOBS=2 pytest`` (CI's parallel leg) runs the
-    engine sharded, ``REPRO_KERNELS=reference pytest`` runs the oracle."""
+    engine sharded. The codec's oracles need no variable: the tests that
+    hold ``src`` to them install them (``tests.oracles.oracle_codec``)."""
     Settings.from_env().apply()
 
 

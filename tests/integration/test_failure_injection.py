@@ -23,7 +23,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.codec import kernels
 from repro.codec.decoder import decode
 from repro.codec.encoder import encode
 from repro.codec.entropy import (
@@ -35,6 +34,7 @@ from repro.codec.entropy import (
 )
 from repro.codec.options import EncoderOptions
 from repro.codec.types import MODE_IDS, MBMode
+from tests.oracles import CODECS
 
 _ALLOWED = (BitstreamError,)
 
@@ -196,19 +196,19 @@ _SKIP_MB = [(write_ue, MODE_IDS[MBMode.SKIP])]
 _I, _P, _B = 0, 1, 2
 
 
-@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+@pytest.mark.parametrize("codec", CODECS)
 class TestTypedRejections:
     """Each hole the typed contract closed, hit with a hand-written stream:
     before, these were a ``KeyError``, an ``AssertionError``, an enum
     ``ValueError``, a silently wrapped slice, a ``check_range``
     ``ValueError`` and an ``OverflowError``."""
 
-    def _rejects(self, backend, data, match):
-        with kernels.backend_scope(backend):
+    def _rejects(self, codec, data, match):
+        with CODECS[codec]():
             with pytest.raises(BitstreamError, match=match):
                 decode(data)
 
-    def test_handwritten_streams_decode(self, backend):
+    def test_handwritten_streams_decode(self, codec):
         """The builders above write valid syntax, so each rejection below
         is caused by its one bad value."""
         data = _stream(
@@ -217,30 +217,30 @@ class TestTypedRejections:
             _frame(1, _B, _bi()),
             _frame(3, _P, _SKIP_MB),
         )
-        with kernels.backend_scope(backend):
+        with CODECS[codec]():
             result = decode(data)
         assert [f.luma.shape for f in result.video] == [(16, 16)] * 4
         assert [t.value for t in result.frame_types] == ["I", "B", "P", "P"]
 
-    def test_unknown_frame_type_id(self, backend):
-        self._rejects(backend, _stream(_frame(0, 3, _intra16())), "frame type")
+    def test_unknown_frame_type_id(self, codec):
+        self._rejects(codec, _stream(_frame(0, 3, _intra16())), "frame type")
 
-    def test_bi_macroblock_without_future_anchor(self, backend):
+    def test_bi_macroblock_without_future_anchor(self, codec):
         data = _stream(_frame(0, _I, _intra16()), _frame(1, _B, _bi()))
-        self._rejects(backend, data, "missing anchor")
+        self._rejects(codec, data, "missing anchor")
 
-    def test_unknown_intra16_mode_id(self, backend):
-        self._rejects(backend, _stream(_frame(0, _I, _intra16(mode=4))), "intra")
+    def test_unknown_intra16_mode_id(self, codec):
+        self._rejects(codec, _stream(_frame(0, _I, _intra16(mode=4))), "intra")
 
     @pytest.mark.parametrize("mode", [3, 7, 1000])
-    def test_unknown_intra4_mode_id(self, backend, mode):
+    def test_unknown_intra4_mode_id(self, codec, mode):
         data = _stream(_frame(0, _I, _intra4(mode)))
-        self._rejects(backend, data, "unknown intra 4x4 mode id")
+        self._rejects(codec, data, "unknown intra 4x4 mode id")
 
-    def test_intra4_direction_without_its_neighbour_predicts_dc(self, backend):
+    def test_intra4_direction_without_its_neighbour_predicts_dc(self, codec):
         """V with no top neighbour, H with no left one: the block predicts
         DC, exactly as a DC block there would (the documented fallback)."""
-        with kernels.backend_scope(backend):
+        with CODECS[codec]():
             luma = {
                 mode: decode(
                     _stream(_frame(0, _I, _intra4(mode, levels=[(0, 40)])))
@@ -256,44 +256,44 @@ class TestTypedRejections:
         [(-4 * 200, 0), (0, 4 * 200), (4 * 88, 0), (0, 4 * 88), (-4 * 89, 0),
          (0, -4 * 89), (2**40, 0)],
     )
-    def test_motion_vector_outside_the_reference_border(self, backend, dx, dy):
+    def test_motion_vector_outside_the_reference_border(self, codec, dx, dy):
         data = _stream(_frame(0, _I, _intra16()), _frame(1, _P, _inter16(dx, dy)))
-        self._rejects(backend, data, "reference border")
+        self._rejects(codec, data, "reference border")
 
-    def test_motion_vector_at_the_border_is_accepted(self, backend):
+    def test_motion_vector_at_the_border_is_accepted(self, codec):
         """The check demands one spare row and column on the far side and
         nothing more; what it admits is an edge-replicated fetch."""
         for dx, dy in [(4 * 87, -4 * 88), (-4 * 88, 4 * 87), (4 * 87 + 3, 4 * 87 + 1)]:
             data = _stream(
                 _frame(0, _I, _intra16()), _frame(1, _P, _inter16(dx, dy))
             )
-            with kernels.backend_scope(backend):
+            with CODECS[codec]():
                 assert len(decode(data).video) == 2
 
-    def test_skip_predictor_outside_the_reference_border(self, backend):
+    def test_skip_predictor_outside_the_reference_border(self, codec):
         """A vector that is legal where it was coded is re-applied, as the
         SKIP predictor, one macroblock to the right, where it is not."""
         intra = _frame(0, _I, *[_intra16()] * 4)
         # 32 wide, 88 of padding: x + 100 + 16 < 120 holds at x = 0 only.
         moved = _inter16(4 * 100, 0)
         fine = _stream(intra, _frame(1, _P, moved, *[_intra16()] * 3), size=32)
-        with kernels.backend_scope(backend):
+        with CODECS[codec]():
             assert len(decode(fine).video) == 2
         data = _stream(
             intra, _frame(1, _P, moved, _SKIP_MB, *[_intra16()] * 2), size=32
         )
-        self._rejects(backend, data, "reference border")
+        self._rejects(codec, data, "reference border")
 
-    def test_qp_out_of_range(self, backend):
-        self._rejects(backend, _stream(_frame(0, _I, _intra16(), qp=52)), "QP")
+    def test_qp_out_of_range(self, codec):
+        self._rejects(codec, _stream(_frame(0, _I, _intra16(), qp=52)), "QP")
         data = _stream(_frame(0, _I, _intra16(qp_delta=-21)))
-        self._rejects(backend, data, "QP")
+        self._rejects(codec, data, "QP")
 
-    def test_coefficient_level_beyond_int32(self, backend):
+    def test_coefficient_level_beyond_int32(self, codec):
         data = _stream(_frame(0, _I, _intra16(levels=[(0, 2**31)])))
-        self._rejects(backend, data, "level out of range")
+        self._rejects(codec, data, "level out of range")
         fits = _stream(_frame(0, _I, _intra16(levels=[(0, -(2**31))])))
-        with kernels.backend_scope(backend):
+        with CODECS[codec]():
             assert len(decode(fits).video) == 1
 
 

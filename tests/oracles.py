@@ -19,8 +19,14 @@ column path equal to (``==`` on every float):
   into ``simulate()`` so an oracle report is the real assembly over
   per-event model steps.
 
-* :func:`all_backends` / :func:`assert_identical_values`: one callable
-  under every kernel backend, each result ``==`` ``reference``'s.
+* The codec's scalar bodies — the transforms as ``einsum``, bit-at-a-time
+  writes, a reader that never tokenizes, per-candidate motion and intra
+  scoring, per-partition refinement, per-edge deblocking, per-block chroma
+  and the raster intra-4x4 chain — each under the name of the batched
+  ``src`` body it stands for. :func:`oracle_codec` installs them all, so a
+  whole encode or decode runs them; :func:`against_oracles` runs one
+  callable on ``src`` and on the oracles, and
+  :func:`assert_identical_values` holds the two results ``==``.
 
 * :class:`PerMacroblockDecoder`: the decoder that parsed and reconstructed
   one macroblock at a time — a batch scattered and inverse-transformed per
@@ -47,16 +53,25 @@ Nothing under ``src/`` imports this module.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+import sys
+from contextlib import contextmanager, nullcontext
 from functools import cached_property
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.codec import kernels
+from repro.codec import chroma as chroma_mod
+from repro.codec import deblock as deblock_mod
 from repro.codec import decoder as decoder_mod
+from repro.codec import encoder as encoder_mod
+from repro.codec import entropy as entropy_mod
+from repro.codec import intra as intra_mod
+from repro.codec import mbdecision as mbdecision_mod
+from repro.codec import motion as motion_mod
+from repro.codec import transform as transform_mod
 from repro.codec.entropy import (
+    BitReader,
     BitstreamError,
     BitWriter,
     decode_blocks,
@@ -65,10 +80,16 @@ from repro.codec.entropy import (
     read_ue,
 )
 from repro.codec.intra import predict_16x16
-from repro.codec.motion import fetch_prediction, predict_mv
-from repro.codec.quant import dequantize, qstep, quantize, rd_lambda
-from repro.codec.transform import ZIGZAG_4X4, inverse_4x4, unblockify_16x16
-from repro.codec.types import IntraMode, MBMode, MotionVector
+from repro.codec.motion import (
+    _DIA_OFFSETS,
+    _HEX_OFFSETS,
+    MotionSearchResult,
+    fetch_prediction,
+    predict_mv,
+)
+from repro.codec.quant import dequantize, qstep, quantize, rd_lambda, trellis_quantize
+from repro.codec.transform import _H4, _T, ZIGZAG_4X4, unblockify_16x16
+from repro.codec.types import MODE_IDS, CodedMacroblock, IntraMode, MBMode, MotionVector
 from repro.trace.events import (
     BranchEvent,
     KernelEvent,
@@ -88,24 +109,6 @@ from repro.uarch.icache import (
     AnalyticICache,
     ICacheStats,
 )
-
-# -- kernel backends ----------------------------------------------------
-
-
-def all_backends(fn):
-    """``fn()`` under each backend; returns {backend: result}."""
-    out = {}
-    for backend in kernels.KERNEL_BACKENDS:
-        with kernels.backend_scope(backend):
-            out[backend] = fn()
-    return out
-
-
-def assert_identical_values(results):
-    ref = results["reference"]
-    for backend, result in results.items():
-        assert result == ref, f"{backend} diverged from reference"
-
 
 # -- producer -----------------------------------------------------------
 
@@ -1114,3 +1117,613 @@ def trellis_quantize_two_pass(coeffs, qp, *, level=1):
             )
             out = np.where(big & (j_low < j_cur), lowered, out)
     return out.astype(np.int32)
+
+
+# -- codec bodies ---------------------------------------------------------
+#
+# The scalar bodies the codec's batched kernels replaced, whole, each under
+# the name of the ``src`` function (or method) it stands for. They call one
+# another, never the ``src`` kernel they replace.
+
+
+def forward_4x4(blocks):
+    """``transform.forward_4x4`` as a per-call ``einsum(optimize=True)``."""
+    arr = transform_mod._as_blocks(blocks, "blocks")
+    return np.einsum("ij,njk,lk->nil", _T, arr, _T, optimize=True)
+
+
+def inverse_4x4(coeffs):
+    arr = transform_mod._as_blocks(coeffs, "coeffs")
+    return np.einsum("ji,njk,kl->nil", _T, arr, _T, optimize=True)
+
+
+def satd_4x4(blocks):
+    arr = transform_mod._as_blocks(blocks, "blocks")
+    trans = np.einsum("ij,njk,lk->nil", _H4, arr, _H4, optimize=True)
+    return float(np.sum(np.abs(trans)) / 2.0)
+
+
+def satd_batch(block_sets):
+    """One :func:`satd_4x4` per candidate."""
+    arr = np.asarray(block_sets, dtype=np.float64)
+    if arr.ndim != 4 or arr.shape[-2:] != (4, 4):
+        raise ValueError(f"expected (k, n, 4, 4) block sets, got {arr.shape}")
+    return np.array([satd_4x4(arr[i]) for i in range(arr.shape[0])])
+
+
+def satd_16x16(diff):
+    """The sixteen 4x4 tiles of ``diff`` through :func:`satd_4x4`'s einsum."""
+    blocks = diff.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 4, 4)
+    trans = np.einsum("ij,njk,lk->nil", _H4, blocks, _H4, optimize=True)
+    return float(np.sum(np.abs(trans)) / 2.0)
+
+
+def hadamard_sad_batch(cur, candidates):
+    """One ``hadamard_sad`` per candidate."""
+    cands = np.asarray(candidates)
+    if cur.shape != (16, 16) or cands.ndim != 3 or cands.shape[-2:] != (16, 16):
+        raise ValueError("hadamard_sad_batch expects 16x16 blocks")
+    return np.array(
+        [
+            satd_16x16(cur.astype(np.float64) - cands[i].astype(np.float64))
+            for i in range(len(cands))
+        ]
+    )
+
+
+def write_bits(self, value, width):
+    """``BitWriter.write_bits`` one ``write_bit`` per bit."""
+    if width < 0:
+        raise ValueError("width must be >= 0")
+    for shift in range(width - 1, -1, -1):
+        self.write_bit((value >> shift) & 1)
+
+
+def write_ue(writer, value):
+    """The prefix zeros, then the code, each through ``write_bits``."""
+    if value < 0:
+        raise ValueError(f"ue() requires value >= 0, got {value}")
+    code = value + 1
+    width = code.bit_length()
+    writer.write_bits(0, width - 1)
+    writer.write_bits(code, width)
+
+
+def write_se(writer, value):
+    """``entropy.write_se`` (one body) through this module's :func:`write_ue`."""
+    write_ue(writer, (2 * value - 1) if value > 0 else (-2 * value))
+
+
+def encode_block(writer, block):
+    """ue(count), then ue(run) and se(level) per nonzero level, one
+    :func:`write_ue` per code."""
+    start = writer.bit_count
+    scan = entropy_mod._zigzag(entropy_mod._checked_batch(np.asarray(block)[None])[0])
+    nz_positions = np.nonzero(scan)[0]
+    write_ue(writer, len(nz_positions))
+    prev = -1
+    for pos in nz_positions:
+        write_ue(writer, int(pos - prev - 1))  # zero run
+        write_se(writer, int(scan[pos]))
+        prev = int(pos)
+    return writer.bit_count - start
+
+
+def encode_blocks(writer, blocks):
+    """One :func:`encode_block` per block."""
+    return [encode_block(writer, b) for b in entropy_mod._checked_batch(blocks)]
+
+
+def tokenize_nothing(self):
+    """``BitReader._fill`` that takes no code: every read falls to the
+    bit-serial loop and every batch to the per-block one — the reader that
+    reads one bit per ``read_bit`` call."""
+    return False
+
+
+class SerialBitReader(BitReader):
+    """One reader that tokenizes nothing, beside tokenizing ones."""
+
+    _fill = tokenize_nothing
+
+
+def half_pel_block(self, y4, x4, size=16):
+    """``PaddedReference.half_pel_block`` interpolating the block in place
+    from float quarter-pel coordinates."""
+    y = y4 / 4.0 + self.pad
+    x = x4 / 4.0 + self.pad
+    y0, x0 = int(np.floor(y)), int(np.floor(x))
+    fy, fx = y - y0, x - x0
+    a = self.plane[y0 : y0 + size + 1, x0 : x0 + size + 1].astype(np.float64)
+    top = a[:size, :size] * (1 - fx) + a[:size, 1 : size + 1] * fx
+    bot = a[1 : size + 1, :size] * (1 - fx) + a[1 : size + 1, 1 : size + 1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def _sad(cur, ref_block):
+    return float(np.sum(np.abs(cur.astype(np.int64) - ref_block.astype(np.int64))))
+
+
+def _pattern_search(cur, ref, start, offsets, merange, base_y, base_x, *, max_iters=64):
+    """One ``_sad`` call per candidate."""
+    best_dx, best_dy = start
+    best_cost = _sad(cur, ref.block(base_y + best_dy, base_x + best_dx))
+    n_points = 1
+    positions = [(best_dx, best_dy)]
+    improvements = [True]
+    seen = {(best_dx, best_dy)}
+    for _ in range(max_iters):
+        improved = False
+        center = (best_dx, best_dy)
+        for dx, dy in offsets:
+            cx, cy = center[0] + dx, center[1] + dy
+            if abs(cx) > merange or abs(cy) > merange or (cx, cy) in seen:
+                continue
+            seen.add((cx, cy))
+            cost = _sad(cur, ref.block(base_y + cy, base_x + cx))
+            n_points += 1
+            positions.append((cx, cy))
+            better = cost < best_cost
+            improvements.append(better)
+            if better:
+                best_cost = cost
+                best_dx, best_dy = cx, cy
+                improved = True
+        if not improved:
+            break
+    return MotionSearchResult(
+        best_dx * 4, best_dy * 4, best_cost, n_points, positions, improvements
+    )
+
+
+def _hex_search(cur, ref, merange, base_y, base_x, pred):
+    coarse = _pattern_search(cur, ref, pred, _HEX_OFFSETS, merange, base_y, base_x)
+    fine = _pattern_search(
+        cur, ref, (coarse.mv_x // 4, coarse.mv_y // 4), _DIA_OFFSETS, merange,
+        base_y, base_x, max_iters=2,
+    )
+    fine.n_points += coarse.n_points
+    fine.positions = coarse.positions + fine.positions
+    fine.improvements = coarse.improvements + fine.improvements
+    return fine
+
+
+def _umh_search(cur, ref, merange, base_y, base_x, pred):
+    best = _pattern_search(
+        cur, ref, pred, _DIA_OFFSETS, merange, base_y, base_x, max_iters=1
+    )
+    n_points = best.n_points
+    positions = list(best.positions)
+    improvements = list(best.improvements)
+    best_dx, best_dy = best.mv_x // 4, best.mv_y // 4
+    best_cost = best.cost
+    cross = [
+        (cx, cy)
+        for d in range(2, merange + 1, 2)
+        for cx, cy in ((d, 0), (-d, 0), (0, d), (0, -d))
+    ]
+    for cx, cy in cross:
+        cost = _sad(cur, ref.block(base_y + cy, base_x + cx))
+        n_points += 1
+        positions.append((cx, cy))
+        better = cost < best_cost
+        improvements.append(better)
+        if better:
+            best_cost, best_dx, best_dy = cost, cx, cy
+    for radius in (2, 4, 8):
+        if radius > merange:
+            break
+        for hx, hy in _HEX_OFFSETS:
+            cx = best_dx + hx * radius // 2
+            cy = best_dy + hy * radius // 2
+            if abs(cx) > merange or abs(cy) > merange:
+                continue
+            cost = _sad(cur, ref.block(base_y + cy, base_x + cx))
+            n_points += 1
+            positions.append((cx, cy))
+            better = cost < best_cost
+            improvements.append(better)
+            if better:
+                best_cost, best_dx, best_dy = cost, cx, cy
+    refine = _hex_search(cur, ref, merange, base_y, base_x, (best_dx, best_dy))
+    if refine.cost < best_cost:
+        result = refine
+    else:
+        result = MotionSearchResult(best_dx * 4, best_dy * 4, best_cost, 0, [])
+    result.n_points += n_points
+    result.positions = positions + result.positions
+    result.improvements = improvements + result.improvements
+    return result
+
+
+def _esa_search(cur, ref, merange, base_y, base_x, *, use_satd):
+    """The window's SADs at once (as ever), tesa's SATD re-scores one
+    ``hadamard_sad`` at a time."""
+    y0 = base_y - merange + ref.pad
+    x0 = base_x - merange + ref.pad
+    span = 2 * merange + 16
+    window = ref.plane[y0 : y0 + span, x0 : x0 + span]
+    views = sliding_window_view(window, (16, 16))
+    sads = np.abs(views.astype(np.int64) - cur.astype(np.int64)).sum(axis=(2, 3))
+    n_points = sads.size
+    if use_satd:
+        best_cost = np.inf
+        best_pos = (0, 0)
+        for f in np.argsort(sads, axis=None)[:8]:
+            iy, ix = divmod(int(f), sads.shape[1])
+            cost = satd_16x16(cur.astype(np.float64) - views[iy, ix].astype(np.float64))
+            n_points += 1
+            if cost < best_cost:
+                best_cost = cost
+                best_pos = (ix - merange, iy - merange)
+        best_dx, best_dy = best_pos
+    else:
+        iy, ix = np.unravel_index(int(np.argmin(sads)), sads.shape)
+        best_dx, best_dy = int(ix) - merange, int(iy) - merange
+        best_cost = float(sads[iy, ix])
+    positions = [
+        (dx, dy)
+        for dy in range(-merange, merange + 1, max(1, merange // 4))
+        for dx in range(-merange, merange + 1, max(1, merange // 4))
+    ]
+    return MotionSearchResult(
+        best_dx * 4, best_dy * 4, float(best_cost), int(n_points), positions
+    )
+
+
+def motion_search(
+    cur, ref, base_y, base_x, *, method="hex", merange=16, pred_mv=(0, 0)
+):
+    """``motion.motion_search`` scoring every candidate on its own fetch."""
+    if cur.shape != (16, 16):
+        raise ValueError(f"expected 16x16 current block, got {cur.shape}")
+    start = (
+        int(max(-merange, min(merange, pred_mv[0]))),
+        int(max(-merange, min(merange, pred_mv[1]))),
+    )
+    args = (cur, ref, merange, base_y, base_x)
+    if method == "dia":
+        return _pattern_search(cur, ref, start, _DIA_OFFSETS, merange, base_y, base_x)
+    if method == "hex":
+        return _hex_search(*args, start)
+    if method == "umh":
+        return _umh_search(*args, start)
+    if method in ("esa", "tesa"):
+        return _esa_search(*args, use_satd=method == "tesa")
+    raise ValueError(f"unknown motion estimation method {method!r}")
+
+
+def subpel_refine(cur, ref, base_y, base_x, result, *, subme):
+    """``motion.subpel_refine`` recomputing every visit's cost from an
+    in-place interpolation."""
+    if subme < 2:
+        return result
+    steps = [2] + ([1] if subme >= 4 else [])
+    use_satd = subme >= 6
+
+    def cost_at(y4, x4):
+        block = half_pel_block(ref, base_y * 4 + y4, base_x * 4 + x4)
+        if use_satd:
+            return satd_16x16(cur.astype(np.float64) - block)
+        return float(np.sum(np.abs(cur.astype(np.float64) - block)))
+
+    best_x, best_y = result.mv_x, result.mv_y
+    best_cost = cost_at(best_y, best_x)
+    n_points = result.n_points + 1
+    for step in steps:
+        improved = True
+        iters = 0
+        while improved and iters < 4:
+            improved = False
+            iters += 1
+            for dx, dy in _DIA_OFFSETS:
+                cx, cy = best_x + dx * step, best_y + dy * step
+                cost = cost_at(cy, cx)
+                n_points += 1
+                if cost < best_cost:
+                    best_cost, best_x, best_y = cost, cx, cy
+                    improved = True
+    # ``result.early_terminated`` in the improvements slot, as src has it
+    # (ROADMAP 1a): the oracle states what src does, not what it should.
+    return MotionSearchResult(
+        best_x, best_y, best_cost, n_points, result.positions, result.early_terminated
+    )
+
+
+def _plane_pred(top, left, size):
+    """``intra._plane_pred`` through ``np.polyfit`` per edge."""
+    idx = np.arange(size, dtype=np.float64)
+    h_grad = float(np.polyfit(idx, top, 1)[0])
+    v_grad = float(np.polyfit(idx, left, 1)[0])
+    base = (top[-1] + left[-1]) / 2.0
+    yy, xx = np.meshgrid(idx - (size - 1), idx - (size - 1), indexing="ij")
+    return base + h_grad * xx + v_grad * yy
+
+
+def best_intra_16x16(source, recon, mb_y, mb_x):
+    """One ``predict_16x16`` and one SAD per mode (which plane-fits through
+    :func:`_plane_pred` under :func:`oracle_codec`)."""
+    if source.shape != (16, 16):
+        raise ValueError(f"expected 16x16 source block, got {source.shape}")
+    src = source.astype(np.float64)
+    best = None
+    for mode in IntraMode:
+        pred = predict_16x16(recon, mb_y, mb_x, mode)
+        sad = float(np.sum(np.abs(src - pred)))
+        if best is None or sad < best.sad:
+            best = intra_mod.IntraPrediction(mode, pred, sad, len(IntraMode))
+    return best
+
+
+def predict_4x4_blocks(source, recon, mb_y, mb_x):
+    """Sixteen blocks in raster order over a working reconstruction, each
+    scoring DC / V / H on its own."""
+    if source.shape != (16, 16):
+        raise ValueError(f"expected 16x16 source block, got {source.shape}")
+    prediction = np.zeros((16, 16), dtype=np.uint8)
+    work = recon.copy()
+    work[mb_y : mb_y + 16, mb_x : mb_x + 16] = source
+    total_sad = 0.0
+    modes_tried = 0
+    for by in range(4):
+        for bx in range(4):
+            y = mb_y + by * 4
+            x = mb_x + bx * 4
+            src = source[by * 4 : by * 4 + 4, bx * 4 : bx * 4 + 4].astype(np.float64)
+            top, left = intra_mod._neighbors(work, y, x, 4)
+            candidates = [intra_mod._dc_pred(top, left, 4)]
+            if top is not None:
+                candidates.append(np.tile(top, (4, 1)))
+            if left is not None:
+                candidates.append(np.tile(left[:, None], (1, 4)))
+            best_pred = None
+            best_sad = np.inf
+            for cand in candidates:
+                modes_tried += 1
+                sad = float(np.sum(np.abs(src - cand)))
+                if sad < best_sad:
+                    best_sad = sad
+                    best_pred = cand
+            prediction[by * 4 : by * 4 + 4, bx * 4 : bx * 4 + 4] = np.clip(
+                np.round(best_pred), 0, 255
+            ).astype(np.uint8)
+            total_sad += best_sad
+    return prediction, total_sad, modes_tried
+
+
+def _refine_partition(cur_part, ref, part_y, part_x, start_mv, size):
+    """Small diamond refinement of one sub-partition from its own fetches."""
+    best_dx, best_dy = start_mv
+    cur64 = cur_part.astype(np.int64)
+
+    def sad_at(dx, dy):
+        block = ref.block(part_y + dy, part_x + dx, size)
+        return float(np.sum(np.abs(cur64 - block.astype(np.int64))))
+
+    best_cost = sad_at(best_dx, best_dy)
+    n_points = 1
+    for _ in range(2):
+        improved = False
+        for dx, dy in _DIA_OFFSETS:
+            cost = sad_at(best_dx + dx, best_dy + dy)
+            n_points += 1
+            if cost < best_cost:
+                best_cost = cost
+                best_dx += dx
+                best_dy += dy
+                improved = True
+        if not improved:
+            break
+    return (best_dx, best_dy), best_cost, n_points
+
+
+def refine_partitions_each(cur, ref, base_y, base_x, start_mv, size):
+    """``mbdecision._refine_partitions_shared`` as one
+    :func:`_refine_partition` per partition, in raster order."""
+    return [
+        _refine_partition(
+            cur[y0 : y0 + size, x0 : x0 + size],
+            ref, base_y + y0, base_x + x0, start_mv, size,
+        )
+        for y0 in range(0, 16, size)
+        for x0 in range(0, 16, size)
+    ]
+
+
+def filter_edges_each(plane, axis, alpha, beta):
+    """``deblock._filter_edges`` one edge at a time."""
+    n = plane.shape[axis]
+    for edge in range(4, n, 4):
+        if axis == 0:
+            p1 = plane[edge - 2, :]
+            p0 = plane[edge - 1, :]
+            q0 = plane[edge, :]
+            q1 = plane[edge + 1, :] if edge + 1 < n else q0
+        else:
+            p1 = plane[:, edge - 2]
+            p0 = plane[:, edge - 1]
+            q0 = plane[:, edge]
+            q1 = plane[:, edge + 1] if edge + 1 < plane.shape[1] else q0
+        d_edge = np.abs(p0 - q0)
+        d_p = np.abs(p1 - p0)
+        d_q = np.abs(q1 - q0)
+        mask = (d_edge < alpha) & (d_edge > 0) & (d_p < beta) & (d_q < beta)
+        if not np.any(mask):
+            continue
+        delta = (q0 - p0) / 4.0
+        p0_new = np.where(mask, p0 + delta, p0)
+        q0_new = np.where(mask, q0 - delta, q0)
+        if axis == 0:
+            plane[edge - 1, :] = p0_new
+            plane[edge, :] = q0_new
+        else:
+            plane[:, edge - 1] = p0_new
+            plane[:, edge] = q0_new
+
+
+def encode_chroma_plane(writer, plane, prev_recon, luma_qp, *, trellis=0):
+    """``chroma.encode_chroma_plane`` fetching and scoring each block's
+    candidates (temporal first, then DC) on their own."""
+    src = chroma_mod._pad_to_block(np.asarray(plane, dtype=np.uint8))
+    qp = chroma_mod.chroma_qp(luma_qp)
+    h, w = src.shape
+    recon = np.zeros((h, w), dtype=np.uint8)
+    for y in range(0, h, 8):
+        for x in range(0, w, 8):
+            block = src[y : y + 8, x : x + 8].astype(np.float64)
+            candidates = [(1, chroma_mod._dc_prediction(recon, y, x))]
+            if prev_recon is not None:
+                temporal = prev_recon[y : y + 8, x : x + 8].astype(np.float64)
+                candidates.insert(0, (0, temporal))
+            mode, pred = min(
+                candidates, key=lambda c: float(np.sum(np.abs(block - c[1])))
+            )
+            write_ue(writer, mode)
+            levels = trellis_quantize(
+                forward_4x4(chroma_mod._blockify8(block - pred)), qp, level=trellis
+            )
+            encode_blocks(writer, levels)
+            residual = chroma_mod._unblockify8(inverse_4x4(dequantize(levels, qp)))
+            recon[y : y + 8, x : x + 8] = np.clip(
+                np.round(pred + residual), 0, 255
+            ).astype(np.uint8)
+    return recon
+
+
+def _best_intra4_block(recon, src4, y, x):
+    """DC(0) / V(1) / H(2) for one 4x4 block from reconstructed pixels."""
+    top = recon[y - 1, x : x + 4].astype(np.float64) if y > 0 else None
+    left = recon[y : y + 4, x - 1].astype(np.float64) if x > 0 else None
+    if top is not None and left is not None:
+        dc = (top.sum() + left.sum()) / 8.0
+    elif top is not None:
+        dc = top.mean()
+    elif left is not None:
+        dc = left.mean()
+    else:
+        dc = 128.0
+    candidates = [(0, np.full((4, 4), dc))]
+    if top is not None:
+        candidates.append((1, np.tile(top, (4, 1))))
+    if left is not None:
+        candidates.append((2, np.tile(left[:, None], (1, 4))))
+    src = np.asarray(src4, dtype=np.float64)
+    best_mode, best_pred, best_sad = 0, candidates[0][1], np.inf
+    for mode, pred in candidates:
+        sad = float(np.sum(np.abs(src - pred)))
+        if sad < best_sad:
+            best_mode, best_pred, best_sad = mode, pred, sad
+    return best_mode, best_pred
+
+
+def _code_intra4_sequential(ctx, y0, x0, qp_mb, trellis, writer):
+    """Predict, code, emit and reconstruct one 4x4 block at a time, in
+    raster order."""
+    levels_all = np.zeros((16, 4, 4), dtype=np.int32)
+    modes4 = []
+    srcs_grid = ctx.src_mb_f(y0, x0).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
+    for by in range(4):
+        for bx in range(4):
+            y = y0 + by * 4
+            x = x0 + bx * 4
+            src4f = srcs_grid[by, bx]
+            mode, pred = _best_intra4_block(ctx.recon, src4f, y, x)
+            modes4.append(int(mode))
+            write_ue(writer, int(mode))
+            coeffs = forward_4x4((src4f - pred)[None])[0]
+            levels = trellis_quantize(coeffs[None], qp_mb, level=trellis)[0]
+            levels_all[by * 4 + bx] = levels
+            encode_block(writer, levels)
+            ctx.recon[y : y + 4, x : x + 4] = np.minimum(
+                np.maximum(
+                    np.round(pred + inverse_4x4(dequantize(levels[None], qp_mb))[0]),
+                    0.0,
+                ),
+                255.0,
+            ).astype(np.uint8)
+    return modes4, levels_all
+
+
+def emit_intra4_sequential(self, ctx, mb_y, mb_x, qp_mb, writer, rc):
+    """``Encoder._emit_intra4`` walking the sixteen blocks in raster order,
+    each written as it is coded."""
+    y0, x0 = mb_y * 16, mb_x * 16
+    bits_before = writer.bit_count
+    write_ue(writer, MODE_IDS[MBMode.INTRA_4X4])
+    write_se(writer, qp_mb - ctx.base_qp)
+    modes4, levels_all = _code_intra4_sequential(
+        ctx, y0, x0, qp_mb, self.options.trellis, writer
+    )
+    bits = writer.bit_count - bits_before
+    ctx.mv_grid[mb_y][mb_x] = None
+    rc.note_mb_bits(bits)
+    self._trace.intra_probe("intra_pred4", 16 * 3)
+    self._trace.transform_path(levels_all, qp_mb)
+    self._trace.entropy_coeffs(levels_all, bits)
+    self._trace.recon_write()
+    return CodedMacroblock(
+        mb_x=mb_x, mb_y=mb_y, mode=MBMode.INTRA_4X4, qp=qp_mb,
+        intra_modes4=modes4, coeffs=levels_all, bits=bits,
+    )
+
+
+#: (owner, name, oracle): each ``src`` body and the oracle that replaces it.
+_CODEC_ORACLES = (
+    (transform_mod, "forward_4x4", forward_4x4),
+    (transform_mod, "inverse_4x4", inverse_4x4),
+    (transform_mod, "satd_4x4", satd_4x4),
+    (transform_mod, "satd_batch", satd_batch),
+    (transform_mod, "satd_16x16", satd_16x16),
+    (transform_mod, "hadamard_sad_batch", hadamard_sad_batch),
+    (entropy_mod.BitWriter, "write_bits", write_bits),
+    (entropy_mod, "write_ue", write_ue),
+    (entropy_mod, "encode_block", encode_block),
+    (entropy_mod, "encode_blocks", encode_blocks),
+    (BitReader, "_fill", tokenize_nothing),
+    (motion_mod.PaddedReference, "half_pel_block", half_pel_block),
+    (motion_mod, "motion_search", motion_search),
+    (motion_mod, "subpel_refine", subpel_refine),
+    (intra_mod, "_plane_pred", _plane_pred),
+    (intra_mod, "best_intra_16x16", best_intra_16x16),
+    (intra_mod, "predict_4x4_blocks", predict_4x4_blocks),
+    (mbdecision_mod, "_refine_partitions_shared", refine_partitions_each),
+    (deblock_mod, "_filter_edges", filter_edges_each),
+    (chroma_mod, "encode_chroma_plane", encode_chroma_plane),
+    (encoder_mod.Encoder, "_emit_intra4", emit_intra4_sequential),
+)
+
+
+@contextmanager
+def oracle_codec():
+    """Every oracle above installed wherever ``repro`` binds the body it
+    replaces: on its class, in its defining module, and in each module
+    that took it by ``from ... import`` — so a whole encode or decode runs
+    the reference bodies. Everything is restored on exit."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("repro.")]
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name, oracle in _CODEC_ORACLES:
+            original = vars(owner)[name]
+            if isinstance(owner, type):
+                mp.setattr(owner, name, oracle)
+                continue
+            for module in modules:
+                if vars(module).get(name) is original:
+                    mp.setattr(module, name, oracle)
+        yield
+
+
+def against_oracles(fn):
+    """``fn()`` on the ``src`` codec, then with :func:`oracle_codec`
+    installed; returns ``{"src": ..., "oracle": ...}``."""
+    src = fn()
+    with oracle_codec():
+        return {"src": src, "oracle": fn()}
+
+
+def assert_identical_values(results):
+    assert results["src"] == results["oracle"], "src diverged from its oracle"
+
+
+#: The two codec bodies by their old backend names, for laws each must
+#: keep on its own: ``reference`` runs the oracles, ``vectorized`` src.
+CODECS = {"reference": oracle_codec, "vectorized": nullcontext}

@@ -6,12 +6,13 @@ decoder laws every decoder states.
 macroblock at a time, as the decoder used to. On any input — a stream the
 encoder wrote, one truncated around a frame header, one with a flipped
 bit, random bytes behind a valid header — the two return equal frames or
-raise the same exception type with the same message, under both kernel
-backends; a traced decode records the same events. Then: decoding is
-idempotent (the same bytes twice, one ``Decoder`` across two streams), and
-a stream encoded under ``reference`` decodes to the same pixels under
-``vectorized`` on flat, ramp and saturated content, where a last-bit
-difference in the plane fit would round a pixel the other way.
+raise the same exception type with the same message, on ``src`` and with
+the codec oracles installed (``tests.oracles.CODECS``); a traced decode
+records the same events. Then: decoding is idempotent (the same bytes
+twice, one ``Decoder`` across two streams), and a stream the oracles
+encoded decodes to the same pixels on ``src`` on flat, ramp and saturated
+content, where a last-bit difference in the plane fit would round a pixel
+the other way.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codec import kernels
 from repro.codec.decoder import Decoder
 from repro.codec.encoder import encode
 from repro.codec.entropy import BitstreamError
@@ -27,10 +27,14 @@ from repro.codec.options import EncoderOptions
 from repro.codec.types import IntraMode, MBMode
 from repro.trace.kernels import build_program
 from repro.video.frame import Frame, FrameSequence
-from tests.oracles import OracleTracer, PerMacroblockDecoder, assert_same_events
+from tests.oracles import (
+    CODECS,
+    OracleTracer,
+    PerMacroblockDecoder,
+    assert_same_events,
+    oracle_codec,
+)
 from tests.property.test_kernel_equivalence import DECODE_CONFIGS
-
-_BACKENDS = ("reference", "vectorized")
 
 
 def _outcome(decoder_cls, data: bytes, tracer=None):
@@ -52,10 +56,10 @@ def _outcome(decoder_cls, data: bytes, tracer=None):
 
 def _assert_same_outcome(data: bytes) -> object:
     outcomes = []
-    for backend in _BACKENDS:
-        with kernels.backend_scope(backend):
+    for codec, scope in CODECS.items():
+        with scope():
             got = _outcome(Decoder, data)
-            assert got == _outcome(PerMacroblockDecoder, data), backend
+            assert got == _outcome(PerMacroblockDecoder, data), codec
         outcomes.append(got)
     assert outcomes[0] == outcomes[1]
     return outcomes[0]
@@ -118,8 +122,8 @@ def test_round_trip_matrix_traced(tiny_video, options):
     """Well-formed streams: equal frames, and the same traced events."""
     data = encode(tiny_video, options).stream.bitstream
     program = build_program()
-    for backend in _BACKENDS:
-        with kernels.backend_scope(backend):
+    for scope in CODECS.values():
+        with scope():
             tracers = OracleTracer(program), OracleTracer(program)
             got = _outcome(Decoder, data, tracers[0])
             assert not isinstance(got[0], type), got
@@ -135,12 +139,12 @@ def _frames(result) -> list[bytes]:
     return [f.luma.tobytes() for f in result.video]
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
-def test_decoding_is_idempotent(streams, backend):
+@pytest.mark.parametrize("codec", CODECS)
+def test_decoding_is_idempotent(streams, codec):
     """The same bytes twice, and one ``Decoder`` reused across two streams,
     give the frames a fresh decoder gives."""
     a, b = (s.stream.bitstream for s in streams)
-    with kernels.backend_scope(backend):
+    with CODECS[codec]():
         want_a, want_b = _frames(Decoder().decode(a)), _frames(Decoder().decode(b))
         decoder = Decoder()
         assert _frames(decoder.decode(a)) == want_a
@@ -170,7 +174,7 @@ def test_reference_stream_decodes_identically_under_vectorized(kind):
     change that moves the folded plane fit off ``np.polyfit`` fails here by
     name, not as drift."""
     clip = _clip(kind)
-    with kernels.backend_scope("reference"):
+    with oracle_codec():
         result = encode(clip, EncoderOptions(crf=20, refs=1, bframes=0, keyint=2))
     planes = [
         mb.intra_mode is IntraMode.PLANE and mb.mode is MBMode.INTRA_16X16
@@ -182,6 +186,6 @@ def test_reference_stream_decodes_identically_under_vectorized(kind):
         f.recon[: clip.height, : clip.width].tobytes()
         for f in result.stream.frames_in_display_order()
     ]
-    for backend in _BACKENDS:
-        with kernels.backend_scope(backend):
-            assert _frames(Decoder().decode(result.stream.bitstream)) == recon, backend
+    for codec, scope in CODECS.items():
+        with scope():
+            assert _frames(Decoder().decode(result.stream.bitstream)) == recon, codec

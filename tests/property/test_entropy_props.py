@@ -1,9 +1,9 @@
 """Property-based tests for the entropy coder (exp-Golomb, block coding),
-including the reader-equivalence contract: the tokenizing (``vectorized``)
-reader and the bit-serial (``reference``) reader return the same values,
-the same ``bits_read`` after every read, and the same exception class at
-the same read, whatever the bytes and wherever the tokenizer's windows
-fall."""
+including the reader-equivalence contract: the tokenizing reader and the
+bit-serial oracle (``tests.oracles.SerialBitReader``) return the same
+values, the same ``bits_read`` after every read, and the same exception
+class at the same read, whatever the bytes and wherever the tokenizer's
+windows fall."""
 
 from unittest import mock
 
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.codec import entropy, kernels
+from repro.codec import entropy
 from repro.codec.entropy import (
     BitReader,
     BitstreamError,
@@ -31,6 +31,7 @@ from repro.codec.entropy import (
     write_se,
     write_ue,
 )
+from tests.oracles import SerialBitReader
 
 blocks_st = arrays(
     dtype=np.int32,
@@ -125,7 +126,7 @@ class TestBlockCodingProps:
 
 
 # ---------------------------------------------------------------------------
-# Reader equivalence: tokenized (vectorized) vs bit-serial (reference)
+# Reader equivalence: tokenized vs bit-serial
 # ---------------------------------------------------------------------------
 
 #: Window sizes in bytes: 1-3 make nearly every code straddle a boundary
@@ -168,14 +169,8 @@ ops_st = st.lists(
 
 
 def _readers(data):
-    """(bit-serial, tokenizing) readers over ``data``; a reader keeps the
-    backend it was constructed under."""
-    with kernels.backend_scope("reference"):
-        serial = BitReader(data)
-    with kernels.backend_scope("vectorized"):
-        tokenized = BitReader(data)
-    assert not serial._tokenize and tokenized._tokenize
-    return serial, tokenized
+    """(bit-serial, tokenizing) readers over ``data``."""
+    return SerialBitReader(data), BitReader(data)
 
 
 def _apply(reader, op, arg):

@@ -1,13 +1,14 @@
-"""Bit-identity between the reference backend and the vectorized one.
+"""Bit-identity between the codec's batched bodies and their scalar oracles.
 
-The vectorized backend is an optimization, not an approximation: every
-kernel must produce *bitwise identical* outputs to the scalar reference
-on the same inputs, so golden-output tests and paper figures are
-backend-independent. These tests run each workload under every backend
-in :data:`repro.codec.kernels.KERNEL_BACKENDS` and compare against
-``reference`` — first kernel by kernel on random inputs, then through a
-full encode, then through a full decode (frames, chroma, metadata and
-traced kernel calls).
+The batched bodies in ``src`` are an optimization, not an approximation:
+every kernel must produce *bitwise identical* outputs to the scalar body
+it replaced (``tests/oracles.py``) on the same inputs, so golden outputs
+and paper figures are exactly what the scalar codec computed. These tests
+run each workload on ``src`` and with the oracles installed
+(:func:`tests.oracles.against_oracles`) and compare — first kernel by
+kernel on random inputs, then through a full encode, then through a full
+decode (frames, chroma, metadata and traced kernel calls). Each kernel is
+reached through its module attribute, which is where the oracles go.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.codec import entropy, kernels
+from repro.codec import chroma, deblock, entropy, intra, motion, transform
 from repro.codec.decoder import decode
 from repro.codec.encoder import encode
 from repro.codec.entropy import BitReader, BitstreamError, BitWriter, write_ue
@@ -26,15 +27,13 @@ from repro.codec.presets import PRESET_NAMES, preset_options
 from repro.codec.types import MBMode
 from repro.trace.kernels import build_program
 from repro.trace.recorder import RecordingTracer
-from tests.oracles import all_backends, assert_identical_values
+from tests.oracles import against_oracles, assert_identical_values, oracle_codec
 
 
 def _assert_identical_arrays(results):
-    ref = np.asarray(results["reference"])
-    for backend, result in results.items():
-        arr = np.asarray(result)
-        assert np.array_equal(ref, arr), f"{backend} diverged from reference"
-        assert ref.dtype == arr.dtype, f"{backend} changed dtype"
+    want, got = np.asarray(results["oracle"]), np.asarray(results["src"])
+    assert np.array_equal(want, got), "src diverged from its oracle"
+    assert want.dtype == got.dtype, "src changed dtype"
 
 
 # --- per-kernel equivalence -------------------------------------------------
@@ -42,64 +41,54 @@ def _assert_identical_arrays(results):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_transform_roundtrip_identical(seed):
-    from repro.codec.transform import forward_4x4, inverse_4x4
-
     rng = np.random.default_rng(seed)
     blocks = rng.uniform(-255, 255, size=(64, 4, 4))
-    fwd = all_backends(lambda: forward_4x4(blocks))
+    fwd = against_oracles(lambda: transform.forward_4x4(blocks))
     _assert_identical_arrays(fwd)
-    inv = all_backends(lambda: inverse_4x4(fwd["reference"]))
+    inv = against_oracles(lambda: transform.inverse_4x4(fwd["oracle"]))
     _assert_identical_arrays(inv)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_satd_identical(seed):
-    from repro.codec.transform import satd_16x16, satd_batch
-
     # Integer-valued diffs, as the codec produces (uint8 pixel differences),
     # then quarter-pel ones (a pixel block minus a bilinear prediction:
     # multiples of 1/16): Hadamard sums of either are exact in float64, so
-    # the backends' different reduction orders still agree bitwise.
+    # the bodies' different reduction orders still agree bitwise.
     rng = np.random.default_rng(seed)
     for per_pixel in (1, 16):
         bound = 255 * per_pixel
         sets = rng.integers(-bound, bound + 1, size=(8, 16, 4, 4)) / float(per_pixel)
-        batch = all_backends(lambda: satd_batch(sets))
+        batch = against_oracles(lambda: transform.satd_batch(sets))
         _assert_identical_arrays(batch)
 
         diff = rng.integers(-bound, bound + 1, size=(16, 16)) / float(per_pixel)
-        single = all_backends(lambda: satd_16x16(diff))
+        single = against_oracles(lambda: transform.satd_16x16(diff))
         assert_identical_values(single)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_hadamard_sad_batch_identical(seed):
-    from repro.codec.transform import hadamard_sad_batch
-
     rng = np.random.default_rng(seed)
     cur = rng.integers(0, 256, size=(16, 16)).astype(np.uint8)
     cands = rng.integers(0, 256, size=(12, 16, 16)).astype(np.uint8)
-    results = all_backends(lambda: hadamard_sad_batch(cur, cands))
+    results = against_oracles(lambda: transform.hadamard_sad_batch(cur, cands))
     _assert_identical_arrays(results)
 
 
 def test_entropy_encode_blocks_identical():
-    from repro.codec.entropy import BitWriter, encode_blocks
-
     rng = np.random.default_rng(5)
     levels = rng.integers(-6, 7, size=(32, 4, 4)).astype(np.int32)
 
     def run():
         writer = BitWriter()
-        widths = encode_blocks(writer, levels)
+        widths = entropy.encode_blocks(writer, levels)
         return writer.getvalue(), list(widths)
 
-    assert_identical_values(all_backends(run))
+    assert_identical_values(against_oracles(run))
 
 
 def test_entropy_encode_blocks_identical_empty_and_dense():
-    from repro.codec.entropy import BitWriter, encode_blocks
-
     rng = np.random.default_rng(6)
     dense = rng.integers(-300, 301, size=(8, 4, 4)).astype(np.int32)
     dense[0] = 0  # all-zero block inside the batch
@@ -107,104 +96,93 @@ def test_entropy_encode_blocks_identical_empty_and_dense():
 
     def run():
         writer = BitWriter()
-        w1 = encode_blocks(writer, dense)
-        w2 = encode_blocks(writer, zeros)
+        w1 = entropy.encode_blocks(writer, dense)
+        w2 = entropy.encode_blocks(writer, zeros)
         return writer.getvalue(), list(w1), list(w2)
 
-    assert_identical_values(all_backends(run))
+    assert_identical_values(against_oracles(run))
 
 
 def test_intra_prediction_identical(tiny_video):
-    from repro.codec.intra import best_intra_16x16, predict_4x4_blocks
-
     src_frame = tiny_video.frames[0].luma
     recon = tiny_video.frames[1].luma
     for mb_y in range(0, src_frame.shape[0] - 15, 16):
         for mb_x in range(0, src_frame.shape[1] - 15, 16):
             src = src_frame[mb_y : mb_y + 16, mb_x : mb_x + 16]
-            p4 = all_backends(lambda: predict_4x4_blocks(src, recon, mb_y, mb_x))
-            ref_pred, ref_sad, ref_tried = p4["reference"]
-            for backend, (pred, sad, tried) in p4.items():
-                assert np.array_equal(ref_pred, pred), backend
-                assert ref_sad == sad, backend
-                assert ref_tried == tried, backend
+            p4 = against_oracles(
+                lambda: intra.predict_4x4_blocks(src, recon, mb_y, mb_x)
+            )
+            (pred, sad, tried), (want_pred, want_sad, want_tried) = p4.values()
+            assert np.array_equal(want_pred, pred)
+            assert (want_sad, want_tried) == (sad, tried)
 
-            p16 = all_backends(lambda: best_intra_16x16(src, recon, mb_y, mb_x))
-            ref = p16["reference"]
-            for backend, res in p16.items():
-                assert ref.mode == res.mode, backend
-                assert np.array_equal(ref.prediction, res.prediction), backend
-                assert ref.sad == res.sad, backend
-                assert ref.n_modes_tried == res.n_modes_tried, backend
+            p16 = against_oracles(
+                lambda: intra.best_intra_16x16(src, recon, mb_y, mb_x)
+            )
+            want, res = p16["oracle"], p16["src"]
+            assert want.mode == res.mode
+            assert np.array_equal(want.prediction, res.prediction)
+            assert want.sad == res.sad
+            assert want.n_modes_tried == res.n_modes_tried
 
 
-@pytest.mark.parametrize("method", ["dia", "hex", "umh", "esa"])
+@pytest.mark.parametrize("method", ["dia", "hex", "umh", "esa", "tesa"])
 def test_motion_search_identical(tiny_video, method):
-    from repro.codec.motion import PaddedReference, motion_search
-
     cur_plane = tiny_video.frames[1].luma
     ref_plane = tiny_video.frames[0].luma
 
     def run():
-        ref = PaddedReference.from_plane(ref_plane, pad=24)
+        ref = motion.PaddedReference.from_plane(ref_plane, pad=24)
         out = []
         for y in range(0, cur_plane.shape[0] - 15, 16):
             for x in range(0, cur_plane.shape[1] - 15, 16):
-                res = motion_search(
+                res = motion.motion_search(
                     cur_plane[y : y + 16, x : x + 16], ref, y, x, method=method
                 )
                 out.append((res.mv_x, res.mv_y, res.cost, res.n_points))
         return out
 
-    assert_identical_values(all_backends(run))
+    assert_identical_values(against_oracles(run))
 
 
 @pytest.mark.parametrize("subme", [3, 7, 9])
 def test_subpel_refine_identical(tiny_video, subme):
-    from repro.codec.motion import PaddedReference, motion_search, subpel_refine
-
     cur_plane = tiny_video.frames[1].luma
     ref_plane = tiny_video.frames[0].luma
 
     def run():
-        ref = PaddedReference.from_plane(ref_plane, pad=24)
+        ref = motion.PaddedReference.from_plane(ref_plane, pad=24)
         out = []
         for y in range(0, cur_plane.shape[0] - 15, 16):
             for x in range(0, cur_plane.shape[1] - 15, 16):
                 cur = cur_plane[y : y + 16, x : x + 16]
-                start = motion_search(cur, ref, y, x, method="hex")
-                res = subpel_refine(cur, ref, y, x, start, subme=subme)
+                start = motion.motion_search(cur, ref, y, x, method="hex")
+                res = motion.subpel_refine(cur, ref, y, x, start, subme=subme)
                 out.append((res.mv_x, res.mv_y, res.cost, res.n_points))
         return out
 
-    assert_identical_values(all_backends(run))
+    assert_identical_values(against_oracles(run))
 
 
 @pytest.mark.parametrize("qp", [12, 28, 44])
 def test_deblock_plane_identical(tiny_video, qp):
-    from repro.codec.deblock import deblock_plane
-
     plane = tiny_video.frames[0].luma
-    results = all_backends(lambda: deblock_plane(plane, qp=qp))
-    ref_plane, ref_edges = results["reference"]
-    for backend, (out_plane, edges) in results.items():
-        assert np.array_equal(ref_plane, out_plane), backend
-        assert ref_edges == edges, backend
+    results = against_oracles(lambda: deblock.deblock_plane(plane, qp=qp))
+    (out_plane, edges), (want_plane, want_edges) = results.values()
+    assert np.array_equal(want_plane, out_plane)
+    assert want_edges == edges
 
 
 def test_chroma_plane_identical(tiny_video):
-    from repro.codec.chroma import encode_chroma_plane
-    from repro.codec.entropy import BitWriter
-
     plane = tiny_video.frames[0].luma[::2, ::2]
     prev = tiny_video.frames[1].luma[::2, ::2]
 
     def run():
         writer = BitWriter()
-        encode_chroma_plane(writer, plane, prev, luma_qp=26)
-        return writer.getvalue()
+        recon = chroma.encode_chroma_plane(writer, plane, prev, luma_qp=26)
+        return writer.getvalue(), recon.tobytes()
 
-    assert_identical_values(all_backends(run))
+    assert_identical_values(against_oracles(run))
 
 
 # --- end-to-end encode equivalence ------------------------------------------
@@ -239,21 +217,22 @@ ENCODE_CONFIGS = [
 
 @pytest.mark.parametrize("options", ENCODE_CONFIGS)
 def test_encode_bit_identical_across_backends(tiny_video, options):
-    digests = all_backends(lambda: _encode_digest(tiny_video, options))
+    """``src`` against the oracles (the name predates the one body)."""
+    digests = against_oracles(lambda: _encode_digest(tiny_video, options))
     assert_identical_values(digests)
 
 
 def test_encode_bit_identical_static_scene(static_video):
-    digests = all_backends(lambda: _encode_digest(static_video, EncoderOptions()))
+    digests = against_oracles(lambda: _encode_digest(static_video, EncoderOptions()))
     assert_identical_values(digests)
 
 
 # --- end-to-end decode equivalence ------------------------------------------
 #
-# One decoder serves both backends; what differs is the reader under it
-# (bit-serial vs tokenized, see repro.codec.entropy). The matrix below is
-# the round-trip suite's option surface, with chroma alternating on and
-# off along every axis.
+# One decoder serves both bodies; what differs is the reader under it
+# (bit-serial under the oracles, tokenized in src; see repro.codec.entropy).
+# The matrix below is the round-trip suite's option surface, with chroma
+# alternating on and off along every axis.
 
 
 def _rc_options(rc_mode, chroma):
@@ -339,17 +318,18 @@ def _decode_observables(bitstream, *, traced):
 
 @pytest.mark.parametrize("options", DECODE_CONFIGS)
 def test_decode_identical_across_backends(tiny_video, options):
+    """``src`` against the oracles (the name predates the one body)."""
     bitstream = encode(tiny_video, options).stream.bitstream
-    traced = all_backends(lambda: _decode_observables(bitstream, traced=True))
+    traced = against_oracles(lambda: _decode_observables(bitstream, traced=True))
     assert_identical_values(traced)
-    plain = all_backends(lambda: _decode_observables(bitstream, traced=False))
+    plain = against_oracles(lambda: _decode_observables(bitstream, traced=False))
     assert_identical_values(plain)
     # Tracing observes the decode; it does not change it. And the same
     # bytes decode to the same output every time.
-    assert plain["reference"][:6] == traced["reference"][:6]
-    again = all_backends(lambda: _decode_observables(bitstream, traced=False))
+    assert plain["oracle"][:6] == traced["oracle"][:6]
+    again = against_oracles(lambda: _decode_observables(bitstream, traced=False))
     assert again == plain
-    assert any(traced["reference"][2]) == options.chroma
+    assert any(traced["oracle"][2]) == options.chroma
 
 
 def test_decode_identical_on_busy_content(busy_video):
@@ -359,7 +339,7 @@ def test_decode_identical_on_busy_content(busy_video):
     result = encode(busy_video, options)
     modes = {mb.mode for f in result.stream.frames for mb in f.macroblocks}
     assert {MBMode.INTRA_4X4, MBMode.INTER_8X8} <= modes
-    traced = all_backends(
+    traced = against_oracles(
         lambda: _decode_observables(result.stream.bitstream, traced=True)
     )
     assert_identical_values(traced)
@@ -370,7 +350,7 @@ def test_decode_identical_on_static_content(static_video):
     result = encode(static_video, EncoderOptions(crf=26, refs=1, bframes=0))
     modes = {mb.mode for f in result.stream.frames[1:] for mb in f.macroblocks}
     assert modes == {MBMode.SKIP}
-    traced = all_backends(
+    traced = against_oracles(
         lambda: _decode_observables(result.stream.bitstream, traced=True)
     )
     assert_identical_values(traced)
@@ -382,18 +362,17 @@ def test_decode_identical_wherever_windows_cut(busy_video, monkeypatch, window):
     end inside macroblocks, batches and single codes."""
     options = EncoderOptions(crf=14, refs=2, bframes=2, partitions="all", chroma=True)
     bitstream = encode(busy_video, options).stream.bitstream
-    with kernels.backend_scope("reference"):
+    with oracle_codec():
         want = _decode_observables(bitstream, traced=True)
     monkeypatch.setattr(entropy, "TOKEN_WINDOW_BYTES", window)
-    with kernels.backend_scope("vectorized"):
-        assert _decode_observables(bitstream, traced=True) == want
+    assert _decode_observables(bitstream, traced=True) == want
 
 
 def test_well_formed_stream_is_served_from_the_table(busy_video, monkeypatch):
     """The speed-up, counted instead of timed: decoding a stream the
-    encoder wrote never reads a code or a block bit-serially under
-    ``vectorized``, and tokenizes each window once (plus one re-fill per
-    batch a window's end cuts)."""
+    encoder wrote never reads a code or a block bit-serially, and
+    tokenizes each window once (plus one re-fill per batch a window's end
+    cuts)."""
     options = EncoderOptions(crf=8, refs=2, bframes=2, partitions="all", chroma=True)
     bitstream = encode(busy_video, options).stream.bitstream
     n_windows = -(-len(bitstream) // entropy.TOKEN_WINDOW_BYTES)
@@ -405,8 +384,7 @@ def test_well_formed_stream_is_served_from_the_table(busy_video, monkeypatch):
 
     monkeypatch.setattr(entropy, "_read_ue_serial", bit_serial)
     monkeypatch.setattr(entropy, "_decode_block_serial", bit_serial)
-    with kernels.backend_scope("vectorized"):
-        assert len(decode(bitstream).video) == len(busy_video)
+    assert len(decode(bitstream).video) == len(busy_video)
     assert n_windows <= len(fills) <= n_windows + 2
 
 
@@ -421,14 +399,34 @@ def test_corrupt_header_costs_at_most_one_window_fill(monkeypatch):
     for value in (0, 0, 0):
         write_ue(writer, value)
     implausible = writer.getvalue() + tail
-    with kernels.backend_scope("vectorized"):
-        for data, match in [
-            (implausible, "implausible"),
-            (tail, "malformed"),  # no header at all: 65 zero bits
-            (b"\xff" + tail, "corrupt stream header"),  # width = 0
-        ]:
-            fills.clear()
-            with pytest.raises(BitstreamError, match=match):
-                decode(data)
-            assert len(fills) <= 1, (match, fills)
-        assert len(fills) == 1  # and the tokenized path did run
+    for data, match in [
+        (implausible, "implausible"),
+        (tail, "malformed"),  # no header at all: 65 zero bits
+        (b"\xff" + tail, "corrupt stream header"),  # width = 0
+    ]:
+        fills.clear()
+        with pytest.raises(BitstreamError, match=match):
+            decode(data)
+        assert len(fills) <= 1, (match, fills)
+    assert len(fills) == 1  # and the tokenized path did run
+
+
+def test_oracles_replace_every_binding():
+    """Under ``oracle_codec`` no ``repro`` module or class still holds a
+    body an oracle replaces — the guard that an encode run there is the
+    oracles' encode, whoever imported what by name."""
+    import sys
+
+    from tests.oracles import _CODEC_ORACLES
+
+    originals = {id(vars(owner)[name]): name for owner, name, _ in _CODEC_ORACLES}
+    with oracle_codec():
+        for owner, name, oracle in _CODEC_ORACLES:
+            assert vars(owner)[name] is oracle, name
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("repro."):
+                for value in vars(module).values():
+                    name = originals.get(id(value))
+                    assert name is None, (module_name, name)
+    for owner, name, oracle in _CODEC_ORACLES:
+        assert vars(owner)[name] is not oracle, name

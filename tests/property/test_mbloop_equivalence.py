@@ -1,12 +1,13 @@
-"""The vectorized macroblock loop against its reference bodies.
+"""The macroblock loop against its scalar oracles.
 
-``vectorized`` evaluates per macroblock what ``reference`` evaluates per
-partition, per 4x4 block or per call: sub-partitions share one difference
-block per displacement, the intra-4x4 chain runs a diagonal at a time and
-emits one tagged batch, the plane fit / SATD / i4x4 probe are folded. Each
-is held here to ``==`` with its ``reference`` body on generated inputs —
-kernel by kernel, then through whole encodes on content that makes the
-encoder pick the modes those kernels serve.
+``src`` evaluates per macroblock what the oracles (``tests/oracles.py``)
+evaluate per partition, per 4x4 block or per call: sub-partitions share
+one difference block per displacement, the intra-4x4 chain runs a
+diagonal at a time and emits one tagged batch, the plane fit / SATD / i4x4
+probe are folded. Each is held here to ``==`` with its oracle on generated
+inputs — kernel by kernel, then through whole encodes on content that
+makes the encoder pick the modes those kernels serve, with the oracles
+patched into every consumer module's namespace (``oracle_codec``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.codec import kernels
+from repro.codec import intra, transform
 from repro.codec.decoder import decode
 from repro.codec.encoder import Encoder, _FrameContext
 from repro.codec.entropy import (
@@ -26,24 +27,17 @@ from repro.codec.entropy import (
     encode_tagged_blocks,
     write_ue,
 )
-from repro.codec.intra import _plane_pred, predict_4x4_blocks
 from repro.codec.mbdecision import search_partitions
 from repro.codec.motion import PaddedReference
 from repro.codec.options import EncoderOptions
 from repro.codec.tracemodel import EncodeTrace
-from repro.codec.transform import (
-    blockify_16x16,
-    forward_4x4,
-    inverse_4x4,
-    satd_4x4,
-    satd_16x16,
-)
+from repro.codec.transform import blockify_16x16, forward_4x4, inverse_4x4
 from repro.codec.types import FrameType, MBMode, MotionVector
 from repro.trace.kernels import build_program
 from repro.trace.recorder import RecordingTracer
 from repro.video.frame import Frame, FrameSequence
 from repro.video.synthetic import SceneSpec, generate_scene
-from tests.oracles import all_backends, assert_identical_values, assert_same_events
+from tests.oracles import against_oracles, assert_identical_values, assert_same_events
 
 HEIGHT, WIDTH = 48, 64  # 3 x 4 macroblocks: corners, edges and an interior
 #: One macroblock (pixel position) per frame-edge class.
@@ -94,18 +88,14 @@ content_st = st.tuples(st.sampled_from(CONTENT), st.integers(0, 2**16))
 def test_batched_transforms_are_the_single_block_calls(blocks):
     """``forward_4x4`` / ``inverse_4x4`` of a batch are, bit for bit, the
     single-block calls, for every batch size a diagonal (1-4) or a
-    macroblock (16) uses. A law of the backends that batch: ``reference``
-    codes one block at a time and its ``einsum`` makes no such promise."""
-    for backend in kernels.KERNEL_BACKENDS:
-        if backend == "reference":
-            continue
-        with kernels.backend_scope(backend):
-            for transform in (forward_4x4, inverse_4x4):
-                single = [transform(blocks[i : i + 1])[0] for i in range(16)]
-                for n in range(1, 17):
-                    batch = transform(blocks[:n])
-                    for i in range(n):
-                        assert batch[i].tobytes() == single[i].tobytes(), (n, i)
+    macroblock (16) uses. A law of ``src``, which batches: the oracle codes
+    one block at a time and its ``einsum`` makes no such promise."""
+    for fn in (forward_4x4, inverse_4x4):
+        single = [fn(blocks[i : i + 1])[0] for i in range(16)]
+        for n in range(1, 17):
+            batch = fn(blocks[:n])
+            for i in range(n):
+                assert batch[i].tobytes() == single[i].tobytes(), (n, i)
 
 
 # --- (1) partitions share displacements --------------------------------------
@@ -151,7 +141,7 @@ def test_search_partitions_identical(
             cand.n_search_points, cand.prediction.dtype, cand.prediction.tobytes(),
         )
 
-    assert_identical_values(all_backends(run))
+    assert_identical_values(against_oracles(run))
 
 
 def test_reference_view_is_read_only_and_per_reference():
@@ -213,14 +203,14 @@ def test_emit_intra4_identical(edge, trellis, qp, src, recon):
             mb.coeffs.tobytes(), ctx.recon.tobytes(), mb.bits, rc.bits,
         )
 
-    assert_identical_values(all_backends(run))
+    assert_identical_values(against_oracles(run))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_tagged_batch_is_write_ue_then_encode_block(data):
-    """The fold against the per-pair writes ``reference`` makes as it codes
-    each block (``Encoder._code_intra4_sequential``)."""
+    """The fold against the per-pair writes the oracle makes as it codes
+    each block (``tests.oracles.emit_intra4_sequential``)."""
     n = data.draw(st.integers(0, 16))
     blocks = data.draw(
         arrays(np.int32, (n, 4, 4), elements=st.integers(-600, 600))
@@ -280,15 +270,15 @@ def _row(kind: str, rng) -> np.ndarray:
 def test_plane_pred_is_the_polyfit_form(top_kind, left_kind, seed):
     rng = np.random.default_rng(seed)
     top, left = _row(top_kind, rng), _row(left_kind, rng)
-    results = all_backends(lambda: _plane_pred(top, left, 16).tobytes())
+    results = against_oracles(lambda: intra._plane_pred(top, left, 16).tobytes())
     assert_identical_values(results)
-    # The reference body, spelled out: polyfit per row, then the plane.
+    # The oracle, spelled out: polyfit per row, then the plane.
     idx = np.arange(16, dtype=np.float64)
     h_grad = float(np.polyfit(idx, top, 1)[0])
     v_grad = float(np.polyfit(idx, left, 1)[0])
     yy, xx = np.meshgrid(idx - 15, idx - 15, indexing="ij")
     want = (top[-1] + left[-1]) / 2.0 + h_grad * xx + v_grad * yy
-    assert results["reference"] == want.tobytes()
+    assert results["oracle"] == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -301,12 +291,12 @@ def test_satd_16x16_is_satd_4x4_of_the_blocks(sixteenths, quarter_pel):
     diff = sixteenths / 16.0 if quarter_pel else (sixteenths // 16).astype(np.float64)
 
     def run():
-        value = satd_16x16(diff)
+        value = transform.satd_16x16(diff)
         assert type(value) is float
-        assert value == satd_4x4(blockify_16x16(diff))
+        assert value == transform.satd_4x4(blockify_16x16(diff))
         return value
 
-    assert_identical_values(all_backends(run))
+    assert_identical_values(against_oracles(run))
 
 
 @settings(max_examples=25, deadline=None)
@@ -318,14 +308,14 @@ def test_predict_4x4_blocks_identical(edge, src, recon):
     recon_plane = _plane(*recon)
 
     def run():
-        pred, sad, tried = predict_4x4_blocks(source, recon_plane, y, x)
+        pred, sad, tried = intra.predict_4x4_blocks(source, recon_plane, y, x)
         assert type(sad) is float and type(tried) is int
         return pred.dtype, pred.shape, pred.tobytes(), sad, tried
 
-    results = all_backends(run)
+    results = against_oracles(run)
     assert_identical_values(results)
     missing = {"corner": 8, "top-row": 4, "left-column": 4, "interior": 0}
-    assert results["reference"][4] == 48 - missing[edge]
+    assert results["oracle"][4] == 48 - missing[edge]
 
 
 # --- whole encodes -----------------------------------------------------------
@@ -382,9 +372,13 @@ def test_encode_identical_on_intra4_and_partition_content(mixed_video, rc):
     options = EncoderOptions(
         refs=2, bframes=2, b_adapt=0, scenecut=0, partitions="all", chroma=True, **rc
     )
-    plain = all_backends(lambda: _encode_observables(mixed_video, options, traced=False))
-    traced = all_backends(lambda: _encode_observables(mixed_video, options, traced=True))
-    exact, modes, _, stream = plain["reference"]
+    plain = against_oracles(
+        lambda: _encode_observables(mixed_video, options, traced=False)
+    )
+    traced = against_oracles(
+        lambda: _encode_observables(mixed_video, options, traced=True)
+    )
+    exact, modes, _, stream = plain["oracle"]
     # The content does what it is for.
     for ftype in FrameType:
         assert (ftype, MBMode.INTRA_4X4) in modes
@@ -393,17 +387,17 @@ def test_encode_identical_on_intra4_and_partition_content(mixed_video, rc):
     assert (FrameType.B, MBMode.INTER_4X4) in modes
     assert all(f.chroma_recon is not None for f in stream.frames)
 
-    ref_trace = traced["reference"][2]
-    for backend in plain:
-        assert plain[backend][0] == exact, backend
-        assert traced[backend][0] == exact, backend  # tracing only observes
-        trace = traced[backend][2]
+    ref_trace = traced["oracle"][2]
+    for codec in plain:
+        assert plain[codec][0] == exact, codec
+        assert traced[codec][0] == exact, codec  # tracing only observes
+        trace = traced[codec][2]
         assert_same_events(trace.events, ref_trace.events)
-        assert trace.instr_by_kernel == ref_trace.instr_by_kernel, backend
+        assert trace.instr_by_kernel == ref_trace.instr_by_kernel, codec
         assert list(trace.instr_by_kernel) == list(ref_trace.instr_by_kernel)
-        assert trace.kernel_calls == ref_trace.kernel_calls, backend
+        assert trace.kernel_calls == ref_trace.kernel_calls, codec
 
-    # decode(encode(v)) is the encoder's own reconstruction, per backend.
+    # decode(encode(v)) is the encoder's own reconstruction, on both bodies.
     def roundtrip():
         decoded = decode(stream.bitstream).video
         for frame, coded in zip(decoded, stream.frames_in_display_order()):
@@ -414,4 +408,4 @@ def test_encode_identical_on_intra4_and_partition_content(mixed_video, rc):
                 assert np.array_equal(plane, recon[:ch, :cw])
         return True
 
-    all_backends(roundtrip)
+    against_oracles(roundtrip)

@@ -189,7 +189,7 @@ def test_no_sweep_checkpoint_in_src():
 
 
 def test_no_benchmark_matrix_in_src():
-    """`repro bench` is the backend-ratio gate and nothing else, and no
+    """`repro bench` is the calibrated-cost gate and nothing else, and no
     environment variable selects what it runs (docs/PERFORMANCE.md has
     the reproductions that removed the matrix compiler and the drift
     gate); nothing under src/ may bring either back."""
@@ -201,6 +201,17 @@ def test_no_benchmark_matrix_in_src():
     assert not offenders, (
         f"benchmark matrix or drift gate referenced in: {offenders}"
     )
+
+
+def test_no_kernel_switch_in_src():
+    """The codec has one body; the scalar bodies are oracles under tests/
+    (docs/ARCHITECTURE.md, "One codec body"). Nothing under src/ may bring
+    the switch between them back, under any of its old names."""
+    offenders = _src_files_mentioning(
+        "is_vectorized", "backend_scope", "select_backend", "REPRO_KERNELS",
+        "KERNEL_BACKENDS",
+    )
+    assert not offenders, f"kernel backend switch referenced in: {offenders}"
 
 
 def _src_lines_mentioning(needle: str) -> dict[str, list[str]]:
@@ -246,8 +257,6 @@ def test_session_runs_under_the_environments_settings():
     after every test; if that ever goes, CI's `REPRO_JOBS=2` leg would run
     the whole suite serial without a single failure — except this one."""
     from repro.api.settings import Settings
-    from repro.codec import kernels
     from repro.experiments import parallel
 
     assert parallel.default_jobs() == Settings.from_env().jobs
-    assert kernels.active_backend() == Settings.from_env().kernels

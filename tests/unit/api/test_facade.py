@@ -183,5 +183,10 @@ class TestDeprecatedAliases:
             (runner, "run"),
             (kernels, "set_backend"),
             (kernels, "use_backend"),
+            # The backend switch left with the second codec body.
+            (kernels, "select_backend"),
+            (kernels, "backend_scope"),
+            (kernels, "is_vectorized"),
+            (api, "backends"),
         ):
             assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -12,7 +12,6 @@ import pytest
 from repro import resilience
 from repro.api import ENV_VARS, Settings
 from repro.api.settings import FIELD_TABLE
-from repro.codec import kernels
 from repro.experiments import parallel as engine
 from repro.resilience import faults
 from repro.resilience.retry import RetryPolicy
@@ -39,7 +38,6 @@ class TestDefaults:
         assert s.jobs == 1
         assert s.cache_dir is None
         assert s.cache_enabled is True
-        assert s.kernels == kernels.DEFAULT_BACKEND
         assert s.fault_plan is None
 
     def test_env_vars_map_to_real_fields(self):
@@ -53,19 +51,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="jobs"):
             Settings(jobs=0)
 
-    def test_rejects_unknown_kernel_backend(self):
-        with pytest.raises(ValueError, match="kernel backend"):
-            Settings(kernels="quantum")
-
-    def test_accepts_every_registered_backend(self):
-        for name in kernels.KERNEL_BACKENDS:
-            assert Settings(kernels=name).kernels == name
-
-    def test_rejects_unknown_env_kernels_eagerly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "vectorised")  # typo'd
-        with pytest.raises(ValueError, match="REPRO_KERNELS"):
-            Settings.from_env()
-
     def test_rejects_malformed_fault_plan_eagerly(self):
         with pytest.raises(ValueError):
             Settings(fault_plan="sweep.compute,at=not-a-number")
@@ -75,19 +60,14 @@ class TestPrecedence:
     def test_env_beats_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
-        monkeypatch.setenv("REPRO_KERNELS", "reference")
         s = Settings.from_env()
         assert s.jobs == 3
         assert s.cache_dir == tmp_path / "c"
-        assert s.kernels == "reference"
 
     def test_cli_flag_beats_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        monkeypatch.setenv("REPRO_KERNELS", "reference")
-        s = Settings.resolve(jobs=5, kernels="vectorized",
-                             cache_dir=tmp_path / "c")
+        s = Settings.resolve(jobs=5, cache_dir=tmp_path / "c")
         assert s.jobs == 5
-        assert s.kernels == "vectorized"
         assert s.cache_dir == tmp_path / "c"
 
     def test_absent_flag_falls_through_to_env(self, monkeypatch):
@@ -122,6 +102,36 @@ class TestPrecedence:
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", "ck")
         assert Settings.from_env() == Settings()
         assert "REPRO_CHECKPOINT_DIR" not in ENV_VARS
+
+    @pytest.mark.parametrize("value", ["reference", "simd"])
+    def test_kernels_knob_is_gone(self, value, monkeypatch):
+        # The codec has one body: no field, no alias, and the variable is
+        # ignored like any unset one, whatever it names — the encode is
+        # the golden one.
+        import hashlib
+
+        from repro.codec.encoder import encode
+        from repro.codec.options import EncoderOptions
+        from repro.video.synthetic import SceneSpec, generate_scene
+
+        with pytest.raises(TypeError):
+            Settings(kernels=value)
+        with pytest.raises(TypeError, match="kernels"):
+            Settings.resolve(kernels=value)
+        monkeypatch.setenv("REPRO_KERNELS", value)
+        assert Settings.from_env() == Settings()
+        assert "REPRO_KERNELS" not in ENV_VARS
+        Settings.from_env().apply()
+        video = generate_scene(
+            SceneSpec(width=48, height=32, n_frames=4, seed=5, name="pin")
+        )
+        options = EncoderOptions(
+            crf=20, refs=2, bframes=1, partitions="all", chroma=True
+        )
+        bitstream = encode(video, options).stream.bitstream
+        assert hashlib.sha256(bitstream).hexdigest() == (
+            "1986ad9deffc3a18f3cda51129bf8b03bc91d137432c788ff15e8792ffec4e5d"
+        )
 
     def test_retry_policy_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "5")
@@ -160,13 +170,11 @@ class TestApply:
         s = Settings(
             jobs=2,
             cache_dir=tmp_path / "cache",
-            kernels="reference",
             retry=RetryPolicy(max_attempts=4),
             fault_plan=plan,
         )
         assert s.apply() is s
         assert engine.default_jobs() == 2
-        assert kernels.active_backend() == "reference"
         assert resilience.retry_policy().max_attempts == 4
         assert faults.active_plan() is not None
 
@@ -181,23 +189,18 @@ class TestApply:
         plan = "sweep.compute,at=1,raise=InjectedFault"
         monkeypatch.setenv("REPRO_JOBS", "5")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-        monkeypatch.setenv("REPRO_KERNELS", "reference")
         monkeypatch.setenv("REPRO_FAULT_PLAN", plan)
         monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "7")
 
         Settings().apply()
         assert engine.default_jobs() == 1
         assert engine.default_cache() is None
-        assert kernels.active_backend() == "vectorized"
-        assert kernels.is_vectorized()
         assert not faults.active_plan()
         assert resilience.retry_policy().max_attempts == 3
 
         Settings.from_env().apply()
         assert engine.default_jobs() == 5
         assert engine.default_cache().root == tmp_path / "envcache"
-        assert kernels.active_backend() == "reference"
-        assert not kernels.is_vectorized()
         assert faults.active_plan() == faults.parse_fault_plan(plan)
         assert resilience.retry_policy().max_attempts == 7
 
@@ -223,8 +226,6 @@ SAMPLES = {
     "cache_dir": ({"REPRO_CACHE_DIR": "env/c"}, Path("env/c"),
                   {"cache_dir": "cli/c"}, Path("cli/c")),
     "cache_enabled": ({}, True, {"no_cache": True}, False),
-    "kernels": ({"REPRO_KERNELS": " REFERENCE "}, "reference",
-                {"kernels": "vectorized"}, "vectorized"),
     "retry": ({"REPRO_RETRY_ATTEMPTS": "5"}, RetryPolicy(max_attempts=5),
               {"retry": RetryPolicy(max_attempts=7)},
               RetryPolicy(max_attempts=7)),
@@ -262,7 +263,6 @@ def _cache_root():
 SUBSYSTEM_STATE = {
     "jobs": engine.default_jobs,
     "cache_dir": _cache_root,
-    "kernels": kernels.active_backend,
     "retry": resilience.retry_policy,
     "fault_plan": lambda: faults.format_fault_plan(faults.active_plan() or ()),
 }
@@ -275,13 +275,13 @@ class TestFieldTable:
         fields = list(Settings.__dataclass_fields__)
         assert list(FIELD_TABLE) == fields
         assert set(SAMPLES) == set(fields)
-        assert len(fields) == 15
+        assert len(fields) == 14
 
     def test_env_vars_derive_from_the_rows(self):
         assert ENV_VARS == {
             knob.env: field for field, knob in FIELD_TABLE.items() if knob.env
         }
-        assert len(ENV_VARS) == 14  # cache_enabled has no variable
+        assert len(ENV_VARS) == 13  # cache_enabled has no variable
         assert "REPRO_RETRY_*" in ENV_VARS
 
     @pytest.mark.parametrize("field", FIELD_TABLE)
@@ -313,13 +313,6 @@ class TestFieldTable:
         monkeypatch.setenv(FIELD_TABLE[field].env, "many")
         assert Settings.env_overrides() == {}
         assert Settings.from_env() == Settings()
-
-    def test_malformed_kernels_env_still_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "quantum")
-        with pytest.raises(ValueError, match="REPRO_KERNELS"):
-            Settings.env_overrides()
-        with pytest.raises(ValueError, match="REPRO_KERNELS"):
-            Settings.resolve(kernels="vectorized")
 
     def test_unknown_resolve_keyword_is_a_type_error(self):
         with pytest.raises(TypeError, match="bogus.*valid names.*jobs"):

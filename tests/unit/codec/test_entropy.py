@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.codec import entropy, kernels
+from repro.codec import entropy
 from repro.codec.entropy import (
     BitReader,
     BitstreamError,
@@ -26,6 +26,7 @@ from repro.codec.entropy import (
     write_se,
     write_ue,
 )
+from tests.oracles import CODECS, SerialBitReader
 
 
 class TestBitIO:
@@ -191,7 +192,7 @@ def _with_zero_blocks():
     return blocks
 
 
-#: Batches the vectorized fold must code exactly like the per-block oracle.
+#: Batches the fold must code exactly like the per-block oracle.
 _BATCHES = {
     "random-0": _random_batch(0, 24, 32),
     "random-1": _random_batch(1, 24, 32),
@@ -215,19 +216,19 @@ class _CountingWriter(BitWriter):
 
 
 class TestEncodeBlocks:
-    """``encode_blocks``: the reference loop vs. the vectorized fold."""
+    """``encode_blocks``: the per-block oracle loop vs. the fold."""
 
     @staticmethod
-    def _encode(backend, blocks):
-        with kernels.backend_scope(backend):
+    def _encode(codec, blocks):
+        with CODECS[codec]():
             writer = _CountingWriter()
-            widths = encode_blocks(writer, blocks)
+            widths = entropy.encode_blocks(writer, blocks)
         return writer.getvalue(), widths, writer.appends
 
     @pytest.mark.parametrize("name", _BATCHES)
     def test_fold_matches_reference(self, name):
         blocks = _BATCHES[name]
-        # The reference body is literally one encode_block per block.
+        # The oracle is literally one encode_block per block.
         ref_bytes, ref_widths, _ = self._encode("reference", blocks)
         vec_bytes, vec_widths, _ = self._encode("vectorized", blocks)
         assert vec_bytes == ref_bytes
@@ -262,10 +263,12 @@ def _window(n_bytes):
         yield
 
 
-def _reader(backend, data):
-    """A reader bound to ``backend`` (binding happens at construction)."""
-    with kernels.backend_scope(backend):
-        return BitReader(data)
+#: The reader of each codec body: the bit-serial oracle, and src's.
+_READERS = {"reference": SerialBitReader, "vectorized": BitReader}
+
+
+def _reader(codec, data):
+    return _READERS[codec](data)
 
 
 def _count_fills(monkeypatch):
@@ -284,33 +287,33 @@ _WINDOWS = (1, 2, 3, 17, 4096)
 
 
 class TestTypedErrors:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_truncation_is_bitstream_and_eof_error(self, backend):
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_truncation_is_bitstream_and_eof_error(self, codec):
         w = BitWriter()
         write_ue(w, 1000)
-        reader = _reader(backend, w.getvalue()[:1])
+        reader = _reader(codec, w.getvalue()[:1])
         with pytest.raises(TruncatedBitstreamError) as excinfo:
             read_ue(reader)
         assert isinstance(excinfo.value, BitstreamError)
         assert isinstance(excinfo.value, EOFError)
         assert isinstance(excinfo.value, ValueError)
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_malformed_code_is_bitstream_error_not_truncation(self, backend):
-        reader = _reader(backend, b"\x00" * 10)
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_malformed_code_is_bitstream_error_not_truncation(self, codec):
+        reader = _reader(codec, b"\x00" * 10)
         with pytest.raises(BitstreamError, match="malformed") as excinfo:
             read_ue(reader)
         assert not isinstance(excinfo.value, EOFError)
         assert reader.bits_read == 65
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_level_beyond_int32_rejected(self, backend):
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_level_beyond_int32_rejected(self, codec):
         w = BitWriter()
         write_ue(w, 1)
         write_ue(w, 0)
         write_se(w, 2**31)
         with pytest.raises(BitstreamError, match="level out of range"):
-            decode_block(_reader(backend, w.getvalue()))
+            decode_block(_reader(codec, w.getvalue()))
 
     def test_argument_errors_stay_plain_value_errors(self):
         with pytest.raises(ValueError) as excinfo:
@@ -321,9 +324,9 @@ class TestTypedErrors:
 def _write_one(writer, entry, blocks):
     """``blocks`` through one of the three block writers."""
     if entry == "encode_block":
-        return encode_block(writer, blocks[0])
+        return entropy.encode_block(writer, blocks[0])
     if entry == "encode_blocks":
-        return encode_blocks(writer, blocks)
+        return entropy.encode_blocks(writer, blocks)
     return encode_tagged_blocks(writer, [0] * len(blocks), blocks)
 
 
@@ -335,33 +338,33 @@ class TestWriterRefusesWhatTheReaderRefuses:
     it never rounds a level, truncates a tag or writes a level the reader
     rejects."""
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("entry", _ENTRIES)
     @pytest.mark.parametrize("level", [0.7, 2.9, -1.5])
-    def test_non_integer_levels_are_a_type_error(self, backend, entry, level):
+    def test_non_integer_levels_are_a_type_error(self, codec, entry, level):
         writer = BitWriter()
-        with kernels.backend_scope(backend), pytest.raises(TypeError):
+        with CODECS[codec](), pytest.raises(TypeError):
             _write_one(writer, entry, np.full((1, 4, 4), level))
         assert writer.bit_count == 0
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("entry", _ENTRIES)
     @pytest.mark.parametrize("level", [2**33, 2**31, -(2**31) - 1])
-    def test_levels_outside_int32_are_a_value_error(self, backend, entry, level):
+    def test_levels_outside_int32_are_a_value_error(self, codec, entry, level):
         blocks = np.zeros((1, 4, 4), dtype=np.int64)
         blocks[0, 1, 2] = level
         writer = BitWriter()
-        with kernels.backend_scope(backend), pytest.raises(ValueError, match="int32"):
+        with CODECS[codec](), pytest.raises(ValueError, match="int32"):
             _write_one(writer, entry, blocks)
         assert writer.bit_count == 0
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("entry", _ENTRIES)
-    def test_int32_extremes_round_trip(self, backend, entry):
+    def test_int32_extremes_round_trip(self, codec, entry):
         blocks = np.zeros((2, 4, 4), dtype=np.int64)
         blocks[:, 0, 0] = [2**31 - 1, -(2**31)]
         blocks[:, 3, 3] = [-(2**31), 2**31 - 1]
-        with kernels.backend_scope(backend):
+        with CODECS[codec]():
             writer = BitWriter()
             _write_one(writer, entry, blocks[:1] if entry == "encode_block" else blocks)
             reader = BitReader(writer.getvalue())
@@ -389,7 +392,7 @@ class TestWriterRefusesWhatTheReaderRefuses:
 
 
 class TestTokenizedReader:
-    """The ``vectorized`` reader against the bit-serial one, on the cases
+    """The tokenizing reader against the bit-serial one, on the cases
     where it has to hand over (the property tests cover the bulk)."""
 
     @staticmethod
@@ -494,7 +497,7 @@ class TestTokenizedReader:
 
 
 class TestDecodeBlocks:
-    """``decode_blocks(r, n)`` is ``n`` x ``decode_block``, on both backends
+    """``decode_blocks(r, n)`` is ``n`` x ``decode_block``, on both readers
     and however the batch falls across the tokenizer's windows."""
 
     @staticmethod
@@ -511,8 +514,8 @@ class TestDecodeBlocks:
         data = self._coded(blocks)
         serial = _reader("reference", data)
         want = [decode_block(serial) for _ in blocks]
-        for backend in ("reference", "vectorized"):
-            reader = _reader(backend, data)
+        for codec in CODECS:
+            reader = _reader(codec, data)
             with _window(window):
                 got = decode_blocks(reader, len(blocks))
             assert got.shape == (len(blocks), 4, 4) and got.dtype == np.int32
@@ -561,8 +564,8 @@ class TestDecodeBlocks:
             encode_block(w, block)
         write_ue(w, 41)
         data = w.getvalue()
-        for backend in ("reference", "vectorized"):
-            reader = _reader(backend, data)
+        for codec in CODECS:
+            reader = _reader(codec, data)
             with _window(window):
                 got_tags, got = decode_tagged_blocks(reader, 16)
             assert got_tags == tags and np.array_equal(got, blocks)
@@ -586,8 +589,8 @@ class TestDecodeBlocks:
                 break
         data = w.getvalue()
         outcomes = []
-        for backend in ("reference", "vectorized"):
-            reader = _reader(backend, data)
+        for codec in CODECS:
+            reader = _reader(codec, data)
             with pytest.raises(BitstreamError) as excinfo:
                 decode_blocks(reader, 8)
             outcomes.append((type(excinfo.value), str(excinfo.value), reader.bits_read))

@@ -21,26 +21,23 @@ from repro.bench.report import build_payload
 from repro.obs import MetricsRegistry
 
 
-def _fake_payload(kernel_speedups, encode_speedup, rev="abc1234"):
+def _fake_payload(kernel_costs, encode_cost, rev="abc1234"):
     kernels = {
         name: {
             "blocks": 64.0,
-            "backends": {"reference": 1000.0 * s, "vectorized": 1000.0},
-            "speedups": {"vectorized": s},
+            "ns_per_block": 1000.0 * cost,
+            "calibration_s": 0.01,
+            "cost": cost,
         }
-        for name, s in kernel_speedups.items()
+        for name, cost in kernel_costs.items()
     }
-    times = {"reference": encode_speedup, "vectorized": 1.0}
-    speedups = {"vectorized": encode_speedup}
     encode = {
         "width": 112,
         "height": 64,
         "n_frames": 8,
-        "cells": [
-            {"crf": 23, "refs": 1, "backends": times, "speedups": speedups},
-        ],
-        "backends": times,
-        "speedups": speedups,
+        "cells": [{"crf": 23, "refs": 1, "seconds": 0.5, "cost": encode_cost}],
+        "seconds": 0.5,
+        "cost": encode_cost,
     }
     payload = build_payload(kernels, encode, MetricsRegistry())
     payload["rev"] = rev
@@ -56,17 +53,15 @@ def test_run_kernel_benches_subset():
     results = run_kernel_benches(registry, reps=1, names=names)
     assert sorted(results) == sorted(names)
     for row in results.values():
-        assert set(row) == {"blocks", "backends", "speedups"}
+        assert set(row) == {"blocks", "ns_per_block", "calibration_s", "cost"}
         assert row["blocks"] > 0
-        assert row["backends"]["reference"] > 0
-        assert row["backends"]["vectorized"] > 0
-        assert row["speedups"]["vectorized"] == pytest.approx(
-            row["backends"]["reference"] / row["backends"]["vectorized"]
+        assert row["ns_per_block"] > 0
+        assert row["calibration_s"] > 0
+        # The cost is the best time in units of the calibration kernel.
+        assert row["cost"] == pytest.approx(
+            row["ns_per_block"] * row["blocks"] / 1e9 / row["calibration_s"]
         )
-        assert "reference" not in row["speedups"]
-    metrics = registry.as_dict()
-    assert "bench.kernel.transform.forward_4x4.reference_s" in metrics
-    assert "bench.kernel.transform.forward_4x4.vectorized_s" in metrics
+    assert "bench.kernel.transform.forward_4x4_s" in registry.as_dict()
 
 
 def test_run_encode_fig3_single_cell():
@@ -77,12 +72,24 @@ def test_run_encode_fig3_single_cell():
     assert (cell["crf"], cell["refs"]) == (23, 1)
     # One cell: the slice totals are that cell's numbers, stored once
     # per level under the same two keys.
-    assert encode["backends"] == cell["backends"]
-    assert encode["backends"]["reference"] > 0
-    assert encode["speedups"]["vectorized"] == pytest.approx(
-        encode["backends"]["reference"] / encode["backends"]["vectorized"]
-    )
-    assert "bench.encode.crf23_refs1.reference_s" in registry.as_dict()
+    assert (encode["seconds"], encode["cost"]) == (cell["seconds"], cell["cost"])
+    assert encode["seconds"] > 0 and encode["cost"] > 0
+    assert "bench.encode.crf23_refs1_s" in registry.as_dict()
+
+
+def test_calibration_kernel_is_perfbench_s():
+    """Restated, not imported: the ruler is perfbench's calibration kernel
+    (the same work, so the same result)."""
+    import importlib.util
+    from pathlib import Path
+
+    from repro.bench.harness import calibration_kernel
+
+    path = Path(__file__).resolve().parents[2] / "perfbench" / "calibrate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_calibrate", path)
+    calibrate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(calibrate)
+    assert calibration_kernel() == calibrate.kernel()
 
 
 def test_kernel_bench_names_stable():
@@ -125,23 +132,24 @@ def test_render_bench_marks_dirty():
 
 def test_load_bench_rejects_wrong_schema(tmp_path):
     path = tmp_path / "bad.json"
-    for schema in ("other/v9", "repro-bench/v1"):
+    for schema in ("other/v9", "repro-bench/v1", "repro-bench/v2"):
         path.write_text(json.dumps({"schema": schema, "kernels": {}}))
-        with pytest.raises(ValueError, match="not a repro-bench/v2") as exc:
+        with pytest.raises(ValueError, match="not a repro-bench/v3") as exc:
             load_bench(path)
         assert schema in str(exc.value)
 
 
 def test_load_bench_rejects_malformed_v2(tmp_path):
+    """A malformed artifact of the current schema (the name predates v3)."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": BENCH_SCHEMA, "kernels": {}}))
-    with pytest.raises(ValueError, match="malformed repro-bench/v2"):
+    with pytest.raises(ValueError, match="malformed repro-bench/v3"):
         load_bench(path)
     # Not a ratio of two timings: NaN or -1 would pass every row, 0 would
     # crash the compare after the whole measurement.
     for bad in (float("nan"), float("inf"), 0.0, -1.0):
         payload = _fake_payload({"transform.forward_4x4": 3.0}, 3.0)
-        payload["kernels"]["transform.forward_4x4"]["speedups"]["vectorized"] = bad
+        payload["kernels"]["transform.forward_4x4"]["cost"] = bad
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="kernel:transform.forward_4x4"):
             load_bench(path)
@@ -164,48 +172,45 @@ def test_render_bench_mentions_workloads():
     payload = _fake_payload({"transform.forward_4x4": 3.5}, 3.0)
     text = render_bench(payload)
     assert "transform.forward_4x4" in text
-    assert "3.50x" in text
+    assert " 3.5\n" in text
     assert "fig3 encode slice" in text
+    assert "cost 3.00" in text
 
 
 def test_compare_no_regression():
     base = _fake_payload({"transform.forward_4x4": 3.0}, 3.0)
-    cur = _fake_payload({"transform.forward_4x4": 2.9}, 2.8, rev="def5678")
+    cur = _fake_payload({"transform.forward_4x4": 3.1}, 3.2, rev="def5678")
     report, regressions = compare_bench(cur, base)
     assert regressions == []
     assert report.splitlines()[0] == (
         "comparing def5678 against baseline abc1234 "
-        "(threshold: -25% encode, -50% kernels)"
+        "(threshold: +25% encode, +50% kernels)"
     )
     assert "no regressions" in report
 
 
 def test_compare_flags_encode_regression():
     base = _fake_payload({"transform.forward_4x4": 3.0}, 3.0)
-    cur = _fake_payload({"transform.forward_4x4": 3.0}, 2.0, rev="def5678")
+    cur = _fake_payload({"transform.forward_4x4": 3.0}, 4.0, rev="def5678")
     report, regressions = compare_bench(cur, base)
     assert regressions == ["encode:fig3-slice"]
     assert "REGRESSION" in report
 
 
 def test_compare_kernel_threshold_is_looser():
-    # A 40% kernel drop is within the doubled (50%) kernel threshold, but
-    # the same drop on the encode slice trips the 25% gate.
+    # A 40% kernel rise is within the doubled (50%) kernel threshold, but
+    # the same rise on the encode slice trips the 25% gate.
     base = _fake_payload({"transform.forward_4x4": 3.0}, 3.0)
-    cur = _fake_payload({"transform.forward_4x4": 1.8}, 3.0, rev="def5678")
+    cur = _fake_payload({"transform.forward_4x4": 4.2}, 3.0, rev="def5678")
     _, regressions = compare_bench(cur, base)
     assert regressions == []
-    cur2 = _fake_payload({"transform.forward_4x4": 1.4}, 3.0, rev="def5678")
+    cur2 = _fake_payload({"transform.forward_4x4": 4.6}, 4.2, rev="def5678")
     _, regressions2 = compare_bench(cur2, base)
-    assert regressions2 == ["kernel:transform.forward_4x4"]
+    assert regressions2 == ["encode:fig3-slice", "kernel:transform.forward_4x4"]
 
 
 def test_compare_one_sided_workloads_not_regressions():
     base = _fake_payload({"transform.forward_4x4": 3.0, "old.kernel": 2.0}, 3.0)
-    # A baseline from when a since-deleted backend recorded its ratios
-    # too: only the vectorized one is tracked, the rest is ignored.
-    base["kernels"]["old.kernel"]["speedups"] = {"vectorized": 2.0, "batched": 9.0}
-    base["encode"]["speedups"] = {"vectorized": 3.0, "batched": 9.0}
     cur = _fake_payload({"transform.forward_4x4": 3.0, "new.kernel": 1.0}, 3.0)
     report, regressions = compare_bench(cur, base)
     assert regressions == []

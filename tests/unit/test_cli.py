@@ -58,47 +58,6 @@ class TestVersionAndList:
             assert EXPERIMENT_DESCRIPTIONS[exp_id] in out
 
 
-class TestBackendsCommand:
-    def test_lists_two_backends_without_capabilities(self, capsys):
-        from repro.codec import kernels
-
-        with kernels.backend_scope("reference"):
-            assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        header, *rows = out.splitlines()
-        assert header.split() == ["backend", "description"]
-        listed = rows[:rows.index("")]
-        assert [row[2:].split()[0] for row in listed] == ["reference", "vectorized"]
-        assert listed[0].startswith("* reference")  # the active marker
-        assert listed[1].startswith("  vectorized")
-        for row, info in zip(listed, kernels.all_backends()):
-            assert info.description in row
-        assert "capabilit" not in out
-        # ... and `repro --help` promises exactly that table, nothing more.
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        usage = " ".join(capsys.readouterr().out.split())
-        assert "`repro backends` prints the two kernel backends" in usage
-        assert "`*` on the active one" in usage
-        assert "availab" not in usage
-
-    def test_env_backend_is_marked_active(self, capsys, monkeypatch):
-        # The environment reaches the subcommand through Settings.
-        monkeypatch.setenv("REPRO_KERNELS", "reference")
-        assert main(["backends"]) == 0
-        assert "\n* reference" in capsys.readouterr().out
-
-    def test_bad_env_backend_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "simd")
-        with pytest.raises(SystemExit) as exc:
-            main(["backends"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "error: unknown kernel backend 'simd'" in err
-        assert "expected one of reference, vectorized" in err
-        assert "Traceback" not in err
-
-
 class TestAllFailureHandling:
     def test_all_reports_succeeded_before_failure(self, capsys, monkeypatch):
         import repro.api.facade as facade
@@ -253,29 +212,26 @@ class TestEngineFlags:
         assert parallel.default_cache() is None
 
 
-def _v2_payload(speedup=3.0, *, rev="abc1234", dirty=False):
-    """A minimal well-formed repro-bench/v2 artifact."""
+def _v3_payload(cost=3.0, *, rev="abc1234", dirty=False):
+    """A minimal well-formed repro-bench/v3 artifact."""
     from repro.bench import BENCH_SCHEMA
 
-    times = {"reference": speedup, "vectorized": 1.0}
-    speedups = {"vectorized": speedup}
     return {
         "schema": BENCH_SCHEMA,
         "rev": rev,
         "dirty": dirty,
         "timestamp": 1000.0,
-        "quick": True,
         "host": {"python": "3", "numpy": "1", "machine": "m"},
         "kernels": {
             "transform.forward_4x4": {
-                "blocks": 64.0, "backends": times, "speedups": speedups,
+                "blocks": 64.0, "ns_per_block": 50.0,
+                "calibration_s": 0.01, "cost": cost,
             },
         },
         "encode": {
-            "width": 112, "height": 64, "n_frames": 8,
-            "cells": [{"crf": 23, "refs": 1, "backends": times,
-                       "speedups": speedups}],
-            "backends": times, "speedups": speedups,
+            "width": 112, "height": 64, "n_frames": 12,
+            "cells": [{"crf": 23, "refs": 1, "seconds": 0.03, "cost": cost}],
+            "seconds": 0.03, "cost": cost,
         },
         "metrics": {},
     }
@@ -293,14 +249,14 @@ class TestBenchGate:
 
         def run_bench(**kwargs):
             calls.append(kwargs)
-            return _v2_payload(3.0, rev="def5678")
+            return _v3_payload(3.0, rev="def5678")
 
         monkeypatch.setattr("repro.bench.run_bench", run_bench)
         return calls
 
     def _baseline(self, tmp_path, **kwargs):
         path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(_v2_payload(**kwargs)))
+        path.write_text(json.dumps(_v3_payload(**kwargs)))
         return path
 
     @pytest.mark.parametrize(
@@ -310,16 +266,16 @@ class TestBenchGate:
                                                 monkeypatch, measured):
         monkeypatch.setenv(var, str(tmp_path / "elsewhere"))
         out = tmp_path / "BENCH_now.json"
-        assert main(["bench", "--quick", "--output", str(out),
+        assert main(["bench", "--output", str(out),
                      "--compare", str(self._baseline(tmp_path))]) == 0
-        assert measured == [{"reps": 3, "quick": True}]
+        assert measured == [{"reps": 3}]
         text = capsys.readouterr().out
         assert "comparing def5678 against baseline abc1234" in text
         assert "no regressions" in text
         assert out.exists()
 
     def test_regression_exits_four(self, tmp_path, capsys, measured):
-        baseline = self._baseline(tmp_path, speedup=6.0)
+        baseline = self._baseline(tmp_path, cost=1.0)
         assert main(["bench", "--output", str(tmp_path / "B.json"),
                      "--compare", str(baseline)]) == 4
         assert "encode:fig3-slice" in capsys.readouterr().out
@@ -332,15 +288,22 @@ class TestBenchGate:
             "schema": "repro-bench/v1", "rev": "ab29421", "dirty": False,
             "kernels": {}, "e2e": {"speedup": 3.0},
         }))
+        # A speedup-ratio baseline from before the one body: its rows are
+        # not costs, so it must be re-measured, not compared.
+        v2 = tmp_path / "v2.json"
+        v2_payload = _v3_payload()
+        v2_payload["schema"] = "repro-bench/v2"
+        v2.write_text(json.dumps(v2_payload))
         nan = tmp_path / "nan.json"
-        nan.write_text(json.dumps(_v2_payload(float("nan"))))
+        nan.write_text(json.dumps(_v3_payload(float("nan"))))
         for path, complaint in [
             (dirty, "dirty tree"),
             (tmp_path / "missing.json", "missing.json"),
-            (v1, "not a repro-bench/v2"),
-            (nan, "not a finite positive ratio"),
+            (v1, "not a repro-bench/v3"),
+            (v2, "not a repro-bench/v3"),
+            (nan, "not a finite positive number"),
         ]:
-            assert main(["bench", "--quick", "--compare", str(path)]) == 1
+            assert main(["bench", "--compare", str(path)]) == 1
             assert complaint in capsys.readouterr().err
         assert measured == []
 
@@ -358,6 +321,8 @@ class TestBenchGate:
         # Fewer than three kernel repetitions is a usage error, not a
         # silently raised floor.
         ["bench", "--reps", "2"],
+        # With one body the full run is the only mode.
+        ["bench", "--quick"],
     ], ids=" ".join)
     def test_matrix_surface_is_gone(self, argv, capsys, measured):
         with pytest.raises(SystemExit) as exc:
@@ -414,12 +379,14 @@ class TestReport:
 #: checkpoint manifest (``serve`` keeps its own ``--resume``); ``bench``
 #: lost ``--matrix --matrix-out --kernels --jobs`` and the ``matrix``
 #: subcommand with the matrix compiler, then ``--history --window
-#: --drift`` with the drift gate and ``--threshold`` with them.
+#: --drift`` with the drift gate and ``--threshold`` with them, then
+#: ``--quick`` with the second codec body, which also took ``--kernels``
+#: and the ``backends`` subcommand.
 FROZEN_FLAGS = {
-    "": "--cache-dir --debug --fault-plan --jobs --kernels "
+    "": "--cache-dir --debug --fault-plan --jobs "
         "--no-cache --scale --telemetry --version "
         "experiment",
-    "bench": "--compare --output --quick --reps",
+    "bench": "--compare --output --reps",
     "cache": "--cache-dir action",
     "serve": "--budget-usd --checkpoint --count --deadline-s --fault-plan "
              "--fleet --metrics-interval --metrics-out --mix --no-control "
@@ -435,7 +402,6 @@ FROZEN_FLAGS = {
     "slo": "--spec action artifact",
     "submit": "--crf --deadline-ms --preset --priority --refs --spool clip",
     "report": "--diff --timeline artifacts",
-    "backends": "",
 }
 
 
@@ -476,6 +442,16 @@ class TestFlagSurface:
         assert exc.value.code == 2
         assert "--no-shm" in capsys.readouterr().err
 
+    def test_kernels_flag_is_an_unknown_argument(self, capsys):
+        """The backend switch is gone with no alias: ``--kernels`` is a
+        usage error like any flag that never existed."""
+        for argv in (["--kernels", "vectorized", "tab1"],
+                     ["tab1", "--kernels", "vectorized"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "unrecognized arguments: --kernels" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--checkpoint-dir", "X"], ["--resume"]])
     def test_sweep_checkpoint_flags_are_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -488,7 +464,7 @@ class TestFlagSurface:
 
         from repro.api.settings import FIELD_TABLE
         from repro.cli import add_settings_flags
-        from repro.codec.kernels import KERNEL_BACKENDS
+        from repro.service.placement import OBJECTIVES
 
         flagged = [f for f, knob in FIELD_TABLE.items() if knob.flag]
         assert set(FIELD_TABLE) - set(flagged) == {"retry"}
@@ -501,7 +477,7 @@ class TestFlagSurface:
         assert set(by_flag) == {FIELD_TABLE[f].flag for f in flagged}
         # Choices come off the live registries; absent flags parse to
         # "not given" (None, or False for the store_true ones).
-        assert by_flag["--kernels"].choices == tuple(KERNEL_BACKENDS)
+        assert by_flag["--objective"].choices == tuple(OBJECTIVES)
         assert all(a.default in (None, False) for a in by_flag.values())
         assert "$REPRO_JOBS, else 1" in by_flag["--jobs"].help
         assert "$REPRO_LOADTEST_RATE, else 8)" in by_flag["--rate"].help
