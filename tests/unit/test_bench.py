@@ -77,7 +77,7 @@ def test_run_encode_fig3_single_cell():
     assert "bench.encode.crf23_refs1_s" in registry.as_dict()
 
 
-def test_calibration_kernel_is_perfbench_s():
+def test_calibration_kernel_matches_perfbench():
     """Restated, not imported: the ruler is perfbench's calibration kernel
     (the same work, so the same result)."""
     import importlib.util
