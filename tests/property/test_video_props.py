@@ -9,7 +9,6 @@ from repro.codec.decoder import decode
 from repro.codec.encoder import encode
 from repro.codec.options import EncoderOptions
 from repro.video.frame import Frame, FrameSequence
-from repro.video.io import read_ylm, write_ylm
 from repro.video.metrics import psnr
 
 lumas_st = arrays(
@@ -40,20 +39,6 @@ class TestFrameProps:
         if np.array_equal(shifted, luma):
             return  # saturated everywhere
         assert psnr(luma, shifted) < 100.0
-
-
-class TestYlmProps:
-    @given(lumas=st.lists(lumas_st, min_size=1, max_size=4))
-    @settings(max_examples=30)
-    def test_io_roundtrip(self, lumas, tmp_path_factory):
-        # All frames must share a resolution.
-        shape = lumas[0].shape
-        frames = [np.resize(l, shape).astype(np.uint8) for l in lumas]
-        seq = FrameSequence.from_lumas(frames, fps=24.0)
-        path = tmp_path_factory.mktemp("ylm") / "clip.ylm"
-        write_ylm(path, seq)
-        back = read_ylm(path)
-        assert np.array_equal(back.lumas(), seq.lumas())
 
 
 class TestCodecRoundTripProps:

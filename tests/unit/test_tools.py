@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
+import time
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 _TOOLS = Path(__file__).resolve().parents[2] / "tools"
 
@@ -16,45 +20,83 @@ def _load(name: str):
     return module
 
 
-def test_encode_budget_stages_resolve():
-    """The tool wraps its stages by ``getattr`` when it runs; a renamed
-    stage method must fail here, not in the next person's budget run."""
-    budget = _load("encode_budget")
-    assert len(budget.STAGES) == 20
-    for label, owner, attr in budget.STAGES:
+budget = _load("budget")
+
+ROWS = {"transcode_ladder": 20, "fleet_replay": 8, "profile_grid": 23, "sweep_warm": 9}
+
+
+@pytest.mark.parametrize("workload", sorted(ROWS))
+def test_budget_stages_resolve(workload):
+    """The tool wraps its stages by ``getattr`` when it runs; a renamed stage
+    must fail here, not in the next person's stage table."""
+    table = budget.TABLES[workload]
+    assert len(table.stages) == ROWS[workload]
+    for label, owner, attr in table.stages:
         assert callable(getattr(owner, attr, None)), f"{label}: {owner!r} has no {attr}"
+    if workload == "profile_grid":  # every EncodeTrace report has a row
+        reports = {attr for _, owner, attr in table.stages if owner is budget.EncodeTrace}
+        public = {name for name in vars(budget.EncodeTrace) if not name.startswith("_")}
+        assert public - {"heap_bytes"} <= reports
+    if table.split:  # the geometry split reads (sets, ways) off arguments 3 and 4
+        owner, attr = next((o, a) for label, o, a in table.stages if label == table.split[0])
+        params = list(inspect.signature(getattr(owner, attr)).parameters)
+        assert params[2:4] == ["n_sets", "assoc"]
+    assert set(ROWS) == set(budget.TABLES)
 
 
-def test_trace_budget_stages_resolve():
-    """The same for the trace side's stage table: every ``EncodeTrace``
-    report, the per-frame batch, the recorder's appends and the seal."""
-    budget = _load("trace_budget")
-    assert len(budget.STAGES) == 23
-    for label, owner, attr, _ in budget.STAGES:
-        assert callable(getattr(owner, attr, None)), f"{label}: {owner!r} has no {attr}"
-    reports = {attr for _, owner, attr, _ in budget.STAGES if owner.__name__ == "EncodeTrace"}
-    public = {name for name in vars(budget.EncodeTrace) if not name.startswith("_")}
-    assert public - {"heap_bytes"} <= reports
+def test_budget_accounting_on_a_toy_owner(monkeypatch):
+    """Calls per row, nested inclusive times, the split by call arguments, the
+    fastest pass, one count of a marked row inside another in the outermost
+    sum, and glue + that sum = the whole pass, on a clock each toy function
+    advances by a known cost."""
+    clock = [0.0]
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
 
+    def spend(seconds: float) -> None:
+        clock[0] += seconds
 
-def test_sim_budget_stages_resolve():
-    """The same for the simulator's stage table, whose geometry split reads
-    the sets and ways off ``_lru_window``'s third and fourth arguments."""
-    budget = _load("sim_budget")
-    assert len(budget.STAGES) == 8
-    for label, owner, attr in budget.STAGES:
-        assert callable(getattr(owner, attr, None)), f"{label}: {owner!r} has no {attr}"
-    owner, attr = next(
-        (owner, attr) for label, owner, attr in budget.STAGES if label == budget.BY_GEOMETRY
+    class Toy:
+        def outer(self):  # 1 s of its own, then 2 inner calls
+            spend(1.0)
+            self.inner()
+            self.inner()
+
+        def inner(self):  # 2 s of its own, then one leaf
+            spend(2.0)
+            self.leaf(1)
+
+        def leaf(self, size):
+            spend(4.0)
+
+    toy = Toy()
+    done = [0]
+
+    def call(op):  # glue (8 s in the fastest of 3 passes), then the rows
+        spend((9.0, 8.0, 10.0)[done[0] // 4])
+        done[0] += 1
+        toy.outer()  # 13 s, its marked leaves nested
+        toy.leaf(2)  # 4 s, marked, on its own
+        toy.inner()  # 6 s, unmarked, around a marked leaf
+
+    stages = (
+        ("outer*", Toy, "outer"), ("  inner", Toy, "inner"), ("    leaf*", Toy, "leaf"),
+        ("gone", Toy, "gone"),  # a stage this checkout lacks
     )
-    params = list(inspect.signature(getattr(owner, attr)).parameters)
-    assert params[2:4] == ["n_sets", "assoc"]
+    split = ("    leaf*", lambda args: args[1])  # by leaf's size
+    table = budget.Table(stages, passes=3, repeats=2, split=split)
+    run = budget.measure(table, SimpleNamespace(ops=["a", "b"], call=call))
 
-
-def test_cache_budget_stages_resolve():
-    """The same for the warm lookup's stage table: spec build, memo key,
-    lookup, content key, entry read, JSON parse and record rebuild."""
-    budget = _load("cache_budget")
-    assert len(budget.STAGES) == 9
-    for label, owner, attr in budget.STAGES:
-        assert callable(getattr(owner, attr, None)), f"{label}: {owner!r} has no {attr}"
+    assert run.ops == 4
+    assert run.calls == {"outer*": 4, "  inner": 12, "    leaf*": 16, 1: 12, 2: 4}
+    assert run.row("gone").split()[1:] == ["0.0%", "0.0", "0.00"]
+    assert run.seconds["outer*"] == 4 * 13.0
+    assert run.seconds["  inner"] == 12 * 6.0
+    assert run.seconds["    leaf*"] == run.seconds[1] + run.seconds[2] == 16 * 4.0
+    assert run.whole == 4 * (8.0 + 13.0 + 4.0 + 6.0)
+    # outer's leaves are inside its sum; the lone leaf and the one under the
+    # unmarked inner are outermost, so each counts on its own
+    assert run.seconds[budget.OUTER] == 4 * (13.0 + 4.0 + 4.0)
+    glue = SimpleNamespace(hit_ratio=lambda: 1.0, cold=[None])
+    assert budget._glue(glue, run) == [run.row(budget.GLUE)]
+    assert run.seconds[budget.GLUE] + run.seconds[budget.OUTER] == run.whole
+    assert run.seconds[budget.GLUE] == 4 * (8.0 + 2.0)
