@@ -8,7 +8,8 @@ change the result: the repro version, the full
 :class:`~repro.codec.options.EncoderOptions`, the video spec (name and
 proxy geometry), the simulation knobs (sample rate, data-capacity
 scale), and the microarchitecture configuration. Repeat runs — across
-processes, not just within one — then cost a JSON read per point.
+processes, not just within one — then cost one JSON read per point, whose
+22 counters are one base64 block of float64s: no decimal to parse.
 
 Design points:
 
@@ -28,10 +29,11 @@ Design points:
   ``<name>.corrupt`` so it can be inspected and counted by
   ``repro cache stats`` instead of being silently overwritten. Bytes
   that are not UTF-8, a ``NaN`` / ``Infinity`` literal (the writer
-  refuses non-finite numbers) and an envelope naming another key (a file
-  copied or renamed into place) are damage too. Entries written under a
-  different schema version are plain misses (expected drift, not
-  damage).
+  refuses non-finite numbers), an envelope naming another key (a file
+  copied or renamed into place) and a sweep payload the reader refuses
+  (a coerced field, a bad counter block, a non-finite counter) are
+  damage too. Entries written under a different schema version are
+  plain misses (expected drift, not damage).
 - **Retried I/O.** Reads and writes run under the engine's
   :class:`~repro.resilience.retry.RetryPolicy`, so transient I/O errors
   (including injected ``cache.read`` / ``cache.write`` faults) are
@@ -42,11 +44,13 @@ Design points:
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,8 +73,9 @@ __all__ = [
     "record_to_payload",
 ]
 
-#: Bump to invalidate every existing cache entry (key payloads embed it).
-CACHE_SCHEMA_VERSION = 1
+#: Bump to invalidate every existing cache entry (key payloads embed it), and
+#: on any change to ``CounterSet``'s fields: a sweep entry stores them by position.
+CACHE_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -179,38 +184,35 @@ class FixedComponentKey:
 # SweepRecord <-> JSON payloads.
 # ----------------------------------------------------------------------
 
-#: CounterSet's fields in declaration (positional) order, and as a set for
-#: the schema check; read once, not per record.
+#: CounterSet's fields in declaration (positional) order, read once, and the
+#: sweep payload's counter block: their values as little-endian float64s.
 _COUNTER_NAMES = tuple(CounterSet.field_names())
-_COUNTER_NAME_SET = frozenset(_COUNTER_NAMES)
-_NUMBER_TYPES = frozenset((int, float))
+_COUNTERS = struct.Struct(f"<{len(_COUNTER_NAMES)}d")
 
 
 def record_to_payload(record: SweepRecord) -> dict[str, object]:
-    """JSON-serializable payload for one :class:`SweepRecord`."""
+    """JSON-serializable payload for one :class:`SweepRecord`; raises
+    ``ValueError`` if a counter is not finite."""
+    values = [getattr(record.counters, name) for name in _COUNTER_NAMES]
+    block = _COUNTERS.pack(*values)
+    if not all(map(math.isfinite, values)):
+        raise ValueError("every counter must be finite")
     return {
         "video": record.video,
         "crf": record.crf,
         "refs": record.refs,
         "preset": record.preset,
-        "counters": record.counters.as_dict(),
+        "counters": base64.b64encode(block).decode("ascii"),
     }
 
 
 def record_from_payload(payload: dict[str, object]) -> SweepRecord:
     """Rebuild a :class:`SweepRecord`; raises ``ValueError``/``KeyError``/
-    ``TypeError`` on any shape mismatch (callers treat that as a miss).
+    ``TypeError`` on any shape mismatch (callers treat that as damage).
 
     Nothing is coerced: ``crf`` / ``refs`` must be ``int`` (not ``bool``),
-    ``video`` / ``preset`` ``str``, and every counter a finite ``int`` or
-    ``float`` (not ``bool`` or ``str``)."""
-    counters = payload["counters"]
-    if not isinstance(counters, dict):
-        raise ValueError("counters payload must be a mapping")
-    if counters.keys() != _COUNTER_NAME_SET:
-        raise ValueError(
-            "counter fields do not match the current CounterSet schema"
-        )
+    ``video`` / ``preset`` ``str``, and ``counters`` a base64 block of
+    exactly one finite float64 per counter."""
     video, crf, refs, preset = (
         payload["video"], payload["crf"], payload["refs"], payload["preset"]
     )
@@ -220,22 +222,13 @@ def record_from_payload(payload: dict[str, object]) -> SweepRecord:
         raise TypeError(
             f"video and preset must be strings, got {video!r} and {preset!r}"
         )
-    values = [counters[name] for name in _COUNTER_NAMES]
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
-        raise TypeError("every counter must be an int or a float")
-    try:
-        values = [float(value) for value in values]
-    except OverflowError:
-        raise ValueError("a counter is out of float range") from None
+    block = base64.b64decode(payload["counters"], validate=True)
+    if len(block) != _COUNTERS.size:
+        raise ValueError(f"a counter block of {len(block)} bytes, not {_COUNTERS.size}")
+    values = _COUNTERS.unpack(block)
     if not all(map(math.isfinite, values)):
         raise ValueError("every counter must be finite")
-    return SweepRecord(
-        video=video,
-        crf=crf,
-        refs=refs,
-        preset=preset,
-        counters=CounterSet(*values),
-    )
+    return SweepRecord(video, crf, refs, preset, CounterSet(*values))
 
 
 # ----------------------------------------------------------------------
@@ -381,16 +374,23 @@ class ResultCache:
 
     # -- SweepRecord entries -------------------------------------------
     def get_record(self, key: str) -> SweepRecord | None:
+        """As :meth:`get_value`; a payload the reader refuses is damage."""
         payload = self.get_value(key)
-        if not isinstance(payload, dict):
+        if payload is None:
             return None
         try:
             return record_from_payload(payload)
         except (KeyError, TypeError, ValueError):
+            self._quarantine(self.path_for(key))
             return None
 
     def put_record(self, key: str, record: SweepRecord) -> Path:
-        return self.put_value(key, record_to_payload(record), kind="sweep")
+        """As :meth:`put_value`, which a non-finite counter fails too."""
+        try:
+            payload = record_to_payload(record)
+        except ValueError as exc:
+            raise ValueError(f"cache entry {key}: {exc}") from None
+        return self.put_value(key, payload, kind="sweep")
 
     # -- maintenance ----------------------------------------------------
     def _entry_paths(self) -> list[Path]:

@@ -7,18 +7,20 @@ Four invariants (Hypothesis-driven):
 - **Key sensitivity**: changing any single option or video-spec value
   changes the key;
 - **Round-trip**: a record survives payload serialization and a disk
-  write/read bit-for-bit;
+  write/read bit-for-bit, over every finite float64;
 - **Corruption tolerance**: truncated or garbled entries read as misses,
   never as errors or wrong records.
 """
 
 from __future__ import annotations
 
+import base64
 import math
+import struct
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.codec.options import EncoderOptions
 from repro.experiments.cache import (
@@ -124,7 +126,33 @@ class TestKeySensitivity:
 
 # -- round-trip ---------------------------------------------------------
 
+N_COUNTERS = len(CounterSet.field_names())
+
+
+def _bits(counters: CounterSet) -> bytes:
+    names = CounterSet.field_names()
+    return struct.pack(f"<{N_COUNTERS}d", *(getattr(counters, name) for name in names))
+
+
+#: Every finite float64, and the edges a decimal round trip could lose.
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+EDGES = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
 class TestRoundTrip:
+    @given(values=st.lists(any_finite, min_size=N_COUNTERS, max_size=N_COUNTERS))
+    @example(values=[EDGES[n % len(EDGES)] for n in range(N_COUNTERS)])
+    @example(values=[EDGES[(n + 1) % len(EDGES)] for n in range(N_COUNTERS)])
+    def test_counter_block_round_trip_is_bit_exact(self, values):
+        """Compared as packed bytes, not ``==``: ``-0.0 == 0.0``."""
+        record = SweepRecord("cricket", 23, 1, "medium", CounterSet(*values))
+        loaded = record_from_payload(record_to_payload(record))
+        assert _bits(loaded.counters) == _bits(record.counters)
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ResultCache(tmp)
+            cache.put_record("ab" * 32, record)
+            assert _bits(cache.get_record("ab" * 32).counters) == _bits(record.counters)
+
     @given(record=records)
     def test_payload_round_trip_is_exact(self, record):
         assert record_from_payload(record_to_payload(record)) == record
@@ -174,17 +202,28 @@ class TestCorruptionTolerance:
             path.write_text(garbage)
             assert cache.get_record(key) is None
 
-    @given(record=records)
-    @settings(max_examples=10)
-    def test_dropped_counter_field_is_a_miss(self, record):
-        """A payload written under an older CounterSet schema (missing or
-        extra fields) must read as a miss, not half-construct."""
+    @given(
+        record=records,
+        damage=st.sampled_from(["drop", "extra", "not-base64", "truncate"]),
+    )
+    @settings(max_examples=20)
+    def test_dropped_counter_field_is_a_miss(self, record, damage):
+        """A counter block of 21 or 23 values (a CounterSet with a field
+        dropped or added), or one that is not base64, reads as a miss and
+        is quarantined, never half-constructed."""
         payload = record_to_payload(record)
-        del payload["counters"]["ipc"]
+        block = base64.b64decode(payload["counters"])
+        payload["counters"] = {
+            "drop": base64.b64encode(block[:-8]).decode("ascii"),
+            "extra": base64.b64encode(block + block[:8]).decode("ascii"),
+            "not-base64": payload["counters"].replace("=", "*"),
+            "truncate": payload["counters"][:-1],
+        }[damage]
         with tempfile.TemporaryDirectory() as tmp:
             cache = ResultCache(tmp)
-            cache.put_value("0" * 64, payload, kind="sweep")
+            path = cache.put_value("0" * 64, payload, kind="sweep")
             assert cache.get_record("0" * 64) is None
+            assert path.with_suffix(".corrupt").exists()
 
     def test_missing_file_is_a_miss(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -30,10 +30,21 @@ from repro.profiling.counters import CounterSet
 from repro.uarch.configs import baseline_config
 
 #: ``PointSpec(QUICK, "cricket", crf=23, refs=1, preset="medium").cache_key()``
-#: under repro 2.0.0 and cache schema 1, as ``content_key`` built it before
-#: the key was composed. Changes only with a ``__version__`` or
+#: under repro 2.0.0 and cache schema 2, as ``content_key`` builds it (under
+#: schema 1 it was ``229668db...``). Changes only with a ``__version__`` or
 #: ``CACHE_SCHEMA_VERSION`` bump.
-GOLDEN_KEY = "229668db1050efe0a3fef12114a0c6040ae58974602d54504902d29bcc527bc7"
+GOLDEN_KEY = "1e20ebafbdcafaa9408c39d3ece6dca48c4745e31c0d68393e84d1e7c0189ec9"
+
+#: ``CounterSet``'s fields in the order a sweep entry's counter block stores
+#: them, as of cache schema 2.
+COUNTER_FIELDS = (
+    "time_seconds", "psnr_db", "bitrate_kbps",
+    "retiring", "bad_speculation", "frontend_bound", "backend_bound",
+    "memory_bound", "core_bound",
+    "branch_mpki", "l1d_mpki", "l2_mpki", "l3_mpki", "l1i_mpki", "itlb_mpki",
+    "stall_any_pki", "stall_rob_pki", "stall_rs_pki", "stall_sb_pki",
+    "cycles", "instructions", "ipc",
+)
 
 
 def _cell(scale: ExperimentScale, video: str, options: EncoderOptions) -> PointSpec:
@@ -106,12 +117,23 @@ clip_names = st.one_of(
 
 class TestSweepKey:
     def test_golden_key(self):
-        assert (repro.__version__, CACHE_SCHEMA_VERSION) == ("2.0.0", 1), (
+        assert (repro.__version__, CACHE_SCHEMA_VERSION) == ("2.0.0", 2), (
             "a version bump changes every key: re-pin GOLDEN_KEY"
         )
         spec = _cell(QUICK, "cricket", preset_options("medium", crf=23, refs=1))
         assert spec.cache_key() == GOLDEN_KEY
         assert _content_key(spec) == GOLDEN_KEY
+
+    def test_counter_block_layout_is_pinned(self):
+        """A sweep entry stores the counters by position, not by name."""
+        assert (tuple(CounterSet.field_names()), CACHE_SCHEMA_VERSION) == (
+            COUNTER_FIELDS, 2
+        ), (
+            "reordering, renaming, adding or removing a CounterSet field "
+            "changes the counter block's layout: bump CACHE_SCHEMA_VERSION, "
+            "or old entries read into the wrong fields without any error; "
+            "then re-pin COUNTER_FIELDS and GOLDEN_KEY"
+        )
 
     @given(scale=scales, video=clip_names, options=option_sets)
     def test_composed_key_is_content_key(self, scale, video, options):

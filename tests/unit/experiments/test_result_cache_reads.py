@@ -1,44 +1,73 @@
 """The result cache serves what its writer wrote, or a miss.
 
-A record is rebuilt without coercion; a number JSON cannot hold (``NaN``,
-``Infinity``) is refused on the way in and is damage on the way out; an
-entry is served only under the key its envelope names.
+A record is rebuilt without coercion from its coordinates and one base64
+block of float64 counters; a non-finite number is refused on the way in
+and is damage on the way out; a payload the reader refuses is quarantined,
+not silently overwritten; an entry is served only under the key its
+envelope names; an entry written under another schema is a plain miss.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import shutil
+import struct
 
 import pytest
 
+from repro.codec.presets import preset_options
 from repro.experiments.cache import (
+    CACHE_SCHEMA_VERSION,
     ResultCache,
     SweepRecord,
     record_from_payload,
     record_to_payload,
 )
+from repro.experiments.runner import QUICK, PointSpec, SweepRunner
 from repro.obs import telemetry_session
 from repro.profiling.counters import CounterSet
 
 KEY = "ab" * 32
 OTHER_KEY = "cd" * 32
+NAMES = CounterSet.field_names()
 RECORD = SweepRecord(
     video="cricket",
     crf=23,
     refs=1,
     preset="medium",
-    counters=CounterSet(*(0.5 + n for n in range(len(CounterSet.field_names())))),
+    counters=CounterSet(*(0.5 + n for n in range(len(NAMES)))),
 )
+
+
+def _block(values) -> str:
+    """A counter block as the writer lays it out: little-endian float64s."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def _values(**changes) -> list[float]:
+    return [changes.get(name, getattr(RECORD.counters, name)) for name in NAMES]
 
 
 def _damaged(**changes):
     payload = record_to_payload(RECORD)
-    counters = changes.pop("counters", {})
     payload.update(changes)
-    payload["counters"].update(counters)
     return payload
+
+
+#: Counter blocks the reader refuses, by what is wrong with them.
+BAD_BLOCKS = {
+    "21-values": _block(_values()[:-1]),
+    "23-values": _block(_values() + [1.0]),
+    "not-base64": "not base64!",
+    "newline": _block(_values())[:40] + "\n" + _block(_values())[40:],
+    "non-ascii": "é" + _block(_values())[1:],
+    "dict": RECORD.counters.as_dict(),  # the schema-1 layout
+    "list": _values(),
+    "number": 12.0,
+    "null": None,
+}
 
 
 class TestRecordIsNotCoerced:
@@ -50,27 +79,81 @@ class TestRecordIsNotCoerced:
         with pytest.raises(TypeError):
             record_from_payload(_damaged(**{field: value}))
 
-    @pytest.mark.parametrize("value", ["12", True, None])
-    def test_damaged_counter_is_rejected(self, value):
-        with pytest.raises(TypeError):
-            record_from_payload(_damaged(counters={"cycles": value}))
+    @pytest.mark.parametrize("block", BAD_BLOCKS.values(), ids=BAD_BLOCKS.keys())
+    def test_damaged_counter_block_is_rejected(self, block):
+        with pytest.raises((TypeError, ValueError)):
+            record_from_payload(_damaged(counters=block))
 
-    @pytest.mark.parametrize("value", [
-        float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="int-1e400"),
-    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_counter_is_rejected(self, value):
         with pytest.raises(ValueError):
-            record_from_payload(_damaged(counters={"ipc": value}))
+            record_from_payload(_damaged(counters=_block(_values(ipc=value))))
 
-    def test_int_counter_reads_as_float(self):
-        counters = record_from_payload(_damaged(counters={"instructions": 12})).counters
-        assert counters.instructions == 12.0
-        assert type(counters.instructions) is float
+    def test_counters_are_read_by_position(self):
+        record = record_from_payload(_damaged(counters=_block(_values(ipc=-0.0))))
+        assert record.counters == dataclasses.replace(RECORD.counters, ipc=-0.0)
+        assert str(record.counters.ipc) == "-0.0"
 
     def test_damaged_record_on_disk_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put_value(KEY, _damaged(crf=23.9), kind="sweep")
         assert cache.get_record(KEY) is None
+
+
+class TestRefusedRecordIsQuarantined:
+    @pytest.mark.parametrize("changes", [
+        {"crf": 23.9},
+        {"video": None},
+        {"counters": BAD_BLOCKS["21-values"]},
+        {"counters": BAD_BLOCKS["not-base64"]},
+        {"counters": BAD_BLOCKS["dict"]},
+        {"counters": _block(_values(cycles=float("nan")))},
+    ], ids=[
+        "coerced-crf", "null-video", "short-block", "bad-base64", "dict-block", "nan",
+    ])
+    def test_refused_record_is_moved_aside_not_overwritten(self, tmp_path, changes):
+        cache = ResultCache(tmp_path)
+        path = cache.put_value(KEY, _damaged(**changes), kind="sweep")
+
+        with telemetry_session() as tel:
+            assert cache.get_record(KEY) is None
+        assert tel.metrics.as_dict()["cache.quarantined"] == 1
+        assert path.with_suffix(".corrupt").exists() and not path.exists()
+
+        cache.put_record(KEY, RECORD)  # the recompute
+        assert cache.get_record(KEY) == RECORD
+        assert cache.stats().corrupt == 1
+
+    def test_schema_1_entry_is_a_plain_miss_and_is_recomputed(self, tmp_path):
+        """An entry of the old layout (counters as a dict of decimals) is
+        expected drift: a miss the sweep recomputes and overwrites, never
+        quarantined."""
+        assert CACHE_SCHEMA_VERSION == 2
+        scale = QUICK.with_updates(name="schema1", width=32, height=32, n_frames=2)
+        cache = ResultCache(tmp_path)
+        key = PointSpec(
+            scale=scale, video="cricket", crf=23, refs=1, preset="medium",
+            options=preset_options("medium", crf=23, refs=1),
+        ).cache_key()
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "cache_schema": 1, "repro_version": "2.0.0", "kind": "sweep", "key": key,
+            "payload": {"video": "cricket", "crf": 23, "refs": 1, "preset": "medium",
+                        "counters": RECORD.counters.as_dict()},
+        }), encoding="utf-8")
+
+        with telemetry_session() as tel:
+            record = SweepRunner(scale, jobs=1, cache=cache).profile(
+                "cricket", crf=23, refs=1, preset="medium"
+            )
+        metrics = tel.metrics.as_dict()
+        assert metrics["sweep.profiles"] == 1
+        assert metrics["sweep.disk_writes"] == 1
+        assert "cache.quarantined" not in metrics
+        assert cache.stats().corrupt == 0
+        assert json.loads(path.read_text(encoding="utf-8"))["cache_schema"] == 2
+        assert cache.get_record(key) == record
 
 
 class TestNonFiniteNumbers:
@@ -86,15 +169,30 @@ class TestNonFiniteNumbers:
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_literal_on_disk_is_quarantined(self, tmp_path, literal):
+        """A non-finite float64 planted in a stored counter block is damage."""
         cache = ResultCache(tmp_path)
         path = cache.put_record(KEY, RECORD)
         envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["payload"]["counters"]["ipc"] = float(literal)
+        envelope["payload"]["counters"] = _block(_values(ipc=float(literal)))
         path.write_text(json.dumps(envelope), encoding="utf-8")
-        assert literal in path.read_text(encoding="utf-8")
 
         with telemetry_session() as tel:
             assert cache.get_record(KEY) is None
+        assert tel.metrics.as_dict()["cache.quarantined"] == 1
+        assert path.with_suffix(".corrupt").exists() and not path.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_literal_is_quarantined(self, tmp_path, literal):
+        """The JSON values beside sweep records (fig8, fig9, tables) are
+        written without ``NaN`` / ``Infinity``; such a literal is damage."""
+        cache = ResultCache(tmp_path)
+        path = cache.put_value(KEY, {"score": 1.5}, kind="fig8")
+        path.write_text(
+            path.read_text(encoding="utf-8").replace("1.5", literal), encoding="utf-8"
+        )
+
+        with telemetry_session() as tel:
+            assert cache.get_value(KEY) is None
         assert tel.metrics.as_dict()["cache.quarantined"] == 1
         assert path.with_suffix(".corrupt").exists() and not path.exists()
 
