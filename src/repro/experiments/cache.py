@@ -13,13 +13,15 @@ processes, not just within one — then cost one JSON read per point, whose
 
 Design points:
 
-- **Content-hashed keys.** :func:`content_key` canonicalizes the key
-  payload (sorted keys, compact JSON, dataclasses flattened by field
-  name) before hashing, so keys are independent of dict insertion order
-  and dataclass field declaration order, and change whenever any option
-  or configuration value changes. :class:`FixedComponentKey` builds the
-  same key, byte for byte, with one component serialized once per
-  process instead of once per key (the sweep's µarch configuration).
+- **Content-hashed keys.** :func:`content_key` hashes compact JSON with
+  sorted keys, a dataclass written as one tagged list of values,
+  ``{"QualName(<sorted field names>)": [values in that order]}``. Keys
+  ignore dict insertion and field declaration order, change with any
+  value, field name or class name, and keep ``48`` / ``48.0`` apart.
+  :class:`FixedComponentKey` builds the same key, byte for byte, with one
+  component serialized once per process (the sweep's µarch configuration).
+  Schema 3 changed every key: an existing cache directory pays one cold
+  run, and ``repro cache clear`` drops its unreachable entries.
 - **Atomic writes.** Entries are written to a temp file in the target
   directory and ``os.replace``-d into place, so a crashed or concurrent
   writer can never leave a half-written entry behind.
@@ -52,6 +54,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from repro import resilience
@@ -73,9 +76,9 @@ __all__ = [
     "record_to_payload",
 ]
 
-#: Bump to invalidate every existing cache entry (key payloads embed it), and
-#: on any change to ``CounterSet``'s fields: a sweep entry stores them by position.
-CACHE_SCHEMA_VERSION = 2
+#: Bump to invalidate every cache entry (keys embed it): on a change to the key's
+#: text, or to ``CounterSet``'s fields (a sweep entry stores them by position).
+CACHE_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -103,26 +106,29 @@ class SweepRecord:
 # Canonical serialization and content-hashed keys.
 # ----------------------------------------------------------------------
 
-#: Field names per dataclass type, read once per type: walking
-#: ``dataclasses.fields`` on every nested dataclass of every key was a
-#: fifth of a key's cost.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+#: Per dataclass type, read once: its tag, ``QualName(<sorted field names>)``,
+#: and a getter of its values in that order. The C encoder pays per dict key:
+#: ``EncoderOptions`` as a dict of 20 names costs ~3x the list of its values.
+_FIELD_NAMES: dict[type, tuple] = {}
 
 
 def _jsonable(obj: object) -> object:
     cls = type(obj)
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
+    tagged = _FIELD_NAMES.get(cls)
+    if tagged is None:
         if not dataclasses.is_dataclass(cls):
             raise TypeError(f"cannot canonicalize {cls.__name__} for a cache key")
-        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
-    return {name: getattr(obj, name) for name in names}
+        names = sorted(f.name for f in dataclasses.fields(cls))
+        get = attrgetter(*names) if len(names) > 1 else lambda o: [getattr(o, n) for n in names]
+        tagged = _FIELD_NAMES[cls] = (f"{cls.__qualname__}({','.join(names)})", get)
+    tag, values = tagged
+    return {tag: values(obj)}
 
 
 def canonical_json(payload: object) -> str:
-    """Order-independent JSON: sorted keys, compact separators, and
-    dataclasses flattened field-by-name (so reordering a dataclass's
-    field declarations cannot change a key)."""
+    """Order-independent JSON: sorted keys, compact separators, and a dataclass
+    as ``{"QualName(a,b)": [a, b]}``, names sorted (so reordering its field
+    declarations cannot change a key; renaming a field or the class does)."""
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=_jsonable
     )
@@ -228,7 +234,7 @@ def record_from_payload(payload: dict[str, object]) -> SweepRecord:
     values = _COUNTERS.unpack(block)
     if not all(map(math.isfinite, values)):
         raise ValueError("every counter must be finite")
-    return SweepRecord(video, crf, refs, preset, CounterSet(*values))
+    return SweepRecord(video, crf, refs, preset, CounterSet._from_values(values))
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +252,9 @@ def default_cache_dir() -> Path:
 def _refuse_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name} in a cache entry")
 
+
+#: How :meth:`ResultCache.get_value` opens an entry (then reads it to EOF).
+_O_READ = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 
 #: Parses entries as :meth:`ResultCache.put_value` writes them: with no
 #: ``NaN`` / ``Infinity`` literal, so one on disk is damage.
@@ -301,17 +310,23 @@ class ResultCache:
         The read is retried under the engine's retry policy; a corrupt
         entry is quarantined to ``<name>.corrupt`` before reporting the
         miss."""
-        # A str path and a binary read: this runs on every warm cell, and
-        # a pathlib path plus ``read_text`` cost twice as much.
+        # A str path and a raw read: this runs on every warm cell, and a
+        # buffered ``open`` cost three times ``os.open`` / ``os.read``.
         path = os.path.join(self.root, key[:2], key + ".json")
 
         def _read() -> bytes | None:
             fault_point("cache.read", detail=key)
             try:
-                with open(path, "rb") as entry:
-                    return entry.read()
+                fd = os.open(path, _O_READ)
             except FileNotFoundError:
                 return None
+            chunks = []
+            try:
+                while chunk := os.read(fd, 1 << 16):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
+            return b"".join(chunks)
 
         try:
             data = resilience.call_with_retry(

@@ -83,3 +83,15 @@ class CounterSet:
     @staticmethod
     def field_names() -> list[str]:
         return [f.name for f in fields(CounterSet)]
+
+    @classmethod
+    def _from_values(cls, values) -> "CounterSet":
+        """``CounterSet(*values)`` for values already checked, in
+        :meth:`field_names` order: fills ``__dict__`` at once instead of 22
+        frozen ``object.__setattr__`` calls. The result cache's reader only."""
+        counters = object.__new__(cls)
+        counters.__dict__.update(zip(_FIELD_NAMES, values))
+        return counters
+
+
+_FIELD_NAMES = tuple(CounterSet.field_names())

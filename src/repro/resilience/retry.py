@@ -11,7 +11,8 @@ reproduction harness:
   backoff schedule on every run — asserted by
   ``tests/property/test_retry_props.py``.
 - **Classification.** Transient failures (injected faults, I/O errors,
-  timeouts) retry; programming errors (``ValueError`` et al.) fail
+  timeouts) retry; programming errors (``ValueError`` et al.) and
+  :data:`PERMANENT_OS_ERRORS` (a missing or unreadable path) fail
   immediately so a genuinely broken cell cannot burn the retry budget.
 
 The ``REPRO_RETRY_*`` family (``ATTEMPTS``, ``BASE_DELAY``, ``GROWTH``,
@@ -35,6 +36,7 @@ from repro.resilience.faults import InjectedFault
 
 __all__ = [
     "DEFAULT_RETRYABLE",
+    "PERMANENT_OS_ERRORS",
     "RetryPolicy",
     "call_with_retry",
 ]
@@ -42,13 +44,22 @@ __all__ = [
 _R = TypeVar("_R")
 
 #: Exception types retried by default: injected chaos plus the transient
-#: I/O family. Note ``FileNotFoundError`` is deliberately excluded — a
-#: missing cache entry is a miss, not a transient fault.
+#: I/O family, less :data:`PERMANENT_OS_ERRORS`.
 DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (
     InjectedFault,
     TimeoutError,
     ConnectionError,
     OSError,
+)
+
+#: ``OSError`` subclasses no policy retries: a path that is missing, is a
+#: directory, runs through a file or is not readable stays so, and retrying
+#: it only sleeps the backoff (a missing cache entry is a miss, not a fault).
+PERMANENT_OS_ERRORS: tuple[type[OSError], ...] = (
+    FileNotFoundError,
+    NotADirectoryError,
+    IsADirectoryError,
+    PermissionError,
 )
 
 _ENV_PREFIX = "REPRO_RETRY_"
@@ -100,7 +111,7 @@ class RetryPolicy:
 
     # ------------------------------------------------------------------
     def is_retryable(self, exc: BaseException) -> bool:
-        return isinstance(exc, self.retryable)
+        return isinstance(exc, self.retryable) and not isinstance(exc, PERMANENT_OS_ERRORS)
 
     def raw_delay(self, attempt: int) -> float:
         """Un-jittered delay after the ``attempt``-th failure (1-based):

@@ -1,11 +1,16 @@
 """Property tests for the persistent result cache.
 
-Four invariants (Hypothesis-driven):
+Five invariants (Hypothesis-driven):
 
 - **Key stability**: a content key does not depend on the order key
   components (or dataclass fields) are supplied in;
 - **Key sensitivity**: changing any single option or video-spec value
   changes the key;
+- **Key laws of the tagged form**: a dataclass keys by its class name,
+  its sorted field names and its values: declaration order is irrelevant,
+  a renamed field or class or a change in a nested dataclass is a new key,
+  and values equal in Python but not in JSON (``48`` / ``48.0``, ``True`` /
+  ``1``) key apart;
 - **Round-trip**: a record survives payload serialization and a disk
   write/read bit-for-bit, over every finite float64;
 - **Corruption tolerance**: truncated or garbled entries read as misses,
@@ -15,6 +20,7 @@ Four invariants (Hypothesis-driven):
 from __future__ import annotations
 
 import base64
+import dataclasses
 import math
 import struct
 import tempfile
@@ -26,11 +32,13 @@ from repro.codec.options import EncoderOptions
 from repro.experiments.cache import (
     ResultCache,
     SweepRecord,
+    canonical_json,
     content_key,
     record_from_payload,
     record_to_payload,
 )
 from repro.profiling.counters import CounterSet
+from repro.uarch.configs import baseline_config
 
 # -- strategies ---------------------------------------------------------
 
@@ -122,6 +130,60 @@ class TestKeySensitivity:
         assert content_key("sweep", options=options) != content_key(
             "fig8", options=options
         )
+
+
+def _toy(name: str, *fields: str) -> type:
+    """A frozen dataclass ``name`` declaring ``fields`` in that order."""
+    return dataclasses.make_dataclass(name, [(f, object) for f in fields], frozen=True)
+
+
+Toy = _toy("Toy", "alpha", "beta", "gamma")
+toy_values = st.one_of(
+    st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8), st.booleans(), st.none(),
+)
+
+
+class TestKeyLaws:
+    """What the tagged form ``{"QualName(<sorted names>)": [values]}`` keys by."""
+
+    @given(values=st.tuples(toy_values, toy_values, toy_values))
+    def test_declaration_order_is_irrelevant(self, values):
+        shuffled = _toy("Toy", "gamma", "alpha", "beta")
+        named = dict(zip(("alpha", "beta", "gamma"), values))
+        assert content_key("x", toy=Toy(**named)) == content_key("x", toy=shuffled(**named))
+
+    @given(values=st.tuples(toy_values, toy_values, toy_values))
+    def test_renaming_a_field_or_the_class_changes_the_key(self, values):
+        key = content_key("x", toy=Toy(*values))
+        assert key != content_key("x", toy=_toy("Toy", "alpha", "beta", "delta")(*values))
+        assert key != content_key("x", toy=_toy("Tox", "alpha", "beta", "gamma")(*values))
+        assert key != content_key("x", toy=_toy("Toy", "alpha", "beta", "gamma", "eps")(
+            *values, None
+        ))
+
+    @given(
+        level=st.sampled_from(["l1d", "l1i", "l2", "l3"]),
+        field=st.sampled_from(["size_bytes", "assoc", "line_bytes", "latency"]),
+    )
+    def test_a_change_inside_a_nested_dataclass_changes_the_key(self, level, field):
+        config = baseline_config()
+        params = getattr(config, level)
+        bumped = params.size_bytes * 2 if field == "size_bytes" else getattr(params, field) * 2
+        changed = config.with_updates(**{level: dataclasses.replace(params, **{field: bumped})})
+        assert content_key("x", config=config) != content_key("x", config=changed)
+
+    def test_values_are_a_list_for_any_field_count(self):
+        assert canonical_json(_toy("Zero")()) == '{"Zero()":[]}'
+        assert canonical_json(_toy("One", "a")([1])) == '{"One(a)":[[1]]}'
+        assert canonical_json(Toy(1, 2.0, "3")) == '{"Toy(alpha,beta,gamma)":[1,2.0,"3"]}'
+
+    @given(x=st.integers(min_value=-2**53, max_value=2**53))
+    def test_equal_values_that_serialize_apart_key_apart(self, x):
+        assert x == float(x)
+        assert content_key("x", toy=Toy(x, 0, 0)) != content_key("x", toy=Toy(float(x), 0, 0))
+        assert content_key("x", toy=Toy(True, 0, 0)) != content_key("x", toy=Toy(1, 0, 0))
+        assert content_key("x", toy=Toy(False, 0, 0)) != content_key("x", toy=Toy(0, 0, 0))
 
 
 # -- round-trip ---------------------------------------------------------

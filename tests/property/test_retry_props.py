@@ -10,6 +10,9 @@ plans (Hypothesis-driven):
   function exactly ``min(failures + 1, max_attempts)`` times for
   retryable failures, exactly once for fatal ones, and sleeps exactly
   the policy's schedule prefix between attempts.
+- **Classification**: transient faults retry; programming errors and
+  the permanent ``OSError`` subclasses (a missing, mistyped or unreadable
+  path) do not, under every policy.
 - **Fault-plan round-trips**: ``parse_fault_plan(format_fault_plan(p))``
   is the identity on well-formed plans, and malformed plan strings raise
   ``ValueError`` rather than installing silently-wrong chaos.
@@ -26,7 +29,7 @@ from repro.resilience.faults import (
     format_fault_plan,
     parse_fault_plan,
 )
-from repro.resilience.retry import RetryPolicy, call_with_retry
+from repro.resilience.retry import PERMANENT_OS_ERRORS, RetryPolicy, call_with_retry
 
 # -- strategies ---------------------------------------------------------
 
@@ -208,6 +211,46 @@ class TestAttemptCounts:
             == 42
         )
         assert slept == []
+
+
+#: Exceptions by whether the default policy retries them.
+CLASSIFICATION = [
+    (InjectedFault("chaos"), True),
+    (TimeoutError(), True),
+    (ConnectionError(), True),
+    (ConnectionResetError(), True),
+    (OSError(), True),
+    (OSError(5, "I/O error"), True),
+    (FileNotFoundError(), False),
+    (NotADirectoryError(), False),
+    (IsADirectoryError(), False),
+    (PermissionError(), False),
+    (ValueError(), False),
+    (KeyError("k"), False),
+    (RuntimeError(), False),
+]
+
+
+class TestClassification:
+    @pytest.mark.parametrize(
+        "exc, retryable", CLASSIFICATION, ids=[type(e).__name__ for e, _ in CLASSIFICATION]
+    )
+    def test_default_classification_table(self, exc, retryable):
+        assert RetryPolicy().is_retryable(exc) is retryable
+
+    @given(policy=policies, exc=st.sampled_from(PERMANENT_OS_ERRORS))
+    def test_permanent_os_errors_fail_at_once_under_any_policy(self, policy, exc):
+        calls = 0
+        slept: list[float] = []
+
+        def missing():
+            nonlocal calls
+            calls += 1
+            raise exc("permanent")
+
+        with pytest.raises(exc):
+            call_with_retry(missing, policy=policy, sleeper=slept.append)
+        assert calls == 1 and slept == []
 
 
 # -- fault-plan round-trips --------------------------------------------

@@ -30,13 +30,13 @@ from repro.profiling.counters import CounterSet
 from repro.uarch.configs import baseline_config
 
 #: ``PointSpec(QUICK, "cricket", crf=23, refs=1, preset="medium").cache_key()``
-#: under repro 2.0.0 and cache schema 2, as ``content_key`` builds it (under
-#: schema 1 it was ``229668db...``). Changes only with a ``__version__`` or
-#: ``CACHE_SCHEMA_VERSION`` bump.
-GOLDEN_KEY = "1e20ebafbdcafaa9408c39d3ece6dca48c4745e31c0d68393e84d1e7c0189ec9"
+#: under repro 2.0.0 and cache schema 3, as ``content_key`` builds it (under
+#: schema 1 it was ``229668db...``, under schema 2 ``1e20ebaf...``). Changes
+#: only with a ``__version__`` or ``CACHE_SCHEMA_VERSION`` bump.
+GOLDEN_KEY = "3abbb449b68bafbeeccec97fbd711589824d49f58ce7a448d537fd8c20a5741b"
 
 #: ``CounterSet``'s fields in the order a sweep entry's counter block stores
-#: them, as of cache schema 2.
+#: them, as of cache schema 2 (unchanged in schema 3).
 COUNTER_FIELDS = (
     "time_seconds", "psnr_db", "bitrate_kbps",
     "retiring", "bad_speculation", "frontend_bound", "backend_bound",
@@ -117,7 +117,7 @@ clip_names = st.one_of(
 
 class TestSweepKey:
     def test_golden_key(self):
-        assert (repro.__version__, CACHE_SCHEMA_VERSION) == ("2.0.0", 2), (
+        assert (repro.__version__, CACHE_SCHEMA_VERSION) == ("2.0.0", 3), (
             "a version bump changes every key: re-pin GOLDEN_KEY"
         )
         spec = _cell(QUICK, "cricket", preset_options("medium", crf=23, refs=1))
@@ -127,7 +127,7 @@ class TestSweepKey:
     def test_counter_block_layout_is_pinned(self):
         """A sweep entry stores the counters by position, not by name."""
         assert (tuple(CounterSet.field_names()), CACHE_SCHEMA_VERSION) == (
-            COUNTER_FIELDS, 2
+            COUNTER_FIELDS, 3
         ), (
             "reordering, renaming, adding or removing a CounterSet field "
             "changes the counter block's layout: bump CACHE_SCHEMA_VERSION, "

@@ -5,6 +5,8 @@ block of float64 counters; a non-finite number is refused on the way in
 and is damage on the way out; a payload the reader refuses is quarantined,
 not silently overwritten; an entry is served only under the key its
 envelope names; an entry written under another schema is a plain miss.
+An entry is read whole, through raw descriptors that a failed read closes;
+a path that cannot become readable is a miss at once, not after backoff.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import os
 import shutil
 import struct
+import time
 
 import pytest
 
@@ -128,7 +132,7 @@ class TestRefusedRecordIsQuarantined:
         """An entry of the old layout (counters as a dict of decimals) is
         expected drift: a miss the sweep recomputes and overwrites, never
         quarantined."""
-        assert CACHE_SCHEMA_VERSION == 2
+        assert CACHE_SCHEMA_VERSION == 3
         scale = QUICK.with_updates(name="schema1", width=32, height=32, n_frames=2)
         cache = ResultCache(tmp_path)
         key = PointSpec(
@@ -152,7 +156,7 @@ class TestRefusedRecordIsQuarantined:
         assert metrics["sweep.disk_writes"] == 1
         assert "cache.quarantined" not in metrics
         assert cache.stats().corrupt == 0
-        assert json.loads(path.read_text(encoding="utf-8"))["cache_schema"] == 2
+        assert json.loads(path.read_text(encoding="utf-8"))["cache_schema"] == 3
         assert cache.get_record(key) == record
 
 
@@ -226,3 +230,99 @@ class TestEntryUnderItsOwnKey:
         path.write_bytes(b'{"payload": "\xff"}')
         assert cache.get_record(KEY) is None
         assert path.with_suffix(".corrupt").exists()
+
+
+class TestRawRead:
+    @staticmethod
+    def _entry_of_size(cache, key, size):
+        """A ``put_value`` whose entry file is exactly ``size`` bytes."""
+        overhead = cache.put_value(key, "").stat().st_size
+        payload = "x" * (size - overhead)
+        path = cache.put_value(key, payload)
+        assert path.stat().st_size == size
+        return payload
+
+    @pytest.mark.parametrize("size", [65_535, 65_536, 65_537])
+    def test_entries_around_one_read_round_trip(self, tmp_path, size):
+        cache = ResultCache(tmp_path)
+        payload = self._entry_of_size(cache, KEY, size)
+        assert cache.get_value(KEY) == payload
+
+    def test_a_fig_sized_payload_round_trips(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        payload = {
+            "rows": [
+                {"crf": crf, "refs": refs, "ipc": crf / (refs + 0.3), "label": f"c{crf}r{refs}"}
+                for crf in range(52) for refs in range(1, 65)
+            ],
+        }
+        path = cache.put_value(KEY, payload, kind="fig8")
+        assert 180 * 1024 < path.stat().st_size < 256 * 1024
+        assert cache.get_value(KEY) == payload
+
+    def test_a_truncated_large_entry_is_quarantined(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        self._entry_of_size(cache, KEY, 65_537)
+        path = cache.path_for(KEY)
+        path.write_bytes(path.read_bytes()[:65_536])
+
+        with telemetry_session() as tel:
+            assert cache.get_value(KEY) is None
+        assert tel.metrics.as_dict()["cache.quarantined"] == 1
+        assert path.with_suffix(".corrupt").exists() and not path.exists()
+
+    def test_a_read_error_closes_its_descriptor(self, tmp_path):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to count descriptors in")
+        cache = ResultCache(tmp_path)
+        cache.path_for(KEY).mkdir(parents=True)  # opens, then fails to read
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(8):
+            assert cache.get_value(KEY) is None
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+class TestPermanentReadErrors:
+    """A path that no retry can make readable is a miss at once."""
+
+    @pytest.mark.parametrize("layout", ["entry-is-a-directory", "shard-is-a-file"])
+    def test_broken_layout_is_a_miss_without_backoff(self, tmp_path, monkeypatch, layout):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        cache = ResultCache(tmp_path)
+        if layout == "entry-is-a-directory":
+            cache.path_for(KEY).mkdir(parents=True)
+        else:
+            (tmp_path / KEY[:2]).write_text("not a directory", encoding="utf-8")
+
+        with telemetry_session() as tel:
+            assert cache.get_value(KEY) is None
+            assert cache.get_record(KEY) is None
+        metrics = tel.metrics.as_dict()
+        assert metrics["cache.read_giveups"] == 2
+        assert "retry.retries" not in metrics
+        assert "cache.quarantined" not in metrics
+        assert sleeps == []
+
+
+class TestFastBuiltCounters:
+    VALUES = tuple(0.5 + n for n in range(len(NAMES)))
+
+    def test_equals_the_constructor_field_for_field(self):
+        fast = CounterSet._from_values(self.VALUES)
+        built = CounterSet(*self.VALUES)
+        assert fast == built and hash(fast) == hash(built)
+        assert [getattr(fast, name) for name in NAMES] == list(self.VALUES)
+        assert fast.as_dict() == built.as_dict()
+        assert type(fast) is CounterSet
+
+    def test_is_frozen(self):
+        fast = CounterSet._from_values(self.VALUES)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.ipc = 1.0
+
+    def test_the_reader_builds_it(self):
+        record = record_from_payload(record_to_payload(RECORD))
+        assert record == RECORD and hash(record) == hash(RECORD)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.counters.cycles = 0.0

@@ -22,7 +22,7 @@ def _load(name: str):
 
 budget = _load("budget")
 
-ROWS = {"transcode_ladder": 20, "fleet_replay": 8, "profile_grid": 23, "sweep_warm": 9}
+ROWS = {"transcode_ladder": 20, "fleet_replay": 8, "profile_grid": 23, "sweep_warm": 10}
 
 
 @pytest.mark.parametrize("workload", sorted(ROWS))

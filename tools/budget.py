@@ -163,13 +163,15 @@ TABLES = {
         ("simulate (first)", simulator, "simulate"),
     )),
     # A warm lookup of 50 cells (the preset ladder calls preset_options before
-    # _spec too); the glue is everything outside the ``*`` rows.
+    # _spec too); the glue is everything outside the ``*`` rows. The key's
+    # serialization of the options is ``canonical_json``; the rest, one sha256.
     "sweep_warm": Table(passes=7, repeats=20, extra=_glue, stages=(
         ("SweepRunner._spec*", runner.SweepRunner, "_spec"),
         ("  preset_options*", runner, "preset_options"),
         ("PointSpec.memo_key*", runner.PointSpec, "memo_key"),
         ("SweepRunner._lookup*", runner.SweepRunner, "_lookup"),
         ("  PointSpec.cache_key*", runner.PointSpec, "cache_key"),
+        ("    canonical_json*", result_cache, "canonical_json"),
         ("  ResultCache.get_record*", result_cache.ResultCache, "get_record"),
         ("    ResultCache.get_value*", result_cache.ResultCache, "get_value"),
         ("      JSONDecoder.decode*", json.JSONDecoder, "decode"),
