@@ -6,7 +6,12 @@ Public API surface
 - :mod:`repro.api` — **the blessed facade**: typed requests/results, the
   consolidated :class:`~repro.api.Settings`, and one entry point per
   workflow (encode, profile, sweep, schedule, serve);
-- :mod:`repro.service` — the long-lived transcoding job service;
+- :mod:`repro.service` — the long-lived transcoding job service
+  (:mod:`~repro.service.service`, :mod:`~repro.service.fleetcompare`,
+  ...; the package re-exports nothing);
+- :mod:`repro.loadgen` — open-loop load generation on the service
+  (:mod:`~repro.loadgen.driver`, :mod:`~repro.loadgen.arrivals`,
+  :mod:`~repro.loadgen.mixes`; the package re-exports nothing);
 - :mod:`repro.video` — frames, synthetic vbench stand-ins, quality metrics;
 - :mod:`repro.codec` — the x264-style encoder/decoder and the ten presets;
 - :mod:`repro.ffmpeg` — the transcode pipeline and CLI facade;
@@ -14,7 +19,9 @@ Public API surface
 - :mod:`repro.uarch` — the Sniper-style µarch simulator and Table IV configs;
 - :mod:`repro.profiling` — VTune/perf-style profiling over the simulator;
 - :mod:`repro.optim` — AutoFDO and Graphite compiler-optimization models;
-- :mod:`repro.scheduling` — the smart-scheduler case study;
+- :mod:`repro.scheduling` — the smart-scheduler case study
+  (:mod:`~repro.scheduling.casestudy`, :mod:`~repro.scheduling.task`,
+  ...; the package re-exports nothing);
 - :mod:`repro.experiments` — one module per paper table/figure.
 
 Quickstart::

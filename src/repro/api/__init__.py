@@ -41,8 +41,8 @@ from repro.api.types import (
 
 #: Lazily re-exported symbols: name -> (module, attribute). Lazy so the
 #: typed records stay leaf imports — the service layer imports
-#: ``repro.api.types`` while the facade imports the service layer, and
-#: eager package imports here would close that cycle.
+#: ``repro.api.types``, and eager imports of it here would close that
+#: cycle — and so ``import repro.api`` loads no workflow's stack.
 _LAZY_EXPORTS = {
     "encode": ("repro.api.facade", "encode"),
     "fleet_compare": ("repro.api.facade", "fleet_compare"),

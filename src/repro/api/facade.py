@@ -30,19 +30,18 @@ import time
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from repro.api.settings import Settings
 from repro.api.types import TranscodeRequest, TranscodeResult
-from repro.loadgen.driver import LoadtestReport, LoadtestSpec, run_loadtest
 from repro.profiling.perf import ProfileResult, profile_transcode
-from repro.scheduling.casestudy import CaseStudyResult, run_case_study
 from repro.scheduling.task import TABLE_III_TASKS, TranscodeTask
-from repro.service.service import (
-    ServiceConfig,
-    ServiceReport,
-    run_service,
-)
 from repro.video.vbench import load_video
+
+if TYPE_CHECKING:
+    from repro.loadgen.driver import LoadtestReport, LoadtestSpec
+    from repro.scheduling.casestudy import CaseStudyResult
+    from repro.service.service import ServiceConfig, ServiceReport
 
 __all__ = [
     "encode",
@@ -264,6 +263,8 @@ def schedule(
     """Run the batch scheduler case study (paper §V / Fig. 9): simulate
     every task on the baseline and all Table IV variants, then evaluate
     the random / smart / best schedulers."""
+    from repro.scheduling.casestudy import run_case_study
+
     return run_case_study(
         tasks,
         width=width,
@@ -288,8 +289,9 @@ def serve(
 ) -> ServiceReport:
     """Run one synchronous pass of the transcoding job service.
 
-    Submits ``requests`` to a :class:`~repro.service.TranscodeService`
-    built from ``config``, drains it, and (by default) re-runs the same
+    Submits ``requests`` to a
+    :class:`~repro.service.service.TranscodeService` built from
+    ``config``, drains it, and (by default) re-runs the same
     submissions under the random-placement control so the report carries
     the serving-mode smart-vs-random margin. With ``telemetry_dir`` the
     pass runs under a telemetry session and exports run artifacts with
@@ -304,6 +306,8 @@ def serve(
       / ``slo.json`` snapshots every ``metrics_interval`` seconds while
       the service drains (plus a final flush).
     """
+    from repro.service.service import ServiceConfig, run_service
+
     if settings is not None:
         settings.apply()
         if slo_spec is None:
@@ -354,7 +358,7 @@ def loadtest(
     duration, and workload mix. Each rate runs as one leg on a fresh
     :class:`~repro.service.service.TranscodeService` over a virtual
     clock, so even multi-minute scenarios finish in wall milliseconds —
-    see :func:`repro.loadgen.run_loadtest` for the mechanics.
+    see :func:`repro.loadgen.driver.run_loadtest` for the mechanics.
 
     With ``telemetry_dir`` the run exports artifacts under
     ``experiment: "loadtest"``; the offered/admitted/shed accounting and
@@ -363,6 +367,8 @@ def loadtest(
     ``settings`` > off) adds the evaluated verdict to the ``slo``
     section, where ``repro slo check`` gates on it.
     """
+    from repro.loadgen.driver import LoadtestSpec, run_loadtest
+
     if settings is not None:
         settings.apply()
         if slo_spec is None:
@@ -399,9 +405,9 @@ def fleet_compare(
 ):
     """Compare heterogeneous fleets on one workload, smart vs. random.
 
-    Runs :func:`repro.service.run_fleet_compare` — the serving-mode
-    analogue of the cited papers' per-instance-type cost tables — over
-    ``fleets`` (default: the shipped
+    Runs :func:`repro.service.fleetcompare.run_fleet_compare` — the
+    serving-mode analogue of the cited papers' per-instance-type cost
+    tables — over ``fleets`` (default: the shipped
     :data:`~repro.service.fleetcompare.EXAMPLE_FLEETS`), under the
     chosen Pareto ``objective`` (``min-cost`` under ``deadline_s``, or
     ``min-latency`` under a per-core ``budget_usd`` $/hour). With

@@ -19,6 +19,13 @@ the built-in defaults, ``Settings.from_env().apply()`` the environment;
 a library caller that applies nothing runs the defaults. Fields no
 subsystem holds (the service and loadtest knobs) are read off the
 resolved record by the command that owns them.
+
+A field is validated by the command that reads it, before that command
+does any work: ``Settings`` itself checks only what :meth:`apply`
+installs (``jobs``, ``fault_plan``), while ``ServiceConfig`` checks the
+objective and fleet and ``LoadtestSpec`` the arrival process, mix, rates
+and duration. So a bad service or load-test value never fails a sweep,
+and this module imports nothing from the service or load-test stack.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro._util import check_positive, truthy
+from repro._util import truthy
 from repro.resilience.retry import RetryPolicy
 
 __all__ = ["ENV_VARS", "FIELD_TABLE", "Knob", "Settings"]
@@ -127,13 +134,6 @@ ENV_VARS = {knob.env: knob.field for knob in _ROWS if knob.env}
 _BY_KWARG = {**FIELD_TABLE, **{k.dest: k for k in _ROWS if k.negated}}
 
 
-def _require(what: str, value: str, names) -> None:
-    if value not in names:
-        raise ValueError(
-            f"unknown {what} {value!r}; choose from {', '.join(names)}"
-        )
-
-
 @dataclass(frozen=True)
 class Settings:
     """Every process-wide knob, fully resolved.
@@ -158,30 +158,14 @@ class Settings:
     objective: str = "throughput"
 
     def __post_init__(self) -> None:
-        from repro.loadgen.arrivals import ARRIVAL_KINDS
-        from repro.loadgen.mixes import MIXES
-        from repro.service.placement import OBJECTIVES
-
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        _require("arrival process", self.loadtest_arrivals, ARRIVAL_KINDS)
-        _require("workload mix", self.loadtest_mix, sorted(MIXES))
-        _require("objective", self.objective, OBJECTIVES)
-        if not self.loadtest_rate or any(r <= 0 for r in self.loadtest_rate):
-            raise ValueError(
-                f"loadtest rates must be > 0, got {self.loadtest_rate}"
-            )
-        check_positive("loadtest duration", self.loadtest_duration)
-        # Plans and fleet specs are parsed eagerly so a bad one fails at
-        # resolve time, not at the first fault point deep inside a sweep.
+        # A plan is parsed eagerly so a bad one fails at resolve time,
+        # not at the first fault point deep inside a sweep.
         if self.fault_plan:
             from repro.resilience.faults import parse_fault_plan
 
             parse_fault_plan(self.fault_plan)
-        if self.fleet is not None:
-            from repro.service.workers import parse_fleet_spec
-
-            parse_fleet_spec(self.fleet)
 
     @classmethod
     def from_env(cls) -> "Settings":

@@ -642,7 +642,7 @@ def _fleet_compare_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from repro.api import fleet_compare
-    from repro.service import FleetDef
+    from repro.service.fleetcompare import FleetDef
 
     settings = _resolve_settings(parser, args).apply()
 

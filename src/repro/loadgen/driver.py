@@ -74,6 +74,10 @@ class LoadtestSpec:
             raise ValueError(
                 f"duration must be > 0 s, got {self.duration_s}"
             )
+        # Unknown names fail here, through the owners' own lookups, so a
+        # bad spec is refused before any leg runs.
+        self.process(self.rates[0])
+        self.workload()
 
     def process(self, rate: float) -> ArrivalProcess:
         """The arrival process for one leg at ``rate`` req/s."""

@@ -7,34 +7,10 @@ recovers most of the oracle scheduler's benefit. This package implements
 the paper's case study: the four Table III tasks, the four Table IV
 configuration variants, and the random / smart / best schedulers of
 Figure 9.
+
+Import each name from the submodule that owns it (``task``,
+``affinity``, ``schedulers``, ``casestudy``, ``adaptive``); the package
+re-exports nothing, so importing a task does not load the scipy solver.
 """
 
-from repro.scheduling.adaptive import (
-    OperatingPoint,
-    pareto_frontier,
-    select_for_bandwidth,
-    select_for_deadline,
-)
-from repro.scheduling.casestudy import CaseStudyResult, run_case_study
-from repro.scheduling.schedulers import (
-    Assignment,
-    BestScheduler,
-    RandomScheduler,
-    SmartScheduler,
-)
-from repro.scheduling.task import TABLE_III_TASKS, TranscodeTask
-
-__all__ = [
-    "TranscodeTask",
-    "TABLE_III_TASKS",
-    "Assignment",
-    "RandomScheduler",
-    "SmartScheduler",
-    "BestScheduler",
-    "run_case_study",
-    "CaseStudyResult",
-    "OperatingPoint",
-    "pareto_frontier",
-    "select_for_bandwidth",
-    "select_for_deadline",
-]
+__all__: list[str] = []

@@ -29,69 +29,10 @@ Pieces:
 - :mod:`repro.service.fleetcompare` — the heterogeneous-fleet
   comparison driver behind ``repro fleet-compare``.
 
-Use through :func:`repro.api.serve` / ``repro serve`` rather than
-directly; the facade adds telemetry artifacts around a run.
+Import each name from the submodule above that owns it; the package
+re-exports nothing, so a caller loads only the pieces it uses. Use
+through :func:`repro.api.serve` / ``repro serve`` rather than directly;
+the facade adds telemetry artifacts around a run.
 """
 
-from repro.service.clock import Clock, VirtualClock, WallClock
-from repro.service.fleetcompare import (
-    EXAMPLE_FLEETS,
-    FleetCompareReport,
-    FleetDef,
-    FleetResult,
-    run_fleet_compare,
-)
-from repro.service.jobs import Job
-from repro.service.placement import (
-    OBJECTIVES,
-    PLACEMENT_POLICIES,
-    RandomPlacement,
-    SmartPlacement,
-    make_policy,
-)
-from repro.service.queue import BoundedJobQueue, QueueFullError
-from repro.service.report import ServiceReport
-from repro.service.service import (
-    ServiceConfig,
-    TranscodeService,
-    run_service,
-    table3_requests,
-)
-from repro.service.workers import (
-    DEFAULT_FLEET,
-    DEFAULT_RATE_PER_HOUR,
-    FleetEntry,
-    Worker,
-    WorkerFleet,
-    parse_fleet_spec,
-)
-
-__all__ = [
-    "BoundedJobQueue",
-    "Clock",
-    "DEFAULT_FLEET",
-    "DEFAULT_RATE_PER_HOUR",
-    "EXAMPLE_FLEETS",
-    "FleetCompareReport",
-    "FleetDef",
-    "FleetEntry",
-    "FleetResult",
-    "Job",
-    "OBJECTIVES",
-    "PLACEMENT_POLICIES",
-    "QueueFullError",
-    "RandomPlacement",
-    "ServiceConfig",
-    "ServiceReport",
-    "SmartPlacement",
-    "TranscodeService",
-    "VirtualClock",
-    "WallClock",
-    "Worker",
-    "WorkerFleet",
-    "make_policy",
-    "parse_fleet_spec",
-    "run_fleet_compare",
-    "run_service",
-    "table3_requests",
-]
+__all__: list[str] = []

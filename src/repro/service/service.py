@@ -154,7 +154,7 @@ class ServiceConfig:
         its ``fleet`` spec parsed (unset: the default fleet), its
         ``objective`` — with the per-run ``fields`` on top and
         :data:`QUICK_SIZING` proxy clips under ``quick``."""
-        if settings.fleet:
+        if settings.fleet is not None:
             fields["fleet"] = parse_fleet_spec(settings.fleet)
         sizing = QUICK_SIZING if quick else {}
         return cls(objective=settings.objective, **{**sizing, **fields})  # type: ignore[arg-type]

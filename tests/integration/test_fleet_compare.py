@@ -28,12 +28,9 @@ from repro.api import ServiceConfig, table3_requests
 from repro.cli import main
 from repro.service.clock import VirtualClock
 from repro.obs import diff_runs, load_run, render_run
-from repro.service import (
-    EXAMPLE_FLEETS,
-    TranscodeService,
-    parse_fleet_spec,
-    run_fleet_compare,
-)
+from repro.service.fleetcompare import EXAMPLE_FLEETS, run_fleet_compare
+from repro.service.service import TranscodeService
+from repro.service.workers import parse_fleet_spec
 
 #: Proxy sizing shared with the service/loadtest integration tests.
 QUICK = dict(width=48, height=32, n_frames=4)

@@ -28,7 +28,7 @@ import pytest
 
 from repro.api import ServiceConfig, loadtest
 from repro.cli import main
-from repro.loadgen import LoadtestSpec, run_loadtest
+from repro.loadgen.driver import LoadtestSpec, run_loadtest
 from repro.obs import load_run, telemetry_session
 
 #: Proxy sizing shared with the service integration tests.
@@ -217,7 +217,8 @@ class TestOneAdvanceRule:
         # postponed job 2 to the 250 ms arrival (queue_wait 125 ms); in
         # real time the dispatch happens when the cheap worker frees up.
         from repro.loadgen import driver
-        from repro.service import TranscodeService, parse_fleet_spec
+        from repro.service.service import TranscodeService
+        from repro.service.workers import parse_fleet_spec
 
         created = []
 

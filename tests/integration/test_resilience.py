@@ -16,11 +16,11 @@ import pytest
 from repro import resilience
 from repro.experiments.cache import ResultCache, record_to_payload
 from repro.experiments.runner import QUICK, SweepFailure, SweepRunner
-from repro.loadgen import LoadtestSpec, run_loadtest
+from repro.loadgen.driver import LoadtestSpec, run_loadtest
 from repro.obs import telemetry_session
 from repro.resilience import RetryPolicy
 from repro.resilience.faults import InjectedFault
-from repro.service import ServiceConfig
+from repro.service.service import ServiceConfig
 
 #: QUICK proxy geometry with a trimmed grid — four cells exercise the
 #: parallel, retry, and cache-resume paths as well as 24 would.

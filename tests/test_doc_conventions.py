@@ -3,7 +3,11 @@
 Every module must carry a module docstring and an explicit ``__all__``,
 and every ``__all__`` entry must resolve to a real attribute — the
 public surface documented in docs/ARCHITECTURE.md is generated from
-these, so a drifting ``__all__`` is a docs bug, not just style.
+these, so a drifting ``__all__`` is a docs bug, not just style. A
+package ``__init__`` that re-exports nothing declares an empty one.
+
+The layering contract checks that resolving the configuration loads
+neither the service and load-test stack nor scipy.
 
 The docs-drift audit at the bottom holds docs/CONFIGURATION.md to the
 same standard, row by row against ``repro.api.settings.FIELD_TABLE``:
@@ -15,7 +19,11 @@ renamed or re-flagged in the table but not in the doc fails the suite.
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -52,7 +60,16 @@ def test_module_declares_all(name):
     mod = importlib.import_module(name)
     exported = getattr(mod, "__all__", None)
     assert exported is not None, f"{name} does not declare __all__"
-    assert exported, f"{name} declares an empty __all__"
+    if not exported:
+        # Only a package may export nothing, and then it must define
+        # nothing public besides its submodules.
+        assert hasattr(mod, "__path__"), f"{name} declares an empty __all__"
+        public = [
+            entry for entry, value in vars(mod).items()
+            if not entry.startswith("_")
+            and not isinstance(value, types.ModuleType)
+        ]
+        assert not public, f"{name} exports nothing but defines {public}"
     assert len(exported) == len(set(exported)), f"{name} has duplicate __all__ entries"
 
 
@@ -260,3 +277,33 @@ def test_session_runs_under_the_environments_settings():
     from repro.experiments import parallel
 
     assert parallel.default_jobs() == Settings.from_env().jobs
+
+
+_LAYERING_PROBE = """
+import sys
+import repro.cli, repro.api.facade
+from repro.api.settings import Settings
+Settings.from_env()
+print("\\n".join(sorted(sys.modules)))
+"""
+
+
+def test_resolving_settings_loads_no_service_stack():
+    """`import repro.cli, repro.api.facade` plus `Settings.from_env()`
+    in a fresh interpreter loads no scipy, no assignment solver, and no
+    module of `repro.service` or `repro.loadgen`: a command imports the
+    stack it runs and validates only the fields it reads
+    (docs/CONFIGURATION.md, "Validation")."""
+    out = subprocess.run(
+        [sys.executable, "-c", _LAYERING_PROBE],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(_REPO_ROOT / "src")},
+    ).stdout.split()
+    assert "repro.api.settings" in out
+    loaded = [
+        name for name in out
+        if name.split(".")[0] == "scipy"
+        or name == "repro.scheduling.affinity"
+        or name.startswith(("repro.service", "repro.loadgen"))
+    ]
+    assert not loaded, f"resolving Settings loaded {loaded}"

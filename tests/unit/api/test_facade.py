@@ -158,11 +158,13 @@ class TestTelemetryRuns:
         def boom(*args, **kwargs):
             raise RuntimeError("injected")
 
-        for target in ("render_experiment", "run_service", "run_loadtest"):
-            monkeypatch.setattr(facade, target, boom)
-        monkeypatch.setattr(
-            "repro.service.fleetcompare.run_fleet_compare", boom
-        )
+        monkeypatch.setattr(facade, "render_experiment", boom)
+        for target in (
+            "repro.service.service.run_service",
+            "repro.loadgen.driver.run_loadtest",
+            "repro.service.fleetcompare.run_fleet_compare",
+        ):
+            monkeypatch.setattr(target, boom)
         with pytest.raises(RuntimeError, match="injected"):
             TELEMETRY_RUNS[name][0](tmp_path)
         assert load_run(tmp_path / "run.json")["status"] == "failed"

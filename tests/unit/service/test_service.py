@@ -9,15 +9,14 @@ import pytest
 
 from repro import resilience
 from repro.api.types import TranscodeRequest
-from repro.service import (
-    DEFAULT_FLEET,
-    QueueFullError,
+from repro.service.queue import QueueFullError
+from repro.service.service import (
     ServiceConfig,
     TranscodeService,
-    parse_fleet_spec,
     run_service,
     table3_requests,
 )
+from repro.service.workers import DEFAULT_FLEET, parse_fleet_spec
 
 TINY = dict(width=48, height=32, n_frames=3)
 

@@ -481,3 +481,73 @@ class TestFlagSurface:
         assert all(a.default in (None, False) for a in by_flag.values())
         assert "$REPRO_JOBS, else 1" in by_flag["--jobs"].help
         assert "$REPRO_LOADTEST_RATE, else 8)" in by_flag["--rate"].help
+
+
+#: One bad value per service / load-test field, with the refusal its
+#: owner (`ServiceConfig`, `LoadtestSpec`) words for it.
+BAD_FIELD_ENV = {
+    "REPRO_OBJECTIVE": (
+        "unknown objective 'bogus'; choose from throughput, min-cost, "
+        "min-latency"
+    ),
+    "REPRO_LOADTEST_MIX": (
+        "unknown workload mix 'bogus'; choose from entropy_spread, "
+        "hd_streams, screencast, table3"
+    ),
+    "REPRO_LOADTEST_ARRIVALS": (
+        "unknown arrival process 'bogus'; choose from poisson, fixed, "
+        "diurnal, mmpp"
+    ),
+    "REPRO_FLEET": "unknown fleet entry 'bogus'; choose a µarch config",
+}
+
+SERVE = ["serve", "--mix", "table3", "--count", "2", "--quick"]
+LOADTEST = ["loadtest", "--quick", "--duration", "1"]
+FLEET_COMPARE = ["fleet-compare", "--quick", "--count", "2"]
+
+
+class TestFieldsAreValidatedByTheirReaders:
+    """A service or load-test field is checked by the command that reads
+    it, before any job runs, and by no other command."""
+
+    @pytest.mark.parametrize("var", sorted(BAD_FIELD_ENV))
+    def test_a_command_that_does_not_read_the_field_runs(
+            self, var, tmp_path, capsys, monkeypatch):
+        from repro.api.settings import ENV_VARS, Settings
+
+        monkeypatch.setenv(var, "bogus")
+        assert getattr(Settings.from_env(), ENV_VARS[var]) == "bogus"
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["tab4"]) == 0
+        assert "Table IV" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("var, argv, code", [
+        ("REPRO_OBJECTIVE", SERVE, 2),
+        ("REPRO_OBJECTIVE", LOADTEST, 2),
+        ("REPRO_OBJECTIVE", FLEET_COMPARE, 1),
+        ("REPRO_LOADTEST_MIX", LOADTEST, 2),
+        ("REPRO_LOADTEST_ARRIVALS", LOADTEST, 2),
+        ("REPRO_FLEET", SERVE, 2),
+        ("REPRO_FLEET", LOADTEST, 2),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_a_command_that_reads_the_field_refuses_it_before_any_job(
+            self, var, argv, code, capsys, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("a job ran before the field was checked")
+
+        for target in (
+            "repro.service.service.run_service",
+            "repro.loadgen.driver.run_loadtest",
+            "repro.service.fleetcompare.TranscodeService",
+        ):
+            monkeypatch.setattr(target, ran)
+        monkeypatch.setenv(var, "bogus")
+        if code == 2:  # a usage error through the command's parser
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == code
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: " in err
+        assert BAD_FIELD_ENV[var] in err
