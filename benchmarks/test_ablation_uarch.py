@@ -10,7 +10,8 @@ import pytest
 from repro._util import format_table
 from repro.codec.encoder import Encoder
 from repro.codec.options import EncoderOptions
-from repro.optim import build_autofdo, build_default, collect_profile
+from repro.optim.pipeline import build_autofdo, build_default
+from repro.optim.profile import collect_profile
 from repro.profiling.perf import profile_transcode
 from repro.trace.recorder import RecordingTracer
 from repro.uarch.configs import config_by_name

@@ -16,12 +16,14 @@ Reproduces the paper's §III-D workflow end to end:
 
 from __future__ import annotations
 
-from repro import EncoderOptions, load_video
 from repro.codec.encoder import Encoder
-from repro.optim import build_autofdo, build_default, build_graphite, collect_profile
+from repro.codec.options import EncoderOptions
+from repro.optim.pipeline import build_autofdo, build_default, build_graphite
+from repro.optim.profile import collect_profile
 from repro.profiling.perf import profile_transcode
 from repro.profiling.vtune import topdown_report
 from repro.trace.recorder import RecordingTracer
+from repro.video.vbench import load_video
 
 
 def main() -> None:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import decode, load_video
-from repro.ffmpeg import transcode
+from repro.codec.decoder import decode
+from repro.ffmpeg.transcode import transcode
+from repro.video.vbench import load_video
 
 
 def main() -> None:

@@ -13,10 +13,10 @@ paper characterizes in Figures 3-6.
 
 from __future__ import annotations
 
-from repro import load_video
 from repro._util import format_table
-from repro.profiling import profile_transcode
 from repro.codec.presets import preset_options
+from repro.profiling.perf import profile_transcode
+from repro.video.vbench import load_video
 
 
 def main() -> None:

@@ -139,12 +139,14 @@ def _telemetry_run(
     artifacts — SLO verdict included — are written even when the body
     raised.
     """
-    from repro import obs
+    from repro.obs import session as obs
+    from repro.obs.export import export_session
+    from repro.obs.slo import evaluate_slo, load_slo_spec
 
     run = SimpleNamespace(
         status="ok",
         failures=None,
-        slo=obs.load_slo_spec(slo_spec) if slo_spec is not None else None,
+        slo=load_slo_spec(slo_spec) if slo_spec is not None else None,
     )
     active = obs.current()
     session_cm = nullcontext(active) if active else obs.telemetry_session()
@@ -159,10 +161,10 @@ def _telemetry_run(
         finally:
             if telemetry_dir is not None:
                 verdict = (
-                    obs.evaluate_slo(run.slo, run.tel.metrics.as_dict())
+                    evaluate_slo(run.slo, run.tel.metrics.as_dict())
                     if run.slo is not None else None
                 )
-                paths = obs.export_session(
+                paths = export_session(
                     run.tel,
                     telemetry_dir,
                     experiment=experiment,
@@ -232,7 +234,7 @@ def sweep(
     ``status: "partial"`` artifact — the caller decides how to degrade.
     """
     from repro.experiments.runner import SCALES, SweepFailure
-    from repro.obs import span
+    from repro.obs.session import span
 
     if settings is not None:
         settings.apply()
@@ -323,7 +325,7 @@ def serve(
             requests, config, control=control, resume=resume
         )
 
-    from repro.obs import MetricsSnapshotter
+    from repro.obs.expose import MetricsSnapshotter
 
     policy = (config or ServiceConfig()).policy
     with _telemetry_run("serve", policy, telemetry_dir, slo_spec) as run:

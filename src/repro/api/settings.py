@@ -216,14 +216,13 @@ class Settings:
         """Install this record process-wide: afterwards the sweep engine
         and resilience layer hold exactly these values, until the next
         ``apply``. Returns ``self``."""
-        from repro import resilience
         from repro.experiments import parallel as engine
+        from repro.resilience import faults, retry
 
         engine.configure(
             jobs=self.jobs,
             cache_dir=self.cache_dir if self.cache_enabled else None,
         )
-        resilience.configure(
-            fault_plan=self.fault_plan or None, retry=self.retry
-        )
+        retry.install_policy(self.retry)
+        faults.install_plan(self.fault_plan or None)
         return self

@@ -16,36 +16,9 @@ committed baseline — the CI bench-smoke gate.
 Absolute time, the per-layer budget and every performance claim belong
 to ``perfbench/``; the paper's tables and figures to ``benchmarks/``.
 See ``docs/BENCHMARKS.md``.
+
+Import each name from the submodule that owns it; the package
+re-exports nothing.
 """
 
-from repro.bench.harness import (
-    ENCODE_CELLS,
-    KERNEL_BENCH_NAMES,
-    run_bench,
-    run_encode_fig3,
-    run_kernel_benches,
-)
-from repro.bench.report import (
-    BENCH_SCHEMA,
-    bench_artifact_path,
-    compare_bench,
-    load_bench,
-    render_bench,
-    tracked_costs,
-    write_bench,
-)
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "ENCODE_CELLS",
-    "KERNEL_BENCH_NAMES",
-    "bench_artifact_path",
-    "compare_bench",
-    "load_bench",
-    "render_bench",
-    "run_bench",
-    "run_encode_fig3",
-    "run_kernel_benches",
-    "tracked_costs",
-    "write_bench",
-]
+__all__: list[str] = []

@@ -6,7 +6,7 @@ kernel, and records its **cost**: its best time divided by the
 calibration kernel's best time. A host that runs everything uniformly
 slower or faster moves both times alike, so the cost is a property of the
 code, comparable across hosts. Per-repetition wall times go through the
-shared :class:`repro.obs.MetricsRegistry` histograms; the summary payload
+shared :class:`repro.obs.metrics.MetricsRegistry` histograms; the summary payload
 embeds the registry snapshot so ``BENCH_*.json`` doubles as a telemetry
 artifact.
 """
@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "ENCODE_CELLS",

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from repro._util import atomic_write_text
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.export import git_dirty, git_revision
 
 __all__ = [

@@ -89,10 +89,33 @@ import repro
 from repro._util import atomic_write_text
 from repro.api.settings import FIELD_TABLE, Settings
 from repro.api.types import QUICK_SIZING
-from repro.experiments import EXPERIMENT_DESCRIPTIONS, EXPERIMENT_IDS
 from repro.experiments.runner import SCALES
 
-__all__ = ["add_settings_flags", "main"]
+__all__ = [
+    "EXPERIMENT_DESCRIPTIONS",
+    "EXPERIMENT_IDS",
+    "add_settings_flags",
+    "main",
+]
+
+#: Experiment registry: id -> one-line description (rendered by
+#: ``repro list``).
+EXPERIMENT_DESCRIPTIONS: dict[str, str] = {
+    "tab1": "Table I — vbench video catalog with measured entropies",
+    "tab2": "Table II — the ten x264 presets' option values",
+    "tab3": "Table III — scheduler case-study transcoding tasks",
+    "tab4": "Table IV — simulated microarchitecture configurations",
+    "fig3": "Figure 3 — FE/BE/BS-bound heatmaps over the crf x refs grid",
+    "fig4": "Figure 4 — transcode-time projections across the grid",
+    "fig5": "Figure 5 — cycle-inefficiency (MPKI/stall) heatmaps",
+    "fig6": "Figure 6 — per-preset microarchitectural characterization",
+    "fig7": "Figure 7 — per-video microarchitectural characterization",
+    "fig8": "Figure 8 — AutoFDO/Graphite compiler-optimization study",
+    "fig9": "Figure 9 — random/smart/best scheduler case study",
+    "roofline": "Roofline — operational-intensity sweep (extension)",
+}
+
+EXPERIMENT_IDS = tuple(EXPERIMENT_DESCRIPTIONS)
 
 #: Default spool file used by `repro submit` / `repro serve --spool`.
 DEFAULT_SPOOL = Path(".repro") / "spool.jsonl"
@@ -262,14 +285,14 @@ def _bench_main(argv: list[str]) -> int:
         parser.error("--reps must be at least 3: single-shot kernel "
                      "timings are too noisy for a cost gate")
 
-    from repro import bench
+    from repro.bench import harness, report as bench_report
 
     # The baseline is checked before anything is measured: a gate that
     # cannot compare must say so in a second, not after a minute's run.
     baseline = None
     if args.compare is not None:
         try:
-            baseline = bench.load_bench(args.compare)
+            baseline = bench_report.load_bench(args.compare)
             if baseline.get("dirty"):
                 raise ValueError(
                     f"{args.compare}: measured on a dirty tree "
@@ -280,14 +303,14 @@ def _bench_main(argv: list[str]) -> int:
             print(f"repro bench: {exc}", file=sys.stderr)
             return 1
 
-    payload = bench.run_bench(reps=args.reps)
-    path = bench.write_bench(payload, args.output)
-    print(bench.render_bench(payload))
+    payload = harness.run_bench(reps=args.reps)
+    path = bench_report.write_bench(payload, args.output)
+    print(bench_report.render_bench(payload))
     print(f"\nwrote {path}")
 
     if baseline is None:
         return 0
-    report, regressions = bench.compare_bench(payload, baseline)
+    report, regressions = bench_report.compare_bench(payload, baseline)
     print()
     print(report)
     return 4 if regressions else 0
@@ -325,7 +348,7 @@ def _report_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.obs import (
+    from repro.obs.export import (
         diff_runs,
         load_run,
         read_events_jsonl,
@@ -375,7 +398,8 @@ def _slo_main(argv: list[str]) -> int:
                         help="SLO spec file (default: $REPRO_SLO_SPEC)")
     args = parser.parse_args(argv)
 
-    from repro.obs import evaluate_slo, load_run, load_slo_spec
+    from repro.obs.export import load_run
+    from repro.obs.slo import evaluate_slo, load_slo_spec
 
     spec_path = args.spec or Settings.from_env().slo_spec
     if spec_path is None:

@@ -7,24 +7,9 @@ patterns (dia/hex/umh/esa/tesa), integer transform, quantization with
 three trellis levels, six rate-control modes, an exp-Golomb entropy coder
 with a real decodable bitstream, an in-loop deblocking filter, and the ten
 x264 presets with the exact option values from the paper's Table II.
+
+Import each name from the submodule that owns it; the package
+re-exports nothing.
 """
 
-from repro.codec.decoder import Decoder, decode
-from repro.codec.encoder import EncodeResult, Encoder, encode
-from repro.codec.options import EncoderOptions
-from repro.codec.presets import PRESET_NAMES, PRESETS, preset_options
-from repro.codec.types import FrameType, MBMode
-
-__all__ = [
-    "Encoder",
-    "EncodeResult",
-    "encode",
-    "Decoder",
-    "decode",
-    "EncoderOptions",
-    "PRESETS",
-    "PRESET_NAMES",
-    "preset_options",
-    "FrameType",
-    "MBMode",
-]
+__all__: list[str] = []

@@ -6,40 +6,10 @@ produces the same rows/series the paper reports. The
 :class:`~repro.experiments.runner.ExperimentScale` controls proxy sizing:
 ``quick`` (default) finishes in tens of seconds, ``full`` approaches the
 paper's 816-combination grids.
+
+Import each name from the submodule that owns it; the package
+re-exports nothing. The experiment registry ``repro list`` prints lives
+in :mod:`repro.cli`.
 """
 
-from repro.experiments.cache import ResultCache, SweepRecord, default_cache_dir
-from repro.experiments.parallel import configure, default_cache, default_jobs
-from repro.experiments.runner import ExperimentScale, SweepRunner
-
-__all__ = [
-    "ExperimentScale",
-    "ResultCache",
-    "SweepRecord",
-    "SweepRunner",
-    "configure",
-    "default_cache",
-    "default_cache_dir",
-    "default_jobs",
-    "EXPERIMENT_DESCRIPTIONS",
-    "EXPERIMENT_IDS",
-]
-
-#: Experiment registry used by the CLI: id -> one-line description
-#: (rendered by ``repro list``).
-EXPERIMENT_DESCRIPTIONS: dict[str, str] = {
-    "tab1": "Table I — vbench video catalog with measured entropies",
-    "tab2": "Table II — the ten x264 presets' option values",
-    "tab3": "Table III — scheduler case-study transcoding tasks",
-    "tab4": "Table IV — simulated microarchitecture configurations",
-    "fig3": "Figure 3 — FE/BE/BS-bound heatmaps over the crf x refs grid",
-    "fig4": "Figure 4 — transcode-time projections across the grid",
-    "fig5": "Figure 5 — cycle-inefficiency (MPKI/stall) heatmaps",
-    "fig6": "Figure 6 — per-preset microarchitectural characterization",
-    "fig7": "Figure 7 — per-video microarchitectural characterization",
-    "fig8": "Figure 8 — AutoFDO/Graphite compiler-optimization study",
-    "fig9": "Figure 9 — random/smart/best scheduler case study",
-    "roofline": "Roofline — operational-intensity sweep (extension)",
-}
-
-EXPERIMENT_IDS = tuple(EXPERIMENT_DESCRIPTIONS)
+__all__: list[str] = []

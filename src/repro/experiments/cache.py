@@ -57,11 +57,11 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from repro import resilience
 from repro._util import atomic_write_text
 from repro.obs import session as obs
 from repro.profiling.counters import CounterSet
 from repro.resilience.faults import InjectedFault, fault_point
+from repro.resilience.retry import call_with_retry, retry_policy
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -329,9 +329,9 @@ class ResultCache:
             return b"".join(chunks)
 
         try:
-            data = resilience.call_with_retry(
+            data = call_with_retry(
                 _read,
-                policy=resilience.retry_policy(),
+                policy=retry_policy(),
                 token=key,
                 label="cache.read",
             )
@@ -380,9 +380,9 @@ class ResultCache:
             fault_point("cache.write", detail=key)
             return atomic_write_text(path, text)
 
-        return resilience.call_with_retry(
+        return call_with_retry(
             _write,
-            policy=resilience.retry_policy(),
+            policy=retry_policy(),
             token=key,
             label="cache.write",
         )

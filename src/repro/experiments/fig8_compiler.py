@@ -21,8 +21,8 @@ from repro.experiments import parallel
 from repro.experiments.cache import content_key
 from repro.experiments.runner import ExperimentScale, QUICK
 from repro.obs import session as obs
-from repro.optim import build_autofdo, build_graphite, collect_profile
-from repro.optim.pipeline import Build
+from repro.optim.pipeline import Build, build_autofdo, build_graphite
+from repro.optim.profile import collect_profile
 from repro.profiling.perf import profile_transcode, record_trace
 from repro.video.vbench import load_video
 

@@ -47,12 +47,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TypeVar
 
-from repro import resilience
 from repro.experiments.cache import ResultCache
 from repro.obs import session as obs
 from repro.obs.spans import TraceContext
 from repro.resilience import faults
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import RetryPolicy, call_with_retry, retry_policy
 
 __all__ = [
     "TaskOutcome",
@@ -165,7 +164,7 @@ def run_tasks(
     survives even a killed parent.
     """
     payloads = list(payloads)
-    pol = policy if policy is not None else resilience.retry_policy()
+    pol = policy if policy is not None else retry_policy()
     n_jobs = default_jobs() if jobs is None else max(int(jobs), 1)
     outcomes: list[TaskOutcome | None] = [None] * len(payloads)
     if not payloads:
@@ -181,7 +180,7 @@ def run_tasks(
                 return compute(payload)
 
             try:
-                result = resilience.call_with_retry(
+                result = call_with_retry(
                     _attempt,
                     policy=pol,
                     token=f"{label}:{index}",

@@ -32,7 +32,6 @@ or wall time.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 import struct
 from dataclasses import dataclass
@@ -48,7 +47,6 @@ __all__ = [
     "MmppArrivals",
     "PoissonArrivals",
     "make_arrivals",
-    "merge_schedules",
 ]
 
 
@@ -87,16 +85,6 @@ class ArrivalSchedule:
         """
         payload = struct.pack(f"<{len(self.times_s)}d", *self.times_s)
         return hashlib.sha256(payload).hexdigest()
-
-
-def merge_schedules(a: ArrivalSchedule, b: ArrivalSchedule) -> ArrivalSchedule:
-    """Superpose two schedules into one (stable sorted merge).
-
-    Superposition is how compound traffic is built — e.g. a steady
-    baseline mix plus a bursty tenant — and must preserve sort order so
-    the driver can offer the merged stream in one pass.
-    """
-    return ArrivalSchedule(tuple(heapq.merge(a.times_s, b.times_s)))
 
 
 class ArrivalProcess:

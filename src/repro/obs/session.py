@@ -121,7 +121,7 @@ def telemetry_session(context: TraceContext | None = None):
     if _current is not None:
         raise NestedSessionError(
             "telemetry sessions do not nest: a session is already active "
-            "in this process. Reuse it via repro.obs.current(), or — in a "
+            "in this process. Reuse it via repro.obs.session.current(), or — in a "
             "worker process that inherited the parent's slot across fork "
             "— call reset_for_subprocess() first."
         )

@@ -8,20 +8,9 @@ transformations — tiling, fusion, interchange — improving data-cache
 locality. Both are modeled against the same mechanisms in our simulator:
 AutoFDO rewrites the :class:`~repro.trace.program.CodeLayout`, Graphite
 rewrites the encoder's loop traversal / scratch-buffer access streams.
+
+Import each name from the submodule that owns it; the package
+re-exports nothing.
 """
 
-from repro.optim.autofdo import autofdo_optimize
-from repro.optim.graphite import graphite_loop_opts
-from repro.optim.pipeline import Build, build_autofdo, build_default, build_graphite
-from repro.optim.profile import ExecutionProfile, collect_profile
-
-__all__ = [
-    "ExecutionProfile",
-    "collect_profile",
-    "autofdo_optimize",
-    "graphite_loop_opts",
-    "Build",
-    "build_default",
-    "build_autofdo",
-    "build_graphite",
-]
+__all__: list[str] = []

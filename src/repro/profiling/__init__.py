@@ -7,18 +7,9 @@
 - :mod:`repro.profiling.vtune` — top-down report formatting;
 - :mod:`repro.profiling.roofline` — the roofline model the paper uses to
   explain its trends (§IV-A).
+
+Import each name from the submodule that owns it; the package
+re-exports nothing.
 """
 
-from repro.profiling.counters import CounterSet
-from repro.profiling.perf import ProfileResult, profile_transcode
-from repro.profiling.roofline import RooflineModel, RooflinePoint
-from repro.profiling.vtune import topdown_report
-
-__all__ = [
-    "CounterSet",
-    "ProfileResult",
-    "profile_transcode",
-    "RooflineModel",
-    "RooflinePoint",
-    "topdown_report",
-]
+__all__: list[str] = []

@@ -19,55 +19,14 @@ completes, so an interrupted sweep is resumed by re-running the same
 command with the same ``--cache-dir``.
 
 Process-wide configuration mirrors the parallel engine's: one installed
-fault plan (none by default) and one retry policy (``RetryPolicy()`` by
-default), both written by :func:`configure`, which
-:meth:`repro.api.Settings.apply` calls — that is how ``--fault-plan``,
+fault plan (none by default, :func:`~repro.resilience.faults.install_plan`)
+and one retry policy (``RetryPolicy()`` by default,
+:func:`~repro.resilience.retry.install_policy`), both written by
+:meth:`repro.api.settings.Settings.apply` — that is how ``--fault-plan``,
 ``REPRO_FAULT_PLAN`` and ``REPRO_RETRY_*`` arrive.
+
+Import each name from the submodule that owns it; the package
+re-exports nothing.
 """
 
-from __future__ import annotations
-
-from collections.abc import Sequence
-
-from repro.resilience.faults import (
-    FaultSpec,
-    InjectedFault,
-    fault_point,
-    format_fault_plan,
-    install_plan,
-    parse_fault_plan,
-)
-from repro.resilience.retry import RetryPolicy, call_with_retry
-
-__all__ = [
-    "FaultSpec",
-    "InjectedFault",
-    "RetryPolicy",
-    "call_with_retry",
-    "configure",
-    "fault_point",
-    "format_fault_plan",
-    "install_plan",
-    "parse_fault_plan",
-    "retry_policy",
-]
-
-#: The installed retry policy (``configure``).
-_retry = RetryPolicy()
-
-
-def configure(
-    *, fault_plan: str | Sequence[FaultSpec] | None, retry: RetryPolicy
-) -> None:
-    """Install the process-wide fault plan (``None``: no injection) and
-    retry policy."""
-    global _retry
-    if not isinstance(retry, RetryPolicy):
-        raise TypeError("retry must be a RetryPolicy")
-    install_plan(fault_plan)
-    _retry = retry
-
-
-def retry_policy() -> RetryPolicy:
-    """The installed retry policy."""
-    return _retry
+__all__: list[str] = []

@@ -19,7 +19,9 @@ The ``REPRO_RETRY_*`` family (``ATTEMPTS``, ``BASE_DELAY``, ``GROWTH``,
 ``MAX_DELAY``, ``JITTER``, ``SEED``; all optional) is read by
 :meth:`RetryPolicy.from_env`, which is the ``retry`` row's reader in
 :data:`repro.api.settings.FIELD_TABLE` and has no other caller: the
-policy in force is the one :func:`repro.resilience.configure` installed.
+policy in force is the one :func:`install_policy` last installed
+(:meth:`repro.api.settings.Settings.apply` calls it); ``RetryPolicy()`` by
+default.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ __all__ = [
     "PERMANENT_OS_ERRORS",
     "RetryPolicy",
     "call_with_retry",
+    "install_policy",
+    "retry_policy",
 ]
 
 _R = TypeVar("_R")
@@ -140,6 +144,23 @@ class RetryPolicy:
             self.backoff_delay(attempt, token)
             for attempt in range(1, self.max_attempts)
         ]
+
+
+#: The installed retry policy (:func:`install_policy`).
+_policy = RetryPolicy()
+
+
+def install_policy(policy: RetryPolicy) -> None:
+    """Install ``policy`` process-wide."""
+    global _policy
+    if not isinstance(policy, RetryPolicy):
+        raise TypeError("retry must be a RetryPolicy")
+    _policy = policy
+
+
+def retry_policy() -> RetryPolicy:
+    """The installed retry policy."""
+    return _policy
 
 
 def call_with_retry(

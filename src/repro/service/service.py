@@ -53,7 +53,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-from repro import resilience
 from repro._util import atomic_write_text
 from repro.api.types import (
     JOB_FAILED,
@@ -66,7 +65,7 @@ from repro.obs import session as obs
 from repro.obs.metrics import latency_buckets
 from repro.profiling.counters import CounterSet
 from repro.profiling.perf import record_trace
-from repro.resilience.retry import call_with_retry
+from repro.resilience.retry import call_with_retry, retry_policy
 from repro.scheduling.task import TABLE_III_TASKS
 from repro.service.clock import Clock, WallClock
 from repro.service.jobs import Job
@@ -429,7 +428,7 @@ class TranscodeService:
             try:
                 cycles = call_with_retry(
                     _attempt,
-                    policy=resilience.retry_policy(),
+                    policy=retry_policy(),
                     token=f"service.job.{job.job_id}",
                     label="service.worker",
                 )

@@ -10,31 +10,9 @@ addresses it touched and the *actual* outcomes of its data-dependent
 branches. The result is an instruction/memory/branch trace equivalent to
 what a binary-instrumentation tool would capture from a native encoder,
 driven by the real per-parameter behaviour of this one.
+
+Import each name from the submodule that owns it; the package
+re-exports nothing.
 """
 
-from repro.trace.events import (
-    BranchEvent,
-    KernelEvent,
-    MemoryEvent,
-    TraceColumns,
-    TraceStream,
-)
-from repro.trace.kernels import KERNELS, kernel_spec
-from repro.trace.program import CodeLayout, Kernel, Program
-from repro.trace.recorder import NullTracer, RecordingTracer, Tracer
-
-__all__ = [
-    "Kernel",
-    "Program",
-    "CodeLayout",
-    "KERNELS",
-    "kernel_spec",
-    "TraceStream",
-    "TraceColumns",
-    "KernelEvent",
-    "MemoryEvent",
-    "BranchEvent",
-    "Tracer",
-    "NullTracer",
-    "RecordingTracer",
-]
+__all__: list[str] = []

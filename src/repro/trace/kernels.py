@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.trace.program import InstrMix, Kernel, LoopNest, Program
 
-__all__ = ["KERNELS", "kernel_spec", "build_program"]
+__all__ = ["KERNELS", "build_program"]
 
 
 def _k(
@@ -193,14 +193,6 @@ KERNELS: dict[str, Kernel] = {
         ),
     ]
 }
-
-
-def kernel_spec(name: str) -> Kernel:
-    """Look up one kernel's static model."""
-    try:
-        return KERNELS[name]
-    except KeyError:
-        raise KeyError(f"unknown kernel {name!r}; known: {sorted(KERNELS)}") from None
 
 
 def build_program() -> Program:

@@ -10,28 +10,9 @@ surface the paper reports.
 The five Table IV configurations (``baseline`` a.k.a. gainestown,
 ``fe_op``, ``be_op1``, ``be_op2``, ``bs_op``) ship in
 :mod:`repro.uarch.configs`.
+
+Import each name from the submodule that owns it; the package
+re-exports nothing.
 """
 
-from repro.uarch.config import MicroarchConfig
-from repro.uarch.configs import CONFIGS, baseline_config, config_by_name
-from repro.uarch.instances import (
-    INSTANCE_NAMES,
-    INSTANCE_TYPES,
-    InstanceType,
-    instance_by_name,
-)
-from repro.uarch.simulator import SimReport, Simulator, simulate
-
-__all__ = [
-    "MicroarchConfig",
-    "CONFIGS",
-    "baseline_config",
-    "config_by_name",
-    "InstanceType",
-    "INSTANCE_TYPES",
-    "INSTANCE_NAMES",
-    "instance_by_name",
-    "Simulator",
-    "SimReport",
-    "simulate",
-]
+__all__: list[str] = []

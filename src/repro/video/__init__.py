@@ -5,24 +5,9 @@ cannot ship the real clips, so :mod:`repro.video.vbench` procedurally
 regenerates stand-ins with the published resolution, frame rate, and
 entropy ordering (Table I of the paper), and :mod:`repro.video.synthetic`
 provides the underlying scene generators.
+
+Import each name from the submodule that owns it; the package
+re-exports nothing.
 """
 
-from repro.video.frame import Frame, FrameSequence
-from repro.video.metrics import bitrate_kbps, estimate_entropy, psnr, ssim
-from repro.video.synthetic import SceneSpec, generate_scene
-from repro.video.vbench import VBENCH_VIDEOS, VideoInfo, load_video, video_info
-
-__all__ = [
-    "Frame",
-    "FrameSequence",
-    "SceneSpec",
-    "generate_scene",
-    "VBENCH_VIDEOS",
-    "VideoInfo",
-    "load_video",
-    "video_info",
-    "psnr",
-    "ssim",
-    "bitrate_kbps",
-    "estimate_entropy",
-]
+__all__: list[str] = []

@@ -1,4 +1,4 @@
-"""Video quality and size metrics: PSNR, SSIM, bitrate, entropy estimate.
+"""Video quality and size metrics: PSNR, bitrate, entropy estimate.
 
 These are the three corners of the paper's Figure 2 triangle — quality
 (PSNR in dB), size (bitrate in Kbps), and speed (time, measured elsewhere)
@@ -13,7 +13,7 @@ import numpy as np
 from repro._util import check_positive
 from repro.video.frame import Frame, FrameSequence
 
-__all__ = ["psnr", "psnr_sequence", "ssim", "bitrate_kbps", "estimate_entropy"]
+__all__ = ["psnr", "psnr_sequence", "bitrate_kbps", "estimate_entropy"]
 
 _MAX_PSNR_DB = 100.0
 """PSNR reported for identical inputs (MSE of zero)."""
@@ -45,41 +45,6 @@ def psnr_sequence(reference: FrameSequence, test: FrameSequence) -> float:
     if mse == 0.0:
         return _MAX_PSNR_DB
     return float(10.0 * np.log10(255.0**2 / mse))
-
-
-def ssim(reference: np.ndarray | Frame, test: np.ndarray | Frame) -> float:
-    """Global (single-window) structural similarity of two luma planes.
-
-    A lightweight SSIM variant: statistics are pooled over 8x8 tiles, which
-    is enough for ranking codec settings without a full Gaussian pyramid.
-    """
-    ref = reference.luma if isinstance(reference, Frame) else np.asarray(reference)
-    out = test.luma if isinstance(test, Frame) else np.asarray(test)
-    if ref.shape != out.shape:
-        raise ValueError(f"shape mismatch {ref.shape} vs {out.shape}")
-    x = ref.astype(np.float64)
-    y = out.astype(np.float64)
-    tile = 8
-    h = (x.shape[0] // tile) * tile
-    w = (x.shape[1] // tile) * tile
-    if h == 0 or w == 0:
-        raise ValueError("frames too small for 8x8 SSIM tiles")
-
-    def tiles(a: np.ndarray) -> np.ndarray:
-        return a[:h, :w].reshape(h // tile, tile, w // tile, tile).transpose(
-            0, 2, 1, 3
-        ).reshape(-1, tile * tile)
-
-    tx, ty = tiles(x), tiles(y)
-    mx, my = tx.mean(axis=1), ty.mean(axis=1)
-    vx, vy = tx.var(axis=1), ty.var(axis=1)
-    cov = ((tx - mx[:, None]) * (ty - my[:, None])).mean(axis=1)
-    c1 = (0.01 * 255) ** 2
-    c2 = (0.03 * 255) ** 2
-    score = ((2 * mx * my + c1) * (2 * cov + c2)) / (
-        (mx**2 + my**2 + c1) * (vx + vy + c2)
-    )
-    return float(np.mean(score))
 
 
 def bitrate_kbps(total_bits: int, n_frames: int, fps: float) -> float:

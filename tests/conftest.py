@@ -29,9 +29,10 @@ def pytest_configure(config):
 def environment_settings():
     """Every test starts from, and is followed by, the environment's
     ``Settings``: whatever a test installs (``main([...])``,
-    ``Settings(...).apply()``, ``resilience.configure``) is replaced on
-    the way out. Conftest autouse fixtures are set up first and so torn
-    down last — after ``monkeypatch`` has restored the environment."""
+    ``Settings(...).apply()``, ``install_plan``, ``install_policy``) is
+    replaced on the way out. Conftest autouse fixtures are set up first
+    and so torn down last — after ``monkeypatch`` has restored the
+    environment."""
     yield
     Settings.from_env().apply()
 

@@ -27,7 +27,7 @@ import pytest
 from repro.api import ServiceConfig, table3_requests
 from repro.cli import main
 from repro.service.clock import VirtualClock
-from repro.obs import diff_runs, load_run, render_run
+from repro.obs.export import diff_runs, load_run, render_run
 from repro.service.fleetcompare import EXAMPLE_FLEETS, run_fleet_compare
 from repro.service.service import TranscodeService
 from repro.service.workers import parse_fleet_spec

@@ -29,7 +29,8 @@ import pytest
 from repro.api import ServiceConfig, loadtest
 from repro.cli import main
 from repro.loadgen.driver import LoadtestSpec, run_loadtest
-from repro.obs import load_run, telemetry_session
+from repro.obs.export import load_run
+from repro.obs.session import telemetry_session
 
 #: Proxy sizing shared with the service integration tests.
 QUICK = dict(width=48, height=32, n_frames=4)

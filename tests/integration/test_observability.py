@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import ServiceConfig, serve, table3_requests
 from repro.cli import main
-from repro.obs import load_run, read_events_jsonl
+from repro.obs.export import load_run, read_events_jsonl
 from repro.obs.metrics import parse_label_key
 
 QUICK = dict(width=48, height=32, n_frames=4)

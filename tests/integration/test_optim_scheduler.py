@@ -4,7 +4,8 @@ import pytest
 
 from repro.codec.encoder import Encoder
 from repro.codec.options import EncoderOptions
-from repro.optim import build_autofdo, build_default, build_graphite, collect_profile
+from repro.optim.pipeline import build_autofdo, build_default, build_graphite
+from repro.optim.profile import collect_profile
 from repro.profiling.perf import profile_transcode
 from repro.scheduling.casestudy import run_case_study
 from repro.trace.recorder import RecordingTracer

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro import resilience
 from repro.cli import main
 from repro.experiments.cache import ResultCache, record_to_payload
 from repro.experiments.runner import QUICK, SweepRunner
-from repro.obs import load_run, telemetry_session
-from repro.resilience import RetryPolicy
+from repro.obs.export import load_run
+from repro.obs.session import telemetry_session
+from repro.resilience.faults import install_plan
+from repro.resilience.retry import RetryPolicy, install_policy
 from repro.video import vbench
 
 #: QUICK proxy geometry with a trimmed crf x refs grid: the determinism
@@ -67,10 +68,8 @@ class TestWorkers:
         # The injected exception fires at most once per worker process
         # (max=1); the retry lands on a clean worker and must produce
         # the same bytes.
-        resilience.configure(
-            fault_plan="worker.task,match=2,max=1,raise=InjectedFault",
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
-        )
+        install_policy(RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0))
+        install_plan("worker.task,match=2,max=1,raise=InjectedFault")
         records = SweepRunner(SCALE, jobs=2, cache=False).crf_refs_sweep()
         assert [record_to_payload(r) for r in records] == [
             record_to_payload(r) for r in serial_records

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import resilience
 from repro.experiments.cache import ResultCache, record_to_payload
 from repro.experiments.runner import QUICK, SweepFailure, SweepRunner
 from repro.loadgen.driver import LoadtestSpec, run_loadtest
-from repro.obs import telemetry_session
-from repro.resilience import RetryPolicy
-from repro.resilience.faults import InjectedFault
+from repro.obs.session import telemetry_session
+from repro.resilience.faults import InjectedFault, install_plan
+from repro.resilience.retry import RetryPolicy, install_policy
 from repro.service.service import ServiceConfig
 
 #: QUICK proxy geometry with a trimmed grid — four cells exercise the
@@ -40,7 +39,8 @@ FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 @pytest.fixture(autouse=True)
 def _clean_resilience_state():
     """Every test starts with no fault plan and a fast retry policy."""
-    resilience.configure(fault_plan=None, retry=FAST_RETRY)
+    install_plan(None)
+    install_policy(FAST_RETRY)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ def _payloads(records):
 
 class TestEncoderExceptions:
     def test_transient_compute_fault_is_retried_serial(self, clean_payloads):
-        resilience.install_plan("sweep.compute,at=1,max=1,raise=InjectedFault")
+        install_plan("sweep.compute,at=1,max=1,raise=InjectedFault")
         with telemetry_session() as tel:
             records = SweepRunner(SCALE, jobs=1, cache=False).crf_refs_sweep()
         metrics = tel.metrics.as_dict()
@@ -69,7 +69,7 @@ class TestEncoderExceptions:
         # Each worker process raises once on task 0 (fault counters and
         # the activation cap are per-process); the retry budget of 3
         # outlasts the 2 workers, so the sweep must converge cleanly.
-        resilience.install_plan("worker.task,match=0,max=1,raise=InjectedFault")
+        install_plan("worker.task,match=0,max=1,raise=InjectedFault")
         with telemetry_session() as tel:
             records = SweepRunner(SCALE, jobs=2, cache=False).crf_refs_sweep()
         metrics = tel.metrics.as_dict()
@@ -77,7 +77,7 @@ class TestEncoderExceptions:
         assert metrics["retry.retries"] >= 1
 
     def test_fatal_exception_fails_without_retry(self):
-        resilience.install_plan("sweep.compute,match=crf=40,raise=ValueError")
+        install_plan("sweep.compute,match=crf=40,raise=ValueError")
         with telemetry_session() as tel:
             with pytest.raises(SweepFailure) as excinfo:
                 SweepRunner(SCALE, jobs=1, cache=False).crf_refs_sweep()
@@ -97,7 +97,7 @@ class TestWorkerCrashes:
         byte-identical results, recomputing only the incomplete cell
         (verified by encoder-call counting)."""
         cache = ResultCache(tmp_path / "sweeps")
-        resilience.install_plan("worker.task,match=2,kill")
+        install_plan("worker.task,match=2,kill")
         with telemetry_session() as tel:
             with pytest.raises(SweepFailure) as excinfo:
                 SweepRunner(SCALE, jobs=2, cache=cache).crf_refs_sweep()
@@ -109,7 +109,7 @@ class TestWorkerCrashes:
         # The cache holds exactly the completed cells, and nothing else.
         assert cache.stats().entries == 3
 
-        resilience.install_plan(None)  # chaos off
+        install_plan(None)  # chaos off
         with telemetry_session() as tel2:
             records = SweepRunner(SCALE, jobs=2, cache=cache).crf_refs_sweep()
         rerun = tel2.metrics.as_dict()
@@ -124,7 +124,7 @@ class TestWorkerCrashes:
     ):
         """Tasks in flight beside the killed worker are charged an
         attempt but retried; every other cell still completes."""
-        resilience.install_plan("worker.task,match=1,kill")
+        install_plan("worker.task,match=1,kill")
         with pytest.raises(SweepFailure) as excinfo:
             SweepRunner(SCALE, jobs=2, cache=False).crf_refs_sweep()
         failure = excinfo.value
@@ -143,7 +143,7 @@ class TestPartialSweepCache:
         from repro.cli import main
 
         root = tmp_path / "sweeps"
-        resilience.install_plan(
+        install_plan(
             "sweep.compute,match=crf=40:refs=2,raise=ValueError"
         )
         with pytest.raises(SweepFailure) as excinfo:
@@ -180,7 +180,7 @@ class TestCacheCorruption:
     ):
         cache = ResultCache(tmp_path / "sweeps")
         SweepRunner(SCALE, jobs=1, cache=cache).crf_refs_sweep()  # cold fill
-        resilience.install_plan("cache.read,raise=OSError")
+        install_plan("cache.read,raise=OSError")
         with telemetry_session() as tel:
             records = SweepRunner(SCALE, jobs=1, cache=cache).crf_refs_sweep()
         metrics = tel.metrics.as_dict()
@@ -192,7 +192,7 @@ class TestCacheCorruption:
         self, tmp_path, clean_payloads
     ):
         cache = ResultCache(tmp_path / "sweeps")
-        resilience.install_plan("cache.write,raise=OSError")
+        install_plan("cache.write,raise=OSError")
         with telemetry_session() as tel:
             records = SweepRunner(SCALE, jobs=1, cache=cache).crf_refs_sweep()
         metrics = tel.metrics.as_dict()
@@ -205,7 +205,7 @@ class TestCacheCorruption:
     ):
         cache = ResultCache(tmp_path / "sweeps")
         SweepRunner(SCALE, jobs=1, cache=cache).crf_refs_sweep()  # cold fill
-        resilience.install_plan("cache.read,at=1,max=1,raise=OSError")
+        install_plan("cache.read,at=1,max=1,raise=OSError")
         with telemetry_session() as tel:
             records = SweepRunner(SCALE, jobs=1, cache=cache).crf_refs_sweep()
         metrics = tel.metrics.as_dict()
@@ -225,7 +225,7 @@ class TestLoadtestUnderChaos:
         # Crash the 3rd and 7th worker executions: two of the four
         # workers get isolated mid-run, halving capacity while the
         # open-loop driver keeps offering at 20 req/s.
-        resilience.install_plan("service.worker,at=3|7,raise=RuntimeError")
+        install_plan("service.worker,at=3|7,raise=RuntimeError")
         spec = LoadtestSpec(
             arrivals="poisson", rates=(20.0,), duration_s=10.0, seed=7
         )
@@ -256,7 +256,7 @@ class TestCombinedChaos:
         """Encoder exceptions + cache read faults together: the engine
         absorbs all of it and the results do not change."""
         cache = ResultCache(tmp_path / "sweeps")
-        resilience.install_plan(
+        install_plan(
             "sweep.compute,at=1,max=1,raise=InjectedFault;"
             "cache.read,at=1,max=1,raise=OSError"
         )
@@ -264,7 +264,7 @@ class TestCombinedChaos:
         assert _payloads(records) == clean_payloads
 
     def test_stall_faults_only_cost_time(self, clean_payloads):
-        resilience.install_plan("sweep.compute,at=1,max=2,stall=0.01")
+        install_plan("sweep.compute,at=1,max=2,stall=0.01")
         with telemetry_session() as tel:
             records = SweepRunner(SCALE, jobs=1, cache=False).crf_refs_sweep()
         assert _payloads(records) == clean_payloads

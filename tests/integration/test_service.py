@@ -37,7 +37,7 @@ class TestServingModeMargin:
                 <= report.control.mean_latency_cycles)
 
     def test_margin_lands_in_run_json(self, tmp_path, capsys):
-        from repro.obs import load_run
+        from repro.obs.export import load_run
 
         out = tmp_path / "tel"
         report = serve(

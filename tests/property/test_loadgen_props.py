@@ -14,8 +14,7 @@
   seed, extras)`` produces a byte-identical schedule (equal SHA-256
   digests) in a freshly spawned interpreter — no dependence on hash
   randomization, global RNG state, or wall time.
-- **Merge order**: superposing two schedules preserves sort order and
-  multiset content.
+- **Registry**: every registered arrival kind realizes a schedule.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.loadgen.arrivals import (
     DiurnalArrivals,
     PoissonArrivals,
     make_arrivals,
-    merge_schedules,
 )
 
 # -- strategies ---------------------------------------------------------
@@ -205,21 +203,7 @@ class TestCrossProcessDeterminism:
         assert a.digest() == b.digest()
 
 
-class TestMerge:
-    @settings(max_examples=40, deadline=None)
-    @given(rate_a=rates, rate_b=rates, seed_a=seeds, seed_b=seeds,
-           duration=durations)
-    def test_merge_preserves_sort_order_and_content(
-        self, rate_a, rate_b, seed_a, seed_b, duration
-    ):
-        a = PoissonArrivals(rate_a, seed=seed_a).schedule(duration)
-        b = PoissonArrivals(rate_b, seed=seed_b).schedule(duration)
-        merged = merge_schedules(a, b)
-        assert len(merged) == len(a) + len(b)
-        times = list(merged)
-        assert times == sorted(times)
-        assert sorted(list(a) + list(b)) == times
-
+class TestRegistry:
     def test_registry_covers_every_kind(self):
         assert set(ARRIVAL_KINDS) == {"poisson", "fixed", "diurnal", "mmpp"}
         for kind in ARRIVAL_KINDS:

@@ -25,7 +25,6 @@ import random
 
 import pytest
 
-from repro import resilience
 from repro.api.types import (
     JOB_DONE,
     JOB_FAILED,
@@ -36,7 +35,8 @@ from repro.api.types import (
 )
 from repro.loadgen import driver
 from repro.loadgen.driver import LoadtestSpec, run_loadtest
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.faults import install_plan
+from repro.resilience.retry import RetryPolicy, install_policy
 from repro.service import queue as queue_module
 from repro.service import service as service_module
 from repro.service.clock import VirtualClock
@@ -191,10 +191,8 @@ def test_conservation_under_random_fault_plans(seed, monkeypatch):
         "raise=InjectedFault",
     ]
     plan = ";".join(c for c in clauses if rng.random() < 0.75)
-    resilience.configure(
-        fault_plan=plan or None,
-        retry=RetryPolicy(base_delay=0.0, max_delay=0.0, jitter=0.0),
-    )
+    install_policy(RetryPolicy(base_delay=0.0, max_delay=0.0, jitter=0.0))
+    install_plan(plan or None)
     spec = LoadtestSpec(
         arrivals=rng.choice(("poisson", "fixed", "mmpp")),
         rates=(rng.choice((5.0, 20.0, 60.0)),),

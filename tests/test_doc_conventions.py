@@ -3,11 +3,14 @@
 Every module must carry a module docstring and an explicit ``__all__``,
 and every ``__all__`` entry must resolve to a real attribute — the
 public surface documented in docs/ARCHITECTURE.md is generated from
-these, so a drifting ``__all__`` is a docs bug, not just style. A
-package ``__init__`` that re-exports nothing declares an empty one.
+these, so a drifting ``__all__`` is a docs bug, not just style. Every
+package ``__init__`` declares an empty one, outside a short allowlist:
+each name has one home, the submodule that defines it.
 
 The layering contract checks that resolving the configuration loads
-neither the service and load-test stack nor scipy.
+neither the service and load-test stack nor scipy, that importing a
+leaf module loads only that leaf, and that the ``repro`` imports of
+``examples/`` and ``benchmarks/`` (which no tier-1 test runs) resolve.
 
 The docs-drift audit at the bottom holds docs/CONFIGURATION.md to the
 same standard, row by row against ``repro.api.settings.FIELD_TABLE``:
@@ -18,15 +21,19 @@ renamed or re-flagged in the table but not in the doc fails the suite.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
 import types
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
+
+import repro
 
 AUDITED_PACKAGES = [
     "repro.codec",
@@ -36,14 +43,35 @@ AUDITED_PACKAGES = [
     "repro.loadgen",
 ]
 
+#: The package ``__init__``s allowed a non-empty ``__all__``, and what
+#: each may export (``None``: anything). Every other package exports
+#: nothing, so a name has one import path and a leaf import loads only
+#: its leaf.
+REEXPORTING_PACKAGES = {
+    # The value the result-cache key and `repro --version` read.
+    "repro": ["__version__"],
+    # The facade: the documented front door (README quickstart).
+    "repro.api": None,
+    # Held for perfbench/workloads/profile_grid.py, which imports it from
+    # here; it goes when that file is repointed at repro.obs.session.
+    "repro.obs": ["telemetry_session"],
+}
+
+
+def _packages():
+    return ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    ]
+
 
 def _modules():
-    names = []
+    names = set(_packages())
     for pkg_name in AUDITED_PACKAGES:
         pkg = importlib.import_module(pkg_name)
-        names.append(pkg_name)
         for info in pkgutil.iter_modules(pkg.__path__):
-            names.append(f"{pkg_name}.{info.name}")
+            names.add(f"{pkg_name}.{info.name}")
     return sorted(names)
 
 
@@ -60,6 +88,17 @@ def test_module_declares_all(name):
     mod = importlib.import_module(name)
     exported = getattr(mod, "__all__", None)
     assert exported is not None, f"{name} does not declare __all__"
+    if hasattr(mod, "__path__"):
+        allowed = REEXPORTING_PACKAGES.get(name, [])
+        if allowed is not None:
+            assert list(exported) == allowed, (
+                f"package {name} re-exports {exported}; import each name "
+                "from the submodule that defines it"
+            )
+    if name != "repro.api":
+        assert "__getattr__" not in vars(mod), (
+            f"{name} defines a module __getattr__; only the facade may"
+        )
     if not exported:
         # Only a package may export nothing, and then it must define
         # nothing public besides its submodules.
@@ -150,7 +189,7 @@ def test_every_env_var_documented(configuration_doc):
 def test_benchmarks_doc_names_both_live_schemas():
     """docs/BENCHMARKS.md documents the one format `repro bench` writes
     (the trend schema left with the drift gate)."""
-    from repro.bench import BENCH_SCHEMA
+    from repro.bench.report import BENCH_SCHEMA
 
     doc = (_REPO_ROOT / "docs" / "BENCHMARKS.md").read_text(encoding="utf-8")
     assert BENCH_SCHEMA in doc
@@ -279,13 +318,15 @@ def test_session_runs_under_the_environments_settings():
     assert parallel.default_jobs() == Settings.from_env().jobs
 
 
-_LAYERING_PROBE = """
-import sys
-import repro.cli, repro.api.facade
-from repro.api.settings import Settings
-Settings.from_env()
-print("\\n".join(sorted(sys.modules)))
-"""
+def _modules_loaded_by(code: str) -> list[str]:
+    """Every module in ``sys.modules`` after ``code`` runs in a fresh
+    interpreter."""
+    probe = code + '\nimport sys\nprint("\\n".join(sorted(sys.modules)))\n'
+    return subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(_REPO_ROOT / "src")},
+    ).stdout.split()
 
 
 def test_resolving_settings_loads_no_service_stack():
@@ -294,11 +335,11 @@ def test_resolving_settings_loads_no_service_stack():
     module of `repro.service` or `repro.loadgen`: a command imports the
     stack it runs and validates only the fields it reads
     (docs/CONFIGURATION.md, "Validation")."""
-    out = subprocess.run(
-        [sys.executable, "-c", _LAYERING_PROBE],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(_REPO_ROOT / "src")},
-    ).stdout.split()
+    out = _modules_loaded_by(
+        "import repro.cli, repro.api.facade\n"
+        "from repro.api.settings import Settings\n"
+        "Settings.from_env()"
+    )
     assert "repro.api.settings" in out
     loaded = [
         name for name in out
@@ -307,3 +348,60 @@ def test_resolving_settings_loads_no_service_stack():
         or name.startswith(("repro.service", "repro.loadgen"))
     ]
     assert not loaded, f"resolving Settings loaded {loaded}"
+
+
+#: Leaf import -> the module patterns it must not load.
+LEAF_IMPORTS = {
+    "repro": ["repro.*"],
+    "repro.obs.session": ["repro.codec*", "repro.video*", "repro.resilience*"],
+    "repro.codec.options": ["repro.codec.encoder", "repro.trace*", "repro.uarch*"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(LEAF_IMPORTS))
+def test_leaf_import_loads_only_its_leaf(module):
+    """Importing a leaf module in a fresh interpreter loads its own
+    dependencies and nothing a package ``__init__`` would re-export: no
+    package but the facade re-exports (``REEXPORTING_PACKAGES``)."""
+    out = _modules_loaded_by(f"import {module}")
+    assert module in out
+    loaded = [
+        name for name in out
+        if any(fnmatchcase(name, pattern) for pattern in LEAF_IMPORTS[module])
+    ]
+    assert not loaded, f"import {module} loaded {loaded}"
+
+
+def test_example_and_benchmark_imports_resolve():
+    """Every ``repro`` import in ``examples/*.py`` and ``benchmarks/*.py``
+    names a module that exists and, for ``from ... import``, an attribute
+    or submodule it has. Nothing in tier-1 runs those scripts, so a stale
+    import would otherwise go unnoticed. The scripts are parsed, not run."""
+    scripts = sorted(
+        [*(_REPO_ROOT / "examples").glob("*.py"),
+         *(_REPO_ROOT / "benchmarks").glob("*.py")]
+    )
+    assert scripts
+    problems = []
+    for path in scripts:
+        where = path.relative_to(_REPO_ROOT)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                pairs = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                pairs = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            for module, name in pairs:
+                if module.split(".")[0] != "repro":
+                    continue
+                try:
+                    mod = importlib.import_module(module)
+                    if name is not None and not hasattr(mod, name):
+                        importlib.import_module(f"{module}.{name}")
+                except ImportError:
+                    problems.append(
+                        f"{where}:{node.lineno}: {module}"
+                        + (f" has no {name}" if name else " does not import")
+                    )
+    assert not problems, "stale repro imports:\n" + "\n".join(problems)

@@ -57,7 +57,7 @@ class TestSweep:
             api.sweep("fig42")
 
     def test_sweep_with_telemetry(self, tmp_path, capsys):
-        from repro.obs import load_run
+        from repro.obs.export import load_run
 
         out_dir = tmp_path / "tel"
         text = api.sweep("tab4", telemetry_dir=out_dir)
@@ -123,7 +123,8 @@ class TestTelemetryRuns:
     """One wrapper exports all four; the run.json sections are frozen."""
 
     def test_run_json_sections(self, name, tmp_path, capsys):
-        from repro.obs import current, load_run
+        from repro.obs.export import load_run
+        from repro.obs.session import current
 
         call, experiment, scale, has_slo = TELEMETRY_RUNS[name]
         call(tmp_path)
@@ -142,7 +143,8 @@ class TestTelemetryRuns:
 
     def test_reuses_an_active_session(self, name, tmp_path):
         # Sessions do not nest; sweep used to raise NestedSessionError here.
-        from repro.obs import load_run, telemetry_session
+        from repro.obs.export import load_run
+        from repro.obs.session import telemetry_session
 
         call, experiment, _scale, _has_slo = TELEMETRY_RUNS[name]
         with telemetry_session() as tel:
@@ -153,7 +155,7 @@ class TestTelemetryRuns:
 
     def test_failed_run_still_exports(self, name, tmp_path, monkeypatch):
         import repro.api.facade as facade
-        from repro.obs import load_run
+        from repro.obs.export import load_run
 
         def boom(*args, **kwargs):
             raise RuntimeError("injected")

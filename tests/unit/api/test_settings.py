@@ -9,12 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from repro import resilience
 from repro.api import ENV_VARS, Settings
 from repro.api.settings import FIELD_TABLE
 from repro.experiments import parallel as engine
 from repro.resilience import faults
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import RetryPolicy, retry_policy
 
 ALL_ENV = (
     "REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_KERNELS", "REPRO_FAULT_PLAN",
@@ -175,7 +174,7 @@ class TestApply:
         )
         assert s.apply() is s
         assert engine.default_jobs() == 2
-        assert resilience.retry_policy().max_attempts == 4
+        assert retry_policy().max_attempts == 4
         assert faults.active_plan() is not None
 
     def test_apply_without_cache_disables_it(self):
@@ -196,13 +195,13 @@ class TestApply:
         assert engine.default_jobs() == 1
         assert engine.default_cache() is None
         assert not faults.active_plan()
-        assert resilience.retry_policy().max_attempts == 3
+        assert retry_policy().max_attempts == 3
 
         Settings.from_env().apply()
         assert engine.default_jobs() == 5
         assert engine.default_cache().root == tmp_path / "envcache"
         assert faults.active_plan() == faults.parse_fault_plan(plan)
-        assert resilience.retry_policy().max_attempts == 7
+        assert retry_policy().max_attempts == 7
 
 
 class TestFrozen:
@@ -263,7 +262,7 @@ def _cache_root():
 SUBSYSTEM_STATE = {
     "jobs": engine.default_jobs,
     "cache_dir": _cache_root,
-    "retry": resilience.retry_policy,
+    "retry": retry_policy,
     "fault_plan": lambda: faults.format_fault_plan(faults.active_plan() or ()),
 }
 

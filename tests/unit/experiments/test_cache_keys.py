@@ -25,7 +25,7 @@ from repro.experiments.cache import (
     content_key,
 )
 from repro.experiments.runner import QUICK, ExperimentScale, PointSpec, SweepRunner
-from repro.obs import telemetry_session
+from repro.obs.session import telemetry_session
 from repro.profiling.counters import CounterSet
 from repro.uarch.configs import baseline_config
 

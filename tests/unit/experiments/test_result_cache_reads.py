@@ -30,7 +30,7 @@ from repro.experiments.cache import (
     record_to_payload,
 )
 from repro.experiments.runner import QUICK, PointSpec, SweepRunner
-from repro.obs import telemetry_session
+from repro.obs.session import telemetry_session
 from repro.profiling.counters import CounterSet
 
 KEY = "ab" * 32

@@ -16,7 +16,6 @@ from repro.loadgen.arrivals import (
     MmppArrivals,
     PoissonArrivals,
     make_arrivals,
-    merge_schedules,
 )
 
 
@@ -117,8 +116,3 @@ class TestScheduleMechanics:
         assert len(empty) == 0
         assert empty.inter_arrivals() == ()
         assert len(empty.digest()) == 64
-
-    def test_merge_with_empty_is_identity(self):
-        a = PoissonArrivals(5.0, seed=1).schedule(4.0)
-        merged = merge_schedules(a, ArrivalSchedule(()))
-        assert merged.times_s == a.times_s

@@ -7,8 +7,8 @@ fleet data flow, including crash isolation and checkpoint/resume.
 
 import pytest
 
-from repro import resilience
 from repro.api.types import TranscodeRequest
+from repro.resilience.faults import install_plan
 from repro.service.queue import QueueFullError
 from repro.service.service import (
     ServiceConfig,
@@ -96,7 +96,7 @@ class TestLifecycle:
 
 class TestCrashIsolation:
     def test_crashed_worker_is_isolated_and_job_replaced(self):
-        resilience.install_plan("service.worker,at=1,raise=RuntimeError")
+        install_plan("service.worker,at=1,raise=RuntimeError")
         service = TranscodeService(ServiceConfig(**TINY))
         service.submit(TranscodeRequest(clip="cricket"))
         report = service.run_until_idle()
@@ -108,7 +108,7 @@ class TestCrashIsolation:
         assert status.attempts == 2  # first placement crashed
 
     def test_attempt_budget_exhaustion_fails_the_job(self):
-        resilience.install_plan("service.worker,at=1|2,raise=RuntimeError")
+        install_plan("service.worker,at=1|2,raise=RuntimeError")
         service = TranscodeService(ServiceConfig(max_attempts=2, **TINY))
         service.submit(TranscodeRequest(clip="cricket"))
         report = service.run_until_idle()
@@ -120,7 +120,7 @@ class TestCrashIsolation:
         assert "isolated" in status.error
 
     def test_whole_fleet_isolated_fails_pending_jobs(self):
-        resilience.install_plan("service.worker,raise=RuntimeError")
+        install_plan("service.worker,raise=RuntimeError")
         service = TranscodeService(
             ServiceConfig(fleet=("fe_op",), max_attempts=5, **TINY)
         )
@@ -133,7 +133,7 @@ class TestCrashIsolation:
 
     def test_retryable_faults_retry_in_place(self):
         # InjectedFault is retryable: the worker survives, no isolation.
-        resilience.install_plan("service.worker,at=1,raise=InjectedFault")
+        install_plan("service.worker,at=1,raise=InjectedFault")
         service = TranscodeService(ServiceConfig(**TINY))
         service.submit(TranscodeRequest(clip="cricket"))
         report = service.run_until_idle()
@@ -150,11 +150,11 @@ class TestTerminalAccounting:
     every deadline was missed)."""
 
     def _run(self, config, requests, plan=None):
-        from repro.obs import telemetry_session
+        from repro.obs.session import telemetry_session
         from repro.service.clock import VirtualClock
 
         if plan:
-            resilience.install_plan(plan)
+            install_plan(plan)
         with telemetry_session() as tel:
             service = TranscodeService(config, clock=VirtualClock())
             service.submit_many(requests)

@@ -6,19 +6,17 @@ import json
 
 import pytest
 
-from repro.bench import (
+from repro.bench.harness import KERNEL_BENCH_NAMES, run_encode_fig3, run_kernel_benches
+from repro.bench.report import (
     BENCH_SCHEMA,
-    KERNEL_BENCH_NAMES,
     bench_artifact_path,
+    build_payload,
     compare_bench,
     load_bench,
     render_bench,
-    run_encode_fig3,
-    run_kernel_benches,
     write_bench,
 )
-from repro.bench.report import build_payload
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 def _fake_payload(kernel_costs, encode_cost, rev="abc1234"):
@@ -160,12 +158,12 @@ def test_provenance_comes_from_the_package_checkout(tmp_path, monkeypatch):
     # the revision of the code it measured, not of the cwd.
     import subprocess
 
-    from repro import obs
+    from repro.obs.export import git_revision
 
     subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
     monkeypatch.chdir(tmp_path)
     payload = build_payload({}, {}, MetricsRegistry())
-    assert payload["rev"] == obs.git_revision()
+    assert payload["rev"] == git_revision()
 
 
 def test_render_bench_mentions_workloads():

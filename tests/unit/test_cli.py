@@ -5,8 +5,7 @@ import json
 import pytest
 
 import repro
-from repro.cli import main
-from repro.experiments import EXPERIMENT_DESCRIPTIONS, EXPERIMENT_IDS
+from repro.cli import EXPERIMENT_DESCRIPTIONS, EXPERIMENT_IDS, main
 
 
 class TestExperimentRegistry:
@@ -101,7 +100,7 @@ class TestAllFailureHandling:
 
 class TestTelemetry:
     def test_tab1_telemetry_artifacts(self, tmp_path, capsys):
-        from repro.obs import load_run
+        from repro.obs.export import load_run
 
         out = tmp_path / "out"
         assert main(["tab1", "--telemetry", str(out)]) == 0
@@ -117,7 +116,7 @@ class TestTelemetry:
     def test_failed_run_still_writes_artifact(self, tmp_path, capsys,
                                               monkeypatch):
         import repro.api.facade as facade
-        from repro.obs import load_run
+        from repro.obs.export import load_run
 
         def boom(exp_id, scale):
             raise RuntimeError("injected")
@@ -214,7 +213,7 @@ class TestEngineFlags:
 
 def _v3_payload(cost=3.0, *, rev="abc1234", dirty=False):
     """A minimal well-formed repro-bench/v3 artifact."""
-    from repro.bench import BENCH_SCHEMA
+    from repro.bench.report import BENCH_SCHEMA
 
     return {
         "schema": BENCH_SCHEMA,
@@ -251,7 +250,7 @@ class TestBenchGate:
             calls.append(kwargs)
             return _v3_payload(3.0, rev="def5678")
 
-        monkeypatch.setattr("repro.bench.run_bench", run_bench)
+        monkeypatch.setattr("repro.bench.harness.run_bench", run_bench)
         return calls
 
     def _baseline(self, tmp_path, **kwargs):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.trace.events import BranchEvent, CallBatch, KernelEvent, MemoryEvent
-from repro.trace.kernels import KERNELS, build_program, kernel_spec
+from repro.trace.kernels import KERNELS, build_program
 from repro.trace.recorder import AddressMap, NullTracer, RecordingTracer
 
 
@@ -16,11 +16,6 @@ class TestKernelCatalog:
         for name in ("me_sad", "dct4", "quant", "trellis", "entropy_coeff",
                      "deblock", "mode_decide", "intra_pred16"):
             assert name in KERNELS
-
-    def test_kernel_spec_lookup(self):
-        assert kernel_spec("me_sad").name == "me_sad"
-        with pytest.raises(KeyError):
-            kernel_spec("bogus")
 
     def test_all_kernels_have_positive_footprints(self):
         for k in KERNELS.values():
@@ -130,7 +125,7 @@ class TestRecordingTracer:
 
     def test_instruction_accounting(self):
         t = self._tracer()
-        spec = kernel_spec("dct4")
+        spec = KERNELS["dct4"]
         t.kernel("dct4", iters=10)
         expected = spec.instr_mix.scaled(10) + spec.call_overhead
         assert t.stream.instr.total == pytest.approx(expected.total)

@@ -9,7 +9,6 @@ from repro.video.metrics import (
     estimate_entropy,
     psnr,
     psnr_sequence,
-    ssim,
 )
 from repro.video.synthetic import SceneSpec, generate_scene
 
@@ -63,30 +62,6 @@ class TestPsnrSequence:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             psnr_sequence(self._seq([1]), self._seq([1, 2]))
-
-
-class TestSsim:
-    def test_identical_is_one(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(0, 256, (32, 32)).astype(np.uint8)
-        assert ssim(a, a) == pytest.approx(1.0)
-
-    def test_degrades_with_noise(self):
-        rng = np.random.default_rng(2)
-        a = rng.integers(0, 256, (32, 32)).astype(np.uint8)
-        small = np.clip(a.astype(int) + rng.normal(0, 5, a.shape), 0, 255).astype(np.uint8)
-        big = np.clip(a.astype(int) + rng.normal(0, 60, a.shape), 0, 255).astype(np.uint8)
-        assert ssim(a, small) > ssim(a, big)
-
-    def test_range(self):
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, 256, (32, 32)).astype(np.uint8)
-        b = rng.integers(0, 256, (32, 32)).astype(np.uint8)
-        assert -1.0 <= ssim(a, b) <= 1.0
-
-    def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            ssim(_plane(shape=(4, 4)), _plane(shape=(4, 4)))
 
 
 class TestBitrate:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs import telemetry_session
+from repro.obs.session import telemetry_session
 from repro.video import vbench
 from repro.video.vbench import (
     ALL_VIDEOS,

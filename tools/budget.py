@@ -31,12 +31,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # `perfbench`
 from repro.codec import decoder, encoder, entropy, mbdecision  # noqa: E402
 from repro.codec.tracemodel import EncodeTrace  # noqa: E402
 from repro.experiments import cache as result_cache, runner  # noqa: E402
+from repro.ffmpeg import transcode as transcode_mod  # noqa: E402
 from repro.trace.kernels import build_program  # noqa: E402
 from repro.trace.recorder import RecordingTracer  # noqa: E402
 from repro.uarch import branch, cache, configs, icache, simulator  # noqa: E402
-
-# ``repro.ffmpeg`` re-exports the function under the module's name.
-transcode_mod = importlib.import_module("repro.ffmpeg.transcode")
 
 OUTER = "*"  # key of the sum over the outermost calls of the ``*`` rows
 GLUE = "runner glue (rest)"
