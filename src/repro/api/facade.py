@@ -32,7 +32,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from repro.api.settings import Settings
 from repro.api.types import TranscodeRequest, TranscodeResult
 from repro.profiling.perf import ProfileResult, profile_transcode
 from repro.scheduling.task import TABLE_III_TASKS, TranscodeTask
@@ -218,16 +217,13 @@ def sweep(
     scale="quick",
     *,
     telemetry_dir: str | Path | None = None,
-    settings: Settings | None = None,
 ) -> str:
     """Run one paper experiment end to end and return its rendered text.
 
     ``scale`` is a name (``quick`` / ``medium`` / ``full``) or an
     :class:`~repro.experiments.runner.ExperimentScale`. With
     ``telemetry_dir`` the run executes under a telemetry session and
-    exports ``run.json`` / ``events.jsonl`` / ``trace.json`` there. A
-    ``settings`` object, when given, is applied first (see
-    :class:`repro.api.Settings` for the precedence rules).
+    exports ``run.json`` / ``events.jsonl`` / ``trace.json`` there.
 
     A sweep whose cells exhaust their retry budget raises
     :class:`~repro.experiments.runner.SweepFailure` after recording a
@@ -236,8 +232,6 @@ def sweep(
     from repro.experiments.runner import SCALES, SweepFailure
     from repro.obs.session import span
 
-    if settings is not None:
-        settings.apply()
     resolved = SCALES[scale] if isinstance(scale, str) else scale
     if telemetry_dir is None:
         return render_experiment(experiment, resolved)
@@ -284,10 +278,9 @@ def serve(
     control: bool = True,
     resume: bool = False,
     telemetry_dir: str | Path | None = None,
-    settings: Settings | None = None,
     slo_spec: str | Path | None = None,
     metrics_out: str | Path | None = None,
-    metrics_interval: float | None = None,
+    metrics_interval: float = 30.0,
 ) -> ServiceReport:
     """Run one synchronous pass of the transcoding job service.
 
@@ -299,7 +292,7 @@ def serve(
     pass runs under a telemetry session and exports run artifacts with
     ``experiment: "serve"``.
 
-    Observability knobs (CLI flag > ``settings`` > off):
+    Observability knobs (off when ``None``):
 
     - ``slo_spec`` — a JSON SLO spec (see :mod:`repro.obs.slo`); the
       evaluated report lands in ``run.json``'s ``slo`` section (with
@@ -310,16 +303,6 @@ def serve(
     """
     from repro.service.service import ServiceConfig, run_service
 
-    if settings is not None:
-        settings.apply()
-        if slo_spec is None:
-            slo_spec = settings.slo_spec
-        if metrics_out is None:
-            metrics_out = settings.metrics_out
-        if metrics_interval is None:
-            metrics_interval = settings.metrics_interval
-    if metrics_interval is None:
-        metrics_interval = 30.0
     if telemetry_dir is None and slo_spec is None and metrics_out is None:
         return run_service(
             requests, config, control=control, resume=resume
@@ -350,14 +333,13 @@ def loadtest(
     config: ServiceConfig | None = None,
     *,
     telemetry_dir: str | Path | None = None,
-    settings: Settings | None = None,
     slo_spec: str | Path | None = None,
 ) -> LoadtestReport:
     """Run an open-loop sustained-traffic load test against the service.
 
-    With ``spec`` omitted, one is built from ``settings`` (else the
-    :class:`LoadtestSpec` defaults): arrival process, offered rate(s),
-    duration, and workload mix. Each rate runs as one leg on a fresh
+    ``spec`` (default: the :class:`LoadtestSpec` defaults) names the
+    arrival process, offered rate(s), duration, and workload mix. Each
+    rate runs as one leg on a fresh
     :class:`~repro.service.service.TranscodeService` over a virtual
     clock, so even multi-minute scenarios finish in wall milliseconds —
     see :func:`repro.loadgen.driver.run_loadtest` for the mechanics.
@@ -365,23 +347,11 @@ def loadtest(
     With ``telemetry_dir`` the run exports artifacts under
     ``experiment: "loadtest"``; the offered/admitted/shed accounting and
     per-leg latency percentiles land in ``run.json``'s
-    ``meta.loadtest`` section, and an ``slo_spec`` (CLI flag >
-    ``settings`` > off) adds the evaluated verdict to the ``slo``
-    section, where ``repro slo check`` gates on it.
+    ``meta.loadtest`` section, and an ``slo_spec`` adds the evaluated
+    verdict to the ``slo`` section, where ``repro slo check`` gates on it.
     """
     from repro.loadgen.driver import LoadtestSpec, run_loadtest
 
-    if settings is not None:
-        settings.apply()
-        if slo_spec is None:
-            slo_spec = settings.slo_spec
-        if spec is None:
-            spec = LoadtestSpec(
-                arrivals=settings.loadtest_arrivals,
-                rates=settings.loadtest_rate,
-                duration_s=settings.loadtest_duration,
-                mix=settings.loadtest_mix,
-            )
     spec = spec or LoadtestSpec()
     if telemetry_dir is None and slo_spec is None:
         return run_loadtest(spec, config)
@@ -393,7 +363,7 @@ def loadtest(
 def fleet_compare(
     fleets=None,
     *,
-    objective: str | None = None,
+    objective: str = "min-cost",
     mix: str = "table3",
     count: int = 16,
     seed: int = 0,
@@ -403,7 +373,6 @@ def fleet_compare(
     height: int = 64,
     n_frames: int = 10,
     telemetry_dir: str | Path | None = None,
-    settings: Settings | None = None,
 ):
     """Compare heterogeneous fleets on one workload, smart vs. random.
 
@@ -420,19 +389,6 @@ def fleet_compare(
     """
     from repro.service.fleetcompare import run_fleet_compare
 
-    if settings is not None:
-        settings.apply()
-    if objective is None:
-        # A plain-throughput objective gives the cost comparison nothing
-        # to optimize, so it never applies implicitly: an explicit
-        # argument wins, then a cost-aware Settings objective, then the
-        # min-cost default.
-        from_settings = settings.objective if settings is not None else None
-        objective = (
-            from_settings
-            if from_settings not in (None, "throughput")
-            else "min-cost"
-        )
     kwargs = dict(
         objective=objective, mix=mix, count=count, seed=seed,
         deadline_s=deadline_s, budget_usd=budget_usd,

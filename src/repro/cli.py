@@ -687,17 +687,22 @@ def _fleet_compare_main(argv: list[str]) -> int:
         fleets = tuple(defs)
 
     count = args.count if args.count is not None else (8 if args.quick else 16)
+    # A plain-throughput objective gives the cost comparison nothing to
+    # optimize, so it never applies implicitly: an explicit --objective
+    # wins, then a cost-aware settings objective, then min-cost.
+    objective = args.objective or (
+        "min-cost" if settings.objective == "throughput" else settings.objective
+    )
     try:
         report = fleet_compare(
             fleets,
-            objective=args.objective,
+            objective=objective,
             mix=args.mix,
             count=count,
             seed=args.seed,
             deadline_s=args.deadline_s,
             budget_usd=args.budget_usd,
             telemetry_dir=args.telemetry,
-            settings=settings,
             **(QUICK_SIZING if args.quick else {}),
         )
     except (OSError, ValueError) as exc:

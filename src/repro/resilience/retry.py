@@ -41,6 +41,7 @@ __all__ = [
     "PERMANENT_OS_ERRORS",
     "RetryPolicy",
     "call_with_retry",
+    "charge_failure",
     "install_policy",
     "retry_policy",
 ]
@@ -163,6 +164,30 @@ def retry_policy() -> RetryPolicy:
     return _policy
 
 
+def charge_failure(
+    policy: RetryPolicy, attempt: int, *, token: str = "", label: str = ""
+) -> float | None:
+    """Count the ``attempt``-th failure (1-based) of one retried call.
+
+    Past the policy's budget that is a give-up (``retry.giveups``) and
+    the answer is ``None``; otherwise a retry (``retry.retries``, and the
+    jittered delay observed in ``retry.backoff_seconds``) and the answer
+    is that delay, for the caller to sleep. With a label, each counter
+    also counts under ``<name>.<label>``.
+    """
+    if attempt >= policy.max_attempts:
+        obs.inc("retry.giveups")
+        if label:
+            obs.inc(f"retry.giveups.{label}")
+        return None
+    delay = policy.backoff_delay(attempt, token)
+    obs.inc("retry.retries")
+    if label:
+        obs.inc(f"retry.retries.{label}")
+    obs.observe("retry.backoff_seconds", delay)
+    return delay
+
+
 def call_with_retry(
     fn: Callable[[], _R],
     *,
@@ -170,17 +195,14 @@ def call_with_retry(
     token: str = "",
     label: str = "",
     sleeper: Callable[[float], None] | None = None,
-    on_retry: Callable[[int, BaseException, float], None] | None = None,
 ) -> _R:
     """Call ``fn`` under ``policy``; return its result or raise its last
     exception.
 
     Retries only exceptions the policy classifies as retryable, sleeping
     the jittered backoff between attempts (``token`` diversifies jitter
-    across call sites). ``on_retry(attempt, exc, delay)`` fires before
-    each backoff sleep. Emits ``retry.retries`` / ``retry.giveups``
-    counters and the ``retry.backoff_seconds`` histogram, plus
-    ``retry.retries.<label>`` when a label is given.
+    across call sites). Each failure is counted by
+    :func:`charge_failure`.
     """
     sleep = sleeper if sleeper is not None else time.sleep
     attempt = 0
@@ -191,16 +213,7 @@ def call_with_retry(
         except Exception as exc:
             if not policy.is_retryable(exc):
                 raise
-            if attempt >= policy.max_attempts:
-                obs.inc("retry.giveups")
-                if label:
-                    obs.inc(f"retry.giveups.{label}")
+            delay = charge_failure(policy, attempt, token=token, label=label)
+            if delay is None:
                 raise
-            delay = policy.backoff_delay(attempt, token)
-            obs.inc("retry.retries")
-            if label:
-                obs.inc(f"retry.retries.{label}")
-            obs.observe("retry.backoff_seconds", delay)
-            if on_retry is not None:
-                on_retry(attempt, exc, delay)
             sleep(delay)

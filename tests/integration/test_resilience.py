@@ -88,6 +88,65 @@ class TestEncoderExceptions:
         assert tel.metrics.as_dict()["sweep.failed_cells"] == 2
 
 
+#: The retry-parity plans. The first selects by call index, which a pool
+#: worker resets per task: each crf=23 cell's first compute there fails.
+#: The second fails every crf=23 compute.
+FIRST_CALL_FAULT = "sweep.compute,match=crf=23,at=1,raise=InjectedFault"
+EVERY_CALL_FAULT = "sweep.compute,match=crf=23,raise=InjectedFault"
+
+
+def _sweep_under(plan, jobs):
+    """(records or None, SweepFailure or None, telemetry) of one sweep."""
+    install_plan(plan)
+    records = failure = None
+    with telemetry_session() as tel:
+        try:
+            records = SweepRunner(SCALE, jobs=jobs, cache=False).crf_refs_sweep()
+        except SweepFailure as exc:
+            failure = exc
+    return records, failure, tel
+
+
+class TestSerialParallelParity:
+    """A task retries in the process that runs it, so a pool worker
+    handles a raised fault exactly as the serial path does: the same
+    outcome, the same attempts, the same counters and the same backoff."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_fault_selected_by_call_index_is_retried_to_identical(
+        self, jobs, clean_payloads
+    ):
+        records, failure, _ = _sweep_under(FIRST_CALL_FAULT, jobs)
+        assert failure is None
+        assert _payloads(records) == clean_payloads
+
+    def test_a_persistent_fault_fails_alike_with_the_same_metrics(self):
+        # A nonzero backoff, so the histogram's sum is compared too.
+        install_policy(RetryPolicy(max_attempts=3, base_delay=0.001))
+        runs = {jobs: _sweep_under(EVERY_CALL_FAULT, jobs) for jobs in (1, 2)}
+        retry_metrics = {}
+        for jobs, (records, failure, tel) in runs.items():
+            assert records is None and failure is not None
+            assert sorted(
+                (f.crf, f.refs, f.attempts) for f in failure.failures
+            ) == [(23, 1, 3), (23, 2, 3)]
+            retry_metrics[jobs] = {
+                name: value
+                for name, value in tel.metrics.as_dict().items()
+                if name.startswith(("retry.", "faults.injected"))
+            }
+        serial = retry_metrics[1]
+        assert serial["faults.injected.raise"] == 6
+        assert serial["retry.retries.crf_refs"] == 4
+        assert serial["retry.giveups.crf_refs"] == 2
+        assert serial["retry.backoff_seconds"]["count"] == 4
+        assert retry_metrics[2] == serial
+        # Failed tasks ship their telemetry back too: one worker.task
+        # span per cell.
+        pooled = runs[2][2]
+        assert sum(s.name == "worker.task" for s in pooled.spans.finished) == 4
+
+
 class TestWorkerCrashes:
     def test_killed_worker_interrupt_then_resume_is_identical(
         self, tmp_path, clean_payloads
@@ -106,6 +165,9 @@ class TestWorkerCrashes:
         assert len(failure.failures) == 1
         assert failure.completed == 3
         assert interrupted["parallel.pool_restarts"] >= 1
+        # A crash give-up counts under the sweep's label, as a raised
+        # fault's give-up does.
+        assert interrupted["retry.giveups.crf_refs"] == 1
         # The cache holds exactly the completed cells, and nothing else.
         assert cache.stats().entries == 3
 
