@@ -7,10 +7,13 @@ would otherwise be duplicated in many modules.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import tempfile
-from collections.abc import Iterable, Sequence
+import types
+import typing
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
     "running_sum",
     "clamp",
     "format_table",
+    "from_fields",
     "geometric_mean",
     "percentile",
     "truthy",
@@ -157,3 +161,56 @@ def format_table(
     out = [" | ".join(h.ljust(w) for h, w in zip(headers, widths)), sep]
     out.extend(" | ".join(c.ljust(w) for c, w in zip(row, widths)) for row in str_rows)
     return "\n".join(out)
+
+
+def from_fields(cls: type, payload: object, where: str,
+                keys: Mapping[str, str] | None = None) -> typing.Any:
+    """Rebuild dataclass ``cls`` from a ``to_payload`` dict.
+
+    Each field is read from its key (``keys`` renames one) and checked
+    against the field's annotation: ``X | None``, nested dataclasses,
+    ``list`` / ``tuple`` / ``dict`` of those, and plain types (an ``int``
+    passes for ``float``, a ``bool`` passes only for ``bool``). Keys that
+    are not fields (derived values a writer adds) are ignored. A missing
+    or mistyped field raises ``ValueError`` naming ``where``.
+    """
+    if not isinstance(payload, Mapping):
+        raise ValueError(
+            f"{where}: expected an object, got {type(payload).__name__}"
+        )
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = (keys or {}).get(f.name, f.name)
+        if key not in payload:
+            raise ValueError(f"{where}: missing {key!r}")
+        kwargs[f.name] = _typed(hints[f.name], payload[key], f"{where}.{key}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _typed(tp: typing.Any, value: object, where: str) -> object:
+    """``value`` checked against annotation ``tp`` (see :func:`from_fields`)."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _typed(tp, value, where)
+    if dataclasses.is_dataclass(tp):
+        return from_fields(tp, value, where)
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        return origin(_typed(args[0], v, f"{where}[{i}]")
+                      for i, v in enumerate(value))
+    if origin is dict and isinstance(value, Mapping):
+        return {_typed(args[0], k, where): _typed(args[1], v, f"{where}.{k}")
+                for k, v in value.items()}
+    want = (int, float) if tp is float else origin or tp
+    if isinstance(value, want) and (tp is bool or not isinstance(value, bool)):
+        return value
+    raise ValueError(
+        f"{where}: expected {getattr(tp, '__name__', tp)}, "
+        f"got {type(value).__name__}"
+    )

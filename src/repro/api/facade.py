@@ -385,7 +385,7 @@ def fleet_compare(
     ``telemetry_dir`` the run exports artifacts under ``experiment:
     "fleet-compare"`` and the per-fleet table lands in ``run.json``'s
     ``meta.fleet_compare`` section, which ``repro report`` renders and
-    ``repro diff`` compares across runs.
+    ``repro report --diff`` compares across runs.
     """
     from repro.service.fleetcompare import run_fleet_compare
 

@@ -18,7 +18,7 @@ All three round-trip through plain-JSON payloads (``to_payload`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from repro.codec.options import EncoderOptions
@@ -91,22 +91,12 @@ class TranscodeRequest:
 
     def to_payload(self) -> dict[str, Any]:
         """Plain-JSON form (spool lines, checkpoints, artifacts)."""
-        return {
-            "clip": self.clip,
-            "preset": self.preset,
-            "crf": self.crf,
-            "refs": self.refs,
-            "priority": self.priority,
-            "deadline_ms": self.deadline_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "TranscodeRequest":
         """Inverse of :meth:`to_payload`; unknown keys are rejected."""
-        known = {
-            "clip", "preset", "crf", "refs", "priority", "deadline_ms",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(
                 f"unknown TranscodeRequest fields: {sorted(unknown)}"
@@ -148,18 +138,7 @@ class TranscodeResult:
 
     def to_payload(self) -> dict[str, Any]:
         """Plain-JSON form for checkpoints and status artifacts."""
-        return {
-            "clip": self.clip,
-            "preset": self.preset,
-            "crf": self.crf,
-            "refs": self.refs,
-            "psnr_db": self.psnr_db,
-            "bitrate_kbps": self.bitrate_kbps,
-            "encode_seconds": self.encode_seconds,
-            "cycles": self.cycles,
-            "config": self.config,
-            "baseline_cycles": self.baseline_cycles,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "TranscodeResult":
@@ -203,20 +182,6 @@ class JobStatus:
         return self.state in (JOB_DONE, JOB_FAILED)
 
     def to_payload(self) -> dict[str, Any]:
-        """Plain-JSON form for the ``jobs.json`` status artifact."""
-        return {
-            "job_id": self.job_id,
-            "state": self.state,
-            "clip": self.clip,
-            "preset": self.preset,
-            "crf": self.crf,
-            "refs": self.refs,
-            "priority": self.priority,
-            "attempts": self.attempts,
-            "worker": self.worker,
-            "error": self.error,
-            "result": None if self.result is None else self.result.to_payload(),
-            "trace_id": self.trace_id,
-            "timings": dict(self.timings),
-            "cost_usd": self.cost_usd,
-        }
+        """Plain-JSON form for the ``jobs.json`` status artifact (the
+        result as its own payload)."""
+        return asdict(self)

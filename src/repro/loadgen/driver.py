@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro._util import percentile
+from repro._util import from_fields, percentile
 from repro.loadgen.arrivals import ArrivalProcess, make_arrivals
 from repro.loadgen.mixes import WorkloadMix, make_mix
 from repro.obs import session as obs
@@ -151,6 +151,12 @@ class LoadtestReport:
             "spec": self.spec.to_payload(),
             "legs": [leg.to_payload() for leg in self.legs],
         }
+
+    @classmethod
+    def from_payload(cls, payload: object) -> "LoadtestReport":
+        """Inverse of :meth:`to_payload`: the derived leg keys are ignored,
+        a missing or mistyped field raises ``ValueError``."""
+        return from_fields(cls, payload, "meta.loadtest")
 
     def render(self) -> str:
         """The offered-rate vs. achieved-throughput/latency table."""
@@ -269,6 +275,6 @@ def run_loadtest(
     report = LoadtestReport(spec, legs)
     tel = obs.current()
     if tel is not None:
-        # render_run picks the table up from here (``meta.loadtest``).
+        # `repro report` prints LoadtestReport.from_payload(this).render().
         tel.meta["loadtest"] = report.to_payload()
     return report

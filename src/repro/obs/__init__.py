@@ -19,7 +19,8 @@ and the job service on top of it. Six pieces:
   snapshotter behind ``repro serve --metrics-out``;
 - :mod:`repro.obs.export` — JSONL event stream, Chrome trace, and the
   validated ``run.json`` artifact (plus rendering/diffing/timelines for
-  ``repro report``).
+  ``repro report``; a section another package owns is printed by that
+  owner's ``from_payload(...).render()``).
 
 Instrumented code binds the session module once
 (``from repro.obs import session as obs``) and calls ``obs.span(...)``.

@@ -18,11 +18,13 @@ One telemetry session produces three machine-readable artifacts:
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
 import time
 from pathlib import Path
+from typing import Any
 
 from repro._util import atomic_write_text, format_table
 from repro.obs.metrics import parse_label_key
@@ -307,8 +309,31 @@ def _flatten_metrics(artifact: dict[str, object]) -> dict[str, float]:
     return flat
 
 
+#: The ``run.json`` sections another package writes, by dotted path:
+#: the owner module and the report class whose ``from_payload`` reads it.
+_OWNED = {
+    "meta.loadtest": ("repro.loadgen.driver", "LoadtestReport"),
+    "meta.fleet_compare": ("repro.service.fleetcompare", "FleetCompareReport"),
+    "slo": ("repro.obs.slo", "SloReport"),
+}
+
+
+def _owned(artifact: dict[str, object], section: str) -> Any:
+    """The report record behind ``section``, rebuilt by its owner's
+    ``from_payload`` (the owner is imported only when the section is
+    there); ``None`` when the run has no such section."""
+    payload: object = artifact
+    for key in section.split("."):
+        payload = payload.get(key) if isinstance(payload, dict) else None
+    if payload is None:
+        return None
+    module, name = _OWNED[section]
+    return getattr(importlib.import_module(module), name).from_payload(payload)
+
+
 def render_run(artifact: dict[str, object]) -> str:
-    """Human-readable view of one ``run.json``."""
+    """Human-readable view of one ``run.json``: the sections
+    :data:`RUN_SCHEMA` defines, plus each owned section's own table."""
     head = (
         f"run: {artifact['experiment']} @ scale={artifact['scale']} "
         f"[{artifact['status']}]\n"
@@ -331,15 +356,10 @@ def render_run(artifact: dict[str, object]) -> str:
         rows = [[k, v] for k, v in sorted(topdown.items())]
         parts.append("\ntopdown (mean % of slots):\n"
                      + format_table(["slot", "%"], rows, floatfmt=".2f"))
-    meta = artifact.get("meta")
-    loadtest = meta.get("loadtest") if isinstance(meta, dict) else None
-    if isinstance(loadtest, dict):
-        parts.append("\n" + _render_loadtest_section(loadtest))
-    fleet_compare = (
-        meta.get("fleet_compare") if isinstance(meta, dict) else None
-    )
-    if isinstance(fleet_compare, dict):
-        parts.append("\n" + _render_fleet_compare_section(fleet_compare))
+    for section in _OWNED:
+        report = _owned(artifact, section)
+        if report is not None:
+            parts.append("\n" + report.render())
     latency = _stage_latency_rows(artifact)
     if latency:
         parts.append("\nstage latency (per config):\n"
@@ -347,9 +367,6 @@ def render_run(artifact: dict[str, object]) -> str:
                          ["stage", "config", "count", "p50 s", "p90 s",
                           "p99 s"],
                          latency, floatfmt=".4g"))
-    slo = artifact.get("slo")
-    if isinstance(slo, dict):
-        parts.append("\nslo:\n" + _render_slo_section(slo))
     flat = _flatten_metrics(artifact)
     rows = [[k, v] for k, v in sorted(flat.items())]
     parts.append("\nmetrics:\n" + format_table(["metric", "value"], rows,
@@ -383,83 +400,6 @@ def _stage_latency_rows(artifact: dict[str, object]) -> list[list[object]]:
             snap.get("p99", 0.0),
         ])
     return rows
-
-
-def _render_loadtest_section(loadtest: dict[str, object]) -> str:
-    """The offered-rate vs. achieved-throughput/latency table from a
-    load-test artifact's ``meta.loadtest`` payload."""
-    spec = loadtest.get("spec") or {}
-    head = (
-        f"loadtest: {spec.get('arrivals', '?')} arrivals, "
-        f"mix={spec.get('mix', '?')}, "
-        f"duration={spec.get('duration_s', '?')}s, "
-        f"seed={spec.get('seed', '?')}, "
-        f"{'open' if spec.get('open_loop', True) else 'closed'} loop"
-    )
-    rows = [
-        [leg.get("rate", 0.0), leg.get("achieved_rps", 0.0),
-         leg.get("offered", 0), leg.get("admitted", 0),
-         leg.get("shed", 0), leg.get("completed", 0),
-         leg.get("failed", 0),
-         leg.get("queue_wait_p50_s", 0.0), leg.get("queue_wait_p99_s", 0.0),
-         leg.get("e2e_p50_s", 0.0), leg.get("e2e_p99_s", 0.0)]
-        for leg in loadtest.get("legs") or []
-    ]
-    table = format_table(
-        ["offered/s", "achieved/s", "offered", "admitted", "shed", "done",
-         "failed", "wait p50", "wait p99", "e2e p50", "e2e p99"],
-        rows, floatfmt=".4g",
-    )
-    return f"{head}\n{table}"
-
-
-def _render_fleet_compare_section(fc: dict[str, object]) -> str:
-    """The per-fleet cost table from an artifact's ``meta.fleet_compare``
-    payload: throughput per provisioned dollar, p99 end-to-end latency,
-    and cost per completed job, best throughput/$ first."""
-    head = (
-        f"fleet-compare: objective={fc.get('objective', '?')}, "
-        f"mix={fc.get('mix', '?')}, jobs={fc.get('count', '?')}, "
-        f"seed={fc.get('seed', '?')}"
-    )
-    if fc.get("deadline_s") is not None:
-        head += f", deadline={fc['deadline_s']}s"
-    if fc.get("budget_usd") is not None:
-        head += f", budget=${fc['budget_usd']}/h"
-    fleets = [f for f in fc.get("fleets") or [] if isinstance(f, dict)]
-    fleets.sort(key=lambda f: float(f.get("jobs_per_dollar", 0.0)),
-                reverse=True)
-    rows = [
-        [(f.get("fleet") or {}).get("name", "?"), f.get("workers", 0),
-         f.get("hourly_usd", 0.0), f.get("completed", 0),
-         f.get("failed", 0), f.get("jobs_per_dollar", 0.0),
-         f.get("e2e_p99_s", 0.0), f.get("cost_per_completed_usd", 0.0),
-         f"{float(f.get('cost_margin_vs_control_pct', 0.0)):+.1f}%"]
-        for f in fleets
-    ]
-    table = format_table(
-        ["fleet", "workers", "$/hour", "done", "failed", "jobs/$",
-         "e2e p99 s", "$/job", "vs random"],
-        rows, floatfmt=".4g",
-    )
-    return f"{head}\n{table}"
-
-
-def _render_slo_section(slo: dict[str, object]) -> str:
-    """The embedded SLO report as a verdict line plus objective table."""
-    verdict = "OK" if slo.get("ok") else (
-        "BREACHED: " + ", ".join(str(n) for n in slo.get("breached") or []))
-    rows = [
-        [obj.get("name", "?"), obj.get("kind", "?"),
-         "pass" if obj.get("ok") else "FAIL",
-         obj.get("actual", 0.0), obj.get("target", 0.0),
-         obj.get("burn_rate", 0.0)]
-        for obj in slo.get("objectives") or []
-    ]
-    table = format_table(
-        ["objective", "kind", "verdict", "actual", "target", "burn"],
-        rows, floatfmt=".4g")
-    return f"spec: {slo.get('spec', '?')}  [{verdict}]\n{table}"
 
 
 def render_timeline(records: list[dict[str, object]], job: object) -> str:
@@ -547,58 +487,36 @@ def diff_runs(a: dict[str, object], b: dict[str, object]) -> str:
         parts.append("stage latency p99 (per config):\n"
                      + format_table(["stage", "config", "a", "b", "delta"],
                                     rows))
-    def _fleet_index(artifact: dict[str, object]) -> dict[str, dict]:
-        meta = artifact.get("meta")
-        fc = meta.get("fleet_compare") if isinstance(meta, dict) else None
-        if not isinstance(fc, dict):
-            return {}
-        return {
-            (f.get("fleet") or {}).get("name", "?"): f
-            for f in fc.get("fleets") or []
-            if isinstance(f, dict)
-        }
-
-    fca, fcb = _fleet_index(a), _fleet_index(b)
-    if fca or fcb:
+    jpd_a, jpd_b = (
+        {r.fleet.name: r.jobs_per_dollar for r in fc.results} if fc else {}
+        for fc in (_owned(x, "meta.fleet_compare") for x in (a, b))
+    )
+    if jpd_a or jpd_b:
         rows = []
-        for name in sorted(set(fca) | set(fcb)):
-            ra, rb = fca.get(name), fcb.get(name)
-            jpd_a = float(ra.get("jobs_per_dollar", 0.0)) if ra else None
-            jpd_b = float(rb.get("jobs_per_dollar", 0.0)) if rb else None
-            if jpd_a is None or jpd_b is None:
-                delta = "(only one run)"
-            else:
-                delta = format(jpd_b - jpd_a, "+.4g")
-                if jpd_a:
-                    delta += f" ({(jpd_b - jpd_a) / jpd_a * 100.0:+.2f}%)"
-            rows.append([
-                name,
-                "-" if jpd_a is None else format(jpd_a, ".4g"),
-                "-" if jpd_b is None else format(jpd_b, ".4g"),
-                delta,
-            ])
+        for name in sorted(set(jpd_a) | set(jpd_b)):
+            va, vb = jpd_a.get(name), jpd_b.get(name)
+            delta = "(only one run)"
+            if va is not None and vb is not None:
+                delta = format(vb - va, "+.4g")
+                if va:
+                    delta += f" ({(vb - va) / va * 100.0:+.2f}%)"
+            rows.append([name, "-" if va is None else format(va, ".4g"),
+                         "-" if vb is None else format(vb, ".4g"), delta])
         parts.append("fleet-compare throughput/$ (jobs per provisioned "
                      "dollar):\n"
                      + format_table(["fleet", "a", "b", "delta"], rows))
-    sa, sb = a.get("slo"), b.get("slo")
-    if isinstance(sa, dict) or isinstance(sb, dict):
-        objs_a = {o.get("name"): o for o in
-                  (sa.get("objectives") if isinstance(sa, dict) else None)
-                  or []}
-        objs_b = {o.get("name"): o for o in
-                  (sb.get("objectives") if isinstance(sb, dict) else None)
-                  or []}
-        rows = []
-        for name in sorted(set(objs_a) | set(objs_b)):
-            oa, ob = objs_a.get(name), objs_b.get(name)
+    sa, sb = _owned(a, "slo"), _owned(b, "slo")
+    if sa is not None or sb is not None:
+        objs_a, objs_b = ({r.name: r for r in s.results} if s else {}
+                          for s in (sa, sb))
 
-            def _cell(o):
-                if o is None:
-                    return "-"
-                return ("pass" if o.get("ok") else "FAIL") \
-                    + f" (burn {format(float(o.get('burn_rate', 0.0)), '.3g')})"
+        def _cell(r: Any) -> str:
+            if r is None:
+                return "-"
+            return f"{'pass' if r.ok else 'FAIL'} (burn {r.burn_rate:.3g})"
 
-            rows.append([name, _cell(oa), _cell(ob)])
+        rows = [[name, _cell(objs_a.get(name)), _cell(objs_b.get(name))]
+                for name in sorted(set(objs_a) | set(objs_b))]
         parts.append("slo objectives:\n"
                      + format_table(["objective", "a", "b"], rows))
     return "\n".join(parts)

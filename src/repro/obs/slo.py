@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from repro._util import format_table
+from repro._util import format_table, from_fields
 from repro.obs.metrics import parse_label_key
 
 __all__ = [
@@ -152,9 +152,7 @@ class SloObjective:
     def from_payload(cls, payload: Mapping[str, object]) -> "SloObjective":
         """Build an objective from one spec-file entry; unknown keys are
         rejected so typos fail loudly at load time."""
-        known = {"name", "kind", "metric", "labels", "percentile",
-                 "threshold_s", "bad", "total", "max_rate"}
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(
                 f"objective has unknown fields: {sorted(unknown)}"
@@ -237,16 +235,7 @@ class ObjectiveResult:
 
     def to_payload(self) -> dict[str, object]:
         """Plain-JSON form (the ``slo.objectives[]`` rows in run.json)."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "ok": self.ok,
-            "actual": self.actual,
-            "target": self.target,
-            "burn_rate": self.burn_rate,
-            "budget_remaining": self.budget_remaining,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -274,6 +263,13 @@ class SloReport:
             "breached": list(self.breached),
             "objectives": [r.to_payload() for r in self.results],
         }
+
+    @classmethod
+    def from_payload(cls, payload: object) -> "SloReport":
+        """Inverse of :meth:`to_payload`: ``ok`` / ``breached`` are derived
+        and ignored, a missing or mistyped field raises ``ValueError``."""
+        return from_fields(cls, payload, "slo",
+                           keys={"spec_name": "spec", "results": "objectives"})
 
     def render(self) -> str:
         """Human-readable table for ``repro slo check`` / ``repro serve``."""

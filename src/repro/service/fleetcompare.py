@@ -19,8 +19,8 @@ roughly 1.5-2x over the x86 fleets at equal completion counts.
 The whole comparison is deterministic for a fixed seed (virtual clock,
 seeded control, hashed placement), and the report lands in run.json
 under ``meta.fleet_compare`` when run inside a telemetry session, where
-``repro report`` renders it and ``repro diff`` diffs throughput/$
-between runs.
+``repro report`` prints its table and ``repro report --diff`` diffs
+throughput/$ between runs.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
+from repro._util import from_fields
 from repro.obs import session as obs
 from repro.service.clock import VirtualClock
 from repro.service.service import ServiceConfig, TranscodeService, table3_requests
@@ -52,10 +53,6 @@ class FleetDef:
 
     def __post_init__(self) -> None:
         parse_fleet_spec(self.spec)  # fail fast on bad specs
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-JSON form for run.json metadata."""
-        return asdict(self)
 
 
 #: The shipped comparison matrix (each fleet internally heterogeneous).
@@ -139,16 +136,18 @@ class FleetCompareReport:
         )
 
     def to_payload(self) -> dict[str, Any]:
-        """Plain-JSON form, stored under run.json's ``meta.fleet_compare``."""
-        return {
-            "objective": self.objective,
-            "mix": self.mix,
-            "count": self.count,
-            "seed": self.seed,
-            "deadline_s": self.deadline_s,
-            "budget_usd": self.budget_usd,
-            "fleets": [r.to_payload() for r in self.results],
-        }
+        """Plain-JSON form, stored under run.json's ``meta.fleet_compare``:
+        the knobs, then the rows as ``fleets``."""
+        doc = asdict(self)
+        del doc["results"]
+        return {**doc, "fleets": [r.to_payload() for r in self.results]}
+
+    @classmethod
+    def from_payload(cls, payload: object) -> "FleetCompareReport":
+        """Inverse of :meth:`to_payload`: the derived margin is ignored,
+        a missing or mistyped field raises ``ValueError``."""
+        return from_fields(cls, payload, "meta.fleet_compare",
+                           keys={"results": "fleets"})
 
     def render(self) -> str:
         """The per-fleet throughput/$ / latency / cost-per-job table."""
@@ -162,14 +161,14 @@ class FleetCompareReport:
         )
         cols = (
             f"{'fleet':>8s} {'workers':>7s} {'$/hour':>8s} {'done':>5s} "
-            f"{'jobs/$':>10s} {'e2e p99':>9s} {'$/job':>12s} "
+            f"{'failed':>6s} {'jobs/$':>10s} {'e2e p99':>9s} {'$/job':>12s} "
             f"{'vs random':>10s}"
         )
         lines = [head, cols]
         for r in self.ranked():
             lines.append(
                 f"{r.fleet.name:>8s} {r.workers:>7d} "
-                f"{r.hourly_usd:>8.3f} {r.completed:>5d} "
+                f"{r.hourly_usd:>8.3f} {r.completed:>5d} {r.failed:>6d} "
                 f"{r.jobs_per_dollar:>10.0f} {r.e2e_p99_s:>8.3f}s "
                 f"{r.cost_per_completed_usd:>12.8f} "
                 f"{r.cost_margin_vs_control_pct:>+9.1f}%"
@@ -267,6 +266,6 @@ def run_fleet_compare(
             )
     tel = obs.current()
     if tel is not None:
-        # render_run picks the table up from here (``meta.fleet_compare``).
+        # `repro report` prints FleetCompareReport.from_payload(this).render().
         tel.meta["fleet_compare"] = report.to_payload()
     return report

@@ -233,27 +233,25 @@ class SmartPlacement:
         if not jobs or not workers:
             return {}
         jobs = jobs[: len(workers)]
-        with obs.span("service.place", policy=self.name, jobs=len(jobs),
-                      workers=len(workers), objective=self.objective):
-            if self.objective == "throughput":
-                score = affinity_matrix(
-                    [counters[job.job_id] for job in jobs],
-                    [worker.config_name for worker in workers],
-                )
-                return {
-                    jobs[i].job_id: workers[j]
-                    for i, j in solve_assignment(score, maximize=True)
-                }
-            cost = self._cost_matrix(jobs, workers, counters)
-            pairs = solve_assignment(cost, maximize=False)
-            placement = {
+        if self.objective == "throughput":
+            score = affinity_matrix(
+                [counters[job.job_id] for job in jobs],
+                [worker.config_name for worker in workers],
+            )
+            return {
                 jobs[i].job_id: workers[j]
-                for i, j in pairs
-                if cost[i, j] < _INFEASIBLE
+                for i, j in solve_assignment(score, maximize=True)
             }
-            unplaced = len(pairs) - len(placement)
-            if unplaced:
-                obs.inc("service.placements_infeasible", unplaced)
+        cost = self._cost_matrix(jobs, workers, counters)
+        pairs = solve_assignment(cost, maximize=False)
+        placement = {
+            jobs[i].job_id: workers[j]
+            for i, j in pairs
+            if cost[i, j] < _INFEASIBLE
+        }
+        unplaced = len(pairs) - len(placement)
+        if unplaced:
+            obs.inc("service.placements_infeasible", unplaced)
         return placement
 
 
@@ -283,14 +281,12 @@ class RandomPlacement:
         self._round += 1
         free = list(workers)
         placement: dict[int, Worker] = {}
-        with obs.span("service.place", policy=self.name, jobs=len(jobs),
-                      workers=len(workers)):
-            for job in jobs[: len(workers)]:
-                digest = hashlib.sha256(
-                    f"{self.seed}|{self._round}|{job.job_id}".encode()
-                ).digest()
-                index = int.from_bytes(digest[:8], "big") % len(free)
-                placement[job.job_id] = free.pop(index)
+        for job in jobs[: len(workers)]:
+            digest = hashlib.sha256(
+                f"{self.seed}|{self._round}|{job.job_id}".encode()
+            ).digest()
+            index = int.from_bytes(digest[:8], "big") % len(free)
+            placement[job.job_id] = free.pop(index)
         return placement
 
 

@@ -22,13 +22,19 @@ the virtual clock, so the numbers are bit-for-bit deterministic):
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import ServiceConfig, table3_requests
 from repro.cli import main
 from repro.service.clock import VirtualClock
 from repro.obs.export import diff_runs, load_run, render_run
-from repro.service.fleetcompare import EXAMPLE_FLEETS, run_fleet_compare
+from repro.service.fleetcompare import (
+    EXAMPLE_FLEETS,
+    FleetCompareReport,
+    run_fleet_compare,
+)
 from repro.service.service import TranscodeService
 from repro.service.workers import parse_fleet_spec
 
@@ -139,12 +145,31 @@ class TestArtifacts:
         assert payload["objective"] == "min-cost"
         assert {f["fleet"]["name"] for f in payload["fleets"]} == set(FLEETS)
         rendered = render_run(run)
-        assert "fleet-compare:" in rendered
+        assert "fleet-compare — objective=min-cost" in rendered
         for name in FLEETS:
             assert name in rendered
         diffed = diff_runs(run, run)
         assert "fleet-compare throughput/$" in diffed
         assert "+0" in diffed  # identical runs diff to zero deltas
+
+    def test_from_payload_inverts_to_payload(self):
+        report = run_fleet_compare(count=4, seed=0, **QUICK)
+        payload = report.to_payload()
+        assert "cost_margin_vs_control_pct" in payload["fleets"][0]
+        assert FleetCompareReport.from_payload(payload) == report
+        assert FleetCompareReport.from_payload(
+            json.loads(json.dumps(payload))) == report
+
+    def test_report_prints_the_commands_table(self, tmp_path, capsys):
+        out = tmp_path / "fc"
+        assert main(["fleet-compare", "--quick", "--count", "4",
+                     "--fleet", "x86=c5.xlarge,m5.xlarge",
+                     "--fleet", "arm=c6g.xlarge,a1.xlarge",
+                     "--telemetry", str(out)]) == 0
+        table = capsys.readouterr().out
+        assert " failed " in table.splitlines()[1]
+        assert main(["report", str(out / "run.json")]) == 0
+        assert table in capsys.readouterr().out
 
     def test_cli_quick_exits_zero_and_prints_table(self, capsys):
         assert main(["fleet-compare", "--quick", "--count", "4"]) == 0

@@ -28,7 +28,7 @@ import pytest
 
 from repro.api import ServiceConfig, loadtest
 from repro.cli import main
-from repro.loadgen.driver import LoadtestSpec, run_loadtest
+from repro.loadgen.driver import LoadtestReport, LoadtestSpec, run_loadtest
 from repro.obs.export import load_run
 from repro.obs.session import telemetry_session
 
@@ -151,6 +151,30 @@ class TestDeterminism:
             payloads.append(load_run(out / "run.json")["meta"]["loadtest"])
         capsys.readouterr()
         assert payloads[0] == payloads[1]
+
+
+class TestReportPayload:
+    """``repro report`` prints ``meta.loadtest`` as
+    ``LoadtestReport.from_payload(section).render()``: one table per
+    report, the one the command printed."""
+
+    def test_from_payload_inverts_to_payload(self):
+        spec = LoadtestSpec(rates=(4.0, 8.0), duration_s=3.0, seed=2)
+        report = run_loadtest(spec, ServiceConfig(**QUICK))
+        payload = report.to_payload()
+        assert "achieved_rps" in payload["legs"][0]   # derived, not read
+        assert LoadtestReport.from_payload(payload) == report
+        assert LoadtestReport.from_payload(
+            json.loads(json.dumps(payload))) == report
+
+    def test_report_prints_the_commands_table(self, tmp_path, capsys):
+        out = tmp_path / "tel"
+        assert main(["loadtest", "--quick", "--rate", "4", "--duration",
+                     "3", "--telemetry", str(out)]) == 0
+        table = capsys.readouterr().out
+        assert table.startswith("loadtest — poisson arrivals")
+        assert main(["report", str(out / "run.json")]) == 0
+        assert table in capsys.readouterr().out
 
 
 class TestClosedLoop:

@@ -234,6 +234,20 @@ def test_trace_content_has_one_home():
     ) == {"tracemodel.py"}
 
 
+def test_a_payload_has_one_reader():
+    """A run.json section another package writes (`meta.loadtest`,
+    `meta.fleet_compare`, `slo`) is read back by that owner's
+    `from_payload` and printed by its `render()`; `obs/export.py` owns
+    only what `RUN_SCHEMA` defines and names none of the owners' keys."""
+    export = (_REPO_ROOT / "src" / "repro" / "obs" / "export.py").read_text(
+        encoding="utf-8")
+    owners_keys = ('"legs"', '"queue_wait_p99_s"', '"fleets"',
+                   '"jobs_per_dollar"', '"cost_margin_vs_control_pct"',
+                   '"objectives"', '"burn_rate"')
+    named = [key for key in owners_keys if key in export]
+    assert not named, f"obs/export.py reads owners' payload keys {named}"
+
+
 def test_no_sweep_checkpoint_in_src():
     """A finished sweep cell has one durable store, the result cache
     (docs/PERFORMANCE.md has the measurement that removed the checkpoint
@@ -348,6 +362,25 @@ def test_resolving_settings_loads_no_service_stack():
         or name.startswith(("repro.service", "repro.loadgen"))
     ]
     assert not loaded, f"resolving Settings loaded {loaded}"
+
+
+def test_reporting_a_tab1_run_loads_no_service_stack(tmp_path):
+    """`repro report` imports a section's owner only when the run has
+    that section: reporting a tab1 run.json in a fresh interpreter loads
+    no module of `repro.service` or `repro.loadgen`."""
+    from repro.cli import main
+
+    assert main(["tab1", "--telemetry", str(tmp_path)]) == 0
+    out = _modules_loaded_by(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['report', {str(tmp_path / 'run.json')!r}]) == 0"
+    )
+    assert "repro.obs.export" in out
+    loaded = [name for name in out
+              if name.startswith(("repro.service", "repro.loadgen"))]
+    assert not loaded, f"repro report of a tab1 run loaded {loaded}"
 
 
 #: Leaf import -> the module patterns it must not load.

@@ -1,9 +1,10 @@
-"""Unit tests for the fleet-compare renderers in repro.obs.export.
+"""Unit tests for the fleet-compare section of ``repro report``.
 
-Drives ``render_run``'s ``meta.fleet_compare`` cost table and
-``diff_runs``' throughput/$ comparison from hand-built payloads (no
-service runs), pinning the section headers, row content, ranking order,
-and the only-one-run / missing-section edge cases.
+Drives ``render_run``'s ``meta.fleet_compare`` cost table (the owner's
+``FleetCompareReport.render``) and ``diff_runs``' throughput/$
+comparison from hand-built payloads (no service runs), pinning the
+section headers, row content, ranking order, and the only-one-run /
+missing-section edge cases.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class TestRenderRunFleetSection:
             _fleet_row("arm", 300.0),
         ])
         text = render_run(art)
-        assert "fleet-compare: objective=min-cost" in text
+        assert "fleet-compare — objective=min-cost" in text
         assert "jobs/$" in text and "vs random" in text
         # Best throughput/$ renders first regardless of payload order.
         assert text.index("arm") < text.index("x86")
@@ -74,7 +75,7 @@ class TestRenderRunFleetSection:
         assert "budget=$0.05/h" in text
 
     def test_section_absent_without_meta(self):
-        assert "fleet-compare:" not in render_run(_artifact(None))
+        assert "fleet-compare —" not in render_run(_artifact(None))
 
 
 class TestDiffRunsFleetSection:

@@ -1,12 +1,15 @@
 """Unit tests for repro.obs.slo: spec validation and evaluation."""
 
 import json
+import re
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry, latency_buckets
 from repro.obs.slo import (
+    ObjectiveResult,
     SloObjective,
+    SloReport,
     SloSpec,
     evaluate_slo,
     load_slo_spec,
@@ -187,3 +190,47 @@ class TestEvaluation:
             spec, json.loads(json.dumps(reg.as_dict()))
         )
         assert live.to_payload() == snapshot.to_payload()
+
+
+class TestReportPayload:
+    """``SloReport.from_payload`` inverts ``to_payload``: ``repro report``
+    prints the ``slo`` section of run.json through it."""
+
+    REPORT = SloReport(spec_name="gate", results=(
+        ObjectiveResult(name="encode-p99", kind="latency", ok=True,
+                        actual=0.25, target=1.0, burn_rate=0.25,
+                        budget_remaining=0.75, detail="p99 of 1 series"),
+        ObjectiveResult(name="requeue-rate", kind="error_rate", ok=False,
+                        actual=0.2, target=0.03, burn_rate=6.67,
+                        budget_remaining=-5.67, detail="bad / total"),
+    ))
+
+    def test_round_trip(self):
+        payload = self.REPORT.to_payload()
+        assert payload["ok"] is False
+        assert payload["breached"] == ["requeue-rate"]
+        assert SloReport.from_payload(payload) == self.REPORT
+        assert SloReport.from_payload(
+            json.loads(json.dumps(payload))) == self.REPORT
+
+    def test_derived_keys_are_not_read(self):
+        payload = {**self.REPORT.to_payload(), "ok": True, "breached": []}
+        assert SloReport.from_payload(payload).breached == ("requeue-rate",)
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda p: p.pop("spec"), "slo: missing 'spec'"),
+        (lambda p: p["objectives"][1].pop("burn_rate"),
+         "slo.objectives[1]: missing 'burn_rate'"),
+        (lambda p: p["objectives"][0].update(ok="yes"),
+         "slo.objectives[0].ok: expected bool"),
+        (lambda p: p["objectives"][0].update(actual=True),
+         "slo.objectives[0].actual: expected float"),
+        (lambda p: p.update(objectives=["oops"]),
+         "slo.objectives[0]: expected an object"),
+    ], ids=["no-spec", "no-burn-rate", "str-for-bool", "bool-for-float",
+            "str-row"])
+    def test_missing_or_mistyped_field_names_the_section(self, edit, where):
+        payload = self.REPORT.to_payload()
+        edit(payload)
+        with pytest.raises(ValueError, match=re.escape(where)):
+            SloReport.from_payload(payload)

@@ -142,6 +142,41 @@ class TestCrashIsolation:
         assert len(service.fleet.available()) == len(DEFAULT_FLEET)
 
 
+class TestPlacementSpan:
+    """One placement batch is one ``service.place`` span: the pump's
+    (``policy``, ``batch``), which the policies do not open again."""
+
+    @pytest.mark.parametrize("policy, objective", [
+        ("smart", "throughput"), ("smart", "min-cost"),
+        ("random", "throughput"),
+    ])
+    def test_one_span_per_batch(self, policy, objective):
+        from repro.obs.session import telemetry_session
+        from repro.service.clock import VirtualClock
+
+        with telemetry_session() as tel:
+            service = TranscodeService(
+                ServiceConfig(policy=policy, objective=objective, **TINY),
+                clock=VirtualClock(),
+            )
+            batches = []
+            place = service.policy.place
+
+            def counting_place(jobs, workers, counters):
+                batches.append(len(jobs))
+                return place(jobs, workers, counters)
+
+            service.policy.place = counting_place
+            service.submit_many(table3_requests(4))
+            assert service.run_until_idle().completed == 4
+        spans = [r for r in tel.spans.finished if r.name == "service.place"]
+        assert batches and len(spans) == len(batches)
+        assert tel.spans.totals()["service.place"]["calls"] == len(batches)
+        ids = {r.span_id for r in spans}
+        assert not any(r.parent_id in ids for r in spans)
+        assert [r.attrs["batch"] for r in spans] == batches
+
+
 class TestTerminalAccounting:
     """Regression: every way a job can end goes through the one terminal
     transition, so a job that fails *without a placement* still gets its

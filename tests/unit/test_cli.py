@@ -6,6 +6,8 @@ import pytest
 
 import repro
 from repro.cli import EXPERIMENT_DESCRIPTIONS, EXPERIMENT_IDS, main
+from repro.obs import session as obs
+from repro.obs.export import export_session
 
 
 class TestExperimentRegistry:
@@ -368,6 +370,35 @@ class TestReport:
         bad.write_text(json.dumps({"schema_version": 1}))
         assert main(["report", str(bad)]) == 1
         assert "missing required field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, payload, where", [
+        ("loadtest", {"legs": [{"rate": 8.0}]}, "meta.loadtest: missing"),
+        ("loadtest", {"spec": {}, "legs": ["oops"]}, "meta.loadtest"),
+        ("fleet_compare", {"fleets": [{"workers": 4}]},
+         "meta.fleet_compare: missing"),
+        ("fleet_compare", 7, "meta.fleet_compare: expected an object"),
+        ("slo", {"spec": "gate", "objectives": [{"name": "x"}]},
+         "slo.objectives[0]: missing"),
+        ("slo", {"spec": 3, "objectives": []}, "slo.spec: expected str"),
+    ], ids=["loadtest-missing", "loadtest-mistyped", "fleet-missing",
+            "fleet-mistyped", "slo-missing", "slo-mistyped"])
+    def test_report_refuses_a_malformed_section(self, tmp_path, capsys,
+                                                section, payload, where):
+        """A section with a missing key or a wrong type exits 1 with one
+        `repro report:` line naming the section: no traceback, and no
+        table with placeholder or zero rows on stdout."""
+        with obs.telemetry_session() as tel:
+            if section != "slo":
+                tel.meta[section] = payload
+        export_session(tel, tmp_path, experiment="loadtest", scale="x",
+                       wall_seconds=1.0,
+                       slo=payload if section == "slo" else None)
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "run.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"repro report: {where}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 #: Every subcommand's flags and positionals, captured from the commit

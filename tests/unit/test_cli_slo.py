@@ -136,7 +136,7 @@ class TestReportSloSections:
         path = self._artifact_with_slo(tmp_path / "a", ok=False)
         assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "slo:" in out
+        assert "slo gate:" in out
         assert "BREACHED: requeue-rate" in out
 
     def test_diff_compares_slo_objectives(self, tmp_path, capsys):
