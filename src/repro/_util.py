@@ -30,7 +30,6 @@ __all__ = [
     "clamp",
     "format_table",
     "from_fields",
-    "geometric_mean",
     "percentile",
     "truthy",
 ]
@@ -107,16 +106,6 @@ def rng_for(*parts: object) -> np.random.Generator:
 def clamp(value: float, lo: float, hi: float) -> float:
     """Clamp ``value`` to the closed interval ``[lo, hi]``."""
     return lo if value < lo else hi if value > hi else value
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values; raises on empty or nonpositive."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("geometric_mean of empty sequence")
-    if np.any(arr <= 0):
-        raise ValueError("geometric_mean requires positive values")
-    return float(np.exp(np.mean(np.log(arr))))
 
 
 def running_sum(carry: float, terms: np.ndarray) -> np.ndarray:

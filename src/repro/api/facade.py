@@ -254,11 +254,10 @@ def schedule(
     height: int = 64,
     n_frames: int = 10,
     data_capacity_scale: float = 48.0,
-    mapper=None,
 ) -> CaseStudyResult:
     """Run the batch scheduler case study (paper §V / Fig. 9): simulate
-    every task on the baseline and all Table IV variants, then evaluate
-    the random / smart / best schedulers."""
+    every task on the baseline and all Table IV variants, serially in
+    this process, then evaluate the random / smart / best schedulers."""
     from repro.scheduling.casestudy import run_case_study
 
     return run_case_study(
@@ -267,7 +266,6 @@ def schedule(
         height=height,
         n_frames=n_frames,
         data_capacity_scale=data_capacity_scale,
-        mapper=mapper,
     )
 
 

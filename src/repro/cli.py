@@ -39,13 +39,14 @@ precedence order — **CLI flag > env var > default** — implemented by
 ``Settings``; none of them, and nothing they call, reads a variable
 itself. The full knob catalogue lives in ``docs/CONFIGURATION.md``.
 
-A sweep whose cells exhaust their retry budget does not abort: every
-computable cell completes and is stored, the failures are summarized on
-stderr (and in ``run.json`` as ``status: "partial"`` with a ``failures``
-list under ``--telemetry``), and the process exits with code 3. The
-result cache is the only durable store of a finished cell: re-running
-the same command with the same ``--cache-dir`` recomputes only what is
-missing (``--resume`` belongs to ``repro serve --checkpoint`` alone).
+A cached experiment (tab1, fig3-fig9) whose units exhaust their retry
+budget does not abort: every computable unit completes and is stored,
+the failures are summarized on stderr (and in ``run.json`` as ``status:
+"partial"`` with a ``failures`` list under ``--telemetry``), and the
+process exits with code 3. The result cache is the only durable store of
+a finished unit: re-running the same command with the same
+``--cache-dir`` recomputes only what is missing (``--resume`` belongs to
+``repro serve --checkpoint`` alone).
 
 ``repro serve`` runs the long-lived transcoding job service over a
 request spool (``repro submit`` appends to it) or the built-in Table III
@@ -220,13 +221,6 @@ def _service_config(args, settings: Settings, **extra: object):
         queue_capacity=args.queue_capacity,
         **extra,
     )
-
-
-def _run_one(exp_id: str, scale, telemetry_dir: Path | None) -> str:
-    """Run one experiment through the blessed facade."""
-    from repro.api import sweep
-
-    return sweep(exp_id, scale, telemetry_dir=telemetry_dir)
 
 
 def _cache_main(argv: list[str]) -> int:
@@ -788,6 +782,7 @@ def main(argv: list[str] | None = None) -> int:
     scale = SCALES[args.scale]
     out_root = Path(args.telemetry) if args.telemetry else None
 
+    from repro.api import sweep
     from repro.experiments.runner import SweepFailure
 
     # Everything process-wide goes through one resolved Settings:
@@ -802,17 +797,16 @@ def main(argv: list[str] | None = None) -> int:
             out_dir = out_root / exp_id if len(ids) > 1 else out_root
         t0 = time.perf_counter()
         try:
-            output = _run_one(exp_id, scale, out_dir)
+            output = sweep(exp_id, scale, telemetry_dir=out_dir)
         except SweepFailure as exc:
-            # Every computable cell completed and was stored before this
+            # Every computable unit completed and was stored before this
             # raised; report the stragglers and exit partial (code 3).
             print(f"[{exp_id}] PARTIAL: {exc}", file=sys.stderr)
             for failure in exc.failures:
                 print(
-                    f"[{exp_id}]   failed cell {failure.video} "
-                    f"crf={failure.crf} refs={failure.refs} "
-                    f"preset={failure.preset}: {failure.error}: "
-                    f"{failure.message} (after {failure.attempts} attempts)",
+                    f"[{exp_id}]   failed cell {failure.describe()}: "
+                    f"{failure.error}: {failure.message} "
+                    f"(after {failure.attempts} attempts)",
                     file=sys.stderr,
                 )
             if settings.cache_enabled and settings.cache_dir is not None:

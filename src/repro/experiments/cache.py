@@ -32,16 +32,16 @@ Design points:
   ``repro cache stats`` instead of being silently overwritten. Bytes
   that are not UTF-8, a ``NaN`` / ``Infinity`` literal (the writer
   refuses non-finite numbers), an envelope naming another key (a file
-  copied or renamed into place) and a sweep payload the reader refuses
-  (a coerced field, a bad counter block, a non-finite counter) are
-  damage too. Entries written under a different schema version are
-  plain misses (expected drift, not damage).
+  copied or renamed into place) and a payload its reader refuses (for a
+  sweep entry: a coerced field, a bad counter block, a non-finite
+  counter) are damage too. Entries written under a different schema
+  version are plain misses (expected drift, not damage).
 - **Retried I/O.** Reads and writes run under the engine's
   :class:`~repro.resilience.retry.RetryPolicy`, so transient I/O errors
   (including injected ``cache.read`` / ``cache.write`` faults) are
   retried with backoff; a read that exhausts its budget degrades to a
-  miss, and a write that exhausts its budget raises ``OSError`` for the
-  caller to absorb.
+  miss, and a write that exhausts it raises for the experiments' one
+  miss path (:func:`~repro.experiments.runner.compute_misses`) to absorb.
 """
 
 from __future__ import annotations
@@ -53,9 +53,11 @@ import json
 import math
 import os
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
+from typing import TypeVar
 
 from repro._util import atomic_write_text
 from repro.obs import session as obs
@@ -79,6 +81,8 @@ __all__ = [
 #: Bump to invalidate every cache entry (keys embed it): on a change to the key's
 #: text, or to ``CounterSet``'s fields (a sweep entry stores them by position).
 CACHE_SCHEMA_VERSION = 3
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -282,7 +286,8 @@ class ResultCache:
 
     Entries live at ``root/<key[:2]>/<key>.json`` wrapped in a small
     envelope carrying the schema version and the key. :meth:`get_value` /
-    :meth:`put_value` move arbitrary JSON payloads; :meth:`get_record` /
+    :meth:`put_value` move arbitrary JSON payloads, :meth:`get_checked`
+    adds the caller's shape check, and :meth:`get_record` /
     :meth:`put_record` add the :class:`SweepRecord` serde on top.
     """
 
@@ -387,17 +392,23 @@ class ResultCache:
             label="cache.write",
         )
 
-    # -- SweepRecord entries -------------------------------------------
-    def get_record(self, key: str) -> SweepRecord | None:
-        """As :meth:`get_value`; a payload the reader refuses is damage."""
+    def get_checked(self, key: str, check: Callable[[object], _T]) -> _T | None:
+        """As :meth:`get_value`, served as ``check(payload)``; a payload
+        ``check`` refuses (``KeyError`` / ``TypeError`` / ``ValueError``)
+        is damage, quarantined before reporting the miss."""
         payload = self.get_value(key)
         if payload is None:
             return None
         try:
-            return record_from_payload(payload)
+            return check(payload)
         except (KeyError, TypeError, ValueError):
             self._quarantine(self.path_for(key))
             return None
+
+    # -- SweepRecord entries -------------------------------------------
+    def get_record(self, key: str) -> SweepRecord | None:
+        """As :meth:`get_checked` with the sweep payload's reader."""
+        return self.get_checked(key, record_from_payload)
 
     def put_record(self, key: str, record: SweepRecord) -> Path:
         """As :meth:`put_value`, which a non-finite counter fails too."""

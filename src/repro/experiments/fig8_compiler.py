@@ -12,15 +12,14 @@ with the polyhedral flags. Paper numbers: AutoFDO 4.66% average (max
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro._util import format_table
 from repro.codec.presets import preset_options
-from repro.experiments import parallel
 from repro.experiments.cache import content_key
-from repro.experiments.runner import ExperimentScale, QUICK
-from repro.obs import session as obs
+from repro.experiments.runner import CachedValues, ExperimentScale, QUICK
 from repro.optim.pipeline import Build, build_autofdo, build_graphite
 from repro.optim.profile import collect_profile
 from repro.profiling.perf import profile_transcode, record_trace
@@ -133,28 +132,37 @@ class _VideoTask:
     scale: ExperimentScale
     video: str
     combos: tuple[tuple[int, int, str], ...]
-    fdo_build: Build
-    graphite_build: Build
 
 
-def _video_key(scale: ExperimentScale, video: str,
-               combos: tuple[tuple[int, int, str], ...]) -> str:
+def _video_key(task: _VideoTask) -> str:
+    scale = task.scale
     return content_key(
         "fig8",
         video={
-            "name": video,
+            "name": task.video,
             "width": scale.width,
             "height": scale.height,
             "n_frames": scale.n_frames,
         },
-        combos=[list(c) for c in combos],
+        combos=[list(c) for c in task.combos],
         train_videos=list(_TRAIN_VIDEOS),
         train_n_frames=max(scale.n_frames // 2, 4),
         sim={"data_capacity_scale": scale.data_capacity_scale},
     )
 
 
-def _measure_video(task: _VideoTask) -> tuple[str, float, float]:
+#: Fig 8's cache-then-compute path, one unit per video; a stored value
+#: is ``{"autofdo": %, "graphite": %}``.
+_VIDEOS = CachedValues(
+    label="fig8", kind="fig8", hits="fig8.cache_hits", key=_video_key,
+    cell=lambda task: (task.video, None, None, None),
+    check=lambda speedups: {k: float(speedups[k]) for k in ("autofdo", "graphite")},
+)
+
+
+def _measure_video(
+    fdo_build: Build, graphite_build: Build, task: _VideoTask
+) -> dict[str, float]:
     """Average AutoFDO/Graphite speedups for one video over the combos."""
     scale = task.scale
     video = load_video(
@@ -169,61 +177,36 @@ def _measure_video(task: _VideoTask) -> tuple[str, float, float]:
             video, opts, data_capacity_scale=scale.data_capacity_scale
         )
         fdo = profile_transcode(
-            video, opts, program=task.fdo_build.program,
+            video, opts, program=fdo_build.program,
             data_capacity_scale=scale.data_capacity_scale,
         )
         gr = profile_transcode(
-            video, opts, program=task.graphite_build.program,
-            loop_opts=task.graphite_build.loop_opts,
+            video, opts, program=graphite_build.program,
+            loop_opts=graphite_build.loop_opts,
             data_capacity_scale=scale.data_capacity_scale,
         )
         fdo_speedups.append((base.report.cycles / fdo.report.cycles - 1) * 100)
         g_speedups.append((base.report.cycles / gr.report.cycles - 1) * 100)
-    return task.video, float(np.mean(fdo_speedups)), float(np.mean(g_speedups))
+    return {
+        "autofdo": float(np.mean(fdo_speedups)),
+        "graphite": float(np.mean(g_speedups)),
+    }
 
 
 def run(scale: ExperimentScale = QUICK) -> Fig8Result:
     combos = PARAM_COMBOS[: max(scale.fig8_combos, 1)]
     videos = scale.fig8_videos if scale.fig8_videos else scale.videos
-    cache = parallel.default_cache()
-
-    autofdo: dict[str, float] = {}
-    graphite: dict[str, float] = {}
-    missing: list[str] = []
-    for name in videos:
-        payload = cache.get_value(_video_key(scale, name, combos)) if cache else None
-        if isinstance(payload, dict) and {"autofdo", "graphite"} <= set(payload):
-            obs.inc("fig8.cache_hits")
-            autofdo[name] = float(payload["autofdo"])  # type: ignore[arg-type]
-            graphite[name] = float(payload["graphite"])  # type: ignore[arg-type]
-        else:
-            missing.append(name)
-
-    if missing:
+    tasks = [_VideoTask(scale=scale, video=name, combos=combos) for name in videos]
+    found = _VIDEOS.lookup(tasks)
+    if None in found:
         # Training (and the Graphite recompile) only happen on a miss, so
         # a cache-warm run does zero encodes.
         fdo_build = build_autofdo(_train_profile(scale))
-        graphite_build = build_graphite()
-        tasks = [
-            _VideoTask(
-                scale=scale, video=name, combos=combos,
-                fdo_build=fdo_build, graphite_build=graphite_build,
-            )
-            for name in missing
-        ]
-        for name, fdo_pct, g_pct in parallel.fan_out(
-            _measure_video, tasks, label="fig8"
-        ):
-            autofdo[name] = fdo_pct
-            graphite[name] = g_pct
-            if cache is not None:
-                cache.put_value(
-                    _video_key(scale, name, combos),
-                    {"autofdo": fdo_pct, "graphite": g_pct},
-                    kind="fig8",
-                )
+        found = _VIDEOS(
+            partial(_measure_video, fdo_build, build_graphite()), tasks, found
+        )
     return Fig8Result(
         videos=tuple(videos),
-        autofdo_speedup_pct=autofdo,
-        graphite_speedup_pct=graphite,
+        autofdo_speedup_pct={v: s["autofdo"] for v, s in zip(videos, found)},
+        graphite_speedup_pct={v: s["graphite"] for v, s in zip(videos, found)},
     )

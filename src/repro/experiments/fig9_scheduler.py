@@ -9,13 +9,11 @@ the smart placement coincides with the oracle's (paper: 75%).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro._util import format_table
-from repro.experiments import parallel
 from repro.experiments.cache import content_key
-from repro.experiments.runner import ExperimentScale, QUICK
-from repro.obs import session as obs
-from repro.resilience.faults import InjectedFault
+from repro.experiments.runner import CachedValues, ExperimentScale, QUICK
 from repro.scheduling.casestudy import CaseStudyResult, run_case_study
 from repro.uarch.configs import config_by_name
 
@@ -84,32 +82,14 @@ def _job_key(job) -> str:
     )
 
 
-def _cached_mapper(fn, jobs):
-    """The sweep engine's cache-then-compute path for case-study tasks."""
-    cache = parallel.default_cache()
-    payloads: dict[int, dict[str, object]] = {}
-    missing = []
-    for i, job in enumerate(jobs):
-        hit = cache.get_value(_job_key(job)) if cache else None
-        if isinstance(hit, dict) and "task_id" in hit:
-            obs.inc("fig9.cache_hits")
-            payloads[i] = hit
-        else:
-            missing.append((i, job))
-    if missing:
-        computed = parallel.fan_out(
-            fn, [job for _i, job in missing], label="fig9"
-        )
-        for (i, job), payload in zip(missing, computed):
-            payloads[i] = payload
-            if cache is not None:
-                try:
-                    cache.put_value(_job_key(job), payload, kind="fig9")
-                except (OSError, TimeoutError, ConnectionError, InjectedFault):
-                    # A result we failed to persist is still a result;
-                    # degrade to in-memory rather than failing the figure.
-                    obs.inc("cache.write_giveups")
-    return [payloads[i] for i in range(len(jobs))]
+#: Fig 9's cache-then-compute path, the case study's ``mapper``. A stored
+#: task must carry every key ``simulate_task`` returns.
+_TASK_KEYS = ("task_id", "baseline_cycles", "counters", "cycles")
+_TASKS = CachedValues(
+    label="fig9", kind="fig9", hits="fig9.cache_hits", key=_job_key,
+    cell=attrgetter("task.video", "task.crf", "task.refs", "task.preset"),
+    check=lambda task: {k: task[k] for k in _TASK_KEYS},
+)
 
 
 def run(scale: ExperimentScale = QUICK) -> Fig9Result:
@@ -118,6 +98,6 @@ def run(scale: ExperimentScale = QUICK) -> Fig9Result:
         height=scale.height,
         n_frames=scale.n_frames,
         data_capacity_scale=scale.data_capacity_scale,
-        mapper=_cached_mapper,
+        mapper=_TASKS,
     )
     return Fig9Result(case_study=case_study)

@@ -1,12 +1,13 @@
 """Process-pool fan-out and process-wide engine configuration.
 
-The sweep grids are embarrassingly parallel — every (video, crf, refs,
-preset) point is an independent, deterministic computation — so the
-engine shards them across a :class:`~concurrent.futures.ProcessPoolExecutor`.
-Two invariants make the fan-out safe:
+Every cached experiment's units are embarrassingly parallel — a sweep's
+(video, crf, refs, preset) point, Fig 8's video, Fig 9's task: each an
+independent, deterministic computation — so the engine shards them
+across a :class:`~concurrent.futures.ProcessPoolExecutor`. Three
+invariants make the fan-out safe:
 
 - **Determinism.** Workers run *the same* compute function the serial
-  path runs, on the same payloads, and ``Executor.map`` preserves input
+  path runs, on the same payloads, and outcomes come back in payload
   order — so a parallel sweep returns bit-identical records in the same
   order as ``--jobs 1`` (asserted by
   ``tests/integration/test_parallel_determinism.py``).
@@ -18,21 +19,12 @@ Two invariants make the fan-out safe:
   in ``run.json`` aggregate the whole fan-out exactly as a serial run
   would, and worker spans are re-parented under the ``parallel.fan_out``
   span so the Chrome-trace export shows one cross-process flame graph.
-
-A third invariant was added with the resilience layer:
-
-- **Fault tolerance.** A task retries in the process that runs it:
-  serial or pooled, it is one :func:`~repro.resilience.retry.call_with_retry`
-  around ``compute(payload)`` under the installed
-  :class:`~repro.resilience.retry.RetryPolicy`, so retryable exceptions
-  (injected faults, transient I/O) are retried, counted and backed off
-  the same way under every ``--jobs``. The parent handles only a died
-  worker (``BrokenProcessPool``): every in-flight task is charged one
-  attempt and re-runs alone in a single-task pool with the rest of its
-  budget. :func:`run_tasks` reports per-task :class:`TaskOutcome`\\ s so
-  callers can degrade to partial results instead of aborting a whole
-  campaign; :func:`fan_out` keeps the historical all-or-nothing contract
-  on top.
+- **Fault tolerance.** A task retries in the process that runs it, the
+  same way under every ``--jobs``, and a died worker costs each
+  in-flight task one attempt (see :func:`run_tasks`). A task that still
+  fails comes back as a failed :class:`TaskOutcome`, never raised;
+  :func:`repro.experiments.runner.compute_misses` reports it as a
+  partial result.
 
 The process-wide worker count and result cache are two plain values,
 serial and uncached until :func:`configure` installs others;
@@ -64,7 +56,6 @@ __all__ = [
     "configure",
     "default_cache",
     "default_jobs",
-    "fan_out",
     "run_tasks",
 ]
 
@@ -199,8 +190,8 @@ def run_tasks(
     one placement.
 
     ``on_result(index, result)`` streams successes back as they complete
-    (out of order under parallelism); the sweep runner uses it to
-    store each cell in the result cache as it finishes, so progress
+    (out of order under parallelism); the experiments' miss path uses it
+    to store each unit in the result cache as it finishes, so progress
     survives even a killed parent.
     """
     payloads = list(payloads)
@@ -300,28 +291,3 @@ def run_tasks(
         )
     return outcomes  # type: ignore[return-value]
 
-
-def fan_out(
-    compute: Callable[[_P], _R],
-    payloads: Sequence[_P],
-    *,
-    label: str = "sweep",
-) -> list[_R]:
-    """Run ``compute`` over ``payloads``, sharded across the engine's
-    worker processes.
-
-    Results come back in payload order. With the engine's worker count
-    at 1, or fewer than two payloads, the work runs in the current
-    process — same code path, no pool. ``compute`` must be a
-    module-level function and payloads/results must be picklable.
-
-    This is the all-or-nothing front door: tasks are retried under the
-    engine's retry policy, but the first task that still fails aborts
-    the call by re-raising its error. Callers that want partial results
-    use :func:`run_tasks`.
-    """
-    outcomes = run_tasks(compute, payloads, label=label)
-    for outcome in outcomes:
-        if outcome.error is not None:
-            raise outcome.error
-    return [outcome.result for outcome in outcomes]  # type: ignore[misc]

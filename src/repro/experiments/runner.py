@@ -19,22 +19,22 @@ Every grid method funnels through :meth:`SweepRunner.run_points`, which
 is what makes serial and parallel execution provably identical: both
 paths run :func:`compute_point` on the same specs in the same order.
 
-Fault tolerance: per-cell work retries under the engine's
-:class:`~repro.resilience.retry.RetryPolicy`; each success is stored to
-the memo and the persistent cache the moment it streams in, so an
-interrupted campaign — crashed worker pool, SIGKILLed parent,
-permanently-failing cell — keeps its completed cells. The result cache
-is the only durable store of a finished cell: resuming is re-running the
-same command with the same ``--cache-dir`` (only the missing cells
-recompute), and a run without a persistent cache is not resumable. Cells
-that exhaust their retry budget are summarized in a
-:class:`SweepFailure` (the CLI reports them in ``run.json`` and exits
-nonzero) instead of aborting the sweep at the first error.
+Fault tolerance: every cached experiment — the sweeps, and through
+:class:`CachedValues` Table I, Fig 8 and Fig 9 — computes its misses on
+one path, :func:`compute_misses`: a unit retries under the engine's
+:class:`~repro.resilience.retry.RetryPolicy` and is stored the moment it
+lands, so resuming an interrupted campaign is re-running the same
+command with the same ``--cache-dir``. Units that exhaust their retries
+end in a :class:`SweepFailure` (``status: "partial"``, exit 3) instead
+of aborting the experiment at the first error.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
+from typing import Any
 
 from repro.codec.options import EncoderOptions
 from repro.codec.presets import preset_options
@@ -47,6 +47,7 @@ from repro.uarch.configs import baseline_config
 from repro.video.vbench import cached_video
 
 __all__ = [
+    "CachedValues",
     "CellFailure",
     "ExperimentScale",
     "PointSpec",
@@ -56,6 +57,7 @@ __all__ = [
     "QUICK",
     "MEDIUM",
     "FULL",
+    "compute_misses",
     "compute_point",
     "shared_runner",
 ]
@@ -238,13 +240,13 @@ def compute_point(spec: PointSpec) -> SweepRecord:
 
 @dataclass(frozen=True)
 class CellFailure:
-    """One sweep cell that exhausted its retry budget."""
+    """One experiment unit that exhausted its retry budget."""
 
     video: str
-    crf: int
-    refs: int
-    preset: str
-    key: str          # the cell's cache key (what a re-run recomputes)
+    crf: int | None
+    refs: int | None
+    preset: str | None
+    key: str          # the unit's cache key (what a re-run recomputes)
     error: str        # exception class name
     message: str
     attempts: int
@@ -252,13 +254,20 @@ class CellFailure:
     def as_dict(self) -> dict[str, object]:
         return asdict(self)
 
+    def describe(self) -> str:
+        """``video crf=.. refs=.. preset=..``, leaving out a ``None`` field."""
+        named = (("crf", self.crf), ("refs", self.refs), ("preset", self.preset))
+        return " ".join(
+            [self.video] + [f"{n}={v}" for n, v in named if v is not None]
+        )
+
 
 class SweepFailure(RuntimeError):
-    """A sweep finished with some cells permanently failed.
+    """A cached experiment finished with some units permanently failed.
 
-    Raised *after* every computable cell completed and was stored, so
+    Raised *after* every computable unit completed and was stored, so
     a re-run against the same result cache only re-executes the failed
-    cells. The CLI turns this into a partial-result ``run.json`` (``status:
+    units. The CLI turns this into a partial-result ``run.json`` (``status:
     "partial"`` plus a ``failures`` list) and a nonzero exit code.
     """
 
@@ -281,6 +290,99 @@ class SweepFailure(RuntimeError):
 
     def failure_payloads(self) -> list[dict[str, object]]:
         return [f.as_dict() for f in self.failures]
+
+
+# ----------------------------------------------------------------------
+# The one miss path of every cached experiment.
+# ----------------------------------------------------------------------
+
+def compute_misses(
+    compute: Callable[[Any], Any], units: Sequence[Any], *, label: str,
+    metric: str, key: Callable[[Any], str], cell: Callable[[Any], tuple],
+    store: Callable[[Any, Any], object] | None, total: int,
+    jobs: int | None = None,
+) -> list[Any]:
+    """Compute the units a cached experiment missed, results in unit order.
+
+    The units run through :func:`~repro.experiments.parallel.run_tasks`,
+    and ``store(unit, result)`` persists each success as it lands; a store
+    that exhausts its retries is counted and dropped. Units that exhaust
+    theirs raise :class:`SweepFailure` after every other unit finished,
+    each named by ``key(unit)`` and ``cell(unit)``, its video, crf, refs
+    and preset (``None`` where a unit is not one encode); ``total``
+    counts the experiment's units, hits included.
+    """
+
+    def land(index: int, result: object) -> None:
+        try:
+            store(units[index], result)  # type: ignore[misc]
+        except (OSError, TimeoutError, ConnectionError, InjectedFault):
+            # A unit we failed to persist is still a computed unit;
+            # degrade to in-memory rather than failing the experiment.
+            obs.inc("cache.write_giveups")
+            obs.inc(f"{metric}.disk_write_failures")
+
+    outcomes = parallel.run_tasks(
+        compute, units, jobs=jobs, label=label,
+        on_result=None if store is None else land,
+    )
+    failures = [
+        CellFailure(*cell(units[o.index]), key(units[o.index]),
+                    type(o.error).__name__, str(o.error), o.attempts)
+        for o in outcomes if not o.ok
+    ]
+    if failures:
+        obs.inc(f"{metric}.failed_cells", len(failures))
+        raise SweepFailure(
+            label, failures, completed=total - len(failures), total=total
+        )
+    return [o.result for o in outcomes]
+
+
+@dataclass(frozen=True)
+class CachedValues:
+    """Cache-then-compute for units that store JSON values (Table I's
+    entropies, Fig 8's videos, Fig 9's tasks). A hit is ``check`` of the
+    value under ``key(unit)``, counted as ``hits``; a value ``check``
+    refuses is quarantined. Misses run through :func:`compute_misses`,
+    stored with ``kind=``; ``compute`` returns what ``check`` does."""
+
+    label: str
+    kind: str
+    hits: str
+    key: Callable[[Any], str]
+    cell: Callable[[Any], tuple]
+    check: Callable[[object], Any]
+
+    def lookup(self, units: Sequence[Any]) -> list[Any]:
+        """Each unit's stored value, ``None`` for a miss."""
+        cache = parallel.default_cache()
+        found = [None if cache is None else cache.get_checked(self.key(u), self.check)
+                 for u in units]
+        if hits := sum(value is not None for value in found):
+            obs.inc(self.hits, hits)
+        return found
+
+    def __call__(
+        self, compute: Callable[[Any], Any], units: Sequence[Any],
+        found: list[Any] | None = None, *, jobs: int | None = None,
+    ) -> list[Any]:
+        """Every unit's value: ``found`` (default: :meth:`lookup`) with
+        each miss computed. Fig 9's ``run_case_study`` mapper."""
+        found = self.lookup(units) if found is None else found
+        missing = [i for i, value in enumerate(found) if value is None]
+        cache = parallel.default_cache()
+        computed = compute_misses(
+            compute, [units[i] for i in missing], label=self.label,
+            metric=self.label, key=self.key, cell=self.cell,
+            store=None if cache is None else (
+                lambda unit, value: cache.put_value(
+                    self.key(unit), value, kind=self.kind)),
+            total=len(units), jobs=jobs,
+        )
+        for i, value in zip(missing, computed):
+            found[i] = value
+        return found
 
 
 # ----------------------------------------------------------------------
@@ -366,15 +468,8 @@ class SweepRunner:
         self._run_cache[spec.memo_key()] = record
         disk = self.cache()
         if disk is not None:
-            try:
-                disk.put_record(spec.cache_key(), record)
-            except (OSError, TimeoutError, ConnectionError, InjectedFault):
-                # A cell we failed to persist is still a computed cell;
-                # degrade to memo-only rather than failing the sweep.
-                obs.inc("cache.write_giveups")
-                obs.inc("sweep.disk_write_failures")
-            else:
-                obs.inc("sweep.disk_writes")
+            disk.put_record(spec.cache_key(), record)
+            obs.inc("sweep.disk_writes")
 
     def profile(
         self,
@@ -395,76 +490,38 @@ class SweepRunner:
     ) -> list[SweepRecord]:
         """Resolve every spec through cache-then-compute, in order.
 
-        Misses are computed serially in-process under ``--jobs 1``, and
-        sharded across worker processes otherwise (results merge back in
-        spec order, so both paths return identical lists). Each miss is
-        retried under the engine's retry policy and stored (memo, disk
-        cache) the moment it completes, so a re-run against the same
-        cache recomputes only what is missing. Cells that exhaust their
-        retries raise :class:`SweepFailure` *after* every other cell
-        finished.
+        Misses run through :func:`compute_misses`: serially in-process
+        under ``--jobs 1``, sharded across worker processes otherwise
+        (results merge back in spec order, so both paths return identical
+        lists), each stored (memo, disk cache) the moment it completes.
+        Cells that exhaust their retries raise :class:`SweepFailure`
+        *after* every other cell finished.
         """
         keys = [spec.memo_key() for spec in specs]
-        resolved: dict[tuple, SweepRecord] = {}
         misses: list[PointSpec] = []
         seen: set[tuple] = set()
         for spec, key in zip(specs, keys):
             if key in seen:
                 continue
             seen.add(key)
-            record = self._lookup(spec, key)
-            if record is not None:
-                resolved[key] = record
-            else:
+            if self._lookup(spec, key) is None:
                 misses.append(spec)
         if misses:
-            self._run_misses(misses, resolved, total=len(seen), label=label)
-        return [resolved[key] for key in keys]
-
-    def _run_misses(
-        self,
-        misses: list[PointSpec],
-        resolved: dict[tuple, SweepRecord],
-        *,
-        total: int,
-        label: str,
-    ) -> None:
-        if self.jobs > 1:
-            # Warm the clip memo before the pool exists: forked
-            # workers inherit the planes copy-on-write and
-            # synthesize nothing (spawned ones load their own).
-            for spec in misses:
-                spec.load_video()
-        outcomes = parallel.run_tasks(
-            compute_point,
-            misses,
-            jobs=self.jobs,
-            label=label,
-            on_result=lambda index, record: self._store(misses[index], record),
-        )
-        failures: list[CellFailure] = []
-        for outcome in outcomes:
-            spec = misses[outcome.index]
-            if outcome.error is None:
-                resolved[spec.memo_key()] = outcome.result  # type: ignore[assignment]
-                continue
-            failures.append(
-                CellFailure(
-                    video=spec.video,
-                    crf=spec.crf,
-                    refs=spec.refs,
-                    preset=spec.preset,
-                    key=spec.cache_key(),
-                    error=type(outcome.error).__name__,
-                    message=str(outcome.error),
-                    attempts=outcome.attempts,
-                )
+            if self.jobs > 1:
+                # Warm the clip memo before the pool exists: forked
+                # workers inherit the planes copy-on-write and
+                # synthesize nothing (spawned ones load their own).
+                for spec in misses:
+                    spec.load_video()
+            compute_misses(
+                compute_point, misses, label=label, metric="sweep",
+                key=PointSpec.cache_key,
+                cell=attrgetter("video", "crf", "refs", "preset"),
+                store=self._store, total=len(seen), jobs=self.jobs,
             )
-        if failures:
-            obs.inc("sweep.failed_cells", len(failures))
-            raise SweepFailure(
-                label, failures, completed=total - len(failures), total=total
-            )
+        # Every cell is in the memo now: a hit put there by `_lookup`, a
+        # miss by `_store`.
+        return [self._run_cache[key] for key in keys]
 
     # ------------------------------------------------------------------
     def crf_refs_sweep(self, video: str | None = None) -> list[SweepRecord]:

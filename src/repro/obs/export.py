@@ -65,9 +65,8 @@ RUN_SCHEMA: dict[str, tuple[bool, tuple[type, ...], str]] = {
                                "profiled transcodes (may be empty)"),
     "spans": (True, (dict,), "per-span-name {calls, total_s} totals"),
     "meta": (False, (dict,), "free-form session metadata"),
-    "failures": (False, (list,), "per-cell failure summaries of a partial "
-                                 "sweep (video, crf, refs, preset, error, "
-                                 "attempts)"),
+    "failures": (False, (list,), "per-unit failures of a partial run "
+                                 "(video, crf, refs, preset, error, attempts)"),
     "slo": (False, (dict,), "evaluated SLO report (spec name, ok, breached "
                             "objectives, per-objective burn rates)"),
     "trace_id": (False, (str,), "the session's trace id (links run.json to "
@@ -343,14 +342,12 @@ def render_run(artifact: dict[str, object]) -> str:
     parts = [head]
     failures = artifact.get("failures") or []
     if failures:
+        columns = ["video", "crf", "refs", "preset", "error", "attempts"]
         rows = [
-            [f.get("video", "?"), f.get("crf", "?"), f.get("refs", "?"),
-             f.get("preset", "?"), f.get("error", "?"), f.get("attempts", "?")]
+            ["-" if f.get(c) is None else f[c] for c in columns]
             for f in failures
         ]
-        parts.append("\nfailed cells:\n"
-                     + format_table(["video", "crf", "refs", "preset",
-                                     "error", "attempts"], rows))
+        parts.append("\nfailed cells:\n" + format_table(columns, rows))
     topdown = artifact.get("topdown") or {}
     if topdown:
         rows = [[k, v] for k, v in sorted(topdown.items())]

@@ -183,12 +183,6 @@ class SpanRecorder:
     def roots(self) -> list[SpanRecord]:
         return [s for s in self.finished if s.parent_id is None]
 
-    def by_name(self) -> dict[str, list[SpanRecord]]:
-        out: dict[str, list[SpanRecord]] = {}
-        for s in self.finished:
-            out.setdefault(s.name, []).append(s)
-        return out
-
     def totals(self) -> dict[str, dict[str, float]]:
         """Per-span-name call counts and total self-inclusive seconds."""
         out: dict[str, dict[str, float]] = {}

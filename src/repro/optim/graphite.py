@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.codec.encoder import LoopOptimizations
 from repro.trace.program import Kernel
 
-__all__ = ["GraphiteReport", "analyze_kernels", "graphite_loop_opts", "GRAPHITE_FLAGS"]
+__all__ = ["GraphiteReport", "analyze_kernels", "GRAPHITE_FLAGS"]
 
 GRAPHITE_FLAGS = ("-floop-interchange", "-ftree-loop-distribution", "-floop-block")
 
@@ -80,8 +80,3 @@ def analyze_kernels(kernels: dict[str, Kernel]) -> GraphiteReport:
         rejected=tuple(rejected),
         loop_opts=LoopOptimizations(**enabled),
     )
-
-
-def graphite_loop_opts(kernels: dict[str, Kernel]) -> LoopOptimizations:
-    """The loop transformations Graphite applies to this program."""
-    return analyze_kernels(kernels).loop_opts

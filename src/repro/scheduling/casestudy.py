@@ -8,7 +8,7 @@ characterization), never the per-variant runtimes.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from repro.profiling.counters import CounterSet
@@ -112,13 +112,15 @@ def run_case_study(
     height: int = 64,
     n_frames: int = 10,
     data_capacity_scale: float = 48.0,
-    mapper: Callable[..., Sequence[dict[str, object]]] | None = None,
+    mapper: Callable[..., Iterable[dict[str, object]]] | None = None,
 ) -> CaseStudyResult:
     """Run the full Figure 9 experiment at the given proxy scale.
 
-    ``mapper(fn, jobs)`` controls how the per-task simulations execute;
-    the default is a serial in-process map, and the experiment layer
-    injects the parallel/cached sweep-engine mapper.
+    ``mapper(fn, jobs)`` runs the per-task simulations; the default is
+    the builtin ``map``, serially in this process. Fig 9 passes its
+    cache-then-compute path, which serves stored tasks, computes the rest
+    across the engine's workers, stores each as it lands and raises
+    :class:`~repro.experiments.runner.SweepFailure` for tasks that fail.
     """
     config_names = list(_VARIANTS)
     jobs = [
@@ -129,11 +131,7 @@ def run_case_study(
         )
         for task in tasks
     ]
-    if mapper is None:
-        payloads = [simulate_task(job) for job in jobs]
-    else:
-        payloads = list(mapper(simulate_task, jobs))
-
+    payloads = (mapper or map)(simulate_task, jobs)
     cycles: dict[int, dict[str, float]] = {}
     baseline_cycles: dict[int, float] = {}
     counters: dict[int, CounterSet] = {}

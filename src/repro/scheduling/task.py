@@ -32,15 +32,6 @@ class TranscodeTask:
         height: int | None = None,
         n_frames: int | None = None,
     ) -> FrameSequence:
-        return self.video_sequence(width=width, height=height, n_frames=n_frames)
-
-    def video_sequence(
-        self,
-        *,
-        width: int | None = None,
-        height: int | None = None,
-        n_frames: int | None = None,
-    ) -> FrameSequence:
         return load_video(
             self.video, width=width, height=height, n_frames=n_frames
         )

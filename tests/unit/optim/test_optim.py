@@ -6,7 +6,7 @@ import pytest
 from repro.codec.encoder import Encoder
 from repro.codec.options import EncoderOptions
 from repro.optim.autofdo import autofdo_optimize, fdo_layout
-from repro.optim.graphite import GRAPHITE_FLAGS, analyze_kernels, graphite_loop_opts
+from repro.optim.graphite import GRAPHITE_FLAGS, analyze_kernels
 from repro.optim.pipeline import build_autofdo, build_default, build_graphite
 from repro.optim.profile import collect_profile
 from repro.trace.kernels import KERNELS, build_program
@@ -115,8 +115,7 @@ class TestGraphite:
         assert "me_sad" in report.rejected  # sequential search, not tileable
 
     def test_loop_opts_helper(self):
-        opts = graphite_loop_opts(KERNELS)
-        assert opts.any_enabled
+        assert analyze_kernels(KERNELS).loop_opts.any_enabled
 
     def test_describe(self):
         text = analyze_kernels(KERNELS).describe()

@@ -10,7 +10,6 @@ from repro._util import (
     check_range,
     clamp,
     format_table,
-    geometric_mean,
     percentile,
     rng_for,
     stable_seed,
@@ -73,22 +72,6 @@ class TestClamp:
     def test_edges(self):
         assert clamp(-1, 0, 10) == 0
         assert clamp(11, 0, 10) == 10
-
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-
-    def test_single(self):
-        assert geometric_mean([7.0]) == pytest.approx(7.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
 
 
 class TestPercentile:
