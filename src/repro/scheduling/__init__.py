@@ -10,7 +10,10 @@ Figure 9.
 
 Import each name from the submodule that owns it (``task``,
 ``affinity``, ``schedulers``, ``casestudy``, ``adaptive``); the package
-re-exports nothing, so importing a task does not load the scipy solver.
+re-exports nothing, so importing a task does not load the assignment
+solver. The solver (``affinity.solve_assignment``) is a pure-Python
+port of scipy's ``linear_sum_assignment``: the package needs NumPy
+alone.
 """
 
 __all__: list[str] = []

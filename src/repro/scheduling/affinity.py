@@ -14,10 +14,10 @@ bottleneck points at the configuration built to relieve it —
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.profiling.counters import CounterSet
 
@@ -62,17 +62,102 @@ def solve_assignment(
     matrix: np.ndarray, *, maximize: bool
 ) -> list[tuple[int, int]]:
     """One-to-one (row, column) assignment over a possibly rectangular
-    score (``maximize``) or cost matrix, by the Hungarian algorithm.
+    score (``maximize``) or cost matrix, sorted by row.
 
-    Deterministic: among equal-valued assignments the lower row, then
-    the lower column index wins, so identical inputs always yield
-    identical placements — in the batch scheduler and the service alike.
+    Deterministic: the pairs are a pure function of the matrix, so
+    identical inputs always yield identical placements — in the batch
+    scheduler and the service alike. Among equal-valued assignments,
+    ``_TIE_EPS * (row * n_cols + col)`` per chosen cell prefers the one
+    whose columns (wide matrix) or rows (tall matrix) have the lowest
+    index sum. It adds the same constant to every perfect matching of
+    a square matrix and to every matching over the same rows and
+    columns, so there the solver's own search order decides: a constant
+    3x3 gives ``[(0, 1), (1, 0), (2, 2)]`` to maximize and
+    ``[(0, 2), (1, 0), (2, 1)]`` to minimize, not the identity.
     """
     n_rows, n_cols = matrix.shape
     tie = _TIE_EPS * (
         np.arange(n_rows)[:, None] * n_cols + np.arange(n_cols)[None, :]
     )
-    rows, cols = linear_sum_assignment(
+    rows, cols = _linear_sum_assignment(
         -(matrix - tie) if maximize else matrix + tie
     )
-    return list(zip(rows.tolist(), cols.tolist()))
+    return list(zip(rows, cols))
+
+
+def _linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], list[int]]:
+    """Minimum-cost assignment ``(rows, cols)`` of a 2-D float cost matrix.
+
+    A port of scipy's ``linear_sum_assignment`` (Crouse's shortest
+    augmenting path, ``rectangular_lsap.cpp``) that keeps every step
+    deciding a tie, so it returns scipy's answer bit for bit: the
+    candidate columns are kept in reverse order, an equal-cost
+    unassigned column ends the path, each reduced cost is summed as
+    ``min_val + c[i][j] - u[i] - v[j]``, and a tall matrix is solved
+    transposed and returned sorted by row. NaN or ``-inf`` entries, or
+    a matrix with no finite-cost assignment, raise ``ValueError``.
+    """
+    n_rows, n_cols = cost.shape
+    if n_rows == 0 or n_cols == 0:
+        return [], []
+    transpose = n_cols < n_rows
+    if transpose:
+        cost = cost.T
+        n_rows, n_cols = n_cols, n_rows
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    c = cost.tolist()
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for cur_row in range(n_rows):
+        # Shortest augmenting path from cur_row to an unassigned column.
+        shortest = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        seen_rows: list[int] = []
+        seen_cols: list[int] = []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            seen_rows.append(i)
+            row, u_i = c[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # Update the dual variables, then flip the path.
+        u[cur_row] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        order = sorted(range(n_rows), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(n_rows)), col4row

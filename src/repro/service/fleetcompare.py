@@ -239,7 +239,8 @@ def run_fleet_compare(
                 with obs.span("fleet_compare.run", fleet=fleet.name,
                               policy=policy):
                     service.submit_many(requests)
-                    runs[policy] = service.run_until_idle()
+                    service.run_until_idle()
+                    runs[policy] = service.report()
             smart, control = runs["smart"], runs["random"]
             result = FleetResult(
                 fleet=fleet,

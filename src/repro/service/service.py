@@ -326,20 +326,20 @@ class TranscodeService:
         self.clock.advance_to_ns(horizon)
         return True
 
-    def run_until_idle(self) -> ServiceReport:
-        """Dispatch until no job is pending, then report.
+    def run_until_idle(self) -> None:
+        """Dispatch until no job is pending.
 
         Repeats :meth:`step`; jobs still pending when it can move
         nothing — every worker crash-suspect, or free workers the policy
         will not use — finish ``failed``, as do jobs that exhaust their
         placement budget; the service itself never raises for job-level
-        trouble.
+        trouble. It only drains: :meth:`report` summarizes every job
+        ever admitted, so a caller that wants the summary asks once.
         """
         with obs.span("service.drain", policy=self.policy.name):
             while self.step():
                 pass
             self._fail_pending()
-        return self.report()
 
     def _fail_pending(self) -> None:
         """Fail what is left once nothing will change on its own rather
@@ -627,14 +627,16 @@ def run_service(
         cfg, resume=resume, profile_cache=shared_profiles
     )
     service.submit_many(requests)
-    report = service.run_until_idle()
+    service.run_until_idle()
+    report = service.report()
     if control and cfg.policy != "random":
         control_cfg = replace(cfg, policy="random", checkpoint_path=None)
         control_service = TranscodeService(
             control_cfg, profile_cache=shared_profiles
         )
         control_service.submit_many(requests)
-        report.control = control_service.run_until_idle()
+        control_service.run_until_idle()
+        report.control = control_service.report()
         margin = report.margin_vs_control_pp
         if margin is not None:
             obs.set_gauge("service.margin_vs_control_pp", margin)

@@ -93,7 +93,8 @@ class TestParetoObjectives:
         )
         service = TranscodeService(config, clock=VirtualClock())
         service.submit_many(table3_requests(8))
-        report = service.run_until_idle()
+        service.run_until_idle()
+        report = service.report()
         assert report.completed == 8 and report.failed == 0
         workers = {s.worker for s in service.statuses()}
         assert workers and all("a1.xlarge" in w for w in workers)
@@ -106,7 +107,8 @@ class TestParetoObjectives:
         )
         service = TranscodeService(config, clock=VirtualClock())
         service.submit_many(table3_requests(4))
-        report = service.run_until_idle()
+        service.run_until_idle()
+        report = service.report()
         assert report.completed == 4
         # c6g runs ~1.5x faster per core than a1; with 4 free c6g cores
         # and 4 jobs, min-latency must use them exclusively.
@@ -122,7 +124,8 @@ class TestParetoObjectives:
         )
         service = TranscodeService(config, clock=VirtualClock())
         service.submit_many(table3_requests(4))
-        report = service.run_until_idle()
+        service.run_until_idle()
+        report = service.report()
         assert report.completed == 0 and report.failed == 4
         for status in service.statuses():
             assert status.state == "failed"

@@ -8,9 +8,10 @@ package ``__init__`` declares an empty one, outside a short allowlist:
 each name has one home, the submodule that defines it.
 
 The layering contract checks that resolving the configuration loads
-neither the service and load-test stack nor scipy, that importing a
-leaf module loads only that leaf, and that the ``repro`` imports of
-``examples/`` and ``benchmarks/`` (which no tier-1 test runs) resolve.
+neither the service and load-test stack nor scipy, that no module under
+``src/repro`` imports scipy, that importing a leaf module loads only
+that leaf, and that the ``repro`` imports of ``examples/`` and
+``benchmarks/`` (which no tier-1 test runs) resolve.
 
 The docs-drift audit at the bottom holds docs/CONFIGURATION.md to the
 same standard, row by row against ``repro.api.settings.FIELD_TABLE``:
@@ -381,6 +382,33 @@ def test_reporting_a_tab1_run_loads_no_service_stack(tmp_path):
     loaded = [name for name in out
               if name.startswith(("repro.service", "repro.loadgen"))]
     assert not loaded, f"repro report of a tab1 run loaded {loaded}"
+
+
+def test_serving_loads_no_scipy():
+    """`import repro.service.service` in a fresh interpreter loads the
+    assignment solver and no scipy: the service runs on NumPy alone."""
+    out = _modules_loaded_by("import repro.service.service")
+    assert "repro.scheduling.affinity" in out
+    loaded = [name for name in out if name.split(".")[0] == "scipy"]
+    assert not loaded, f"import repro.service.service loaded {loaded}"
+
+
+def test_no_src_module_imports_scipy():
+    """pyproject.toml's runtime dependencies are numpy alone; scipy is
+    the ``dev`` extra's test oracle for the solver in
+    `repro.scheduling.affinity`. The modules are parsed, not run."""
+    offenders = []
+    for path in sorted((_REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                offenders.append(f"{path.relative_to(_REPO_ROOT)}:{node.lineno}")
+    assert not offenders, f"scipy imported in: {offenders}"
 
 
 #: Leaf import -> the module patterns it must not load.

@@ -1,9 +1,10 @@
 """Unit tests for repro.scheduling (tasks, affinity, schedulers)."""
 
+import numpy as np
 import pytest
 
 from repro.profiling.counters import CounterSet
-from repro.scheduling.affinity import affinity_scores
+from repro.scheduling.affinity import affinity_scores, solve_assignment
 from repro.scheduling.schedulers import (
     Assignment,
     BestScheduler,
@@ -160,3 +161,37 @@ class TestSchedulers:
     def test_empty_tasks_rejected(self):
         with pytest.raises(ValueError):
             RandomScheduler().schedule([], {}, ["a"], {})
+
+
+class TestSolveAssignmentTies:
+    """The tie rule `solve_assignment`'s docstring states, pinned on
+    constant matrices, where every assignment has the same value."""
+
+    def test_constant_square_is_decided_by_the_solver(self):
+        ones = np.ones((3, 3))
+        assert solve_assignment(ones, maximize=True) == [(0, 1), (1, 0), (2, 2)]
+        assert solve_assignment(ones, maximize=False) == [(0, 2), (1, 0), (2, 1)]
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_constant_wide_takes_the_lowest_columns(self, maximize):
+        assert solve_assignment(np.ones((2, 4)), maximize=maximize) == [(0, 0), (1, 1)]
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_constant_tall_takes_the_lowest_rows(self, maximize):
+        assert solve_assignment(np.ones((4, 2)), maximize=maximize) == [(0, 0), (1, 1)]
+
+    def test_empty_matrix_assigns_nothing(self):
+        assert solve_assignment(np.zeros((0, 4)), maximize=True) == []
+
+    @pytest.mark.parametrize("poison", [np.nan, -np.inf])
+    def test_invalid_entries_raise(self, poison):
+        cost = np.ones((2, 3))
+        cost[1, 2] = poison
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            solve_assignment(cost, maximize=False)
+
+    def test_infeasible_matrix_raises(self):
+        cost = np.ones((2, 3))
+        cost[0] = np.inf
+        with pytest.raises(ValueError, match="infeasible"):
+            solve_assignment(cost, maximize=False)

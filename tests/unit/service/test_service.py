@@ -62,7 +62,8 @@ class TestLifecycle:
         statuses = service.submit_many(table3_requests(4))
         assert all(s.state == "queued" for s in statuses)
 
-        report = service.run_until_idle()
+        service.run_until_idle()
+        report = service.report()
         assert report.completed == 4
         assert report.failed == 0
         assert report.policy == "smart"
@@ -82,9 +83,24 @@ class TestLifecycle:
     def test_identical_requests_profile_once(self):
         service = TranscodeService(ServiceConfig(**TINY))
         service.submit_many(table3_requests(8))  # 4 unique, each twice
-        report = service.run_until_idle()
+        service.run_until_idle()
+        report = service.report()
         assert report.completed == 8
         assert len(service._profiles) == 4
+
+    def test_drain_builds_no_report(self, monkeypatch):
+        """`run_until_idle` only drains: the O(history) summary is built
+        when a caller asks for `report()`, not on every drain."""
+        import repro.service.service as service_module
+
+        service = TranscodeService(ServiceConfig(**TINY))
+        service.submit_many(table3_requests(4))
+        monkeypatch.setattr(
+            service_module, "summarize",
+            lambda *a, **k: pytest.fail("run_until_idle built a report"),
+        )
+        assert service.run_until_idle() is None
+        assert all(s.state == "done" for s in service.statuses())
 
     def test_status_lookup(self):
         service = TranscodeService(ServiceConfig(**TINY))
@@ -99,7 +115,8 @@ class TestCrashIsolation:
         install_plan("service.worker,at=1,raise=RuntimeError")
         service = TranscodeService(ServiceConfig(**TINY))
         service.submit(TranscodeRequest(clip="cricket"))
-        report = service.run_until_idle()
+        service.run_until_idle()
+        report = service.report()
         assert report.completed == 1
         assert report.worker_crashes == 1
         assert len(service.fleet.available()) == len(DEFAULT_FLEET) - 1
@@ -111,7 +128,8 @@ class TestCrashIsolation:
         install_plan("service.worker,at=1|2,raise=RuntimeError")
         service = TranscodeService(ServiceConfig(max_attempts=2, **TINY))
         service.submit(TranscodeRequest(clip="cricket"))
-        report = service.run_until_idle()
+        service.run_until_idle()
+        report = service.report()
         assert report.completed == 0
         assert report.failed == 1
         assert report.worker_crashes == 2
@@ -126,7 +144,8 @@ class TestCrashIsolation:
         )
         service.submit(TranscodeRequest(clip="cricket"))
         service.submit(TranscodeRequest(clip="holi"))
-        report = service.run_until_idle()
+        service.run_until_idle()
+        report = service.report()
         assert report.completed == 0
         assert report.failed == 2
         assert service.fleet.available() == []
@@ -136,7 +155,8 @@ class TestCrashIsolation:
         install_plan("service.worker,at=1,raise=InjectedFault")
         service = TranscodeService(ServiceConfig(**TINY))
         service.submit(TranscodeRequest(clip="cricket"))
-        report = service.run_until_idle()
+        service.run_until_idle()
+        report = service.report()
         assert report.completed == 1
         assert report.worker_crashes == 0
         assert len(service.fleet.available()) == len(DEFAULT_FLEET)
@@ -168,7 +188,8 @@ class TestPlacementSpan:
 
             service.policy.place = counting_place
             service.submit_many(table3_requests(4))
-            assert service.run_until_idle().completed == 4
+            service.run_until_idle()
+            assert service.report().completed == 4
         spans = [r for r in tel.spans.finished if r.name == "service.place"]
         assert batches and len(spans) == len(batches)
         assert tel.spans.totals()["service.place"]["calls"] == len(batches)
@@ -193,7 +214,8 @@ class TestTerminalAccounting:
         with telemetry_session() as tel:
             service = TranscodeService(config, clock=VirtualClock())
             service.submit_many(requests)
-            report = service.run_until_idle()
+            service.run_until_idle()
+            report = service.report()
             state = tel.metrics.export_state()
         return service, report, state
 
@@ -252,7 +274,8 @@ class TestTerminalAccounting:
         service.policy.place = lambda jobs, workers, counters: {}
         service.submit(TranscodeRequest(clip="cricket", priority=1))
         service.submit(TranscodeRequest(clip="holi", priority=5))
-        report = service.run_until_idle()
+        service.run_until_idle()
+        report = service.report()
         assert report.failed == 2 and service.queue.pending() == 0
         for status in service.statuses():
             assert status.error == "placement policy returned no placement"
@@ -276,7 +299,8 @@ class TestVirtualClockTimings:
         )
         service.submit(TranscodeRequest(clip="cricket"))
         service.submit(TranscodeRequest(clip="cricket"))
-        report = service.run_until_idle()
+        service.run_until_idle()
+        report = service.report()
         assert report.completed == 2
         first, second = service.statuses()
         return first.timings, second.timings
@@ -315,7 +339,8 @@ class TestCheckpointResume:
             ServiceConfig(checkpoint_path=ckpt, **TINY), resume=True
         )
         assert revived.queue.pending() == 3
-        report = revived.run_until_idle()
+        revived.run_until_idle()
+        report = revived.report()
         assert report.completed == 3
 
     def test_resume_skips_completed_jobs(self, tmp_path):
@@ -327,7 +352,8 @@ class TestCheckpointResume:
 
         revived = TranscodeService(cfg, resume=True)
         assert revived.queue.pending() == 0
-        report = revived.run_until_idle()
+        revived.run_until_idle()
+        report = revived.report()
         assert report.completed == 2       # carried over, not re-run
         # New submissions continue the id sequence past restored jobs.
         status = revived.submit(TranscodeRequest(clip="cricket"))
