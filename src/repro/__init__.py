@@ -45,6 +45,6 @@ Quickstart::
     print(profiled.counters.backend_bound)
 """
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = ["__version__"]

@@ -114,7 +114,7 @@ class _FrameContext:
         return self.src_f[y : y + 16, x : x + 16]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class _DpbEntry:
     """A decoded anchor picture held for reference."""
 
@@ -595,7 +595,7 @@ class Encoder:
         ):
             return None
         i16 = best_intra_16x16(src_mb, ctx.recon, y, x)
-        self._trace.intra_probe("intra_pred16", 4)
+        self._trace.intra_probe("intra_pred16", i16.n_modes_tried)
         rate16 = ue_bits(MODE_IDS[MBMode.INTRA_16X16]) + ue_bits(int(i16.mode))
         cost16 = i16.sad + rd_lambda(qp_mb) * rate16
 

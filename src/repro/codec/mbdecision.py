@@ -38,7 +38,7 @@ def mv_bits(mv: MotionVector, pred: MotionVector) -> int:
     return se_bits(mv.dx - pred.dx) + se_bits(mv.dy - pred.dy) + ue_bits(mv.ref)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class InterCandidate:
     """One inter coding candidate produced by the search stage."""
 

@@ -140,7 +140,7 @@ class PaddedReference:
         return plane[y0 : y0 + size, x0 : x0 + size]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MotionSearchResult:
     """Outcome of one block's motion search against one reference."""
 
@@ -150,7 +150,6 @@ class MotionSearchResult:
     n_points: int  # candidate positions evaluated
     positions: list[tuple[int, int]] = field(default_factory=list)  # full-pel visits
     improvements: list[bool] = field(default_factory=list)  # per-candidate "new best"
-    early_terminated: bool = False
 
 
 class _SearchWindow:
@@ -238,7 +237,8 @@ def _pattern_search(
         if not improved:
             break
     return MotionSearchResult(
-        best_dx * 4, best_dy * 4, best_cost, n_points, positions, improvements
+        mv_x=best_dx * 4, mv_y=best_dy * 4, cost=best_cost, n_points=n_points,
+        positions=positions, improvements=improvements,
     )
 
 
@@ -309,7 +309,9 @@ def _umh_search(win: _SearchWindow, pred) -> MotionSearchResult:
     if refine.cost < best_cost:
         result = refine
     else:
-        result = MotionSearchResult(best_dx * 4, best_dy * 4, best_cost, 0, [])
+        result = MotionSearchResult(
+            mv_x=best_dx * 4, mv_y=best_dy * 4, cost=best_cost, n_points=0
+        )
     result.n_points += n_points
     result.positions = positions + result.positions
     result.improvements = improvements + result.improvements
@@ -357,7 +359,8 @@ def _esa_search(
         for dx in range(-merange, merange + 1, max(1, merange // 4))
     ]
     return MotionSearchResult(
-        best_dx * 4, best_dy * 4, float(best_cost), int(n_points), positions
+        mv_x=best_dx * 4, mv_y=best_dy * 4, cost=float(best_cost),
+        n_points=int(n_points), positions=positions,
     )
 
 
@@ -462,7 +465,8 @@ def subpel_refine(
                     best_cost, best_x, best_y = cost, cx, cy
                     improved = True
     return MotionSearchResult(
-        best_x, best_y, best_cost, n_points, result.positions, result.early_terminated
+        mv_x=best_x, mv_y=best_y, cost=best_cost, n_points=n_points,
+        positions=result.positions, improvements=result.improvements,
     )
 
 

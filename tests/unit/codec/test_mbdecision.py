@@ -126,9 +126,11 @@ class TestInterCandidate:
     def test_rd_cost_monotone_in_rate(self):
         pred = np.zeros((16, 16))
         cheap = InterCandidate(
-            MBMode.INTER_16X16, [MotionVector(0, 0)], pred, 100.0, 10, 1, []
+            mode=MBMode.INTER_16X16, mvs=[MotionVector(0, 0)], prediction=pred,
+            distortion=100.0, rate_bits=10, n_search_points=1, positions=[],
         )
         pricey = InterCandidate(
-            MBMode.INTER_16X16, [MotionVector(0, 0)], pred, 100.0, 50, 1, []
+            mode=MBMode.INTER_16X16, mvs=[MotionVector(0, 0)], prediction=pred,
+            distortion=100.0, rate_bits=50, n_search_points=1, positions=[],
         )
         assert cheap.rd_cost(23) < pricey.rd_cost(23)

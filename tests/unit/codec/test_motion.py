@@ -151,7 +151,7 @@ class TestSubpelRefine:
 
     def test_subme_below_two_is_noop(self):
         cur, ref = self._setup()
-        start = MotionSearchResult(0, 0, 100.0, 1)
+        start = MotionSearchResult(mv_x=0, mv_y=0, cost=100.0, n_points=1)
         out = subpel_refine(cur, ref, 32, 32, start, subme=1)
         assert out is start
 
@@ -170,13 +170,6 @@ class TestSubpelRefine:
         r4 = subpel_refine(cur, ref, 32, 32, full, subme=4)
         assert r4.n_points >= r2.n_points
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="subpel_refine passes early_terminated into the improvements "
-        "slot, so from subme 2 up the full-pel 'new best' outcomes (the "
-        "me_sad improve branch stream) are dropped; the fix moves simulated "
-        "counters and is its own PR (ROADMAP, 'Oracles')",
-    )
     def test_refinement_keeps_full_pel_improvements(self):
         cur, ref = self._setup()
         full = motion_search(cur, ref, 32, 32, method="hex", merange=4)

@@ -9,9 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.codec.encoder import _DpbEntry
+from repro.codec.mbdecision import InterCandidate
+from repro.codec.motion import MotionSearchResult
 from repro.codec.options import EncoderOptions
 from repro.codec.tracemodel import EncodeTrace, LoopOptimizations
-from repro.codec.types import MBMode
+from repro.codec.types import CodedMacroblock, MBMode, MotionVector
 from repro.trace.kernels import build_program
 from repro.trace.recorder import NullTracer, RecordingTracer
 from tests.oracles import PerCallTracer
@@ -186,6 +189,38 @@ def test_me_reads_each_reference_from_its_dpb_buffer():
     assert per_ref.shape[1] == 2 * (2 + 1 + 16)
     assert int(per_ref[1, 0] - per_ref[0, 0]) > PAD_H * PAD_W  # another buffer
     assert np.array_equal(per_ref[2], per_ref[0])
+
+
+@pytest.mark.parametrize(
+    "record, args",
+    [
+        (MotionSearchResult, (0, 0, 1.0, 1)),
+        (InterCandidate, (MBMode.INTER_16X16, [MotionVector(0, 0)], None, 1.0, 1, 1, [])),
+        (CodedMacroblock, (0, 0, MBMode.SKIP, 23)),
+        (_DpbEntry, (0, None)),
+    ],
+)
+def test_records_the_model_reads_refuse_positional_fields(record, args):
+    """A swapped positional field would change the trace silently; every
+    record handed to an ``EncodeTrace`` report is built by keyword."""
+    with pytest.raises(TypeError, match="positional"):
+        record(*args)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_me_emits_one_improve_outcome_per_improvement(k):
+    model, tracer = _model()
+    model.dpb_store(0)
+    model.macroblock(1, 1)
+    improvements = [i % 2 == 0 for i in range(k)]
+    result = MotionSearchResult(
+        mv_x=0, mv_y=0, cost=1.0, n_points=k, positions=[(0, 0)] * k,
+        improvements=improvements,
+    )
+    model.me([SimpleNamespace(display_index=0)], result, k)
+    (call,) = tracer.calls
+    improve = (call.branches or {}).get("improve", np.zeros(0, dtype=bool))
+    assert improve.tolist() == improvements
 
 
 def test_lazy_regions_are_laid_out_in_first_use_order():

@@ -30,10 +30,11 @@ from repro.profiling.counters import CounterSet
 from repro.uarch.configs import baseline_config
 
 #: ``PointSpec(QUICK, "cricket", crf=23, refs=1, preset="medium").cache_key()``
-#: under repro 2.0.0 and cache schema 3, as ``content_key`` builds it (under
-#: schema 1 it was ``229668db...``, under schema 2 ``1e20ebaf...``). Changes
-#: only with a ``__version__`` or ``CACHE_SCHEMA_VERSION`` bump.
-GOLDEN_KEY = "3abbb449b68bafbeeccec97fbd711589824d49f58ce7a448d537fd8c20a5741b"
+#: under repro 2.1.0 and cache schema 3, as ``content_key`` builds it (under
+#: schema 1 it was ``229668db...``, under schema 2 ``1e20ebaf...``, under
+#: 2.0.0 and schema 3 ``3abbb449...``). Changes only with a ``__version__``
+#: or ``CACHE_SCHEMA_VERSION`` bump.
+GOLDEN_KEY = "0dd50ec18e73bdfac64eb39986fc0bcc21c2f41de0ac1a3a42773931f7537430"
 
 #: ``CounterSet``'s fields in the order a sweep entry's counter block stores
 #: them, as of cache schema 2 (unchanged in schema 3).
@@ -117,7 +118,7 @@ clip_names = st.one_of(
 
 class TestSweepKey:
     def test_golden_key(self):
-        assert (repro.__version__, CACHE_SCHEMA_VERSION) == ("2.0.0", 3), (
+        assert (repro.__version__, CACHE_SCHEMA_VERSION) == ("2.1.0", 3), (
             "a version bump changes every key: re-pin GOLDEN_KEY"
         )
         spec = _cell(QUICK, "cricket", preset_options("medium", crf=23, refs=1))

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+import repro
 from repro.codec.presets import preset_options
 from repro.experiments.cache import (
     CACHE_SCHEMA_VERSION,
@@ -142,7 +143,7 @@ class TestRefusedRecordIsQuarantined:
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({
-            "cache_schema": 1, "repro_version": "2.0.0", "kind": "sweep", "key": key,
+            "cache_schema": 1, "repro_version": repro.__version__, "kind": "sweep", "key": key,
             "payload": {"video": "cricket", "crf": 23, "refs": 1, "preset": "medium",
                         "counters": RECORD.counters.as_dict()},
         }), encoding="utf-8")
