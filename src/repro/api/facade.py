@@ -274,7 +274,6 @@ def serve(
     config: ServiceConfig | None = None,
     *,
     control: bool = True,
-    resume: bool = False,
     telemetry_dir: str | Path | None = None,
     slo_spec: str | Path | None = None,
     metrics_out: str | Path | None = None,
@@ -288,7 +287,9 @@ def serve(
     submissions under the random-placement control so the report carries
     the serving-mode smart-vs-random margin. With ``telemetry_dir`` the
     pass runs under a telemetry session and exports run artifacts with
-    ``experiment: "serve"``.
+    ``experiment: "serve"``. A pass keeps no state between calls: an
+    interrupted one is restarted by calling again with the same
+    ``requests``.
 
     Observability knobs (off when ``None``):
 
@@ -302,9 +303,7 @@ def serve(
     from repro.service.service import ServiceConfig, run_service
 
     if telemetry_dir is None and slo_spec is None and metrics_out is None:
-        return run_service(
-            requests, config, control=control, resume=resume
-        )
+        return run_service(requests, config, control=control)
 
     from repro.obs.expose import MetricsSnapshotter
 
@@ -321,9 +320,7 @@ def serve(
             else nullcontext()
         )
         with snapshots:
-            return run_service(
-                requests, config, control=control, resume=resume
-            )
+            return run_service(requests, config, control=control)
 
 
 def loadtest(

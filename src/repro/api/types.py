@@ -11,9 +11,9 @@ long-lived transcoding service:
 - :class:`JobStatus` — one job's lifecycle snapshot inside the service
   (``queued`` → ``running`` → ``done`` | ``failed``).
 
-All three round-trip through plain-JSON payloads (``to_payload`` /
-``from_payload``) so the CLI spool file, the service checkpoint, and the
-``jobs.json`` status artifact share one serialization.
+Each writes a plain-JSON payload (``to_payload``); only the request is
+read back (``TranscodeRequest.from_payload``, the CLI spool file's line
+reader). A job status is written once, into the ``jobs.json`` artifact.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class TranscodeRequest:
         return (self.clip, self.preset, self.crf, self.refs)
 
     def to_payload(self) -> dict[str, Any]:
-        """Plain-JSON form (spool lines, checkpoints, artifacts)."""
+        """Plain-JSON form (spool lines, artifacts)."""
         return asdict(self)
 
     @classmethod
@@ -137,13 +137,8 @@ class TranscodeResult:
         return (self.baseline_cycles / self.cycles - 1.0) * 100.0
 
     def to_payload(self) -> dict[str, Any]:
-        """Plain-JSON form for checkpoints and status artifacts."""
+        """Plain-JSON form (the ``result`` of a ``jobs.json`` entry)."""
         return asdict(self)
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "TranscodeResult":
-        """Inverse of :meth:`to_payload`."""
-        return cls(**payload)
 
 
 @dataclass

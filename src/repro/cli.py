@@ -45,8 +45,9 @@ the failures are summarized on stderr (and in ``run.json`` as ``status:
 "partial"`` with a ``failures`` list under ``--telemetry``), and the
 process exits with code 3. The result cache is the only durable store of
 a finished unit: re-running the same command with the same
-``--cache-dir`` recomputes only what is missing (``--resume`` belongs to
-``repro serve --checkpoint`` alone).
+``--cache-dir`` recomputes only what is missing. ``repro serve`` keeps no
+state between runs either: re-running it over the same spool is the
+restart.
 
 ``repro serve`` runs the long-lived transcoding job service over a
 request spool (``repro submit`` appends to it) or the built-in Table III
@@ -485,12 +486,6 @@ def _serve_main(argv: list[str]) -> int:
                         help="number of jobs when using --mix (default: 8)")
     parser.add_argument("--no-control", action="store_true",
                         help="skip the random-placement control pass")
-    parser.add_argument("--checkpoint", metavar="PATH", default=None,
-                        help="checkpoint queue state to PATH after every "
-                             "dispatch round")
-    parser.add_argument("--resume", action="store_true",
-                        help="restore the --checkpoint queue state an "
-                             "interrupted run left and finish the rest")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="where to write jobs.json (default: the "
                              "--telemetry directory, else nowhere)")
@@ -524,10 +519,7 @@ def _serve_main(argv: list[str]) -> int:
             return 1
 
     try:
-        config = _service_config(
-            args, settings,
-            checkpoint_path=Path(args.checkpoint) if args.checkpoint else None,
-        )
+        config = _service_config(args, settings)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -536,7 +528,6 @@ def _serve_main(argv: list[str]) -> int:
             requests,
             config,
             control=not args.no_control,
-            resume=args.resume,
             telemetry_dir=args.telemetry,
             slo_spec=settings.slo_spec,
             metrics_out=settings.metrics_out,

@@ -14,7 +14,7 @@ Pieces:
   is stamped through (the load generator only advances it);
 - :mod:`repro.service.jobs` — the mutable job record around a request;
 - :mod:`repro.service.queue` — the ledger: bounded priority queue, the
-  only writer of job state, the run's tallies, checkpoint serde;
+  only writer of job state, the run's tallies;
 - :mod:`repro.service.workers` — the warm, config-pinned worker fleet
   with crash-suspect isolation;
 - :mod:`repro.service.placement` — SmartScheduler-style vs. random
@@ -23,11 +23,15 @@ Pieces:
   fleets;
 - :mod:`repro.service.service` — the service object: dispatch loop
   (``pump`` / ``step`` / ``run_until_idle``), the one terminal
-  transition, checkpointing;
+  transition;
 - :mod:`repro.service.report` — :class:`ServiceReport`, its assembly
   off the ledger, and the cost ratios shared with the load generator;
 - :mod:`repro.service.fleetcompare` — the heterogeneous-fleet
   comparison driver behind ``repro fleet-compare``.
+
+The service keeps no state between runs: its input is the request
+spool, its output ``jobs.json``, and re-running the spool is the
+restart.
 
 Import each name from the submodule above that owns it; the package
 re-exports nothing, so a caller loads only the pieces it uses. Use

@@ -4,15 +4,12 @@ A :class:`Job` is the service's mutable wrapper around one immutable
 :class:`~repro.api.types.TranscodeRequest`: it tracks the lifecycle
 state (``queued`` → ``running`` → ``done`` | ``failed``), the placement
 attempts, which worker ran it, and the final
-:class:`~repro.api.types.TranscodeResult`. Jobs round-trip through
-plain-JSON payloads so the queue checkpoint can restore them after a
-service restart.
+:class:`~repro.api.types.TranscodeResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.api.types import (
     JOB_DONE,
@@ -31,9 +28,8 @@ __all__ = ["Job"]
 class Job:
     """One submitted request and everything that happened to it."""
 
-    job_id: int
+    job_id: int                      # arrival order (FIFO within priority)
     request: TranscodeRequest
-    seq: int = 0                     # arrival order (FIFO within priority)
     state: str = JOB_QUEUED
     attempts: int = 0                # placement attempts (not retries)
     worker: str | None = None        # worker name once placed
@@ -47,8 +43,8 @@ class Job:
     #: Dollars billed for this job's worker occupancy, accumulated
     #: across placement attempts (crashed attempts still billed).
     cost_usd: float = 0.0
-    #: Transient perf-counter stamps (monotonic ns); never serialized —
-    #: a restored job simply restarts its clocks on readmission.
+    #: Service-clock stamps (ns) the queue sets on admission
+    #: (``enqueued_ns`` again on requeue).
     submitted_ns: int | None = field(default=None, repr=False, compare=False)
     enqueued_ns: int | None = field(default=None, repr=False, compare=False)
 
@@ -82,11 +78,6 @@ class Job:
         self.error = error
 
     # -- views ---------------------------------------------------------
-    @property
-    def terminal(self) -> bool:
-        """Whether the job has finished (successfully or not)."""
-        return self.state in (JOB_DONE, JOB_FAILED)
-
     def status(self) -> JobStatus:
         """A detached snapshot of this job for API consumers."""
         return JobStatus(
@@ -104,42 +95,4 @@ class Job:
             trace_id=self.trace_id,
             timings=dict(self.timings),
             cost_usd=self.cost_usd,
-        )
-
-    # -- serde ---------------------------------------------------------
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-JSON form for the service checkpoint."""
-        return {
-            "job_id": self.job_id,
-            "request": self.request.to_payload(),
-            "seq": self.seq,
-            "state": self.state,
-            "attempts": self.attempts,
-            "worker": self.worker,
-            "error": self.error,
-            "latency_cycles": self.latency_cycles,
-            "result": None if self.result is None else self.result.to_payload(),
-            "trace_id": self.trace_id,
-            "timings": dict(self.timings),
-            "cost_usd": self.cost_usd,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "Job":
-        """Inverse of :meth:`to_payload`."""
-        result = payload.get("result")
-        return cls(
-            job_id=int(payload["job_id"]),
-            request=TranscodeRequest.from_payload(payload["request"]),
-            seq=int(payload.get("seq", 0)),
-            state=str(payload.get("state", JOB_QUEUED)),
-            attempts=int(payload.get("attempts", 0)),
-            worker=payload.get("worker"),
-            error=payload.get("error"),
-            latency_cycles=payload.get("latency_cycles"),
-            result=None if result is None else TranscodeResult.from_payload(result),
-            trace_id=payload.get("trace_id"),
-            timings={k: float(v)
-                     for k, v in (payload.get("timings") or {}).items()},
-            cost_usd=float(payload.get("cost_usd", 0.0)),
         )

@@ -3,7 +3,7 @@
 :class:`BoundedJobQueue` owns every job's lifecycle. It is the only code
 that changes ``Job.state`` — ``put`` (admit), ``start``, ``requeue`` and
 ``finish`` each call the matching ``Job.mark_*`` — and it keeps the books
-as it goes: the dispatchable set is a heap keyed ``(-priority, seq)``,
+as it goes: the dispatchable set is a heap keyed ``(-priority, job_id)``,
 ``queued`` / ``running`` are two integers, and the terminal transition
 enters the job in a :class:`Tally`. ``depth``, ``pending``, ``pop_ready``
 and the reports read those books, so no call costs more for the jobs
@@ -11,22 +11,15 @@ that finished before it.
 
 Submissions beyond ``capacity`` raise :class:`QueueFullError`
 (backpressure, like a 429 from a serving stack). Dispatch order is
-priority-major (higher first), FIFO within a priority class; a requeued
-job re-enters under its original arrival sequence so a retry cannot jump
-ahead of its peers.
-
-The queue also owns the service's restartable state: :meth:`snapshot`
-is a plain-JSON document of every tracked job, written atomically by the
-service after each dispatch round, and :meth:`restore` rebuilds heap,
-counters and tally from it so a restarted service re-runs only the
-unfinished jobs.
+priority-major (higher first), FIFO within a priority class (a job's id
+is its arrival order); a requeued job re-enters under its original key
+so a retry cannot jump ahead of its peers.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.api.types import JOB_DONE, JOB_QUEUED, JOB_RUNNING, TranscodeResult
 from repro.obs import session as obs
@@ -34,9 +27,6 @@ from repro.service.clock import Clock, WallClock
 from repro.service.jobs import Job
 
 __all__ = ["BoundedJobQueue", "QueueFullError", "Tally"]
-
-#: Version stamp for the snapshot document.
-QUEUE_SNAPSHOT_VERSION = 1
 
 
 class QueueFullError(RuntimeError):
@@ -72,9 +62,9 @@ class BoundedJobQueue:
     """Priority-then-FIFO job ledger with a hard capacity bound.
 
     Tracks *every* job ever admitted (the service needs terminal jobs
-    for status queries and checkpoints); only queued and running jobs
+    for status queries and the run report); only queued and running jobs
     count against ``capacity``, and a terminal job is never visited
-    again except by :meth:`get`, :meth:`jobs` and :meth:`snapshot`.
+    again except by :meth:`get` and :meth:`jobs`.
     """
 
     def __init__(self, capacity: int = 64, *,
@@ -84,14 +74,14 @@ class BoundedJobQueue:
         self.capacity = capacity
         self.clock = clock if clock is not None else WallClock()
         self._jobs: dict[int, Job] = {}   # insertion-ordered job registry
-        self._ready: list[tuple[int, int, int, Job]] = []   # the heap
+        self._ready: list[tuple[int, int, Job]] = []   # the heap
         self._queued = 0
         self._running = 0
         self.tally = Tally()
 
     def _push(self, job: Job) -> None:
         heapq.heappush(
-            self._ready, (-job.request.priority, job.seq, job.job_id, job)
+            self._ready, (-job.request.priority, job.job_id, job)
         )
 
     def _leave(self, job: Job) -> None:
@@ -199,38 +189,3 @@ class BoundedJobQueue:
 
     def _observe_depth(self) -> None:
         obs.set_gauge("service.queue_depth", float(self.depth()))
-
-    # -- checkpoint serde ----------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """Plain-JSON state of every tracked job."""
-        return {
-            "version": QUEUE_SNAPSHOT_VERSION,
-            "capacity": self.capacity,
-            "jobs": [j.to_payload() for j in self._jobs.values()],
-        }
-
-    def restore(self, snapshot: dict[str, Any]) -> int:
-        """Rebuild the ledger from :meth:`snapshot` output; jobs caught
-        mid-flight (``running``) re-enter the queue. Returns the number
-        of jobs restored."""
-        version = snapshot.get("version")
-        if version != QUEUE_SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported queue snapshot version {version!r}"
-            )
-        self._jobs.clear()
-        self._ready.clear()
-        self._queued = self._running = 0
-        self.tally = Tally()
-        for payload in snapshot.get("jobs", ()):
-            job = Job.from_payload(payload)
-            if job.state == JOB_RUNNING:
-                job.mark_requeued("restored after service restart")
-            self._jobs[job.job_id] = job
-            if job.terminal:
-                self.tally.add(job)
-            else:
-                self._queued += 1
-                self._push(job)
-        self._observe_depth()
-        return len(self._jobs)

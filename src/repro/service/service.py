@@ -35,8 +35,8 @@ Resilience reuses the PR-3 layer: retryable exceptions re-execute in
 place under the configured :class:`~repro.resilience.retry.RetryPolicy`;
 a worker whose job still fails is marked crash-suspect and isolated, and
 the job is re-placed on a different worker until its placement budget is
-spent. Queue state is checkpointed atomically after every round so a
-restarted service (``resume=True``) re-runs only unfinished jobs.
+spent. There is no checkpoint: a job is an independent, re-executable
+task, so the spool is the input and re-running it is the restart.
 
 Observability: every job carries a ``trace_id`` and its spans
 (``service.submit`` → ``service.place`` → ``service.job`` →
@@ -47,13 +47,10 @@ Observability: every job carries a ``trace_id`` and its spans
 
 from __future__ import annotations
 
-import json
 import uuid
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any
 
-from repro._util import atomic_write_text
 from repro.api.types import (
     JOB_FAILED,
     QUICK_SIZING,
@@ -117,7 +114,6 @@ class ServiceConfig:
     height: int = 64
     n_frames: int = 10
     data_capacity_scale: float = 48.0
-    checkpoint_path: Path | None = None
     #: Virtual core frequency: simulated cycles charged per virtual
     #: second when the service runs on a VirtualClock (quick-scale proxy
     #: encodes land at a few hundred kilocycles, i.e. fractions of a
@@ -194,7 +190,6 @@ class TranscodeService:
         self,
         config: ServiceConfig | None = None,
         *,
-        resume: bool = False,
         profile_cache: dict[tuple, _ProfiledJob] | None = None,
         clock: Clock | None = None,
     ) -> None:
@@ -219,21 +214,18 @@ class TranscodeService:
             self.policy.bind_fleet(self.fleet.workers)
         self.worker_crashes = 0
         self._next_id = 1
-        self._next_seq = 0
         # Shared across service instances (e.g. a control run) so each
         # unique request is traced and baseline-profiled exactly once.
         self._profiles = profile_cache if profile_cache is not None else {}
         self._baseline = config_by_name(
             "baseline", data_capacity_scale=self.config.data_capacity_scale
         )
-        if resume:
-            self._restore_checkpoint()
 
     # -- submission ----------------------------------------------------
     def submit(self, request: TranscodeRequest) -> JobStatus:
         """Admit one request; raises
         :class:`~repro.service.queue.QueueFullError` at capacity."""
-        job = Job(job_id=self._next_id, request=request, seq=self._next_seq)
+        job = Job(job_id=self._next_id, request=request)
         tel = obs.current()
         base = tel.trace_id if tel is not None else uuid.uuid4().hex[:12]
         job.trace_id = f"{base}-j{job.job_id}"
@@ -241,9 +233,7 @@ class TranscodeService:
                       trace=job.trace_id):
             self.queue.put(job)
         self._next_id += 1
-        self._next_seq += 1
         obs.inc("service.jobs_submitted")
-        self._write_checkpoint()
         return job.status()
 
     def submit_many(
@@ -297,7 +287,6 @@ class TranscodeService:
                     )
                 self._execute(job, placement[job.job_id], placed_at)
             executed += len(placed)
-            self._write_checkpoint()
             if not placed:  # policy placed nothing; avoid spinning
                 break
         return executed
@@ -367,7 +356,6 @@ class TranscodeService:
             if shed:
                 obs.inc("service.jobs_shed_infeasible")
             self._finish(job, None, now, error)
-        self._write_checkpoint()
 
     def _charge_ns(self, cycles: float, worker) -> int:
         """Simulated-time cost of ``cycles`` on ``worker``'s virtual
@@ -582,35 +570,12 @@ class TranscodeService:
             worker_crashes=self.worker_crashes,
         )
 
-    # -- checkpointing -------------------------------------------------
-    def _write_checkpoint(self) -> None:
-        path = self.config.checkpoint_path
-        if path is None:
-            return
-        doc = self.queue.snapshot()
-        doc["next_id"] = self._next_id
-        doc["next_seq"] = self._next_seq
-        atomic_write_text(path, json.dumps(doc))
-        obs.inc("service.checkpoint_writes")
-
-    def _restore_checkpoint(self) -> None:
-        path = self.config.checkpoint_path
-        if path is None or not Path(path).exists():
-            return
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-        restored = self.queue.restore(doc)
-        self._next_id = int(doc.get("next_id", restored + 1))
-        self._next_seq = int(doc.get("next_seq", restored))
-        obs.inc("service.checkpoint_restores")
-
 
 def run_service(
     requests: list[TranscodeRequest],
     config: ServiceConfig | None = None,
     *,
     control: bool = True,
-    resume: bool = False,
 ) -> ServiceReport:
     """Run one synchronous service pass over ``requests``.
 
@@ -623,14 +588,12 @@ def run_service(
     """
     cfg = config or ServiceConfig()
     shared_profiles: dict[tuple, _ProfiledJob] = {}
-    service = TranscodeService(
-        cfg, resume=resume, profile_cache=shared_profiles
-    )
+    service = TranscodeService(cfg, profile_cache=shared_profiles)
     service.submit_many(requests)
     service.run_until_idle()
     report = service.report()
     if control and cfg.policy != "random":
-        control_cfg = replace(cfg, policy="random", checkpoint_path=None)
+        control_cfg = replace(cfg, policy="random")
         control_service = TranscodeService(
             control_cfg, profile_cache=shared_profiles
         )

@@ -105,15 +105,3 @@ class TestServeCli:
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit):
             main(["serve"])
-
-    def test_checkpoint_resume_across_invocations(self, tmp_path, capsys):
-        ckpt = tmp_path / "ck.json"
-        spool = tmp_path / "spool.jsonl"
-        assert main(["submit", "cricket", "--spool", str(spool)]) == 0
-        assert main(["serve", "--spool", str(spool), "--quick",
-                     "--no-control", "--checkpoint", str(ckpt)]) == 0
-        assert ckpt.exists()
-        # A resumed service sees the finished job and re-runs nothing.
-        assert main(["serve", "--spool", str(spool), "--quick",
-                     "--no-control", "--checkpoint", str(ckpt),
-                     "--resume"]) == 0

@@ -73,7 +73,6 @@ def make_scenario(names, counts, cycles, deadlines_ms):
         Job(
             job_id=i + 1,
             request=TranscodeRequest(clip="cricket", deadline_ms=dl),
-            seq=i + 1,
         )
         for i, (dl, _) in enumerate(zip(deadlines_ms, cycles))
     ]
@@ -266,8 +265,7 @@ fleet = WorkerFleet(parse_fleet_spec(spec["fleet"]))
 jobs = [
     Job(job_id=j["job_id"],
         request=TranscodeRequest(clip="cricket",
-                                 deadline_ms=j["deadline_ms"]),
-        seq=j["job_id"])
+                                 deadline_ms=j["deadline_ms"]))
     for j in spec["jobs"]
 ]
 counters = {

@@ -17,7 +17,9 @@ The docs-drift audit at the bottom holds docs/CONFIGURATION.md to the
 same standard, row by row against ``repro.api.settings.FIELD_TABLE``:
 the doc's table line for a ``Settings`` field must carry that field's
 environment variable and CLI flag spelling, so a knob that is added,
-renamed or re-flagged in the table but not in the doc fails the suite.
+renamed or re-flagged in the table but not in the doc fails the suite;
+and every flag the doc's plain-flags paragraph names must be a flag of
+some ``repro`` subcommand, so a removed flag cannot stay documented.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -187,6 +190,56 @@ def test_every_env_var_documented(configuration_doc):
     )
 
 
+#: Every ``repro`` subcommand with its own parser ("" is the
+#: experiment-running form).
+_SUBCOMMANDS = ("", "bench", "cache", "serve", "loadtest", "fleet-compare",
+                "slo", "submit", "report")
+
+
+def _cli_flags(monkeypatch) -> set[str]:
+    """Every option string of every subcommand's parser, captured at
+    ``parse_args`` before anything runs."""
+    import argparse
+
+    from repro.cli import main
+
+    class Captured(Exception):
+        pass
+
+    def capture(parser, args=None, namespace=None):
+        raise Captured(parser)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    flags: set[str] = set()
+    for sub in _SUBCOMMANDS:
+        with pytest.raises(Captured) as exc:
+            main([sub] if sub else [])
+        flags.update(
+            option
+            for action in exc.value.args[0]._actions
+            for option in action.option_strings
+        )
+    return flags
+
+
+def test_plain_flags_paragraph_names_live_flags(configuration_doc,
+                                                monkeypatch):
+    """Each backticked ``--flag`` in the "Per-command flags with no
+    environment variable" paragraph is accepted by some subcommand."""
+    start = configuration_doc.index("Per-command flags with no environment")
+    paragraph = configuration_doc[start:].split("\n\n", 1)[0]
+    named = {
+        flag
+        for span in re.findall(r"`([^`]*)`", paragraph)
+        for flag in re.findall(r"--[a-z][a-z0-9-]*", span)
+    }
+    assert "--compare" in named  # the paragraph was found and parsed
+    stale = sorted(named - _cli_flags(monkeypatch))
+    assert not stale, (
+        f"docs/CONFIGURATION.md names flags no subcommand accepts: {stale}"
+    )
+
+
 def test_benchmarks_doc_names_both_live_schemas():
     """docs/BENCHMARKS.md documents the one format `repro bench` writes
     (the trend schema left with the drift gate)."""
@@ -257,6 +310,18 @@ def test_no_sweep_checkpoint_in_src():
         "SweepCheckpoint", "checkpoint_dir", "REPRO_CHECKPOINT_DIR"
     )
     assert not offenders, f"sweep checkpoint manifest referenced in: {offenders}"
+
+
+def test_no_service_checkpoint_in_src():
+    """A service job is an independent, re-executable task: the spool is
+    the run's input, `jobs.json` its output, and re-running the spool is
+    the restart (the removed checkpoint's resume re-ran finished jobs).
+    Nothing under src/ may bring the ledger snapshot back."""
+    offenders = _src_files_mentioning(
+        "checkpoint_path", "QUEUE_SNAPSHOT_VERSION", "_write_checkpoint",
+        "_restore_checkpoint", "next_seq",
+    )
+    assert not offenders, f"service checkpoint referenced in: {offenders}"
 
 
 def test_no_benchmark_matrix_in_src():

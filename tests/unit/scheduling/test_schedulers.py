@@ -182,9 +182,8 @@ class TestBatchAndServiceAgree:
             {t.task_id: 100.0 for t in tasks}, counters,
         )
         jobs = [
-            Job(job_id=t.task_id, request=TranscodeRequest(clip=t.video),
-                seq=i)
-            for i, t in enumerate(tasks)
+            Job(job_id=t.task_id, request=TranscodeRequest(clip=t.video))
+            for t in tasks
         ]
         placed = SmartPlacement().place(
             jobs, WorkerFleet(tuple(CONFIGS)).workers, counters

@@ -26,7 +26,7 @@ def fleet() -> WorkerFleet:
 
 def make_jobs(n: int) -> list[Job]:
     return [
-        Job(job_id=i, request=TranscodeRequest(clip="cricket"), seq=i)
+        Job(job_id=i, request=TranscodeRequest(clip="cricket"))
         for i in range(1, n + 1)
     ]
 

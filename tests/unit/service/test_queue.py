@@ -1,27 +1,17 @@
 """Unit tests for the bounded admission queue (backpressure, dispatch
-order, and checkpoint snapshot/restore)."""
+order, and the lifecycle transitions)."""
 
 import pytest
 
-from repro.api.types import (
-    JOB_DONE,
-    JOB_QUEUED,
-    TranscodeRequest,
-    TranscodeResult,
-)
+from repro.api.types import JOB_QUEUED, TranscodeRequest, TranscodeResult
 from repro.service.jobs import Job
-from repro.service.queue import (
-    QUEUE_SNAPSHOT_VERSION,
-    BoundedJobQueue,
-    QueueFullError,
-)
+from repro.service.queue import BoundedJobQueue, QueueFullError
 
 
-def make_job(job_id: int, *, priority: int = 0, seq: int | None = None) -> Job:
+def make_job(job_id: int, *, priority: int = 0) -> Job:
     return Job(
         job_id=job_id,
         request=TranscodeRequest(clip="cricket", priority=priority),
-        seq=job_id if seq is None else seq,
     )
 
 
@@ -132,74 +122,3 @@ class TestDispatchOrder:
         with pytest.raises(ValueError, match="already done"):
             q.finish(job, "again")
         assert (q.tally.completed, q.tally.failed, q.depth()) == (1, 0, 0)
-
-
-class TestSnapshotRestore:
-    def test_round_trip_preserves_every_job(self):
-        q = BoundedJobQueue(8)
-        done = make_job(1)
-        queued = make_job(2, priority=3)
-        q.put(done)
-        q.put(queued)
-        take(q, done)
-        q.finish(done, RESULT)
-
-        restored = BoundedJobQueue(8)
-        assert restored.restore(q.snapshot()) == 2
-        assert restored.get(1).state == JOB_DONE
-        assert restored.get(2).state == JOB_QUEUED
-        assert restored.get(2).request.priority == 3
-
-    def test_running_jobs_requeue_on_restore(self):
-        q = BoundedJobQueue(4)
-        job = make_job(1)
-        q.put(job)
-        take(q, job)
-
-        restored = BoundedJobQueue(4)
-        restored.restore(q.snapshot())
-        revived = restored.get(1)
-        assert revived.state == JOB_QUEUED
-        assert revived.worker is None
-        assert "restart" in (revived.error or "")
-
-    def test_restore_rebuilds_heap_counters_and_tally(self):
-        # A version-1 checkpoint as the pre-ledger service wrote it (the
-        # format is unchanged): one running job, three queued across two
-        # priorities, one done and one failed.
-        def payload(job_id, state, priority=0, **extra):
-            return {
-                "job_id": job_id, "seq": job_id - 1, "state": state,
-                "request": TranscodeRequest(
-                    clip="cricket", priority=priority).to_payload(),
-                **extra,
-            }
-
-        snap = {
-            "version": 1, "capacity": 8, "next_id": 7, "next_seq": 6,
-            "jobs": [
-                payload(1, "done", attempts=1, worker="w0:fe_op",
-                        result=RESULT.to_payload(), latency_cycles=1.0,
-                        timings={"queue_wait_s": 0.5, "e2e_s": 2.0}),
-                payload(2, "running", attempts=1, worker="w1:be_op1"),
-                payload(3, "queued"),
-                payload(4, "queued", priority=9),
-                payload(5, "failed", error="boom", timings={"e2e_s": 3.0}),
-                payload(6, "queued", priority=9),
-            ],
-        }
-        q = BoundedJobQueue(8)
-        assert q.restore(snap) == 6
-        assert (q.pending(), q.depth()) == (4, 4)
-        tally = q.tally
-        assert (tally.completed, tally.failed) == (1, 1)
-        assert (tally.e2e_s, tally.queue_wait_s) == ([2.0, 3.0], [0.5])
-        # Same pop order the scan-and-sort gave: priority-major, then
-        # arrival; the job caught running re-enters under its own seq.
-        assert [j.job_id for j in q.pop_ready(9)] == [4, 6, 2, 3]
-
-    def test_unsupported_version_rejected(self):
-        snap = BoundedJobQueue(4).snapshot()
-        snap["version"] = QUEUE_SNAPSHOT_VERSION + 1
-        with pytest.raises(ValueError, match="snapshot version"):
-            BoundedJobQueue(4).restore(snap)

@@ -2,7 +2,7 @@
 
 Runs the real encode→trace→simulate path on tiny proxy clips (48x32, a
 few frames), so these tests cover the full queue → profile → placement →
-fleet data flow, including crash isolation and checkpoint/resume.
+fleet data flow, including crash isolation.
 """
 
 import pytest
@@ -324,47 +324,6 @@ class TestVirtualClockTimings:
             assert timings["e2e_s"] == pytest.approx(
                 timings["queue_wait_s"] + timings["encode_s"], abs=1e-12
             )
-
-
-class TestCheckpointResume:
-    def test_resume_restores_pending_jobs(self, tmp_path):
-        ckpt = tmp_path / "service.json"
-        first = TranscodeService(
-            ServiceConfig(checkpoint_path=ckpt, **TINY)
-        )
-        first.submit_many(table3_requests(3))
-        assert ckpt.exists()
-
-        revived = TranscodeService(
-            ServiceConfig(checkpoint_path=ckpt, **TINY), resume=True
-        )
-        assert revived.queue.pending() == 3
-        revived.run_until_idle()
-        report = revived.report()
-        assert report.completed == 3
-
-    def test_resume_skips_completed_jobs(self, tmp_path):
-        ckpt = tmp_path / "service.json"
-        cfg = ServiceConfig(checkpoint_path=ckpt, **TINY)
-        first = TranscodeService(cfg)
-        first.submit_many(table3_requests(2))
-        first.run_until_idle()
-
-        revived = TranscodeService(cfg, resume=True)
-        assert revived.queue.pending() == 0
-        revived.run_until_idle()
-        report = revived.report()
-        assert report.completed == 2       # carried over, not re-run
-        # New submissions continue the id sequence past restored jobs.
-        status = revived.submit(TranscodeRequest(clip="cricket"))
-        assert status.job_id == 3
-
-    def test_resume_without_checkpoint_is_a_no_op(self, tmp_path):
-        cfg = ServiceConfig(
-            checkpoint_path=tmp_path / "missing.json", **TINY
-        )
-        service = TranscodeService(cfg, resume=True)
-        assert service.queue.pending() == 0
 
 
 class TestControlRun:

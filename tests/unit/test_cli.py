@@ -406,21 +406,22 @@ class TestReport:
 #: the move dropped or renamed none ("" is the experiment-running form).
 #: ``--no-shm`` left with the shared-memory transport (2.0.0);
 #: ``--checkpoint-dir`` and the sweeps' ``--resume`` left with the sweep
-#: checkpoint manifest (``serve`` keeps its own ``--resume``); ``bench``
+#: checkpoint manifest; ``bench``
 #: lost ``--matrix --matrix-out --kernels --jobs`` and the ``matrix``
 #: subcommand with the matrix compiler, then ``--history --window
 #: --drift`` with the drift gate and ``--threshold`` with them, then
 #: ``--quick`` with the second codec body, which also took ``--kernels``
-#: and the ``backends`` subcommand.
+#: and the ``backends`` subcommand. ``serve`` lost ``--checkpoint
+#: --resume`` with the service checkpoint (its resume re-ran done jobs).
 FROZEN_FLAGS = {
     "": "--cache-dir --debug --fault-plan --jobs "
         "--no-cache --scale --telemetry --version "
         "experiment",
     "bench": "--compare --output --reps",
     "cache": "--cache-dir action",
-    "serve": "--budget-usd --checkpoint --count --deadline-s --fault-plan "
+    "serve": "--budget-usd --count --deadline-s --fault-plan "
              "--fleet --metrics-interval --metrics-out --mix --no-control "
-             "--objective --out --policy --queue-capacity --quick --resume "
+             "--objective --out --policy --queue-capacity --quick "
              "--seed --slo --spool --telemetry",
     "loadtest": "--amplitude --arrivals --budget-usd --burst --clock-hz "
                 "--closed-loop --deadline-s --duration --fault-plan --fleet "
@@ -486,6 +487,13 @@ class TestFlagSurface:
     def test_sweep_checkpoint_flags_are_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fig3", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--checkpoint", "P"], ["--resume"]])
+    def test_serve_checkpoint_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--mix", "table3", *flag])
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
