@@ -25,6 +25,7 @@ route through these.
 from __future__ import annotations
 
 import importlib
+import json
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -127,6 +128,7 @@ def _telemetry_run(
     scale: str,
     telemetry_dir: str | Path | None,
     slo_spec: str | Path | None = None,
+    metrics_out: str | Path | None = None,
 ):
     """Run the body under a telemetry session and export it afterwards.
 
@@ -134,12 +136,16 @@ def _telemetry_run(
     inside their own) is reused. Yields a record with the session as
     ``tel`` and the loaded ``slo`` spec; the body may set ``status`` /
     ``failures`` before raising (a sweep's ``"partial"``), any other
-    exception marks the run ``"failed"``. With ``telemetry_dir`` the
-    artifacts — SLO verdict included — are written even when the body
-    raised.
+    exception marks the run ``"failed"``. The SLO spec is evaluated once,
+    when the body ends. With ``telemetry_dir`` the artifacts — that
+    verdict included — are written even when the body raised; so are
+    ``metrics_out``'s ``metrics.prom`` and, with a spec, ``slo.json``
+    (the same verdict).
     """
+    from repro._util import atomic_write_text
     from repro.obs import session as obs
     from repro.obs.export import export_session
+    from repro.obs.expose import render_prometheus
     from repro.obs.slo import evaluate_slo, load_slo_spec
 
     run = SimpleNamespace(
@@ -158,11 +164,13 @@ def _telemetry_run(
                 run.status = "failed"
             raise
         finally:
+            slo = (
+                evaluate_slo(run.slo, run.tel.metrics.as_dict()).to_payload()
+                if run.slo is not None
+                and (telemetry_dir is not None or metrics_out is not None)
+                else None
+            )
             if telemetry_dir is not None:
-                verdict = (
-                    evaluate_slo(run.slo, run.tel.metrics.as_dict())
-                    if run.slo is not None else None
-                )
                 paths = export_session(
                     run.tel,
                     telemetry_dir,
@@ -171,10 +179,20 @@ def _telemetry_run(
                     wall_seconds=time.perf_counter() - t0,
                     status=run.status,
                     failures=run.failures,
-                    slo=verdict.to_payload() if verdict else None,
+                    slo=slo,
                 )
                 print(f"[{experiment}] telemetry: {paths['run']}",
                       file=sys.stderr)
+            if metrics_out is not None:
+                out = Path(metrics_out)
+                atomic_write_text(
+                    out / "metrics.prom", render_prometheus(run.tel.metrics)
+                )
+                if slo is not None:
+                    atomic_write_text(
+                        out / "slo.json",
+                        json.dumps(slo, indent=2, sort_keys=True) + "\n",
+                    )
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +295,6 @@ def serve(
     telemetry_dir: str | Path | None = None,
     slo_spec: str | Path | None = None,
     metrics_out: str | Path | None = None,
-    metrics_interval: float = 30.0,
 ) -> ServiceReport:
     """Run one synchronous pass of the transcoding job service.
 
@@ -295,32 +312,19 @@ def serve(
 
     - ``slo_spec`` — a JSON SLO spec (see :mod:`repro.obs.slo`); the
       evaluated report lands in ``run.json``'s ``slo`` section (with
-      ``telemetry_dir``) and in each metrics snapshot.
-    - ``metrics_out`` — a directory that receives live ``metrics.prom``
-      / ``slo.json`` snapshots every ``metrics_interval`` seconds while
-      the service drains (plus a final flush).
+      ``telemetry_dir``) and in ``metrics_out``'s ``slo.json``.
+    - ``metrics_out`` — a directory that receives ``metrics.prom``
+      (Prometheus text) and, with ``slo_spec``, ``slo.json``, written
+      once when the pass ends, whether it succeeded or raised.
     """
     from repro.service.service import ServiceConfig, run_service
 
     if telemetry_dir is None and slo_spec is None and metrics_out is None:
         return run_service(requests, config, control=control)
 
-    from repro.obs.expose import MetricsSnapshotter
-
     policy = (config or ServiceConfig()).policy
-    with _telemetry_run("serve", policy, telemetry_dir, slo_spec) as run:
-        snapshots = (
-            MetricsSnapshotter(
-                run.tel.metrics,
-                metrics_out,
-                interval_s=metrics_interval,
-                slo_spec=run.slo,
-            )
-            if metrics_out is not None
-            else nullcontext()
-        )
-        with snapshots:
-            return run_service(requests, config, control=control)
+    with _telemetry_run("serve", policy, telemetry_dir, slo_spec, metrics_out):
+        return run_service(requests, config, control=control)
 
 
 def loadtest(

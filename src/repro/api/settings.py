@@ -100,14 +100,11 @@ _ROWS = (
          "inject deterministic faults, e.g. 'worker.task,at=5,kill' or "
          "'service.worker,at=3,raise=RuntimeError'"),
     Knob("slo_spec", Path, "REPRO_SLO_SPEC", "--slo", "SPEC.json",
-         "evaluate the run against this SLO spec; the verdict lands in "
-         "run.json and each metrics snapshot"),
+         "evaluate the run against this SLO spec when it ends; the "
+         "verdict lands in run.json (and in --metrics-out's slo.json)"),
     Knob("metrics_out", Path, "REPRO_METRICS_OUT", "--metrics-out", "DIR",
-         "write live metrics.prom / slo.json snapshots into DIR while "
-         "the service runs"),
-    Knob("metrics_interval", float, "REPRO_METRICS_INTERVAL",
-         "--metrics-interval", "SECONDS",
-         "seconds between --metrics-out snapshots", float),
+         "write metrics.prom (and, with --slo, slo.json) into DIR when "
+         "the pass ends"),
     Knob("loadtest_arrivals", _name, "REPRO_LOADTEST_ARRIVALS", "--arrivals",
          choices="repro.loadgen.arrivals:ARRIVAL_KINDS",
          help="arrival process"),
@@ -149,7 +146,6 @@ class Settings:
     fault_plan: str | None = None
     slo_spec: Path | None = None
     metrics_out: Path | None = None
-    metrics_interval: float = 30.0
     loadtest_arrivals: str = "poisson"
     loadtest_rate: tuple[float, ...] = (8.0,)
     loadtest_duration: float = 30.0

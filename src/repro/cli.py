@@ -491,8 +491,7 @@ def _serve_main(argv: list[str]) -> int:
                              "--telemetry directory, else nowhere)")
     _add_service_flags(parser)
     add_settings_flags(
-        parser, "fleet", "objective", "fault_plan", "slo_spec",
-        "metrics_out", "metrics_interval",
+        parser, "fleet", "objective", "fault_plan", "slo_spec", "metrics_out",
     )
     args = parser.parse_args(argv)
 
@@ -531,7 +530,6 @@ def _serve_main(argv: list[str]) -> int:
             telemetry_dir=args.telemetry,
             slo_spec=settings.slo_spec,
             metrics_out=settings.metrics_out,
-            metrics_interval=settings.metrics_interval,
         )
     except (OSError, ValueError) as exc:
         print(f"repro serve: {exc}", file=sys.stderr)

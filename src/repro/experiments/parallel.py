@@ -112,7 +112,11 @@ def _run_task(
 ) -> TaskOutcome:
     """One task to its terminal state: ``compute(payload)`` retried in
     this process by :func:`~repro.resilience.retry.call_with_retry`.
-    Never raises; a failure is an outcome with the last error."""
+    Never raises; a failure is an outcome with the last error. The task
+    counts its fault-point calls from zero
+    (:func:`~repro.resilience.faults.task_counters`), serial or pooled,
+    so a fault plan selects the same calls under every ``jobs``.
+    """
     attempts = 0
 
     def attempt() -> _R:
@@ -121,9 +125,10 @@ def _run_task(
         return compute(payload)
 
     try:
-        result = call_with_retry(
-            attempt, policy=policy, token=f"{label}:{index}", label=label
-        )
+        with faults.task_counters():
+            result = call_with_retry(
+                attempt, policy=policy, token=f"{label}:{index}", label=label
+            )
     except Exception as exc:
         return TaskOutcome(index, None, exc, attempts)
     return TaskOutcome(index, result, None, attempts)
@@ -139,14 +144,10 @@ def _run_isolated(
     exported session state: metrics + finished spans), whether the task
     succeeded or not.
 
-    Fault call-indices reset per task (activation caps persist for the
-    process) so an installed plan activates at deterministic points no
-    matter how the pool schedules payloads onto worker processes. The
-    ``worker.task`` site (detail: the payload index), where ``kill``
+    The ``worker.task`` site (detail: the payload index), where ``kill``
     plans crash a worker mid-sweep, opens every attempt.
     """
     obs.reset_for_subprocess()  # drop any session inherited across fork
-    faults.reset_counters(activations=False)
 
     def task(p: _P) -> _R:
         faults.fault_point("worker.task", detail=str(index))

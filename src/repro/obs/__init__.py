@@ -14,9 +14,9 @@ and the job service on top of it. Six pieces:
 - :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms,
   all optionally labeled (Prometheus-style series);
 - :mod:`repro.obs.slo` — declarative service-level objectives evaluated
-  against live registries or exported ``run.json`` metrics;
-- :mod:`repro.obs.expose` — Prometheus text rendering and the interval
-  snapshotter behind ``repro serve --metrics-out``;
+  against a run's registry or exported ``run.json`` metrics;
+- :mod:`repro.obs.expose` — Prometheus text rendering, written once at
+  the end of a ``repro serve --metrics-out`` pass;
 - :mod:`repro.obs.export` — JSONL event stream, Chrome trace, and the
   validated ``run.json`` artifact (plus rendering/diffing/timelines for
   ``repro report``; a section another package owns is printed by that

@@ -25,11 +25,12 @@ caps total activations. Exactly one action per clause: ``raise=<Exc>``,
 crash, recoverable only via pool restart or a re-run against the
 result cache).
 
-Determinism contract: call indices are counted per site per process and
-reset at the start of every worker task
-(:func:`reset_counters`), so a given plan activates at the same points
-on every run. The ``rate`` selector hashes (seed, site, index) — no
-global RNG state is consumed.
+Determinism contract: call indices are counted per site per process,
+and every sweep task counts its own from zero (:func:`task_counters`),
+whether it runs serially in-process or in a pool worker, so a given plan
+activates at the same points on every run and under every ``--jobs``.
+The ``rate`` selector hashes (seed, site, index) — no global RNG state
+is consumed.
 
 The active plan is whatever :func:`install_plan` last installed
 (``--fault-plan`` / ``REPRO_FAULT_PLAN`` arrive through
@@ -42,7 +43,8 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
@@ -56,7 +58,7 @@ __all__ = [
     "format_fault_plan",
     "install_plan",
     "parse_fault_plan",
-    "reset_counters",
+    "task_counters",
 ]
 
 #: Exit status used by ``kill`` actions, distinctive in worker logs.
@@ -260,7 +262,8 @@ def install_plan(
         _plan = parse_fault_plan(plan)
     else:
         _plan = tuple(plan)
-    reset_counters()
+    _counts.clear()
+    _activations.clear()
     return _plan
 
 
@@ -269,18 +272,25 @@ def active_plan() -> tuple[FaultSpec, ...] | None:
     return _plan
 
 
-def reset_counters(*, activations: bool = True) -> None:
-    """Zero the per-site call indices (and, by default, the per-spec
-    activation counts).
+@contextmanager
+def task_counters() -> Iterator[None]:
+    """Count per-site call indices from zero for one sweep task, then
+    hand the caller back its own.
 
-    Worker processes call this with ``activations=False`` at the start
-    of every task: call indices are then deterministic regardless of how
-    the pool schedules payloads onto workers, while ``max=`` activation
-    caps keep counting for the lifetime of the process (a cap that reset
-    per task would never be reachable by a retried task)."""
-    _counts.clear()
-    if activations:
-        _activations.clear()
+    Every sweep task runs under this, serially in-process or in a pool
+    worker, so a plan selects the same calls of a task under every
+    ``--jobs`` and however the pool schedules payloads onto workers; a
+    site the sweep calls between its tasks (``cache.write``) keeps one
+    count across the sweep, as it does in a pool's parent process.
+    ``max=`` activation caps keep counting for the lifetime of the
+    process (a cap that reset per task would never be reachable by a
+    retried task)."""
+    global _counts
+    caller, _counts = _counts, {}
+    try:
+        yield
+    finally:
+        _counts = caller
 
 
 def fault_point(site: str, detail: str = "") -> None:

@@ -9,8 +9,8 @@ configuration variants, and the random / smart / best schedulers of
 Figure 9.
 
 Import each name from the submodule that owns it (``task``,
-``affinity``, ``schedulers``, ``casestudy``, ``adaptive``); the package
-re-exports nothing, so importing a task does not load the assignment
+``affinity``, ``schedulers``, ``casestudy``); the package re-exports
+nothing, so importing a task does not load the assignment
 solver. The solver (``affinity.solve_assignment``) is a pure-Python
 port of scipy's ``linear_sum_assignment``: the package needs NumPy
 alone.

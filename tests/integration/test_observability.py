@@ -11,7 +11,9 @@ sweep engine performs.
 """
 
 import json
+import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -29,15 +31,17 @@ class TestServeObservability:
     @pytest.fixture(scope="class")
     def run_dir(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("serve-obs")
-        serve(
-            table3_requests(8),
-            ServiceConfig(**QUICK),
-            control=False,
-            telemetry_dir=out,
-            slo_spec=SPEC,
-            metrics_out=out / "metrics",
-            metrics_interval=0,      # exit flush only: deterministic
-        )
+        # The pass starts no thread: metrics.prom is one write at the end.
+        with mock.patch.object(threading.Thread, "start",
+                               side_effect=AssertionError("thread started")):
+            serve(
+                table3_requests(8),
+                ServiceConfig(**QUICK),
+                control=False,
+                telemetry_dir=out,
+                slo_spec=SPEC,
+                metrics_out=out / "metrics",
+            )
         return out
 
     def test_run_json_has_trace_id_and_slo(self, run_dir):
@@ -103,6 +107,8 @@ class TestServeObservability:
         assert 'stage="encode"' in prom
         slo_doc = json.loads((run_dir / "metrics" / "slo.json").read_text())
         assert slo_doc["ok"] is True
+        # One evaluation feeds both files.
+        assert slo_doc == load_run(run_dir / "run.json")["slo"]
 
     def test_slo_check_exits_zero(self, run_dir, capsys):
         code = main(["slo", "check", str(run_dir / "run.json"),

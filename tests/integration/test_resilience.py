@@ -88,11 +88,13 @@ class TestEncoderExceptions:
         assert tel.metrics.as_dict()["sweep.failed_cells"] == 2
 
 
-#: The retry-parity plans. The first selects by call index, which a pool
-#: worker resets per task: each crf=23 cell's first compute there fails.
-#: The second fails every crf=23 compute.
+#: The retry-parity plans. The first selects by call index, which every
+#: task resets, serial or pooled: each crf=23 cell's first compute fails.
+#: The second fails every crf=23 compute. The third selects by call index
+#: alone and raises a fatal error, so each cell's first compute fails it.
 FIRST_CALL_FAULT = "sweep.compute,match=crf=23,at=1,raise=InjectedFault"
 EVERY_CALL_FAULT = "sweep.compute,match=crf=23,raise=InjectedFault"
+FIRST_CALL_FATAL = "sweep.compute,at=1,raise=ValueError"
 
 
 def _sweep_under(plan, jobs):
@@ -145,6 +147,36 @@ class TestSerialParallelParity:
         # span per cell.
         pooled = runs[2][2]
         assert sum(s.name == "worker.task" for s in pooled.spans.finished) == 4
+
+    def test_a_call_index_counts_per_task_in_both_modes(self):
+        """``at=1`` without ``match=`` is each task's first call, so the
+        serial path fails every cell, as the pool does (the serial path
+        used to count across tasks and fail only the first cell)."""
+        failed = {}
+        for jobs in (1, 2):
+            records, failure, _ = _sweep_under(FIRST_CALL_FATAL, jobs)
+            assert records is None and failure is not None
+            failed[jobs] = sorted(
+                (f.crf, f.refs, f.attempts) for f in failure.failures
+            )
+        assert failed[1] == [(23, 1, 1), (23, 2, 1), (40, 1, 1), (40, 2, 1)]
+        assert failed[2] == failed[1]
+
+    def test_a_site_called_between_tasks_counts_across_the_sweep(
+        self, tmp_path
+    ):
+        """The sweep stores each cell between tasks; ``cache.write``'s
+        index runs across the sweep in both modes, so ``at=2`` fails the
+        second store once, serial or pooled."""
+        for jobs in (1, 2):
+            install_plan("cache.write,at=2,raise=OSError")
+            cache = ResultCache(tmp_path / f"sweeps-{jobs}")
+            with telemetry_session() as tel:
+                SweepRunner(SCALE, jobs=jobs, cache=cache).crf_refs_sweep()
+            metrics = tel.metrics.as_dict()
+            assert metrics["faults.injected.raise"] == 1, jobs
+            assert metrics["retry.retries.cache.write"] == 1, jobs
+            assert cache.stats().entries == 4
 
 
 class TestWorkerCrashes:

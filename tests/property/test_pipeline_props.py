@@ -1,5 +1,5 @@
-"""Property-based tests on pipeline-level invariants (GOP, scheduling,
-top-down accounting, adaptive selection)."""
+"""Property-based tests on pipeline-level invariants (GOP placement and
+top-down accounting)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.codec.gop import plan_gop
 from repro.codec.options import EncoderOptions
 from repro.codec.types import FrameType
-from repro.scheduling.adaptive import OperatingPoint, pareto_frontier
 from repro.uarch.topdown import TopdownBreakdown
 from repro.video.frame import FrameSequence
 from repro.video.synthetic import SceneSpec, generate_scene
@@ -99,63 +98,3 @@ def pytest_approx_100():
 
     return pytest.approx(100.0, abs=1e-6)
 
-
-points_st = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=51),  # crf
-        st.integers(min_value=1, max_value=16),  # refs
-        st.floats(min_value=10, max_value=60),  # psnr
-        st.floats(min_value=1, max_value=1e4),  # kbps
-        st.floats(min_value=1e-4, max_value=1.0),  # secs
-    ),
-    min_size=1,
-    max_size=30,
-)
-
-
-def _mk_points(raw):
-    from repro.experiments.runner import SweepRecord
-    from repro.profiling.counters import CounterSet
-
-    records = []
-    for crf, refs, psnr, kbps, secs in raw:
-        fields = {name: 0.0 for name in CounterSet.field_names()}
-        fields.update(
-            time_seconds=secs, psnr_db=psnr, bitrate_kbps=kbps,
-            retiring=100.0, bad_speculation=0.0, frontend_bound=0.0,
-            backend_bound=0.0, memory_bound=0.0, core_bound=0.0,
-        )
-        records.append(
-            SweepRecord(
-                video="v", crf=crf, refs=refs, preset="medium",
-                counters=CounterSet(**fields),
-            )
-        )
-    return records
-
-
-class TestParetoProps:
-    @given(points_st)
-    def test_frontier_nonempty_and_subset(self, raw):
-        records = _mk_points(raw)
-        frontier = pareto_frontier(records)
-        assert 1 <= len(frontier) <= len(records)
-
-    @given(points_st)
-    def test_no_point_on_frontier_is_dominated(self, raw):
-        records = _mk_points(raw)
-        frontier = pareto_frontier(records)
-        for p in frontier:
-            assert not any(q.dominates(p) for q in frontier if q is not p)
-
-    @given(points_st)
-    def test_every_dropped_point_is_dominated_by_someone(self, raw):
-        records = _mk_points(raw)
-        all_points = [OperatingPoint.from_record(r) for r in records]
-        frontier = pareto_frontier(records)
-        kept = {(p.crf, p.refs, p.psnr_db, p.bitrate_kbps, p.time_seconds)
-                for p in frontier}
-        for p in all_points:
-            key = (p.crf, p.refs, p.psnr_db, p.bitrate_kbps, p.time_seconds)
-            if key not in kept:
-                assert any(q.dominates(p) for q in all_points)

@@ -235,8 +235,6 @@ SAMPLES = {
                  {"slo_spec": "cli.json"}, Path("cli.json")),
     "metrics_out": ({"REPRO_METRICS_OUT": "env/m"}, Path("env/m"),
                     {"metrics_out": "cli/m"}, Path("cli/m")),
-    "metrics_interval": ({"REPRO_METRICS_INTERVAL": "2.5"}, 2.5,
-                         {"metrics_interval": 7}, 7.0),
     "loadtest_arrivals": ({"REPRO_LOADTEST_ARRIVALS": "MMPP"}, "mmpp",
                           {"loadtest_arrivals": "Fixed"}, "fixed"),
     "loadtest_rate": ({"REPRO_LOADTEST_RATE": "4, 8"}, (4.0, 8.0),
@@ -274,13 +272,13 @@ class TestFieldTable:
         fields = list(Settings.__dataclass_fields__)
         assert list(FIELD_TABLE) == fields
         assert set(SAMPLES) == set(fields)
-        assert len(fields) == 14
+        assert len(fields) == 13
 
     def test_env_vars_derive_from_the_rows(self):
         assert ENV_VARS == {
             knob.env: field for field, knob in FIELD_TABLE.items() if knob.env
         }
-        assert len(ENV_VARS) == 13  # cache_enabled has no variable
+        assert len(ENV_VARS) == 12  # cache_enabled has no variable
         assert "REPRO_RETRY_*" in ENV_VARS
 
     @pytest.mark.parametrize("field", FIELD_TABLE)
@@ -306,7 +304,7 @@ class TestFieldTable:
         assert Settings.resolve(**{name: absent}) == Settings.from_env()
 
     @pytest.mark.parametrize("field", [
-        "jobs", "metrics_interval", "loadtest_rate", "loadtest_duration",
+        "jobs", "loadtest_rate", "loadtest_duration",
     ])
     def test_malformed_numeric_env_is_ignored(self, field, monkeypatch):
         monkeypatch.setenv(FIELD_TABLE[field].env, "many")

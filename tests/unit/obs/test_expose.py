@@ -1,12 +1,13 @@
-"""Unit tests for repro.obs.expose: Prometheus text + snapshotting."""
+"""Unit tests for repro.obs.expose: Prometheus text, and the one
+``metrics_out`` write at the end of a run."""
 
 import json
 
-from repro.obs.expose import (
-    MetricsSnapshotter,
-    render_prometheus,
-    sanitize_metric_name,
-)
+import pytest
+
+from repro.api.facade import _telemetry_run
+from repro.obs.export import load_run
+from repro.obs.expose import render_prometheus, sanitize_metric_name
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloObjective, SloSpec
 
@@ -53,45 +54,49 @@ class TestRenderPrometheus:
         assert render_prometheus(MetricsRegistry()) == ""
 
 
-class TestMetricsSnapshotter:
-    def test_exit_flush_writes_all_artifacts(self, tmp_path):
-        reg = _registry()
-        out = tmp_path / "metrics"
-        # interval_s=0 disables the thread; only the exit flush runs.
-        with MetricsSnapshotter(reg, out, interval_s=0):
-            reg.counter("service.jobs_completed").inc()
-        prom = (out / "metrics.prom").read_text()
-        assert "repro_service_jobs_completed_total 4" in prom
-        rows = [json.loads(l) for l in
-                (out / "snapshots.jsonl").read_text().splitlines()]
-        assert rows[-1]["seq"] == 0
-        assert rows[-1]["metrics"] == len(reg)
+class TestMetricsOut:
+    """``metrics_out`` is written once, when the run's body ends."""
 
-    def test_slo_snapshot_written(self, tmp_path):
-        reg = _registry()
+    @staticmethod
+    def _spec_file(tmp_path):
         spec = SloSpec(name="t", objectives=(
             SloObjective(name="errs", kind="error_rate",
                          bad="service.jobs_failed",
                          total="service.jobs_completed", max_rate=0.5),
         ))
-        with MetricsSnapshotter(reg, tmp_path, interval_s=0, slo_spec=spec):
-            pass
-        doc = json.loads((tmp_path / "slo.json").read_text())
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_payload()))
+        return path
+
+    def test_metrics_prom_is_the_final_registry(self, tmp_path):
+        out = tmp_path / "metrics"
+        with _telemetry_run("serve", "smart", None, metrics_out=out) as run:
+            run.tel.metrics.counter("service.jobs_completed").inc(3)
+            run.tel.metrics.counter("service.jobs_completed").inc()
+            expected = render_prometheus(run.tel.metrics)
+        prom = (out / "metrics.prom").read_text()
+        assert "repro_service_jobs_completed_total 4" in prom
+        assert prom == expected
+        # No spec, no verdict; and no per-tick log.
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.prom"]
+
+    def test_slo_json_is_the_verdict_in_run_json(self, tmp_path):
+        out, tel_dir = tmp_path / "metrics", tmp_path / "tel"
+        with _telemetry_run("serve", "smart", tel_dir,
+                            self._spec_file(tmp_path), out) as run:
+            run.tel.metrics.counter("service.jobs_completed").inc(3)
+        doc = json.loads((out / "slo.json").read_text())
         assert doc["spec"] == "t"
         assert doc["ok"] is True
-        row = json.loads(
-            (tmp_path / "snapshots.jsonl").read_text().splitlines()[-1]
-        )
-        assert row["slo_ok"] is True
-        assert row["breached"] == []
+        assert doc == load_run(tel_dir / "run.json")["slo"]
 
-    def test_interval_thread_ticks(self, tmp_path):
-        reg = _registry()
-        snap = MetricsSnapshotter(reg, tmp_path, interval_s=0.01)
-        with snap:
-            deadline = 200
-            while snap.ticks < 2 and deadline:
-                deadline -= 1
-                import time
-                time.sleep(0.01)
-        assert snap.ticks >= 2  # at least one timed tick + exit flush
+    def test_a_body_that_raises_still_writes_both_files(self, tmp_path):
+        out = tmp_path / "metrics"
+        with pytest.raises(RuntimeError, match="boom"):
+            with _telemetry_run("serve", "smart", None,
+                                self._spec_file(tmp_path), out) as run:
+                run.tel.metrics.counter("service.jobs_completed").inc()
+                raise RuntimeError("boom")
+        assert "repro_service_jobs_completed_total 1" in (
+            out / "metrics.prom").read_text()
+        assert json.loads((out / "slo.json").read_text())["ok"] is True

@@ -412,7 +412,9 @@ class TestReport:
 #: --drift`` with the drift gate and ``--threshold`` with them, then
 #: ``--quick`` with the second codec body, which also took ``--kernels``
 #: and the ``backends`` subcommand. ``serve`` lost ``--checkpoint
-#: --resume`` with the service checkpoint (its resume re-ran done jobs).
+#: --resume`` with the service checkpoint (its resume re-ran done jobs),
+#: then ``--metrics-interval`` with the metrics-snapshot thread
+#: (``--metrics-out`` is written once, when the pass ends).
 FROZEN_FLAGS = {
     "": "--cache-dir --debug --fault-plan --jobs "
         "--no-cache --scale --telemetry --version "
@@ -420,7 +422,7 @@ FROZEN_FLAGS = {
     "bench": "--compare --output --reps",
     "cache": "--cache-dir action",
     "serve": "--budget-usd --count --deadline-s --fault-plan "
-             "--fleet --metrics-interval --metrics-out --mix --no-control "
+             "--fleet --metrics-out --mix --no-control "
              "--objective --out --policy --queue-capacity --quick "
              "--seed --slo --spool --telemetry",
     "loadtest": "--amplitude --arrivals --budget-usd --burst --clock-hz "
@@ -496,6 +498,12 @@ class TestFlagSurface:
             main(["serve", "--mix", "table3", *flag])
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
+
+    def test_serve_metrics_interval_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--mix", "table3", "--metrics-interval", "1"])
+        assert exc.value.code == 2
+        assert "--metrics-interval" in capsys.readouterr().err
 
     def test_settings_flags_are_declared_from_the_table(self):
         import argparse
