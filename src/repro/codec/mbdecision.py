@@ -63,14 +63,14 @@ def choose_inter_ref(
     pred_mv: MotionVector,
     options: EncoderOptions,
     qp: int,
-) -> tuple[MotionSearchResult, int, int, list[tuple[int, int]]]:
+) -> tuple[MotionSearchResult, int, int, list[MotionSearchResult]]:
     """Search every active reference frame and keep the best.
 
     This is exactly where ``refs`` "expands the encoding search space"
     (paper §III-A): each extra reference frame costs a full integer-pel
     search plus its reference-index rate penalty. Returns the best result,
-    its reference index, the total points evaluated, and all positions
-    visited (for trace memory modelling, tagged per ref by the caller).
+    its reference index, the total points evaluated, and each reference's
+    integer-pel walk (for the trace's memory model), in reference order.
     ``total_points`` counts the integer-pel candidates over all references
     only; the winner's sub-pel evaluations are in ``best.n_points``.
     """
@@ -78,7 +78,7 @@ def choose_inter_ref(
     best: MotionSearchResult | None = None
     best_ref = 0
     total_points = 0
-    all_positions: list[tuple[int, int]] = []
+    walks: list[MotionSearchResult] = []
     for ref_idx, ref in enumerate(refs):
         result = motion_search(
             cur,
@@ -90,7 +90,7 @@ def choose_inter_ref(
             pred_mv=pred_mv.full_pel,
         )
         total_points += result.n_points
-        all_positions.extend((ref_idx, *p) for p in result.positions)  # type: ignore[misc]
+        walks.append(result)
         penalized = result.cost + lam * ue_bits(ref_idx)
         if best is None or penalized < best.cost + lam * ue_bits(best_ref):
             best = result
@@ -99,7 +99,7 @@ def choose_inter_ref(
     best = subpel_refine(
         cur, refs[best_ref], base_y, base_x, best, subme=options.subme
     )
-    return best, best_ref, total_points, all_positions
+    return best, best_ref, total_points, walks
 
 
 _DIAMOND = ((0, -1), (0, 1), (-1, 0), (1, 0))  # (dx, dy), visit order

@@ -280,7 +280,7 @@ def test_trace_content_has_one_home():
             if any(needle in path.read_text(encoding="utf-8") for needle in needles)
         }
 
-    assert mentioning("tracer.append(") == {"tracemodel.py"}  # a frame at a time
+    assert mentioning("tracer.append(") == {"tracemodel.py"}  # once an encode
     assert mentioning("tracer.kernel(") == {"decoder.py"}
     assert mentioning(
         "AddressMap", ".alloc(",
