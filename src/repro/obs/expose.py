@@ -17,10 +17,7 @@ import re
 
 from repro.obs.metrics import MetricsRegistry, parse_label_key
 
-__all__ = [
-    "render_prometheus",
-    "sanitize_metric_name",
-]
+__all__ = ["render_prometheus"]
 
 #: Prefix every exposed metric name, per Prometheus naming conventions.
 _PREFIX = "repro_"
@@ -28,7 +25,7 @@ _PREFIX = "repro_"
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def sanitize_metric_name(name: str) -> str:
+def _sanitize_metric_name(name: str) -> str:
     """Map a dotted registry name onto a legal Prometheus metric name."""
     sanitized = _NAME_RE.sub("_", name)
     if sanitized and sanitized[0].isdigit():
@@ -69,7 +66,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
 
     for key in sorted(state["counters"]):  # type: ignore[index]
         name, labels = parse_label_key(key)
-        family = sanitize_metric_name(name) + "_total"
+        family = _sanitize_metric_name(name) + "_total"
         header(family, "counter")
         lines.append(
             f"{family}{_fmt_labels(labels)} "
@@ -77,7 +74,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         )
     for key in sorted(state["gauges"]):  # type: ignore[index]
         name, labels = parse_label_key(key)
-        family = sanitize_metric_name(name)
+        family = _sanitize_metric_name(name)
         header(family, "gauge")
         lines.append(
             f"{family}{_fmt_labels(labels)} "
@@ -86,7 +83,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     for key in sorted(state["histograms"]):  # type: ignore[index]
         hist = state["histograms"][key]  # type: ignore[index]
         name, labels = parse_label_key(key)
-        family = sanitize_metric_name(name)
+        family = _sanitize_metric_name(name)
         header(family, "histogram")
         cumulative = 0.0
         for bound, count in zip(hist["bounds"], hist["bucket_counts"]):

@@ -25,6 +25,7 @@ from repro.uarch.core import CoreReport, run_core_model
 from repro.uarch.frontend import compute_frontend_stalls
 from repro.uarch.icache import AnalyticICache
 from repro.uarch.resources import MissProfile
+from repro.uarch.topdown import TopdownBreakdown
 
 __all__ = ["Simulator", "SimReport", "simulate"]
 
@@ -39,7 +40,7 @@ class SimReport:
     cycles: float
     instructions: float
     seconds: float
-    topdown: "TopdownBreakdownProxy"
+    topdown: TopdownBreakdown
     mpki: dict[str, float]
     resource_stalls_pki: dict[str, float]
     branch: BranchStats
@@ -49,10 +50,6 @@ class SimReport:
     @property
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
-
-
-# The report stores the real TopdownBreakdown; alias for type clarity.
-TopdownBreakdownProxy = object
 
 
 class Simulator:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.api.facade import _telemetry_run
 from repro.obs.export import load_run
-from repro.obs.expose import render_prometheus, sanitize_metric_name
+from repro.obs.expose import _sanitize_metric_name, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloObjective, SloSpec
 
@@ -26,9 +26,9 @@ def _registry():
 
 class TestRenderPrometheus:
     def test_name_sanitization(self):
-        assert sanitize_metric_name("service.queue_depth") == \
+        assert _sanitize_metric_name("service.queue_depth") == \
             "repro_service_queue_depth"
-        assert sanitize_metric_name("9lives") == "repro__9lives"
+        assert _sanitize_metric_name("9lives") == "repro__9lives"
 
     def test_counter_gauge_lines(self):
         text = render_prometheus(_registry())
