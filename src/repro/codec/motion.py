@@ -140,7 +140,7 @@ class PaddedReference:
         return plane[y0 : y0 + size, x0 : x0 + size]
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class MotionSearchResult:
     """Outcome of one block's motion search against one reference."""
 
