@@ -185,9 +185,22 @@ def _unzip(rows: list[tuple], width: int) -> tuple:
 
 
 def _joined(chunks: list[tuple], dtypes: tuple) -> list[np.ndarray]:
-    """Column ``i`` of every chunk, chunk after chunk, read-only as ``dtypes[i]``."""
+    """Column ``i`` of every chunk, chunk after chunk, read-only as ``dtypes[i]``;
+    the one chunk's own array when there is one (a producer never writes to
+    what it appended)."""
     columns = zip(*chunks) if chunks else [()] * len(dtypes)
-    return [_column(_flat(list(parts), dtype), dtype) for parts, dtype in zip(columns, dtypes)]
+    return [
+        _column(parts[0] if _lone(parts, dtype) else _flat(list(parts), dtype), dtype)
+        for parts, dtype in zip(columns, dtypes)
+    ]
+
+
+def _lone(parts: tuple, dtype) -> bool:
+    """Is ``parts`` one 1-D array of ``dtype``?"""
+    return (
+        len(parts) == 1 and isinstance(parts[0], np.ndarray)
+        and parts[0].dtype == dtype and parts[0].ndim == 1
+    )
 
 
 class CallBatch(NamedTuple):
