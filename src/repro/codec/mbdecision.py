@@ -44,7 +44,7 @@ class InterCandidate:
 
     mode: MBMode
     mvs: list[MotionVector]
-    prediction: np.ndarray  # float64 or uint8 (16, 16)
+    prediction: np.ndarray  # float64, float32 or uint8 (16, 16)
     distortion: float
     rate_bits: int
     n_search_points: int

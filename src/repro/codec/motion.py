@@ -71,13 +71,18 @@ class PaddedReference:
 
     @cached_property
     def _float_plane(self) -> np.ndarray:
-        """Float64 copy of the padded plane (read-only use).
+        """Float32 copy of the padded plane (read-only use).
 
         Interpolation reads the same pixel values whether each fetch casts
         its own slice or slices one shared cast; caching the cast once per
         reference removes a per-fetch copy from the subpel hot path.
+        float32 is exact on the 1/16 grid: every value the phase planes
+        derive from it is a multiple of 1/16 in [0, 255], at most 12
+        significant bits, so each lerp step rounds nothing and the planes
+        equal float64 ones at half their bytes (x264 keeps its half-pel
+        planes at pixel width).
         """
-        return self.plane.astype(np.float64)
+        return self.plane.astype(np.float32)
 
     @cached_property
     def _phase_planes(self) -> dict[tuple[int, int], np.ndarray]:
@@ -106,8 +111,9 @@ class PaddedReference:
         full plane once (horizontal lerp, then vertical — the same per-pixel
         expression tree as the per-block fetch) turns every later fetch of
         that phase into a plain slice. Like x264's precomputed half-pel
-        planes; results are bit-identical because each output pixel runs the
-        identical multiply/add sequence on identical values.
+        planes. The float32 plane equals interpolating the block in float64
+        because both are exact on the 1/16 grid: a horizontal step gives
+        quarters, a vertical one sixteenths, all below 256.
         """
         cache = self._phase_planes
         key = (fy_i, fx_i)
@@ -128,9 +134,9 @@ class PaddedReference:
 
         Integer index/fraction math (exact: the fractions are quarters, so
         ``(y4 & 3) * 0.25`` is bit-equal to the float remainder) slices a
-        lazily cached whole-plane interpolation for the phase (see
-        :meth:`_phase_plane`), which is bit-identical to interpolating the
-        block in place.
+        lazily cached float32 whole-plane interpolation for the phase (see
+        :meth:`_phase_plane`), which is exact on the 1/16 grid and so equals
+        interpolating the block in place in float64.
         """
         y0 = (y4 >> 2) + self.pad
         x0 = (x4 >> 2) + self.pad
@@ -430,7 +436,10 @@ def subpel_refine(
         steps.append(1)  # quarter-pel
     use_satd = subme >= 6
 
-    cur_f64 = cur.astype(np.float64)
+    # Differences in float32, like the phase planes: each is a multiple of
+    # 1/16 below 256 in magnitude, so a SAD of 256 of them stays below 2**16
+    # and ``satd_16x16``'s float32 products are exact too.
+    cur_f32 = cur.astype(np.float32)
     # cost_at is pure, and the drifting diamond revisits positions;
     # memoizing repeated evaluations returns the identical float while the
     # n_points accounting below still counts every visit.
@@ -442,9 +451,9 @@ def subpel_refine(
         if cost is None:
             block = ref.half_pel_block(base_y * 4 + y4, base_x * 4 + x4)
             if use_satd:
-                cost = satd_16x16(cur_f64 - block)
+                cost = satd_16x16(cur_f32 - block)
             else:
-                cost = float(np.abs(cur_f64 - block).sum())
+                cost = float(np.abs(cur_f32 - block).sum())
             cache[key] = cost
         return cost
 
@@ -473,11 +482,13 @@ def subpel_refine(
 def fetch_prediction(
     ref: PaddedReference, y: int, x: int, mv_x4: int, mv_y4: int
 ) -> np.ndarray:
-    """Fetch the 16x16 prediction for a quarter-pel MV (float64).
+    """Fetch the 16x16 prediction for a quarter-pel MV.
 
-    The encoder's fetch: full-pel MVs use the direct block fetch,
-    fractional MVs bilinear interpolation. The decoder interpolates the
-    same per-pixel expression from a 17x17 patch (bit-identical).
+    The encoder's fetch: full-pel MVs use the direct block fetch (float64),
+    fractional MVs bilinear interpolation (a float32 view of the phase
+    plane). The decoder interpolates the same per-pixel expression from a
+    17x17 patch in float64; both are exact on the 1/16 grid, so the values
+    are equal.
     """
     if mv_x4 % 4 == 0 and mv_y4 % 4 == 0:
         return ref.block(y + (mv_y4 >> 2), x + (mv_x4 >> 2)).astype(np.float64)

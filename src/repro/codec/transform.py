@@ -47,7 +47,9 @@ _H4 = np.array(
 _H4T = np.ascontiguousarray(_H4.T)
 # The 4x4 Hadamard applied to each 4x4 tile of a 16x16 block at once:
 # block-diagonal, so ``_K16 @ d @ _K16T`` tile (i, j) is ``_H4 @ tile @ _H4T``.
-_K16 = np.kron(np.eye(4), _H4)
+# Its entries are 0 and +-1, so float32 holds them exactly, and the products
+# run in the difference's own dtype (float32, or float64 by promotion).
+_K16 = np.kron(np.eye(4), _H4).astype(np.float32)
 _K16T = np.ascontiguousarray(_K16.T)
 
 #: Zigzag scan order for a 4x4 block as (row, col) index arrays.
@@ -141,7 +143,8 @@ def satd_batch(block_sets: np.ndarray) -> np.ndarray:
 
 
 def satd_16x16(diff: np.ndarray) -> float:
-    """SATD of one 16x16 difference block (float64, shape ``(16, 16)``).
+    """SATD of one 16x16 difference block (float64 or float32, shape
+    ``(16, 16)``).
 
     Equals ``satd_4x4(blockify_16x16(diff))``; the flat entry point for
     hot callers that already hold the difference (no validation layers):
@@ -149,8 +152,11 @@ def satd_16x16(diff: np.ndarray) -> float:
     stacked 4x4 pairs. The products and the reduction run in another order
     than the per-tile form's, which is exact — hence bit-identical — on
     what the codec passes: differences of a pixel block and a (quarter-pel
-    bilinear) prediction are multiples of 1/16 below 2**12, so every
-    partial sum is representable.
+    bilinear) prediction are multiples of 1/16 below 2**8, so a tile's
+    coefficients stay below 2**12 and their absolute sum over the block
+    below 2**18 (16 tiles of at most 4 * 16 * 255, by Cauchy-Schwarz on
+    the orthogonal transform). That is 22 significant bits at most, so a
+    float32 difference runs the products in float32, exactly.
     """
     return float(np.abs(_K16 @ diff @ _K16T).sum() / 2.0)
 

@@ -473,7 +473,11 @@ class TraceColumns:
         """Per branch site, in order of first appearance: its name, the
         outcomes of all its events in trace order, and the mean weight of
         those events (the predictor's scale factor for the site)."""
-        site_of = np.repeat(self.branch_sites, np.diff(self.branch_offsets))
+        # Each outcome's site id in the narrowest unsigned dtype: a byte an
+        # outcome for up to 256 sites, where ``intp`` took eight (4 MB on a
+        # 496 K-outcome trace).
+        narrow = np.min_scalar_type(max(len(self.site_names) - 1, 0))
+        site_of = np.repeat(self.branch_sites.astype(narrow), np.diff(self.branch_offsets))
         return tuple(
             (
                 name,

@@ -66,9 +66,9 @@ class TestEncoderExceptions:
         assert "sweep.failed_cells" not in metrics
 
     def test_transient_worker_fault_is_retried_parallel(self, clean_payloads):
-        # Each worker process raises once on task 0 (fault counters and
-        # the activation cap are per-process); the retry budget of 3
-        # outlasts the 2 workers, so the sweep must converge cleanly.
+        # ``max=`` caps activations per process (EXPERIMENTS.md's fault-plan
+        # grammar), so each of the 2 workers may raise once on task 0; the
+        # retry budget of 3 outlasts them, so the sweep converges.
         install_plan("worker.task,match=0,max=1,raise=InjectedFault")
         with telemetry_session() as tel:
             records = SweepRunner(SCALE, jobs=2, cache=False).crf_refs_sweep()
@@ -161,6 +161,20 @@ class TestSerialParallelParity:
             )
         assert failed[1] == [(23, 1, 1), (23, 2, 1), (40, 1, 1), (40, 2, 1)]
         assert failed[2] == failed[1]
+
+    @pytest.mark.parametrize("jobs, injected", [(1, {1}), (2, {1, 2})])
+    def test_an_activation_cap_counts_per_process(
+        self, jobs, injected, clean_payloads
+    ):
+        """``max=1`` is one activation per process: the serial sweep
+        injects once, a pool of 2 at most once in each worker. Each fault
+        is retried, so every cell completes either way."""
+        records, failure, tel = _sweep_under(
+            "sweep.compute,max=1,raise=InjectedFault", jobs
+        )
+        assert failure is None
+        assert _payloads(records) == clean_payloads
+        assert tel.metrics.as_dict()["faults.injected.raise"] in injected
 
     def test_a_site_called_between_tasks_counts_across_the_sweep(
         self, tmp_path

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
+import re
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -102,3 +103,19 @@ def test_budget_accounting_on_a_toy_owner(monkeypatch):
     assert budget._glue(glue, run) == [run.row(budget.GLUE)]
     assert run.seconds[budget.GLUE] + run.seconds[budget.OUTER] == run.whole
     assert run.seconds[budget.GLUE] == 4 * (8.0 + 2.0)
+
+
+def test_budget_table_ends_with_peak_rss(monkeypatch, capsys):
+    """Every table's last line is the process's peak RSS after set-up and
+    after the passes; ``ru_maxrss`` never falls, so neither does the line."""
+    toy = SimpleNamespace(ops=["a"], call=lambda op: None)
+    table = budget.Table((), passes=2, setup=lambda tmp: toy)
+    monkeypatch.setattr(budget, "TABLES", {"toy": table})
+    assert budget.main(["toy"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    match = re.fullmatch(
+        r"peak RSS (\d+\.\d) MiB after set-up, (\d+\.\d) MiB after 2 passes", last
+    )
+    assert match, last
+    set_up, passes = map(float, match.groups())
+    assert 0 < set_up <= passes
