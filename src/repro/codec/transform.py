@@ -25,7 +25,6 @@ __all__ = [
     "satd_4x4",
     "satd_16x16",
     "satd_batch",
-    "hadamard_sad",
     "hadamard_sad_batch",
     "ZIGZAG_4X4",
 ]
@@ -161,18 +160,13 @@ def satd_16x16(diff: np.ndarray) -> float:
     return float(np.abs(_K16 @ diff @ _K16T).sum() / 2.0)
 
 
-def hadamard_sad(a: np.ndarray, b: np.ndarray) -> float:
-    """SATD between two 16x16 pixel blocks."""
-    if a.shape != (16, 16) or b.shape != (16, 16):
-        raise ValueError("hadamard_sad expects 16x16 blocks")
-    diff = a.astype(np.float64) - b.astype(np.float64)
-    return satd_16x16(diff)
-
-
 def hadamard_sad_batch(cur: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """SATD of one 16x16 block against ``(k, 16, 16)`` candidates.
 
-    Element ``i`` equals ``hadamard_sad(cur, candidates[i])`` bit-exactly.
+    Element ``i`` is ``satd_4x4`` of the sixteen tiles of the float64
+    difference ``cur - candidates[i]``; on pixel blocks that equals
+    ``satd_16x16`` of the difference bit-exactly (see its docstring). One
+    candidate is the single-block SATD.
     """
     cands = np.asarray(candidates)
     if cur.shape != (16, 16) or cands.ndim != 3 or cands.shape[-2:] != (16, 16):

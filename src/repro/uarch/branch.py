@@ -58,61 +58,105 @@ class BranchStats:
         return self.mispredicts * 1000.0 / instructions
 
 
-def _history_keys(out: np.ndarray, h: int) -> np.ndarray:
-    """``out[i : i + h + 1]`` — a history and the outcome that followed it
-    — packed into one integer (first outcome in the top bit), for every
-    ``i``, in ``out``'s dtype.
+#: The dtypes packed outcomes are held in, by the bits each holds: unsigned
+#: up to 32 bits, then int64 (63 bits), since ``np.bincount`` refuses uint64.
+_DTYPES = ((np.uint8, 8), (np.uint16, 16), (np.uint32, 32), (np.int64, 63))
+
+
+def _narrowest(bits: int) -> type:
+    """The narrowest dtype in :data:`_DTYPES` that holds ``bits`` bits."""
+    return next(t for t, room in _DTYPES if bits <= room)
+
+
+def _pack(out: np.ndarray, width: int) -> np.ndarray:
+    """``out[i : i + width]`` packed into one integer (first outcome in the
+    top bit) for every ``i`` the window fits at, in the narrowest dtype
+    that holds ``width`` bits.
 
     A doubling pass: the pattern over ``2w`` outcomes is the pattern over
     the first ``w`` shifted up, or-ed with the pattern over the next ``w``;
-    the key is assembled from the power-of-two patterns ``h + 1`` is the
-    sum of, last chunk first — a handful of array passes, not ``h``.
+    the window is assembled from the power-of-two patterns ``width`` is the
+    sum of, last chunk first — a handful of array passes, not ``width``,
+    each array in the narrowest dtype for the bits it holds.
     """
     key, covered = out, 0  # key[i] packs out[i : i + covered] once covered > 0
-    power, width = out, 1  # power[i] packs out[i : i + width]
+    power, step = out, 1  # power[i] packs out[i : i + step]
     while True:
-        if (h + 1) & width:
-            key = power if not covered else (power[:-covered] << covered) | key[width:]
-            covered += width
-            if covered == h + 1:
+        if width & step:
+            if covered:
+                joined = np.left_shift(
+                    power[:-covered], covered, dtype=_narrowest(covered + step)
+                )
+                joined |= key[step:]
+                key = joined
+            else:
+                key = power
+            covered += step
+            if covered == width:
                 return key
-        power = (power[:-width] << width) | power[width:]
-        width *= 2
+        doubled = np.left_shift(power[:-step], step, dtype=_narrowest(2 * step))
+        doubled |= power[step:]
+        power = doubled
+        step *= 2
 
 
-def _count_mispredicts(keys: np.ndarray, history_bits: int) -> float:
+def _dense_mispredicts(counts: np.ndarray) -> float:
     """Minority outcomes per history pattern plus one training miss per
-    distinct pattern, from the packed (pattern, next outcome) ``keys``."""
-    if (2 << history_bits) <= 4 * keys.size:
-        # Few possible keys: count them all; the two outcomes of a pattern
-        # sit side by side.
-        counts = np.bincount(keys, minlength=2 << history_bits)
-        not_taken, taken = counts[0::2], counts[1::2]
-        steady = float(np.minimum(not_taken, taken).sum())
-        training = float(np.count_nonzero(not_taken + taken))
-    else:
-        # Sparse counting: long histories make the dense pattern space huge
-        # (2^33 for 32-bit TAGE components) but only a few patterns occur.
-        keys = np.sort(keys)
-        change = keys[1:] ^ keys[:-1]
-        # Sorted, a pattern that occurs with both outcomes has its last
-        # not-taken key right before its first taken one, one bit apart;
-        # its minority count is the steady-state misses.
-        both = np.flatnonzero(change == 1)
-        not_taken = both + 1 - np.searchsorted(keys, keys[both], side="left")
-        taken = np.searchsorted(keys, keys[both + 1], side="right") - both - 1
-        steady = float(np.minimum(not_taken, taken).sum())
-        training = float(1 + np.count_nonzero(change) - both.size)
-    return steady + training
+    distinct pattern, from the count of every packed (pattern, next
+    outcome) key: the two outcomes of a pattern sit side by side."""
+    not_taken, taken = counts[0::2], counts[1::2]
+    steady = float(np.minimum(not_taken, taken).sum())
+    return steady + float(np.count_nonzero(not_taken + taken))
+
+
+def _sorted_mispredicts(keys: np.ndarray) -> float:
+    """:func:`_dense_mispredicts` from the sorted keys themselves, for long
+    histories, whose dense pattern space is huge (2^33 for 32-bit TAGE
+    components) while only a few patterns occur.
+
+    Leaves ``keys`` shifted to their patterns, in place and still sorted:
+    the two boolean masks are the only temporaries as long as the keys."""
+    new_key = keys[1:] != keys[:-1]
+    keys >>= 1
+    new_pattern = keys[1:] != keys[:-1]
+    # A pattern seen with both outcomes has its last not-taken key right
+    # before its first taken one: a new key, not a new pattern. Its
+    # minority count is the steady-state misses.
+    both = np.flatnonzero(new_key > new_pattern)
+    not_taken = both + 1 - np.searchsorted(keys, keys[both], side="left")
+    taken = np.searchsorted(keys, keys[both], side="right") - both - 1
+    steady = float(np.minimum(not_taken, taken).sum())
+    return steady + float(1 + np.count_nonzero(new_pattern))
 
 
 def _two_level_by_history(
     outcomes: np.ndarray, histories: Sequence[int]
 ) -> dict[int, float]:
     """:func:`two_level_mispredicts` of one outcome sequence at several
-    history lengths, sharing one :func:`_history_keys` pass: the keys of
-    the widest history over the outcomes padded with zeros, one per
-    outcome; a shorter history's keys are their leading bits."""
+    history lengths, from one window array, one key array, at most one
+    ``bincount`` and at most one sort, whatever the number of histories.
+
+    History ``h``'s key at position ``i`` packs ``out[i : i + h + 1]`` —
+    the history and the outcome that followed it — for ``i < n - h``. The
+    window packs the widest history ``top``'s ``top`` outcomes per position
+    (:func:`_pack`, over the outcomes padded with zeros, in the narrowest
+    dtype that holds ``top`` bits); a shorter history's key is a window's
+    leading ``h + 1`` bits. Only ``top``'s own keys take one bit more, the
+    outcome after the window, and they are the one key array: every
+    shorter history's keys are right shifts of it, in place, plus the few
+    keys past the wider history's last (``n - wider <= i < n - h``), which
+    come from the last ``top`` windows. A history is counted densely (a
+    count of every possible key) while ``2 << h <= 4 (n - h)`` and from
+    its sorted keys otherwise; that is monotone in ``h``, so ``top`` is the
+    widest sparse history and the dense ones are the shortest:
+
+    * ``top``'s keys are sorted in place; each shorter sparse history
+      shifts the sorted keys right (which keeps them sorted) and inserts
+      its own few keys;
+    * the widest dense history ``bincount``-s the keys; each shorter one
+      sums the next wider one's counts over its dropped bits (a reshape)
+      and adds its own few keys.
+    """
     for h in histories:
         if h > 62:
             raise ValueError(f"history_bits must be <= 62, got {h}")
@@ -130,17 +174,45 @@ def _two_level_by_history(
             result[h] = n * 0.5
         else:
             packed.append(h)
-    if packed:
-        top = max(packed)
-        # The narrowest integer that holds ``top + 1`` outcomes.
-        narrowest = next(t for t in (np.uint8, np.uint16, np.uint32, np.int64)
-                         if np.iinfo(t).bits > top)
-        padded = np.zeros(n + top, dtype=narrowest)
-        padded[:n] = outcomes
-        widest = _history_keys(padded, top)
-        for h in packed:
-            keys = widest[: n - h] >> (top - h) if h < top else widest[: n - h]
-            result[h] = _count_mispredicts(keys, h) + h * 0.5  # + warm-up
+    if not packed:
+        return result
+    top = max(packed)
+    padded = np.zeros(n + top - 1, dtype=np.uint8)
+    padded[:n] = outcomes
+    window = _pack(padded, top)  # window[i] packs out[i : i + top], zeros past n
+    del padded
+    keys = np.left_shift(window[: n - top], 1, dtype=_narrowest(top + 1))
+    keys |= outcomes[top:]  # ``top``'s own keys
+    held = top + 1  # outcomes packed in each entry of ``keys``
+    last = window[n - top :].copy()  # holds every key past ``top``'s last
+    del window
+    counted: dict[int, float] = {}
+    wider, counts = top, None
+    for h in sorted(set(packed), reverse=True):
+        # The keys past the wider history's last: n - wider <= i < n - h.
+        tail = last[top - wider : top - h] >> (top - 1 - h) if h < top else None
+        if (2 << h) > 4 * (n - h):  # sparse, and so is every wider history
+            if h == top:
+                keys.sort()
+            else:
+                tail.sort()
+                keys >>= held - h - 1
+                keys = np.insert(keys, np.searchsorted(keys, tail), tail)
+            counted[h], held = _sorted_mispredicts(keys), h  # now h's patterns
+        else:
+            if counts is None:  # the widest dense history: its keys in place
+                if held > h + 1:
+                    keys >>= held - h - 1
+                counts = np.bincount(keys, minlength=2 << h)
+                keys = None  # freed before the counts' own temporaries
+            else:
+                counts = counts.reshape(2 << h, -1).sum(axis=1)
+            if tail is not None:
+                np.add.at(counts, tail, 1)
+            counted[h] = _dense_mispredicts(counts)
+        wider = h
+    for h in packed:
+        result[h] = counted[h] + h * 0.5  # + warm-up
     return result
 
 
@@ -217,6 +289,10 @@ class BranchModel:
         """
         recorded = 0.0
         mispredicts = 0.0
+        # A stream's count depends on its content alone, so sites with equal
+        # streams (``quant:nz`` and ``entropy_coeff:sig`` always are) share
+        # one count; it is kept for this call only.
+        counted: dict[bytes, float] = {}
         for sequences in self._site_outcomes.values():
             # All sequences of a site share one predictor entry: evaluate
             # the concatenation (weights are typically uniform; a weighted
@@ -226,7 +302,10 @@ class BranchModel:
             outcomes = np.concatenate(arrays)
             scale = float(weights.mean())
             recorded += outcomes.size * scale
-            mispredicts += self._site_mispredicts(outcomes, branch_hints) * scale
+            stream = outcomes.tobytes()
+            if stream not in counted:
+                counted[stream] = self._site_mispredicts(outcomes, branch_hints)
+            mispredicts += counted[stream] * scale
         loop_branches = max(total_branches - recorded, 0.0)
         mispredicts += loop_branches * _LOOP_MISPREDICT_RATE[self.kind]
         return BranchStats(total_branches=total_branches, mispredicts=mispredicts)

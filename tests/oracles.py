@@ -41,13 +41,14 @@ column path equal to (``==`` on every float):
   codeword computed in NumPy, and trellis from a second ``quantize`` —
   the encoder kernels the folded ones replaced.
 
-* :func:`lru_window_int64` (with :func:`stable_order_packed`) and
+* :func:`lru_window_int64` (with :func:`stable_order_packed`),
   :func:`two_level_by_history_per_width` (with
-  :func:`history_keys_per_width` and :func:`count_mispredicts_unique`):
-  the LRU window with both sorts multiply-packed and every array in
-  ``intp``, and the predictor counts with one key array per history length
-  and sparse patterns counted by ``np.unique`` — the simulator steps the
-  narrow, single-sort ones replaced.
+  :func:`history_keys_per_width` and :func:`count_mispredicts_unique`) and
+  :func:`evaluate_per_site`: the LRU window with both sorts
+  multiply-packed and every array in ``intp``, the predictor counts with
+  one key array per history length and sparse patterns counted by
+  ``np.unique``, and the predictor run on every site's stream — the
+  simulator steps the narrow, one-window, one-count ones replaced.
 
 Nothing under ``src/`` imports this module.
 """
@@ -716,8 +717,8 @@ def history_keys_per_width(out: np.ndarray, histories):
 
 
 def count_mispredicts_unique(keys: np.ndarray, history_bits: int) -> float:
-    """``branch._count_mispredicts`` with sparse keys counted by
-    ``np.unique``."""
+    """``branch._dense_mispredicts`` / ``_sorted_mispredicts`` on one
+    history's own keys: a ``bincount`` of them, or ``np.unique``."""
     if (2 << history_bits) <= 4 * keys.size:
         counts = np.bincount(keys, minlength=2 << history_bits)
         not_taken, taken = counts[0::2], counts[1::2]
@@ -756,6 +757,21 @@ def two_level_by_history_per_width(outcomes: np.ndarray, histories) -> dict:
         for h, keys in history_keys_per_width(outcomes.astype(np.int64), packed):
             result[h] = count_mispredicts_unique(keys, h) + h * 0.5
     return result
+
+
+def evaluate_per_site(model, *, total_branches, branch_hints=False):
+    """``BranchModel.evaluate`` with ``_site_mispredicts`` run on every
+    site's stream, equal streams included."""
+    recorded = 0.0
+    mispredicts = 0.0
+    for sequences in model._site_outcomes.values():
+        outcomes = np.concatenate([a for a, _w in sequences])
+        scale = float(np.array([w for _a, w in sequences]).mean())
+        recorded += outcomes.size * scale
+        mispredicts += model._site_mispredicts(outcomes, branch_hints) * scale
+    loop_branches = max(total_branches - recorded, 0.0)
+    mispredicts += loop_branches * branch_mod._LOOP_MISPREDICT_RATE[model.kind]
+    return branch_mod.BranchStats(total_branches=total_branches, mispredicts=mispredicts)
 
 
 def sliding_two_level_mispredicts(outcomes: np.ndarray, history_bits: int) -> float:
@@ -1197,7 +1213,7 @@ def satd_16x16(diff):
 
 
 def hadamard_sad_batch(cur, candidates):
-    """One ``hadamard_sad`` per candidate."""
+    """One float64 ``satd_16x16`` of the difference per candidate."""
     cands = np.asarray(candidates)
     if cur.shape != (16, 16) or cands.ndim != 3 or cands.shape[-2:] != (16, 16):
         raise ValueError("hadamard_sad_batch expects 16x16 blocks")
@@ -1379,7 +1395,7 @@ def _umh_search(cur, ref, merange, base_y, base_x, pred):
 
 def _esa_search(cur, ref, merange, base_y, base_x, *, use_satd):
     """The window's SADs at once (as ever), tesa's SATD re-scores one
-    ``hadamard_sad`` at a time."""
+    float64 ``satd_16x16`` at a time."""
     y0 = base_y - merange + ref.pad
     x0 = base_x - merange + ref.pad
     span = 2 * merange + 16

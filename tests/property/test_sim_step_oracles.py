@@ -6,19 +6,25 @@
   before the shrinking walk; ``tests.oracles.lru_window_int64`` sorts twice
   through a multiply-packed key, counts in ``intp`` and walks every far
   access.
-* ``branch._two_level_by_history`` takes every history's keys from one key
-  array at the widest history, in the narrowest integer that holds it, and
-  counts sparse patterns from one sort;
-  ``tests.oracles.two_level_by_history_per_width`` builds an int64 key array
-  per history and counts with ``np.unique``.
+* ``branch._two_level_by_history`` takes every history's keys from one
+  window array at the widest history, in the narrowest integer that holds
+  it, counts every dense history from one ``bincount`` and every sparse one
+  from one sort; ``tests.oracles.two_level_by_history_per_width`` builds an
+  int64 key array per history and counts each with ``np.unique`` or a
+  ``bincount`` of its own.
+* ``BranchModel.evaluate`` counts each distinct outcome stream once a call;
+  ``tests.oracles.evaluate_per_site`` counts every site's stream.
 
 Each pair must agree bit for bit — the same miss mask and resident lines
-with the same dtypes, the same float per history — on the edges the new
-forms introduce: set counts around the 8- and 16-bit radix keys, ways
-around the uint8 counter, line spans around the 32-bit key and the 62-bit
-packing limit (lines near 2**58), one-line windows, empty residents,
-ping-pong runs that keep a large share of a window undecided, and every
-outcome length around the histories.
+with the same dtypes, the same float per history, the same
+``BranchStats`` — on the edges the new forms introduce: set counts around
+the 8- and 16-bit radix keys, ways around the uint8 counter, line spans
+around the 32-bit key and the 62-bit packing limit (lines near 2**58),
+one-line windows, empty residents, ping-pong runs that keep a large share
+of a window undecided, every outcome length around the histories, several
+dense or sparse histories under one widest one, the widest history at
+each dtype's edge, lengths at the dense/sparse boundary, and sites whose
+streams are equal, equal in size only, or recorded in pieces.
 """
 
 from __future__ import annotations
@@ -28,9 +34,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.uarch.branch import _two_level_by_history, two_level_mispredicts
+from repro.uarch.branch import BranchModel, _two_level_by_history, two_level_mispredicts
 from repro.uarch.cache import _lru_window
-from tests.oracles import lru_window_int64, two_level_by_history_per_width
+from tests.oracles import (
+    evaluate_per_site,
+    lru_window_int64,
+    two_level_by_history_per_width,
+)
 
 SEED = 28
 _SETTINGS = settings(max_examples=120, deadline=None)
@@ -176,7 +186,24 @@ def test_table_iv_sized_windows(n_sets, base):
 
 # --- the predictor counts ----------------------------------------------------
 
-HISTORIES = ((2, 4, 8, 16, 32), (6,), (0, 1, 62))
+#: TAGE's and Pentium-M's histories; the degenerate and longest ones;
+#: several dense histories under one widest dense history; several sparse
+#: ones sharing one sort; and the widest history at each window dtype's
+#: edge (7 / 8, 15 / 16, 31 / 32 and 62 bits), under a shorter one.
+HISTORIES = (
+    (2, 4, 8, 16, 32),
+    (6,),
+    (0, 1, 62),
+    (1, 3, 5, 9),
+    (10, 20, 40),
+    (3, 7),
+    (4, 8),
+    (9, 15),
+    (15, 16),
+    (16, 31),
+    (31, 32),
+    (32, 62),
+)
 
 
 def _outcome_kinds(n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -230,6 +257,23 @@ def test_long_sequences_count_densely_and_sparsely(n):
         _assert_same_counts(outcomes, HISTORIES[0])
 
 
+def _boundary_lengths(histories):
+    """The lengths at which a history's count turns dense,
+    ``(2 << h) == 4 * (n - h)``, and either side, for histories to 16."""
+    for h in histories:
+        if 0 < h <= 16:
+            edge = h + (1 << (h - 1))
+            yield from (edge - 1, edge, edge + 1)
+
+
+@pytest.mark.parametrize("histories", HISTORIES, ids=str)
+def test_lengths_at_the_dense_sparse_boundary(histories):
+    rng = np.random.default_rng([SEED, len(histories), max(histories)])
+    for n in sorted(set(_boundary_lengths(histories))):
+        for outcomes in _outcome_kinds(n, rng).values():
+            _assert_same_counts(outcomes, histories)
+
+
 @pytest.mark.parametrize("n", [0, 1, 10, 62, 63, 200])
 def test_every_history_is_checked_whatever_the_length(n):
     outcomes = np.ones(n, dtype=bool)
@@ -238,3 +282,85 @@ def test_every_history_is_checked_whatever_the_length(n):
     assert two_level_mispredicts(outcomes, 62) == two_level_by_history_per_width(
         outcomes, (62,)
     )[62]
+
+
+# --- one count per distinct stream -------------------------------------------
+
+WEIGHTS = (1.0, 0.5, 2.0, 1 / 3, 4.0)
+
+
+@st.composite
+def recorded_sites(draw):
+    """One to six sites, each recorded in one to four weighted pieces (as
+    perfbench records one piece per branch event), whose streams are drawn
+    from: a random stream, a copy of it, the same stream with one outcome
+    flipped (equal size, other content), and an unrelated one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 400))
+    base = rng.random(n) < draw(st.floats(0.0, 1.0))
+    flipped = base.copy()
+    if n:
+        flipped[rng.integers(n)] ^= True
+    other = rng.random(draw(st.integers(0, 400))) < 0.5
+    streams = (base, base.copy(), flipped, other)
+    sites = []
+    for i in range(draw(st.integers(1, 6))):
+        stream = draw(st.sampled_from(streams))
+        cuts = sorted(draw(st.lists(st.integers(0, stream.size), max_size=3)))
+        pieces = np.split(stream, cuts)
+        weights = draw(
+            st.lists(st.sampled_from(WEIGHTS), min_size=len(pieces), max_size=len(pieces))
+        )
+        sites.append((f"site{i}", list(zip(pieces, weights))))
+    return sites
+
+
+def _recorded(kind, sites):
+    model = BranchModel(kind)
+    for site, pieces in sites:
+        for outcomes, weight in pieces:
+            model.record(site, outcomes, weight)
+    return model
+
+
+@pytest.mark.parametrize("branch_hints", (False, True))
+@pytest.mark.parametrize("kind", ("static", "pentium_m", "tage"))
+@seed(SEED)
+@settings(max_examples=40, deadline=None)
+@given(recorded_sites(), st.floats(0.0, 5000.0))
+def test_evaluate_matches_the_per_site_oracle(kind, branch_hints, sites, total):
+    model = _recorded(kind, sites)
+    got = model.evaluate(total_branches=total, branch_hints=branch_hints)
+    expected = evaluate_per_site(model, total_branches=total, branch_hints=branch_hints)
+    assert got.total_branches == expected.total_branches
+    assert got.mispredicts == expected.mispredicts
+
+
+@pytest.mark.parametrize("kind", ("static", "pentium_m", "tage"))
+def test_each_distinct_stream_is_counted_once(kind, monkeypatch):
+    """Equal streams under different weights (one recorded in pieces) share
+    one count; an equal-size stream with other content gets its own."""
+    rng = np.random.default_rng([SEED, 48])
+    stream = rng.random(300) < 0.3
+    flipped = stream.copy()
+    flipped[17] ^= True
+    sites = [
+        ("a", [(stream, 1.0)]),
+        ("b", [(stream[:100], 0.5), (stream[100:], 2.0)]),
+        ("c", [(flipped, 1 / 3)]),
+        ("d", [(stream.copy(), 4.0)]),
+    ]
+    model = _recorded(kind, sites)
+    sizes = []
+    count = BranchModel._site_mispredicts
+
+    def counting(self, outcomes, branch_hints):
+        sizes.append(outcomes.size)
+        return count(self, outcomes, branch_hints)
+
+    monkeypatch.setattr(BranchModel, "_site_mispredicts", counting)
+    got = model.evaluate(total_branches=2000.0)
+    assert sizes == [300, 300]
+    sizes.clear()
+    assert got == evaluate_per_site(model, total_branches=2000.0)
+    assert len(sizes) == 4

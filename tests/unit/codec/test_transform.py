@@ -7,7 +7,7 @@ from repro.codec.transform import (
     ZIGZAG_4X4,
     blockify_16x16,
     forward_4x4,
-    hadamard_sad,
+    hadamard_sad_batch,
     inverse_4x4,
     satd_4x4,
     unblockify_16x16,
@@ -73,17 +73,17 @@ class TestSatd:
 
     def test_hadamard_sad_identical_blocks(self):
         a = np.random.default_rng(2).integers(0, 256, (16, 16)).astype(np.uint8)
-        assert hadamard_sad(a, a) == 0.0
+        assert hadamard_sad_batch(a, a[None]).tolist() == [0.0]
 
     def test_hadamard_sad_monotone_in_distortion(self):
         a = np.full((16, 16), 100, dtype=np.uint8)
         b = np.full((16, 16), 110, dtype=np.uint8)
         c = np.full((16, 16), 150, dtype=np.uint8)
-        assert hadamard_sad(a, c) > hadamard_sad(a, b)
+        assert hadamard_sad_batch(a, c[None])[0] > hadamard_sad_batch(a, b[None])[0]
 
     def test_hadamard_sad_shape_check(self):
         with pytest.raises(ValueError):
-            hadamard_sad(np.zeros((8, 8)), np.zeros((8, 8)))
+            hadamard_sad_batch(np.zeros((8, 8)), np.zeros((1, 8, 8)))
 
 
 class TestZigzag:

@@ -106,16 +106,32 @@ def test_budget_accounting_on_a_toy_owner(monkeypatch):
 
 
 def test_budget_table_ends_with_peak_rss(monkeypatch, capsys):
-    """Every table's last line is the process's peak RSS after set-up and
-    after the passes; ``ru_maxrss`` never falls, so neither does the line."""
+    """Every table's last line but one is the process's peak RSS after
+    set-up and after the passes; ``ru_maxrss`` never falls, so neither does
+    the line."""
     toy = SimpleNamespace(ops=["a"], call=lambda op: None)
     table = budget.Table((), passes=2, setup=lambda tmp: toy)
     monkeypatch.setattr(budget, "TABLES", {"toy": table})
     assert budget.main(["toy"]) == 0
-    last = capsys.readouterr().out.splitlines()[-1]
+    line = capsys.readouterr().out.splitlines()[-2]
     match = re.fullmatch(
-        r"peak RSS (\d+\.\d) MiB after set-up, (\d+\.\d) MiB after 2 passes", last
+        r"peak RSS (\d+\.\d) MiB after set-up, (\d+\.\d) MiB after 2 passes", line
     )
-    assert match, last
+    assert match, line
     set_up, passes = map(float, match.groups())
     assert 0 < set_up <= passes
+
+
+def test_budget_table_ends_with_minor_faults_per_op(monkeypatch, capsys):
+    """Every table's last line is the minor page faults taken over the timed
+    passes, divided by the ops they ran: read before and after them, not
+    around the set-up or the warm-up."""
+    toy = SimpleNamespace(ops=["a", "b", "c"], call=lambda op: None)
+    table = budget.Table((), passes=2, setup=lambda tmp: toy, unit="wave")
+    reads = iter([1000, 1000 + 2 * 3 * 12.5])
+    monkeypatch.setattr(budget, "minor_faults", lambda: next(reads))
+    monkeypatch.setattr(budget, "TABLES", {"toy": table})
+    assert budget.main(["toy"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "minor page faults 12.5 per wave over 2 passes"
+    assert next(reads, None) is None

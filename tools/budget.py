@@ -13,7 +13,9 @@ once): ``trace side`` is that sum, ``runner glue`` the pass outside it. A stage
 the checkout lacks prints with no calls, so an older checkout's ``src`` works.
 Each table ends with the process's peak RSS (``ru_maxrss``, which never falls)
 after set-up and after the passes: the second is the whole run's peak, as
-perfbench's ``peak_rss_mb`` reads it.
+perfbench's ``peak_rss_mb`` reads it. Beside it, the minor page faults
+(``ru_minflt``) the timed passes took, per op: a big temporary on memory
+fresh from the kernel pays one fault a page.
 """
 
 from __future__ import annotations
@@ -242,6 +244,11 @@ def peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def minor_faults() -> int:
+    """The process's minor page faults so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("workload", choices=TABLES, help="a perfbench workload")
@@ -256,13 +263,17 @@ def main(argv: list[str] | None = None) -> int:
         set_up = peak_rss_mib()
         for op in workload.ops:  # warm-up, unwrapped
             workload.call(op)
+        faults = minor_faults()
         run = measure(table, workload)
+        faults = minor_faults() - faults
         print(f"fastest of {table.passes} passes of {run.ops} {run.unit}s: "
               f"{run.whole / run.ops * 1e3:.1f} ms per {run.unit} (wrapped)")
         rows = [run.row(label) for label, _, _ in table.stages]
         print("\n".join([run.header("stage"), *rows, *table.extra(workload, run)]))
         print(f"peak RSS {set_up:.1f} MiB after set-up, {peak_rss_mib():.1f} MiB after "
               f"{table.passes} passes")
+        print(f"minor page faults {faults / (table.passes * run.ops):.1f} per {run.unit} "
+              f"over {table.passes} passes")
     return 0
 
 
