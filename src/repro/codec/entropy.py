@@ -12,9 +12,9 @@ of surviving coefficients.
 
 **Writing** appends whole codes (a whole block batch, in
 :func:`encode_blocks`) with big-integer shifts and byte-chunked extends.
-Buffer contents, partial-byte state and ``bit_count`` are what one
-:meth:`BitWriter.write_bit` call per bit leaves behind (MSB-first); the
-bit-at-a-time writer is the oracle in ``tests/oracles.py``.
+Buffer contents, partial-byte state and ``bit_count`` are what writing
+one bit at a time would leave behind (MSB-first); the bit-at-a-time
+writer is the oracle in ``tests/oracles.py``.
 
 **Reading.** Nothing but exp-Golomb codes is ever written, so code
 boundaries are context-free: a code that starts at bit ``s`` and whose
@@ -37,8 +37,8 @@ moved by a direct ``read_bit`` — the read is handed to the bit-serial loop
 (:func:`_read_ue_serial`), and tokenizing resumes behind it. A batch the
 table cannot hold goes to the per-block loop, and one whose scatter finds
 it malformed is replayed through it. Every rejection is therefore raised
-by one piece of code, the bit-serial one, and ``bits_read`` means the same
-after every code whichever path read it.
+by one piece of code, the bit-serial one, and the reader's bit position
+means the same after every code whichever path read it.
 
 **Errors.** Bytes that are not a stream this codec wrote raise
 :class:`BitstreamError` (a ``ValueError``); running off the end raises
@@ -70,13 +70,9 @@ __all__ = [
     "read_se",
     "ue_bits",
     "se_bits",
-    "encode_block",
     "encode_blocks",
     "encode_tagged_blocks",
-    "decode_block",
     "decode_blocks",
-    "decode_tagged_blocks",
-    "block_bits",
 ]
 
 #: Bytes of stream the tokenizing reader unpacks per fill. Part of the
@@ -118,23 +114,11 @@ class BitWriter:
         self._nbits = 0
         self.bit_count = 0
 
-    def write_bit(self, bit: int) -> None:
-        self._cur = (self._cur << 1) | (bit & 1)
-        self._nbits += 1
-        self.bit_count += 1
-        if self._nbits == 8:
-            self._bytes.append(self._cur)
-            self._cur = 0
-            self._nbits = 0
-
-    def write_bits(self, value: int, width: int) -> None:
-        self.append_bits(value, width)
-
     def append_bits(self, value: int, width: int) -> None:
         """Append ``width`` bits of ``value`` MSB-first in one operation.
 
-        Equivalent to ``width`` :meth:`write_bit` calls: the byte buffer,
-        pending partial byte, and ``bit_count`` end up in the same state.
+        Equivalent to ``width`` one-bit appends: the byte buffer, pending
+        partial byte, and ``bit_count`` end up in the same state.
         """
         if width < 0:
             raise ValueError("width must be >= 0")
@@ -175,22 +159,12 @@ class BitReader:
         self._ue = self._se = np.zeros(0, dtype=np.int64)
         self._cursor = 0
 
-    @property
-    def bits_read(self) -> int:
-        return self._pos
-
     def read_bit(self) -> int:
         byte_i, bit_i = divmod(self._pos, 8)
         if byte_i >= len(self._data):
             raise TruncatedBitstreamError("bitstream exhausted")
         self._pos += 1
         return (self._data[byte_i] >> (7 - bit_i)) & 1
-
-    def read_bits(self, width: int) -> int:
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
 
     def _fill(self) -> bool:
         """Tokenize the window that starts at the current position.
@@ -320,46 +294,10 @@ def se_bits(value: int) -> int:
     return ue_bits((2 * value - 1) if value > 0 else (-2 * value))
 
 
-def _zigzag(block: np.ndarray) -> np.ndarray:
-    return block[ZIGZAG_4X4]
-
-
 def _unzigzag(scan: np.ndarray) -> np.ndarray:
     block = np.zeros((4, 4), dtype=np.int32)
     block[ZIGZAG_4X4] = scan
     return block
-
-
-def encode_block(writer: BitWriter, block: np.ndarray) -> int:
-    """Run-level encode one 4x4 integer block; returns bits written.
-
-    Syntax: ue(n_nonzero), then per nonzero coefficient in zigzag order
-    ue(zero run before it) and se(level).
-    """
-    start = writer.bit_count
-    scan = _zigzag(_checked_batch(np.asarray(block)[None])[0])
-    nz_positions = np.nonzero(scan)[0]
-    # Accumulate the whole block's codes into one big-int append. Each ue
-    # code is its widened codeword (prefix zeros included), so
-    # concatenating codewords equals the bit-at-a-time emission.
-    code = len(nz_positions) + 1
-    acc = code
-    nbits = 2 * code.bit_length() - 1
-    prev = -1
-    for pos in nz_positions:
-        p = int(pos)
-        code = p - prev  # zero run + 1
-        w = 2 * code.bit_length() - 1
-        acc = (acc << w) | code
-        nbits += w
-        level = int(scan[p])
-        code = (2 * level) if level > 0 else (1 - 2 * level)
-        w = 2 * code.bit_length() - 1
-        acc = (acc << w) | code
-        nbits += w
-        prev = p
-    writer.append_bits(acc, nbits)
-    return writer.bit_count - start
 
 
 def _checked_batch(blocks: np.ndarray) -> np.ndarray:
@@ -381,11 +319,12 @@ def _checked_batch(blocks: np.ndarray) -> np.ndarray:
 def encode_blocks(writer: BitWriter, blocks: np.ndarray) -> list[int]:
     """Run-level encode a batch of 4x4 blocks; returns per-block bits.
 
-    Emits exactly the same bitstream as calling :func:`encode_block` on
-    each block in order, but folds every codeword of the whole
-    ``(n, 4, 4)`` batch into **one** big-int append: codeword
-    concatenation is associative, so the bitstream is unchanged — only the
-    number of ``append_bits`` calls drops.
+    Syntax per block: ue(n_nonzero), then per nonzero coefficient in
+    zigzag order ue(zero run before it) and se(level). Emits exactly the
+    bitstream of coding each block in order, one code at a time, but folds
+    every codeword of the whole ``(n, 4, 4)`` batch into **one** big-int
+    append: codeword concatenation is associative, so the bitstream is
+    unchanged — only the number of ``append_bits`` calls drops.
     """
     return _fold_batch(writer, _checked_batch(blocks), None)
 
@@ -395,10 +334,10 @@ def encode_tagged_blocks(
 ) -> list[int]:
     """Encode ``n`` (ue tag, block) pairs, e.g. an intra-4x4 macroblock's
     (mode, block) pairs; returns per-pair bits. The write side of
-    :func:`decode_tagged_blocks`.
+    ``BlockBatches.read(n, tagged=True)``.
 
-    Emits exactly what ``n`` rounds of :func:`write_ue` then
-    :func:`encode_block` emit, as :func:`encode_blocks`' fold with each
+    Emits exactly what ``n`` rounds of :func:`write_ue` then a one-block
+    :func:`encode_blocks` emit, as :func:`encode_blocks`' fold with each
     tag's codeword in front of its block.
     """
     arr = _checked_batch(blocks)
@@ -608,45 +547,10 @@ class BlockBatches:
 def decode_blocks(reader: BitReader, n: int) -> np.ndarray:
     """Decode a batch of ``n`` 4x4 blocks; inverse of :func:`encode_blocks`.
 
-    Reads exactly what ``n`` :func:`decode_block` calls read; the
-    tokenizing reader fills the whole ``(n, 4, 4)`` batch from its table
-    in one pass of array operations.
+    Reads exactly what ``n`` one-block calls read; the tokenizing reader
+    fills the whole ``(n, 4, 4)`` batch from its table in one pass of
+    array operations.
     """
     batches = BlockBatches(reader)
     batches.read(n)
     return batches.levels()
-
-
-def decode_tagged_blocks(
-    reader: BitReader, n: int
-) -> tuple[list[int], np.ndarray]:
-    """Decode ``n`` (ue tag, block) pairs, e.g. an intra-4x4 macroblock's
-    (mode, block) pairs; returns the tags and an ``(n, 4, 4)`` batch.
-
-    Reads exactly what ``n`` rounds of :func:`read_ue` then
-    :func:`decode_block` read.
-    """
-    batches = BlockBatches(reader)
-    return batches.read(n, tagged=True), batches.levels()
-
-
-def decode_block(reader: BitReader) -> np.ndarray:
-    """Inverse of :func:`encode_block`."""
-    return decode_blocks(reader, 1)[0]
-
-
-def block_bits(block: np.ndarray) -> int:
-    """Exact bit cost of :func:`encode_block` without materializing bits.
-
-    Used by the mode decision's rate estimator (the "CAVLC-style cost
-    model"): cheap to evaluate and exactly equal to the real cost.
-    """
-    scan = _zigzag(np.asarray(block, dtype=np.int64))
-    nz_positions = np.nonzero(scan)[0]
-    bits = ue_bits(len(nz_positions))
-    prev = -1
-    for pos in nz_positions:
-        bits += ue_bits(int(pos - prev - 1))
-        bits += se_bits(int(scan[pos]))
-        prev = int(pos)
-    return bits

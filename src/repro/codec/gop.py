@@ -24,7 +24,7 @@ from repro.codec.options import EncoderOptions
 from repro.codec.types import FrameType
 from repro.video.frame import FrameSequence
 
-__all__ = ["GopPlan", "plan_gop", "scene_change_score"]
+__all__ = ["GopPlan", "plan_gop"]
 
 
 @dataclass(frozen=True)
@@ -103,22 +103,6 @@ def _inter_cost(probe: np.ndarray, ref_probe: np.ndarray) -> float:
     return float(best.sum(dtype=np.int64)) / 4 + 1.0
 
 
-def scene_change_score(cur: np.ndarray, prev: np.ndarray) -> float:
-    """How expensive inter coding is relative to intra: ``pcost / icost``.
-
-    x264 declares a scene cut when the inter cost reaches a fraction of
-    the intra cost: cut iff ``pcost >= (1 - scenecut/100) * icost``, i.e.
-    iff this score exceeds ``(100 - scenecut) / 100``. Identical frames
-    score ~0; unrelated frames score above 1 (predicting from the previous
-    frame is worse than coding from scratch).
-    """
-    pc = _probe(cur)
-    pp = _probe(prev)
-    icost = _intra_cost(pc)
-    pcost = _inter_cost(pc, pp)
-    return float(pcost / icost)
-
-
 def _decode_order(frame_types: list[FrameType]) -> list[int]:
     """Decode order: each anchor (I/P) precedes the Bs that reference it."""
     order: list[int] = []
@@ -165,7 +149,8 @@ def plan_gop(video: FrameSequence, options: EncoderOptions) -> GopPlan:
         since_idr += 1
         cut = False
         if options.scenecut > 0:
-            # scene_change_score(frame i, frame i - 1) from this plan's probes
+            # x264's cut: the inter cost (pcost) of frame i from frame i - 1
+            # reaches (1 - scenecut / 100) of its intra cost (icost).
             cut = inter_cost(i, i - 1) / icosts[i] >= cut_threshold
         if cut or since_idr >= options.keyint:
             is_idr[i] = True

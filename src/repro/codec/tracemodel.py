@@ -154,10 +154,6 @@ class LoopOptimizations:
     fuse_deblock: bool = False
     interchange_interp: bool = False
 
-    @property
-    def any_enabled(self) -> bool:
-        return self.tile_transform or self.fuse_deblock or self.interchange_interp
-
 
 @dataclass(kw_only=True, slots=True)
 class InterSearch:

@@ -22,7 +22,6 @@ __all__ = [
     "blockify_16x16",
     "unblockify_16x16",
     "blockify_frame",
-    "satd_4x4",
     "satd_16x16",
     "satd_batch",
     "hadamard_sad_batch",
@@ -117,22 +116,16 @@ def blockify_frame(plane: np.ndarray, size: int = 4) -> np.ndarray:
     )
 
 
-def satd_4x4(blocks: np.ndarray) -> float:
-    """Sum of absolute Hadamard-transformed differences over 4x4 blocks.
-
-    SATD is x264's sharper distortion metric used at higher subme levels;
-    it approximates the bit cost of the residual better than SAD.
-    """
-    trans = _H4 @ _as_blocks(blocks, "blocks") @ _H4T
-    return float(np.sum(np.abs(trans)) / 2.0)
-
-
 def satd_batch(block_sets: np.ndarray) -> np.ndarray:
     """Per-candidate SATD over a ``(k, n, 4, 4)`` batch of block sets.
 
-    Returns a ``(k,)`` float64 vector where element ``i`` equals
-    ``satd_4x4(block_sets[i])`` bit-exactly (the per-candidate reduction
-    covers the same contiguous elements in the same order).
+    SATD, the sum of absolute Hadamard-transformed differences (halved), is
+    x264's sharper distortion metric used at higher subme levels; it
+    approximates the bit cost of the residual better than SAD. Returns a
+    ``(k,)`` float64 vector whose element ``i`` is the SATD of the ``n``
+    blocks of ``block_sets[i]``, bit-exactly as one set at a time would
+    give it (the per-candidate reduction covers the same contiguous
+    elements in the same order).
     """
     arr = np.asarray(block_sets, dtype=np.float64)
     if arr.ndim != 4 or arr.shape[-2:] != (4, 4):
@@ -145,10 +138,10 @@ def satd_16x16(diff: np.ndarray) -> float:
     """SATD of one 16x16 difference block (float64 or float32, shape
     ``(16, 16)``).
 
-    Equals ``satd_4x4(blockify_16x16(diff))``; the flat entry point for
-    hot callers that already hold the difference (no validation layers):
-    two 16x16 products with the block-diagonal Hadamard instead of sixteen
-    stacked 4x4 pairs. The products and the reduction run in another order
+    Equals ``satd_batch(blockify_16x16(diff)[None])[0]``; the flat entry
+    point for hot callers that already hold the difference (no validation
+    layers): two 16x16 products with the block-diagonal Hadamard instead of
+    sixteen stacked 4x4 pairs. The products and the reduction run in another order
     than the per-tile form's, which is exact — hence bit-identical — on
     what the codec passes: differences of a pixel block and a (quarter-pel
     bilinear) prediction are multiples of 1/16 below 2**8, so a tile's
@@ -163,7 +156,7 @@ def satd_16x16(diff: np.ndarray) -> float:
 def hadamard_sad_batch(cur: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """SATD of one 16x16 block against ``(k, 16, 16)`` candidates.
 
-    Element ``i`` is ``satd_4x4`` of the sixteen tiles of the float64
+    Element ``i`` is the SATD of the sixteen 4x4 tiles of the float64
     difference ``cur - candidates[i]``; on pixel blocks that equals
     ``satd_16x16`` of the difference bit-exactly (see its docstring). One
     candidate is the single-block SATD.

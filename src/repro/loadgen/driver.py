@@ -226,7 +226,6 @@ def _run_leg(spec: LoadtestSpec, rate: float, config: ServiceConfig,
                     labels={"outcome": "admitted", **leg_label})
             service.pump()
         service.run_until_idle()
-        service.report()    # publishes the service.<policy>.* gauges
     makespan_s = clock.now_ns() / 1e9
     tally = service.queue.tally    # the service's books, not a recount
     completed, failed = tally.completed, tally.failed

@@ -53,9 +53,7 @@ from repro.obs import session as obs
 __all__ = [
     "FaultSpec",
     "InjectedFault",
-    "active_plan",
     "fault_point",
-    "format_fault_plan",
     "install_plan",
     "parse_fault_plan",
     "task_counters",
@@ -211,33 +209,6 @@ def parse_fault_plan(text: str) -> tuple[FaultSpec, ...]:
     return tuple(specs)
 
 
-def format_fault_plan(specs: tuple[FaultSpec, ...] | list[FaultSpec]) -> str:
-    """Canonical plan string; ``parse_fault_plan(format_fault_plan(p)) == p``."""
-    clauses = []
-    for spec in specs:
-        parts = [spec.site]
-        if spec.action == "raise":
-            parts.append(f"raise={spec.exception}")
-        elif spec.action == "stall":
-            parts.append(f"stall={spec.stall_seconds!r}")
-        else:
-            parts.append("kill")
-        if spec.at:
-            parts.append("at=" + "|".join(str(i) for i in spec.at))
-        if spec.every:
-            parts.append(f"every={spec.every}")
-        if spec.rate:
-            parts.append(f"rate={spec.rate!r}")
-        if spec.seed:
-            parts.append(f"seed={spec.seed}")
-        if spec.match:
-            parts.append(f"match={spec.match}")
-        if spec.max_triggers:
-            parts.append(f"max={spec.max_triggers}")
-        clauses.append(",".join(parts))
-    return ";".join(clauses)
-
-
 # ----------------------------------------------------------------------
 # Installed plan + per-process trigger state.
 # ----------------------------------------------------------------------
@@ -264,11 +235,6 @@ def install_plan(
         _plan = tuple(plan)
     _counts.clear()
     _activations.clear()
-    return _plan
-
-
-def active_plan() -> tuple[FaultSpec, ...] | None:
-    """The installed plan, or ``None``."""
     return _plan
 
 

@@ -4,9 +4,12 @@
 returns: counts, e2e percentile and makespan start come off the ledger's
 :class:`~repro.service.queue.Tally`; the per-job status list, the
 placement map and the latency / speedup means take one pass over
-``queue.jobs()`` in admission order. :class:`CostRatios` is the one place
-the dollars-per-job and jobs-per-dollar ratios are written — the service
-report and the load generator's per-leg result both inherit it.
+``queue.jobs()`` in admission order. It only reads: the
+``service.<policy>.*`` gauges are published once, by
+:func:`~repro.service.service.run_service`. :class:`CostRatios` is the
+one place the dollars-per-job and jobs-per-dollar ratios are written —
+the service report and the load generator's per-leg result both inherit
+it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 
 from repro._util import percentile
 from repro.api.types import JobStatus
-from repro.obs import session as obs
 from repro.service.queue import BoundedJobQueue
 from repro.service.workers import WorkerFleet
 
@@ -153,7 +155,7 @@ def summarize(
     objective: str,
     worker_crashes: int,
 ) -> ServiceReport:
-    """Summarize a run off the ledger and publish the summary gauges."""
+    """Summarize a run off the ledger; publishes nothing."""
     tally = queue.tally
     jobs = queue.jobs()
     done = [j for j in jobs if j.result is not None]
@@ -163,9 +165,6 @@ def summarize(
     # completion order would differ in the last bit after a requeue.
     mean_latency = float(np.mean(latencies)) if latencies else 0.0
     mean_speedup = float(np.mean(speedups)) if speedups else 0.0
-    obs.set_gauge(f"service.{policy}.mean_latency_cycles", mean_latency)
-    obs.set_gauge(f"service.{policy}.mean_speedup_pct", mean_speedup)
-    obs.set_gauge(f"service.{policy}.jobs_completed", float(tally.completed))
     # Makespan: first admission to the last worker's busy horizon —
     # what the whole fleet had to stay rented for.
     makespan_s = 0.0
@@ -174,7 +173,6 @@ def summarize(
         makespan_s = max(0, last - tally.first_submitted_ns) / 1e9
     cost_usd = fleet.cost_usd()
     hourly = fleet.hourly_rate
-    obs.set_gauge(f"service.{policy}.cost_usd", cost_usd)
     return ServiceReport(
         policy=policy,
         jobs_total=len(jobs),

@@ -322,8 +322,8 @@ class TranscodeService:
         nothing — every worker crash-suspect, or free workers the policy
         will not use — finish ``failed``, as do jobs that exhaust their
         placement budget; the service itself never raises for job-level
-        trouble. It only drains: :meth:`report` summarizes every job
-        ever admitted, so a caller that wants the summary asks once.
+        trouble. It only drains and publishes no summary: a caller that
+        wants one asks :meth:`report` once, after the last drain.
         """
         with obs.span("service.drain", policy=self.policy.name):
             while self.step():
@@ -563,7 +563,8 @@ class TranscodeService:
         return [j.status() for j in self.queue.jobs()]
 
     def report(self) -> ServiceReport:
-        """Summarize the run and publish the summary gauges."""
+        """Summarize every job ever admitted: an O(jobs) read of the
+        ledger that changes nothing, the metrics registry included."""
         return summarize(
             self.queue, self.fleet, policy=self.policy.name,
             objective=self.config.objective,
@@ -584,7 +585,8 @@ def run_service(
     submissions under the random-placement control (sharing the profile
     cache, so the control pays no extra encodes) and attaches its report,
     making the paper's smart-vs-random serving margin directly readable
-    from the returned :class:`ServiceReport`.
+    from the returned :class:`ServiceReport`. Publishes each pass's
+    ``service.<policy>.*`` gauges, and the margin, once at the end.
     """
     cfg = config or ServiceConfig()
     shared_profiles: dict[tuple, _ProfiledJob] = {}
@@ -600,7 +602,19 @@ def run_service(
         control_service.submit_many(requests)
         control_service.run_until_idle()
         report.control = control_service.report()
-        margin = report.margin_vs_control_pp
-        if margin is not None:
-            obs.set_gauge("service.margin_vs_control_pp", margin)
+    for run in (report, report.control):
+        if run is not None:
+            _publish_gauges(run)
+    margin = report.margin_vs_control_pp
+    if margin is not None:
+        obs.set_gauge("service.margin_vs_control_pp", margin)
     return report
+
+
+def _publish_gauges(report: ServiceReport) -> None:
+    """The ``service.<policy>.*`` gauges of one finished pass."""
+    prefix = f"service.{report.policy}"
+    obs.set_gauge(f"{prefix}.mean_latency_cycles", report.mean_latency_cycles)
+    obs.set_gauge(f"{prefix}.mean_speedup_pct", report.mean_speedup_pct)
+    obs.set_gauge(f"{prefix}.jobs_completed", float(report.completed))
+    obs.set_gauge(f"{prefix}.cost_usd", report.cost_usd)

@@ -22,8 +22,8 @@ The contract of the columns:
   same :class:`KernelEvent` / :class:`MemoryEvent` / :class:`BranchEvent`
   objects, in the same order, on first access (their arrays are slices of
   the columns). Tests and tools read it; nothing on the simulation path
-  does. A hand-built event list enters through
-  :meth:`TraceStream.from_events`.
+  does. Tests build columns from a hand-built event list with
+  ``columns_from_events`` in ``tests/oracles.py``, through :class:`TraceRows`.
 * **What a column set may cache.** Only what is a function of the trace
   alone: line numbers with the same-line collapse per *line size*
   (:meth:`TraceColumns.data_lines`), reuse gaps per kernel *cost vector*
@@ -37,7 +37,7 @@ The contract of the columns:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -180,10 +180,6 @@ def _flat(arrays: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(arrays, axis=None, dtype=dtype, casting="unsafe")
 
 
-def _unzip(rows: list[tuple], width: int) -> tuple:
-    return tuple(zip(*rows)) if rows else ((),) * width
-
-
 def _joined(chunks: list[tuple], dtypes: tuple) -> list[np.ndarray]:
     """Column ``i`` of every chunk, chunk after chunk, read-only as ``dtypes[i]``;
     the one chunk's own array when there is one (a producer never writes to
@@ -322,31 +318,6 @@ class TraceColumns:
     branch_pos: np.ndarray
     #: Views that depend on a parameter, by (view name, parameter).
     _keyed: dict = field(default_factory=dict, init=False, repr=False)
-
-    @classmethod
-    def from_events(cls, events: Iterable[object]) -> "TraceColumns":
-        """Columns of a hand-built event list (any mix and order of types)."""
-        rows = TraceRows()
-        kernels, memory, branches, addrs, outcomes = [], [], [], [], []
-        for pos, event in enumerate(events):
-            if isinstance(event, KernelEvent):
-                kernels.append((rows.kernel_id(event.kernel), event.iters, event.weight, pos))
-            elif isinstance(event, MemoryEvent):
-                arr = checked_addrs(event.addrs)
-                addrs.append(arr)
-                memory.append(
-                    (rows.kernel_id(event.kernel), event.kind == "r", event.weight, pos, arr.size)
-                )
-            elif isinstance(event, BranchEvent):
-                arr = checked_outcomes(event.outcomes)
-                outcomes.append(arr)
-                branches.append((rows.site_id(event.site), event.weight, pos, arr.size))
-            else:
-                raise TypeError(f"not a trace event: {event!r}")
-        rows.kernel_chunks.append(_unzip(kernels, 4))
-        rows.memory_chunks.append((*_unzip(memory, 5), _flat(addrs, np.uint64)))
-        rows.branch_chunks.append((*_unzip(branches, 4), _flat(outcomes, bool)))
-        return rows.build()
 
     # -- counts ---------------------------------------------------------
 
@@ -498,15 +469,6 @@ class TraceStream:
     instr_by_kernel: dict[str, InstrMix] = field(default_factory=dict)
     kernel_calls: dict[str, int] = field(default_factory=dict)
     n_frames: int = 0
-    # Exact totals of *data* traffic, for roofline operational intensity.
-    data_reads: float = 0.0
-    data_writes: float = 0.0
-
-    @classmethod
-    def from_events(cls, events: Iterable[object], **totals) -> "TraceStream":
-        """A stream over a hand-built event list; ``totals`` are the exact
-        counters (``instr=...``, ``n_frames=...``), which no event implies."""
-        return cls(TraceColumns.from_events(events), **totals)
 
     @property
     def events(self) -> tuple[object, ...]:
@@ -522,20 +484,3 @@ class TraceStream:
     def total_branches(self) -> float:
         return self.instr.branch
 
-    def add_instr(self, kernel: str, mix: InstrMix) -> None:
-        self.instr = self.instr + mix
-        if kernel in self.instr_by_kernel:
-            self.instr_by_kernel[kernel] = self.instr_by_kernel[kernel] + mix
-        else:
-            self.instr_by_kernel[kernel] = mix
-
-    def summary(self) -> dict[str, float]:
-        """Headline totals, mostly for logging and tests."""
-        return {
-            "instructions": self.total_instructions,
-            "branches": self.total_branches,
-            "loads": self.instr.load,
-            "stores": self.instr.store,
-            "events": float(self.columns.n_events),
-            "frames": float(self.n_frames),
-        }

@@ -82,9 +82,6 @@ class AddressMap:
         self._regions[name] = (base, size)
         return base
 
-    def region(self, name: str) -> tuple[int, int]:
-        return self._regions[name]
-
     @property
     def bytes_allocated(self) -> int:
         return self._cursor - self.HEAP_BASE
@@ -346,7 +343,4 @@ class RecordingTracer(Tracer):
             instr_by_kernel=by_kernel,
             kernel_calls=dict(zip(names, self._invocations.tolist())),
             n_frames=self._n_frames,
-            # Every load and store is data traffic: the same running sums.
-            data_reads=instr.load,
-            data_writes=instr.store,
         )

@@ -101,9 +101,6 @@ class Cache:
         s.append(line)
         return True
 
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()
-
 
 @dataclass
 class HierarchyStats:

@@ -50,6 +50,13 @@ column path equal to (``==`` on every float):
   ``np.unique``, and the predictor run on every site's stream — the
   simulator steps the narrow, one-window, one-count ones replaced.
 
+* :func:`encode_block`, :func:`write_bit` and :func:`scene_change_score`:
+  the one-block writer, the per-bit write and the two-frame scene-cut
+  ratio, which ``src`` only computes batched or inside ``plan_gop``;
+  :func:`columns_from_events`, a hand-built event list as columns; and
+  :func:`format_fault_plan`, the canonical writer ``parse_fault_plan`` is
+  held to.
+
 Nothing under ``src/`` imports this module.
 """
 
@@ -70,6 +77,7 @@ from repro.codec import deblock as deblock_mod
 from repro.codec import decoder as decoder_mod
 from repro.codec import encoder as encoder_mod
 from repro.codec import entropy as entropy_mod
+from repro.codec import gop as gop_mod
 from repro.codec import intra as intra_mod
 from repro.codec import mbdecision as mbdecision_mod
 from repro.codec import motion as motion_mod
@@ -78,8 +86,8 @@ from repro.codec.entropy import (
     BitReader,
     BitstreamError,
     BitWriter,
+    BlockBatches,
     decode_blocks,
-    decode_tagged_blocks,
     read_se,
     read_ue,
 )
@@ -94,13 +102,17 @@ from repro.codec.motion import (
 from repro.codec.quant import dequantize, qstep, quantize, rd_lambda, trellis_quantize
 from repro.codec.transform import _H4, _T, ZIGZAG_4X4, unblockify_16x16
 from repro.codec.types import MODE_IDS, CodedMacroblock, IntraMode, MBMode, MotionVector
+from repro.trace import events as events_mod
 from repro.trace.events import (
     BranchEvent,
     KernelEvent,
     MemoryEvent,
     ReplayWindow,
     TraceColumns,
+    TraceRows,
     TraceStream,
+    checked_addrs,
+    checked_outcomes,
 )
 from repro.trace.recorder import AddressMap, Tracer
 from repro.uarch import branch as branch_mod
@@ -115,6 +127,37 @@ from repro.uarch.icache import (
 )
 
 # -- producer -----------------------------------------------------------
+
+
+def columns_from_events(events) -> TraceColumns:
+    """Columns of a hand-built event list (any mix and order of types),
+    through the ``TraceRows`` a recorder fills: one chunk, every array
+    checked as ``kernel()`` checks it."""
+
+    def unzip(rows: list[tuple], width: int) -> tuple:
+        return tuple(zip(*rows)) if rows else ((),) * width
+
+    rows = TraceRows()
+    kernels, memory, branches, addrs, outcomes = [], [], [], [], []
+    for pos, event in enumerate(events):
+        if isinstance(event, KernelEvent):
+            kernels.append((rows.kernel_id(event.kernel), event.iters, event.weight, pos))
+        elif isinstance(event, MemoryEvent):
+            arr = checked_addrs(event.addrs)
+            addrs.append(arr)
+            memory.append(
+                (rows.kernel_id(event.kernel), event.kind == "r", event.weight, pos, arr.size)
+            )
+        elif isinstance(event, BranchEvent):
+            arr = checked_outcomes(event.outcomes)
+            outcomes.append(arr)
+            branches.append((rows.site_id(event.site), event.weight, pos, arr.size))
+        else:
+            raise TypeError(f"not a trace event: {event!r}")
+    rows.kernel_chunks.append(unzip(kernels, 4))
+    rows.memory_chunks.append((*unzip(memory, 5), events_mod._flat(addrs, np.uint64)))
+    rows.branch_chunks.append((*unzip(branches, 4), events_mod._flat(outcomes, bool)))
+    return rows.build()
 
 
 def _as_addrs(addrs):
@@ -180,10 +223,11 @@ class OracleTracer(PerCallTracer):
         if iters < 0:
             raise ValueError(f"iters must be >= 0, got {iters}")
         mix = spec.instr_mix.scaled(iters) + spec.call_overhead
-        self.totals.add_instr(name, mix)
-        self.totals.kernel_calls[name] = self.totals.kernel_calls.get(name, 0) + 1
-        self.totals.data_reads += mix.load
-        self.totals.data_writes += mix.store
+        totals = self.totals
+        totals.instr = totals.instr + mix
+        by_kernel = totals.instr_by_kernel
+        by_kernel[name] = by_kernel[name] + mix if name in by_kernel else mix
+        totals.kernel_calls[name] = totals.kernel_calls.get(name, 0) + 1
 
         count = self._invocation_count.get(name, 0)
         self._invocation_count[name] = count + 1
@@ -266,8 +310,6 @@ def assert_same_trace(stream: TraceStream, oracle: OracleTracer):
     assert stream.kernel_calls == totals.kernel_calls
     assert list(stream.kernel_calls) == list(totals.kernel_calls)
     assert stream.n_frames == totals.n_frames
-    assert stream.data_reads == totals.data_reads
-    assert stream.data_writes == totals.data_writes
     assert stream.columns.n_events == len(oracle.events)
 
 
@@ -908,7 +950,7 @@ class PerMacroblockDecoder(decoder_mod.Decoder):
     def _decode_frame(
         self, reader, ftype, base_qp, disp_idx, anchors, n_mb_y, n_mb_x, pad_w
     ):
-        self.frame_starts.append(reader.bits_read)
+        self.frame_starts.append(reader._pos)
         recon = np.zeros((n_mb_y * 16, pad_w), dtype=np.uint8)
         past = [a for a in anchors if a.display_index < disp_idx]
         past.sort(key=lambda a: -a.display_index)
@@ -1024,7 +1066,9 @@ class PerMacroblockDecoder(decoder_mod.Decoder):
             self.tracer.kernel("mc_copy", iters=16)
 
     def _decode_intra4(self, reader, recon, y0, x0, qp):
-        modes, levels = decode_tagged_blocks(reader, 16)
+        batches = BlockBatches(reader)
+        modes = batches.read(16, tagged=True)
+        levels = batches.levels()
         if not set(modes) <= {0, 1, 2}:
             raise BitstreamError("unknown intra 4x4 mode id")
         residuals = inverse_4x4(dequantize(levels, qp))
@@ -1076,6 +1120,15 @@ def inter_cost_per_shift(probe: np.ndarray, ref_probe: np.ndarray) -> float:
         block_sums = diff.reshape(nby, 4, nbx, 4).sum(axis=(1, 3))
         np.minimum(best, block_sums, out=best)
     return float(best.sum()) + 1.0
+
+
+def scene_change_score(cur: np.ndarray, prev: np.ndarray) -> float:
+    """``pcost / icost`` of two loose frames, from their own probes: the
+    ratio ``plan_gop`` compares with ``(100 - scenecut) / 100`` for each
+    frame and its predecessor. Identical frames score ~0; unrelated frames
+    score above 1."""
+    pc = gop_mod._probe(cur)
+    return float(gop_mod._inter_cost(pc, gop_mod._probe(prev)) / gop_mod._intra_cost(pc))
 
 
 def fold_batch_numpy(
@@ -1192,6 +1245,8 @@ def inverse_4x4(coeffs):
 
 
 def satd_4x4(blocks):
+    """SATD of a ``(n, 4, 4)`` block set: the absolute 4x4 Hadamard
+    coefficients summed and halved, as a per-call ``einsum``."""
     arr = transform_mod._as_blocks(blocks, "blocks")
     trans = np.einsum("ij,njk,lk->nil", _H4, arr, _H4, optimize=True)
     return float(np.sum(np.abs(trans)) / 2.0)
@@ -1225,22 +1280,34 @@ def hadamard_sad_batch(cur, candidates):
     )
 
 
-def write_bits(self, value, width):
-    """``BitWriter.write_bits`` one ``write_bit`` per bit."""
+def write_bit(writer, bit):
+    """One bit onto ``writer``'s pending byte, MSB first, flushing it when
+    full: the per-bit primitive :func:`write_bits` repeats."""
+    writer._cur = (writer._cur << 1) | (bit & 1)
+    writer._nbits += 1
+    writer.bit_count += 1
+    if writer._nbits == 8:
+        writer._bytes.append(writer._cur)
+        writer._cur = 0
+        writer._nbits = 0
+
+
+def write_bits(writer, value, width):
+    """``BitWriter.append_bits`` one :func:`write_bit` per bit."""
     if width < 0:
         raise ValueError("width must be >= 0")
     for shift in range(width - 1, -1, -1):
-        self.write_bit((value >> shift) & 1)
+        write_bit(writer, (value >> shift) & 1)
 
 
 def write_ue(writer, value):
-    """The prefix zeros, then the code, each through ``write_bits``."""
+    """The prefix zeros, then the code, each through :func:`write_bits`."""
     if value < 0:
         raise ValueError(f"ue() requires value >= 0, got {value}")
     code = value + 1
     width = code.bit_length()
-    writer.write_bits(0, width - 1)
-    writer.write_bits(code, width)
+    write_bits(writer, 0, width - 1)
+    write_bits(writer, code, width)
 
 
 def write_se(writer, value):
@@ -1249,10 +1316,11 @@ def write_se(writer, value):
 
 
 def encode_block(writer, block):
-    """ue(count), then ue(run) and se(level) per nonzero level, one
-    :func:`write_ue` per code."""
+    """One 4x4 block run-level coded, one :func:`write_ue` per code:
+    ue(count), then ue(zero run) and se(level) per nonzero level in zigzag
+    order; returns the bits written."""
     start = writer.bit_count
-    scan = entropy_mod._zigzag(entropy_mod._checked_batch(np.asarray(block)[None])[0])
+    scan = entropy_mod._checked_batch(np.asarray(block)[None])[0][ZIGZAG_4X4]
     nz_positions = np.nonzero(scan)[0]
     write_ue(writer, len(nz_positions))
     prev = -1
@@ -1724,13 +1792,10 @@ def emit_intra4_sequential(self, ctx, mb_y, mb_x, qp_mb, writer, rc):
 _CODEC_ORACLES = (
     (transform_mod, "forward_4x4", forward_4x4),
     (transform_mod, "inverse_4x4", inverse_4x4),
-    (transform_mod, "satd_4x4", satd_4x4),
     (transform_mod, "satd_batch", satd_batch),
     (transform_mod, "satd_16x16", satd_16x16),
     (transform_mod, "hadamard_sad_batch", hadamard_sad_batch),
-    (entropy_mod.BitWriter, "write_bits", write_bits),
     (entropy_mod, "write_ue", write_ue),
-    (entropy_mod, "encode_block", encode_block),
     (entropy_mod, "encode_blocks", encode_blocks),
     (BitReader, "_fill", tokenize_nothing),
     (motion_mod.PaddedReference, "half_pel_block", half_pel_block),
@@ -1780,3 +1845,35 @@ def assert_identical_values(results):
 #: The two codec bodies by their old backend names, for laws each must
 #: keep on its own: ``reference`` runs the oracles, ``vectorized`` src.
 CODECS = {"reference": oracle_codec, "vectorized": nullcontext}
+
+
+# -- fault plans ------------------------------------------------------------
+
+
+def format_fault_plan(specs) -> str:
+    """The canonical plan string of ``FaultSpec``s, clause fields in a fixed
+    order: the writer the round-trip laws hold ``parse_fault_plan`` to
+    (``parse_fault_plan(format_fault_plan(p)) == p``)."""
+    clauses = []
+    for spec in specs:
+        parts = [spec.site]
+        if spec.action == "raise":
+            parts.append(f"raise={spec.exception}")
+        elif spec.action == "stall":
+            parts.append(f"stall={spec.stall_seconds!r}")
+        else:
+            parts.append("kill")
+        if spec.at:
+            parts.append("at=" + "|".join(str(i) for i in spec.at))
+        if spec.every:
+            parts.append(f"every={spec.every}")
+        if spec.rate:
+            parts.append(f"rate={spec.rate!r}")
+        if spec.seed:
+            parts.append(f"seed={spec.seed}")
+        if spec.match:
+            parts.append(f"match={spec.match}")
+        if spec.max_triggers:
+            parts.append(f"max={spec.max_triggers}")
+        clauses.append(",".join(parts))
+    return ";".join(clauses)

@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.codec.options import EncoderOptions
 from repro.experiments.runner import QUICK
 from repro.profiling.perf import record_trace
-from repro.trace.events import MemoryEvent, TraceColumns
+from repro.trace.events import MemoryEvent
 from repro.uarch.cache import (
     REPLAY_WINDOW_ADDRS,
     Cache,
@@ -39,6 +39,7 @@ from repro.uarch.config import CacheParams
 from repro.uarch.configs import CONFIG_NAMES, config_by_name
 from repro.uarch.simulator import simulate
 from repro.video.vbench import cached_video
+from tests.oracles import columns_from_events
 
 LINE = 64
 N_SETS = (1, 2, 3, 10, 21, 170)
@@ -86,7 +87,7 @@ def batched(
     """The same events through ``HierarchyReplay``, one window per gap
     between consecutive ``cuts`` (event indices)."""
     replay = HierarchyReplay(params)
-    trace = TraceColumns.from_events(events)
+    trace = columns_from_events(events)
     edges = [0, *sorted(cuts), len(events)]
     for lo, hi in zip(edges, edges[1:]):
         replay.replay(trace, lo, hi)

@@ -25,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.codec import gop
 from repro.codec.entropy import _INT32_MAX, _INT32_MIN, BitWriter, _fold_batch
-from repro.codec.gop import _inter_cost, _probe, plan_gop, scene_change_score
+from repro.codec.gop import _inter_cost, _probe, plan_gop
 from repro.codec.options import EncoderOptions
 from repro.codec.quant import _level_bits, qstep, rd_lambda, trellis_quantize
 from repro.codec.transform import forward_4x4
@@ -35,6 +35,7 @@ from tests.oracles import (
     fold_batch_numpy,
     inter_cost_per_shift,
     level_bits_log2,
+    scene_change_score,
     trellis_quantize_two_pass,
 )
 

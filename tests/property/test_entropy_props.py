@@ -1,7 +1,7 @@
 """Property-based tests for the entropy coder (exp-Golomb, block coding),
 including the reader-equivalence contract: the tokenizing reader and the
 bit-serial oracle (``tests.oracles.SerialBitReader``) return the same
-values, the same ``bits_read`` after every read, and the same exception
+values, the same bit position after every read, and the same exception
 class at the same read, whatever the bytes and wherever the tokenizer's
 windows fall."""
 
@@ -18,11 +18,8 @@ from repro.codec.entropy import (
     BitReader,
     BitstreamError,
     BitWriter,
-    block_bits,
-    decode_block,
+    BlockBatches,
     decode_blocks,
-    decode_tagged_blocks,
-    encode_block,
     encode_blocks,
     read_se,
     read_ue,
@@ -31,7 +28,16 @@ from repro.codec.entropy import (
     write_se,
     write_ue,
 )
-from tests.oracles import SerialBitReader
+from tests.oracles import SerialBitReader, encode_block
+
+
+def _decode_one(reader):
+    return decode_blocks(reader, 1)[0]
+
+
+def _bits_of(block):
+    """What ``encode_blocks`` reports for ``block`` coded alone."""
+    return encode_blocks(BitWriter(), block[None])[0]
 
 blocks_st = arrays(
     dtype=np.int32,
@@ -84,28 +90,30 @@ class TestBlockCodingProps:
     @settings(max_examples=200)
     def test_block_roundtrip(self, block):
         w = BitWriter()
-        encode_block(w, block)
-        decoded = decode_block(BitReader(w.getvalue()))
+        encode_blocks(w, block[None])
+        decoded = _decode_one(BitReader(w.getvalue()))
         assert np.array_equal(decoded, block)
 
     @given(blocks_st)
     def test_block_bits_matches_encoder(self, block):
+        """The bits ``encode_blocks`` reports are the bits it wrote, and
+        the one-code-at-a-time writer's."""
         w = BitWriter()
-        actual = encode_block(w, block)
-        assert block_bits(block) == actual
+        reported = encode_blocks(w, block[None])[0]
+        assert reported == w.bit_count == encode_block(BitWriter(), block)
 
     @given(blocks_st)
     def test_bits_lower_bound(self, block):
         # At least 1 bit (the nnz count) and monotone in nonzero count.
-        assert block_bits(block) >= 1
+        assert _bits_of(block) >= 1
 
     @given(blocks_st, st.integers(min_value=0, max_value=15))
     def test_zeroing_never_increases_cost(self, block, pos):
         """Dropping one coefficient can only shrink the bit cost."""
-        before = block_bits(block)
+        before = _bits_of(block)
         zeroed = block.copy()
         zeroed[pos // 4, pos % 4] = 0
-        assert block_bits(zeroed) <= before
+        assert _bits_of(zeroed) <= before
 
     @given(st.lists(blocks_st, min_size=1, max_size=8))
     def test_concatenated_blocks_roundtrip(self, blocks):
@@ -114,13 +122,13 @@ class TestBlockCodingProps:
             encode_block(w, b)
         r = BitReader(w.getvalue())
         for b in blocks:
-            assert np.array_equal(decode_block(r), b)
+            assert np.array_equal(_decode_one(r), b)
 
     @given(st.binary(min_size=0, max_size=64))
     def test_decoder_never_hangs_on_garbage(self, data):
         """Arbitrary bytes either decode or raise cleanly."""
         try:
-            decode_block(BitReader(data))
+            _decode_one(BitReader(data))
         except (ValueError, EOFError):
             pass
 
@@ -183,13 +191,17 @@ def _apply(reader, op, arg):
         if op == "bit":
             return reader.read_bit()
         if op == "bits":
-            return reader.read_bits(arg)
+            value = 0
+            for _ in range(arg):
+                value = (value << 1) | reader.read_bit()
+            return value
         if op == "block":
-            return decode_block(reader).tolist()
+            return _decode_one(reader).tolist()
         if op == "blocks":
             return decode_blocks(reader, arg).tolist()
-        tags, blocks = decode_tagged_blocks(reader, arg)
-        return tags, blocks.tolist()
+        batches = BlockBatches(reader)
+        tags = batches.read(arg, tagged=True)
+        return tags, batches.levels().tolist()
     except BitstreamError as exc:
         return type(exc)
 
@@ -197,14 +209,14 @@ def _apply(reader, op, arg):
 def _assert_same_reads(data, ops, window):
     """Both readers agree on every outcome and position; reading stops at
     the first rejection (a reader's state after one is unspecified beyond
-    ``bits_read``, which must still agree)."""
+    the bit position, which must still agree)."""
     serial, tokenized = _readers(data)
     with mock.patch.object(entropy, "TOKEN_WINDOW_BYTES", window):
         for step, (op, arg) in enumerate(ops):
             want = _apply(serial, op, arg)
             got = _apply(tokenized, op, arg)
             assert got == want, (step, op, arg)
-            assert tokenized.bits_read == serial.bits_read, (step, op, arg)
+            assert tokenized._pos == serial._pos, (step, op, arg)
             if isinstance(want, type):
                 break
 
@@ -222,14 +234,14 @@ class TestReaderEquivalence:
             for kind, value in codes:
                 read = read_ue if kind == "ue" else read_se
                 assert read(tokenized) == read(serial) == value
-                assert tokenized.bits_read == serial.bits_read
-        assert serial.bits_read == w.bit_count
+                assert tokenized._pos == serial._pos
+        assert serial._pos == w.bit_count
 
     @given(st.lists(batch_st, min_size=1, max_size=4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_block_batches_read_back_identically(self, window, batches, data):
         """``encode_blocks`` batches, read back in differently sized
-        ``decode_blocks`` batches: n blocks are n x ``decode_block``."""
+        ``decode_blocks`` batches: n blocks are n one-block reads."""
         w = BitWriter()
         for batch in batches:
             encode_blocks(w, batch)
@@ -240,13 +252,13 @@ class TestReaderEquivalence:
             while done < len(blocks):
                 n = data.draw(st.integers(min_value=1, max_value=len(blocks) - done))
                 got = decode_blocks(tokenized, n)
-                want = np.stack([decode_block(serial) for _ in range(n)])
+                want = np.stack([_decode_one(serial) for _ in range(n)])
                 assert got.dtype == want.dtype == np.int32
                 assert np.array_equal(got, want)
                 assert np.array_equal(got, blocks[done : done + n])
-                assert tokenized.bits_read == serial.bits_read
+                assert tokenized._pos == serial._pos
                 done += n
-        assert serial.bits_read == w.bit_count
+        assert serial._pos == w.bit_count
 
     @given(st.binary(min_size=0, max_size=96))
     @settings(max_examples=100, deadline=None)

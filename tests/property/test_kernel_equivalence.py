@@ -286,7 +286,7 @@ def _count_fills(monkeypatch):
     fills = []
     original = BitReader._fill
     monkeypatch.setattr(
-        BitReader, "_fill", lambda self: fills.append(self.bits_read) or original(self)
+        BitReader, "_fill", lambda self: fills.append(self._pos) or original(self)
     )
     return fills
 

@@ -23,7 +23,6 @@ from repro.codec.decoder import decode
 from repro.codec.encoder import Encoder, _FrameContext
 from repro.codec.entropy import (
     BitWriter,
-    encode_block,
     encode_tagged_blocks,
     write_ue,
 )
@@ -37,7 +36,12 @@ from repro.trace.kernels import build_program
 from repro.trace.recorder import RecordingTracer
 from repro.video.frame import Frame, FrameSequence
 from repro.video.synthetic import SceneSpec, generate_scene
-from tests.oracles import against_oracles, assert_identical_values, assert_same_events
+from tests.oracles import (
+    against_oracles,
+    assert_identical_values,
+    assert_same_events,
+    encode_block,
+)
 
 HEIGHT, WIDTH = 48, 64  # 3 x 4 macroblocks: corners, edges and an interior
 #: One macroblock (pixel position) per frame-edge class.
@@ -293,7 +297,7 @@ def test_satd_16x16_is_satd_4x4_of_the_blocks(sixteenths, quarter_pel):
     def run():
         value = transform.satd_16x16(diff)
         assert type(value) is float
-        assert value == transform.satd_4x4(blockify_16x16(diff))
+        assert value == transform.satd_batch(blockify_16x16(diff)[None])[0]
         return value
 
     assert_identical_values(against_oracles(run))

@@ -23,13 +23,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.resilience.faults import (
-    FaultSpec,
-    InjectedFault,
-    format_fault_plan,
-    parse_fault_plan,
-)
+from repro.resilience.faults import FaultSpec, InjectedFault, parse_fault_plan
 from repro.resilience.retry import PERMANENT_OS_ERRORS, RetryPolicy, call_with_retry
+from tests.oracles import format_fault_plan
 
 # -- strategies ---------------------------------------------------------
 

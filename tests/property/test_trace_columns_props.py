@@ -56,6 +56,7 @@ from repro.uarch.configs import CONFIG_NAMES, config_by_name
 from repro.uarch.simulator import simulate
 from repro.video.vbench import cached_video
 from tests.oracles import (
+    columns_from_events,
     event_windows,
     per_event_models,
     sliding_two_level_mispredicts,
@@ -76,14 +77,12 @@ def _totals(stream: TraceStream) -> dict:
         instr_by_kernel=dict(stream.instr_by_kernel),
         kernel_calls=dict(stream.kernel_calls),
         n_frames=stream.n_frames,
-        data_reads=stream.data_reads,
-        data_writes=stream.data_writes,
     )
 
 
 def _fresh_copy(stream: TraceStream) -> TraceStream:
     """The same trace rebuilt from its events: new columns, no cached view."""
-    return TraceStream.from_events(stream.events, **_totals(stream))
+    return TraceStream(columns_from_events(stream.events), **_totals(stream))
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +93,13 @@ def traces(busy_video):
     options = EncoderOptions(crf=20, refs=2, bframes=1, trellis=1)
     _, exact, _ = record_trace(busy_video, options, program=program)
     _, sampled, _ = record_trace(busy_video, options, program=program, sample=3)
-    fractional = TraceStream.from_events(
-        [
-            replace(event, weight=FRACTIONS[i % len(FRACTIONS)])
-            for i, event in enumerate(exact.events)
-        ],
+    fractional = TraceStream(
+        columns_from_events(
+            [
+                replace(event, weight=FRACTIONS[i % len(FRACTIONS)])
+                for i, event in enumerate(exact.events)
+            ]
+        ),
         **_totals(exact),
     )
     return program, {"exact": exact, "sampled": sampled, "fractional": fractional}
@@ -166,7 +167,7 @@ class TestEqualsPerEventWalk:
         st.integers(1, 25),
     )
     def test_windows_cut_where_the_event_walk_cuts(self, events, bound):
-        windows = list(TraceColumns.from_events(events).windows(bound))
+        windows = list(columns_from_events(events).windows(bound))
         expected = list(event_windows(events, bound))
         assert [(w.n_events, w.n_addrs) for w in windows] == [
             (len(window), n_addrs) for window, n_addrs in expected

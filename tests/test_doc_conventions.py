@@ -13,7 +13,10 @@ neither the service and load-test stack nor scipy, that no module under
 that leaf, and that the ``repro`` imports of ``examples/`` and
 ``benchmarks/`` (which no tier-1 test runs) resolve.
 
-The docs-drift audit at the bottom holds docs/CONFIGURATION.md to the
+The dead-surface gate at the bottom holds every exported name to having
+a user outside ``tests/`` (docs/ARCHITECTURE.md, "Layer map").
+
+The docs-drift audit holds docs/CONFIGURATION.md to the
 same standard, row by row against ``repro.api.settings.FIELD_TABLE``:
 the doc's table line for a ``Settings`` field must carry that field's
 environment variable and CLI flag spelling, so a knob that is added,
@@ -531,3 +534,214 @@ def test_example_and_benchmark_imports_resolve():
                         + (f" has no {name}" if name else " does not import")
                     )
     assert not problems, "stale repro imports:\n" + "\n".join(problems)
+
+
+# ----------------------------------------------------------------------
+# Dead-surface gate: every exported name has a user outside tests/
+# ----------------------------------------------------------------------
+
+#: Where a public name's users live: the package itself, the benchmark
+#: harness, the tools, the examples and the paper-figure benchmarks
+#: (every file under ``benchmarks/`` is one, whatever pytest calls it).
+#: ``tests/`` is not a user: a name that only its own test calls is dead.
+USER_ROOTS = ("src", "perfbench", "tools", "examples", "benchmarks")
+
+#: Caught names kept on purpose. Only members of ``repro.api``'s public
+#: records may stand here, each with its reason; anything else the gate
+#: catches is deleted, or moved into ``tests/oracles.py`` when a test
+#: compares against it.
+DEAD_SURFACE_ALLOWLIST = {
+    # Part of the job record `repro.api.serve` hands to callers (on
+    # `ServiceReport.statuses`), for a caller that polls job states.
+    "repro.api.types.JobStatus.terminal",
+}
+
+#: A string literal that names code: an identifier, a dotted path or a
+#: ``"module:attribute"`` registry entry. Prose and messages do not count.
+_NAME_LIKE = re.compile(r"[\w.]+(?::[\w.]+)?")
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _assigned_names(node) -> list[str]:
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _all_assignment(tree: ast.Module):
+    """The module-level ``__all__`` assignment, or ``None``."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            "__all__" in _assigned_names(node)
+        ):
+            return node
+    return None
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def public_surface(root: Path, package: str) -> dict[str, tuple]:
+    """``module.name`` -> (name, path, first line, last line) for every
+    ``__all__`` entry that a module under ``root/src/package`` defines,
+    plus ``module.Class.member`` for each public method or property of
+    an exported class. A name a module only re-exports is its home's."""
+    src = root / "src"
+    surface = {}
+    for path in sorted((src / package).rglob("*.py")):
+        tree = _parse(path)
+        declared = _all_assignment(tree)
+        if declared is None:
+            continue
+        exported = {
+            node.value for node in ast.walk(declared.value)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                names = _assigned_names(stmt)
+            else:
+                continue
+            for name in exported.intersection(names):
+                surface[f"{module}.{name}"] = (name, path, stmt.lineno, stmt.end_lineno)
+                if not isinstance(stmt, ast.ClassDef):
+                    continue
+                for member in stmt.body:
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                        not member.name.startswith("_")
+                    ):
+                        surface[f"{module}.{name}.{member.name}"] = (
+                            member.name, path, member.lineno, member.end_lineno,
+                        )
+    return surface
+
+
+def _words(node) -> list[str]:
+    """The names ``node`` uses: a loaded ``Name`` or ``Attribute``, each
+    part of an import alias, a keyword argument, or the words of a
+    name-like string literal."""
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        return [node.id]
+    if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [*node.name.split("."), *filter(None, [node.asname])]
+    if isinstance(node, ast.keyword) and node.arg:
+        return [node.arg]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+        _NAME_LIKE.fullmatch(node.value)
+    ):
+        return _WORD.findall(node.value)
+    return []
+
+
+def _user_files(root: Path) -> list[Path]:
+    """Every ``.py`` file under ``USER_ROOTS`` but a test: ``test_*.py``
+    or ``conftest.py`` outside ``benchmarks/``."""
+    return [
+        path
+        for top in USER_ROOTS
+        for path in sorted((root / top).rglob("*.py"))
+        if top == "benchmarks"
+        or not (path.name.startswith("test_") or path.name == "conftest.py")
+    ]
+
+
+def name_uses(root: Path) -> dict[str, list[tuple[Path, int]]]:
+    """Every name the user files use -> where: (path, line). The strings
+    of a module's ``__all__`` are declarations, not uses."""
+    found: dict[str, list[tuple[Path, int]]] = {}
+    for path in _user_files(root):
+        tree = _parse(path)
+        declared = _all_assignment(tree)
+        skip = {id(node) for node in ast.walk(declared)} if declared else set()
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            for word in _words(node):
+                found.setdefault(word, []).append((path, node.lineno))
+    return found
+
+
+def dead_public_surface(root: Path, package: str) -> list[str]:
+    """The :func:`public_surface` entries whose name no user file uses
+    outside the lines of that entry's own definition."""
+    uses = name_uses(root)
+    return sorted(
+        qualname
+        for qualname, (name, path, first, last) in public_surface(root, package).items()
+        if all(
+            where == path and first <= line <= last
+            for where, line in uses.get(name, ())
+        )
+    )
+
+
+def test_no_dead_public_surface():
+    """Each name in a `src/repro` module's `__all__`, and each public
+    method or property of a class exported that way, is used by a non-test
+    file under `USER_ROOTS` — matched by bare name, so a name some other
+    object also uses is never caught. Delete what this catches; a
+    reference a test compares against moves into `tests/oracles.py`."""
+    assert all(name.startswith("repro.api.") for name in DEAD_SURFACE_ALLOWLIST)
+    dead = set(dead_public_surface(_REPO_ROOT, "repro"))
+    stale = sorted(DEAD_SURFACE_ALLOWLIST - dead)
+    assert not stale, f"allowlisted names that have a user now: {stale}"
+    caught = sorted(dead - DEAD_SURFACE_ALLOWLIST)
+    assert not caught, (
+        "public names with no user outside tests/:\n" + "\n".join(caught)
+    )
+
+
+def _toy_repo(root: Path) -> Path:
+    """``root/src/toy``: one module exporting a function and a class,
+    each of which only uses itself."""
+    pkg = root / "src" / "toy"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text('"""Toy."""\n\n__all__ = []\n')
+    (pkg / "mod.py").write_text(
+        '__all__ = ["helper", "Box"]\n'
+        "\n"
+        "def helper(n):\n"
+        '    """Mentions helper in prose."""\n'
+        "    return helper(n - 1) if n else 0\n"
+        "\n"
+        "class Box:\n"
+        "    def open(self):\n"
+        "        return Box()\n"
+    )
+    return root
+
+
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def test_dead_surface_gate_flags_a_function_with_no_user(tmp_path):
+    """Uses inside a name's own definition, prose, messages and callers
+    under tests/ or in a test file under a user root are not users."""
+    root = _toy_repo(tmp_path)
+    _write(root / "tests" / "test_mod.py", "from toy.mod import helper\nhelper(1)\n")
+    _write(root / "perfbench" / "test_smoke.py", "from toy.mod import helper\n")
+    _write(root / "tools" / "note.py", 'print("helper is slow")\n')
+    assert dead_public_surface(root, "toy") == [
+        "toy.mod.Box", "toy.mod.Box.open", "toy.mod.helper",
+    ]
+
+
+def test_dead_surface_gate_passes_a_tools_caller(tmp_path):
+    root = _toy_repo(tmp_path)
+    _write(root / "tools" / "run.py", "from toy import mod\nmod.helper(2)\n")
+    assert "toy.mod.helper" not in dead_public_surface(root, "toy")
+
+
+def test_dead_surface_gate_passes_a_registry_string(tmp_path):
+    root = _toy_repo(tmp_path)
+    _write(root / "src" / "toy" / "registry.py",
+           '__all__ = []\nENTRIES = {"h": "toy.mod:helper", "b": ("toy.mod", "Box")}\n')
+    assert dead_public_surface(root, "toy") == ["toy.mod.Box.open"]

@@ -14,6 +14,13 @@ from repro.api.settings import FIELD_TABLE
 from repro.experiments import parallel as engine
 from repro.resilience import faults
 from repro.resilience.retry import RetryPolicy, retry_policy
+from tests.oracles import format_fault_plan
+
+
+def _installed_plan():
+    """The fault plan ``Settings.apply`` installed, or ``None``."""
+    return faults._plan
+
 
 ALL_ENV = (
     "REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_KERNELS", "REPRO_FAULT_PLAN",
@@ -175,7 +182,7 @@ class TestApply:
         assert s.apply() is s
         assert engine.default_jobs() == 2
         assert retry_policy().max_attempts == 4
-        assert faults.active_plan() is not None
+        assert _installed_plan() is not None
 
     def test_apply_without_cache_disables_it(self):
         Settings(cache_enabled=False).apply()
@@ -194,13 +201,13 @@ class TestApply:
         Settings().apply()
         assert engine.default_jobs() == 1
         assert engine.default_cache() is None
-        assert not faults.active_plan()
+        assert not _installed_plan()
         assert retry_policy().max_attempts == 3
 
         Settings.from_env().apply()
         assert engine.default_jobs() == 5
         assert engine.default_cache().root == tmp_path / "envcache"
-        assert faults.active_plan() == faults.parse_fault_plan(plan)
+        assert _installed_plan() == faults.parse_fault_plan(plan)
         assert retry_policy().max_attempts == 7
 
 
@@ -261,7 +268,7 @@ SUBSYSTEM_STATE = {
     "jobs": engine.default_jobs,
     "cache_dir": _cache_root,
     "retry": retry_policy,
-    "fault_plan": lambda: faults.format_fault_plan(faults.active_plan() or ()),
+    "fault_plan": lambda: format_fault_plan(_installed_plan() or ()),
 }
 
 

@@ -11,12 +11,9 @@ from repro.codec.entropy import (
     BitReader,
     BitstreamError,
     BitWriter,
+    BlockBatches,
     TruncatedBitstreamError,
-    block_bits,
-    decode_block,
     decode_blocks,
-    decode_tagged_blocks,
-    encode_block,
     encode_blocks,
     encode_tagged_blocks,
     read_se,
@@ -26,7 +23,23 @@ from repro.codec.entropy import (
     write_se,
     write_ue,
 )
-from tests.oracles import CODECS, SerialBitReader
+from tests.oracles import CODECS, SerialBitReader, encode_block, write_bit
+
+
+def _decode_one(reader):
+    """One block through the live batch reader."""
+    return decode_blocks(reader, 1)[0]
+
+
+def _decode_tagged(reader, n):
+    """``n`` (ue tag, block) pairs, read as the decoder reads them."""
+    batches = BlockBatches(reader)
+    return batches.read(n, tagged=True), batches.levels()
+
+
+def _bits_of(block):
+    """What ``encode_blocks`` reports for ``block`` coded alone."""
+    return encode_blocks(BitWriter(), block[None])[0]
 
 
 class TestBitIO:
@@ -34,30 +47,30 @@ class TestBitIO:
         w = BitWriter()
         bits = [1, 0, 1, 1, 0, 0, 1, 0, 1]
         for b in bits:
-            w.write_bit(b)
+            write_bit(w, b)
         r = BitReader(w.getvalue())
         assert [r.read_bit() for _ in range(len(bits))] == bits
 
     def test_write_bits_msb_first(self):
         w = BitWriter()
-        w.write_bits(0b1011, 4)
-        w.write_bits(0, 4)
+        w.append_bits(0b1011, 4)
+        w.append_bits(0, 4)
         assert w.getvalue() == bytes([0b10110000])
 
     def test_bit_count_tracks(self):
         w = BitWriter()
-        w.write_bits(0, 13)
+        w.append_bits(0, 13)
         assert w.bit_count == 13
 
     def test_reader_eof(self):
         r = BitReader(b"\xff")
-        r.read_bits(8)
+        assert [r.read_bit() for _ in range(8)] == [1] * 8
         with pytest.raises(EOFError):
             r.read_bit()
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
-            BitWriter().write_bits(1, -1)
+            BitWriter().append_bits(1, -1)
 
 
 class TestExpGolomb:
@@ -120,8 +133,8 @@ class TestExpGolomb:
 class TestBlockCoding:
     def _roundtrip(self, block):
         w = BitWriter()
-        encode_block(w, block)
-        return decode_block(BitReader(w.getvalue()))
+        encode_blocks(w, block[None])
+        return _decode_one(BitReader(w.getvalue()))
 
     def test_zero_block(self):
         block = np.zeros((4, 4), dtype=np.int32)
@@ -140,34 +153,36 @@ class TestBlockCoding:
 
     def test_zero_block_costs_one_bit(self):
         w = BitWriter()
-        bits = encode_block(w, np.zeros((4, 4), dtype=np.int32))
-        assert bits == 1  # ue(0)
+        bits = encode_blocks(w, np.zeros((1, 4, 4), dtype=np.int32))
+        assert bits == [1] and w.bit_count == 1  # ue(0)
 
     def test_block_bits_matches_encoder(self):
+        """The bits ``encode_blocks`` reports for a block are the bits it
+        wrote, and the one-code-at-a-time writer's."""
         rng = np.random.default_rng(1)
         for _ in range(20):
             block = (rng.integers(0, 4, (4, 4)) * rng.integers(-8, 9, (4, 4))).astype(
                 np.int32
             )
             w = BitWriter()
-            actual = encode_block(w, block)
-            assert block_bits(block) == actual
+            reported = encode_blocks(w, block[None])[0]
+            assert reported == w.bit_count == encode_block(BitWriter(), block)
 
     def test_sparser_blocks_cheaper(self):
         dense = np.full((4, 4), 3, dtype=np.int32)
         sparse = np.zeros((4, 4), dtype=np.int32)
         sparse[0, 0] = 3
-        assert block_bits(sparse) < block_bits(dense)
+        assert _bits_of(sparse) < _bits_of(dense)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            encode_block(BitWriter(), np.zeros((8, 8), dtype=np.int32))
+            encode_blocks(BitWriter(), np.zeros((8, 8), dtype=np.int32)[None])
 
     def test_corrupt_nnz_rejected(self):
         w = BitWriter()
         write_ue(w, 17)  # claims 17 nonzero coefficients in a 16-coeff block
         with pytest.raises(ValueError, match="corrupt"):
-            decode_block(BitReader(w.getvalue()))
+            _decode_one(BitReader(w.getvalue()))
 
     def test_corrupt_run_overflow_rejected(self):
         w = BitWriter()
@@ -177,7 +192,7 @@ class TestBlockCoding:
         write_ue(w, 0)  # second coeff would overflow
         write_se(w, 1)
         with pytest.raises(ValueError, match="overflow"):
-            decode_block(BitReader(w.getvalue()))
+            _decode_one(BitReader(w.getvalue()))
 
 
 def _random_batch(seed, n, magnitude):
@@ -244,7 +259,7 @@ class TestEncodeBlocks:
         data, _, _ = self._encode("vectorized", blocks)
         reader = BitReader(data)
         for block in blocks:
-            assert np.array_equal(decode_block(reader), block)
+            assert np.array_equal(_decode_one(reader), block)
 
     def test_fold_is_one_bulk_append(self):
         blocks = _random_batch(6, 12, 4)
@@ -276,7 +291,7 @@ def _count_fills(monkeypatch):
     original = BitReader._fill
 
     def counting(self):
-        fills.append(self.bits_read)
+        fills.append(self._pos)
         return original(self)
 
     monkeypatch.setattr(BitReader, "_fill", counting)
@@ -304,7 +319,7 @@ class TestTypedErrors:
         with pytest.raises(BitstreamError, match="malformed") as excinfo:
             read_ue(reader)
         assert not isinstance(excinfo.value, EOFError)
-        assert reader.bits_read == 65
+        assert reader._pos == 65
 
     @pytest.mark.parametrize("codec", CODECS)
     def test_level_beyond_int32_rejected(self, codec):
@@ -313,7 +328,7 @@ class TestTypedErrors:
         write_ue(w, 0)
         write_se(w, 2**31)
         with pytest.raises(BitstreamError, match="level out of range"):
-            decode_block(_reader(codec, w.getvalue()))
+            _decode_one(_reader(codec, w.getvalue()))
 
     def test_argument_errors_stay_plain_value_errors(self):
         with pytest.raises(ValueError) as excinfo:
@@ -322,9 +337,10 @@ class TestTypedErrors:
 
 
 def _write_one(writer, entry, blocks):
-    """``blocks`` through one of the three block writers."""
+    """``blocks`` through one of the block writers; ``encode_block`` is
+    ``encode_blocks`` on the first block alone."""
     if entry == "encode_block":
-        return entropy.encode_block(writer, blocks[0])
+        return entropy.encode_blocks(writer, blocks[:1])
     if entry == "encode_blocks":
         return entropy.encode_blocks(writer, blocks)
     return encode_tagged_blocks(writer, [0] * len(blocks), blocks)
@@ -369,7 +385,7 @@ class TestWriterRefusesWhatTheReaderRefuses:
             _write_one(writer, entry, blocks[:1] if entry == "encode_block" else blocks)
             reader = BitReader(writer.getvalue())
             if entry == "encode_tagged_blocks":
-                tags, got = decode_tagged_blocks(reader, 2)
+                tags, got = _decode_tagged(reader, 2)
                 assert tags == [0, 0]
             else:
                 got = decode_blocks(reader, 1 if entry == "encode_block" else 2)
@@ -411,7 +427,7 @@ class TestTokenizedReader:
         with _window(window):
             for v in values:
                 assert read_ue(tokenized) == read_ue(serial) == v
-                assert tokenized.bits_read == serial.bits_read
+                assert tokenized._pos == serial._pos
 
     def test_reference_reader_never_tokenizes(self, monkeypatch):
         fills = _count_fills(monkeypatch)
@@ -466,7 +482,7 @@ class TestTokenizedReader:
             assert read_ue(reader) == 0
             with pytest.raises(BitstreamError, match="malformed"):
                 read_ue(reader)
-        assert tokenized.bits_read == serial.bits_read == 1 + 65
+        assert tokenized._pos == serial._pos == 1 + 65
 
     @pytest.mark.parametrize("window", _WINDOWS)
     def test_truncated_tail_raises_at_the_same_code(self, window):
@@ -477,7 +493,7 @@ class TestTokenizedReader:
                 assert [read_ue(reader) for _ in range(3)] == [3, 3, 3]
                 with pytest.raises(TruncatedBitstreamError):
                     read_ue(reader)
-        assert tokenized.bits_read == serial.bits_read == len(data) * 8
+        assert tokenized._pos == serial._pos == len(data) * 8
 
     @pytest.mark.parametrize("window", _WINDOWS)
     def test_direct_bit_reads_may_be_mixed_in(self, window):
@@ -486,10 +502,11 @@ class TestTokenizedReader:
         with _window(window):
             for reader in (serial, tokenized):
                 got = [read_ue(reader), reader.read_bit(), read_ue(reader),
-                       reader.read_bits(3), read_ue(reader), read_se(reader)]
+                       [reader.read_bit() for _ in range(3)], read_ue(reader),
+                       read_se(reader)]
                 if reader is serial:
-                    want, want_pos = got, reader.bits_read
-            assert got == want and tokenized.bits_read == want_pos
+                    want, want_pos = got, reader._pos
+            assert got == want and tokenized._pos == want_pos
 
     def test_empty_stream(self):
         with pytest.raises(TruncatedBitstreamError):
@@ -497,7 +514,7 @@ class TestTokenizedReader:
 
 
 class TestDecodeBlocks:
-    """``decode_blocks(r, n)`` is ``n`` x ``decode_block``, on both readers
+    """``decode_blocks(r, n)`` is ``n`` one-block reads, on both readers
     and however the batch falls across the tokenizer's windows."""
 
     @staticmethod
@@ -513,7 +530,7 @@ class TestDecodeBlocks:
         blocks = _BATCHES[name]
         data = self._coded(blocks)
         serial = _reader("reference", data)
-        want = [decode_block(serial) for _ in blocks]
+        want = [_decode_one(serial) for _ in blocks]
         for codec in CODECS:
             reader = _reader(codec, data)
             with _window(window):
@@ -521,7 +538,7 @@ class TestDecodeBlocks:
             assert got.shape == (len(blocks), 4, 4) and got.dtype == np.int32
             assert np.array_equal(got, blocks)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            assert reader.bits_read == serial.bits_read
+            assert reader._pos == serial._pos
             assert read_ue(reader) == 41
 
     def test_batch_is_one_pass_over_the_table(self, monkeypatch):
@@ -551,7 +568,7 @@ class TestDecodeBlocks:
                 assert np.array_equal(decode_blocks(reader, 16), blocks)
         # The third batch straddles the first window's end, so the second
         # fill starts at that batch's first bit, not at the window's end.
-        assert fills == [0, reader.bits_read // 2]
+        assert fills == [0, reader._pos // 2]
 
     @pytest.mark.parametrize("window", _WINDOWS)
     def test_tagged_batch_matches_the_pair_loop(self, window):
@@ -567,7 +584,7 @@ class TestDecodeBlocks:
         for codec in CODECS:
             reader = _reader(codec, data)
             with _window(window):
-                got_tags, got = decode_tagged_blocks(reader, 16)
+                got_tags, got = _decode_tagged(reader, 16)
             assert got_tags == tags and np.array_equal(got, blocks)
             assert all(type(t) is int for t in got_tags)
             assert read_ue(reader) == 41
@@ -593,6 +610,6 @@ class TestDecodeBlocks:
             reader = _reader(codec, data)
             with pytest.raises(BitstreamError) as excinfo:
                 decode_blocks(reader, 8)
-            outcomes.append((type(excinfo.value), str(excinfo.value), reader.bits_read))
+            outcomes.append((type(excinfo.value), str(excinfo.value), reader._pos))
         assert outcomes[0] == outcomes[1]
         assert (outcomes[0][0] is TruncatedBitstreamError) == (fault == "truncated")

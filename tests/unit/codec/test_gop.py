@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.codec.gop import plan_gop, scene_change_score
+from repro.codec.gop import plan_gop
 from repro.codec.options import EncoderOptions
 from repro.codec.types import FrameType
 from repro.video.frame import FrameSequence
 from repro.video.synthetic import SceneSpec, generate_scene
+from tests.oracles import scene_change_score
 
 
 def _clip(n=8, cut_period=0, motion=0.3, seed=2):

@@ -114,5 +114,5 @@ class TestScheduleMechanics:
     def test_empty_schedule(self):
         empty = ArrivalSchedule(())
         assert len(empty) == 0
-        assert empty.inter_arrivals() == ()
+        assert tuple(empty) == ()
         assert len(empty.digest()) == 64

@@ -5,6 +5,7 @@ import pytest
 
 from repro.codec.encoder import Encoder
 from repro.codec.options import EncoderOptions
+from repro.codec.tracemodel import LoopOptimizations
 from repro.optim.autofdo import autofdo_optimize, fdo_layout
 from repro.optim.graphite import GRAPHITE_FLAGS, analyze_kernels
 from repro.optim.pipeline import build_autofdo, build_default, build_graphite
@@ -115,7 +116,7 @@ class TestGraphite:
         assert "me_sad" in report.rejected  # sequential search, not tileable
 
     def test_loop_opts_helper(self):
-        assert analyze_kernels(KERNELS).loop_opts.any_enabled
+        assert analyze_kernels(KERNELS).loop_opts != LoopOptimizations()
 
     def test_describe(self):
         text = analyze_kernels(KERNELS).describe()
@@ -126,14 +127,14 @@ class TestBuilds:
     def test_default_build(self):
         build = build_default()
         assert build.name == "default"
-        assert not build.loop_opts.any_enabled
+        assert build.loop_opts == LoopOptimizations()
         assert "-O2" in build.flags
 
     def test_graphite_build_flags(self):
         build = build_graphite()
         for flag in GRAPHITE_FLAGS:
             assert flag in build.flags
-        assert build.loop_opts.any_enabled
+        assert build.loop_opts != LoopOptimizations()
 
     def test_autofdo_build(self, training_stream):
         build = build_autofdo(collect_profile([training_stream]))

@@ -364,3 +364,38 @@ class TestControlRun:
         text = report.render()
         assert "policy=smart" in text
         assert "paper: +3.72" in text
+
+
+class TestReportIsARead:
+    """`report()` summarizes and publishes nothing; `run_service`
+    publishes each pass's `service.<policy>.*` gauges once, from the
+    reports it holds."""
+
+    def test_report_leaves_the_metrics_registry_unchanged(self):
+        from repro.obs.session import telemetry_session
+        from repro.service.clock import VirtualClock
+
+        with telemetry_session() as tel:
+            service = TranscodeService(ServiceConfig(**TINY), clock=VirtualClock())
+            service.submit_many(table3_requests(2))
+            service.run_until_idle()
+            before = tel.metrics.export_state()
+            report = service.report()
+            assert tel.metrics.export_state() == before
+        assert report.completed == 2
+
+    def test_run_service_publishes_each_pass_from_its_report(self):
+        from repro.obs.session import telemetry_session
+
+        with telemetry_session() as tel:
+            report = run_service(
+                table3_requests(2), ServiceConfig(**TINY), control=True
+            )
+            gauges = tel.metrics.export_state()["gauges"]
+        for run in (report, report.control):
+            prefix = f"service.{run.policy}"
+            assert gauges[f"{prefix}.mean_latency_cycles"] == run.mean_latency_cycles
+            assert gauges[f"{prefix}.mean_speedup_pct"] == run.mean_speedup_pct
+            assert gauges[f"{prefix}.jobs_completed"] == float(run.completed)
+            assert gauges[f"{prefix}.cost_usd"] == run.cost_usd
+        assert gauges["service.margin_vs_control_pp"] == report.margin_vs_control_pp

@@ -47,6 +47,22 @@ def test_budget_stages_resolve(workload):
     assert set(ROWS) == set(budget.TABLES)
 
 
+def test_fleet_replay_top_row_is_the_step_simulate_runs(monkeypatch):
+    """The fleet_replay table's top row wraps the module-level step that
+    every ``simulate()`` call runs once, looked up by name as the tool
+    wraps it: a row on a step ``simulate()`` bypassed would read 0 calls."""
+    from repro.trace.events import TraceStream
+    from repro.trace.kernels import build_program
+    from repro.uarch.configs import baseline_config
+    from repro.uarch.simulator import simulate
+
+    _, owner, attr = budget.TABLES["fleet_replay"].stages[0]
+    step, calls = getattr(owner, attr), []
+    monkeypatch.setattr(owner, attr, lambda *args: calls.append(args) or step(*args))
+    report = simulate(TraceStream(), build_program(), baseline_config())
+    assert len(calls) == 1 and report.instructions == 0
+
+
 def test_budget_accounting_on_a_toy_owner(monkeypatch):
     """Calls per row, nested inclusive times, the split by call arguments, the
     fastest pass, one count of a marked row inside another in the outermost

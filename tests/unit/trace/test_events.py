@@ -7,14 +7,20 @@ from repro.trace.events import (
     BranchEvent,
     KernelEvent,
     MemoryEvent,
-    TraceColumns,
     TraceStream,
 )
 from repro.trace.program import InstrMix
+from tests.oracles import columns_from_events
 
 
 def _addrs(*values):
     return np.array(values, dtype=np.uint64)
+
+
+def _stream(events, **totals):
+    """A stream over a hand-built event list; ``totals`` are the exact
+    counters (``instr=...``, ``n_frames=...``), which no event implies."""
+    return TraceStream(columns_from_events(events), **totals)
 
 
 class TestMemoryEvent:
@@ -31,28 +37,27 @@ class TestMemoryEvent:
 
 class TestTraceStream:
     def test_instruction_totals_accumulate(self):
-        stream = TraceStream()
-        stream.add_instr("a", InstrMix(alu=10, load=5, branch=2))
-        stream.add_instr("a", InstrMix(alu=10, load=5, branch=2))
-        stream.add_instr("b", InstrMix(mul=4, store=1))
+        a = InstrMix(alu=10, load=5, branch=2)
+        b = InstrMix(mul=4, store=1)
+        stream = TraceStream(instr=a + a + b, instr_by_kernel={"a": a + a, "b": b})
         assert stream.total_instructions == 39
         assert stream.total_branches == 4
         assert stream.instr_by_kernel["a"].alu == 20
         assert stream.instr_by_kernel["b"].mul == 4
 
     def test_summary_contents(self):
-        stream = TraceStream.from_events([KernelEvent("a", 1.0)], n_frames=2)
-        stream.add_instr("a", InstrMix(alu=1, branch=1))
-        summary = stream.summary()
-        assert summary["instructions"] == 2
-        assert summary["events"] == 1
-        assert summary["frames"] == 2
+        stream = _stream(
+            [KernelEvent("a", 1.0)], instr=InstrMix(alu=1, branch=1), n_frames=2
+        )
+        assert stream.total_instructions == 2
+        assert stream.columns.n_events == 1
+        assert stream.n_frames == 2
 
     def test_events_keep_their_order(self):
         k = KernelEvent("a", 1.5, 2.0)
         m = MemoryEvent("a", _addrs(0, 64), "w", 0.5)
         b = BranchEvent("a:s", np.array([True, False]), 3.0)
-        events = TraceStream.from_events([m, k, b, k]).events
+        events = _stream([m, k, b, k]).events
         assert [type(e) for e in events] == [
             MemoryEvent, KernelEvent, BranchEvent, KernelEvent
         ]
@@ -73,24 +78,24 @@ class TestTraceStream:
 
     def test_not_an_event_rejected(self):
         with pytest.raises(TypeError, match="not a trace event"):
-            TraceStream.from_events([KernelEvent("a", 1.0), ("a", 1.0)])
+            _stream([KernelEvent("a", 1.0), ("a", 1.0)])
 
     @pytest.mark.parametrize("addrs", [np.array([4, -1]), np.array([4.0]), np.array([np.nan])])
     def test_bad_addresses_rejected(self, addrs):
         with pytest.raises(ValueError, match="address"):
-            TraceStream.from_events([MemoryEvent("a", addrs, "r")])
+            _stream([MemoryEvent("a", addrs, "r")])
 
     @pytest.mark.parametrize(
         "outcomes", [np.array([0.5, 1.0]), np.array([2, 0]), np.array([-1])]
     )
     def test_bad_outcomes_rejected(self, outcomes):
         with pytest.raises(ValueError, match="outcomes"):
-            TraceStream.from_events([BranchEvent("a:s", outcomes)])
+            _stream([BranchEvent("a:s", outcomes)])
 
     def test_a_sealed_trace_takes_no_more_events(self):
         """The events view is a tuple and every column is read-only, so a
         cached view can never describe an older trace."""
-        stream = TraceStream.from_events(
+        stream = _stream(
             [KernelEvent("a", 1.0), MemoryEvent("a", _addrs(0, 1), "r")]
         )
         with pytest.raises(AttributeError):
@@ -105,7 +110,7 @@ class TestTraceStream:
 
 class TestTraceColumns:
     def _columns(self):
-        return TraceColumns.from_events(
+        return columns_from_events(
             [
                 KernelEvent("a", 4.0),
                 MemoryEvent("a", _addrs(0, 8, 64, 65, 0), "r", 2.0),

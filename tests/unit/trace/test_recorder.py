@@ -67,7 +67,7 @@ class TestAddressMap:
         amap = AddressMap()
         base = amap.alloc("empty", 0)
         assert base % 4096 == 0
-        got_base, size = amap.region("empty")
+        got_base, size = amap._regions["empty"]
         assert got_base == base
         assert size == 4096  # rounded up to a full page, never zero
 
@@ -76,7 +76,7 @@ class TestAddressMap:
         a = amap.alloc("x", 4096)
         assert amap.alloc("x", 4096) == a
         # Boundary: exactly the recorded (page-rounded) size is accepted...
-        _, size = amap.region("x")
+        _, size = amap._regions["x"]
         assert amap.alloc("x", size) == a
         # ...one byte more is not.
         with pytest.raises(ValueError, match="reallocated larger"):
@@ -86,7 +86,7 @@ class TestAddressMap:
         amap = AddressMap()
         a = amap.alloc("first", 4096)
         b = amap.alloc("second", 4096)
-        _, a_size = amap.region("first")
+        _, a_size = amap._regions["first"]
         # The second region starts one guard page past the first's end,
         # so no in-bounds address of one region touches the other's page.
         assert b == a + a_size + 4096
@@ -96,7 +96,7 @@ class TestAddressMap:
         names = [f"r{i}" for i in range(4)]
         for name in names:
             amap.alloc(name, 100)
-        bases = [amap.region(n)[0] for n in names]
+        bases = [amap._regions[n][0] for n in names]
         for prev, nxt in zip(bases, bases[1:]):
             assert nxt - prev == 4096 + 4096  # one page data + one guard
 
@@ -105,10 +105,6 @@ class TestAddressMap:
         """``alloc("x", -5)`` used to hand out a one-page region."""
         with pytest.raises(ValueError, match="'x'"):
             AddressMap().alloc("x", size)
-
-    def test_region_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            AddressMap().region("nope")
 
 
 class TestNullTracer:
@@ -284,6 +280,7 @@ class TestRecordingTracer:
     def test_summary_fields(self):
         t = self._tracer()
         t.kernel("dct4", iters=2)
-        summary = t.stream.summary()
-        assert summary["instructions"] > 0
-        assert "branches" in summary and "events" in summary
+        stream = t.stream
+        assert stream.total_instructions > 0
+        assert stream.total_branches == stream.instr.branch
+        assert stream.columns.n_events == len(stream.events) == 1

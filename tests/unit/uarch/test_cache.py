@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.trace.events import MemoryEvent, TraceColumns
+from repro.trace.events import MemoryEvent
 from repro.uarch.cache import Cache, CacheHierarchy, HierarchyReplay
 from repro.uarch.config import CacheParams
+from tests.oracles import columns_from_events
 
 
 def _cache(size=1024, assoc=2, line=64, name="test"):
@@ -77,12 +78,6 @@ class TestLruBehaviour:
         c.access_line(1)
         assert c.stats.mpki(1000) == pytest.approx(1.0)
         assert c.stats.mpki(0) == 0.0
-
-    def test_reset_stats(self):
-        c = _cache()
-        c.access_line(1)
-        c.reset_stats()
-        assert c.stats.accesses == 0
 
 
 class TestHierarchy:
@@ -171,7 +166,7 @@ class TestHierarchyReplay:
         replay = HierarchyReplay(self.PARAMS)
         read = MemoryEvent("k", np.array([0, 8, 64], dtype=np.uint64), "r", 2.0)
         write = MemoryEvent("k", np.array([0, 128], dtype=np.uint64), "w")
-        replay.replay(TraceColumns.from_events([read, write]))
+        replay.replay(columns_from_events([read, write]))
         assert replay.accesses == [8.0, 5.0]  # 3 x 2.0 + 2 x 1.0, then the misses
         assert replay.load_misses == [4.0, 4.0]  # lines 0 and 1, cold
         assert replay.store_misses == [1.0, 1.0]  # line 2 cold; line 0 still in L1
@@ -179,7 +174,7 @@ class TestHierarchyReplay:
 
     def test_state_survives_the_window_cut(self):
         replay = HierarchyReplay(self.PARAMS)
-        trace = TraceColumns.from_events([_load(0), _load(1), _load(2), _load(0)])
+        trace = columns_from_events([_load(0), _load(1), _load(2), _load(0)])
         replay.replay(trace, 0, 3)  # 0 leaves L1, stays in L2
         replay.replay(trace, 3, 4)
         assert replay.load_misses == [4.0, 3.0]
@@ -192,23 +187,23 @@ class TestHierarchyReplay:
         replay nothing, or fail inside NumPy with a broadcast or index
         error."""
         replay = HierarchyReplay(self.PARAMS)
-        trace = TraceColumns.from_events([_load(0), _load(1), _load(2)])
+        trace = columns_from_events([_load(0), _load(1), _load(2)])
         with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\).*n_memory = 3"):
             replay.replay(trace, lo, hi)
         assert replay.accesses == [0.0, 0.0]
 
     def test_window_bounds_are_inclusive(self):
         replay = HierarchyReplay(self.PARAMS)
-        trace = TraceColumns.from_events([_load(0), _load(1), _load(2)])
+        trace = columns_from_events([_load(0), _load(1), _load(2)])
         replay.replay(trace, 3, 3)  # the empty window at the end
         replay.replay(trace, 0, 3)
         assert replay.load_misses == [3.0, 3.0]
 
     def test_empty_window_and_empty_events_are_noops(self):
         replay = HierarchyReplay(self.PARAMS)
-        replay.replay(TraceColumns.from_events([]))
+        replay.replay(columns_from_events([]))
         empty = MemoryEvent("k", np.array([], dtype=np.uint64), "r")
-        trace = TraceColumns.from_events([_load(0), empty, empty])
+        trace = columns_from_events([_load(0), empty, empty])
         replay.replay(trace, 1, 1)
         replay.replay(trace, 1, 3)
         assert replay.accesses == [0.0, 0.0]

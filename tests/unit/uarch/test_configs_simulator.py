@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.trace.events import TraceStream
 from repro.trace.kernels import build_program
 from repro.trace.recorder import RecordingTracer
 from repro.uarch.config import CacheParams, MicroarchConfig
 from repro.uarch.configs import CONFIG_NAMES, CONFIGS, baseline_config, config_by_name
-from repro.uarch.simulator import Simulator, simulate
+from repro.uarch.simulator import simulate
 
 
 class TestMicroarchConfig:
@@ -120,8 +121,8 @@ class TestSimulator:
         assert bs.mpki["branch"] < base.mpki["branch"]
 
     def test_invalid_frequency(self):
-        with pytest.raises(ValueError):
-            Simulator(baseline_config(), freq_hz=0)
+        with pytest.raises(ValueError, match="freq_hz"):
+            simulate(TraceStream(), build_program(), baseline_config(), freq_hz=0)
 
 
 class TestFrontendAttribution:

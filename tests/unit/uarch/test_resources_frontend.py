@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.trace.events import KernelEvent, TraceColumns, TraceStream
+from repro.trace.events import KernelEvent, TraceStream
 from repro.trace.kernels import build_program
 from repro.trace.program import InstrMix
 from repro.uarch.branch import BranchStats
@@ -13,6 +13,7 @@ from repro.uarch.frontend import FrontendStalls, compute_frontend_stalls, mite_i
 from repro.uarch.icache import AnalyticICache, ICacheStats
 from repro.uarch.resources import MissProfile, achievable_mlp, compute_resource_stalls
 from repro.uarch.topdown import TopdownBreakdown
+from tests.oracles import columns_from_events
 
 
 class TestResourceStalls:
@@ -82,7 +83,7 @@ class TestAnalyticICache:
     def _run(icache, kernels, weight=1.0):
         """The stats after invoking ``kernels`` in order."""
         return icache.run(
-            TraceColumns.from_events([KernelEvent(k, 1.0, weight) for k in kernels])
+            columns_from_events([KernelEvent(k, 1.0, weight) for k in kernels])
         )
 
     def test_first_invocation_compulsory(self):
@@ -133,9 +134,8 @@ class TestAnalyticICache:
 
 class TestFrontend:
     def _stream(self):
-        stream = TraceStream()
-        stream.add_instr("me_sad", InstrMix(alu=6000, load=4000, branch=1000))
-        return stream
+        mix = InstrMix(alu=6000, load=4000, branch=1000)
+        return TraceStream(instr=mix, instr_by_kernel={"me_sad": mix})
 
     def test_icache_misses_cost_cycles(self):
         prog = build_program()
@@ -196,10 +196,8 @@ class TestTopdown:
 
 class TestCoreModel:
     def _run(self, config=None, **miss_kw):
-        stream = TraceStream()
-        stream.add_instr(
-            "me_sad", InstrMix(alu=50_000, mul=5_000, load=30_000, store=10_000, branch=8_000)
-        )
+        mix = InstrMix(alu=50_000, mul=5_000, load=30_000, store=10_000, branch=8_000)
+        stream = TraceStream(instr=mix, instr_by_kernel={"me_sad": mix})
         return run_core_model(
             stream=stream,
             config=config or baseline_config(),

@@ -148,7 +148,7 @@ TABLES = {
     )),
     # simulate()'s model steps, then _lru_window by (n_sets, assoc), its args 3 and 4.
     "fleet_replay": Table(passes=5, repeats=8, unit="wave", stages=(
-        ("Simulator._run_impl", simulator.Simulator, "_run_impl"),
+        ("simulator._simulate", simulator, "_simulate"),
         ("  AnalyticICache.run", icache.AnalyticICache, "run"),
         ("  HierarchyReplay.replay", cache.HierarchyReplay, "replay"),
         ("    _lru_window", cache, "_lru_window"),
