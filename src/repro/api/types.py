@@ -11,9 +11,11 @@ long-lived transcoding service:
 - :class:`JobStatus` — one job's lifecycle snapshot inside the service
   (``queued`` → ``running`` → ``done`` | ``failed``).
 
-Each writes a plain-JSON payload (``to_payload``); only the request is
-read back (``TranscodeRequest.from_payload``, the CLI spool file's line
-reader). A job status is written once, into the ``jobs.json`` artifact.
+The request and the job status write plain-JSON payloads
+(``to_payload``); a result is written inside its job status's. Only the
+request is read back (``TranscodeRequest.from_payload``, the CLI spool
+file's line reader). A job status is written once, into the ``jobs.json``
+artifact.
 """
 
 from __future__ import annotations
@@ -136,10 +138,6 @@ class TranscodeResult:
             return None
         return (self.baseline_cycles / self.cycles - 1.0) * 100.0
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-JSON form (the ``result`` of a ``jobs.json`` entry)."""
-        return asdict(self)
-
 
 @dataclass
 class JobStatus:
@@ -177,6 +175,6 @@ class JobStatus:
         return self.state in (JOB_DONE, JOB_FAILED)
 
     def to_payload(self) -> dict[str, Any]:
-        """Plain-JSON form for the ``jobs.json`` status artifact (the
-        result as its own payload)."""
+        """Plain-JSON form for the ``jobs.json`` status artifact (``asdict``
+        writes the result as a nested dict)."""
         return asdict(self)

@@ -10,9 +10,12 @@ Two implementations of that one model live here:
 * :class:`HierarchyReplay` is what ``simulate()`` runs. LRU is a stack
   algorithm — at associativity *A* an access hits iff fewer than *A*
   distinct lines of its set were touched since the previous touch of the
-  same line — so a bounded window of memory events is decided at once
-  with array operations, level by level, and only the miss sub-stream
-  reaches the next level.
+  same line — so a run of line accesses is decided at once with array
+  operations, and only its miss sub-stream reaches the next level. The
+  replay is level-major: the first level runs each window of memory
+  events as it arrives, and each lower level holds the misses handed down
+  to it until they fill a window, so every call runs a full window's worth
+  of lines and holds at most about two.
 * :class:`Cache` / :class:`CacheHierarchy` walk one line at a time
   through per-set Python lists. They are the oracle the tests hold the
   batched replay equal to (every counter, no tolerance) and the public
@@ -39,9 +42,12 @@ __all__ = [
 ]
 
 #: Byte addresses the simulator hands :meth:`HierarchyReplay.replay` per
-#: window. The replay's temporaries are a few dozen bytes per address, so
-#: this keeps them at a few MiB whatever the trace length; counters do not
-#: depend on it.
+#: window, and the lines a lower level holds before it runs them. A call
+#: holds under this many plus the piece handed down last: about two
+#: windows of lines at most (three only where the level above missed on
+#: every line). The replay's temporaries are a few dozen bytes per line,
+#: so this keeps them at a few MiB whatever the trace length; counters do
+#: not depend on it.
 REPLAY_WINDOW_ADDRS = 1 << 15
 
 #: Below this many undecided accesses the shrinking index walk stops paying
@@ -308,7 +314,7 @@ class HierarchyReplay:
     The same model as :class:`CacheHierarchy` driven one event at a time
     with per-event load/store miss snapshots, and the same counters bit
     for bit (fractional weights included); see the module docstring.
-    ``params`` order is nearest-first. Feed the trace's memory events to
+    ``params`` order is nearest-first. Feed the memory events to
     :meth:`replay` in order, one window at a time; where the windows are
     cut changes no counter.
     """
@@ -319,18 +325,38 @@ class HierarchyReplay:
         self._line_shift = _shared_line_shift(params)
         self._geometry = [(p.n_sets, p.assoc) for p in params]
         self._resident = [np.empty(0, dtype=np.int64) for _ in params]
+        # Per level, the pieces handed down and not yet run, oldest first,
+        # and their line count (the first level's one piece, the window, runs
+        # at once). A piece is (lines, each line's event index, the events'
+        # weights, their load flags): it carries its own events, so held
+        # lines never read another window's or trace's arrays.
+        self._held: list[list[tuple[np.ndarray, ...]]] = [[] for _ in params]
+        self._held_lines = [0] * len(params)
         self._l1_accesses = 0.0
         # Running load+store miss total per level: the oracle's
         # ``CacheStats.misses``, which its per-event deltas are taken from.
         self._misses = [0.0] * len(params)
-        self.load_misses = [0.0] * len(params)
-        self.store_misses = [0.0] * len(params)
+        self._load_misses = [0.0] * len(params)
+        self._store_misses = [0.0] * len(params)
 
     @property
     def accesses(self) -> list[float]:
         """Weighted accesses per level: a level sees exactly the misses
         of the level above it, in the same order."""
+        self._run_held()
         return [self._l1_accesses, *self._misses[:-1]]
+
+    @property
+    def load_misses(self) -> list[float]:
+        """Weighted load misses per level."""
+        self._run_held()
+        return list(self._load_misses)
+
+    @property
+    def store_misses(self) -> list[float]:
+        """Weighted store misses per level."""
+        self._run_held()
+        return list(self._store_misses)
 
     @property
     def load_mem(self) -> float:
@@ -345,7 +371,15 @@ class HierarchyReplay:
     def replay(self, trace: TraceColumns, lo: int = 0, hi: int | None = None) -> None:
         """Run one window: the memory events ``lo .. hi - 1`` of ``trace``
         (all of them by default); ``ValueError`` unless
-        ``0 <= lo <= hi <= trace.n_memory``."""
+        ``0 <= lo <= hi <= trace.n_memory``.
+
+        The first level runs the window now. A lower level holds what the
+        level above hands down and runs it once it holds
+        :data:`REPLAY_WINDOW_ADDRS` lines, when a window ends at its
+        trace's last memory event, or when a counter is read. Each level
+        still sees its input in order and no event spans two of its runs,
+        so by the cut invariance the counters are those of running every
+        level on every window."""
         if hi is None:
             hi = trace.n_memory
         if not 0 <= lo <= hi <= trace.n_memory:
@@ -353,9 +387,12 @@ class HierarchyReplay:
                 f"replay window [{lo}, {hi}) is not within the trace's "
                 f"n_memory = {trace.n_memory} memory events"
             )
-        if hi == lo:
-            return
-        n_events = hi - lo
+        if hi > lo:
+            self._replay_first_level(trace, lo, hi)
+        if hi == trace.n_memory:
+            self._run_held()
+
+    def _replay_first_level(self, trace: TraceColumns, lo: int, hi: int) -> None:
         weights = trace.mem_weights[lo:hi]
         is_load = trace.mem_is_load[lo:hi]
         sizes = np.diff(trace.mem_offsets[lo : hi + 1])
@@ -370,16 +407,35 @@ class HierarchyReplay:
         if not lines.size:
             return
 
-        event_of = np.repeat(np.arange(n_events), kept)
-        for level, (n_sets, assoc) in enumerate(self._geometry):
-            miss, self._resident[level] = _lru_window(
-                self._resident[level], lines, n_sets, assoc
-            )
-            lines = lines[miss]
-            event_of = event_of[miss]
-            if not lines.size:
-                break
-            self._count_misses(level, event_of, weights, is_load)
+        event_of = np.repeat(np.arange(hi - lo), kept)
+        self._held[0].append((lines, event_of, weights, is_load))
+        self._run(0)
+
+    def _run_held(self) -> None:
+        """Run every level's held lines, nearest level first."""
+        for level in range(len(self._geometry)):
+            if self._held[level]:
+                self._run(level)
+
+    def _run(self, level: int) -> None:
+        """Run ``level``'s held lines, count its misses and hold them for the
+        level below, which runs them once it holds a window's worth."""
+        lines, event_of, weights, is_load = _joined(self._held[level])
+        self._held[level], self._held_lines[level] = [], 0
+        n_sets, assoc = self._geometry[level]
+        miss, self._resident[level] = _lru_window(
+            self._resident[level], lines, n_sets, assoc
+        )
+        lines, event_of = lines[miss], event_of[miss]
+        if not lines.size:
+            return
+        self._count_misses(level, event_of, weights, is_load)
+        below = level + 1
+        if below < len(self._geometry):
+            self._held[below].append((lines, event_of, weights, is_load))
+            self._held_lines[below] += lines.size
+            if self._held_lines[below] >= REPLAY_WINDOW_ADDRS:
+                self._run(below)
 
     def _count_misses(
         self,
@@ -388,7 +444,7 @@ class HierarchyReplay:
         weights: np.ndarray,
         is_load: np.ndarray,
     ) -> None:
-        """Add one window's misses at ``level`` the way the oracle's caller
+        """Add one run's misses at ``level`` the way the oracle's caller
         does: a running total, and per event the difference of that total
         across the event added to the load or the store counter."""
         total = running_sum(self._misses[level], weights[event_of])
@@ -400,9 +456,20 @@ class HierarchyReplay:
         delta = after - before
         loads = is_load[event_of[last]]
         self._misses[level] = float(total[-1])
-        self.load_misses[level] = float(
-            running_sum(self.load_misses[level], delta[loads])[-1]
+        self._load_misses[level] = float(
+            running_sum(self._load_misses[level], delta[loads])[-1]
         )
-        self.store_misses[level] = float(
-            running_sum(self.store_misses[level], delta[~loads])[-1]
+        self._store_misses[level] = float(
+            running_sum(self._store_misses[level], delta[~loads])[-1]
         )
+
+
+def _joined(pieces: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Held pieces as one: lines and events end to end, each piece's event
+    indices moved past the events of the pieces before it."""
+    if len(pieces) == 1:
+        return pieces[0]
+    lines, event_of, weights, is_load = (np.concatenate(column) for column in zip(*pieces))
+    firsts = np.cumsum([0, *(piece[2].size for piece in pieces[:-1])])
+    event_of += np.repeat(firsts, [piece[0].size for piece in pieces])
+    return lines, event_of, weights, is_load

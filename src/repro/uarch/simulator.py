@@ -86,9 +86,12 @@ def _simulate(
         itlb_entries=config.itlb_entries,
     ).run(trace)
 
-    # Data side: capacity-scaled for proxy workloads. Windows bound the
-    # replay's temporaries and give long traces a sequence of timed
-    # ``simulate.window`` spans instead of one opaque block.
+    # Data side: capacity-scaled for proxy workloads. L1 runs each window
+    # as it arrives; a lower level runs the misses it holds once they fill
+    # a window, and the window that ends the trace runs the rest, inside
+    # that window's span. Windows bound the replay's temporaries and give
+    # long traces a sequence of timed ``simulate.window`` spans instead of
+    # one opaque block.
     dcache = HierarchyReplay(config.effective_data_levels())
     for index, window in enumerate(trace.windows(REPLAY_WINDOW_ADDRS)):
         with obs.span("simulate.window", index=index, events=window.n_events):

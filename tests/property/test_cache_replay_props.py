@@ -1,7 +1,7 @@
 """The batched data-hierarchy replay against the per-line oracle.
 
 ``HierarchyReplay`` is what ``simulate()`` runs; ``Cache.access_line`` /
-``CacheHierarchy.access`` are the model it must reproduce. Three groups:
+``CacheHierarchy.access`` are the model it must reproduce. Four groups:
 
 - **Equivalence** (no tolerance): every level's accesses, load misses and
   store misses and the load/store memory accesses equal the oracle loop —
@@ -14,7 +14,12 @@
   ``Cache.access_line`` and ``CacheHierarchy.access`` replaced by a raise;
 - **Metamorphic laws** of the batched path itself: LRU inclusion in
   associativity, miss/access conservation between levels, replay
-  determinism, window-cut invariance, and ``freq_hz`` scaling time only.
+  determinism, window-cut invariance, and ``freq_hz`` scaling time only;
+- **Flush points**: a lower level runs what it holds once it holds
+  ``REPLAY_WINDOW_ADDRS`` lines, at the trace's end, or when a counter is
+  read. With that threshold at 1, 7 or its real value the counters equal
+  the oracle's, and a counter read mid-stream reads the oracle's counters
+  so far and moves no final counter.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from repro.codec.options import EncoderOptions
 from repro.experiments.runner import QUICK
 from repro.profiling.perf import record_trace
 from repro.trace.events import MemoryEvent
+from repro.uarch import cache as cache_mod
 from repro.uarch.cache import (
     REPLAY_WINDOW_ADDRS,
     Cache,
@@ -304,3 +310,50 @@ class TestReplayLaws:
         a = data.draw(cut_sets(events))
         b = data.draw(cut_sets(events))
         assert batched(params, events, a) == batched(params, events, b) == once
+
+
+class TestFlushPoints:
+    COUNTERS = ("accesses", "load_misses", "store_misses", "load_mem", "store_mem")
+
+    @pytest.mark.parametrize("threshold", [1, 7, REPLAY_WINDOW_ADDRS])
+    @settings(max_examples=60, deadline=None)
+    @given(hierarchies, event_streams(), st.data())
+    def test_any_threshold_equals_oracle(self, threshold, params, events, data):
+        """1 runs every level on each piece handed down, 7 splits a window's
+        misses over several runs of a level, the real value holds whole
+        windows until the trace ends: one set of counters, the oracle's."""
+        cuts = data.draw(cut_sets(events))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cache_mod, "REPLAY_WINDOW_ADDRS", threshold)
+            assert batched(params, events, cuts) == oracle(params, events)
+
+    @pytest.mark.parametrize("threshold", [1, 7, REPLAY_WINDOW_ADDRS])
+    @settings(max_examples=60, deadline=None)
+    @given(hierarchies, event_streams(), st.data())
+    def test_a_counter_read_mid_stream_moves_no_final_counter(
+        self, threshold, params, events, data
+    ):
+        """A read runs every level's held lines early: it reads the oracle's
+        counters of the events so far, and replaying on from there gives
+        the counters of never having read."""
+        cuts = sorted(data.draw(cut_sets(events)))
+        reads = data.draw(
+            st.lists(st.tuples(st.sampled_from([0, *cuts]), st.sampled_from(self.COUNTERS)))
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cache_mod, "REPLAY_WINDOW_ADDRS", threshold)
+            replay = HierarchyReplay(params)
+            trace = columns_from_events(events)
+            edges = [0, *cuts, len(events)]
+            for lo, hi in zip(edges, edges[1:]):
+                for at, name in reads:
+                    if at == lo:  # a read just before the window at ``lo``
+                        so_far = oracle(params, events[:lo])
+                        assert getattr(replay, name) == getattr(so_far, name)
+                replay.replay(trace, lo, hi)
+            read_mid_stream = Counters(
+                replay.accesses, replay.load_misses, replay.store_misses,
+                replay.load_mem, replay.store_mem,
+            )
+            assert read_mid_stream == batched(params, events, cuts)
+        assert read_mid_stream == oracle(params, events)

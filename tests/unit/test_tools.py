@@ -64,10 +64,10 @@ def test_fleet_replay_top_row_is_the_step_simulate_runs(monkeypatch):
 
 
 def test_budget_accounting_on_a_toy_owner(monkeypatch):
-    """Calls per row, nested inclusive times, the split by call arguments, the
-    fastest pass, one count of a marked row inside another in the outermost
-    sum, and glue + that sum = the whole pass, on a clock each toy function
-    advances by a known cost."""
+    """Calls per row, nested inclusive times, the split by call arguments (and
+    the lines each split call runs), the fastest pass, one count of a marked
+    row inside another in the outermost sum, and glue + that sum = the whole
+    pass, on a clock each toy function advances by a known cost."""
     clock = [0.0]
     monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
 
@@ -102,11 +102,14 @@ def test_budget_accounting_on_a_toy_owner(monkeypatch):
         ("gone", Toy, "gone"),  # a stage this checkout lacks
     )
     split = ("    leaf*", lambda args: args[1])  # by leaf's size
-    table = budget.Table(stages, passes=3, repeats=2, split=split)
+    table = budget.Table(
+        stages, passes=3, repeats=2, split=split, split_lines=lambda args: 10 * args[1]
+    )
     run = budget.measure(table, SimpleNamespace(ops=["a", "b"], call=call))
 
     assert run.ops == 4
     assert run.calls == {"outer*": 4, "  inner": 12, "    leaf*": 16, 1: 12, 2: 4}
+    assert run.lines == {1: 12 * 10, 2: 4 * 20}
     assert run.row("gone").split()[1:] == ["0.0%", "0.0", "0.00"]
     assert run.seconds["outer*"] == 4 * 13.0
     assert run.seconds["  inner"] == 12 * 6.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.trace.events import MemoryEvent
+from repro.uarch import cache as cache_mod
 from repro.uarch.cache import Cache, CacheHierarchy, HierarchyReplay
 from repro.uarch.config import CacheParams
 from tests.oracles import columns_from_events
@@ -178,6 +179,36 @@ class TestHierarchyReplay:
         replay.replay(trace, 0, 3)  # 0 leaves L1, stays in L2
         replay.replay(trace, 3, 4)
         assert replay.load_misses == [4.0, 3.0]
+
+    def test_held_lines_keep_their_own_traces_weights(self):
+        """L2 holds L1's misses until they fill a window or a trace ends, so
+        lines 0 and 1 of the first trace are still held when the second
+        trace arrives; they must count with their own events' weights and
+        kinds, not with the second trace's events at the same indices."""
+        replay = HierarchyReplay(self.PARAMS)
+        read = MemoryEvent("k", np.array([0, 64], dtype=np.uint64), "r", 2.0)
+        first = columns_from_events([read, _load(2)])
+        replay.replay(first, 0, 1)  # not the trace's end: L2 runs nothing yet
+        writes = [MemoryEvent("k", np.array([a], dtype=np.uint64), "w") for a in (320, 384)]
+        replay.replay(columns_from_events(writes))
+        assert replay.accesses == [6.0, 6.0]
+        assert replay.load_misses == [4.0, 4.0]
+        assert replay.store_misses == [2.0, 2.0]
+
+    def test_the_window_that_ends_the_trace_runs_every_level(self, monkeypatch):
+        """The lower levels' held lines run inside the call that replays the
+        trace's last memory event (so inside that window's
+        ``simulate.dcache`` span), not at the first counter read after it."""
+        replay = HierarchyReplay(self.PARAMS)
+        trace = columns_from_events([_load(0), _load(1), _load(2)])
+        replay.replay(trace, 0, 2)
+        replay.replay(trace, 2, 3)
+
+        def unreachable(*args):
+            raise AssertionError("a level ran after the trace's last window")
+
+        monkeypatch.setattr(cache_mod, "_lru_window", unreachable)
+        assert replay.load_misses == [3.0, 3.0]
 
     @pytest.mark.parametrize(
         "lo, hi", [(-1, 3), (-3, -1), (0, 6), (2, 1), (4, 4), (0, -1)]

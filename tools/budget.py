@@ -11,6 +11,10 @@ tool with each other, and read absolute time off perfbench. The ``*`` rows are
 also summed over their outermost calls (a marked row inside another counts
 once): ``trace side`` is that sum, ``runner glue`` the pass outside it. A stage
 the checkout lacks prints with no calls, so an older checkout's ``src`` works.
+``fleet_replay`` splits ``_lru_window`` by (sets, ways) with a ``lines/call``
+column, the lines a call runs on top of the level's resident ones: the lower
+levels' calls are fewer and fuller where a level runs what it holds only once
+it holds a window's worth.
 Each table ends with the process's peak RSS (``ru_maxrss``, which never falls)
 after set-up and after the passes: the second is the whole run's peak, as
 perfbench's ``peak_rss_mb`` reads it. Beside it, the minor page faults
@@ -59,6 +63,7 @@ class Table(NamedTuple):
     unit: str = "op"
     setup: Callable | None = None  # tmp dir -> ``ops`` + ``call(op)``; default perfbench's
     split: tuple | None = None  # (row, call args -> key): that row's calls by key
+    split_lines: Callable | None = None  # call args -> lines that split call runs
     extra: Callable = lambda workload, run: []  # rows printed after the stages
 
 
@@ -68,6 +73,7 @@ class Run(NamedTuple):  # the fastest pass: its seconds, and seconds and calls b
     calls: dict
     ops: int  # per pass
     unit: str
+    lines: dict  # lines by split key (``Table.split_lines``)
 
     def header(self, label: str) -> str:
         return f"{label:36s} {'share':>7s} {'calls/' + self.unit:>10s} {'us/call':>10s}"
@@ -84,9 +90,12 @@ class Run(NamedTuple):  # the fastest pass: its seconds, and seconds and calls b
 
 def _geometry(workload, run: Run) -> list[str]:
     keys = sorted(k for k in run.calls if isinstance(k, tuple))
-    return ["", run.header("_lru_window by sets x ways")] + [
-        run.row(f"  {n_sets} x {assoc}", (n_sets, assoc)) for n_sets, assoc in keys
+    rows = [
+        f"{run.row(f'  {n_sets} x {assoc}', (n_sets, assoc))} "
+        f"{run.lines[n_sets, assoc] / run.calls[n_sets, assoc]:10.0f}"
+        for n_sets, assoc in keys
     ]
+    return ["", f"{run.header('_lru_window by sets x ways')} {'lines/call':>10s}", *rows]
 
 
 def _trace_side(workload, run: Run) -> list[str]:
@@ -146,7 +155,8 @@ TABLES = {
         ("  _emit_skip", encoder.Encoder, "_emit_skip"),
         ("  _run_deblock", encoder.Encoder, "_run_deblock"),
     )),
-    # simulate()'s model steps, then _lru_window by (n_sets, assoc), its args 3 and 4.
+    # simulate()'s model steps, then _lru_window by (n_sets, assoc), its args 3
+    # and 4, with the lines each call runs (arg 2, the resident lines aside).
     "fleet_replay": Table(passes=5, repeats=8, unit="wave", stages=(
         ("simulator._simulate", simulator, "_simulate"),
         ("  AnalyticICache.run", icache.AnalyticICache, "run"),
@@ -156,7 +166,8 @@ TABLES = {
         ("  BranchModel.evaluate", branch.BranchModel, "evaluate"),
         ("    _two_level_by_history", branch, "_two_level_by_history"),
         ("  simulator.run_core_model", simulator, "run_core_model"),
-    ), split=("    _lru_window", lambda args: (args[2], args[3])), extra=_geometry),
+    ), split=("    _lru_window", lambda args: (args[2], args[3])),
+       split_lines=lambda args: args[1].size, extra=_geometry),
     # A traced encode and the first simulate(); the ``*`` rows are what tracing
     # costs: the reports, one record a macroblock, and the drain that reads the
     # records as columns, derives every call's branch outcomes and addresses
@@ -194,7 +205,7 @@ TABLES = {
 }
 
 
-def _wrap(table: Table, label: str, fn, seconds, calls, depth):
+def _wrap(table: Table, label: str, fn, seconds, calls, lines, depth):
     marked = label.endswith("*")
     split = table.split[1] if table.split and table.split[0] == label else None
 
@@ -209,9 +220,12 @@ def _wrap(table: Table, label: str, fn, seconds, calls, depth):
             depth[0] -= marked
             if outermost:
                 seconds[OUTER] += spent
-            for key in (label, split(args)) if split else (label,):
+            keys = (label, split(args)) if split else (label,)
+            for key in keys:
                 seconds[key] += spent
                 calls[key] += 1
+            if split and table.split_lines:
+                lines[keys[1]] += table.split_lines(args)
 
     return timed
 
@@ -220,22 +234,25 @@ def measure(table: Table, workload) -> Run:
     """Wrap the table's stages, time its passes and keep the fastest."""
     seconds: dict = defaultdict(float)  # by row label, split key and OUTER
     calls: dict = defaultdict(int)
+    lines: dict = defaultdict(int)  # by split key
     depth = [0]  # how many ``*`` stages are running
     for label, owner, attr in table.stages:
         if hasattr(owner, attr):  # a stage this checkout lacks prints with no calls
-            setattr(owner, attr, _wrap(table, label, getattr(owner, attr), seconds, calls, depth))
+            timed = _wrap(table, label, getattr(owner, attr), seconds, calls, lines, depth)
+            setattr(owner, attr, timed)
     ops = table.repeats * len(workload.ops)
     best = None
     for _ in range(table.passes):
         seconds.clear()
         calls.clear()
+        lines.clear()
         start = time.perf_counter()
         for _ in range(table.repeats):
             for op in workload.ops:
                 workload.call(op)
         whole = time.perf_counter() - start
         if best is None or whole < best.whole:
-            best = Run(whole, dict(seconds), dict(calls), ops, table.unit)
+            best = Run(whole, dict(seconds), dict(calls), ops, table.unit, dict(lines))
     return best
 
 
