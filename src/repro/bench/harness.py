@@ -219,21 +219,6 @@ def _bench_deblock_plane():
     return n_blocks, lambda: deblock_plane(plane, qp=28)
 
 
-def _bench_encode_chroma_plane():
-    from repro.codec.chroma import encode_chroma_plane
-    from repro.codec.entropy import BitWriter
-
-    video = _bench_scene(n_frames=2)
-    plane = video.frames[0].luma[::2, ::2]  # chroma-resolution plane
-    prev = video.frames[1].luma[::2, ::2]
-
-    def thunk():
-        encode_chroma_plane(BitWriter(), plane, prev, luma_qp=26)
-
-    n_blocks = (plane.shape[0] // 8) * (plane.shape[1] // 8)
-    return n_blocks, thunk
-
-
 _KERNEL_BENCHES: dict[str, Callable[[], tuple[int, Callable[[], object]]]] = {
     "transform.forward_4x4": _bench_forward_4x4,
     "transform.satd_batch": _bench_satd_batch,
@@ -243,7 +228,6 @@ _KERNEL_BENCHES: dict[str, Callable[[], tuple[int, Callable[[], object]]]] = {
     "motion.motion_search_hex": _bench_motion_search_hex,
     "motion.subpel_refine": _bench_subpel_refine,
     "deblock.deblock_plane": _bench_deblock_plane,
-    "chroma.encode_chroma_plane": _bench_encode_chroma_plane,
 }
 
 KERNEL_BENCH_NAMES: tuple[str, ...] = tuple(_KERNEL_BENCHES)

@@ -38,7 +38,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.codec.chroma import decode_chroma_plane
 from repro.codec.deblock import deblock_plane
 from repro.codec.entropy import (
     BitReader,
@@ -218,7 +217,6 @@ class DecodeResult:
 class _Anchor:
     display_index: int
     padded: PaddedReference
-    chroma: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class _FrameSyntax(NamedTuple):
@@ -246,21 +244,21 @@ class Decoder:
         n_frames = read_ue(reader)
         deblock_enabled = read_ue(reader) == 1
         deblock_offset = read_se(reader)
-        chroma_active = read_ue(reader) == 1
+        chroma_flag = read_ue(reader)
         if width <= 0 or height <= 0 or n_frames <= 0 or fps <= 0:
             raise BitstreamError("corrupt stream header")
         # Sanity bounds: a hostile or damaged header must not drive huge
         # allocations or unbounded decode loops.
         if width > 16384 or height > 16384 or n_frames > 100_000 or fps > 1000:
             raise BitstreamError("implausible stream header (corrupt or hostile)")
-        chroma_shape = ((height + 1) // 2, (width + 1) // 2)
+        if chroma_flag != 0:
+            raise BitstreamError("chroma streams are not supported (luma only)")
 
         pad_h = (height + 15) // 16 * 16
         pad_w = (width + 15) // 16 * 16
         n_mb_y, n_mb_x = pad_h // 16, pad_w // 16
 
         decoded: dict[int, np.ndarray] = {}
-        decoded_chroma: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
         types: dict[int, FrameType] = {}
         qps: dict[int, int] = {}
         anchors: list[_Anchor] = []
@@ -275,72 +273,29 @@ class Decoder:
             recon = self._decode_frame(
                 reader, ftype, base_qp, disp_idx, anchors, n_mb_y, n_mb_x, pad_w
             )
-            chroma: tuple[np.ndarray, np.ndarray] | None = None
-            if chroma_active:
-                chroma = self._decode_chroma(
-                    reader, chroma_shape, ftype, disp_idx, anchors, base_qp
-                )
             if deblock_enabled:
                 recon, n_edges = deblock_plane(
                     recon, base_qp, offset=deblock_offset
                 )
                 self.tracer.kernel("deblock", iters=n_edges)
             decoded[disp_idx] = recon
-            decoded_chroma[disp_idx] = chroma
             types[disp_idx] = ftype
             qps[disp_idx] = base_qp
             if ftype is not FrameType.B:
                 anchors.append(
-                    _Anchor(
-                        disp_idx,
-                        PaddedReference.from_plane(recon, _REF_PAD),
-                        chroma,
-                    )
+                    _Anchor(disp_idx, PaddedReference.from_plane(recon, _REF_PAD))
                 )
                 anchors.sort(key=lambda a: a.display_index)
 
         if sorted(decoded) != list(range(n_frames)):
             raise BitstreamError("stream is missing frames")
-        frames = []
-        for i in range(n_frames):
-            chroma = decoded_chroma[i]
-            cropped = None
-            if chroma is not None:
-                cropped = (
-                    chroma[0][: chroma_shape[0], : chroma_shape[1]],
-                    chroma[1][: chroma_shape[0], : chroma_shape[1]],
-                )
-            frames.append(Frame(decoded[i][:height, :width], chroma=cropped))
+        frames = [Frame(decoded[i][:height, :width]) for i in range(n_frames)]
         self.tracer.flush()
         return DecodeResult(
             video=FrameSequence(frames=frames, fps=fps, name="decoded"),
             frame_types=[types[i] for i in range(n_frames)],
             frame_qps=[qps[i] for i in range(n_frames)],
         )
-
-    def _decode_chroma(
-        self,
-        reader: BitReader,
-        shape: tuple[int, int],
-        ftype: FrameType,
-        disp_idx: int,
-        anchors: list[_Anchor],
-        base_qp: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Mirror of Encoder._encode_chroma."""
-        ref_chroma = None
-        if ftype is not FrameType.I:
-            past = [
-                a for a in anchors
-                if a.display_index < disp_idx and a.chroma is not None
-            ]
-            if past:
-                ref_chroma = max(past, key=lambda a: a.display_index).chroma
-        planes = []
-        for i in range(2):
-            prev = ref_chroma[i] if ref_chroma is not None else None
-            planes.append(decode_chroma_plane(reader, shape, prev, base_qp))
-        return (planes[0], planes[1])
 
     # ------------------------------------------------------------------
     def _decode_frame(

@@ -18,7 +18,7 @@ branches, the simulated heap they live in — is
 not traced.
 
 The hot kernels the encoder calls (transform, motion, intra, deblock,
-entropy, chroma) are batched NumPy bodies; the encoder itself hoists the
+entropy) are batched NumPy bodies; the encoder itself hoists the
 per-macroblock float casts into one cast per frame. The scalar bodies
 they replaced live on as oracles in ``tests/oracles.py``, and the
 bitstreams, reconstructions and traces are bit-identical to theirs.
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codec.chroma import encode_chroma_plane
 from repro.codec.deblock import deblock_plane
 from repro.codec.entropy import (
     BitWriter,
@@ -51,7 +50,7 @@ from repro.codec.mbdecision import InterCandidate, choose_inter_ref, mv_bits, se
 from repro.codec.motion import PaddedReference, fetch_prediction, predict_mv
 from repro.codec.options import EncoderOptions
 from repro.codec.quant import dequantize, rd_lambda, trellis_quantize
-from repro.codec.ratecontrol import FirstPassStats, RateController
+from repro.codec.ratecontrol import frame_qp, mb_qp
 from repro.codec.tracemodel import EncodeTrace, InterSearch, LoopOptimizations
 from repro.codec.transform import blockify_16x16, forward_4x4, inverse_4x4, unblockify_16x16
 from repro.codec.types import (
@@ -85,7 +84,6 @@ class EncodeResult:
     frame_stats: list[FrameStats]
     gop: GopPlan
     options: EncoderOptions
-    first_pass: FirstPassStats | None = None
 
     @property
     def total_bits(self) -> int:
@@ -125,7 +123,6 @@ class _DpbEntry:
 
     display_index: int
     padded: PaddedReference
-    chroma: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -182,10 +179,6 @@ class Encoder:
         start_time = time.perf_counter()
         options = self.options
 
-        first_pass: FirstPassStats | None = None
-        if options.rc_mode == "2pass-abr":
-            first_pass = self._run_first_pass(video)
-
         sources = [f.padded_luma() for f in video]
         pad_h, pad_w = sources[0].shape
         gop = plan_gop(video, options)
@@ -196,18 +189,8 @@ class Encoder:
         )
         trace.lookahead(video.width, video.height)
 
-        rc = RateController(
-            options,
-            fps=video.fps,
-            n_mbs_per_frame=n_mb_y * n_mb_x,
-            first_pass=first_pass,
-        )
-
-        chroma_active = options.chroma and all(
-            f.chroma is not None for f in video
-        )
         writer = BitWriter()
-        self._write_stream_header(writer, video, chroma_active)
+        self._write_stream_header(writer, video)
 
         coded_frames: list[CodedFrame] = []
         frame_stats: list[FrameStats] = []
@@ -223,25 +206,18 @@ class Encoder:
                 self.tracer.begin_frame(ftype.value, disp_idx)
                 trace.frame_setup(disp_idx)
 
-                complexity = self._frame_complexity(sources, disp_idx)
-                base_qp = rc.frame_qp(ftype, complexity)
+                base_qp = frame_qp(options.crf, ftype)
                 ctx = self._make_context(
                     src, ftype, base_qp, disp_idx, dpb, n_mb_y, n_mb_x
                 )
 
                 bits_before = writer.bit_count
                 self._write_frame_header(writer, disp_idx, ftype, base_qp)
-                mbs = self._encode_frame_mbs(ctx, writer, rc)
-                chroma_recon = None
-                if chroma_active:
-                    chroma_recon = self._encode_chroma(
-                        writer, video[disp_idx], ftype, disp_idx, dpb, base_qp
-                    )
+                mbs = self._encode_frame_mbs(ctx, writer)
                 frame_bits = writer.bit_count - bits_before
 
                 if options.deblock_enabled:
                     ctx.recon, n_edges = self._run_deblock(ctx.recon, base_qp)
-                rc.update(frame_bits)
                 frame_span.set(qp=base_qp, bits=frame_bits)
 
                 coded_frames.append(
@@ -252,7 +228,6 @@ class Encoder:
                         macroblocks=mbs,
                         recon=ctx.recon,
                         bits=frame_bits,
-                        chroma_recon=chroma_recon,
                     )
                 )
                 frame_stats.append(
@@ -264,7 +239,6 @@ class Encoder:
                     entry = _DpbEntry(
                         display_index=disp_idx,
                         padded=PaddedReference.from_plane(ctx.recon, pad),
-                        chroma=chroma_recon,
                     )
                     trace.dpb_store(disp_idx)
                     dpb.append(entry)
@@ -299,27 +273,7 @@ class Encoder:
             frame_stats=frame_stats,
             gop=gop,
             options=options,
-            first_pass=first_pass,
         )
-
-    # ------------------------------------------------------------------
-    # two-pass support
-    # ------------------------------------------------------------------
-    def _run_first_pass(self, video: FrameSequence) -> FirstPassStats:
-        """Fast first pass (untraced): measure per-frame complexity."""
-        fast = self.options.with_updates(
-            rc_mode="abr",
-            me="dia",
-            subme=min(self.options.subme, 2),
-            trellis=0,
-            refs=1,
-            preset_name=f"{self.options.preset_name}+pass1",
-        )
-        result = Encoder(fast).encode(video)
-        stats = FirstPassStats()
-        for frame in result.stream.frames:
-            stats.add(float(frame.bits))
-        return stats
 
     # ------------------------------------------------------------------
     # per-frame helpers
@@ -364,13 +318,6 @@ class Encoder:
         ctx.mean_variance = float(ctx.mb_variances.mean())
         return ctx
 
-    def _frame_complexity(self, sources: list[np.ndarray], disp_idx: int) -> float:
-        if disp_idx == 0:
-            return float(np.mean(np.abs(np.diff(sources[0].astype(np.float64)))))
-        a = sources[disp_idx].astype(np.float64)
-        b = sources[disp_idx - 1].astype(np.float64)
-        return float(np.mean(np.abs(a - b)))
-
     def _run_deblock(self, recon: np.ndarray, qp: int) -> tuple[np.ndarray, int]:
         filtered, n_edges = deblock_plane(recon, qp, offset=self.options.deblock[1])
         self._trace.deblock(recon, filtered, n_edges)
@@ -380,14 +327,13 @@ class Encoder:
         self,
         ctx: _FrameContext,
         writer: BitWriter,
-        rc: RateController,
     ) -> list[CodedMacroblock]:
         mbs: list[CodedMacroblock] = []
         n_mb_y = len(ctx.mv_grid)
         n_mb_x = len(ctx.mv_grid[0])
         for mb_y in range(n_mb_y):
             for mb_x in range(n_mb_x):
-                mbs.append(self._encode_mb(ctx, mb_y, mb_x, writer, rc))
+                mbs.append(self._encode_mb(ctx, mb_y, mb_x, writer))
         self._trace.frame_modes(mbs)
         return mbs
 
@@ -400,13 +346,15 @@ class Encoder:
         mb_y: int,
         mb_x: int,
         writer: BitWriter,
-        rc: RateController,
     ) -> CodedMacroblock:
         y, x = mb_y * 16, mb_x * 16
         src_mb = ctx.src[y : y + 16, x : x + 16]
         assert ctx.mb_variances is not None
-        qp_mb = rc.mb_qp(
-            ctx.base_qp, float(ctx.mb_variances[mb_y, mb_x]), ctx.mean_variance
+        qp_mb = mb_qp(
+            self.options.aq_mode,
+            ctx.base_qp,
+            float(ctx.mb_variances[mb_y, mb_x]),
+            ctx.mean_variance,
         )
         lam = rd_lambda(qp_mb)
         pred_mv = predict_mv(ctx.mv_grid, mb_y, mb_x)
@@ -427,7 +375,7 @@ class Encoder:
                 forward_4x4(blockify_16x16(residual)), qp_mb, level=0
             )
             if not np.any(levels):
-                mb = self._emit_skip(ctx, mb_y, mb_x, skip_candidate, qp_mb, pred_mv, writer, rc)
+                mb = self._emit_skip(ctx, mb_y, mb_x, skip_candidate, qp_mb, pred_mv, writer)
                 self._trace.record(mb, search=search, modes_tried=(), coeffs=None)
                 return mb
 
@@ -443,7 +391,7 @@ class Encoder:
         use = choices[0][1]
 
         if use == "intra" and intra_cand is not None and intra_cand.mode is MBMode.INTRA_4X4:
-            mb, coeffs = self._emit_intra4(ctx, mb_y, mb_x, qp_mb, writer, rc), None
+            mb, coeffs = self._emit_intra4(ctx, mb_y, mb_x, qp_mb, writer), None
         else:
             if use == "intra" and intra_cand is not None:
                 mode, prediction, mvs, mv1, intra_mode = (
@@ -455,7 +403,7 @@ class Encoder:
                 prediction = np.asarray(inter.prediction, dtype=np.float64)
             mb, coeffs = self._transform_and_code(
                 ctx, mb_y, mb_x, prediction, mode, mvs, mv1, intra_mode, qp_mb, pred_mv,
-                writer, rc,
+                writer,
             )
         modes_tried = intra_cand.modes_tried if intra_cand is not None else ()
         self._trace.record(mb, search=search, modes_tried=modes_tried, coeffs=coeffs)
@@ -630,7 +578,6 @@ class Encoder:
         qp_mb: int,
         pred_mv: MotionVector,
         writer: BitWriter,
-        rc: RateController,
     ) -> CodedMacroblock:
         bits_before = writer.bit_count
         write_ue(writer, MODE_IDS[MBMode.SKIP])
@@ -639,7 +586,6 @@ class Encoder:
         recon_mb = np.clip(np.round(prediction), 0, 255).astype(np.uint8)
         ctx.recon[y : y + 16, x : x + 16] = recon_mb
         ctx.mv_grid[mb_y][mb_x] = pred_mv
-        rc.note_mb_bits(bits)
         return CodedMacroblock(
             mb_x=mb_x, mb_y=mb_y, mode=MBMode.SKIP, qp=qp_mb,
             mvs=[pred_mv], bits=bits,
@@ -652,7 +598,6 @@ class Encoder:
         mb_x: int,
         qp_mb: int,
         writer: BitWriter,
-        rc: RateController,
     ) -> CodedMacroblock:
         """True sequential intra-4x4 coding (decodable).
 
@@ -671,7 +616,6 @@ class Encoder:
         encode_tagged_blocks(writer, modes4, levels_all)
         bits = writer.bit_count - bits_before
         ctx.mv_grid[mb_y][mb_x] = None
-        rc.note_mb_bits(bits)
         return CodedMacroblock(
             mb_x=mb_x, mb_y=mb_y, mode=MBMode.INTRA_4X4, qp=qp_mb,
             intra_modes4=modes4, coeffs=levels_all, bits=bits,
@@ -690,7 +634,6 @@ class Encoder:
         qp_mb: int,
         pred_mv: MotionVector,
         writer: BitWriter,
-        rc: RateController,
     ) -> tuple[CodedMacroblock, np.ndarray]:
         """Code the residual of ``prediction``; returns the macroblock and
         the transform coefficients its levels were quantized from."""
@@ -728,7 +671,6 @@ class Encoder:
         ).astype(np.uint8)
         ctx.recon[y : y + 16, x : x + 16] = recon_mb
         ctx.mv_grid[mb_y][mb_x] = mvs[0] if mvs else None
-        rc.note_mb_bits(bits)
         return CodedMacroblock(
             mb_x=mb_x, mb_y=mb_y, mode=mode, qp=qp_mb, intra_mode=intra_mode,
             mvs=mvs, mv1=mv1, coeffs=levels, bits=bits,
@@ -737,46 +679,16 @@ class Encoder:
     # ------------------------------------------------------------------
     # stream syntax
     # ------------------------------------------------------------------
-    def _write_stream_header(
-        self, writer: BitWriter, video: FrameSequence, chroma_active: bool
-    ) -> None:
+    def _write_stream_header(self, writer: BitWriter, video: FrameSequence) -> None:
         write_ue(writer, video.width)
         write_ue(writer, video.height)
         write_ue(writer, int(round(video.fps * 1000)))
         write_ue(writer, len(video))
         write_ue(writer, 1 if self.options.deblock_enabled else 0)
         write_se(writer, self.options.deblock[1])
-        write_ue(writer, 1 if chroma_active else 0)
-
-    def _encode_chroma(
-        self,
-        writer: BitWriter,
-        frame,
-        ftype: FrameType,
-        disp_idx: int,
-        dpb: list[_DpbEntry],
-        base_qp: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Code both chroma planes; returns their reconstructions."""
-        assert frame.chroma is not None
-        ref_chroma: tuple[np.ndarray, np.ndarray] | None = None
-        if ftype is not FrameType.I:
-            past = [
-                e for e in dpb
-                if e.display_index < disp_idx and e.chroma is not None
-            ]
-            if past:
-                ref_chroma = max(past, key=lambda e: e.display_index).chroma
-        recons = []
-        for i, plane in enumerate(frame.chroma):
-            prev = ref_chroma[i] if ref_chroma is not None else None
-            recons.append(
-                encode_chroma_plane(
-                    writer, plane, prev, base_qp, trellis=self.options.trellis
-                )
-            )
-            self._trace.chroma_plane(plane)
-        return (recons[0], recons[1])
+        # The chroma flag: always 0, the stream is luma only. The bit stays
+        # so that a stream's bytes do not depend on when chroma went.
+        write_ue(writer, 0)
 
     @staticmethod
     def _write_frame_header(
@@ -797,7 +709,6 @@ class Encoder:
             frame_type=ftype,
             qp=qp,
             bits=bits,
-            sad=0.0,
             skip_mbs=sum(1 for m in mbs if m.mode is MBMode.SKIP),
             intra_mbs=sum(1 for m in mbs if m.mode.is_intra),
             inter_mbs=sum(1 for m in mbs if m.mode.is_inter),

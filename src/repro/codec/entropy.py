@@ -2,7 +2,7 @@
 
 This is a *real, decodable* entropy layer: the encoder writes every
 syntax element (stream and frame headers, mode, reference, MVs, QP
-delta, coefficient counts, runs and levels, chroma modes) through
+delta, coefficient counts, runs and levels) through
 :class:`BitWriter` as a ue/se exp-Golomb code, and :class:`BitReader`
 parses them back bit-exactly. Coefficients use zigzag run-level coding
 with signed exp-Golomb codes — a genuine (H.263-era) scheme that
@@ -72,7 +72,6 @@ __all__ = [
     "se_bits",
     "encode_blocks",
     "encode_tagged_blocks",
-    "decode_blocks",
 ]
 
 #: Bytes of stream the tokenizing reader unpacks per fill. Part of the
@@ -497,7 +496,8 @@ class BlockBatches:
         self.n_blocks = 0
 
     def read(self, n: int, tagged: bool = False) -> list[int]:
-        """Consume one batch as :func:`decode_blocks` would; returns the tags."""
+        """Consume one batch of ``n`` blocks (each behind its tag when
+        ``tagged``); returns the tags."""
         reader, row, start = self._reader, self.n_blocks, self._reader._pos
         self.n_blocks += n
         counted = _count_from_table(reader, n, tagged)
@@ -542,15 +542,3 @@ class BlockBatches:
         for row, blocks in self._serial:
             levels[row : row + len(blocks)] = blocks
         return levels
-
-
-def decode_blocks(reader: BitReader, n: int) -> np.ndarray:
-    """Decode a batch of ``n`` 4x4 blocks; inverse of :func:`encode_blocks`.
-
-    Reads exactly what ``n`` one-block calls read; the tokenizing reader
-    fills the whole ``(n, 4, 4)`` batch from its table in one pass of
-    array operations.
-    """
-    batches = BlockBatches(reader)
-    batches.read(n)
-    return batches.levels()

@@ -12,10 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from repro._util import check_choice, check_range
 
-__all__ = ["EncoderOptions", "RC_MODES", "ME_METHODS", "PARTITION_SETS"]
-
-RC_MODES = ("cqp", "abr", "2pass-abr", "cbr", "crf", "vbv")
-"""The six x264 rate-control modes described in paper §II-B1."""
+__all__ = ["EncoderOptions", "ME_METHODS", "PARTITION_SETS"]
 
 ME_METHODS = ("dia", "hex", "umh", "esa", "tesa")
 """Integer-pel motion estimation search patterns (§II-B2)."""
@@ -28,21 +25,14 @@ PARTITION_SETS = ("none", "i8x8,i4x4", "-p4x4", "default", "all")
 class EncoderOptions:
     """All configurable encoding parameters.
 
-    Attributes mirror x264 option names used in the paper's Table II, plus
-    the rate-control selection. Instances are immutable; use
-    :meth:`with_updates` to derive variants.
+    Attributes mirror x264 option names used in the paper's Table II.
+    Rate control is CRF throughout (:mod:`repro.codec.ratecontrol`).
+    Instances are immutable; use :meth:`with_updates` to derive variants.
     """
 
     # --- headline sweep parameters (paper §III-A) ---
     crf: int = 23  # 0 (lossless-ish) .. 51 (worst quality)
     refs: int = 3  # 1 .. 16 reference frames
-
-    # --- rate control ---
-    rc_mode: str = "crf"
-    qp: int = 26  # used by cqp mode
-    bitrate_kbps: float = 2000.0  # target for abr/2pass-abr/cbr
-    vbv_maxrate_kbps: float = 0.0  # >0 enables VBV constraint
-    vbv_bufsize_kbits: float = 0.0
 
     # --- Table II preset options ---
     aq_mode: int = 1  # 0 off, 1 variance-based adaptive quant
@@ -56,9 +46,6 @@ class EncoderOptions:
     subme: int = 7  # 0 .. 11 subpixel refinement / RD level
     trellis: int = 1  # 0 off, 1 final-encode, 2 all-decisions
 
-    # --- chroma ---
-    chroma: bool = False  # code Cb/Cr planes (4:2:0) when the source has them
-
     # --- GOP structure ---
     keyint: int = 250  # max I-frame interval
 
@@ -67,8 +54,6 @@ class EncoderOptions:
     def __post_init__(self) -> None:
         check_range("crf", self.crf, 0, 51)
         check_range("refs", self.refs, 1, 16)
-        check_choice("rc_mode", self.rc_mode, RC_MODES)
-        check_range("qp", self.qp, 0, 51)
         check_choice("me", self.me, ME_METHODS)
         check_range("merange", self.merange, 4, 64)
         check_choice("partitions", self.partitions, PARTITION_SETS)
@@ -79,8 +64,6 @@ class EncoderOptions:
         check_range("bframes", self.bframes, 0, 16)
         check_range("scenecut", self.scenecut, 0, 100)
         check_range("keyint", self.keyint, 1, 1000)
-        if self.rc_mode in ("abr", "2pass-abr", "cbr") and self.bitrate_kbps <= 0:
-            raise ValueError("bitrate_kbps must be positive for bitrate-driven RC")
 
     def with_updates(self, **changes: object) -> "EncoderOptions":
         """Return a copy with the given fields replaced (validated)."""
@@ -102,11 +85,3 @@ class EncoderOptions:
         if self.partitions == "default":
             return ("i4x4", "p8x8")
         return ("i4x4", "p8x8", "p4x4")  # "all"
-
-    def describe(self) -> str:
-        """One-line human-readable summary used in reports."""
-        return (
-            f"preset={self.preset_name} crf={self.crf} refs={self.refs} "
-            f"me={self.me} subme={self.subme} trellis={self.trellis} "
-            f"bframes={self.bframes} rc={self.rc_mode}"
-        )

@@ -96,13 +96,11 @@ def preset_options(
     *,
     crf: int = 23,
     refs: int | None = None,
-    **overrides: object,
 ) -> EncoderOptions:
     """Build :class:`EncoderOptions` for a named preset.
 
     ``refs=None`` keeps the preset's Table II value; the paper's preset
-    sweep passes ``refs=3`` explicitly. Additional keyword overrides are
-    applied on top (e.g. ``rc_mode="abr"``).
+    sweep passes ``refs=3`` explicitly.
     """
     if name not in _TABLE_II:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
@@ -110,5 +108,4 @@ def preset_options(
     values["refs"] = PRESET_REFS[name] if refs is None else refs
     values["crf"] = crf
     values["preset_name"] = name
-    values.update(overrides)
     return EncoderOptions(**values)  # type: ignore[arg-type]

@@ -720,12 +720,6 @@ class EncodeTrace:
         self._outcomes(call, "skip", [mode is _SKIP for mode in modes])
         self._outcomes(call, "intra", [mode in _INTRA for mode in modes])
 
-    def chroma_plane(self, plane: np.ndarray) -> None:
-        n_blocks = (plane.shape[0] // 8 + 1) * (plane.shape[1] // 8 + 1)
-        self._call("dct4", n_blocks * 4)
-        self._call("quant", n_blocks * 4)
-        self._call("mc_copy", n_blocks * 8)
-
     def deblock(self, before: np.ndarray, after: np.ndarray, n_edges: int) -> None:
         self._name_regions()
         rows = (self._recon_work, len(range(0, self._pad_h, 2)), 2 * self._pad_w)

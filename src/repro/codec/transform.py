@@ -21,7 +21,6 @@ __all__ = [
     "inverse_4x4",
     "blockify_16x16",
     "unblockify_16x16",
-    "blockify_frame",
     "satd_16x16",
     "satd_batch",
     "hadamard_sad_batch",
@@ -94,26 +93,6 @@ def unblockify_16x16(blocks: np.ndarray) -> np.ndarray:
     if blocks.shape != (16, 4, 4):
         raise ValueError(f"expected (16, 4, 4) blocks, got {blocks.shape}")
     return blocks.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
-
-
-def blockify_frame(plane: np.ndarray, size: int = 4) -> np.ndarray:
-    """Split a whole plane into ``size`` x ``size`` blocks in raster order.
-
-    The plane's dimensions must be multiples of ``size``; returns an
-    ``(n_blocks, size, size)`` array. This is the "blockify the frame
-    once" primitive the batched encoder paths work over, generalizing
-    :func:`blockify_16x16` beyond a single macroblock.
-    """
-    h, w = plane.shape
-    if h % size or w % size:
-        raise ValueError(
-            f"plane shape {plane.shape} is not a multiple of {size}"
-        )
-    return (
-        plane.reshape(h // size, size, w // size, size)
-        .transpose(0, 2, 1, 3)
-        .reshape(-1, size, size)
-    )
 
 
 def satd_batch(block_sets: np.ndarray) -> np.ndarray:

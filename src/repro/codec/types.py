@@ -126,8 +126,6 @@ class CodedFrame:
     macroblocks: list[CodedMacroblock]
     recon: np.ndarray  # uint8 reconstructed (padded) luma
     bits: int = 0
-    # Reconstructed chroma planes (padded), when chroma coding is active.
-    chroma_recon: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def mb_count(self) -> int:
@@ -136,12 +134,11 @@ class CodedFrame:
 
 @dataclass
 class FrameStats:
-    """Per-frame encoding statistics used by rate control and reports."""
+    """Per-frame encoding statistics: type, QP, bits and macroblock modes."""
 
     frame_type: FrameType
     qp: int
     bits: int
-    sad: float  # total inter/intra prediction SAD (complexity proxy)
     skip_mbs: int
     intra_mbs: int
     inter_mbs: int

@@ -80,7 +80,7 @@ __all__ = [
 
 #: Bump to invalidate every cache entry (keys embed it): on a change to the key's
 #: text, or to ``CounterSet``'s fields (a sweep entry stores them by position).
-CACHE_SCHEMA_VERSION = 3
+CACHE_SCHEMA_VERSION = 4
 
 _T = TypeVar("_T")
 

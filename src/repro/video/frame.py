@@ -1,8 +1,7 @@
 """Frame and frame-sequence containers.
 
-Frames carry 8-bit luma planes (the codec operates on luma, which is where
-virtually all of the encoding work in x264 happens) plus optional
-half-resolution chroma planes for completeness. Dimensions are padded to
+Frames carry 8-bit luma planes only: the codec operates on luma, which is
+where virtually all of the encoding work in x264 happens. Dimensions are padded to
 macroblock (16 pixel) multiples by the codec, not here; the containers
 preserve the source geometry exactly.
 """
@@ -28,28 +27,15 @@ class Frame:
     ----------
     luma:
         2-D ``uint8`` array of shape ``(height, width)``.
-    chroma:
-        Optional pair of 2-D ``uint8`` arrays (Cb, Cr) at half resolution
-        (4:2:0 subsampling). ``None`` for luma-only processing.
     """
 
     luma: np.ndarray
-    chroma: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.luma.ndim != 2:
             raise ValueError(f"luma must be 2-D, got shape {self.luma.shape}")
         if self.luma.dtype != np.uint8:
             raise ValueError(f"luma must be uint8, got {self.luma.dtype}")
-        if self.chroma is not None:
-            ch, cw = (self.height + 1) // 2, (self.width + 1) // 2
-            for plane in self.chroma:
-                if plane.shape != (ch, cw):
-                    raise ValueError(
-                        f"chroma plane shape {plane.shape} != expected {(ch, cw)}"
-                    )
-                if plane.dtype != np.uint8:
-                    raise ValueError("chroma planes must be uint8")
 
     @property
     def height(self) -> int:

@@ -154,32 +154,6 @@ def _composite(
     return canvas
 
 
-def _chroma_from_luma(canvas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Derive half-resolution Cb/Cr planes from the luma field.
-
-    Chroma tracks the scene structure (sprites carry their own tint) but
-    with lower contrast, like natural footage: Cb/Cr are centered at 128
-    with gentle spatially-correlated excursions.
-    """
-    h = (canvas.shape[0] // 2) * 2
-    w = (canvas.shape[1] // 2) * 2
-    ds = (
-        canvas[:h:2, :w:2]
-        + canvas[1:h:2, :w:2]
-        + canvas[:h:2, 1:w:2]
-        + canvas[1:h:2, 1:w:2]
-    ) / 4.0
-    centered = ds - float(ds.mean())
-    cb = np.clip(128.0 + centered / 4.0, 0, 255).astype(np.uint8)
-    cr = np.clip(128.0 - centered / 6.0, 0, 255).astype(np.uint8)
-    # Match Frame's expected chroma geometry for odd luma dimensions.
-    ch = (canvas.shape[0] + 1) // 2
-    cw = (canvas.shape[1] + 1) // 2
-    cb = np.pad(cb, ((0, ch - cb.shape[0]), (0, cw - cb.shape[1])), mode="edge")
-    cr = np.pad(cr, ((0, ch - cr.shape[0]), (0, cw - cr.shape[1])), mode="edge")
-    return cb, cr
-
-
 def generate_scene(spec: SceneSpec) -> FrameSequence:
     """Generate a deterministic synthetic clip from ``spec``.
 
@@ -209,7 +183,7 @@ def generate_scene(spec: SceneSpec) -> FrameSequence:
             noise = rng.normal(0.0, spec.noise_level * 24.0, canvas.shape)
             canvas = canvas + noise
         luma = np.clip(canvas, 0, 255).astype(np.uint8)
-        frames.append(Frame(luma, chroma=_chroma_from_luma(canvas)))
+        frames.append(Frame(luma))
         # Advance motion for the next frame.
         pan[0] += pan_speed * np.cos(pan_angle)
         pan[1] += pan_speed * np.sin(pan_angle)

@@ -204,7 +204,6 @@ def cached_video(
         obs.inc("video.loads")
         video = load_video(name, width=width, height=height, n_frames=n_frames)
         for frame in video:
-            for plane in (frame.luma, *(frame.chroma or ())):
-                plane.flags.writeable = False
+            frame.luma.flags.writeable = False
         _CLIPS[key] = video
     return video

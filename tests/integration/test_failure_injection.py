@@ -130,14 +130,14 @@ class TestGarbage:
         assert len(result.video) >= 1
 
 
-def _stream(*frames, size=16) -> bytes:
+def _stream(*frames, size=16, chroma=0) -> bytes:
     """A hand-written stream of ``size`` x ``size`` frames; each frame is
     a function that writes itself (see :func:`_frame`)."""
     w = BitWriter()
     for value in (size, size, 30_000, len(frames), 0):  # ..., deblock off
         write_ue(w, value)
     write_se(w, 0)  # deblock offset
-    write_ue(w, 0)  # no chroma
+    write_ue(w, chroma)  # the chroma flag: 0, streams are luma only
     for frame in frames:
         frame(w)
     return w.getvalue()
@@ -221,6 +221,10 @@ class TestTypedRejections:
             result = decode(data)
         assert [f.luma.shape for f in result.video] == [(16, 16)] * 4
         assert [t.value for t in result.frame_types] == ["I", "B", "P", "P"]
+
+    def test_chroma_flag_set(self, codec):
+        data = _stream(_frame(0, _I, _intra16()), chroma=1)
+        self._rejects(codec, data, "chroma")
 
     def test_unknown_frame_type_id(self, codec):
         self._rejects(codec, _stream(_frame(0, 3, _intra16())), "frame type")

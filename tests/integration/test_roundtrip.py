@@ -28,22 +28,6 @@ def test_roundtrip_every_preset(preset, tiny_video):
     _assert_exact(result, tiny_video)
 
 
-@pytest.mark.parametrize("rc_mode", ["cqp", "crf", "abr", "cbr", "vbv", "2pass-abr"])
-def test_roundtrip_every_rc_mode(rc_mode, tiny_video):
-    opts = EncoderOptions(
-        rc_mode=rc_mode,
-        crf=25,
-        qp=28,
-        refs=1,
-        bframes=1,
-        bitrate_kbps=400.0,
-        vbv_maxrate_kbps=500.0 if rc_mode == "vbv" else 0.0,
-        vbv_bufsize_kbits=40.0 if rc_mode == "vbv" else 0.0,
-    )
-    result = encode(tiny_video, opts)
-    _assert_exact(result, tiny_video)
-
-
 @pytest.mark.parametrize("me", ["dia", "hex", "umh", "esa", "tesa"])
 def test_roundtrip_every_motion_method(me, tiny_video):
     opts = EncoderOptions(crf=24, refs=1, me=me, merange=8, bframes=0)

@@ -23,8 +23,8 @@ column path equal to (``==`` on every float):
 
 * The codec's scalar bodies — the transforms as ``einsum``, bit-at-a-time
   writes, a reader that never tokenizes, per-candidate motion and intra
-  scoring, per-partition refinement, per-edge deblocking, per-block chroma
-  and the raster intra-4x4 chain — each under the name of the batched
+  scoring, per-partition refinement, per-edge deblocking and the raster
+  intra-4x4 chain — each under the name of the batched
   ``src`` body it stands for. :func:`oracle_codec` installs them all, so a
   whole encode or decode runs them; :func:`against_oracles` runs one
   callable on ``src`` and on the oracles, and
@@ -72,7 +72,6 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.codec import chroma as chroma_mod
 from repro.codec import deblock as deblock_mod
 from repro.codec import decoder as decoder_mod
 from repro.codec import encoder as encoder_mod
@@ -87,7 +86,6 @@ from repro.codec.entropy import (
     BitstreamError,
     BitWriter,
     BlockBatches,
-    decode_blocks,
     read_se,
     read_ue,
 )
@@ -410,12 +408,6 @@ class PerCallEncodeTrace:
                 "intra": np.array([mb.mode.is_intra for mb in mbs], dtype=bool),
             },
         )
-
-    def chroma_plane(self, plane):
-        n_blocks = (plane.shape[0] // 8 + 1) * (plane.shape[1] // 8 + 1)
-        self._tracer.kernel("dct4", iters=n_blocks * 4)
-        self._tracer.kernel("quant", iters=n_blocks * 4)
-        self._tracer.kernel("mc_copy", iters=n_blocks * 8)
 
     def deblock(self, before, after, n_edges):
         row_addrs = (
@@ -1336,6 +1328,16 @@ def encode_blocks(writer, blocks):
     return [encode_block(writer, b) for b in entropy_mod._checked_batch(blocks)]
 
 
+def decode_blocks(reader, n):
+    """A batch of ``n`` 4x4 blocks read back as the decoder reads one
+    (:class:`~repro.codec.entropy.BlockBatches`); the inverse of
+    :func:`~repro.codec.entropy.encode_blocks`, reading exactly what ``n``
+    one-block reads read."""
+    batches = BlockBatches(reader)
+    batches.read(n)
+    return batches.levels()
+
+
 def tokenize_nothing(self):
     """``BitReader._fill`` that takes no code: every read falls to the
     bit-serial loop and every batch to the per-block one — the reader that
@@ -1686,35 +1688,6 @@ def filter_edges_each(plane, axis, alpha, beta):
             plane[:, edge] = q0_new
 
 
-def encode_chroma_plane(writer, plane, prev_recon, luma_qp, *, trellis=0):
-    """``chroma.encode_chroma_plane`` fetching and scoring each block's
-    candidates (temporal first, then DC) on their own."""
-    src = chroma_mod._pad_to_block(np.asarray(plane, dtype=np.uint8))
-    qp = chroma_mod.chroma_qp(luma_qp)
-    h, w = src.shape
-    recon = np.zeros((h, w), dtype=np.uint8)
-    for y in range(0, h, 8):
-        for x in range(0, w, 8):
-            block = src[y : y + 8, x : x + 8].astype(np.float64)
-            candidates = [(1, chroma_mod._dc_prediction(recon, y, x))]
-            if prev_recon is not None:
-                temporal = prev_recon[y : y + 8, x : x + 8].astype(np.float64)
-                candidates.insert(0, (0, temporal))
-            mode, pred = min(
-                candidates, key=lambda c: float(np.sum(np.abs(block - c[1])))
-            )
-            write_ue(writer, mode)
-            levels = trellis_quantize(
-                forward_4x4(chroma_mod._blockify8(block - pred)), qp, level=trellis
-            )
-            encode_blocks(writer, levels)
-            residual = chroma_mod._unblockify8(inverse_4x4(dequantize(levels, qp)))
-            recon[y : y + 8, x : x + 8] = np.clip(
-                np.round(pred + residual), 0, 255
-            ).astype(np.uint8)
-    return recon
-
-
 def _best_intra4_block(recon, src4, y, x):
     """DC(0) / V(1) / H(2) for one 4x4 block from reconstructed pixels."""
     top = recon[y - 1, x : x + 4].astype(np.float64) if y > 0 else None
@@ -1769,7 +1742,7 @@ def _code_intra4_sequential(ctx, y0, x0, qp_mb, trellis, writer):
     return modes4, levels_all
 
 
-def emit_intra4_sequential(self, ctx, mb_y, mb_x, qp_mb, writer, rc):
+def emit_intra4_sequential(self, ctx, mb_y, mb_x, qp_mb, writer):
     """``Encoder._emit_intra4`` walking the sixteen blocks in raster order,
     each written as it is coded."""
     y0, x0 = mb_y * 16, mb_x * 16
@@ -1781,7 +1754,6 @@ def emit_intra4_sequential(self, ctx, mb_y, mb_x, qp_mb, writer, rc):
     )
     bits = writer.bit_count - bits_before
     ctx.mv_grid[mb_y][mb_x] = None
-    rc.note_mb_bits(bits)
     return CodedMacroblock(
         mb_x=mb_x, mb_y=mb_y, mode=MBMode.INTRA_4X4, qp=qp_mb,
         intra_modes4=modes4, coeffs=levels_all, bits=bits,
@@ -1806,7 +1778,6 @@ _CODEC_ORACLES = (
     (intra_mod, "predict_4x4_blocks", predict_4x4_blocks),
     (mbdecision_mod, "_refine_partitions_shared", refine_partitions_each),
     (deblock_mod, "_filter_edges", filter_edges_each),
-    (chroma_mod, "encode_chroma_plane", encode_chroma_plane),
     (encoder_mod.Encoder, "_emit_intra4", emit_intra4_sequential),
 )
 

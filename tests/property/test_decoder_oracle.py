@@ -46,8 +46,6 @@ def _outcome(decoder_cls, data: bytes, tracer=None):
         return type(exc), str(exc)
     return (
         [(f.luma.tobytes(), f.luma.shape) for f in result.video],
-        [None if f.chroma is None else [p.tobytes() for p in f.chroma]
-         for f in result.video],
         result.frame_types,
         result.frame_qps,
         result.video.fps,
@@ -68,12 +66,12 @@ def _assert_same_outcome(data: bytes) -> object:
 @pytest.fixture(scope="module")
 def streams(tiny_video, busy_video):
     """Two real streams: B frames and two references on moderate motion;
-    scene cuts, every partition and chroma on heavy motion."""
+    scene cuts and every partition on heavy motion."""
     return [
         encode(tiny_video, EncoderOptions(crf=23, refs=2, bframes=1)),
         encode(
             busy_video,
-            EncoderOptions(crf=14, refs=2, bframes=2, partitions="all", chroma=True),
+            EncoderOptions(crf=14, refs=2, bframes=2, partitions="all"),
         ),
     ]
 

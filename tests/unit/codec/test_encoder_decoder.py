@@ -102,25 +102,6 @@ class TestModesExercised:
         )
 
 
-class TestTwoPass:
-    def test_two_pass_collects_first_pass(self, tiny_video):
-        result = encode(
-            tiny_video,
-            EncoderOptions(rc_mode="2pass-abr", bitrate_kbps=300.0, refs=1, bframes=0),
-        )
-        assert result.first_pass is not None
-        assert len(result.first_pass.frame_costs) == len(tiny_video)
-
-    def test_two_pass_hits_rate_better_than_wild_guess(self, tiny_video):
-        target = 400.0
-        result = encode(
-            tiny_video,
-            EncoderOptions(rc_mode="2pass-abr", bitrate_kbps=target, refs=1, bframes=0),
-        )
-        # Loose envelope: within 4x of target on a 5-frame clip.
-        assert target / 4 < result.bitrate_kbps < target * 4
-
-
 class TestDecoderRoundTrip:
     def test_exact_reconstruction_default(self, tiny_video, default_options):
         result = encode(tiny_video, default_options)

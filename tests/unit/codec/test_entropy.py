@@ -13,7 +13,6 @@ from repro.codec.entropy import (
     BitWriter,
     BlockBatches,
     TruncatedBitstreamError,
-    decode_blocks,
     encode_blocks,
     encode_tagged_blocks,
     read_se,
@@ -23,7 +22,7 @@ from repro.codec.entropy import (
     write_se,
     write_ue,
 )
-from tests.oracles import CODECS, SerialBitReader, encode_block, write_bit
+from tests.oracles import CODECS, SerialBitReader, decode_blocks, encode_block, write_bit
 
 
 def _decode_one(reader):

@@ -1,9 +1,11 @@
 """Unit tests for repro.codec.options and repro.codec.presets."""
 
+import numpy as np
 import pytest
 
-from repro.codec.options import EncoderOptions, ME_METHODS, RC_MODES
+from repro.codec.options import EncoderOptions, ME_METHODS
 from repro.codec.presets import PRESET_NAMES, PRESET_REFS, PRESETS, preset_options
+from repro.video.frame import Frame
 
 
 class TestEncoderOptions:
@@ -27,12 +29,9 @@ class TestEncoderOptions:
             EncoderOptions(me="zigzag")
 
     def test_invalid_rc_mode(self):
-        with pytest.raises(ValueError):
+        # CRF is the one rate control: there is no mode to choose.
+        with pytest.raises(TypeError):
             EncoderOptions(rc_mode="vbr")
-
-    def test_bitrate_required_for_abr(self):
-        with pytest.raises(ValueError):
-            EncoderOptions(rc_mode="abr", bitrate_kbps=0)
 
     def test_with_updates_validates(self):
         opts = EncoderOptions()
@@ -54,12 +53,7 @@ class TestEncoderOptions:
     def test_partition_candidates(self, partitions, expected):
         assert EncoderOptions(partitions=partitions).partition_candidates == expected
 
-    def test_describe_mentions_key_params(self):
-        desc = EncoderOptions(crf=30, refs=5).describe()
-        assert "crf=30" in desc and "refs=5" in desc
-
     def test_constants(self):
-        assert len(RC_MODES) == 6  # the paper's six rate-control modes
         assert set(ME_METHODS) == {"dia", "hex", "umh", "esa", "tesa"}
 
 
@@ -105,8 +99,17 @@ class TestPresets:
         assert preset_options("veryslow", refs=3).refs == 3
 
     def test_preset_options_extra_overrides(self):
-        opts = preset_options("fast", rc_mode="cqp", qp=30)
-        assert opts.rc_mode == "cqp" and opts.qp == 30
+        # One encoder: CRF + AQ on luma. The options, overrides and planes
+        # of the rate-control modes and the chroma coder it had are refused.
+        with pytest.raises(TypeError):
+            preset_options("fast", qp=30)
+        with pytest.raises(TypeError):
+            EncoderOptions(rc_mode="abr")
+        with pytest.raises(TypeError):
+            EncoderOptions(chroma=True)
+        luma = np.zeros((32, 48), np.uint8)
+        with pytest.raises(TypeError):
+            Frame(luma, chroma=(luma[::2, ::2], luma[::2, ::2]))
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError, match="unknown preset"):

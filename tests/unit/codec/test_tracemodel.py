@@ -317,7 +317,6 @@ def test_untraced_model_lays_out_the_heap_and_reports_nothing(tracer):
     coded = _mb(1, 1, MBMode.INTER_8X8, coeffs=levels, bits=300)
     _record(model, coded, search, (4, 40), levels.astype(np.float64))
     model.frame_modes([mb])
-    model.chroma_plane(plane)
     model.deblock(plane, plane, 8)
     model.rc_update()
     assert model.heap_bytes == recording.heap_bytes  # no lazily named region either

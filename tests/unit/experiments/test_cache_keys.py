@@ -30,14 +30,15 @@ from repro.profiling.counters import CounterSet
 from repro.uarch.configs import baseline_config
 
 #: ``PointSpec(QUICK, "cricket", crf=23, refs=1, preset="medium").cache_key()``
-#: under repro 2.1.0 and cache schema 3, as ``content_key`` builds it (under
+#: under repro 2.1.0 and cache schema 4, as ``content_key`` builds it (under
 #: schema 1 it was ``229668db...``, under schema 2 ``1e20ebaf...``, under
-#: 2.0.0 and schema 3 ``3abbb449...``). Changes only with a ``__version__``
-#: or ``CACHE_SCHEMA_VERSION`` bump.
-GOLDEN_KEY = "0dd50ec18e73bdfac64eb39986fc0bcc21c2f41de0ac1a3a42773931f7537430"
+#: 2.0.0 and schema 3 ``3abbb449...``, under 2.1.0 and schema 3
+#: ``0dd50ec1...``; schema 4 dropped six ``EncoderOptions`` fields).
+#: Changes only with a ``__version__`` or ``CACHE_SCHEMA_VERSION`` bump.
+GOLDEN_KEY = "9d352fc2f24ca050a971a1e0173c6ad781be85ebf0749a9ea80a1a07b709f0d6"
 
 #: ``CounterSet``'s fields in the order a sweep entry's counter block stores
-#: them, as of cache schema 2 (unchanged in schema 3).
+#: them, as of cache schema 2 (unchanged in schemas 3 and 4).
 COUNTER_FIELDS = (
     "time_seconds", "psnr_db", "bitrate_kbps",
     "retiring", "bad_speculation", "frontend_bound", "backend_bound",
@@ -94,15 +95,9 @@ option_sets = st.one_of(
         EncoderOptions,
         crf=st.integers(min_value=0, max_value=51),
         refs=st.integers(min_value=1, max_value=16),
-        rc_mode=st.sampled_from(["crf", "cqp", "abr"]),
-        bitrate_kbps=st.one_of(
-            st.integers(min_value=1, max_value=20000),
-            st.floats(min_value=0.5, max_value=2e4),
-        ),
         deblock=st.tuples(st.integers(0, 1), st.integers(-6, 6)),
         me=st.sampled_from(["dia", "hex", "umh", "esa"]),
         subme=st.integers(min_value=0, max_value=11),
-        chroma=st.booleans(),
         preset_name=st.text(max_size=8),
     ),
 )
@@ -118,7 +113,7 @@ clip_names = st.one_of(
 
 class TestSweepKey:
     def test_golden_key(self):
-        assert (repro.__version__, CACHE_SCHEMA_VERSION) == ("2.1.0", 3), (
+        assert (repro.__version__, CACHE_SCHEMA_VERSION) == ("2.1.0", 4), (
             "a version bump changes every key: re-pin GOLDEN_KEY"
         )
         spec = _cell(QUICK, "cricket", preset_options("medium", crf=23, refs=1))
@@ -128,7 +123,7 @@ class TestSweepKey:
     def test_counter_block_layout_is_pinned(self):
         """A sweep entry stores the counters by position, not by name."""
         assert (tuple(CounterSet.field_names()), CACHE_SCHEMA_VERSION) == (
-            COUNTER_FIELDS, 3
+            COUNTER_FIELDS, 4
         ), (
             "reordering, renaming, adding or removing a CounterSet field "
             "changes the counter block's layout: bump CACHE_SCHEMA_VERSION, "

@@ -133,7 +133,7 @@ class TestRefusedRecordIsQuarantined:
         """An entry of the old layout (counters as a dict of decimals) is
         expected drift: a miss the sweep recomputes and overwrites, never
         quarantined."""
-        assert CACHE_SCHEMA_VERSION == 3
+        assert CACHE_SCHEMA_VERSION == 4
         scale = QUICK.with_updates(name="schema1", width=32, height=32, n_frames=2)
         cache = ResultCache(tmp_path)
         key = PointSpec(
@@ -157,7 +157,7 @@ class TestRefusedRecordIsQuarantined:
         assert metrics["sweep.disk_writes"] == 1
         assert "cache.quarantined" not in metrics
         assert cache.stats().corrupt == 0
-        assert json.loads(path.read_text(encoding="utf-8"))["cache_schema"] == 3
+        assert json.loads(path.read_text(encoding="utf-8"))["cache_schema"] == 4
         assert cache.get_record(key) == record
 
 

@@ -23,7 +23,7 @@ def _load(name: str):
 
 budget = _load("budget")
 
-ROWS = {"transcode_ladder": 20, "fleet_replay": 8, "profile_grid": 27, "sweep_warm": 10}
+ROWS = {"transcode_ladder": 20, "fleet_replay": 8, "profile_grid": 26, "sweep_warm": 10}
 
 
 @pytest.mark.parametrize("workload", sorted(ROWS))

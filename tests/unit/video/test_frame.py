@@ -25,13 +25,6 @@ class TestFrame:
         with pytest.raises(ValueError, match="uint8"):
             Frame(np.zeros((16, 16), dtype=np.float32))
 
-    def test_chroma_shape_validated(self):
-        ch = np.zeros((16, 24), dtype=np.uint8)
-        f = Frame(_luma(32, 48), chroma=(ch, ch))
-        assert f.chroma is not None
-        with pytest.raises(ValueError, match="chroma"):
-            Frame(_luma(32, 48), chroma=(np.zeros((8, 8), np.uint8),) * 2)
-
     def test_padded_luma_noop_when_aligned(self):
         f = Frame(_luma(32, 48))
         assert f.padded_luma() is f.luma

@@ -175,7 +175,7 @@ TABLES = {
     "profile_grid": Table(passes=3, setup=_cells, extra=_trace_side, stages=(
         ("Encoder.encode", encoder.Encoder, "encode"),
         *((f"  EncodeTrace.{name}*", EncodeTrace, name) for name in (
-            "lookahead", "frame_setup", "record", *RETIRED, "frame_modes", "chroma_plane",
+            "lookahead", "frame_setup", "record", *RETIRED, "frame_modes",
             "deblock", "rc_update", "dpb_store",
         )),
         ("  EncodeTrace._drain*", EncodeTrace, "_drain"),
