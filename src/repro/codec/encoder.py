@@ -375,7 +375,9 @@ class Encoder:
                 forward_4x4(blockify_16x16(residual)), qp_mb, level=0
             )
             if not np.any(levels):
-                mb = self._emit_skip(ctx, mb_y, mb_x, skip_candidate, qp_mb, pred_mv, writer)
+                mb = self._emit_skip(
+                    ctx, mb_y, mb_x, skip_candidate, qp_mb, pred_mv, writer
+                )
                 self._trace.record(mb, search=search, modes_tried=(), coeffs=None)
                 return mb
 

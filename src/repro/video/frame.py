@@ -1,9 +1,9 @@
 """Frame and frame-sequence containers.
 
 Frames carry 8-bit luma planes only: the codec operates on luma, which is
-where virtually all of the encoding work in x264 happens. Dimensions are padded to
-macroblock (16 pixel) multiples by the codec, not here; the containers
-preserve the source geometry exactly.
+where virtually all of the encoding work in x264 happens. Dimensions are
+padded to macroblock (16 pixel) multiples by the codec, not here; the
+containers preserve the source geometry exactly.
 """
 
 from __future__ import annotations
