@@ -688,9 +688,7 @@ class Encoder:
         write_ue(writer, len(video))
         write_ue(writer, 1 if self.options.deblock_enabled else 0)
         write_se(writer, self.options.deblock[1])
-        # The chroma flag: always 0, the stream is luma only. The bit stays
-        # so that a stream's bytes do not depend on when chroma went.
-        write_ue(writer, 0)
+        write_ue(writer, 0)  # chroma flag: 0, luma only (the decoder refuses 1)
 
     @staticmethod
     def _write_frame_header(
